@@ -181,12 +181,12 @@ func TestAdaptiveExperimentsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			render := func() string {
-				tab, err := exp.All()[id](7)
+				art, _, err := exp.Env{}.Run(id, 7)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				tab.Render(&buf)
+				art.Table.Render(&buf)
 				return buf.String()
 			}
 			prev := runtime.GOMAXPROCS(1)

@@ -10,9 +10,7 @@ package hetmpc_test
 // §9); E29..E31 sweep adaptive placement — online speed re-estimation
 // with round-boundary re-splitting (DESIGN.md §10); E32 sweeps the
 // Exchange transports — the deliver phase over a real wire at asserted
-// bit-identical model numbers (DESIGN.md §11); E33 is the hot-path speed
-// gate — reference vs optimized kernels at 10× Table-1 sizes with outputs
-// asserted identical (DESIGN.md §14). Each benchmark
+// bit-identical model numbers (DESIGN.md §11). Each benchmark
 // runs its experiment through the heterogeneous-MPC simulator, validates
 // every output against the exact references, and reports measured model
 // metrics via b.ReportMetric.
@@ -52,7 +50,7 @@ func runExp(b *testing.B, id string) {
 	b.Helper()
 	var art *exp.Artifact
 	for i := 0; i < b.N; i++ {
-		a, err := exp.Run(id, 7)
+		a, _, err := exp.Env{}.Run(id, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +99,6 @@ func BenchmarkE29_AdaptivePolicyGrid(b *testing.B)        { runExp(b, "e29") }
 func BenchmarkE30_MisreportedProfile(b *testing.B)        { runExp(b, "e30") }
 func BenchmarkE31_AdaptiveTransientSlowdown(b *testing.B) { runExp(b, "e31") }
 func BenchmarkE32_TransportSweep(b *testing.B)            { runExp(b, "e32") }
-func BenchmarkE33_KernelScaleSweep(b *testing.B)          { runExp(b, "e33") }
 
 // --- direct algorithm micro-benchmarks with model-metric reporting ---
 

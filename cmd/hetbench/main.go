@@ -2,9 +2,8 @@
 // comparison, the figure-style sweeps E2..E16, the heterogeneous-profile
 // sweeps E17..E19, the fault-injection sweeps E20..E22, the placement-policy
 // sweeps E23..E25, the trace/critical-path sweeps E26..E28, the
-// adaptive-placement sweeps E29..E31, the wire-transport sweep E32, and the
-// kernel scale sweep E33 (see DESIGN.md §2/§6/§7/§8/§9/§10/§11/§14 and
-// EXPERIMENTS.md).
+// adaptive-placement sweeps E29..E31 and the wire-transport sweep E32 (see
+// DESIGN.md §2/§6/§7/§8/§9/§10/§11 and EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -58,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"hetmpc/internal/cliflags"
@@ -69,8 +69,10 @@ func main() {
 }
 
 func run() int {
+	known := exp.IDs()
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment ids (table1, e2..e33) or 'all'")
+		expFlag = flag.String("exp", "all", fmt.Sprintf("comma-separated experiment ids (%s, %s..%s) or 'all'",
+			known[0], known[1], known[len(known)-1]))
 		seedFlag = flag.Uint64("seed", 7, "workload seed")
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonFlag = flag.Bool("json", false, "write BENCH_<exp>.json artifacts (rounds, words, makespan, wall ns, allocs) instead of text tables")
@@ -92,41 +94,33 @@ func run() int {
 		}
 	}()
 
-	if err := exp.SetProfile(model.Profile); err != nil {
+	env := exp.Env{
+		Profile:   model.Profile,
+		Faults:    model.Faults,
+		Placement: model.Placement,
+		Transport: model.Transport,
+		Trace:     obs.Tracing(model),
+		Metrics:   obs.Metrics != "",
+	}
+	if err := env.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hetbench:", err)
 		return 2
 	}
-	if err := exp.SetFaults(model.Faults); err != nil {
-		fmt.Fprintln(os.Stderr, "hetbench:", err)
-		return 2
-	}
-	if err := exp.SetPlacement(model.Placement); err != nil {
-		fmt.Fprintln(os.Stderr, "hetbench:", err)
-		return 2
-	}
-	if err := exp.SetTransport(model.Transport); err != nil {
-		fmt.Fprintln(os.Stderr, "hetbench:", err)
-		return 2
-	}
-	exp.SetTrace(obs.Tracing(model))
-	exp.SetMetrics(obs.Metrics != "")
-	all := exp.All()
 	if *listFlag {
-		for _, id := range exp.Order() {
+		for _, id := range known {
 			fmt.Println(id)
 		}
 		return 0
 	}
-	var ids []string
-	if *expFlag == "all" {
-		ids = exp.Order()
-	} else {
+	ids := known
+	if *expFlag != "all" {
+		ids = nil
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.TrimSpace(id)
 			if id == "" {
 				continue
 			}
-			if _, ok := all[id]; !ok {
+			if !slices.Contains(known, id) {
 				fmt.Fprintf(os.Stderr, "hetbench: unknown experiment %q (use -list)\n", id)
 				return 2
 			}
@@ -138,68 +132,56 @@ func run() int {
 		return 2
 	}
 	for _, id := range ids {
-		if *jsonFlag || obs.Tracing(model) || obs.Metrics != "" {
-			// Artifact path: -json, and any observability output (-trace,
-			// -traceout, -metrics) that needs the run-wide collection
-			// exp.RunFull does.
-			art, rounds, err := exp.RunFull(id, *seedFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
-				return 1
-			}
-			if obs.TraceOut != "" {
-				if err := cliflags.WriteTraceFile(obs.TraceOut, rounds); err != nil {
-					fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
-					return 1
-				}
-			}
-			if obs.Metrics != "" {
-				if err := cliflags.WriteMetricsFile(obs.Metrics, art.Metrics); err != nil {
-					fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
-					return 1
-				}
-			}
-			if !*jsonFlag {
-				render(art.Table, *csvFlag)
-				if model.Trace && art.Trace != nil {
-					render(art.Trace.Table(fmt.Sprintf("%s — trace phase summary (%d clusters, %d rounds)",
-						id, art.Trace.Clusters, art.Trace.Rounds)), *csvFlag)
-				}
-				continue
-			}
-			path, err := art.WriteFile(*outFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
-				return 1
-			}
-			line := fmt.Sprintf("%s\trounds=%d words=%d makespan=%.3g wall=%dms allocs=%d",
-				path, art.Model.Rounds, art.Model.TotalWords, art.Model.Makespan, art.WallNS/1e6, art.Allocs)
-			if art.NsPerOp > 0 {
-				line += fmt.Sprintf(" ns/op=%d allocs/op=%d B/op=%d",
-					art.NsPerOp, art.AllocsPerOp, art.AllocBytesPerOp)
-			}
-			if art.Model.Crashes > 0 || art.Model.Checkpoints > 0 {
-				line += fmt.Sprintf(" crashes=%d recovery-rounds=%d repl-words=%d",
-					art.Model.Crashes, art.Model.RecoveryRounds, art.Model.ReplicationWords)
-			}
-			if art.Model.SpeculationWords > 0 {
-				line += fmt.Sprintf(" spec-words=%d", art.Model.SpeculationWords)
-			}
-			if art.Model.WireBytes > 0 {
-				line += fmt.Sprintf(" wire-bytes=%d", art.Model.WireBytes)
-			}
-			if art.Trace != nil {
-				line += fmt.Sprintf(" trace-phases=%d", len(art.Trace.Phases))
-			}
-			fmt.Println(line)
-			continue
-		}
-		table, err := all[id](*seedFlag)
+		art, rounds, err := env.Run(id, *seedFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
 			return 1
 		}
-		render(table, *csvFlag)
+		if obs.TraceOut != "" {
+			if err := cliflags.WriteTraceFile(obs.TraceOut, rounds); err != nil {
+				fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
+				return 1
+			}
+		}
+		if obs.Metrics != "" {
+			if err := cliflags.WriteMetricsFile(obs.Metrics, art.Metrics); err != nil {
+				fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
+				return 1
+			}
+		}
+		if !*jsonFlag {
+			render(art.Table, *csvFlag)
+			if model.Trace && art.Trace != nil {
+				render(art.Trace.Table(fmt.Sprintf("%s — trace phase summary (%d clusters, %d rounds)",
+					id, art.Trace.Clusters, art.Trace.Rounds)), *csvFlag)
+			}
+			continue
+		}
+		path, err := art.WriteFile(*outFlag)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
+			return 1
+		}
+		line := fmt.Sprintf("%s\trounds=%d words=%d makespan=%.3g wall=%dms allocs=%d",
+			path, art.Model.Rounds, art.Model.TotalWords, art.Model.Makespan, art.WallNS/1e6, art.Allocs)
+		if art.NsPerOp > 0 {
+			line += fmt.Sprintf(" ns/op=%d allocs/op=%d B/op=%d",
+				art.NsPerOp, art.AllocsPerOp, art.AllocBytesPerOp)
+		}
+		if art.Model.Crashes > 0 || art.Model.Checkpoints > 0 {
+			line += fmt.Sprintf(" crashes=%d recovery-rounds=%d repl-words=%d",
+				art.Model.Crashes, art.Model.RecoveryRounds, art.Model.ReplicationWords)
+		}
+		if art.Model.SpeculationWords > 0 {
+			line += fmt.Sprintf(" spec-words=%d", art.Model.SpeculationWords)
+		}
+		if art.Model.WireBytes > 0 {
+			line += fmt.Sprintf(" wire-bytes=%d", art.Model.WireBytes)
+		}
+		if art.Trace != nil {
+			line += fmt.Sprintf(" trace-phases=%d", len(art.Trace.Phases))
+		}
+		fmt.Println(line)
 	}
 	return 0
 }

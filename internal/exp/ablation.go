@@ -5,7 +5,7 @@ import (
 	"hetmpc/internal/graph"
 )
 
-// E16MSTAblation isolates the contribution of each §3 ingredient:
+// e16MSTAblation isolates the contribution of each §3 ingredient:
 //
 //   - "full": doubly-exponential budgets + KKT sampling (the paper);
 //   - "budget=2": plain Borůvka budgets with the sampling finish — phases
@@ -17,7 +17,7 @@ import (
 //     heterogeneous toolbox, Θ(log n) phases.
 //
 // Every variant must still produce the exact MSF.
-func E16MSTAblation(seed uint64) (*Table, error) {
+func (rn *run) e16MSTAblation(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E16 — MST ablation (§3 design choices), n=1024 m=2048 (sparse: the sampling step matters)",
 		Header: []string{"variant", "phases", "rounds", "sample tries", "exact"},
@@ -35,7 +35,7 @@ func E16MSTAblation(seed uint64) (*Table, error) {
 		{"budget=2, no sampling", core.MSTOptions{FixedBudget: 2, DisableSampling: true}},
 	}
 	for _, v := range variants {
-		c, err := newHet(n, m, 0, seed)
+		c, err := rn.newHet(n, m, 0, seed)
 		if err != nil {
 			return nil, err
 		}

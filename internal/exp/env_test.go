@@ -1,0 +1,93 @@
+package exp
+
+import (
+	"bytes"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// TestEnvsRunConcurrently is the property the explicit Env buys: two
+// differently configured runs of one experiment share a process without
+// seeing each other. Each Env first runs alone, then both run from parallel
+// subtests, and every concurrent artifact must reproduce its sequential
+// model stats, table and override tags. (Host fields are process-wide and
+// are not compared.)
+func TestEnvsRunConcurrently(t *testing.T) {
+	envs := map[string]Env{
+		"default":   {},
+		"straggler": {Profile: "straggler:2:8", Trace: true},
+	}
+	want := map[string]*Artifact{}
+	for name, env := range envs {
+		art, _, err := env.Run("e14", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = art
+	}
+	if want["straggler"].Profile != "straggler:2:8" || want["default"].Profile != "" {
+		t.Fatalf("sequential tags: default %q, straggler %q", want["default"].Profile, want["straggler"].Profile)
+	}
+	if want["straggler"].Model.Makespan <= want["default"].Model.Makespan {
+		t.Fatal("the straggler profile did not reach the clusters: the two Envs would be indistinguishable")
+	}
+	t.Run("concurrent", func(t *testing.T) {
+		for name, env := range envs {
+			for rep := 0; rep < 2; rep++ {
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					got, _, err := env.Run("e14", 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := want[name]
+					if got.Model != w.Model {
+						t.Errorf("model diverged:\n got %+v\nwant %+v", got.Model, w.Model)
+					}
+					if !reflect.DeepEqual(got.Table, w.Table) {
+						t.Error("table diverged from the sequential run")
+					}
+					if got.Profile != w.Profile || got.Faults != w.Faults || got.Placement != w.Placement || got.Transport != w.Transport {
+						t.Errorf("override tags diverged: %+v", got)
+					}
+					if (got.Trace == nil) != (w.Trace == nil) || (w.Trace != nil && !reflect.DeepEqual(got.Trace, w.Trace)) {
+						t.Error("trace summary diverged from the sequential run")
+					}
+				})
+			}
+		}
+	})
+}
+
+// TestRunClosesRealTransports: every cluster a run builds on a real
+// transport is closed when Run returns, whatever the caller then does with
+// the artifact — here the text-table path, which at one point bypassed the
+// bookkeeping that closes clusters and left a socketpair per machine to
+// the finalizers.
+func TestRunClosesRealTransports(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip(err)
+		}
+		return len(ents)
+	}
+	before := openFDs()
+	art, _, err := Env{Transport: "pipe"}.Run("e15", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Transport != "pipe" || art.Model.WireBytes == 0 {
+		t.Fatalf("the transport override did not reach the clusters: %+v", art.Model)
+	}
+	var buf bytes.Buffer
+	art.Table.Render(&buf)
+	if after := openFDs(); after != before {
+		t.Fatalf("%d descriptors open after the run, %d before: clusters left unclosed", after, before)
+	}
+}

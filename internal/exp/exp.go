@@ -8,8 +8,9 @@
 // (DESIGN.md §7), and E23–E25 sweep the placement policies and speculation
 // (DESIGN.md §8). It is consumed by cmd/hetbench and by the top-level
 // benchmarks in bench_test.go; EXPERIMENTS.md records representative
-// output, and SetProfile/SetFaults/SetPlacement rebuild any experiment
-// under a chosen profile, fault plan or placement policy.
+// output. Env is the one entry point: Env.Run executes an experiment by id,
+// and a non-zero Env rebuilds it under a chosen profile, fault plan,
+// placement policy or transport, traced or metered.
 package exp
 
 import (

@@ -30,38 +30,44 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRegistered: the registry is one ordered table, so every
+// id must be unique (a duplicate would shadow the later entry) and carry an
+// experiment.
 func TestAllExperimentsRegistered(t *testing.T) {
-	all := All()
-	for _, id := range Order() {
-		if all[id] == nil {
-			t.Fatalf("experiment %q in Order but not registered", id)
+	seen := map[string]bool{}
+	for _, e := range experiments {
+		if e.fn == nil {
+			t.Fatalf("experiment %q registered without a function", e.id)
 		}
-	}
-	if len(all) != len(Order()) {
-		t.Fatalf("registry size %d != order size %d", len(all), len(Order()))
+		if seen[e.id] {
+			t.Fatalf("experiment id %q registered twice", e.id)
+		}
+		seen[e.id] = true
 	}
 }
 
 // TestExperimentsExecute runs every experiment end to end (each validates
 // its own outputs against the exact references and returns an error on any
-// mismatch). The heavy ones are skipped with -short.
+// mismatch). The heavy ones are skipped with -short. Runs share no state, so
+// the subtests run in parallel.
 func TestExperimentsExecute(t *testing.T) {
 	light := map[string]bool{"e4": true, "e6": true, "e10": true, "e11": true, "e15": true}
-	for _, id := range Order() {
+	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			if testing.Short() && !light[id] {
 				t.Skip("heavy experiment skipped in -short mode")
 			}
-			tab, err := All()[id](7)
+			t.Parallel()
+			art, _, err := Env{}.Run(id, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tab.Rows) == 0 {
+			if len(art.Table.Rows) == 0 {
 				t.Fatal("experiment produced no rows")
 			}
 			var buf bytes.Buffer
-			tab.Render(&buf)
+			art.Table.Render(&buf)
 			t.Log("\n" + buf.String())
 		})
 	}

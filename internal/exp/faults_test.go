@@ -10,7 +10,7 @@ import (
 // fault-tolerance metrics in its model stats (the wire format the CI smoke
 // step checks).
 func TestE20ArtifactCarriesFaultMetrics(t *testing.T) {
-	art, err := Run("e20", 7)
+	art, _, err := Env{}.Run("e20", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,22 +28,17 @@ func TestE20ArtifactCarriesFaultMetrics(t *testing.T) {
 	}
 }
 
-// TestSetFaultsOverride: a cross-cutting fault spec rebuilds an experiment
-// under faults, tags its artifact, and renames the file so the committed
-// baseline is never clobbered.
+// TestSetFaultsOverride: Env.Faults rebuilds an experiment under faults,
+// tags its artifact, and renames the file so the committed baseline is
+// never clobbered.
 func TestSetFaultsOverride(t *testing.T) {
-	if err := SetFaults("bogus"); err == nil {
+	if err := (Env{Faults: "bogus"}).Validate(); err == nil {
 		t.Fatal("bad fault spec accepted")
 	}
-	if err := SetFaults("ckpt:4+rate:0.002"); err != nil {
-		t.Fatal(err)
+	if _, _, err := (Env{Faults: "bogus"}).Run("e9", 7); err == nil {
+		t.Fatal("Run accepted a bad fault spec")
 	}
-	defer func() {
-		if err := SetFaults(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	art, err := Run("e9", 7)
+	art, _, err := Env{Faults: "ckpt:4+rate:0.002"}.Run("e9", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

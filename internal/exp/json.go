@@ -2,13 +2,9 @@ package exp
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
-	"time"
 
 	"hetmpc/internal/metrics"
 	"hetmpc/internal/mpc"
@@ -115,19 +111,19 @@ type Artifact struct {
 	Exp    string `json:"exp"`
 	Seed   uint64 `json:"seed"`
 	// Profile is the cross-cutting machine-profile spec the clusters were
-	// built under (SetProfile / hetbench -profile); empty = the canonical
+	// built under (Env.Profile / hetbench -profile); empty = the canonical
 	// uniform cluster. It distinguishes profiled artifacts from the
 	// committed uniform baseline in bench/.
 	Profile string `json:"profile,omitempty"`
-	// Faults is the cross-cutting fault-plan spec (SetFaults / hetbench
+	// Faults is the cross-cutting fault-plan spec (Env.Faults / hetbench
 	// -faults); empty = the reliable cluster. Like Profile it re-names the
 	// artifact so faulted runs never clobber the committed baseline.
 	Faults string `json:"faults,omitempty"`
-	// Placement is the cross-cutting placement-policy spec (SetPlacement /
+	// Placement is the cross-cutting placement-policy spec (Env.Placement /
 	// hetbench -placement); empty = the capacity-proportional default.
 	// Like Profile and Faults it re-names the artifact.
 	Placement string `json:"placement,omitempty"`
-	// Transport is the cross-cutting Exchange-transport spec (SetTransport /
+	// Transport is the cross-cutting Exchange-transport spec (Env.Transport /
 	// hetbench -transport); empty = the in-process memcpy path. Conformance
 	// (DESIGN.md §11) guarantees the model numbers are bit-identical either
 	// way, but the artifact gains a nonzero wire_bytes, so it is re-named
@@ -149,179 +145,18 @@ type Artifact struct {
 	Model           ModelStats `json:"model"`
 	// Trace is the phase-timeline summary, present when at least one
 	// cluster of the run carried a trace collector — experiments that
-	// trace themselves (E26–E28) and any experiment run under SetTrace
+	// trace themselves (E26–E28) and any experiment run under Env.Trace
 	// (hetbench -trace). Tracing observes without perturbing, so a traced
 	// artifact's model numbers are bit-identical to the untraced baseline
 	// and the artifact name does not change.
 	Trace *TraceStats `json:"trace,omitempty"`
 	// Metrics is the sorted registry snapshot of the run, present under
-	// SetMetrics (hetbench -metrics): one fresh registry is shared by every
+	// Env.Metrics (hetbench -metrics): one fresh registry is shared by every
 	// cluster of the run, so the counters are the experiment-wide totals.
 	// Like tracing, metrics observe without perturbing — the model numbers
 	// and the artifact name are unchanged.
 	Metrics []metrics.Sample `json:"metrics,omitempty"`
 	Table   *Table           `json:"table"`
-}
-
-// tracker collects the clusters built through newHet/newSub while a Run is
-// in flight, so Run can sum their stats without threading a context through
-// every experiment. The tracker is global state, so runMu serializes whole
-// Run calls; tracker.Mutex only guards field access from the constructors.
-var runMu sync.Mutex
-
-var tracker struct {
-	sync.Mutex
-	active   bool
-	clusters []*mpc.Cluster
-	// Whether the SetProfile/SetFaults/SetPlacement overrides actually
-	// reached at least one cluster of the running experiment. Experiments
-	// that pin their own Profile/Faults/Placement ignore the overrides;
-	// their artifacts must not be tagged (and renamed) as if they ran
-	// under them.
-	profileApplied   bool
-	faultsApplied    bool
-	placementApplied bool
-	transportApplied bool
-}
-
-func trackCluster(c *mpc.Cluster) {
-	tracker.Lock()
-	if tracker.active {
-		tracker.clusters = append(tracker.clusters, c)
-	}
-	tracker.Unlock()
-}
-
-// trackOverrides records that build() injected the cross-cutting overrides
-// into a cluster of the in-flight experiment.
-func trackOverrides(profile, faults, placement, transport bool) {
-	tracker.Lock()
-	tracker.profileApplied = tracker.profileApplied || profile
-	tracker.faultsApplied = tracker.faultsApplied || faults
-	tracker.placementApplied = tracker.placementApplied || placement
-	tracker.transportApplied = tracker.transportApplied || transport
-	tracker.Unlock()
-}
-
-// Run executes one experiment by id and wraps its table in an Artifact with
-// model and host metrics attached.
-func Run(id string, seed uint64) (*Artifact, error) {
-	a, _, err := RunFull(id, seed)
-	return a, err
-}
-
-// RunFull is Run plus the raw per-round trace: the concatenated trace
-// records of every traced cluster, in build order — the timeline hetbench
-// -traceout streams to JSONL or renders as a Perfetto file. Empty when no
-// cluster carried a collector (run under SetTrace to trace everything).
-func RunFull(id string, seed uint64) (*Artifact, []trace.Round, error) {
-	fn := All()[id]
-	if fn == nil {
-		return nil, nil, fmt.Errorf("exp: unknown experiment %q", id)
-	}
-	runMu.Lock()
-	defer runMu.Unlock()
-	if metricsOn {
-		// One fresh registry per run: counters are cumulative across clusters
-		// (never rebased), so reuse across runs would double-count.
-		metricsReg = metrics.New()
-		defer func() { metricsReg = nil }()
-	}
-	tracker.Lock()
-	tracker.active = true
-	tracker.clusters = tracker.clusters[:0]
-	tracker.profileApplied, tracker.faultsApplied = false, false
-	tracker.placementApplied, tracker.transportApplied = false, false
-	tracker.Unlock()
-
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	start := time.Now()
-	table, err := fn(seed)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&msAfter)
-
-	tracker.Lock()
-	clusters := tracker.clusters
-	profileApplied, faultsApplied := tracker.profileApplied, tracker.faultsApplied
-	placementApplied, transportApplied := tracker.placementApplied, tracker.transportApplied
-	tracker.clusters = nil
-	tracker.active = false
-	tracker.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	a := &Artifact{
-		Schema:     SchemaVersion,
-		Exp:        id,
-		Seed:       seed,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallNS:     wall.Nanoseconds(),
-		Allocs:     msAfter.Mallocs - msBefore.Mallocs,
-		AllocBytes: msAfter.TotalAlloc - msBefore.TotalAlloc,
-		Table:      table,
-	}
-	// Tag the artifact with an override spec only when it actually reached
-	// a cluster: experiments that pin their own Profile/Faults (E17–E22)
-	// would otherwise emit baseline numbers under an override-labeled name.
-	if profileApplied {
-		a.Profile = profileSpec
-	}
-	if faultsApplied {
-		a.Faults = faultSpec
-	}
-	if placementApplied {
-		a.Placement = placementSpec
-	}
-	if transportApplied {
-		a.Transport = transportSpec
-	}
-	var rounds []trace.Round
-	traced := 0
-	makespan := 0.0
-	for _, c := range clusters {
-		a.Model.add(c.Stats())
-		if tr := c.Trace(); tr != nil {
-			traced++
-			rounds = append(rounds, tr.Rounds()...)
-			// Sum each cluster's contributions separately, then add the
-			// subtotals in build order — the exact grouping ModelStats.add
-			// uses for Stats.Makespan. A single running total over the
-			// concatenated records would regroup the float additions and
-			// drift in the low bits on non-dyadic per-word costs.
-			sub := 0.0
-			for _, r := range tr.Rounds() {
-				sub += r.Makespan
-			}
-			makespan += sub
-		}
-	}
-	// Clusters built on a real transport hold open sockets; release them now
-	// that their stats and traces have been read (no-op for inproc).
-	for _, c := range clusters {
-		c.Close()
-	}
-	if r := a.Model.Rounds; r > 0 {
-		a.NsPerOp = a.WallNS / int64(r)
-		a.AllocsPerOp = a.Allocs / uint64(r)
-		a.AllocBytesPerOp = a.AllocBytes / uint64(r)
-	}
-	if traced > 0 {
-		s := trace.Summarize(rounds)
-		a.Trace = &TraceStats{
-			Clusters: traced,
-			Rounds:   s.Rounds,
-			Words:    s.Words,
-			Makespan: makespan,
-			Phases:   s.Phases,
-		}
-	}
-	if metricsOn {
-		a.Metrics = metricsReg.Snapshot()
-	}
-	return a, rounds, nil
 }
 
 // WriteFile writes the artifact as BENCH_<exp>.json under dir (created if

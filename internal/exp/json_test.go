@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunProducesArtifact(t *testing.T) {
-	art, err := Run("e14", 7)
+	art, _, err := Env{}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRunProducesArtifact(t *testing.T) {
 }
 
 func TestArtifactWriteFileRoundTrips(t *testing.T) {
-	art, err := Run("e14", 7)
+	art, _, err := Env{}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestArtifactWriteFileRoundTrips(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", 1); err == nil {
+	if _, _, err := (Env{}).Run("nope", 1); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }

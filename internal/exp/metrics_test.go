@@ -7,16 +7,14 @@ import (
 	"hetmpc/internal/trace"
 )
 
-// TestSetMetricsArtifact: under the cross-cutting metrics toggle (hetbench
-// -metrics) an ordinary experiment's artifact gains the registry snapshot,
+// TestSetMetricsArtifact: under Env.Metrics (hetbench -metrics) an ordinary
+// experiment's artifact gains the registry snapshot,
 // the run-wide aggregate counters reconcile exactly with the summed model
 // stats (one registry shared by every cluster of the run), the artifact
 // keeps its baseline name (metrics are observational), and the field
 // marshals under the stable "metrics" key.
 func TestSetMetricsArtifact(t *testing.T) {
-	SetMetrics(true)
-	defer SetMetrics(false)
-	art, err := Run("e14", 7)
+	art, _, err := Env{Metrics: true}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +22,7 @@ func TestSetMetricsArtifact(t *testing.T) {
 		t.Fatalf("artifact schema %d, want %d", art.Schema, SchemaVersion)
 	}
 	if len(art.Metrics) == 0 {
-		t.Fatal("artifact has no metrics under SetMetrics(true)")
+		t.Fatal("artifact has no metrics under Env.Metrics")
 	}
 	find := func(name string) int64 {
 		for _, s := range art.Metrics {
@@ -67,7 +65,7 @@ func TestSetMetricsArtifact(t *testing.T) {
 // TestUnmeteredArtifactOmitsMetrics mirrors the trace-key guarantee: without
 // the toggle the wire format has no "metrics" key at all.
 func TestUnmeteredArtifactOmitsMetrics(t *testing.T) {
-	art, err := Run("e14", 7)
+	art, _, err := Env{}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +85,11 @@ func TestUnmeteredArtifactOmitsMetrics(t *testing.T) {
 	}
 }
 
-// TestRunFullReturnsRounds: RunFull hands back the raw concatenated trace —
+// TestRunFullReturnsRounds: Run hands back the raw concatenated trace —
 // the record stream -traceout exports — and its totals match the artifact's
 // own trace summary.
 func TestRunFullReturnsRounds(t *testing.T) {
-	SetTrace(true)
-	defer SetTrace(false)
-	art, rounds, err := RunFull("e14", 7)
+	art, rounds, err := Env{Trace: true}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

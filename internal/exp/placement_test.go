@@ -5,22 +5,15 @@ import (
 	"testing"
 )
 
-// TestSetPlacementOverride: a cross-cutting placement spec rebuilds an
-// experiment under the policy, tags its artifact, and renames the file so
-// the committed cap baseline is never clobbered.
+// TestSetPlacementOverride: Env.Placement rebuilds an experiment under the
+// policy, tags its artifact, and renames the file so the committed cap
+// baseline is never clobbered.
 func TestSetPlacementOverride(t *testing.T) {
-	if err := SetPlacement("bogus"); err == nil {
+	if err := (Env{Placement: "bogus"}).Validate(); err == nil {
 		t.Fatal("bad placement spec accepted")
 	}
-	if err := SetPlacement("throughput"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetPlacement(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	art, err := Run("e9", 7)
+	env := Env{Placement: "throughput"}
+	art, _, err := env.Run("e9", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +31,7 @@ func TestSetPlacementOverride(t *testing.T) {
 
 	// E23 pins its own policies per row; the override must not reach it,
 	// and its artifact must keep the baseline name.
-	art, err = Run("e23", 7)
+	art, _, err = env.Run("e23", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +44,7 @@ func TestSetPlacementOverride(t *testing.T) {
 // speculation traffic in its model stats (the wire format the CI smoke
 // step checks).
 func TestE24ArtifactCarriesSpeculationWords(t *testing.T) {
-	art, err := Run("e24", 7)
+	art, _, err := Env{}.Run("e24", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 	"hetmpc/internal/xrand"
 )
 
-// E2MSTDensity sweeps the edge density: heterogeneous rounds should track
+// e2MSTDensity sweeps the edge density: heterogeneous rounds should track
 // log log(m/n) (near-flat) while the sublinear baseline tracks log n phases.
-func E2MSTDensity(seed uint64) (*Table, error) {
+func (rn *run) e2MSTDensity(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E2 — MST rounds vs density (n=512): het ~ loglog(m/n), baseline ~ log n",
 		Header: []string{"m/n", "het phases", "het rounds", "baseline phases", "baseline rounds", "loglog(m/n)"},
@@ -22,7 +22,7 @@ func E2MSTDensity(seed uint64) (*Table, error) {
 	for _, ratio := range []int{2, 4, 8, 16, 32} {
 		m := ratio * n
 		g := graph.ConnectedGNM(n, m, seed+uint64(ratio), true)
-		ch, err := newHet(n, m, 0, seed)
+		ch, err := rn.newHet(n, m, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -33,7 +33,7 @@ func E2MSTDensity(seed uint64) (*Table, error) {
 		if err := graph.CheckMST(g, rh.Edges); err != nil {
 			return nil, err
 		}
-		cs, err := newSub(n, m, seed)
+		cs, err := rn.newSub(n, m, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -50,9 +50,9 @@ func E2MSTDensity(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E3MSTSuperlinear sweeps the large machine's exponent f (Theorem 3.1):
+// e3MSTSuperlinear sweeps the large machine's exponent f (Theorem 3.1):
 // phases shrink as log(log_n(m/n)/f).
-func E3MSTSuperlinear(seed uint64) (*Table, error) {
+func (rn *run) e3MSTSuperlinear(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E3 — MST phases vs large-machine exponent f (Theorem 3.1), n=512 m=16384",
 		Header: []string{"f", "phases", "rounds", "sample tries"},
@@ -60,7 +60,7 @@ func E3MSTSuperlinear(seed uint64) (*Table, error) {
 	n, m := 512, 16384
 	g := graph.ConnectedGNM(n, m, seed, true)
 	for _, f := range []float64{0, 0.125, 0.25, 0.5} {
-		c, err := newHet(n, m, f, seed)
+		c, err := rn.newHet(n, m, f, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -76,8 +76,8 @@ func E3MSTSuperlinear(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E4KKT validates Lemma 3.2 empirically: E[#F-light edges] ≤ n/p.
-func E4KKT(seed uint64) (*Table, error) {
+// e4KKT validates Lemma 3.2 empirically: E[#F-light edges] ≤ n/p.
+func (rn *run) e4KKT(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E4 — KKT sampling lemma (Lemma 3.2): measured F-light edges vs n/p bound (n=256, m=4096)",
 		Header: []string{"p", "avg F-light", "bound n/p", "ratio"},
@@ -111,8 +111,8 @@ func E4KKT(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E5Spanner sweeps k: size must scale like n^{1+1/k} and rounds stay O(1).
-func E5Spanner(seed uint64) (*Table, error) {
+// e5Spanner sweeps k: size must scale like n^{1+1/k} and rounds stay O(1).
+func (rn *run) e5Spanner(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E5 — spanner size & rounds vs k (Theorem 4.1), n=256 m=16384",
 		Header: []string{"k", "stretch bound", "edges", "n^{1+1/k}", "size ratio", "rounds", "stretch check"},
@@ -120,7 +120,7 @@ func E5Spanner(seed uint64) (*Table, error) {
 	n, m := 256, 16384
 	g := graph.ConnectedGNM(n, m, seed, false)
 	for _, k := range []int{2, 3, 4, 6, 8} {
-		c, err := newHet(n, m, 0, seed)
+		c, err := rn.newHet(n, m, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -142,9 +142,9 @@ func E5Spanner(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E6ModifiedBS reproduces Figure 1's behaviour quantitatively: the modified
+// e6ModifiedBS reproduces Figure 1's behaviour quantitatively: the modified
 // Baswana-Sen spanner grows by ≈1/p relative to the original (Lemma 4.3).
-func E6ModifiedBS(seed uint64) (*Table, error) {
+func (rn *run) e6ModifiedBS(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E6 — Figure 1: original vs modified Baswana-Sen (n=256, m=4096, k=3)",
 		Header: []string{"p", "avg size", "size vs original", "1/p", "stretch check"},
@@ -180,10 +180,10 @@ func E6ModifiedBS(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E7Matching demonstrates the d-vs-Δ separation of Theorem 5.1: phase-1
+// e7Matching demonstrates the d-vs-Δ separation of Theorem 5.1: phase-1
 // iterations are flat in the hub degree (Δ) and grow with the average
 // degree d, while the baseline tracks the whole graph.
-func E7Matching(seed uint64) (*Table, error) {
+func (rn *run) e7Matching(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E7 — matching rounds: average degree d vs max degree Δ (Theorem 5.1), n=600",
 		Header: []string{"workload", "Δ", "avg deg", "het phase-1 iters", "het rounds", "baseline peel iters", "baseline rounds"},
@@ -191,7 +191,7 @@ func E7Matching(seed uint64) (*Table, error) {
 	n := 600
 	for _, hubDeg := range []int{50, 200, 500} {
 		g := graph.PlantedHubs(n, 4, 4, hubDeg, seed+uint64(hubDeg))
-		ch, err := newHet(n, g.M(), 0, seed)
+		ch, err := rn.newHet(n, g.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +202,7 @@ func E7Matching(seed uint64) (*Table, error) {
 		if err := graph.CheckMatching(g, rh.Edges, true); err != nil {
 			return nil, err
 		}
-		cs, err := newSub(n, g.M(), seed)
+		cs, err := rn.newSub(n, g.M(), seed)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ func E7Matching(seed uint64) (*Table, error) {
 	}
 	for _, d := range []int{4, 16, 48} {
 		g := graph.GNM(n, n*d/2, seed+uint64(d))
-		ch, err := newHet(n, g.M(), 0, seed)
+		ch, err := rn.newHet(n, g.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -233,9 +233,9 @@ func E7Matching(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E8Filtering sweeps the superlinear exponent for Theorem 5.5: filtering
+// e8Filtering sweeps the superlinear exponent for Theorem 5.5: filtering
 // iterations scale like 1/f.
-func E8Filtering(seed uint64) (*Table, error) {
+func (rn *run) e8Filtering(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E8 — matching filtering iterations vs f (Theorem 5.5), n=256 m=16384",
 		Header: []string{"f", "filter iters", "rounds", "~1/f"},
@@ -243,7 +243,7 @@ func E8Filtering(seed uint64) (*Table, error) {
 	n, m := 256, 16384
 	g := graph.GNM(n, m, seed)
 	for _, f := range []float64{0.1, 0.2, 0.35, 0.6} {
-		c, err := newHet(n, m, f, seed)
+		c, err := rn.newHet(n, m, f, seed)
 		if err != nil {
 			return nil, err
 		}

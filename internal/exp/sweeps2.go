@@ -9,9 +9,9 @@ import (
 	"hetmpc/internal/sublinear"
 )
 
-// E9Connectivity checks the O(1)-rounds claim across n: heterogeneous
+// e9Connectivity checks the O(1)-rounds claim across n: heterogeneous
 // rounds stay flat while the baseline grows like log n.
-func E9Connectivity(seed uint64) (*Table, error) {
+func (rn *run) e9Connectivity(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E9 — connectivity rounds vs n (Theorem C.1): het flat, baseline ~ log n",
 		Header: []string{"n", "m", "het rounds", "baseline rounds", "baseline phases", "components"},
@@ -19,7 +19,7 @@ func E9Connectivity(seed uint64) (*Table, error) {
 	for _, n := range []int{128, 256, 512, 1024} {
 		m := 4 * n
 		g := graph.GNM(n, m, seed+uint64(n))
-		ch, err := newHet(n, m, 0, seed)
+		ch, err := rn.newHet(n, m, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -31,7 +31,7 @@ func E9Connectivity(seed uint64) (*Table, error) {
 		if rh.Components != want {
 			return nil, fmt.Errorf("n=%d: components %d want %d", n, rh.Components, want)
 		}
-		cs, err := newSub(n, m, seed)
+		cs, err := rn.newSub(n, m, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -44,8 +44,8 @@ func E9Connectivity(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E10ApproxMST sweeps ε: the estimate tightens as ε shrinks (Theorem C.2).
-func E10ApproxMST(seed uint64) (*Table, error) {
+// e10ApproxMST sweeps ε: the estimate tightens as ε shrinks (Theorem C.2).
+func (rn *run) e10ApproxMST(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E10 — (1+eps)-MST weight approximation (Theorem C.2), n=96",
 		Header: []string{"eps", "estimate", "exact", "rel err", "thresholds", "rounds/threshold"},
@@ -56,7 +56,7 @@ func E10ApproxMST(seed uint64) (*Table, error) {
 	}
 	_, exact := graph.KruskalMSF(g)
 	for _, eps := range []float64{1.0, 0.5, 0.25, 0.1} {
-		c, err := newHet(g.N, g.M(), 0, seed)
+		c, err := rn.newHet(g.N, g.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -70,9 +70,9 @@ func E10ApproxMST(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E11MinCut validates the exact algorithm against Stoer-Wagner and sweeps ε
+// e11MinCut validates the exact algorithm against Stoer-Wagner and sweeps ε
 // for the approximate one.
-func E11MinCut(seed uint64) (*Table, error) {
+func (rn *run) e11MinCut(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E11 — minimum cut (Theorems C.3/C.4), n=128",
 		Header: []string{"instance", "algorithm", "value", "reference", "rounds/trial"},
@@ -80,7 +80,7 @@ func E11MinCut(seed uint64) (*Table, error) {
 	for _, cut := range []int{2, 4} {
 		g := graph.PlantedCut(128, 400, cut, seed+uint64(cut), false)
 		want := graph.StoerWagner(g)
-		c, err := newHet(g.N, g.M(), 0, seed)
+		c, err := rn.newHet(g.N, g.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func E11MinCut(seed uint64) (*Table, error) {
 	gw := graph.PlantedCut(128, 400, 3, seed+9, true)
 	want := graph.StoerWagner(gw)
 	for _, eps := range []float64{0.5, 0.25} {
-		c, err := newHet(gw.N, gw.M(), 0, seed)
+		c, err := rn.newHet(gw.N, gw.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -106,9 +106,9 @@ func E11MinCut(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E12MIS sweeps the density: heterogeneous iterations stay ~ log log Δ while
+// e12MIS sweeps the density: heterogeneous iterations stay ~ log log Δ while
 // Luby rounds track log n.
-func E12MIS(seed uint64) (*Table, error) {
+func (rn *run) e12MIS(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E12 — MIS iterations vs Δ (Theorem C.6), n=512",
 		Header: []string{"m", "Δ", "het iterations", "het rounds", "Luby rounds", "baseline rounds", "loglog Δ"},
@@ -116,7 +116,7 @@ func E12MIS(seed uint64) (*Table, error) {
 	n := 512
 	for _, m := range []int{1024, 4096, 16384} {
 		g := graph.GNM(n, m, seed+uint64(m))
-		ch, err := newHet(n, m, 0, seed)
+		ch, err := rn.newHet(n, m, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func E12MIS(seed uint64) (*Table, error) {
 		if err := graph.CheckMIS(g, rh.Set); err != nil {
 			return nil, err
 		}
-		cs, err := newSub(n, m, seed)
+		cs, err := rn.newSub(n, m, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -142,9 +142,9 @@ func E12MIS(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E13Coloring measures the conflict-edge volume and round counts
+// e13Coloring measures the conflict-edge volume and round counts
 // (Theorem C.7) against the baseline.
-func E13Coloring(seed uint64) (*Table, error) {
+func (rn *run) e13Coloring(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E13 — (Δ+1)-coloring (Theorem C.7), n=512",
 		Header: []string{"m", "Δ", "het rounds", "conflict edges", "baseline rounds", "baseline trials"},
@@ -152,7 +152,7 @@ func E13Coloring(seed uint64) (*Table, error) {
 	n := 512
 	for _, m := range []int{2048, 8192} {
 		g := graph.GNM(n, m, seed+uint64(m))
-		ch, err := newHet(n, m, 0, seed)
+		ch, err := rn.newHet(n, m, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +163,7 @@ func E13Coloring(seed uint64) (*Table, error) {
 		if err := graph.CheckColoring(g, rh.Colors, rh.MaxColor); err != nil {
 			return nil, err
 		}
-		cs, err := newSub(n, m, seed)
+		cs, err := rn.newSub(n, m, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -179,10 +179,10 @@ func E13Coloring(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E14TwoCycle is the motivating separation: with the large machine the
+// e14TwoCycle is the motivating separation: with the large machine the
 // 2-vs-1-cycle instance takes O(1) rounds at every n; the baseline's phase
 // count grows with n (the conjectured Ω(log n)).
-func E14TwoCycle(seed uint64) (*Table, error) {
+func (rn *run) e14TwoCycle(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E14 — 2-vs-1 cycle (§1): het O(1) rounds vs baseline ~ log n phases",
 		Header: []string{"n", "parts", "het answer", "het rounds", "baseline phases", "baseline rounds"},
@@ -190,7 +190,7 @@ func E14TwoCycle(seed uint64) (*Table, error) {
 	for _, n := range []int{256, 1024, 4096} {
 		for parts := 1; parts <= 2; parts++ {
 			g := graph.Cycles(n, parts, seed+uint64(n)+uint64(parts))
-			ch, err := newHet(n, g.M(), 0, seed)
+			ch, err := rn.newHet(n, g.M(), 0, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -201,7 +201,7 @@ func E14TwoCycle(seed uint64) (*Table, error) {
 			if rh.Cycles != parts {
 				return nil, fmt.Errorf("n=%d: got %d cycles want %d", n, rh.Cycles, parts)
 			}
-			cs, err := newSub(n, g.M(), seed)
+			cs, err := rn.newSub(n, g.M(), seed)
 			if err != nil {
 				return nil, err
 			}
@@ -218,15 +218,15 @@ func E14TwoCycle(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E15APSP measures the Corollary 4.2 oracle: observed stretch on sampled
+// e15APSP measures the Corollary 4.2 oracle: observed stretch on sampled
 // pairs stays within the O(log n) guarantee.
-func E15APSP(seed uint64) (*Table, error) {
+func (rn *run) e15APSP(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E15 — APSP via log n-spanner (Corollary 4.2), n=256 m=2048",
 		Header: []string{"source", "pairs", "max observed stretch", "guaranteed stretch", "spanner edges", "build rounds"},
 	}
 	g := graph.ConnectedGNM(256, 2048, seed, false)
-	c, err := newHet(g.N, g.M(), 0, seed)
+	c, err := rn.newHet(g.N, g.M(), 0, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -253,48 +253,4 @@ func E15APSP(seed uint64) (*Table, error) {
 		t.AddRow(src, pairs, worst, oracle.Stretch, oracle.Spanner.M(), oracle.BuildStats.Rounds)
 	}
 	return t, nil
-}
-
-// All returns every experiment keyed by id, for the CLI and benchmarks.
-func All() map[string]func(seed uint64) (*Table, error) {
-	return map[string]func(seed uint64) (*Table, error){
-		"table1": Table1,
-		"e2":     E2MSTDensity,
-		"e3":     E3MSTSuperlinear,
-		"e4":     E4KKT,
-		"e5":     E5Spanner,
-		"e6":     E6ModifiedBS,
-		"e7":     E7Matching,
-		"e8":     E8Filtering,
-		"e9":     E9Connectivity,
-		"e10":    E10ApproxMST,
-		"e11":    E11MinCut,
-		"e12":    E12MIS,
-		"e13":    E13Coloring,
-		"e14":    E14TwoCycle,
-		"e15":    E15APSP,
-		"e16":    E16MSTAblation,
-		"e17":    E17SkewPlacement,
-		"e18":    E18Stragglers,
-		"e19":    E19Bimodal,
-		"e20":    E20CrashRate,
-		"e21":    E21CheckpointInterval,
-		"e22":    E22StragglerCrash,
-		"e23":    E23PlacementPolicies,
-		"e24":    E24SpeculationDial,
-		"e25":    E25PlacementFaults,
-		"e26":    E26PhaseBreakdown,
-		"e27":    E27CriticalPath,
-		"e28":    E28TraceGuidedPlacement,
-		"e29":    E29AdaptivePolicyGrid,
-		"e30":    E30MisreportedProfile,
-		"e31":    E31AdaptiveTransientSlowdown,
-		"e32":    E32TransportSweep,
-		"e33":    E33ScaleSweep,
-	}
-}
-
-// Order is the canonical experiment ordering for "run everything".
-func Order() []string {
-	return []string{"table1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26", "e27", "e28", "e29", "e30", "e31", "e32", "e33"}
 }

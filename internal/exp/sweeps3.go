@@ -21,11 +21,11 @@ func e17SortKey(e graph.Edge) prims.SortKey {
 	return prims.SortKey{A: e.W, B: int64(e.U), C: int64(e.V)}
 }
 
-// E17SkewPlacement sweeps a Zipf capacity skew: edges are placed and sample
+// e17SkewPlacement sweeps a Zipf capacity skew: edges are placed and sample
 // sorted under per-machine caps; proportional allotment (Frisk's rule)
 // keeps every bucket within its machine's capacity, and the held-item ratio
 // tracks the capacity ratio.
-func E17SkewPlacement(seed uint64) (*Table, error) {
+func (rn *run) e17SkewPlacement(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
 		Title: fmt.Sprintf("E17 — Zipf capacity skew: proportional placement + sort, n=%d m=%d", n, m),
@@ -36,7 +36,7 @@ func E17SkewPlacement(seed uint64) (*Table, error) {
 	for _, s := range []float64{0, 0.4, 0.8, 1.2} {
 		cfg := mpc.Config{N: n, M: m, Seed: seed}
 		cfg.Profile = mpc.ZipfProfile(cfg.DeriveK(), s, 0.05)
-		c, err := build(cfg)
+		c, err := rn.build(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -77,11 +77,11 @@ func E17SkewPlacement(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E18Stragglers sweeps a straggler tail under MST: capacities (and hence
+// e18Stragglers sweeps a straggler tail under MST: capacities (and hence
 // the round structure and the output) are identical to the uniform run,
 // while the makespan grows with the slowdown — the Reisizadeh et al.
 // observation that stragglers dominate wall-clock.
-func E18Stragglers(seed uint64) (*Table, error) {
+func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	t := &Table{
 		Title:  fmt.Sprintf("E18 — straggler tail under MST, n=%d m=%d: rounds flat, makespan tracks the slowdown", n, m),
@@ -98,7 +98,7 @@ func E18Stragglers(seed uint64) (*Table, error) {
 			stragglers = 1
 		}
 		cfg.Profile = mpc.StragglerProfile(k, stragglers, slowdown)
-		c, err := build(cfg)
+		c, err := rn.build(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -124,11 +124,11 @@ func E18Stragglers(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E19Bimodal sweeps a fast/slow cluster (bimodal speeds and bandwidths)
+// e19Bimodal sweeps a fast/slow cluster (bimodal speeds and bandwidths)
 // under connectivity and matching: growing the slow cohort grows the
 // makespan at constant round counts, until at half the cluster the slow
 // machines set the clock.
-func E19Bimodal(seed uint64) (*Table, error) {
+func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	const factor = 4.0
 	t := &Table{
@@ -142,7 +142,7 @@ func E19Bimodal(seed uint64) (*Table, error) {
 		mk := func() (*mpc.Cluster, error) {
 			cfg := mpc.Config{N: n, M: m, Seed: seed}
 			cfg.Profile = mpc.BimodalProfile(cfg.DeriveK(), slowFrac, factor)
-			return build(cfg)
+			return rn.build(cfg)
 		}
 		cc, err := mk()
 		if err != nil {

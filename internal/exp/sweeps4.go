@@ -17,11 +17,11 @@ import (
 // add measured cost (crashes, recovery rounds, replication words, and a
 // recovery-inflated makespan).
 
-// E20CrashRate sweeps the seed-derived crash rate under MST at a fixed
+// e20CrashRate sweeps the seed-derived crash rate under MST at a fixed
 // checkpoint cadence: the rate-0 row prices pure checkpointing, and each
 // rate step adds recovery rounds and restore traffic while rounds and the
 // MST weight stay bit-identical.
-func E20CrashRate(seed uint64) (*Table, error) {
+func (rn *run) e20CrashRate(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	const interval = 8
 	t := &Table{
@@ -35,7 +35,7 @@ func E20CrashRate(seed uint64) (*Table, error) {
 	for _, rate := range []float64{0, 0.0005, 0.002, 0.008} {
 		cfg := mpc.Config{N: n, M: m, Seed: seed}
 		cfg.Faults = &fault.Plan{Interval: interval, CrashRate: rate}
-		c, err := build(cfg)
+		c, err := rn.build(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -65,11 +65,11 @@ func E20CrashRate(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E21CheckpointInterval sweeps the checkpoint cadence at a fixed crash
+// e21CheckpointInterval sweeps the checkpoint cadence at a fixed crash
 // rate: frequent checkpoints pay replication words every barrier, rare
 // checkpoints pay long replays on every crash — the classic trade-off
 // curve, with the makespan showing the sweet spot.
-func E21CheckpointInterval(seed uint64) (*Table, error) {
+func (rn *run) e21CheckpointInterval(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	const rate = 0.002
 	t := &Table{
@@ -82,7 +82,7 @@ func E21CheckpointInterval(seed uint64) (*Table, error) {
 	for _, interval := range []int{2, 4, 8, 16, 32, 64} {
 		cfg := mpc.Config{N: n, M: m, Seed: seed}
 		cfg.Faults = &fault.Plan{Interval: interval, CrashRate: rate}
-		c, err := build(cfg)
+		c, err := rn.build(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -104,13 +104,13 @@ func E21CheckpointInterval(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E22StragglerCrash crosses a straggler speed profile with an explicit
+// e22StragglerCrash crosses a straggler speed profile with an explicit
 // crash schedule under sketch connectivity: the same crash is injected
 // once into a fast machine and once into the straggler tail. Recovering a
 // straggler pays the slow machine's replay and restore costs, so the
 // absolute recovery cost compounds with the slowdown instead of adding a
 // constant to it.
-func E22StragglerCrash(seed uint64) (*Table, error) {
+func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	const interval = 2
 	const crashRound = 4
@@ -141,7 +141,7 @@ func E22StragglerCrash(seed uint64) (*Table, error) {
 			plan.Crashes = []fault.Crash{{Round: crashRound, Machine: victim}}
 		}
 		cfg.Faults = plan
-		c, err := build(cfg)
+		c, err := rn.build(cfg)
 		if err != nil {
 			return mpc.Stats{}, err
 		}

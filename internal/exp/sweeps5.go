@@ -35,12 +35,12 @@ func beefyCoordinator(p *mpc.Profile) *mpc.Profile {
 // policy and returns the flattened sorted output with the cluster (E23 and
 // E24 both compare it row-for-row against the cap baseline's; E28 passes a
 // trace collector to decompose the same workload into phases).
-func e23Workload(g *graph.Graph, seed uint64, profile func(k int) *mpc.Profile, pol sched.Policy, tr *trace.Collector) (*mpc.Cluster, []graph.Edge, error) {
+func (rn *run) e23Workload(g *graph.Graph, seed uint64, profile func(k int) *mpc.Profile, pol sched.Policy, tr *trace.Collector) (*mpc.Cluster, []graph.Edge, error) {
 	cfg := mpc.Config{N: g.N, M: g.M(), Seed: seed, Placement: pol, Trace: tr}
 	if profile != nil {
 		cfg.Profile = profile(cfg.DeriveK())
 	}
-	c, err := build(cfg)
+	c, err := rn.build(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -58,13 +58,13 @@ func e23Workload(g *graph.Graph, seed uint64, profile func(k int) *mpc.Profile, 
 	return c, prims.Flatten(sorted), nil
 }
 
-// E23PlacementPolicies crosses the three placement policies with the three
+// e23PlacementPolicies crosses the three placement policies with the three
 // canonical skew profiles under the placement+sort workload: cap pays the
 // straggler tax, throughput irons static skew out of the route rounds, and
 // speculation additionally rescues the uniform-traffic rounds (samples,
 // broadcasts) that no static placement can rebalance. Every row must
 // reproduce the cap row's sorted output and round structure exactly.
-func E23PlacementPolicies(seed uint64) (*Table, error) {
+func (rn *run) e23PlacementPolicies(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
 		Title: fmt.Sprintf("E23 — placement policies × skew profiles (place + sample sort), n=%d m=%d", n, m),
@@ -85,7 +85,7 @@ func E23PlacementPolicies(seed uint64) (*Table, error) {
 		var capOut []graph.Edge
 		var capStats mpc.Stats
 		for _, pol := range policies {
-			c, out, err := e23Workload(g, seed, prof.gen, pol, nil)
+			c, out, err := rn.e23Workload(g, seed, prof.gen, pol, nil)
 			if err != nil {
 				return nil, fmt.Errorf("e23: %s/%s: %w", prof.name, pol.Name(), err)
 			}
@@ -116,14 +116,14 @@ func E23PlacementPolicies(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E24SpeculationDial sweeps the redundancy dial R = 0..4 under straggler
+// e24SpeculationDial sweeps the redundancy dial R = 0..4 under straggler
 // profiles: R = 0 is pure throughput placement (the route rounds balance,
 // the sample/broadcast rounds still wait for the stragglers), and each
 // additional speculated shard shaves the uniform-traffic rounds until every
 // straggler is covered — at an honestly charged word cost. Every speculate
 // row must beat the cap baseline's makespan at an identical round structure
 // and output.
-func E24SpeculationDial(seed uint64) (*Table, error) {
+func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
 		Title: fmt.Sprintf("E24 — speculation dial R=0..4 under straggler profiles (place + sample sort), n=%d m=%d", n, m),
@@ -143,14 +143,14 @@ func E24SpeculationDial(seed uint64) (*Table, error) {
 		gen := func(k int) *mpc.Profile {
 			return beefyCoordinator(mpc.StragglerProfile(k, prof.stragglers, prof.slowdown))
 		}
-		capC, capOut, err := e23Workload(g, seed, gen, sched.Cap{}, nil)
+		capC, capOut, err := rn.e23Workload(g, seed, gen, sched.Cap{}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("e24: %s/cap: %w", prof.name, err)
 		}
 		capStats := capC.Stats()
 		t.AddRow(prof.name, "cap", capStats.Makespan, 1.0, 0, capStats.TotalWords)
 		for r := 0; r <= 4; r++ {
-			c, out, err := e23Workload(g, seed, gen, sched.Speculate{R: r}, nil)
+			c, out, err := rn.e23Workload(g, seed, gen, sched.Speculate{R: r}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("e24: %s/R=%d: %w", prof.name, r, err)
 			}
@@ -182,14 +182,14 @@ func E24SpeculationDial(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E25PlacementFaults crosses the placement policies with two PR-3 fault
+// e25PlacementFaults crosses the placement policies with two PR-3 fault
 // plans under MST on a straggler cluster: the E20 crash plan (checkpoints +
 // seed-derived crashes) and a transient slowdown window on a fast machine —
 // the case static placement cannot see coming, because shares are fixed
 // before the run while the window opens mid-flight. Speculation reads the
 // effective per-round costs, so it adapts to the window and must beat
 // static throughput there. The MST weight is validated exact in every cell.
-func E25PlacementFaults(seed uint64) (*Table, error) {
+func (rn *run) e25PlacementFaults(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	t := &Table{
 		Title: fmt.Sprintf("E25 — placement × fault interaction under MST, n=%d m=%d (straggler:2:8 cluster)", n, m),
@@ -214,7 +214,7 @@ func E25PlacementFaults(seed uint64) (*Table, error) {
 			cfg := mpc.Config{N: n, M: m, Seed: seed, Placement: pol}
 			cfg.Profile = beefyCoordinator(mpc.StragglerProfile(cfg.DeriveK(), 2, 8))
 			cfg.Faults = pl.plan()
-			c, err := build(cfg)
+			c, err := rn.build(cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -50,12 +50,12 @@ func topPhases(s *trace.Summary, n int) []trace.PhaseStat {
 	return ps
 }
 
-// E26PhaseBreakdown decomposes three algorithms' makespans into their phase
+// e26PhaseBreakdown decomposes three algorithms' makespans into their phase
 // timelines across three machine profiles: which phase — distribute, sort,
 // sketch aggregation, dissemination, sampling — carries the clock, and how
 // the answer moves when capacity skew or stragglers are dialed in. Every
 // cell validates its output exactly and re-proves trace conservation.
-func E26PhaseBreakdown(seed uint64) (*Table, error) {
+func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	const n, m = 256, 2048
 	t := &Table{
 		Title: fmt.Sprintf("E26 — phase breakdown (top 3 phases by makespan share), n=%d m=%d", n, m),
@@ -117,7 +117,7 @@ func E26PhaseBreakdown(seed uint64) (*Table, error) {
 			if prof.gen != nil {
 				cfg.Profile = prof.gen(cfg.DeriveK())
 			}
-			c, err := build(cfg)
+			c, err := rn.build(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -141,13 +141,13 @@ func E26PhaseBreakdown(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E27CriticalPath asks, per phase, which machine bounds the clock — the
+// e27CriticalPath asks, per phase, which machine bounds the clock — the
 // large coordinator or a slow small machine — under capacity skew (zipf)
 // and compute stragglers, with the coordinator provisioned both ways. With
 // a stock (speed-1) coordinator its fan-out dominates nearly every phase;
 // provisioning it away (the beefy server of E23–E25) hands the critical
 // path to the slow small machines exactly where the profile says it should.
-func E27CriticalPath(seed uint64) (*Table, error) {
+func (rn *run) e27CriticalPath(seed uint64) (*Table, error) {
 	const n, m = 256, 2048
 	t := &Table{
 		Title: fmt.Sprintf("E27 — critical-path machine attribution (top 3 phases), MST n=%d m=%d", n, m),
@@ -174,7 +174,7 @@ func E27CriticalPath(seed uint64) (*Table, error) {
 				p = beefyCoordinator(p)
 			}
 			cfg.Profile = p
-			c, err := build(cfg)
+			c, err := rn.build(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -222,14 +222,14 @@ func orOne(v float64) float64 {
 	return v
 }
 
-// E28TraceGuidedPlacement explains E24/E25's placement wins phase by phase:
+// e28TraceGuidedPlacement explains E24/E25's placement wins phase by phase:
 // the same place+sample-sort workload as E23/E24 under straggler:4:16 (the
 // E24 row where the dial matters most), run under cap, throughput and
 // speculate:4, each with a trace. The per-phase gap columns attribute each
 // policy's total makespan win to the phases that produced it — the route
 // rounds that static throughput rebalances versus the uniform-traffic
 // sample/broadcast rounds only speculation can rescue (E24's R=4 cliff).
-func E28TraceGuidedPlacement(seed uint64) (*Table, error) {
+func (rn *run) e28TraceGuidedPlacement(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
 		Title: fmt.Sprintf("E28 — trace-guided placement comparison (place + sample sort, straggler:4:16), n=%d m=%d", n, m),
@@ -243,7 +243,7 @@ func E28TraceGuidedPlacement(seed uint64) (*Table, error) {
 	capPhase := map[string]float64{}
 	capTotal, thrTotal := 0.0, 0.0
 	for _, pol := range policies {
-		c, _, err := e23Workload(g, seed, gen, pol, trace.New())
+		c, _, err := rn.e23Workload(g, seed, gen, pol, trace.New())
 		if err != nil {
 			return nil, fmt.Errorf("e28: %s: %w", pol.Name(), err)
 		}

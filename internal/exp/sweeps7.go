@@ -25,14 +25,14 @@ import (
 // cell validates its output exactly, and the traced cells re-prove the
 // conservation contract under mid-run share switches.
 
-// E29AdaptivePolicyGrid reruns the E23 policy × skew-profile grid with
+// e29AdaptivePolicyGrid reruns the E23 policy × skew-profile grid with
 // adaptive placement in the lineup. The declared profiles are truthful
 // here, so the measured per-word costs reproduce the declared ones
 // exactly and adaptive must land bit-identically on static throughput —
 // the grid is a regression test that the estimator's steady state is the
 // declared profile, cell by cell. Every cell runs traced and re-proves
 // trace conservation under the (no-op) round-barrier share refresh.
-func E29AdaptivePolicyGrid(seed uint64) (*Table, error) {
+func (rn *run) e29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
 		Title: fmt.Sprintf("E29 — adaptive vs static placement × skew profiles (place + sample sort), n=%d m=%d", n, m),
@@ -54,7 +54,7 @@ func E29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 		var capOut []graph.Edge
 		var capStats, thrStats mpc.Stats
 		for _, pol := range policies {
-			c, out, err := e23Workload(g, seed, prof.gen, pol, trace.New())
+			c, out, err := rn.e23Workload(g, seed, prof.gen, pol, trace.New())
 			if err != nil {
 				return nil, fmt.Errorf("e29: %s/%s: %w", prof.name, pol.Name(), err)
 			}
@@ -109,7 +109,7 @@ func E29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 // visible to the adaptive estimator through the measured per-word costs).
 // K is pinned to 8 so the route rounds dominate and the placement split is
 // what the makespan measures.
-func e30Workload(g *graph.Graph, seed uint64, factor float64, pol sched.Policy, tr *trace.Collector) (*mpc.Cluster, []graph.Edge, error) {
+func (rn *run) e30Workload(g *graph.Graph, seed uint64, factor float64, pol sched.Policy, tr *trace.Collector) (*mpc.Cluster, []graph.Edge, error) {
 	const k, wholeRun = 8, 1 << 20
 	cfg := mpc.Config{N: g.N, M: g.M(), K: k, Seed: seed, Placement: pol, Trace: tr}
 	cfg.Profile = beefyCoordinator(mpc.UniformProfile(k))
@@ -117,7 +117,7 @@ func e30Workload(g *graph.Graph, seed uint64, factor float64, pol sched.Policy, 
 		{Machine: k - 2, From: 1, To: wholeRun, Factor: factor},
 		{Machine: k - 1, From: 1, To: wholeRun, Factor: factor},
 	}}
-	c, err := build(cfg)
+	c, err := rn.build(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,7 +135,7 @@ func e30Workload(g *graph.Graph, seed uint64, factor float64, pol sched.Policy, 
 	return c, prims.Flatten(sorted), nil
 }
 
-// E30MisreportedProfile is the scenario adaptive placement exists for: the
+// e30MisreportedProfile is the scenario adaptive placement exists for: the
 // declared profile says the cluster is uniform, but two of the eight
 // machines actually run 2–10× slower. Static cap and throughput both
 // believe the declaration and split evenly, so every round waits for the
@@ -143,7 +143,7 @@ func e30Workload(g *graph.Graph, seed uint64, factor float64, pol sched.Policy, 
 // the first rounds and shifts the split, recovering most of the loss. The
 // acceptance gate: at 4× (and above) misreporting, adaptive's makespan is
 // at most 0.8× every static policy's.
-func E30MisreportedProfile(seed uint64) (*Table, error) {
+func (rn *run) e30MisreportedProfile(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
 		Title: fmt.Sprintf("E30 — misreported profile: declared uniform, 2 of 8 machines actually slow (place + sample sort), n=%d m=%d", n, m),
@@ -158,7 +158,7 @@ func E30MisreportedProfile(seed uint64) (*Table, error) {
 		var capOut []graph.Edge
 		var capStats, thrStats mpc.Stats
 		for _, pol := range policies {
-			c, out, err := e30Workload(g, seed, factor, pol, trace.New())
+			c, out, err := rn.e30Workload(g, seed, factor, pol, trace.New())
 			if err != nil {
 				return nil, fmt.Errorf("e30: %s/%s: %w", label, pol.Name(), err)
 			}
@@ -211,7 +211,7 @@ func E30MisreportedProfile(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E31AdaptiveTransientSlowdown puts adaptive placement under the E25-style
+// e31AdaptiveTransientSlowdown puts adaptive placement under the E25-style
 // dynamic case: a truthful straggler cluster whose fastest machine opens a
 // transient 16× slowdown window mid-run (rounds 5–40). Static throughput
 // keeps feeding it a full share through the window; the adaptive estimator
@@ -219,7 +219,7 @@ func E30MisreportedProfile(seed uint64) (*Table, error) {
 // closes, and must beat static throughput's makespan under both the pure
 // slowdown plan and the slowdown + checkpoint-cadence plan. The MST weight
 // is validated exact in every cell.
-func E31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
+func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	t := &Table{
 		Title: fmt.Sprintf("E31 — adaptive placement under transient slowdown windows (MST), n=%d m=%d (straggler:2:8 cluster)", n, m),
@@ -247,7 +247,7 @@ func E31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 			cfg := mpc.Config{N: n, M: m, Seed: seed, Placement: pol, Trace: trace.New()}
 			cfg.Profile = beefyCoordinator(mpc.StragglerProfile(cfg.DeriveK(), 2, 8))
 			cfg.Faults = pl.plan()
-			c, err := build(cfg)
+			c, err := rn.build(cfg)
 			if err != nil {
 				return nil, err
 			}

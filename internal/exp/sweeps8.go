@@ -20,13 +20,13 @@ import (
 // wire_bytes, which must be identical between the two real transports (the
 // frame stream is canonical) and zero on inproc.
 
-// E32TransportSweep runs MST and connectivity across machine profiles ×
+// e32TransportSweep runs MST and connectivity across machine profiles ×
 // transports and reports the measured frame bytes next to the modeled
 // words. Connectivity runs the speed-skew axis only, for E26's reason:
 // capacity skew (zipf) shrinks the small machines below its sketch volume
 // at this scale, and the capacity model rejects the run, as it must; MST
 // covers the capacity-skew axis.
-func E32TransportSweep(seed uint64) (*Table, error) {
+func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 	const n, m = 256, 2048
 	t := &Table{
 		Title: fmt.Sprintf("E32 — transport × profile sweep (measured wire bytes vs modeled words), n=%d m=%d", n, m),
@@ -82,7 +82,7 @@ func E32TransportSweep(seed uint64) (*Table, error) {
 				if cfg.Transport, err = wire.Parse(transport); err != nil {
 					return nil, err
 				}
-				c, err := build(cfg)
+				c, err := rn.build(cfg)
 				if err != nil {
 					return nil, err
 				}

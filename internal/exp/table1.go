@@ -4,14 +4,8 @@ import (
 	"fmt"
 
 	"hetmpc/internal/core"
-	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
-	"hetmpc/internal/metrics"
-	"hetmpc/internal/mpc"
-	"hetmpc/internal/sched"
 	"hetmpc/internal/sublinear"
-	"hetmpc/internal/trace"
-	"hetmpc/internal/wire"
 )
 
 // Sizes used by the Table 1 reproduction. Small enough to run in seconds,
@@ -23,182 +17,13 @@ const (
 	t1ApproxN = 96  // the threshold sweep runs many sketch-connectivity passes
 )
 
-func newHet(n, m int, f float64, seed uint64) (*mpc.Cluster, error) {
-	return build(mpc.Config{N: n, M: m, F: f, Seed: seed})
-}
-
-func newSub(n, m int, seed uint64) (*mpc.Cluster, error) {
-	return build(mpc.Config{N: n, M: m, NoLarge: true, Seed: seed})
-}
-
-// build applies the package profile, fault-plan, placement and transport
-// overrides (SetProfile, SetFaults, SetPlacement, SetTransport), constructs
-// the cluster and registers it with the run tracker.
-func build(cfg mpc.Config) (*mpc.Cluster, error) {
-	profileApplied, faultsApplied, placementApplied := false, false, false
-	transportApplied := false
-	if profileSpec != "" && cfg.Profile == nil {
-		p, err := mpc.ParseProfile(profileSpec, cfg.DeriveK())
-		if err != nil {
-			return nil, err
-		}
-		cfg.Profile = p
-		profileApplied = p != nil // "uniform" parses to nil: baseline, no tag
-	}
-	if faultSpec != "" && cfg.Faults == nil {
-		p, err := fault.ParsePlan(faultSpec, cfg.DeriveK())
-		if err != nil {
-			return nil, err
-		}
-		cfg.Faults = p
-		faultsApplied = p != nil // "none" parses to nil: baseline, no tag
-	}
-	if placementSpec != "" && cfg.Placement == nil {
-		p, err := sched.Parse(placementSpec)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Placement = p
-		placementApplied = p != nil // "cap" parses to nil: baseline, no tag
-	}
-	if transportSpec != "" && cfg.Transport == nil {
-		// Each cluster gets its own transport instance: links are per-cluster
-		// resources, not shareable across concurrently live clusters.
-		tr, err := wire.Parse(transportSpec)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Transport = tr
-		transportApplied = tr != nil // "inproc" parses to nil: baseline, no tag
-	}
-	if traceOn && cfg.Trace == nil {
-		// Unlike the overrides above, tracing observes without perturbing:
-		// the artifact gains a trace summary but keeps its baseline name
-		// and bit-identical model numbers, so no tag is recorded.
-		cfg.Trace = trace.New()
-	}
-	if metricsReg != nil && cfg.Metrics == nil {
-		// Metrics share the trace contract — observation only — and the one
-		// run-wide registry, so the snapshot sums every cluster of the run.
-		cfg.Metrics = metricsReg
-	}
-	c, err := mpc.New(cfg)
-	if err == nil {
-		trackCluster(c)
-		if profileApplied || faultsApplied || placementApplied || transportApplied {
-			trackOverrides(profileApplied, faultsApplied, placementApplied, transportApplied)
-		}
-	}
-	return c, err
-}
-
-// profileSpec is the cross-cutting machine-profile override; see SetProfile.
-var profileSpec string
-
-// faultSpec is the cross-cutting fault-plan override; see SetFaults.
-var faultSpec string
-
-// placementSpec is the cross-cutting placement-policy override; see
-// SetPlacement.
-var placementSpec string
-
-// transportSpec is the cross-cutting Exchange-transport override; see
-// SetTransport.
-var transportSpec string
-
-// traceOn is the cross-cutting trace toggle; see SetTrace.
-var traceOn bool
-
-// metricsOn is the cross-cutting metrics toggle; see SetMetrics. metricsReg
-// is the in-flight run's registry, created by RunFull and cleared when the
-// run finishes (nil outside a metered run).
-var (
-	metricsOn  bool
-	metricsReg *metrics.Registry
-)
-
-// SetMetrics attaches a fresh metrics registry to every cluster of each
-// subsequently started Run (hetbench -metrics): the artifact gains the
-// sorted registry snapshot in its "metrics" field — the engine-level
-// counters, gauges and histograms of DESIGN.md §12. Metrics observe without
-// perturbing (the Config.Metrics contract), so metered artifacts keep the
-// baseline name and bit-identical model numbers.
-func SetMetrics(on bool) { metricsOn = on }
-
-// SetTrace attaches a fresh trace collector to every subsequently built
-// experiment cluster that does not pin its own (hetbench -trace): the
-// artifact gains the per-phase critical-path summary in its "trace" field.
-// Tracing never changes the measured model stats, so traced artifacts keep
-// the baseline name. E26–E28 trace their clusters unconditionally.
-func SetTrace(on bool) { traceOn = on }
-
-// specProbeK is the machine count the override setters pre-validate their
-// specs against: large enough that machine-addressed clauses (custom:…,
-// crash:…, slow:…) of any realistic cluster pass here and are checked for
-// real — against the cluster's true K — at build time.
-const specProbeK = 1 << 16
-
-// SetProfile installs a machine-profile spec (mpc.ParseProfile syntax) that
-// every subsequently built experiment cluster adopts — e.g. run Table 1
-// under "straggler:2:8" and read the makespan column of the artifact. The
-// empty spec (or "uniform") restores the paper's uniform cluster. Specs are
-// validated here; the per-cluster K is only known at build time.
-func SetProfile(spec string) error {
-	if _, err := mpc.ParseProfile(spec, specProbeK); err != nil {
-		return err
-	}
-	profileSpec = spec
-	return nil
-}
-
-// SetFaults installs a fault-plan spec (fault.ParsePlan syntax) that every
-// subsequently built experiment cluster adopts — e.g. run Table 1 under
-// "ckpt:8+rate:0.002" and read the crashes/recovery_rounds/makespan columns
-// of the artifact. The empty spec (or "none") restores the reliable
-// cluster.
-func SetFaults(spec string) error {
-	if _, err := fault.ParsePlan(spec, specProbeK); err != nil {
-		return err
-	}
-	faultSpec = spec
-	return nil
-}
-
-// SetPlacement installs a placement-policy spec (sched.Parse syntax) that
-// every subsequently built experiment cluster adopts — e.g. run Table 1
-// under "throughput" or "speculate:2" and compare the makespan column
-// against the committed cap baseline. The empty spec (or "cap") restores
-// the capacity-proportional default. Experiments that pin their own policy
-// (E23–E25) ignore the override, exactly like pinned profiles and plans.
-func SetPlacement(spec string) error {
-	if _, err := sched.Parse(spec); err != nil {
-		return err
-	}
-	placementSpec = spec
-	return nil
-}
-
-// SetTransport installs an Exchange-transport spec (wire.Parse syntax:
-// "inproc", "pipe", "tcp") that every subsequently built experiment cluster
-// adopts — e.g. run Table 1 over loopback TCP and read the wire_bytes column
-// of the artifact next to the unchanged modeled words. The empty spec (or
-// "inproc") restores the in-process memcpy path. Each cluster gets a fresh
-// transport instance at build time; only the spec is cross-cutting.
-func SetTransport(spec string) error {
-	if _, err := wire.Parse(spec); err != nil {
-		return err
-	}
-	transportSpec = spec
-	return nil
-}
-
-// Table1 reproduces the paper's Table 1: for each problem it measures the
+// table1 reproduces the paper's Table 1: for each problem it measures the
 // executed communication rounds in the sublinear baseline regime (no large
 // machine), the heterogeneous regime (one near-linear machine), and the
 // heterogeneous regime with a superlinear machine (f = 0.5, the abstract's
 // "all problems in O(1) rounds" setting), next to the complexities the paper
 // states. Output correctness is validated on every run.
-func Table1(seed uint64) (*Table, error) {
+func (rn *run) table1(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Table 1 — measured rounds, n=%d m=%d (γ=0.5; min-cut rows n=%d)", t1N, t1M, t1CutN),
 		Header: []string{"problem", "sublinear (measured)", "heterogeneous (measured)", "het+superlinear (measured)",
@@ -210,7 +35,7 @@ func Table1(seed uint64) (*Table, error) {
 
 	// --- Connectivity ---
 	{
-		cs, err := newSub(t1N, t1M, seed)
+		cs, err := rn.newSub(t1N, t1M, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +43,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := newHet(t1N, t1M, 0, seed)
+		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +54,7 @@ func Table1(seed uint64) (*Table, error) {
 		if rh.Components != rs.Components {
 			return nil, fmt.Errorf("connectivity mismatch: %d vs %d", rh.Components, rs.Components)
 		}
-		cf, err := newHet(t1N, t1M, 0.5, seed)
+		cf, err := rn.newHet(t1N, t1M, 0.5, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +71,7 @@ func Table1(seed uint64) (*Table, error) {
 
 	// --- MST ---
 	{
-		cs, err := newSub(t1N, t1M, seed)
+		cs, err := rn.newSub(t1N, t1M, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +79,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := newHet(t1N, t1M, 0, seed)
+		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +93,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err := graph.CheckMST(gW, rh.Edges); err != nil {
 			return nil, err
 		}
-		cf, err := newHet(t1N, t1M, 0.5, seed)
+		cf, err := rn.newHet(t1N, t1M, 0.5, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +115,7 @@ func Table1(seed uint64) (*Table, error) {
 			gA.Edges[i].W = gA.Edges[i].W%32 + 1
 		}
 		_, exact := graph.KruskalMSF(gA)
-		ch, err := newHet(gA.N, gA.M(), 0, seed)
+		ch, err := rn.newHet(gA.N, gA.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +134,7 @@ func Table1(seed uint64) (*Table, error) {
 	// --- O(k)-spanner ---
 	{
 		k := 4
-		cs, err := newSub(t1N, t1M, seed)
+		cs, err := rn.newSub(t1N, t1M, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +146,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err := graph.CheckSpanner(gU, hs, 2*k-1, 4, seed); err != nil {
 			return nil, err
 		}
-		ch, err := newHet(t1N, t1M, 0, seed)
+		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +169,7 @@ func Table1(seed uint64) (*Table, error) {
 	{
 		gC := graph.PlantedCut(t1CutN, 400, 3, seed, false)
 		want := graph.StoerWagner(gC)
-		ch, err := newHet(gC.N, gC.M(), 0, seed)
+		ch, err := rn.newHet(gC.N, gC.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +192,7 @@ func Table1(seed uint64) (*Table, error) {
 	{
 		gC := graph.PlantedCut(t1CutN, 400, 3, seed+1, true)
 		want := graph.StoerWagner(gC)
-		ch, err := newHet(gC.N, gC.M(), 0, seed)
+		ch, err := rn.newHet(gC.N, gC.M(), 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +210,7 @@ func Table1(seed uint64) (*Table, error) {
 
 	// --- (Δ+1) coloring ---
 	{
-		cs, err := newSub(t1N, t1M, seed)
+		cs, err := rn.newSub(t1N, t1M, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -393,7 +218,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := newHet(t1N, t1M, 0, seed)
+		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +238,7 @@ func Table1(seed uint64) (*Table, error) {
 
 	// --- MIS ---
 	{
-		cs, err := newSub(t1N, t1M, seed)
+		cs, err := rn.newSub(t1N, t1M, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +246,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := newHet(t1N, t1M, 0, seed)
+		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +266,7 @@ func Table1(seed uint64) (*Table, error) {
 
 	// --- maximal matching ---
 	{
-		cs, err := newSub(t1N, t1M, seed)
+		cs, err := rn.newSub(t1N, t1M, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +274,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := newHet(t1N, t1M, 0, seed)
+		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +285,7 @@ func Table1(seed uint64) (*Table, error) {
 		if err := graph.CheckMatching(gU, rh.Edges, true); err != nil {
 			return nil, err
 		}
-		cf, err := newHet(t1N, t1M, 0.5, seed)
+		cf, err := rn.newHet(t1N, t1M, 0.5, seed)
 		if err != nil {
 			return nil, err
 		}

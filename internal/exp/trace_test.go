@@ -5,21 +5,19 @@ import (
 	"testing"
 )
 
-// TestSetTraceArtifact: under the cross-cutting trace toggle (hetbench
-// -trace) an ordinary experiment's artifact gains the phase summary, the
+// TestSetTraceArtifact: under Env.Trace (hetbench -trace) an ordinary
+// experiment's artifact gains the phase summary, the
 // summary conserves the model totals exactly (every cluster of the run is
 // traced), the artifact keeps its baseline name (tracing is observational,
 // not an override), and the field marshals under the stable "trace" key.
 // E14 is the cheapest experiment that moves real traffic.
 func TestSetTraceArtifact(t *testing.T) {
-	SetTrace(true)
-	defer SetTrace(false)
-	art, err := Run("e14", 7)
+	art, _, err := Env{Trace: true}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if art.Trace == nil {
-		t.Fatal("artifact has no trace field under SetTrace(true)")
+		t.Fatal("artifact has no trace field under Env.Trace")
 	}
 	if art.Trace.Clusters != art.Model.Clusters {
 		t.Fatalf("traced %d of %d clusters", art.Trace.Clusters, art.Model.Clusters)
@@ -76,17 +74,7 @@ func TestSetTraceArtifact(t *testing.T) {
 // per-cluster-subtotal sum; the artifact must group the same way the
 // model does.
 func TestSetTraceArtifactNonDyadicCosts(t *testing.T) {
-	SetTrace(true)
-	if err := SetProfile("straggler:2:1.7"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		SetTrace(false)
-		if err := SetProfile(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	art, err := Run("e14", 7)
+	art, _, err := Env{Profile: "straggler:2:1.7", Trace: true}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +92,7 @@ func TestSetTraceArtifactNonDyadicCosts(t *testing.T) {
 // key at all, so downstream consumers of the committed baselines see the
 // exact pre-refactor schema.
 func TestUntracedArtifactOmitsTrace(t *testing.T) {
-	art, err := Run("e14", 7)
+	art, _, err := Env{}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -117,5 +118,42 @@ func TestEngineGating(t *testing.T) {
 	}
 	if diags := RunPackage(pkg, false, []*Analyzer{DetMap}); len(diags) != 0 {
 		t.Errorf("EngineOnly analyzer ran outside the engine set: %v", diags)
+	}
+}
+
+// TestPackageStateScope: nondet's package-level-write rule reaches the
+// packageStatePaths packages without dragging the engine-only bans along,
+// and stays silent everywhere else outside the engine set.
+func TestPackageStateScope(t *testing.T) {
+	// A private loader: the fixture is loaded under a real package's import
+	// path, which must not land in the shared loader's cache.
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("testdata", "src", "nondet")
+	pkg, err := l.LoadDir(dir, "hetmpc/internal/exp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := RunPackage(pkg, false, []*Analyzer{NonDet})
+	if len(diags) == 0 {
+		t.Fatal("package-level writes not reported in a packageStatePaths package")
+	}
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "package-level variable") {
+			t.Errorf("engine-only ban applied outside the engine set: %s", d)
+		}
+	}
+	pkg, err = l.LoadDir(dir, "fixture/nondet-offscope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := RunPackage(pkg, false, []*Analyzer{NonDet}); len(diags) != 0 {
+		t.Errorf("nondet ran outside its scope: %v", diags)
 	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -15,12 +16,29 @@ import (
 // GOMAXPROCS, so any dependence is at best a justified worker-pool sizing).
 // Observability wall-clocks that provably never feed Stats or the trace are
 // the intended //hetlint:nondet escape.
+//
+// It also forbids the ambient input the process makes for itself: a write to
+// a package-level variable outside init. A package variable some function
+// sets is a switch every cluster and every run in the process shares — two
+// configurations cannot coexist and parallel tests interfere — so
+// configuration travels as a value (mpc.Config, exp.Env). Registration
+// tables built by their initializer or by init, sync.Pool method calls and
+// error sentinels are not writes. This rule reaches past the engine set to
+// the algorithm layers and the experiment harness (packageStatePaths).
 var NonDet = &Analyzer{
-	Name:       "nondet",
-	Doc:        "forbid wall-clock, global rand, env and CPU-count dependence in engine packages",
-	Key:        "nondet",
-	EngineOnly: true,
-	Run:        runNonDet,
+	Name: "nondet",
+	Doc:  "forbid wall-clock, global rand, env and CPU-count dependence in engine packages, and writes to package-level variables there and in sketch/core/sublinear/exp",
+	Key:  "nondet",
+	Run:  runNonDet,
+}
+
+// packageStatePaths are the packages beyond the engine set that the
+// package-level-write rule covers.
+var packageStatePaths = map[string]bool{
+	"hetmpc/internal/sketch":    true,
+	"hetmpc/internal/core":      true,
+	"hetmpc/internal/sublinear": true,
+	"hetmpc/internal/exp":       true,
 }
 
 // nondetFuncs maps package path -> function name -> remedy. Only
@@ -44,6 +62,12 @@ var nondetFuncs = map[string]map[string]string{
 }
 
 func runNonDet(pass *Pass) {
+	if pass.Engine || packageStatePaths[pass.Pkg.Path] {
+		checkPackageWrites(pass)
+	}
+	if !pass.Engine {
+		return
+	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -70,6 +94,78 @@ func runNonDet(pass *Pass) {
 			}
 			return true
 		})
+	}
+}
+
+// checkPackageWrites reports every assignment, op-assignment, ++/-- and
+// range-assignment whose target is (an element, field or pointee of) a
+// package-level variable, in any function other than init.
+func checkPackageWrites(pass *Pass) {
+	report := func(lhs ast.Expr) {
+		if v := packageVarOf(pass, lhs); v != nil {
+			pass.Reportf(lhs.Pos(), "write to package-level variable %s outside init: package state is ambient input shared by every cluster and run in the process; pass it as a value (Config, Env) instead", v.Name())
+		}
+	}
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || (fn.Recv == nil && fn.Name.Name == "init") {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch st := n.(type) {
+				case *ast.AssignStmt:
+					if st.Tok != token.DEFINE {
+						for _, lhs := range st.Lhs {
+							report(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					report(st.X)
+				case *ast.RangeStmt:
+					if st.Tok == token.ASSIGN {
+						for _, lhs := range []ast.Expr{st.Key, st.Value} {
+							if lhs != nil {
+								report(lhs)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// packageVarOf returns the package-level variable an assignment target
+// writes into, or nil: the target is peeled of index, field, dereference
+// and paren layers down to its root name (pkg.Var counts as a root).
+func packageVarOf(pass *Pass, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if _, isPkg := pass.ObjectOf(id).(*types.PkgName); isPkg {
+					e = x.Sel
+					continue
+				}
+			}
+			e = x.X
+		case *ast.Ident:
+			v, ok := pass.ObjectOf(x).(*types.Var)
+			if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+				return nil
+			}
+			return v
+		default:
+			return nil
+		}
 	}
 }
 

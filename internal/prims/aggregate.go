@@ -7,6 +7,33 @@ import (
 	"hetmpc/internal/mpc"
 )
 
+// localCombine is AggregateByKey's first step: one machine's items combined
+// per key, sorted by key. It sorts a slab-backed copy and folds adjacent
+// runs in place; the stable sort keeps each key's occurrences in input
+// order, so the left-fold per key — and therefore every combined value — is
+// exactly that of folding into a map in input order and sorting the result
+// (the oracle TestAggregateCombineKernelMatchesMap pins it against).
+func localCombine[V any](items []KV[V], combine func(a, b V) V) []KV[V] {
+	buf := arena.New[KV[V]](len(items)).AllocUninit(len(items))
+	copy(buf, items)
+	SortKVsByKey(buf)
+	return foldRuns(buf, combine)
+}
+
+// foldRuns left-folds each run of equal adjacent keys into its first entry,
+// in place, and returns the shortened slice.
+func foldRuns[V any](kvs []KV[V], combine func(a, b V) V) []KV[V] {
+	out := kvs[:0]
+	for _, kv := range kvs {
+		if len(out) > 0 && out[len(out)-1].K == kv.K {
+			out[len(out)-1].V = combine(out[len(out)-1].V, kv.V)
+		} else {
+			out = append(out, kv)
+		}
+	}
+	return out
+}
+
 // AggregateByKey implements Claim 2: items (key, value) spread over the
 // small machines are combined per key with the aggregation function
 // `combine`. The protocol is: local combine → sort partials by key → detect
@@ -47,43 +74,10 @@ func AggregateByKey[V any](
 		items = ni
 	}
 
-	// Local combine. The fast path sorts a slab-backed copy by key and folds
-	// adjacent runs in place: the stable sort keeps each key's occurrences in
-	// input order, so the left-fold per key — and therefore the combined
-	// values — are exactly those of the reference map path (which also folds
-	// in input order and then sorts); pinned by
-	// TestAggregateCombineKernelMatchesMap.
+	// Local combine.
 	partials := make([][]KV[V], k)
 	if err := c.ForSmall(func(i int) error {
-		if referenceKernels {
-			m := make(map[int64]V, len(items[i]))
-			for _, kv := range items[i] {
-				if cur, ok := m[kv.K]; ok {
-					m[kv.K] = combine(cur, kv.V)
-				} else {
-					m[kv.K] = kv.V
-				}
-			}
-			out := make([]KV[V], 0, len(m))
-			for key, v := range m {
-				out = append(out, KV[V]{K: key, V: v})
-			}
-			SortKVsByKey(out)
-			partials[i] = out
-			return nil
-		}
-		buf := arena.New[KV[V]](len(items[i])).AllocUninit(len(items[i]))
-		copy(buf, items[i])
-		sortByKey(buf, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
-		out := buf[:0]
-		for j := 0; j < len(buf); j++ {
-			if len(out) > 0 && out[len(out)-1].K == buf[j].K {
-				out[len(out)-1].V = combine(out[len(out)-1].V, buf[j].V)
-			} else {
-				out = append(out, buf[j])
-			}
-		}
-		partials[i] = out
+		partials[i] = localCombine(items[i], combine)
 		return nil
 	}); err != nil {
 		return nil, nil, err
@@ -97,16 +91,7 @@ func AggregateByKey[V any](
 
 	// Local combine of same-key runs that were routed to the same machine.
 	if err := c.ForSmall(func(i int) error {
-		in := sorted[i]
-		out := in[:0]
-		for j := 0; j < len(in); j++ {
-			if len(out) > 0 && out[len(out)-1].K == in[j].K {
-				out[len(out)-1].V = combine(out[len(out)-1].V, in[j].V)
-			} else {
-				out = append(out, in[j])
-			}
-		}
-		sorted[i] = out
+		sorted[i] = foldRuns(sorted[i], combine)
 		return nil
 	}); err != nil {
 		return nil, nil, err

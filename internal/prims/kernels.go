@@ -7,21 +7,6 @@ import (
 	"hetmpc/internal/arena"
 )
 
-// referenceKernels switches the package to its straightforward reference
-// implementations: closure-based stable sorts and sort.Search + append
-// bucket routing. The fast kernels below produce identical output (pinned
-// by the kernel equivalence tests); the toggle exists so the E33 scale
-// sweep can measure the speedup against asserted-identical results. Not
-// safe to flip while primitives are in flight.
-var referenceKernels bool
-
-// SetReferenceKernels selects the reference (true) or optimized (false)
-// kernel implementations. Used by benchmarks; the default is optimized.
-func SetReferenceKernels(on bool) { referenceKernels = on }
-
-// ReferenceKernels reports the current kernel selection.
-func ReferenceKernels() bool { return referenceKernels }
-
 // keyed pairs an extracted sort key with the item's original position. The
 // key is held as bias-flipped uint64 words (lexicographic uint64 order over
 // w equals SortKey.Compare order), so both the radix digits and the
@@ -40,19 +25,22 @@ func flipKey(k SortKey) [3]uint64 {
 	return [3]uint64{uint64(k.A) ^ flip, uint64(k.B) ^ flip, uint64(k.C) ^ flip}
 }
 
-// keyedPool recycles the keyed scratch of sortByKey across calls: the
+// keyedPool recycles the keyed scratch of SortLocal across calls: the
 // primitives sort per small machine per round, so steady-state rounds reuse
 // warm slabs instead of reallocating the side buffers every time.
 var keyedPool = sync.Pool{New: func() any { return &arena.Arena[keyed]{} }}
 
-// radixCutoff is the slice length below which sortByKey uses the
+// radixCutoff is the slice length below which SortLocal uses the
 // comparison fallback: an LSD pass costs two linear sweeps plus a 256-entry
 // histogram, which only amortizes once the slice dwarfs the histogram.
 const radixCutoff = 96
 
-// sortByKey sorts items by their SortKey, equivalent to a stable sort with
-// a key-extracting comparator but without per-comparison key extraction or
-// closure dispatch: keys are pulled once into a (words, index) side buffer
+// SortLocal sorts one machine's items by their SortKey — the Sort
+// primitive's local-sort kernel, exported for algorithm code that sorts
+// large-machine slices outside any primitive. It is equivalent to a stable
+// sort with a key-extracting comparator but without per-comparison key
+// extraction or closure dispatch: keys are pulled once into a (words,
+// index) side buffer
 // and sorted with a stable LSD radix over the key bytes. The extraction
 // pass folds OR/AND masks over the key words, so only bytes that actually
 // vary across the slice get a counting pass — low-entropy keys (the common
@@ -62,7 +50,7 @@ const radixCutoff = 96
 // pinned by TestSortKernelMatchesStable. Small slices fall back to pdqsort
 // on the flipped words with the index tiebreak (stable in effect). The
 // resulting permutation is applied in place by cycle-following.
-func sortByKey[T any](items []T, key func(T) SortKey) {
+func SortLocal[T any](items []T, key func(T) SortKey) {
 	n := len(items)
 	if n < 2 {
 		return
@@ -315,7 +303,7 @@ func applyPermIdx[T any](items []T, perm []int32) {
 	}
 }
 
-// countsPool recycles the fused radix histograms of sortByKey (up to 24
+// countsPool recycles the fused radix histograms of SortLocal (up to 24
 // passes × 256 digits of int32 counts).
 var countsPool = sync.Pool{New: func() any { return &arena.Arena[int32]{} }}
 
@@ -323,15 +311,15 @@ var countsPool = sync.Pool{New: func() any { return &arena.Arena[int32]{} }}
 var u64Pool = sync.Pool{New: func() any { return &arena.Arena[uint64]{} }}
 
 // SortInts sorts xs ascending. It is the plain-int64 sibling of the
-// sortByKey kernel: the engine's map-drain loops (collect keys, sort,
+// SortLocal kernel: the engine's map-drain loops (collect keys, sort,
 // iterate deterministically) sit on the per-round hot path of every
 // algorithm, so they get the same byte-skipping LSD radix treatment —
 // bias-flipped words, OR/AND vary masks, fused histograms, pooled scratch.
-// Under reference kernels (or below the radix cutoff) it is exactly
-// slices.Sort; equivalence is pinned by TestSortIntsMatchesSlices.
+// Below the radix cutoff it is exactly slices.Sort; equivalence is pinned
+// by TestSortIntsMatchesSlices.
 func SortInts(xs []int64) {
 	n := len(xs)
-	if referenceKernels || n < radixCutoff {
+	if n < radixCutoff {
 		slices.Sort(xs)
 		return
 	}
@@ -372,12 +360,7 @@ func SortInts(xs []int64) {
 	}
 	for p := 0; p < np; p++ {
 		cp := counts[p<<8 : p<<8+256]
-		sum := int32(0)
-		for d := range cp {
-			c := cp[d]
-			cp[d] = sum
-			sum += c
-		}
+		prefixSum(cp)
 		shift := shifts[p]
 		for _, u := range src {
 			d := (u >> shift) & 0xff
@@ -419,29 +402,17 @@ func applyPerm[T any](items []T, kb []keyed) {
 	}
 }
 
-// SortLocal sorts one machine's items by key under the selected kernel
-// set: the radix local-sort kernel, or (reference) the closure-based stable
-// sort it replaces. It exposes the Sort primitive's step-1 kernel to
-// algorithm code that sorts large-machine slices outside any primitive.
-func SortLocal[T any](items []T, key func(T) SortKey) {
-	if referenceKernels {
-		slices.SortStableFunc(items, func(a, b T) int { return key(a).Compare(key(b)) })
-		return
-	}
-	sortByKey(items, key)
-}
-
 // scatterSortedByKey routes locally-sorted items into nb splitter buckets.
 // Because the items are sorted by the same key order the splitters are
 // drawn from, every bucket is a contiguous run, so the kernel does no
 // per-item work at all: it binary-searches each splitter's boundary
-// (nb·log L comparisons instead of the reference path's L·log nb) and
+// (nb·log L comparisons instead of per-item routing's L·log nb) and
 // returns capacity-clamped subslices of the input — a single allocation
 // for the bucket headers, pinned by TestScatterConstantAllocs. Buckets
-// that receive nothing stay nil, matching the reference path's
-// untouched-append behavior. The sorted precondition is the caller's
-// (Sort routes the output of its local-sort step); equivalence against
-// per-item sort.Search routing is pinned by TestScatterKernelMatchesSearch.
+// that receive nothing stay nil, matching per-item append routing. The
+// sorted precondition is the caller's (Sort routes the output of its
+// local-sort step); equivalence against per-item sort.Search routing is
+// pinned by TestScatterKernelMatchesSearch.
 func scatterSortedByKey[T any](items []T, sp []SortKey, nb int, key func(T) SortKey) [][]T {
 	out := make([][]T, nb)
 	lo := 0

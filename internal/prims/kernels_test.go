@@ -1,6 +1,7 @@
 package prims
 
 import (
+	"cmp"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -35,7 +36,7 @@ func fuzzedItems(rng *rand.Rand, n, keyRange int) []kitem {
 
 // TestSortKernelMatchesStable pins the local-sort kernel against the
 // reference stable sort: the (key, original index) tiebreak must make
-// sortByKey's unstable pdqsort produce exactly the stable order, including
+// SortLocal's unstable pdqsort produce exactly the stable order, including
 // among equal keys (observable through the tags).
 func TestSortKernelMatchesStable(t *testing.T) {
 	rng := xrand.New(7)
@@ -45,9 +46,9 @@ func TestSortKernelMatchesStable(t *testing.T) {
 			want := slices.Clone(items)
 			slices.SortStableFunc(want, func(a, b kitem) int { return a.key.Compare(b.key) })
 			got := slices.Clone(items)
-			sortByKey(got, func(it kitem) SortKey { return it.key })
+			SortLocal(got, func(it kitem) SortKey { return it.key })
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d keyRange=%d: sortByKey diverges from stable sort", n, keyRange)
+				t.Fatalf("n=%d keyRange=%d: SortLocal diverges from stable sort", n, keyRange)
 			}
 		}
 	}
@@ -92,7 +93,7 @@ func TestScatterKernelMatchesSearch(t *testing.T) {
 
 // TestScatterConstantAllocs pins the scatter kernel's allocation count: one
 // allocation (the bucket headers) regardless of item count — the buckets
-// are subslices of the sorted input, versus the reference path's per-bucket
+// are subslices of the sorted input, versus per-item routing's per-bucket
 // append doublings.
 func TestScatterConstantAllocs(t *testing.T) {
 	if raceEnabled {
@@ -141,22 +142,23 @@ func TestSortLocalSteadyStateAllocs(t *testing.T) {
 	items := fuzzedItems(rng, 4096, 1<<20)
 	scratch := slices.Clone(items)
 	key := func(it kitem) SortKey { return it.key }
-	sortByKey(scratch, key) // warm the pool
+	SortLocal(scratch, key) // warm the pool
 	if got := testing.AllocsPerRun(20, func() {
 		copy(scratch, items)
-		sortByKey(scratch, key)
+		SortLocal(scratch, key)
 	}); got != 0 {
-		t.Errorf("steady-state sortByKey allocates %v per call, want 0", got)
+		t.Errorf("steady-state SortLocal allocates %v per call, want 0", got)
 	}
 }
 
-// TestSortKernelPackedPaths pins the packed radix variants against the
-// stable reference across key-entropy regimes: ≤8 varying bytes (16-byte
-// packed records), 9..16 (24-byte), and >16 (unpacked fallback), plus
-// negative key words (bias flip on every word).
-func TestSortKernelPackedPaths(t *testing.T) {
-	rng := xrand.New(53)
-	gens := map[string]func() SortKey{
+// keyGens draws sort keys from each pass-plan class of the radix kernel:
+// 0 varying bytes (all keys equal, observable only through the tags), ≤8
+// (16-byte packed records), 9..16 (24-byte), >16 (unpacked fallback), plus
+// negative key words (bias flip on every word). Slices shorter than
+// radixCutoff take the comparison fallback whatever the class.
+func keyGens(rng *rand.Rand) map[string]func() SortKey {
+	return map[string]func() SortKey{
+		"allequal": func() SortKey { return SortKey{A: 7, B: -1, C: 3} },
 		"packed16": func() SortKey {
 			return SortKey{A: int64(rng.Uint64() % (1 << 24)), B: int64(rng.Uint64() % 4), C: int64(rng.Uint64() % 256)}
 		},
@@ -170,6 +172,18 @@ func TestSortKernelPackedPaths(t *testing.T) {
 			return SortKey{A: int64(rng.Uint64()%512) - 256, B: int64(rng.Uint64()%16) - 8, C: int64(rng.Uint64())}
 		},
 	}
+}
+
+// stableSort is the local-sort oracle: the closure-based stable comparator
+// sort the radix kernel replaced.
+func stableSort(items []kitem) {
+	slices.SortStableFunc(items, func(a, b kitem) int { return a.key.Compare(b.key) })
+}
+
+// TestSortKernelPackedPaths pins the packed radix variants against the
+// stable oracle across every pass-plan class of keyGens.
+func TestSortKernelPackedPaths(t *testing.T) {
+	gens := keyGens(xrand.New(53))
 	for name, gen := range gens {
 		for _, n := range []int{96, 500, 4096} {
 			items := make([]kitem, n)
@@ -177,11 +191,11 @@ func TestSortKernelPackedPaths(t *testing.T) {
 				items[i] = kitem{key: gen(), tag: i}
 			}
 			want := slices.Clone(items)
-			slices.SortStableFunc(want, func(a, b kitem) int { return a.key.Compare(b.key) })
+			stableSort(want)
 			got := slices.Clone(items)
-			sortByKey(got, func(it kitem) SortKey { return it.key })
+			SortLocal(got, func(it kitem) SortKey { return it.key })
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s n=%d: sortByKey diverges from stable sort", name, n)
+				t.Fatalf("%s n=%d: SortLocal diverges from stable sort", name, n)
 			}
 		}
 	}
@@ -234,71 +248,157 @@ func TestSortIntsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAggregateCombineKernelMatchesMap pins the local-combine kernel:
-// AggregateByKey under fast kernels must produce the same roots as the
-// reference map-based combine, fold order included (the combine below is
-// deliberately non-commutative in its fold history so any reordering of a
-// key's occurrences shows up in the result).
-func TestAggregateCombineKernelMatchesMap(t *testing.T) {
-	run := func(ref bool) []map[int64][]int64 {
-		SetReferenceKernels(ref)
-		defer SetReferenceKernels(false)
-		c, err := mpc.New(mpc.Config{N: 256, M: 1024, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
+// mapCombine is the local-combine oracle: fold every item into a map in
+// input order, then sort the distinct keys.
+func mapCombine[V any](items []KV[V], combine func(a, b V) V) []KV[V] {
+	m := make(map[int64]V, len(items))
+	for _, kv := range items {
+		if cur, ok := m[kv.K]; ok {
+			m[kv.K] = combine(cur, kv.V)
+		} else {
+			m[kv.K] = kv.V
 		}
-		k := c.K()
-		rng := xrand.New(23)
-		items := make([][]KV[[]int64], k)
-		for i := 0; i < k; i++ {
-			for j := 0; j < 40; j++ {
-				key := int64(rng.Uint64() % 50)
-				items[i] = append(items[i], KV[[]int64]{K: key, V: []int64{int64(i*1000 + j)}})
+	}
+	out := make([]KV[V], 0, len(m))
+	for key, v := range m {
+		out = append(out, KV[V]{K: key, V: v})
+	}
+	slices.SortFunc(out, func(a, b KV[V]) int { return cmp.Compare(a.K, b.K) })
+	return out
+}
+
+// TestAggregateCombineKernelMatchesMap pins the local-combine kernel
+// against the map-fold oracle, fold order included (the combine below is
+// deliberately non-commutative in its fold history so any reordering of a
+// key's occurrences shows up in the result) — directly, per machine, on
+// sizes either side of the radix cutoff, and then through AggregateByKey:
+// every machine's oracle partial must survive into its key's root as one
+// contiguous, in-order piece.
+func TestAggregateCombineKernelMatchesMap(t *testing.T) {
+	combine := func(a, b []int64) []int64 { return append(a, b...) }
+	rng := xrand.New(23)
+	gen := func(machine, n, keyRange int) []KV[[]int64] {
+		items := make([]KV[[]int64], n)
+		for j := range items {
+			key := int64(rng.Uint64()%uint64(keyRange)) - int64(keyRange/2)
+			items[j] = KV[[]int64]{K: key, V: []int64{int64(machine*10000 + j)}}
+		}
+		return items
+	}
+	for _, n := range []int{0, 1, 40, 95, 96, 1000} {
+		for _, keyRange := range []int{1, 50, 1 << 20} {
+			items := gen(0, n, keyRange)
+			want := mapCombine(items, combine)
+			got := localCombine(items, combine)
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("n=%d keyRange=%d: localCombine diverges from the map-fold oracle", n, keyRange)
 			}
 		}
-		combine := func(a, b []int64) []int64 { return append(a, b...) }
-		roots, _, err := AggregateByKey(c, items, 1, combine, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return roots
 	}
-	fast := run(false)
-	refr := run(true)
-	if !reflect.DeepEqual(fast, refr) {
-		t.Fatal("AggregateByKey roots diverge between fast and reference kernels")
+
+	c, err := mpc.New(mpc.Config{N: 256, M: 1024, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := c.K()
+	items := make([][]KV[[]int64], k)
+	for i := range items {
+		items[i] = gen(i, 40, 50)
+	}
+	partials := make([][]KV[[]int64], k)
+	for i := range items {
+		partials[i] = mapCombine(items[i], combine)
+	}
+	roots, _, err := AggregateByKey(c, items, 1, combine, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := map[int64][]int64{}
+	for _, r := range roots {
+		for key, v := range r {
+			if _, dup := final[key]; dup {
+				t.Fatalf("key %d finalized on two machines", key)
+			}
+			final[key] = v
+		}
+	}
+	total := 0
+	for i := range partials {
+		for _, kv := range partials[i] {
+			total += len(kv.V)
+			at := slices.Index(final[kv.K], kv.V[0])
+			if at < 0 || at+len(kv.V) > len(final[kv.K]) || !slices.Equal(final[kv.K][at:at+len(kv.V)], kv.V) {
+				t.Fatalf("machine %d key %d: oracle partial %v is not a contiguous piece of root %v", i, kv.K, kv.V, final[kv.K])
+			}
+		}
+	}
+	for _, v := range final {
+		total -= len(v)
+	}
+	if total != 0 {
+		t.Fatalf("roots hold %d values more or fewer than the input", -total)
 	}
 }
 
-// TestSortKernelEndToEnd pins the full Sort primitive (local sort, splitter
-// scatter, final sort) fast-vs-reference on identical clusters: buckets,
-// contents and order must match exactly.
+// TestSortKernelEndToEnd pins the full Sort primitive against its per-step
+// oracles under the real splitters: a twin cluster runs the splitter steps
+// over stable-sorted inputs, the oracle routes every item by sort.Search and
+// stable-sorts each bucket's sender-major concatenation, and Sort's buckets,
+// contents and order must match exactly — for every pass-plan class, at
+// per-machine sizes either side of the radix cutoff.
 func TestSortKernelEndToEnd(t *testing.T) {
-	run := func(ref bool) [][]kitem {
-		SetReferenceKernels(ref)
-		defer SetReferenceKernels(false)
-		c, err := mpc.New(mpc.Config{N: 256, M: 4096, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
+	key := func(it kitem) SortKey { return it.key }
+	gens := keyGens(xrand.New(31))
+	for name, gen := range gens {
+		for _, per := range []int{64, 200} { // all-equal keys land on one machine: K·per words must fit it
+			cfg := mpc.Config{N: 256, M: 4096, Seed: 9}
+			c, err := mpc.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := c.K()
+			data := make([][]kitem, k)
+			for i := range data {
+				data[i] = make([]kitem, per)
+				for j := range data[i] {
+					data[i][j] = kitem{key: gen(), tag: i*per + j}
+				}
+			}
+			sorted := make([][]kitem, k)
+			for i := range data {
+				sorted[i] = slices.Clone(data[i])
+				stableSort(sorted[i])
+			}
+			got, err := Sort(c, data, 1, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			twin, err := mpc.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			splitters, err := sortSplitters(twin, sorted, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]kitem, k)
+			for i := range sorted {
+				sp := splitters[i]
+				for _, it := range sorted[i] {
+					j := sort.Search(len(sp), func(x int) bool { return it.key.Less(sp[x]) })
+					want[j] = append(want[j], it)
+				}
+			}
+			for j := range want {
+				stableSort(want[j])
+				if len(got[j]) != len(want[j]) || (len(want[j]) > 0 && !reflect.DeepEqual(got[j], want[j])) {
+					t.Fatalf("%s per=%d: Sort bucket %d diverges from the stable-sort + sort.Search oracle", name, per, j)
+				}
+			}
+			if !IsGloballySorted(got, key) {
+				t.Fatalf("%s per=%d: Sort output is not globally sorted", name, per)
+			}
 		}
-		k := c.K()
-		rng := xrand.New(31)
-		data := make([][]kitem, k)
-		for i := 0; i < k; i++ {
-			data[i] = fuzzedItems(rng, 64, 1<<16)
-		}
-		out, err := Sort(c, data, 7, func(it kitem) SortKey { return it.key })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	fast := run(false)
-	refr := run(true)
-	if !reflect.DeepEqual(fast, refr) {
-		t.Fatal("Sort output diverges between fast and reference kernels")
-	}
-	if !IsGloballySorted(fast, func(it kitem) SortKey { return it.key }) {
-		t.Fatal("Sort output is not globally sorted")
 	}
 }

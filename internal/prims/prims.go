@@ -19,9 +19,7 @@
 package prims
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/xrand"
@@ -461,14 +459,8 @@ func hashKeyToMachine(key int64, k int) int {
 	return int(xrand.SplitMix64(uint64(key)+0x9e37) % uint64(k))
 }
 
-// SortKVsByKey sorts a KV slice by key, stable among equal keys. It is a
-// kernel site: the fast path runs the byte-skipping radix local sort (the
-// index tiebreak reproduces the stable order exactly), the reference path
-// the closure-based stable sort it replaces.
+// SortKVsByKey sorts a KV slice by key, stable among equal keys (the radix
+// local sort's index tiebreak reproduces the stable order exactly).
 func SortKVsByKey[V any](kvs []KV[V]) {
-	if referenceKernels {
-		slices.SortStableFunc(kvs, func(a, b KV[V]) int { return cmp.Compare(a.K, b.K) })
-		return
-	}
-	sortByKey(kvs, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
+	SortLocal(kvs, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
 }

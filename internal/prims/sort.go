@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"hetmpc/internal/mpc"
 )
@@ -65,21 +64,69 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	// until the routed buckets replace them below.
 	RegisterState(c, data, itemWords)
 
-	// Step 1: local sort (parallel local computation, no rounds). The fast
-	// path extracts keys once and sorts a compact side buffer (kernels.go);
-	// the reference path is the closure-based stable sort it replaces.
-	byKey := func(a, b T) int { return key(a).Compare(key(b)) }
+	// Step 1: local sort (parallel local computation, no rounds).
 	if err := c.ForSmall(func(i int) error {
-		if referenceKernels {
-			slices.SortStableFunc(data[i], byKey)
-		} else {
-			sortByKey(data[i], key)
-		}
+		SortLocal(data[i], key)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
+	// Steps 2–3: sample, pick and broadcast the splitters.
+	lists, err := sortSplitters(c, data, key)
+	if err != nil {
+		return nil, err
+	}
+
+	// Step 4: route every item to its bucket. Step 1's local sort makes the
+	// buckets contiguous runs, found by binary-searching each splitter
+	// boundary (kernels.go).
+	type chunk struct{ Items []T }
+	routeOuts := make([][]mpc.Msg, k)
+	if err := c.ForSmall(func(i int) error {
+		for j, b := range scatterSortedByKey(data[i], lists[i], k, key) {
+			if len(b) > 0 {
+				routeOuts[i] = append(routeOuts[i], mpc.Msg{To: j, Words: len(b) * itemWords, Data: chunk{Items: b}})
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	ins, _, err := c.Exchange(routeOuts, nil)
+	if err != nil {
+		return nil, err
+	}
+	result := make([][]T, k)
+	if err := c.ForSmall(func(i int) error {
+		n := 0
+		for _, m := range ins[i] {
+			ch, ok := m.Data.(chunk)
+			if !ok {
+				return fmt.Errorf("prims: unexpected route payload %T", m.Data)
+			}
+			n += len(ch.Items)
+		}
+		result[i] = make([]T, 0, n)
+		for _, m := range ins[i] {
+			result[i] = append(result[i], m.Data.(chunk).Items...)
+		}
+		SortLocal(result[i], key)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	// The routed, locally sorted buckets are now the machines' state.
+	RegisterState(c, result, itemWords)
+	return result, nil
+}
+
+// sortSplitters is steps 2–3 of Sort over locally sorted data: every
+// machine sends a weighted key sample to the coordinator, which picks the
+// K-1 placement-weighted splitters and broadcasts them; it returns each
+// machine's copy of the list.
+func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]SortKey, error) {
+	k := c.K()
 	// Step 2: weighted key samples to the coordinator (sample extraction is
 	// local computation, parallel over the small-machine axis).
 	q := coordCap(c) / (2 * k * (sortKeyWords + 1))
@@ -168,77 +215,7 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	}
 
 	// Broadcast the splitter list (3 words per splitter).
-	type splitterList struct{ Keys []SortKey }
-	words := len(splitters)*sortKeyWords + 1
-	lists, err := BroadcastValue(c, splitterList{Keys: splitters}, words)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 4: route every item to its bucket. The fast path exploits step
-	// 1's local sort — buckets are contiguous runs, found by binary-searching
-	// each splitter boundary (kernels.go); the reference path is the
-	// per-item sort.Search + append loop it replaces.
-	type chunk struct{ Items []T }
-	buckets := make([][][]T, k)
-	if err := c.ForSmall(func(i int) error {
-		sp := lists[i].Keys
-		if referenceKernels {
-			buckets[i] = make([][]T, k)
-			for _, it := range data[i] {
-				kk := key(it)
-				j := sort.Search(len(sp), func(x int) bool { return kk.Less(sp[x]) })
-				buckets[i][j] = append(buckets[i][j], it)
-			}
-		} else {
-			buckets[i] = scatterSortedByKey(data[i], sp, k, key)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	routeOuts := make([][]mpc.Msg, k)
-	if err := c.ForSmall(func(i int) error {
-		for j := 0; j < k; j++ {
-			if len(buckets[i][j]) == 0 {
-				continue
-			}
-			routeOuts[i] = append(routeOuts[i], mpc.Msg{To: j, Words: len(buckets[i][j]) * itemWords, Data: chunk{Items: buckets[i][j]}})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	ins, _, err = c.Exchange(routeOuts, nil)
-	if err != nil {
-		return nil, err
-	}
-	result := make([][]T, k)
-	if err := c.ForSmall(func(i int) error {
-		n := 0
-		for _, m := range ins[i] {
-			ch, ok := m.Data.(chunk)
-			if !ok {
-				return fmt.Errorf("prims: unexpected route payload %T", m.Data)
-			}
-			n += len(ch.Items)
-		}
-		result[i] = make([]T, 0, n)
-		for _, m := range ins[i] {
-			result[i] = append(result[i], m.Data.(chunk).Items...)
-		}
-		if referenceKernels {
-			slices.SortStableFunc(result[i], byKey)
-		} else {
-			sortByKey(result[i], key)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// The routed, locally sorted buckets are now the machines' state.
-	RegisterState(c, result, itemWords)
-	return result, nil
+	return BroadcastValue(c, splitters, len(splitters)*sortKeyWords+1)
 }
 
 // IsGloballySorted verifies the Sort postcondition (used by tests).

@@ -5,7 +5,21 @@ import (
 	"testing"
 
 	"hetmpc/internal/graph"
+	"hetmpc/internal/xrand"
 )
+
+// AddEdgeIncidence is the scalar oracle of the edge-incidence update: one
+// PowModP fingerprint and one hash evaluation per endpoint — +1 if v is
+// the smaller endpoint, -1 otherwise. The runtime path is
+// EdgeUpdater.AddEdgeBoth; the tests below pin it against this.
+func (f *Family) AddEdgeIncidence(s *Sketch, v int, e graph.Edge, n int) {
+	idx := e.Key(n)
+	if v == e.U {
+		f.Add(s, idx, 1)
+	} else {
+		f.Add(s, idx, -1)
+	}
+}
 
 // TestEdgeUpdaterMatchesAddEdgeIncidence pins the bit-identity of the
 // table-based fingerprint path: for fuzzed edge sets, AddEdgeBoth must
@@ -16,9 +30,6 @@ func TestEdgeUpdaterMatchesAddEdgeIncidence(t *testing.T) {
 		f := NewFamily(int64(n)*int64(n), uint64(n)*0xABCD)
 		universe := int64(n) * int64(n)
 		up := f.NewEdgeUpdater(n)
-		if up.rowPow == nil {
-			t.Fatal("optimized updater built without tables")
-		}
 		fastU, fastV := f.NewSketch(universe), f.NewSketch(universe)
 		refU, refV := f.NewSketch(universe), f.NewSketch(universe)
 		seed := uint64(1)
@@ -43,18 +54,22 @@ func TestEdgeUpdaterMatchesAddEdgeIncidence(t *testing.T) {
 	}
 }
 
-// TestEdgeUpdaterReferenceFallback verifies the reference toggle: an
-// updater built under reference kernels carries no tables and still
-// produces the identical sketches through the PowModP fallback.
+// TestEdgeUpdaterReferenceFallback pins the updater's power tables entry by
+// entry against the scalar PowModP oracle — rowPow[u]·colPow[v] must be
+// r^(u·n+v), the fingerprint Add computes — and one AddEdgeBoth against
+// the two scalar updates it replaces.
 func TestEdgeUpdaterReferenceFallback(t *testing.T) {
-	SetReferenceKernels(true)
-	defer SetReferenceKernels(false)
 	n := 32
 	universe := int64(n) * int64(n)
 	f := NewFamily(universe, 99)
 	up := f.NewEdgeUpdater(n)
-	if up.rowPow != nil {
-		t.Fatal("reference updater built tables")
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			got := xrand.MulModP(up.rowPow[u], up.colPow[v])
+			if want := xrand.PowModP(f.r, uint64(u*n+v)); got != want {
+				t.Fatalf("table power (%d,%d) = %d, PowModP says %d", u, v, got, want)
+			}
+		}
 	}
 	su, sv := f.NewSketch(universe), f.NewSketch(universe)
 	ru, rv := f.NewSketch(universe), f.NewSketch(universe)
@@ -63,7 +78,7 @@ func TestEdgeUpdaterReferenceFallback(t *testing.T) {
 	f.AddEdgeIncidence(ru, e.U, e, n)
 	f.AddEdgeIncidence(rv, e.V, e, n)
 	if !reflect.DeepEqual(su.levels, ru.levels) || !reflect.DeepEqual(sv.levels, rv.levels) {
-		t.Fatal("reference fallback diverges from AddEdgeIncidence")
+		t.Fatal("AddEdgeBoth diverges from the scalar AddEdgeIncidence oracle")
 	}
 }
 
@@ -95,12 +110,9 @@ func TestMergeKernelMatchesScalar(t *testing.T) {
 		if err := fastA.Merge(fastB); err != nil {
 			t.Fatal(err)
 		}
-		SetReferenceKernels(true)
 		refA, refB := mkPair()
-		err := refA.Merge(refB)
-		SetReferenceKernels(false)
-		if err != nil {
-			t.Fatal(err)
+		for i := range refA.levels {
+			refA.levels[i].merge(refB.levels[i])
 		}
 		if !reflect.DeepEqual(fastA.levels, refA.levels) {
 			t.Fatalf("levels=%d: unrolled merge diverges from scalar merge", levels)

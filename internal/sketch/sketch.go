@@ -23,21 +23,6 @@ import (
 	"hetmpc/internal/xrand"
 )
 
-// referenceKernels switches the package to its straightforward reference
-// implementations: per-level merge loop, per-update PowModP fingerprints.
-// The fast kernels compute bit-identical results (pinned by the kernel
-// equivalence tests); the toggle exists so the E33 scale sweep can measure
-// the speedup against asserted-identical outputs. Not safe to flip while
-// sketch operations are in flight.
-var referenceKernels bool
-
-// SetReferenceKernels selects the reference (true) or optimized (false)
-// kernel implementations. Used by benchmarks; the default is optimized.
-func SetReferenceKernels(on bool) { referenceKernels = on }
-
-// ReferenceKernels reports the current kernel selection.
-func ReferenceKernels() bool { return referenceKernels }
-
 // Family fixes the shared randomness of a collection of compatible sketches:
 // the level hash and the fingerprint base. Sketches from the same family can
 // be added; mixing families is a programming error and returns an error.
@@ -175,13 +160,7 @@ func (f *Family) NewArena(universe int64) *Arena {
 }
 
 // NewSketch returns a fresh empty sketch from the arena's current slab.
-// Under the reference-kernel toggle it falls back to the plain heap
-// allocation of Family.NewSketch, so E33 measures the slab path against
-// the per-sketch allocation it replaced.
 func (a *Arena) NewSketch() *Sketch {
-	if referenceKernels {
-		return a.f.NewSketch(a.universe)
-	}
 	s := &a.sketches.Alloc(1)[0]
 	s.familyID = a.f.id
 	s.universe = a.universe
@@ -220,17 +199,6 @@ func addLevels(levels []oneSparse, idx int64, val int, rPow, h uint64) {
 	}
 }
 
-// AddEdgeIncidence applies the signed incidence update of edge e for
-// endpoint v: +1 if v is the smaller endpoint, -1 otherwise.
-func (f *Family) AddEdgeIncidence(s *Sketch, v int, e graph.Edge, n int) {
-	idx := e.Key(n)
-	if v == e.U {
-		f.Add(s, idx, 1)
-	} else {
-		f.Add(s, idx, -1)
-	}
-}
-
 // An EdgeUpdater accelerates the edge-incidence hot path of one family
 // over the n-vertex edge universe. Edge keys factor as idx = u·n + v, so
 // the fingerprint power factors as r^idx = (r^n)^u · r^v: two precomputed
@@ -238,8 +206,8 @@ func (f *Family) AddEdgeIncidence(s *Sketch, v int, e graph.Edge, n int) {
 // and both endpoint updates of an edge share a single fingerprint/hash
 // evaluation (the update index is the same edge key for both endpoints).
 // The modular arithmetic is canonical (every op reduces to [0, p)), so the
-// table product is bit-identical to the PowModP result — pinned by
-// TestEdgeUpdaterMatchesAddEdgeIncidence.
+// table product is bit-identical to the PowModP result — pinned against
+// the per-endpoint PowModP oracle by TestEdgeUpdaterMatchesAddEdgeIncidence.
 //
 // Updaters are read-only after construction and safe to share across
 // goroutines.
@@ -252,13 +220,8 @@ type EdgeUpdater struct {
 
 // NewEdgeUpdater builds the power tables of f over an n-vertex universe:
 // 2n field multiplications amortized against one per subsequent update.
-// Under the reference-kernel toggle the tables are skipped and every
-// update falls back to PowModP.
 func (f *Family) NewEdgeUpdater(n int) *EdgeUpdater {
 	up := &EdgeUpdater{f: f, n: n}
-	if referenceKernels {
-		return up
-	}
 	rn := xrand.PowModP(f.r, uint64(n))
 	up.rowPow = make([]uint64, n)
 	up.colPow = make([]uint64, n)
@@ -275,13 +238,8 @@ func (f *Family) NewEdgeUpdater(n int) *EdgeUpdater {
 // AddEdgeBoth applies edge e's signed incidence update to both endpoint
 // sketches — +1 into su (the sketch accumulating endpoint e.U), -1 into sv
 // — with one fingerprint power and one hash evaluation shared across both.
-// Equivalent to AddEdgeIncidence on each endpoint, bit for bit.
+// Equivalent to one Add per endpoint, bit for bit.
 func (up *EdgeUpdater) AddEdgeBoth(su, sv *Sketch, e graph.Edge) {
-	if up.rowPow == nil {
-		up.f.AddEdgeIncidence(su, e.U, e, up.n)
-		up.f.AddEdgeIncidence(sv, e.V, e, up.n)
-		return
-	}
 	idx := e.Key(up.n)
 	rPow := xrand.MulModP(up.rowPow[e.U], up.colPow[e.V])
 	h := up.f.hash.Eval(uint64(idx))
@@ -305,12 +263,6 @@ func (s *Sketch) Clone() *Sketch {
 func (s *Sketch) Merge(other *Sketch) error {
 	if s.familyID != other.familyID || s.universe != other.universe || len(s.levels) != len(other.levels) {
 		return fmt.Errorf("sketch: merging incompatible sketches")
-	}
-	if referenceKernels {
-		for i := range s.levels {
-			s.levels[i].merge(other.levels[i])
-		}
-		return nil
 	}
 	mergeLevels(s.levels, other.levels)
 	return nil
