@@ -22,49 +22,17 @@ const SchemaVersion = 1
 // experiment ran (one experiment typically builds several clusters: the
 // baseline, heterogeneous and superlinear regimes of each row).
 type ModelStats struct {
-	Clusters     int     `json:"clusters"`
-	Rounds       int     `json:"rounds"`
-	Messages     int64   `json:"messages"`
-	TotalWords   int64   `json:"total_words"`
-	MaxSendWords int     `json:"max_send_words"`
-	MaxRecvWords int     `json:"max_recv_words"`
-	Makespan     float64 `json:"makespan"` // simulated time under the machine profiles (mpc.Stats.Makespan)
-
-	// Fault-tolerance metrics (DESIGN.md §7); zero on fault-free runs.
-	Crashes          int   `json:"crashes"`
-	RecoveryRounds   int   `json:"recovery_rounds"`
-	Checkpoints      int   `json:"checkpoints"`
-	ReplicationWords int64 `json:"replication_words"`
-
-	// SpeculationWords is the redundant traffic launched by speculate:R
-	// placement (DESIGN.md §8); zero under cap and throughput.
-	SpeculationWords int64 `json:"speculation_words"`
-
-	// WireBytes is the measured frame bytes the deliver phase put on a real
-	// transport (DESIGN.md §11); zero on the in-process memcpy path. It sits
-	// beside TotalWords (the modeled cost) deliberately: the model numbers
-	// must not move when the wire turns on.
-	WireBytes int64 `json:"wire_bytes"`
+	Clusters int `json:"clusters"`
+	// The summed mpc.Stats (Stats.Add: additive fields summed, maxima
+	// maxed), embedded so its fields and JSON tags are the artifact's.
+	// WireBytes sits beside TotalWords (the modeled cost) deliberately: the
+	// model numbers must not move when the wire turns on.
+	mpc.Stats
 }
 
 func (m *ModelStats) add(s mpc.Stats) {
 	m.Clusters++
-	m.Rounds += s.Rounds
-	m.Messages += s.Messages
-	m.TotalWords += s.TotalWords
-	if s.MaxSendWords > m.MaxSendWords {
-		m.MaxSendWords = s.MaxSendWords
-	}
-	if s.MaxRecvWords > m.MaxRecvWords {
-		m.MaxRecvWords = s.MaxRecvWords
-	}
-	m.Makespan += s.Makespan
-	m.Crashes += s.Crashes
-	m.RecoveryRounds += s.RecoveryRounds
-	m.Checkpoints += s.Checkpoints
-	m.ReplicationWords += s.ReplicationWords
-	m.SpeculationWords += s.SpeculationWords
-	m.WireBytes += s.WireBytes
+	m.Stats = m.Stats.Add(s)
 }
 
 // TraceStats is the per-phase critical-path summary of an experiment's

@@ -18,32 +18,27 @@ import (
 //  2. layout (sequential, O(#entries + K)): assign every entry its absolute
 //     start offset within the flat inbox, in the fixed sender order (large
 //     machine first, then small machines 0..K-1), and check the receive
-//     caps against the per-destination word totals. When the round's
-//     topology — the (sender, destination, count) shape — matches the
-//     previous round's, the cached offsets are reused and only the word
-//     totals are re-accumulated (iterative algorithms repeat a topology for
-//     many rounds, so the steady state skips the prefix sums entirely);
+//     caps against the per-destination word totals;
 //  3. deliver (parallel over senders): a single offset-indexed copy loop
 //     into the flat inbox — flat[entry.start+msgOff[j]] = msgs[j] — with no
 //     map lookups or cursor mutation on the hot path.
 //
-// After delivery a serial stats pass reads the same counters to update the
-// traffic totals and the simulated makespan: each machine is charged
-// w_i·(1/Speed_i + 1/Bandwidth_i) for the words it moved, the round costs
-// the barrier latency plus the busiest machine's charge, and capacities are
-// per machine under the cluster Profile (violations name the machine and
-// its cap).
+// After delivery a serial stats pass reads the same counters to price the
+// round: each machine is charged w_i·(1/Speed_i + 1/Bandwidth_i) for the
+// words it moved, the round costs the barrier latency plus the busiest
+// machine's charge, and capacities are per machine under the cluster Profile
+// (violations name the machine and its cap). The result is one ledger record
+// handed to charge (ledger.go), the only place the round is accounted.
 //
 // Because offsets are fixed in step 2 before any copying starts, the
 // delivered inbox contents and order are identical under any GOMAXPROCS
 // setting — delivery order remains "large machine's messages first, then
 // small senders in increasing id, each sender's messages in submission
 // order". All validation errors are collected and reported in that same
-// deterministic order. Scratch state (plans, counters, offset tables, the
-// topology cache) is pooled on the Cluster and reused across rounds, so a
-// steady-state round performs exactly two allocations: the flat message
-// array and the top-level inbox index, both of which are handed to the
-// caller.
+// deterministic order. Scratch state (plans, counters, offset tables) is
+// pooled on the Cluster and reused across rounds, so a steady-state round
+// performs exactly two allocations: the flat message array and the top-level
+// inbox index, both of which are handed to the caller.
 //
 // Exchange is not safe for concurrent use; the model is synchronous rounds.
 
@@ -68,21 +63,6 @@ type senderPlan struct {
 	err     error   // first validation/cap error of this sender
 }
 
-// topoEnt is one cached routing entry of the previous round's topology:
-// the (slot, count) pair it must match and the absolute start offset it
-// grants on a hit.
-type topoEnt struct {
-	slot  int
-	count int
-	start int
-}
-
-// topoPlan is one cached sender of the previous round's topology.
-type topoPlan struct {
-	from     int
-	nEntries int
-}
-
 // exchScratch holds the pooled per-round routing state.
 type exchScratch struct {
 	plans     []senderPlan
@@ -92,14 +72,10 @@ type exchScratch struct {
 	slotBase  []int // per destination slot, base offset in the flat inbox
 	slotPool  sync.Pool
 
-	// Flat-offset topology cache: the previous round's routing shape and
-	// its computed offsets. Verified against the live plans every round
-	// (an exact compare, so staleness is impossible) and rebuilt on miss.
-	topoValid bool
-	topoPlans []topoPlan
-	topoEnts  []topoEnt
-	topoCount []int // recvCount snapshot of the cached topology
-	topoBase  []int // slotBase snapshot of the cached topology
+	// busy is the per-slot time charged by the makespan contribution being
+	// priced — written by whichever scan prices it (the exchange scan, the
+	// checkpoint barrier, a recovery) and read through the ledger record.
+	busy []float64
 }
 
 func newExchScratch(k int) *exchScratch {
@@ -108,25 +84,13 @@ func newExchScratch(k int) *exchScratch {
 		recvWords: make([]int, k+1),
 		sendWords: make([]int, k+1),
 		slotBase:  make([]int, k+1),
-		topoCount: make([]int, k+1),
-		topoBase:  make([]int, k+1),
+		busy:      make([]float64, k+1),
 	}
 	sc.slotPool.New = func() any {
 		s := make([]int32, k+1)
 		return &s
 	}
 	return sc
-}
-
-// release returns the traffic-proportional scratch to the garbage collector
-// and invalidates the topology cache. ResetStats calls it so a reused
-// cluster does not leak the previous run's high-water footprint, and so a
-// reset cluster's steady-state allocation profile matches a fresh one.
-// The fixed-size per-slot counters (K+1 ints) are retained.
-func (sc *exchScratch) release() {
-	sc.plans = nil
-	sc.topoValid = false
-	sc.topoPlans, sc.topoEnts = nil, nil
 }
 
 // destSlot maps a message destination to its slot, validating it.
@@ -160,7 +124,6 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		return nil, nil, c.wn.broken
 	}
 	c.stats.Rounds++
-	c.roundWire = 0
 	ins = make([][]Msg, c.k)
 
 	// Assemble the sender list in the deterministic delivery order. Plans
@@ -201,24 +164,14 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	}
 	sc.plans = plans
 	if len(plans) == 0 {
-		c.stats.Makespan += c.latency // a silent round still pays the barrier
-		if c.tr != nil {
-			// The silent round advanced the clock and paid the barrier, so
-			// it gets a record like any other — conservation over the trace
-			// must reproduce the makespan exactly.
-			c.tr.Add(trace.Round{
-				Round:    c.stats.Rounds,
-				Phase:    c.tr.Phase(),
-				Kind:     trace.KindExchange,
-				Latency:  c.latency,
-				Makespan: c.latency,
-				Argmax:   trace.None,
-				Victim:   trace.None,
-			})
-		}
-		if c.mx != nil {
-			c.observeSilentRound()
-		}
+		// A silent round advanced the clock and still pays the barrier, so
+		// it is a ledger record like any other.
+		c.charge(trace.Round{
+			Kind:     trace.KindExchange,
+			Makespan: c.latency,
+			Argmax:   trace.None,
+			Victim:   trace.None,
+		})
 		c.postRoundFaults()
 		return ins, nil, nil
 	}
@@ -262,33 +215,16 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		}
 	}
 
-	// Phase 2: offsets and receive-cap accounting, in sender order. On a
-	// topology hit the cached absolute offsets are restored and only the
-	// word totals are accumulated; on a miss the offsets are computed from
-	// scratch (relative here, absolutized with the slot bases below).
-	hit := sc.topoMatch(plans)
-	if hit {
-		copy(sc.recvCount, sc.topoCount)
-		copy(sc.slotBase, sc.topoBase)
-		ti := 0
-		for s := range plans {
-			p := &plans[s]
-			for ei := range p.entries {
-				e := &p.entries[ei]
-				e.start = sc.topoEnts[ti].start
-				ti++
-				sc.recvWords[e.slot] += e.words
-			}
-		}
-	} else {
-		for s := range plans {
-			p := &plans[s]
-			for ei := range p.entries {
-				e := &p.entries[ei]
-				e.start = sc.recvCount[e.slot]
-				sc.recvCount[e.slot] += e.count
-				sc.recvWords[e.slot] += e.words
-			}
+	// Phase 2: offsets and receive-cap accounting, in sender order (offsets
+	// relative to the destination inbox here, absolutized with the slot
+	// bases below).
+	for s := range plans {
+		p := &plans[s]
+		for ei := range p.entries {
+			e := &p.entries[ei]
+			e.start = sc.recvCount[e.slot]
+			sc.recvCount[e.slot] += e.count
+			sc.recvWords[e.slot] += e.words
 		}
 	}
 	if sc.recvWords[0] > c.largeCap {
@@ -304,12 +240,10 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 
 	// Phase 3: carve the flat inbox array into per-destination windows. The
 	// three-index slices keep caller-side appends from clobbering neighbors.
-	if !hit {
-		base := 0
-		for slot := 0; slot <= c.k; slot++ {
-			sc.slotBase[slot] = base
-			base += sc.recvCount[slot]
-		}
+	base := 0
+	for slot := 0; slot <= c.k; slot++ {
+		sc.slotBase[slot] = base
+		base += sc.recvCount[slot]
 	}
 	flat := make([]Msg, totalMsgs)
 	if n := sc.recvCount[0]; n > 0 {
@@ -321,8 +255,12 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 			ins[i] = flat[b : b+n : b+n]
 		}
 	}
-	if !hit {
-		sc.rebuildTopo(plans, c.k)
+	for s := range plans {
+		p := &plans[s]
+		for ei := range p.entries {
+			e := &p.entries[ei]
+			e.start += sc.slotBase[e.slot]
+		}
 	}
 
 	// Phase 4: deliver at the precomputed offsets. Under a transport the
@@ -335,10 +273,13 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 			return nil, nil, err
 		}
 	}
+	var wireBytes int64
 	if c.wn != nil && c.wn.active() {
-		wb, werr := c.deliverWire(flat)
-		c.roundWire = wb
-		c.stats.WireBytes += wb
+		var werr error
+		wireBytes, werr = c.deliverWire(flat)
+		// Charged here, not through the ledger: a round whose transport
+		// failed is never priced, but the bytes it wrote were measured.
+		c.stats.WireBytes += wireBytes
 		if werr != nil {
 			return nil, nil, werr
 		}
@@ -353,7 +294,8 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		})
 	}
 
-	// Stats, from the running counters (no message re-walk).
+	// The running maxima and the round's word total, from the running
+	// counters (no message re-walk).
 	maxRecv := sc.recvWords[0]
 	var totalWords int64
 	for s := range plans {
@@ -369,8 +311,6 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 			}
 		}
 	}
-	c.stats.Messages += int64(totalMsgs)
-	c.stats.TotalWords += totalWords
 	if maxRecv > c.stats.MaxRecvWords {
 		c.stats.MaxRecvWords = maxRecv
 	}
@@ -379,46 +319,46 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	// machine's time, w_i · (1/Speed_i + 1/Bandwidth_i) over the words it
 	// moved (scaled by any transient slowdown window of the fault plan).
 	// The scan runs serially in slot order, so the float accumulation is
-	// deterministic under any GOMAXPROCS. Under a speculate:R placement
+	// deterministic under any GOMAXPROCS, and it writes each slot's charge
+	// to sc.busy — the record's Busy vector. Under a speculate:R placement
 	// policy the scan additionally mirrors the R slowest shards onto idle
 	// fast machines, first-copy-wins (placement.go, DESIGN.md §8); the
 	// default path below is untouched, so cap and throughput runs are
 	// bit-identical to the pre-policy accounting.
 	var roundMax float64
 	argSlot := -1 // slot that set roundMax; -1 = none (all-zero words)
-	specBefore := c.stats.SpeculationWords
+	var specWords int64
 	if c.specR > 0 {
-		roundMax, argSlot = c.speculateRoundMax(sc.sendWords, sc.recvWords)
+		roundMax, argSlot, specWords = c.speculateRoundMax(sc.sendWords, sc.recvWords)
 	} else {
 		for slot := 0; slot <= c.k; slot++ {
-			w := sc.sendWords[slot] + sc.recvWords[slot]
-			if w == 0 {
-				continue
+			t := 0.0
+			if w := sc.sendWords[slot] + sc.recvWords[slot]; w != 0 {
+				t = float64(w) * c.slowCost(slot)
+				c.busy[slot] += t
+				if t > roundMax {
+					roundMax, argSlot = t, slot
+				}
 			}
-			t := float64(w) * c.slowCost(slot)
-			c.busy[slot] += t
-			if t > roundMax {
-				roundMax, argSlot = t, slot
-			}
+			sc.busy[slot] = t
 		}
 	}
-	c.stats.Makespan += c.latency + roundMax
-	if c.tr != nil {
-		// Record before the send counters are zeroed below; the receive
-		// counters stay valid until the deferred reset.
-		c.recordExchange(totalMsgs, totalWords, roundMax, argSlot, c.stats.SpeculationWords-specBefore)
-	}
-	if c.mx != nil {
-		// Same barrier point, same live counters: the published metrics
-		// reconcile exactly with Stats and the trace record.
-		c.observeExchange(totalMsgs, totalWords, roundMax, c.stats.SpeculationWords-specBefore)
-	}
-	if c.est != nil {
-		// Adaptive placement's snapshot-and-switch: observe the round from
-		// the same live counters, recompute the shares, swap them in at the
-		// barrier. Serial, so still deterministic under any GOMAXPROCS.
-		c.adaptPlacement()
-	}
+	// The per-slot vectors are views of the round scratch, zeroed right
+	// below and by the deferred reset.
+	c.charge(trace.Round{
+		Kind:      trace.KindExchange,
+		Messages:  totalMsgs,
+		Words:     totalWords,
+		WireBytes: wireBytes,
+		MaxTime:   roundMax,
+		Makespan:  c.latency + roundMax,
+		Argmax:    trace.SlotMachine(argSlot),
+		Victim:    trace.None,
+		SpecWords: specWords,
+		SendWords: sc.sendWords,
+		RecvWords: sc.recvWords,
+		Busy:      sc.busy,
+	})
 	for s := range plans {
 		sc.sendWords[senderSlot(plans[s].from)] = 0
 	}
@@ -437,53 +377,6 @@ func senderSlot(from int) int {
 // serialRoundThreshold is the message count below which the routing phases
 // run inline: goroutine fan-out costs more than it saves on light rounds.
 const serialRoundThreshold = 2048
-
-// topoMatch reports whether the live plans have exactly the cached
-// topology: the same senders, in the same order, with the same
-// (destination, count) entries. A pure compare — no side effects — so a
-// mid-walk mismatch leaves nothing to undo. Word totals are deliberately
-// not compared: they vary round to round without moving any offset.
-func (sc *exchScratch) topoMatch(plans []senderPlan) bool {
-	if !sc.topoValid || len(plans) != len(sc.topoPlans) {
-		return false
-	}
-	ti := 0
-	for s := range plans {
-		p := &plans[s]
-		tp := &sc.topoPlans[s]
-		if tp.from != p.from || tp.nEntries != len(p.entries) {
-			return false
-		}
-		for ei := range p.entries {
-			te := &sc.topoEnts[ti+ei]
-			if te.slot != p.entries[ei].slot || te.count != p.entries[ei].count {
-				return false
-			}
-		}
-		ti += len(p.entries)
-	}
-	return true
-}
-
-// rebuildTopo absolutizes the entry offsets (folding the slot bases in, so
-// delivery indexes the flat array directly) and snapshots the round's
-// topology for reuse: shape, offsets, and the per-slot count/base arrays.
-func (sc *exchScratch) rebuildTopo(plans []senderPlan, k int) {
-	sc.topoPlans = sc.topoPlans[:0]
-	sc.topoEnts = sc.topoEnts[:0]
-	for s := range plans {
-		p := &plans[s]
-		sc.topoPlans = append(sc.topoPlans, topoPlan{from: p.from, nEntries: len(p.entries)})
-		for ei := range p.entries {
-			e := &p.entries[ei]
-			e.start += sc.slotBase[e.slot]
-			sc.topoEnts = append(sc.topoEnts, topoEnt{slot: e.slot, count: e.count, start: e.start})
-		}
-	}
-	copy(sc.topoCount, sc.recvCount[:k+1])
-	copy(sc.topoBase, sc.slotBase[:k+1])
-	sc.topoValid = true
-}
 
 // planSender stamps From, validates destinations, builds the sender's
 // destination entries and per-message offset table, and checks its send

@@ -6,19 +6,21 @@ import (
 )
 
 // clusterMetrics is the engine's prebound instrument set (Config.Metrics,
-// DESIGN.md §12). Every hot-path instrument is resolved once at New, so a
-// metered round performs no registry lookups except for the per-phase words
-// counter, whose label is only known at the round barrier. A nil
-// *clusterMetrics — the Config.Metrics == nil path — is never touched: every
-// hook site is guarded by `if c.mx != nil`, so the unmetered engine executes
-// exactly the pre-metrics instruction stream (the same contract as the nil
-// trace collector, pinned by the top-level golden and AllocsPerRun tests).
+// DESIGN.md §12). Every hot-path instrument is resolved once at New; the
+// two per-phase counters, whose label is only known at the barrier, are
+// re-resolved when the span path changes, so a metered round in a steady
+// phase performs no registry lookups. A nil *clusterMetrics — the
+// Config.Metrics == nil path — is never touched: charge skips meter, so the
+// unmetered engine pays one nil check per contribution (the same contract
+// as the nil trace collector, pinned by the top-level golden and
+// AllocsPerRun tests).
 //
-// Conservation by construction: the per-machine mpc_send_words_total
-// counters are fed from the same live counters as Stats.TotalWords, so their
-// sum equals it exactly; the per-link wire_link_write_bytes_total counters
-// (wire.InstrumentLink) sum to Stats.WireBytes on successful runs. Both laws
-// are asserted in tests.
+// Conservation by construction: meter folds the very ledger record Stats
+// and the trace collector fold (ledger.go), so every counter reconciles
+// with its Stats field and with the trace timeline exactly; the per-link
+// wire_link_write_bytes_total counters (wire.InstrumentLink) sum to
+// Stats.WireBytes on successful runs. TestLedgerSinksAgree and the
+// conservation tests assert it.
 //
 // Counters are cumulative for the registry's lifetime and are deliberately
 // NOT rebased by ResetStats: one registry may serve several clusters (an
@@ -34,13 +36,18 @@ type clusterMetrics struct {
 	words     *metrics.Counter   // mpc_words_total: == Stats.TotalWords growth
 	specWords *metrics.Counter   // mpc_speculation_words_total
 	makespan  *metrics.Gauge     // mpc_makespan: live Stats.Makespan
-	roundTime *metrics.Histogram // mpc_round_time: latency + busiest machine, per contribution
+	roundTime *metrics.Histogram // mpc_round_time: every contribution's makespan (rounds, barriers, recoveries)
 	inbox     *metrics.Histogram // mpc_inbox_messages: per machine per round, delivered messages
 
 	// Per-machine dimensions, indexed by slot (0 = large, 1+i = small i).
 	sendWords []*metrics.Counter // mpc_send_words_total{machine}
 	recvWords []*metrics.Counter // mpc_recv_words_total{machine}
 	busyTime  []*metrics.Gauge   // mpc_busy_time{machine}: cumulative simulated busy time
+
+	// Per-phase dimension, bound to the span path of the last record.
+	phase       string
+	phaseWords  *metrics.Counter // mpc_phase_words_total{phase}
+	phaseRounds *metrics.Counter // mpc_phase_rounds_total{phase}: exchange rounds (incl. silent)
 
 	// Fault engine (recover.go).
 	checkpoints      *metrics.Counter   // fault_checkpoints_total
@@ -84,7 +91,7 @@ func newClusterMetrics(reg *metrics.Registry, k int) *clusterMetrics {
 		frames:           make([]*metrics.Counter, k+1),
 	}
 	for slot := 0; slot <= k; slot++ {
-		name := trace.MachineName(slotMachine(slot))
+		name := trace.MachineName(trace.SlotMachine(slot))
 		mx.sendWords[slot] = reg.Counter("mpc_send_words_total", "machine", name)
 		mx.recvWords[slot] = reg.Counter("mpc_recv_words_total", "machine", name)
 		mx.busyTime[slot] = reg.Gauge("mpc_busy_time", "machine", name)
@@ -99,76 +106,57 @@ func newClusterMetrics(reg *metrics.Registry, k int) *clusterMetrics {
 
 // Metrics returns the cluster's metrics registry (Config.Metrics), nil when
 // the run is unmetered.
-func (c *Cluster) Metrics() *metrics.Registry {
-	if c.mx == nil {
-		return nil
+func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
+
+// meter folds one ledger record into the registry. It runs inside charge,
+// after the Stats fold, so the gauges publish the post-contribution values.
+// Every instrument reads the record, with one exception: the delivered
+// message count per inbox is not part of a trace.Round, so the inbox
+// histogram reads the exchange's live receive counters (valid until
+// Exchange returns; barriers and recoveries carry no RecvWords and skip it).
+func (c *Cluster) meter(r trace.Round) {
+	mx := c.mx
+	mx.roundTime.Observe(r.Makespan)
+	mx.makespan.Set(c.stats.Makespan)
+	if mx.phaseRounds == nil || mx.phase != r.Phase {
+		mx.phase = r.Phase
+		mx.phaseWords = mx.reg.Counter("mpc_phase_words_total", "phase", r.Phase)
+		mx.phaseRounds = mx.reg.Counter("mpc_phase_rounds_total", "phase", r.Phase)
 	}
-	return c.mx.reg
-}
-
-// observeSilentRound records a barrier-only round (no sender spoke).
-func (c *Cluster) observeSilentRound() {
-	mx := c.mx
-	mx.rounds.Inc()
-	mx.silent.Inc()
-	mx.roundTime.Observe(c.latency)
-	mx.makespan.Set(c.stats.Makespan)
-}
-
-// observeExchange records the round just charged, from the same live
-// counters the stats pass and the trace record read (it runs at the serial
-// round barrier, before the send counters are zeroed; the receive counters
-// stay valid until the deferred reset). specDelta is the round's new
-// speculation words.
-func (c *Cluster) observeExchange(totalMsgs int, totalWords int64, roundMax float64, specDelta int64) {
-	mx := c.mx
-	sc := c.exch
-	mx.rounds.Inc()
-	mx.messages.Add(int64(totalMsgs))
-	mx.words.Add(totalWords)
-	mx.specWords.Add(specDelta)
-	mx.roundTime.Observe(c.latency + roundMax)
-	mx.makespan.Set(c.stats.Makespan)
-	for slot := 0; slot <= c.k; slot++ {
-		if w := sc.sendWords[slot]; w > 0 {
+	if r.Kind == trace.KindExchange {
+		mx.rounds.Inc()
+		mx.phaseRounds.Inc()
+		if r.Messages == 0 {
+			mx.silent.Inc()
+		}
+	}
+	mx.messages.Add(int64(r.Messages))
+	mx.words.Add(r.Words)
+	mx.phaseWords.Add(r.Words)
+	mx.specWords.Add(r.SpecWords)
+	mx.checkpoints.Add(int64(r.Checkpoints))
+	mx.replicationWords.Add(r.ReplicationWords)
+	mx.recoveryRounds.Add(int64(r.RecoveryRounds))
+	mx.replayRounds.Add(int64(r.ReplayRounds))
+	if r.Crashes > 0 {
+		mx.crashes[r.Victim].Add(int64(r.Crashes))
+	}
+	for slot, w := range r.SendWords {
+		if w > 0 {
 			mx.sendWords[slot].Add(int64(w))
 		}
-		if w := sc.recvWords[slot]; w > 0 {
+	}
+	for slot, w := range r.RecvWords {
+		if w > 0 {
 			mx.recvWords[slot].Add(int64(w))
 		}
-		if n := sc.recvCount[slot]; n > 0 {
+		if n := c.exch.recvCount[slot]; n > 0 {
 			mx.inbox.Observe(float64(n))
 		}
-		mx.busyTime[slot].Set(c.busy[slot])
 	}
-	// The per-phase words dimension attributes traffic to the innermost open
-	// span; with no trace collector installed every round lands on the ""
-	// phase (the span stack lives on the collector). This is the one lookup
-	// the hot path performs — the phase set is small and the label dynamic.
-	phase := ""
-	if c.tr != nil {
-		phase = c.tr.Phase()
+	for slot, t := range r.Busy {
+		if t != 0 {
+			mx.busyTime[slot].Set(c.busy[slot])
+		}
 	}
-	mx.reg.Counter("mpc_phase_words_total", "phase", phase).Add(totalWords)
-	mx.reg.Counter("mpc_phase_rounds_total", "phase", phase).Inc()
-}
-
-// observeCheckpoint records a checkpoint barrier's replication work.
-func (c *Cluster) observeCheckpoint(barrierWords int64, roundMax float64) {
-	mx := c.mx
-	mx.checkpoints.Inc()
-	mx.replicationWords.Add(barrierWords)
-	mx.roundTime.Observe(c.latency + roundMax)
-	mx.makespan.Set(c.stats.Makespan)
-}
-
-// observeRecovery records one victim's crash recovery: the extra barrier
-// rounds, the replayed work and the restore transfer.
-func (c *Cluster) observeRecovery(victim, rec, replayWork, restoreWords int) {
-	mx := c.mx
-	mx.crashes[victim].Inc()
-	mx.recoveryRounds.Add(int64(rec))
-	mx.replayRounds.Add(int64(replayWork))
-	mx.replicationWords.Add(int64(restoreWords))
-	mx.makespan.Set(c.stats.Makespan)
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // TestNilMetricsZeroAlloc pins the nil-registry contract at the allocation
-// level: every metrics hook in the engine is guarded by `if c.mx != nil`, so
-// a cluster built without Config.Metrics executes the exact pre-metrics
-// instruction stream. The absolute counts below are the engine's own
-// steady-state allocations (the returned inbox slices) measured before the
-// metrics hooks existed; a guard that slips — building a label slice or
-// boxing a value before the nil check — shows up here as a count bump.
+// level: charge skips the registry fold when c.mx is nil, so a cluster
+// built without Config.Metrics allocates exactly what the pre-metrics engine
+// did. The absolute counts below are the engine's own steady-state
+// allocations (the returned inbox slices) measured before the metrics hooks
+// existed; a guard that slips — building a label slice or boxing a value
+// before the nil check — shows up here as a count bump.
 func TestNilMetricsZeroAlloc(t *testing.T) {
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	outs := ringRound(c, 2)
@@ -31,10 +31,10 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 		t.Errorf("unmetered silent round allocates %v, want the pre-metrics 1", got)
 	}
 
-	// The metered silent path uses only prebound instruments, so it must
+	// The metered silent path uses only bound instruments (the phase
+	// counters are re-resolved only when the span path changes), so it must
 	// allocate exactly as much as the unmetered one — the cheap proof that
-	// the prebinding strategy works (the metered exchange path is allowed
-	// its one per-round phase-counter lookup).
+	// the prebinding strategy works.
 	cm := newTest(t, Config{N: 64, M: 256, Seed: 1, Metrics: metrics.New()})
 	for i := 0; i < 5; i++ {
 		if _, _, err := cm.Exchange(nil, nil); err != nil {
@@ -47,11 +47,12 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkExchangeNilMetrics / BenchmarkExchangeMetered measure the
-// per-round cost of the metrics hooks: the nil case is the engine baseline,
-// the metered case carries the prebound-instrument updates plus one
-// phase-counter lookup per round.
+// per-round cost of the registry fold: the nil case is the engine baseline,
+// the metered case carries the bound-instrument updates.
 func benchmarkExchange(b *testing.B, reg *metrics.Registry) {
-	c, err := New(Config{N: 64, M: 256, Seed: 1, Metrics: reg})
+	// One round per iteration: the budget must cover b.N, or the run dies
+	// with ErrRounds once b.N passes the default 100000.
+	c, err := New(Config{N: 64, M: 256, Seed: 1, Metrics: reg, MaxRounds: b.N})
 	if err != nil {
 		b.Fatal(err)
 	}

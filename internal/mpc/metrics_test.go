@@ -68,15 +68,9 @@ func TestMetricsWordConservation(t *testing.T) {
 	if got := reg.Gauge("mpc_makespan").Value(); got != st.Makespan {
 		t.Fatalf("mpc_makespan gauge = %v, Stats.Makespan = %v", got, st.Makespan)
 	}
-	// The round-time histogram saw every makespan contribution: its exact
-	// sum is the makespan (same additions as the Stats accumulation).
-	if got := reg.Histogram("mpc_round_time", nil).Sum(); got != st.Makespan {
-		t.Fatalf("mpc_round_time sum = %v, Stats.Makespan = %v", got, st.Makespan)
-	}
-	// Busy-time gauges mirror BusyTime per machine.
-	if got := reg.Gauge("mpc_busy_time", "machine", "large").Value(); got != c.BusyTime(Large) {
-		t.Fatalf("large busy gauge = %v, BusyTime = %v", got, c.BusyTime(Large))
-	}
+	// The round-time histogram saw every makespan contribution, the busy
+	// gauges mirror BusyTime, the phase counters partition the totals.
+	assertSinksAgree(t, c)
 }
 
 // TestMetricsWireByteConservation pins the second law over a real transport:

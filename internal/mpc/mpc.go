@@ -195,6 +195,36 @@ type Stats struct {
 	WireBytes int64 `json:"wire_bytes"`
 }
 
+// Add returns s and d combined: additive fields summed, the running maxima
+// (MaxSendWords, MaxRecvWords) maxed.
+func (s Stats) Add(d Stats) Stats { return s.merge(d, 1) }
+
+// Sub returns the window between two snapshots of one cluster: additive
+// fields are s − before; the running maxima carry s's values, since a
+// windowed maximum cannot be recovered from two snapshots.
+func (s Stats) Sub(before Stats) Stats { return s.merge(before, -1) }
+
+// merge writes the additive/maximum split of Stats down once. sign·x is
+// exact, so Add and Sub are bit-identical to += and -=.
+func (s Stats) merge(d Stats, sign int) Stats {
+	n, f := int64(sign), float64(sign)
+	s.Rounds += sign * d.Rounds
+	s.Messages += n * d.Messages
+	s.TotalWords += n * d.TotalWords
+	s.Makespan += f * d.Makespan
+	s.Crashes += sign * d.Crashes
+	s.RecoveryRounds += sign * d.RecoveryRounds
+	s.Checkpoints += sign * d.Checkpoints
+	s.ReplicationWords += n * d.ReplicationWords
+	s.SpeculationWords += n * d.SpeculationWords
+	s.WireBytes += n * d.WireBytes
+	if sign > 0 {
+		s.MaxSendWords = max(s.MaxSendWords, d.MaxSendWords)
+		s.MaxRecvWords = max(s.MaxRecvWords, d.MaxRecvWords)
+	}
+	return s
+}
+
 // Cluster is a running heterogeneous MPC system.
 type Cluster struct {
 	cfg      Config
@@ -222,9 +252,6 @@ type Cluster struct {
 	specR        int       // speculate:R redundancy dial (0 = off)
 	spec         *specScratch
 	est          *sched.Estimator // adaptive policy's online estimator (nil = static)
-	estSend      []int            // estimator observation scratch, per slot
-	estRecv      []int
-	estBusy      []float64
 
 	// Fault-injection and recovery engine (nil unless cfg.Faults is an
 	// active plan). See recover.go and DESIGN.md §7.
@@ -238,13 +265,14 @@ type Cluster struct {
 	// metrics.go).
 	mx *clusterMetrics
 
+	// Open phase spans (span.go; tracked only under a collector or registry):
+	// the "/"-joined path, and its length at each open depth.
+	phase    string
+	spanEnds []int
+
 	// Transport-backed delivery state (nil = shared-memory delivery; see
 	// wirenet.go and DESIGN.md §11).
 	wn *wireNet
-
-	// roundWire is the current round's measured transport bytes, staged
-	// for the trace record (0 under shared-memory delivery).
-	roundWire int64
 }
 
 // New validates cfg, fills defaults and returns a cluster.
@@ -493,13 +521,14 @@ func (c *Cluster) ResetStats() {
 			c.wn.bytes[i] = 0
 		}
 	}
-	// Traffic-proportional scratch — routing plans, offset tables, the
-	// topology cache, encode buffers and decoder arenas — is returned to
-	// the garbage collector rather than leaked into the next run: a reset
-	// cluster's steady-state allocation profile must match a fresh one
+	// Traffic-proportional scratch — routing plans, offset tables, encode
+	// buffers and decoder arenas — is returned to the garbage collector
+	// rather than leaked into the next run: a reset cluster's steady-state
+	// allocation profile must match a fresh one
 	// (TestResetStatsScratchMatchesFresh), and a big run's high-water
-	// footprint must not pin memory under a later small one.
-	c.exch.release()
+	// footprint must not pin memory under a later small one. The fixed-size
+	// per-slot counters (K+1 words each) are retained.
+	c.exch.plans = nil
 	if c.wn != nil {
 		c.wn.release()
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"hetmpc/internal/sched"
-	"hetmpc/internal/trace"
 )
 
 // Placement-policy state (DESIGN.md §8). The policy itself only supplies
@@ -22,7 +21,7 @@ import (
 type specScratch struct {
 	w    []int     // words moved this round, per small machine
 	cost []float64 // effective per-word cost this round (slowCost)
-	eff  []float64 // effective round time after speculation
+	eff  []float64 // effective round time after speculation: the small-machine tail of exchScratch.busy
 	ord  []int     // machines with traffic, slowest shard first
 	part []int     // partner candidates, fastest first
 }
@@ -68,11 +67,10 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 	c.specR = pol.Speculation()
 	if op, ok := pol.(sched.OnlinePolicy); ok {
 		// The adaptive path: one estimator per cluster, seeded with the
-		// declared profile, plus a slot-indexed observation scratch so the
-		// per-round observe/recompute/switch adds no steady-state
-		// allocations. c.placeShare is the policy's own fresh slice here
-		// (never the capShare backing — Cap returned above), so the round
-		// barrier may overwrite it in place.
+		// declared profile and fed every exchange record by charge.
+		// c.placeShare is the policy's own fresh slice here (never the
+		// capShare backing — Cap returned above), so the round barrier may
+		// overwrite it in place.
 		est, err := op.NewEstimator(sched.Machines{
 			CapShare: slices.Clone(c.capShare),
 			InvCost:  slices.Clone(c.invCost[1:]),
@@ -81,12 +79,7 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 			return fmt.Errorf("mpc: placement %s: %w", pol.Name(), err)
 		}
 		c.est = est
-		if c.mx != nil {
-			c.est.SetMetrics(c.mx.reg)
-		}
-		c.estSend = make([]int, c.k+1)
-		c.estRecv = make([]int, c.k+1)
-		c.estBusy = make([]float64, c.k+1)
+		c.est.SetMetrics(c.cfg.Metrics)
 	}
 	if c.specR > c.k/2 {
 		// Every victim needs a distinct partner outside the slow set. The
@@ -99,57 +92,12 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		c.spec = &specScratch{
 			w:    make([]int, c.k),
 			cost: make([]float64, c.k),
-			eff:  make([]float64, c.k),
+			eff:  c.exch.busy[1:],
 			ord:  make([]int, 0, c.k),
 			part: make([]int, 0, c.k),
 		}
 	}
 	return nil
-}
-
-// adaptPlacement is the snapshot-and-switch step of an adaptive placement
-// policy (sched.OnlinePolicy, DESIGN.md §10), called by Exchange at the
-// round barrier — after the serial makespan scan has charged the round,
-// while the send/receive counters are still live. It folds the round's
-// observation (words moved and busy time per slot, the same quantities a
-// trace record carries, recomputed from the same counters and costs the
-// scan used) into the EWMA estimator, then swaps the recomputed
-// throughput-style shares into c.placeShare. Every placement decision
-// inside a round therefore sees one consistent share vector, and the
-// switch happens at the same serial program point of every run — adaptive
-// placement is bit-identical under any GOMAXPROCS, traced or not (the
-// observation is rebuilt from the counters rather than taken from the
-// trace, so tracing still only observes).
-//
-// Rounds where no machine moved a word (and the silent barrier-only
-// rounds, which never reach this hook) carry no speed information and
-// leave the estimate untouched. Checkpoint barriers and crash recoveries
-// are priced outside Exchange and are deliberately not observed: their
-// traffic is the recovery protocol's, not the placement primitives'.
-func (c *Cluster) adaptPlacement() {
-	sc := c.exch
-	moved := false
-	for slot := 0; slot <= c.k; slot++ {
-		c.estSend[slot] = sc.sendWords[slot]
-		c.estRecv[slot] = sc.recvWords[slot]
-		if w := sc.sendWords[slot] + sc.recvWords[slot]; w > 0 {
-			c.estBusy[slot] = float64(w) * c.slowCost(slot)
-			moved = true
-		} else {
-			c.estBusy[slot] = 0
-		}
-	}
-	if !moved {
-		return
-	}
-	c.est.Observe(trace.Round{
-		Round:     c.stats.Rounds,
-		Kind:      trace.KindExchange,
-		SendWords: c.estSend,
-		RecvWords: c.estRecv,
-		Busy:      c.estBusy,
-	})
-	c.refreshPlaceShare()
 }
 
 // refreshPlaceShare recomputes the live placement shares from the adaptive
@@ -191,14 +139,17 @@ func (c *Cluster) refreshPlaceShare() {
 // rest of the makespan accounting — is bit-identical under any GOMAXPROCS.
 //
 // The second return value is the slot that set the round's clock (-1 when
-// no machine moved a word), feeding the trace's argmax attribution; the
-// float arithmetic is untouched by tracking it.
-func (c *Cluster) speculateRoundMax(send, recv []int) (float64, int) {
-	var roundMax float64
-	argSlot := -1
+// no machine moved a word), feeding the record's argmax attribution; the
+// third is the mirrored words the launched copies cost. Like the plain scan
+// it leaves every slot's charge in exchScratch.busy — st.eff is that
+// vector's small-machine tail.
+func (c *Cluster) speculateRoundMax(send, recv []int) (roundMax float64, argSlot int, specWords int64) {
+	argSlot = -1
+	c.exch.busy[0] = 0
 	if w := send[0] + recv[0]; w > 0 {
 		t := float64(w) * c.slowCost(0)
 		c.busy[0] += t
+		c.exch.busy[0] = t
 		if t > roundMax {
 			roundMax, argSlot = t, 0
 		}
@@ -263,7 +214,7 @@ func (c *Cluster) speculateRoundMax(send, recv []int) (float64, int) {
 			if alt >= st.eff[v] {
 				continue // the copy cannot win: not launched, nothing charged
 			}
-			c.stats.SpeculationWords += int64(st.w[v])
+			specWords += int64(st.w[v])
 			st.eff[p] = alt // partner works its shard, then the copy
 			st.eff[v] = alt // victim cancelled when the copy wins
 		}
@@ -278,5 +229,5 @@ func (c *Cluster) speculateRoundMax(send, recv []int) (float64, int) {
 			roundMax, argSlot = t, 1+i
 		}
 	}
-	return roundMax, argSlot
+	return roundMax, argSlot, specWords
 }

@@ -137,15 +137,15 @@ func (c *Cluster) SetCheckpointer(i int, ck fault.Checkpointer) {
 	if c.ft == nil || i < 0 || i >= c.k {
 		return
 	}
-	if c.mx != nil && ck != nil {
+	if reg := c.cfg.Metrics; reg != nil && ck != nil {
 		// A metered cluster counts the recovery engine's snapshot/restore
 		// round trips per machine. Wrapping is transparent: the engine sees
 		// the same Snapshot/Restore results, so the run is bit-identical.
 		name := trace.MachineName(i)
 		ck = fault.Instrument(ck,
-			c.mx.reg.Counter("fault_snapshots_total", "machine", name),
-			c.mx.reg.Counter("fault_snapshot_words_total", "machine", name),
-			c.mx.reg.Counter("fault_restores_total", "machine", name))
+			reg.Counter("fault_snapshots_total", "machine", name),
+			reg.Counter("fault_snapshot_words_total", "machine", name),
+			reg.Counter("fault_restores_total", "machine", name))
 	}
 	c.ft.cks[i] = ck
 }
@@ -196,7 +196,6 @@ func (c *Cluster) checkpointBarrier(r int) {
 		ft.replicaWords[i] = words
 		ft.lastCkpt[i] = r
 		if words > 0 {
-			c.stats.ReplicationWords += int64(words)
 			barrierWords += int64(words)
 			ft.moved[i] += float64(words)
 			ft.moved[ft.buddy[i]] += float64(words)
@@ -205,13 +204,10 @@ func (c *Cluster) checkpointBarrier(r int) {
 	if !any {
 		return // nothing registered: no state to replicate, no barrier
 	}
-	c.stats.Checkpoints++
 	roundMax := 0.0
 	argSlot := -1
-	var busyRec []float64
-	if c.tr != nil {
-		busyRec = make([]float64, c.k+1)
-	}
+	busy := c.exch.busy
+	clear(busy)
 	for i := 0; i < c.k; i++ {
 		w := ft.moved[i]
 		if w == 0 {
@@ -222,32 +218,21 @@ func (c *Cluster) checkpointBarrier(r int) {
 		// round, so replication is priced like the round's own traffic.
 		t := w * c.slowCost(1+i)
 		c.busy[1+i] += t
-		if busyRec != nil {
-			busyRec[1+i] = t
-		}
+		busy[1+i] = t
 		if t > roundMax {
 			roundMax, argSlot = t, 1+i
 		}
 	}
-	c.stats.Makespan += c.latency + roundMax
-	if c.mx != nil {
-		c.observeCheckpoint(barrierWords, roundMax)
-	}
-	if c.tr != nil {
-		c.tr.Add(trace.Round{
-			Round:            r,
-			Phase:            c.tr.Phase(),
-			Kind:             trace.KindCheckpoint,
-			Latency:          c.latency,
-			MaxTime:          roundMax,
-			Makespan:         c.latency + roundMax,
-			Argmax:           slotMachine(argSlot),
-			Victim:           trace.None,
-			ReplicationWords: barrierWords,
-			Checkpoints:      1,
-			Busy:             busyRec,
-		})
-	}
+	c.charge(trace.Round{
+		Kind:             trace.KindCheckpoint,
+		MaxTime:          roundMax,
+		Makespan:         c.latency + roundMax,
+		Argmax:           trace.SlotMachine(argSlot),
+		Victim:           trace.None,
+		ReplicationWords: barrierWords,
+		Checkpoints:      1,
+		Busy:             busy,
+	})
 }
 
 // recoverCrashes detects the crash set of the barrier ending round r and
@@ -279,7 +264,6 @@ func (c *Cluster) recoverCrashes(r int) {
 		if !ft.crashed[i] {
 			continue
 		}
-		c.stats.Crashes++
 		buddy := ft.buddy[i]
 		replay := r - ft.lastCkpt[i]
 		var rec, replayWork, words int
@@ -315,7 +299,6 @@ func (c *Cluster) recoverCrashes(r int) {
 		t := 0.0
 		var ti, tb, replayT float64
 		if words > 0 {
-			c.stats.ReplicationWords += int64(words)
 			// slowCost prices the restore like round traffic, including
 			// any transient slowdown window covering this round.
 			ti = float64(words) * c.slowCost(1+i)
@@ -333,38 +316,30 @@ func (c *Cluster) recoverCrashes(r int) {
 			c.busy[1+i] += replayT
 			t += replayT
 		}
-		c.stats.RecoveryRounds += rec
-		c.stats.Makespan += float64(rec)*c.latency + t
 		ft.downUntil[i] = r + ft.restart[i]
-		if c.mx != nil {
-			c.observeRecovery(i, rec, replayWork, words)
+		// One record per victim: each victim's recovery is a distinct
+		// makespan contribution, so conservation over the ledger stays
+		// exact even when several machines die at one barrier.
+		busy := c.exch.busy
+		clear(busy)
+		busy[1+i] = ti + replayT
+		busy[1+buddy] = tb
+		arg := i
+		if tb > ti+replayT {
+			arg = buddy
 		}
-		if c.tr != nil {
-			// One record per victim: each victim's recovery is a distinct
-			// makespan contribution, so conservation over the trace stays
-			// exact even when several machines die at one barrier.
-			busyRec := make([]float64, c.k+1)
-			busyRec[1+i] = ti + replayT
-			busyRec[1+buddy] += tb
-			arg := i
-			if tb > ti+replayT {
-				arg = buddy
-			}
-			c.tr.Add(trace.Round{
-				Round:            r,
-				Phase:            c.tr.Phase(),
-				Kind:             trace.KindRecovery,
-				Latency:          c.latency,
-				MaxTime:          t,
-				Makespan:         float64(rec)*c.latency + t,
-				Argmax:           arg,
-				Victim:           i,
-				Crashes:          1,
-				RecoveryRounds:   rec,
-				ReplicationWords: int64(words),
-				Busy:             busyRec,
-			})
-		}
+		c.charge(trace.Round{
+			Kind:             trace.KindRecovery,
+			MaxTime:          t,
+			Makespan:         float64(rec)*c.latency + t,
+			Argmax:           arg,
+			Victim:           i,
+			Crashes:          1,
+			RecoveryRounds:   rec,
+			ReplayRounds:     replayWork,
+			ReplicationWords: int64(words),
+			Busy:             busy,
+		})
 	}
 	for i := 0; i < c.k; i++ {
 		ft.crashed[i] = false

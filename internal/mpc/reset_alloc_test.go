@@ -6,10 +6,10 @@ import (
 
 // TestResetStatsScratchMatchesFresh pins the ResetStats scratch contract:
 // a mid-run reset returns the traffic-proportional scratch (routing plans,
-// offset tables, the topology cache, decoder arenas), so a reset cluster
-// re-warms and then allocates exactly what a fresh cluster does in steady
-// state — no more (a leaked pool would hide re-growth) and no less (a
-// retained pool would mask the release).
+// offset tables, decoder arenas), so a reset cluster re-warms and then
+// allocates exactly what a fresh cluster does in steady state — no more (a
+// leaked pool would hide re-growth) and no less (a retained pool would mask
+// the release).
 func TestResetStatsScratchMatchesFresh(t *testing.T) {
 	steady := func(c *Cluster) float64 {
 		outs := ringRound(c, 2)
@@ -27,7 +27,7 @@ func TestResetStatsScratchMatchesFresh(t *testing.T) {
 	reset := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	steady(reset) // grow the scratch to its high-water mark
 	reset.ResetStats()
-	if reset.exch.plans != nil || reset.exch.topoValid || reset.exch.topoEnts != nil {
+	if reset.exch.plans != nil {
 		t.Fatal("ResetStats kept the routing scratch alive")
 	}
 	if got := steady(reset); got != want {
@@ -35,11 +35,10 @@ func TestResetStatsScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestResetStatsInvalidatesTopologyCache drives two different topologies
-// around a reset: the cached flat offsets of the pre-reset shape must not
-// leak into post-reset rounds (the exact-compare guard makes staleness
-// impossible, but the reset must also drop the cache so memory follows).
-func TestResetStatsInvalidatesTopologyCache(t *testing.T) {
+// TestResetStatsThenNewShapeDelivers drives two different routing shapes
+// around a reset: the recycled plans of the pre-reset shape must not leak
+// offsets into post-reset rounds.
+func TestResetStatsThenNewShapeDelivers(t *testing.T) {
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	k := c.K()
 	ring := ringRound(c, 2)
@@ -74,10 +73,10 @@ func TestResetStatsInvalidatesTopologyCache(t *testing.T) {
 	}
 }
 
-// TestExchangeTopologyCacheAlternating verifies the flat-offset cache under
-// an alternating topology (the worst case for reuse): inbox contents must
-// be identical round over round whether the cache hits or rebuilds.
-func TestExchangeTopologyCacheAlternating(t *testing.T) {
+// TestExchangeAlternatingShapesDeliver alternates two routing shapes over
+// the recycled plans and offset tables: every round must deliver exactly
+// its own messages to their addressees.
+func TestExchangeAlternatingShapesDeliver(t *testing.T) {
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	k := c.K()
 	shapes := [][][]Msg{ringRound(c, 2), nil}

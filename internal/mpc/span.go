@@ -5,8 +5,9 @@ import "hetmpc/internal/trace"
 // Span is a phase-scoped measurement window opened by Cluster.Span. It
 // replaces the hand-rolled `before := c.Stats()` / diff pattern: End
 // returns the Stats delta accumulated inside the scope, and — when the
-// cluster was built with Config.Trace — every round executed inside the
-// scope is tagged with the span's "/"-joined path in the trace timeline.
+// cluster has a trace collector or a metrics registry — every makespan
+// contribution charged inside the scope carries the span's "/"-joined path
+// (the record's Phase, the registry's phase label).
 //
 // Spans nest: a round is attributed to the innermost open span, so the
 // per-phase sums of a trace partition the totals instead of double-counting
@@ -22,105 +23,51 @@ type Span struct {
 	delta  Stats
 }
 
-// Span opens a phase scope named name and returns its handle. With a nil
-// Config.Trace the span still measures (End returns the Stats delta) at
-// zero cost to the simulation; with tracing enabled it additionally tags
-// every round run before End with the span path.
+// Span opens a phase scope named name and returns its handle. On a bare
+// cluster the span only measures (End returns the Stats delta) at zero cost
+// to the simulation; with an observer attached it additionally extends the
+// path every record charged before End is stamped with.
 func (c *Cluster) Span(name string) *Span {
 	s := &Span{c: c, before: c.stats}
-	if c.tr != nil {
-		s.depth = c.tr.Depth()
-		c.tr.Push(name)
+	if c.tr != nil || c.mx != nil {
+		s.depth = len(c.spanEnds)
+		if c.phase != "" {
+			c.phase += "/"
+		}
+		c.phase += name
+		c.spanEnds = append(c.spanEnds, len(c.phase))
 	}
 	return s
 }
 
-// End closes the span and returns the Stats accumulated inside it:
-// additive fields (Rounds, Messages, TotalWords, Makespan, the fault and
-// speculation counters) are deltas over the scope; the running maxima
-// (MaxSendWords, MaxRecvWords) carry the cluster's current values, since a
-// windowed maximum cannot be recovered from two snapshots. End is
-// idempotent — the first call fixes the delta and later calls return it.
+// End closes the span and returns the Stats accumulated inside it
+// (Stats.Sub: deltas of the additive fields, the cluster's current running
+// maxima). End is idempotent — the first call fixes the delta and later
+// calls return it.
 func (s *Span) End() Stats {
 	if s.ended {
 		return s.delta
 	}
 	s.ended = true
-	if s.c.tr != nil {
-		s.c.tr.Truncate(s.depth)
+	c := s.c
+	if s.depth < len(c.spanEnds) {
+		// Close by depth, not one pop: the path is a prefix of itself at
+		// every shallower depth, so spans leaked inside the scope go too.
+		c.spanEnds = c.spanEnds[:s.depth]
+		end := 0
+		if s.depth > 0 {
+			end = c.spanEnds[s.depth-1]
+		}
+		c.phase = c.phase[:end]
 	}
-	now := s.c.stats
-	s.delta = Stats{
-		Rounds:           now.Rounds - s.before.Rounds,
-		Messages:         now.Messages - s.before.Messages,
-		TotalWords:       now.TotalWords - s.before.TotalWords,
-		MaxSendWords:     now.MaxSendWords,
-		MaxRecvWords:     now.MaxRecvWords,
-		Makespan:         now.Makespan - s.before.Makespan,
-		Crashes:          now.Crashes - s.before.Crashes,
-		RecoveryRounds:   now.RecoveryRounds - s.before.RecoveryRounds,
-		Checkpoints:      now.Checkpoints - s.before.Checkpoints,
-		ReplicationWords: now.ReplicationWords - s.before.ReplicationWords,
-		SpeculationWords: now.SpeculationWords - s.before.SpeculationWords,
-		WireBytes:        now.WireBytes - s.before.WireBytes,
-	}
+	s.delta = c.stats.Sub(s.before)
 	return s.delta
 }
+
+// Phase returns the "/"-joined path of the open spans: "" when none is
+// open, and always on a cluster with neither collector nor registry.
+func (c *Cluster) Phase() string { return c.phase }
 
 // Trace returns the cluster's trace collector (Config.Trace), nil when the
 // run is untraced.
 func (c *Cluster) Trace() *trace.Collector { return c.tr }
-
-// slotMachine converts an engine slot (0 = large, 1+i = small i) to the
-// trace machine-id convention; pass -1 for "no machine".
-func slotMachine(slot int) int {
-	switch {
-	case slot < 0:
-		return trace.None
-	case slot == 0:
-		return trace.Large
-	default:
-		return slot - 1
-	}
-}
-
-// recordExchange emits the trace record of the exchange round that was just
-// charged. Called only when tracing is on; it re-derives the per-slot
-// charges from the same counters and costs the makespan scan used, so the
-// recorded Busy vector matches the charged times exactly.
-func (c *Cluster) recordExchange(msgs int, words int64, roundMax float64, argSlot int, specWords int64) {
-	send := make([]int, c.k+1)
-	recv := make([]int, c.k+1)
-	busy := make([]float64, c.k+1)
-	copy(send, c.exch.sendWords)
-	copy(recv, c.exch.recvWords)
-	if c.specR > 0 {
-		if w := send[0] + recv[0]; w > 0 {
-			busy[0] = float64(w) * c.slowCost(0)
-		}
-		copy(busy[1:], c.spec.eff) // effective times after first-copy-wins
-	} else {
-		for slot := 0; slot <= c.k; slot++ {
-			if w := send[slot] + recv[slot]; w > 0 {
-				busy[slot] = float64(w) * c.slowCost(slot)
-			}
-		}
-	}
-	c.tr.Add(trace.Round{
-		Round:     c.stats.Rounds,
-		Phase:     c.tr.Phase(),
-		Kind:      trace.KindExchange,
-		Messages:  msgs,
-		Words:     words,
-		WireBytes: c.roundWire,
-		Latency:   c.latency,
-		MaxTime:   roundMax,
-		Makespan:  c.latency + roundMax,
-		Argmax:    slotMachine(argSlot),
-		Victim:    trace.None,
-		SpecWords: specWords,
-		SendWords: send,
-		RecvWords: recv,
-		Busy:      busy,
-	})
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hetmpc/internal/fault"
+	"hetmpc/internal/metrics"
 	"hetmpc/internal/sched"
 	"hetmpc/internal/trace"
 )
@@ -34,8 +35,8 @@ func TestSpanDeltaAndNesting(t *testing.T) {
 	if outerDelta.Rounds != 2 {
 		t.Fatalf("outer delta rounds = %d, want 2", outerDelta.Rounds)
 	}
-	if got := tr.Depth(); got != 0 {
-		t.Fatalf("span stack depth after outer End = %d, want 0 (leaked span not truncated)", got)
+	if got := c.Phase(); got != "" {
+		t.Fatalf("span path after outer End = %q, want \"\" (leaked span not closed)", got)
 	}
 	rounds := tr.Rounds()
 	if len(rounds) != 2 {
@@ -53,6 +54,63 @@ func TestSpanDeltaAndNesting(t *testing.T) {
 	if s.Makespan != c.Stats().Makespan || s.Words != c.Stats().TotalWords {
 		t.Fatalf("summary (%v, %d) != stats (%v, %d)",
 			s.Makespan, s.Words, c.Stats().Makespan, c.Stats().TotalWords)
+	}
+}
+
+// TestSpanStack pins the span-path semantics on the cluster: "/"-joined
+// paths, closing by depth (the leak-cleanup contract of Span.End), stale
+// Ends as no-ops, and ResetStats keeping open spans. The path is tracked
+// whenever a collector or a registry is attached — and only then, so the
+// bare engine's Span stays a Stats snapshot.
+func TestSpanStack(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"traced":  {N: 64, M: 256, Seed: 1, Trace: trace.New()},
+		"metered": {N: 64, M: 256, Seed: 1, Metrics: metrics.New()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newTest(t, cfg)
+			if c.Phase() != "" {
+				t.Fatalf("fresh cluster: phase %q", c.Phase())
+			}
+			a := c.Span("a")
+			b := c.Span("b")
+			cc := c.Span("c")
+			if c.Phase() != "a/b/c" {
+				t.Fatalf("phase %q, want a/b/c", c.Phase())
+			}
+			b.End() // closes the leaked c too
+			if c.Phase() != "a" {
+				t.Fatalf("after ending b: phase %q, want a", c.Phase())
+			}
+			cc.End() // deeper than the stack: no-op
+			if c.Phase() != "a" {
+				t.Fatalf("stale End changed the path to %q", c.Phase())
+			}
+			c.ResetStats()
+			if c.Phase() != "a" {
+				t.Fatalf("ResetStats: phase %q, want the open span kept", c.Phase())
+			}
+			d := c.Span("d")
+			if c.Phase() != "a/d" {
+				t.Fatalf("phase %q, want a/d", c.Phase())
+			}
+			a.End()
+			d.End()
+			if c.Phase() != "" {
+				t.Fatalf("after ending a: phase %q, want none", c.Phase())
+			}
+		})
+	}
+	bare := newTest(t, Config{N: 64, M: 256, Seed: 1})
+	sp := bare.Span("a")
+	if bare.Phase() != "" {
+		t.Fatalf("bare cluster tracks the span path: %q", bare.Phase())
+	}
+	if _, _, err := bare.Exchange(ringRound(bare, 2), nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := sp.End(); d.Rounds != 1 {
+		t.Fatalf("bare span delta rounds = %d, want 1", d.Rounds)
 	}
 }
 

@@ -198,7 +198,7 @@ func WritePerfetto(w io.Writer, rounds []Round) error {
 	for slot := 0; slot < slots; slot++ {
 		events = append(events, perfettoEvent{
 			Name: "thread_name", Ph: "M", Pid: perfettoPid, Tid: slot + tidMachineOffset,
-			Args: map[string]any{"name": MachineName(slotMachine(slot))},
+			Args: map[string]any{"name": MachineName(SlotMachine(slot))},
 		})
 	}
 

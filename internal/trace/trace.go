@@ -19,6 +19,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -76,6 +77,7 @@ type Round struct {
 	SpecWords        int64 `json:"spec_words,omitempty"`
 	Crashes          int   `json:"crashes,omitempty"`
 	RecoveryRounds   int   `json:"recovery_rounds,omitempty"`
+	ReplayRounds     int   `json:"replay_rounds,omitempty"` // of RecoveryRounds, the re-executed work rounds
 	ReplicationWords int64 `json:"replication_words,omitempty"`
 	Checkpoints      int   `json:"checkpoints,omitempty"`
 
@@ -106,55 +108,18 @@ type Sink interface {
 	Record(Round)
 }
 
-// Collector accumulates the round timeline and the current phase-span
-// stack. It is not safe for concurrent use — the model is synchronous
+// Collector accumulates the round timeline. The phase-span path a record
+// carries is the engine's (Cluster.Phase); the collector only stores what it
+// is handed. It is not safe for concurrent use — the model is synchronous
 // rounds, and all engine recording runs on the round barrier.
 type Collector struct {
 	rounds []Round
-	stack  []string
-	path   string // cached "/"-join of stack
 	sink   Sink
 	retain bool // buffer rounds even when a sink is set
 }
 
 // New returns an empty collector, ready for Config.Trace.
 func New() *Collector { return &Collector{} }
-
-// Push opens a phase span; subsequent records carry the extended path.
-func (t *Collector) Push(name string) {
-	t.stack = append(t.stack, name)
-	if t.path == "" {
-		t.path = name
-	} else {
-		t.path += "/" + name
-	}
-}
-
-// Depth returns the current span-stack depth (for Truncate).
-func (t *Collector) Depth() int { return len(t.stack) }
-
-// Truncate closes spans down to depth d. Closing by depth rather than one
-// Pop at a time lets an enclosing span's End clean up inner spans leaked
-// by error returns.
-func (t *Collector) Truncate(d int) {
-	if d < 0 {
-		d = 0
-	}
-	if d >= len(t.stack) {
-		return
-	}
-	t.stack = t.stack[:d]
-	t.path = ""
-	for i, s := range t.stack {
-		if i > 0 {
-			t.path += "/"
-		}
-		t.path += s
-	}
-}
-
-// Phase returns the current "/"-joined span path ("" when no span is open).
-func (t *Collector) Phase() string { return t.path }
 
 // SetSink streams every subsequent record to s as it is added. With
 // retain=false the collector stops buffering — the long-run mode where the
@@ -167,8 +132,13 @@ func (t *Collector) SetSink(s Sink, retain bool) {
 }
 
 // Add appends one record to the timeline (and streams it to the sink, when
-// one is set).
+// one is set). The per-slot vectors are copied first: the engine hands in
+// views of its round scratch, and what the collector keeps or streams must
+// outlive the round.
 func (t *Collector) Add(r Round) {
+	r.SendWords = slices.Clone(r.SendWords)
+	r.RecvWords = slices.Clone(r.RecvWords)
+	r.Busy = slices.Clone(r.Busy)
 	if t.sink != nil {
 		t.sink.Record(r)
 		if !t.retain {
@@ -185,9 +155,8 @@ func (t *Collector) Rounds() []Round { return t.rounds }
 // Len returns the number of recorded rounds.
 func (t *Collector) Len() int { return len(t.rounds) }
 
-// Reset drops the recorded timeline. Open spans are kept: the collector's
-// round buffer resets with the cluster's round clock (ResetStats), while
-// span scopes belong to whatever algorithm is in flight.
+// Reset drops the recorded timeline: the round buffer resets with the
+// cluster's round clock (ResetStats).
 func (t *Collector) Reset() { t.rounds = t.rounds[:0] }
 
 // PhaseStat is one row of the critical-path summary: every record whose
@@ -252,7 +221,7 @@ func Summarize(rounds []Round) *Summary {
 		if len(r.Busy) > 0 {
 			for slot, t := range r.Busy {
 				if t > 0 {
-					b[slotMachine(slot)] += t
+					b[SlotMachine(slot)] += t
 				}
 			}
 		} else if r.Argmax != None {
@@ -288,10 +257,13 @@ func Summarize(rounds []Round) *Summary {
 	return s
 }
 
-// slotMachine converts a per-slot index (0 = large, 1+i = small i) to the
-// machine-id convention.
-func slotMachine(slot int) int {
-	if slot == 0 {
+// SlotMachine converts a per-slot index (0 = large, 1+i = small i; negative
+// = no machine) to the machine-id convention.
+func SlotMachine(slot int) int {
+	switch {
+	case slot < 0:
+		return None
+	case slot == 0:
 		return Large
 	}
 	return slot - 1

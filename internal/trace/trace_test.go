@@ -2,36 +2,21 @@ package trace
 
 import "testing"
 
-// TestCollectorStack pins the span-stack semantics: "/"-joined paths,
-// depth-based truncation (the leak-cleanup contract of mpc.Span.End), and
-// Reset dropping records while keeping open spans.
-func TestCollectorStack(t *testing.T) {
+// TestCollectorAddCopies pins the ownership rule of Add: the engine hands
+// in views of its round scratch, so what the collector buffers (and what a
+// sink receives) must not alias them. Reset drops the buffer.
+func TestCollectorAddCopies(t *testing.T) {
 	tr := New()
-	if tr.Phase() != "" || tr.Depth() != 0 {
-		t.Fatalf("fresh collector: phase %q depth %d", tr.Phase(), tr.Depth())
+	send, busy := []int{0, 3}, []float64{0, 1.5}
+	tr.Add(Round{Kind: KindExchange, Makespan: 1, SendWords: send, Busy: busy})
+	send[1], busy[1] = 0, 0 // the engine zeroes its scratch after the round
+	got := tr.Rounds()[0]
+	if got.SendWords[1] != 3 || got.Busy[1] != 1.5 || got.RecvWords != nil {
+		t.Fatalf("buffered record aliases the caller's vectors: %+v", got)
 	}
-	tr.Push("a")
-	tr.Push("b")
-	tr.Push("c")
-	if tr.Phase() != "a/b/c" {
-		t.Fatalf("phase %q, want a/b/c", tr.Phase())
-	}
-	tr.Truncate(1) // close c and b in one step, as a leaked-span cleanup would
-	if tr.Phase() != "a" || tr.Depth() != 1 {
-		t.Fatalf("after truncate: phase %q depth %d", tr.Phase(), tr.Depth())
-	}
-	tr.Truncate(5) // deeper than the stack: no-op
-	if tr.Phase() != "a" {
-		t.Fatalf("truncate past depth changed the stack to %q", tr.Phase())
-	}
-	tr.Add(Round{Phase: tr.Phase(), Kind: KindExchange, Makespan: 1})
 	tr.Reset()
-	if tr.Len() != 0 || tr.Phase() != "a" {
-		t.Fatalf("Reset: len %d phase %q, want empty buffer with the span kept", tr.Len(), tr.Phase())
-	}
-	tr.Truncate(-1)
-	if tr.Depth() != 0 {
-		t.Fatalf("negative truncate left depth %d", tr.Depth())
+	if tr.Len() != 0 {
+		t.Fatalf("Reset left %d records", tr.Len())
 	}
 }
 

@@ -243,11 +243,11 @@ func TestPhaseBreakdownAllEntryPoints(t *testing.T) {
 				t.Fatalf("summary (%v, %d, %d) != stats (%v, %d, %d)",
 					s.Makespan, s.Words, s.Rounds, st.Makespan, st.TotalWords, st.Rounds)
 			}
-			// The span stack must be fully unwound after the entry point
+			// The span path must be fully unwound after the entry point
 			// returns, or later algorithms on this cluster inherit a stale
 			// phase prefix.
-			if got := tr.Depth(); got != 0 {
-				t.Fatalf("span stack depth %d after %s returned, want 0", got, tc.name)
+			if got := c.Phase(); got != "" {
+				t.Fatalf("span path %q still open after %s returned", got, tc.name)
 			}
 		})
 	}
