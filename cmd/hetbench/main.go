@@ -10,7 +10,11 @@
 //	hetbench                    # run everything, text tables to stdout
 //	hetbench -exp table1,e5     # selected experiments
 //	hetbench -exp e2 -csv       # CSV output (for plotting)
-//	hetbench -json -out bench   # machine-readable BENCH_<exp>.json artifacts
+//	hetbench -json -out bench   # machine-readable BENCH_<exp>.json artifacts:
+//	                            # the model clock only, byte-reproducible —
+//	                            # this is how the committed bench/ is
+//	                            # regenerated (go test compares it to the
+//	                            # byte); host-clock numbers live in perf/
 //	hetbench -seed 7            # reseed the workloads
 //	hetbench -exp table1 -profile straggler:2:8
 //	                            # rebuild the clusters under a machine
@@ -75,7 +79,7 @@ func run() int {
 			known[0], known[1], known[len(known)-1]))
 		seedFlag = flag.Uint64("seed", 7, "workload seed")
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonFlag = flag.Bool("json", false, "write BENCH_<exp>.json artifacts (rounds, words, makespan, wall ns, allocs) instead of text tables")
+		jsonFlag = flag.Bool("json", false, "write BENCH_<exp>.json artifacts (rounds, words, makespan) instead of text tables")
 		outFlag  = flag.String("out", ".", "output directory for -json artifacts")
 		listFlag = flag.Bool("list", false, "list experiment ids and exit")
 		model    = cliflags.Register(flag.CommandLine, " applied to every experiment cluster")
@@ -162,12 +166,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "hetbench: %s: %v\n", id, err)
 			return 1
 		}
-		line := fmt.Sprintf("%s\trounds=%d words=%d makespan=%.3g wall=%dms allocs=%d",
-			path, art.Model.Rounds, art.Model.TotalWords, art.Model.Makespan, art.WallNS/1e6, art.Allocs)
-		if art.NsPerOp > 0 {
-			line += fmt.Sprintf(" ns/op=%d allocs/op=%d B/op=%d",
-				art.NsPerOp, art.AllocsPerOp, art.AllocBytesPerOp)
-		}
+		line := fmt.Sprintf("%s\trounds=%d words=%d makespan=%.3g",
+			path, art.Model.Rounds, art.Model.TotalWords, art.Model.Makespan)
 		if art.Model.Crashes > 0 || art.Model.Checkpoints > 0 {
 			line += fmt.Sprintf(" crashes=%d recovery-rounds=%d repl-words=%d",
 				art.Model.Crashes, art.Model.RecoveryRounds, art.Model.ReplicationWords)

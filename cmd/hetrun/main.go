@@ -46,13 +46,22 @@
 //	hetrun -alg mst -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                                  # pprof captures; inspect with
 //	                                  # go tool pprof cpu.pprof
+//
+// Exit codes: 0 ok, 1 the run or the validation of its output failed, 2 bad
+// input — an unknown flag, algorithm or generator, a spec that does not
+// parse, an unreadable graph — refused before any work is done, with
+// nothing on stdout.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"hetmpc"
 	"hetmpc/internal/cliflags"
@@ -61,64 +70,82 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// algorithms are the -alg values, one per case of dispatch.
+var algorithms = []string{
+	"mst", "spanner", "apsp", "matching", "matching-filter", "connectivity", "approx-mst", "mincut",
+	"approx-mincut", "mis", "coloring", "2v1", "baseline-mst", "baseline-cc", "baseline-mis",
+	"baseline-coloring", "baseline-matching",
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hetrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		alg   = flag.String("alg", "mst", "algorithm: mst, spanner, apsp, matching, matching-filter, connectivity, approx-mst, mincut, approx-mincut, mis, coloring, 2v1, baseline-mst, baseline-cc, baseline-mis, baseline-coloring, baseline-matching")
-		n     = flag.Int("n", 512, "vertices (generated workloads)")
-		m     = flag.Int("m", 4096, "edges (generated workloads)")
-		gen   = flag.String("gen", "gnm", "generator: gnm, connected, cycles, cycles2, hubs, grid, star")
-		input = flag.String("input", "", "read the graph from a file instead of generating")
-		seed  = flag.Uint64("seed", 1, "seed for the workload and the cluster")
-		gamma = flag.Float64("gamma", 0.5, "small-machine exponent γ")
-		f     = flag.Float64("f", 0, "large-machine extra exponent f")
-		k     = flag.Int("k", 4, "spanner parameter k")
-		eps   = flag.Float64("eps", 0.25, "approximation parameter ε")
-		model = cliflags.Register(flag.CommandLine, "")
-		obs   = cliflags.RegisterObs(flag.CommandLine)
+		alg   = fs.String("alg", "mst", "algorithm: "+strings.Join(algorithms, ", "))
+		n     = fs.Int("n", 512, "vertices (generated workloads)")
+		m     = fs.Int("m", 4096, "edges (generated workloads)")
+		gen   = fs.String("gen", "gnm", "generator: gnm, connected, cycles, cycles2, hubs, grid, star")
+		input = fs.String("input", "", "read the graph from a file instead of generating")
+		seed  = fs.Uint64("seed", 1, "seed for the workload and the cluster")
+		gamma = fs.Float64("gamma", 0.5, "small-machine exponent γ")
+		f     = fs.Float64("f", 0, "large-machine extra exponent f")
+		k     = fs.Int("k", 4, "spanner parameter k")
+		eps   = fs.Float64("eps", 0.25, "approximation parameter ε")
+		model = cliflags.Register(fs, "")
+		obs   = cliflags.RegisterObs(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if !slices.Contains(algorithms, *alg) {
+		fmt.Fprintf(stderr, "hetrun: unknown algorithm %q (one of: %s)\n", *alg, strings.Join(algorithms, ", "))
+		return 2
+	}
 
 	stopProfiles, err := obs.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "hetrun:", err)
+			fmt.Fprintln(stderr, "hetrun:", err)
 		}
 	}()
 
 	g, err := makeGraph(*input, *gen, *n, *m, *seed, *alg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
-	noLarge := len(*alg) > 9 && (*alg)[:9] == "baseline-"
+	noLarge := strings.HasPrefix(*alg, "baseline-")
 	cfg := hetmpc.Config{
 		N: g.N, M: g.M(), Gamma: *gamma, F: *f, Seed: *seed, NoLarge: noLarge,
 	}
 	cfg.Profile, err = hetmpc.ParseProfile(model.Profile, cfg.DeriveK())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
 	cfg.Faults, err = hetmpc.ParseFaultPlan(model.Faults, cfg.DeriveK())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
 	cfg.Placement, err = hetmpc.ParsePlacement(model.Placement)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
 	cfg.Transport, err = hetmpc.ParseTransport(model.Transport)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
 	if obs.Tracing(model) {
@@ -129,62 +156,62 @@ func run() int {
 	}
 	c, err := hetmpc.NewCluster(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
 	defer c.Close()
-	fmt.Printf("graph: n=%d m=%d Δ=%d avg-deg=%.1f | cluster: K=%d small-cap=%d large-cap=%d",
+	fmt.Fprintf(stdout, "graph: n=%d m=%d Δ=%d avg-deg=%.1f | cluster: K=%d small-cap=%d large-cap=%d",
 		g.N, g.M(), g.MaxDegree(), g.AvgDegree(), c.K(), c.SmallCap(), c.LargeCap())
 	if p := c.Profile(); p != nil {
-		fmt.Printf(" profile=%s min-cap=%d", p.Name, c.MinSmallCap())
+		fmt.Fprintf(stdout, " profile=%s min-cap=%d", p.Name, c.MinSmallCap())
 	}
 	if p := c.Faults(); p != nil {
-		fmt.Printf(" faults=%s", p.Name)
+		fmt.Fprintf(stdout, " faults=%s", p.Name)
 	}
 	if p := c.Placement(); p.Name() != "cap" {
-		fmt.Printf(" placement=%s", p.Name())
+		fmt.Fprintf(stdout, " placement=%s", p.Name())
 		if got := c.SpeculationR(); got != p.Speculation() {
 			// The dial was clamped to K/2: report what actually runs.
-			fmt.Printf(" (effective speculate:%d)", got)
+			fmt.Fprintf(stdout, " (effective speculate:%d)", got)
 		}
 	}
 	if name := c.TransportName(); name != "inproc" {
-		fmt.Printf(" transport=%s", name)
+		fmt.Fprintf(stdout, " transport=%s", name)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
-	if err := dispatch(c, g, *alg, *k, *eps); err != nil {
-		fmt.Fprintln(os.Stderr, "hetrun:", err)
+	if err := dispatch(stdout, c, g, *alg, *k, *eps); err != nil {
+		fmt.Fprintln(stderr, "hetrun:", err)
 		return 1
 	}
 	st := c.Stats()
-	fmt.Printf("model: rounds=%d messages=%d words=%d max-send=%d max-recv=%d makespan=%.4g imbalance=%.2f",
+	fmt.Fprintf(stdout, "model: rounds=%d messages=%d words=%d max-send=%d max-recv=%d makespan=%.4g imbalance=%.2f",
 		st.Rounds, st.Messages, st.TotalWords, st.MaxSendWords, st.MaxRecvWords, st.Makespan, c.BusyImbalance())
 	if c.FaultsActive() {
-		fmt.Printf(" crashes=%d recovery-rounds=%d checkpoints=%d repl-words=%d",
+		fmt.Fprintf(stdout, " crashes=%d recovery-rounds=%d checkpoints=%d repl-words=%d",
 			st.Crashes, st.RecoveryRounds, st.Checkpoints, st.ReplicationWords)
 	}
 	if st.SpeculationWords > 0 {
-		fmt.Printf(" spec-words=%d", st.SpeculationWords)
+		fmt.Fprintf(stdout, " spec-words=%d", st.SpeculationWords)
 	}
 	if st.WireBytes > 0 {
-		fmt.Printf(" wire-bytes=%d", st.WireBytes)
+		fmt.Fprintf(stdout, " wire-bytes=%d", st.WireBytes)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if tr := c.Trace(); tr != nil {
 		if model.Trace {
-			printTrace(tr, st)
+			printTrace(stdout, tr, st)
 		}
 		if obs.TraceOut != "" {
 			if err := cliflags.WriteTraceFile(obs.TraceOut, tr.Rounds()); err != nil {
-				fmt.Fprintln(os.Stderr, "hetrun:", err)
+				fmt.Fprintln(stderr, "hetrun:", err)
 				return 1
 			}
 		}
 	}
 	if obs.Metrics != "" {
 		if err := cliflags.WriteMetricsFile(obs.Metrics, c.Metrics().Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "hetrun:", err)
+			fmt.Fprintln(stderr, "hetrun:", err)
 			return 1
 		}
 	}
@@ -194,19 +221,19 @@ func run() int {
 // printTrace renders the phase-level critical-path summary of a -trace run:
 // one line per phase path with its makespan share and bottleneck machine.
 // The footer re-states the conservation contract the trace satisfies.
-func printTrace(tr *hetmpc.Trace, st hetmpc.ClusterStats) {
+func printTrace(w io.Writer, tr *hetmpc.Trace, st hetmpc.ClusterStats) {
 	s := hetmpc.SummarizeTrace(tr.Rounds())
-	fmt.Printf("trace: %d records, %d exchange rounds, %d phases\n", tr.Len(), s.Rounds, len(s.Phases))
-	fmt.Printf("  %-44s %7s %10s %10s %6s  %s\n", "phase", "rounds", "words", "makespan", "share", "bottleneck")
+	fmt.Fprintf(w, "trace: %d records, %d exchange rounds, %d phases\n", tr.Len(), s.Rounds, len(s.Phases))
+	fmt.Fprintf(w, "  %-44s %7s %10s %10s %6s  %s\n", "phase", "rounds", "words", "makespan", "share", "bottleneck")
 	for _, p := range s.Phases {
 		name := p.Phase
 		if name == "" {
 			name = "(untagged)"
 		}
-		fmt.Printf("  %-44s %7d %10d %10.4g %5.1f%%  %s (%.0f%% of phase busy)\n",
+		fmt.Fprintf(w, "  %-44s %7d %10d %10.4g %5.1f%%  %s (%.0f%% of phase busy)\n",
 			name, p.Rounds, p.Words, p.Makespan, 100*p.Share, hetmpc.TraceMachineName(p.Top), 100*p.TopShare)
 	}
-	fmt.Printf("  conservation: trace makespan %.6g == model %.6g, trace words %d == model %d\n",
+	fmt.Fprintf(w, "  conservation: trace makespan %.6g == model %.6g, trace words %d == model %d\n",
 		s.Makespan, st.Makespan, s.Words, st.TotalWords)
 }
 
@@ -252,7 +279,7 @@ func makeGraph(input, gen string, n, m int, seed uint64, alg string) (*hetmpc.Gr
 	return nil, fmt.Errorf("unknown generator %q", gen)
 }
 
-func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64) error {
+func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64) error {
 	switch alg {
 	case "mst":
 		r, err := hetmpc.MST(c, g)
@@ -262,7 +289,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMST(g, r.Edges); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("MST: weight=%d edges=%d boruvka-phases=%d sample-tries=%d (validated exact)\n",
+		fmt.Fprintf(w, "MST: weight=%d edges=%d boruvka-phases=%d sample-tries=%d (validated exact)\n",
 			r.Weight, len(r.Edges), r.BoruvkaPhases, r.SampleTries)
 	case "spanner":
 		r, err := hetmpc.Spanner(c, g, k)
@@ -273,14 +300,14 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckSpanner(g, h, r.Stretch, 4, 9); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("spanner: k=%d stretch<=%d edges=%d of %d (validated on sampled pairs)\n",
+		fmt.Fprintf(w, "spanner: k=%d stretch<=%d edges=%d of %d (validated on sampled pairs)\n",
 			k, r.Stretch, len(r.Edges), g.M())
 	case "apsp":
 		o, err := hetmpc.BuildAPSPOracle(c, g)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("APSP oracle: spanner edges=%d stretch<=%d d(0,%d)=%d\n",
+		fmt.Fprintf(w, "APSP oracle: spanner edges=%d stretch<=%d d(0,%d)=%d\n",
 			o.Spanner.M(), o.Stretch, g.N-1, o.Dist(0, g.N-1))
 	case "matching":
 		r, err := hetmpc.MaximalMatching(c, g)
@@ -290,7 +317,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMatching(g, r.Edges, true); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("matching: edges=%d phase1-iters=%d (validated maximal)\n", len(r.Edges), r.Phase1Iters)
+		fmt.Fprintf(w, "matching: edges=%d phase1-iters=%d (validated maximal)\n", len(r.Edges), r.Phase1Iters)
 	case "matching-filter":
 		r, err := hetmpc.MatchingFiltering(c, g)
 		if err != nil {
@@ -299,7 +326,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMatching(g, r.Edges, true); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("matching (filtering): edges=%d filter-iters=%d (validated maximal)\n", len(r.Edges), r.FilterIters)
+		fmt.Fprintf(w, "matching (filtering): edges=%d filter-iters=%d (validated maximal)\n", len(r.Edges), r.FilterIters)
 	case "connectivity":
 		r, err := hetmpc.Connectivity(c, g)
 		if err != nil {
@@ -309,26 +336,26 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if r.Components != want {
 			return fmt.Errorf("validation: %d components, want %d", r.Components, want)
 		}
-		fmt.Printf("connectivity: components=%d phases=%d (validated exact)\n", r.Components, r.Phases)
+		fmt.Fprintf(w, "connectivity: components=%d phases=%d (validated exact)\n", r.Components, r.Phases)
 	case "approx-mst":
 		r, err := hetmpc.ApproxMSTWeight(c, g, eps)
 		if err != nil {
 			return err
 		}
 		_, exact := hetmpc.KruskalMSF(g)
-		fmt.Printf("approx MST: estimate=%d exact=%d thresholds=%d\n", r.Estimate, exact, r.Thresholds)
+		fmt.Fprintf(w, "approx MST: estimate=%d exact=%d thresholds=%d\n", r.Estimate, exact, r.Thresholds)
 	case "mincut":
 		r, err := hetmpc.MinCutUnweighted(c, g)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("min cut: value=%d trials=%d\n", r.Value, r.Trials)
+		fmt.Fprintf(w, "min cut: value=%d trials=%d\n", r.Value, r.Trials)
 	case "approx-mincut":
 		r, err := hetmpc.ApproxMinCut(c, g, eps)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("approx min cut: value=%d guesses=%d\n", r.Value, r.Trials)
+		fmt.Fprintf(w, "approx min cut: value=%d guesses=%d\n", r.Value, r.Trials)
 	case "mis":
 		r, err := hetmpc.MIS(c, g)
 		if err != nil {
@@ -337,7 +364,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMIS(g, r.Set); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("MIS: size=%d iterations=%d (validated)\n", len(r.Set), r.Iterations)
+		fmt.Fprintf(w, "MIS: size=%d iterations=%d (validated)\n", len(r.Set), r.Iterations)
 	case "coloring":
 		r, err := hetmpc.Coloring(c, g)
 		if err != nil {
@@ -346,14 +373,14 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckColoring(g, r.Colors, r.MaxColor); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("coloring: palette=%d conflict-edges=%d retries=%d (validated proper)\n",
+		fmt.Fprintf(w, "coloring: palette=%d conflict-edges=%d retries=%d (validated proper)\n",
 			r.MaxColor+1, r.ConflictEdges, r.Retries)
 	case "2v1":
 		r, err := hetmpc.TwoVsOneCycle(c, g)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("2-vs-1 cycle: cycles=%d\n", r.Cycles)
+		fmt.Fprintf(w, "2-vs-1 cycle: cycles=%d\n", r.Cycles)
 	case "baseline-mst":
 		r, err := hetmpc.BaselineMST(c, g)
 		if err != nil {
@@ -362,13 +389,13 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMST(g, r.Edges); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("baseline MST: weight=%d phases=%d (validated exact)\n", r.Weight, r.Phases)
+		fmt.Fprintf(w, "baseline MST: weight=%d phases=%d (validated exact)\n", r.Weight, r.Phases)
 	case "baseline-cc":
 		r, err := hetmpc.BaselineConnectivity(c, g)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("baseline connectivity: components=%d phases=%d\n", r.Components, r.Phases)
+		fmt.Fprintf(w, "baseline connectivity: components=%d phases=%d\n", r.Components, r.Phases)
 	case "baseline-mis":
 		r, err := hetmpc.BaselineMIS(c, g)
 		if err != nil {
@@ -377,7 +404,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMIS(g, r.Set); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("baseline MIS (Luby): size=%d rounds=%d (validated)\n", len(r.Set), r.Rounds)
+		fmt.Fprintf(w, "baseline MIS (Luby): size=%d rounds=%d (validated)\n", len(r.Set), r.Rounds)
 	case "baseline-coloring":
 		r, err := hetmpc.BaselineColoring(c, g)
 		if err != nil {
@@ -386,7 +413,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckColoring(g, r.Colors, r.MaxColor); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("baseline coloring: palette=%d trials=%d (validated proper)\n", r.MaxColor+1, r.Rounds)
+		fmt.Fprintf(w, "baseline coloring: palette=%d trials=%d (validated proper)\n", r.MaxColor+1, r.Rounds)
 	case "baseline-matching":
 		match, peel, err := hetmpc.BaselineMatching(c, g)
 		if err != nil {
@@ -395,7 +422,7 @@ func dispatch(c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64
 		if err := hetmpc.CheckMatching(g, match, true); err != nil {
 			return fmt.Errorf("validation: %w", err)
 		}
-		fmt.Printf("baseline matching: edges=%d peel-iters=%d (validated maximal)\n", len(match), peel.Iterations)
+		fmt.Fprintf(w, "baseline matching: edges=%d peel-iters=%d (validated maximal)\n", len(match), peel.Iterations)
 	default:
 		return fmt.Errorf("unknown algorithm %q", alg)
 	}

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"hetmpc/internal/fault"
 	"hetmpc/internal/metrics"
@@ -196,16 +194,15 @@ func IDs() []string {
 }
 
 // Run executes one experiment by id under e and wraps its table in an
-// Artifact with model and host metrics attached. The second result is the
+// Artifact with the model metrics attached. The second result is the
 // raw per-round trace: the concatenated records of every traced cluster, in
 // build order — the timeline hetbench -traceout streams to JSONL or renders
 // as a Perfetto file; empty when no cluster carried a collector (set
 // e.Trace to trace everything). Every cluster the experiment built is
 // closed before Run returns, on success and on error.
 //
-// Concurrent Runs are independent in everything the model defines. The host
-// fields (wall_ns, allocs and their per-op forms) are process-wide deltas
-// and mean nothing when another Run overlaps.
+// The artifact is a pure function of (id, seed, e): concurrent Runs are
+// independent, and no field reads the host.
 func (e Env) Run(id string, seed uint64) (*Artifact, []trace.Round, error) {
 	var fn func(*run, uint64) (*Table, error)
 	for _, x := range experiments {
@@ -226,30 +223,20 @@ func (e Env) Run(id string, seed uint64) (*Artifact, []trace.Round, error) {
 	}
 	defer rn.close()
 
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	start := time.Now()
 	table, err := fn(rn, seed)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&msAfter)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	a := &Artifact{
-		Schema:     SchemaVersion,
-		Exp:        id,
-		Seed:       seed,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallNS:     wall.Nanoseconds(),
-		Allocs:     msAfter.Mallocs - msBefore.Mallocs,
-		AllocBytes: msAfter.TotalAlloc - msBefore.TotalAlloc,
-		Profile:    rn.applied.Profile,
-		Faults:     rn.applied.Faults,
-		Placement:  rn.applied.Placement,
-		Transport:  rn.applied.Transport,
-		Table:      table,
+		Schema:    SchemaVersion,
+		Exp:       id,
+		Seed:      seed,
+		Profile:   rn.applied.Profile,
+		Faults:    rn.applied.Faults,
+		Placement: rn.applied.Placement,
+		Transport: rn.applied.Transport,
+		Table:     table,
 	}
 	var rounds []trace.Round
 	traced := 0
@@ -270,11 +257,6 @@ func (e Env) Run(id string, seed uint64) (*Artifact, []trace.Round, error) {
 			}
 			makespan += sub
 		}
-	}
-	if n := a.Model.Rounds; n > 0 {
-		a.NsPerOp = a.WallNS / int64(n)
-		a.AllocsPerOp = a.Allocs / uint64(n)
-		a.AllocBytesPerOp = a.AllocBytes / uint64(n)
 	}
 	if traced > 0 {
 		s := trace.Summarize(rounds)

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"os"
-	"reflect"
 	"runtime"
 	"testing"
 )
@@ -12,8 +11,7 @@ import (
 // differently configured runs of one experiment share a process without
 // seeing each other. Each Env first runs alone, then both run from parallel
 // subtests, and every concurrent artifact must reproduce its sequential
-// model stats, table and override tags. (Host fields are process-wide and
-// are not compared.)
+// one byte for byte: no field of an artifact is a process-wide quantity.
 func TestEnvsRunConcurrently(t *testing.T) {
 	envs := map[string]Env{
 		"default":   {},
@@ -42,18 +40,16 @@ func TestEnvsRunConcurrently(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					w := want[name]
-					if got.Model != w.Model {
-						t.Errorf("model diverged:\n got %+v\nwant %+v", got.Model, w.Model)
+					data, err := got.Marshal()
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got.Table, w.Table) {
-						t.Error("table diverged from the sequential run")
+					wantData, err := want[name].Marshal()
+					if err != nil {
+						t.Fatal(err)
 					}
-					if got.Profile != w.Profile || got.Faults != w.Faults || got.Placement != w.Placement || got.Transport != w.Transport {
-						t.Errorf("override tags diverged: %+v", got)
-					}
-					if (got.Trace == nil) != (w.Trace == nil) || (w.Trace != nil && !reflect.DeepEqual(got.Trace, w.Trace)) {
-						t.Error("trace summary diverged from the sequential run")
+					if !bytes.Equal(data, wantData) {
+						t.Errorf("artifact diverged from the sequential run; first difference at %s", firstDiff(data, wantData))
 					}
 				})
 			}

@@ -15,8 +15,10 @@ import (
 // field. Readers (hettrace diff in particular) refuse artifacts whose schema
 // does not match theirs instead of mis-attributing renamed or re-grouped
 // fields. Bump it on any incompatible change to Artifact, ModelStats or
-// TraceStats; additive omitempty fields do not need a bump.
-const SchemaVersion = 1
+// TraceStats; additive omitempty fields do not need a bump. Version 2
+// dropped the host-clock fields of version 1: an artifact is a pure
+// function of (experiment, seed, Env), and the host clock lives in perf/.
+const SchemaVersion = 2
 
 // ModelStats sums the in-model communication metrics of every cluster an
 // experiment ran (one experiment typically builds several clusters: the
@@ -43,7 +45,8 @@ func (m *ModelStats) add(s mpc.Stats) {
 // per-cluster subtotals in build order (the same grouping ModelStats.add
 // uses), so it is bit-identical to the model makespan whenever every
 // cluster of the run was traced (E26–E28, and any run under the -trace
-// flag). The CI jq smoke-check enforces both.
+// flag). TestSetTraceArtifact asserts both; the committed bench/ bytes
+// carry them for E26–E31.
 type TraceStats struct {
 	Clusters int               `json:"clusters"` // clusters that carried a collector
 	Rounds   int               `json:"rounds"`
@@ -69,9 +72,10 @@ func (ts *TraceStats) Table(title string) *Table {
 }
 
 // Artifact is one machine-readable bench record: the experiment's table plus
-// the measured model metrics (rounds, words) and host metrics (wall-clock
-// ns, allocations). It is the schema of the BENCH_<exp>.json files that
-// track the perf trajectory across PRs.
+// the measured model metrics (rounds, words, makespan). It is the schema of
+// the BENCH_<exp>.json files and carries the model clock only, so the same
+// (experiment, seed, Env) marshals to the same bytes on any host, Go version
+// or GOMAXPROCS — TestExperimentsExecute pins bench/ to the byte.
 type Artifact struct {
 	// Schema is the artifact schema version (SchemaVersion); hettrace diff
 	// refuses to compare artifacts whose schemas differ from its own.
@@ -96,21 +100,8 @@ type Artifact struct {
 	// (DESIGN.md §11) guarantees the model numbers are bit-identical either
 	// way, but the artifact gains a nonzero wire_bytes, so it is re-named
 	// like the other overrides to protect the committed baseline.
-	Transport  string `json:"transport,omitempty"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	WallNS     int64  `json:"wall_ns"`
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// Per-op normalization of the host metrics, where one "op" is one
-	// engine round (Model.Rounds) — the unit the alloc-regression CI job
-	// tracks across PRs, stable against experiments adding or removing
-	// whole cells. Omitted when the run recorded no rounds. Additive
-	// omitempty fields, so no schema bump.
-	NsPerOp         int64      `json:"ns_per_op,omitempty"`
-	AllocsPerOp     uint64     `json:"allocs_per_op,omitempty"`
-	AllocBytesPerOp uint64     `json:"alloc_bytes_per_op,omitempty"`
-	Model           ModelStats `json:"model"`
+	Transport string     `json:"transport,omitempty"`
+	Model     ModelStats `json:"model"`
 	// Trace is the phase-timeline summary, present when at least one
 	// cluster of the run carried a trace collector — experiments that
 	// trace themselves (E26–E28) and any experiment run under Env.Trace
@@ -125,6 +116,16 @@ type Artifact struct {
 	// and the artifact name are unchanged.
 	Metrics []metrics.Sample `json:"metrics,omitempty"`
 	Table   *Table           `json:"table"`
+}
+
+// Marshal returns the artifact's file content: indented JSON and a final
+// newline.
+func (a *Artifact) Marshal() ([]byte, error) {
+	data, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // WriteFile writes the artifact as BENCH_<exp>.json under dir (created if
@@ -157,11 +158,10 @@ func (a *Artifact) WriteFile(dir string) (string, error) {
 		name += "@wire=" + sanitize(a.Transport)
 	}
 	path := filepath.Join(dir, name+".json")
-	data, err := json.MarshalIndent(a, "", "  ")
+	data, err := a.Marshal()
 	if err != nil {
 		return "", err
 	}
-	data = append(data, '\n')
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}

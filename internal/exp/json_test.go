@@ -18,9 +18,6 @@ func TestRunProducesArtifact(t *testing.T) {
 	if art.Model.Clusters == 0 || art.Model.Rounds == 0 || art.Model.TotalWords == 0 {
 		t.Fatalf("model stats not collected: %+v", art.Model)
 	}
-	if art.WallNS <= 0 || art.Allocs == 0 {
-		t.Fatalf("host metrics not collected: wall=%d allocs=%d", art.WallNS, art.Allocs)
-	}
 	if art.Table == nil || len(art.Table.Rows) == 0 {
 		t.Fatal("table missing")
 	}

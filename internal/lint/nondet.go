@@ -8,7 +8,9 @@ import (
 )
 
 // NonDet forbids ambient nondeterminism in the deterministic-engine
-// packages: wall-clock time (time.Now/Since/Until — model time is the only
+// packages and in the algorithm layers and the experiment harness above
+// them (packageStatePaths) — everything whose output is a pure function of
+// input, seed and Config/Env: wall-clock time (time.Now/Since/Until — model time is the only
 // clock), the global math/rand source (internal/xrand seeds every stream),
 // environment lookups (engine behavior is a function of Config, never of
 // the process environment), and scheduler-shape probes
@@ -23,17 +25,16 @@ import (
 // configurations cannot coexist and parallel tests interfere — so
 // configuration travels as a value (mpc.Config, exp.Env). Registration
 // tables built by their initializer or by init, sync.Pool method calls and
-// error sentinels are not writes. This rule reaches past the engine set to
-// the algorithm layers and the experiment harness (packageStatePaths).
+// error sentinels are not writes.
 var NonDet = &Analyzer{
 	Name: "nondet",
-	Doc:  "forbid wall-clock, global rand, env and CPU-count dependence in engine packages, and writes to package-level variables there and in sketch/core/sublinear/exp",
+	Doc:  "forbid wall-clock, global rand, env and CPU-count dependence and writes to package-level variables in engine packages and in sketch/core/sublinear/exp",
 	Key:  "nondet",
 	Run:  runNonDet,
 }
 
-// packageStatePaths are the packages beyond the engine set that the
-// package-level-write rule covers.
+// packageStatePaths are the packages beyond the engine set that nondet
+// covers.
 var packageStatePaths = map[string]bool{
 	"hetmpc/internal/sketch":    true,
 	"hetmpc/internal/core":      true,
@@ -62,12 +63,10 @@ var nondetFuncs = map[string]map[string]string{
 }
 
 func runNonDet(pass *Pass) {
-	if pass.Engine || packageStatePaths[pass.Pkg.Path] {
-		checkPackageWrites(pass)
-	}
-	if !pass.Engine {
+	if !pass.Engine && !packageStatePaths[pass.Pkg.Path] {
 		return
 	}
+	checkPackageWrites(pass)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -90,7 +89,7 @@ func runNonDet(pass *Pass) {
 				return true
 			}
 			if remedy, ok := nondetFuncs[path][name]; ok {
-				pass.Reportf(sel.Pos(), "%s.%s is nondeterministic in the engine: %s", path, name, remedy)
+				pass.Reportf(sel.Pos(), "%s.%s is nondeterministic: %s", path, name, remedy)
 			}
 			return true
 		})

@@ -15,6 +15,10 @@ func clock() time.Duration {
 	return time.Since(start) // want `time.Since is nondeterministic`
 }
 
+func deadline(t time.Time) time.Duration {
+	return time.Until(t) // want `time.Until is nondeterministic`
+}
+
 func globalRand() int {
 	return rand.Intn(10) // want `global rand.Intn draws from the shared process-wide source`
 }
@@ -93,4 +97,4 @@ func bareWaiver() {
 	calls = 0 // want `carries no justification`
 }
 
-var _ = []any{clock, globalRand, seeded, env, cpus, workers, setVerbose, count, throughLayers, readsAndLocals, memoize, bareWaiver}
+var _ = []any{clock, deadline, globalRand, seeded, env, cpus, workers, setVerbose, count, throughLayers, readsAndLocals, memoize, bareWaiver}

@@ -2,7 +2,6 @@ package mpc
 
 import (
 	"fmt"
-	"sync"
 
 	"hetmpc/internal/trace"
 )
@@ -10,8 +9,8 @@ import (
 // The exchange engine routes one synchronous round as a batched plan instead
 // of per-message appends:
 //
-//  1. plan (parallel over senders): stamp From, validate destinations, and
-//     build per-sender destination entries — (destination, count, words) in
+//  1. plan (per sender): stamp From, validate destinations, and build
+//     per-sender destination entries — (destination, count, words) in
 //     first-seen order — plus the per-message flat-offset table (entry
 //     index, offset within the entry's window), so capacity accounting
 //     reads running counters and delivery is a pure scatter;
@@ -19,26 +18,27 @@ import (
 //     start offset within the flat inbox, in the fixed sender order (large
 //     machine first, then small machines 0..K-1), and check the receive
 //     caps against the per-destination word totals;
-//  3. deliver (parallel over senders): a single offset-indexed copy loop
-//     into the flat inbox — flat[entry.start+msgOff[j]] = msgs[j] — with no
-//     map lookups or cursor mutation on the hot path.
+//  3. deliver (per sender): a single offset-indexed copy loop into the
+//     flat inbox — flat[entry.start+msgOff[j]] = msgs[j] — with no map
+//     lookups or cursor mutation on the hot path.
 //
-// After delivery a serial stats pass reads the same counters to price the
-// round: each machine is charged w_i·(1/Speed_i + 1/Bandwidth_i) for the
+// After delivery a stats pass reads the same counters to price the round:
+// each machine is charged w_i·(1/Speed_i + 1/Bandwidth_i) for the
 // words it moved, the round costs the barrier latency plus the busiest
 // machine's charge, and capacities are per machine under the cluster Profile
 // (violations name the machine and its cap). The result is one ledger record
 // handed to charge (ledger.go), the only place the round is accounted.
 //
-// Because offsets are fixed in step 2 before any copying starts, the
-// delivered inbox contents and order are identical under any GOMAXPROCS
-// setting — delivery order remains "large machine's messages first, then
-// small senders in increasing id, each sender's messages in submission
-// order". All validation errors are collected and reported in that same
-// deterministic order. Scratch state (plans, counters, offset tables) is
-// pooled on the Cluster and reused across rounds, so a steady-state round
-// performs exactly two allocations: the flat message array and the top-level
-// inbox index, both of which are handed to the caller.
+// The whole round runs on the calling goroutine: the engine is a few percent
+// of a run's CPU, and fanning plan and deliver out over senders bought
+// nothing measurable on any perf/ workload. Delivery order is "large
+// machine's messages first, then small senders in increasing id, each
+// sender's messages in submission order", and validation errors are
+// reported in that same order. Scratch state (plans, counters, offset
+// tables) lives on the Cluster and is reused across rounds, so a
+// steady-state round performs exactly two allocations: the flat message
+// array and the top-level inbox index, both of which are handed to the
+// caller.
 //
 // Exchange is not safe for concurrent use; the model is synchronous rounds.
 
@@ -70,7 +70,9 @@ type exchScratch struct {
 	recvWords []int // per destination slot, words received
 	sendWords []int // per sender slot, words sent (makespan accounting)
 	slotBase  []int // per destination slot, base offset in the flat inbox
-	slotPool  sync.Pool
+	// slotOf is planSender's destination slot → 1+entry index map, zero
+	// between senders.
+	slotOf []int32
 
 	// busy is the per-slot time charged by the makespan contribution being
 	// priced — written by whichever scan prices it (the exchange scan, the
@@ -79,18 +81,14 @@ type exchScratch struct {
 }
 
 func newExchScratch(k int) *exchScratch {
-	sc := &exchScratch{
+	return &exchScratch{
 		recvCount: make([]int, k+1),
 		recvWords: make([]int, k+1),
 		sendWords: make([]int, k+1),
 		slotBase:  make([]int, k+1),
+		slotOf:    make([]int32, k+1),
 		busy:      make([]float64, k+1),
 	}
-	sc.slotPool.New = func() any {
-		s := make([]int32, k+1)
-		return &s
-	}
-	return sc
 }
 
 // destSlot maps a message destination to its slot, validating it.
@@ -175,10 +173,6 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		c.postRoundFaults()
 		return ins, nil, nil
 	}
-	// Goroutine fan-out only pays for itself on heavy rounds; light rounds
-	// run the same phases inline (the result is identical either way — the
-	// merge order is fixed by the offsets, not the schedule).
-	serial := totalMsgs < serialRoundThreshold
 	defer func() {
 		// Reset only the touched counters, so the reset cost tracks traffic.
 		for s := range plans {
@@ -192,25 +186,10 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		}
 	}()
 
-	// Phase 1: stamp, validate and count, in parallel over senders. Errors
-	// are recorded per sender and reported in sender order below, so the
-	// surfaced error does not depend on goroutine scheduling.
-	if serial {
-		slotOf := sc.getSlots()
-		for s := range plans {
-			c.planSender(&plans[s], slotOf)
-		}
-		sc.putSlots(slotOf)
-	} else {
-		_ = parallelN(len(plans), func(s int) error {
-			slotOf := sc.getSlots()
-			c.planSender(&plans[s], slotOf)
-			sc.putSlots(slotOf)
-			return nil
-		})
-	}
+	// Phase 1: stamp, validate and count, sender by sender; the first error
+	// in sender order is the one reported.
 	for s := range plans {
-		if plans[s].err != nil {
+		if c.planSender(&plans[s]); plans[s].err != nil {
 			return nil, nil, plans[s].err
 		}
 	}
@@ -266,8 +245,7 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	// Phase 4: deliver at the precomputed offsets. Under a transport the
 	// messages are framed through the per-machine links (wirenet.go) in the
 	// same deterministic order the offsets were assigned in, so the inbox
-	// is bit-identical to the shared-memory copy; either way the result is
-	// schedule-independent.
+	// is bit-identical to the shared-memory copy.
 	if c.wn != nil && c.wn.active() {
 		if err := c.wn.open(c.k + 1); err != nil {
 			return nil, nil, err
@@ -283,15 +261,10 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		if werr != nil {
 			return nil, nil, werr
 		}
-	} else if serial {
+	} else {
 		for s := range plans {
 			sc.scatterSender(&plans[s], flat)
 		}
-	} else {
-		_ = parallelN(len(plans), func(s int) error {
-			sc.scatterSender(&plans[s], flat)
-			return nil
-		})
 	}
 
 	// The running maxima and the round's word total, from the running
@@ -374,15 +347,12 @@ func senderSlot(from int) int {
 	return 1 + from
 }
 
-// serialRoundThreshold is the message count below which the routing phases
-// run inline: goroutine fan-out costs more than it saves on light rounds.
-const serialRoundThreshold = 2048
-
 // planSender stamps From, validates destinations, builds the sender's
 // destination entries and per-message offset table, and checks its send
-// cap. slotOf is a zeroed scratch map (destination slot → 1+entry index)
-// and is re-zeroed before returning.
-func (c *Cluster) planSender(p *senderPlan, slotOf []int32) {
+// cap. The scratch's slotOf map (destination slot → 1+entry index) is zero
+// on entry and re-zeroed before returning.
+func (c *Cluster) planSender(p *senderPlan) {
+	slotOf := c.exch.slotOf
 	n := len(p.msgs)
 	if cap(p.entIdx) < n {
 		p.entIdx = make([]int32, n)
@@ -449,10 +419,3 @@ func (sc *exchScratch) scatterSender(p *senderPlan, flat []Msg) {
 		flat[ents[entIdx[j]].start+int(msgOff[j])] = msgs[j]
 	}
 }
-
-// getSlots hands out a zeroed per-worker destination→entry map.
-func (sc *exchScratch) getSlots() []int32 { return *sc.slotPool.Get().(*[]int32) }
-
-// putSlots returns a slot map to the pool; the caller must have re-zeroed
-// the entries it touched.
-func (sc *exchScratch) putSlots(s []int32) { sc.slotPool.Put(&s) }

@@ -21,11 +21,10 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Historically 4: the flat-offset delivery rework (DESIGN.md §14)
-	// removed the per-delivery slot-map pool round-trip, leaving the two
-	// caller-owned inbox allocations plus one pool interaction in planning.
-	if got := testing.AllocsPerRun(100, func() { c.Exchange(outs, nil) }); got != 3 {
-		t.Errorf("unmetered exchange allocates %v per round, want 3", got)
+	// Only the two slices handed to the caller: the flat inbox and its
+	// per-machine index. Every other table lives on the round scratch.
+	if got := testing.AllocsPerRun(100, func() { c.Exchange(outs, nil) }); got != 2 {
+		t.Errorf("unmetered exchange allocates %v per round, want 2", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { c.Exchange(nil, nil) }); got != 1 {
 		t.Errorf("unmetered silent round allocates %v, want the pre-metrics 1", got)
