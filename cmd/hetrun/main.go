@@ -48,9 +48,9 @@
 //	                                  # go tool pprof cpu.pprof
 //
 // Exit codes: 0 ok, 1 the run or the validation of its output failed, 2 bad
-// input — an unknown flag, algorithm or generator, a spec that does not
-// parse, an unreadable graph — refused before any work is done, with
-// nothing on stdout.
+// input — an unknown flag, algorithm or generator, a -k or -eps the
+// algorithm cannot honour, a spec that does not parse, an unreadable graph —
+// refused before any work is done, with nothing on stdout.
 package main
 
 import (
@@ -61,6 +61,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 
 	"hetmpc"
@@ -105,6 +106,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !slices.Contains(algorithms, *alg) {
 		fmt.Fprintf(stderr, "hetrun: unknown algorithm %q (one of: %s)\n", *alg, strings.Join(algorithms, ", "))
+		return 2
+	}
+	// The parameter each algorithm reads must be one it can honour (core
+	// clamps k silently and rejects eps only after the cluster is built).
+	switch {
+	case *alg == "spanner" && *k < 1:
+		fmt.Fprintf(stderr, "hetrun: -k must be at least 1 for spanner, got %d\n", *k)
+		return 2
+	case *alg == "approx-mst" && !(*eps > 0):
+		fmt.Fprintf(stderr, "hetrun: -eps must be positive for approx-mst, got %g\n", *eps)
+		return 2
+	case *alg == "approx-mincut" && !(*eps > 0 && *eps < 1):
+		fmt.Fprintf(stderr, "hetrun: -eps must be in (0,1) for approx-mincut, got %g\n", *eps)
 		return 2
 	}
 
@@ -160,8 +174,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer c.Close()
-	fmt.Fprintf(stdout, "graph: n=%d m=%d Δ=%d avg-deg=%.1f | cluster: K=%d small-cap=%d large-cap=%d",
-		g.N, g.M(), g.MaxDegree(), g.AvgDegree(), c.K(), c.SmallCap(), c.LargeCap())
+	largeCap := "-" // no large machine: the baselines' sublinear cluster
+	if c.HasLarge() {
+		largeCap = strconv.Itoa(c.LargeCap())
+	}
+	fmt.Fprintf(stdout, "graph: n=%d m=%d Δ=%d avg-deg=%.1f | cluster: K=%d small-cap=%d large-cap=%s",
+		g.N, g.M(), g.MaxDegree(), g.AvgDegree(), c.K(), c.SmallCap(), largeCap)
 	if p := c.Profile(); p != nil {
 		fmt.Fprintf(stdout, " profile=%s min-cap=%d", p.Name, c.MinSmallCap())
 	}

@@ -30,6 +30,10 @@ func TestExitCodes(t *testing.T) {
 		{"output write fails", []string{"-metrics", filepath.Join(t.TempDir(), "no", "m.json")}, 1, "model: rounds=", "no such file"},
 		{"unknown algorithm", []string{"-alg", "nope"}, 2, "", `unknown algorithm "nope"`},
 		{"unknown generator", []string{"-gen", "nope"}, 2, "", `unknown generator "nope"`},
+		{"spanner k below 1", []string{"-alg", "spanner", "-k", "-3"}, 2, "", "-k must be at least 1"},
+		{"approx-mst eps not positive", []string{"-alg", "approx-mst", "-eps", "0"}, 2, "", "-eps must be positive"},
+		{"approx-mincut eps outside (0,1)", []string{"-alg", "approx-mincut", "-eps", "1"}, 2, "", "-eps must be in (0,1)"},
+		{"no large machine", []string{"-alg", "baseline-cc"}, 0, "large-cap=-\n", ""},
 		{"unknown flag", []string{"-nope"}, 2, "", "flag provided but not defined"},
 		{"bad profile spec", []string{"-profile", "nope"}, 2, "", "nope"},
 		{"bad fault spec", []string{"-faults", "nope"}, 2, "", "nope"},

@@ -192,7 +192,7 @@ func baswanaSenLocal(vertices []int, edges []clusterEdge, k int, rng *rand.Rand)
 	for i := range sampled {
 		sampled[i] = adj // original BS: N_i(v) = N(v)
 	}
-	prob := 1 / math.Pow(float64(maxInt(2, len(vertices))), 1/float64(k))
+	prob := 1 / math.Pow(float64(max(2, len(vertices))), 1/float64(k))
 	t, reclust := bsPhase1(vertices, sampled, k, prob, rng)
 	removal := bsRemovalEdges(t, vertices, adj)
 	return dedupeEdges(append(reclust, removal...))
@@ -218,7 +218,7 @@ func modifiedBaswanaSenLocal(vertices []int, edges []clusterEdge, k int, p float
 			}
 		}
 	}
-	prob := 1 / math.Pow(float64(maxInt(2, len(vertices))), 1/float64(k))
+	prob := 1 / math.Pow(float64(max(2, len(vertices))), 1/float64(k))
 	t, reclust := bsPhase1(vertices, sampled, k, prob, rng)
 	removal := bsRemovalEdges(t, vertices, adj)
 	return dedupeEdges(append(reclust, removal...))

@@ -115,7 +115,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		cnt, err := prims.SumToLarge(c, countsOf(conflicts))
+		cnt, err := prims.SumToLarge(c, prims.Counts(conflicts))
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -68,7 +67,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	needs := endpointNeedsOf(edges)
+	needs := prims.EndpointNeeds(edges)
 	degMaps, err := prims.DisseminateFromLarge(c, needs, degAtLarge, 1)
 	if err != nil {
 		return nil, err
@@ -206,7 +205,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	cnt, err := prims.SumToLarge(c, countsOf(residual))
+	cnt, err := prims.SumToLarge(c, prims.Counts(residual))
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +258,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 	maxIters := 4*int(math.Ceil(math.Log2(float64(len(g.Edges))+2))) + 8
 
 	for iter := 0; ; iter++ {
-		liveCnt, err := prims.SumAll(c, countsOf(live))
+		liveCnt, err := prims.SumAll(c, prims.Counts(live))
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +301,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 				matchedVals[int64(v)] = true
 			}
 		}
-		needs := endpointNeedsOf(live)
+		needs := prims.EndpointNeeds(live)
 		maps, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
 		if err != nil {
 			return nil, err
@@ -339,31 +338,4 @@ func sortEdgesStable(es []graph.Edge) {
 	prims.SortLocal(es, func(e graph.Edge) prims.SortKey {
 		return prims.SortKey{A: int64(e.U), B: int64(e.V), C: e.W}
 	})
-}
-
-// endpointNeedsOf returns each machine's deduplicated endpoint key list,
-// sorted. Like sublinear's endpointNeeds, dedup is sort + compact: the hash
-// set it replaces was a fixed per-round map cost on every edge.
-func endpointNeedsOf(edges [][]graph.Edge) [][]int64 {
-	needs := make([][]int64, len(edges))
-	for i := range edges {
-		if len(edges[i]) == 0 {
-			continue
-		}
-		vs := make([]int64, 0, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			vs = append(vs, int64(e.U), int64(e.V))
-		}
-		prims.SortInts(vs)
-		needs[i] = slices.Compact(vs)
-	}
-	return needs
-}
-
-func countsOf[T any](data [][]T) []int64 {
-	out := make([]int64, len(data))
-	for i := range data {
-		out[i] = int64(len(data[i]))
-	}
-	return out
 }

@@ -43,7 +43,7 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := endpointNeedsOf(edges)
+	needs := prims.EndpointNeeds(edges)
 
 	// Singleton cuts: the vertex degrees.
 	degItems := make([][]prims.KV[int64], kk)
@@ -238,7 +238,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 	}); err != nil {
 		return 0, false, err
 	}
-	cnt, err := prims.SumToLarge(c, countsOf(final))
+	cnt, err := prims.SumToLarge(c, prims.Counts(final))
 	if err != nil {
 		return 0, false, err
 	}
@@ -388,7 +388,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 		}); err != nil {
 			return nil, err
 		}
-		total, err := prims.SumToLarge(c, countsOf(skeleton))
+		total, err := prims.SumToLarge(c, prims.Counts(skeleton))
 		if err != nil {
 			return nil, err
 		}

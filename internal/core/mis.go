@@ -38,7 +38,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := endpointNeedsOf(edges)
+	needs := prims.EndpointNeeds(edges)
 
 	seed, err := prims.BroadcastSeed(c)
 	if err != nil {
@@ -217,7 +217,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domKVs := rootsToKVsCore(c, domRoots)
+		domKVs := prims.RootsToKVs(c, domRoots)
 		gotDead, err := prims.SegmentedBroadcast(c, needs, domKVs, nil, 1)
 		if err != nil {
 			return nil, err
@@ -252,17 +252,4 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	}
 	res.Set = set
 	return res, nil
-}
-
-// rootsToKVsCore mirrors sublinear.rootsToKVs for this package.
-func rootsToKVsCore[V any](c *mpc.Cluster, roots []map[int64]V) [][]prims.KV[V] {
-	out := make([][]prims.KV[V], c.K())
-	for i := range roots {
-		out[i] = make([]prims.KV[V], 0, len(roots[i]))
-		for key, v := range roots[i] {
-			out[i] = append(out[i], prims.KV[V]{K: key, V: v})
-		}
-		prims.SortKVsByKey(out[i])
-	}
-	return out
 }

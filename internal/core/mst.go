@@ -234,7 +234,7 @@ func phaseBudget(effF, log2n float64, phase, active, largeCap int) int {
 	if d < 2 {
 		d = 2
 	}
-	capD := largeCap / (4 * cEdgeWords * maxInt(1, active))
+	capD := largeCap / (4 * cEdgeWords * max(1, active))
 	if capD < 2 {
 		capD = 2
 	}
@@ -242,13 +242,6 @@ func phaseBudget(effF, log2n float64, phase, active, largeCap int) int {
 		d = capD
 	}
 	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // localBudgetedBoruvka merges contracted vertices along collected edges on

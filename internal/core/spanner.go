@@ -546,7 +546,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			a[se.E.V] = append(a[se.E.V], bsHalf{To: se.E.U, Orig: se.E.Orig})
 		}
 		verts := vSets[lvl]
-		prob := 1 / math.Pow(float64(maxInt(2, len(verts))), 1/fk)
+		prob := 1 / math.Pow(float64(max(2, len(verts))), 1/fk)
 		t, reclust := bsPhase1(verts, sampledAdj, k, prob, lrng)
 		tables[lvl] = t
 		spanner = append(spanner, reclust...)

@@ -217,11 +217,7 @@ func AggregateByKey[V any](
 	}
 	flat := make([][]KV[V], k)
 	if err := c.ForSmall(func(i int) error {
-		flat[i] = make([]KV[V], 0, len(roots[i]))
-		for key, v := range roots[i] {
-			flat[i] = append(flat[i], KV[V]{K: key, V: v})
-		}
-		SortKVsByKey(flat[i])
+		flat[i] = sortedKVs(roots[i])
 		return nil
 	}); err != nil {
 		return nil, nil, err

@@ -197,6 +197,36 @@ func CountItems[T any](data [][]T) int {
 	return n
 }
 
+// Counts returns the per-machine item counts as int64s, the input shape of
+// SumToLarge and SumAll.
+func Counts[T any](data [][]T) []int64 {
+	out := make([]int64, len(data))
+	for i := range data {
+		out[i] = int64(len(data[i]))
+	}
+	return out
+}
+
+// EndpointNeeds returns each machine's deduplicated endpoint key list,
+// sorted — the needs input of SegmentedBroadcast for per-vertex values.
+// Dedup goes through sort + compact rather than a hash set: callers run it
+// once per iteration over every live edge, and the sort is the radix kernel.
+func EndpointNeeds(edges [][]graph.Edge) [][]int64 {
+	needs := make([][]int64, len(edges))
+	for i := range edges {
+		if len(edges[i]) == 0 {
+			continue
+		}
+		vs := make([]int64, 0, 2*len(edges[i]))
+		for _, e := range edges[i] {
+			vs = append(vs, int64(e.U), int64(e.V))
+		}
+		SortInts(vs)
+		needs[i] = slices.Compact(vs)
+	}
+	return needs
+}
+
 // Flatten concatenates all machines' items (a test/validation helper; real
 // algorithms never do this outside the model).
 func Flatten[T any](data [][]T) []T {

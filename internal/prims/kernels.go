@@ -30,7 +30,7 @@ func flipKey(k SortKey) [3]uint64 {
 // warm slabs instead of reallocating the side buffers every time.
 var keyedPool = sync.Pool{New: func() any { return &arena.Arena[keyed]{} }}
 
-// radixCutoff is the slice length below which SortLocal uses the
+// radixCutoff is the slice length below which SortLocal always uses the
 // comparison fallback: an LSD pass costs two linear sweeps plus a 256-entry
 // histogram, which only amortizes once the slice dwarfs the histogram.
 const radixCutoff = 96
@@ -47,9 +47,10 @@ const radixCutoff = 96
 // case: single-word keys with a bounded range) sort in two or three linear
 // sweeps instead of n·log n comparisons. Counting sort is stable, so the
 // byte-skipping LSD order reproduces the stable comparator order exactly —
-// pinned by TestSortKernelMatchesStable. Small slices fall back to pdqsort
-// on the flipped words with the index tiebreak (stable in effect). The
-// resulting permutation is applied in place by cycle-following.
+// pinned by TestSortKernelMatchesStable. Small slices, and slices with more
+// than 16 varying key bytes, fall back to pdqsort on the flipped words with
+// the index tiebreak (stable in effect). The resulting permutation is
+// applied in place by cycle-following.
 func SortLocal[T any](items []T, key func(T) SortKey) {
 	n := len(items)
 	if n < 2 {
@@ -69,7 +70,25 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 		or[2] |= w[2]
 		and[2] &= w[2]
 	}
-	if n < radixCutoff {
+	// Plan one pass per byte that actually varies, least-significant key
+	// word first (LSD order over the triple).
+	var plan [24]bytePass
+	np := 0
+	if n >= radixCutoff {
+		for word := 2; word >= 0; word-- {
+			vary := or[word] ^ and[word]
+			for shift := uint(0); shift < 64; shift += 8 {
+				if (vary>>shift)&0xff != 0 {
+					plan[np] = bytePass{word, shift}
+					np++
+				}
+			}
+		}
+	}
+	switch {
+	case n < radixCutoff || np > 16:
+		// Comparison sort on the flipped words; the index tiebreak makes
+		// it stable in effect.
 		slices.SortFunc(kb, func(a, b keyed) int {
 			for w := 0; w < 3; w++ {
 				if a.w[w] != b.w[w] {
@@ -82,32 +101,12 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 			return int(a.idx) - int(b.idx)
 		})
 		applyPerm(items, kb)
-		ar.Reset()
-		keyedPool.Put(ar)
-		return
-	}
-	// Plan one pass per byte that actually varies, least-significant key
-	// word first (LSD order over the triple).
-	var plan [24]bytePass
-	np := 0
-	for word := 2; word >= 0; word-- {
-		vary := or[word] ^ and[word]
-		for shift := uint(0); shift < 64; shift += 8 {
-			if (vary>>shift)&0xff != 0 {
-				plan[np] = bytePass{word, shift}
-				np++
-			}
-		}
-	}
-	switch {
 	case np == 0:
 		// All keys equal: the stable order is the input order.
 	case np <= 8:
 		sortPacked16(items, kb, plan[:np])
-	case np <= 16:
-		sortPacked24(items, kb, plan[:np])
 	default:
-		sortUnpacked(items, kb, plan[:np], ar)
+		sortPacked24(items, kb, plan[:np])
 	}
 	ar.Reset()
 	keyedPool.Put(ar)
@@ -239,35 +238,6 @@ func sortPacked24[T any](items []T, kb []keyed, plan []bytePass) {
 	countsPool.Put(ca)
 	pa.Reset()
 	k24Pool.Put(pa)
-}
-
-// sortUnpacked is the >16-varying-byte fallback: radix passes directly on
-// the 32-byte keyed records, histograms still fused into one sweep.
-func sortUnpacked[T any](items []T, kb []keyed, plan []bytePass, ar *arena.Arena[keyed]) {
-	n, np := len(kb), len(plan)
-	ca := countsPool.Get().(*arena.Arena[int32])
-	counts := ca.AllocUninit(np * 256)
-	clear(counts)
-	for i := range kb {
-		for p := 0; p < np; p++ {
-			counts[p<<8|int((kb[i].w[plan[p].word]>>plan[p].shift)&0xff)]++
-		}
-	}
-	src, dst := kb, ar.AllocUninit(n)
-	for p := 0; p < np; p++ {
-		prefixSum(counts[p<<8 : p<<8+256])
-		cp := counts[p<<8 : p<<8+256]
-		word, shift := plan[p].word, plan[p].shift
-		for i := range src {
-			d := (src[i].w[word] >> shift) & 0xff
-			dst[cp[d]] = src[i]
-			cp[d]++
-		}
-		src, dst = dst, src
-	}
-	applyPerm(items, src)
-	ca.Reset()
-	countsPool.Put(ca)
 }
 
 // prefixSum converts a 256-digit histogram into exclusive start offsets.

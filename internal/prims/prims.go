@@ -16,10 +16,18 @@
 //
 // Every primitive is charged its true round cost through mpc.Exchange; none
 // of them moves information outside the model.
+//
+// Each collective mechanism exists once: the rounds to and from the
+// coordinator (toCoordinator, fromCoordinator), the coordinator reduce
+// behind SumToLarge, SumAll and MaxAll (reduce), the bulk-item payload of
+// gather, scatter and sort routing (chunk, chunkMsg, appendChunks), and the
+// heap arithmetic of the range trees (a position's children are the range
+// b·p+1 … b·p+b, walked in place).
 package prims
 
 import (
 	"fmt"
+	"slices"
 
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/xrand"
@@ -47,6 +55,32 @@ func coordCap(c *mpc.Cluster) int {
 		return c.LargeCap()
 	}
 	return c.SmallCapOf(0)
+}
+
+// toCoordinator runs one round of small-machine sends and returns the
+// coordinator's inbox, in delivery (machine) order.
+func toCoordinator(c *mpc.Cluster, outs [][]mpc.Msg) ([]mpc.Msg, error) {
+	ins, inLarge, err := c.Exchange(outs, nil)
+	if err != nil {
+		return nil, err
+	}
+	if c.HasLarge() {
+		return inLarge, nil
+	}
+	return ins[0], nil
+}
+
+// fromCoordinator runs one round in which the coordinator alone sends msgs
+// and returns the small machines' inboxes.
+func fromCoordinator(c *mpc.Cluster, msgs []mpc.Msg) ([][]mpc.Msg, error) {
+	if c.HasLarge() {
+		ins, _, err := c.Exchange(nil, msgs)
+		return ins, err
+	}
+	outs := make([][]mpc.Msg, c.K())
+	outs[0] = msgs
+	ins, _, err := c.Exchange(outs, nil)
+	return ins, err
 }
 
 // branching returns the tree branching factor for payloads of `words` words:
@@ -91,17 +125,12 @@ func posDepth(p, b int) int {
 // posParent returns the heap parent position of p (p > 0).
 func posParent(p, b int) int { return (p - 1) / b }
 
-// posChildren appends the heap children of p that are < size.
-func posChildren(p, b, size int) []int {
-	out := make([]int, 0, b)
-	for j := 1; j <= b; j++ {
-		ch := b*p + j
-		if ch >= size {
-			break
-		}
-		out = append(out, ch)
-	}
-	return out
+// childRange returns the heap children of p that are < size as the half-open
+// position range [lo, hi) — b·p+1 … min(b·p+b, size−1) — so a tree level
+// costs its actual children, never the branching factor.
+func childRange(p, b, size int) (lo, hi int) {
+	lo = min(b*p+1, size)
+	return lo, min(lo+b, size)
 }
 
 // span is a key whose sorted run covers machines A..B (inclusive, B > A).
@@ -172,13 +201,9 @@ func reportBounds(c *mpc.Cluster, firstLast func(i int) boundsReport) ([]span, e
 		br := firstLast(i)
 		outs[i] = []mpc.Msg{{To: coordinator(c), Words: 3, Data: br}}
 	}
-	ins, inLarge, err := c.Exchange(outs, nil)
+	inbox, err := toCoordinator(c, outs)
 	if err != nil {
 		return nil, err
-	}
-	inbox := inLarge
-	if !c.HasLarge() {
-		inbox = ins[0]
 	}
 	bounds := make([]boundsReport, c.K())
 	for _, m := range inbox {
@@ -191,40 +216,24 @@ func reportBounds(c *mpc.Cluster, firstLast func(i int) boundsReport) ([]span, e
 	return chainSpans(bounds), nil
 }
 
-// spanInstr tells a machine it is part of key Key's run over machines A..B.
-type spanInstr struct {
-	Key  int64
-	A, B int
-}
-
 // sendSpanInstructions has the coordinator tell every machine of every span
 // which (key, A, B) ranges it belongs to. One machine can be in at most two
 // spans. Costs one round.
-func sendSpanInstructions(c *mpc.Cluster, spans []span) ([][]spanInstr, error) {
+func sendSpanInstructions(c *mpc.Cluster, spans []span) ([][]span, error) {
 	out := make([]mpc.Msg, 0, len(spans)*2)
 	for _, s := range spans {
 		for m := s.A; m <= s.B; m++ {
-			out = append(out, mpc.Msg{To: m, Words: 3, Data: spanInstr(s)})
+			out = append(out, mpc.Msg{To: m, Words: 3, Data: s})
 		}
 	}
-	var (
-		ins [][]mpc.Msg
-		err error
-	)
-	if c.HasLarge() {
-		ins, _, err = c.Exchange(nil, out)
-	} else {
-		outs := make([][]mpc.Msg, c.K())
-		outs[0] = out
-		ins, _, err = c.Exchange(outs, nil)
-	}
+	ins, err := fromCoordinator(c, out)
 	if err != nil {
 		return nil, err
 	}
-	instr := make([][]spanInstr, c.K())
+	instr := make([][]span, c.K())
 	for i, inbox := range ins {
 		for _, m := range inbox {
-			si, ok := m.Data.(spanInstr)
+			si, ok := m.Data.(span)
 			if !ok {
 				return nil, fmt.Errorf("prims: unexpected span payload %T", m.Data)
 			}
@@ -248,17 +257,10 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 		for i := 0; i < k; i++ {
 			msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: val})
 		}
-		var err error
-		if c.HasLarge() {
-			_, _, err = c.Exchange(nil, msgs)
-		} else {
-			outs := make([][]mpc.Msg, k)
-			outs[0] = msgs
-			// machine 0 keeps its own copy locally
-			outs[0] = outs[0][1:]
-			_, _, err = c.Exchange(outs, nil)
+		if !c.HasLarge() {
+			msgs = msgs[1:] // machine 0 keeps its own copy locally
 		}
-		if err != nil {
+		if _, err := fromCoordinator(c, msgs); err != nil {
 			return nil, err
 		}
 		for i := range out {
@@ -283,7 +285,7 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 			if !have[p] || posDepth(p, b) != d {
 				continue
 			}
-			for _, ch := range posChildren(p, b, k) {
+			for ch, hi := childRange(p, b, k); ch < hi; ch++ {
 				outs[p] = append(outs[p], mpc.Msg{To: ch, Words: words, Data: out[p]})
 			}
 		}
@@ -305,6 +307,34 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 	return out, nil
 }
 
+// chunk is the payload of every bulk item transfer: gather, scatter and the
+// routing round of Sort.
+type chunk[T any] struct{ Items []T }
+
+// chunkMsg wraps items as one message to machine `to`, accounted at
+// itemWords words per item.
+func chunkMsg[T any](to int, items []T, itemWords int) mpc.Msg {
+	return mpc.Msg{To: to, Words: len(items) * itemWords, Data: chunk[T]{Items: items}}
+}
+
+// appendChunks appends the items of every chunk message in inbox to dst, in
+// delivery order, growing dst once.
+func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
+	n := 0
+	for _, m := range inbox {
+		ch, ok := m.Data.(chunk[T])
+		if !ok {
+			return nil, fmt.Errorf("prims: unexpected chunk payload %T", m.Data)
+		}
+		n += len(ch.Items)
+	}
+	dst = slices.Grow(dst, n)
+	for _, m := range inbox {
+		dst = append(dst, m.Data.(chunk[T]).Items...)
+	}
+	return dst, nil
+}
+
 // GatherToLarge sends every machine's items to the large machine and returns
 // them concatenated in (machine, local index) order. The receive cap of the
 // large machine bounds the legal volume; violations surface as ErrCapacity.
@@ -313,9 +343,7 @@ func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error
 		return nil, fmt.Errorf("prims: GatherToLarge: %w", mpc.ErrNeedsLarge)
 	}
 	defer c.Span("gather").End()
-	type chunk struct{ Items []T }
 	outs := make([][]mpc.Msg, c.K())
-	total := 0
 	for i := range data {
 		if i >= c.K() {
 			break
@@ -323,23 +351,54 @@ func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error
 		if len(data[i]) == 0 {
 			continue
 		}
-		total += len(data[i])
-		outs[i] = []mpc.Msg{{To: mpc.Large, Words: len(data[i]) * itemWords, Data: chunk{Items: data[i]}}}
+		outs[i] = []mpc.Msg{chunkMsg(mpc.Large, data[i], itemWords)}
 	}
 	_, inLarge, err := c.Exchange(outs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, total)
-	for _, m := range inLarge {
-		ch, ok := m.Data.(chunk)
-		if !ok {
-			return nil, fmt.Errorf("prims: unexpected gather payload %T", m.Data)
-		}
-		out = append(out, ch.Items...)
-	}
-	return out, nil
+	return appendChunks([]T{}, inLarge)
 }
+
+// reduce is the one coordinator reduce: every machine sends one int64
+// (vals[i], 0 past the end) to the coordinator in one round, which folds
+// them in delivery (machine) order seeded with the first — so fold needs no
+// identity — and, if broadcast is set, sends the result back to every
+// machine. An empty inbox yields 0.
+func reduce(c *mpc.Cluster, vals []int64, fold func(acc, v int64) int64, broadcast bool) (int64, error) {
+	outs := make([][]mpc.Msg, c.K())
+	for i := range outs {
+		var v int64
+		if i < len(vals) {
+			v = vals[i]
+		}
+		outs[i] = []mpc.Msg{{To: coordinator(c), Words: 1, Data: v}}
+	}
+	inbox, err := toCoordinator(c, outs)
+	if err != nil {
+		return 0, err
+	}
+	var acc int64
+	for j, m := range inbox {
+		v, ok := m.Data.(int64)
+		if !ok {
+			return 0, fmt.Errorf("prims: unexpected reduce payload %T", m.Data)
+		}
+		if j == 0 {
+			acc = v
+		} else {
+			acc = fold(acc, v)
+		}
+	}
+	if broadcast {
+		if _, err := BroadcastValue(c, acc, 1); err != nil {
+			return 0, err
+		}
+	}
+	return acc, nil
+}
+
+func addInt64(a, b int64) int64 { return a + b }
 
 // SumToLarge adds one int64 per machine at the large machine (one round).
 func SumToLarge(c *mpc.Cluster, vals []int64) (int64, error) {
@@ -347,27 +406,7 @@ func SumToLarge(c *mpc.Cluster, vals []int64) (int64, error) {
 		return 0, fmt.Errorf("prims: SumToLarge: %w", mpc.ErrNeedsLarge)
 	}
 	defer c.Span("sum").End()
-	outs := make([][]mpc.Msg, c.K())
-	for i := 0; i < c.K(); i++ {
-		var v int64
-		if i < len(vals) {
-			v = vals[i]
-		}
-		outs[i] = []mpc.Msg{{To: mpc.Large, Words: 1, Data: v}}
-	}
-	_, inLarge, err := c.Exchange(outs, nil)
-	if err != nil {
-		return 0, err
-	}
-	var sum int64
-	for _, m := range inLarge {
-		v, ok := m.Data.(int64)
-		if !ok {
-			return 0, fmt.Errorf("prims: unexpected sum payload %T", m.Data)
-		}
-		sum += v
-	}
-	return sum, nil
+	return reduce(c, vals, addInt64, false)
 }
 
 // SumAll adds one int64 per machine at the coordinator and broadcasts the
@@ -375,34 +414,13 @@ func SumToLarge(c *mpc.Cluster, vals []int64) (int64, error) {
 // Works with or without a large machine. Two-plus rounds.
 func SumAll(c *mpc.Cluster, vals []int64) (int64, error) {
 	defer c.Span("sum").End()
-	outs := make([][]mpc.Msg, c.K())
-	for i := 0; i < c.K(); i++ {
-		var v int64
-		if i < len(vals) {
-			v = vals[i]
-		}
-		outs[i] = []mpc.Msg{{To: coordinator(c), Words: 1, Data: v}}
-	}
-	ins, inLarge, err := c.Exchange(outs, nil)
-	if err != nil {
-		return 0, err
-	}
-	inbox := inLarge
-	if !c.HasLarge() {
-		inbox = ins[0]
-	}
-	var sum int64
-	for _, m := range inbox {
-		v, ok := m.Data.(int64)
-		if !ok {
-			return 0, fmt.Errorf("prims: unexpected sum payload %T", m.Data)
-		}
-		sum += v
-	}
-	if _, err := BroadcastValue(c, sum, 1); err != nil {
-		return 0, err
-	}
-	return sum, nil
+	return reduce(c, vals, addInt64, true)
+}
+
+// MaxAll is SumAll for the maximum: every machine (and the caller) learns
+// the largest of the per-machine values. It opens no span of its own.
+func MaxAll(c *mpc.Cluster, vals []int64) (int64, error) {
+	return reduce(c, vals, func(a, b int64) int64 { return max(a, b) }, true)
 }
 
 // ScatterFromLarge routes per-machine message lists from the large machine
@@ -412,13 +430,12 @@ func ScatterFromLarge[T any](c *mpc.Cluster, items [][]T, itemWords int) ([][]T,
 		return nil, fmt.Errorf("prims: ScatterFromLarge: %w", mpc.ErrNeedsLarge)
 	}
 	defer c.Span("scatter").End()
-	type chunk struct{ Items []T }
 	out := make([]mpc.Msg, 0, len(items))
 	for i := range items {
 		if len(items[i]) == 0 {
 			continue
 		}
-		out = append(out, mpc.Msg{To: i, Words: len(items[i]) * itemWords, Data: chunk{Items: items[i]}})
+		out = append(out, chunkMsg(i, items[i], itemWords))
 	}
 	ins, _, err := c.Exchange(nil, out)
 	if err != nil {
@@ -426,12 +443,8 @@ func ScatterFromLarge[T any](c *mpc.Cluster, items [][]T, itemWords int) ([][]T,
 	}
 	res := make([][]T, c.K())
 	for i, inbox := range ins {
-		for _, m := range inbox {
-			ch, ok := m.Data.(chunk)
-			if !ok {
-				return nil, fmt.Errorf("prims: unexpected scatter payload %T", m.Data)
-			}
-			res[i] = append(res[i], ch.Items...)
+		if res[i], err = appendChunks(res[i], inbox); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

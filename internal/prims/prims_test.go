@@ -1,6 +1,8 @@
 package prims
 
 import (
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -60,15 +62,27 @@ func TestTreeHelpers(t *testing.T) {
 	if d := treeDepth(6, 4); d != 2 {
 		t.Fatalf("depth(6,b=4) = %d", d)
 	}
-	// Heap arithmetic consistency: parent of every child is the sender.
-	for p := 0; p < 20; p++ {
-		for _, ch := range posChildren(p, 3, 60) {
-			if posParent(ch, 3) != p {
-				t.Fatalf("parent(children(%d)) mismatch", p)
+	// Heap arithmetic consistency: the child ranges partition 1..size-1,
+	// and the parent of every child is the sender, one level up.
+	for _, tc := range []struct{ b, size int }{{3, 60}, {2, 2}, {7, 1}, {1 << 20, 60}} {
+		next := 1
+		for p := 0; p < tc.size; p++ {
+			lo, hi := childRange(p, tc.b, tc.size)
+			if lo != min(next, tc.size) || hi < lo || hi > tc.size {
+				t.Fatalf("b=%d size=%d: children(%d) = [%d,%d), want start %d", tc.b, tc.size, p, lo, hi, next)
 			}
-			if posDepth(ch, 3) != posDepth(p, 3)+1 {
-				t.Fatalf("depth mismatch for %d->%d", p, ch)
+			for ch := lo; ch < hi; ch++ {
+				if posParent(ch, tc.b) != p {
+					t.Fatalf("b=%d: parent(children(%d)) mismatch", tc.b, p)
+				}
+				if posDepth(ch, tc.b) != posDepth(p, tc.b)+1 {
+					t.Fatalf("b=%d: depth mismatch for %d->%d", tc.b, p, ch)
+				}
 			}
+			next = max(next, hi)
+		}
+		if next != max(tc.size, 1) {
+			t.Fatalf("b=%d size=%d: children cover 1..%d", tc.b, tc.size, next-1)
 		}
 	}
 }
@@ -168,6 +182,126 @@ func TestBroadcastValueDirectAndTree(t *testing.T) {
 	}
 }
 
+// wide is a 40-word value: on a small-CSmall cluster it pushes the tree
+// branching below K/2, so every range tree is at least two levels deep.
+type wide [40]int64
+
+// TestDeepTrees drives all three tree walkers — BroadcastValue's tree,
+// AggregateByKey's up-tree and SegmentedBroadcast's down-tree — past depth
+// 1 and compares their results with the same call on a default-capacity
+// cluster, where every tree is one level.
+func TestDeepTrees(t *testing.T) {
+	const k, vwords = 64, len(wide{})
+	for _, noLarge := range []bool{false, true} {
+		run := func(csmall, clarge float64, wantDeep bool) (bcast []wide, agg map[int64]wide, seg []map[int64]wide) {
+			c, err := mpc.New(mpc.Config{N: 256, M: 2048, K: k, CSmall: csmall, CLarge: clarge, Seed: 42, NoLarge: noLarge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Deep means every walker is: the branching is below K/2, and
+			// BroadcastValue's direct send does not fit the coordinator.
+			b := branching(c, vwords+1)
+			deep := b < k/2 && treeDepth(k, b) >= 2 && k*(vwords+1) > coordCap(c)/2
+			if deep != wantDeep {
+				t.Fatalf("CSmall=%v: branching %d depth %d coordinator cap %d, want deep=%v", csmall, b, treeDepth(k, b), coordCap(c), wantDeep)
+			}
+			// A cold key per machine plus one hot key. Every machine
+			// requests the hot key, so its sorted run of requests spans the
+			// whole cluster and the down-tree carries its value two levels.
+			// Only every fourth machine holds a hot partial to aggregate:
+			// Sort keys partials by key alone, so all of a key's partials
+			// land on one machine (the up-tree's levels run empty) and must
+			// fit it.
+			items := make([][]KV[wide], k)
+			needs := make([][]int64, k)
+			values := make([][]KV[wide], k)
+			for i := range items {
+				items[i] = []KV[wide]{{K: int64(100 + i), V: wide{int64(i)}}}
+				if i%4 == 0 {
+					items[i] = append(items[i], KV[wide]{K: 9, V: wide{1, int64(i)}})
+				}
+				needs[i] = []int64{9, int64(100 + (i+1)%k)}
+				values[i] = []KV[wide]{{K: int64(100 + i), V: wide{int64(i), 5}}}
+			}
+			values[k-1] = append(values[k-1], KV[wide]{K: 9, V: wide{900}})
+			if bcast, err = BroadcastValue(c, wide{55}, vwords+1); err != nil {
+				t.Fatal(err)
+			}
+			roots, _, err := AggregateByKey(c, items, vwords, func(a, b wide) wide {
+				a[0] += b[0]
+				a[1] += b[1]
+				return a
+			}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg = map[int64]wide{}
+			for i := range roots {
+				for key, v := range roots[i] {
+					if _, dup := agg[key]; dup {
+						t.Fatalf("key %d finalized on two machines", key)
+					}
+					agg[key] = v
+				}
+			}
+			if seg, err = SegmentedBroadcast(c, needs, values, nil, vwords); err != nil {
+				t.Fatal(err)
+			}
+			return bcast, agg, seg
+		}
+		deepB, deepA, deepS := run(0.1, 0.027, true)
+		flatB, flatA, flatS := run(0, 0, false)
+		if !reflect.DeepEqual(deepB, flatB) || deepB[k-1] != (wide{55}) {
+			t.Fatalf("noLarge=%v: deep BroadcastValue diverges", noLarge)
+		}
+		if !reflect.DeepEqual(deepA, flatA) || deepA[9] != (wide{k / 4, k * (k/4 - 1) / 2}) {
+			t.Fatalf("noLarge=%v: deep AggregateByKey diverges: hot key %v", noLarge, deepA[9])
+		}
+		if !reflect.DeepEqual(deepS, flatS) || deepS[0][9] != (wide{900}) || len(deepS[0]) != 2 {
+			t.Fatalf("noLarge=%v: deep SegmentedBroadcast diverges: machine 0 got %v keys", noLarge, len(deepS[0]))
+		}
+	}
+}
+
+// TestTreeFanoutAllocIndependentOfBranching pins that a tree level costs
+// its children, not the branching factor: the same multi-machine-span
+// SegmentedBroadcast on two clusters that differ only in CSmall — so only
+// in branching, depth 1 in both — allocates the same volume.
+func TestTreeFanoutAllocIndependentOfBranching(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are nondeterministic under the race detector")
+	}
+	alloc := func(csmall float64) uint64 {
+		c, err := mpc.New(mpc.Config{N: 256, M: 2048, CSmall: csmall, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := c.K()
+		if d := treeDepth(k, branching(c, 2)); d != 1 {
+			t.Fatalf("CSmall=%v: depth %d, want 1", csmall, d)
+		}
+		values := make([][]KV[int64], k)
+		values[k-1] = []KV[int64]{{K: 7, V: 700}}
+		needs := make([][]int64, k)
+		for i := range needs {
+			needs[i] = []int64{7}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := SegmentedBroadcast(c, needs, values, nil, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil || got[0][7] != 700 {
+			t.Fatalf("CSmall=%v: %v %v", csmall, got[0], err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(6) // warm the sort kernels' pools
+	lo, hi := alloc(6), alloc(600)
+	if ratio := float64(hi) / float64(lo); ratio > 1.5 || ratio < 1/1.5 {
+		t.Errorf("SegmentedBroadcast allocates %d B at CSmall=6, %d B at CSmall=600 (ratio %.2f): fan-out scales with branching", lo, hi, ratio)
+	}
+}
+
 func TestGatherScatterSum(t *testing.T) {
 	c := newCluster(t, 256, 1024, false)
 	data := make([][]int64, c.K())
@@ -207,6 +341,43 @@ func TestGatherScatterSum(t *testing.T) {
 	}
 	if sum != int64(2*c.K()) {
 		t.Fatalf("SumToLarge = %d", sum)
+	}
+}
+
+func TestMaxAll(t *testing.T) {
+	for _, noLarge := range []bool{false, true} {
+		c := newCluster(t, 256, 1024, noLarge)
+		k := c.K()
+		cases := map[string]struct {
+			val  func(i int) int64
+			want int64
+		}{
+			"positive":     {func(i int) int64 { return int64(i) }, int64(k - 1)},
+			"all-negative": {func(i int) int64 { return int64(-5 - i) }, -5},
+			"mixed-sign":   {func(i int) int64 { return int64(i%7 - 3) }, 3},
+			"max-first":    {func(i int) int64 { return int64(-i) }, 0},
+		}
+		for name, tc := range cases {
+			vals := make([]int64, k)
+			for i := range vals {
+				vals[i] = tc.val(i)
+			}
+			got, err := MaxAll(c, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("noLarge=%v %s: MaxAll = %d, want %d", noLarge, name, got, tc.want)
+			}
+		}
+		// SumAll shares the reduce: zero-seeded or first-seeded, same sum.
+		ones := make([]int64, k)
+		for i := range ones {
+			ones[i] = -1
+		}
+		if got, err := SumAll(c, ones); err != nil || got != int64(-k) {
+			t.Errorf("noLarge=%v: SumAll = %d, %v; want %d", noLarge, got, err, -k)
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func SegmentedBroadcast[V any](
 				if !ok {
 					continue // no value for this key, or not yet received
 				}
-				for _, ch := range posChildren(p, b, size) {
+				for ch, hi := childRange(p, b, size); ch < hi; ch++ {
 					outs[i] = append(outs[i], mpc.Msg{To: si.A + ch, Words: vwords + 1, Data: downMsg{Key: si.Key, Val: v}})
 				}
 			}
@@ -211,10 +211,25 @@ func SegmentedBroadcast[V any](
 // machine holds values for a set of keys; machine i needs the keys in
 // needs[i].
 func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int64]V, vwords int) ([]map[int64]V, error) {
-	kvs := make([]KV[V], 0, len(values))
-	for key, v := range values {
+	return SegmentedBroadcast(c, needs, nil, sortedKVs(values), vwords)
+}
+
+// RootsToKVs converts per-machine root maps (AggregateByKey's roots) into
+// sorted KV slices, SegmentedBroadcast's distributed-values input.
+func RootsToKVs[V any](c *mpc.Cluster, roots []map[int64]V) [][]KV[V] {
+	out := make([][]KV[V], c.K())
+	for i := range roots {
+		out[i] = sortedKVs(roots[i])
+	}
+	return out
+}
+
+// sortedKVs returns m's entries as a KV slice sorted by key.
+func sortedKVs[V any](m map[int64]V) []KV[V] {
+	kvs := make([]KV[V], 0, len(m))
+	for key, v := range m {
 		kvs = append(kvs, KV[V]{K: key, V: v})
 	}
 	SortKVsByKey(kvs)
-	return SegmentedBroadcast(c, needs, nil, kvs, vwords)
+	return kvs
 }

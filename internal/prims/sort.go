@@ -3,7 +3,6 @@ package prims
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"hetmpc/internal/mpc"
 )
@@ -81,12 +80,11 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	// Step 4: route every item to its bucket. Step 1's local sort makes the
 	// buckets contiguous runs, found by binary-searching each splitter
 	// boundary (kernels.go).
-	type chunk struct{ Items []T }
 	routeOuts := make([][]mpc.Msg, k)
 	if err := c.ForSmall(func(i int) error {
 		for j, b := range scatterSortedByKey(data[i], lists[i], k, key) {
 			if len(b) > 0 {
-				routeOuts[i] = append(routeOuts[i], mpc.Msg{To: j, Words: len(b) * itemWords, Data: chunk{Items: b}})
+				routeOuts[i] = append(routeOuts[i], chunkMsg(j, b, itemWords))
 			}
 		}
 		return nil
@@ -99,17 +97,9 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	}
 	result := make([][]T, k)
 	if err := c.ForSmall(func(i int) error {
-		n := 0
-		for _, m := range ins[i] {
-			ch, ok := m.Data.(chunk)
-			if !ok {
-				return fmt.Errorf("prims: unexpected route payload %T", m.Data)
-			}
-			n += len(ch.Items)
-		}
-		result[i] = make([]T, 0, n)
-		for _, m := range ins[i] {
-			result[i] = append(result[i], m.Data.(chunk).Items...)
+		var err error
+		if result[i], err = appendChunks([]T{}, ins[i]); err != nil {
+			return err
 		}
 		SortLocal(result[i], key)
 		return nil
@@ -156,13 +146,9 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 	}); err != nil {
 		return nil, err
 	}
-	ins, inLarge, err := c.Exchange(outs, nil)
+	inbox, err := toCoordinator(c, outs)
 	if err != nil {
 		return nil, err
-	}
-	inbox := inLarge
-	if !c.HasLarge() {
-		inbox = ins[0]
 	}
 
 	// Step 3: coordinator picks splitters weighted by machine loads.
@@ -186,7 +172,7 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 			samples = append(samples, weighted{key: kk, weight: w})
 		}
 	}
-	slices.SortStableFunc(samples, func(a, b weighted) int { return a.key.Compare(b.key) })
+	SortLocal(samples, func(s weighted) SortKey { return s.key })
 	// Splitter targets are placement-weighted: bucket i should hold a
 	// PlaceShare(i)/Σ share of the items under the cluster's placement
 	// policy (DESIGN.md §8) — capacity shares under the default cap policy

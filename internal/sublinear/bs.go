@@ -39,7 +39,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := endpointNeeds(edges)
+	needs := prims.EndpointNeeds(edges)
 
 	seed, err := prims.BroadcastSeed(c)
 	if err != nil {
@@ -149,7 +149,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		newCenters, err := prims.SegmentedBroadcast(c, needs, rootsToKVs(c, minRoots), nil, 5)
+		newCenters, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, minRoots), nil, 5)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := endpointNeeds(edges)
+	needs := prims.EndpointNeeds(edges)
 
 	// Δ via aggregation with distributed results + SumAll on the max: use a
 	// max-aggregation keyed by a single key.
@@ -68,9 +68,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			}
 		}
 	}
-	// Max via SumAll trick is wrong; do a dedicated max round through the
-	// coordinator (still O(1)).
-	maxDeg, err := maxAll(c, localMax)
+	// Every machine learns the maximum degree through the coordinator (O(1)).
+	maxDeg, err := prims.MaxAll(c, localMax)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +152,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		blockMaps, err := prims.SegmentedBroadcast(c, needs, rootsToKVs(c, blockRoots), nil, 1)
+		blockMaps, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, blockRoots), nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -187,46 +186,4 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	}
 	res.Colors = out
 	return res, nil
-}
-
-// maxAll computes the max of one value per machine at the coordinator and
-// broadcasts it.
-func maxAll(c *mpc.Cluster, vals []int64) (int64, error) {
-	outs := make([][]mpc.Msg, c.K())
-	for i := 0; i < c.K(); i++ {
-		var v int64
-		if i < len(vals) {
-			v = vals[i]
-		}
-		outs[i] = []mpc.Msg{{To: coordinatorOf(c), Words: 1, Data: v}}
-	}
-	ins, inLarge, err := c.Exchange(outs, nil)
-	if err != nil {
-		return 0, err
-	}
-	inbox := inLarge
-	if !c.HasLarge() {
-		inbox = ins[0]
-	}
-	var max int64
-	for _, m := range inbox {
-		v, ok := m.Data.(int64)
-		if !ok {
-			return 0, fmt.Errorf("sublinear: unexpected max payload %T", m.Data)
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if _, err := prims.BroadcastValue(c, max, 1); err != nil {
-		return 0, err
-	}
-	return max, nil
-}
-
-func coordinatorOf(c *mpc.Cluster) int {
-	if c.HasLarge() {
-		return mpc.Large
-	}
-	return 0
 }

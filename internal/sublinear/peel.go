@@ -14,7 +14,6 @@ package sublinear
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -77,7 +76,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 	maxIters := 4*int(math.Ceil(math.Log2(float64(total)+2))) + 12
 
 	for iter := 0; ; iter++ {
-		remaining, err := prims.SumAll(c, counts(live))
+		remaining, err := prims.SumAll(c, prims.Counts(live))
 		if err != nil {
 			return nil, err
 		}
@@ -119,8 +118,8 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		needs := endpointNeeds(live)
-		rootKVs := rootsToKVs(c, minRoots)
+		needs := prims.EndpointNeeds(live)
+		rootKVs := prims.RootsToKVs(c, minRoots)
 		minMaps, err := prims.SegmentedBroadcast(c, needs, rootKVs, nil, rankValWords)
 		if err != nil {
 			return nil, err
@@ -149,7 +148,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		deadMaps, err := prims.SegmentedBroadcast(c, needs, rootsToKVs(c, deadRoots), nil, 1)
+		deadMaps, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, deadRoots), nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -170,49 +169,6 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 	res.Matched = matched
 	res.Live = live
 	return res, nil
-}
-
-// counts returns per-machine item counts as int64s.
-func counts[T any](data [][]T) []int64 {
-	out := make([]int64, len(data))
-	for i := range data {
-		out[i] = int64(len(data[i]))
-	}
-	return out
-}
-
-// endpointNeeds returns each machine's deduplicated endpoint key list,
-// sorted. Dedup goes through sort + compact rather than a hash set: the
-// loop runs once per peeling iteration over every live edge, and the sort
-// is the radix kernel under the fast kernel set.
-func endpointNeeds(edges [][]graph.Edge) [][]int64 {
-	needs := make([][]int64, len(edges))
-	for i := range edges {
-		if len(edges[i]) == 0 {
-			continue
-		}
-		vs := make([]int64, 0, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			vs = append(vs, int64(e.U), int64(e.V))
-		}
-		prims.SortInts(vs)
-		needs[i] = slices.Compact(vs)
-	}
-	return needs
-}
-
-// rootsToKVs converts per-machine root maps into sorted KV slices for
-// SegmentedBroadcast's distributed-values input.
-func rootsToKVs[V any](c *mpc.Cluster, roots []map[int64]V) [][]prims.KV[V] {
-	out := make([][]prims.KV[V], c.K())
-	for i := range roots {
-		out[i] = make([]prims.KV[V], 0, len(roots[i]))
-		for key, v := range roots[i] {
-			out[i] = append(out[i], prims.KV[V]{K: key, V: v})
-		}
-		prims.SortKVsByKey(out[i])
-	}
-	return out
 }
 
 // MaximalMatching is the sublinear-regime baseline: peel to full maximality
