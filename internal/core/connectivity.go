@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hetmpc/internal/graph"
@@ -84,35 +85,30 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	// shipping the summed sketches to the large machine).
 	ssp := c.Span("sketch")
 	items := make([][]prims.KV[*sketch.Sketch], kk)
+	endpoints := prims.EndpointNeeds(edges)
 	if err := c.ForSmall(func(i int) error {
-		arenas := make([]*sketch.Arena, phases)
-		for t := range arenas {
-			arenas[t] = families[t].NewArena(universe)
+		// One sketch per (phase, distinct endpoint), in key order: the
+		// endpoint count d sizes the machine's arena and item list exactly,
+		// and an endpoint's rank among the sorted endpoints locates its
+		// sketch in every phase.
+		vs := endpoints[i]
+		d := len(vs)
+		if d == 0 {
+			return nil
 		}
-		partial := make(map[int64]*sketch.Sketch)
-		sketchFor := func(t int, v int) *sketch.Sketch {
-			key := int64(t)*int64(n) + int64(v)
-			s, ok := partial[key]
-			if !ok {
-				s = arenas[t].NewSketch()
-				partial[key] = s
+		ar := families[0].NewArena(universe, d*phases)
+		items[i] = make([]prims.KV[*sketch.Sketch], 0, d*phases)
+		for t := 0; t < phases; t++ {
+			for _, v := range vs {
+				items[i] = append(items[i], prims.KV[*sketch.Sketch]{K: int64(t)*int64(n) + v, V: ar.NewSketch(families[t])})
 			}
-			return s
 		}
 		for _, e := range edges[i] {
+			ju, _ := slices.BinarySearch(vs, int64(e.U))
+			jv, _ := slices.BinarySearch(vs, int64(e.V))
 			for t := 0; t < phases; t++ {
-				su := sketchFor(t, e.U)
-				sv := sketchFor(t, e.V)
-				updaters[t].AddEdgeBoth(su, sv, e)
+				updaters[t].AddEdgeBoth(items[i][t*d+ju].V, items[i][t*d+jv].V, e)
 			}
-		}
-		keys := make([]int64, 0, len(partial))
-		for key := range partial {
-			keys = append(keys, key)
-		}
-		prims.SortInts(keys)
-		for _, key := range keys {
-			items[i] = append(items[i], prims.KV[*sketch.Sketch]{K: key, V: partial[key]})
 		}
 		return nil
 	}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"hetmpc/internal/fault"
+	"hetmpc/internal/metrics"
 	"hetmpc/internal/trace"
 )
 
@@ -46,6 +47,12 @@ type faultState struct {
 	cks   []fault.Checkpointer // per small machine; nil = not registered
 	buddy []int                // capacity-aware buddy of each small machine
 
+	// counters holds each machine's snapshot/restore counter handles on a
+	// metered cluster, resolved on the machine's first registration — so
+	// the registry gains the series when, and in the order, it always did
+	// — and reused by every later one.
+	counters []faultCounters
+
 	replicaWords []int // words of each machine's last checkpoint snapshot
 	lastCkpt     []int // round of each machine's last checkpoint (0 = none)
 	downUntil    []int // last round of each machine's restart downtime
@@ -53,6 +60,12 @@ type faultState struct {
 	moved   []float64 // scratch: words moved per machine in a ckpt barrier
 	crashed []bool    // scratch: crash set of the current barrier
 	restart []int     // scratch: per-victim downtime of the current barrier
+}
+
+// faultCounters is one machine's fault instruments (see SetCheckpointer);
+// the zero value is "not resolved yet".
+type faultCounters struct {
+	snapshots, snapshotWords, restores *metrics.Counter
 }
 
 // applyFaults validates the plan and builds the engine state. Inactive
@@ -69,6 +82,7 @@ func (c *Cluster) applyFaults(p *fault.Plan) error {
 		plan:         p,
 		cks:          make([]fault.Checkpointer, c.k),
 		buddy:        buddyMap(c.smallCaps),
+		counters:     make([]faultCounters, c.k),
 		replicaWords: make([]int, c.k),
 		lastCkpt:     make([]int, c.k),
 		downUntil:    make([]int, c.k),
@@ -141,11 +155,14 @@ func (c *Cluster) SetCheckpointer(i int, ck fault.Checkpointer) {
 		// A metered cluster counts the recovery engine's snapshot/restore
 		// round trips per machine. Wrapping is transparent: the engine sees
 		// the same Snapshot/Restore results, so the run is bit-identical.
-		name := trace.MachineName(i)
-		ck = fault.Instrument(ck,
-			reg.Counter("fault_snapshots_total", "machine", name),
-			reg.Counter("fault_snapshot_words_total", "machine", name),
-			reg.Counter("fault_restores_total", "machine", name))
+		fc := &c.ft.counters[i]
+		if fc.snapshots == nil {
+			name := trace.MachineName(i)
+			fc.snapshots = reg.Counter("fault_snapshots_total", "machine", name)
+			fc.snapshotWords = reg.Counter("fault_snapshot_words_total", "machine", name)
+			fc.restores = reg.Counter("fault_restores_total", "machine", name)
+		}
+		ck = fault.Instrument(ck, fc.snapshots, fc.snapshotWords, fc.restores)
 	}
 	c.ft.cks[i] = ck
 }

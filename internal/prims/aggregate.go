@@ -68,6 +68,9 @@ func AggregateByKey[V any](
 ) (roots []map[int64]V, atLarge map[int64]V, err error) {
 	defer c.Span("aggregate").End()
 	k := c.K()
+	if err := checkBuckets(c, "AggregateByKey", items); err != nil {
+		return nil, nil, err
+	}
 	if len(items) < k {
 		ni := make([][]KV[V], k)
 		copy(ni, items)
@@ -99,7 +102,9 @@ func AggregateByKey[V any](
 	// The combined runs are the machines' recoverable state through the
 	// tree-combine rounds below (Sort registered the pre-combine buckets;
 	// re-register so checkpoints see the shrunken volume).
-	RegisterState(c, sorted, vwords+1)
+	if err := RegisterState(c, sorted, vwords+1); err != nil {
+		return nil, nil, err
+	}
 
 	// Boundary reports → spanning runs.
 	spans, err := reportBounds(c, func(i int) boundsReport {
@@ -145,6 +150,10 @@ func AggregateByKey[V any](
 	for d := depth; d >= 1; d-- {
 		outs := make([][]mpc.Msg, k)
 		if err := c.ForSmall(func(i int) error {
+			// A machine sends at most one message per span it is in: that
+			// sizes its out-list and its payload slab, taken on the first
+			// send.
+			var slab []upMsg
 			for _, si := range instr[i] {
 				p := i - si.A
 				size := si.B - si.A + 1
@@ -155,8 +164,13 @@ func AggregateByKey[V any](
 				if !ok {
 					continue // empty bridge machine: nothing to contribute
 				}
+				if slab == nil {
+					slab = make([]upMsg, 0, len(instr[i]))
+					outs[i] = make([]mpc.Msg, 0, len(instr[i]))
+				}
+				slab = append(slab, upMsg{Key: si.Key, Val: v})
 				parent := si.A + posParent(p, b)
-				outs[i] = append(outs[i], mpc.Msg{To: parent, Words: vwords + 1, Data: upMsg{Key: si.Key, Val: v}})
+				outs[i] = append(outs[i], mpc.Msg{To: parent, Words: vwords + 1, Data: &slab[len(slab)-1]})
 				delete(local[i], si.Key)
 			}
 			return nil
@@ -169,8 +183,8 @@ func AggregateByKey[V any](
 		}
 		if err := c.ForSmall(func(i int) error {
 			for _, m := range ins[i] {
-				um, ok := m.Data.(upMsg)
-				if !ok {
+				um, ok := m.Data.(*upMsg)
+				if !ok || um == nil {
 					return fmt.Errorf("prims: unexpected aggregate payload %T", m.Data)
 				}
 				if cur, ok := local[i][um.Key]; ok {

@@ -37,12 +37,18 @@ func (b bucketCheckpointer[T]) Restore(data any) { b.data[b.i] = data.([]T) }
 // recoverable state, sized at itemWords words per item. Primitives call it
 // whenever the live per-machine state changes hands; algorithms with
 // additional scratch can layer their own fault.Checkpointer via
-// mpc.Cluster.SetCheckpointer. A no-op without an active fault plan.
-func RegisterState[T any](c *mpc.Cluster, data [][]T, itemWords int) {
+// mpc.Cluster.SetCheckpointer. Registers nothing without an active fault
+// plan; a non-empty bucket at index ≥ K is refused either way
+// (checkBuckets).
+func RegisterState[T any](c *mpc.Cluster, data [][]T, itemWords int) error {
+	if err := checkBuckets(c, "RegisterState", data); err != nil {
+		return err
+	}
 	if !c.FaultsActive() {
-		return
+		return nil
 	}
 	for i := 0; i < c.K() && i < len(data); i++ {
 		c.SetCheckpointer(i, bucketCheckpointer[T]{data: data, i: i, itemWords: itemWords})
 	}
+	return nil
 }

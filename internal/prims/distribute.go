@@ -58,7 +58,9 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 		for j, e := range g.Edges {
 			out[j%k] = append(out[j%k], e) // always within the carved cap
 		}
-		RegisterState(c, out, EdgeWords)
+		if err := RegisterState(c, out, EdgeWords); err != nil {
+			return nil, err
+		}
 		return out, nil
 	}
 	shares := make([]float64, k)
@@ -82,7 +84,9 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	for i, o := range owner {
 		out[o] = append(out[o], g.Edges[i])
 	}
-	RegisterState(c, out, EdgeWords)
+	if err := RegisterState(c, out, EdgeWords); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -372,19 +372,19 @@ func applyPerm[T any](items []T, kb []keyed) {
 	}
 }
 
-// scatterSortedByKey routes locally-sorted items into nb splitter buckets.
-// Because the items are sorted by the same key order the splitters are
-// drawn from, every bucket is a contiguous run, so the kernel does no
-// per-item work at all: it binary-searches each splitter's boundary
-// (nb·log L comparisons instead of per-item routing's L·log nb) and
-// returns capacity-clamped subslices of the input — a single allocation
-// for the bucket headers, pinned by TestScatterConstantAllocs. Buckets
-// that receive nothing stay nil, matching per-item append routing. The
-// sorted precondition is the caller's (Sort routes the output of its
-// local-sort step); equivalence against per-item sort.Search routing is
-// pinned by TestScatterKernelMatchesSearch.
-func scatterSortedByKey[T any](items []T, sp []SortKey, nb int, key func(T) SortKey) [][]T {
-	out := make([][]T, nb)
+// walkBuckets routes locally-sorted items into nb splitter buckets in
+// place. Because the items are sorted by the same key order the splitters
+// are drawn from, every bucket is a contiguous run, so the walk does no
+// per-item work and builds nothing: it binary-searches each splitter's
+// boundary (nb·log L comparisons instead of per-item routing's L·log nb,
+// and none once the items run out) and hands emit each non-empty bucket's
+// index and run, in bucket order. A run is a capacity-clamped subslice of
+// the input, so appending to one cannot clobber its neighbor. Zero
+// allocations, pinned by TestScatterConstantAllocs. The sorted precondition
+// is the caller's (Sort routes the output of its local-sort step);
+// equivalence against per-item sort.Search routing is pinned by
+// TestScatterKernelMatchesSearch.
+func walkBuckets[T any](items []T, sp []SortKey, nb int, key func(T) SortKey, emit func(j int, run []T)) {
 	lo := 0
 	for j := 0; j < nb && lo < len(items); j++ {
 		hi := len(items)
@@ -403,9 +403,8 @@ func scatterSortedByKey[T any](items []T, sp []SortKey, nb int, key func(T) Sort
 			hi = l
 		}
 		if hi > lo {
-			out[j] = items[lo:hi:hi] // cap-clamped: appends can't clobber the neighbor run
+			emit(j, items[lo:hi:hi])
 		}
 		lo = hi
 	}
-	return out
 }

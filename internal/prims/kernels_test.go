@@ -54,11 +54,27 @@ func TestSortKernelMatchesStable(t *testing.T) {
 	}
 }
 
-// TestScatterKernelMatchesSearch pins the bucket-routing kernel against the
+// walkedBuckets collects walkBuckets' emitted runs by bucket index; it fails
+// the test if the walk emits an empty run, a bucket out of order or one
+// twice.
+func walkedBuckets(t *testing.T, items []kitem, sp []SortKey, nb int) [][]kitem {
+	t.Helper()
+	got := make([][]kitem, nb)
+	last := -1
+	walkBuckets(items, sp, nb, func(it kitem) SortKey { return it.key }, func(j int, run []kitem) {
+		if len(run) == 0 || j <= last {
+			t.Fatalf("walk emitted bucket %d (len %d) after bucket %d", j, len(run), last)
+		}
+		got[j], last = run, j
+	})
+	return got
+}
+
+// TestScatterKernelMatchesSearch pins the in-place bucket walk against the
 // reference sort.Search + append loop on locally-sorted input (Sort's
 // precondition for the fast path), including the empty-bucket convention
-// (untouched buckets are nil in both) and duplicate splitters (forced
-// empty middle buckets).
+// (a bucket that receives nothing is never emitted, nil in the reference)
+// and duplicate splitters (forced empty middle buckets).
 func TestScatterKernelMatchesSearch(t *testing.T) {
 	rng := xrand.New(11)
 	key := func(it kitem) SortKey { return it.key }
@@ -78,23 +94,20 @@ func TestScatterKernelMatchesSearch(t *testing.T) {
 				j := sort.Search(len(sp), func(x int) bool { return kk.Less(sp[x]) })
 				want[j] = append(want[j], it)
 			}
-			got := scatterSortedByKey(items, sp, nb, key)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d nb=%d: %d buckets, want %d", n, nb, len(got), len(want))
-			}
+			got := walkedBuckets(t, items, sp, nb)
 			for b := range want {
 				if (got[b] == nil) != (want[b] == nil) || !reflect.DeepEqual(got[b], want[b]) {
-					t.Fatalf("n=%d nb=%d bucket %d: scatterSortedByKey diverges from sort.Search routing", n, nb, b)
+					t.Fatalf("n=%d nb=%d bucket %d: walkBuckets diverges from sort.Search routing", n, nb, b)
 				}
 			}
 		}
 	}
 }
 
-// TestScatterConstantAllocs pins the scatter kernel's allocation count: one
-// allocation (the bucket headers) regardless of item count — the buckets
-// are subslices of the sorted input, versus per-item routing's per-bucket
-// append doublings.
+// TestScatterConstantAllocs pins the bucket walk's allocation count: none,
+// regardless of item count — the runs are subslices of the sorted input
+// handed to the caller one at a time, versus per-item routing's per-bucket
+// append doublings and a bucket-header array per call.
 func TestScatterConstantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -108,14 +121,16 @@ func TestScatterConstantAllocs(t *testing.T) {
 	alloc := func(n int) float64 {
 		items := fuzzedItems(rng, n, 256)
 		slices.SortStableFunc(items, func(a, b kitem) int { return a.key.Compare(b.key) })
-		return testing.AllocsPerRun(20, func() { scatterSortedByKey(items, sp, 32, key) })
+		return testing.AllocsPerRun(20, func() {
+			routed := 0
+			walkBuckets(items, sp, 32, key, func(_ int, run []kitem) { routed += len(run) })
+			if routed != n {
+				t.Fatalf("walk routed %d of %d items", routed, n)
+			}
+		})
 	}
-	small, large := alloc(64), alloc(16384)
-	if small != large {
-		t.Errorf("scatter allocations scale with input: %v at n=64, %v at n=16384", small, large)
-	}
-	if large > 1 {
-		t.Errorf("scatter performs %v allocations per call, want 1 (bucket headers)", large)
+	if small, large := alloc(64), alloc(16384); small != 0 || large != 0 {
+		t.Errorf("bucket walk allocates %v per call at n=64, %v at n=16384, want 0", small, large)
 	}
 }
 
@@ -125,7 +140,7 @@ func TestScatterConstantAllocs(t *testing.T) {
 func TestScatterViewsAreCapClamped(t *testing.T) {
 	items := []kitem{{key: SortKey{A: 0}}, {key: SortKey{A: 10}, tag: 42}}
 	sp := []SortKey{{A: 5}}
-	got := scatterSortedByKey(items, sp, 2, func(it kitem) SortKey { return it.key })
+	got := walkedBuckets(t, items, sp, 2)
 	_ = append(got[0], kitem{tag: -1}) // must not clobber got[1][0]
 	if got[1][0].tag != 42 {
 		t.Fatalf("append past bucket 0 clobbered bucket 1: tag = %d", got[1][0].tag)

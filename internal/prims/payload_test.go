@@ -1,0 +1,265 @@
+package prims
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"strings"
+	"testing"
+
+	"hetmpc/internal/fault"
+	"hetmpc/internal/metrics"
+	"hetmpc/internal/mpc"
+	"hetmpc/internal/xrand"
+)
+
+// TestBucketBeyondKRefused: every entry point that takes one bucket per
+// machine accepts inputs shorter than K and empty tails past K, and refuses
+// a non-empty bucket at index ≥ K with mpc.ErrUnknownSender naming the
+// index — never the silent drop it used to be.
+func TestBucketBeyondKRefused(t *testing.T) {
+	key := func(v int64) SortKey { return SortKey{A: v} }
+	add := func(a, b int64) int64 { return a + b }
+	entries := []struct {
+		name string
+		call func(c *mpc.Cluster, ints [][]int64, kvs [][]KV[int64]) error
+	}{
+		{"Sort", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
+			_, err := Sort(c, ints, 1, key)
+			return err
+		}},
+		{"AggregateByKey", func(c *mpc.Cluster, _ [][]int64, kvs [][]KV[int64]) error {
+			_, _, err := AggregateByKey(c, kvs, 1, add, false)
+			return err
+		}},
+		{"GatherToLarge", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
+			_, err := GatherToLarge(c, ints, 1)
+			return err
+		}},
+		{"SegmentedBroadcast needs", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
+			_, err := SegmentedBroadcast[int64](c, ints, nil, nil, 1)
+			return err
+		}},
+		{"SegmentedBroadcast smallValues", func(c *mpc.Cluster, _ [][]int64, kvs [][]KV[int64]) error {
+			_, err := SegmentedBroadcast(c, nil, kvs, nil, 1)
+			return err
+		}},
+		{"RegisterState", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
+			return RegisterState(c, ints, 1)
+		}},
+	}
+	for _, e := range entries {
+		c := newCluster(t, 256, 1024, false)
+		k := c.K()
+		for _, shape := range []struct {
+			name   string
+			length int
+			stray  int // index of the one bucket filled past K, -1 for none
+		}{{"short", k / 2, -1}, {"empty tail", k + 3, -1}, {"stray bucket", k + 3, k + 1}} {
+			ints := make([][]int64, shape.length)
+			kvs := make([][]KV[int64], shape.length)
+			for i := 0; i < min(k, shape.length); i++ {
+				ints[i] = []int64{int64(i), int64(i + 1)}
+				kvs[i] = []KV[int64]{{K: int64(i), V: 1}}
+			}
+			if shape.stray >= 0 {
+				ints[shape.stray] = []int64{99}
+				kvs[shape.stray] = []KV[int64]{{K: 99, V: 1}}
+			}
+			err := e.call(c, ints, kvs)
+			switch {
+			case shape.stray < 0 && err != nil:
+				t.Errorf("%s, %s input: %v", e.name, shape.name, err)
+			case shape.stray >= 0 && !errors.Is(err, mpc.ErrUnknownSender):
+				t.Errorf("%s, %s: err = %v, want ErrUnknownSender", e.name, shape.name, err)
+			case shape.stray >= 0 && !strings.Contains(err.Error(), fmt.Sprintf("bucket %d ", shape.stray)):
+				t.Errorf("%s, %s: error %q does not name bucket %d", e.name, shape.name, err, shape.stray)
+			}
+		}
+	}
+}
+
+// TestPayloadAssertionsFailTyped: struct payloads cross as pointers into
+// the sender's slab, and the receive side of each still fails typed, never
+// panics, on anything else — the by-value struct (what the payload used to
+// be), a pointer to another instantiation, a nil pointer, a foreign value —
+// wherever in the inbox it sits.
+func TestPayloadAssertionsFailTyped(t *testing.T) {
+	good := mpc.Msg{Data: &chunk[int64]{Items: []int64{1, 2}}}
+	for _, bad := range []any{
+		chunk[int64]{Items: []int64{3}},
+		&chunk[int32]{Items: []int32{3}},
+		(*chunk[int64])(nil),
+		"foreign",
+		nil,
+	} {
+		for _, inbox := range [][]mpc.Msg{{{Data: bad}}, {good, {Data: bad}}, {{Data: bad}, good}} {
+			got, err := appendChunks([]int64{7}, inbox)
+			if err == nil || !strings.HasPrefix(err.Error(), "prims: unexpected chunk payload") || got != nil {
+				t.Errorf("appendChunks with a %T payload: items %v, err %v", bad, got, err)
+			}
+		}
+	}
+	if got, err := appendChunks([]int64{7}, []mpc.Msg{good, good}); err != nil || len(got) != 5 {
+		t.Fatalf("appendChunks of two good chunks: %v, %v", got, err)
+	}
+
+	coordinator := []struct {
+		name    string
+		good    any
+		bad     []any
+		collect func(inbox []mpc.Msg) error
+	}{
+		{"sample", &sample{Keys: []SortKey{{A: 1}}, Count: 4},
+			[]any{sample{Count: 4}, (*sample)(nil), &boundsReport{}, int64(4)},
+			func(inbox []mpc.Msg) error { _, _, err := collectSamples(inbox); return err }},
+		{"bounds", &boundsReport{First: 1, Last: 2, NonEmpty: true},
+			[]any{boundsReport{}, (*boundsReport)(nil), &span{}, int64(4)},
+			func(inbox []mpc.Msg) error { _, err := collectBounds(inbox, 2); return err }},
+		{"span", &span{Key: 1, A: 0, B: 1},
+			[]any{span{}, (*span)(nil), &sample{}, int64(4)},
+			func(inbox []mpc.Msg) error { _, err := collectSpans([][]mpc.Msg{nil, inbox}); return err }},
+	}
+	for _, tc := range coordinator {
+		if err := tc.collect([]mpc.Msg{{From: 0, Data: tc.good}, {From: 1, Data: tc.good}}); err != nil {
+			t.Fatalf("%s: good inbox refused: %v", tc.name, err)
+		}
+		for _, bad := range tc.bad {
+			err := tc.collect([]mpc.Msg{{From: 0, Data: tc.good}, {From: 1, Data: bad}})
+			if err == nil || !strings.HasPrefix(err.Error(), "prims: unexpected "+tc.name+" payload") {
+				t.Errorf("%s with a %T payload: err %v", tc.name, bad, err)
+			}
+		}
+	}
+}
+
+// sortInput deals per items to each of k machines from one random stream.
+func sortInput(rng *rand.Rand, k, per int) [][]int64 {
+	data := make([][]int64, k)
+	for i := range data {
+		data[i] = make([]int64, per)
+		for j := range data[i] {
+			data[i][j] = rng.Int64N(1 << 40)
+		}
+	}
+	return data
+}
+
+// TestSortRouteAllocLinearInK pins what the in-place bucket walk buys: the
+// bytes one Sort allocates grow with K, not K² — a K-entry bucket-header
+// array on each of K machines made K=64 → K=256 at the same items per
+// machine cost 16× in the route step; linear is 4×. Few items per machine,
+// so the per-machine fixed costs are what is measured.
+func TestSortRouteAllocLinearInK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are nondeterministic under the race detector")
+	}
+	key := func(v int64) SortKey { return SortKey{A: v} }
+	alloc := func(k int) uint64 {
+		c, err := mpc.New(mpc.Config{N: 4096, M: 1 << 16, K: k, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := sortInput(xrand.New(5), k, 4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Sort(c, data, 1, key)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(256) // warm the sort kernels' pools
+	lo, hi := alloc(64), alloc(256)
+	t.Logf("Sort allocates %d B at K=64, %d B at K=256", lo, hi)
+	if ratio := float64(hi) / float64(lo); ratio > 6 {
+		t.Errorf("Sort allocates %d B at K=64, %d B at K=256 (ratio %.1f, linear is 4): the route step scales with K²", lo, hi, ratio)
+	}
+}
+
+// TestCollectiveAllocsPerMachine pins the payload-slab rule: a collective
+// allocates per machine, not per message or item, so at a fixed K its
+// allocation count barely moves when every machine holds — and requests —
+// eight times as much.
+func TestCollectiveAllocsPerMachine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under the race detector")
+	}
+	key := func(v int64) SortKey { return SortKey{A: v} }
+	c := newCluster(t, 1024, 8192, false)
+	k := c.K()
+	check := func(name string, run func(per int)) {
+		t.Helper()
+		allocs := func(per int) float64 {
+			run(per) // warm the sort kernels' pools at this size
+			return testing.AllocsPerRun(5, func() { run(per) })
+		}
+		lo, hi := allocs(16), allocs(128)
+		t.Logf("%s over K=%d: %.0f allocations at 16 items per machine, %.0f at 128", name, k, lo, hi)
+		if hi > 1.25*lo || lo > 1.25*hi {
+			t.Errorf("%s allocates %.0f times at 16 items per machine, %.0f at 128: allocation follows the messages", name, lo, hi)
+		}
+	}
+	inputs := map[int][][]int64{16: sortInput(xrand.New(5), k, 16), 128: sortInput(xrand.New(5), k, 128)}
+	check("Sort", func(per int) {
+		// Sort reorders its input buckets in place; the multiset is the same
+		// every run.
+		if _, err := Sort(c, inputs[per], 1, key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("GatherToLarge", func(per int) {
+		if _, err := GatherToLarge(c, inputs[per], 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("ScatterFromLarge", func(per int) {
+		if _, err := ScatterFromLarge(c, inputs[per], 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Machine i holds the values of keys i·per … i·per+per−1 and needs the
+	// keys of its successor.
+	values, needs := map[int][][]KV[int64]{}, map[int][][]int64{}
+	for _, per := range []int{16, 128} {
+		values[per], needs[per] = make([][]KV[int64], k), make([][]int64, k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < per; j++ {
+				values[per][i] = append(values[per][i], KV[int64]{K: int64(i*per + j), V: int64(j)})
+				needs[per][i] = append(needs[per][i], int64((i+1)%k*per+j))
+			}
+		}
+	}
+	check("SegmentedBroadcast", func(per int) {
+		got, err := SegmentedBroadcast(c, needs[per], values[per], nil, 1)
+		if err != nil || len(got[0]) != per {
+			t.Fatalf("SegmentedBroadcast: %d of %d answers, err %v", len(got[0]), per, err)
+		}
+	})
+}
+
+// TestSetCheckpointerSteadyStateAllocs pins the kept fault counter handles:
+// once a metered, fault-planned cluster has registered every machine's
+// state, registering it again costs two allocations per machine — the
+// checkpointer and its counting wrapper — and no counter lookups by name.
+func TestSetCheckpointerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under the race detector")
+	}
+	c, err := mpc.New(mpc.Config{N: 256, M: 2048, Seed: 42, Faults: &fault.Plan{Interval: 4}, Metrics: metrics.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sortInput(xrand.New(5), c.K(), 4)
+	register := func() {
+		if err := RegisterState(c, data, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register()
+	if got, limit := testing.AllocsPerRun(20, register), float64(2*c.K()); got > limit {
+		t.Errorf("a repeat RegisterState allocates %v times over %d machines, want at most 2 per machine", got, c.K())
+	}
+}

@@ -23,6 +23,10 @@
 // gather, scatter and sort routing (chunk, chunkMsg, appendChunks), and the
 // heap arithmetic of the range trees (a position's children are the range
 // b·p+1 … b·p+b, walked in place).
+//
+// A collective allocates per machine, never per message: struct payloads
+// travel as pointers into one slab per sender per round, wire-native scalars
+// and slices by value (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (
@@ -68,6 +72,33 @@ func toCoordinator(c *mpc.Cluster, outs [][]mpc.Msg) ([]mpc.Msg, error) {
 		return inLarge, nil
 	}
 	return ins[0], nil
+}
+
+// perMachineOuts returns K one-message out-lists carved from one flat array
+// — the shape of every round in which each machine sends one message. The
+// caller fills outs[i][0], or clears outs[i] for a machine that stays
+// silent.
+func perMachineOuts(k int) [][]mpc.Msg {
+	flat := make([]mpc.Msg, k)
+	outs := make([][]mpc.Msg, k)
+	for i := range outs {
+		outs[i] = flat[i : i+1 : i+1]
+	}
+	return outs
+}
+
+// checkBuckets refuses per-machine input with a non-empty bucket at index
+// ≥ K — data for a machine the cluster does not have — with
+// mpc.ErrUnknownSender, as Exchange refuses such an out-list. Inputs shorter
+// than K and empty tails are legal.
+func checkBuckets[T any](c *mpc.Cluster, op string, data [][]T) error {
+	for i := c.K(); i < len(data); i++ {
+		if len(data[i]) > 0 {
+			return fmt.Errorf("prims: %s: %w: bucket %d holds %d items but the cluster has K=%d small machines",
+				op, mpc.ErrUnknownSender, i, len(data[i]), c.K())
+		}
+	}
+	return nil
 }
 
 // fromCoordinator runs one round in which the coordinator alone sends msgs
@@ -196,48 +227,79 @@ func chainSpans(bounds []boundsReport) []span {
 // (firstKey, lastKey) to the coordinator; the coordinator returns the chain
 // spans. firstLast(i) must return machine i's report.
 func reportBounds(c *mpc.Cluster, firstLast func(i int) boundsReport) ([]span, error) {
-	outs := make([][]mpc.Msg, c.K())
-	for i := 0; i < c.K(); i++ {
-		br := firstLast(i)
-		outs[i] = []mpc.Msg{{To: coordinator(c), Words: 3, Data: br}}
+	outs := perMachineOuts(c.K())
+	reports := make([]boundsReport, c.K())
+	for i := range outs {
+		reports[i] = firstLast(i)
+		outs[i][0] = mpc.Msg{To: coordinator(c), Words: 3, Data: &reports[i]}
 	}
 	inbox, err := toCoordinator(c, outs)
 	if err != nil {
 		return nil, err
 	}
-	bounds := make([]boundsReport, c.K())
-	for _, m := range inbox {
-		br, ok := m.Data.(boundsReport)
-		if !ok {
-			return nil, fmt.Errorf("prims: unexpected bounds payload %T", m.Data)
-		}
-		bounds[m.From] = br
+	bounds, err := collectBounds(inbox, c.K())
+	if err != nil {
+		return nil, err
 	}
 	return chainSpans(bounds), nil
+}
+
+// collectBounds is the coordinator's side of reportBounds: the inbox's
+// reports indexed by sender.
+func collectBounds(inbox []mpc.Msg, k int) ([]boundsReport, error) {
+	bounds := make([]boundsReport, k)
+	for _, m := range inbox {
+		br, ok := m.Data.(*boundsReport)
+		if !ok || br == nil {
+			return nil, fmt.Errorf("prims: unexpected bounds payload %T", m.Data)
+		}
+		bounds[m.From] = *br
+	}
+	return bounds, nil
 }
 
 // sendSpanInstructions has the coordinator tell every machine of every span
 // which (key, A, B) ranges it belongs to. One machine can be in at most two
 // spans. Costs one round.
 func sendSpanInstructions(c *mpc.Cluster, spans []span) ([][]span, error) {
-	out := make([]mpc.Msg, 0, len(spans)*2)
+	n := 0
 	for _, s := range spans {
-		for m := s.A; m <= s.B; m++ {
-			out = append(out, mpc.Msg{To: m, Words: 3, Data: s})
+		n += s.B - s.A + 1
+	}
+	out := make([]mpc.Msg, 0, n)
+	for si := range spans {
+		// The spans slice is the coordinator's payload slab.
+		for m := spans[si].A; m <= spans[si].B; m++ {
+			out = append(out, mpc.Msg{To: m, Words: 3, Data: &spans[si]})
 		}
 	}
 	ins, err := fromCoordinator(c, out)
 	if err != nil {
 		return nil, err
 	}
-	instr := make([][]span, c.K())
+	return collectSpans(ins)
+}
+
+// collectSpans is the machines' side of sendSpanInstructions: each inbox's
+// spans in delivery order, all carved from one array.
+func collectSpans(ins [][]mpc.Msg) ([][]span, error) {
+	n := 0
+	for _, inbox := range ins {
+		n += len(inbox)
+	}
+	instr := make([][]span, len(ins))
+	flat := make([]span, 0, n)
 	for i, inbox := range ins {
+		start := len(flat)
 		for _, m := range inbox {
-			si, ok := m.Data.(span)
-			if !ok {
+			sp, ok := m.Data.(*span)
+			if !ok || sp == nil {
 				return nil, fmt.Errorf("prims: unexpected span payload %T", m.Data)
 			}
-			instr[i] = append(instr[i], si)
+			flat = append(flat, *sp)
+		}
+		if len(flat) > start {
+			instr[i] = flat[start:len(flat):len(flat)]
 		}
 	}
 	return instr, nil
@@ -251,11 +313,14 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 	defer c.Span("broadcast").End()
 	k := c.K()
 	out := make([]V, k)
+	// A sender boxes the value once: every message it sends carries the
+	// same interface value.
+	var boxed any = val
 	direct := k*words <= coordCap(c)/2
 	if direct {
 		msgs := make([]mpc.Msg, 0, k)
 		for i := 0; i < k; i++ {
-			msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: val})
+			msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: boxed})
 		}
 		if !c.HasLarge() {
 			msgs = msgs[1:] // machine 0 keeps its own copy locally
@@ -270,7 +335,7 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 	}
 	// Tree broadcast rooted at machine 0.
 	if c.HasLarge() {
-		if _, _, err := c.Exchange(nil, []mpc.Msg{{To: 0, Words: words, Data: val}}); err != nil {
+		if _, _, err := c.Exchange(nil, []mpc.Msg{{To: 0, Words: words, Data: boxed}}); err != nil {
 			return nil, err
 		}
 	}
@@ -285,8 +350,14 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 			if !have[p] || posDepth(p, b) != d {
 				continue
 			}
-			for ch, hi := childRange(p, b, k); ch < hi; ch++ {
-				outs[p] = append(outs[p], mpc.Msg{To: ch, Words: words, Data: out[p]})
+			lo, hi := childRange(p, b, k)
+			if lo == hi {
+				continue
+			}
+			outs[p] = make([]mpc.Msg, 0, hi-lo)
+			var fwd any = out[p]
+			for ch := lo; ch < hi; ch++ {
+				outs[p] = append(outs[p], mpc.Msg{To: ch, Words: words, Data: fwd})
 			}
 		}
 		ins, _, err := c.Exchange(outs, nil)
@@ -308,29 +379,33 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 }
 
 // chunk is the payload of every bulk item transfer: gather, scatter and the
-// routing round of Sort.
+// routing round of Sort. It travels as a pointer into the sender's slab.
 type chunk[T any] struct{ Items []T }
 
-// chunkMsg wraps items as one message to machine `to`, accounted at
-// itemWords words per item.
-func chunkMsg[T any](to int, items []T, itemWords int) mpc.Msg {
-	return mpc.Msg{To: to, Words: len(items) * itemWords, Data: chunk[T]{Items: items}}
+// chunkMsg stores items in slot — an entry of the sender's chunk slab for
+// the round — and returns the message carrying it to machine `to`,
+// accounted at itemWords words per item.
+func chunkMsg[T any](slot *chunk[T], to int, items []T, itemWords int) mpc.Msg {
+	slot.Items = items
+	return mpc.Msg{To: to, Words: len(items) * itemWords, Data: slot}
 }
 
 // appendChunks appends the items of every chunk message in inbox to dst, in
-// delivery order, growing dst once.
+// delivery order, growing dst once: one checked pass sizes the append, so
+// a foreign payload anywhere in the inbox is an error before anything is
+// copied.
 func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
 	n := 0
 	for _, m := range inbox {
-		ch, ok := m.Data.(chunk[T])
-		if !ok {
+		ch, ok := m.Data.(*chunk[T])
+		if !ok || ch == nil {
 			return nil, fmt.Errorf("prims: unexpected chunk payload %T", m.Data)
 		}
 		n += len(ch.Items)
 	}
 	dst = slices.Grow(dst, n)
 	for _, m := range inbox {
-		dst = append(dst, m.Data.(chunk[T]).Items...)
+		dst = append(dst, m.Data.(*chunk[T]).Items...)
 	}
 	return dst, nil
 }
@@ -342,16 +417,18 @@ func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error
 	if !c.HasLarge() {
 		return nil, fmt.Errorf("prims: GatherToLarge: %w", mpc.ErrNeedsLarge)
 	}
+	if err := checkBuckets(c, "GatherToLarge", data); err != nil {
+		return nil, err
+	}
 	defer c.Span("gather").End()
-	outs := make([][]mpc.Msg, c.K())
-	for i := range data {
-		if i >= c.K() {
-			break
-		}
-		if len(data[i]) == 0 {
+	outs := perMachineOuts(c.K())
+	slab := make([]chunk[T], c.K())
+	for i := range outs {
+		if i >= len(data) || len(data[i]) == 0 {
+			outs[i] = nil
 			continue
 		}
-		outs[i] = []mpc.Msg{chunkMsg(mpc.Large, data[i], itemWords)}
+		outs[i][0] = chunkMsg(&slab[i], mpc.Large, data[i], itemWords)
 	}
 	_, inLarge, err := c.Exchange(outs, nil)
 	if err != nil {
@@ -366,13 +443,13 @@ func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error
 // identity — and, if broadcast is set, sends the result back to every
 // machine. An empty inbox yields 0.
 func reduce(c *mpc.Cluster, vals []int64, fold func(acc, v int64) int64, broadcast bool) (int64, error) {
-	outs := make([][]mpc.Msg, c.K())
+	outs := perMachineOuts(c.K())
 	for i := range outs {
 		var v int64
 		if i < len(vals) {
 			v = vals[i]
 		}
-		outs[i] = []mpc.Msg{{To: coordinator(c), Words: 1, Data: v}}
+		outs[i][0] = mpc.Msg{To: coordinator(c), Words: 1, Data: v}
 	}
 	inbox, err := toCoordinator(c, outs)
 	if err != nil {
@@ -431,11 +508,12 @@ func ScatterFromLarge[T any](c *mpc.Cluster, items [][]T, itemWords int) ([][]T,
 	}
 	defer c.Span("scatter").End()
 	out := make([]mpc.Msg, 0, len(items))
+	slab := make([]chunk[T], len(items))
 	for i := range items {
 		if len(items[i]) == 0 {
 			continue
 		}
-		out = append(out, chunkMsg(i, items[i], itemWords))
+		out = append(out, chunkMsg(&slab[i], i, items[i], itemWords))
 	}
 	ins, _, err := c.Exchange(nil, out)
 	if err != nil {

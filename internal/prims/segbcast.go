@@ -2,6 +2,7 @@ package prims
 
 import (
 	"fmt"
+	"slices"
 
 	"hetmpc/internal/mpc"
 )
@@ -28,6 +29,12 @@ func SegmentedBroadcast[V any](
 	largeValues []KV[V],
 	vwords int,
 ) ([]map[int64]V, error) {
+	if err := checkBuckets(c, "SegmentedBroadcast needs", needs); err != nil {
+		return nil, err
+	}
+	if err := checkBuckets(c, "SegmentedBroadcast smallValues", smallValues); err != nil {
+		return nil, err
+	}
 	defer c.Span("broadcast").End()
 	k := c.K()
 	type item struct {
@@ -62,8 +69,29 @@ func SegmentedBroadcast[V any](
 		injected = got
 	}
 
-	// Build combined item lists.
+	// Build combined item lists, carved from one array by their known
+	// lengths.
+	count := func(i int) int {
+		n := len(injected[i])
+		if i < len(smallValues) {
+			n += len(smallValues[i])
+		}
+		if i < len(needs) {
+			n += len(needs[i])
+		}
+		return n
+	}
+	total := 0
+	for i := 0; i < k; i++ {
+		total += count(i)
+	}
+	flat := make([]item, total)
 	items := make([][]item, k)
+	for i := range items {
+		n := count(i)
+		items[i] = flat[:0:n]
+		flat = flat[n:]
+	}
 	if err := c.ForSmall(func(i int) error {
 		var seq int32
 		add := func(it item) {
@@ -112,7 +140,13 @@ func SegmentedBroadcast[V any](
 	// Per machine: resolve values for fully local runs.
 	resolved := make([]map[int64]V, k)
 	if err := c.ForSmall(func(i int) error {
-		resolved[i] = make(map[int64]V)
+		nv := len(instr[i]) // a span's value may arrive from up the tree
+		for _, it := range sorted[i] {
+			if it.Rank == 0 {
+				nv++
+			}
+		}
+		resolved[i] = make(map[int64]V, nv)
 		for _, it := range sorted[i] {
 			if it.Rank != 0 {
 				continue
@@ -147,8 +181,16 @@ func SegmentedBroadcast[V any](
 				if !ok {
 					continue // no value for this key, or not yet received
 				}
-				for ch, hi := childRange(p, b, size); ch < hi; ch++ {
-					outs[i] = append(outs[i], mpc.Msg{To: si.A + ch, Words: vwords + 1, Data: downMsg{Key: si.Key, Val: v}})
+				lo, hi := childRange(p, b, size)
+				if lo == hi {
+					continue
+				}
+				// Every child gets the same (key, value): one payload per
+				// sender per span, shared by its messages.
+				dm := &downMsg{Key: si.Key, Val: v}
+				outs[i] = slices.Grow(outs[i], hi-lo)
+				for ch := lo; ch < hi; ch++ {
+					outs[i] = append(outs[i], mpc.Msg{To: si.A + ch, Words: vwords + 1, Data: dm})
 				}
 			}
 		}
@@ -158,8 +200,8 @@ func SegmentedBroadcast[V any](
 		}
 		for i, inbox := range ins {
 			for _, m := range inbox {
-				dm, ok := m.Data.(downMsg)
-				if !ok {
+				dm, ok := m.Data.(*downMsg)
+				if !ok || dm == nil {
 					return nil, fmt.Errorf("prims: unexpected dissemination payload %T", m.Data)
 				}
 				if _, exists := resolved[i][dm.Key]; !exists {
@@ -176,6 +218,19 @@ func SegmentedBroadcast[V any](
 	}
 	outs := make([][]mpc.Msg, k)
 	for i := 0; i < k; i++ {
+		// The request count bounds the answers, which sizes the machine's
+		// out-list and its answer slab.
+		nreq := 0
+		for _, it := range sorted[i] {
+			if it.Rank == 1 {
+				nreq++
+			}
+		}
+		if nreq == 0 {
+			continue
+		}
+		outs[i] = make([]mpc.Msg, 0, nreq)
+		slab := make([]answer, 0, nreq)
 		for _, it := range sorted[i] {
 			if it.Rank != 1 {
 				continue
@@ -184,7 +239,8 @@ func SegmentedBroadcast[V any](
 			if !ok {
 				continue
 			}
-			outs[i] = append(outs[i], mpc.Msg{To: int(it.Req), Words: vwords + 1, Data: answer{Key: it.Key, Val: v}})
+			slab = append(slab, answer{Key: it.Key, Val: v})
+			outs[i] = append(outs[i], mpc.Msg{To: int(it.Req), Words: vwords + 1, Data: &slab[len(slab)-1]})
 		}
 	}
 	ins, _, err := c.Exchange(outs, nil)
@@ -192,13 +248,11 @@ func SegmentedBroadcast[V any](
 		return nil, err
 	}
 	result := make([]map[int64]V, k)
-	for i := range result {
-		result[i] = make(map[int64]V)
-	}
 	for i, inbox := range ins {
+		result[i] = make(map[int64]V, len(inbox))
 		for _, m := range inbox {
-			a, ok := m.Data.(answer)
-			if !ok {
+			a, ok := m.Data.(*answer)
+			if !ok || a == nil {
 				return nil, fmt.Errorf("prims: unexpected answer payload %T", m.Data)
 			}
 			result[i][a.Key] = a.Val

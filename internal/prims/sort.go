@@ -54,6 +54,9 @@ const sortKeyWords = 3
 func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, error) {
 	defer c.Span("sort").End()
 	k := c.K()
+	if err := checkBuckets(c, "Sort", data); err != nil {
+		return nil, err
+	}
 	if len(data) < k {
 		nd := make([][]T, k)
 		copy(nd, data)
@@ -61,7 +64,9 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	}
 	// Under fault injection the input buckets are the machines' live state
 	// until the routed buckets replace them below.
-	RegisterState(c, data, itemWords)
+	if err := RegisterState(c, data, itemWords); err != nil {
+		return nil, err
+	}
 
 	// Step 1: local sort (parallel local computation, no rounds).
 	if err := c.ForSmall(func(i int) error {
@@ -78,15 +83,21 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	}
 
 	// Step 4: route every item to its bucket. Step 1's local sort makes the
-	// buckets contiguous runs, found by binary-searching each splitter
-	// boundary (kernels.go).
+	// buckets contiguous runs, found by walking the splitter boundaries in
+	// place (kernels.go); a machine sends at most min(K, items) chunks, which
+	// sizes its out-list and its chunk slab.
 	routeOuts := make([][]mpc.Msg, k)
 	if err := c.ForSmall(func(i int) error {
-		for j, b := range scatterSortedByKey(data[i], lists[i], k, key) {
-			if len(b) > 0 {
-				routeOuts[i] = append(routeOuts[i], chunkMsg(j, b, itemWords))
-			}
+		bound := min(k, len(data[i]))
+		if bound == 0 {
+			return nil
 		}
+		out := make([]mpc.Msg, 0, bound)
+		slab := make([]chunk[T], bound)
+		walkBuckets(data[i], lists[i], k, key, func(j int, run []T) {
+			out = append(out, chunkMsg(&slab[len(out)], j, run, itemWords))
+		})
+		routeOuts[i] = out
 		return nil
 	}); err != nil {
 		return nil, err
@@ -107,7 +118,9 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 		return nil, err
 	}
 	// The routed, locally sorted buckets are now the machines' state.
-	RegisterState(c, result, itemWords)
+	if err := RegisterState(c, result, itemWords); err != nil {
+		return nil, err
+	}
 	return result, nil
 }
 
@@ -126,22 +139,26 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 	if q > 64 {
 		q = 64
 	}
-	type sample struct {
-		Keys  []SortKey
-		Count int
+	// The round's samples are one slab and their keys one array, carved
+	// here (serially) so the parallel extraction only fills them in.
+	outs := perMachineOuts(k)
+	slab := make([]sample, k)
+	nkeys := 0
+	for i := range slab {
+		nkeys += min(q, len(data[i]))
 	}
-	outs := make([][]mpc.Msg, k)
+	keyBuf := make([]SortKey, nkeys)
+	for i := range slab {
+		take := min(q, len(data[i]))
+		slab[i] = sample{Keys: keyBuf[:take:take], Count: len(data[i])}
+		keyBuf = keyBuf[take:]
+	}
 	if err := c.ForSmall(func(i int) error {
-		n := len(data[i])
-		take := q
-		if take > n {
-			take = n
+		keys, n := slab[i].Keys, len(data[i])
+		for j := range keys {
+			keys[j] = key(data[i][j*n/len(keys)])
 		}
-		keys := make([]SortKey, 0, take)
-		for j := 0; j < take; j++ {
-			keys = append(keys, key(data[i][j*n/take]))
-		}
-		outs[i] = []mpc.Msg{{To: coordinator(c), Words: len(keys)*sortKeyWords + 1, Data: sample{Keys: keys, Count: n}}}
+		outs[i][0] = mpc.Msg{To: coordinator(c), Words: len(keys)*sortKeyWords + 1, Data: &slab[i]}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -152,27 +169,11 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 	}
 
 	// Step 3: coordinator picks splitters weighted by machine loads.
-	type weighted struct {
-		key    SortKey
-		weight float64
+	samples, total, err := collectSamples(inbox)
+	if err != nil {
+		return nil, err
 	}
-	var samples []weighted
-	total := 0
-	for _, m := range inbox {
-		s, ok := m.Data.(sample)
-		if !ok {
-			return nil, fmt.Errorf("prims: unexpected sample payload %T", m.Data)
-		}
-		total += s.Count
-		if len(s.Keys) == 0 {
-			continue
-		}
-		w := float64(s.Count) / float64(len(s.Keys))
-		for _, kk := range s.Keys {
-			samples = append(samples, weighted{key: kk, weight: w})
-		}
-	}
-	SortLocal(samples, func(s weighted) SortKey { return s.key })
+	SortLocal(samples, func(s weightedKey) SortKey { return s.key })
 	// Splitter targets are placement-weighted: bucket i should hold a
 	// PlaceShare(i)/Σ share of the items under the cluster's placement
 	// policy (DESIGN.md §8) — capacity shares under the default cap policy
@@ -202,6 +203,45 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 
 	// Broadcast the splitter list (3 words per splitter).
 	return BroadcastValue(c, splitters, len(splitters)*sortKeyWords+1)
+}
+
+// sample is one machine's evenly spaced key sample and item count.
+type sample struct {
+	Keys  []SortKey
+	Count int
+}
+
+// weightedKey is a sampled key standing for weight items of its machine.
+type weightedKey struct {
+	key    SortKey
+	weight float64
+}
+
+// collectSamples is the coordinator's side of the sample round: every
+// sampled key weighted by its machine's load, in delivery order, and the
+// total item count.
+func collectSamples(inbox []mpc.Msg) (samples []weightedKey, total int, err error) {
+	n := 0
+	for _, m := range inbox {
+		s, ok := m.Data.(*sample)
+		if !ok || s == nil {
+			return nil, 0, fmt.Errorf("prims: unexpected sample payload %T", m.Data)
+		}
+		n += len(s.Keys)
+	}
+	samples = make([]weightedKey, 0, n)
+	for _, m := range inbox {
+		s := m.Data.(*sample)
+		total += s.Count
+		if len(s.Keys) == 0 {
+			continue
+		}
+		w := float64(s.Count) / float64(len(s.Keys))
+		for _, kk := range s.Keys {
+			samples = append(samples, weightedKey{key: kk, weight: w})
+		}
+	}
+	return samples, total, nil
 }
 
 // IsGloballySorted verifies the Sort postcondition (used by tests).

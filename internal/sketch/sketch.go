@@ -147,24 +147,31 @@ type Arena struct {
 	levels   arena.Arena[oneSparse]
 }
 
-// NewArena returns an arena producing sketches of f over the universe.
-// Initial slabs are sized for a few dozen sketches — small clusters
-// shouldn't pay for slabs they never fill — and the arena's geometric
-// slab growth covers bulk producers in O(log) allocations.
-func (f *Family) NewArena(universe int64) *Arena {
+// NewArena returns an arena producing sketches of f over the universe,
+// sized for n of them: the first sketch drawn allocates one slab of
+// exactly n sketches and one of their n·levels level cells, and none is
+// drawn before that, so an arena nothing is taken from costs nothing. A
+// producer that outruns n falls back on the slab allocator's geometric
+// growth.
+func (f *Family) NewArena(universe int64, n int) *Arena {
 	a := &Arena{f: f, universe: universe}
-	const seed = 32 // sketches per initial slab
-	a.sketches = *arena.New[Sketch](seed)
-	a.levels = *arena.New[oneSparse](seed * f.levels)
+	a.sketches = *arena.New[Sketch](n)
+	a.levels = *arena.New[oneSparse](n * f.levels)
 	return a
 }
 
-// NewSketch returns a fresh empty sketch from the arena's current slab.
-func (a *Arena) NewSketch() *Sketch {
+// NewSketch returns a fresh empty sketch of family g from the arena's
+// current slab. g is the arena's own family or any other with its level
+// count: sketches of one shape share slabs whatever their randomness, so
+// one arena can serve every phase of an algorithm.
+func (a *Arena) NewSketch(g *Family) *Sketch {
+	if g.levels != a.f.levels {
+		panic("sketch: arena serves families of one level count") // programming error, not data error
+	}
 	s := &a.sketches.Alloc(1)[0]
-	s.familyID = a.f.id
+	s.familyID = g.id
 	s.universe = a.universe
-	s.levels = a.levels.Alloc(a.f.levels)
+	s.levels = a.levels.Alloc(g.levels)
 	return s
 }
 
