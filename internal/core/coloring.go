@@ -50,19 +50,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	kk := c.K()
 
 	// Δ via aggregation.
-	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
-		for _, e := range edges[i] {
-			degItems[i] = append(degItems[i],
-				prims.KV[int64]{K: int64(e.U), V: 1},
-				prims.KV[int64]{K: int64(e.V), V: 1})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, degAtLarge, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}

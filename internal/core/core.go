@@ -24,6 +24,7 @@ import (
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/prims"
 )
 
 // cEdge is an edge of the current contracted multigraph: (U, V) are
@@ -92,6 +93,29 @@ func distinctEndpoints(edges []cEdge) []int64 {
 	slices.Sort(out)
 	return out
 }
+
+// degreesAtLarge brings every non-isolated vertex's degree to the large
+// machine (Claim 2): two (endpoint, weight(e)) items per edge, summed per
+// vertex. unitWeight counts edges; mincut's weighted variant sums e.W.
+func degreesAtLarge(c *mpc.Cluster, edges [][]graph.Edge, weight func(graph.Edge) int64) (map[int64]int64, error) {
+	items := make([][]prims.KV[int64], c.K())
+	if err := c.ForSmall(func(i int) error {
+		items[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
+		for _, e := range edges[i] {
+			w := weight(e)
+			items[i] = append(items[i],
+				prims.KV[int64]{K: int64(e.U), V: w},
+				prims.KV[int64]{K: int64(e.V), V: w})
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	_, atLarge, err := prims.AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b }, true)
+	return atLarge, err
+}
+
+func unitWeight(graph.Edge) int64 { return 1 }
 
 // Stats is the per-run metrics snapshot attached to every algorithm result.
 type Stats struct {

@@ -50,20 +50,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	kk := c.K()
 
 	// Degrees and the low/high threshold.
-	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
-		degItems[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			degItems[i] = append(degItems[i],
-				prims.KV[int64]{K: int64(e.U), V: 1},
-				prims.KV[int64]{K: int64(e.V), V: 1})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, degAtLarge, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}

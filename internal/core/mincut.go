@@ -42,23 +42,10 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kk := c.K()
 	needs := prims.EndpointNeeds(edges)
 
 	// Singleton cuts: the vertex degrees.
-	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
-		for _, e := range edges[i] {
-			degItems[i] = append(degItems[i],
-				prims.KV[int64]{K: int64(e.U), V: 1},
-				prims.KV[int64]{K: int64(e.V), V: 1})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, degAtLarge, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -310,19 +297,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 	kk := c.K()
 
 	// Weighted degrees = singleton cut upper bound.
-	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
-		for _, e := range edges[i] {
-			degItems[i] = append(degItems[i],
-				prims.KV[int64]{K: int64(e.U), V: e.W},
-				prims.KV[int64]{K: int64(e.V), V: e.W})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, wdeg, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	wdeg, err := degreesAtLarge(c, edges, func(e graph.Edge) int64 { return e.W })
 	if err != nil {
 		return nil, err
 	}

@@ -48,19 +48,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	pr := func(v int) float64 { return prio.Eval01(uint64(v) + 1) }
 
 	// Δ via aggregation (needed for the prefix schedule).
-	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
-		for _, e := range edges[i] {
-			degItems[i] = append(degItems[i],
-				prims.KV[int64]{K: int64(e.U), V: 1},
-				prims.KV[int64]{K: int64(e.V), V: 1})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, degAtLarge, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +205,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domKVs := prims.RootsToKVs(c, domRoots)
-		gotDead, err := prims.SegmentedBroadcast(c, needs, domKVs, nil, 1)
+		gotDead, err := prims.SegmentedBroadcast(c, needs, domRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -381,14 +381,9 @@ func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 	}
 	out := make([][]cEdge, c.K())
 	if err := c.ForSmall(func(i int) error {
-		keys := make([]int64, 0, len(roots[i]))
-		for k := range roots[i] {
-			keys = append(keys, k)
-		}
-		prims.SortInts(keys)
-		out[i] = make([]cEdge, 0, len(keys))
-		for _, k := range keys {
-			out[i] = append(out[i], roots[i][k])
+		out[i] = make([]cEdge, 0, len(roots[i]))
+		for _, root := range roots[i] {
+			out[i] = append(out[i], root.V)
 		}
 		return nil
 	}); err != nil {

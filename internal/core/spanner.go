@@ -58,38 +58,10 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	rankHash := xrand.NewHash(seed, 4)
 
 	// Per-machine needs list (endpoints of stored edges), reused throughout.
-	needs := make([][]int64, kk)
-	if err := c.ForSmall(func(i int) error {
-		seen := make(map[int64]bool, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			for _, v := range [2]int{e.U, e.V} {
-				if !seen[int64(v)] {
-					seen[int64(v)] = true
-					needs[i] = append(needs[i], int64(v))
-				}
-			}
-		}
-		slices.Sort(needs[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	needs := prims.EndpointNeeds(edges)
 
 	// --- Step 1: degrees (Claim 2 + Claim 3) ---
-	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
-		degItems[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			degItems[i] = append(degItems[i],
-				prims.KV[int64]{K: int64(e.U), V: 1},
-				prims.KV[int64]{K: int64(e.V), V: 1})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	_, degAtLarge, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -375,14 +347,9 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err := c.ForSmall(func(i int) error {
 		perLvl[i] = make([][]clusterEdge, levels)
 		lvlCounts[i] = make([]int64, levels)
-		keys := make([]int64, 0, len(ceRoots[i]))
-		for key := range ceRoots[i] {
-			keys = append(keys, key)
-		}
-		prims.SortInts(keys)
-		for _, key := range keys {
-			lvl := int(key / n2)
-			perLvl[i][lvl] = append(perLvl[i][lvl], ceRoots[i][key])
+		for _, root := range ceRoots[i] {
+			lvl := int(root.K / n2)
+			perLvl[i][lvl] = append(perLvl[i][lvl], root.V)
 			lvlCounts[i][lvl]++
 		}
 		return nil
@@ -652,13 +619,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	remData := make([][]graph.Edge, kk)
 	if err := c.ForSmall(func(i int) error {
-		keys := make([]int64, 0, len(remRoots[i]))
-		for key := range remRoots[i] {
-			keys = append(keys, key)
-		}
-		prims.SortInts(keys)
-		for _, key := range keys {
-			remData[i] = append(remData[i], remRoots[i][key].Orig)
+		for _, root := range remRoots[i] {
+			remData[i] = append(remData[i], root.V.Orig)
 		}
 		return nil
 	}); err != nil {

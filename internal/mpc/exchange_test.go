@@ -88,6 +88,66 @@ func TestExchangeDeliveryOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery order %v, want %v", got, want)
 	}
+
+	// Interleaved: one sender alternates between two destinations, a second
+	// sender and the large machine add to the first. Each inbox must come out
+	// in sender-then-submission order although its messages are not adjacent
+	// in any out-list.
+	const a, b = 3, 6
+	outs = make([][]Msg, c.K())
+	for j := 0; j < 9; j++ {
+		to := a
+		if j%2 == 1 {
+			to = b
+		}
+		outs[1] = append(outs[1], Msg{To: to, Words: 1, Data: fmt.Sprintf("1.%d", j)})
+	}
+	outs[4] = []Msg{{To: a, Words: 1, Data: "4.0"}, {To: b, Words: 1, Data: "4.1"}, {To: a, Words: 1, Data: "4.2"}}
+	ins, _, err = c.Exchange(outs, []Msg{{To: a, Words: 1, Data: "L.0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dst, want := range map[int][]string{
+		a: {"L.0", "1.0", "1.2", "1.4", "1.6", "1.8", "4.0", "4.2"},
+		b: {"1.1", "1.3", "1.5", "1.7", "4.1"},
+	} {
+		got := make([]string, 0, len(ins[dst]))
+		for _, m := range ins[dst] {
+			got = append(got, m.Data.(string))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("interleaved: inbox %d = %v, want %v", dst, got, want)
+		}
+	}
+}
+
+// TestExchangeRefusesNegativeWords is the regression test for the cap
+// bypass: a negative size cancelled an oversized message out of the send and
+// receive totals, so the pair passed both caps (and the wire would have
+// framed the size as a uint32). The round must fail with ErrCapacity naming
+// the sender and the message, on the shared-memory path and over a link,
+// and must leave Stats untouched.
+func TestExchangeRefusesNegativeWords(t *testing.T) {
+	for _, name := range []string{"inproc", "pipe"} {
+		c := newTest(t, Config{N: 64, M: 256, Seed: 1, Transport: transports()[name]()})
+		defer c.Close()
+		big := 10 * c.SmallCap()
+		outs := make([][]Msg, c.K())
+		outs[0] = []Msg{{To: 1, Words: big}, {To: 1, Words: -big}}
+		ins, _, err := c.Exchange(outs, nil)
+		if !errors.Is(err, ErrCapacity) {
+			t.Fatalf("%s: err = %v, want ErrCapacity", name, err)
+		}
+		if !strings.Contains(err.Error(), "machine 0 message 1") {
+			t.Errorf("%s: error %q does not name sender 0, message 1", name, err)
+		}
+		if ins != nil {
+			t.Errorf("%s: a failed exchange must deliver nothing", name)
+		}
+		if st := c.Stats(); st.TotalWords != 0 || st.MaxSendWords != 0 || st.MaxRecvWords != 0 {
+			t.Errorf("%s: refused round was accounted: %+v", name, st)
+		}
+	}
 }
 
 // TestExchangeLargeRecvCap exercises the receive cap of the large machine

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"testing"
 
 	"hetmpc/internal/metrics"
@@ -47,26 +48,31 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 
 // BenchmarkExchangeNilMetrics / BenchmarkExchangeMetered measure the
 // per-round cost of the registry fold: the nil case is the engine baseline,
-// the metered case carries the bound-instrument updates.
-func benchmarkExchange(b *testing.B, reg *metrics.Registry) {
-	// One round per iteration: the budget must cover b.N, or the run dies
-	// with ErrRounds once b.N passes the default 100000.
-	c, err := New(Config{N: 64, M: 256, Seed: 1, Metrics: reg, MaxRounds: b.N})
-	if err != nil {
-		b.Fatal(err)
-	}
-	outs := make([][]Msg, c.K())
-	for i := 0; i < c.K(); i++ {
-		outs[i] = []Msg{{To: (i + 1) % c.K(), Words: 2, Data: i}}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Exchange(outs, nil); err != nil {
-			b.Fatal(err)
-		}
+// the metered case carries the bound-instrument updates. The K axis is the
+// Exchange rung of the scaling ladder: a ring round moves one message per
+// machine, so ns/op over K is the engine's per-machine constant.
+func benchmarkExchange(b *testing.B, newReg func() *metrics.Registry) {
+	for _, k := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			// One round per iteration: the budget must cover b.N, or the run
+			// dies with ErrRounds once b.N passes the default 100000.
+			c, err := New(Config{N: 64, M: 256, K: k, Seed: 1, Metrics: newReg(), MaxRounds: b.N})
+			if err != nil {
+				b.Fatal(err)
+			}
+			outs := ringRound(c, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Exchange(outs, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkExchangeNilMetrics(b *testing.B) { benchmarkExchange(b, nil) }
-func BenchmarkExchangeMetered(b *testing.B)    { benchmarkExchange(b, metrics.New()) }
+func BenchmarkExchangeNilMetrics(b *testing.B) {
+	benchmarkExchange(b, func() *metrics.Registry { return nil })
+}
+func BenchmarkExchangeMetered(b *testing.B) { benchmarkExchange(b, metrics.New) }

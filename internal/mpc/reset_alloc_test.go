@@ -5,8 +5,8 @@ import (
 )
 
 // TestResetStatsScratchMatchesFresh pins the ResetStats scratch contract:
-// a mid-run reset returns the traffic-proportional scratch (routing plans,
-// offset tables, decoder arenas), so a reset cluster re-warms and then
+// a mid-run reset returns the traffic-proportional scratch (sender list,
+// decoder arenas), so a reset cluster re-warms and then
 // allocates exactly what a fresh cluster does in steady state — no more (a
 // leaked pool would hide re-growth) and no less (a retained pool would mask
 // the release).
@@ -27,7 +27,7 @@ func TestResetStatsScratchMatchesFresh(t *testing.T) {
 	reset := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	steady(reset) // grow the scratch to its high-water mark
 	reset.ResetStats()
-	if reset.exch.plans != nil {
+	if reset.exch.senders != nil {
 		t.Fatal("ResetStats kept the routing scratch alive")
 	}
 	if got := steady(reset); got != want {
@@ -36,8 +36,8 @@ func TestResetStatsScratchMatchesFresh(t *testing.T) {
 }
 
 // TestResetStatsThenNewShapeDelivers drives two different routing shapes
-// around a reset: the recycled plans of the pre-reset shape must not leak
-// offsets into post-reset rounds.
+// around a reset: the recycled scratch of the pre-reset shape must not leak
+// counts or cursors into post-reset rounds.
 func TestResetStatsThenNewShapeDelivers(t *testing.T) {
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	k := c.K()
@@ -74,7 +74,7 @@ func TestResetStatsThenNewShapeDelivers(t *testing.T) {
 }
 
 // TestExchangeAlternatingShapesDeliver alternates two routing shapes over
-// the recycled plans and offset tables: every round must deliver exactly
+// the recycled counters and cursors: every round must deliver exactly
 // its own messages to their addressees.
 func TestExchangeAlternatingShapesDeliver(t *testing.T) {
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1})

@@ -16,8 +16,8 @@ import (
 // The delivered inbox is bit-identical to the shared-memory path because
 // both sides follow the same deterministic order: frames are encoded
 // serially sender-major (large machine first, then small senders ascending,
-// submission order within a sender) — exactly the order the layout phase
-// assigned inbox offsets in — and each destination's reader decodes its
+// submission order within a sender) — exactly the order the count pass
+// sized the inbox windows in — and each destination's reader decodes its
 // stream sequentially into flat[slotBase+0..n). No offsets cross the wire;
 // the stream order is the offset.
 //
@@ -114,14 +114,13 @@ func (wn *wireNet) fail(slot int, errs []error, err error) {
 	wn.links[slot].Close()
 }
 
-// deliverWire is the transport-backed phase 4 of Exchange: encode, write,
+// deliverWire is the transport-backed pass 2 of Exchange: encode, write,
 // read back, place. It returns the round's bytes on the wire. On failure
 // the first error in slot order is returned, wrapped in wire.ErrTransport
 // and naming the link; the net is left broken so later rounds fail fast.
 func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 	wn := c.wn
 	sc := c.exch
-	plans := sc.plans
 
 	// Encode, serially, in the deterministic delivery order. The refs
 	// tables must be complete before any reader goroutine starts.
@@ -134,13 +133,13 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 	if wn.mx != nil {
 		encStart = time.Now() //hetlint:nondet wall-clock encode metering feeds the wire metrics only; Stats and traces use model time
 	}
-	if err := wn.encodeRound(plans); err != nil {
+	if err := wn.encodeRound(sc.senders); err != nil {
 		return 0, err
 	}
 
 	if wn.mx != nil {
 		wn.mx.encodeNs.Add(time.Since(encStart).Nanoseconds()) //hetlint:nondet wall-clock encode metering feeds the wire metrics only
-		// Frames per destination link: exactly the messages the layout phase
+		// Frames per destination link: exactly the messages the count pass
 		// counted for that slot (one frame per message on the wire).
 		for slot := range wn.links {
 			if n := sc.recvCount[slot]; n > 0 {
@@ -206,22 +205,18 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 	return roundBytes, nil
 }
 
-// encodeRound frames every planned message into the per-slot write buffers
+// encodeRound frames every sender's messages into the per-slot write buffers
 // in the deterministic delivery order, recording out-of-line payloads in the
 // per-slot ref tables. The ref tables must be complete before any reader
 // goroutine starts, so this runs serially before the drain.
 //
 //hetlint:zeroalloc steady-state encode path: buffers and ref tables are reused round over round (AllocsPerRun pins in metrics_alloc_test.go)
-func (wn *wireNet) encodeRound(plans []senderPlan) error {
+func (wn *wireNet) encodeRound(senders []sender) error {
 	var fm wire.Message
-	for s := range plans {
-		p := &plans[s]
+	for _, p := range senders {
 		for j := range p.msgs {
 			m := &p.msgs[j]
-			slot := 1 + m.To
-			if m.To == Large {
-				slot = 0
-			}
+			slot := machineSlot(m.To)
 			fm.From = int32(p.from)
 			fm.To = int32(m.To)
 			fm.Words = uint32(m.Words)
@@ -300,7 +295,7 @@ func (c *Cluster) WireBytesOf(id int) int64 {
 	if c.wn == nil || c.wn.bytes == nil {
 		return 0
 	}
-	return c.wn.bytes[senderSlot(id)]
+	return c.wn.bytes[machineSlot(id)]
 }
 
 // KillLink closes machine id's transport link mid-run — the fault hook the
@@ -311,7 +306,7 @@ func (c *Cluster) KillLink(id int) error {
 	if c.wn == nil || c.wn.links == nil {
 		return nil
 	}
-	return c.wn.links[senderSlot(id)].Close()
+	return c.wn.links[machineSlot(id)].Close()
 }
 
 // Close releases the cluster's transport resources. Safe on untransported

@@ -39,8 +39,10 @@ func foldRuns[V any](kvs []KV[V], combine func(a, b V) V) []KV[V] {
 // `combine`. The protocol is: local combine → sort partials by key → detect
 // runs that span machine boundaries → combine up a capacity-bounded tree per
 // spanning run. Afterwards each key's final value is held by the first
-// machine of its run ("M_first(key)" in the paper); roots[i] maps the keys
-// finalized at machine i.
+// machine of its run ("M_first(key)" in the paper); roots[i] lists the keys
+// finalized at machine i, strictly increasing, and every key of roots[i] is
+// below every key of roots[j] for i < j — the sorted runs the protocol ends
+// on, which is the form SegmentedBroadcast takes distributed values in.
 //
 // Bucket assignment is placement-aware through the Sort step: the key
 // ranges each machine ends up owning follow the cluster's placement policy
@@ -65,7 +67,7 @@ func AggregateByKey[V any](
 	vwords int,
 	combine func(a, b V) V,
 	gatherLarge bool,
-) (roots []map[int64]V, atLarge map[int64]V, err error) {
+) (roots [][]KV[V], atLarge map[int64]V, err error) {
 	defer c.Span("aggregate").End()
 	k := c.K()
 	if err := checkBuckets(c, "AggregateByKey", items); err != nil {
@@ -127,16 +129,30 @@ func AggregateByKey[V any](
 	// treeDepth(K, b), so the round count depends only on public parameters.
 	b := branching(c, vwords+1)
 	depth := treeDepth(k, b)
-	// Per machine: value for each spanning key it participates in (local
-	// computation, parallel over the small-machine axis).
-	local := make([]map[int64]V, k)
+	// Per machine, one accumulator per span it is in (instr[i], at most two):
+	// the machine's own value for the span's key — an empty bridge machine
+	// starts without one — combined with what its tree children send up.
+	type acc struct {
+		Val V
+		Has bool
+	}
+	local := make([][]acc, k)
+	spanOf := func(i int, key int64) int {
+		for s := range instr[i] {
+			if instr[i][s].Key == key {
+				return s
+			}
+		}
+		return -1
+	}
 	if err := c.ForSmall(func(i int) error {
-		local[i] = make(map[int64]V, len(instr[i]))
+		if len(instr[i]) == 0 {
+			return nil
+		}
+		local[i] = make([]acc, len(instr[i]))
 		for _, kv := range sorted[i] {
-			for _, si := range instr[i] {
-				if si.Key == kv.K {
-					local[i][kv.K] = kv.V
-				}
+			if s := spanOf(i, kv.K); s >= 0 {
+				local[i][s] = acc{Val: kv.V, Has: true}
 			}
 		}
 		return nil
@@ -154,24 +170,24 @@ func AggregateByKey[V any](
 			// sizes its out-list and its payload slab, taken on the first
 			// send.
 			var slab []upMsg
-			for _, si := range instr[i] {
+			for s, si := range instr[i] {
 				p := i - si.A
 				size := si.B - si.A + 1
 				if p <= 0 || p >= size || posDepth(p, b) != d {
 					continue
 				}
-				v, ok := local[i][si.Key]
-				if !ok {
+				a := &local[i][s]
+				if !a.Has {
 					continue // empty bridge machine: nothing to contribute
 				}
 				if slab == nil {
 					slab = make([]upMsg, 0, len(instr[i]))
 					outs[i] = make([]mpc.Msg, 0, len(instr[i]))
 				}
-				slab = append(slab, upMsg{Key: si.Key, Val: v})
+				slab = append(slab, upMsg{Key: si.Key, Val: a.Val})
 				parent := si.A + posParent(p, b)
 				outs[i] = append(outs[i], mpc.Msg{To: parent, Words: vwords + 1, Data: &slab[len(slab)-1]})
-				delete(local[i], si.Key)
+				a.Has = false
 			}
 			return nil
 		}); err != nil {
@@ -187,10 +203,11 @@ func AggregateByKey[V any](
 				if !ok || um == nil {
 					return fmt.Errorf("prims: unexpected aggregate payload %T", m.Data)
 				}
-				if cur, ok := local[i][um.Key]; ok {
-					local[i][um.Key] = combine(cur, um.Val)
+				// Only tree children send here, and they are in the span.
+				if a := &local[i][spanOf(i, um.Key)]; a.Has {
+					a.Val = combine(a.Val, um.Val)
 				} else {
-					local[i][um.Key] = um.Val
+					*a = acc{Val: um.Val, Has: true}
 				}
 			}
 			return nil
@@ -199,27 +216,21 @@ func AggregateByKey[V any](
 		}
 	}
 
-	// Assemble per-machine final maps: all non-spanning keys plus spanning
-	// keys rooted here.
-	roots = make([]map[int64]V, k)
+	// Each machine's finalized keys, filtered in place from its sorted run:
+	// a spanning key survives only at its run's first machine, with the
+	// tree's value. sorted itself keeps its lengths — it is the registered
+	// checkpoint state, and its volume is what a later barrier replicates.
+	roots = make([][]KV[V], k)
 	if err := c.ForSmall(func(i int) error {
-		spanKey := make(map[int64]bool, len(instr[i]))
-		for _, si := range instr[i] {
-			spanKey[si.Key] = true
-		}
-		roots[i] = make(map[int64]V, len(sorted[i]))
+		roots[i] = sorted[i][:0]
 		for _, kv := range sorted[i] {
-			if !spanKey[kv.K] {
-				roots[i][kv.K] = kv.V
+			if s := spanOf(i, kv.K); s >= 0 {
+				if instr[i][s].A != i {
+					continue
+				}
+				kv.V = local[i][s].Val
 			}
-		}
-		for _, si := range instr[i] {
-			if si.A != i {
-				continue
-			}
-			if v, ok := local[i][si.Key]; ok {
-				roots[i][si.Key] = v
-			}
+			roots[i] = append(roots[i], kv)
 		}
 		return nil
 	}); err != nil {
@@ -229,14 +240,7 @@ func AggregateByKey[V any](
 	if !gatherLarge {
 		return roots, nil, nil
 	}
-	flat := make([][]KV[V], k)
-	if err := c.ForSmall(func(i int) error {
-		flat[i] = sortedKVs(roots[i])
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	all, err := GatherToLarge(c, flat, vwords+1)
+	all, err := GatherToLarge(c, roots, vwords+1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,7 @@ package prims
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -311,47 +312,97 @@ func TestAggregateCombineKernelMatchesMap(t *testing.T) {
 		}
 	}
 
-	c, err := mpc.New(mpc.Config{N: 256, M: 1024, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	// End to end. The deep shape is TestDeepTrees': 40-word values on a
+	// small-CSmall cluster push the tree branching below K/2, a cold key per
+	// machine plus a hot key on every fourth.
+	shapes := []struct {
+		name   string
+		cfg    mpc.Config
+		vwords int
+		items  func(i int) []KV[[]int64]
+	}{
+		{"flat", mpc.Config{N: 256, M: 1024, Seed: 3}, 1, func(i int) []KV[[]int64] { return gen(i, 40, 50) }},
+		{"deep", mpc.Config{N: 256, M: 2048, K: 64, CSmall: 0.1, CLarge: 0.027, Seed: 42}, 40, func(i int) []KV[[]int64] {
+			kvs := []KV[[]int64]{{K: int64(100 + i), V: []int64{int64(i)}}}
+			if i%4 == 0 {
+				kvs = append(kvs, KV[[]int64]{K: 9, V: []int64{int64(10000 + i)}})
+			}
+			return kvs
+		}},
 	}
-	k := c.K()
-	items := make([][]KV[[]int64], k)
-	for i := range items {
-		items[i] = gen(i, 40, 50)
+	for _, sh := range shapes {
+		for _, mode := range []struct{ noLarge, gather bool }{{false, false}, {false, true}, {true, false}} {
+			cfg := sh.cfg
+			cfg.NoLarge = mode.noLarge
+			c, err := mpc.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := make([][]KV[[]int64], c.K())
+			for i := range items {
+				items[i] = sh.items(i)
+			}
+			t.Run(fmt.Sprintf("%s/noLarge=%v/gather=%v", sh.name, mode.noLarge, mode.gather), func(t *testing.T) {
+				checkAggregate(t, c, items, sh.vwords, mode.gather)
+			})
+		}
 	}
-	partials := make([][]KV[[]int64], k)
+}
+
+// checkAggregate is the end-to-end half of
+// TestAggregateCombineKernelMatchesMap: one AggregateByKey under the
+// fold-history combine, checked against the map-fold oracle.
+func checkAggregate(t *testing.T, c *mpc.Cluster, items [][]KV[[]int64], vwords int, gather bool) {
+	combine := func(a, b []int64) []int64 { return append(a, b...) }
+	partials := make([][]KV[[]int64], len(items))
 	for i := range items {
 		partials[i] = mapCombine(items[i], combine)
 	}
-	roots, _, err := AggregateByKey(c, items, 1, combine, false)
+	want := mapCombine(Flatten(items), combine)
+	roots, atLarge, err := AggregateByKey(c, items, vwords, combine, gather)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// roots are the sorted runs: strictly increasing keys within a machine
+	// and from one machine to the next, so they line up with the oracle's
+	// sorted keys one to one; each value is the oracle's as a multiset (the
+	// route decides the order a key's partials meet in).
+	got := Flatten(roots)
+	if len(got) != len(want) {
+		t.Fatalf("roots hold %d keys, the oracle %d", len(got), len(want))
+	}
 	final := map[int64][]int64{}
-	for _, r := range roots {
-		for key, v := range r {
-			if _, dup := final[key]; dup {
-				t.Fatalf("key %d finalized on two machines", key)
-			}
-			final[key] = v
+	for j, kv := range got {
+		if j > 0 && kv.K <= got[j-1].K {
+			t.Fatalf("roots not strictly increasing: key %d after %d", kv.K, got[j-1].K)
+		}
+		final[kv.K] = kv.V
+		a, b := slices.Clone(kv.V), slices.Clone(want[j].V)
+		slices.Sort(a)
+		slices.Sort(b)
+		if kv.K != want[j].K || !slices.Equal(a, b) {
+			t.Fatalf("root %d = (%d, %v), oracle (%d, %v)", j, kv.K, kv.V, want[j].K, want[j].V)
 		}
 	}
-	total := 0
+	if gather {
+		if len(atLarge) != len(final) {
+			t.Fatalf("atLarge holds %d keys, roots %d", len(atLarge), len(final))
+		}
+		for key, v := range final {
+			if !slices.Equal(atLarge[key], v) {
+				t.Fatalf("atLarge[%d] = %v, root %v", key, atLarge[key], v)
+			}
+		}
+	} else if atLarge != nil {
+		t.Fatal("atLarge built without gatherLarge")
+	}
 	for i := range partials {
 		for _, kv := range partials[i] {
-			total += len(kv.V)
 			at := slices.Index(final[kv.K], kv.V[0])
 			if at < 0 || at+len(kv.V) > len(final[kv.K]) || !slices.Equal(final[kv.K][at:at+len(kv.V)], kv.V) {
 				t.Fatalf("machine %d key %d: oracle partial %v is not a contiguous piece of root %v", i, kv.K, kv.V, final[kv.K])
 			}
 		}
-	}
-	for _, v := range final {
-		total -= len(v)
-	}
-	if total != 0 {
-		t.Fatalf("roots hold %d values more or fewer than the input", -total)
 	}
 }
 

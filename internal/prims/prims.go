@@ -4,8 +4,9 @@
 //   - Claim 1 (Sorting): a coordinator-based sample sort, O(1) rounds;
 //   - Claim 2 (Aggregation): local combine → sort by key → machine-range
 //     trees with capacity-bounded branching (the paper's trees with
-//     branching n^γ), results at the range roots and optionally gathered to
-//     the large machine;
+//     branching n^γ), results at the range roots — per machine a sorted
+//     run of (key, value), the form Claim 3 takes distributed values in —
+//     and optionally gathered to the large machine;
 //   - Claim 3 (Dissemination): the same range trees run downward
 //     (SegmentedBroadcast), delivering per-key values to every machine that
 //     requested the key;

@@ -237,11 +237,11 @@ func TestDeepTrees(t *testing.T) {
 			}
 			agg = map[int64]wide{}
 			for i := range roots {
-				for key, v := range roots[i] {
-					if _, dup := agg[key]; dup {
-						t.Fatalf("key %d finalized on two machines", key)
+				for _, kv := range roots[i] {
+					if _, dup := agg[kv.K]; dup {
+						t.Fatalf("key %d finalized on two machines", kv.K)
 					}
-					agg[key] = v
+					agg[kv.K] = kv.V
 				}
 			}
 			if seg, err = SegmentedBroadcast(c, needs, values, nil, vwords); err != nil {
@@ -417,11 +417,11 @@ func TestAggregateByKeySums(t *testing.T) {
 		}
 		got := map[int64]int64{}
 		for i := range roots {
-			for k, v := range roots[i] {
-				if _, dup := got[k]; dup {
-					t.Fatalf("key %d finalized on two machines", k)
+			for _, kv := range roots[i] {
+				if _, dup := got[kv.K]; dup {
+					t.Fatalf("key %d finalized on two machines", kv.K)
 				}
-				got[k] = v
+				got[kv.K] = kv.V
 			}
 		}
 		if len(got) != len(want) {

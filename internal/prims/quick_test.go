@@ -92,11 +92,11 @@ func TestAggregateQuick(t *testing.T) {
 		}
 		got := map[int64]int64{}
 		for i := range roots {
-			for k, v := range roots[i] {
-				if _, dup := got[k]; dup {
+			for _, kv := range roots[i] {
+				if _, dup := got[kv.K]; dup {
 					return false
 				}
-				got[k] = v
+				got[kv.K] = kv.V
 			}
 		}
 		if len(got) != len(want) {

@@ -268,16 +268,6 @@ func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int
 	return SegmentedBroadcast(c, needs, nil, sortedKVs(values), vwords)
 }
 
-// RootsToKVs converts per-machine root maps (AggregateByKey's roots) into
-// sorted KV slices, SegmentedBroadcast's distributed-values input.
-func RootsToKVs[V any](c *mpc.Cluster, roots []map[int64]V) [][]KV[V] {
-	out := make([][]KV[V], c.K())
-	for i := range roots {
-		out[i] = sortedKVs(roots[i])
-	}
-	return out
-}
-
 // sortedKVs returns m's entries as a KV slice sorted by key.
 func sortedKVs[V any](m map[int64]V) []KV[V] {
 	kvs := make([]KV[V], 0, len(m))

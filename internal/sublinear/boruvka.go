@@ -124,15 +124,10 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		// the root machine of the component records the MST edge.
 		adoptions := make([][]prims.KV[int64], kk)
 		if err := c.ForSmall(func(i int) error {
-			keys := make([]int64, 0, len(minRoots[i]))
-			for k := range minRoots[i] {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			for _, label := range keys {
-				mv := minRoots[i][label]
-				if !coin(phase, label) && coin(phase, mv.OtherLabel) {
-					adoptions[i] = append(adoptions[i], prims.KV[int64]{K: label, V: mv.OtherLabel})
+			for _, root := range minRoots[i] {
+				mv := root.V
+				if !coin(phase, root.K) && coin(phase, mv.OtherLabel) {
+					adoptions[i] = append(adoptions[i], prims.KV[int64]{K: root.K, V: mv.OtherLabel})
 					mstParts[i] = append(mstParts[i], graph.NewEdge(int(mv.OU), int(mv.OV), mv.W))
 				}
 			}
@@ -157,11 +152,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		adoptVals := make([][]prims.KV[int64], kk)
-		for i := range adoptions {
-			adoptVals[i] = adoptions[i]
-		}
-		maps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptVals, nil, 1)
+		maps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptions, nil, 1)
 		if err != nil {
 			return nil, err
 		}

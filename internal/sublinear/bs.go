@@ -136,20 +136,15 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		// The aggregation root records the spanner edge for re-clustered v.
 		if err := c.ForSmall(func(i int) error {
-			keys := make([]int64, 0, len(minRoots[i]))
-			for key := range minRoots[i] {
-				keys = append(keys, key)
-			}
-			slices.Sort(keys)
-			for _, key := range keys {
-				rv := minRoots[i][key]
+			for _, root := range minRoots[i] {
+				rv := root.V
 				spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
 			}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		newCenters, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, minRoots), nil, 5)
+		newCenters, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, 5)
 		if err != nil {
 			return nil, err
 		}
@@ -221,13 +216,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			return nil, err
 		}
 		if err := c.ForSmall(func(i int) error {
-			keys := make([]int64, 0, len(remRoots[i]))
-			for key := range remRoots[i] {
-				keys = append(keys, key)
-			}
-			slices.Sort(keys)
-			for _, key := range keys {
-				rv := remRoots[i][key]
+			for _, root := range remRoots[i] {
+				rv := root.V
 				spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
 			}
 			return nil

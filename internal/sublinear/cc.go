@@ -133,7 +133,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		adoptMaps, err := prims.SegmentedBroadcast(c, labelNeeds, prims.RootsToKVs(c, adoptRoots), nil, 1)
+		adoptMaps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -63,9 +63,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	localMax := make([]int64, kk)
 	for i := range degRoots {
 		for _, d := range degRoots[i] {
-			if d > localMax[i] {
-				localMax[i] = d
-			}
+			localMax[i] = max(localMax[i], d.V)
 		}
 	}
 	// Every machine learns the maximum degree through the coordinator (O(1)).
@@ -152,7 +150,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		blockMaps, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, blockRoots), nil, 1)
+		blockMaps, err := prims.SegmentedBroadcast(c, needs, blockRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -109,7 +109,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		minMaps, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, minRoots), nil, 1)
+		minMaps, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +151,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domMaps, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, domRoots), nil, 1)
+		domMaps, err := prims.SegmentedBroadcast(c, needs, domRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -119,8 +119,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 			return nil, err
 		}
 		needs := prims.EndpointNeeds(live)
-		rootKVs := prims.RootsToKVs(c, minRoots)
-		minMaps, err := prims.SegmentedBroadcast(c, needs, rootKVs, nil, rankValWords)
+		minMaps, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, rankValWords)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +147,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		deadMaps, err := prims.SegmentedBroadcast(c, needs, prims.RootsToKVs(c, deadRoots), nil, 1)
+		deadMaps, err := prims.SegmentedBroadcast(c, needs, deadRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
