@@ -17,9 +17,10 @@
 // JSON is byte-deterministic for a deterministic run.
 //
 // Concurrency: Counter and Gauge are atomic — the wire transports update
-// per-link counters from reader goroutines. Histogram is not synchronized;
-// the engine observes histograms only at the serial round barrier, matching
-// the synchronous-rounds model.
+// per-link counters from the round's drain goroutine while the writer
+// updates its own. Histogram is not synchronized; the engine observes
+// histograms only at the serial round barrier, matching the
+// synchronous-rounds model.
 //
 // metrics deliberately depends on nothing inside the repo, so every layer
 // (trace, wire, sched, fault, mpc, exp, the CLIs) can share it.

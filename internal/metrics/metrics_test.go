@@ -93,7 +93,8 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 // TestCounterConcurrency: counters take concurrent adds without loss (the
-// wire transports update per-link counters from reader goroutines).
+// wire transports update per-link counters from the drain goroutine and the
+// writer at once).
 func TestCounterConcurrency(t *testing.T) {
 	r := New()
 	c := r.Counter("bytes", "link", "large")

@@ -58,7 +58,7 @@ type clusterMetrics struct {
 
 	// Wire transport (wirenet.go); per destination slot.
 	encodeNs *metrics.Counter   // wire_encode_ns_total: serial frame-encode time
-	decodeNs []*metrics.Counter // wire_decode_ns_total{link}: per-reader decode time
+	decodeNs []*metrics.Counter // wire_decode_ns_total{link}: the drain's time on that link
 	frames   []*metrics.Counter // wire_link_frames_total{link}: messages framed per link
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetmpc/internal/metrics"
+	"hetmpc/internal/wire"
 )
 
 // TestNilMetricsZeroAlloc pins the nil-registry contract at the allocation
@@ -76,3 +77,58 @@ func BenchmarkExchangeNilMetrics(b *testing.B) {
 	benchmarkExchange(b, func() *metrics.Registry { return nil })
 }
 func BenchmarkExchangeMetered(b *testing.B) { benchmarkExchange(b, metrics.New) }
+
+// wireRingCluster returns a pipe- or tcp-backed cluster of k small machines
+// and its ring round, the transported twin of benchmarkExchange's setup.
+func wireRingCluster(tb testing.TB, tr wire.Transport, k, maxRounds int) (*Cluster, [][]Msg) {
+	tb.Helper()
+	c, err := New(Config{N: 64, M: 256, K: k, Seed: 1, Transport: tr, MaxRounds: maxRounds})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c, ringRound(c, 2)
+}
+
+// TestWireRoundAllocsIndependentOfK is the pin encodeRound's and readInto's
+// zeroalloc markers cite: a warmed-up transported ring round allocates the
+// same constant whatever K is — one drain goroutine and one decoder serve
+// every link, where a reader goroutine per receiving slot grew the count by
+// about two per machine.
+func TestWireRoundAllocsIndependentOfK(t *testing.T) {
+	perRound := func(k int) float64 {
+		c, outs := wireRingCluster(t, wire.NewPipe(), k, 0)
+		for i := 0; i < 5; i++ {
+			if _, _, err := c.Exchange(outs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() { c.Exchange(outs, nil) })
+	}
+	small, large := perRound(64), perRound(512)
+	// The flat inbox, its per-machine index, and the drain's go statement.
+	if small != 3 || large != 3 {
+		t.Errorf("transported ring round allocates %v at K=64 and %v at K=512, want 3 at both", small, large)
+	}
+}
+
+// BenchmarkExchangeWire is the transported rung of the Exchange ladder: the
+// ring round of benchmarkExchange through a socket per machine, so ns/op
+// over K is what encode, one Write and the drain's reads and decode cost per
+// machine on top of the in-process round.
+func BenchmarkExchangeWire(b *testing.B) {
+	for _, name := range []string{"pipe", "tcp"} {
+		for _, k := range []int{64, 512} {
+			b.Run(fmt.Sprintf("%s/K=%d", name, k), func(b *testing.B) {
+				c, outs := wireRingCluster(b, transports()[name](), k, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := c.Exchange(outs, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -17,13 +17,13 @@ import (
 // both sides follow the same deterministic order: frames are encoded
 // serially sender-major (large machine first, then small senders ascending,
 // submission order within a sender) — exactly the order the count pass
-// sized the inbox windows in — and each destination's reader decodes its
-// stream sequentially into flat[slotBase+0..n). No offsets cross the wire;
-// the stream order is the offset.
+// sized the inbox windows in — and the round's drain decodes each
+// destination's stream sequentially into flat[slotBase+0..n). No offsets
+// cross the wire; the stream order is the offset.
 //
 // Payloads that are not wire-native (algorithm-local structs; see the wire
 // package comment) cross as KindRef frames whose payload values ride the
-// per-destination refs table, built fully before the reader goroutines are
+// per-destination refs table, built fully before the drain goroutine is
 // spawned (the spawn is the happens-before edge; file descriptors provide
 // none).
 type wireNet struct {
@@ -32,13 +32,14 @@ type wireNet struct {
 	links  []wire.Link
 	inproc bool // transport opened to a nil link set: memcpy path
 
-	bufs   [][]byte        // per destination slot, encoded frames of the round
-	refs   [][]any         // per destination slot, KindRef payload table
-	decs   []*wire.Decoder // per destination slot, pooled decode state
-	werr   []error         // per slot, writer error of the round
-	rerr   []error         // per slot, reader error of the round
-	bytes  []int64         // per slot, cumulative bytes written
-	broken error           // sticky: first transport failure; later rounds fail fast
+	bufs    [][]byte       // per destination slot, encoded frames of the round
+	refs    [][]any        // per destination slot, KindRef payload table
+	dec     wire.Decoder   // the drain's read buffer and payload arenas, shared by all links
+	drained sync.WaitGroup // the round's drain goroutine
+	werr    []error        // per slot, writer error of the round
+	rerr    []error        // per slot, reader error of the round
+	bytes   []int64        // per slot, cumulative bytes written
+	broken  error          // sticky: first transport failure; later rounds fail fast
 
 	// mx mirrors the cluster's prebound instruments (nil = unmetered): the
 	// links are wrapped with wire.InstrumentLink at open, and deliverWire
@@ -77,18 +78,14 @@ func (wn *wireNet) open(slots int) error {
 	wn.links = links
 	wn.bufs = make([][]byte, slots)
 	wn.refs = make([][]any, slots)
-	wn.decs = make([]*wire.Decoder, slots)
 	wn.werr = make([]error, slots)
 	wn.rerr = make([]error, slots)
 	wn.bytes = make([]int64, slots)
-	for i := range wn.decs {
-		wn.decs[i] = &wire.Decoder{}
-	}
 	return nil
 }
 
 // release drops the traffic-proportional buffers — encode buffers, ref
-// tables, decoder arenas — keeping the links and per-slot bookkeeping
+// tables, the decoder's buffer and arenas — keeping the links and per-slot bookkeeping
 // intact. Called from ResetStats so a reused transported cluster starts
 // the next run without the previous run's high-water footprint.
 func (wn *wireNet) release() {
@@ -98,9 +95,7 @@ func (wn *wireNet) release() {
 	for i := range wn.refs {
 		wn.refs[i] = nil
 	}
-	for _, d := range wn.decs {
-		d.Drop()
-	}
+	wn.dec.Drop()
 }
 
 // fail closes the link of slot and records err once. Closing is the
@@ -123,7 +118,7 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 	sc := c.exch
 
 	// Encode, serially, in the deterministic delivery order. The refs
-	// tables must be complete before any reader goroutine starts.
+	// tables must be complete before the drain goroutine starts.
 	for slot := range wn.bufs {
 		wn.bufs[slot] = wn.bufs[slot][:0]
 		wn.refs[slot] = wn.refs[slot][:0]
@@ -148,33 +143,21 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 		}
 	}
 
-	// Readers first (writes into a link block once its kernel buffer fills,
-	// so the drain must already be running), one goroutine per receiving
-	// slot, each decoding its stream sequentially into its flat window.
-	var wg sync.WaitGroup
-	for slot := range wn.links {
-		n := sc.recvCount[slot]
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(slot, n int) {
-			defer wg.Done()
-			if wn.mx != nil {
-				// Decode time is the reader's whole drain, including time
-				// blocked waiting for bytes; the counter is atomic, so each
-				// reader goroutine publishes its own link safely.
-				t0 := time.Now()                                                          //hetlint:nondet wall-clock decode metering feeds the wire metrics only; Stats and traces use model time
-				defer func() { wn.mx.decodeNs[slot].Add(time.Since(t0).Nanoseconds()) }() //hetlint:nondet wall-clock decode metering feeds the wire metrics only
-			}
-			if err := wn.readInto(slot, n, sc.slotBase[slot], flat); err != nil {
-				wn.fail(slot, wn.rerr, err)
-			}
-		}(slot, n)
-	}
+	// One drain goroutine, started before the first Write (a Write into a
+	// link blocks once its kernel buffer fills, so the drain must already be
+	// running). It walks the receiving slots in ascending order — the order
+	// the writer below writes them — which cannot deadlock for any K: the
+	// drain leaves slot d only after decoding all of d's frames, that is
+	// after the writer handed the link every byte of d, so the writer is
+	// never blocked on a slot the drain has left; and a writer blocked on
+	// slot s has completed every Write before s, so the drain reaches s
+	// without waiting and empties the buffer the Write is blocked on. A
+	// failed link is closed (wn.fail), which unblocks both of its sides.
+	wn.drained.Add(1)
+	go wn.drain(sc, flat)
 
 	// Writes: one Write per destination link, sequential (determinism of
-	// the byte accounting; the readers drain concurrently).
+	// the byte accounting; the drain reads concurrently).
 	var roundBytes int64
 	for slot := range wn.links {
 		buf := wn.bufs[slot]
@@ -188,7 +171,7 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 		roundBytes += int64(len(buf))
 		wn.bytes[slot] += int64(len(buf))
 	}
-	wg.Wait()
+	wn.drained.Wait()
 
 	for slot := range wn.links {
 		err := wn.werr[slot]
@@ -207,10 +190,10 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 
 // encodeRound frames every sender's messages into the per-slot write buffers
 // in the deterministic delivery order, recording out-of-line payloads in the
-// per-slot ref tables. The ref tables must be complete before any reader
-// goroutine starts, so this runs serially before the drain.
+// per-slot ref tables. The ref tables must be complete before the drain
+// goroutine starts, so this runs serially before it.
 //
-//hetlint:zeroalloc steady-state encode path: buffers and ref tables are reused round over round (AllocsPerRun pins in metrics_alloc_test.go)
+//hetlint:zeroalloc steady-state encode path: buffers and ref tables are reused round over round (pinned by TestWireRoundAllocsIndependentOfK)
 func (wn *wireNet) encodeRound(senders []sender) error {
 	var fm wire.Message
 	for _, p := range senders {
@@ -235,19 +218,50 @@ func (wn *wireNet) encodeRound(senders []sender) error {
 	return nil
 }
 
-// readInto drains n frames from slot's link into flat[base:base+n],
-// resolving ref frames against the slot's ref table. It is the body of one
-// reader goroutine; the returned error is published by the caller through
-// wn.fail.
+// drain is the body of the round's one reader goroutine: it decodes every
+// receiving slot's stream, in ascending slot order, through the one decoder.
+// The writer starts round r+1 only after the drain of round r joined, so a
+// link holds exactly one round's bytes, the decoder's buffer is empty at
+// every slot boundary, and one buffer serves all K+1 links. A slot that
+// fails is published through wn.fail and the decoder dropped, so the failed
+// link's buffered bytes are never decoded as the next link's (the net is
+// broken from here on; the drain still visits the remaining slots so the
+// writer is never left blocked).
+func (wn *wireNet) drain(sc *exchScratch, flat []Msg) {
+	defer wn.drained.Done()
+	wn.dec.Release()
+	for slot := range wn.links {
+		n := sc.recvCount[slot]
+		if n == 0 {
+			continue
+		}
+		// Decode time is the slot's whole drain, including time blocked
+		// waiting for bytes.
+		var t0 time.Time
+		if wn.mx != nil {
+			t0 = time.Now() //hetlint:nondet wall-clock decode metering feeds the wire metrics only; Stats and traces use model time
+		}
+		if err := wn.readInto(slot, n, sc.slotBase[slot], flat); err != nil {
+			wn.fail(slot, wn.rerr, err)
+			wn.dec.Drop()
+		}
+		if wn.mx != nil {
+			wn.mx.decodeNs[slot].Add(time.Since(t0).Nanoseconds()) //hetlint:nondet wall-clock decode metering feeds the wire metrics only
+		}
+	}
+}
+
+// readInto decodes slot's n frames of the round from its link into
+// flat[base:base+n], resolving ref frames against the slot's ref table.
+// The link must hold nothing after the n-th frame: leftover bytes would
+// otherwise be parsed as the next round's first header and blamed on it.
 //
-//hetlint:zeroalloc steady-state decode path: the decoder arenas absorb payloads (AllocsPerRun pins in metrics_alloc_test.go)
+//hetlint:zeroalloc steady-state decode path: the decoder's buffer and arenas absorb the stream (pinned by TestWireRoundAllocsIndependentOfK)
 func (wn *wireNet) readInto(slot, n, base int, flat []Msg) error {
 	link := wn.links[slot]
-	dec := wn.decs[slot]
-	dec.Release()
 	var m wire.Message
 	for i := 0; i < n; i++ {
-		if err := dec.ReadMessage(link, &m); err != nil {
+		if err := wn.dec.ReadMessage(link, &m); err != nil {
 			return err
 		}
 		data := m.Payload()
@@ -258,6 +272,9 @@ func (wn *wireNet) readInto(slot, n, base int, flat []Msg) error {
 			data = wn.refs[slot][m.Ref]
 		}
 		flat[base+i] = Msg{From: int(m.From), To: int(m.To), Words: int(m.Words), Data: data}
+	}
+	if b := wn.dec.Buffered(); b != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", wire.ErrCorrupt, b)
 	}
 	return nil
 }

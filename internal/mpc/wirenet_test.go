@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hetmpc/internal/metrics"
 	"hetmpc/internal/wire"
 )
 
@@ -174,5 +175,125 @@ func TestWireResetStatsClearsByteCounters(t *testing.T) {
 	}
 	if c.Stats().WireBytes != c.WireBytesOf(1) {
 		t.Fatalf("post-reset counters diverge: stats %d, link %d", c.Stats().WireBytes, c.WireBytesOf(1))
+	}
+}
+
+// trailingTransport is a Pipe whose link of slot `slot` appends one stray
+// byte to every Write — a peer that frames its round correctly and then
+// keeps talking.
+type trailingTransport struct {
+	*wire.Pipe
+	slot int
+}
+
+type trailingLink struct{ wire.Link }
+
+func (l trailingLink) Write(p []byte) (int, error) {
+	if _, err := l.Link.Write(append(append([]byte(nil), p...), 0xEE)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (tt trailingTransport) Open(slots int) ([]wire.Link, error) {
+	links, err := tt.Pipe.Open(slots)
+	if err == nil {
+		links[tt.slot] = trailingLink{links[tt.slot]}
+	}
+	return links, err
+}
+
+// TestWireTrailingBytesFailTheRound: bytes left on a link after the round's
+// last frame fail that round — a typed wire.ErrTransport naming transport,
+// link and round, caused by wire.ErrCorrupt — instead of being parsed as the
+// next round's first header and blamed on it. The bad link's leftovers must
+// not leak into the links drained after it: every other slot of the failing
+// round still decodes its own stream, so the error names only the bad link.
+func TestWireTrailingBytesFailTheRound(t *testing.T) {
+	c := newTest(t, Config{N: 256, M: 1024, Seed: 3, Transport: trailingTransport{wire.NewPipe(), 1 + 2}})
+	defer c.Close()
+	outs := make([][]Msg, c.K())
+	for i := range outs {
+		outs[i] = []Msg{{To: (i + 1) % c.K(), Words: 1, Data: int64(i)}}
+	}
+	_, _, err := c.Exchange(outs, nil)
+	if !errors.Is(err, wire.ErrTransport) {
+		t.Fatalf("round with a trailing byte on small-2: err = %v, want wrapped wire.ErrTransport", err)
+	}
+	for _, want := range []string{`"pipe"`, `"small-2"`, "mid-round 1", wire.ErrCorrupt.Error(), "1 trailing bytes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+	for slot, rerr := range c.wn.rerr {
+		if (rerr != nil) != (slot == 1+2) {
+			t.Errorf("slot %d: drain error %v; only small-2 carried a stray byte", slot, rerr)
+		}
+	}
+	if _, _, err2 := c.Exchange(outs, nil); !errors.Is(err2, wire.ErrTransport) {
+		t.Errorf("round after failure = %v, want fail-fast wire.ErrTransport", err2)
+	}
+}
+
+// TestWireReadsPerRound pins the receive side's syscall count, not its
+// clock: the drain reads a link in chunks, so a round that delivers many
+// small frames to a link costs it a handful of Reads — at most one per
+// eight frames, loose enough for a stream socket that hands one Write over
+// in pieces (a Read per frame header and one per payload would be two per
+// frame) — and the send side stays at one Write per link per round with
+// traffic.
+func TestWireReadsPerRound(t *testing.T) {
+	for _, name := range []string{"pipe", "tcp"} {
+		t.Run(name, func(t *testing.T) {
+			reg := metrics.New()
+			c := newTest(t, Config{N: 1024, M: 8192, Seed: 5, Metrics: reg, Transport: transports()[name]()})
+			defer c.Close()
+			// Every machine sends one small frame to each of small-0..3 and
+			// to the large machine: K ≥ 64 frames per receiving link.
+			receivers := []int{Large, 0, 1, 2, 3}
+			outs := make([][]Msg, c.K())
+			for i := range outs {
+				for _, to := range receivers {
+					outs[i] = append(outs[i], Msg{To: to, Words: 1, Data: int64(i)})
+				}
+			}
+			if c.K() < 64 {
+				t.Fatalf("K = %d: fewer than 64 frames per link", c.K())
+			}
+			const rounds = 3
+			for r := 0; r < rounds; r++ {
+				if _, _, err := c.Exchange(outs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One more round with traffic for small-0 only.
+			only0 := make([][]Msg, c.K())
+			for i := range only0 {
+				only0[i] = []Msg{{To: 0, Words: 1, Data: int64(i)}}
+			}
+			if _, _, err := c.Exchange(only0, nil); err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot <= c.K(); slot++ {
+				link := wire.LinkName(slot)
+				frames := counterValue(reg, "wire_link_frames_total", "link", link)
+				reads := counterValue(reg, "wire_link_reads_total", "link", link)
+				writes := counterValue(reg, "wire_link_writes_total", "link", link)
+				wantWrites, wantFrames := int64(0), int64(0)
+				switch {
+				case slot == machineSlot(0):
+					wantWrites, wantFrames = rounds+1, int64((rounds+1)*c.K())
+				case slot <= machineSlot(3):
+					wantWrites, wantFrames = rounds, int64(rounds*c.K())
+				}
+				if frames != wantFrames || writes != wantWrites {
+					t.Errorf("%s: %d frames in %d writes, want %d in %d (one Write per round with traffic)",
+						link, frames, writes, wantFrames, wantWrites)
+				}
+				if reads > frames/8 {
+					t.Errorf("%s: %d reads for %d frames, want at most one per 8 frames", link, reads, frames)
+				}
+			}
+		})
 	}
 }

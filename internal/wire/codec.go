@@ -220,39 +220,46 @@ func parseHeader(h []byte, m *Message, maxPayload int) (plen int, err error) {
 }
 
 // decodePayload fills m's payload field from body (length already validated
-// against the kind). Slice payloads alias or copy via the provided arena
-// allocators; pass nil allocators to alias body directly (DecodeMessage).
+// against the kind). It is the one frame-payload decoder behind both byte
+// sources: a Decoder passes its arenas and every slice payload is copied
+// into a fresh arena window; DecodeMessage passes nil arenas and slice
+// payloads are decoded into m's existing capacity when it suffices. Either
+// way nothing in m aliases body afterwards.
 //
-//hetlint:zeroalloc decode hot path; pinned by TestDecoderZeroSteadyStateAllocs
-func decodePayload(m *Message, body []byte) {
+//hetlint:zeroalloc decode hot path; pinned by TestDecoderZeroSteadyStateAllocs (arena growth is the sanctioned cap()-guarded idiom)
+func decodePayload(m *Message, body []byte, i64s *arena.Arena[int64], u64s *arena.Arena[uint64], bytes *arena.Arena[byte]) {
 	switch m.Kind {
 	case KindInt64:
 		m.I64 = int64(binary.LittleEndian.Uint64(body))
 	case KindUint64:
 		m.U64 = binary.LittleEndian.Uint64(body)
 	case KindInt64Slice:
-		n := len(body) / 8
-		if cap(m.I64s) < n {
-			m.I64s = make([]int64, n)
-		}
-		m.I64s = m.I64s[:n]
+		m.I64s = payloadDst(i64s, m.I64s, len(body)/8)
 		decodeI64s(m.I64s, body)
 	case KindUint64Slice:
-		n := len(body) / 8
-		if cap(m.U64s) < n {
-			m.U64s = make([]uint64, n)
-		}
-		m.U64s = m.U64s[:n]
+		m.U64s = payloadDst(u64s, m.U64s, len(body)/8)
 		decodeU64s(m.U64s, body)
 	case KindBytes:
-		if cap(m.Bytes) < len(body) {
-			m.Bytes = make([]byte, len(body))
-		}
-		m.Bytes = m.Bytes[:len(body)]
+		m.Bytes = payloadDst(bytes, m.Bytes, len(body))
 		copy(m.Bytes, body)
 	case KindRef:
 		m.Ref = binary.LittleEndian.Uint32(body)
 	}
+}
+
+// payloadDst returns the n-element destination of a slice payload: a fresh
+// window of arena a, or — a nil — own resliced, reallocated only when its
+// capacity is short.
+//
+//hetlint:zeroalloc decode hot path; growth is the sanctioned cap()-guarded idiom (pinned by TestDecoderZeroSteadyStateAllocs)
+func payloadDst[T any](a *arena.Arena[T], own []T, n int) []T {
+	if a != nil {
+		return a.AllocUninit(n)
+	}
+	if cap(own) < n {
+		own = make([]T, n)
+	}
+	return own[:n]
 }
 
 // DecodeMessage decodes one frame from the front of b into m and returns
@@ -272,15 +279,27 @@ func DecodeMessage(b []byte, m *Message) (rest []byte, err error) {
 	if len(b) < HeaderSize+plen {
 		return b, fmt.Errorf("%w: %d payload bytes of %d", ErrTruncated, len(b)-HeaderSize, plen)
 	}
-	decodePayload(m, b[HeaderSize:HeaderSize+plen])
+	decodePayload(m, b[HeaderSize:HeaderSize+plen], nil, nil, nil)
 	return b[HeaderSize+plen:], nil
 }
 
-// A Decoder reads frames from an io.Reader with reusable scratch: a fixed
-// header buffer, a growable payload buffer, and per-kind slab arenas
-// (internal/arena) the decoded slice payloads point into. After the arenas
-// reach their high-water mark, ReadMessage performs zero allocations per
-// frame.
+// readChunk is the floor of a Decoder's read buffer: one Read asks the link
+// for up to this much, so a round of small frames costs one read call per
+// 64 KiB (or per write the link hands over), not two per frame.
+const readChunk = 64 << 10
+
+// A Decoder reads frames from an io.Reader through one read buffer: each
+// Read takes whatever the reader holds (up to the buffer's free space),
+// frames are parsed where they lie, and slice payloads are copied once,
+// from the buffer into per-kind slab arenas (internal/arena). The buffer
+// starts at 64 KiB and grows only for a frame that does not fit, bounded by
+// MaxPayload. After buffer and arenas reach their high-water mark,
+// ReadMessage performs zero allocations per frame.
+//
+// Because bytes read ahead of the current frame stay in the buffer, a
+// Decoder belongs to one stream at a time: it may move to another reader
+// only when Buffered() == 0 (in the engine: at every slot boundary, since a
+// link holds exactly one round's frames).
 //
 // Decoded slice payloads alias the arenas and stay valid until the next
 // Release — in the engine, one Release per round, matching the synchronous
@@ -289,70 +308,88 @@ type Decoder struct {
 	// MaxPayload bounds accepted payload lengths; 0 means DefaultMaxPayload.
 	MaxPayload int
 
-	hdr   [HeaderSize]byte
-	body  []byte
+	buf   []byte // read buffer; buf[r:w] is read but not yet decoded
+	r, w  int
 	i64s  arena.Arena[int64]
 	u64s  arena.Arena[uint64]
 	bytes arena.Arena[byte]
 }
 
+// Buffered returns the number of bytes read from the stream but not yet
+// decoded: 0 exactly when the decoder stands at the end of everything it
+// has read.
+func (d *Decoder) Buffered() int { return d.w - d.r }
+
 // Release resets the arenas. Every slice payload decoded since the previous
-// Release becomes invalid; capacity is retained.
+// Release becomes invalid; capacity is retained. Buffered bytes are stream
+// position, not payload, and are kept.
 func (d *Decoder) Release() {
 	d.i64s.Reset()
 	d.u64s.Reset()
 	d.bytes.Reset()
 }
 
-// Drop releases the arenas' slabs and the payload buffer to the garbage
-// collector — Release plus surrendering the high-water capacity. Clusters
-// call it through ResetStats so a mid-run reset returns the decode scratch
-// instead of leaking it into the next run.
+// Drop releases the arenas' slabs and the read buffer to the garbage
+// collector — Release plus surrendering the high-water capacity and any
+// buffered bytes. Clusters call it through ResetStats so a mid-run reset
+// returns the decode scratch instead of leaking it into the next run, and
+// after a failed link so its unread bytes are not decoded as the next
+// link's.
 func (d *Decoder) Drop() {
 	d.i64s.Drop()
 	d.u64s.Drop()
 	d.bytes.Drop()
-	d.body = nil
+	d.buf, d.r, d.w = nil, 0, 0
 }
 
-// ReadMessage reads exactly one frame from r into m. io.EOF at a frame
-// boundary is returned as io.EOF; EOF inside a frame is ErrTruncated.
-// Slice payloads point into the decoder's arenas (valid until Release).
+// fill reads from r until at least need undecoded bytes are buffered. A
+// partial frame is first moved to the front of the buffer — at most once
+// per frame, since only a decoded frame advances d.r — so every Read is
+// offered all the free space there is.
 //
-//hetlint:zeroalloc decode hot path; pinned by TestDecoderZeroSteadyStateAllocs (arena growth is the sanctioned cap()-guarded idiom)
+//hetlint:zeroalloc decode hot path; buffer growth is the sanctioned cap()-guarded idiom (pinned by TestDecoderZeroSteadyStateAllocs)
+func (d *Decoder) fill(r io.Reader, need int) error {
+	for d.Buffered() < need {
+		if d.r > 0 {
+			d.w = copy(d.buf, d.buf[d.r:d.w])
+			d.r = 0
+		}
+		if need > cap(d.buf) {
+			next := make([]byte, max(need, readChunk))
+			copy(next, d.buf[:d.w])
+			d.buf = next
+		}
+		n, err := r.Read(d.buf[d.w:])
+		d.w += n
+		if err != nil && d.Buffered() < need {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadMessage decodes the next frame of r's stream into m, reading from r
+// only when the frame is not already buffered. io.EOF at a frame boundary
+// is returned as io.EOF; EOF inside a frame is ErrTruncated. Slice payloads
+// point into the decoder's arenas (valid until Release).
+//
+//hetlint:zeroalloc decode hot path; pinned by TestDecoderZeroSteadyStateAllocs
 func (d *Decoder) ReadMessage(r io.Reader, m *Message) error {
-	if _, err := io.ReadFull(r, d.hdr[:]); err != nil {
-		if err == io.EOF {
+	if err := d.fill(r, HeaderSize); err != nil {
+		if err == io.EOF && d.Buffered() == 0 {
 			return io.EOF
 		}
 		return fmt.Errorf("%w: header: %v", ErrTruncated, err)
 	}
-	plen, err := parseHeader(d.hdr[:], m, d.MaxPayload)
+	plen, err := parseHeader(d.buf[d.r:d.r+HeaderSize], m, d.MaxPayload)
 	if err != nil {
 		return err
 	}
-	if cap(d.body) < plen {
-		d.body = make([]byte, plen)
-	}
-	body := d.body[:plen]
-	if _, err := io.ReadFull(r, body); err != nil {
+	if err := d.fill(r, HeaderSize+plen); err != nil {
 		return fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 	}
-	switch m.Kind {
-	case KindInt64Slice:
-		dst := d.i64s.AllocUninit(plen / 8)
-		decodeI64s(dst, body)
-		m.I64s = dst
-	case KindUint64Slice:
-		dst := d.u64s.AllocUninit(plen / 8)
-		decodeU64s(dst, body)
-		m.U64s = dst
-	case KindBytes:
-		dst := d.bytes.AllocUninit(plen)
-		copy(dst, body)
-		m.Bytes = dst
-	default:
-		decodePayload(m, body)
-	}
+	frame := d.buf[d.r : d.r+HeaderSize+plen]
+	d.r += len(frame)
+	decodePayload(m, frame[HeaderSize:], &d.i64s, &d.u64s, &d.bytes)
 	return nil
 }

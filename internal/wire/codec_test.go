@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // sampleMessages covers every payload kind, including the empty-slice and
@@ -215,32 +216,99 @@ func randomMessages(n int, seed uint64) []Message {
 }
 
 // TestStreamSurvivesChunkBoundaries is the framing property test: a stream
-// of N random messages decodes identically no matter how the reader chops
-// it — 1-byte dribbles, prime-sized chunks, jumbo reads.
+// of random messages decodes identically no matter how the reader chops it —
+// 1-byte dribbles, prime-sized chunks, jumbo reads, the iotest readers
+// (including data and io.EOF returned by one Read). The decoder keeps what
+// it read ahead between frames, so the stream is built to cross both of its
+// buffer paths: one frame larger than the buffer (grow) and, under the jumbo
+// readers, frames that straddle the buffer's end (compaction).
 func TestStreamSurvivesChunkBoundaries(t *testing.T) {
-	msgs := randomMessages(200, 42)
+	msgs := randomMessages(1500, 42)
+	const big = 700 // the frame that does not fit the buffer
+	msgs[big] = Message{From: 1, To: 2, Words: 9, Kind: KindUint64Slice, U64s: make([]uint64, readChunk/8+100)}
+	for i := range msgs[big].U64s {
+		msgs[big].U64s[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
 	var stream []byte
 	var err error
+	frameLen := make([]int, len(msgs))
 	for i := range msgs {
+		before := len(stream)
 		if stream, err = AppendMessage(stream, &msgs[i]); err != nil {
 			t.Fatal(err)
 		}
+		frameLen[i] = len(stream) - before
 	}
-	for _, sizes := range [][]int{{1}, {3, 7, 1}, {13}, {1 << 20}, {1, 1 << 20, 5}} {
-		cr := &chunkReader{r: bytes.NewReader(stream), sizes: sizes}
+	if len(stream) < 2*readChunk {
+		t.Fatalf("stream of %d bytes does not wrap the %d-byte buffer", len(stream), readChunk)
+	}
+	chunked := func(sizes ...int) func(io.Reader) io.Reader {
+		return func(r io.Reader) io.Reader { return &chunkReader{r: r, sizes: sizes} }
+	}
+	readers := []struct {
+		name     string
+		wrap     func(io.Reader) io.Reader
+		straddle bool // Reads fill the buffer, so frames must straddle its end
+	}{
+		{"1", chunked(1), false},
+		{"3,7,1", chunked(3, 7, 1), false},
+		{"13", chunked(13), false},
+		{"1<<20", chunked(1 << 20), true},
+		{"1,1<<20,5", chunked(1, 1<<20, 5), true},
+		{"OneByteReader", iotest.OneByteReader, false},
+		{"HalfReader", iotest.HalfReader, true},
+		{"DataErrReader", iotest.DataErrReader, true},
+	}
+	for _, rd := range readers {
+		r := rd.wrap(bytes.NewReader(stream))
 		var dec Decoder
 		var m Message
+		straddled := 0
 		for i := range msgs {
-			if err := dec.ReadMessage(cr, &m); err != nil {
-				t.Fatalf("chunks %v: msg %d: %v", sizes, i, err)
+			if b := dec.Buffered(); dec.r > 0 && b > 0 && b < frameLen[i] {
+				straddled++ // a partial frame away from the buffer's front: fill must move it
+			}
+			if err := dec.ReadMessage(r, &m); err != nil {
+				t.Fatalf("%s: msg %d: %v", rd.name, i, err)
 			}
 			if !payloadEqual(&msgs[i], &m) {
-				t.Fatalf("chunks %v: msg %d mismatch", sizes, i)
+				t.Fatalf("%s: msg %d mismatch", rd.name, i)
 			}
 		}
-		if err := dec.ReadMessage(cr, &m); err != io.EOF {
-			t.Fatalf("chunks %v: want io.EOF at stream end, got %v", sizes, err)
+		if err := dec.ReadMessage(r, &m); err != io.EOF {
+			t.Fatalf("%s: want io.EOF at stream end, got %v", rd.name, err)
 		}
+		if b := dec.Buffered(); b != 0 {
+			t.Errorf("%s: %d bytes buffered after the last frame", rd.name, b)
+		}
+		if cap(dec.buf) < frameLen[big] {
+			t.Errorf("%s: buffer of %d bytes never grew to the %d-byte frame", rd.name, cap(dec.buf), frameLen[big])
+		}
+		if rd.straddle && straddled == 0 {
+			t.Errorf("%s: no frame straddled the buffer's end; the compaction path went untested", rd.name)
+		}
+	}
+}
+
+// TestDecoderDropReleasesBuffer: Drop surrenders the read buffer together
+// with whatever it still held, and the decoder is usable again afterwards.
+func TestDecoderDropReleasesBuffer(t *testing.T) {
+	two, _ := AppendMessage(nil, &Message{Kind: KindInt64, I64: 1})
+	two, _ = AppendMessage(two, &Message{Kind: KindInt64, I64: 2})
+	var dec Decoder
+	var m Message
+	if err := dec.ReadMessage(bytes.NewReader(two), &m); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Buffered() != len(two)/2 {
+		t.Fatalf("Buffered() = %d after one of two frames, want %d", dec.Buffered(), len(two)/2)
+	}
+	dec.Drop()
+	if dec.Buffered() != 0 || dec.buf != nil {
+		t.Fatalf("Drop left %d buffered bytes and a %d-byte buffer", dec.Buffered(), cap(dec.buf))
+	}
+	if err := dec.ReadMessage(bytes.NewReader(two), &m); err != nil || m.I64 != 1 {
+		t.Fatalf("decode after Drop: %+v, %v", m, err)
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 // every failure must be one of the typed errors (ErrTruncated, ErrCorrupt,
 // ErrTooLarge); and because the encoding is canonical, any input that
 // decodes must re-encode to exactly the bytes consumed. The streaming
-// decoder must agree with the byte-slice decoder frame for frame.
+// decoder must agree with the byte-slice decoder frame for frame — and it
+// reads the stream through a reader chopped at sizes taken from the input
+// itself (1 to 256 bytes per Read), so the fuzzer also steers where its
+// buffered reads cut the frames.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
 		buf, err := AppendMessage(nil, &m)
@@ -29,7 +32,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr := bytes.NewReader(data)
+		sizes := []int{1}
+		for _, b := range data {
+			sizes = append(sizes, 1+int(b))
+		}
+		sr := &chunkReader{r: bytes.NewReader(data), sizes: sizes}
 		var dec Decoder
 		rest := data
 		for frame := 0; ; frame++ {
@@ -37,16 +44,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			next, err := DecodeMessage(rest, &m)
 			serr := dec.ReadMessage(sr, &sm)
 			if err != nil {
-				if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTooLarge) {
+				// The stream decoder must refuse the same frame with the same
+				// typed error, except that a clean empty tail is its io.EOF.
+				want := err
+				switch {
+				case len(rest) == 0:
+					want = io.EOF
+				case errors.Is(err, ErrTruncated):
+					want = ErrTruncated
+				case errors.Is(err, ErrCorrupt):
+					want = ErrCorrupt
+				case errors.Is(err, ErrTooLarge):
+					want = ErrTooLarge
+				default:
 					t.Fatalf("frame %d: untyped decode error %v", frame, err)
 				}
-				// The stream decoder must refuse the same frame: same typed
-				// error, except that a clean empty tail is its io.EOF.
-				if serr == nil {
-					t.Fatalf("frame %d: slice decoder rejected (%v) but stream decoder accepted", frame, err)
-				}
-				if len(rest) == 0 && serr != io.EOF {
-					t.Fatalf("frame %d: empty tail gave %v, want io.EOF", frame, serr)
+				if !errors.Is(serr, want) {
+					t.Fatalf("frame %d: slice decoder rejected (%v) but stream decoder returned %v, want %v", frame, err, serr, want)
 				}
 				return
 			}

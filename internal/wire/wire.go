@@ -23,10 +23,14 @@
 // the typed errors ErrTruncated / ErrCorrupt / ErrTooLarge, never a panic.
 //
 // The codec follows the WriteTo/ReadFrom shape of lattigo's utils/buffer:
-// encoding appends to a caller-owned buffer (AppendMessage), decoding reads
-// into caller-owned Message structs from reusable scratch and arenas
-// (Decoder.ReadMessage), so the steady-state path of a framed stream
-// performs zero allocations once buffers reach their high-water mark.
+// encoding appends to a caller-owned buffer (AppendMessage), decoding fills
+// caller-owned Message structs (Decoder.ReadMessage) through one read buffer
+// and per-kind arenas: one buffered read per chunk of the stream — whatever
+// the reader holds, up to 64 KiB — with the frames parsed where they lie, so
+// a stream of small frames costs read calls per chunk, not per frame, and
+// the steady-state path performs zero allocations once buffer and arenas
+// reach their high-water mark. What a Decoder has read ahead stays in its
+// buffer: it may move to another reader only when Buffered() == 0.
 //
 // # Payload kinds
 //
