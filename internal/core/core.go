@@ -78,20 +78,15 @@ func toCEdges(data [][]graph.Edge) [][]cEdge {
 }
 
 // distinctEndpoints returns the sorted distinct contracted endpoints of a
-// machine's edges (the dissemination "needs" list).
+// machine's edges (the dissemination "needs" list) — prims.EndpointNeeds
+// for contracted edges, deduplicated the same way: radix sort + compact.
 func distinctEndpoints(edges []cEdge) []int64 {
-	seen := make(map[int64]bool, 2*len(edges))
 	out := make([]int64, 0, 2*len(edges))
 	for _, e := range edges {
-		for _, v := range [2]int{e.U, e.V} {
-			if !seen[int64(v)] {
-				seen[int64(v)] = true
-				out = append(out, int64(v))
-			}
-		}
+		out = append(out, int64(e.U), int64(e.V))
 	}
-	slices.Sort(out)
-	return out
+	prims.SortInts(out)
+	return slices.Compact(out)
 }
 
 // degreesAtLarge brings every non-isolated vertex's degree to the large

@@ -3,6 +3,7 @@ package prims
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -71,38 +72,168 @@ func walkedBuckets(t *testing.T, items []kitem, sp []SortKey, nb int) [][]kitem 
 	return got
 }
 
+// searchBuckets is the routing oracle: every item goes, one at a time, to
+// the first bucket whose splitter its key is below (sort.Search over the
+// nb-1 splitters that bound nb buckets), the last bucket if none.
+func searchBuckets(items []kitem, sp []SortKey, nb int) [][]kitem {
+	sp = sp[:min(len(sp), nb-1)]
+	want := make([][]kitem, nb)
+	for _, it := range items {
+		j := sort.Search(len(sp), func(x int) bool { return it.key.Less(sp[x]) })
+		want[j] = append(want[j], it)
+	}
+	return want
+}
+
 // TestScatterKernelMatchesSearch pins the in-place bucket walk against the
 // reference sort.Search + append loop on locally-sorted input (Sort's
 // precondition for the fast path), including the empty-bucket convention
 // (a bucket that receives nothing is never emitted, nil in the reference)
-// and duplicate splitters (forced empty middle buckets).
+// and duplicate splitters (forced empty middle buckets) — at the machine
+// sizes and bucket counts the perf workloads run, over key layouts that
+// put each side of the galloping merge at its extremes.
 func TestScatterKernelMatchesSearch(t *testing.T) {
 	rng := xrand.New(11)
-	key := func(it kitem) SortKey { return it.key }
-	for _, n := range []int{0, 1, 5, 257} {
-		for _, nb := range []int{1, 2, 8, 33} {
-			sp := make([]SortKey, nb-1)
-			for i := range sp {
-				sp[i] = SortKey{A: int64(rng.Uint64() % 8), B: int64(rng.Uint64() % 2)}
-			}
-			slices.SortFunc(sp, func(a, b SortKey) int { return a.Compare(b) })
-			items := fuzzedItems(rng, n, 8)
-			slices.SortStableFunc(items, func(a, b kitem) int { return a.key.Compare(b.key) })
+	// Items draw their A word from [itemLo, itemLo+span), splitters from
+	// [spLo, spLo+span); itemsOnSplitters copies a splitter's key into each.
+	layouts := []struct {
+		name             string
+		itemLo, spLo     int64
+		span             uint64
+		itemsOnSplitters bool
+	}{
+		// Eight distinct A words: from nb=33 up the splitter list is
+		// stretches of duplicates far longer than one gallop step.
+		{name: "few-keys", span: 8},
+		// Mostly distinct splitters, wide splitter gaps between items.
+		{name: "sparse", span: 1 << 20},
+		{name: "all-in-bucket-0", spLo: 100, span: 8},
+		{name: "all-in-last-bucket", itemLo: 100, span: 8},
+		{name: "keys-equal-splitters", span: 64, itemsOnSplitters: true},
+	}
+	for _, lay := range layouts {
+		for _, n := range []int{0, 1, 5, 16, 257, 4096} {
+			for _, nb := range []int{1, 2, 8, 33, 512, 2048} {
+				for _, nsp := range []int{nb - 1, (nb - 1) / 2, 0} { // full, short and empty splitter lists
+					sp := make([]SortKey, nsp)
+					for i := range sp {
+						sp[i] = SortKey{A: lay.spLo + int64(rng.Uint64()%lay.span), B: int64(rng.Uint64() % 2)}
+					}
+					slices.SortFunc(sp, func(a, b SortKey) int { return a.Compare(b) })
+					items := fuzzedItems(rng, n, int(lay.span))
+					for i := range items {
+						items[i].key.A += lay.itemLo
+						if lay.itemsOnSplitters && nsp > 0 {
+							items[i].key = sp[rng.IntN(nsp)]
+						}
+					}
+					stableSort(items)
 
-			want := make([][]kitem, nb)
-			for _, it := range items {
-				kk := key(it)
-				j := sort.Search(len(sp), func(x int) bool { return kk.Less(sp[x]) })
-				want[j] = append(want[j], it)
-			}
-			got := walkedBuckets(t, items, sp, nb)
-			for b := range want {
-				if (got[b] == nil) != (want[b] == nil) || !reflect.DeepEqual(got[b], want[b]) {
-					t.Fatalf("n=%d nb=%d bucket %d: walkBuckets diverges from sort.Search routing", n, nb, b)
+					want := searchBuckets(items, sp, nb)
+					got := walkedBuckets(t, items, sp, nb)
+					for b := range want {
+						if (got[b] == nil) != (want[b] == nil) || !reflect.DeepEqual(got[b], want[b]) {
+							t.Fatalf("%s n=%d nb=%d len(sp)=%d bucket %d: walkBuckets diverges from sort.Search routing", lay.name, n, nb, nsp, b)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestWalkRoutesEveryItem pins the remainder-bucket rule: the walk routes
+// into nb buckets whatever len(sp) is — splitters from index nb-1 on are
+// ignored and bucket nb-1 takes every item at or above sp[nb-2] — where a
+// loop over all of sp that stops at bucket nb dropped them.
+func TestWalkRoutesEveryItem(t *testing.T) {
+	const nb = 8
+	rng := xrand.New(19)
+	for _, nsp := range []int{0, nb - 2, nb - 1, nb, 2 * nb} {
+		sp := make([]SortKey, nsp)
+		for i := range sp {
+			sp[i] = SortKey{A: int64(4 * (i + 1))}
+		}
+		items := fuzzedItems(rng, 200, 4*(2*nb+2)) // keys on both sides of every splitter
+		stableSort(items)
+		want := searchBuckets(items, sp, nb)
+		routed := 0
+		walkBuckets(items, sp, nb, func(it kitem) SortKey { return it.key }, func(j int, run []kitem) {
+			if j < 0 || j >= nb {
+				t.Fatalf("len(sp)=%d: walk emitted bucket %d of %d", nsp, j, nb)
+			}
+			if !reflect.DeepEqual(run, want[j]) {
+				t.Errorf("len(sp)=%d bucket %d: walkBuckets diverges from sort.Search over the first nb-1 splitters", nsp, j)
+			}
+			routed += len(run)
+		})
+		if routed != len(items) {
+			t.Errorf("len(sp)=%d: walk routed %d of %d items", nsp, routed, len(items))
+		}
+	}
+}
+
+// TestWalkKeyCallsFollowRuns pins the walk's cost to what it emits: a
+// machine extracts at most 2·⌈log2(longest run + 1)⌉ + 3 keys per run,
+// whatever nb is. One bisection per splitter would make nb·log L calls —
+// about 6,000 for the 16 runs of the wide shape.
+func TestWalkKeyCallsFollowRuns(t *testing.T) {
+	for _, sh := range walkShapes {
+		items, sp := sh.build()
+		calls, runs, longest := 0, 0, 0
+		walkBuckets(items, sp, sh.k, func(it kitem) SortKey { calls++; return it.key }, func(_ int, run []kitem) {
+			runs++
+			longest = max(longest, len(run))
+		})
+		if bound := runs * (2*bits.Len(uint(longest)) + 3); calls > bound {
+			t.Errorf("L=%d nb=%d: %d key calls for %d runs (longest %d), want ≤ %d", sh.l, sh.k, calls, runs, longest, bound)
+		}
+	}
+}
+
+// FuzzWalkBuckets fuzzes the bucket walk against the per-item sort.Search
+// oracle (committed seed corpus under testdata/fuzz): every byte of items
+// and splitters becomes one key (64 A words × 4 B words, so duplicates and
+// exact splitter hits are the common case), both sides are sorted, and nb
+// ranges over 1..4096 independently of len(sp) — shorter and longer
+// splitter lists than nb-1 included. The runs must come in ascending bucket
+// order, non-empty, capacity-clamped, and concatenate to the oracle's
+// buckets item for item.
+func FuzzWalkBuckets(f *testing.F) {
+	f.Add([]byte{4, 20, 36}, []byte{8, 24}, uint16(1)) // keys 1/5/9, splitters {2, 6}, nb = 2
+	f.Add([]byte{1, 2, 3}, []byte{}, uint16(2047))     // no splitters
+	f.Add([]byte{}, []byte{9}, uint16(0))
+	f.Fuzz(func(t *testing.T, itemBytes, spBytes []byte, nbm1 uint16) {
+		byteKey := func(b byte) SortKey { return SortKey{A: int64(b >> 2), B: int64(b & 3)} }
+		nb := int(nbm1)%4096 + 1
+		items := make([]kitem, len(itemBytes))
+		for i, b := range itemBytes {
+			items[i] = kitem{key: byteKey(b), tag: i}
+		}
+		stableSort(items)
+		sp := make([]SortKey, len(spBytes))
+		for i, b := range spBytes {
+			sp[i] = byteKey(b)
+		}
+		slices.SortFunc(sp, func(a, b SortKey) int { return a.Compare(b) })
+
+		want := searchBuckets(items, sp, nb)
+		last := -1
+		walkBuckets(items, sp, nb, func(it kitem) SortKey { return it.key }, func(j int, run []kitem) {
+			if j <= last || j >= nb || len(run) == 0 || cap(run) != len(run) {
+				t.Fatalf("walk emitted bucket %d of %d (len %d, cap %d) after bucket %d", j, nb, len(run), cap(run), last)
+			}
+			if !reflect.DeepEqual(run, want[j]) {
+				t.Fatalf("bucket %d: walkBuckets diverges from sort.Search routing", j)
+			}
+			want[j], last = nil, j
+		})
+		for j := range want {
+			if want[j] != nil {
+				t.Fatalf("walk never emitted bucket %d (%d items)", j, len(want[j]))
+			}
+		}
+	})
 }
 
 // TestScatterConstantAllocs pins the bucket walk's allocation count: none,
