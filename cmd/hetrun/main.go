@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -114,8 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *alg == "spanner" && *k < 1:
 		fmt.Fprintf(stderr, "hetrun: -k must be at least 1 for spanner, got %d\n", *k)
 		return 2
-	case *alg == "approx-mst" && !(*eps > 0):
-		fmt.Fprintf(stderr, "hetrun: -eps must be positive for approx-mst, got %g\n", *eps)
+	case *alg == "approx-mst" && (!(*eps > 0) || math.IsInf(*eps, 1)):
+		fmt.Fprintf(stderr, "hetrun: -eps must be positive and finite for approx-mst, got %g\n", *eps)
 		return 2
 	case *alg == "approx-mincut" && !(*eps > 0 && *eps < 1):
 		fmt.Fprintf(stderr, "hetrun: -eps must be in (0,1) for approx-mincut, got %g\n", *eps)

@@ -32,6 +32,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown generator", []string{"-gen", "nope"}, 2, "", `unknown generator "nope"`},
 		{"spanner k below 1", []string{"-alg", "spanner", "-k", "-3"}, 2, "", "-k must be at least 1"},
 		{"approx-mst eps not positive", []string{"-alg", "approx-mst", "-eps", "0"}, 2, "", "-eps must be positive"},
+		{"approx-mst eps infinite", []string{"-alg", "approx-mst", "-eps", "+Inf"}, 2, "", "-eps must be positive and finite"},
 		{"approx-mincut eps outside (0,1)", []string{"-alg", "approx-mincut", "-eps", "1"}, 2, "", "-eps must be in (0,1)"},
 		{"no large machine", []string{"-alg", "baseline-cc"}, 0, "large-cap=-\n", ""},
 		{"unknown flag", []string{"-nope"}, 2, "", "flag provided but not defined"},

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -49,27 +47,15 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	phases := int(math.Ceil(math.Log2(float64(n)+2))) + 8
+	phases, levels := sketchShape(n, len(g.Edges))
 	universe := int64(n) * int64(n)
-	// Levels beyond log2(support) are always empty: the support of any
-	// sketched vector is at most 2m, so cap the level count there.
-	levels := 2
-	for u := 1; u < 2*len(g.Edges)+2; u <<= 1 {
-		levels++
-	}
-	levels += 2
-	maxLevels := 2
-	for u := int64(1); u < universe; u <<= 1 {
-		maxLevels++
-	}
-	if levels > maxLevels {
-		levels = maxLevels
-	}
 	families := make([]*sketch.Family, phases)
 	for t := range families {
 		families[t] = sketch.NewFamilyLevels(levels, xrand.Split(seed, uint64(t)+1))
 	}
-	skWords := families[0].NewSketch(universe).Words()
+	// The model ships the paper's full ℓ0-sampler per sketch, whatever
+	// prefix of its levels the host stores.
+	skWords := families[0].Words()
 	// One edge updater per family: precomputed fingerprint power tables plus
 	// a shared hash/fingerprint evaluation for the two endpoint updates of
 	// each edge. Updaters are read-only and shared across the small-machine
@@ -87,37 +73,20 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	items := make([][]prims.KV[*sketch.Sketch], kk)
 	endpoints := prims.EndpointNeeds(edges)
 	if err := c.ForSmall(func(i int) error {
-		// One sketch per (phase, distinct endpoint), in key order: the
-		// endpoint count d sizes the machine's arena and item list exactly,
-		// and an endpoint's rank among the sorted endpoints locates its
-		// sketch in every phase.
-		vs := endpoints[i]
-		d := len(vs)
-		if d == 0 {
-			return nil
-		}
-		ar := families[0].NewArena(universe, d*phases)
-		items[i] = make([]prims.KV[*sketch.Sketch], 0, d*phases)
-		for t := 0; t < phases; t++ {
-			for _, v := range vs {
-				items[i] = append(items[i], prims.KV[*sketch.Sketch]{K: int64(t)*int64(n) + v, V: ar.NewSketch(families[t])})
-			}
-		}
-		for _, e := range edges[i] {
-			ju, _ := slices.BinarySearch(vs, int64(e.U))
-			jv, _ := slices.BinarySearch(vs, int64(e.V))
-			for t := 0; t < phases; t++ {
-				updaters[t].AddEdgeBoth(items[i][t*d+ju].V, items[i][t*d+jv].V, e)
-			}
-		}
+		items[i] = partialSketches(updaters, endpoints[i], edges[i], n)
 		return nil
 	}); err != nil {
 		//hetlint:span error path: the run aborts and no Stats or trace records are consumed from the leaked sketch span
 		return nil, err
 	}
 	// The combine merges in place: AggregateByKey passes ownership of both
-	// arguments, and nothing reads a partial sketch after it is combined.
+	// arguments, and nothing reads a partial sketch after it is combined. It
+	// adds the shallower prefix into the deeper one, which therefore never
+	// grows; which operand survives does not show in the sum.
 	combine := func(a, b *sketch.Sketch) *sketch.Sketch {
+		if a.Depth() < b.Depth() {
+			a, b = b, a
+		}
 		if err := a.Merge(b); err != nil {
 			// Same family by construction; a mismatch is a bug.
 			panic(err)
@@ -133,33 +102,14 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 
 	// Large machine: local Borůvka with fresh sketches per phase.
 	dsu := unionfind.New(n)
+	sums := make([]*sketch.Sketch, n)
 	for t := 0; t < phases; t++ {
-		// Sum member sketches per current component.
-		sums := make(map[int]*sketch.Sketch)
-		for v := 0; v < n; v++ {
-			s, ok := atLarge[int64(t)*int64(n)+int64(v)]
-			if !ok {
-				continue // isolated vertex: no sketch
-			}
-			r := dsu.Find(v)
-			if cur, ok := sums[r]; ok {
-				if err := cur.Merge(s); err != nil {
-					return nil, err
-				}
-			} else {
-				sums[r] = s.Clone()
-			}
+		if err := componentSums(sums, families[t], universe, dsu, atLarge, int64(t)*int64(n)); err != nil {
+			return nil, err
 		}
-		roots := make([]int, 0, len(sums))
-		for r := range sums {
-			roots = append(roots, r)
-		}
-		sort.Ints(roots)
-		progress := false
 		allZero := true
-		for _, r := range roots {
-			s := sums[r]
-			if s.IsZero() {
+		for _, s := range sums { // ascending root order
+			if s == nil || s.IsZero() {
 				continue
 			}
 			allZero = false
@@ -168,34 +118,21 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 				continue // sampler failure: retry next phase
 			}
 			u, v := sketch.DecodeEdgeKey(idx, n)
-			if dsu.Union(u, v) {
-				progress = true
-			}
+			dsu.Union(u, v)
 		}
 		res.Phases++
 		if allZero {
 			break
 		}
-		_ = progress
 	}
 	// Verify completion: any nonzero component sum left means we ran out of
 	// phases (vanishingly unlikely with 2 log n + 6 phases).
 	lastT := res.Phases - 1
-	sums := make(map[int]*sketch.Sketch)
-	for v := 0; v < n; v++ {
-		if s, ok := atLarge[int64(lastT)*int64(n)+int64(v)]; ok {
-			r := dsu.Find(v)
-			if cur, ok := sums[r]; ok {
-				if err := cur.Merge(s); err != nil {
-					return nil, err
-				}
-			} else {
-				sums[r] = s.Clone()
-			}
-		}
+	if err := componentSums(sums, families[lastT], universe, dsu, atLarge, int64(lastT)*int64(n)); err != nil {
+		return nil, err
 	}
 	for _, s := range sums {
-		if !s.IsZero() {
+		if s != nil && !s.IsZero() {
 			return nil, fmt.Errorf("core: connectivity did not converge in %d phases", phases)
 		}
 	}
@@ -221,6 +158,65 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	return res, nil
 }
 
+// sketchShape returns the number of Borůvka phases — one sketch family each
+// — and the level count of every family for an n-vertex, m-edge input.
+func sketchShape(n, m int) (phases, levels int) {
+	phases = int(math.Ceil(math.Log2(float64(n)+2))) + 8
+	// Levels beyond log2(support) are always empty: the support of any
+	// sketched vector is at most 2m, so cap the level count there.
+	levels = 2
+	for u := 1; u < 2*m+2; u <<= 1 {
+		levels++
+	}
+	levels += 2
+	maxLevels := 2
+	for u := int64(1); u < int64(n)*int64(n); u <<= 1 {
+		maxLevels++
+	}
+	return phases, min(levels, maxLevels)
+}
+
+// partialSketches is one small machine's share of the sketch phase: one
+// partial sketch per (phase, distinct endpoint) of its edges, keyed
+// phase·n + vertex in increasing key order. vs lists the edges' distinct
+// endpoints, sorted.
+func partialSketches(updaters []*sketch.EdgeUpdater, vs []int64, edges []graph.Edge, n int) []prims.KV[*sketch.Sketch] {
+	sks := sketch.Partials(updaters, vs, edges)
+	if len(sks) == 0 {
+		return nil
+	}
+	items := make([]prims.KV[*sketch.Sketch], 0, len(sks))
+	for t := range updaters {
+		for _, v := range vs {
+			items = append(items, prims.KV[*sketch.Sketch]{K: int64(t)*int64(n) + v, V: &sks[len(items)]})
+		}
+	}
+	return items
+}
+
+// componentSums fills sums[r] with the sum of the vertex sketches keyed
+// base+v over the members v of the component rooted at r under dsu, and
+// with nil where no member has a sketch (isolated vertices have none).
+// Members are added in increasing order into a full-width sketch of f, so
+// no merge grows its destination and atLarge is left untouched.
+func componentSums(sums []*sketch.Sketch, f *sketch.Family, universe int64, dsu *unionfind.DSU, atLarge map[int64]*sketch.Sketch, base int64) error {
+	clear(sums)
+	for v := range sums {
+		s, ok := atLarge[base+int64(v)]
+		if !ok {
+			continue
+		}
+		r := dsu.Find(v)
+		if sums[r] == nil {
+			sums[r] = f.NewSketch(universe)
+		}
+		if err := sums[r].Merge(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MSTApproxResult is the output of the (1+ε)-MST-weight approximation.
 type MSTApproxResult struct {
 	Estimate   int64
@@ -236,8 +232,10 @@ type MSTApproxResult struct {
 // The input must be connected for the estimate to be meaningful (the
 // standard assumption of the reduction).
 func ApproxMSTWeight(c *mpc.Cluster, g *graph.Graph, eps float64) (*MSTApproxResult, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("core: eps must be positive")
+	// NaN fails every comparison and +Inf passes eps > 0; either would make
+	// the int64 conversion of the next threshold implementation-defined.
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return nil, fmt.Errorf("core: eps must be positive and finite, got %v", eps)
 	}
 	if !c.HasLarge() {
 		return nil, errNeedsLarge("ApproxMSTWeight")

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"hetmpc/internal/graph"
+	"hetmpc/internal/mpc"
+	"hetmpc/internal/prims"
+	"hetmpc/internal/sketch"
 )
 
 func checkConnectivity(t *testing.T, g *graph.Graph, seed uint64) *ConnectivityResult {
@@ -134,5 +139,89 @@ func TestApproxMSTTighterEpsIsCloser(t *testing.T) {
 	}
 	if fine > 0.2 {
 		t.Fatalf("eps=0.1 error too large: %.3f", fine)
+	}
+}
+
+// TestApproxMSTWeightRejectsNonFiniteEps: NaN passes an `eps <= 0` guard and
+// +Inf is positive, and either makes the next threshold's int64 conversion
+// implementation-defined, degrading the geometric threshold walk to one
+// Connectivity run per integer weight. Both must be refused before the
+// cluster is touched; the small round budget keeps a regression a quick
+// ErrRounds instead of a crawl through 10⁶ thresholds.
+func TestApproxMSTWeightRejectsNonFiniteEps(t *testing.T) {
+	g := graph.Path(8)
+	g.Weighted = true
+	g.Edges[0].W = 1_000_000
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 3, MaxRounds: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ApproxMSTWeight(c, g, eps)
+		if err == nil || errors.Is(err, mpc.ErrRounds) {
+			t.Errorf("eps=%v: got error %v, want a validation error", eps, err)
+		}
+		if r := c.Stats().Rounds; r != 0 {
+			t.Errorf("eps=%v: %d rounds ran before eps was refused", eps, r)
+		}
+	}
+}
+
+// sketchPhaseInput is the sketch phase's input on a K-machine cluster: the
+// distributed edges, each machine's sorted endpoints and one updater per
+// phase (any seeds do: the shape is what the pins below measure).
+func sketchPhaseInput(tb testing.TB, g *graph.Graph, k int) (edges [][]graph.Edge, endpoints [][]int64, updaters []*sketch.EdgeUpdater, levels int) {
+	tb.Helper()
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: k, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if edges, err = prims.DistributeEdges(c, g); err != nil {
+		tb.Fatal(err)
+	}
+	phases, levels := sketchShape(g.N, g.M())
+	updaters = make([]*sketch.EdgeUpdater, phases)
+	for p := range updaters {
+		updaters[p] = sketch.NewFamilyLevels(levels, uint64(p)+1).NewEdgeUpdater(g.N)
+	}
+	return edges, prims.EndpointNeeds(edges), updaters, levels
+}
+
+// TestConnectivitySketchCellsFollowDepth pins what the sketch phase stores
+// at a scaled-down `scale` shape: a machine's share of a vertex is an edge
+// or two, so its sketch is a prefix of ~2 levels and the cells carved are a
+// small fraction of sketches × levels (the full-width carve is 100 %).
+func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
+	g := graph.GNM(1024, 4096, 7)
+	edges, endpoints, updaters, levels := sketchPhaseInput(t, g, 128)
+	sketches, cells := 0, 0
+	for i := range edges {
+		for _, kv := range partialSketches(updaters, endpoints[i], edges[i], g.N) {
+			if kv.V.Depth() < 1 || kv.V.Depth() > levels {
+				t.Fatalf("machine %d key %d: depth %d outside [1, %d]", i, kv.K, kv.V.Depth(), levels)
+			}
+			sketches++
+			cells += kv.V.Depth()
+		}
+	}
+	if sketches == 0 || cells*100 > 15*sketches*levels {
+		t.Errorf("%d cells for %d sketches of %d levels, want at most 15 %% of the full width", cells, sketches, levels)
+	}
+}
+
+// TestConnectivityAllocsPerMachine pins the build closure's allocations per
+// machine: the item list plus sketch.Partials' four, whatever the machine
+// holds (the slab arena this replaced took 7), and none without edges.
+func TestConnectivityAllocsPerMachine(t *testing.T) {
+	for _, m := range []int{1, 30, 900} {
+		g := graph.GNM(256, m, uint64(m))
+		edges, endpoints, updaters, _ := sketchPhaseInput(t, g, 2)
+		if got := testing.AllocsPerRun(10, func() { partialSketches(updaters, endpoints[0], edges[0], g.N) }); got != 5 {
+			t.Errorf("a machine holding %d edges allocates %v times, want 5 whatever it holds", len(edges[0]), got)
+		}
+	}
+	_, _, updaters, _ := sketchPhaseInput(t, graph.GNM(256, 30, 1), 2)
+	if got := testing.AllocsPerRun(10, func() { partialSketches(updaters, nil, nil, 256) }); got != 0 {
+		t.Errorf("a machine with no edges allocates %v times, want 0", got)
 	}
 }

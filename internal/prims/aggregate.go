@@ -58,9 +58,9 @@ func foldRuns[V any](kvs []KV[V], combine func(a, b V) V) []KV[V] {
 // use in the paper).
 //
 // combine must be associative and commutative. It receives ownership of both
-// arguments: for pointer-typed V it may mutate and return `a` (no value it
-// has combined away is ever read again), which lets sketch-like values merge
-// without cloning. vwords is the value size in words.
+// arguments: for pointer-typed V it may mutate and return either one (no
+// value it has combined away is ever read again), which lets sketch-like
+// values merge without cloning. vwords is the value size in words.
 func AggregateByKey[V any](
 	c *mpc.Cluster,
 	items [][]KV[V],

@@ -21,6 +21,26 @@ func (f *Family) AddEdgeIncidence(s *Sketch, v int, e graph.Edge, n int) {
 	}
 }
 
+// equalLevels compares two level prefixes cell for cell, the shorter one's
+// missing levels standing for zeros — the representation invariant.
+func equalLevels(a, b []oneSparse) bool {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	for i, c := range a {
+		if i < len(b) && c != b[i] || i >= len(b) && c != (oneSparse{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// emptyPrefix is the shallowest sketch of f: no level stored, every update
+// has to grow it.
+func emptyPrefix(f *Family, universe int64) *Sketch {
+	return &Sketch{familyID: f.id, universe: universe}
+}
+
 // TestEdgeUpdaterMatchesAddEdgeIncidence pins the bit-identity of the
 // table-based fingerprint path: for fuzzed edge sets, AddEdgeBoth must
 // leave both endpoint sketches exactly as two AddEdgeIncidence calls do —
@@ -71,14 +91,17 @@ func TestEdgeUpdaterReferenceFallback(t *testing.T) {
 			}
 		}
 	}
-	su, sv := f.NewSketch(universe), f.NewSketch(universe)
+	su, sv := emptyPrefix(f, universe), emptyPrefix(f, universe)
 	ru, rv := f.NewSketch(universe), f.NewSketch(universe)
 	e := graph.Edge{U: 3, V: 17, W: 1}
 	up.AddEdgeBoth(su, sv, e)
 	f.AddEdgeIncidence(ru, e.U, e, n)
 	f.AddEdgeIncidence(rv, e.V, e, n)
-	if !reflect.DeepEqual(su.levels, ru.levels) || !reflect.DeepEqual(sv.levels, rv.levels) {
+	if !equalLevels(su.levels, ru.levels) || !equalLevels(sv.levels, rv.levels) {
 		t.Fatal("AddEdgeBoth diverges from the scalar AddEdgeIncidence oracle")
+	}
+	if su.Depth() == 0 || su.Depth() != sv.Depth() {
+		t.Fatalf("AddEdgeBoth left empty prefixes at depths %d and %d, want the update's depth in both", su.Depth(), sv.Depth())
 	}
 }
 
@@ -121,134 +144,27 @@ func TestMergeKernelMatchesScalar(t *testing.T) {
 }
 
 // TestSketchMergeZeroAllocs pins the merge hot path at zero allocations —
-// the runtime counterpart of mergeLevels' zeroalloc marker.
+// the runtime counterpart of mergeLevels' zeroalloc marker — for equal
+// depths and for a shallower prefix merged into a deeper one, the only
+// direction an aggregation combine takes.
 func TestSketchMergeZeroAllocs(t *testing.T) {
 	f := NewFamilyLevels(23, 5)
 	universe := int64(1) << 20
 	a, b := f.NewSketch(universe), f.NewSketch(universe)
 	f.Add(a, 12345, 1)
 	f.Add(b, 54321, -1)
-	if got := testing.AllocsPerRun(100, func() {
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("Merge allocates %v per run, want 0", got)
+	shallow := emptyPrefix(f, universe)
+	f.Add(shallow, 777, 1)
+	if shallow.Depth() >= a.Depth() {
+		t.Fatalf("prefix of one update is %d levels deep, the full sketch %d", shallow.Depth(), a.Depth())
 	}
-}
-
-// TestArenaResetReusesSketchMemory verifies the sketch arena's Reset
-// contract: after a Reset, NewSketch hands back the same slab memory with
-// fully zeroed levels, and steady-state cycles allocate nothing.
-func TestArenaResetReusesSketchMemory(t *testing.T) {
-	universe := int64(1) << 12
-	f := NewFamily(universe, 7)
-	a := f.NewArena(universe, 32)
-	s := a.NewSketch(f)
-	f.Add(s, 99, 1)
-	a.Reset()
-	s2 := a.NewSketch(f)
-	if !s2.IsZero() {
-		t.Fatal("post-Reset sketch is not zero")
-	}
-	for i := range s2.levels {
-		if s2.levels[i] != (oneSparse{}) {
-			t.Fatalf("post-Reset level %d holds stale state %+v", i, s2.levels[i])
-		}
-	}
-	cycle := func() {
-		a.Reset()
-		for i := 0; i < 16; i++ {
-			sk := a.NewSketch(f)
-			f.Add(sk, int64(i), 1)
-		}
-	}
-	cycle()
-	if got := testing.AllocsPerRun(50, cycle); got != 0 {
-		t.Errorf("steady-state arena cycle allocates %v per run, want 0", got)
-	}
-}
-
-// TestArenaSizedSlabsMatchNewSketch pins the counted sizing core.Connectivity
-// relies on: one arena serves d·phases sketches of several same-shape
-// families from exactly two slabs — one of sketches, one of level cells,
-// each exactly as large as asked, so the allocation count does not depend on
-// the sketch count — the sketches are bit-identical to Family.NewSketch
-// ones under AddEdgeBoth, Merge and Query, and an arena sized for nothing (a
-// machine with no edges) allocates no slab and still draws a sketch without
-// panicking.
-func TestArenaSizedSlabsMatchNewSketch(t *testing.T) {
-	const n, d, phases, levels = 64, 9, 5, 11
-	universe := int64(n) * int64(n)
-	families := make([]*Family, phases)
-	for p := range families {
-		families[p] = NewFamilyLevels(levels, uint64(100+p))
-	}
-	fill := func(count int) *Arena {
-		a := families[0].NewArena(universe, count)
-		for j := 0; j < count; j++ {
-			a.NewSketch(families[j%phases])
-		}
-		return a
-	}
-	a := fill(d * phases)
-	if sk, lv := a.sketches.Cap(), a.levels.Cap(); sk != d*phases || lv != d*phases*levels {
-		t.Fatalf("arena holds %d sketches and %d level cells, want exactly %d and %d", sk, lv, d*phases, d*phases*levels)
-	}
-	one := testing.AllocsPerRun(20, func() { fill(1) })
-	many := testing.AllocsPerRun(20, func() { fill(d * phases) })
-	if one != many {
-		t.Errorf("filling a sized arena allocates %v times for 1 sketch, %v for %d: slabs are not exactly sized", one, many, d*phases)
-	}
-
-	rng := xrand.New(29)
-	var edges []graph.Edge
-	for j := 0; j < 40; j++ {
-		u, v := int(rng.Uint64()%d), int(rng.Uint64()%d)
-		if u != v {
-			edges = append(edges, graph.NewEdge(u, v, 1))
-		}
-	}
-	a = families[0].NewArena(universe, d*phases)
-	for _, f := range families {
-		up := f.NewEdgeUpdater(n)
-		got, want := make([]*Sketch, d), make([]*Sketch, d)
-		for v := range got {
-			got[v], want[v] = a.NewSketch(f), f.NewSketch(universe)
-		}
-		for _, e := range edges {
-			up.AddEdgeBoth(got[e.U], got[e.V], e)
-			up.AddEdgeBoth(want[e.U], want[e.V], e)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("arena sketches diverge from NewSketch ones under AddEdgeBoth")
-		}
-		for v := 1; v < d/2; v++ { // the cut sketch of vertices 0..d/2-1
-			if err := got[0].Merge(got[v]); err != nil {
+	for name, src := range map[string]*Sketch{"equal depths": b, "shallower into deeper": shallow} {
+		if got := testing.AllocsPerRun(100, func() {
+			if err := a.Merge(src); err != nil {
 				t.Fatal(err)
 			}
-			if err := want[0].Merge(want[v]); err != nil {
-				t.Fatal(err)
-			}
+		}); got != 0 {
+			t.Errorf("%s: Merge allocates %v per run, want 0", name, got)
 		}
-		if !reflect.DeepEqual(got[0], want[0]) {
-			t.Fatal("arena sketches diverge from NewSketch ones under Merge")
-		}
-		gi, gv, gok := f.Query(got[0])
-		wi, wv, wok := f.Query(want[0])
-		if gi != wi || gv != wv || gok != wok {
-			t.Fatalf("Query of the arena cut sketch = (%d, %d, %v), of the NewSketch one (%d, %d, %v)", gi, gv, gok, wi, wv, wok)
-		}
-	}
-
-	var empty *Arena
-	if got := testing.AllocsPerRun(20, func() { empty = families[0].NewArena(universe, 0) }); got > 1 {
-		t.Errorf("an arena sized for no sketches allocates %v times, want only its header", got)
-	}
-	if empty.sketches.Cap() != 0 || empty.levels.Cap() != 0 {
-		t.Error("an arena sized for no sketches allocated a slab")
-	}
-	if s := empty.NewSketch(families[0]); !s.IsZero() || len(s.levels) != levels {
-		t.Error("a sketch drawn past an empty arena's size is not an empty sketch of the family")
 	}
 }

@@ -13,12 +13,23 @@
 // the edge universe {(i,j) : i < j}: a_v[(i,j)] = +1 if v == i and the edge
 // is present, -1 if v == j. Summing a_v over a vertex set S cancels internal
 // edges, so querying the sum returns an edge of E[S, V \ S].
+//
+// Representation: the geometric levels are nested — an index hashing to h
+// is in level ℓ iff h < p/2^ℓ — so every update touches a prefix of the
+// levels and so does every sum of updates. A Sketch therefore stores only a
+// prefix: levels at and above the stored length are zero. That is the one
+// representation (Family.NewSketch is the prefix of full length); an update
+// or merge deeper than the prefix grows it, so nothing is ever dropped. In
+// the sublinear regime a machine's share of a vertex is an edge or two and
+// the prefix is ~2 cells of 20. What a sketch costs on the model's wire is
+// a separate matter: Family.Words charges the full ℓ0-sampler of the paper
+// whatever the host stores.
 package sketch
 
 import (
 	"fmt"
+	"slices"
 
-	"hetmpc/internal/arena"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/xrand"
 )
@@ -64,6 +75,23 @@ func NewFamilyLevels(levels int, seed uint64) *Family {
 
 // Levels returns the number of geometric levels.
 func (f *Family) Levels() int { return f.levels }
+
+// Words returns the communication size of one sketch of the family in
+// machine words: the full ℓ0-sampler (every level's one-sparse triple plus
+// the family id and universe), which is what the model charges for a sketch
+// however short the prefix the host stores for it.
+func (f *Family) Words() int { return 2 + 3*f.levels }
+
+// depth returns how many of the family's levels hold an index hashing to h.
+// Level ℓ holds it iff h < p/2^ℓ, so the levels holding it are the prefix
+// [0, depth); h < p makes that at least level 0.
+func (f *Family) depth(h uint64) int {
+	d := 0
+	for bound := xrand.MersennePrime; d < f.levels && h < bound; bound >>= 1 {
+		d++
+	}
+	return d
+}
 
 // oneSparse is a one-sparse recovery structure over signed unit values.
 type oneSparse struct {
@@ -116,14 +144,19 @@ func (o *oneSparse) recover(r uint64, universe int64) (idx int64, val int, ok bo
 	return idx, val, true
 }
 
-// Sketch is an addable ℓ0-sampler over signed unit-valued vectors.
+// Sketch is an addable ℓ0-sampler over signed unit-valued vectors. It
+// stores a prefix of its family's levels; the levels at and above
+// len(levels) are zero (the package comment says why the zeros always form
+// a suffix). Every reader — Query, IsZero, Merge, Clone — takes the missing
+// levels as zero, and every writer grows the prefix to the depth it writes.
 type Sketch struct {
 	familyID uint64
 	universe int64
 	levels   []oneSparse
 }
 
-// NewSketch returns an empty sketch of the family over the given universe.
+// NewSketch returns an empty sketch of the family over the given universe,
+// at full depth: no update or merge within the family grows it.
 func (f *Family) NewSketch(universe int64) *Sketch {
 	return &Sketch{
 		familyID: f.id,
@@ -132,55 +165,35 @@ func (f *Family) NewSketch(universe int64) *Sketch {
 	}
 }
 
-// Words returns the communication size of the sketch in machine words.
-func (s *Sketch) Words() int { return 2 + 3*len(s.levels) }
+// Depth returns the number of levels the sketch stores.
+func (s *Sketch) Depth() int { return len(s.levels) }
 
-// Arena hands out sketches backed by the shared slab allocator
-// (internal/arena), amortizing the allocations of NewSketch across whole
-// slabs and supporting Reset reuse round over round. Sketches from an
-// arena are ordinary sketches (merge, query, clone all work); the arena
-// itself is not safe for concurrent use — use one per goroutine.
-type Arena struct {
-	f        *Family
-	universe int64
-	sketches arena.Arena[Sketch]
-	levels   arena.Arena[oneSparse]
-}
-
-// NewArena returns an arena producing sketches of f over the universe,
-// sized for n of them: the first sketch drawn allocates one slab of
-// exactly n sketches and one of their n·levels level cells, and none is
-// drawn before that, so an arena nothing is taken from costs nothing. A
-// producer that outruns n falls back on the slab allocator's geometric
-// growth.
-func (f *Family) NewArena(universe int64, n int) *Arena {
-	a := &Arena{f: f, universe: universe}
-	a.sketches = *arena.New[Sketch](n)
-	a.levels = *arena.New[oneSparse](n * f.levels)
-	return a
-}
-
-// NewSketch returns a fresh empty sketch of family g from the arena's
-// current slab. g is the arena's own family or any other with its level
-// count: sketches of one shape share slabs whatever their randomness, so
-// one arena can serve every phase of an algorithm.
-func (a *Arena) NewSketch(g *Family) *Sketch {
-	if g.levels != a.f.levels {
-		panic("sketch: arena serves families of one level count") // programming error, not data error
+// grow extends the stored prefix with zero levels to at least depth.
+func (s *Sketch) grow(depth int) {
+	if n := depth - len(s.levels); n > 0 {
+		s.levels = append(s.levels, make([]oneSparse, n)...)
 	}
-	s := &a.sketches.Alloc(1)[0]
-	s.familyID = g.id
-	s.universe = a.universe
-	s.levels = a.levels.Alloc(g.levels)
-	return s
 }
 
-// Reset reclaims every sketch the arena has handed out, retaining the
-// slabs: every outstanding *Sketch becomes invalid and the next NewSketch
-// reuses the memory without allocating (the arena contract, DESIGN.md §14).
-func (a *Arena) Reset() {
-	a.sketches.Reset()
-	a.levels.Reset()
+// carve returns len(depths) empty sketches over the universe, sketch k
+// storing depths[k] levels, out of two allocations whatever their number:
+// the sketch headers and one cell slice of exactly Σ depths cells. Each
+// prefix is capacity-clamped, so growing one reallocates it rather than
+// running into its neighbour. The caller stamps the family ids.
+func carve(universe int64, depths []int32) ([]Sketch, []oneSparse) {
+	total := 0
+	for _, d := range depths {
+		total += int(d)
+	}
+	sks := make([]Sketch, len(depths))
+	cells := make([]oneSparse, total)
+	off := 0
+	for k, d := range depths {
+		end := off + int(d)
+		sks[k] = Sketch{universe: universe, levels: cells[off:end:end]}
+		off = end
+	}
+	return sks, cells
 }
 
 // Add applies a single update: vector[idx] += val, with val ∈ {+1, -1}.
@@ -189,20 +202,20 @@ func (f *Family) Add(s *Sketch, idx int64, val int) {
 		panic("sketch: val must be ±1") // programming error, not data error
 	}
 	rPow := xrand.PowModP(f.r, uint64(idx))
-	h := f.hash.Eval(uint64(idx))
-	addLevels(s.levels, idx, val, rPow, h)
+	depth := f.depth(f.hash.Eval(uint64(idx)))
+	s.grow(depth)
+	addLevels(s.levels, idx, val, rPow, depth)
 }
 
-// addLevels applies one precomputed update to the nested geometric levels:
-// item idx belongs to level ℓ iff h < p / 2^ℓ.
-func addLevels(levels []oneSparse, idx int64, val int, rPow, h uint64) {
-	bound := xrand.MersennePrime
-	for ℓ := 0; ℓ < len(levels); ℓ++ {
-		if h >= bound {
-			break
-		}
+// addLevels applies one prepared update to the levels holding its index,
+// levels[:depth]. The caller has sized the prefix: an update deeper than
+// the prefix would lose cells without a trace, so it panics instead.
+func addLevels(levels []oneSparse, idx int64, val int, rPow uint64, depth int) {
+	if depth > len(levels) {
+		panic("sketch: update deeper than the stored prefix") // programming error, not data error
+	}
+	for ℓ := range levels[:depth] {
 		levels[ℓ].add(idx, val, rPow)
-		bound >>= 1
 	}
 }
 
@@ -242,16 +255,85 @@ func (f *Family) NewEdgeUpdater(n int) *EdgeUpdater {
 	return up
 }
 
+// prepare computes everything edge e's update needs before a cell is
+// touched — the edge key, its fingerprint power and the depth of the level
+// prefix holding it: one field multiplication and one hash evaluation,
+// shared by both endpoints.
+func (up *EdgeUpdater) prepare(e graph.Edge) (idx int64, rPow uint64, depth int) {
+	idx = e.Key(up.n)
+	rPow = xrand.MulModP(up.rowPow[e.U], up.colPow[e.V])
+	return idx, rPow, up.f.depth(up.f.hash.Eval(uint64(idx)))
+}
+
 // AddEdgeBoth applies edge e's signed incidence update to both endpoint
 // sketches — +1 into su (the sketch accumulating endpoint e.U), -1 into sv
 // — with one fingerprint power and one hash evaluation shared across both.
 // Equivalent to one Add per endpoint, bit for bit.
 func (up *EdgeUpdater) AddEdgeBoth(su, sv *Sketch, e graph.Edge) {
-	idx := e.Key(up.n)
-	rPow := xrand.MulModP(up.rowPow[e.U], up.colPow[e.V])
-	h := up.f.hash.Eval(uint64(idx))
-	addLevels(su.levels, idx, 1, rPow, h)
-	addLevels(sv.levels, idx, -1, rPow, h)
+	idx, rPow, depth := up.prepare(e)
+	su.grow(depth)
+	sv.grow(depth)
+	addLevels(su.levels, idx, 1, rPow, depth)
+	addLevels(sv.levels, idx, -1, rPow, depth)
+}
+
+// Partials builds one machine's share of the sketches: for each updater
+// (one per family — per Borůvka phase) and each endpoint, the sketch of the
+// incidence updates of the machine's edges at that endpoint. ends lists the
+// edges' distinct endpoints in increasing order; sketch t·len(ends)+j is
+// updater t's sketch of endpoint ends[j]. Bit for bit the sketches are what
+// AddEdgeBoth leaves in Family.NewSketch ones, at exactly their depth:
+// every update is prepared once, a sketch's depth is the deepest of its
+// updates, and headers and cells are carved to fit before the updates are
+// applied — two slices and two scratch slices per machine whatever it
+// holds, and no cell that stays zero.
+func Partials(ups []*EdgeUpdater, ends []int64, edges []graph.Edge) []Sketch {
+	d, phases := len(ends), len(ups)
+	if d == 0 || phases == 0 {
+		return nil
+	}
+	type prepared struct {
+		rPow  uint64
+		depth int32
+	}
+	prep := make([]prepared, len(edges)*phases)
+	depths := make([]int32, phases*d)
+	for i, e := range edges {
+		ju, jv := endpointRank(ends, e.U), endpointRank(ends, e.V)
+		for t, up := range ups {
+			_, rPow, depth := up.prepare(e)
+			p := prepared{rPow: rPow, depth: int32(depth)}
+			prep[i*phases+t] = p
+			depths[t*d+ju] = max(depths[t*d+ju], p.depth)
+			depths[t*d+jv] = max(depths[t*d+jv], p.depth)
+		}
+	}
+	n := ups[0].n
+	sks, _ := carve(int64(n)*int64(n), depths)
+	for t, up := range ups {
+		for j := 0; j < d; j++ {
+			sks[t*d+j].familyID = up.f.id
+		}
+	}
+	for i, e := range edges {
+		ju, jv := endpointRank(ends, e.U), endpointRank(ends, e.V)
+		idx := e.Key(n)
+		for t := range ups {
+			p := prep[i*phases+t]
+			addLevels(sks[t*d+ju].levels, idx, 1, p.rPow, int(p.depth))
+			addLevels(sks[t*d+jv].levels, idx, -1, p.rPow, int(p.depth))
+		}
+	}
+	return sks
+}
+
+// endpointRank locates vertex v among the sorted distinct endpoints.
+func endpointRank(ends []int64, v int) int {
+	j, ok := slices.BinarySearch(ends, int64(v))
+	if !ok {
+		panic("sketch: edge endpoint missing from the endpoint list") // programming error, not data error
+	}
+	return j
 }
 
 // Clone returns a deep copy of the sketch.
@@ -266,20 +348,27 @@ func (s *Sketch) Clone() *Sketch {
 }
 
 // Merge adds other into s (linearity). The sketches must come from the same
-// family and universe.
+// family and universe; their depths may differ. The sum is as deep as the
+// deeper operand: a deeper other grows s first. A caller that owns both —
+// an aggregation combine — merges the shallower into the deeper instead and
+// allocates nothing; the cell adds are canonical, so a+b and b+a agree bit
+// for bit.
 func (s *Sketch) Merge(other *Sketch) error {
-	if s.familyID != other.familyID || s.universe != other.universe || len(s.levels) != len(other.levels) {
+	if s.familyID != other.familyID || s.universe != other.universe {
 		return fmt.Errorf("sketch: merging incompatible sketches")
 	}
+	s.grow(len(other.levels))
 	mergeLevels(s.levels, other.levels)
 	return nil
 }
 
 // mergeLevels is the vectorized XOR-merge kernel: component-wise sums of
-// the one-sparse triples, unrolled 4-wide with the lengths equalized up
-// front so the compiler drops the per-element bounds checks. Merge order
-// and arithmetic are exactly the scalar loop's (field adds are canonical),
-// so the result is bit-identical — pinned by TestMergeKernelMatchesScalar.
+// the one-sparse triples over the shorter of the two prefixes (the longer
+// one's tail meets implied zeros), unrolled 4-wide with the lengths
+// equalized up front so the compiler drops the per-element bounds checks.
+// Merge order and arithmetic are exactly the scalar loop's (field adds are
+// canonical), so the result is bit-identical — pinned by
+// TestMergeKernelMatchesScalar.
 //
 //hetlint:zeroalloc merge hot path; pinned by TestSketchMergeZeroAllocs
 func mergeLevels(dst, src []oneSparse) {
@@ -331,8 +420,7 @@ func (f *Family) Query(s *Sketch) (idx int64, val int, ok bool) {
 // contains every index, so an empty level 0 means an empty vector —
 // deterministically for count/z, w.h.p. once fingerprints are involved).
 func (s *Sketch) IsZero() bool {
-	l0 := s.levels[0]
-	return l0.count == 0 && l0.z == 0 && l0.fp == 0
+	return len(s.levels) == 0 || s.levels[0] == oneSparse{}
 }
 
 // DecodeEdgeKey converts a universe index back to the edge endpoints.

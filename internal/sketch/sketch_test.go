@@ -159,9 +159,8 @@ func TestEdgeIncidenceCancelsInternalEdges(t *testing.T) {
 
 func TestWordsAccounting(t *testing.T) {
 	f := NewFamily(1<<10, 3)
-	s := f.NewSketch(1 << 10)
-	if s.Words() != 2+3*f.Levels() {
-		t.Fatalf("Words = %d", s.Words())
+	if f.Words() != 2+3*f.Levels() {
+		t.Fatalf("Words = %d", f.Words())
 	}
 }
 
