@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func sampleArtifact() *exp.Artifact {
 		Clusters: 2, Rounds: 100, Words: 50000, Makespan: 1.25e6,
 		Phases: []trace.PhaseStat{
 			{Phase: "build", Rounds: 60, Words: 30000, Makespan: 7.5e5, Share: 0.6, Top: trace.Large, TopShare: 0.5},
-			{Phase: "query", Rounds: 40, Words: 20000, Makespan: 5.0e5, Share: 0.4, Top: 1, TopShare: 0.7},
+			{Phase: "query", Rounds: 40, EmptyRounds: 3, Words: 20000, Makespan: 5.0e5, Share: 0.4, Top: 1, TopShare: 0.7},
 		},
 	}
 	return a
@@ -184,6 +185,15 @@ func TestSummarizeArtifact(t *testing.T) {
 	}
 	if !strings.Contains(out, "100 exchange rounds, 50000 words") || !strings.Contains(out, "build") {
 		t.Fatalf("artifact summary wrong:\n%s", out)
+	}
+	// The empty-round column: build had none, query 3 of its 40.
+	for _, row := range [][]string{{"phase", "rounds", "empty"}, {"build", "60", "0"}, {"query", "40", "3"}} {
+		if !slices.ContainsFunc(strings.Split(out, "\n"), func(line string) bool {
+			f := strings.Fields(line)
+			return len(f) >= 3 && slices.Equal(f[:3], row)
+		}) {
+			t.Fatalf("artifact summary lacks the row %v:\n%s", row, out)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package prims
 
 import (
-	"fmt"
-
 	"hetmpc/internal/arena"
 	"hetmpc/internal/mpc"
 )
@@ -36,21 +34,26 @@ func foldRuns[V any](kvs []KV[V], combine func(a, b V) V) []KV[V] {
 
 // AggregateByKey implements Claim 2: items (key, value) spread over the
 // small machines are combined per key with the aggregation function
-// `combine`. The protocol is: local combine → sort partials by key → detect
-// runs that span machine boundaries → combine up a capacity-bounded tree per
-// spanning run. Afterwards each key's final value is held by the first
-// machine of its run ("M_first(key)" in the paper); roots[i] lists the keys
-// finalized at machine i, strictly increasing, and every key of roots[i] is
-// below every key of roots[j] for i < j — the sorted runs the protocol ends
-// on, which is the form SegmentedBroadcast takes distributed values in.
+// `combine`. The protocol is: local combine → sort the partials by key →
+// fold each machine's equal-key runs. The sort key is the aggregation key
+// alone and Sort routes by key, so every partial of a key lands in one
+// bucket: the fold leaves one entry per key globally, no run straddles a
+// machine boundary, and the rounds charged are exactly Sort's. roots[i]
+// lists the keys finalized at machine i, strictly increasing, and every key
+// of roots[i] is below every key of roots[j] for i < j — the sorted runs the
+// protocol ends on, which is the form SegmentedBroadcast takes distributed
+// values in.
+//
+// Capacity: after the local combine a key has at most one partial per
+// machine, so its owner receives at most K·(vwords+1) words for it; a hot
+// key on a cluster where that exceeds the owner's capacity is refused by
+// Sort's route round with the engine's typed mpc.ErrCapacity naming the
+// receiving machine, never clipped.
 //
 // Bucket assignment is placement-aware through the Sort step: the key
 // ranges each machine ends up owning follow the cluster's placement policy
 // (PlaceShare weighting of the splitters, DESIGN.md §8), so slow or small
-// machines own fewer keys under throughput/speculate placement. The
-// tree-combine branching stays capacity-bounded (MinSmallCap), since a
-// tree message must fit the receiving machine regardless of its placement
-// weight.
+// machines own fewer keys under throughput/speculate placement.
 //
 // If gatherLarge is true an extra round ships every (key, value) to the
 // large machine and atLarge holds them all; the caller is responsible for
@@ -89,154 +92,25 @@ func AggregateByKey[V any](
 	}
 
 	// Global sort by key.
-	sorted, err := Sort(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
+	roots, err = Sort(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Local combine of same-key runs that were routed to the same machine.
+	// Fold the ≤ K partials of each key: the sort key is the aggregation key
+	// alone, so they all sit in one bucket, adjacent.
 	if err := c.ForSmall(func(i int) error {
-		sorted[i] = foldRuns(sorted[i], combine)
+		roots[i] = foldRuns(roots[i], combine)
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	// The combined runs are the machines' recoverable state through the
-	// tree-combine rounds below (Sort registered the pre-combine buckets;
-	// re-register so checkpoints see the shrunken volume).
-	if err := RegisterState(c, sorted, vwords+1); err != nil {
+	// The folded runs are the machines' recoverable state from here on (Sort
+	// registered the pre-fold buckets; re-register so checkpoints see the
+	// shrunken volume).
+	if err := RegisterState(c, roots, vwords+1); err != nil {
 		return nil, nil, err
 	}
-
-	// Boundary reports → spanning runs.
-	spans, err := reportBounds(c, func(i int) boundsReport {
-		if len(sorted[i]) == 0 {
-			return boundsReport{}
-		}
-		return boundsReport{First: sorted[i][0].K, Last: sorted[i][len(sorted[i])-1].K, NonEmpty: true}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	instr, err := sendSpanInstructions(c, spans)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Tree-combine each spanning run upward, level by level. The branching
-	// factor is capacity-bounded (the concrete form of the paper's
-	// branching-n^γ trees) and the depth loop is over the public bound
-	// treeDepth(K, b), so the round count depends only on public parameters.
-	b := branching(c, vwords+1)
-	depth := treeDepth(k, b)
-	// Per machine, one accumulator per span it is in (instr[i], at most two):
-	// the machine's own value for the span's key — an empty bridge machine
-	// starts without one — combined with what its tree children send up.
-	type acc struct {
-		Val V
-		Has bool
-	}
-	local := make([][]acc, k)
-	spanOf := func(i int, key int64) int {
-		for s := range instr[i] {
-			if instr[i][s].Key == key {
-				return s
-			}
-		}
-		return -1
-	}
-	if err := c.ForSmall(func(i int) error {
-		if len(instr[i]) == 0 {
-			return nil
-		}
-		local[i] = make([]acc, len(instr[i]))
-		for _, kv := range sorted[i] {
-			if s := spanOf(i, kv.K); s >= 0 {
-				local[i][s] = acc{Val: kv.V, Has: true}
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	type upMsg struct {
-		Key int64
-		Val V
-	}
-	for d := depth; d >= 1; d-- {
-		outs := make([][]mpc.Msg, k)
-		if err := c.ForSmall(func(i int) error {
-			// A machine sends at most one message per span it is in: that
-			// sizes its out-list and its payload slab, taken on the first
-			// send.
-			var slab []upMsg
-			for s, si := range instr[i] {
-				p := i - si.A
-				size := si.B - si.A + 1
-				if p <= 0 || p >= size || posDepth(p, b) != d {
-					continue
-				}
-				a := &local[i][s]
-				if !a.Has {
-					continue // empty bridge machine: nothing to contribute
-				}
-				if slab == nil {
-					slab = make([]upMsg, 0, len(instr[i]))
-					outs[i] = make([]mpc.Msg, 0, len(instr[i]))
-				}
-				slab = append(slab, upMsg{Key: si.Key, Val: a.Val})
-				parent := si.A + posParent(p, b)
-				outs[i] = append(outs[i], mpc.Msg{To: parent, Words: vwords + 1, Data: &slab[len(slab)-1]})
-				a.Has = false
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		ins, _, err := c.Exchange(outs, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := c.ForSmall(func(i int) error {
-			for _, m := range ins[i] {
-				um, ok := m.Data.(*upMsg)
-				if !ok || um == nil {
-					return fmt.Errorf("prims: unexpected aggregate payload %T", m.Data)
-				}
-				// Only tree children send here, and they are in the span.
-				if a := &local[i][spanOf(i, um.Key)]; a.Has {
-					a.Val = combine(a.Val, um.Val)
-				} else {
-					*a = acc{Val: um.Val, Has: true}
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Each machine's finalized keys, filtered in place from its sorted run:
-	// a spanning key survives only at its run's first machine, with the
-	// tree's value. sorted itself keeps its lengths — it is the registered
-	// checkpoint state, and its volume is what a later barrier replicates.
-	roots = make([][]KV[V], k)
-	if err := c.ForSmall(func(i int) error {
-		roots[i] = sorted[i][:0]
-		for _, kv := range sorted[i] {
-			if s := spanOf(i, kv.K); s >= 0 {
-				if instr[i][s].A != i {
-					continue
-				}
-				kv.V = local[i][s].Val
-			}
-			roots[i] = append(roots[i], kv)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-
 	if !gatherLarge {
 		return roots, nil, nil
 	}

@@ -50,7 +50,10 @@ const radixCutoff = 96
 // pinned by TestSortKernelMatchesStable. Small slices, and slices with more
 // than 16 varying key bytes, fall back to pdqsort on the flipped words with
 // the index tiebreak (stable in effect). The resulting permutation is
-// applied in place by cycle-following.
+// applied in place by cycle-following. The extraction pass also compares
+// each key with its predecessor: input already in order — all keys equal,
+// or a list an earlier step sorted — returns after it, having done nothing
+// but the n extractions.
 func SortLocal[T any](items []T, key func(T) SortKey) {
 	n := len(items)
 	if n < 2 {
@@ -60,6 +63,8 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 	kb := ar.AllocUninit(n)
 	or := [3]uint64{}
 	and := [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	var prev [3]uint64 // the zero triple is below or equal to every flipped key
+	inOrder := true
 	for i, it := range items {
 		w := flipKey(key(it))
 		kb[i] = keyed{w: w, idx: int32(i)}
@@ -69,6 +74,14 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 		and[1] &= w[1]
 		or[2] |= w[2]
 		and[2] &= w[2]
+		inOrder = inOrder && !wordsLess(w, prev)
+		prev = w
+	}
+	if inOrder {
+		// A stable sort of sorted input is the identity.
+		ar.Reset()
+		keyedPool.Put(ar)
+		return
 	}
 	// Plan one pass per byte that actually varies, least-significant key
 	// word first (LSD order over the triple).
@@ -101,8 +114,6 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 			return int(a.idx) - int(b.idx)
 		})
 		applyPerm(items, kb)
-	case np == 0:
-		// All keys equal: the stable order is the input order.
 	case np <= 8:
 		sortPacked16(items, kb, plan[:np])
 	default:
@@ -110,6 +121,17 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 	}
 	ar.Reset()
 	keyedPool.Put(ar)
+}
+
+// wordsLess is the lexicographic order on flipped key triples.
+func wordsLess(a, b [3]uint64) bool {
+	if a[0] != b[0] {
+		return a[0] < b[0]
+	}
+	if a[1] != b[1] {
+		return a[1] < b[1]
+	}
+	return a[2] < b[2]
 }
 
 // bytePass names one varying key byte: which flipped word it lives in and

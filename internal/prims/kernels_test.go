@@ -298,6 +298,40 @@ func TestSortLocalSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSortLocalSortedInputAllocsAndKeyCalls pins the in-order return: input
+// that is already sorted — distinct keys and ties alike — costs the
+// extraction pass and nothing else, n key calls and no allocation, either
+// side of the radix cutoff; and the check is not a sample: one inversion at
+// the last position still sorts to the stable order.
+func TestSortLocalSortedInputAllocsAndKeyCalls(t *testing.T) {
+	rng := xrand.New(19)
+	calls := 0
+	key := func(it kitem) SortKey { calls++; return it.key }
+	byKey := func(a, b kitem) int { return a.key.Compare(b.key) }
+	for _, n := range []int{16, 95, 96, 4096} {
+		sorted := fuzzedItems(rng, n, n/2) // n/2 keys over n items: ties throughout
+		slices.SortStableFunc(sorted, byKey)
+		got := slices.Clone(sorted)
+		SortLocal(got, key) // warm the pool
+		calls = 0
+		allocs := testing.AllocsPerRun(10, func() { SortLocal(got, key) })
+		if perRun := calls / 11; perRun != n || !reflect.DeepEqual(got, sorted) {
+			t.Errorf("n=%d: sorted input cost %d key calls (want %d) or was reordered", n, perRun, n)
+		}
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("n=%d: sorted input allocates %v per call, want 0", n, allocs)
+		}
+
+		got[n-1].key = SortKey{A: -1} // below every key before it
+		want := slices.Clone(got)
+		slices.SortStableFunc(want, byKey)
+		SortLocal(got, key)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: an inversion at the last position is not sorted out", n)
+		}
+	}
+}
+
 // keyGens draws sort keys from each pass-plan class of the radix kernel:
 // 0 varying bytes (all keys equal, observable only through the tags), ≤8
 // (16-byte packed records), 9..16 (24-byte), >16 (unpacked fallback), plus

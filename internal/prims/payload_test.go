@@ -146,17 +146,21 @@ func sortInput(rng *rand.Rand, k, per int) [][]int64 {
 	return data
 }
 
-// TestSortRouteAllocLinearInK pins what the in-place bucket walk buys: the
-// bytes one Sort allocates grow with K, not K² — a K-entry bucket-header
-// array on each of K machines made K=64 → K=256 at the same items per
-// machine cost 16× in the route step; linear is 4×. Few items per machine,
-// so the per-machine fixed costs are what is measured.
+// TestSortRouteAllocLinearInK pins what the in-place bucket walk and the
+// per-call arrays buy: the bytes one Sort allocates grow with K, not K² — a
+// K-entry bucket-header array on each of K machines made K=64 → K=256 at
+// the same items per machine cost 16× in the route step; linear is 4× — and
+// the number of allocations does not grow with K at all: the route round's
+// messages, its chunk payloads and the result buckets are one array each
+// per call, so what is left is O(1) plus ForSmall's goroutines (an out-list,
+// a chunk slab and a result bucket per machine made it 250 → 826). Few
+// items per machine, so the per-machine fixed costs are what is measured.
 func TestSortRouteAllocLinearInK(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are nondeterministic under the race detector")
 	}
 	key := func(v int64) SortKey { return SortKey{A: v} }
-	alloc := func(k int) uint64 {
+	alloc := func(k int) (bytes, count uint64) {
 		c, err := mpc.New(mpc.Config{N: 4096, M: 1 << 16, K: k, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -169,20 +173,26 @@ func TestSortRouteAllocLinearInK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
 	alloc(256) // warm the sort kernels' pools
-	lo, hi := alloc(64), alloc(256)
-	t.Logf("Sort allocates %d B at K=64, %d B at K=256", lo, hi)
+	lo, loCount := alloc(64)
+	hi, hiCount := alloc(256)
+	t.Logf("Sort allocates %d B in %d allocations at K=64, %d B in %d at K=256", lo, loCount, hi, hiCount)
 	if ratio := float64(hi) / float64(lo); ratio > 6 {
 		t.Errorf("Sort allocates %d B at K=64, %d B at K=256 (ratio %.1f, linear is 4): the route step scales with K²", lo, hi, ratio)
+	}
+	// A 2× band: per machine is 4×; a cold kernel pool on some worker costs a
+	// few allocations either way.
+	if hiCount > 2*loCount {
+		t.Errorf("Sort allocates %d times at K=64, %d times at K=256: allocation follows the machines, not the call", loCount, hiCount)
 	}
 }
 
 // TestCollectiveAllocsPerMachine pins the payload-slab rule: a collective
-// allocates per machine, not per message or item, so at a fixed K its
-// allocation count barely moves when every machine holds — and requests —
-// eight times as much.
+// allocates per machine (Sort: per call), not per message or item, so at a
+// fixed K its allocation count barely moves when every machine holds — and
+// requests — eight times as much.
 func TestCollectiveAllocsPerMachine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")

@@ -2,12 +2,13 @@
 // multi-round protocols on the mpc simulator:
 //
 //   - Claim 1 (Sorting): a coordinator-based sample sort, O(1) rounds;
-//   - Claim 2 (Aggregation): local combine → sort by key → machine-range
-//     trees with capacity-bounded branching (the paper's trees with
-//     branching n^γ), results at the range roots — per machine a sorted
-//     run of (key, value), the form Claim 3 takes distributed values in —
-//     and optionally gathered to the large machine;
-//   - Claim 3 (Dissemination): the same range trees run downward
+//   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
+//     key is the aggregation key alone, so a key's ≤ K partials meet on one
+//     machine and no tree is needed (or charged); results are per machine a
+//     sorted run of (key, value), the form Claim 3 takes distributed values
+//     in, optionally gathered to the large machine;
+//   - Claim 3 (Dissemination): machine-range trees with capacity-bounded
+//     branching (the paper's trees with branching n^γ) run downward
 //     (SegmentedBroadcast), delivering per-key values to every machine that
 //     requested the key;
 //   - Claim 4 (Arranging nodes): sort directed edges by source, report the
@@ -25,9 +26,10 @@
 // heap arithmetic of the range trees (a position's children are the range
 // b·p+1 … b·p+b, walked in place).
 //
-// A collective allocates per machine, never per message: struct payloads
-// travel as pointers into one slab per sender per round, wire-native scalars
-// and slices by value (DESIGN.md §14, "Payload slabs").
+// A collective allocates per machine, never per message, and Sort per call:
+// struct payloads travel as pointers into one slab per sender per round —
+// Sort's route round carves every sender's from one array — wire-native
+// scalars and slices by value (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (
@@ -153,9 +155,6 @@ func posDepth(p, b int) int {
 	}
 	return d
 }
-
-// posParent returns the heap parent position of p (p > 0).
-func posParent(p, b int) int { return (p - 1) / b }
 
 // childRange returns the heap children of p that are < size as the half-open
 // position range [lo, hi) — b·p+1 … min(b·p+b, size−1) — so a tree level
@@ -391,24 +390,38 @@ func chunkMsg[T any](slot *chunk[T], to int, items []T, itemWords int) mpc.Msg {
 	return mpc.Msg{To: to, Words: len(items) * itemWords, Data: slot}
 }
 
-// appendChunks appends the items of every chunk message in inbox to dst, in
-// delivery order, growing dst once: one checked pass sizes the append, so
-// a foreign payload anywhere in the inbox is an error before anything is
-// copied.
-func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
+// chunkItems is the checked pass over a chunk inbox: the number of items its
+// messages carry, or an error if any payload is not a *chunk[T] — before
+// anything is copied, wherever in the inbox it sits.
+func chunkItems[T any](inbox []mpc.Msg) (int, error) {
 	n := 0
 	for _, m := range inbox {
 		ch, ok := m.Data.(*chunk[T])
 		if !ok || ch == nil {
-			return nil, fmt.Errorf("prims: unexpected chunk payload %T", m.Data)
+			return 0, fmt.Errorf("prims: unexpected chunk payload %T", m.Data)
 		}
 		n += len(ch.Items)
 	}
-	dst = slices.Grow(dst, n)
+	return n, nil
+}
+
+// copyChunks appends the items of an inbox that chunkItems has checked to
+// dst, in delivery order.
+func copyChunks[T any](dst []T, inbox []mpc.Msg) []T {
 	for _, m := range inbox {
 		dst = append(dst, m.Data.(*chunk[T]).Items...)
 	}
-	return dst, nil
+	return dst
+}
+
+// appendChunks appends the items of every chunk message in inbox to dst, in
+// delivery order, growing dst once.
+func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
+	n, err := chunkItems[T](inbox)
+	if err != nil {
+		return nil, err
+	}
+	return copyChunks(slices.Grow(dst, n), inbox), nil
 }
 
 // GatherToLarge sends every machine's items to the large machine and returns

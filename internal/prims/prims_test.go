@@ -72,7 +72,7 @@ func TestTreeHelpers(t *testing.T) {
 				t.Fatalf("b=%d size=%d: children(%d) = [%d,%d), want start %d", tc.b, tc.size, p, lo, hi, next)
 			}
 			for ch := lo; ch < hi; ch++ {
-				if posParent(ch, tc.b) != p {
+				if (ch-1)/tc.b != p { // the heap parent of position ch
 					t.Fatalf("b=%d: parent(children(%d)) mismatch", tc.b, p)
 				}
 				if posDepth(ch, tc.b) != posDepth(p, tc.b)+1 {
@@ -186,10 +186,10 @@ func TestBroadcastValueDirectAndTree(t *testing.T) {
 // branching below K/2, so every range tree is at least two levels deep.
 type wide [40]int64
 
-// TestDeepTrees drives all three tree walkers — BroadcastValue's tree,
-// AggregateByKey's up-tree and SegmentedBroadcast's down-tree — past depth
-// 1 and compares their results with the same call on a default-capacity
-// cluster, where every tree is one level.
+// TestDeepTrees drives both tree walkers — BroadcastValue's tree and
+// SegmentedBroadcast's down-tree — past depth 1, with an AggregateByKey of
+// the same wide values between them, and compares the results with the same
+// calls on a default-capacity cluster, where every tree is one level.
 func TestDeepTrees(t *testing.T) {
 	const k, vwords = 64, len(wide{})
 	for _, noLarge := range []bool{false, true} {
@@ -198,7 +198,7 @@ func TestDeepTrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Deep means every walker is: the branching is below K/2, and
+			// Deep means both walkers are: the branching is below K/2, and
 			// BroadcastValue's direct send does not fit the coordinator.
 			b := branching(c, vwords+1)
 			deep := b < k/2 && treeDepth(k, b) >= 2 && k*(vwords+1) > coordCap(c)/2
@@ -210,8 +210,7 @@ func TestDeepTrees(t *testing.T) {
 			// whole cluster and the down-tree carries its value two levels.
 			// Only every fourth machine holds a hot partial to aggregate:
 			// Sort keys partials by key alone, so all of a key's partials
-			// land on one machine (the up-tree's levels run empty) and must
-			// fit it.
+			// land on one machine and must fit it.
 			items := make([][]KV[wide], k)
 			needs := make([][]int64, k)
 			values := make([][]KV[wide], k)
@@ -404,7 +403,7 @@ func TestAggregateByKeySums(t *testing.T) {
 		want := map[int64]int64{}
 		for i := range items {
 			for j := 0; j < 30; j++ {
-				k := rng.Int64N(50) // few keys => long spanning runs
+				k := rng.Int64N(50) // few keys => a partial of every key on every machine
 				v := rng.Int64N(100)
 				items[i] = append(items[i], KV[int64]{K: k, V: v})
 				want[k] += v

@@ -84,18 +84,20 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 
 	// Step 4: route every item to its bucket. Step 1's local sort makes the
 	// buckets contiguous runs, found by walking the splitter boundaries in
-	// place (kernels.go); a machine sends at most min(K, items) chunks, which
-	// sizes its out-list and its chunk slab.
+	// place (kernels.go). A machine sends at most min(K, items) chunks, so the
+	// round's messages and chunk payloads are two arrays carved by that bound
+	// here (serially); the parallel walk only fills them in.
 	routeOuts := make([][]mpc.Msg, k)
+	starts := make([]int, k+1) // machine i's chunks sit at [starts[i], starts[i+1]) of both
+	for i := range routeOuts {
+		starts[i+1] = starts[i] + min(k, len(data[i]))
+	}
+	msgs := make([]mpc.Msg, starts[k])
+	slab := make([]chunk[T], starts[k])
 	if err := c.ForSmall(func(i int) error {
-		bound := min(k, len(data[i]))
-		if bound == 0 {
-			return nil
-		}
-		out := make([]mpc.Msg, 0, bound)
-		slab := make([]chunk[T], bound)
+		out, slots := msgs[starts[i]:starts[i]:starts[i+1]], slab[starts[i]:starts[i+1]]
 		walkBuckets(data[i], lists[i], k, key, func(j int, run []T) {
-			out = append(out, chunkMsg(&slab[len(out)], j, run, itemWords))
+			out = append(out, chunkMsg(&slots[len(out)], j, run, itemWords))
 		})
 		routeOuts[i] = out
 		return nil
@@ -106,12 +108,24 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	if err != nil {
 		return nil, err
 	}
+	// The K result buckets are one array too: count each inbox (the checked
+	// pass — a foreign payload is an error before anything is copied), carve
+	// the buckets cap-clamped, then copy and re-sort each in place. starts
+	// now holds the buckets' offsets: machine i's items at
+	// [starts[i], starts[i+1]).
+	if err := c.ForSmall(func(i int) (err error) {
+		starts[i+1], err = chunkItems[T](ins[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i := 0; i < k; i++ {
+		starts[i+1] += starts[i]
+	}
+	flat := make([]T, starts[k])
 	result := make([][]T, k)
 	if err := c.ForSmall(func(i int) error {
-		var err error
-		if result[i], err = appendChunks([]T{}, ins[i]); err != nil {
-			return err
-		}
+		result[i] = copyChunks(flat[starts[i]:starts[i]:starts[i+1]], ins[i])
 		SortLocal(result[i], key)
 		return nil
 	}); err != nil {

@@ -244,6 +244,9 @@ func TestSummarizeEdgeCases(t *testing.T) {
 		if p.Top != None || p.TopTime != 0 || p.TopShare != 0 {
 			t.Fatalf("silent rounds produced a bottleneck machine: %+v", p)
 		}
+		if p.EmptyRounds != 2 {
+			t.Fatalf("silent rounds counted %d empty, want 2", p.EmptyRounds)
+		}
 		if p.Share != 1 {
 			t.Fatalf("single phase share %v, want 1", p.Share)
 		}
@@ -275,7 +278,7 @@ func TestSummarizeEdgeCases(t *testing.T) {
 			t.Fatalf("fault-only trace counted %d exchange rounds", s.Rounds)
 		}
 		p := s.Phases[0]
-		if p.Barriers != 2 || p.Makespan != 7 {
+		if p.Barriers != 2 || p.EmptyRounds != 0 || p.Makespan != 7 {
 			t.Fatalf("fault-only phase: %+v", p)
 		}
 		if p.Top != 0 || p.TopTime != 3 {

@@ -162,12 +162,16 @@ func (t *Collector) Reset() { t.rounds = t.rounds[:0] }
 // PhaseStat is one row of the critical-path summary: every record whose
 // phase path equals Phase, aggregated.
 type PhaseStat struct {
-	Phase    string  `json:"phase"`
-	Rounds   int     `json:"rounds"`             // exchange rounds attributed here
-	Barriers int     `json:"barriers,omitempty"` // checkpoint/recovery records
-	Words    int64   `json:"words"`
-	Makespan float64 `json:"makespan"`
-	Share    float64 `json:"share"` // Makespan / Summary.Makespan
+	Phase    string `json:"phase"`
+	Rounds   int    `json:"rounds"`             // exchange rounds attributed here
+	Barriers int    `json:"barriers,omitempty"` // checkpoint/recovery records
+	// EmptyRounds counts the exchange rounds of Rounds that moved no words:
+	// a full barrier charged for nothing sent (DESIGN.md §6 names the ones
+	// that are data-dependent; a mechanism that can never send is a bug).
+	EmptyRounds int     `json:"empty_rounds,omitempty"`
+	Words       int64   `json:"words"`
+	Makespan    float64 `json:"makespan"`
+	Share       float64 `json:"share"` // Makespan / Summary.Makespan
 
 	// Top is the phase's bottleneck machine: the machine with the largest
 	// summed per-round charge across the phase's records (None when the
@@ -214,6 +218,9 @@ func Summarize(rounds []Round) *Summary {
 		p.Words += r.Words
 		if r.Kind == KindExchange {
 			p.Rounds++
+			if r.Words == 0 {
+				p.EmptyRounds++
+			}
 		} else {
 			p.Barriers++
 		}

@@ -43,7 +43,8 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("phase order: %+v", s.Phases)
 	}
 	a := s.Phases[0]
-	if a.Rounds != 1 || a.Barriers != 1 || a.Makespan != 6 || a.Share != 6.0/15 {
+	// The wordless checkpoint is a barrier, not an empty exchange round.
+	if a.Rounds != 1 || a.Barriers != 1 || a.EmptyRounds != 0 || a.Makespan != 6 || a.Share != 6.0/15 {
 		t.Fatalf("phase a: %+v", a)
 	}
 	// Phase a busy: large 3, small-0 1+4=5 -> top is small machine 0.
