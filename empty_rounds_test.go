@@ -18,7 +18,7 @@ import (
 // tree-combine rounds); no phase ending in "aggregate" may charge an empty
 // round again, and a new empty round anywhere fails by its path.
 func TestTable1EmptyRounds(t *testing.T) {
-	// 24 of the 1,242 rounds. The protocols below run a fixed number of
+	// 23 of the 1,060 rounds. The protocols below run a fixed number of
 	// rounds so that the round count depends on public parameters only; each
 	// listed round had nothing to carry on this input.
 	allowed := map[string]int{
@@ -29,14 +29,14 @@ func TestTable1EmptyRounds(t *testing.T) {
 		"baseline-spanner/aggregate/sort": 1,
 		"spanner/aggregate/sort":          1,
 		"spanner/broadcast/sort":          1,
-		// SegmentedBroadcast's instruction, tree-down and answer rounds on a
-		// call where no key's run crosses a machine boundary, or no requested
-		// key has a value to send down and answer with.
+		// SegmentedBroadcast's tree-down and answer rounds on a call where no
+		// splitter names a span whose key has a value, or no requested key
+		// has a value to send down and answer with.
 		"baseline-cc/broadcast":      4,
 		"baseline-mst/broadcast":     2,
 		"baseline-mis/broadcast":     1,
 		"baseline-spanner/broadcast": 2,
-		"spanner/broadcast":          3,
+		"spanner/broadcast":          2,
 		// GatherToLarge with nothing left to gather (an empty residual or
 		// sample).
 		"matching/gather":   1,
@@ -89,8 +89,8 @@ func TestTable1EmptyRounds(t *testing.T) {
 			}
 		}
 	}
-	if rounds != 1242 {
-		t.Errorf("the twelve calls charge %d rounds, want 1242", rounds)
+	if rounds != 1060 {
+		t.Errorf("the twelve calls charge %d rounds, want 1060", rounds)
 	}
 	phases := make([]string, 0, len(got)+len(allowed))
 	for phase := range got {

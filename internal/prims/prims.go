@@ -7,10 +7,12 @@
 //     machine and no tree is needed (or charged); results are per machine a
 //     sorted run of (key, value), the form Claim 3 takes distributed values
 //     in, optionally gathered to the large machine;
-//   - Claim 3 (Dissemination): machine-range trees with capacity-bounded
-//     branching (the paper's trees with branching n^γ) run downward
-//     (SegmentedBroadcast), delivering per-key values to every machine that
-//     requested the key;
+//   - Claim 3 (Dissemination): values and requests are sorted together, a
+//     key's values under (x, 0, 0) so that they land on one machine; every
+//     machine reads the spans it sits in off Sort's splitters, and
+//     machine-range trees with capacity-bounded branching (the paper's trees
+//     with branching n^γ) run downward over them (SegmentedBroadcast),
+//     delivering per-key values to every machine that requested the key;
 //   - Claim 4 (Arranging nodes): sort directed edges by source, report the
 //     per-key machine runs to the large machine (at most n + K - 1 runs by
 //     contiguity), enabling the "collect the k lightest edges of each
@@ -26,10 +28,12 @@
 // heap arithmetic of the range trees (a position's children are the range
 // b·p+1 … b·p+b, walked in place).
 //
-// A collective allocates per machine, never per message, and Sort per call:
+// A collective allocates per machine, never per message, and Sort,
+// SegmentedBroadcast (its result maps aside) and ScatterFromLarge per call:
 // struct payloads travel as pointers into one slab per sender per round —
-// Sort's route round carves every sender's from one array — wire-native
-// scalars and slices by value (DESIGN.md §14, "Payload slabs").
+// Sort's route round and SegmentedBroadcast's answer round carve every
+// sender's from one array — wire-native scalars and slices by value
+// (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (
@@ -162,147 +166,6 @@ func posDepth(p, b int) int {
 func childRange(p, b, size int) (lo, hi int) {
 	lo = min(b*p+1, size)
 	return lo, min(lo+b, size)
-}
-
-// span is a key whose sorted run covers machines A..B (inclusive, B > A).
-type span struct {
-	Key  int64
-	A, B int
-}
-
-// boundsReport is one machine's (firstKey, lastKey, n>0) report.
-type boundsReport struct {
-	First, Last int64
-	NonEmpty    bool
-}
-
-// chainSpans computes, from the per-machine boundary reports of sorted data,
-// the set of keys whose runs span more than one machine, bridging empty
-// machines that sit inside a run.
-func chainSpans(bounds []boundsReport) []span {
-	var spans []span
-	i := 0
-	k := len(bounds)
-	for i < k {
-		if !bounds[i].NonEmpty {
-			i++
-			continue
-		}
-		key := bounds[i].Last
-		// Find the furthest machine j > i whose first key equals key,
-		// allowing empty machines in between.
-		j := i
-		probe := i + 1
-		for probe < k {
-			if !bounds[probe].NonEmpty {
-				probe++
-				continue
-			}
-			if bounds[probe].First == key {
-				j = probe
-				if bounds[probe].Last != key {
-					break
-				}
-				probe++
-				continue
-			}
-			break
-		}
-		if j > i {
-			spans = append(spans, span{Key: key, A: i, B: j})
-			// Continue scanning from j: j's last key may itself span further.
-			if bounds[j].Last == key {
-				i = j + 1
-			} else {
-				i = j
-			}
-			continue
-		}
-		i++
-	}
-	return spans
-}
-
-// reportBounds runs one round in which every machine reports its
-// (firstKey, lastKey) to the coordinator; the coordinator returns the chain
-// spans. firstLast(i) must return machine i's report.
-func reportBounds(c *mpc.Cluster, firstLast func(i int) boundsReport) ([]span, error) {
-	outs := perMachineOuts(c.K())
-	reports := make([]boundsReport, c.K())
-	for i := range outs {
-		reports[i] = firstLast(i)
-		outs[i][0] = mpc.Msg{To: coordinator(c), Words: 3, Data: &reports[i]}
-	}
-	inbox, err := toCoordinator(c, outs)
-	if err != nil {
-		return nil, err
-	}
-	bounds, err := collectBounds(inbox, c.K())
-	if err != nil {
-		return nil, err
-	}
-	return chainSpans(bounds), nil
-}
-
-// collectBounds is the coordinator's side of reportBounds: the inbox's
-// reports indexed by sender.
-func collectBounds(inbox []mpc.Msg, k int) ([]boundsReport, error) {
-	bounds := make([]boundsReport, k)
-	for _, m := range inbox {
-		br, ok := m.Data.(*boundsReport)
-		if !ok || br == nil {
-			return nil, fmt.Errorf("prims: unexpected bounds payload %T", m.Data)
-		}
-		bounds[m.From] = *br
-	}
-	return bounds, nil
-}
-
-// sendSpanInstructions has the coordinator tell every machine of every span
-// which (key, A, B) ranges it belongs to. One machine can be in at most two
-// spans. Costs one round.
-func sendSpanInstructions(c *mpc.Cluster, spans []span) ([][]span, error) {
-	n := 0
-	for _, s := range spans {
-		n += s.B - s.A + 1
-	}
-	out := make([]mpc.Msg, 0, n)
-	for si := range spans {
-		// The spans slice is the coordinator's payload slab.
-		for m := spans[si].A; m <= spans[si].B; m++ {
-			out = append(out, mpc.Msg{To: m, Words: 3, Data: &spans[si]})
-		}
-	}
-	ins, err := fromCoordinator(c, out)
-	if err != nil {
-		return nil, err
-	}
-	return collectSpans(ins)
-}
-
-// collectSpans is the machines' side of sendSpanInstructions: each inbox's
-// spans in delivery order, all carved from one array.
-func collectSpans(ins [][]mpc.Msg) ([][]span, error) {
-	n := 0
-	for _, inbox := range ins {
-		n += len(inbox)
-	}
-	instr := make([][]span, len(ins))
-	flat := make([]span, 0, n)
-	for i, inbox := range ins {
-		start := len(flat)
-		for _, m := range inbox {
-			sp, ok := m.Data.(*span)
-			if !ok || sp == nil {
-				return nil, fmt.Errorf("prims: unexpected span payload %T", m.Data)
-			}
-			flat = append(flat, *sp)
-		}
-		if len(flat) > start {
-			instr[i] = flat[start:len(flat):len(flat)]
-		}
-	}
-	return instr, nil
 }
 
 // BroadcastValue delivers one value held by the coordinator to every small
@@ -533,10 +396,21 @@ func ScatterFromLarge[T any](c *mpc.Cluster, items [][]T, itemWords int) ([][]T,
 	if err != nil {
 		return nil, err
 	}
+	// Count (the checked pass), carve one array, copy.
+	total := 0
+	for _, inbox := range ins {
+		n, err := chunkItems[T](inbox)
+		if err != nil {
+			return nil, err
+		}
+		total += n
+	}
+	flat := make([]T, 0, total)
 	res := make([][]T, c.K())
 	for i, inbox := range ins {
-		if res[i], err = appendChunks(res[i], inbox); err != nil {
-			return nil, err
+		start := len(flat)
+		if flat = copyChunks(flat, inbox); len(flat) > start {
+			res[i] = flat[start:len(flat):len(flat)]
 		}
 	}
 	return res, nil

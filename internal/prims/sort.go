@@ -52,10 +52,19 @@ const sortKeyWords = 3
 //
 // itemWords is the accounted size of one item.
 func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, error) {
+	sorted, _, err := sortSplit(c, data, itemWords, key)
+	return sorted, err
+}
+
+// sortSplit is Sort that also returns each machine's copy of the splitter
+// list: bucket j holds exactly the keys in [sp[j-1], sp[j]) (the list
+// clipped to K-1, as walkBuckets clips it), so which keys can straddle which
+// machines is a function of the list alone (splitterSpans).
+func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, [][]SortKey, error) {
 	defer c.Span("sort").End()
 	k := c.K()
 	if err := checkBuckets(c, "Sort", data); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(data) < k {
 		nd := make([][]T, k)
@@ -65,7 +74,7 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	// Under fault injection the input buckets are the machines' live state
 	// until the routed buckets replace them below.
 	if err := RegisterState(c, data, itemWords); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Step 1: local sort (parallel local computation, no rounds).
@@ -73,13 +82,13 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 		SortLocal(data[i], key)
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Steps 2–3: sample, pick and broadcast the splitters.
 	lists, err := sortSplitters(c, data, key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Step 4: route every item to its bucket. Step 1's local sort makes the
@@ -102,11 +111,11 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 		routeOuts[i] = out
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ins, _, err := c.Exchange(routeOuts, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The K result buckets are one array too: count each inbox (the checked
 	// pass — a foreign payload is an error before anything is copied), carve
@@ -117,7 +126,7 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 		starts[i+1], err = chunkItems[T](ins[i])
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < k; i++ {
 		starts[i+1] += starts[i]
@@ -129,13 +138,13 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 		SortLocal(result[i], key)
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The routed, locally sorted buckets are now the machines' state.
 	if err := RegisterState(c, result, itemWords); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return result, nil
+	return result, lists, nil
 }
 
 // sortSplitters is steps 2–3 of Sort over locally sorted data: every
