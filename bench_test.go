@@ -18,10 +18,8 @@ package hetmpc_test
 // table's headline numbers without the CLI.
 
 import (
-	"math"
 	"testing"
 
-	"hetmpc"
 	"hetmpc/internal/exp"
 )
 
@@ -41,134 +39,4 @@ func BenchmarkExperiments(b *testing.B) {
 			b.ReportMetric(art.Model.Makespan, "makespan")
 		})
 	}
-}
-
-// --- direct algorithm micro-benchmarks with model-metric reporting ---
-
-func benchCluster(b *testing.B, n, m int, f float64, noLarge bool) *hetmpc.Cluster {
-	b.Helper()
-	c, err := hetmpc.NewCluster(hetmpc.Config{N: n, M: m, F: f, NoLarge: noLarge, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
-}
-
-func BenchmarkMSTHeterogeneous(b *testing.B) {
-	g := hetmpc.GNMWeighted(512, 8192, 3)
-	var rounds, phases float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.MST(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-		phases = float64(r.BoruvkaPhases)
-	}
-	b.ReportMetric(rounds, "rounds")
-	b.ReportMetric(phases, "phases")
-}
-
-func BenchmarkMSTSublinearBaseline(b *testing.B) {
-	g := hetmpc.GNMWeighted(512, 8192, 3)
-	var rounds, phases float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, true)
-		r, err := hetmpc.BaselineMST(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-		phases = float64(r.Phases)
-	}
-	b.ReportMetric(rounds, "rounds")
-	b.ReportMetric(phases, "phases")
-}
-
-func BenchmarkSpannerK4(b *testing.B) {
-	g := hetmpc.ConnectedGNM(512, 6144, 5, false)
-	var rounds, size float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.Spanner(c, g, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-		size = float64(len(r.Edges))
-	}
-	b.ReportMetric(rounds, "rounds")
-	b.ReportMetric(size, "edges")
-}
-
-func BenchmarkConnectivitySketches(b *testing.B) {
-	g := hetmpc.GNM(512, 2048, 7)
-	var rounds float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.Connectivity(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-	}
-	b.ReportMetric(rounds, "rounds")
-}
-
-func BenchmarkMatchingHeterogeneous(b *testing.B) {
-	g := hetmpc.GNM(512, 4096, 9)
-	var rounds float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.MaximalMatching(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-	}
-	b.ReportMetric(rounds, "rounds")
-}
-
-func BenchmarkMISHeterogeneous(b *testing.B) {
-	g := hetmpc.GNM(512, 4096, 11)
-	var iters float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.MIS(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = float64(r.Iterations)
-	}
-	b.ReportMetric(iters, "iterations")
-	b.ReportMetric(math.Log2(math.Log2(float64(g.MaxDegree()))+1), "loglogΔ")
-}
-
-func BenchmarkColoringHeterogeneous(b *testing.B) {
-	g := hetmpc.GNM(512, 8192, 13)
-	var rounds float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.Coloring(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-	}
-	b.ReportMetric(rounds, "rounds")
-}
-
-func BenchmarkTwoVsOneCycle(b *testing.B) {
-	g := hetmpc.Cycles(4096, 2, 3)
-	var rounds float64
-	for i := 0; i < b.N; i++ {
-		c := benchCluster(b, g.N, g.M(), 0, false)
-		r, err := hetmpc.TwoVsOneCycle(c, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = float64(r.Stats.Rounds)
-	}
-	b.ReportMetric(rounds, "rounds")
 }

@@ -93,16 +93,13 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		}
 		// Ship the conflicting edges.
 		conflicts := make([][]graph.Edge, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if listsIntersect(list(e.U), list(e.V)) {
 					conflicts[i] = append(conflicts[i], e)
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		cnt, err := prims.SumToLarge(c, prims.Counts(conflicts))
 		if err != nil {
 			return nil, err

@@ -72,13 +72,9 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	ssp := c.Span("sketch")
 	items := make([][]prims.KV[*sketch.Sketch], kk)
 	endpoints := prims.EndpointNeeds(edges)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		items[i] = partialSketches(updaters, endpoints[i], edges[i], n)
-		return nil
-	}); err != nil {
-		//hetlint:span error path: the run aborts and no Stats or trace records are consumed from the leaked sketch span
-		return nil, err
-	}
+	})
 	// The combine merges in place: AggregateByKey passes ownership of both
 	// arguments, and nothing reads a partial sketch after it is combined. It
 	// adds the shallower prefix into the deeper one, which therefore never

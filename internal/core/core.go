@@ -94,7 +94,7 @@ func distinctEndpoints(edges []cEdge) []int64 {
 // vertex. unitWeight counts edges; mincut's weighted variant sums e.W.
 func degreesAtLarge(c *mpc.Cluster, edges [][]graph.Edge, weight func(graph.Edge) int64) (map[int64]int64, error) {
 	items := make([][]prims.KV[int64], c.K())
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		items[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
 		for _, e := range edges[i] {
 			w := weight(e)
@@ -102,10 +102,7 @@ func degreesAtLarge(c *mpc.Cluster, edges [][]graph.Edge, weight func(graph.Edge
 				prims.KV[int64]{K: int64(e.U), V: w},
 				prims.KV[int64]{K: int64(e.V), V: w})
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	_, atLarge, err := prims.AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b }, true)
 	return atLarge, err
 }

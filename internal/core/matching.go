@@ -67,16 +67,13 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 
 	// --- Phase 1: peel the low-degree induced subgraph ---
 	lowEdges := make([][]graph.Edge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			if degMaps[i][int64(e.U)] <= lowCap && degMaps[i][int64(e.V)] <= lowCap {
 				lowEdges[i] = append(lowEdges[i], e)
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	peel, err := sublinear.PeelMatching(c, lowEdges, int64(n))
 	if err != nil {
 		return nil, err
@@ -120,7 +117,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 		E    graph.Edge
 	}
 	directed := make([][]rankedEdge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		directed[i] = make([]rankedEdge, 0, 2*len(edges[i]))
 		for _, e := range edges[i] {
 			r := rankHash.Eval(uint64(e.Key(n)))
@@ -128,10 +125,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 				rankedEdge{Src: int32(e.U), Rank: r, E: e},
 				rankedEdge{Src: int32(e.V), Rank: r, E: e})
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	arr, err := prims.Arrange(c, directed, func(re rankedEdge) prims.SortKey {
 		return prims.SortKey{A: int64(re.Src), B: int64(re.Rank >> 1), C: re.E.Key(n)}
 	}, prims.EdgeWords+2)
@@ -182,16 +176,13 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 		return nil, err
 	}
 	residual := make([][]graph.Edge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			if !matchedMaps[i][int64(e.U)] && !matchedMaps[i][int64(e.V)] {
 				residual[i] = append(residual[i], e)
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	cnt, err := prims.SumToLarge(c, prims.Counts(residual))
 	if err != nil {
 		return nil, err
@@ -262,17 +253,14 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 			return nil, err
 		}
 		sample := make([][]graph.Edge, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			rng := c.Rand(i)
 			for _, e := range live[i] {
 				if rng.Float64() < ps[i] {
 					sample[i] = append(sample[i], e)
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		got, err := prims.GatherToLarge(c, sample, prims.EdgeWords)
 		if err != nil {
 			return nil, err
@@ -293,7 +281,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			out := live[i][:0]
 			for _, e := range live[i] {
 				if !maps[i][int64(e.U)] && !maps[i][int64(e.V)] {
@@ -301,10 +289,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 				}
 			}
 			live[i] = out
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 	rest, err := prims.GatherToLarge(c, live, prims.EdgeWords)
 	if err != nil {

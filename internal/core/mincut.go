@@ -88,7 +88,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 	kk := c.K()
 	// 2-out sampling via two independent min-rank aggregations in one pass.
 	items := make([][]prims.KV[twoOutVal], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		rng := c.Rand(i)
 		for _, e := range edges[i] {
 			for _, v := range [2]int{e.U, e.V} {
@@ -98,10 +98,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 				})
 			}
 		}
-		return nil
-	}); err != nil {
-		return 0, false, err
-	}
+	})
 	combine := func(a, b twoOutVal) twoOutVal {
 		out := a
 		if b.R1 < out.R1 {
@@ -139,7 +136,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 	// Relabel, drop internal edges, compute the contracted min degree δ.
 	contracted := make([][]graph.Edge, kk)
 	cdegItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			u, v := maps[i][int64(e.U)], maps[i][int64(e.V)]
 			if u == v {
@@ -151,10 +148,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 				prims.KV[int64]{K: u, V: 1},
 				prims.KV[int64]{K: v, V: 1})
 		}
-		return nil
-	}); err != nil {
-		return 0, false, err
-	}
+	})
 	_, cdeg, err := prims.AggregateByKey(c, cdegItems, 1,
 		func(a, b int64) int64 { return a + b }, true)
 	if err != nil {
@@ -181,17 +175,14 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 		return 0, false, err
 	}
 	sampled := make([][]prims.KV[bool], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		rng := c.Rand(i)
 		for _, e := range contracted[i] {
 			if rng.Float64() < ps[i] {
 				sampled[i] = append(sampled[i], prims.KV[bool]{K: pairKey(e.U, e.V, n), V: true})
 			}
 		}
-		return nil
-	}); err != nil {
-		return 0, false, err
-	}
+	})
 	_, sampledPairs, err := prims.AggregateByKey(c, sampled, 1,
 		func(a, b bool) bool { return a || b }, true)
 	if err != nil {
@@ -214,17 +205,14 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 		return 0, false, err
 	}
 	final := make([][]graph.Edge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			u, v := maps2[i][int64(e.U)], maps2[i][int64(e.V)]
 			if u != v {
 				final[i] = append(final[i], graph.Edge{U: int(u), V: int(v), W: 1})
 			}
 		}
-		return nil
-	}); err != nil {
-		return 0, false, err
-	}
+	})
 	cnt, err := prims.SumToLarge(c, prims.Counts(final))
 	if err != nil {
 		return 0, false, err
@@ -328,7 +316,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 			return nil, err
 		}
 		skeleton := make([][]graph.Edge, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			rng := c.Rand(i)
 			for _, e := range edges[i] {
 				cnt := int64(0)
@@ -359,10 +347,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 					skeleton[i] = append(skeleton[i], graph.Edge{U: e.U, V: e.V, W: cnt})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		total, err := prims.SumToLarge(c, prims.Counts(skeleton))
 		if err != nil {
 			return nil, err

@@ -96,16 +96,13 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// Early exit: with no alive-alive edges left, the alive vertices are
 		// pairwise non-adjacent and all join the MIS.
 		aliveCounts := make([]int64, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if !deadMaps[i][int64(e.U)] && !deadMaps[i][int64(e.V)] {
 					aliveCounts[i]++
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		aliveEdges, err := prims.SumAll(c, aliveCounts)
 		if err != nil {
 			return nil, err
@@ -116,7 +113,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		res.Iterations++
 		// Ship alive prefix edges.
 		batch := make([][]graph.Edge, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if deadMaps[i][int64(e.U)] || deadMaps[i][int64(e.V)] {
 					continue
@@ -125,10 +122,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 					batch[i] = append(batch[i], e)
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		got, err := prims.GatherToLarge(c, batch, prims.EdgeWords)
 		if err != nil {
 			return nil, err
@@ -181,7 +175,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 			return nil, err
 		}
 		domItems := make([][]prims.KV[bool], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if misMaps[i][int64(e.U)] {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
@@ -196,10 +190,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		domRoots, domLarge, err := prims.AggregateByKey(c, domItems, 1,
 			func(a, b bool) bool { return a || b }, true)
 		if err != nil {
@@ -209,16 +200,13 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for key, dead := range gotDead[i] {
 				if dead {
 					deadMaps[i][key] = true
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		// The large machine also learns which vertices died via edges it
 		// never saw (a dominated vertex with all its edges off-prefix).
 		for v := range domLarge {

@@ -100,17 +100,13 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		csp := c.Span("contract")
 		// Build directed copies and arrange by (source, weight) — Claim 4.
 		directed := make([][]cEdge, c.K())
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			directed[i] = make([]cEdge, 0, 2*len(edges[i]))
 			for _, e := range edges[i] {
 				directed[i] = append(directed[i], e)
 				directed[i] = append(directed[i], cEdge{U: e.V, V: e.U, W: e.W, OU: e.OU, OV: e.OV})
 			}
-			return nil
-		}); err != nil {
-			//hetlint:span error path: the run aborts and no Stats or trace records are consumed from the leaked contract span
-			return nil, err
-		}
+		})
 		arr, err := prims.Arrange(c, directed, dirSortKey, cEdgeWords)
 		if err != nil {
 			//hetlint:span error path: the run aborts and no Stats or trace records are consumed from the leaked contract span
@@ -145,17 +141,14 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 
 		// Disseminate the relabel map c'_i (Claim 3) and relabel locally.
 		needs := make([][]int64, c.K())
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			needs[i] = distinctEndpoints(edges[i])
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		maps, err := prims.DisseminateFromLarge(c, needs, relabel, 1)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			out := edges[i][:0]
 			for _, e := range edges[i] {
 				if nu, ok := maps[i][int64(e.U)]; ok {
@@ -169,10 +162,7 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 				}
 			}
 			edges[i] = out
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 
 		// Keep only the lightest edge between any two contracted vertices
 		// (Claim 2 variant, as in the paper).
@@ -360,15 +350,12 @@ func localBudgetedBoruvka(
 // deduplicated edges remain distributed (at the aggregation roots).
 func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 	items := make([][]prims.KV[cEdge], c.K())
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		items[i] = make([]prims.KV[cEdge], 0, len(edges[i]))
 		for _, e := range edges[i] {
 			items[i] = append(items[i], prims.KV[cEdge]{K: pairKey(e.U, e.V, n), V: e})
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	roots, _, err := prims.AggregateByKey(c, items, cEdgeWords,
 		func(a, b cEdge) cEdge {
 			if a.lessByWeight(b) {
@@ -380,15 +367,12 @@ func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 		return nil, err
 	}
 	out := make([][]cEdge, c.K())
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		out[i] = make([]cEdge, 0, len(roots[i]))
 		for _, root := range roots[i] {
 			out[i] = append(out[i], root.V)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	return out, nil
 }
 
@@ -408,17 +392,14 @@ func kktTry(
 	k := c.K()
 	// Sample locally with private randomness.
 	samples := make([][]cEdge, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		rng := c.Rand(i)
 		for _, e := range edges[i] {
 			if rng.Float64() < p {
 				samples[i] = append(samples[i], e)
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, false, err
-	}
+	})
 	// Guard the gather volume, then ship the sample.
 	counts := make([]int64, k)
 	for i := range samples {
@@ -449,12 +430,9 @@ func kktTry(
 
 	// Disseminate labels to every machine holding an edge of v (Claim 3).
 	needs := make([][]int64, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		needs[i] = distinctEndpoints(edges[i])
-		return nil
-	}); err != nil {
-		return nil, false, err
-	}
+	})
 	values := make(map[int64]labeling.Label, len(labels))
 	lwords := 1
 	for v, l := range labels {
@@ -473,7 +451,7 @@ func kktTry(
 
 	// Identify and count the F-light edges.
 	light := make([][]cEdge, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			lu, okU := maps[i][int64(e.U)]
 			lv, okV := maps[i][int64(e.V)]
@@ -488,10 +466,7 @@ func kktTry(
 				light[i] = append(light[i], e)
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, false, err
-	}
+	})
 	lightCounts := make([]int64, k)
 	for i := range light {
 		lightCounts[i] = int64(len(light[i]))

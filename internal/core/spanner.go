@@ -121,17 +121,14 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 
 	// --- Step 3: neighbor-OR aggregation (Algorithm 5 line 11) ---
 	orItems := make([][]prims.KV[vbits], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			bu, bv := dMaps[i][int64(e.U)], dMaps[i][int64(e.V)]
 			orItems[i] = append(orItems[i],
 				prims.KV[vbits]{K: int64(e.U), V: bv},
 				prims.KV[vbits]{K: int64(e.V), V: bu})
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	orCombine := func(a, b vbits) vbits {
 		out := make([]uint64, len(a.B))
 		for x := range out {
@@ -225,7 +222,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	sigWords := 1 + 5*levels
 	sigItems := make([][]prims.KV[sigAgg], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			for dir := 0; dir < 2; dir++ {
 				u, v := e.U, e.V
@@ -246,10 +243,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				sigItems[i] = append(sigItems[i], prims.KV[sigAgg]{K: int64(u), V: agg})
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	sigCombine := func(a, b sigAgg) sigAgg {
 		out := sigAgg{OrB: a.OrB | b.OrB, Slots: make([]sigSlot, len(a.Slots))}
 		for s := range out.Slots {
@@ -301,7 +295,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	n2 := int64(n) * int64(n)
 	ceItems := make([][]prims.KV[clusterEdge], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, e := range edges[i] {
 			su, okU := sigMaps[i][int64(e.U)]
 			sv, okV := sigMaps[i][int64(e.V)]
@@ -327,10 +321,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				V: clusterEdge{U: a, V: b, Orig: e},
 			})
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	ceCombine := func(a, b clusterEdge) clusterEdge {
 		if b.Orig.U < a.Orig.U || (b.Orig.U == a.Orig.U && b.Orig.V < a.Orig.V) {
 			return b
@@ -344,7 +335,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	// Reorganize per machine into per-level edge lists and report counts.
 	perLvl := make([][][]clusterEdge, kk)
 	lvlCounts := make([][]int64, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		perLvl[i] = make([][]clusterEdge, levels)
 		lvlCounts[i] = make([]int64, levels)
 		for _, root := range ceRoots[i] {
@@ -352,27 +343,14 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			perLvl[i][lvl] = append(perLvl[i][lvl], root.V)
 			lvlCounts[i][lvl]++
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	countMsgs := make([][]mpc.Msg, kk)
-	for i := 0; i < kk; i++ {
-		countMsgs[i] = []mpc.Msg{{To: mpc.Large, Words: levels, Data: lvlCounts[i]}}
-	}
-	_, inLarge, err := c.Exchange(countMsgs, nil)
+	})
+	counts, err := prims.GatherToLarge(c, lvlCounts, 1)
 	if err != nil {
 		return nil, err
 	}
 	totals := make([]int64, levels)
-	for _, m := range inLarge {
-		cs, ok := m.Data.([]int64)
-		if !ok {
-			return nil, fmt.Errorf("core: unexpected count payload %T", m.Data)
-		}
-		for lvl, cnt := range cs {
-			totals[lvl] += cnt
-		}
+	for j, cnt := range counts { // machine-major: levels counts per machine
+		totals[j%levels] += cnt
 	}
 
 	// --- Step 6: per-level plan (direct vs modified Baswana-Sen) ---
@@ -415,7 +393,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		E   clusterEdge
 	}
 	directData := make([][]lvlEdge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for lvl := 0; lvl < levels; lvl++ {
 			if !plans[i].Direct[lvl] {
 				continue
@@ -424,10 +402,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				directData[i] = append(directData[i], lvlEdge{Lvl: int32(lvl), E: e})
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	directEdges, err := prims.GatherToLarge(c, directData, clusterEdgeWords+1)
 	if err != nil {
 		return nil, err
@@ -469,7 +444,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		E       clusterEdge
 	}
 	sampData := make([][]sampledEdge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		rng := c.Rand(i)
 		for lvl := 0; lvl < levels; lvl++ {
 			if plans[i].Direct[lvl] {
@@ -484,10 +459,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				}
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	sampEdges, err := prims.GatherToLarge(c, sampData, clusterEdgeWords+2)
 	if err != nil {
 		return nil, err
@@ -529,7 +501,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	// Disseminate the cluster tables to machines holding sampled-level
 	// clustering edges, then run lines 16-18 distributed.
 	tblNeeds := make([][]int64, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		seen := make(map[int64]bool)
 		for lvl := 0; lvl < levels; lvl++ {
 			if plans[i].Direct[lvl] {
@@ -546,10 +518,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 		}
 		slices.Sort(tblNeeds[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	tblMaps, err := prims.DisseminateFromLarge(c, tblNeeds, tableValues, k+2)
 	if err != nil {
 		return nil, err
@@ -562,7 +531,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		Orig graph.Edge
 	}
 	remItems := make([][]prims.KV[remVal], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for lvl := 0; lvl < levels; lvl++ {
 			if plans[i].Direct[lvl] {
 				continue
@@ -603,10 +572,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				}
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	remRoots, _, err := prims.AggregateByKey(c, remItems, 4,
 		func(a, b remVal) remVal {
 			if b.U < a.U {
@@ -618,14 +584,11 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		return nil, err
 	}
 	remData := make([][]graph.Edge, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		for _, root := range remRoots[i] {
 			remData[i] = append(remData[i], root.V.Orig)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	remEdges, err := prims.GatherToLarge(c, remData, prims.EdgeWords)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"hetmpc/internal/core"
 	"hetmpc/internal/fault"
+	"hetmpc/internal/graph"
 	"hetmpc/internal/metrics"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/sched"
@@ -134,6 +136,50 @@ func (rn *run) build(cfg mpc.Config) (*mpc.Cluster, error) {
 	rn.clusters = append(rn.clusters, c)
 	rn.applied = applied
 	return c, nil
+}
+
+// The three cells most experiments are built from: run the algorithm on c
+// and hold its output to the exact reference before a row is emitted.
+
+// exactMST runs core.MST on c: the result must be a spanning forest of g of
+// weight want (Kruskal's, which the caller computes once per graph).
+func exactMST(c *mpc.Cluster, g *graph.Graph, want int64) (*core.MSTResult, error) {
+	r, err := core.MST(c, g)
+	if err != nil {
+		return nil, err
+	}
+	if r.Weight != want {
+		return nil, fmt.Errorf("MST weight %d, want %d", r.Weight, want)
+	}
+	if err := graph.CheckSpanningForest(g, r.Edges); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// exactCC runs core.Connectivity on c: it must count want components.
+func exactCC(c *mpc.Cluster, g *graph.Graph, want int) (*core.ConnectivityResult, error) {
+	r, err := core.Connectivity(c, g)
+	if err != nil {
+		return nil, err
+	}
+	if r.Components != want {
+		return nil, fmt.Errorf("%d components, want %d", r.Components, want)
+	}
+	return r, nil
+}
+
+// maximalMatching runs core.MaximalMatching on c: the result must be a
+// matching of g that no edge of g can extend.
+func maximalMatching(c *mpc.Cluster, g *graph.Graph) (*core.MatchingResult, error) {
+	r, err := core.MaximalMatching(c, g)
+	if err != nil {
+		return nil, err
+	}
+	if err := graph.CheckMatching(g, r.Edges, true); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // close releases every cluster the run built: clusters on a real transport

@@ -23,13 +23,10 @@ func (rn *run) e9Connectivity(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rh, err := core.Connectivity(ch, g)
-		if err != nil {
-			return nil, err
-		}
 		_, want := graph.Components(g)
-		if rh.Components != want {
-			return nil, fmt.Errorf("n=%d: components %d want %d", n, rh.Components, want)
+		rh, err := exactCC(ch, g, want)
+		if err != nil {
+			return nil, fmt.Errorf("n=%d: %w", n, err)
 		}
 		cs, err := rn.newSub(n, m, seed)
 		if err != nil {

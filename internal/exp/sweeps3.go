@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
@@ -102,12 +101,8 @@ func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := core.MST(c, g)
-		if err != nil {
-			return nil, err
-		}
-		if r.Weight != exact {
-			return nil, fmt.Errorf("e18: slowdown=%g: MST weight %d, want %d", slowdown, r.Weight, exact)
+		if _, err := exactMST(c, g, exact); err != nil {
+			return nil, fmt.Errorf("e18: slowdown=%g: %w", slowdown, err)
 		}
 		st := c.Stats()
 		if slowdown == 1 {
@@ -148,22 +143,14 @@ func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rc, err := core.Connectivity(cc, g)
-		if err != nil {
-			return nil, err
-		}
-		if rc.Components != wantComps {
-			return nil, fmt.Errorf("e19: slowfrac=%g: %d components, want %d", slowFrac, rc.Components, wantComps)
+		if _, err := exactCC(cc, g, wantComps); err != nil {
+			return nil, fmt.Errorf("e19: slowfrac=%g: %w", slowFrac, err)
 		}
 		cm, err := mk()
 		if err != nil {
 			return nil, err
 		}
-		rm, err := core.MaximalMatching(cm, g)
-		if err != nil {
-			return nil, err
-		}
-		if err := graph.CheckMatching(g, rm.Edges, true); err != nil {
+		if _, err := maximalMatching(cm, g); err != nil {
 			return nil, err
 		}
 		stc, stm := cc.Stats(), cm.Stats()

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -39,12 +38,8 @@ func (rn *run) e20CrashRate(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := core.MST(c, g)
-		if err != nil {
-			return nil, err
-		}
-		if r.Weight != exact {
-			return nil, fmt.Errorf("e20: rate=%g: MST weight %d, want %d (recovery lost state)", rate, r.Weight, exact)
+		if _, err := exactMST(c, g, exact); err != nil {
+			return nil, fmt.Errorf("e20: rate=%g: %w (recovery lost state?)", rate, err)
 		}
 		st := c.Stats()
 		if rate == 0 {
@@ -86,12 +81,8 @@ func (rn *run) e21CheckpointInterval(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := core.MST(c, g)
-		if err != nil {
-			return nil, err
-		}
-		if r.Weight != exact {
-			return nil, fmt.Errorf("e21: interval=%d: MST weight %d, want %d", interval, r.Weight, exact)
+		if _, err := exactMST(c, g, exact); err != nil {
+			return nil, fmt.Errorf("e21: interval=%d: %w", interval, err)
 		}
 		st := c.Stats()
 		t.AddRow(interval, st.Checkpoints, st.ReplicationWords, st.Crashes,
@@ -145,13 +136,8 @@ func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 		if err != nil {
 			return mpc.Stats{}, err
 		}
-		rc, err := core.Connectivity(c, g)
-		if err != nil {
-			return mpc.Stats{}, err
-		}
-		if rc.Components != wantComps {
-			return mpc.Stats{}, fmt.Errorf("e22: slowdown=%g victim=%d: %d components, want %d",
-				slowdown, victim, rc.Components, wantComps)
+		if _, err := exactCC(c, g, wantComps); err != nil {
+			return mpc.Stats{}, fmt.Errorf("e22: slowdown=%g victim=%d: %w", slowdown, victim, err)
 		}
 		return c.Stats(), nil
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -218,13 +217,8 @@ func (rn *run) e25PlacementFaults(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.MST(c, g)
-			if err != nil {
+			if _, err := exactMST(c, g, exact); err != nil {
 				return nil, fmt.Errorf("e25: %s/%s: %w", pl.name, pol.Name(), err)
-			}
-			if r.Weight != exact {
-				return nil, fmt.Errorf("e25: %s/%s: MST weight %d, want %d (placement or recovery corrupted the run)",
-					pl.name, pol.Name(), r.Weight, exact)
 			}
 			st := c.Stats()
 			switch pol.Name() {

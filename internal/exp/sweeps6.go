@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/sched"
@@ -65,6 +64,7 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	gW := graph.ConnectedGNM(n, m, seed, true)
 	gU := graph.ConnectedGNM(n, m, seed, false)
 	_, wantW := graph.KruskalMSF(gW)
+	_, wantComps := graph.Components(gU)
 
 	// Speed-skew profiles only: capacity skew (zipf) shrinks the small
 	// machines below the sketch volume connectivity needs at this scale
@@ -83,32 +83,16 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 		run  func(c *mpc.Cluster) error
 	}{
 		{"mst", func(c *mpc.Cluster) error {
-			r, err := core.MST(c, gW)
-			if err != nil {
-				return err
-			}
-			if r.Weight != wantW {
-				return fmt.Errorf("mst weight %d, want %d", r.Weight, wantW)
-			}
-			return nil
+			_, err := exactMST(c, gW, wantW)
+			return err
 		}},
 		{"connectivity", func(c *mpc.Cluster) error {
-			r, err := core.Connectivity(c, gU)
-			if err != nil {
-				return err
-			}
-			_, want := graph.Components(gU)
-			if r.Components != want {
-				return fmt.Errorf("components %d, want %d", r.Components, want)
-			}
-			return nil
+			_, err := exactCC(c, gU, wantComps)
+			return err
 		}},
 		{"matching", func(c *mpc.Cluster) error {
-			r, err := core.MaximalMatching(c, gU)
-			if err != nil {
-				return err
-			}
-			return graph.CheckMatching(gU, r.Edges, true)
+			_, err := maximalMatching(c, gU)
+			return err
 		}},
 	}
 	for _, alg := range algs {
@@ -178,12 +162,8 @@ func (rn *run) e27CriticalPath(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.MST(c, g)
-			if err != nil {
+			if _, err := exactMST(c, g, want); err != nil {
 				return nil, fmt.Errorf("e27: %s/%s: %w", prof.name, coord, err)
-			}
-			if r.Weight != want {
-				return nil, fmt.Errorf("e27: %s/%s: weight %d, want %d", prof.name, coord, r.Weight, want)
 			}
 			s, err := traceConserved("e27: "+prof.name+"/"+coord, c)
 			if err != nil {

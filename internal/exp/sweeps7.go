@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -251,13 +250,8 @@ func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.MST(c, g)
-			if err != nil {
+			if _, err := exactMST(c, g, exact); err != nil {
 				return nil, fmt.Errorf("e31: %s/%s: %w", pl.name, pol.Name(), err)
-			}
-			if r.Weight != exact {
-				return nil, fmt.Errorf("e31: %s/%s: MST weight %d, want %d (placement or recovery corrupted the run)",
-					pl.name, pol.Name(), r.Weight, exact)
 			}
 			st := c.Stats()
 			if _, err := traceConserved(fmt.Sprintf("e31: %s/%s", pl.name, pol.Name()), c); err != nil {

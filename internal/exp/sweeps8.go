@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/wire"
@@ -44,27 +43,9 @@ func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 		run      func(c *mpc.Cluster) (any, error)
 	}{
 		{"mst", []string{"uniform", "zipf:0.8", "straggler:2:8"},
-			func(c *mpc.Cluster) (any, error) {
-				r, err := core.MST(c, gW)
-				if err != nil {
-					return nil, err
-				}
-				if r.Weight != wantW {
-					return nil, fmt.Errorf("mst weight %d, want %d", r.Weight, wantW)
-				}
-				return r, nil
-			}},
+			func(c *mpc.Cluster) (any, error) { return exactMST(c, gW, wantW) }},
 		{"connectivity", []string{"uniform", "bimodal:0.25:4", "straggler:2:8"},
-			func(c *mpc.Cluster) (any, error) {
-				r, err := core.Connectivity(c, gU)
-				if err != nil {
-					return nil, err
-				}
-				if r.Components != wantComps {
-					return nil, fmt.Errorf("components %d, want %d", r.Components, wantComps)
-				}
-				return r, nil
-			}},
+			func(c *mpc.Cluster) (any, error) { return exactCC(c, gU, wantComps) }},
 	}
 	for _, alg := range algs {
 		for _, prof := range alg.profiles {

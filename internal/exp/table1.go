@@ -47,18 +47,15 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rh, err := core.Connectivity(ch, gU)
+		rh, err := exactCC(ch, gU, rs.Components)
 		if err != nil {
 			return nil, err
-		}
-		if rh.Components != rs.Components {
-			return nil, fmt.Errorf("connectivity mismatch: %d vs %d", rh.Components, rs.Components)
 		}
 		cf, err := rn.newHet(t1N, t1M, 0.5, seed)
 		if err != nil {
 			return nil, err
 		}
-		rf, err := core.Connectivity(cf, gU)
+		rf, err := exactCC(cf, gU, rs.Components)
 		if err != nil {
 			return nil, err
 		}
@@ -79,25 +76,23 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		_, want := graph.KruskalMSF(gW)
+		if rs.Weight != want {
+			return nil, fmt.Errorf("baseline MST weight %d, want %d", rs.Weight, want)
+		}
 		ch, err := rn.newHet(t1N, t1M, 0, seed)
 		if err != nil {
 			return nil, err
 		}
-		rh, err := core.MST(ch, gW)
+		rh, err := exactMST(ch, gW, want)
 		if err != nil {
-			return nil, err
-		}
-		if rh.Weight != rs.Weight {
-			return nil, fmt.Errorf("MST weight mismatch: %d vs %d", rh.Weight, rs.Weight)
-		}
-		if err := graph.CheckMST(gW, rh.Edges); err != nil {
 			return nil, err
 		}
 		cf, err := rn.newHet(t1N, t1M, 0.5, seed)
 		if err != nil {
 			return nil, err
 		}
-		rf, err := core.MST(cf, gW)
+		rf, err := exactMST(cf, gW, want)
 		if err != nil {
 			return nil, err
 		}
@@ -278,11 +273,8 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rh, err := core.MaximalMatching(ch, gU)
+		rh, err := maximalMatching(ch, gU)
 		if err != nil {
-			return nil, err
-		}
-		if err := graph.CheckMatching(gU, rh.Edges, true); err != nil {
 			return nil, err
 		}
 		cf, err := rn.newHet(t1N, t1M, 0.5, seed)

@@ -12,9 +12,11 @@
 //
 // The simulator enforces the per-round send/receive caps exactly (violations
 // are errors, never silent), counts rounds and traffic, runs per-machine
-// local computation on goroutines, and gives each machine a private,
-// deterministic PRNG. One word models one O(log n)-bit quantity (a vertex
-// id, a weight, a counter).
+// local computation on goroutines (Cluster.Each — in the model a local step
+// is free and cannot fail, so it returns nothing; Cluster.ForSmall where a
+// received payload is type-asserted and can), and gives each machine a
+// private, deterministic PRNG. One word models one O(log n)-bit quantity (a
+// vertex id, a weight, a counter).
 //
 // Beyond the paper's uniform small machines, a Profile gives every machine
 // its own capacity, compute speed and link bandwidth, and Stats.Makespan

@@ -84,12 +84,9 @@ func AggregateByKey[V any](
 
 	// Local combine.
 	partials := make([][]KV[V], k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		partials[i] = localCombine(items[i], combine)
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
+	})
 
 	// Global sort by key.
 	roots, err = Sort(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
@@ -99,18 +96,13 @@ func AggregateByKey[V any](
 
 	// Fold the ≤ K partials of each key: the sort key is the aggregation key
 	// alone, so they all sit in one bucket, adjacent.
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		roots[i] = foldRuns(roots[i], combine)
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
+	})
 	// The folded runs are the machines' recoverable state from here on (Sort
 	// registered the pre-fold buckets; re-register so checkpoints see the
 	// shrunken volume).
-	if err := RegisterState(c, roots, vwords+1); err != nil {
-		return nil, nil, err
-	}
+	registerState(c, roots, vwords+1)
 	if !gatherLarge {
 		return roots, nil, nil
 	}

@@ -58,7 +58,7 @@ func Arrange[T any](
 		Count int
 	}
 	reports := make([][]runRec, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		local[i] = make(map[int64]localRun)
 		for j := 0; j < len(sorted[i]); {
 			kk := key(sorted[i][j])
@@ -69,10 +69,7 @@ func Arrange[T any](
 			local[i][kk] = localRun{Start: start, Count: j - start}
 			reports[i] = append(reports[i], runRec{Key: kk, Count: j - start})
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	// One round: every machine reports its runs. By contiguity the total is
 	// at most (#distinct keys) + K - 1 records.
 	outs := make([][]mpc.Msg, k)

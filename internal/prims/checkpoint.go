@@ -44,11 +44,17 @@ func RegisterState[T any](c *mpc.Cluster, data [][]T, itemWords int) error {
 	if err := checkBuckets(c, "RegisterState", data); err != nil {
 		return err
 	}
+	registerState(c, data, itemWords)
+	return nil
+}
+
+// registerState is RegisterState for buckets the caller has just built or
+// already passed through checkBuckets, so there is nothing left to refuse.
+func registerState[T any](c *mpc.Cluster, data [][]T, itemWords int) {
 	if !c.FaultsActive() {
-		return nil
+		return
 	}
 	for i := 0; i < c.K() && i < len(data); i++ {
 		c.SetCheckpointer(i, bucketCheckpointer[T]{data: data, i: i, itemWords: itemWords})
 	}
-	return nil
 }

@@ -58,9 +58,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 		for j, e := range g.Edges {
 			out[j%k] = append(out[j%k], e) // always within the carved cap
 		}
-		if err := RegisterState(c, out, EdgeWords); err != nil {
-			return nil, err
-		}
+		registerState(c, out, EdgeWords)
 		return out, nil
 	}
 	shares := make([]float64, k)
@@ -84,9 +82,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	for i, o := range owner {
 		out[o] = append(out[o], g.Edges[i])
 	}
-	if err := RegisterState(c, out, EdgeWords); err != nil {
-		return nil, err
-	}
+	registerState(c, out, EdgeWords)
 	return out, nil
 }
 

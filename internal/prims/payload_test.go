@@ -80,6 +80,67 @@ func TestBucketBeyondKRefused(t *testing.T) {
 	}
 }
 
+// TestScatterBucketBeyondKRefused: ScatterFromLarge refuses a non-empty
+// bucket at index ≥ K like its siblings above — typed, naming the bucket,
+// before the round is charged (the engine's own refusal comes after).
+func TestScatterBucketBeyondKRefused(t *testing.T) {
+	c := newCluster(t, 256, 1024, false)
+	k := c.K()
+	items := make([][]int64, k+3)
+	items[0] = []int64{1}
+	if _, err := ScatterFromLarge(c, items, 1); err != nil {
+		t.Fatalf("empty tail: %v", err)
+	}
+	before := c.Rounds()
+	items[k+1] = []int64{99}
+	_, err := ScatterFromLarge(c, items, 1)
+	if !errors.Is(err, mpc.ErrUnknownSender) || !strings.Contains(err.Error(), fmt.Sprintf("ScatterFromLarge: %v: bucket %d ", mpc.ErrUnknownSender, k+1)) {
+		t.Errorf("stray bucket: err = %v, want ErrUnknownSender naming bucket %d", err, k+1)
+	}
+	if c.Rounds() != before {
+		t.Errorf("refused call charged %d rounds", c.Rounds()-before)
+	}
+}
+
+// TestReduceValueBeyondKRefused: the coordinator reduces read one value per
+// machine; a non-zero value at index ≥ K is refused with mpc.ErrUnknownSender
+// naming the op, the index and K, before any round — never dropped. Shorter
+// vals and zero tails stay legal.
+func TestReduceValueBeyondKRefused(t *testing.T) {
+	ops := []struct {
+		name      string
+		needLarge bool
+		call      func(c *mpc.Cluster, vals []int64) (int64, error)
+	}{{"SumAll", false, SumAll}, {"SumToLarge", true, SumToLarge}, {"MaxAll", false, MaxAll}}
+	for _, noLarge := range []bool{false, true} {
+		for _, op := range ops {
+			if op.needLarge && noLarge {
+				continue
+			}
+			c := newCluster(t, 256, 1024, noLarge)
+			k := c.K()
+			vals := make([]int64, k+5)
+			vals[0] = 7
+			if got, err := op.call(c, vals); err != nil || got != 7 {
+				t.Errorf("%s noLarge=%v, zero tail: %d, %v", op.name, noLarge, got, err)
+			}
+			if got, err := op.call(c, vals[:k/2]); err != nil || got != 7 {
+				t.Errorf("%s noLarge=%v, short: %d, %v", op.name, noLarge, got, err)
+			}
+			before := c.Rounds()
+			vals[k+4] = 100
+			_, err := op.call(c, vals)
+			want := fmt.Sprintf("prims: %s: %v: value 100 at index %d but the cluster has K=%d", op.name, mpc.ErrUnknownSender, k+4, k)
+			if !errors.Is(err, mpc.ErrUnknownSender) || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s noLarge=%v: err = %v, want %q", op.name, noLarge, err, want)
+			}
+			if c.Rounds() != before {
+				t.Errorf("%s noLarge=%v: refused call charged %d rounds", op.name, noLarge, c.Rounds()-before)
+			}
+		}
+	}
+}
+
 // TestPayloadAssertionsFailTyped: struct payloads cross as pointers into
 // the sender's slab, and the receive side of each still fails typed, never
 // panics, on anything else — the by-value struct (what the payload used to

@@ -318,8 +318,16 @@ func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error
 // (vals[i], 0 past the end) to the coordinator in one round, which folds
 // them in delivery (machine) order seeded with the first — so fold needs no
 // identity — and, if broadcast is set, sends the result back to every
-// machine. An empty inbox yields 0.
-func reduce(c *mpc.Cluster, vals []int64, fold func(acc, v int64) int64, broadcast bool) (int64, error) {
+// machine. An empty inbox yields 0. A non-zero value at index ≥ K — one no
+// machine would send — is refused with mpc.ErrUnknownSender, as checkBuckets
+// refuses a non-empty bucket there; shorter vals and zero tails are legal.
+func reduce(c *mpc.Cluster, op string, vals []int64, fold func(acc, v int64) int64, broadcast bool) (int64, error) {
+	for i := c.K(); i < len(vals); i++ {
+		if vals[i] != 0 {
+			return 0, fmt.Errorf("prims: %s: %w: value %d at index %d but the cluster has K=%d small machines",
+				op, mpc.ErrUnknownSender, vals[i], i, c.K())
+		}
+	}
 	outs := perMachineOuts(c.K())
 	for i := range outs {
 		var v int64
@@ -360,7 +368,7 @@ func SumToLarge(c *mpc.Cluster, vals []int64) (int64, error) {
 		return 0, fmt.Errorf("prims: SumToLarge: %w", mpc.ErrNeedsLarge)
 	}
 	defer c.Span("sum").End()
-	return reduce(c, vals, addInt64, false)
+	return reduce(c, "SumToLarge", vals, addInt64, false)
 }
 
 // SumAll adds one int64 per machine at the coordinator and broadcasts the
@@ -368,13 +376,13 @@ func SumToLarge(c *mpc.Cluster, vals []int64) (int64, error) {
 // Works with or without a large machine. Two-plus rounds.
 func SumAll(c *mpc.Cluster, vals []int64) (int64, error) {
 	defer c.Span("sum").End()
-	return reduce(c, vals, addInt64, true)
+	return reduce(c, "SumAll", vals, addInt64, true)
 }
 
 // MaxAll is SumAll for the maximum: every machine (and the caller) learns
 // the largest of the per-machine values. It opens no span of its own.
 func MaxAll(c *mpc.Cluster, vals []int64) (int64, error) {
-	return reduce(c, vals, func(a, b int64) int64 { return max(a, b) }, true)
+	return reduce(c, "MaxAll", vals, func(a, b int64) int64 { return max(a, b) }, true)
 }
 
 // ScatterFromLarge routes per-machine message lists from the large machine
@@ -382,6 +390,9 @@ func MaxAll(c *mpc.Cluster, vals []int64) (int64, error) {
 func ScatterFromLarge[T any](c *mpc.Cluster, items [][]T, itemWords int) ([][]T, error) {
 	if !c.HasLarge() {
 		return nil, fmt.Errorf("prims: ScatterFromLarge: %w", mpc.ErrNeedsLarge)
+	}
+	if err := checkBuckets(c, "ScatterFromLarge", items); err != nil {
+		return nil, err
 	}
 	defer c.Span("scatter").End()
 	out := make([]mpc.Msg, 0, len(items))

@@ -145,7 +145,7 @@ func SegmentedBroadcast[V any](
 	}
 	flat := make([]item, starts[k])
 	items := make([][]item, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		its := flat[starts[i]:starts[i]:starts[i+1]]
 		if i < len(smallValues) {
 			for _, kv := range smallValues[i] {
@@ -163,10 +163,7 @@ func SegmentedBroadcast[V any](
 			}
 		}
 		items[i] = its
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 
 	sorted, splitters, err := sortSplit(c, items, itemWords, itemKey)
 	if err != nil {
@@ -185,7 +182,7 @@ func SegmentedBroadcast[V any](
 	spans := make([]span, 2*k)
 	vals := make([]downMsg, 2*k)
 	has := make([]bool, 2*k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		run := sorted[i]
 		for s, si := range splitterSpans(splitters[i], k, i) {
 			spans[2*i+s] = si
@@ -204,10 +201,7 @@ func SegmentedBroadcast[V any](
 			}
 		}
 		starts[i+1] = nreq
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 
 	// spanOf is the entry of machine i's span of key, or -1.
 	spanOf := func(i int, key int64) int {
@@ -283,7 +277,7 @@ func SegmentedBroadcast[V any](
 	msgs := make([]mpc.Msg, starts[k])
 	slab := make([]answer, starts[k])
 	outs := make([][]mpc.Msg, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		out, slots := msgs[starts[i]:starts[i]:starts[i+1]], slab[starts[i]:starts[i+1]]
 		run := sorted[i]
 		for h := 0; h < len(run); {
@@ -303,10 +297,7 @@ func SegmentedBroadcast[V any](
 			}
 		}
 		outs[i] = out
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	ins, _, err := c.Exchange(outs, nil)
 	if err != nil {
 		return nil, err

@@ -73,17 +73,12 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	}
 	// Under fault injection the input buckets are the machines' live state
 	// until the routed buckets replace them below.
-	if err := RegisterState(c, data, itemWords); err != nil {
-		return nil, nil, err
-	}
+	registerState(c, data, itemWords)
 
 	// Step 1: local sort (parallel local computation, no rounds).
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		SortLocal(data[i], key)
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
+	})
 
 	// Steps 2–3: sample, pick and broadcast the splitters.
 	lists, err := sortSplitters(c, data, key)
@@ -103,16 +98,13 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	}
 	msgs := make([]mpc.Msg, starts[k])
 	slab := make([]chunk[T], starts[k])
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		out, slots := msgs[starts[i]:starts[i]:starts[i+1]], slab[starts[i]:starts[i+1]]
 		walkBuckets(data[i], lists[i], k, key, func(j int, run []T) {
 			out = append(out, chunkMsg(&slots[len(out)], j, run, itemWords))
 		})
 		routeOuts[i] = out
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
+	})
 	ins, _, err := c.Exchange(routeOuts, nil)
 	if err != nil {
 		return nil, nil, err
@@ -133,17 +125,12 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	}
 	flat := make([]T, starts[k])
 	result := make([][]T, k)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		result[i] = copyChunks(flat[starts[i]:starts[i]:starts[i+1]], ins[i])
 		SortLocal(result[i], key)
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
+	})
 	// The routed, locally sorted buckets are now the machines' state.
-	if err := RegisterState(c, result, itemWords); err != nil {
-		return nil, nil, err
-	}
+	registerState(c, result, itemWords)
 	return result, lists, nil
 }
 
@@ -176,16 +163,13 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 		slab[i] = sample{Keys: keyBuf[:take:take], Count: len(data[i])}
 		keyBuf = keyBuf[take:]
 	}
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		keys, n := slab[i].Keys, len(data[i])
 		for j := range keys {
 			keys[j] = key(data[i][j*n/len(keys)])
 		}
 		outs[i][0] = mpc.Msg{To: coordinator(c), Words: len(keys)*sortKeyWords + 1, Data: &slab[i]}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	inbox, err := toCoordinator(c, outs)
 	if err != nil {
 		return nil, err

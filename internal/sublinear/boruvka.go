@@ -92,7 +92,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 
 		// Minimum outgoing edge per component (both directions).
 		items := make([][]prims.KV[minEdgeVal], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if e.LU == e.LV {
 					continue
@@ -106,10 +106,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 					prims.KV[minEdgeVal]{K: e.LU, V: a},
 					prims.KV[minEdgeVal]{K: e.LV, V: b})
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		minRoots, _, err := prims.AggregateByKey(c, items, minEdgeWords,
 			func(a, b minEdgeVal) minEdgeVal {
 				if lessMinEdge(b, a) {
@@ -123,7 +120,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		// Tail components contract along their min edge into head neighbors;
 		// the root machine of the component records the MST edge.
 		adoptions := make([][]prims.KV[int64], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, root := range minRoots[i] {
 				mv := root.V
 				if !coin(phase, root.K) && coin(phase, mv.OtherLabel) {
@@ -131,13 +128,10 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 					mstParts[i] = append(mstParts[i], graph.NewEdge(int(mv.OU), int(mv.OV), mv.W))
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		// Disseminate the adoption map to every machine holding the label.
 		labelNeeds := make([][]int64, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			seen := make(map[int64]bool)
 			for _, e := range edges[i] {
 				for _, l := range [2]int64{e.LU, e.LV} {
@@ -148,15 +142,12 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 				}
 			}
 			slices.Sort(labelNeeds[i])
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		maps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptions, nil, 1)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			out := edges[i][:0]
 			for _, e := range edges[i] {
 				if nl, ok := maps[i][e.LU]; ok {
@@ -170,10 +161,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 				}
 			}
 			edges[i] = out
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 
 	all := prims.Flatten(mstParts)

@@ -57,7 +57,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	center := make([]map[int64]int64, kk)
 	removedAt := make([]map[int64]int, kk)
 	prevCenter := make([]map[int64]int64, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		center[i] = make(map[int64]int64)
 		removedAt[i] = make(map[int64]int)
 		prevCenter[i] = make(map[int64]int64)
@@ -65,10 +65,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			center[i][int64(e.U)] = int64(e.U)
 			center[i][int64(e.V)] = int64(e.V)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 
 	spannerParts := make([][]graph.Edge, kk)
 
@@ -82,19 +79,16 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	for level := 1; level <= k; level++ {
 		// Snapshot c_{level-1} for every vertex (including -1 for already
 		// removed ones) before any update.
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for v, cv := range center[i] {
 				prevCenter[i][v] = cv
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		// Each still-clustered vertex whose center dies looks for a neighbor
 		// whose center survives; the smallest such neighbor wins (matching
 		// core's deterministic choice). One aggregation + one dissemination.
 		items := make([][]prims.KV[reclusterVal], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				for dir := 0; dir < 2; dir++ {
 					v, u := e.U, e.V
@@ -120,10 +114,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 					})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		minRoots, _, err := prims.AggregateByKey(c, items, 5,
 			func(a, b reclusterVal) reclusterVal {
 				if b.U < a.U {
@@ -135,21 +126,18 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			return nil, err
 		}
 		// The aggregation root records the spanner edge for re-clustered v.
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, root := range minRoots[i] {
 				rv := root.V
 				spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		newCenters, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, 5)
 		if err != nil {
 			return nil, err
 		}
 		// Update cluster state consistently everywhere.
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for v, cv := range center[i] {
 				if cv < 0 {
 					continue
@@ -164,10 +152,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				center[i][v] = -1
 				removedAt[i][v] = level
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		// Lines 16-18 for this level: removed vertices add one edge per
 		// adjacent previous-level cluster (aggregation keyed (v, cluster)).
 		type remVal struct {
@@ -176,7 +161,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			W      int64
 		}
 		remItems := make([][]prims.KV[remVal], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				for dir := 0; dir < 2; dir++ {
 					v, u := e.U, e.V
@@ -201,10 +186,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 					})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		remRoots, _, err := prims.AggregateByKey(c, remItems, 4,
 			func(a, b remVal) remVal {
 				if b.U < a.U {
@@ -215,15 +197,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, root := range remRoots[i] {
 				rv := root.V
 				spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 
 	// Validation view: flatten and dedupe.

@@ -52,31 +52,25 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 
 	// Per-machine current label of every vertex it stores.
 	labels := make([]map[int64]int64, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		labels[i] = make(map[int64]int64)
 		for _, e := range edges[i] {
 			labels[i][int64(e.U)] = int64(e.U)
 			labels[i][int64(e.V)] = int64(e.V)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 
 	maxPhases := 4*int(math.Ceil(math.Log2(float64(n)+2))) + 10
 	for phase := 0; ; phase++ {
 		// Count live (inter-component) edges.
 		liveCounts := make([]int64, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if labels[i][int64(e.U)] != labels[i][int64(e.V)] {
 					liveCounts[i]++
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		live, err := prims.SumAll(c, liveCounts)
 		if err != nil {
 			return nil, err
@@ -91,7 +85,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 
 		// Tail labels adopt the smallest head neighbor label.
 		items := make([][]prims.KV[int64], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				lu, lv := labels[i][int64(e.U)], labels[i][int64(e.V)]
 				if lu == lv {
@@ -104,10 +98,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 					items[i] = append(items[i], prims.KV[int64]{K: lv, V: lu})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		adoptRoots, _, err := prims.AggregateByKey(c, items, 1,
 			func(a, b int64) int64 {
 				if a < b {
@@ -120,7 +111,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		}
 		// Machines need the adoption mapping for every LABEL they hold.
 		labelNeeds := make([][]int64, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			seen := make(map[int64]bool, len(labels[i]))
 			for _, l := range labels[i] {
 				if !seen[l] {
@@ -129,24 +120,18 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 				}
 			}
 			slices.Sort(labelNeeds[i])
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		adoptMaps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for v, l := range labels[i] {
 				if nl, ok := adoptMaps[i][l]; ok {
 					labels[i][v] = nl
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 
 	// Validation view: assemble the global labels (outside the model).

@@ -41,7 +41,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	// Δ via aggregation with distributed results + SumAll on the max: use a
 	// max-aggregation keyed by a single key.
 	degItems := make([][]prims.KV[int64], kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		local := make(map[int64]int64)
 		for _, e := range edges[i] {
 			local[int64(e.U)]++
@@ -51,10 +51,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			degItems[i] = append(degItems[i], prims.KV[int64]{K: v, V: d})
 		}
 		prims.SortKVsByKey(degItems[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	degRoots, _, err := prims.AggregateByKey(c, degItems, 1,
 		func(a, b int64) int64 { return a + b }, false)
 	if err != nil {
@@ -88,30 +85,24 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	// Per-machine per-vertex fixed color (-1 = uncolored), consistent across
 	// machines because all decisions derive from disseminated aggregates.
 	colors := make([]map[int64]int, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		colors[i] = make(map[int64]int)
 		for _, e := range edges[i] {
 			colors[i][int64(e.U)] = -1
 			colors[i][int64(e.V)] = -1
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	maxRounds := 8*int(math.Ceil(math.Log2(float64(n)+2))) + 16
 
 	for round := 0; ; round++ {
 		liveCounts := make([]int64, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if colors[i][int64(e.U)] < 0 || colors[i][int64(e.V)] < 0 {
 					liveCounts[i]++
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		live, err := prims.SumAll(c, liveCounts)
 		if err != nil {
 			return nil, err
@@ -127,7 +118,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		// Per uncolored vertex: does any neighbor block its tried color
 		// (same trial, or an already-fixed equal color)?
 		items := make([][]prims.KV[bool], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				cu, cv := colors[i][int64(e.U)], colors[i][int64(e.V)]
 				if cu < 0 {
@@ -141,10 +132,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 					items[i] = append(items[i], prims.KV[bool]{K: int64(e.V), V: blocked})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		blockRoots, _, err := prims.AggregateByKey(c, items, 1,
 			func(a, b bool) bool { return a || b }, false)
 		if err != nil {
@@ -154,7 +142,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for v, col := range colors[i] {
 				if col >= 0 {
 					continue
@@ -164,10 +152,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 					colors[i][v] = try(round, int(v))
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 
 	// Validation view.

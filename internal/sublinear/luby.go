@@ -47,31 +47,25 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 
 	// Per-machine vertex state: 0 live, 1 in MIS, 2 dead (dominated).
 	state := make([]map[int64]byte, kk)
-	if err := c.ForSmall(func(i int) error {
+	c.Each(func(i int) {
 		state[i] = make(map[int64]byte)
 		for _, e := range edges[i] {
 			state[i][int64(e.U)] = 0
 			state[i][int64(e.V)] = 0
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	needs := prims.EndpointNeeds(edges)
 	maxRounds := 6*int(math.Ceil(math.Log2(float64(n)+2))) + 12
 
 	for round := 0; ; round++ {
 		liveCounts := make([]int64, kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if state[i][int64(e.U)] == 0 && state[i][int64(e.V)] == 0 {
 					liveCounts[i]++
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		live, err := prims.SumAll(c, liveCounts)
 		if err != nil {
 			return nil, err
@@ -86,7 +80,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 
 		// Per live vertex: minimum live-neighbor priority.
 		items := make([][]prims.KV[uint64], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if state[i][int64(e.U)] != 0 || state[i][int64(e.V)] != 0 {
 					continue
@@ -95,10 +89,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 					prims.KV[uint64]{K: int64(e.U), V: prio(round, e.V)},
 					prims.KV[uint64]{K: int64(e.V), V: prio(round, e.U)})
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		minRoots, _, err := prims.AggregateByKey(c, items, 1,
 			func(a, b uint64) uint64 {
 				if a < b {
@@ -117,7 +108,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// joins the MIS; every machine holding it reaches the same verdict.
 		// Then domination spreads by one more aggregation round.
 		domItems := make([][]prims.KV[bool], kk)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			// Two passes: decide verdicts from the pre-round state, then
 			// apply them (deciding and mutating in one pass would hide a
 			// vertex's MIS-ness from its later edges on the same machine).
@@ -142,10 +133,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.U), V: true})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		domRoots, _, err := prims.AggregateByKey(c, domItems, 1,
 			func(a, b bool) bool { return a || b }, false)
 		if err != nil {
@@ -155,16 +143,13 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for v := range state[i] {
 				if state[i][v] == 0 && domMaps[i][v] {
 					state[i][v] = 2
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 
 	// Assemble the MIS (validation view): MIS-state vertices, still-alive

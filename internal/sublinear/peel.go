@@ -92,7 +92,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		// Draw ranks and aggregate the per-vertex minimum.
 		ranks := make([][]uint64, k)
 		items := make([][]prims.KV[rankVal], k)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			rng := c.Rand(i)
 			ranks[i] = make([]uint64, len(live[i]))
 			items[i] = make([]prims.KV[rankVal], 0, 2*len(live[i]))
@@ -104,10 +104,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 					prims.KV[rankVal]{K: int64(e.U), V: rv},
 					prims.KV[rankVal]{K: int64(e.V), V: rv})
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		minRoots, _, err := prims.AggregateByKey(c, items, rankValWords,
 			func(a, b rankVal) rankVal {
 				if lessRank(b, a) {
@@ -126,7 +123,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 
 		// An edge is matched iff it is the minimum at both endpoints.
 		deadItems := make([][]prims.KV[bool], k)
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			for j, e := range live[i] {
 				rv := rankVal{Rank: ranks[i][j], EU: int32(e.U), EV: int32(e.V)}
 				mu, okU := minMaps[i][int64(e.U)]
@@ -138,10 +135,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 						prims.KV[bool]{K: int64(e.V), V: true})
 				}
 			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 		deadRoots, _, err := prims.AggregateByKey(c, deadItems, 1,
 			func(a, b bool) bool { return a || b }, false)
 		if err != nil {
@@ -151,7 +145,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		if err := c.ForSmall(func(i int) error {
+		c.Each(func(i int) {
 			out := live[i][:0]
 			for _, e := range live[i] {
 				if deadMaps[i][int64(e.U)] || deadMaps[i][int64(e.V)] {
@@ -160,10 +154,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 				out = append(out, e)
 			}
 			live[i] = out
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 	res.Matched = matched
 	res.Live = live
