@@ -8,23 +8,64 @@ import (
 	"hetmpc"
 )
 
+// table1Summary runs the twelve Table-1 calls — six problems, sublinear
+// baseline and heterogeneous, n=512 m=4096 seed 7 — each on its own traced
+// cluster and returns the summary of the twelve timelines concatenated.
+func table1Summary(t *testing.T) *hetmpc.TraceSummary {
+	t.Helper()
+	gU := hetmpc.ConnectedGNM(512, 4096, 7, false)
+	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
+	const spannerK = 3
+	calls := []struct {
+		name    string
+		noLarge bool
+		run     func(c *hetmpc.Cluster) error
+	}{
+		{"sublinear.cc", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineConnectivity(c, gU); return err }},
+		{"core.cc", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Connectivity(c, gU); return err }},
+		{"sublinear.mst", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineMST(c, gW); return err }},
+		{"core.mst", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MST(c, gW); return err }},
+		{"sublinear.spanner", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineSpanner(c, gU, spannerK); return err }},
+		{"core.spanner", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Spanner(c, gU, spannerK); return err }},
+		{"sublinear.coloring", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineColoring(c, gU); return err }},
+		{"core.coloring", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Coloring(c, gU); return err }},
+		{"sublinear.mis", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineMIS(c, gU); return err }},
+		{"core.mis", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MIS(c, gU); return err }},
+		{"sublinear.matching", true, func(c *hetmpc.Cluster) error { _, _, err := hetmpc.BaselineMatching(c, gU); return err }},
+		{"core.matching", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MaximalMatching(c, gU); return err }},
+	}
+	var rounds []hetmpc.TraceRound
+	for _, call := range calls {
+		tr := hetmpc.NewTrace()
+		c, err := hetmpc.NewCluster(hetmpc.Config{N: gU.N, M: gU.M(), Seed: 7, NoLarge: call.noLarge, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := call.run(c); err != nil {
+			t.Fatalf("%s: %v", call.name, err)
+		}
+		rounds = append(rounds, tr.Rounds()...)
+	}
+	return hetmpc.SummarizeTrace(rounds)
+}
+
 // TestTable1EmptyRounds pins the model clock's silent barriers (DESIGN.md
-// §6): over the twelve Table-1 calls — six problems, sublinear baseline and
-// heterogeneous, n=512 m=4096 seed 7 — a round that moves no words is
-// charged only where the list below says so, by phase path. Every entry is
+// §6): over the twelve Table-1 calls a round that moves no words is charged
+// only where the list below says so, by phase path. Every entry is
 // data-dependent: the round is a fixed step of a protocol that had nothing
 // to send on this input, not a mechanism that can never send. AggregateByKey
 // had three of the latter per call (its boundary-report, instruction and
 // tree-combine rounds); no phase ending in "aggregate" may charge an empty
 // round again, and a new empty round anywhere fails by its path.
 func TestTable1EmptyRounds(t *testing.T) {
-	// 23 of the 1,060 rounds. The protocols below run a fixed number of
+	// 23 of the 937 rounds. The protocols below run a fixed number of
 	// rounds so that the round count depends on public parameters only; each
 	// listed round had nothing to carry on this input.
 	allowed := map[string]int{
 		// Sort's route round over no items: the last Borůvka/cluster phases
-		// aggregate an already empty edge set (the sample and splitter rounds
-		// still carry their one-word headers).
+		// aggregate an already empty edge set (the sample round and the reply
+		// round still carry one header word a machine: an empty run has no
+		// cuts).
 		"baseline-cc/aggregate/sort":      2,
 		"baseline-spanner/aggregate/sort": 1,
 		"spanner/aggregate/sort":          1,
@@ -48,49 +89,15 @@ func TestTable1EmptyRounds(t *testing.T) {
 		"matching": 2,
 	}
 
-	gU := hetmpc.ConnectedGNM(512, 4096, 7, false)
-	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
-	const spannerK = 3
-	calls := []struct {
-		name    string
-		noLarge bool
-		run     func(c *hetmpc.Cluster) error
-	}{
-		{"sublinear.cc", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineConnectivity(c, gU); return err }},
-		{"core.cc", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Connectivity(c, gU); return err }},
-		{"sublinear.mst", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineMST(c, gW); return err }},
-		{"core.mst", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MST(c, gW); return err }},
-		{"sublinear.spanner", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineSpanner(c, gU, spannerK); return err }},
-		{"core.spanner", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Spanner(c, gU, spannerK); return err }},
-		{"sublinear.coloring", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineColoring(c, gU); return err }},
-		{"core.coloring", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Coloring(c, gU); return err }},
-		{"sublinear.mis", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineMIS(c, gU); return err }},
-		{"core.mis", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MIS(c, gU); return err }},
-		{"sublinear.matching", true, func(c *hetmpc.Cluster) error { _, _, err := hetmpc.BaselineMatching(c, gU); return err }},
-		{"core.matching", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MaximalMatching(c, gU); return err }},
-	}
-
+	s := table1Summary(t)
 	got := map[string]int{}
-	rounds := 0
-	for _, call := range calls {
-		tr := hetmpc.NewTrace()
-		c, err := hetmpc.NewCluster(hetmpc.Config{N: gU.N, M: gU.M(), Seed: 7, NoLarge: call.noLarge, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := call.run(c); err != nil {
-			t.Fatalf("%s: %v", call.name, err)
-		}
-		s := hetmpc.SummarizeTrace(tr.Rounds())
-		rounds += s.Rounds
-		for _, p := range s.Phases {
-			if p.EmptyRounds > 0 {
-				got[p.Phase] += p.EmptyRounds
-			}
+	for _, p := range s.Phases {
+		if p.EmptyRounds > 0 {
+			got[p.Phase] = p.EmptyRounds
 		}
 	}
-	if rounds != 1060 {
-		t.Errorf("the twelve calls charge %d rounds, want 1060", rounds)
+	if s.Rounds != 937 {
+		t.Errorf("the twelve calls charge %d rounds, want 937", s.Rounds)
 	}
 	phases := make([]string, 0, len(got)+len(allowed))
 	for phase := range got {
@@ -109,5 +116,27 @@ func TestTable1EmptyRounds(t *testing.T) {
 		case got[phase] != allowed[phase]:
 			t.Errorf("%s charges %d empty rounds, the allow-list says %d", phase, got[phase], allowed[phase])
 		}
+	}
+}
+
+// TestTable1ReplyShare pins what Sort's step 3 may cost (DESIGN.md §1): over
+// the same twelve calls the rounds charged to a phase path ending in
+// "sort/broadcast" — the coordinator's replies to the samples — carry at most
+// 15 % of all words. They carried 55 % when every reply was the whole
+// splitter list, 3·(K-1)+1 words to each of K machines that mostly held
+// fewer items than that; a collective that recites a K-long list to K
+// machines again fails here, by its path.
+func TestTable1ReplyShare(t *testing.T) {
+	s := table1Summary(t)
+	var replies int64
+	for _, p := range s.Phases {
+		if strings.HasSuffix(p.Phase, "sort/broadcast") {
+			replies += p.Words
+		}
+	}
+	share := float64(replies) / float64(s.Words)
+	t.Logf("Sort's replies carry %d of %d words (%.1f %%)", replies, s.Words, 100*share)
+	if share > 0.15 {
+		t.Errorf("phase paths ending in sort/broadcast carry %.1f %% of the words charged, want at most 15 %%", 100*share)
 	}
 }

@@ -20,7 +20,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -79,14 +78,13 @@ func toCEdges(data [][]graph.Edge) [][]cEdge {
 
 // distinctEndpoints returns the sorted distinct contracted endpoints of a
 // machine's edges (the dissemination "needs" list) — prims.EndpointNeeds
-// for contracted edges, deduplicated the same way: radix sort + compact.
+// for contracted edges, deduplicated the same way (prims.DistinctInts).
 func distinctEndpoints(edges []cEdge) []int64 {
 	out := make([]int64, 0, 2*len(edges))
 	for _, e := range edges {
 		out = append(out, int64(e.U), int64(e.V))
 	}
-	prims.SortInts(out)
-	return slices.Compact(out)
+	return prims.DistinctInts(out)
 }
 
 // degreesAtLarge brings every non-isolated vertex's degree to the large

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
@@ -32,8 +34,8 @@ func beefyCoordinator(p *mpc.Profile) *mpc.Profile {
 
 // e23Workload places and sample-sorts m weighted edges under one profile ×
 // policy and returns the flattened sorted output with the cluster (E23 and
-// E24 both compare it row-for-row against the cap baseline's; E28 passes a
-// trace collector to decompose the same workload into phases).
+// E29 compare it row-for-row against the cap baseline's; E29 passes a trace
+// collector to re-prove conservation cell by cell).
 func (rn *run) e23Workload(g *graph.Graph, seed uint64, profile func(k int) *mpc.Profile, pol sched.Policy, tr *trace.Collector) (*mpc.Cluster, []graph.Edge, error) {
 	cfg := mpc.Config{N: g.N, M: g.M(), Seed: seed, Placement: pol, Trace: tr}
 	if profile != nil {
@@ -59,10 +61,11 @@ func (rn *run) e23Workload(g *graph.Graph, seed uint64, profile func(k int) *mpc
 
 // e23PlacementPolicies crosses the three placement policies with the three
 // canonical skew profiles under the placement+sort workload: cap pays the
-// straggler tax, throughput irons static skew out of the route rounds, and
-// speculation additionally rescues the uniform-traffic rounds (samples,
-// broadcasts) that no static placement can rebalance. Every row must
-// reproduce the cap row's sorted output and round structure exactly.
+// straggler tax, throughput irons static skew out of all three rounds — a
+// sample, the reply to it and the route all follow the items a machine
+// holds — and speculation finds nothing left to mirror (E24 turns its dial
+// on MST, where rounds routed by key remain). Every row must reproduce the
+// cap row's sorted output and round structure exactly.
 func (rn *run) e23PlacementPolicies(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
@@ -111,25 +114,53 @@ func (rn *run) e23PlacementPolicies(seed uint64) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"every policy reproduces the cap row's sorted output and round count exactly; only placement and the clock move",
 		"zipf skews capacity only, so throughput clips to cap and the ratio stays 1; speed skew is where placement pays",
+		"speculate:2 launches no copy: every round of a sample sort follows the placed items, so throughput leaves it no slow shard a fast machine could beat",
 	)
 	return t, nil
 }
 
+// placedMST runs exact MST on a beefy-coordinator straggler cluster under one
+// placement policy (and, for E25, a fault plan) — the workload of E24, E25
+// and E28 — and returns the cluster with the tree's edges by weight. MST is
+// where speculation still has something to rescue: a plain sample sort's
+// traffic, its replies included, follows the items a machine holds, which
+// static throughput shares already balance (E23), while MST's aggregations
+// and disseminations route by key — a key's partials and requests meet on
+// one machine wherever the shares put it.
+func (rn *run) placedMST(g *graph.Graph, exact int64, seed uint64, stragglers int, slowdown float64, pol sched.Policy, plan *fault.Plan, tr *trace.Collector) (*mpc.Cluster, []graph.Edge, error) {
+	cfg := mpc.Config{N: g.N, M: g.M(), Seed: seed, Placement: pol, Faults: plan, Trace: tr}
+	cfg.Profile = beefyCoordinator(mpc.StragglerProfile(cfg.DeriveK(), stragglers, slowdown))
+	c, err := rn.build(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := exactMST(c, g, exact)
+	if err != nil {
+		return nil, nil, err
+	}
+	tree := slices.Clone(r.Edges)
+	slices.SortFunc(tree, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.W, b.W), cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return c, tree, nil
+}
+
 // e24SpeculationDial sweeps the redundancy dial R = 0..4 under straggler
-// profiles: R = 0 is pure throughput placement (the route rounds balance,
-// the sample/broadcast rounds still wait for the stragglers), and each
-// additional speculated shard shaves the uniform-traffic rounds until every
-// straggler is covered — at an honestly charged word cost. Every speculate
-// row must beat the cap baseline's makespan at an identical round structure
-// and output.
+// profiles: R = 0 is pure throughput placement (the rounds whose traffic
+// follows the placed edges balance, the rounds routed by key still wait for
+// the stragglers), and each additional speculated shard shaves those until
+// every straggler is covered — at an honestly charged word cost. Every
+// speculate row must reproduce the cap row's tree edge for edge and its round
+// count, move exactly R = 0's algorithm words, and beat cap's makespan.
 func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
-	const n, m = 512, 8192
+	const n, m = 512, 4096
 	t := &Table{
-		Title: fmt.Sprintf("E24 — speculation dial R=0..4 under straggler profiles (place + sample sort), n=%d m=%d", n, m),
+		Title: fmt.Sprintf("E24 — speculation dial R=0..4 under straggler profiles (MST), n=%d m=%d", n, m),
 		Header: []string{"profile", "policy", "makespan", "vs cap",
 			"spec words", "words"},
 	}
-	g := graph.GNMWeighted(n, m, seed)
+	g := graph.ConnectedGNM(n, m, seed, true)
+	_, exact := graph.KruskalMSF(g)
 	profiles := []struct {
 		name       string
 		stragglers int
@@ -139,32 +170,32 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 		{"straggler:4:16", 4, 16},
 	}
 	for _, prof := range profiles {
-		gen := func(k int) *mpc.Profile {
-			return beefyCoordinator(mpc.StragglerProfile(k, prof.stragglers, prof.slowdown))
-		}
-		capC, capOut, err := rn.e23Workload(g, seed, gen, sched.Cap{}, nil)
+		capC, capTree, err := rn.placedMST(g, exact, seed, prof.stragglers, prof.slowdown, sched.Cap{}, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("e24: %s/cap: %w", prof.name, err)
 		}
 		capStats := capC.Stats()
 		t.AddRow(prof.name, "cap", capStats.Makespan, 1.0, 0, capStats.TotalWords)
+		// Algorithm words are no longer placement-independent (DESIGN.md
+		// §8): Sort's reply is a machine's own cuts, and the cuts follow the
+		// splitters, which follow the shares. Every speculate row has R = 0's
+		// shares, so R = 0's words are the reference; cap's differ.
+		var thrWords int64
 		for r := 0; r <= 4; r++ {
-			c, out, err := rn.e23Workload(g, seed, gen, sched.Speculate{R: r}, nil)
+			c, tree, err := rn.placedMST(g, exact, seed, prof.stragglers, prof.slowdown, sched.Speculate{R: r}, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("e24: %s/R=%d: %w", prof.name, r, err)
 			}
 			st := c.Stats()
-			if len(out) != len(capOut) {
-				return nil, fmt.Errorf("e24: %s/R=%d: output length %d, cap had %d", prof.name, r, len(out), len(capOut))
+			if r == 0 {
+				thrWords = st.TotalWords
 			}
-			for i := range out {
-				if out[i] != capOut[i] {
-					return nil, fmt.Errorf("e24: %s/R=%d: output diverged from cap at item %d", prof.name, r, i)
-				}
+			if !slices.Equal(tree, capTree) {
+				return nil, fmt.Errorf("e24: %s/R=%d: the tree diverged from cap's (%d edges vs %d)", prof.name, r, len(tree), len(capTree))
 			}
-			if st.Rounds != capStats.Rounds || st.TotalWords != capStats.TotalWords {
-				return nil, fmt.Errorf("e24: %s/R=%d: comm structure changed (rounds %d vs %d, words %d vs %d)",
-					prof.name, r, st.Rounds, capStats.Rounds, st.TotalWords, capStats.TotalWords)
+			if st.Rounds != capStats.Rounds || st.TotalWords != thrWords {
+				return nil, fmt.Errorf("e24: %s/R=%d: comm structure changed (rounds %d vs cap %d, words %d vs R=0 %d)",
+					prof.name, r, st.Rounds, capStats.Rounds, st.TotalWords, thrWords)
 			}
 			if st.Makespan >= capStats.Makespan {
 				return nil, fmt.Errorf("e24: %s/R=%d: makespan %g did not beat cap %g",
@@ -176,7 +207,9 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"R=0 is pure throughput placement; R>=1 additionally mirrors the slowest per-round shards, first-copy-wins",
-		"spec words are the honestly charged redundant traffic; algorithm words (last column) are identical in every row",
+		"spec words are the honestly charged redundant traffic; algorithm words (last column) are identical in every speculate row",
+		"the cap row's words differ: the splitters follow the placement shares, and Sort's reply to a machine is the cuts of its own run",
+		"every speculate row reproduces the cap row's tree edge for edge; its weight is validated exact in every row",
 	)
 	return t, nil
 }
@@ -210,14 +243,8 @@ func (rn *run) e25PlacementFaults(seed uint64) (*Table, error) {
 	for _, pl := range plans {
 		capMakespan, thrMakespan := 0.0, 0.0
 		for _, pol := range policies {
-			cfg := mpc.Config{N: n, M: m, Seed: seed, Placement: pol}
-			cfg.Profile = beefyCoordinator(mpc.StragglerProfile(cfg.DeriveK(), 2, 8))
-			cfg.Faults = pl.plan()
-			c, err := rn.build(cfg)
+			c, _, err := rn.placedMST(g, exact, seed, 2, 8, pol, pl.plan(), nil)
 			if err != nil {
-				return nil, err
-			}
-			if _, err := exactMST(c, g, exact); err != nil {
 				return nil, fmt.Errorf("e25: %s/%s: %w", pl.name, pol.Name(), err)
 			}
 			st := c.Stats()

@@ -203,27 +203,28 @@ func orOne(v float64) float64 {
 }
 
 // e28TraceGuidedPlacement explains E24/E25's placement wins phase by phase:
-// the same place+sample-sort workload as E23/E24 under straggler:4:16 (the
-// E24 row where the dial matters most), run under cap, throughput and
-// speculate:4, each with a trace. The per-phase gap columns attribute each
-// policy's total makespan win to the phases that produced it — the route
-// rounds that static throughput rebalances versus the uniform-traffic
-// sample/broadcast rounds only speculation can rescue (E24's R=4 cliff).
+// E24's MST workload under straggler:4:16 (the E24 rows where the dial
+// matters most), run under cap, throughput and speculate:4, each with a
+// trace. The per-phase gap columns attribute each policy's total makespan
+// win to the phases that produced it — the sorts under arrange and
+// broadcast, whose traffic follows the shares and static throughput
+// rebalances, versus aggregate's sort, whose buckets are cut by key, and the
+// sample phases, which only speculation can rescue.
 func (rn *run) e28TraceGuidedPlacement(seed uint64) (*Table, error) {
-	const n, m = 512, 8192
+	const n, m = 512, 4096
 	t := &Table{
-		Title: fmt.Sprintf("E28 — trace-guided placement comparison (place + sample sort, straggler:4:16), n=%d m=%d", n, m),
+		Title: fmt.Sprintf("E28 — trace-guided placement comparison (MST, straggler:4:16), n=%d m=%d", n, m),
 		Header: []string{"policy", "phase", "makespan", "share",
 			"gap vs cap", "gap share"},
 	}
-	g := graph.GNMWeighted(n, m, seed)
-	gen := func(k int) *mpc.Profile { return beefyCoordinator(mpc.StragglerProfile(k, 4, 16)) }
+	g := graph.ConnectedGNM(n, m, seed, true)
+	_, exact := graph.KruskalMSF(g)
 	policies := []sched.Policy{sched.Cap{}, sched.Throughput{}, sched.Speculate{R: 4}}
 
 	capPhase := map[string]float64{}
 	capTotal, thrTotal := 0.0, 0.0
 	for _, pol := range policies {
-		c, _, err := rn.e23Workload(g, seed, gen, pol, trace.New())
+		c, _, err := rn.placedMST(g, exact, seed, 4, 16, pol, nil, trace.New())
 		if err != nil {
 			return nil, fmt.Errorf("e28: %s: %w", pol.Name(), err)
 		}
@@ -270,7 +271,7 @@ func (rn *run) e28TraceGuidedPlacement(seed uint64) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"'gap vs cap' is cap's phase makespan minus this policy's; the gaps sum to the total makespan win (checked)",
-		"throughput's win concentrates in the placement-weighted route phase; speculation additionally collapses the straggler-bound sample/broadcast phases E24 measures",
+		"throughput's win concentrates in the share-weighted sorts under arrange and broadcast; speculation additionally collapses aggregate/sort, whose buckets are cut by key, and the straggler-bound sample phases",
 	)
 	return t, nil
 }

@@ -2,7 +2,6 @@ package prims
 
 import (
 	"fmt"
-	"slices"
 
 	"hetmpc/internal/mpc"
 )
@@ -72,20 +71,23 @@ func Arrange[T any](
 	})
 	// One round: every machine reports its runs. By contiguity the total is
 	// at most (#distinct keys) + K - 1 records.
-	outs := make([][]mpc.Msg, k)
-	for i := 0; i < k; i++ {
+	outs := perMachineOuts(k)
+	for i := range outs {
 		if len(reports[i]) == 0 {
+			outs[i] = nil
 			continue
 		}
-		outs[i] = []mpc.Msg{{To: mpc.Large, Words: 2 * len(reports[i]), Data: reports[i]}}
+		outs[i][0] = mpc.Msg{To: mpc.Large, Words: 2 * len(reports[i]), Data: reports[i]}
 	}
 	_, inLarge, err := c.Exchange(outs, nil)
 	if err != nil {
 		return nil, err
 	}
+	// Delivery is in machine order over globally sorted data, so a key is
+	// first seen in ascending order: keys needs no sort.
 	runs := make(map[int64][]RunPart)
 	var keys []int64
-	for _, m := range inLarge { // delivery is in machine order
+	for _, m := range inLarge {
 		recs, ok := m.Data.([]runRec)
 		if !ok {
 			return nil, fmt.Errorf("prims: unexpected run report %T", m.Data)
@@ -97,7 +99,6 @@ func Arrange[T any](
 			runs[r.Key] = append(runs[r.Key], RunPart{Machine: m.From, Count: r.Count})
 		}
 	}
-	slices.Sort(keys)
 	return &Arranged[T]{
 		Data:      sorted,
 		Keys:      keys,

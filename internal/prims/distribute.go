@@ -221,10 +221,18 @@ func EndpointNeeds(edges [][]graph.Edge) [][]int64 {
 		for _, e := range edges[i] {
 			vs = append(vs, int64(e.U), int64(e.V))
 		}
-		SortInts(vs)
-		needs[i] = slices.Compact(vs)
+		needs[i] = DistinctInts(vs)
 	}
 	return needs
+}
+
+// DistinctInts sorts vs and returns its distinct values, ascending, in vs's
+// own array — the one dedup behind every dissemination "needs" list: collect
+// the keys into a slice sized by their count, radix sort, compact. No map,
+// no growth.
+func DistinctInts(vs []int64) []int64 {
+	SortInts(vs)
+	return slices.Compact(vs)
 }
 
 // Flatten concatenates all machines' items (a test/validation helper; real

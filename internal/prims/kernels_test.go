@@ -609,13 +609,12 @@ func TestSortKernelEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			splitters, err := sortSplitters(twin, sorted, key)
+			sp, _, err := sortSplitters(twin, sorted, key)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := make([][]kitem, k)
 			for i := range sorted {
-				sp := splitters[i]
 				for _, it := range sorted[i] {
 					j := sort.Search(len(sp), func(x int) bool { return it.key.Less(sp[x]) })
 					want[j] = append(want[j], it)

@@ -1,15 +1,21 @@
 // Package prims implements the paper's algorithmic toolbox (§2) as real
 // multi-round protocols on the mpc simulator:
 //
-//   - Claim 1 (Sorting): a coordinator-based sample sort, O(1) rounds;
+//   - Claim 1 (Sorting): a coordinator-based sample sort, O(1) rounds:
+//     sample, reply, route. The coordinator answers a machine whose sample
+//     was its whole run with the cuts of that run — (bucket, count) pairs —
+//     and any other with the splitter list to cut its run itself; the
+//     replies take one direct round when together they fit the coordinator's
+//     round budget, else the list goes down a capacity-bounded tree;
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
 //     key is the aggregation key alone, so a key's ≤ K partials meet on one
 //     machine and no tree is needed (or charged); results are per machine a
 //     sorted run of (key, value), the form Claim 3 takes distributed values
 //     in, optionally gathered to the large machine;
 //   - Claim 3 (Dissemination): values and requests are sorted together, a
-//     key's values under (x, 0, 0) so that they land on one machine; every
-//     machine reads the spans it sits in off Sort's splitters, and
+//     key's values under (x, 0, 0) so that they land on one machine; the
+//     spans a machine sits in are a function of Sort's splitters and come
+//     with Sort's reply, and
 //     machine-range trees with capacity-bounded branching (the paper's trees
 //     with branching n^γ) run downward over them (SegmentedBroadcast),
 //     delivering per-key values to every machine that requested the key;
@@ -31,8 +37,8 @@
 // A collective allocates per machine, never per message, and Sort,
 // SegmentedBroadcast (its result maps aside) and ScatterFromLarge per call:
 // struct payloads travel as pointers into one slab per sender per round —
-// Sort's route round and SegmentedBroadcast's answer round carve every
-// sender's from one array — wire-native scalars and slices by value
+// Sort's reply and route rounds and SegmentedBroadcast's answer round carve
+// every sender's from one array — wire-native scalars and slices by value
 // (DESIGN.md §14, "Payload slabs").
 package prims
 

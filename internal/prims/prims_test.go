@@ -574,6 +574,70 @@ func TestArrangeAndCollectBudget(t *testing.T) {
 	}
 }
 
+// TestArrangeKeysAscendUnsorted: Arrange does not sort the key list it
+// builds. The run reports arrive in machine order over globally sorted data,
+// so a key is first seen in ascending order even when its run straddles
+// machines and empty machines (which report nothing) sit inside it.
+func TestArrangeKeysAscendUnsorted(t *testing.T) {
+	c := newCluster(t, 256, 2048, false)
+	k := c.K()
+	type item struct{ Key, Seq int64 }
+	data := make([][]item, k)
+	count := map[int64]int{}
+	add := func(i int, it item) {
+		data[i] = append(data[i], it)
+		count[it.Key]++
+	}
+	for j := 0; j < 6000; j++ {
+		i := j % k
+		if i%3 == 0 {
+			continue // every third input machine is empty
+		}
+		// Five spread keys, negative ones included: distinct sort keys, so
+		// the splitters cut inside each run.
+		add(i, item{Key: int64(j%5)*1000 - 2000, Seq: int64(j)})
+		// One lump: 2,000 items under a single sort key. They land in one
+		// bucket, and the buckets of the duplicate splitters after it are
+		// empty.
+		if j%2 == 0 {
+			add(i, item{Key: 500})
+		}
+	}
+	arr, err := Arrange(c, data, func(it item) SortKey { return SortKey{A: it.Key, B: it.Seq} }, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arr.Keys) != len(count) {
+		t.Fatalf("Keys = %v, want the %d distinct keys", arr.Keys, len(count))
+	}
+	straddles, empties := 0, 0
+	for i := range arr.Data {
+		if len(arr.Data[i]) == 0 {
+			empties++
+		}
+	}
+	for j, key := range arr.Keys {
+		if j > 0 && key <= arr.Keys[j-1] {
+			t.Fatalf("Keys[%d] = %d after %d", j, key, arr.Keys[j-1])
+		}
+		parts := arr.Runs[key]
+		if len(parts) > 1 {
+			straddles++
+		}
+		for p := 1; p < len(parts); p++ {
+			if parts[p].Machine <= parts[p-1].Machine {
+				t.Fatalf("key %d: run parts %v out of machine order", key, parts)
+			}
+		}
+		if arr.Degree(key) != count[key] {
+			t.Fatalf("key %d: run index counts %d items, input holds %d", key, arr.Degree(key), count[key])
+		}
+	}
+	if straddles == 0 || empties == 0 {
+		t.Fatalf("%d keys straddle machines and %d sorted machines are empty: the input exercises neither", straddles, empties)
+	}
+}
+
 func TestDistributeEdgesBalanced(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
 	g := graph.GNM(256, 2048, 3)

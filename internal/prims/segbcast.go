@@ -60,8 +60,8 @@ func splitterSpans(sp []SortKey, k, i int) (spans [2]span) {
 // Protocol: value items, keyed (x, 0, 0), and request items, keyed
 // (x, 1, requester), are sorted together, so all of a key's values land on
 // one machine, at the head of the key's run. Which runs can span several
-// machines every machine reads off its copy of Sort's splitters
-// (splitterSpans) — no round is spent asking; the root of a span forwards the
+// machines is a function of Sort's splitters (splitterSpans) and comes with
+// Sort's reply — no round is spent asking; the root of a span forwards the
 // value down a capacity-bounded interval tree over it (the paper's trees of
 // Claims 2/3); finally each request is answered to its requester. It charges
 // one Sort, treeDepth(K, b) tree rounds and the answer round, plus a scatter
@@ -165,7 +165,7 @@ func SegmentedBroadcast[V any](
 		items[i] = its
 	})
 
-	sorted, splitters, err := sortSplit(c, items, itemWords, itemKey)
+	sorted, spans, err := sortSplit(c, items, itemWords, itemKey, true)
 	if err != nil {
 		return nil, err
 	}
@@ -179,19 +179,18 @@ func SegmentedBroadcast[V any](
 		Key int64
 		Val V
 	}
-	spans := make([]span, 2*k)
 	vals := make([]downMsg, 2*k)
 	has := make([]bool, 2*k)
 	c.Each(func(i int) {
 		run := sorted[i]
-		for s, si := range splitterSpans(splitters[i], k, i) {
-			spans[2*i+s] = si
+		for s := 2 * i; s < 2*i+2; s++ {
+			si := spans[s]
 			if si.A != i || si.B <= si.A {
 				continue
 			}
 			h := bisect(0, len(run), func(j int) bool { return run[j].Key >= si.Key })
 			if h < len(run) && run[h].Key == si.Key && run[h].Req < 0 {
-				vals[2*i+s], has[2*i+s] = downMsg{Key: si.Key, Val: run[h].Val}, true
+				vals[s], has[s] = downMsg{Key: si.Key, Val: run[h].Val}, true
 			}
 		}
 		nreq := 0

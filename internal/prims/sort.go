@@ -45,22 +45,28 @@ const sortKeyWords = 3
 //  1. local sort;
 //  2. every machine sends a small weighted key sample to the coordinator
 //     (1 round);
-//  3. the coordinator picks K-1 splitter keys and broadcasts them (1 round,
-//     or a capacity-bounded tree when the list is too large to send K times
-//     directly);
-//  4. items are routed to their splitter bucket (1 round) and re-sorted.
+//  3. the coordinator picks K-1 splitter keys and replies to every machine
+//     (1 round): a machine whose sample was its whole run gets the cuts of
+//     that run, (bucket, count) pairs, and any other the splitter list, to
+//     cut its run itself. When the replies together exceed the
+//     coordinator's round budget the list goes to everyone instead, down a
+//     capacity-bounded tree;
+//  4. items are routed to their bucket along the cuts (1 round) and
+//     re-sorted.
 //
 // itemWords is the accounted size of one item.
 func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, error) {
-	sorted, _, err := sortSplit(c, data, itemWords, key)
+	sorted, _, err := sortSplit(c, data, itemWords, key, false)
 	return sorted, err
 }
 
-// sortSplit is Sort that also returns each machine's copy of the splitter
-// list: bucket j holds exactly the keys in [sp[j-1], sp[j]) (the list
-// clipped to K-1, as walkBuckets clips it), so which keys can straddle which
-// machines is a function of the list alone (splitterSpans).
-func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, [][]SortKey, error) {
+// sortSplit is Sort that, with wantSpans, also tells every machine the spans
+// it sits in: bucket j holds exactly the keys in [sp[j-1], sp[j]) (the
+// splitter list sp clipped to K-1, as walkBuckets clips it), so which keys
+// can straddle which machines is a function of the list alone
+// (splitterSpans). Entries 2i and 2i+1 of the returned slice are machine i's;
+// without wantSpans it is nil.
+func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, wantSpans bool) ([][]T, []span, error) {
 	defer c.Span("sort").End()
 	k := c.K()
 	if err := checkBuckets(c, "Sort", data); err != nil {
@@ -80,29 +86,53 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 		SortLocal(data[i], key)
 	})
 
-	// Steps 2–3: sample, pick and broadcast the splitters.
-	lists, err := sortSplitters(c, data, key)
+	// Step 1's local sort makes the buckets contiguous runs, so a machine's
+	// route is at most min(K, items) cuts of its run and as many chunks: the
+	// cuts, the route round's messages and its chunk payloads are three
+	// arrays carved by that bound here (serially); the steps below only fill
+	// them in.
+	starts := make([]int, k+1) // machine i's share of each sits at [starts[i], starts[i+1])
+	for i := 0; i < k; i++ {
+		starts[i+1] = starts[i] + min(k, len(data[i]))
+	}
+	cutBuf := make([]cut, starts[k])
+
+	// Steps 2–3: sample, pick the splitters, reply.
+	sp, samples, err := sortSplitters(c, data, key)
+	if err != nil {
+		return nil, nil, err
+	}
+	var spans []span
+	if wantSpans {
+		spans = make([]span, 2*k)
+	}
+	replies, err := sortReplies(c, sp, samples, cutBuf, starts, spans)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Step 4: route every item to its bucket. Step 1's local sort makes the
-	// buckets contiguous runs, found by walking the splitter boundaries in
-	// place (kernels.go). A machine sends at most min(K, items) chunks, so the
-	// round's messages and chunk payloads are two arrays carved by that bound
-	// here (serially); the parallel walk only fills them in.
+	// Step 4: route every item to its bucket, one chunk per cut. A machine
+	// that was sent the list first walks it over its run into cuts — and
+	// reads its spans off it — so the loop below has one form of input.
 	routeOuts := make([][]mpc.Msg, k)
-	starts := make([]int, k+1) // machine i's chunks sit at [starts[i], starts[i+1]) of both
-	for i := range routeOuts {
-		starts[i+1] = starts[i] + min(k, len(data[i]))
-	}
 	msgs := make([]mpc.Msg, starts[k])
 	slab := make([]chunk[T], starts[k])
 	c.Each(func(i int) {
+		cuts := replies[i].Cuts
+		if list := replies[i].List; list != nil {
+			cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], data[i], list, k, key)
+			if wantSpans {
+				si := splitterSpans(list, k, i)
+				copy(spans[2*i:], si[:])
+			}
+		}
 		out, slots := msgs[starts[i]:starts[i]:starts[i+1]], slab[starts[i]:starts[i+1]]
-		walkBuckets(data[i], lists[i], k, key, func(j int, run []T) {
-			out = append(out, chunkMsg(&slots[len(out)], j, run, itemWords))
-		})
+		lo := 0
+		for _, ct := range cuts {
+			hi := lo + int(ct.Count)
+			out = append(out, chunkMsg(&slots[len(out)], int(ct.Bucket), data[i][lo:hi:hi], itemWords))
+			lo = hi
+		}
 		routeOuts[i] = out
 	})
 	ins, _, err := c.Exchange(routeOuts, nil)
@@ -131,14 +161,14 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	})
 	// The routed, locally sorted buckets are now the machines' state.
 	registerState(c, result, itemWords)
-	return result, lists, nil
+	return result, spans, nil
 }
 
-// sortSplitters is steps 2–3 of Sort over locally sorted data: every
-// machine sends a weighted key sample to the coordinator, which picks the
-// K-1 placement-weighted splitters and broadcasts them; it returns each
-// machine's copy of the list.
-func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]SortKey, error) {
+// sortSplitters is step 2 of Sort over locally sorted data and the
+// coordinator's half of step 3: every machine sends a weighted key sample to
+// the coordinator, which picks the K-1 placement-weighted splitters. It
+// returns the coordinator's list and the samples it was sent, by machine.
+func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([]SortKey, []sample, error) {
 	k := c.K()
 	// Step 2: weighted key samples to the coordinator (sample extraction is
 	// local computation, parallel over the small-machine axis).
@@ -172,13 +202,13 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 	})
 	inbox, err := toCoordinator(c, outs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Step 3: coordinator picks splitters weighted by machine loads.
 	samples, total, err := collectSamples(inbox)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	SortLocal(samples, func(s weightedKey) SortKey { return s.key })
 	// Splitter targets are placement-weighted: bucket i should hold a
@@ -207,9 +237,93 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([][]
 			}
 		}
 	}
+	return splitters, slab, nil
+}
 
-	// Broadcast the splitter list (3 words per splitter).
-	return BroadcastValue(c, splitters, len(splitters)*sortKeyWords+1)
+// cut is one step of a machine's route: the next Count items of its locally
+// sorted run go to machine Bucket.
+type cut struct{ Bucket, Count int32 }
+
+const (
+	cutWords  = 2
+	spanWords = 3
+)
+
+// sortReply is the coordinator's answer to one machine's sample: the cuts of
+// the machine's run or, for a machine that holds more than it sampled, the
+// splitter list to derive them from. The list is never nil (sortSplitters
+// makes it), so a nil List says the reply is cuts.
+type sortReply struct {
+	Cuts []cut
+	List []SortKey
+}
+
+// sortReplies is the rest of step 3: the coordinator answers every sample,
+// and the returned replies are what each machine holds afterwards. A machine
+// whose sample is its whole run (at most q items: a property of the input)
+// has already sent the coordinator every key it holds, so the coordinator
+// cuts the run for it (runCuts, into the machine's share of cutBuf) and, if
+// spans is non-nil, works out its spans too (splitterSpans, into entries 2i
+// and 2i+1); the reply is 2 words a cut and 3 a span, at most
+// 2·min(items, K)+7, where the list is 3·(K-1)+1. A machine that holds more
+// is sent the list and derives both itself. The replies go out in one direct
+// round if together they fit half the coordinator's capacity
+// (BroadcastValue's rule; machine 0 keeps its own when it is the
+// coordinator). If they do not, the list is broadcast to everyone — K copies
+// of it fit still less, so down the tree — and every reply is the list.
+func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, starts []int, spans []span) ([]sortReply, error) {
+	k := c.K()
+	replies := make([]sortReply, k)
+	msgs := make([]mpc.Msg, 0, k)
+	total := 0
+	for i := range replies {
+		r, words := &replies[i], 1
+		if samples[i].whole() {
+			r.Cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], samples[i].Keys, sp, k, func(s SortKey) SortKey { return s })
+			words += cutWords * len(r.Cuts)
+			if spans != nil {
+				for s, si := range splitterSpans(sp, k, i) {
+					spans[2*i+s] = si
+					if si.B > si.A {
+						words += spanWords
+					}
+				}
+			}
+		} else {
+			r.List = sp
+			words += sortKeyWords * len(sp)
+		}
+		if i == coordinator(c) {
+			continue // machine 0 keeps its own reply locally
+		}
+		msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: r})
+		total += words
+	}
+	if total <= coordCap(c)/2 {
+		round := c.Span("broadcast")
+		_, err := fromCoordinator(c, msgs)
+		round.End()
+		return replies, err
+	}
+	lists, err := BroadcastValue(c, sp, len(sp)*sortKeyWords+1)
+	if err != nil {
+		return nil, err
+	}
+	for i := range replies {
+		replies[i] = sortReply{List: lists[i]}
+	}
+	return replies, nil
+}
+
+// runCuts appends to dst the cuts of a locally sorted run against the
+// splitter list sp: one per non-empty bucket, in bucket order (walkBuckets).
+// A machine that was sent the list calls it over its items, the coordinator
+// over a sample that is a machine's whole run.
+func runCuts[T any](dst []cut, run []T, sp []SortKey, nb int, key func(T) SortKey) []cut {
+	walkBuckets(run, sp, nb, key, func(j int, r []T) {
+		dst = append(dst, cut{Bucket: int32(j), Count: int32(len(r))})
+	})
+	return dst
 }
 
 // sample is one machine's evenly spaced key sample and item count.
@@ -217,6 +331,9 @@ type sample struct {
 	Keys  []SortKey
 	Count int
 }
+
+// whole reports whether the sample is every key the machine holds, in order.
+func (s *sample) whole() bool { return s.Count == len(s.Keys) }
 
 // weightedKey is a sampled key standing for weight items of its machine.
 type weightedKey struct {

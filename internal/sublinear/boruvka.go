@@ -93,6 +93,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		// Minimum outgoing edge per component (both directions).
 		items := make([][]prims.KV[minEdgeVal], kk)
 		c.Each(func(i int) {
+			items[i] = make([]prims.KV[minEdgeVal], 0, 2*len(edges[i]))
 			for _, e := range edges[i] {
 				if e.LU == e.LV {
 					continue
@@ -132,16 +133,11 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		// Disseminate the adoption map to every machine holding the label.
 		labelNeeds := make([][]int64, kk)
 		c.Each(func(i int) {
-			seen := make(map[int64]bool)
+			ls := make([]int64, 0, 2*len(edges[i]))
 			for _, e := range edges[i] {
-				for _, l := range [2]int64{e.LU, e.LV} {
-					if !seen[l] {
-						seen[l] = true
-						labelNeeds[i] = append(labelNeeds[i], l)
-					}
-				}
+				ls = append(ls, e.LU, e.LV)
 			}
-			slices.Sort(labelNeeds[i])
+			labelNeeds[i] = prims.DistinctInts(ls)
 		})
 		maps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptions, nil, 1)
 		if err != nil {

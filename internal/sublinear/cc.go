@@ -3,7 +3,6 @@ package sublinear
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -112,14 +111,11 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		// Machines need the adoption mapping for every LABEL they hold.
 		labelNeeds := make([][]int64, kk)
 		c.Each(func(i int) {
-			seen := make(map[int64]bool, len(labels[i]))
+			ls := make([]int64, 0, len(labels[i]))
 			for _, l := range labels[i] {
-				if !seen[l] {
-					seen[l] = true
-					labelNeeds[i] = append(labelNeeds[i], l)
-				}
+				ls = append(ls, l)
 			}
-			slices.Sort(labelNeeds[i])
+			labelNeeds[i] = prims.DistinctInts(ls)
 		})
 		adoptMaps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptRoots, nil, 1)
 		if err != nil {

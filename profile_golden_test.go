@@ -34,7 +34,7 @@ func commOf(s hetmpc.ClusterStats) comm {
 // max-recv untouched. Three of them (connectivity makes no dissemination)
 // were re-captured again when SegmentedBroadcast began reading its spans off
 // Sort's splitters: per call −2 rounds and fewer messages and words, max-send
-// and max-recv untouched.
+// and max-recv untouched; and once more for Sort's cut replies (DESIGN.md §1).
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -51,7 +51,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{44, 38093, 1033025, 99008, 25337}},
+		}, comm{44, 38093, 290964, 16582, 25337}},
 		{"connectivity", false, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.Connectivity(c, gU)
 			if err == nil && r.Components != 1 {
@@ -62,14 +62,14 @@ func TestUniformProfileGoldens(t *testing.T) {
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
-		}, comm{65, 96671, 1738672, 99008, 25391}},
+		}, comm{65, 96671, 676440, 16638, 25391}},
 		{"baseline-mst", true, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.BaselineMST(c, gW)
 			if err == nil && r.Weight != 153235 {
 				t.Errorf("baseline mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{219, 157527, 4522044, 67456, 24212}},
+		}, comm{183, 157527, 1236939, 15912, 24212}},
 	}
 
 	for _, tc := range cases {
