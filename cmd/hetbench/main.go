@@ -5,6 +5,12 @@
 // adaptive-placement sweeps E29..E31 and the wire-transport sweep E32 (see
 // DESIGN.md §2/§6/§7/§8/§9/§10/§11 and EXPERIMENTS.md).
 //
+// -profile, -faults, -placement and -transport rebuild every cluster of an
+// experiment that does not sweep that axis itself and tag the artifact; an
+// experiment that sweeps the axis (E32 for -profile and -transport, say)
+// pins it on every cluster and runs, untagged, exactly as without the
+// flag.
+//
 // Usage:
 //
 //	hetbench                    # run everything, text tables to stdout
@@ -34,7 +40,7 @@
 //	                            # lands in speculation_words; adaptive
 //	                            # re-estimates speeds online and re-splits
 //	                            # at round boundaries
-//	hetbench -exp e32 -transport tcp
+//	hetbench -exp table1 -transport tcp
 //	                            # rebuild the clusters on a real Exchange
 //	                            # transport (inproc, pipe, tcp); artifacts
 //	                            # gain wire_bytes (measured frame bytes)

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
@@ -14,11 +15,6 @@ import (
 // machine inside its cap; E18 and E19 skew only speeds/bandwidths, so the
 // round structure stays bit-identical to the uniform run while the makespan
 // shows stragglers and slow cohorts dominating the simulated wall-clock.
-
-// e17SortKey orders edges by (weight, u, v) for the E17 sample sort.
-func e17SortKey(e graph.Edge) prims.SortKey {
-	return prims.SortKey{A: e.W, B: int64(e.U), C: int64(e.V)}
-}
 
 // e17SkewPlacement sweeps a Zipf capacity skew: edges are placed and sample
 // sorted under per-machine caps; proportional allotment (Frisk's rule)
@@ -33,27 +29,13 @@ func (rn *run) e17SkewPlacement(seed uint64) (*Table, error) {
 	}
 	g := graph.GNMWeighted(n, m, seed)
 	for _, s := range []float64{0, 0.4, 0.8, 1.2} {
-		cfg := mpc.Config{N: n, M: m, Seed: seed}
+		cfg := het(n, m, 0, seed)
 		cfg.Profile = mpc.ZipfProfile(cfg.DeriveK(), s, 0.05)
-		c, err := rn.build(cfg)
+		c, sorted, err := cell(rn, cfg, placeSort(g))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("s=%g: %w", s, err)
 		}
 		k := c.K()
-		data, err := prims.DistributeEdges(c, g)
-		if err != nil {
-			return nil, err
-		}
-		sorted, err := prims.Sort(c, data, prims.EdgeWords, e17SortKey)
-		if err != nil {
-			return nil, err
-		}
-		if !prims.IsGloballySorted(sorted, e17SortKey) {
-			return nil, fmt.Errorf("e17: s=%g: sort postcondition violated", s)
-		}
-		if got := prims.CountItems(sorted); got != m {
-			return nil, fmt.Errorf("e17: s=%g: %d items after sort, want %d", s, got, m)
-		}
 		// Occupancy after the sort: the largest final bucket relative to
 		// its own machine's cap. Per-round receive volumes are enforced
 		// separately by Exchange (any violation would have errored above).
@@ -90,25 +72,19 @@ func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 	_, exact := graph.KruskalMSF(g)
 	baseRounds, baseMakespan := 0, 0.0
 	for _, slowdown := range []float64{1, 4, 16, 64, 256} {
-		cfg := mpc.Config{N: n, M: m, Seed: seed}
+		cfg := het(n, m, 0, seed)
 		k := cfg.DeriveK()
-		stragglers := k / 16
-		if stragglers < 1 {
-			stragglers = 1
-		}
+		stragglers := max(k/16, 1)
 		cfg.Profile = mpc.StragglerProfile(k, stragglers, slowdown)
-		c, err := rn.build(cfg)
+		c, _, err := cell(rn, cfg, mst(g, exact))
 		if err != nil {
-			return nil, err
-		}
-		if _, err := exactMST(c, g, exact); err != nil {
-			return nil, fmt.Errorf("e18: slowdown=%g: %w", slowdown, err)
+			return nil, fmt.Errorf("slowdown=%g: %w", slowdown, err)
 		}
 		st := c.Stats()
 		if slowdown == 1 {
 			baseRounds, baseMakespan = st.Rounds, st.Makespan
 		} else if st.Rounds != baseRounds {
-			return nil, fmt.Errorf("e18: slowdown=%g changed the round count: %d vs %d", slowdown, st.Rounds, baseRounds)
+			return nil, fmt.Errorf("slowdown=%g changed the round count: %d vs %d", slowdown, st.Rounds, baseRounds)
 		}
 		t.AddRow(slowdown, stragglers, st.Rounds, st.Makespan,
 			st.Makespan/baseMakespan, c.BusyTime(k-1)/st.Makespan)
@@ -134,26 +110,17 @@ func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 	_, wantComps := graph.Components(g)
 	baseCC, baseMatch := 0.0, 0.0
 	for _, slowFrac := range []float64{0, 0.125, 0.25, 0.5} {
-		mk := func() (*mpc.Cluster, error) {
-			cfg := mpc.Config{N: n, M: m, Seed: seed}
-			cfg.Profile = mpc.BimodalProfile(cfg.DeriveK(), slowFrac, factor)
-			return rn.build(cfg)
-		}
-		cc, err := mk()
+		cfg := het(n, m, 0, seed)
+		cfg.Profile = mpc.BimodalProfile(cfg.DeriveK(), slowFrac, factor)
+		c, _, err := cell(rn, cfg, cc(g, wantComps))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("slowfrac=%g: %w", slowFrac, err)
 		}
-		if _, err := exactCC(cc, g, wantComps); err != nil {
-			return nil, fmt.Errorf("e19: slowfrac=%g: %w", slowFrac, err)
-		}
-		cm, err := mk()
+		cm, _, err := cell(rn, cfg, maximal(g, core.MaximalMatching))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("slowfrac=%g: %w", slowFrac, err)
 		}
-		if _, err := maximalMatching(cm, g); err != nil {
-			return nil, err
-		}
-		stc, stm := cc.Stats(), cm.Stats()
+		stc, stm := c.Stats(), cm.Stats()
 		if slowFrac == 0 {
 			baseCC, baseMatch = stc.Makespan, stm.Makespan
 		}

@@ -3,9 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/fault"
-	"hetmpc/internal/graph"
 	"hetmpc/internal/metrics"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/sched"
@@ -20,11 +18,12 @@ import (
 // two different Envs can run side by side in one process.
 //
 // Profile, Faults, Placement and Transport are specs in the syntax of
-// mpc.ParseProfile, fault.ParsePlan, sched.Parse and wire.Parse. Each one
-// reaches every cluster of the run that does not pin that axis itself
-// (E17–E25 and E32 pin theirs), tags the artifact and renames its file, so
+// mpc.ParseProfile, fault.ParsePlan, sched.Parse and wire.Parse. An
+// experiment that sweeps an axis pins it on every cluster; on any other, the
+// spec reaches every cluster, tags the artifact and renames its file, so
 // e.g. Table 1 under "straggler:2:8" never clobbers the committed baseline.
-// The baseline spellings ("uniform", "none", "cap", "inproc") parse to the
+// A spec that reaches some but not all of a run's clusters is an error. The
+// baseline spellings ("uniform", "none", "cap", "inproc") parse to the
 // default and leave no tag.
 //
 // Trace and Metrics observe without perturbing: the artifact gains the
@@ -58,70 +57,52 @@ func (e Env) Validate() error {
 }
 
 // run is the handle one execution hands its experiment: the only way an
-// experiment builds a cluster, and therefore the owner of every cluster the
-// run built, of which Env overrides actually reached one, and of the run's
-// metrics registry.
+// experiment builds a cluster (every cell goes through build), and therefore
+// the owner of every cluster the run built, of how many of them each Env
+// override reached, and of the run's metrics registry.
 type run struct {
 	env      Env
 	reg      *metrics.Registry // nil unless env.Metrics; one per run, counters are cumulative
 	clusters []*mpc.Cluster
-	// applied holds the env specs that reached at least one cluster.
-	// Experiments that pin their own Profile/Faults/Placement/Transport
-	// ignore the override; their artifacts must not be tagged (and renamed)
-	// as if they ran under it.
-	applied Env
+	// reached counts, per axis, the clusters the Env spec reached: those
+	// that left the axis open and got a non-baseline value from the spec.
+	reached [len(axes)]int
 }
 
-func (rn *run) newHet(n, m int, f float64, seed uint64) (*mpc.Cluster, error) {
-	return rn.build(mpc.Config{N: n, M: m, F: f, Seed: seed})
-}
-
-func (rn *run) newSub(n, m int, seed uint64) (*mpc.Cluster, error) {
-	return rn.build(mpc.Config{N: n, M: m, NoLarge: true, Seed: seed})
-}
+// axes names the overridable Env specs, in Artifact tag order.
+var axes = [...]string{"profile", "faults", "placement", "transport"}
 
 // build fills every axis cfg leaves open from the run's Env, constructs the
-// cluster and records it with the run.
+// cluster and records it with the run. The baseline spellings parse to nil:
+// no override.
 func (rn *run) build(cfg mpc.Config) (*mpc.Cluster, error) {
-	// The baseline spellings parse to nil: no override, no tag.
-	applied := rn.applied
+	var hit [len(axes)]bool
+	var err error
 	if rn.env.Profile != "" && cfg.Profile == nil {
-		p, err := mpc.ParseProfile(rn.env.Profile, cfg.DeriveK())
-		if err != nil {
+		if cfg.Profile, err = mpc.ParseProfile(rn.env.Profile, cfg.DeriveK()); err != nil {
 			return nil, err
 		}
-		if cfg.Profile = p; p != nil {
-			applied.Profile = rn.env.Profile
-		}
+		hit[0] = cfg.Profile != nil
 	}
 	if rn.env.Faults != "" && cfg.Faults == nil {
-		p, err := fault.ParsePlan(rn.env.Faults, cfg.DeriveK())
-		if err != nil {
+		if cfg.Faults, err = fault.ParsePlan(rn.env.Faults, cfg.DeriveK()); err != nil {
 			return nil, err
 		}
-		if cfg.Faults = p; p != nil {
-			applied.Faults = rn.env.Faults
-		}
+		hit[1] = cfg.Faults != nil
 	}
 	if rn.env.Placement != "" && cfg.Placement == nil {
-		p, err := sched.Parse(rn.env.Placement)
-		if err != nil {
+		if cfg.Placement, err = sched.Parse(rn.env.Placement); err != nil {
 			return nil, err
 		}
-		if cfg.Placement = p; p != nil {
-			applied.Placement = rn.env.Placement
-		}
+		hit[2] = cfg.Placement != nil
 	}
 	if rn.env.Transport != "" && cfg.Transport == nil {
 		// Each cluster gets its own transport instance: links are per-cluster
 		// resources, not shareable across concurrently live clusters.
-		tr, err := wire.Parse(rn.env.Transport)
-		if err != nil {
+		if cfg.Transport, err = wire.Parse(rn.env.Transport); err != nil {
 			return nil, err
 		}
-		if cfg.Transport = tr; tr != nil {
-			applied.Transport = rn.env.Transport
-		}
+		hit[3] = cfg.Transport != nil
 	}
 	if rn.env.Trace && cfg.Trace == nil {
 		cfg.Trace = trace.New()
@@ -134,52 +115,29 @@ func (rn *run) build(cfg mpc.Config) (*mpc.Cluster, error) {
 		return nil, err
 	}
 	rn.clusters = append(rn.clusters, c)
-	rn.applied = applied
+	for i, h := range hit {
+		if h {
+			rn.reached[i]++
+		}
+	}
 	return c, nil
 }
 
-// The three cells most experiments are built from: run the algorithm on c
-// and hold its output to the exact reference before a row is emitted.
-
-// exactMST runs core.MST on c: the result must be a spanning forest of g of
-// weight want (Kruskal's, which the caller computes once per graph).
-func exactMST(c *mpc.Cluster, g *graph.Graph, want int64) (*core.MSTResult, error) {
-	r, err := core.MST(c, g)
-	if err != nil {
-		return nil, err
+// tag stamps a with every Env spec that reached the run's clusters. A spec
+// that reached some but not all of them is an error: the experiment's rows
+// would compare cells run under different settings.
+func (rn *run) tag(a *Artifact) error {
+	specs := [...]string{rn.env.Profile, rn.env.Faults, rn.env.Placement, rn.env.Transport}
+	tags := [...]*string{&a.Profile, &a.Faults, &a.Placement, &a.Transport}
+	for i, n := range rn.reached {
+		if n > 0 && n < len(rn.clusters) {
+			return fmt.Errorf("exp: %s: the %s override %q reached %d of %d clusters", a.Exp, axes[i], specs[i], n, len(rn.clusters))
+		}
+		if n > 0 {
+			*tags[i] = specs[i]
+		}
 	}
-	if r.Weight != want {
-		return nil, fmt.Errorf("MST weight %d, want %d", r.Weight, want)
-	}
-	if err := graph.CheckSpanningForest(g, r.Edges); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// exactCC runs core.Connectivity on c: it must count want components.
-func exactCC(c *mpc.Cluster, g *graph.Graph, want int) (*core.ConnectivityResult, error) {
-	r, err := core.Connectivity(c, g)
-	if err != nil {
-		return nil, err
-	}
-	if r.Components != want {
-		return nil, fmt.Errorf("%d components, want %d", r.Components, want)
-	}
-	return r, nil
-}
-
-// maximalMatching runs core.MaximalMatching on c: the result must be a
-// matching of g that no edge of g can extend.
-func maximalMatching(c *mpc.Cluster, g *graph.Graph) (*core.MatchingResult, error) {
-	r, err := core.MaximalMatching(c, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := graph.CheckMatching(g, r.Edges, true); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return nil
 }
 
 // close releases every cluster the run built: clusters on a real transport
@@ -245,7 +203,9 @@ func IDs() []string {
 // build order — the timeline hetbench -traceout streams to JSONL or renders
 // as a Perfetto file; empty when no cluster carried a collector (set
 // e.Trace to trace everything). Every cluster the experiment built is
-// closed before Run returns, on success and on error.
+// closed before Run returns, on success and on error. An override that
+// reached only some of the clusters is an error naming the experiment, the
+// axis and how many of them (run.tag).
 //
 // The artifact is a pure function of (id, seed, e): concurrent Runs are
 // independent, and no field reads the host.
@@ -274,15 +234,9 @@ func (e Env) Run(id string, seed uint64) (*Artifact, []trace.Round, error) {
 		return nil, nil, err
 	}
 
-	a := &Artifact{
-		Schema:    SchemaVersion,
-		Exp:       id,
-		Seed:      seed,
-		Profile:   rn.applied.Profile,
-		Faults:    rn.applied.Faults,
-		Placement: rn.applied.Placement,
-		Transport: rn.applied.Transport,
-		Table:     table,
+	a := &Artifact{Schema: SchemaVersion, Exp: id, Seed: seed, Table: table}
+	if err := rn.tag(a); err != nil {
+		return nil, nil, err
 	}
 	var rounds []trace.Round
 	traced := 0

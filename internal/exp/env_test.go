@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
+
+	"hetmpc/internal/graph"
+	"hetmpc/internal/mpc"
 )
 
 // TestEnvsRunConcurrently is the property the explicit Env buys: two
@@ -85,5 +89,65 @@ func TestRunClosesRealTransports(t *testing.T) {
 	art.Table.Render(&buf)
 	if after := openFDs(); after != before {
 		t.Fatalf("%d descriptors open after the run, %d before: clusters left unclosed", after, before)
+	}
+}
+
+// TestSweptAxesArePinned: an experiment that sweeps an axis pins it on every
+// cluster, baseline rows included, so an Env override of that axis reaches
+// none of them. The run succeeds, carries no tag, and marshals to the bytes
+// of the plain run.
+func TestSweptAxesArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		env Env
+	}{
+		{"e26", Env{Profile: "straggler:2:8"}},
+		{"e32", Env{Profile: "straggler:2:8"}},
+		{"e32", Env{Transport: "tcp"}},
+	} {
+		got, _, err := tc.env.Run(tc.id, 7)
+		if err != nil {
+			t.Fatalf("%s under %+v: %v", tc.id, tc.env, err)
+		}
+		if got.Profile != "" || got.Transport != "" {
+			t.Errorf("%s under %+v: artifact tagged profile %q transport %q", tc.id, tc.env, got.Profile, got.Transport)
+		}
+		want, _, err := Env{}.Run(tc.id, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotData, err := got.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantData, err := want.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotData, wantData) {
+			t.Errorf("%s under %+v: artifact differs from the plain run at %s", tc.id, tc.env, firstDiff(gotData, wantData))
+		}
+	}
+}
+
+// TestPartialOverrideIsAnError: a spec that reached some but not all of a
+// run's clusters fails the run, naming the experiment, the axis and k of n.
+func TestPartialOverrideIsAnError(t *testing.T) {
+	rn := &run{env: Env{Profile: "straggler:2:8"}}
+	defer rn.close()
+	g := graph.GNM(64, 256, 1)
+	for _, cfg := range []mpc.Config{het(g.N, g.M(), 0, 1), profiled(g, 1, "uniform", false)} {
+		if _, err := rn.build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := rn.tag(&Artifact{Exp: "probe"})
+	if err == nil {
+		t.Fatal("an override that reached 1 of 2 clusters was accepted")
+	}
+	for _, want := range []string{"probe", "profile", "1 of 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -1,16 +1,13 @@
 // Package exp is the experiment harness: it regenerates the paper's Table 1
-// and the figure-style sweeps listed in DESIGN.md §2 (E1..E25), printing
-// measured round counts, output quality and paper-predicted complexities
-// side by side. E17–E25 go beyond the paper's uniform model: E17–E19 sweep
-// heterogeneous machine profiles (capacity skew, stragglers, fast/slow
-// cohorts; DESIGN.md §6) and report the simulated makespan next to the
-// round counts, E20–E22 sweep the fault-injection and recovery subsystem
-// (DESIGN.md §7), and E23–E25 sweep the placement policies and speculation
-// (DESIGN.md §8). It is consumed by cmd/hetbench and by the top-level
-// benchmarks in bench_test.go; EXPERIMENTS.md records representative
-// output. Env is the one entry point: Env.Run executes an experiment by id,
-// and a non-zero Env rebuilds it under a chosen profile, fault plan,
-// placement policy or transport, traced or metered.
+// and the sweeps of DESIGN.md §2 (E2–E32) as tables of measured rounds,
+// words, makespan and output quality. Every cluster is a cell (cells.go):
+// a config built through run.build, one algorithm call, and its validation
+// against the exact reference. The files follow the topics: paper.go holds
+// Table 1 and E2–E16, cost.go the cost-model sweeps E17–E19, faults.go
+// E20–E22, placement.go E23–E25 and E29–E31, trace.go E26–E28, wire.go E32.
+// Env.Run, the one entry point, runs an experiment by id, optionally under
+// an overriding profile, fault plan, placement policy or transport, traced
+// or metered; cmd/hetbench and bench_test.go consume it.
 package exp
 
 import (

@@ -32,23 +32,20 @@ func (rn *run) e20CrashRate(seed uint64) (*Table, error) {
 	_, exact := graph.KruskalMSF(g)
 	baseRounds, baseMakespan := 0, 0.0
 	for _, rate := range []float64{0, 0.0005, 0.002, 0.008} {
-		cfg := mpc.Config{N: n, M: m, Seed: seed}
+		cfg := het(n, m, 0, seed)
 		cfg.Faults = &fault.Plan{Interval: interval, CrashRate: rate}
-		c, err := rn.build(cfg)
+		c, _, err := cell(rn, cfg, mst(g, exact))
 		if err != nil {
-			return nil, err
-		}
-		if _, err := exactMST(c, g, exact); err != nil {
-			return nil, fmt.Errorf("e20: rate=%g: %w (recovery lost state?)", rate, err)
+			return nil, fmt.Errorf("rate=%g: %w (recovery lost state?)", rate, err)
 		}
 		st := c.Stats()
 		if rate == 0 {
 			baseRounds, baseMakespan = st.Rounds, st.Makespan
 			if st.Crashes != 0 {
-				return nil, fmt.Errorf("e20: rate=0 crashed %d times", st.Crashes)
+				return nil, fmt.Errorf("rate=0 crashed %d times", st.Crashes)
 			}
 		} else if st.Rounds != baseRounds {
-			return nil, fmt.Errorf("e20: rate=%g changed the round count: %d vs %d", rate, st.Rounds, baseRounds)
+			return nil, fmt.Errorf("rate=%g changed the round count: %d vs %d", rate, st.Rounds, baseRounds)
 		}
 		t.AddRow(rate, st.Crashes, st.RecoveryRounds, st.ReplicationWords,
 			st.Rounds, st.Makespan, st.Makespan/baseMakespan)
@@ -75,14 +72,11 @@ func (rn *run) e21CheckpointInterval(seed uint64) (*Table, error) {
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, exact := graph.KruskalMSF(g)
 	for _, interval := range []int{2, 4, 8, 16, 32, 64} {
-		cfg := mpc.Config{N: n, M: m, Seed: seed}
+		cfg := het(n, m, 0, seed)
 		cfg.Faults = &fault.Plan{Interval: interval, CrashRate: rate}
-		c, err := rn.build(cfg)
+		c, _, err := cell(rn, cfg, mst(g, exact))
 		if err != nil {
-			return nil, err
-		}
-		if _, err := exactMST(c, g, exact); err != nil {
-			return nil, fmt.Errorf("e21: interval=%d: %w", interval, err)
+			return nil, fmt.Errorf("interval=%d: %w", interval, err)
 		}
 		st := c.Stats()
 		t.AddRow(interval, st.Checkpoints, st.ReplicationWords, st.Crashes,
@@ -112,58 +106,35 @@ func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 	}
 	g := graph.GNM(n, m, seed)
 	_, wantComps := graph.Components(g)
-	run := func(slowdown float64, victim int) (mpc.Stats, error) {
-		cfg := mpc.Config{N: n, M: m, Seed: seed}
-		k := cfg.DeriveK()
-		stragglers := k / 8
-		if stragglers < 1 {
-			stragglers = 1
-		}
-		if slowdown > 1 {
-			cfg.Profile = mpc.StragglerProfile(k, stragglers, slowdown)
-		} else {
-			// Pin the explicit uniform profile (bit-identical to nil) so a
-			// cross-cutting -profile override cannot reach only these rows
-			// and skew the cross-row comparison.
-			cfg.Profile = mpc.UniformProfile(k)
-		}
-		plan := &fault.Plan{Interval: interval}
-		if victim >= 0 {
-			plan.Crashes = []fault.Crash{{Round: crashRound, Machine: victim}}
-		}
-		cfg.Faults = plan
-		c, err := rn.build(cfg)
-		if err != nil {
-			return mpc.Stats{}, err
-		}
-		if _, err := exactCC(c, g, wantComps); err != nil {
-			return mpc.Stats{}, fmt.Errorf("e22: slowdown=%g victim=%d: %w", slowdown, victim, err)
-		}
-		return c.Stats(), nil
-	}
+	k := het(n, m, 0, seed).DeriveK()
 	for _, slowdown := range []float64{1, 16, 64} {
-		base, err := run(slowdown, -1) // checkpointing only, no crash
-		if err != nil {
-			return nil, err
-		}
-		k := mpc.Config{N: n, M: m}.DeriveK()
+		var base mpc.Stats
 		fastCost := 0.0
-		for _, v := range []struct {
-			name    string
-			machine int
-		}{
-			{"fast (machine 0)", 0},
-			{fmt.Sprintf("straggler (machine %d)", k-1), k - 1},
-		} {
-			st, err := run(slowdown, v.machine)
+		// Victim -1 is the same profile's crash-free run: checkpointing only.
+		for _, victim := range []int{-1, 0, k - 1} {
+			cfg := het(n, m, 0, seed)
+			// At slowdown 1 this is the explicit uniform profile, bit-identical
+			// to nil: the axis the sweep crosses is pinned on every cell.
+			cfg.Profile = mpc.StragglerProfile(k, max(k/8, 1), slowdown)
+			cfg.Faults = &fault.Plan{Interval: interval}
+			if victim >= 0 {
+				cfg.Faults.Crashes = []fault.Crash{{Round: crashRound, Machine: victim}}
+			}
+			c, _, err := cell(rn, cfg, cc(g, wantComps))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("slowdown=%g victim=%d: %w", slowdown, victim, err)
+			}
+			st := c.Stats()
+			if victim < 0 {
+				base = st
+				continue
 			}
 			cost := st.Makespan - base.Makespan
-			if v.machine == 0 {
-				fastCost = cost
+			name := fmt.Sprintf("straggler (machine %d)", victim)
+			if victim == 0 {
+				name, fastCost = "fast (machine 0)", cost
 			}
-			t.AddRow(slowdown, v.name, st.Crashes, st.RecoveryRounds,
+			t.AddRow(slowdown, name, st.Crashes, st.RecoveryRounds,
 				st.Makespan, cost, cost/fastCost)
 		}
 	}

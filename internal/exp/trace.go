@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/sched"
@@ -13,30 +14,9 @@ import (
 // The E26–E28 sweeps exercise the trace subsystem (DESIGN.md §9): the
 // per-round timeline behind Config.Trace, the phase spans the algorithms
 // tag their round loops with, and the critical-path summary derived from
-// both. Every cell re-asserts the conservation contract — the ordered sum
-// of per-round makespan contributions is bit-identical to Stats.Makespan
-// and the per-round words sum to Stats.TotalWords — so the sweeps are also
-// end-to-end tests of the trace layer on real algorithm traffic.
-
-// traceConserved checks the trace conservation contract of one traced
-// cluster and returns its summary.
-func traceConserved(label string, c *mpc.Cluster) (*trace.Summary, error) {
-	st := c.Stats()
-	s := trace.Summarize(c.Trace().Rounds())
-	if s.Makespan != st.Makespan {
-		return nil, fmt.Errorf("%s: trace makespan %v != stats makespan %v (conservation broken)", label, s.Makespan, st.Makespan)
-	}
-	if s.Words != st.TotalWords {
-		return nil, fmt.Errorf("%s: trace words %d != stats words %d", label, s.Words, st.TotalWords)
-	}
-	if s.Rounds != st.Rounds {
-		return nil, fmt.Errorf("%s: trace rounds %d != stats rounds %d", label, s.Rounds, st.Rounds)
-	}
-	if len(s.Phases) == 0 {
-		return nil, fmt.Errorf("%s: empty phase breakdown", label)
-	}
-	return s, nil
-}
+// both. Every cell is traced, so it re-asserts the conservation contract
+// (traceConserved): the sweeps are also end-to-end tests of the trace layer
+// on real algorithm traffic.
 
 // topPhases returns the n largest-makespan phases of a summary (ties by
 // first appearance).
@@ -66,54 +46,30 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	_, wantW := graph.KruskalMSF(gW)
 	_, wantComps := graph.Components(gU)
 
-	// Speed-skew profiles only: capacity skew (zipf) shrinks the small
-	// machines below the sketch volume connectivity needs at this scale
-	// (the capacity model rejects the run, as it must); E27 covers the
-	// capacity-skew axis with MST, whose per-machine volume adapts.
-	profiles := []struct {
-		name string
-		gen  func(k int) *mpc.Profile
-	}{
-		{"uniform", nil},
-		{"bimodal:0.25:4", func(k int) *mpc.Profile { return beefyCoordinator(mpc.BimodalProfile(k, 0.25, 4)) }},
-		{"straggler:2:8", func(k int) *mpc.Profile { return beefyCoordinator(mpc.StragglerProfile(k, 2, 8)) }},
-	}
 	algs := []struct {
 		name string
-		run  func(c *mpc.Cluster) error
+		g    *graph.Graph
+		run  func(*mpc.Cluster) (any, error)
 	}{
-		{"mst", func(c *mpc.Cluster) error {
-			_, err := exactMST(c, gW, wantW)
-			return err
-		}},
-		{"connectivity", func(c *mpc.Cluster) error {
-			_, err := exactCC(c, gU, wantComps)
-			return err
-		}},
-		{"matching", func(c *mpc.Cluster) error {
-			_, err := maximalMatching(c, gU)
-			return err
-		}},
+		{"mst", gW, func(c *mpc.Cluster) (any, error) { return mst(gW, wantW)(c) }},
+		{"connectivity", gU, func(c *mpc.Cluster) (any, error) { return cc(gU, wantComps)(c) }},
+		{"matching", gU, func(c *mpc.Cluster) (any, error) { return maximal(gU, core.MaximalMatching)(c) }},
 	}
 	for _, alg := range algs {
-		for _, prof := range profiles {
-			cfg := mpc.Config{N: n, M: m, Seed: seed, Trace: trace.New()}
-			if prof.gen != nil {
-				cfg.Profile = prof.gen(cfg.DeriveK())
-			}
-			c, err := rn.build(cfg)
+		// Speed-skew profiles only: capacity skew (zipf) shrinks the small
+		// machines below the sketch volume connectivity needs at this scale
+		// (the capacity model rejects the run, as it must); E27 covers the
+		// capacity-skew axis with MST, whose per-machine volume adapts. The
+		// uniform row is the paper's cluster, stock coordinator included.
+		for _, prof := range []string{"uniform", "bimodal:0.25:4", "straggler:2:8"} {
+			cfg := profiled(alg.g, seed, prof, prof != "uniform")
+			cfg.Trace = trace.New()
+			c, _, err := cell(rn, cfg, alg.run)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/%s: %w", alg.name, prof, err)
 			}
-			if err := alg.run(c); err != nil {
-				return nil, fmt.Errorf("e26: %s/%s: %w", alg.name, prof.name, err)
-			}
-			s, err := traceConserved("e26: "+alg.name+"/"+prof.name, c)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range topPhases(s, 3) {
-				t.AddRow(alg.name, prof.name, p.Phase, p.Rounds, p.Words,
+			for _, p := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
+				t.AddRow(alg.name, prof, p.Phase, p.Rounds, p.Words,
 					p.Makespan, p.Share, trace.MachineName(p.Top))
 			}
 		}
@@ -140,36 +96,17 @@ func (rn *run) e27CriticalPath(seed uint64) (*Table, error) {
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, want := graph.KruskalMSF(g)
-	profiles := []struct {
-		name string
-		gen  func(k int) *mpc.Profile
-	}{
-		{"zipf:0.8", func(k int) *mpc.Profile { return mpc.ZipfProfile(k, 0.8, 0.05) }},
-		{"straggler:2:8", func(k int) *mpc.Profile { return mpc.StragglerProfile(k, 2, 8) }},
-	}
 	largeBound, smallBound := 0, 0
-	for _, prof := range profiles {
-		for _, beefy := range []bool{false, true} {
-			coord := "stock"
-			cfg := mpc.Config{N: n, M: m, Seed: seed, Trace: trace.New()}
-			p := prof.gen(cfg.DeriveK())
-			if beefy {
-				coord = "beefy"
-				p = beefyCoordinator(p)
-			}
-			cfg.Profile = p
-			c, err := rn.build(cfg)
+	for _, prof := range []string{"zipf:0.8", "straggler:2:8"} {
+		for _, coord := range []string{"stock", "beefy"} {
+			cfg := profiled(g, seed, prof, coord == "beefy")
+			cfg.Trace = trace.New()
+			c, _, err := cell(rn, cfg, mst(g, want))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/%s: %w", prof, coord, err)
 			}
-			if _, err := exactMST(c, g, want); err != nil {
-				return nil, fmt.Errorf("e27: %s/%s: %w", prof.name, coord, err)
-			}
-			s, err := traceConserved("e27: "+prof.name+"/"+coord, c)
-			if err != nil {
-				return nil, err
-			}
-			for _, ph := range topPhases(s, 3) {
+			p := cfg.Profile
+			for _, ph := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
 				speed := "-"
 				switch {
 				case ph.Top == trace.Large:
@@ -179,13 +116,13 @@ func (rn *run) e27CriticalPath(seed uint64) (*Table, error) {
 					smallBound++
 					speed = fmt.Sprintf("%g", p.Speed[ph.Top])
 				}
-				t.AddRow(prof.name, coord, ph.Phase, ph.Share,
+				t.AddRow(prof, coord, ph.Phase, ph.Share,
 					trace.MachineName(ph.Top), speed, ph.TopShare)
 			}
 		}
 	}
 	if largeBound == 0 || smallBound == 0 {
-		return nil, fmt.Errorf("e27: expected both large- and small-bound phases, got large=%d small=%d", largeBound, smallBound)
+		return nil, fmt.Errorf("expected both large- and small-bound phases, got large=%d small=%d", largeBound, smallBound)
 	}
 	t.Notes = append(t.Notes,
 		"'bound by' is the machine with the largest summed per-round charge inside the phase; 'machine speed' is its profile speed",
@@ -219,20 +156,17 @@ func (rn *run) e28TraceGuidedPlacement(seed uint64) (*Table, error) {
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, exact := graph.KruskalMSF(g)
-	policies := []sched.Policy{sched.Cap{}, sched.Throughput{}, sched.Speculate{R: 4}}
 
 	capPhase := map[string]float64{}
 	capTotal, thrTotal := 0.0, 0.0
-	for _, pol := range policies {
-		c, _, err := rn.placedMST(g, exact, seed, 4, 16, pol, nil, trace.New())
+	for _, pol := range []sched.Policy{sched.Cap{}, sched.Throughput{}, sched.Speculate{R: 4}} {
+		cfg := profiled(g, seed, "straggler:4:16", true)
+		cfg.Placement, cfg.Trace = pol, trace.New()
+		c, _, err := cell(rn, cfg, mst(g, exact))
 		if err != nil {
-			return nil, fmt.Errorf("e28: %s: %w", pol.Name(), err)
+			return nil, fmt.Errorf("%s: %w", pol.Name(), err)
 		}
-		s, err := traceConserved("e28: "+pol.Name(), c)
-		if err != nil {
-			return nil, err
-		}
-		isCap := pol.Name() == "cap"
+		s := trace.Summarize(c.Trace().Rounds())
 		switch pol.Name() {
 		case "cap":
 			capTotal = s.Makespan
@@ -243,7 +177,7 @@ func (rn *run) e28TraceGuidedPlacement(seed uint64) (*Table, error) {
 			thrTotal = s.Makespan
 		default:
 			if s.Makespan >= thrTotal {
-				return nil, fmt.Errorf("e28: speculation makespan %g did not beat static throughput %g at this dial", s.Makespan, thrTotal)
+				return nil, fmt.Errorf("speculation makespan %g did not beat static throughput %g at this dial", s.Makespan, thrTotal)
 			}
 		}
 		// Per-phase gap attribution. The phase sets match across policies
@@ -260,12 +194,12 @@ func (rn *run) e28TraceGuidedPlacement(seed uint64) (*Table, error) {
 			}
 			t.AddRow(pol.Name(), p.Phase, p.Makespan, p.Share, gap, gapShare)
 		}
-		if !isCap {
+		if pol.Name() != "cap" {
 			if s.Makespan >= capTotal {
-				return nil, fmt.Errorf("e28: %s makespan %g did not beat cap %g (E24's invariant)", pol.Name(), s.Makespan, capTotal)
+				return nil, fmt.Errorf("%s makespan %g did not beat cap %g (E24's invariant)", pol.Name(), s.Makespan, capTotal)
 			}
 			if diff := gapSum - totalGap; diff > 1e-6 || diff < -1e-6 {
-				return nil, fmt.Errorf("e28: %s: phase gaps sum to %g, total gap is %g", pol.Name(), gapSum, totalGap)
+				return nil, fmt.Errorf("%s: phase gaps sum to %g, total gap is %g", pol.Name(), gapSum, totalGap)
 			}
 		}
 	}

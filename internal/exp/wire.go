@@ -39,35 +39,30 @@ func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 
 	algs := []struct {
 		name     string
+		g        *graph.Graph
 		profiles []string
-		run      func(c *mpc.Cluster) (any, error)
+		run      func(*mpc.Cluster) (any, error)
 	}{
-		{"mst", []string{"uniform", "zipf:0.8", "straggler:2:8"},
-			func(c *mpc.Cluster) (any, error) { return exactMST(c, gW, wantW) }},
-		{"connectivity", []string{"uniform", "bimodal:0.25:4", "straggler:2:8"},
-			func(c *mpc.Cluster) (any, error) { return exactCC(c, gU, wantComps) }},
+		{"mst", gW, []string{"uniform", "zipf:0.8", "straggler:2:8"},
+			func(c *mpc.Cluster) (any, error) { return mst(gW, wantW)(c) }},
+		{"connectivity", gU, []string{"uniform", "bimodal:0.25:4", "straggler:2:8"},
+			func(c *mpc.Cluster) (any, error) { return cc(gU, wantComps)(c) }},
 	}
 	for _, alg := range algs {
 		for _, prof := range alg.profiles {
 			var baseResult any
 			var baseStats mpc.Stats
 			var pipeBytes int64
-			for _, transport := range []string{"inproc", "pipe", "tcp"} {
-				label := fmt.Sprintf("e32: %s/%s/%s", alg.name, prof, transport)
-				cfg := mpc.Config{N: n, M: m, Seed: seed}
-				p, err := mpc.ParseProfile(prof, cfg.DeriveK())
-				if err != nil {
-					return nil, err
-				}
-				cfg.Profile = p
-				if cfg.Transport, err = wire.Parse(transport); err != nil {
-					return nil, err
-				}
-				c, err := rn.build(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res, err := alg.run(c)
+			for _, open := range []func() wire.Transport{
+				func() wire.Transport { return wire.Inproc{} }, // pinned: bit-identical to nil
+				func() wire.Transport { return wire.NewPipe() },
+				func() wire.Transport { return wire.NewTCP() },
+			} {
+				cfg := profiled(alg.g, seed, prof, false)
+				cfg.Transport = open() // links are per-cluster resources
+				transport := cfg.Transport.Name()
+				label := fmt.Sprintf("%s/%s/%s", alg.name, prof, transport)
+				c, res, err := cell(rn, cfg, alg.run)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", label, err)
 				}

@@ -1,18 +1,15 @@
 package prims
 
-import (
-	"hetmpc/internal/arena"
-	"hetmpc/internal/mpc"
-)
+import "hetmpc/internal/mpc"
 
 // localCombine is AggregateByKey's first step: one machine's items combined
-// per key, sorted by key. It sorts a slab-backed copy and folds adjacent
-// runs in place; the stable sort keeps each key's occurrences in input
-// order, so the left-fold per key — and therefore every combined value — is
+// per key, sorted by key. It sorts a copy and folds adjacent runs in place;
+// the stable sort keeps each key's occurrences in input order, so the
+// left-fold per key — and therefore every combined value — is
 // exactly that of folding into a map in input order and sorting the result
 // (the oracle TestAggregateCombineKernelMatchesMap pins it against).
 func localCombine[V any](items []KV[V], combine func(a, b V) V) []KV[V] {
-	buf := arena.New[KV[V]](len(items)).AllocUninit(len(items))
+	buf := make([]KV[V], len(items))
 	copy(buf, items)
 	SortKVsByKey(buf)
 	return foldRuns(buf, combine)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hetmpc/internal/arena"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 )
@@ -43,7 +42,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 		// i < n%k), so the shards carve from a single slab with no append
 		// doublings. Machines past the edge count keep the historical
 		// non-nil empty shard.
-		ar := arena.New[graph.Edge](n)
+		slab, off := make([]graph.Edge, n), 0
 		for i := range out {
 			cnt := n / k
 			if i < n%k {
@@ -52,7 +51,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 			if cnt == 0 {
 				out[i] = emptyEdges
 			} else {
-				out[i] = ar.AllocUninit(cnt)[:0]
+				out[i], off = slab[off:off:off+cnt], off+cnt
 			}
 		}
 		for j, e := range g.Edges {
@@ -73,10 +72,10 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	for _, o := range owner {
 		counts[o]++
 	}
-	ar := arena.New[graph.Edge](n)
+	slab, off := make([]graph.Edge, n), 0
 	for i := range out {
 		if counts[i] > 0 { // zero-count shards stay nil, as before
-			out[i] = ar.AllocUninit(counts[i])[:0]
+			out[i], off = slab[off:off:off+counts[i]], off+counts[i]
 		}
 	}
 	for i, o := range owner {
@@ -88,7 +87,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 
 // emptyEdges is the shared zero-length (but non-nil) shard handed to
 // machines that receive no edges under uniform placement — preserving the
-// pre-arena make([]graph.Edge, 0, per) semantics that distinguish "empty
+// historical make([]graph.Edge, 0, per) semantics that distinguish "empty
 // shard" from "no shard" in deep-equality comparisons.
 var emptyEdges = []graph.Edge{}
 

@@ -111,3 +111,29 @@ func TestMessagesAreBuiltInEngineAndPrimsOnly(t *testing.T) {
 		})
 	})
 }
+
+// TestExperimentClustersAreBuiltByRunBuild: every cluster an experiment
+// builds goes through run.build, which applies the Env overrides, records
+// the cluster for the artifact's model stats and closes it after the run. So
+// in internal/exp no other function may reach mpc.New.
+func TestExperimentClustersAreBuiltByRunBuild(t *testing.T) {
+	nonTestFiles(t, []string{"internal/exp"}, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "build" && fd.Recv != nil && len(fd.Recv.List) == 1 {
+				if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && id.Name == "run" {
+						continue
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "New" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "mpc" {
+						t.Errorf("%s: mpc.New outside run.build; build experiment clusters through a cell", fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	})
+}
