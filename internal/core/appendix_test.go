@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -125,6 +127,22 @@ func TestMISVariousGraphs(t *testing.T) {
 	checkMISRun(t, graph.Complete(32, false, 1), 5)
 	checkMISRun(t, graph.Grid(8, 10), 5)
 	checkMISRun(t, graph.New(20, nil, false), 5) // empty: all vertices
+}
+
+// TestMISGolden pins Table 1's MIS row — n=512, m=4096, seed 7 — to the set
+// MIS produced when every iteration re-announced the whole cumulative MIS
+// and re-sorted the same requests for every dissemination: announcing only
+// an iteration's additions (an earlier vertex's neighbours died in the
+// iteration it joined) over one plan of the endpoints changes no vertex.
+func TestMISGolden(t *testing.T) {
+	g := graph.ConnectedGNM(512, 4096, 7, false)
+	res := checkMISRun(t, g, 7)
+	h := fnv.New64a()
+	fmt.Fprint(h, res.Set)
+	if len(res.Set) != 89 || res.Iterations != 8 || h.Sum64() != 0x1f16bb75b2c45841 {
+		t.Fatalf("MIS of %d vertices in %d iterations, hash %#x; want the golden 89 in 8, 0x1f16bb75b2c45841",
+			len(res.Set), res.Iterations, h.Sum64())
+	}
 }
 
 func TestMISIterationsLogLogDelta(t *testing.T) {

@@ -50,7 +50,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	kk := c.K()
 
 	// Δ via aggregation.
-	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
+	degAtLarge, err := degreesAtLarge(c, nil, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}

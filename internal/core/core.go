@@ -89,8 +89,10 @@ func distinctEndpoints(edges []cEdge) []int64 {
 
 // degreesAtLarge brings every non-isolated vertex's degree to the large
 // machine (Claim 2): two (endpoint, weight(e)) items per edge, summed per
-// vertex. unitWeight counts edges; mincut's weighted variant sums e.W.
-func degreesAtLarge(c *mpc.Cluster, edges [][]graph.Edge, weight func(graph.Edge) int64) (map[int64]int64, error) {
+// vertex — over p, the plan of the edges' endpoints, when the caller has one,
+// else by AggregateByKey. unitWeight counts edges; mincut's weighted variant
+// sums e.W.
+func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight func(graph.Edge) int64) (map[int64]int64, error) {
 	items := make([][]prims.KV[int64], c.K())
 	c.Each(func(i int) {
 		items[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
@@ -101,8 +103,16 @@ func degreesAtLarge(c *mpc.Cluster, edges [][]graph.Edge, weight func(graph.Edge
 				prims.KV[int64]{K: int64(e.V), V: w})
 		}
 	})
-	_, atLarge, err := prims.AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b }, true)
-	return atLarge, err
+	add := func(a, b int64) int64 { return a + b }
+	if p == nil {
+		_, atLarge, err := prims.AggregateByKey(c, items, 1, add, true)
+		return atLarge, err
+	}
+	roots, err := prims.PlanCombine(c, p, items, 1, add)
+	if err != nil {
+		return nil, err
+	}
+	return prims.GatherMap(c, roots, 1)
 }
 
 func unitWeight(graph.Edge) int64 { return 1 }

@@ -49,13 +49,17 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 	kk := c.K()
 
-	// Degrees and the low/high threshold.
-	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
+	// Degrees and the low/high threshold, over the one plan of the edges'
+	// endpoints that phase 3's dissemination reuses.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
 	if err != nil {
 		return nil, err
 	}
-	needs := prims.EndpointNeeds(edges)
-	degMaps, err := prims.DisseminateFromLarge(c, needs, degAtLarge, 1)
+	degAtLarge, err := degreesAtLarge(c, plan, edges, unitWeight)
+	if err != nil {
+		return nil, err
+	}
+	degMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +175,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 			matchedVals[int64(v)] = true
 		}
 	}
-	matchedMaps, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
+	matchedMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(matchedVals), 1)
 	if err != nil {
 		return nil, err
 	}

@@ -42,10 +42,15 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	needs := prims.EndpointNeeds(edges)
+	// Every trial aggregates and disseminates over the same endpoints: one
+	// plan serves them all.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	if err != nil {
+		return nil, err
+	}
 
 	// Singleton cuts: the vertex degrees.
-	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
+	degAtLarge, err := degreesAtLarge(c, plan, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +69,7 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	capEdges := int64(c.LargeCap() / (4 * prims.EdgeWords))
 	for trial := 0; trial < trials; trial++ {
 		res.Trials++
-		val, ok, err := minCutTrial(c, edges, needs, n, capEdges)
+		val, ok, err := minCutTrial(c, edges, plan, n, capEdges)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +89,7 @@ type twoOutVal struct {
 
 const twoOutWords = 8
 
-func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, capEdges int64) (int64, bool, error) {
+func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, capEdges int64) (int64, bool, error) {
 	kk := c.K()
 	// 2-out sampling via two independent min-rank aggregations in one pass.
 	items := make([][]prims.KV[twoOutVal], kk)
@@ -109,7 +114,11 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 		}
 		return out
 	}
-	_, atLarge, err := prims.AggregateByKey(c, items, twoOutWords, combine, true)
+	roots, err := prims.PlanCombine(c, plan, items, twoOutWords, combine)
+	if err != nil {
+		return 0, false, err
+	}
+	atLarge, err := prims.GatherMap(c, roots, twoOutWords)
 	if err != nil {
 		return 0, false, err
 	}
@@ -129,7 +138,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 	for v := 0; v < n; v++ {
 		labels[int64(v)] = int64(dsu.Find(v))
 	}
-	maps, err := prims.DisseminateFromLarge(c, needs, labels, 1)
+	maps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels), 1)
 	if err != nil {
 		return 0, false, err
 	}
@@ -200,7 +209,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, needs [][]int64, n int, c
 	for v := 0; v < n; v++ {
 		labels2[int64(v)] = int64(dsu.Find(v))
 	}
-	maps2, err := prims.DisseminateFromLarge(c, needs, labels2, 1)
+	maps2, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels2), 1)
 	if err != nil {
 		return 0, false, err
 	}
@@ -285,7 +294,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 	kk := c.K()
 
 	// Weighted degrees = singleton cut upper bound.
-	wdeg, err := degreesAtLarge(c, edges, func(e graph.Edge) int64 { return e.W })
+	wdeg, err := degreesAtLarge(c, nil, edges, func(e graph.Edge) int64 { return e.W })
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,12 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := prims.EndpointNeeds(edges)
+	// Every aggregation and dissemination below is over the endpoints of
+	// the machines' edges: one plan serves them all.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	if err != nil {
+		return nil, err
+	}
 
 	seed, err := prims.BroadcastSeed(c)
 	if err != nil {
@@ -48,7 +53,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	pr := func(v int) float64 { return prio.Eval01(uint64(v) + 1) }
 
 	// Δ via aggregation (needed for the prefix schedule).
-	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
+	degAtLarge, err := degreesAtLarge(c, plan, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +149,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 			}
 			return cmp.Compare(a, b)
 		})
-		var newlyDead []int
+		var joined []prims.KV[bool]
 		for _, v := range prefix {
 			if !aliveLarge[v] {
 				continue
@@ -155,22 +160,17 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				if aliveLarge[u] && u != v {
 					aliveLarge[u] = false
 					processed[u] = true
-					newlyDead = append(newlyDead, u)
 				}
 			}
-			newlyDead = append(newlyDead, v) // MIS vertices also leave the graph
-			aliveLarge[v] = false
+			joined = append(joined, prims.KV[bool]{K: int64(v), V: true})
+			aliveLarge[v] = false // MIS vertices also leave the graph
 		}
 
-		// Announce the MIS additions; machines derive local domination and
-		// aggregate it so every holder of a dominated vertex's edges learns.
-		misVals := make(map[int64]bool, len(newlyDead))
-		for v := 0; v < n; v++ {
-			if inMIS[v] {
-				misVals[int64(v)] = true
-			}
-		}
-		misMaps, err := prims.DisseminateFromLarge(c, needs, misVals, 1)
+		// Announce this iteration's MIS additions — an earlier one's
+		// neighbours died in the iteration it joined; machines derive local
+		// domination and aggregate it so every holder of a dominated vertex's
+		// edges learns.
+		misMaps, err := prims.PlanBroadcast(c, plan, nil, joined, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -191,12 +191,15 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				}
 			}
 		})
-		domRoots, domLarge, err := prims.AggregateByKey(c, domItems, 1,
-			func(a, b bool) bool { return a || b }, true)
+		domRoots, err := prims.PlanCombine(c, plan, domItems, 1, func(a, b bool) bool { return a || b })
 		if err != nil {
 			return nil, err
 		}
-		gotDead, err := prims.SegmentedBroadcast(c, needs, domRoots, nil, 1)
+		domLarge, err := prims.GatherMap(c, domRoots, 1)
+		if err != nil {
+			return nil, err
+		}
+		gotDead, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -57,15 +57,19 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	rankHash := xrand.NewHash(seed, 4)
 
-	// Per-machine needs list (endpoints of stored edges), reused throughout.
-	needs := prims.EndpointNeeds(edges)
-
-	// --- Step 1: degrees (Claim 2 + Claim 3) ---
-	degAtLarge, err := degreesAtLarge(c, edges, unitWeight)
+	// The plan of the stored edges' endpoints: every per-vertex aggregation
+	// and dissemination below runs over it.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
 	if err != nil {
 		return nil, err
 	}
-	degMaps, err := prims.DisseminateFromLarge(c, needs, degAtLarge, 1)
+
+	// --- Step 1: degrees (Claim 2 + Claim 3) ---
+	degAtLarge, err := degreesAtLarge(c, plan, edges, unitWeight)
+	if err != nil {
+		return nil, err
+	}
+	degMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +118,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		dbits[v] = vbits{B: b}
 	}
-	dMaps, err := prims.DisseminateFromLarge(c, needs, dbits, bitWords)
+	dMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(dbits), bitWords)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +140,11 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		return vbits{B: out}
 	}
-	_, orAtLarge, err := prims.AggregateByKey(c, orItems, bitWords, orCombine, true)
+	orRoots, err := prims.PlanCombine(c, plan, orItems, bitWords, orCombine)
+	if err != nil {
+		return nil, err
+	}
+	orAtLarge, err := prims.GatherMap(c, orRoots, bitWords)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +213,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 4: σ-selection aggregation (Algorithm 5 lines 18-29) ---
-	bMaps, err := prims.DisseminateFromLarge(c, needs, bbits, 1)
+	bMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(bbits), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +269,11 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		return out
 	}
-	_, sigAtLarge, err := prims.AggregateByKey(c, sigItems, sigWords, sigCombine, true)
+	sigRoots, err := prims.PlanCombine(c, plan, sigItems, sigWords, sigCombine)
+	if err != nil {
+		return nil, err
+	}
+	sigAtLarge, err := prims.GatherMap(c, sigRoots, sigWords)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +301,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 5: clustering-graph edges E_lvl (Claim 2) ---
-	sigMaps, err := prims.DisseminateFromLarge(c, needs, sigma, 1)
+	sigMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(sigma), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -378,11 +390,11 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		pLvl[lvl] = p
 		res.SampledLevels++
 	}
-	type plan struct {
+	type levelPlan struct {
 		Direct []bool
 		P      []float64
 	}
-	plans, err := prims.BroadcastValue(c, plan{Direct: direct, P: pLvl}, 2*levels)
+	plans, err := prims.BroadcastValue(c, levelPlan{Direct: direct, P: pLvl}, 2*levels)
 	if err != nil {
 		return nil, err
 	}

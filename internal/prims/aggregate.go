@@ -2,17 +2,35 @@ package prims
 
 import "hetmpc/internal/mpc"
 
-// localCombine is AggregateByKey's first step: one machine's items combined
-// per key, sorted by key. It sorts a copy and folds adjacent runs in place;
-// the stable sort keeps each key's occurrences in input order, so the
-// left-fold per key — and therefore every combined value — is
-// exactly that of folding into a map in input order and sorting the result
-// (the oracle TestAggregateCombineKernelMatchesMap pins it against).
-func localCombine[V any](items []KV[V], combine func(a, b V) V) []KV[V] {
-	buf := make([]KV[V], len(items))
-	copy(buf, items)
+// localCombine is the first step of AggregateByKey and PlanCombine: one
+// machine's items combined per key, sorted by key. It sorts a copy, in buf's
+// array, and folds adjacent runs in place; the stable sort keeps each key's
+// occurrences in input order, so the left-fold per key — and therefore every
+// combined value — is exactly that of folding into a map in input order and
+// sorting the result (the oracle TestAggregateCombineKernelMatchesMap pins
+// it against).
+func localCombine[V any](buf, items []KV[V], combine func(a, b V) V) []KV[V] {
+	buf = append(buf[:0], items...)
 	SortKVsByKey(buf)
 	return foldRuns(buf, combine)
+}
+
+// localCombineAll is localCombine on every machine, the partials carved from
+// one array.
+func localCombineAll[V any](c *mpc.Cluster, items [][]KV[V], combine func(a, b V) V) [][]KV[V] {
+	k := c.K()
+	starts := make([]int, k+1)
+	for i := 0; i < k; i++ {
+		starts[i+1] = starts[i] + lenAt(items, i)
+	}
+	flat := make([]KV[V], starts[k])
+	partials := make([][]KV[V], k)
+	c.Each(func(i int) {
+		if i < len(items) {
+			partials[i] = localCombine(flat[starts[i]:starts[i]:starts[i+1]], items[i], combine)
+		}
+	})
+	return partials
 }
 
 // foldRuns left-folds each run of equal adjacent keys into its first entry,
@@ -69,23 +87,12 @@ func AggregateByKey[V any](
 	gatherLarge bool,
 ) (roots [][]KV[V], atLarge map[int64]V, err error) {
 	defer c.Span("aggregate").End()
-	k := c.K()
 	if err := checkBuckets(c, "AggregateByKey", items); err != nil {
 		return nil, nil, err
 	}
-	if len(items) < k {
-		ni := make([][]KV[V], k)
-		copy(ni, items)
-		items = ni
-	}
 
-	// Local combine.
-	partials := make([][]KV[V], k)
-	c.Each(func(i int) {
-		partials[i] = localCombine(items[i], combine)
-	})
-
-	// Global sort by key.
+	// Local combine, then the global sort by key.
+	partials := localCombineAll(c, items, combine)
 	roots, err = Sort(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
 	if err != nil {
 		return nil, nil, err
@@ -103,13 +110,22 @@ func AggregateByKey[V any](
 	if !gatherLarge {
 		return roots, nil, nil
 	}
-	all, err := GatherToLarge(c, roots, vwords+1)
+	atLarge, err = GatherMap(c, roots, vwords)
+	return roots, atLarge, err
+}
+
+// GatherMap ships every machine's (key, value) pairs to the large machine
+// (GatherToLarge, one round at vwords+1 words a pair) and returns them as one
+// map — the gatherLarge step of AggregateByKey, and what a PlanCombine's
+// roots take to reach the large machine.
+func GatherMap[V any](c *mpc.Cluster, kvs [][]KV[V], vwords int) (map[int64]V, error) {
+	all, err := GatherToLarge(c, kvs, vwords+1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	atLarge = make(map[int64]V, len(all))
+	m := make(map[int64]V, len(all))
 	for _, kv := range all {
-		atLarge[kv.K] = kv.V
+		m[kv.K] = kv.V
 	}
-	return roots, atLarge, nil
+	return m, nil
 }

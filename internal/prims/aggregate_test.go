@@ -102,7 +102,7 @@ func TestAggregateChargesOneSort(t *testing.T) {
 			for j := 0; j < 30; j++ {
 				kvs[i] = append(kvs[i], KV[int64]{K: int64((i*7 + j*13) % 50), V: int64(j)})
 			}
-			partials[i] = localCombine(kvs[i], add)
+			partials[i] = localCombine(nil, kvs[i], add)
 		}
 		before := c.Rounds()
 		if _, err := Sort(c, partials, 2, func(kv KV[int64]) SortKey { return SortKey{A: kv.K} }); err != nil {

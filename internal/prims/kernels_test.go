@@ -470,7 +470,7 @@ func TestAggregateCombineKernelMatchesMap(t *testing.T) {
 		for _, keyRange := range []int{1, 50, 1 << 20} {
 			items := gen(0, n, keyRange)
 			want := mapCombine(items, combine)
-			got := localCombine(items, combine)
+			got := localCombine(nil, items, combine)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("n=%d keyRange=%d: localCombine diverges from the map-fold oracle", n, keyRange)
 			}

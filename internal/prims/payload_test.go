@@ -247,10 +247,11 @@ func TestSortRouteAllocLinearInK(t *testing.T) {
 // TestCollectiveAllocsPerMachine pins the payload-slab rule: a collective
 // allocates per machine, not per message or item, so at a fixed K its
 // allocation count barely moves when every machine holds — and requests —
-// eight times as much. ScatterFromLarge and SegmentedBroadcast allocate per
-// call, as Sort does (TestSortRouteAllocLinearInK), so theirs also sits
-// under an absolute ceiling that one more allocation per machine would
-// break; SegmentedBroadcast's is its K result maps — the API — at up to four
+// eight times as much. ScatterFromLarge, SegmentedBroadcast, PlanCombine and
+// PlanBroadcast allocate per call, as Sort does
+// (TestSortRouteAllocLinearInK), so theirs also sits under an absolute
+// ceiling that one more allocation per machine would break; SegmentedBroadcast's
+// and PlanBroadcast's is their K result maps — the API — at up to four
 // allocations each.
 func TestCollectiveAllocsPerMachine(t *testing.T) {
 	if raceEnabled {
@@ -308,6 +309,35 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 		got, err := SegmentedBroadcast(c, needs[per], values[per], nil, 1)
 		if err != nil || len(got[0]) != per {
 			t.Fatalf("SegmentedBroadcast: %d of %d answers, err %v", len(got[0]), per, err)
+		}
+	})
+	// Over a plan of the same requests: every machine combines a partial of
+	// each key it requests, and the combined values are broadcast back.
+	plans, items, roots := map[int]*Plan{}, map[int][][]KV[int64]{}, map[int][][]KV[int64]{}
+	for _, per := range []int{16, 128} {
+		p, err := NewPlan(c, needs[per])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[per], items[per] = p, make([][]KV[int64], k)
+		for i, ns := range needs[per] {
+			for _, x := range ns {
+				items[per][i] = append(items[per][i], KV[int64]{K: x, V: 1})
+			}
+		}
+		if roots[per], err = PlanCombine(c, p, items[per], 1, addInt64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("PlanCombine", float64(k), func(per int) {
+		if _, err := PlanCombine(c, plans[per], items[per], 1, addInt64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("PlanBroadcast", float64(5*k), func(per int) {
+		got, err := PlanBroadcast(c, plans[per], roots[per], nil, 1)
+		if err != nil || len(got[0]) != per {
+			t.Fatalf("PlanBroadcast: %d of %d answers, err %v", len(got[0]), per, err)
 		}
 	})
 }

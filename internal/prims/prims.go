@@ -10,15 +10,21 @@
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
 //     key is the aggregation key alone, so a key's ≤ K partials meet on one
 //     machine and no tree is needed (or charged); results are per machine a
-//     sorted run of (key, value), the form Claim 3 takes distributed values
-//     in, optionally gathered to the large machine;
-//   - Claim 3 (Dissemination): values and requests are sorted together, a
-//     key's values under (x, 0, 0) so that they land on one machine; the
-//     spans a machine sits in are a function of Sort's splitters and come
-//     with Sort's reply, and
-//     machine-range trees with capacity-bounded branching (the paper's trees
-//     with branching n^γ) run downward over them (SegmentedBroadcast),
-//     delivering per-key values to every machine that requested the key;
+//     sorted run of (key, value), optionally gathered to the large machine
+//     (AggregateByKey). Over a Plan of keys the machines request there is no
+//     sort: each partial goes to the bucket its machine's own request for the
+//     key went to, and one span-up round folds a span's partials into its
+//     root (PlanCombine), where Claim 3 reads them;
+//   - Claim 3 (Dissemination): requests are sorted by (x, 1, requester), so
+//     a key's values, under (x, 0, 0), have one machine — its root; the spans
+//     a machine sits in are a function of Sort's splitters and come with
+//     Sort's reply, and machine-range trees with capacity-bounded branching
+//     (the paper's trees with branching n^γ) run downward over them,
+//     delivering per-key values to every machine that requested the key. A
+//     request set used once sorts its values with it (SegmentedBroadcast);
+//     one disseminated to again and again is sorted once into a Plan, and
+//     every PlanBroadcast over it is the tree and the answer round, the
+//     large machine's values routed straight to their roots;
 //   - Claim 4 (Arranging nodes): sort directed edges by source, report the
 //     per-key machine runs to the large machine (at most n + K - 1 runs by
 //     contiguity), enabling the "collect the k lightest edges of each
@@ -35,11 +41,11 @@
 // b·p+1 … b·p+b, walked in place).
 //
 // A collective allocates per machine, never per message, and Sort,
-// SegmentedBroadcast (its result maps aside) and ScatterFromLarge per call:
-// struct payloads travel as pointers into one slab per sender per round —
-// Sort's reply and route rounds and SegmentedBroadcast's answer round carve
-// every sender's from one array — wire-native scalars and slices by value
-// (DESIGN.md §14, "Payload slabs").
+// SegmentedBroadcast and PlanBroadcast (their result maps aside),
+// PlanCombine and ScatterFromLarge per call: struct payloads travel as
+// pointers into one slab per sender per round — Sort's reply and route
+// rounds and the answer round carve every sender's from one array —
+// wire-native scalars and slices by value (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (

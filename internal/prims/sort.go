@@ -60,17 +60,26 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	return sorted, err
 }
 
-// sortSplit is Sort that, with wantSpans, also tells every machine the spans
-// it sits in: bucket j holds exactly the keys in [sp[j-1], sp[j]) (the
-// splitter list sp clipped to K-1, as walkBuckets clips it), so which keys
-// can straddle which machines is a function of the list alone
-// (splitterSpans). Entries 2i and 2i+1 of the returned slice are machine i's;
-// without wantSpans it is nil.
-func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, wantSpans bool) ([][]T, []span, error) {
+// layout is what a Sort leaves behind besides the buckets: the coordinator's
+// splitter list, every machine's cuts of its locally sorted run (data[i],
+// sorted in place) and, if asked for, the spans — entries 2i and 2i+1 are
+// machine i's.
+type layout struct {
+	sp    []SortKey
+	cuts  [][]cut
+	spans []span
+}
+
+// sortSplit is Sort that also returns its layout and, with wantSpans, tells
+// every machine the spans it sits in: bucket j holds exactly the keys in
+// [sp[j-1], sp[j]) (the splitter list sp clipped to K-1, as walkBuckets clips
+// it), so which keys can straddle which machines is a function of the list
+// alone (splitterSpans).
+func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, wantSpans bool) ([][]T, layout, error) {
 	defer c.Span("sort").End()
 	k := c.K()
 	if err := checkBuckets(c, "Sort", data); err != nil {
-		return nil, nil, err
+		return nil, layout{}, err
 	}
 	if len(data) < k {
 		nd := make([][]T, k)
@@ -87,71 +96,88 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	})
 
 	// Step 1's local sort makes the buckets contiguous runs, so a machine's
-	// route is at most min(K, items) cuts of its run and as many chunks: the
-	// cuts, the route round's messages and its chunk payloads are three
-	// arrays carved by that bound here (serially); the steps below only fill
-	// them in.
-	starts := make([]int, k+1) // machine i's share of each sits at [starts[i], starts[i+1])
+	// route is at most min(K, items) cuts of its run: the cuts are one array
+	// carved by that bound here (serially); the steps below only fill it in.
+	starts := make([]int, k+1) // machine i's share sits at [starts[i], starts[i+1])
 	for i := 0; i < k; i++ {
 		starts[i+1] = starts[i] + min(k, len(data[i]))
 	}
 	cutBuf := make([]cut, starts[k])
 
 	// Steps 2–3: sample, pick the splitters, reply.
-	sp, samples, err := sortSplitters(c, data, key)
-	if err != nil {
-		return nil, nil, err
+	lay := layout{cuts: make([][]cut, k)}
+	var samples []sample
+	var err error
+	if lay.sp, samples, err = sortSplitters(c, data, key); err != nil {
+		return nil, layout{}, err
 	}
-	var spans []span
 	if wantSpans {
-		spans = make([]span, 2*k)
+		lay.spans = make([]span, 2*k)
 	}
-	replies, err := sortReplies(c, sp, samples, cutBuf, starts, spans)
+	replies, err := sortReplies(c, lay.sp, samples, cutBuf, starts, lay.spans)
 	if err != nil {
-		return nil, nil, err
+		return nil, layout{}, err
 	}
 
-	// Step 4: route every item to its bucket, one chunk per cut. A machine
-	// that was sent the list first walks it over its run into cuts — and
-	// reads its spans off it — so the loop below has one form of input.
-	routeOuts := make([][]mpc.Msg, k)
+	// Step 4: route every item to its bucket along the cuts. A machine that
+	// was sent the list first walks it over its run into cuts — and reads its
+	// spans off it — so the route has one form of input.
+	c.Each(func(i int) {
+		lay.cuts[i] = replies[i].Cuts
+		if list := replies[i].List; list != nil {
+			lay.cuts[i] = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], data[i], list, k, key)
+			if wantSpans {
+				si := splitterSpans(list, k, i)
+				copy(lay.spans[2*i:], si[:])
+			}
+		}
+	})
+	result, err := route(c, data, lay.cuts, itemWords, 0, key)
+	if err != nil {
+		return nil, layout{}, err
+	}
+	// The routed, locally sorted buckets are now the machines' state.
+	registerState(c, result, itemWords)
+	return result, lay, nil
+}
+
+// route is Sort's step 4, the one round that moves items along cuts: every
+// machine sends its locally sorted run data[i] to the buckets cuts[i] names,
+// one chunk a cut, and each bucket comes back re-sorted. The round's
+// messages, their chunk payloads and the buckets are one array each: the
+// receive side counts each inbox (the checked pass — a foreign payload is an
+// error before anything is copied), carves the buckets cap-clamped with spare
+// free slots past each, then copies and re-sorts each in place.
+func route[T any](c *mpc.Cluster, data [][]T, cuts [][]cut, itemWords, spare int, key func(T) SortKey) ([][]T, error) {
+	k := c.K()
+	starts := make([]int, k+1) // machine i's share of an array sits at [starts[i], starts[i+1])
+	for i := 0; i < k; i++ {
+		starts[i+1] = starts[i] + len(cuts[i])
+	}
+	outs := make([][]mpc.Msg, k)
 	msgs := make([]mpc.Msg, starts[k])
 	slab := make([]chunk[T], starts[k])
 	c.Each(func(i int) {
-		cuts := replies[i].Cuts
-		if list := replies[i].List; list != nil {
-			cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], data[i], list, k, key)
-			if wantSpans {
-				si := splitterSpans(list, k, i)
-				copy(spans[2*i:], si[:])
-			}
-		}
-		out, slots := msgs[starts[i]:starts[i]:starts[i+1]], slab[starts[i]:starts[i+1]]
-		lo := 0
-		for _, ct := range cuts {
+		out, lo := msgs[starts[i]:starts[i]:starts[i+1]], 0
+		for _, ct := range cuts[i] {
 			hi := lo + int(ct.Count)
-			out = append(out, chunkMsg(&slots[len(out)], int(ct.Bucket), data[i][lo:hi:hi], itemWords))
+			out = append(out, chunkMsg(&slab[starts[i]+len(out)], int(ct.Bucket), data[i][lo:hi:hi], itemWords))
 			lo = hi
 		}
-		routeOuts[i] = out
+		outs[i] = out
 	})
-	ins, _, err := c.Exchange(routeOuts, nil)
+	ins, _, err := c.Exchange(outs, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The K result buckets are one array too: count each inbox (the checked
-	// pass — a foreign payload is an error before anything is copied), carve
-	// the buckets cap-clamped, then copy and re-sort each in place. starts
-	// now holds the buckets' offsets: machine i's items at
-	// [starts[i], starts[i+1]).
 	if err := c.ForSmall(func(i int) (err error) {
 		starts[i+1], err = chunkItems[T](ins[i])
 		return err
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i := 0; i < k; i++ {
-		starts[i+1] += starts[i]
+		starts[i+1] += starts[i] + spare
 	}
 	flat := make([]T, starts[k])
 	result := make([][]T, k)
@@ -159,9 +185,7 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 		result[i] = copyChunks(flat[starts[i]:starts[i]:starts[i+1]], ins[i])
 		SortLocal(result[i], key)
 	})
-	// The routed, locally sorted buckets are now the machines' state.
-	registerState(c, result, itemWords)
-	return result, spans, nil
+	return result, nil
 }
 
 // sortSplitters is step 2 of Sort over locally sorted data and the

@@ -39,7 +39,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := prims.EndpointNeeds(edges)
+	// Every level's re-cluster aggregation and dissemination is over the
+	// endpoints of the machines' edges: one plan serves them all.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	if err != nil {
+		return nil, err
+	}
 
 	seed, err := prims.BroadcastSeed(c)
 	if err != nil {
@@ -86,55 +91,56 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		})
 		// Each still-clustered vertex whose center dies looks for a neighbor
 		// whose center survives; the smallest such neighbor wins (matching
-		// core's deterministic choice). One aggregation + one dissemination.
-		items := make([][]prims.KV[reclusterVal], kk)
-		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				for dir := 0; dir < 2; dir++ {
-					v, u := e.U, e.V
-					if dir == 1 {
-						v, u = e.V, e.U
+		// core's deterministic choice). One aggregation + one dissemination —
+		// except at the last level, where C_k = ∅: nobody re-clusters, every
+		// vertex still clustered is removed, and there is nothing to send.
+		newCenters := make([]map[int64]reclusterVal, kk)
+		if level < k {
+			items := make([][]prims.KV[reclusterVal], kk)
+			c.Each(func(i int) {
+				for _, e := range edges[i] {
+					for dir := 0; dir < 2; dir++ {
+						v, u := e.U, e.V
+						if dir == 1 {
+							v, u = e.V, e.U
+						}
+						cv, cu := center[i][int64(v)], center[i][int64(u)]
+						if cv < 0 || cu < 0 {
+							continue
+						}
+						if survives(level, int(cv)) {
+							continue // v keeps its cluster; no candidate needed
+						}
+						if !survives(level, int(cu)) {
+							continue // u's center dies too: not a re-cluster target
+						}
+						items[i] = append(items[i], prims.KV[reclusterVal]{
+							K: int64(v),
+							V: reclusterVal{U: int32(u), Ctr: cu, OU: int32(e.U), OV: int32(e.V), W: e.W},
+						})
 					}
-					cv, cu := center[i][int64(v)], center[i][int64(u)]
-					if cv < 0 || cu < 0 {
-						continue
-					}
-					if level < k && survives(level, int(cv)) {
-						continue // v keeps its cluster; no candidate needed
-					}
-					if level < k && !survives(level, int(cu)) {
-						continue // u's center dies too: not a re-cluster target
-					}
-					if level == k {
-						continue // C_k = ∅: nobody re-clusters at the last level
-					}
-					items[i] = append(items[i], prims.KV[reclusterVal]{
-						K: int64(v),
-						V: reclusterVal{U: int32(u), Ctr: cu, OU: int32(e.U), OV: int32(e.V), W: e.W},
-					})
 				}
+			})
+			minRoots, err := prims.PlanCombine(c, plan, items, 5,
+				func(a, b reclusterVal) reclusterVal {
+					if b.U < a.U {
+						return b
+					}
+					return a
+				})
+			if err != nil {
+				return nil, err
 			}
-		})
-		minRoots, _, err := prims.AggregateByKey(c, items, 5,
-			func(a, b reclusterVal) reclusterVal {
-				if b.U < a.U {
-					return b
+			// The aggregation root records the spanner edge for re-clustered v.
+			c.Each(func(i int) {
+				for _, root := range minRoots[i] {
+					rv := root.V
+					spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
 				}
-				return a
-			}, false)
-		if err != nil {
-			return nil, err
-		}
-		// The aggregation root records the spanner edge for re-clustered v.
-		c.Each(func(i int) {
-			for _, root := range minRoots[i] {
-				rv := root.V
-				spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
+			})
+			if newCenters, err = prims.PlanBroadcast(c, plan, minRoots, nil, 5); err != nil {
+				return nil, err
 			}
-		})
-		newCenters, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, 5)
-		if err != nil {
-			return nil, err
 		}
 		// Update cluster state consistently everywhere.
 		c.Each(func(i int) {

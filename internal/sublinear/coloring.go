@@ -36,24 +36,22 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		return nil, err
 	}
 	kk := c.K()
-	needs := prims.EndpointNeeds(edges)
+	// Every aggregation and dissemination below is over the endpoints of
+	// the machines' edges: one plan serves them all.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	if err != nil {
+		return nil, err
+	}
 
-	// Δ via aggregation with distributed results + SumAll on the max: use a
-	// max-aggregation keyed by a single key.
+	// Δ: the degrees are aggregated over the plan, and every machine learns
+	// the largest through the coordinator.
 	degItems := make([][]prims.KV[int64], kk)
 	c.Each(func(i int) {
-		local := make(map[int64]int64)
 		for _, e := range edges[i] {
-			local[int64(e.U)]++
-			local[int64(e.V)]++
+			degItems[i] = append(degItems[i], prims.KV[int64]{K: int64(e.U), V: 1}, prims.KV[int64]{K: int64(e.V), V: 1})
 		}
-		for v, d := range local {
-			degItems[i] = append(degItems[i], prims.KV[int64]{K: v, V: d})
-		}
-		prims.SortKVsByKey(degItems[i])
 	})
-	degRoots, _, err := prims.AggregateByKey(c, degItems, 1,
-		func(a, b int64) int64 { return a + b }, false)
+	degRoots, err := prims.PlanCombine(c, plan, degItems, 1, func(a, b int64) int64 { return a + b })
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +61,6 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			localMax[i] = max(localMax[i], d.V)
 		}
 	}
-	// Every machine learns the maximum degree through the coordinator (O(1)).
 	maxDeg, err := prims.MaxAll(c, localMax)
 	if err != nil {
 		return nil, err
@@ -133,12 +130,11 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 				}
 			}
 		})
-		blockRoots, _, err := prims.AggregateByKey(c, items, 1,
-			func(a, b bool) bool { return a || b }, false)
+		blockRoots, err := prims.PlanCombine(c, plan, items, 1, func(a, b bool) bool { return a || b })
 		if err != nil {
 			return nil, err
 		}
-		blockMaps, err := prims.SegmentedBroadcast(c, needs, blockRoots, nil, 1)
+		blockMaps, err := prims.PlanBroadcast(c, plan, blockRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

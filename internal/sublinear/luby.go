@@ -54,7 +54,12 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 			state[i][int64(e.V)] = 0
 		}
 	})
-	needs := prims.EndpointNeeds(edges)
+	// Every round aggregates and disseminates over the same endpoints: one
+	// plan serves them all.
+	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	if err != nil {
+		return nil, err
+	}
 	maxRounds := 6*int(math.Ceil(math.Log2(float64(n)+2))) + 12
 
 	for round := 0; ; round++ {
@@ -90,17 +95,11 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 					prims.KV[uint64]{K: int64(e.V), V: prio(round, e.U)})
 			}
 		})
-		minRoots, _, err := prims.AggregateByKey(c, items, 1,
-			func(a, b uint64) uint64 {
-				if a < b {
-					return a
-				}
-				return b
-			}, false)
+		minRoots, err := prims.PlanCombine(c, plan, items, 1, func(a, b uint64) uint64 { return min(a, b) })
 		if err != nil {
 			return nil, err
 		}
-		minMaps, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, 1)
+		minMaps, err := prims.PlanBroadcast(c, plan, minRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -134,12 +133,11 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				}
 			}
 		})
-		domRoots, _, err := prims.AggregateByKey(c, domItems, 1,
-			func(a, b bool) bool { return a || b }, false)
+		domRoots, err := prims.PlanCombine(c, plan, domItems, 1, func(a, b bool) bool { return a || b })
 		if err != nil {
 			return nil, err
 		}
-		domMaps, err := prims.SegmentedBroadcast(c, needs, domRoots, nil, 1)
+		domMaps, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
