@@ -132,33 +132,34 @@ func TestTable1EmptyRounds(t *testing.T) {
 // over the plan sort nothing. The Sorts left are of request sets that change
 // between calls — a contracted graph's endpoints, a peeling's live edges —
 // or of data that is not a request set. A Sort of an unchanged request set
-// fails here, by the path that runs it.
+// fails here, by the path that runs it. Connectivity sorts its edge
+// incidences once, under "connectivity/sketch", and aggregates nothing.
 func TestTable1SortCalls(t *testing.T) {
 	want := map[string]int{
-		"baseline-cc/aggregate":         13,
-		"baseline-cc/broadcast":         13,
-		"connectivity/sketch/aggregate": 1,
-		"baseline-mst/aggregate":        18,
-		"baseline-mst/broadcast":        18,
-		"mst/contract/arrange":          3,
-		"mst/contract/aggregate":        2,
-		"mst/contract/broadcast":        2,
-		"mst/sample/broadcast":          1,
-		"baseline-spanner/plan":         1,
-		"baseline-spanner/aggregate":    3,
-		"spanner/plan":                  1,
-		"spanner/aggregate":             2,
-		"spanner/broadcast":             1,
-		"baseline-coloring/plan":        1,
-		"coloring/aggregate":            1,
-		"baseline-mis/plan":             1,
-		"mis/plan":                      1,
-		"peel/aggregate":                10,
-		"peel/broadcast":                10,
-		"matching/plan":                 1,
-		"matching/peel/aggregate":       4,
-		"matching/peel/broadcast":       4,
-		"matching/arrange":              1,
+		"baseline-cc/aggregate":      13,
+		"baseline-cc/broadcast":      13,
+		"connectivity/sketch":        1,
+		"baseline-mst/aggregate":     18,
+		"baseline-mst/broadcast":     18,
+		"mst/contract/arrange":       3,
+		"mst/contract/aggregate":     2,
+		"mst/contract/broadcast":     2,
+		"mst/sample/broadcast":       1,
+		"baseline-spanner/plan":      1,
+		"baseline-spanner/aggregate": 3,
+		"spanner/plan":               1,
+		"spanner/aggregate":          2,
+		"spanner/broadcast":          1,
+		"baseline-coloring/plan":     1,
+		"coloring/aggregate":         1,
+		"baseline-mis/plan":          1,
+		"mis/plan":                   1,
+		"peel/aggregate":             10,
+		"peel/broadcast":             10,
+		"matching/plan":              1,
+		"matching/peel/aggregate":    4,
+		"matching/peel/broadcast":    4,
+		"matching/arrange":           1,
 	}
 	got := map[string]int{}
 	for _, p := range table1Summary(t).Phases {
@@ -180,6 +181,23 @@ func TestTable1SortCalls(t *testing.T) {
 		if got[path] != want[path] {
 			t.Errorf("%s sorts %d times, want %d", path, got[path], want[path])
 		}
+	}
+}
+
+// TestTable1SketchSortWords pins what connectivity's Sort carries (DESIGN.md
+// §3.4): its items are 2-word edge incidences, 2m of them, so the rounds
+// under "connectivity/sketch/sort" carry at most 64 K words at n=512,
+// m=4096. Sorting partial sketches instead — 1,026 words an incidence at
+// this size — carried 8.1 M, and a Sort of sketch-sized items fails here.
+func TestTable1SketchSortWords(t *testing.T) {
+	var words int64
+	for _, p := range table1Summary(t).Phases {
+		if strings.HasPrefix(p.Phase, "connectivity/sketch/sort") {
+			words += p.Words
+		}
+	}
+	if words == 0 || words > 64<<10 {
+		t.Errorf("connectivity/sketch/sort* carries %d words, want at most %d", words, 64<<10)
 	}
 }
 

@@ -21,11 +21,11 @@ type ConnectivityResult struct {
 }
 
 // Connectivity identifies the connected components in O(1) rounds
-// (Theorem C.1): the small machines build linear ℓ0-sampling sketches of
-// their shares of each vertex's incidence vector, the sketches are summed by
-// aggregation (Property 1) and shipped to the large machine — O(n polylog n)
-// bits in total — which then runs Borůvka locally, sampling an outgoing edge
-// of each component from the summed sketches of fresh rounds.
+// (Theorem C.1): the small machines sort the edge incidences by vertex and
+// build each vertex's linear ℓ0-sampling sketch where its incidences meet;
+// the sketches go to the large machine — O(n polylog n) bits in total —
+// which then runs Borůvka locally, sampling an outgoing edge of each
+// component from the summed sketches (Property 1) of fresh rounds.
 //
 // Shared randomness is a single broadcast seed, replacing [36]'s shared
 // random bits exactly as the paper describes.
@@ -41,7 +41,6 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kk := c.K()
 
 	seed, err := prims.BroadcastSeed(c)
 	if err != nil {
@@ -56,45 +55,17 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	// The model ships the paper's full ℓ0-sampler per sketch, whatever
 	// prefix of its levels the host stores.
 	skWords := families[0].Words()
-	// One edge updater per family: precomputed fingerprint power tables plus
-	// a shared hash/fingerprint evaluation for the two endpoint updates of
-	// each edge. Updaters are read-only and shared across the small-machine
-	// goroutines.
+	// One edge updater per family: precomputed fingerprint power tables.
+	// Updaters are read-only and shared across the small-machine goroutines.
 	updaters := make([]*sketch.EdgeUpdater, phases)
 	for t := range updaters {
 		updaters[t] = families[t].NewEdgeUpdater(n)
 	}
 
-	// Small machines: partial sketches per (phase, vertex), merged by
-	// aggregation with the linear Merge combine. The whole block is the
-	// "sketch" phase of the trace timeline (its rounds are the aggregation
-	// shipping the summed sketches to the large machine).
-	ssp := c.Span("sketch")
-	items := make([][]prims.KV[*sketch.Sketch], kk)
-	endpoints := prims.EndpointNeeds(edges)
-	c.Each(func(i int) {
-		items[i] = partialSketches(updaters, endpoints[i], edges[i], n)
-	})
-	// The combine merges in place: AggregateByKey passes ownership of both
-	// arguments, and nothing reads a partial sketch after it is combined. It
-	// adds the shallower prefix into the deeper one, which therefore never
-	// grows; which operand survives does not show in the sum.
-	combine := func(a, b *sketch.Sketch) *sketch.Sketch {
-		if a.Depth() < b.Depth() {
-			a, b = b, a
-		}
-		if err := a.Merge(b); err != nil {
-			// Same family by construction; a mismatch is a bug.
-			panic(err)
-		}
-		return a
-	}
-	_, atLarge, err := prims.AggregateByKey(c, items, skWords, combine, true)
+	atLarge, err := gatherSketches(c, edges, updaters, n, skWords)
 	if err != nil {
-		//hetlint:span error path: the run aborts and no Stats or trace records are consumed from the leaked sketch span
 		return nil, err
 	}
-	ssp.End()
 
 	// Large machine: local Borůvka with fresh sketches per phase.
 	dsu := unionfind.New(n)
@@ -172,19 +143,49 @@ func sketchShape(n, m int) (phases, levels int) {
 	return phases, min(levels, maxLevels)
 }
 
-// partialSketches is one small machine's share of the sketch phase: one
-// partial sketch per (phase, distinct endpoint) of its edges, keyed
-// phase·n + vertex in increasing key order. vs lists the edges' distinct
-// endpoints, sorted.
-func partialSketches(updaters []*sketch.EdgeUpdater, vs []int64, edges []graph.Edge, n int) []prims.KV[*sketch.Sketch] {
-	sks := sketch.Partials(updaters, vs, edges)
-	if len(sks) == 0 {
-		return nil
+// gatherSketches is the "sketch" phase: the incidences meet by vertex, each
+// machine builds the sketches of its run's vertices — each the sum of the
+// partial sketches of any edge partition, cell for cell, as a sketch is
+// linear — and ships them to the large machine, keyed phase·n + vertex.
+func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.EdgeUpdater, n, skWords int) (map[int64]*sketch.Sketch, error) {
+	defer c.Span("sketch").End()
+	runs, err := sortIncidences(c, edges)
+	if err != nil {
+		return nil, err
 	}
+	items := make([][]prims.KV[*sketch.Sketch], c.K())
+	c.Each(func(i int) {
+		items[i] = vertexSketches(updaters, runs[i], n)
+	})
+	return prims.GatherMap(c, items, skWords)
+}
+
+// sortIncidences sorts the two incidences of every machine's edges, 2 words
+// each, by vertex alone: all of a vertex's land in one bucket. A self-loop
+// has none, as its two updates would cancel.
+func sortIncidences(c *mpc.Cluster, edges [][]graph.Edge) ([][]sketch.Incidence, error) {
+	incs := make([][]sketch.Incidence, c.K())
+	c.Each(func(i int) {
+		incs[i] = make([]sketch.Incidence, 0, 2*len(edges[i]))
+		for _, e := range edges[i] {
+			if e.U != e.V {
+				incs[i] = append(incs[i], sketch.Incidence{V: e.U, U: e.V}, sketch.Incidence{V: e.V, U: e.U})
+			}
+		}
+	})
+	return prims.Sort(c, incs, 2, func(in sketch.Incidence) prims.SortKey { return prims.SortKey{A: int64(in.V)} })
+}
+
+// vertexSketches is one small machine's sketches of its run of incidences
+// sorted by vertex, keyed phase·n + vertex.
+func vertexSketches(updaters []*sketch.EdgeUpdater, run []sketch.Incidence, n int) []prims.KV[*sketch.Sketch] {
+	sks := sketch.VertexSketches(updaters, run)
 	items := make([]prims.KV[*sketch.Sketch], 0, len(sks))
-	for t := range updaters {
-		for _, v := range vs {
-			items = append(items, prims.KV[*sketch.Sketch]{K: int64(t)*int64(n) + v, V: &sks[len(items)]})
+	for j, in := range run {
+		if j == 0 || in.V != run[j-1].V {
+			for t := range updaters {
+				items = append(items, prims.KV[*sketch.Sketch]{K: int64(t)*int64(n) + int64(in.V), V: &sks[len(items)]})
+			}
 		}
 	}
 	return items

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"hetmpc/internal/graph"
@@ -167,10 +169,44 @@ func TestApproxMSTWeightRejectsNonFiniteEps(t *testing.T) {
 	}
 }
 
+// TestConnectivityHotKeys pins the sketch phase's hot-key behaviour: the
+// Sort lands every incidence of a vertex in one bucket, 2·deg(v) words, so
+// hubs are exact on the default cluster, and a cluster whose small cap is
+// below a hub's 2·deg words refuses the run with the engine's typed
+// ErrCapacity naming the receiving machine — never a panic, never a wrong
+// answer.
+func TestConnectivityHotKeys(t *testing.T) {
+	checkConnectivity(t, graph.Star(2048), 5)
+	checkConnectivity(t, graph.PlantedHubs(1024, 4, 4, 600, 3), 5)
+
+	g := graph.Star(2048)
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 5, CSmall: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := 2 * (g.N - 1)
+	if c.SmallCap() >= hub {
+		t.Fatalf("small cap %d is not below the hub's %d words", c.SmallCap(), hub)
+	}
+	_, err = Connectivity(c, g)
+	if !errors.Is(err, mpc.ErrCapacity) {
+		t.Fatalf("got %v, want ErrCapacity", err)
+	}
+	named := regexp.MustCompile(`machine \d+ received (\d+) > cap`).FindStringSubmatch(err.Error())
+	if named == nil {
+		t.Fatalf("%q names no receiving machine", err)
+	}
+	t.Logf("refused: %v", err)
+	if received, _ := strconv.Atoi(named[1]); received < hub {
+		t.Errorf("%q: refused below the hub's %d words", err, hub)
+	}
+}
+
 // sketchPhaseInput is the sketch phase's input on a K-machine cluster: the
-// distributed edges, each machine's sorted endpoints and one updater per
-// phase (any seeds do: the shape is what the pins below measure).
-func sketchPhaseInput(tb testing.TB, g *graph.Graph, k int) (edges [][]graph.Edge, endpoints [][]int64, updaters []*sketch.EdgeUpdater, levels int) {
+// distributed edges, every machine's run of incidences as the phase's Sort
+// leaves it, and one updater per phase (any seeds do: the shape is what the
+// pins below measure).
+func sketchPhaseInput(tb testing.TB, g *graph.Graph, k int) (edges [][]graph.Edge, runs [][]sketch.Incidence, updaters []*sketch.EdgeUpdater, levels int) {
 	tb.Helper()
 	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: k, Seed: 7})
 	if err != nil {
@@ -179,49 +215,73 @@ func sketchPhaseInput(tb testing.TB, g *graph.Graph, k int) (edges [][]graph.Edg
 	if edges, err = prims.DistributeEdges(c, g); err != nil {
 		tb.Fatal(err)
 	}
+	if runs, err = sortIncidences(c, edges); err != nil {
+		tb.Fatal(err)
+	}
 	phases, levels := sketchShape(g.N, g.M())
 	updaters = make([]*sketch.EdgeUpdater, phases)
 	for p := range updaters {
 		updaters[p] = sketch.NewFamilyLevels(levels, uint64(p)+1).NewEdgeUpdater(g.N)
 	}
-	return edges, prims.EndpointNeeds(edges), updaters, levels
+	return edges, runs, updaters, levels
 }
 
 // TestConnectivitySketchCellsFollowDepth pins what the sketch phase stores
-// at a scaled-down `scale` shape: a machine's share of a vertex is an edge
-// or two, so its sketch is a prefix of ~2 levels and the cells carved are a
-// small fraction of sketches × levels (the full-width carve is 100 %).
+// at a scaled-down `scale` shape: one sketch per (phase, non-isolated
+// vertex), each carved at exactly its deepest update — measured here on an
+// empty prefix grown by AddEdgeBoth, one edge at a time — so the cells are
+// Σ of the deepest updates, a fraction of sketches × levels (the full-width
+// carve is 100 %).
 func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 	g := graph.GNM(1024, 4096, 7)
-	edges, endpoints, updaters, levels := sketchPhaseInput(t, g, 128)
+	_, runs, updaters, levels := sketchPhaseInput(t, g, 128)
+	deepest := make(map[int64]int) // phase·n + vertex → its deepest update
+	for p, up := range updaters {
+		for _, e := range g.Edges {
+			var su, sv sketch.Sketch
+			up.AddEdgeBoth(&su, &sv, e)
+			for _, v := range []int{e.U, e.V} {
+				key := int64(p)*int64(g.N) + int64(v)
+				deepest[key] = max(deepest[key], su.Depth())
+			}
+		}
+	}
 	sketches, cells := 0, 0
-	for i := range edges {
-		for _, kv := range partialSketches(updaters, endpoints[i], edges[i], g.N) {
-			if kv.V.Depth() < 1 || kv.V.Depth() > levels {
-				t.Fatalf("machine %d key %d: depth %d outside [1, %d]", i, kv.K, kv.V.Depth(), levels)
+	for i, run := range runs {
+		for _, kv := range vertexSketches(updaters, run, g.N) {
+			if kv.V.Depth() != deepest[kv.K] {
+				t.Fatalf("machine %d key %d: depth %d, want its deepest update's %d", i, kv.K, kv.V.Depth(), deepest[kv.K])
 			}
 			sketches++
 			cells += kv.V.Depth()
 		}
 	}
-	if sketches == 0 || cells*100 > 15*sketches*levels {
-		t.Errorf("%d cells for %d sketches of %d levels, want at most 15 %% of the full width", cells, sketches, levels)
+	if sketches != len(deepest) {
+		t.Fatalf("%d sketches built, want one per (phase, non-isolated vertex): %d", sketches, len(deepest))
+	}
+	t.Logf("%d cells for %d sketches of %d levels", cells, sketches, levels)
+	if cells*100 > 35*sketches*levels {
+		t.Errorf("%d cells for %d sketches of %d levels, want at most 35 %% of the full width", cells, sketches, levels)
 	}
 }
 
 // TestConnectivityAllocsPerMachine pins the build closure's allocations per
-// machine: the item list plus sketch.Partials' four, whatever the machine
-// holds (the slab arena this replaced took 7), and none without edges.
+// machine: the item list plus sketch.VertexSketches' four, whatever the
+// machine holds, and none for an empty run.
 func TestConnectivityAllocsPerMachine(t *testing.T) {
 	for _, m := range []int{1, 30, 900} {
 		g := graph.GNM(256, m, uint64(m))
-		edges, endpoints, updaters, _ := sketchPhaseInput(t, g, 2)
-		if got := testing.AllocsPerRun(10, func() { partialSketches(updaters, endpoints[0], edges[0], g.N) }); got != 5 {
-			t.Errorf("a machine holding %d edges allocates %v times, want 5 whatever it holds", len(edges[0]), got)
+		_, runs, updaters, _ := sketchPhaseInput(t, g, 2)
+		run := runs[0]
+		if len(run) == 0 {
+			run = runs[1]
+		}
+		if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, run, g.N) }); got != 5 {
+			t.Errorf("a machine holding %d incidences allocates %v times, want 5 whatever it holds", len(run), got)
 		}
 	}
 	_, _, updaters, _ := sketchPhaseInput(t, graph.GNM(256, 30, 1), 2)
-	if got := testing.AllocsPerRun(10, func() { partialSketches(updaters, nil, nil, 256) }); got != 0 {
-		t.Errorf("a machine with no edges allocates %v times, want 0", got)
+	if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, nil, 256) }); got != 0 {
+		t.Errorf("an empty run allocates %v times, want 0", got)
 	}
 }

@@ -30,8 +30,8 @@ func topPhases(s *trace.Summary, n int) []trace.PhaseStat {
 }
 
 // e26PhaseBreakdown decomposes three algorithms' makespans into their phase
-// timelines across three machine profiles: which phase — distribute, sort,
-// sketch aggregation, dissemination, sampling — carries the clock, and how
+// timelines across four machine profiles: which phase — distribute, sort,
+// sketch gather, dissemination, sampling — carries the clock, and how
 // the answer moves when capacity skew or stragglers are dialed in. Every
 // cell validates its output exactly and re-proves trace conservation.
 func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
@@ -56,12 +56,8 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 		{"matching", gU, func(c *mpc.Cluster) (any, error) { return maximal(gU, core.MaximalMatching)(c) }},
 	}
 	for _, alg := range algs {
-		// Speed-skew profiles only: capacity skew (zipf) shrinks the small
-		// machines below the sketch volume connectivity needs at this scale
-		// (the capacity model rejects the run, as it must); E27 covers the
-		// capacity-skew axis with MST, whose per-machine volume adapts. The
-		// uniform row is the paper's cluster, stock coordinator included.
-		for _, prof := range []string{"uniform", "bimodal:0.25:4", "straggler:2:8"} {
+		// The uniform row is the paper's cluster, stock coordinator included.
+		for _, prof := range []string{"uniform", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"} {
 			cfg := profiled(alg.g, seed, prof, prof != "uniform")
 			cfg.Trace = trace.New()
 			c, _, err := cell(rn, cfg, alg.run)

@@ -21,10 +21,7 @@ import (
 
 // e32TransportSweep runs MST and connectivity across machine profiles ×
 // transports and reports the measured frame bytes next to the modeled
-// words. Connectivity runs the speed-skew axis only, for E26's reason:
-// capacity skew (zipf) shrinks the small machines below its sketch volume
-// at this scale, and the capacity model rejects the run, as it must; MST
-// covers the capacity-skew axis.
+// words.
 func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 	const n, m = 256, 2048
 	t := &Table{
@@ -45,7 +42,7 @@ func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 	}{
 		{"mst", gW, []string{"uniform", "zipf:0.8", "straggler:2:8"},
 			func(c *mpc.Cluster) (any, error) { return mst(gW, wantW)(c) }},
-		{"connectivity", gU, []string{"uniform", "bimodal:0.25:4", "straggler:2:8"},
+		{"connectivity", gU, []string{"uniform", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"},
 			func(c *mpc.Cluster) (any, error) { return cc(gU, wantComps)(c) }},
 	}
 	for _, alg := range algs {
@@ -102,7 +99,6 @@ func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"outputs and modeled stats are asserted bit-identical across inproc/pipe/tcp in every cell; wire_bytes is the only observable that moves",
 		"pipe and tcp carry the identical canonical frame stream (asserted equal), so bytes/word is a transport-independent framing overhead",
-		"connectivity runs the speed-skew axis only: capacity skew shrinks the small machines below its sketch volume at this scale (E26's split); MST covers zipf",
 	)
 	return t, nil
 }

@@ -80,9 +80,8 @@ type Config struct {
 
 	// Capacity formula constants: capacity = C · n^exp · ⌈log2 n⌉^LogExp.
 	// The paper's Õ hides these; defaults (6, 3) and (8, 3) are generous
-	// enough for every algorithm here — the binding case is the per-vertex
-	// sketch volume of Appendix C.1, Θ(log² n) words per vertex incidence —
-	// while still being Õ(n^γ) and Õ(n^{1+f}).
+	// enough for every algorithm here while still being Õ(n^γ) and
+	// Õ(n^{1+f}).
 	CSmall      float64
 	CLarge      float64
 	LogExpSmall int

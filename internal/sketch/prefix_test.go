@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/graph"
@@ -42,9 +44,9 @@ func checkPair(t *testing.T, f *Family, p prefixPair, when string) {
 // runPrefixOps drives a register file of sketch pairs with an op stream —
 // byte 0 picks the family, then (op, a, b, x, y) records — and checks every
 // pair after every op. Ops: a single Add; an AddEdgeBoth across two
-// registers; a Merge of register a into b, either depth order; the
-// aggregation combine (shallower into deeper, the deeper operand survives,
-// the other register starts over); a Clone. An update or merge deeper than
+// registers; a Merge of register a into b, either depth order; a combine
+// that owns both operands (shallower into deeper, the deeper operand
+// survives, the other register starts over); a Clone. An update or merge deeper than
 // the destination's prefix must grow it: losing a cell shows as a
 // divergence from the full-width twin.
 func runPrefixOps(t *testing.T, data []byte) {
@@ -160,8 +162,8 @@ func TestAddLevelsPanicsPastPrefix(t *testing.T) {
 	addLevels(make([]oneSparse, 2), 5, 1, 9, 3)
 }
 
-// machineEdges is a small machine's edge list over vertices [0, n): count
-// distinct-endpoint edges, and their sorted distinct endpoints.
+// machineEdges is an edge list over vertices [0, n): count distinct-endpoint
+// edges, and their sorted distinct endpoints.
 func machineEdges(n, count int, seed uint64) ([]graph.Edge, []int64) {
 	rng := xrand.New(seed)
 	var edges []graph.Edge
@@ -182,13 +184,118 @@ func machineEdges(n, count int, seed uint64) ([]graph.Edge, []int64) {
 	return edges, ends
 }
 
-// TestPartialsSketchCellsMatchNewSketch pins the exact carve
-// core.Connectivity builds on. The cells carved are Σ over (phase,
-// endpoint) of the deepest update the sketch receives — counted here from
-// the hash alone — laid out back to back in one slice with every prefix
+// sortedRun is the two incidences of every edge sorted by vertex, as a Sort
+// keyed by the vertex alone leaves them on one machine.
+func sortedRun(edges []graph.Edge) []Incidence {
+	var run []Incidence
+	for _, e := range edges {
+		run = append(run, Incidence{V: e.U, U: e.V}, Incidence{V: e.V, U: e.U})
+	}
+	slices.SortStableFunc(run, func(a, b Incidence) int { return cmp.Compare(a.V, b.V) })
+	return run
+}
+
+// runMergedPartials is the oracle check of VertexSketches on one input:
+// byte 0 picks the families and the machine count K ∈ [1, 8], then (u, v,
+// machine) triples give an edge on 64 vertices and the machine holding it.
+// Each machine's partial sketches are written with AddEdgeBoth into empty
+// prefixes and summed with Merge, machine by machine — the aggregation the
+// builder replaces; the builder's sketch of each (phase, vertex), from the
+// sorted incidences, must equal that sum cell for cell and in Depth.
+func runMergedPartials(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	const n, phases = 64, 3
+	universe := int64(n) * int64(n)
+	ups := make([]*EdgeUpdater, phases)
+	for p := range ups {
+		levels := prefixLevelCounts[(int(data[0])+p)%len(prefixLevelCounts)]
+		ups[p] = NewFamilyLevels(levels, uint64(data[0])*phases+uint64(p)+1).NewEdgeUpdater(n)
+	}
+	held := make([][]graph.Edge, 1+int(data[0])%8)
+	var all []graph.Edge
+	for data = data[1:]; len(data) >= 3; data = data[3:] {
+		if u, v := int(data[0])%n, int(data[1])%n; u != v {
+			e := graph.NewEdge(u, v, 1)
+			i := int(data[2]) % len(held)
+			held[i], all = append(held[i], e), append(all, e)
+		}
+	}
+	run := sortedRun(all)
+	got := VertexSketches(ups, run)
+	var vs []int
+	for j, in := range run {
+		if j == 0 || in.V != run[j-1].V {
+			vs = append(vs, in.V)
+		}
+	}
+	if len(got) != phases*len(vs) {
+		t.Fatalf("VertexSketches returned %d sketches for %d phases of %d vertices", len(got), phases, len(vs))
+	}
+	for p, up := range ups {
+		merged := make([]*Sketch, n)
+		for _, edges := range held {
+			partial := make([]*Sketch, n)
+			for _, e := range edges {
+				for _, v := range []int{e.U, e.V} {
+					if partial[v] == nil {
+						partial[v] = emptyPrefix(up.f, universe)
+					}
+				}
+				up.AddEdgeBoth(partial[e.U], partial[e.V], e)
+			}
+			for v, s := range partial {
+				if s == nil {
+					continue
+				}
+				if merged[v] == nil {
+					merged[v] = emptyPrefix(up.f, universe)
+				}
+				if err := merged[v].Merge(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for j, v := range vs {
+			s, want := &got[j*phases+p], merged[v]
+			if s.familyID != up.f.id || s.universe != universe {
+				t.Fatalf("phase %d vertex %d: sketch of family %d over %d, want %d over %d", p, v, s.familyID, s.universe, up.f.id, universe)
+			}
+			if s.Depth() != want.Depth() || !equalLevels(s.levels, want.levels) {
+				t.Fatalf("phase %d vertex %d: built sketch (depth %d) diverges from the merged partials (depth %d)", p, v, s.Depth(), want.Depth())
+			}
+		}
+	}
+}
+
+// TestVertexSketchesMatchMergedPartials runs the oracle check on random
+// graphs and random edge partitions over every machine count.
+func TestVertexSketchesMatchMergedPartials(t *testing.T) {
+	for seed := 0; seed < 16; seed++ {
+		rng := xrand.New(uint64(seed) + 11)
+		data := []byte{byte(seed)}
+		for i := 0; i < 3*(40+rng.IntN(400)); i++ {
+			data = append(data, byte(rng.IntN(256)))
+		}
+		runMergedPartials(t, data)
+	}
+}
+
+// FuzzVertexSketches is the same check on fuzzed graphs and partitions.
+func FuzzVertexSketches(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 1, 2, 3, 0, 2, 1, 5, 9, 2})   // K=4: a path, then a far edge
+	f.Add([]byte{0, 7, 8, 0, 7, 9, 0, 7, 10, 0, 7, 11, 0}) // K=1: a star on one machine
+	f.Fuzz(runMergedPartials)
+}
+
+// TestVertexSketchCellsMatchNewSketch pins the exact carve
+// core.Connectivity builds on. The cells carved are Σ over (phase, vertex)
+// of the deepest update the sketch receives — counted here from the hash
+// alone — laid out back to back in one slice with every prefix
 // capacity-clamped; and the sketches are bit-identical to Family.NewSketch
 // ones fed the same edges through AddEdgeBoth, under Merge and Query too.
-func TestPartialsSketchCellsMatchNewSketch(t *testing.T) {
+func TestVertexSketchCellsMatchNewSketch(t *testing.T) {
 	const n, phases, levels = 64, 5, 11
 	universe := int64(n) * int64(n)
 	ups := make([]*EdgeUpdater, phases)
@@ -197,9 +304,9 @@ func TestPartialsSketchCellsMatchNewSketch(t *testing.T) {
 	}
 	edges, ends := machineEdges(n, 40, 29)
 	d := len(ends)
-	got := Partials(ups, ends, edges)
+	got := VertexSketches(ups, sortedRun(edges))
 	if len(got) != phases*d {
-		t.Fatalf("Partials returned %d sketches, want %d", len(got), phases*d)
+		t.Fatalf("VertexSketches returned %d sketches, want %d", len(got), phases*d)
 	}
 
 	cells := 0
@@ -216,22 +323,22 @@ func TestPartialsSketchCellsMatchNewSketch(t *testing.T) {
 			deepest[e.U], deepest[e.V] = max(deepest[e.U], depth), max(deepest[e.V], depth)
 		}
 		for j, v := range ends {
-			s := &got[p*d+j]
+			s := &got[j*phases+p]
 			if s.familyID != f.id || s.universe != universe {
-				t.Fatalf("phase %d endpoint %d: sketch of family %d over %d, want %d over %d", p, v, s.familyID, s.universe, f.id, universe)
+				t.Fatalf("phase %d vertex %d: sketch of family %d over %d, want %d over %d", p, v, s.familyID, s.universe, f.id, universe)
 			}
 			if s.Depth() != deepest[v] || cap(s.levels) != s.Depth() {
-				t.Fatalf("phase %d endpoint %d: depth %d (cap %d), want its deepest update's %d, clamped", p, v, s.Depth(), cap(s.levels), deepest[v])
+				t.Fatalf("phase %d vertex %d: depth %d (cap %d), want its deepest update's %d, clamped", p, v, s.Depth(), cap(s.levels), deepest[v])
 			}
 			if !equalLevels(s.levels, want[v].levels) {
-				t.Fatalf("phase %d endpoint %d: carved sketch diverges from the NewSketch one under AddEdgeBoth", p, v)
+				t.Fatalf("phase %d vertex %d: carved sketch diverges from the NewSketch one under AddEdgeBoth", p, v)
 			}
 			cells += s.Depth()
 		}
-		// The cut sketch of the first half of the endpoints.
-		sum, wantSum := &got[p*d], want[ends[0]]
+		// The cut sketch of the first half of the vertices.
+		sum, wantSum := &got[p], want[ends[0]]
 		for j := 1; j < d/2; j++ {
-			if err := sum.Merge(&got[p*d+j]); err != nil {
+			if err := sum.Merge(&got[j*phases+p]); err != nil {
 				t.Fatal(err)
 			}
 			if err := wantSum.Merge(want[ends[j]]); err != nil {
@@ -261,22 +368,35 @@ func TestPartialsSketchCellsMatchNewSketch(t *testing.T) {
 	}
 }
 
-// TestPartialsAllocsPerMachine pins what a machine's build allocates: the
-// headers, the cells and the two scratch slices, whatever the machine
-// holds, and nothing for a machine with no edges.
-func TestPartialsAllocsPerMachine(t *testing.T) {
+// TestVertexSketchesAllocsPerMachine pins what a machine's build
+// allocates: the headers, the cells and the two scratch slices, whatever
+// its run holds, and nothing for an empty run.
+func TestVertexSketchesAllocsPerMachine(t *testing.T) {
 	const n, phases = 256, 7
 	ups := make([]*EdgeUpdater, phases)
 	for p := range ups {
 		ups[p] = NewFamilyLevels(14, uint64(p+1)).NewEdgeUpdater(n)
 	}
 	for _, count := range []int{1, 30, 900} {
-		edges, ends := machineEdges(n, count, uint64(count))
-		if got := testing.AllocsPerRun(10, func() { Partials(ups, ends, edges) }); got != 4 {
-			t.Errorf("Partials over %d edges allocates %v times, want 4 whatever the count", count, got)
+		edges, _ := machineEdges(n, count, uint64(count))
+		run := sortedRun(edges)
+		if got := testing.AllocsPerRun(10, func() { VertexSketches(ups, run) }); got != 4 {
+			t.Errorf("VertexSketches over %d incidences allocates %v times, want 4 whatever the count", len(run), got)
 		}
 	}
-	if got := testing.AllocsPerRun(10, func() { Partials(ups, nil, nil) }); got != 0 {
-		t.Errorf("Partials for a machine with no edges allocates %v times, want 0", got)
+	if got := testing.AllocsPerRun(10, func() { VertexSketches(ups, nil) }); got != 0 {
+		t.Errorf("VertexSketches of an empty run allocates %v times, want 0", got)
 	}
+}
+
+// TestVertexSketchesPanicsOnUnsortedRun pins the builder's guard: a run not
+// sorted by vertex would split a vertex's sketch in two, so it panics.
+func TestVertexSketchesPanicsOnUnsortedRun(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unsorted run was built without a panic")
+		}
+	}()
+	up := NewFamilyLevels(5, 1).NewEdgeUpdater(8)
+	VertexSketches([]*EdgeUpdater{up}, []Incidence{{V: 3, U: 1}, {V: 1, U: 3}})
 }

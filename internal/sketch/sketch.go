@@ -4,10 +4,11 @@
 // t-wise independent hashing and one-sparse recovery with field
 // fingerprints.
 //
-// A Sketch is a linear function of its input vector, so sketches of
-// edge-partitioned neighborhoods can be added together (Property 1 in the
-// paper): the small machines each sketch the edges they hold and the sums
-// are formed by aggregation.
+// A Sketch is a linear function of its input vector, so sketches can be
+// added together (Property 1 in the paper): the sketch of a vertex is the
+// sum of the sketches of any partition of its edges, and the sum over a
+// vertex set samples an edge leaving it. The small machines build each
+// vertex's sketch where its incidences meet (VertexSketches).
 //
 // The vector being sketched is the signed vertex-incidence vector a_v over
 // the edge universe {(i,j) : i < j}: a_v[(i,j)] = +1 if v == i and the edge
@@ -19,16 +20,14 @@
 // levels and so does every sum of updates. A Sketch therefore stores only a
 // prefix: levels at and above the stored length are zero. That is the one
 // representation (Family.NewSketch is the prefix of full length); an update
-// or merge deeper than the prefix grows it, so nothing is ever dropped. In
-// the sublinear regime a machine's share of a vertex is an edge or two and
-// the prefix is ~2 cells of 20. What a sketch costs on the model's wire is
-// a separate matter: Family.Words charges the full ℓ0-sampler of the paper
-// whatever the host stores.
+// or merge deeper than the prefix grows it, so nothing is ever dropped. A
+// vertex of degree d stores about log2 d + 1 levels of ~20. What a sketch
+// costs on the model's wire is a separate matter: Family.Words charges the
+// full ℓ0-sampler of the paper whatever the host stores.
 package sketch
 
 import (
 	"fmt"
-	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/xrand"
@@ -277,63 +276,62 @@ func (up *EdgeUpdater) AddEdgeBoth(su, sv *Sketch, e graph.Edge) {
 	addLevels(sv.levels, idx, -1, rPow, depth)
 }
 
-// Partials builds one machine's share of the sketches: for each updater
-// (one per family — per Borůvka phase) and each endpoint, the sketch of the
-// incidence updates of the machine's edges at that endpoint. ends lists the
-// edges' distinct endpoints in increasing order; sketch t·len(ends)+j is
-// updater t's sketch of endpoint ends[j]. Bit for bit the sketches are what
-// AddEdgeBoth leaves in Family.NewSketch ones, at exactly their depth:
-// every update is prepared once, a sketch's depth is the deepest of its
-// updates, and headers and cells are carved to fit before the updates are
-// applied — two slices and two scratch slices per machine whatever it
-// holds, and no cell that stays zero.
-func Partials(ups []*EdgeUpdater, ends []int64, edges []graph.Edge) []Sketch {
-	d, phases := len(ends), len(ups)
-	if d == 0 || phases == 0 {
+// An Incidence is one endpoint's half of an edge: vertex V meets neighbour
+// U ≠ V. It carries edge {V, U}'s update to V's sketch — +1 if V is the
+// smaller endpoint, -1 if the larger — in two words, where a sketch is
+// Family.Words.
+type Incidence struct{ V, U int }
+
+// VertexSketches builds the sketches of the vertices of one run of
+// incidences sorted by vertex, holding every incidence of each of its
+// vertices: for each vertex and each updater (one per family — per Borůvka
+// phase), the sketch of the vertex's incidence vector. Sketch j·len(ups)+t
+// is updater t's sketch of the run's j-th distinct vertex. Bit for bit the
+// sketches are what AddEdgeBoth over the vertex's edges leaves in
+// Family.NewSketch ones, at exactly their depth: every update is prepared
+// once, a sketch's depth is the deepest of its updates, and headers and
+// cells are carved to fit before the updates are applied — two slices and
+// two scratch slices per run whatever it holds, and no cell that stays zero.
+func VertexSketches(ups []*EdgeUpdater, run []Incidence) []Sketch {
+	phases := len(ups)
+	if len(run) == 0 || phases == 0 {
 		return nil
 	}
 	type prepared struct {
-		rPow  uint64
-		depth int32
+		rPow     uint64
+		depth, k int32 // k: the index of the sketch the update goes to
 	}
-	prep := make([]prepared, len(edges)*phases)
-	depths := make([]int32, phases*d)
-	for i, e := range edges {
-		ju, jv := endpointRank(ends, e.U), endpointRank(ends, e.V)
+	prep := make([]prepared, len(run)*phases)
+	depths := make([]int32, len(run)*phases) // the first d·phases, for d distinct vertices
+	d := 0
+	for i, in := range run {
+		if i > 0 && in.V < run[i-1].V {
+			panic("sketch: incidence run not sorted by vertex") // programming error, not data error
+		}
+		if i == 0 || in.V != run[i-1].V {
+			d++
+		}
+		e := graph.NewEdge(in.V, in.U, 1)
 		for t, up := range ups {
 			_, rPow, depth := up.prepare(e)
-			p := prepared{rPow: rPow, depth: int32(depth)}
-			prep[i*phases+t] = p
-			depths[t*d+ju] = max(depths[t*d+ju], p.depth)
-			depths[t*d+jv] = max(depths[t*d+jv], p.depth)
+			k := (d-1)*phases + t
+			prep[i*phases+t] = prepared{rPow: rPow, depth: int32(depth), k: int32(k)}
+			depths[k] = max(depths[k], int32(depth))
 		}
 	}
 	n := ups[0].n
-	sks, _ := carve(int64(n)*int64(n), depths)
-	for t, up := range ups {
-		for j := 0; j < d; j++ {
-			sks[t*d+j].familyID = up.f.id
+	sks, _ := carve(int64(n)*int64(n), depths[:d*phases])
+	for i, in := range run {
+		idx, val := graph.NewEdge(in.V, in.U, 1).Key(n), 1
+		if in.V > in.U {
+			val = -1
 		}
-	}
-	for i, e := range edges {
-		ju, jv := endpointRank(ends, e.U), endpointRank(ends, e.V)
-		idx := e.Key(n)
-		for t := range ups {
-			p := prep[i*phases+t]
-			addLevels(sks[t*d+ju].levels, idx, 1, p.rPow, int(p.depth))
-			addLevels(sks[t*d+jv].levels, idx, -1, p.rPow, int(p.depth))
+		for t, p := range prep[i*phases : (i+1)*phases] {
+			sks[p.k].familyID = ups[t].f.id
+			addLevels(sks[p.k].levels, idx, val, p.rPow, int(p.depth))
 		}
 	}
 	return sks
-}
-
-// endpointRank locates vertex v among the sorted distinct endpoints.
-func endpointRank(ends []int64, v int) int {
-	j, ok := slices.BinarySearch(ends, int64(v))
-	if !ok {
-		panic("sketch: edge endpoint missing from the endpoint list") // programming error, not data error
-	}
-	return j
 }
 
 // Clone returns a deep copy of the sketch.
@@ -349,10 +347,9 @@ func (s *Sketch) Clone() *Sketch {
 
 // Merge adds other into s (linearity). The sketches must come from the same
 // family and universe; their depths may differ. The sum is as deep as the
-// deeper operand: a deeper other grows s first. A caller that owns both —
-// an aggregation combine — merges the shallower into the deeper instead and
-// allocates nothing; the cell adds are canonical, so a+b and b+a agree bit
-// for bit.
+// deeper operand: a deeper other grows s first. A caller that owns both can
+// merge the shallower into the deeper instead and allocate nothing; the
+// cell adds are canonical, so a+b and b+a agree bit for bit.
 func (s *Sketch) Merge(other *Sketch) error {
 	if s.familyID != other.familyID || s.universe != other.universe {
 		return fmt.Errorf("sketch: merging incompatible sketches")

@@ -28,9 +28,6 @@ type wireRun struct {
 }
 
 // conformanceWorkloads are the algorithm × profile cells of the suite.
-// Connectivity runs the speed-skew axis only: capacity skew (zipf) shrinks
-// the small machines below its sketch volume at this scale, and the
-// capacity model rejects the run, as it must (same split as E26/E27).
 var conformanceWorkloads = []struct {
 	name     string
 	profiles []string
@@ -40,7 +37,7 @@ var conformanceWorkloads = []struct {
 		g := hetmpc.ConnectedGNM(512, 4096, 7, true)
 		return hetmpc.MST(c, g)
 	}},
-	{"connectivity", []string{"", "bimodal:0.25:4", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
+	{"connectivity", []string{"", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.GNM(512, 4096, 7)
 		return hetmpc.Connectivity(c, g)
 	}},
