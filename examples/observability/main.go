@@ -5,11 +5,11 @@
 // the bare run, and leaving both hooks nil is the zero-overhead path:
 //
 //  1. a metrics registry (Config.Metrics = hetmpc.NewMetrics()): the
-//     engine prebinds counters, gauges and histograms at cluster build
-//     and updates them at the round barrier — run-wide totals
-//     (mpc_words_total == Stats.TotalWords, exactly), per-machine
+//     engine folds every round record into it at the barrier — run-wide
+//     totals (mpc_words_total == Stats.TotalWords, exactly), per-machine
 //     dimensions (mpc_send_words_total{machine}), per-phase attribution
-//     (mpc_phase_words_total{phase}), fault and wire instrument families;
+//     (mpc_phase_words_total{phase}), the round-time histogram and the
+//     fault counters;
 //  2. the per-round trace (Config.Trace = hetmpc.NewTrace(), see
 //     examples/round-traces), exportable as streaming JSONL or as Chrome
 //     trace-event JSON you can drop into https://ui.perfetto.dev;
@@ -56,17 +56,23 @@ func main() {
 
 	// Step 2: the conservation law the registry promises — the run-wide
 	// word counter equals Stats.TotalWords exactly, and the per-phase
-	// counters partition it.
-	words := reg.Counter("mpc_words_total").Value()
+	// counters partition it. The snapshot is sorted, so the output is
+	// deterministic.
+	snap := reg.Snapshot()
+	byName := map[string]hetmpc.MetricSample{} // the unlabelled samples are unique by name
+	for _, s := range snap {
+		byName[s.Name] = s
+	}
+	words := byName["mpc_words_total"].Value
 	fmt.Printf("mpc_words_total = %d, Stats.TotalWords = %d (equal: %v)\n",
 		words, st.TotalWords, words == st.TotalWords)
 	fmt.Printf("mpc_rounds_total = %d (Stats.Rounds = %d), makespan gauge %.4g\n\n",
-		reg.Counter("mpc_rounds_total").Value(), st.Rounds, reg.Gauge("mpc_makespan").Value())
+		byName["mpc_rounds_total"].Value, st.Rounds, byName["mpc_makespan"].Gauge)
 
 	// Step 3: the per-phase traffic attribution, straight from the
-	// snapshot (sorted, so the output is deterministic).
+	// snapshot.
 	fmt.Printf("%-44s %10s\n", "phase", "words")
-	for _, s := range reg.Snapshot() {
+	for _, s := range snap {
 		if s.Name != "mpc_phase_words_total" {
 			continue
 		}

@@ -313,22 +313,22 @@ func WriteTracePerfetto(w io.Writer, rounds []TraceRound) error {
 // --- Engine metrics (DESIGN.md §12) ---
 
 type (
-	// Metrics is the engine metrics registry (Config.Metrics): counters,
-	// gauges and fixed-bucket histograms with per-machine / per-link /
-	// per-phase labels, published by the Exchange engine, the wire
-	// transports, the adaptive scheduler and the recovery engine. Like the
-	// trace collector it only observes — a metered run's ClusterStats are
-	// bit-identical to the same run unmetered, and a nil registry is the
-	// zero-overhead path.
+	// Metrics is the metrics registry (Config.Metrics): the engine folds
+	// every round record into it — run-wide, per-machine and per-phase word
+	// and round counters, the round-time histogram, the fault counters —
+	// so its Snapshot is a pure function of the run's trace timeline. Like
+	// the trace collector it only observes — a metered run's ClusterStats
+	// are bit-identical to the same run unmetered, and a nil registry is
+	// the zero-overhead path.
 	Metrics = metrics.Registry
 	// MetricSample is one instrument of a Metrics.Snapshot.
 	MetricSample = metrics.Sample
 )
 
-// NewMetrics returns an empty metrics registry for Config.Metrics. Counters
-// are cumulative for the registry's lifetime (never rebased by ResetStats),
-// so share one registry across clusters to aggregate, or use one per
-// cluster to keep them apart.
+// NewMetrics returns an empty metrics registry for Config.Metrics. It sums
+// every record it is fed (never rebased by ResetStats), so share one
+// registry across clusters run one after another to aggregate them, or use
+// one per cluster to keep them apart.
 func NewMetrics() *Metrics { return metrics.New() }
 
 // --- Fault injection and recovery (DESIGN.md §7) ---

@@ -65,7 +65,7 @@ func Register(fs *flag.FlagSet, scope string) *Model {
 // Observability flag help, shared verbatim (DESIGN.md §12).
 const (
 	// MetricsHelp describes -metrics: the engine metrics snapshot target.
-	MetricsHelp = "write the engine metrics snapshot (counters, gauges, histograms) as JSON to this file; '-' = stdout; metrics observe, they never change the measured stats"
+	MetricsHelp = "write the run's metrics snapshot (word, round and fault counters per machine and phase, folded from the round records) as JSON to this file; '-' = stdout; metrics observe, they never change the measured stats"
 	// TraceOutHelp describes -traceout: the raw trace export target; the
 	// extension picks the format.
 	TraceOutHelp = "write the per-round trace to this file: .jsonl = streaming JSONL, anything else = Chrome trace-event JSON (load in Perfetto/chrome://tracing); implies -trace"

@@ -177,11 +177,10 @@ func w2Reopen(t *testing.T) *os.File {
 }
 
 func TestWriteMetricsFile(t *testing.T) {
-	reg := metrics.New()
-	reg.Counter("cliflags_test_total").Add(3)
+	samples := []metrics.Sample{{Name: "cliflags_test_total", Kind: metrics.KindCounter, Value: 3}}
 
 	path := filepath.Join(t.TempDir(), "m.json")
-	if err := WriteMetricsFile(path, reg.Snapshot()); err != nil {
+	if err := WriteMetricsFile(path, samples); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -62,7 +62,7 @@ func (e Env) Validate() error {
 // override reached, and of the run's metrics registry.
 type run struct {
 	env      Env
-	reg      *metrics.Registry // nil unless env.Metrics; one per run, counters are cumulative
+	reg      *metrics.Registry // nil unless env.Metrics; one per run, folding every cluster's records
 	clusters []*mpc.Cluster
 	// reached counts, per axis, the clusters the Env spec reached: those
 	// that left the axis open and got a non-baseline value from the spec.

@@ -111,7 +111,8 @@ type Artifact struct {
 	Trace *TraceStats `json:"trace,omitempty"`
 	// Metrics is the sorted registry snapshot of the run, present under
 	// Env.Metrics (hetbench -metrics): one fresh registry is shared by every
-	// cluster of the run, so the counters are the experiment-wide totals.
+	// cluster of the run, so every instrument — gauges included — is the
+	// experiment-wide total.
 	// Like tracing, metrics observe without perturbing — the model numbers
 	// and the artifact name are unchanged.
 	Metrics []metrics.Sample `json:"metrics,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"hetmpc/internal/metrics"
 	"hetmpc/internal/trace"
 )
 
@@ -24,23 +25,28 @@ func TestSetMetricsArtifact(t *testing.T) {
 	if len(art.Metrics) == 0 {
 		t.Fatal("artifact has no metrics under Env.Metrics")
 	}
-	find := func(name string) int64 {
+	find := func(name string) metrics.Sample {
 		for _, s := range art.Metrics {
 			if s.Name == name && len(s.Labels) == 0 {
-				return s.Value
+				return s
 			}
 		}
 		t.Fatalf("snapshot lacks %q", name)
-		return 0
+		return metrics.Sample{}
 	}
-	if got := find("mpc_words_total"); got != art.Model.TotalWords {
+	if got := find("mpc_words_total").Value; got != art.Model.TotalWords {
 		t.Fatalf("mpc_words_total %d != model total words %d", got, art.Model.TotalWords)
 	}
-	if got := find("mpc_rounds_total"); got != int64(art.Model.Rounds) {
+	if got := find("mpc_rounds_total").Value; got != int64(art.Model.Rounds) {
 		t.Fatalf("mpc_rounds_total %d != model rounds %d", got, art.Model.Rounds)
 	}
-	if got := find("mpc_messages_total"); got != art.Model.Messages {
+	if got := find("mpc_messages_total").Value; got != art.Model.Messages {
 		t.Fatalf("mpc_messages_total %d != model messages %d", got, art.Model.Messages)
+	}
+	// The gauges cover every cluster too. E14's per-word costs are
+	// integers, so the two groupings of the float sum agree exactly.
+	if got := find("mpc_makespan").Gauge; art.Model.Clusters < 2 || got != art.Model.Makespan {
+		t.Fatalf("mpc_makespan %v != model makespan %v over %d clusters", got, art.Model.Makespan, art.Model.Clusters)
 	}
 	// Metering is observational: no override tag, baseline name preserved.
 	if art.Profile != "" || art.Faults != "" || art.Placement != "" || art.Transport != "" {

@@ -1,40 +1,20 @@
-// Package metrics is the aggregation layer of the observability stack
-// (DESIGN.md §12): a zero-dependency registry of named counters, gauges and
-// fixed-bucket histograms with label dimensions (machine, link, phase, …).
-// The mpc engine, the wire transports, the placement estimator and the
-// fault engine all publish through it when a Registry is installed in
-// mpc.Config.Metrics; a nil Registry is the zero-overhead path — every
-// instrument constructor on a nil Registry returns a nil instrument, every
-// instrument method on a nil receiver is a no-op, and the engine skips all
-// recording, so an uninstrumented run is bit-identical to the pre-metrics
-// simulator (the same contract as the nil trace.Collector).
-//
-// Identity and determinism: an instrument is identified by its name plus
-// its ordered label pairs; asking the registry for the same identity twice
-// returns the same instrument, and asking for it with a different
-// instrument kind panics (a programming error, never a data error).
-// Snapshot renders the registry sorted by name then labels, so the exported
-// JSON is byte-deterministic for a deterministic run.
-//
-// Concurrency: Counter and Gauge are atomic — the wire transports update
-// per-link counters from the round's drain goroutine while the writer
-// updates its own. Histogram is not synchronized; the engine observes
-// histograms only at the serial round barrier, matching the
-// synchronous-rounds model.
-//
-// metrics deliberately depends on nothing inside the repo, so every layer
-// (trace, wire, sched, fault, mpc, exp, the CLIs) can share it.
+// Package metrics is the -metrics snapshot of a run (DESIGN.md §12): a fold
+// of the engine's round records (trace.Round, DESIGN.md §5) into sorted
+// counters, gauges and one histogram, and the schema-stamped JSON they
+// export as. Fold computes it from a timeline; a Registry installed as
+// mpc.Config.Metrics is the same fold kept live.
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"hetmpc/internal/trace"
 )
 
 // SchemaVersion is the wire-format version of the snapshot JSON (and of the
@@ -49,94 +29,9 @@ const (
 	KindHistogram = "histogram"
 )
 
-// Counter is a monotone atomic int64. Counters accumulate for the lifetime
-// of the registry; they are not rebased by mpc.Cluster.ResetStats (the
-// Prometheus convention — rates and deltas are the reader's job).
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add adds d (no-op on a nil receiver).
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(d)
-}
-
-// Inc adds 1 (no-op on a nil receiver).
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an atomic float64 holding the latest set value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v (no-op on a nil receiver).
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the last set value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram is a fixed-bucket histogram: counts per upper bound plus an
-// exact sum and count of every observation. It is not safe for concurrent
-// use — the engine observes on the serial round barrier.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; observations above the last land in the +Inf overflow
-	counts []int64   // len(bounds)+1; the last is the overflow bucket
-	sum    float64
-	n      int64
-}
-
-// Observe records v (no-op on a nil receiver).
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
-
-// Sum returns the exact sum of all observations (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
 // ExpBuckets returns n ascending upper bounds start, start·factor,
-// start·factor², … — the standard fixed-bucket layout for latency- and
-// size-shaped distributions. It panics on a non-positive start, a factor
-// <= 1 or n < 1 (a programming error in the instrumentation site).
+// start·factor², …. It panics on a non-positive start, a factor <= 1 or
+// n < 1.
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if !(start > 0) || !(factor > 1) || n < 1 {
 		panic(fmt.Sprintf("metrics: ExpBuckets(%v, %v, %d): want start > 0, factor > 1, n >= 1", start, factor, n))
@@ -150,100 +45,88 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// instrument is one registered instrument with its identity.
-type instrument struct {
-	name   string
-	labels []string // ordered k, v pairs
-	kind   string
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
-}
+// roundTimeBounds are mpc_round_time's bucket upper bounds.
+var roundTimeBounds = ExpBuckets(1, 2, 20)
 
-// Registry holds the instruments. The zero value is NOT ready; use New. A
-// nil *Registry is the documented zero-overhead path: every constructor
-// returns nil and every lookup is skipped.
+// Registry sums the records it is fed; use New. One registry may serve
+// clusters run one after another and then covers all of their records.
+// Like the trace collector it is fed on the serial round barrier and is not
+// safe for concurrent use.
 type Registry struct {
-	mu   sync.Mutex
-	byID map[string]*instrument
-	ins  []*instrument
+	rounds, silent, messages, words, specWords                  int64
+	checkpoints, replicationWords, recoveryRounds, replayRounds int64
+
+	timeCounts []int64 // mpc_round_time per bound, then the +Inf overflow
+	timeSum    float64 // mpc_round_time's sum, and mpc_makespan
+	timeN      int64
+
+	// Per slot (0 = large, 1+i = small i), as wide as the widest record.
+	send, recv, crashes []int64
+	busy                []float64
+
+	phases map[string][2]int64 // per span path: words, exchange rounds
 }
 
 // New returns an empty registry, ready for mpc.Config.Metrics.
 func New() *Registry {
-	return &Registry{byID: map[string]*instrument{}}
+	return &Registry{timeCounts: make([]int64, len(roundTimeBounds)+1), phases: map[string][2]int64{}}
 }
 
-// id builds the identity key. Label pairs are part of the identity in the
-// order given; instrumentation sites use one fixed order per name.
-func id(name string, labels []string) string {
-	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("metrics: instrument %q: odd label list %q (want key, value pairs)", name, labels))
+// Fold returns the snapshot of a registry fed rounds in order — what the
+// live registry of the run that recorded them holds.
+func Fold(rounds []trace.Round) []Sample {
+	r := New()
+	for _, rd := range rounds {
+		r.Add(rd)
 	}
-	if len(labels) == 0 {
-		return name
-	}
-	return name + "\x00" + strings.Join(labels, "\x00")
+	return r.Snapshot()
 }
 
-// lookup returns the instrument of the identity, creating it via mk on first
-// use and panicking when the identity is already registered as another kind.
-func (r *Registry) lookup(kind, name string, labels []string, mk func() *instrument) *instrument {
-	key := id(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in, ok := r.byID[key]; ok {
-		if in.kind != kind {
-			panic(fmt.Sprintf("metrics: instrument %q registered as %s, requested as %s", name, in.kind, kind))
+// Add folds one round record in; its per-slot vectors are only read.
+func (r *Registry) Add(rd trace.Round) {
+	r.timeCounts[sort.SearchFloat64s(roundTimeBounds, rd.Makespan)]++ // first bound >= the value
+	r.timeSum += rd.Makespan
+	r.timeN++
+	p := r.phases[rd.Phase]
+	p[0] += rd.Words
+	if rd.Kind == trace.KindExchange {
+		r.rounds++
+		p[1]++
+		if rd.Messages == 0 {
+			r.silent++
 		}
-		return in
 	}
-	in := mk()
-	in.name, in.kind = name, kind
-	in.labels = append([]string(nil), labels...)
-	r.byID[key] = in
-	r.ins = append(r.ins, in)
-	return in
-}
+	r.phases[rd.Phase] = p
+	r.messages += int64(rd.Messages)
+	r.words += rd.Words
+	r.specWords += rd.SpecWords
+	r.checkpoints += int64(rd.Checkpoints)
+	r.replicationWords += rd.ReplicationWords
+	r.recoveryRounds += int64(rd.RecoveryRounds)
+	r.replayRounds += int64(rd.ReplayRounds)
 
-// Counter returns the counter of name with the given ordered label pairs,
-// registering it on first use. Nil-safe: a nil registry returns a nil
-// counter, whose methods are no-ops.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
-	if r == nil {
-		return nil
+	slots := max(len(rd.SendWords), len(rd.RecvWords), len(rd.Busy))
+	if rd.Crashes > 0 {
+		slots = max(slots, 2+rd.Victim)
 	}
-	return r.lookup(KindCounter, name, labels, func() *instrument {
-		return &instrument{c: &Counter{}}
-	}).c
-}
-
-// Gauge returns the gauge of name with the given ordered label pairs,
-// registering it on first use. Nil-safe like Counter.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
+	if grow := slots - len(r.send); grow > 0 {
+		r.send = append(r.send, make([]int64, grow)...)
+		r.recv = append(r.recv, make([]int64, grow)...)
+		r.crashes = append(r.crashes, make([]int64, grow)...)
+		r.busy = append(r.busy, make([]float64, grow)...)
 	}
-	return r.lookup(KindGauge, name, labels, func() *instrument {
-		return &instrument{g: &Gauge{}}
-	}).g
-}
-
-// Histogram returns the fixed-bucket histogram of name with the given
-// ordered label pairs, registering it with the bounds on first use (later
-// calls reuse the registered bounds and ignore the argument). Nil-safe like
-// Counter.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
-	if r == nil {
-		return nil
+	for s, w := range rd.SendWords {
+		r.send[s] += int64(w)
 	}
-	return r.lookup(KindHistogram, name, labels, func() *instrument {
-		b := append([]float64(nil), bounds...)
-		if !sort.Float64sAreSorted(b) {
-			panic(fmt.Sprintf("metrics: histogram %q: bounds %v not ascending", name, bounds))
-		}
-		return &instrument{h: &Histogram{bounds: b, counts: make([]int64, len(b)+1)}}
-	}).h
+	for s, w := range rd.RecvWords {
+		r.recv[s] += int64(w)
+	}
+	for s, t := range rd.Busy {
+		r.busy[s] += t
+	}
+	if rd.Crashes > 0 {
+		r.crashes[1+rd.Victim] += int64(rd.Crashes)
+	}
 }
 
 // Bucket is one histogram bucket of a snapshot: the count of observations
@@ -267,50 +150,62 @@ type Sample struct {
 	Buckets []Bucket          `json:"buckets,omitempty"` // histogram
 }
 
-// Snapshot renders every instrument, sorted by name then labels, so a
-// deterministic run exports byte-identical JSON. Nil-safe: a nil registry
+// Snapshot renders every instrument, sorted by name then labels: the
+// per-machine families cover every slot a record carried, the per-phase
+// ones every span path a record was charged under. A nil registry
 // snapshots empty.
 func (r *Registry) Snapshot() []Sample {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	ins := append([]*instrument(nil), r.ins...)
-	r.mu.Unlock()
-	sort.SliceStable(ins, func(a, b int) bool {
-		if ins[a].name != ins[b].name {
-			return ins[a].name < ins[b].name
-		}
-		return strings.Join(ins[a].labels, "\x00") < strings.Join(ins[b].labels, "\x00")
-	})
-	out := make([]Sample, 0, len(ins))
-	for _, in := range ins {
-		s := Sample{Name: in.name, Kind: in.kind}
-		if len(in.labels) > 0 {
-			s.Labels = make(map[string]string, len(in.labels)/2)
-			for i := 0; i+1 < len(in.labels); i += 2 {
-				s.Labels[in.labels[i]] = in.labels[i+1]
-			}
-		}
-		switch in.kind {
-		case KindCounter:
-			s.Value = in.c.Value()
-		case KindGauge:
-			s.Gauge = in.g.Value()
-		case KindHistogram:
-			s.Sum, s.Count = in.h.sum, in.h.n
-			s.Buckets = make([]Bucket, len(in.h.counts))
-			for i, c := range in.h.counts {
-				if i < len(in.h.bounds) {
-					le := in.h.bounds[i]
-					s.Buckets[i] = Bucket{Le: &le, Count: c}
-				} else {
-					s.Buckets[i] = Bucket{Count: c}
-				}
-			}
+	var out []Sample
+	emit := func(s Sample, label ...string) {
+		if len(label) == 2 {
+			s.Labels = map[string]string{label[0]: label[1]}
 		}
 		out = append(out, s)
 	}
+	counter := func(name string, v int64) Sample { return Sample{Name: name, Kind: KindCounter, Value: v} }
+	emit(counter("mpc_rounds_total", r.rounds))
+	emit(counter("mpc_silent_rounds_total", r.silent))
+	emit(counter("mpc_messages_total", r.messages))
+	emit(counter("mpc_words_total", r.words))
+	emit(counter("mpc_speculation_words_total", r.specWords))
+	emit(counter("fault_checkpoints_total", r.checkpoints))
+	emit(counter("fault_replication_words_total", r.replicationWords))
+	emit(counter("fault_recovery_rounds_total", r.recoveryRounds))
+	emit(counter("fault_replay_rounds_total", r.replayRounds))
+	emit(Sample{Name: "mpc_makespan", Kind: KindGauge, Gauge: r.timeSum})
+	rt := Sample{Name: "mpc_round_time", Kind: KindHistogram, Sum: r.timeSum, Count: r.timeN, Buckets: make([]Bucket, len(r.timeCounts))}
+	for i, c := range r.timeCounts {
+		rt.Buckets[i].Count = c
+		if i < len(roundTimeBounds) {
+			le := roundTimeBounds[i]
+			rt.Buckets[i].Le = &le
+		}
+	}
+	emit(rt)
+	for slot := range r.send {
+		m := trace.MachineName(trace.SlotMachine(slot))
+		emit(counter("mpc_send_words_total", r.send[slot]), "machine", m)
+		emit(counter("mpc_recv_words_total", r.recv[slot]), "machine", m)
+		emit(Sample{Name: "mpc_busy_time", Kind: KindGauge, Gauge: r.busy[slot]}, "machine", m)
+		if slot > 0 {
+			emit(counter("fault_crashes_total", r.crashes[slot]), "machine", m)
+		}
+	}
+	for path, p := range r.phases {
+		out = append(out,
+			Sample{Name: "mpc_phase_words_total", Labels: map[string]string{"phase": path}, Kind: KindCounter, Value: p[0]},
+			Sample{Name: "mpc_phase_rounds_total", Labels: map[string]string{"phase": path}, Kind: KindCounter, Value: p[1]})
+	}
+	// A labelled family carries one label, machine or phase: the order is
+	// the name, then that label's value.
+	slices.SortFunc(out, func(a, b Sample) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Labels["machine"], b.Labels["machine"]),
+			strings.Compare(a.Labels["phase"], b.Labels["phase"]))
+	})
 	return out
 }
 

@@ -4,172 +4,167 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
+
+	"hetmpc/internal/trace"
 )
 
-// TestNilRegistryIsInert pins the zero-overhead contract: every constructor
-// on a nil registry returns nil, every instrument method on a nil receiver
-// is a no-op, and none of it allocates.
+// TestNilRegistryIsInert pins the zero-overhead contract: a nil registry
+// snapshots empty, and asking it to allocates nothing.
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("y")
-	h := r.Histogram("z", ExpBuckets(1, 2, 4))
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry handed out live instruments: %v %v %v", c, g, h)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		c.Add(3)
-		c.Inc()
-		g.Set(1.5)
-		h.Observe(2.5)
-		_ = c.Value()
-		_ = g.Value()
-		_ = h.Sum()
-		_ = h.Count()
-	})
-	if allocs != 0 {
-		t.Fatalf("nil instruments allocated %v per op, want 0", allocs)
-	}
 	if s := r.Snapshot(); s != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", s)
 	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Snapshot() }); allocs != 0 {
+		t.Fatalf("nil registry snapshot allocated %v per op, want 0", allocs)
+	}
 }
 
-// TestInstrumentIdentity: same name+labels returns the same instrument;
-// different labels (or label order) are distinct; kind mismatch panics.
-func TestInstrumentIdentity(t *testing.T) {
-	r := New()
-	a := r.Counter("words", "machine", "small-0")
-	b := r.Counter("words", "machine", "small-0")
-	if a != b {
-		t.Fatal("same identity returned distinct counters")
-	}
-	other := r.Counter("words", "machine", "small-1")
-	if a == other {
-		t.Fatal("distinct labels returned the same counter")
-	}
-	a.Add(5)
-	if other.Value() != 0 {
-		t.Fatal("label dimensions share state")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch did not panic")
+// value returns the sample of name carrying the label pair (label "" = the
+// unlabelled sample).
+func value(t *testing.T, samples []Sample, name, label, v string) Sample {
+	t.Helper()
+	for _, s := range samples {
+		if s.Name != name {
+			continue
 		}
-	}()
-	r.Gauge("words", "machine", "small-0")
+		if got, ok := s.Labels[label]; label == "" && len(s.Labels) == 0 || ok && got == v {
+			return s
+		}
+	}
+	t.Fatalf("snapshot lacks %s{%s=%q}", name, label, v)
+	return Sample{}
 }
 
-// TestHistogramBuckets pins the le (at-or-below) bucket semantics, the
-// overflow bucket, and the exact sum/count bookkeeping.
+// TestFoldInstruments: each instrument is its sum over the records — rounds
+// and the silent subset count exchange records only, words and makespan
+// every record, crashes land on the victim, and the per-machine families
+// cover every slot any record carried.
+func TestFoldInstruments(t *testing.T) {
+	s := Fold([]trace.Round{
+		{Kind: trace.KindExchange, Phase: "build", Messages: 3, Words: 5, Makespan: 3,
+			SendWords: []int{0, 2, 3}, RecvWords: []int{5, 0, 0}, Busy: []float64{1.5, 0, 2}},
+		{Kind: trace.KindExchange, Phase: "build", Makespan: 1},
+		{Kind: trace.KindCheckpoint, Phase: "query", Makespan: 4, Checkpoints: 1, ReplicationWords: 6,
+			Busy: []float64{0, 0.5, 0.5}},
+		{Kind: trace.KindRecovery, Makespan: 5, Crashes: 1, Victim: 1, RecoveryRounds: 3, ReplayRounds: 2,
+			Busy: []float64{0, 0, 1}},
+	})
+	for _, c := range []struct {
+		name, label, v string
+		want           int64
+	}{
+		{"mpc_rounds_total", "", "", 2},
+		{"mpc_silent_rounds_total", "", "", 1},
+		{"mpc_messages_total", "", "", 3},
+		{"mpc_words_total", "", "", 5},
+		{"fault_checkpoints_total", "", "", 1},
+		{"fault_replication_words_total", "", "", 6},
+		{"fault_recovery_rounds_total", "", "", 3},
+		{"fault_replay_rounds_total", "", "", 2},
+		{"fault_crashes_total", "machine", "small-1", 1},
+		{"fault_crashes_total", "machine", "small-0", 0},
+		{"mpc_send_words_total", "machine", "small-1", 3},
+		{"mpc_recv_words_total", "machine", "large", 5},
+		{"mpc_phase_rounds_total", "phase", "build", 2},
+		{"mpc_phase_rounds_total", "phase", "query", 0},
+		{"mpc_phase_words_total", "phase", "build", 5},
+		{"mpc_phase_rounds_total", "phase", "", 0},
+	} {
+		if got := value(t, s, c.name, c.label, c.v).Value; got != c.want {
+			t.Errorf("%s{%s=%q} = %d, want %d", c.name, c.label, c.v, got, c.want)
+		}
+	}
+	if got := value(t, s, "mpc_makespan", "", "").Gauge; got != 13 {
+		t.Errorf("mpc_makespan = %v, want 13 (every record's makespan)", got)
+	}
+	if got := value(t, s, "mpc_busy_time", "machine", "small-1").Gauge; got != 3.5 {
+		t.Errorf("mpc_busy_time{small-1} = %v, want 3.5", got)
+	}
+	for _, x := range s {
+		if x.Name == "fault_crashes_total" && x.Labels["machine"] == "large" {
+			t.Error("the large machine has a crash counter; only small machines crash")
+		}
+	}
+}
+
+// TestHistogramBuckets pins mpc_round_time's le (at-or-below) bucket
+// semantics, the overflow bucket, and the exact sum/count bookkeeping.
 func TestHistogramBuckets(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 1.5, 10, 99, 100, 1e6} {
-		h.Observe(v)
+	var rounds []trace.Round
+	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 1e6} {
+		rounds = append(rounds, trace.Round{Kind: trace.KindExchange, Makespan: v})
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count %d, want 7", h.Count())
+	h := value(t, Fold(rounds), "mpc_round_time", "", "")
+	if h.Kind != KindHistogram || h.Count != 6 || h.Sum != 0.5+1+1.5+2+3+1e6 {
+		t.Fatalf("histogram %+v", h)
 	}
-	want := 0.5 + 1 + 1.5 + 10 + 99 + 100 + 1e6
-	if h.Sum() != want {
-		t.Fatalf("sum %v, want %v", h.Sum(), want)
+	if len(h.Buckets) != 21 || h.Buckets[20].Le != nil {
+		t.Fatalf("want 20 bounds and a bare overflow bucket, got %d buckets", len(h.Buckets))
 	}
-	s := r.Snapshot()
-	if len(s) != 1 || s[0].Kind != KindHistogram {
-		t.Fatalf("snapshot %+v", s)
-	}
-	counts := []int64{2, 2, 2, 1} // le-1: {0.5, 1}; le-10: {1.5, 10}; le-100: {99, 100}; +Inf: {1e6}
-	for i, b := range s[0].Buckets {
+	counts := map[int]int64{0: 2, 1: 2, 2: 1, 20: 1} // le-1: {0.5, 1}; le-2: {1.5, 2}; le-4: {3}; +Inf: {1e6}
+	for i, b := range h.Buckets {
 		if b.Count != counts[i] {
-			t.Fatalf("bucket %d count %d, want %d (%+v)", i, b.Count, counts[i], s[0].Buckets)
+			t.Fatalf("bucket %d (le %v) count %d, want %d", i, b.Le, b.Count, counts[i])
 		}
 	}
-	if s[0].Buckets[3].Le != nil {
-		t.Fatal("overflow bucket carries a bound")
-	}
 }
 
-// TestCounterConcurrency: counters take concurrent adds without loss (the
-// wire transports update per-link counters from the drain goroutine and the
-// writer at once).
-func TestCounterConcurrency(t *testing.T) {
-	r := New()
-	c := r.Counter("bytes", "link", "large")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(2)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 16000 {
-		t.Fatalf("concurrent adds lost updates: %d, want 16000", got)
-	}
-}
-
-// TestSnapshotDeterministic: registration order does not leak into the
-// snapshot — it is sorted by name then labels — and WriteJSON is
-// byte-deterministic with the schema header.
+// TestSnapshotDeterministic: the snapshot is sorted by name then label —
+// machine labels compare as strings, so small-10 precedes small-2 — and
+// folding the same records twice writes the same bytes under the schema
+// header.
 func TestSnapshotDeterministic(t *testing.T) {
-	build := func(order []int) *Registry {
-		r := New()
-		names := []struct{ name, k, v string }{
-			{"zz", "", ""},
-			{"aa", "machine", "small-1"},
-			{"aa", "machine", "small-0"},
-		}
-		for _, i := range order {
-			n := names[i]
-			if n.k == "" {
-				r.Counter(n.name).Add(int64(i))
-			} else {
-				r.Counter(n.name, n.k, n.v).Add(int64(i))
-			}
-		}
-		return r
+	busy := make([]float64, 12)
+	rounds := []trace.Round{
+		{Kind: trace.KindExchange, Phase: "zz", Busy: busy},
+		{Kind: trace.KindExchange, Phase: "aa", Busy: busy},
 	}
 	var bufA, bufB bytes.Buffer
-	if err := build([]int{0, 1, 2}).WriteJSON(&bufA); err != nil {
+	if err := WriteSamples(&bufA, Fold(rounds)); err != nil {
 		t.Fatal(err)
 	}
-	if err := build([]int{2, 1, 0}).WriteJSON(&bufB); err != nil {
+	if err := WriteSamples(&bufB, Fold(rounds)); err != nil {
 		t.Fatal(err)
 	}
-	// Same instruments, different registration order and values: structure
-	// (name order) must match; compare the name sequences.
-	var a, b struct {
+	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
+		t.Fatal("the same records wrote different bytes")
+	}
+	var file struct {
 		Schema  int      `json:"schema"`
 		Metrics []Sample `json:"metrics"`
 	}
-	if err := json.Unmarshal(bufA.Bytes(), &a); err != nil {
+	if err := json.Unmarshal(bufA.Bytes(), &file); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(bufB.Bytes(), &b); err != nil {
-		t.Fatal(err)
+	if file.Schema != SchemaVersion {
+		t.Fatalf("schema %d, want %d", file.Schema, SchemaVersion)
 	}
-	if a.Schema != SchemaVersion {
-		t.Fatalf("schema %d, want %d", a.Schema, SchemaVersion)
+	var order []string
+	for _, s := range file.Metrics {
+		key := s.Name
+		for _, l := range []string{"machine", "phase"} {
+			if v, ok := s.Labels[l]; ok {
+				key += "\x00" + l + "\x00" + v
+			}
+		}
+		order = append(order, key)
 	}
-	for i := range a.Metrics {
-		if a.Metrics[i].Name != b.Metrics[i].Name || a.Metrics[i].Labels["machine"] != b.Metrics[i].Labels["machine"] {
-			t.Fatalf("snapshot order depends on registration order:\n%v\n%v", a.Metrics, b.Metrics)
+	for i := 1; i < len(order); i++ {
+		if order[i-1] >= order[i] {
+			t.Fatalf("snapshot not sorted at %d: %q then %q", i, order[i-1], order[i])
 		}
 	}
-	wantOrder := []string{"aa", "aa", "zz"}
-	for i, s := range a.Metrics {
-		if s.Name != wantOrder[i] {
-			t.Fatalf("snapshot not sorted: %v", a.Metrics)
+	want := []string{"large", "small-0", "small-1", "small-10", "small-2"}
+	var got []string
+	for _, s := range file.Metrics {
+		if s.Name == "mpc_busy_time" && len(got) < len(want) {
+			got = append(got, s.Labels["machine"])
 		}
 	}
-	if a.Metrics[0].Labels["machine"] != "small-0" {
-		t.Fatalf("labels not sorted within a name: %v", a.Metrics)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("machine label order %v, want %v", got, want)
 	}
 }
 

@@ -6,8 +6,8 @@ import "hetmpc/internal/trace"
 // exchange round, a silent round, a checkpoint barrier, one victim's crash
 // recovery — and each prices its contribution into one trace.Round value
 // and hands it to charge, the only place a contribution is accounted.
-// Stats, the trace timeline and the registry are folds of that one sequence
-// of records, so they cannot disagree.
+// Stats, the trace timeline and the metrics snapshot are folds of that one
+// sequence of records, so they cannot disagree.
 //
 // What is not a contribution stays outside the record: Stats.Rounds and
 // Stats.WireBytes advance inside Exchange before a round can fail (a
@@ -28,8 +28,8 @@ func (c *Cluster) charge(r trace.Round) {
 	if c.tr != nil {
 		c.tr.Add(r)
 	}
-	if c.mx != nil {
-		c.meter(r)
+	if c.cfg.Metrics != nil {
+		c.cfg.Metrics.Add(r)
 	}
 	// Adaptive placement's snapshot-and-switch (DESIGN.md §10): the shares
 	// are swapped at the barrier, so every placement decision inside a round

@@ -9,12 +9,12 @@ import (
 )
 
 // TestNilMetricsZeroAlloc pins the nil-registry contract at the allocation
-// level: charge skips the registry fold when c.mx is nil, so a cluster
-// built without Config.Metrics allocates exactly what the pre-metrics engine
+// level: charge skips the registry fold when Config.Metrics is nil, so a
+// cluster built without it allocates exactly what the pre-metrics engine
 // did. The absolute counts below are the engine's own steady-state
 // allocations (the returned inbox slices) measured before the metrics hooks
-// existed; a guard that slips — building a label slice or boxing a value
-// before the nil check — shows up here as a count bump.
+// existed; a guard that slips — boxing the record before the nil check —
+// shows up here as a count bump.
 func TestNilMetricsZeroAlloc(t *testing.T) {
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1})
 	outs := ringRound(c, 2)
@@ -32,10 +32,9 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 		t.Errorf("unmetered silent round allocates %v, want the pre-metrics 1", got)
 	}
 
-	// The metered silent path uses only bound instruments (the phase
-	// counters are re-resolved only when the span path changes), so it must
-	// allocate exactly as much as the unmetered one — the cheap proof that
-	// the prebinding strategy works.
+	// Folding a record into totals the registry already holds (its phase
+	// and machines were seen before) allocates nothing, so the metered
+	// silent round must allocate exactly as much as the unmetered one.
 	cm := newTest(t, Config{N: 64, M: 256, Seed: 1, Metrics: metrics.New()})
 	for i := 0; i < 5; i++ {
 		if _, _, err := cm.Exchange(nil, nil); err != nil {
@@ -43,13 +42,13 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 		}
 	}
 	if got := testing.AllocsPerRun(100, func() { cm.Exchange(nil, nil) }); got != 1 {
-		t.Errorf("metered silent round allocates %v, want 1 (prebound instruments only)", got)
+		t.Errorf("metered silent round allocates %v, want 1 (the fold adds to known totals)", got)
 	}
 }
 
 // BenchmarkExchangeNilMetrics / BenchmarkExchangeMetered measure the
 // per-round cost of the registry fold: the nil case is the engine baseline,
-// the metered case carries the bound-instrument updates. The K axis is the
+// the metered case adds one record fold a round. The K axis is the
 // Exchange rung of the scaling ladder: a ring round moves one message per
 // machine, so ns/op over K is the engine's per-machine constant.
 func benchmarkExchange(b *testing.B, newReg func() *metrics.Registry) {

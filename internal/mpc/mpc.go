@@ -121,14 +121,14 @@ type Config struct {
 	// release it with Cluster.Close.
 	Transport wire.Transport
 
-	// Metrics, when non-nil, publishes the engine's aggregate instruments
-	// (DESIGN.md §12): per-machine word counters, round-time and inbox-size
-	// histograms, per-link wire counters, fault and placement-estimator
-	// activity. Like Trace, metrics observe and never perturb — a metered
-	// run's Stats are bit-identical to the same run unmetered — and nil is
-	// the zero-overhead path (no atomics, no allocations). One registry may
-	// be shared across clusters; counters accumulate for the registry's
-	// lifetime and are not rebased by ResetStats.
+	// Metrics, when non-nil, folds every ledger record into the run's
+	// metrics snapshot (DESIGN.md §12): run-wide, per-machine and per-phase
+	// word and round counters, the round-time histogram and the fault
+	// counters — metrics.Fold of the trace timeline, kept live. Like Trace,
+	// metrics observe and never perturb — a metered run's Stats are
+	// bit-identical to the same run unmetered — and nil is the zero-overhead
+	// path. One registry may serve clusters run one after another; it then
+	// sums all of their records, and ResetStats does not rebase it.
 	Metrics *metrics.Registry
 
 	// Trace, when non-nil, collects the structured per-round timeline
@@ -262,10 +262,6 @@ type Cluster struct {
 	// internal/trace).
 	tr *trace.Collector
 
-	// Prebound metrics instruments (nil = unmetered; see Config.Metrics and
-	// metrics.go).
-	mx *clusterMetrics
-
 	// Open phase spans (span.go; tracked only under a collector or registry):
 	// the "/"-joined path, and its length at each open depth.
 	phase    string
@@ -326,7 +322,6 @@ func New(cfg Config) (*Cluster, error) {
 		largeRng: xrand.New(xrand.Split(cfg.Seed, 0)),
 		exch:     newExchScratch(k),
 		tr:       cfg.Trace,
-		mx:       newClusterMetrics(cfg.Metrics, k),
 	}
 	for i := range c.rngs {
 		c.rngs[i] = xrand.New(xrand.Split(cfg.Seed, uint64(i)+1))
@@ -477,6 +472,10 @@ func (c *Cluster) Seed() uint64 { return c.cfg.Seed }
 
 // Stats returns the accumulated run metrics.
 func (c *Cluster) Stats() Stats { return c.stats }
+
+// Metrics returns the cluster's metrics registry (Config.Metrics), nil when
+// the run is unmetered.
+func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
 
 // Rounds returns the number of communication rounds executed so far.
 func (c *Cluster) Rounds() int { return c.stats.Rounds }

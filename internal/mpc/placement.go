@@ -79,7 +79,6 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 			return fmt.Errorf("mpc: placement %s: %w", pol.Name(), err)
 		}
 		c.est = est
-		c.est.SetMetrics(c.cfg.Metrics)
 	}
 	if c.specR > c.k/2 {
 		// Every victim needs a distinct partner outside the slow set. The

@@ -29,7 +29,7 @@ type Span struct {
 // path every record charged before End is stamped with.
 func (c *Cluster) Span(name string) *Span {
 	s := &Span{c: c, before: c.stats}
-	if c.tr != nil || c.mx != nil {
+	if c.tr != nil || c.cfg.Metrics != nil {
 		s.depth = len(c.spanEnds)
 		if c.phase != "" {
 			c.phase += "/"

@@ -3,7 +3,6 @@ package mpc
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hetmpc/internal/wire"
 )
@@ -40,11 +39,6 @@ type wireNet struct {
 	rerr    []error        // per slot, reader error of the round
 	bytes   []int64        // per slot, cumulative bytes written
 	broken  error          // sticky: first transport failure; later rounds fail fast
-
-	// mx mirrors the cluster's prebound instruments (nil = unmetered): the
-	// links are wrapped with wire.InstrumentLink at open, and deliverWire
-	// publishes frame counts and encode/decode wall-clock time.
-	mx *clusterMetrics
 }
 
 // active reports whether delivery goes over links (false before Open and
@@ -69,11 +63,6 @@ func (wn *wireNet) open(slots int) error {
 	if len(links) != slots {
 		wn.broken = fmt.Errorf("mpc: transport %q opened %d links, want %d: %w", wn.tr.Name(), len(links), slots, wire.ErrTransport)
 		return wn.broken
-	}
-	if wn.mx != nil {
-		for i := range links {
-			links[i] = wire.InstrumentLink(links[i], wn.mx.reg)
-		}
 	}
 	wn.links = links
 	wn.bufs = make([][]byte, slots)
@@ -124,23 +113,8 @@ func (c *Cluster) deliverWire(flat []Msg) (int64, error) {
 		wn.refs[slot] = wn.refs[slot][:0]
 		wn.werr[slot], wn.rerr[slot] = nil, nil
 	}
-	var encStart time.Time
-	if wn.mx != nil {
-		encStart = time.Now() //hetlint:nondet wall-clock encode metering feeds the wire metrics only; Stats and traces use model time
-	}
 	if err := wn.encodeRound(sc.senders); err != nil {
 		return 0, err
-	}
-
-	if wn.mx != nil {
-		wn.mx.encodeNs.Add(time.Since(encStart).Nanoseconds()) //hetlint:nondet wall-clock encode metering feeds the wire metrics only
-		// Frames per destination link: exactly the messages the count pass
-		// counted for that slot (one frame per message on the wire).
-		for slot := range wn.links {
-			if n := sc.recvCount[slot]; n > 0 {
-				wn.mx.frames[slot].Add(int64(n))
-			}
-		}
 	}
 
 	// One drain goroutine, started before the first Write (a Write into a
@@ -235,18 +209,9 @@ func (wn *wireNet) drain(sc *exchScratch, flat []Msg) {
 		if n == 0 {
 			continue
 		}
-		// Decode time is the slot's whole drain, including time blocked
-		// waiting for bytes.
-		var t0 time.Time
-		if wn.mx != nil {
-			t0 = time.Now() //hetlint:nondet wall-clock decode metering feeds the wire metrics only; Stats and traces use model time
-		}
 		if err := wn.readInto(slot, n, sc.slotBase[slot], flat); err != nil {
 			wn.fail(slot, wn.rerr, err)
 			wn.dec.Drop()
-		}
-		if wn.mx != nil {
-			wn.mx.decodeNs[slot].Add(time.Since(t0).Nanoseconds()) //hetlint:nondet wall-clock decode metering feeds the wire metrics only
 		}
 	}
 }
@@ -285,7 +250,7 @@ func (c *Cluster) applyTransport(tr wire.Transport) {
 	if tr == nil {
 		return
 	}
-	c.wn = &wireNet{tr: tr, mx: c.mx}
+	c.wn = &wireNet{tr: tr}
 }
 
 // Transport returns the cluster's transport, nil for the in-process

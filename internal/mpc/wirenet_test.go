@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hetmpc/internal/metrics"
 	"hetmpc/internal/wire"
 )
 
@@ -245,9 +244,21 @@ func TestWireTrailingBytesFailTheRound(t *testing.T) {
 func TestWireReadsPerRound(t *testing.T) {
 	for _, name := range []string{"pipe", "tcp"} {
 		t.Run(name, func(t *testing.T) {
-			reg := metrics.New()
-			c := newTest(t, Config{N: 1024, M: 8192, Seed: 5, Metrics: reg, Transport: transports()[name]()})
+			tr := &countingTransport{Transport: transports()[name]()}
+			c := newTest(t, Config{N: 1024, M: 8192, Seed: 5, Transport: tr})
 			defer c.Close()
+			frames := make([]int, c.K()+1)
+			exchange := func(outs [][]Msg) {
+				t.Helper()
+				ins, inLarge, err := c.Exchange(outs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames[0] += len(inLarge)
+				for i, in := range ins {
+					frames[1+i] += len(in)
+				}
+			}
 			// Every machine sends one small frame to each of small-0..3 and
 			// to the large machine: K ≥ 64 frames per receiving link.
 			receivers := []int{Large, 0, 1, 2, 3}
@@ -262,38 +273,68 @@ func TestWireReadsPerRound(t *testing.T) {
 			}
 			const rounds = 3
 			for r := 0; r < rounds; r++ {
-				if _, _, err := c.Exchange(outs, nil); err != nil {
-					t.Fatal(err)
-				}
+				exchange(outs)
 			}
 			// One more round with traffic for small-0 only.
 			only0 := make([][]Msg, c.K())
 			for i := range only0 {
 				only0[i] = []Msg{{To: 0, Words: 1, Data: int64(i)}}
 			}
-			if _, _, err := c.Exchange(only0, nil); err != nil {
-				t.Fatal(err)
-			}
+			exchange(only0)
 			for slot := 0; slot <= c.K(); slot++ {
 				link := wire.LinkName(slot)
-				frames := counterValue(reg, "wire_link_frames_total", "link", link)
-				reads := counterValue(reg, "wire_link_reads_total", "link", link)
-				writes := counterValue(reg, "wire_link_writes_total", "link", link)
-				wantWrites, wantFrames := int64(0), int64(0)
+				reads, writes := tr.reads[slot], tr.writes[slot]
+				wantWrites, wantFrames := 0, 0
 				switch {
 				case slot == machineSlot(0):
-					wantWrites, wantFrames = rounds+1, int64((rounds+1)*c.K())
+					wantWrites, wantFrames = rounds+1, (rounds+1)*c.K()
 				case slot <= machineSlot(3):
-					wantWrites, wantFrames = rounds, int64(rounds*c.K())
+					wantWrites, wantFrames = rounds, rounds*c.K()
 				}
-				if frames != wantFrames || writes != wantWrites {
+				if frames[slot] != wantFrames || writes != wantWrites {
 					t.Errorf("%s: %d frames in %d writes, want %d in %d (one Write per round with traffic)",
-						link, frames, writes, wantFrames, wantWrites)
+						link, frames[slot], writes, wantFrames, wantWrites)
 				}
-				if reads > frames/8 {
-					t.Errorf("%s: %d reads for %d frames, want at most one per 8 frames", link, reads, frames)
+				if reads > frames[slot]/8 {
+					t.Errorf("%s: %d reads for %d frames, want at most one per 8 frames", link, reads, frames[slot])
 				}
 			}
 		})
 	}
+}
+
+// countingTransport counts the Read and Write calls on each of its
+// transport's links: one read(2) or write(2) each on the socket transports.
+// Reads run on the round's drain goroutine and writes on the caller; both
+// are read only after Exchange has joined the drain.
+type countingTransport struct {
+	wire.Transport
+	reads, writes []int // per slot
+}
+
+func (t *countingTransport) Open(slots int) ([]wire.Link, error) {
+	links, err := t.Transport.Open(slots)
+	if err != nil || links == nil {
+		return links, err
+	}
+	t.reads, t.writes = make([]int, slots), make([]int, slots)
+	for i, l := range links {
+		links[i] = countingLink{l, &t.reads[i], &t.writes[i]}
+	}
+	return links, nil
+}
+
+type countingLink struct {
+	wire.Link
+	reads, writes *int
+}
+
+func (l countingLink) Read(p []byte) (int, error) {
+	*l.reads++
+	return l.Link.Read(p)
+}
+
+func (l countingLink) Write(p []byte) (int, error) {
+	*l.writes++
+	return l.Link.Write(p)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 
-	"hetmpc/internal/metrics"
 	"hetmpc/internal/trace"
 )
 
@@ -105,25 +104,6 @@ type Estimator struct {
 	declared []float64 // declared per-word costs; the Reset target
 	est      []float64 // EWMA per-word cost estimate, per small machine
 	rounds   int       // observations folded in since the last Reset
-
-	// Observability instruments (SetMetrics); nil = unmetered, the
-	// zero-overhead default.
-	resplits *metrics.Counter
-	estDelta *metrics.Histogram
-}
-
-// SetMetrics publishes the estimator's activity through reg:
-// sched_resplits_total counts share recomputations (every Shares call — one
-// per observed round at the simulator's barrier, plus resets), and the
-// sched_estimate_delta histogram records |measured − estimate| per machine
-// per observation, the convergence signal of the EWMA. A nil reg leaves the
-// estimator unmetered; the estimate arithmetic is identical either way.
-func (e *Estimator) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	e.resplits = reg.Counter("sched_resplits_total")
-	e.estDelta = reg.Histogram("sched_estimate_delta", metrics.ExpBuckets(1e-3, 10, 8))
 }
 
 // K returns the number of machines the estimator tracks.
@@ -187,7 +167,6 @@ func (e *Estimator) Observe(r trace.Round) {
 			continue
 		}
 		measured := r.Busy[slot] / float64(w)
-		e.estDelta.Observe(math.Abs(measured - e.est[i]))
 		e.est[i] += e.alpha * (measured - e.est[i])
 		observed = true
 	}
@@ -205,7 +184,6 @@ func (e *Estimator) Observe(r trace.Round) {
 // barrier); otherwise a fresh slice is returned. Observe keeps every
 // estimate positive and finite, so recomputation cannot fail.
 func (e *Estimator) Shares(dst []float64) []float64 {
-	e.resplits.Inc()
 	shares, err := throughputShares(Machines{CapShare: e.capShare, InvCost: e.est}, dst)
 	if err != nil {
 		// Unreachable through Observe/SetEstimate, which guard positivity;

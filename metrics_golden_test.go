@@ -1,11 +1,25 @@
 package hetmpc_test
 
 import (
+	"bytes"
+	"os"
 	"runtime"
 	"testing"
 
 	"hetmpc"
 )
+
+// metricValue returns the unlabelled counter name of a snapshot.
+func metricValue(t *testing.T, snap []hetmpc.MetricSample, name string) int64 {
+	t.Helper()
+	for _, s := range snap {
+		if s.Name == name && len(s.Labels) == 0 {
+			return s.Value
+		}
+	}
+	t.Fatalf("snapshot lacks %s", name)
+	return 0
+}
 
 // TestMetricsObservationalGoldenAcrossGOMAXPROCS pins the Config.Metrics
 // analogue of the nil-collector trace guarantee at the facade level: a full
@@ -58,11 +72,74 @@ func TestMetricsObservationalGoldenAcrossGOMAXPROCS(t *testing.T) {
 		}
 		// Conservation at the facade: the registry's run-wide word counter
 		// is exactly Stats.TotalWords (fresh registry, single cluster).
-		if got := reg.Counter("mpc_words_total").Value(); got != metered.TotalWords {
+		if got := metricValue(t, reg.Snapshot(), "mpc_words_total"); got != metered.TotalWords {
 			t.Fatalf("GOMAXPROCS=%d: mpc_words_total = %d, Stats.TotalWords = %d", procs, got, metered.TotalWords)
 		}
 	}
 	if golden.Crashes == 0 || golden.Checkpoints == 0 {
 		t.Fatalf("fault plan exercised no recovery: %+v", golden)
+	}
+}
+
+// metricsSnapshot runs MST on a fresh 16-machine straggler cluster under a
+// checkpointed crash plan and adaptive:0.5 placement, and returns the
+// registry's snapshot as the -metrics file would hold it.
+func metricsSnapshot(t *testing.T, tr hetmpc.Transport) []byte {
+	t.Helper()
+	g := hetmpc.ConnectedGNM(512, 4096, 7, true)
+	plan := &hetmpc.FaultPlan{
+		Interval:  4,
+		CrashRate: 0.02,
+		Crashes:   []hetmpc.FaultCrash{{Round: 10, Machine: 2, RestartAfter: 1}},
+	}
+	reg := hetmpc.NewMetrics()
+	cfg := hetmpc.Config{N: 512, M: 4096, K: 16, Seed: 7, Faults: plan, Metrics: reg, Transport: tr}
+	cfg.Profile = hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
+	cfg.Placement = hetmpc.AdaptivePlacement{Alpha: 0.5}
+	c, err := hetmpc.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := hetmpc.MST(c, g); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Crashes == 0 || st.Checkpoints == 0 {
+		t.Fatalf("fault plan exercised no recovery: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMetricsSnapshotGolden pins the -metrics file byte for byte. The golden
+// is the snapshot the live instrument registry wrote for this run, less the
+// instruments the record fold does not carry (the per-link wire_* family,
+// the estimator's sched_*, mpc_inbox_messages and the checkpointer's
+// fault_snapshots/snapshot_words/restores), so it shows that folding the
+// round records reproduces every instrument it kept.
+func TestMetricsSnapshotGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/metrics_mst_faulted.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricsSnapshot(t, nil); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot differs from testdata/metrics_mst_faulted.json:\n%s", got)
+	}
+}
+
+// TestMetricsSnapshotDeterministicOnPipe: the snapshot holds model
+// quantities only, so two runs over a real transport write the same bytes —
+// the in-process run's.
+func TestMetricsSnapshotDeterministicOnPipe(t *testing.T) {
+	a := metricsSnapshot(t, hetmpc.NewPipeTransport())
+	b := metricsSnapshot(t, hetmpc.NewPipeTransport())
+	if !bytes.Equal(a, b) {
+		t.Fatal("two identical pipe runs wrote different snapshots")
+	}
+	if !bytes.Equal(a, metricsSnapshot(t, nil)) {
+		t.Fatal("the pipe run's snapshot differs from the in-process run's")
 	}
 }
