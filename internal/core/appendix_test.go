@@ -145,6 +145,21 @@ func TestMISGolden(t *testing.T) {
 	}
 }
 
+// TestMatchingGolden pins Table 1's matching row — n=512, m=4096, seed 7 — to
+// the matching produced when phase 1's peel sorted its live endpoints four
+// times an iteration. A maximal matching has many valid answers, so only
+// the hash shows that one plan an iteration changes no edge.
+func TestMatchingGolden(t *testing.T) {
+	g := graph.ConnectedGNM(512, 4096, 7, false)
+	res := checkMatchingRun(t, g, 7)
+	h := fnv.New64a()
+	fmt.Fprint(h, res.Edges)
+	if len(res.Edges) != 248 || res.Phase1Iters != 2 || h.Sum64() != 0x3f9149da60cf2683 {
+		t.Fatalf("matching of %d edges after %d peel iterations, hash %#x; want the golden 248 after 2, 0x3f9149da60cf2683",
+			len(res.Edges), res.Phase1Iters, h.Sum64())
+	}
+}
+
 func TestMISIterationsLogLogDelta(t *testing.T) {
 	// Iterations must stay tiny and grow (at most) like log log Δ.
 	sparse := graph.GNM(256, 512, 1)

@@ -43,11 +43,15 @@ func lessMinEdge(a, b minEdgeVal) bool {
 // (the paper's Table 1 contrasts this O(log n) [5] against the heterogeneous
 // O(log log(m/n)) algorithm).
 //
-// Each phase: every component finds its minimum outgoing edge (Claim 2
-// aggregation under the unique-weight order); tail-flipping components
-// contract along that edge into head-flipping neighbors (coins from a shared
-// seed); labels update by dissemination. Every contraction edge is a true
-// minimum outgoing edge, so the output is exactly the MSF.
+// Each phase every component flips a coin from a shared seed, so every
+// machine knows every label's coin: a phase plans its machines' tail labels
+// once (prims.NewPlan), finds each tail component's minimum outgoing edge
+// over that plan (Claim 2 aggregation under the unique-weight order),
+// contracts it along that edge when the neighbor flipped head, and
+// disseminates the new labels over the same plan. Head components never
+// adopt, so their minimum edges are neither aggregated nor requested. Every
+// contraction edge is a true minimum outgoing edge, so the output is exactly
+// the MSF.
 func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 	sp := c.Span("baseline-mst")
 	n := g.N
@@ -90,31 +94,43 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		}
 		res.Phases++
 
-		// Minimum outgoing edge per component (both directions).
+		// Only a tail label can adopt, and every machine flips the coins
+		// itself: the phase's one plan is of the tail labels each machine
+		// holds, and only their minimum outgoing edges are aggregated.
+		labelNeeds := make([][]int64, kk)
 		items := make([][]prims.KV[minEdgeVal], kk)
 		c.Each(func(i int) {
+			ls := make([]int64, 0, 2*len(edges[i]))
 			items[i] = make([]prims.KV[minEdgeVal], 0, 2*len(edges[i]))
 			for _, e := range edges[i] {
 				if e.LU == e.LV {
 					continue
 				}
 				mv := minEdgeVal{W: e.W, OU: e.OU, OV: e.OV}
-				a := mv
-				a.OtherLabel = e.LV
-				b := mv
-				b.OtherLabel = e.LU
-				items[i] = append(items[i],
-					prims.KV[minEdgeVal]{K: e.LU, V: a},
-					prims.KV[minEdgeVal]{K: e.LV, V: b})
+				if !coin(phase, e.LU) {
+					mv.OtherLabel = e.LV
+					ls = append(ls, e.LU)
+					items[i] = append(items[i], prims.KV[minEdgeVal]{K: e.LU, V: mv})
+				}
+				if !coin(phase, e.LV) {
+					mv.OtherLabel = e.LU
+					ls = append(ls, e.LV)
+					items[i] = append(items[i], prims.KV[minEdgeVal]{K: e.LV, V: mv})
+				}
 			}
+			labelNeeds[i] = prims.DistinctInts(ls)
 		})
-		minRoots, _, err := prims.AggregateByKey(c, items, minEdgeWords,
+		plan, err := prims.NewPlan(c, labelNeeds)
+		if err != nil {
+			return nil, err
+		}
+		minRoots, err := prims.PlanCombine(c, plan, items, minEdgeWords,
 			func(a, b minEdgeVal) minEdgeVal {
 				if lessMinEdge(b, a) {
 					return b
 				}
 				return a
-			}, false)
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -124,22 +140,14 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		c.Each(func(i int) {
 			for _, root := range minRoots[i] {
 				mv := root.V
-				if !coin(phase, root.K) && coin(phase, mv.OtherLabel) {
+				if coin(phase, mv.OtherLabel) {
 					adoptions[i] = append(adoptions[i], prims.KV[int64]{K: root.K, V: mv.OtherLabel})
 					mstParts[i] = append(mstParts[i], graph.NewEdge(int(mv.OU), int(mv.OV), mv.W))
 				}
 			}
 		})
 		// Disseminate the adoption map to every machine holding the label.
-		labelNeeds := make([][]int64, kk)
-		c.Each(func(i int) {
-			ls := make([]int64, 0, 2*len(edges[i]))
-			for _, e := range edges[i] {
-				ls = append(ls, e.LU, e.LV)
-			}
-			labelNeeds[i] = prims.DistinctInts(ls)
-		})
-		maps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptions, nil, 1)
+		maps, err := prims.PlanBroadcast(c, plan, adoptions, nil, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,10 @@ type CCResult struct {
 //
 // Each phase, every current label flips a shared coin; a tail-labeled
 // component adopts the smallest head-labeled neighbor label. Coins come from
-// a broadcast shared seed, so they are locally computable everywhere.
+// a broadcast shared seed, so they are locally computable everywhere: a
+// phase plans only its machines' tail labels (prims.NewPlan), the only ones
+// that can adopt, and aggregates and disseminates the adoptions over that
+// one plan.
 func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 	sp := c.Span("baseline-cc")
 	n := g.N
@@ -82,6 +85,23 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		}
 		res.Phases++
 
+		// Only a tail label can adopt, and every machine flips the coins
+		// itself: the phase's one plan is of the tail labels each machine
+		// holds.
+		labelNeeds := make([][]int64, kk)
+		c.Each(func(i int) {
+			ls := make([]int64, 0, len(labels[i]))
+			for _, l := range labels[i] {
+				if !coin(phase, int(l)) {
+					ls = append(ls, l)
+				}
+			}
+			labelNeeds[i] = prims.DistinctInts(ls)
+		})
+		plan, err := prims.NewPlan(c, labelNeeds)
+		if err != nil {
+			return nil, err
+		}
 		// Tail labels adopt the smallest head neighbor label.
 		items := make([][]prims.KV[int64], kk)
 		c.Each(func(i int) {
@@ -98,26 +118,11 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 				}
 			}
 		})
-		adoptRoots, _, err := prims.AggregateByKey(c, items, 1,
-			func(a, b int64) int64 {
-				if a < b {
-					return a
-				}
-				return b
-			}, false)
+		adoptRoots, err := prims.PlanCombine(c, plan, items, 1, func(a, b int64) int64 { return min(a, b) })
 		if err != nil {
 			return nil, err
 		}
-		// Machines need the adoption mapping for every LABEL they hold.
-		labelNeeds := make([][]int64, kk)
-		c.Each(func(i int) {
-			ls := make([]int64, 0, len(labels[i]))
-			for _, l := range labels[i] {
-				ls = append(ls, l)
-			}
-			labelNeeds[i] = prims.DistinctInts(ls)
-		})
-		adoptMaps, err := prims.SegmentedBroadcast(c, labelNeeds, adoptRoots, nil, 1)
+		adoptMaps, err := prims.PlanBroadcast(c, plan, adoptRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

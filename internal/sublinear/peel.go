@@ -53,8 +53,9 @@ func lessRank(a, b rankVal) bool {
 // matching iff it holds the minimum rank at BOTH endpoints; endpoints of
 // matched edges die and their edges are dropped. The loop stops when the
 // number of live edges is at most stopRemaining (use 0 for a maximal
-// matching). Each iteration is O(1) rounds; the iteration count is
-// O(log Δ') w.h.p. where Δ' is the max degree of the input edges.
+// matching). Each iteration is O(1) rounds over one plan of its live
+// endpoints; the iteration count is O(log Δ') w.h.p. where Δ' is the max
+// degree of the input edges.
 //
 // Works on clusters with or without a large machine (the baseline regime
 // uses machine 0 as coordinator).
@@ -105,18 +106,23 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 					prims.KV[rankVal]{K: int64(e.V), V: rv})
 			}
 		})
-		minRoots, _, err := prims.AggregateByKey(c, items, rankValWords,
+		// Both aggregations and disseminations of the iteration are over the
+		// live endpoints: one plan serves all four.
+		plan, err := prims.NewPlan(c, prims.EndpointNeeds(live))
+		if err != nil {
+			return nil, err
+		}
+		minRoots, err := prims.PlanCombine(c, plan, items, rankValWords,
 			func(a, b rankVal) rankVal {
 				if lessRank(b, a) {
 					return b
 				}
 				return a
-			}, false)
+			})
 		if err != nil {
 			return nil, err
 		}
-		needs := prims.EndpointNeeds(live)
-		minMaps, err := prims.SegmentedBroadcast(c, needs, minRoots, nil, rankValWords)
+		minMaps, err := prims.PlanBroadcast(c, plan, minRoots, nil, rankValWords)
 		if err != nil {
 			return nil, err
 		}
@@ -136,12 +142,11 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 				}
 			}
 		})
-		deadRoots, _, err := prims.AggregateByKey(c, deadItems, 1,
-			func(a, b bool) bool { return a || b }, false)
+		deadRoots, err := prims.PlanCombine(c, plan, deadItems, 1, func(a, b bool) bool { return a || b })
 		if err != nil {
 			return nil, err
 		}
-		deadMaps, err := prims.SegmentedBroadcast(c, needs, deadRoots, nil, 1)
+		deadMaps, err := prims.PlanBroadcast(c, plan, deadRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}

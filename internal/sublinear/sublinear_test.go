@@ -1,6 +1,8 @@
 package sublinear
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -179,6 +181,48 @@ func TestBaselineSpannerRoundsGrowWithK(t *testing.T) {
 	}
 	if r2, r6 := roundsAt(2), roundsAt(6); r6 <= r2 {
 		t.Fatalf("rounds did not grow with k: k=2 -> %d, k=6 -> %d", r2, r6)
+	}
+}
+
+// TestBaselineMatchingGolden pins Table 1's sublinear matching row — n=512,
+// m=4096, seed 7 — to the matching produced when every peel iteration sorted
+// its live endpoints four times. A maximal matching has many valid answers,
+// so only the hash shows that one plan an iteration changes no edge.
+func TestBaselineMatchingGolden(t *testing.T) {
+	g := graph.ConnectedGNM(512, 4096, 7, false)
+	c := newBaselineCluster(t, g.N, g.M(), 7)
+	edges, res, err := MaximalMatching(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.CheckMatching(g, edges, true); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, edges)
+	if len(edges) != 246 || res.Iterations != 5 || h.Sum64() != 0xcb7f3c624bd48d9c {
+		t.Fatalf("matching of %d edges in %d iterations, hash %#x; want the golden 246 in 5, 0xcb7f3c624bd48d9c",
+			len(edges), res.Iterations, h.Sum64())
+	}
+}
+
+// TestBaselinePhasesGolden pins the phase counts of Table 1's sublinear
+// connectivity and MST rows — n=512, m=4096, seed 7. Their outputs are
+// unique, so a changed coin sequence shows only here: requesting a phase's
+// tail labels alone must flip the same coins.
+func TestBaselinePhasesGolden(t *testing.T) {
+	gU := graph.ConnectedGNM(512, 4096, 7, false)
+	cc, err := Connectivity(newBaselineCluster(t, gU.N, gU.M(), 7), gU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gW := graph.ConnectedGNM(512, 4096, 7, true)
+	mst, err := MST(newBaselineCluster(t, gW.N, gW.M(), 7), gW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.Phases != 13 || mst.Phases != 18 {
+		t.Fatalf("connectivity in %d phases, MST in %d; want the golden 13 and 18", cc.Phases, mst.Phases)
 	}
 }
 

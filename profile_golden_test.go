@@ -41,6 +41,11 @@ func commOf(s hetmpc.ClusterStats) comm {
 // re-captured once more when its sketch phase began sorting 2-word edge
 // incidences instead of aggregating partial sketches: the same 5 rounds,
 // −93 % words, max-recv (the gather at the large machine) untouched.
+// Matching's and baseline MST's were re-captured once more when the peel and
+// Borůvka began building one plan a phase (Borůvka's of its tail labels
+// only): one Sort a phase in place of four (the peel) or two (Borůvka), −10
+// and −19 rounds, with fewer messages and words and lower max-send and
+// max-recv.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -68,14 +73,14 @@ func TestUniformProfileGoldens(t *testing.T) {
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
-		}, comm{61, 88098, 550615, 16398, 25391}},
+		}, comm{51, 76475, 371359, 15940, 24758}},
 		{"baseline-mst", true, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.BaselineMST(c, gW)
 			if err == nil && r.Weight != 153235 {
 				t.Errorf("baseline mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{183, 157527, 1236939, 15912, 24212}},
+		}, comm{164, 94963, 470690, 9631, 13136}},
 	}
 
 	for _, tc := range cases {
