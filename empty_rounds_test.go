@@ -8,40 +8,50 @@ import (
 	"hetmpc"
 )
 
-// table1Summary runs the twelve Table-1 calls — six problems, sublinear
-// baseline and heterogeneous, n=512 m=4096 seed 7 — each on its own traced
-// cluster and returns the summary of the twelve timelines concatenated.
-func table1Summary(t *testing.T) *hetmpc.TraceSummary {
-	t.Helper()
+// table1Call is one of the twelve Table-1 calls: six problems, sublinear
+// baseline and heterogeneous, n=512 m=4096 seed 7. run returns the call's
+// output.
+type table1Call struct {
+	name    string
+	noLarge bool
+	run     func(c *hetmpc.Cluster) (any, error)
+}
+
+func table1Calls() []table1Call {
 	gU := hetmpc.ConnectedGNM(512, 4096, 7, false)
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	const spannerK = 3
-	calls := []struct {
-		name    string
-		noLarge bool
-		run     func(c *hetmpc.Cluster) error
-	}{
-		{"sublinear.cc", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineConnectivity(c, gU); return err }},
-		{"core.cc", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Connectivity(c, gU); return err }},
-		{"sublinear.mst", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineMST(c, gW); return err }},
-		{"core.mst", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MST(c, gW); return err }},
-		{"sublinear.spanner", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineSpanner(c, gU, spannerK); return err }},
-		{"core.spanner", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Spanner(c, gU, spannerK); return err }},
-		{"sublinear.coloring", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineColoring(c, gU); return err }},
-		{"core.coloring", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.Coloring(c, gU); return err }},
-		{"sublinear.mis", true, func(c *hetmpc.Cluster) error { _, err := hetmpc.BaselineMIS(c, gU); return err }},
-		{"core.mis", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MIS(c, gU); return err }},
-		{"sublinear.matching", true, func(c *hetmpc.Cluster) error { _, _, err := hetmpc.BaselineMatching(c, gU); return err }},
-		{"core.matching", false, func(c *hetmpc.Cluster) error { _, err := hetmpc.MaximalMatching(c, gU); return err }},
+	return []table1Call{
+		{"sublinear.cc", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineConnectivity(c, gU) }},
+		{"core.cc", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.Connectivity(c, gU) }},
+		{"sublinear.mst", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineMST(c, gW) }},
+		{"core.mst", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.MST(c, gW) }},
+		{"sublinear.spanner", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineSpanner(c, gU, spannerK) }},
+		{"core.spanner", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.Spanner(c, gU, spannerK) }},
+		{"sublinear.coloring", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineColoring(c, gU) }},
+		{"core.coloring", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.Coloring(c, gU) }},
+		{"sublinear.mis", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineMIS(c, gU) }},
+		{"core.mis", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.MIS(c, gU) }},
+		{"sublinear.matching", true, func(c *hetmpc.Cluster) (any, error) {
+			m, _, err := hetmpc.BaselineMatching(c, gU)
+			return m, err
+		}},
+		{"core.matching", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.MaximalMatching(c, gU) }},
 	}
+}
+
+// table1Summary runs the twelve Table-1 calls, each on its own traced
+// cluster, and returns the summary of the twelve timelines concatenated.
+func table1Summary(t *testing.T) *hetmpc.TraceSummary {
+	t.Helper()
 	var rounds []hetmpc.TraceRound
-	for _, call := range calls {
+	for _, call := range table1Calls() {
 		tr := hetmpc.NewTrace()
-		c, err := hetmpc.NewCluster(hetmpc.Config{N: gU.N, M: gU.M(), Seed: 7, NoLarge: call.noLarge, Trace: tr})
+		c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: 7, NoLarge: call.noLarge, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := call.run(c); err != nil {
+		if _, err := call.run(c); err != nil {
 			t.Fatalf("%s: %v", call.name, err)
 		}
 		rounds = append(rounds, tr.Rounds()...)

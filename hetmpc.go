@@ -43,8 +43,8 @@
 // The simulator also measures what fault tolerance costs a
 // Heterogeneous-MPC algorithm: Config.Faults takes a deterministic
 // FaultPlan (crash schedules, transient slowdown windows, a checkpoint
-// cadence; parser ParseFaultPlan), and the recovery engine replicates each
-// machine's registered state to a capacity-aware buddy and restores it on
+// cadence; parser ParseFaultPlan), and the recovery engine replicates the
+// words each machine holds to a capacity-aware buddy and restores them on
 // crashes — charging every replication and recovery action in words,
 // rounds and makespan (ClusterStats.Crashes, RecoveryRounds,
 // ReplicationWords, Checkpoints). Faults never change an algorithm's round
@@ -135,10 +135,6 @@ type (
 	FaultCrash = fault.Crash
 	// FaultSlowdown is a transient straggler window inside a FaultPlan.
 	FaultSlowdown = fault.Slowdown
-	// Checkpointer is implemented by a machine's algorithm state so the
-	// recovery engine can replicate and restore it
-	// (Cluster.SetCheckpointer).
-	Checkpointer = fault.Checkpointer
 	// Trace is the per-round trace collector (Config.Trace): with one
 	// attached, the simulator records every makespan contribution — tagged
 	// with the phase-span path (Cluster.Span) — without perturbing the run.
@@ -336,7 +332,8 @@ func NewMetrics() *Metrics { return metrics.New() }
 // ParseFaultPlan builds a fault plan from a CLI spec of +-joined clauses
 // ("ckpt:I", "crash:R:M[:K]", "rate:P[:SEED]", "slow:M:FROM:TO:FACTOR",
 // "restart:K") for a k-machine cluster. The empty spec and "none" return
-// nil (the reliable cluster).
+// nil (the reliable cluster); a repeated ckpt, rate or restart clause, or a
+// second crash of one machine at one round, is an error.
 func ParseFaultPlan(spec string, k int) (*FaultPlan, error) { return fault.ParsePlan(spec, k) }
 
 // NewGraph builds a graph from an edge list (canonicalized, deduplicated).

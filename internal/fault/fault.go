@@ -19,6 +19,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,6 +34,10 @@ type Crash struct {
 	Machine      int
 	RestartAfter int
 }
+
+// sameEvent reports whether two crashes fail the same machine at the same
+// round: CrashAt would see only the first, so a plan may hold one.
+func (cr Crash) sameEvent(o Crash) bool { return cr.Round == o.Round && cr.Machine == o.Machine }
 
 // Slowdown is a transient straggler window: small machine Machine runs
 // Factor× slower (per word it moves) during rounds From..To inclusive.
@@ -104,7 +109,10 @@ func (p *Plan) Validate(k int) error {
 	if p.RestartAfter < 0 {
 		return fmt.Errorf("fault: negative restart-after %d", p.RestartAfter)
 	}
-	for _, cr := range p.Crashes {
+	for i, cr := range p.Crashes {
+		if slices.ContainsFunc(p.Crashes[:i], cr.sameEvent) {
+			return fmt.Errorf("fault: machine %d crashes twice at round %d", cr.Machine, cr.Round)
+		}
 		if cr.Machine < 0 || cr.Machine >= k {
 			return fmt.Errorf("fault: crash machine %d outside cluster of K=%d", cr.Machine, k)
 		}
@@ -174,30 +182,6 @@ func (p *Plan) SlowFactor(round, machine int) float64 {
 // guard for the per-round makespan scan).
 func (p *Plan) HasSlowdowns() bool { return p != nil && len(p.Slowdowns) > 0 }
 
-// Checkpointer is implemented by one machine's algorithm state so the
-// recovery engine can replicate and restore it. Snapshot must return a deep
-// copy (the engine holds it across rounds while the live state mutates) and
-// its accounted size in words; Restore must reinstall a snapshot so that
-// the machine's subsequent execution is indistinguishable from never having
-// crashed. The engine only calls either between rounds, never concurrently
-// with local computation.
-type Checkpointer interface {
-	Snapshot() (data any, words int)
-	Restore(data any)
-}
-
-// Funcs adapts two closures to a Checkpointer.
-type Funcs struct {
-	SnapshotFn func() (any, int)
-	RestoreFn  func(any)
-}
-
-// Snapshot calls SnapshotFn.
-func (f Funcs) Snapshot() (any, int) { return f.SnapshotFn() }
-
-// Restore calls RestoreFn.
-func (f Funcs) Restore(data any) { f.RestoreFn(data) }
-
 // ParsePlan builds a fault plan for a k-machine cluster from a CLI spec of
 // `+`-joined clauses, mirroring mpc.ParseProfile:
 //
@@ -208,14 +192,21 @@ func (f Funcs) Restore(data any) { f.RestoreFn(data) }
 //	slow:M:FROM:TO:FACTOR     machine M runs FACTOR× slower in rounds FROM..TO
 //	restart:K                 downtime applied to rate-derived crashes
 //
-// e.g. "ckpt:8+crash:12:3" or "ckpt:16+rate:0.002+restart:2".
+// e.g. "ckpt:8+crash:12:3" or "ckpt:16+rate:0.002+restart:2". A repeated
+// ckpt, rate or restart clause, or crash of one machine at one round, is
+// refused by name; slow windows may repeat (overlapping windows multiply).
 func ParsePlan(spec string, k int) (*Plan, error) {
 	if spec == "" || spec == "none" {
 		return nil, nil
 	}
 	p := &Plan{Name: spec}
+	seen := map[string]bool{}
 	for _, clause := range strings.Split(spec, "+") {
 		parts := strings.Split(clause, ":")
+		if once := parts[0] == "ckpt" || parts[0] == "rate" || parts[0] == "restart"; once && seen[parts[0]] {
+			return nil, fmt.Errorf("fault: plan %q: clause %q repeats %s", spec, clause, parts[0])
+		}
+		seen[parts[0]] = true
 		args := make([]float64, 0, len(parts)-1)
 		for _, a := range parts[1:] {
 			v, err := strconv.ParseFloat(a, 64)
@@ -256,6 +247,9 @@ func ParsePlan(spec string, k int) (*Plan, error) {
 				if cr.RestartAfter, err = integral(2); err != nil {
 					return nil, err
 				}
+			}
+			if slices.ContainsFunc(p.Crashes, cr.sameEvent) {
+				return nil, fmt.Errorf("fault: plan %q: clause %q repeats the crash of machine %d at round %d", spec, clause, cr.Machine, cr.Round)
 			}
 			p.Crashes = append(p.Crashes, cr)
 		case "rate":

@@ -120,6 +120,7 @@ func TestValidate(t *testing.T) {
 		{"slow machine", Plan{Slowdowns: []Slowdown{{Machine: -1, From: 1, To: 2, Factor: 2}}}, "machine -1"},
 		{"slow window", Plan{Slowdowns: []Slowdown{{Machine: 0, From: 3, To: 1, Factor: 2}}}, "window"},
 		{"slow factor", Plan{Slowdowns: []Slowdown{{Machine: 0, From: 1, To: 2, Factor: 0.5}}}, "factor"},
+		{"duplicate crash", Plan{Crashes: []Crash{{Round: 3, Machine: 1}, {Round: 4, Machine: 1}, {Round: 3, Machine: 1, RestartAfter: 5}}}, "machine 1 crashes twice at round 3"},
 	}
 	for _, tc := range bad {
 		err := tc.p.Validate(4)
@@ -175,6 +176,40 @@ func TestParsePlan(t *testing.T) {
 	} {
 		if _, err := ParsePlan(bad, 8); err == nil {
 			t.Fatalf("spec %q accepted", bad)
+		}
+	}
+}
+
+// TestParsePlanRefusesRepeats: a clause that would silently override or
+// shadow an earlier one is refused, naming it — a second ckpt, rate or
+// restart used to win over the first, and a second crash of one machine at
+// one round lost to the first (CrashAt returns the first match). Slowdown
+// windows may repeat, because overlapping windows multiply, and crashes of
+// one machine at different rounds or of different machines at one round
+// are distinct events.
+func TestParsePlanRefusesRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		spec, want string // want "" = accepted
+	}{
+		{"ckpt:2+ckpt:4", `clause "ckpt:4" repeats ckpt`},
+		{"ckpt:2+crash:3:1+ckpt:2", `clause "ckpt:2" repeats ckpt`},
+		{"rate:0.1+rate:0.2", `clause "rate:0.2" repeats rate`},
+		{"rate:0.1+rate:0.1:9", `clause "rate:0.1:9" repeats rate`},
+		{"restart:1+restart:2", `clause "restart:2" repeats restart`},
+		{"crash:3:1:0+crash:3:1:5", `clause "crash:3:1:5" repeats the crash of machine 1 at round 3`},
+		{"crash:3:1+crash:4:2+crash:3:1", `clause "crash:3:1" repeats the crash of machine 1 at round 3`},
+		{"slow:0:1:4:2+slow:0:1:4:2", ""},
+		{"crash:3:1+crash:4:1+crash:3:2", ""},
+		{"ckpt:2+rate:0.1+restart:1+crash:3:1", ""},
+	} {
+		p, err := ParsePlan(tc.spec, 8)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("ParsePlan(%q): %v", tc.spec, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("ParsePlan(%q) accepted %+v, want an error naming %s", tc.spec, p, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("ParsePlan(%q): error %q does not say %s", tc.spec, err, tc.want)
 		}
 	}
 }

@@ -159,8 +159,8 @@ func TestLedgerSinksAgree(t *testing.T) {
 		state := make([][]int, c.K())
 		for i := range state {
 			state[i] = []int{i, i, i}
-			c.SetCheckpointer(i, sliceCheckpointer{state, i})
 		}
+		c.HoldState(heldLen(state))
 		exchange := func(outs [][]Msg, outLarge []Msg) {
 			t.Helper()
 			if _, _, err := c.Exchange(outs, outLarge); err != nil {
@@ -219,8 +219,8 @@ func TestLedgerBusyRecoveryRounding(t *testing.T) {
 	state := make([][]int, c.K())
 	for i := range state {
 		state[i] = []int{i, i, i}
-		c.SetCheckpointer(i, sliceCheckpointer{state, i})
 	}
+	c.HoldState(heldLen(state))
 	for i := 0; i < 30; i++ {
 		if _, _, err := c.Exchange(ringRound(c, 3+7*(i%5)), nil); err != nil {
 			t.Fatal(err)

@@ -92,8 +92,8 @@ func TestMetricsFaultCounters(t *testing.T) {
 	state := make([][]int, c.K())
 	for i := range state {
 		state[i] = []int{i, i, i}
-		c.SetCheckpointer(i, sliceCheckpointer{state, i})
 	}
+	c.HoldState(heldLen(state))
 	for i := 0; i < 4; i++ {
 		if _, _, err := c.Exchange(ringRound(c, 2), nil); err != nil {
 			t.Fatal(err)
@@ -155,8 +155,8 @@ func TestMetricsAreObservational(t *testing.T) {
 		state := make([][]int, c.K())
 		for i := range state {
 			state[i] = []int{i}
-			c.SetCheckpointer(i, sliceCheckpointer{state, i})
 		}
+		c.HoldState(heldLen(state))
 		for i := 0; i < 5; i++ {
 			if _, _, err := c.Exchange(ringRound(c, 2+i%3), nil); err != nil {
 				t.Fatal(err)

@@ -13,11 +13,10 @@ import (
 // Exchange whenever the cluster was built with an active fault.Plan:
 //
 //   - every Plan.Interval completed rounds it takes a checkpoint barrier:
-//     each machine with a registered Checkpointer snapshots its state and
-//     replicates it to its capacity-aware buddy, and the replication words
-//     are charged to Stats.ReplicationWords and the makespan exactly like
-//     ordinary round traffic (the barrier costs one round latency plus the
-//     busiest machine's transfer time);
+//     each machine's held words (HoldState) are replicated to its
+//     capacity-aware buddy and charged to Stats.ReplicationWords and the
+//     makespan exactly like ordinary round traffic (the barrier costs one
+//     round latency plus the busiest machine's transfer time);
 //   - crashes scheduled by the plan are detected at the barrier ending
 //     their round; the victim restores from its buddy's replica and replays
 //     the rounds since the last checkpoint (or replays cold from its own
@@ -29,24 +28,20 @@ import (
 // Because a restored machine replays deterministically to exactly its
 // pre-crash state, the algorithm's message pattern and output are identical
 // to the fault-free run; what faults change is the measured cost. The
-// engine exercises that contract for real: on every crash the victim's
-// state makes a genuine round trip through its Checkpointer (Snapshot then
-// Restore), so an unfaithful implementation corrupts the run and fails the
-// output validation every experiment performs. All engine scans run
+// simulator therefore keeps no replica payload, only its size: the live
+// state already is what the replay would rebuild. All engine scans run
 // serially in machine order, so crashes, recovery charges and float
 // accumulation are deterministic under any GOMAXPROCS.
 
-// faultState is the per-cluster recovery engine: the plan, the registered
-// per-machine checkpointers, the buddy map and the replica bookkeeping.
-// Only the replica *sizes* are retained (they price the restore
-// transfers); the replica payloads themselves are not kept — see the
-// modeling note on recoverCrashes.
+// faultState is the per-cluster recovery engine: the plan, the held-words
+// view, the buddy map and the replica bookkeeping. Only the replica *sizes*
+// are kept (they price the restore transfers).
 type faultState struct {
 	plan  *fault.Plan
-	cks   []fault.Checkpointer // per small machine; nil = not registered
-	buddy []int                // capacity-aware buddy of each small machine
+	held  func(i int) int // words small machine i holds; nil = nothing registered
+	buddy []int           // capacity-aware buddy of each small machine
 
-	replicaWords []int // words of each machine's last checkpoint snapshot
+	replicaWords []int // words of each machine's last checkpoint
 	lastCkpt     []int // round of each machine's last checkpoint (0 = none)
 	downUntil    []int // last round of each machine's restart downtime
 
@@ -67,7 +62,6 @@ func (c *Cluster) applyFaults(p *fault.Plan) error {
 	}
 	c.ft = &faultState{
 		plan:         p,
-		cks:          make([]fault.Checkpointer, c.k),
 		buddy:        buddyMap(c.smallCaps),
 		replicaWords: make([]int, c.k),
 		lastCkpt:     make([]int, c.k),
@@ -127,17 +121,16 @@ func (c *Cluster) Buddy(i int) int {
 	return c.ft.buddy[i]
 }
 
-// SetCheckpointer registers small machine i's recoverable state with the
-// fault engine; the engine replicates it at checkpoint barriers and
-// round-trips it through Snapshot/Restore on a crash. Re-registering
-// replaces the previous checkpointer (algorithm phases hand over their live
-// state as it moves). A no-op when the cluster has no active fault plan, so
-// algorithms register unconditionally at zero cost to fault-free runs.
-func (c *Cluster) SetCheckpointer(i int, ck fault.Checkpointer) {
-	if c.ft == nil || i < 0 || i >= c.k {
-		return
+// HoldState registers words(i), the words small machine i holds, as the
+// recoverable state every checkpoint barrier reads — at the barrier, so it
+// follows state that changes size between rounds. Registering replaces the
+// previous view (phases hand over their live state as it moves); nil
+// unregisters. A no-op without an active fault plan, so algorithms register
+// unconditionally at zero cost to fault-free runs.
+func (c *Cluster) HoldState(words func(i int) int) {
+	if c.ft != nil {
+		c.ft.held = words
 	}
-	c.ft.cks[i] = ck
 }
 
 // slowCost returns the effective per-word cost of slot for the current
@@ -164,25 +157,19 @@ func (c *Cluster) postRoundFaults() {
 	c.recoverCrashes(r)
 }
 
-// checkpointBarrier snapshots every registered machine's state and
-// replicates it to the machine's buddy. The replication traffic is charged
-// like any other round: each owner sends its state words, each buddy
-// receives them, the barrier costs one round latency plus the busiest
-// machine's transfer time under the cluster profile.
+// checkpointBarrier replicates every machine's held words to its buddy.
+// The replication traffic is charged like any other round: each owner sends
+// its state words, each buddy receives them, the barrier costs one round
+// latency plus the busiest machine's transfer time under the cluster
+// profile.
 func (c *Cluster) checkpointBarrier(r int) {
 	ft := c.ft
-	any := false
+	if ft.held == nil {
+		return // nothing registered: no state to replicate, no barrier
+	}
 	var barrierWords int64
 	for i := 0; i < c.k; i++ {
-		ck := ft.cks[i]
-		if ck == nil {
-			continue
-		}
-		any = true
-		// The snapshot payload is only needed for its accounted size: the
-		// buddy's copy is re-derivable from the deterministic simulation,
-		// so retaining it would only duplicate the live state in memory.
-		_, words := ck.Snapshot()
+		words := ft.held(i)
 		ft.replicaWords[i] = words
 		ft.lastCkpt[i] = r
 		if words > 0 {
@@ -190,9 +177,6 @@ func (c *Cluster) checkpointBarrier(r int) {
 			ft.moved[i] += float64(words)
 			ft.moved[ft.buddy[i]] += float64(words)
 		}
-	}
-	if !any {
-		return // nothing registered: no state to replicate, no barrier
 	}
 	roundMax := 0.0
 	argSlot := -1
@@ -272,19 +256,6 @@ func (c *Cluster) recoverCrashes(r int) {
 			words = ft.replicaWords[i]
 			rec = 1 + replay + ft.restart[i]
 			replayWork = replay
-		}
-		if ck := ft.cks[i]; ck != nil {
-			// In the modeled protocol the victim restores the buddy's
-			// checkpoint replica and replays forward; by determinism that
-			// reconstructs exactly the pre-crash state, so the simulator
-			// performs the reconstruction by round-tripping the live
-			// state through the Checkpointer (the replica payload itself
-			// is re-derivable and never retained). The round trip is a
-			// real exercise of the interface: a Restore that does not
-			// faithfully reinstall what Snapshot returned corrupts the
-			// run and fails the output validation downstream.
-			data, _ := ck.Snapshot()
-			ck.Restore(data)
 		}
 		t := 0.0
 		var ti, tb, replayT float64

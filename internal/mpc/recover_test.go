@@ -2,28 +2,19 @@ package mpc
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 
 	"hetmpc/internal/fault"
 )
 
-// sliceCheckpointer is the test stand-in for algorithm state: one machine's
-// int slice, snapshotted by deep copy.
-type sliceCheckpointer struct {
-	data [][]int
-	i    int
+// heldLen is the test stand-in for algorithm state: machine i holds
+// state[i], one word an item.
+func heldLen(state [][]int) func(int) int {
+	return func(i int) int { return len(state[i]) }
 }
-
-func (s sliceCheckpointer) Snapshot() (any, int) {
-	cp := slices.Clone(s.data[s.i])
-	return cp, len(cp)
-}
-
-func (s sliceCheckpointer) Restore(data any) { s.data[s.i] = data.([]int) }
 
 // faultCluster builds a small cluster with the given plan and registers a
-// slice checkpointer per machine holding `words` items.
+// slice per machine holding `words` items.
 func faultCluster(t *testing.T, plan *fault.Plan, words int) (*Cluster, [][]int) {
 	t.Helper()
 	c := newTest(t, Config{N: 64, M: 256, Seed: 1, Faults: plan})
@@ -32,8 +23,8 @@ func faultCluster(t *testing.T, plan *fault.Plan, words int) (*Cluster, [][]int)
 		for j := 0; j < words; j++ {
 			state[i] = append(state[i], i*1000+j)
 		}
-		c.SetCheckpointer(i, sliceCheckpointer{state, i})
 	}
+	c.HoldState(heldLen(state))
 	return c, state
 }
 
@@ -45,7 +36,7 @@ func TestInactivePlanInstallsNoEngine(t *testing.T) {
 	if c.Buddy(0) != -1 {
 		t.Fatal("buddy map exists without a fault engine")
 	}
-	c.SetCheckpointer(0, sliceCheckpointer{}) // must be a silent no-op
+	c.HoldState(heldLen(nil)) // must be a silent no-op
 }
 
 func TestPlanValidationAtNew(t *testing.T) {
@@ -105,17 +96,16 @@ func TestCheckpointBarrierChargesReplication(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryChargesAndRoundTrips: an explicit crash restores from
-// the buddy, charges the replica transfer and the replay rounds since the
-// last checkpoint, and round-trips the state through the Checkpointer.
-func TestCrashRecoveryChargesAndRoundTrips(t *testing.T) {
+// TestCrashRecoveryCharges: an explicit crash restores from the buddy,
+// charging the replica transfer and the replay rounds since the last
+// checkpoint.
+func TestCrashRecoveryCharges(t *testing.T) {
 	const words = 4
 	plan := &fault.Plan{
 		Interval: 2,
 		Crashes:  []fault.Crash{{Round: 3, Machine: 1, RestartAfter: 2}},
 	}
-	c, state := faultCluster(t, plan, words)
-	before := slices.Clone(state[1])
+	c, _ := faultCluster(t, plan, words)
 	for r := 0; r < 3; r++ {
 		if _, _, err := c.Exchange(nil, nil); err != nil {
 			t.Fatal(err)
@@ -134,8 +124,39 @@ func TestCrashRecoveryChargesAndRoundTrips(t *testing.T) {
 	if want := int64(c.K()*words + words); st.ReplicationWords != want {
 		t.Fatalf("replication words %d, want %d", st.ReplicationWords, want)
 	}
-	if !slices.Equal(state[1], before) {
-		t.Fatalf("state corrupted by recovery: %v vs %v", state[1], before)
+}
+
+// TestBarrierReadsHeldWordsWhenItRuns: the held-words view is read at each
+// checkpoint barrier, not when it is registered, so a bucket that grows
+// between rounds is replicated at its new length; a crash restores the
+// replica the last barrier sized, whatever the machine holds by then.
+func TestBarrierReadsHeldWordsWhenItRuns(t *testing.T) {
+	const words, grow = 3, 5
+	plan := &fault.Plan{
+		Interval: 2,
+		Crashes:  []fault.Crash{{Round: 3, Machine: 1}},
+	}
+	c, state := faultCluster(t, plan, words)
+	k := c.K()
+	exchange := func() {
+		t.Helper()
+		if _, _, err := c.Exchange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange()
+	exchange()
+	if got, want := c.Stats().ReplicationWords, int64(k*words); got != want {
+		t.Fatalf("round-2 barrier replicated %d words, want %d", got, want)
+	}
+	state[1] = append(state[1], make([]int, grow)...)
+	exchange() // machine 1 crashes and restores the round-2 replica
+	if got, want := c.Stats().ReplicationWords, int64(k*words+words); got != want {
+		t.Fatalf("after the round-3 restore: %d words replicated, want %d", got, want)
+	}
+	exchange()
+	if got, want := c.Stats().ReplicationWords, int64(2*k*words+words+grow); got != want {
+		t.Fatalf("round-4 barrier: %d words replicated in all, want %d (machine 1 at its new length)", got, want)
 	}
 }
 
@@ -239,8 +260,8 @@ func TestRecoveryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		state := make([][]int, c.K())
 		for i := range state {
 			state[i] = []int{i, i + 1, i + 2}
-			c.SetCheckpointer(i, sliceCheckpointer{state, i})
 		}
+		c.HoldState(heldLen(state))
 		for r := 0; r < 10; r++ {
 			outs, outLarge := buildHeavyRound(c)
 			if _, _, err := c.Exchange(outs, outLarge); err != nil {

@@ -24,8 +24,8 @@ func TestResetStatsRebasesFaultClock(t *testing.T) {
 		state := make([][]int, c.K())
 		for i := range state {
 			state[i] = []int{i, i, i, i, i}
-			c.SetCheckpointer(i, sliceCheckpointer{data: state, i: i})
 		}
+		c.HoldState(heldLen(state))
 		return c
 	}
 	drive := func(c *Cluster, rounds int) {

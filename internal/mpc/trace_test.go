@@ -265,8 +265,8 @@ func TestTraceRecordsFaultEvents(t *testing.T) {
 	state := make([][]int, c.K())
 	for i := range state {
 		state[i] = []int{i, i}
-		c.SetCheckpointer(i, sliceCheckpointer{data: state, i: i})
 	}
+	c.HoldState(heldLen(state))
 	for r := 0; r < 5; r++ {
 		if _, _, err := c.Exchange(ringRound(c, 2), nil); err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ var ErrZeroCapacity = errors.New("prims: zero total capacity")
 // machine i holds a PlaceShare(i)/ΣPlaceShare fraction — which reduces to
 // plain round-robin when all weights are equal. A policy whose weights sum
 // to zero yields ErrZeroCapacity. The placed buckets are registered as the
-// machines' recoverable state (RegisterState) when fault injection is
+// machines' recoverable state (registerState) when fault injection is
 // active.
 func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	defer c.Span("distribute").End()

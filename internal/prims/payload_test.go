@@ -45,9 +45,6 @@ func TestBucketBeyondKRefused(t *testing.T) {
 			_, err := SegmentedBroadcast(c, nil, kvs, nil, 1)
 			return err
 		}},
-		{"RegisterState", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
-			return RegisterState(c, ints, 1)
-		}},
 	}
 	for _, e := range entries {
 		c := newCluster(t, 256, 1024, false)
@@ -342,26 +339,24 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 	})
 }
 
-// TestSetCheckpointerSteadyStateAllocs pins the kept fault counter handles:
-// once a metered, fault-planned cluster has registered every machine's
-// state, registering it again costs two allocations per machine — the
-// checkpointer and its counting wrapper — and no counter lookups by name.
-func TestSetCheckpointerSteadyStateAllocs(t *testing.T) {
+// TestRegisterStateAllocs pins what registering a primitive's buckets with
+// the fault engine costs: one closure over the buckets, whatever K. The
+// engine reads bucket lengths through it at each checkpoint barrier, so a
+// registration copies nothing and boxes nothing per machine.
+func TestRegisterStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
 	}
-	c, err := mpc.New(mpc.Config{N: 256, M: 2048, Seed: 42, Faults: &fault.Plan{Interval: 4}, Metrics: metrics.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := sortInput(xrand.New(5), c.K(), 4)
-	register := func() {
-		if err := RegisterState(c, data, 1); err != nil {
+	for _, k := range []int{64, 512} {
+		c, err := mpc.New(mpc.Config{N: 4096, M: 1 << 16, K: k, Seed: 42, Faults: &fault.Plan{Interval: 4}, Metrics: metrics.New()})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	register()
-	if got, limit := testing.AllocsPerRun(20, register), float64(2*c.K()); got > limit {
-		t.Errorf("a repeat RegisterState allocates %v times over %d machines, want at most 2 per machine", got, c.K())
+		data := sortInput(xrand.New(5), k, 4)
+		register := func() { registerState(c, data, 1) }
+		register()
+		if got := testing.AllocsPerRun(20, register); got > 1 {
+			t.Errorf("registering K=%d buckets allocates %v times, want at most 1", k, got)
+		}
 	}
 }

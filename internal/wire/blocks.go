@@ -11,11 +11,11 @@ import (
 	"hetmpc/internal/graph"
 )
 
-// Blocks are the second frame family: bulk records (graph shards, recovery
-// checkpoints) that travel outside the per-round Exchange stream. They use
-// their own magic so a message stream and a block stream cannot be confused
-// for each other, and implement io.WriterTo / io.ReaderFrom in the
-// lattigo utils/buffer shape with pooled scratch.
+// Blocks are the second frame family: bulk records (graph shards) that
+// travel outside the per-round Exchange stream. They use their own magic so
+// a message stream and a block stream cannot be confused for each other,
+// and implement io.WriterTo / io.ReaderFrom in the lattigo utils/buffer
+// shape with pooled scratch.
 const (
 	// BlockMagic is the block frame magic (little-endian uint16).
 	BlockMagic uint16 = 0xA818
@@ -23,11 +23,8 @@ const (
 	blockHeaderSize = 8
 )
 
-// Block kinds.
-const (
-	blockShard      byte = 1
-	blockCheckpoint byte = 2
-)
+// blockShard is the one block kind.
+const blockShard byte = 1
 
 var blockScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
@@ -81,7 +78,7 @@ func (s *Shard) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom implements io.ReaderFrom: reads one shard block frame.
 func (s *Shard) ReadFrom(r io.Reader) (int64, error) {
-	body, n, err := readBlock(r, blockShard)
+	body, n, err := readBlock(r)
 	if err != nil {
 		return n, err
 	}
@@ -117,61 +114,8 @@ func (s *Shard) ReadFrom(r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// Checkpoint is one machine's encoded recovery state at a checkpoint
-// barrier: the opaque payload the Checkpointer contract snapshots, plus the
-// modeled word count the barrier charged for it.
-type Checkpoint struct {
-	Machine int32 // -1 = large machine
-	Round   uint32
-	Words   uint32
-	Payload []byte
-}
-
-// WriteTo implements io.WriterTo: one block frame containing the checkpoint.
-func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	if len(c.Payload) > math.MaxUint32-16 {
-		return 0, fmt.Errorf("%w: %d payload bytes", ErrTooLarge, len(c.Payload))
-	}
-	bp := blockScratch.Get().(*[]byte)
-	defer blockScratch.Put(bp)
-	b := (*bp)[:0]
-	b = binary.LittleEndian.AppendUint16(b, BlockMagic)
-	b = append(b, Version, blockCheckpoint)
-	b = binary.LittleEndian.AppendUint32(b, uint32(12+len(c.Payload)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(c.Machine))
-	b = binary.LittleEndian.AppendUint32(b, c.Round)
-	b = binary.LittleEndian.AppendUint32(b, c.Words)
-	b = append(b, c.Payload...)
-	*bp = b
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-// ReadFrom implements io.ReaderFrom: reads one checkpoint block frame.
-func (c *Checkpoint) ReadFrom(r io.Reader) (int64, error) {
-	body, n, err := readBlock(r, blockCheckpoint)
-	if err != nil {
-		return n, err
-	}
-	if len(body) < 12 {
-		return n, fmt.Errorf("%w: checkpoint body %d bytes", ErrCorrupt, len(body))
-	}
-	c.Machine = int32(binary.LittleEndian.Uint32(body[0:4]))
-	c.Round = binary.LittleEndian.Uint32(body[4:8])
-	c.Words = binary.LittleEndian.Uint32(body[8:12])
-	payload := body[12:]
-	if cap(c.Payload) < len(payload) {
-		c.Payload = make([]byte, len(payload))
-	}
-	c.Payload = c.Payload[:len(payload)]
-	copy(c.Payload, payload)
-	return n, nil
-}
-
-// readBlock reads and validates one block frame of the wanted kind,
-// returning its body. The body aliases a pooled buffer only until return,
-// so it is copied out by the callers that retain it.
-func readBlock(r io.Reader, want byte) (body []byte, n int64, err error) {
+// readBlock reads and validates one shard block frame, returning its body.
+func readBlock(r io.Reader) (body []byte, n int64, err error) {
 	var hdr [blockHeaderSize]byte
 	nn, err := io.ReadFull(r, hdr[:])
 	n = int64(nn)
@@ -184,8 +128,8 @@ func readBlock(r io.Reader, want byte) (body []byte, n int64, err error) {
 	if hdr[2] != Version {
 		return nil, n, fmt.Errorf("%w: unknown block version %d", ErrCorrupt, hdr[2])
 	}
-	if hdr[3] != want {
-		return nil, n, fmt.Errorf("%w: block kind %d, want %d", ErrCorrupt, hdr[3], want)
+	if hdr[3] != blockShard {
+		return nil, n, fmt.Errorf("%w: block kind %d, want %d", ErrCorrupt, hdr[3], blockShard)
 	}
 	blen := binary.LittleEndian.Uint32(hdr[4:8])
 	if blen > DefaultMaxPayload {

@@ -159,42 +159,34 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// TestCheckpointBlockRoundTrip checks the checkpoint block codec and its
-// typed error behavior on malformed input.
-func TestCheckpointBlockRoundTrip(t *testing.T) {
-	ck := Checkpoint{Machine: -1, Round: 12, Words: 512, Payload: []byte("opaque state")}
+// TestBlockTypedErrors checks the block reader's typed error behavior on
+// malformed input.
+func TestBlockTypedErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := ck.WriteTo(&buf); err != nil {
+	if err := WriteGraph(&buf, graph.GNMWeighted(10, 20, 3)); err != nil {
 		t.Fatal(err)
 	}
-	stream := bytes.Clone(buf.Bytes())
-	var got Checkpoint
-	if _, err := got.ReadFrom(bytes.NewReader(stream)); err != nil {
-		t.Fatal(err)
-	}
-	if got.Machine != -1 || got.Round != 12 || got.Words != 512 || !bytes.Equal(got.Payload, ck.Payload) {
-		t.Fatalf("checkpoint mismatch: %+v", got)
-	}
-
-	// Typed errors: truncation, magic, cross-kind confusion.
-	if _, err := got.ReadFrom(bytes.NewReader(stream[:5])); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated block: %v, want ErrTruncated", err)
-	}
-	bad := bytes.Clone(stream)
-	bad[0] = 0
-	if _, err := got.ReadFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bad magic: %v, want ErrCorrupt", err)
-	}
+	stream := buf.Bytes()
 	var s Shard
-	if _, err := s.ReadFrom(bytes.NewReader(stream)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("checkpoint read as shard: %v, want ErrCorrupt", err)
+	if _, err := s.ReadFrom(bytes.NewReader(stream[:5])); !errors.Is(err, ErrTruncated) {
+		t.Errorf("truncated header: %v, want ErrTruncated", err)
+	}
+	if _, err := s.ReadFrom(bytes.NewReader(stream[:len(stream)-1])); !errors.Is(err, ErrTruncated) {
+		t.Errorf("truncated body: %v, want ErrTruncated", err)
+	}
+	for name, at := range map[string]int{"magic": 0, "version": 2, "kind": 3} {
+		bad := bytes.Clone(stream)
+		bad[at]++
+		if _, err := s.ReadFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bad %s: %v, want ErrCorrupt", name, err)
+		}
 	}
 	// A message frame is not a block frame.
 	mf, err := AppendMessage(nil, &Message{Kind: KindNil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := got.ReadFrom(bytes.NewReader(mf)); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.ReadFrom(bytes.NewReader(mf)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("message frame read as block: %v, want ErrCorrupt", err)
 	}
 	if !strings.HasPrefix(ErrCorrupt.Error(), "wire:") {

@@ -1,6 +1,6 @@
 // Package wire puts the simulator's messages on a real wire: a zero-alloc,
-// length-prefixed binary codec for Exchange messages, checkpoints and graph
-// shards (DESIGN.md §11), plus the pluggable Transport the mpc engine runs
+// length-prefixed binary codec for Exchange messages and graph shards
+// (DESIGN.md §11), plus the pluggable Transport the mpc engine runs
 // its deliver phase over.
 //
 // # Frame codec

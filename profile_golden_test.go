@@ -1,6 +1,7 @@
 package hetmpc_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -161,6 +162,56 @@ func TestUniformProfileGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTable1FaultsChangeOnlyCost pins DESIGN.md §7's losslessness claim on
+// every Table-1 row: under checkpoints every 2 rounds and seed-derived
+// crashes, each of the twelve calls computes the fault-free output and
+// charges the fault-free rounds, messages, words and per-round peaks; the
+// crashes show only in Crashes and a higher Makespan.
+func TestTable1FaultsChangeOnlyCost(t *testing.T) {
+	for _, call := range table1Calls() {
+		run := func(plan *hetmpc.FaultPlan) (any, hetmpc.ClusterStats) {
+			c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: 7, NoLarge: call.noLarge, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := call.run(c)
+			if err != nil {
+				t.Fatalf("%s: %v", call.name, err)
+			}
+			return withoutStats(out), c.Stats()
+		}
+		plain, plainStats := run(nil)
+		faulty, faultyStats := run(&hetmpc.FaultPlan{Interval: 2, CrashRate: 0.01})
+		if !reflect.DeepEqual(plain, faulty) {
+			t.Errorf("%s: faults changed the output", call.name)
+		}
+		if got, want := commOf(faultyStats), commOf(plainStats); got != want {
+			t.Errorf("%s: faults changed the communication stats: %+v, fault-free %+v", call.name, got, want)
+		}
+		if faultyStats.Crashes == 0 {
+			t.Errorf("%s: the plan crashed no machine: %+v", call.name, faultyStats)
+		}
+		if faultyStats.Makespan <= plainStats.Makespan {
+			t.Errorf("%s: makespan %v under faults, not above fault-free %v", call.name, faultyStats.Makespan, plainStats.Makespan)
+		}
+	}
+}
+
+// withoutStats returns a copy of a result struct with its Stats field
+// zeroed: what a call computed, not what it cost.
+func withoutStats(out any) any {
+	v := reflect.ValueOf(out)
+	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+		return out
+	}
+	cp := reflect.New(v.Elem().Type()).Elem()
+	cp.Set(v.Elem())
+	if f := cp.FieldByName("Stats"); f.IsValid() {
+		f.SetZero()
+	}
+	return cp.Interface()
 }
 
 // TestRecoveryDeterministicAcrossGOMAXPROCS pins the acceptance criterion
