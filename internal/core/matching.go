@@ -273,12 +273,12 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 		add, _ := graph.GreedyMatching(n, got, matchedAt)
 		matching = append(matching, add...)
 
-		// Disseminate matched vertices and filter.
-		matchedVals := make(map[int64]bool, 2*len(matching))
-		for v, ok := range matchedAt {
-			if ok {
-				matchedVals[int64(v)] = true
-			}
+		// Disseminate this iteration's matched vertices and filter. An
+		// earlier iteration's have no live edge left, so nobody requests
+		// them (DESIGN.md §1).
+		matchedVals := make(map[int64]bool, 2*len(add))
+		for _, e := range add {
+			matchedVals[int64(e.U)], matchedVals[int64(e.V)] = true, true
 		}
 		needs := prims.EndpointNeeds(live)
 		maps, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)

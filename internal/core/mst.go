@@ -376,6 +376,26 @@ func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 	return out, nil
 }
 
+// forestLabels returns the labels of the vertices with an edge in forest,
+// by vertex, and the largest one's words. A vertex with none is a singleton
+// tree of F, in a different tree from every other endpoint, so an edge at it
+// is F-light with or without its label: leaving it out changes no answer,
+// and every label sent is requested, by the machine that sampled its forest
+// edge (a large value nobody requests still ships, DESIGN.md §1). The filter
+// reads the edges, not len(label) == 1: a level-0 centroid of a non-trivial
+// tree has a 1-entry label too.
+func forestLabels(labels labeling.Labels, forest []graph.Edge) (map[int64]labeling.Label, int) {
+	values := make(map[int64]labeling.Label, 2*len(forest))
+	lwords := 1
+	for _, e := range forest {
+		for _, v := range [2]int{e.U, e.V} {
+			values[int64(v)] = labels[v]
+			lwords = max(lwords, labels[v].Words())
+		}
+	}
+	return values, lwords
+}
+
 // kktTry performs one iteration of the §3 sampling step: sample each stored
 // edge with probability p, build the sampled MSF F on the large machine,
 // disseminate the flow labels, count the F-light edges, and — if they fit —
@@ -426,24 +446,13 @@ func kktTry(
 			forest = append(forest, graph.Edge{U: e.U, V: e.V, W: e.W})
 		}
 	}
-	labels := labeling.Build(n, forest)
-
-	// Disseminate labels to every machine holding an edge of v (Claim 3).
+	// Disseminate the labels of F's vertices to every machine holding an
+	// edge of one (Claim 3).
 	needs := make([][]int64, k)
 	c.Each(func(i int) {
 		needs[i] = distinctEndpoints(edges[i])
 	})
-	values := make(map[int64]labeling.Label, len(labels))
-	lwords := 1
-	for v, l := range labels {
-		if len(l) == 0 {
-			continue
-		}
-		values[int64(v)] = l
-		if l.Words() > lwords {
-			lwords = l.Words()
-		}
-	}
+	values, lwords := forestLabels(labeling.Build(n, forest), forest)
 	maps, err := prims.DisseminateFromLarge(c, needs, values, lwords)
 	if err != nil {
 		return nil, false, err
@@ -456,7 +465,7 @@ func kktTry(
 			lu, okU := maps[i][int64(e.U)]
 			lv, okV := maps[i][int64(e.V)]
 			if !okU || !okV {
-				// Endpoint absent from F's labeling: treat as F-light.
+				// An endpoint with no label is a singleton of F: F-light.
 				light[i] = append(light[i], e)
 				continue
 			}

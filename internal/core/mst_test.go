@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/graph"
+	"hetmpc/internal/labeling"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/unionfind"
 	"hetmpc/internal/xrand"
@@ -320,5 +323,43 @@ func TestMSTComponentsPreserved(t *testing.T) {
 	}
 	if dsu.Count() != 3 {
 		t.Fatalf("MSF components %d, want 3", dsu.Count())
+	}
+}
+
+// TestKKTDisseminatesForestLabels: the KKT step disseminates exactly the
+// labels of the vertices with an edge in F. A singleton's 1-entry label is
+// left out, a level-0 centroid's 1-entry label is not, and the words are the
+// largest label sent. With the filter in place MST still returns Kruskal's
+// weight on Table 1's shape, where the sampling step runs.
+func TestKKTDisseminatesForestLabels(t *testing.T) {
+	// F: the path 0-1-2, whose centroid 1 sits at level 0, the edge 3-4, and
+	// the singletons 5 and 6.
+	forest := []graph.Edge{graph.NewEdge(0, 1, 2), graph.NewEdge(1, 2, 3), graph.NewEdge(3, 4, 1)}
+	labels := labeling.Build(7, forest)
+	if len(labels[1]) != 1 || len(labels[5]) != 1 {
+		t.Fatalf("labels %v: want 1-entry labels at the centroid 1 and the singleton 5", labels)
+	}
+	values, lwords := forestLabels(labels, forest)
+	keys := make([]int64, 0, len(values))
+	for v := range values {
+		keys = append(keys, v)
+	}
+	if slices.Sort(keys); !slices.Equal(keys, []int64{0, 1, 2, 3, 4}) {
+		t.Fatalf("labels of %v sent, want F's vertices 0…4", keys)
+	}
+	want := 0
+	for v, l := range values {
+		if !reflect.DeepEqual(l, labels[v]) {
+			t.Fatalf("vertex %d sends %v, its label is %v", v, l, labels[v])
+		}
+		want = max(want, l.Words())
+	}
+	if lwords != want {
+		t.Fatalf("label words %d, want %d", lwords, want)
+	}
+
+	res := checkMSTRun(t, graph.ConnectedGNM(512, 4096, 7, true), 7)
+	if res.SampleTries == 0 {
+		t.Fatal("the sampling step did not run")
 	}
 }

@@ -3,6 +3,10 @@ package exp
 import (
 	"encoding/json"
 	"testing"
+
+	"hetmpc/internal/graph"
+	"hetmpc/internal/sched"
+	"hetmpc/internal/trace"
 )
 
 // TestSetTraceArtifact: under Env.Trace (hetbench -trace) an ordinary
@@ -109,5 +113,38 @@ func TestUntracedArtifactOmitsTrace(t *testing.T) {
 	}
 	if _, ok := m["trace"]; ok {
 		t.Fatalf("untraced artifact carries a trace key: %s", raw)
+	}
+}
+
+// TestE28CapSampleScatterOffTheStraggler pins where MST's KKT labels land in
+// E28's cap cell (MST, straggler:4:16, n=512, m=4096, seed 7). PlanBroadcast
+// sends a large value to its key's root whether or not anyone requests the
+// key, and the root of a key past every request is the last bucket, a
+// straggler here. Shipping every vertex's label, when only F's vertices can
+// matter, piled most of them onto it: the scatter round cost 50,083. It
+// (absent when F is empty) must cost no more than the 715 it did when the
+// labels were hashed over the machines.
+func TestE28CapSampleScatterOffTheStraggler(t *testing.T) {
+	const n, m, seed = 512, 4096, 7
+	const phase, limit = "mst/sample/broadcast", 715.0
+	rn := &run{}
+	defer rn.close()
+	g := graph.ConnectedGNM(n, m, seed, true)
+	_, exact := graph.KruskalMSF(g)
+	cfg := profiled(g, seed, "straggler:4:16", true)
+	cfg.Placement, cfg.Trace = sched.Cap{}, trace.New()
+	c, _, err := cell(rn, cfg, mst(g, exact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	makespan := map[string]float64{}
+	for _, p := range trace.Summarize(c.Trace().Rounds()).Phases {
+		makespan[p.Phase] = p.Makespan
+	}
+	if _, ok := makespan[phase]; !ok {
+		t.Fatalf("the cap cell has no %s phase: %v", phase, makespan)
+	}
+	if got := makespan[phase+"/scatter"]; got > limit {
+		t.Errorf("%s/scatter costs %v, above %v: the labels pile onto one machine", phase, got, limit)
 	}
 }

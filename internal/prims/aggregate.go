@@ -56,8 +56,7 @@ func foldRuns[V any](kvs []KV[V], combine func(a, b V) V) []KV[V] {
 // machine boundary, and the rounds charged are exactly Sort's. roots[i]
 // lists the keys finalized at machine i, strictly increasing, and every key
 // of roots[i] is below every key of roots[j] for i < j — the sorted runs the
-// protocol ends on, which is the form SegmentedBroadcast takes distributed
-// values in.
+// protocol ends on.
 //
 // Capacity: after the local combine a key has at most one partial per
 // machine, so its owner receives at most K·(vwords+1) words for it; a hot

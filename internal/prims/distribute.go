@@ -207,7 +207,7 @@ func Counts[T any](data [][]T) []int64 {
 }
 
 // EndpointNeeds returns each machine's deduplicated endpoint key list,
-// sorted — the needs input of SegmentedBroadcast for per-vertex values.
+// sorted — the needs input of NewPlan for per-vertex values.
 // Dedup goes through sort + compact rather than a hash set: callers run it
 // once per iteration over every live edge, and the sort is the radix kernel.
 func EndpointNeeds(edges [][]graph.Edge) [][]int64 {

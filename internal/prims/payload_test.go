@@ -37,12 +37,26 @@ func TestBucketBeyondKRefused(t *testing.T) {
 			_, err := GatherToLarge(c, ints, 1)
 			return err
 		}},
-		{"SegmentedBroadcast needs", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
-			_, err := SegmentedBroadcast[int64](c, ints, nil, nil, 1)
+		{"NewPlan needs", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
+			_, err := NewPlan(c, ints)
 			return err
 		}},
-		{"SegmentedBroadcast smallValues", func(c *mpc.Cluster, _ [][]int64, kvs [][]KV[int64]) error {
-			_, err := SegmentedBroadcast(c, nil, kvs, nil, 1)
+		{"PlanBroadcast small", func(c *mpc.Cluster, _ [][]int64, kvs [][]KV[int64]) error {
+			// A plan of no requests roots every key at machine 0, so the
+			// machines' values move there; a stray bucket stays put.
+			p, err := NewPlan(c, nil)
+			if err != nil {
+				return err
+			}
+			small := make([][]KV[int64], len(kvs))
+			for i, kv := range kvs {
+				if i < c.K() {
+					small[0] = append(small[0], kv...)
+				} else {
+					small[i] = kv
+				}
+			}
+			_, err = PlanBroadcast(c, p, small, nil, 1)
 			return err
 		}},
 	}
@@ -244,12 +258,12 @@ func TestSortRouteAllocLinearInK(t *testing.T) {
 // TestCollectiveAllocsPerMachine pins the payload-slab rule: a collective
 // allocates per machine, not per message or item, so at a fixed K its
 // allocation count barely moves when every machine holds — and requests —
-// eight times as much. ScatterFromLarge, SegmentedBroadcast, PlanCombine and
-// PlanBroadcast allocate per call, as Sort does
+// eight times as much. ScatterFromLarge, DisseminateFromLarge, PlanCombine
+// and PlanBroadcast allocate per call, as Sort does
 // (TestSortRouteAllocLinearInK), so theirs also sits under an absolute
-// ceiling that one more allocation per machine would break; SegmentedBroadcast's
-// and PlanBroadcast's is their K result maps — the API — at up to four
-// allocations each.
+// ceiling that one more allocation per machine would break;
+// DisseminateFromLarge's and PlanBroadcast's is their K result maps — the
+// API — at up to four allocations each.
 func TestCollectiveAllocsPerMachine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -290,22 +304,27 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Machine i holds the values of keys i·per … i·per+per−1 and needs the
-	// keys of its successor.
-	values, needs := map[int][][]KV[int64]{}, map[int][][]int64{}
+	// The large machine holds the values of keys 0 … K·per−1, and machine i
+	// needs those of its successor, i+1's block of per keys.
+	values, needs := map[int]map[int64]int64{}, map[int][][]int64{}
 	for _, per := range []int{16, 128} {
-		values[per], needs[per] = make([][]KV[int64], k), make([][]int64, k)
+		values[per], needs[per] = map[int64]int64{}, make([][]int64, k)
 		for i := 0; i < k; i++ {
 			for j := 0; j < per; j++ {
-				values[per][i] = append(values[per][i], KV[int64]{K: int64(i*per + j), V: int64(j)})
+				values[per][int64(i*per+j)] = int64(j)
 				needs[per][i] = append(needs[per][i], int64((i+1)%k*per+j))
 			}
 		}
+		got, err := DisseminateFromLarge(c, needs[per], values[per], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswers(t, fmt.Sprintf("DisseminateFromLarge, %d per machine", per), got, oracle(needs[per], SortedKVs(values[per])))
 	}
-	check("SegmentedBroadcast", float64(5*k), func(per int) {
-		got, err := SegmentedBroadcast(c, needs[per], values[per], nil, 1)
+	check("DisseminateFromLarge", float64(5*k), func(per int) {
+		got, err := DisseminateFromLarge(c, needs[per], values[per], 1)
 		if err != nil || len(got[0]) != per {
-			t.Fatalf("SegmentedBroadcast: %d of %d answers, err %v", len(got[0]), per, err)
+			t.Fatalf("DisseminateFromLarge: %d of %d answers, err %v", len(got[0]), per, err)
 		}
 	})
 	// Over a plan of the same requests: every machine combines a partial of

@@ -26,12 +26,22 @@ type Plan struct {
 	spanned bool        // some machine sits in a span
 }
 
-// request is a request item without its sort key: key Key and machine M —
-// the requester, among the requests routed to a bucket; the bucket, among a
-// machine's own requests.
+// request is a request item: key Key and machine M — the requester, among
+// the requests routed to a bucket; the bucket, among a machine's own
+// requests. A request sorts by (Key, 1, requester), so the root of Key, the
+// bucket of (Key, 0, 0), is at or before every bucket its requests land in.
 type request struct {
 	Key int64
 	M   int32
+}
+
+func requestKey(r request) SortKey { return SortKey{A: r.Key, B: 1, C: int64(r.M)} }
+
+// span is a key whose requests may cover machines A..B (inclusive, B > A);
+// A, the root, is the bucket of the key's values. The zero span is no span.
+type span struct {
+	Key  int64
+	A, B int
 }
 
 // NewPlan builds the plan of needs (deduplicated keys per machine) by one
@@ -41,97 +51,83 @@ func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 		return nil, err
 	}
 	defer c.Span("plan").End()
-	p, _, err := planSort[struct{}](c, needs, 0)
-	return p, err
-}
-
-// root returns the root of key x: the number of splitters at or below
-// (x, 0, 0), walkBuckets' bucket rule.
-func (p *Plan) root(x int64) int {
-	v := dissemKey(x, -1)
-	return bisect(0, len(p.sp), func(j int) bool { return v.Less(p.sp[j]) })
-}
-
-// planSort builds the plan of needs by one Sort of its request items, keyed
-// (x, 1, requester), with every list of values riding along under (x, 0, 0),
-// at vwords+3 words an item. It also returns each machine's values: each at
-// its key's root, sorted by key in origin order (machine by machine, the
-// lists in the order given; Sort is stable).
-func planSort[V any](c *mpc.Cluster, needs [][]int64, vwords int, values ...[][]KV[V]) (*Plan, [][]KV[V], error) {
 	k := c.K()
-	type item struct {
-		Key int64
-		Req int32 // requester, -1 for a value
-		Val V
-	}
-	// Every machine's items — its values, then its requests — are carved
-	// from one array; machine i's share sits at [starts[i], starts[i+1]).
+	// Every machine's requests are carved from one array; machine i's share
+	// sits at [starts[i], starts[i+1]).
 	starts := make([]int, k+1)
 	for i := 0; i < k; i++ {
-		n := lenAt(needs, i)
-		for _, vs := range values {
-			n += lenAt(vs, i)
-		}
-		starts[i+1] = starts[i] + n
+		starts[i+1] = starts[i] + lenAt(needs, i)
 	}
-	flat := make([]item, starts[k])
-	items := make([][]item, k)
+	flat := make([]request, starts[k])
+	items := make([][]request, k)
 	c.Each(func(i int) {
 		its := flat[starts[i]:starts[i]:starts[i+1]]
-		for _, vs := range values {
-			if i < len(vs) {
-				for _, kv := range vs[i] {
-					its = append(its, item{Key: kv.K, Req: -1, Val: kv.V})
-				}
-			}
-		}
 		if i < len(needs) {
 			for _, x := range needs[i] {
-				its = append(its, item{Key: x, Req: int32(i)})
+				its = append(its, request{Key: x, M: int32(i)})
 			}
 		}
 		items[i] = its
 	})
-	sorted, lay, err := sortSplit(c, items, vwords+3, func(it item) SortKey { return dissemKey(it.Key, it.Req) }, true)
+	sorted, lay, err := sortSplit(c, items, sortKeyWords, requestKey, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Every bucket splits into its requests and its values, and a machine's
-	// own requests take their buckets off its cuts of its sorted run
-	// (items[i], sorted in place): three arrays, carved by offsets.
-	off := make([]int, k+1)
-	for i := 0; i < k; i++ {
-		off[i+1] = off[i] + len(sorted[i])
-	}
-	reqFlat, valFlat := make([]request, off[k]), make([]KV[V], off[k])
-	ownFlat := make([]request, starts[k])
-	p := &Plan{sp: lay.sp, spans: lay.spans, reqs: make([][]request, k), own: make([][]request, k)}
-	vals := make([][]KV[V], k)
+	// The buckets are the routed requests, and a machine's own requests —
+	// its sorted run (items[i], sorted in place) — take their buckets off
+	// its cuts, in place.
+	p := &Plan{sp: lay.sp, spans: lay.spans, reqs: sorted, own: items}
 	c.Each(func(i int) {
-		reqs, vs := reqFlat[off[i]:off[i]:off[i+1]], valFlat[off[i]:off[i]:off[i+1]]
-		for _, it := range sorted[i] {
-			if it.Req < 0 {
-				vs = append(vs, KV[V]{K: it.Key, V: it.Val})
-			} else {
-				reqs = append(reqs, request{Key: it.Key, M: it.Req})
-			}
-		}
-		own, lo := ownFlat[starts[i]:starts[i]:starts[i+1]], 0
+		lo := 0
 		for _, ct := range lay.cuts[i] {
-			for _, it := range items[i][lo : lo+int(ct.Count)] {
-				if it.Req >= 0 {
-					own = append(own, request{Key: it.Key, M: ct.Bucket})
-				}
+			for j := lo; j < lo+int(ct.Count); j++ {
+				items[i][j].M = ct.Bucket
 			}
 			lo += int(ct.Count)
 		}
-		p.reqs[i], p.own[i], vals[i] = reqs, own, vs
 	})
 	for _, s := range p.spans {
 		p.spanned = p.spanned || s.B > s.A
 	}
-	return p, vals, nil
+	return p, nil
+}
+
+// root returns the root of key x (rootOf).
+func (p *Plan) root(x int64) int { return rootOf(p.sp, x) }
+
+// rootOf returns the bucket of (x, 0, 0) under the splitter list sp: the
+// number of splitters at or below it, walkBuckets' bucket rule.
+func rootOf(sp []SortKey, x int64) int {
+	v := SortKey{A: x}
+	return bisect(0, len(sp), func(j int) bool { return v.Less(sp[j]) })
+}
+
+// splitterSpans returns the at most two spans machine i of k belongs to after
+// a Sort that routed requests by (x, 1, requester) through the splitter list
+// sp — a function of sp alone, so every machine of a span computes the same
+// one. Only the keys of the machine's own two bucket bounds, sp[i-1].A and
+// sp[i].A, can have requests on both sides of it. For such an x the span runs
+// from x's root to the first bucket whose splitter's key exceeds x, the last
+// a request for x can land in. That is a superset of the machines that do
+// hold x: a bound that falls between two keys' runs still names a 2-machine
+// span.
+func splitterSpans(sp []SortKey, k, i int) (spans [2]span) {
+	sp = sp[:min(len(sp), k-1)]
+	n := 0
+	for s := max(i-1, 0); s <= i && s < len(sp); s++ {
+		x := sp[s].A
+		if n > 0 && spans[0].Key == x {
+			continue
+		}
+		lo := rootOf(sp, x)
+		hi := bisect(lo, len(sp), func(j int) bool { return sp[j].A > x })
+		if lo <= i && lo < hi {
+			spans[n] = span{Key: x, A: lo, B: hi}
+			n++
+		}
+	}
+	return spans
 }
 
 // lenAt is len(data[i]), 0 past the end of data.
@@ -142,12 +138,44 @@ func lenAt[T any](data [][]T, i int) int {
 	return 0
 }
 
+// SortedKVs returns m's entries as a KV slice sorted by key: PlanBroadcast's
+// large values from a map, in an order that does not depend on the map's.
+func SortedKVs[V any](m map[int64]V) []KV[V] {
+	kvs := make([]KV[V], 0, len(m))
+	for key, v := range m {
+		kvs = append(kvs, KV[V]{K: key, V: v})
+	}
+	SortKVsByKey(kvs)
+	return kvs
+}
+
+// DisseminateFromLarge is Claim 3 for a request set used once, with every
+// value on the large machine: machine i needs the keys in needs[i]. It is
+// NewPlan of needs and one PlanBroadcast of values over it, so it charges a
+// Sort, the scatter round, treeDepth(K, b) tree rounds and the answer round.
+// Values without a large machine are refused with mpc.ErrNeedsLarge before
+// any round.
+func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int64]V, vwords int) ([]map[int64]V, error) {
+	if len(values) > 0 && !c.HasLarge() {
+		return nil, fmt.Errorf("prims: DisseminateFromLarge: %w", mpc.ErrNeedsLarge)
+	}
+	p, err := NewPlan(c, needs)
+	if err != nil {
+		return nil, err
+	}
+	return PlanBroadcast(c, p, nil, SortedKVs(values), vwords)
+}
+
 // PlanBroadcast implements Claim 3 over a plan, with no Sort: small[i] must
 // sit at their keys' roots, as PlanCombine leaves them (else ErrUnplanned),
 // and the coordinator routes the large values straight to their roots (one
 // scatter round; mpc.ErrNeedsLarge without a large machine); then broadcast's
 // treeDepth(K, b)+1 rounds deliver them. Of a key's values the first wins: a
 // root's own in list order, then the large machine's in list order.
+//
+// A large value goes to its key's root whether or not anyone requests the
+// key, and the root of a key past every request is the last bucket: a caller
+// sends only values of keys that can be requested (DESIGN.md §1).
 func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V], vwords int) ([]map[int64]V, error) {
 	if err := checkBuckets(c, "PlanBroadcast small", small); err != nil {
 		return nil, err
@@ -168,7 +196,7 @@ func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V
 	var injected [][]KV[V]
 	if len(large) > 0 {
 		var err error
-		if injected, err = scatterTo(c, large, vwords, p.root); err != nil {
+		if injected, err = scatterTo(c, p, large, vwords); err != nil {
 			return nil, err
 		}
 	}
@@ -191,6 +219,30 @@ func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V
 		vals[i] = vs
 	})
 	return broadcast(c, p, vals, vwords)
+}
+
+// scatterTo ships the large machine's values to their roots in one round
+// (ScatterFromLarge), in list order per machine; the per-machine lists are
+// carved from one array.
+func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]KV[V], error) {
+	k := c.K()
+	starts := make([]int, k+1)
+	for _, kv := range large {
+		starts[p.root(kv.K)+1]++
+	}
+	for i := 0; i < k; i++ {
+		starts[i+1] += starts[i]
+	}
+	flat := make([]KV[V], len(large))
+	perMachine := make([][]KV[V], k)
+	for i := range perMachine {
+		perMachine[i] = flat[starts[i]:starts[i]:starts[i+1]]
+	}
+	for _, kv := range large {
+		m := p.root(kv.K)
+		perMachine[m] = append(perMachine[m], kv)
+	}
+	return ScatterFromLarge(c, perMachine, vwords+1)
 }
 
 // broadcast delivers vals[i] — machine i's values, each at its key's root,

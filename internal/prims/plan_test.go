@@ -19,23 +19,79 @@ type planInput struct {
 	large []KV[int64]
 }
 
-// checkPlanAgainstOneShot runs in both ways on c and fails t at the first
-// difference. Over one NewPlan of in.needs:
+// oracle is the sequential reference of Claim 3: every request of needs is
+// answered with the first value of its key in origin order — the lists in
+// the order given, each in list order — and a request for a key with no
+// value is left unanswered.
+func oracle[V any](needs [][]int64, values ...[]KV[V]) []map[int64]V {
+	first := map[int64]V{}
+	for _, vs := range values {
+		for _, kv := range vs {
+			if _, ok := first[kv.K]; !ok {
+				first[kv.K] = kv.V
+			}
+		}
+	}
+	out := make([]map[int64]V, len(needs))
+	for i, ns := range needs {
+		out[i] = map[int64]V{}
+		for _, x := range ns {
+			if v, ok := first[x]; ok {
+				out[i][x] = v
+			}
+		}
+	}
+	return out
+}
+
+// atRoots moves every value of values to its key's root under p, machine by
+// machine in list order: PlanBroadcast's small input, in origin order.
+func atRoots[V any](p *Plan, k int, values [][]KV[V]) [][]KV[V] {
+	small := make([][]KV[V], k)
+	for _, vs := range values {
+		for _, kv := range vs {
+			r := p.root(kv.K)
+			small[r] = append(small[r], kv)
+		}
+	}
+	return small
+}
+
+// sameAnswers fails t unless got equals the oracle's answers, machine by
+// machine; a machine past either list is answered nothing.
+func sameAnswers[V comparable](t *testing.T, name string, got, want []map[int64]V) {
+	t.Helper()
+	for i := range max(len(got), len(want)) {
+		var g, w map[int64]V
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if !maps.Equal(g, w) {
+			t.Fatalf("%s: machine %d is answered %v, the oracle %v", name, i, g, w)
+		}
+	}
+}
+
+// checkPlan runs in's collectives over one NewPlan of in.needs on c and
+// fails t at the first difference from their references:
 //
 //   - PlanCombine against AggregateByKey, under a sum and under a first-wins
 //     combine (which sees the fold order): the same (key, value) set, every
 //     key at its root, one route round plus a span-up round when the plan
 //     has a span;
-//   - PlanBroadcast of that result and in.large against SegmentedBroadcast of
+//   - PlanBroadcast of that result and in.large against the oracle of
 //     AggregateByKey's and in.large: the same answers, in treeDepth+1 rounds
 //     plus the scatter round;
 //   - PlanBroadcast of two values per request, put at the key's root in
-//     requester order, against SegmentedBroadcast of the same lists: the
-//     first in origin order wins in both;
+//     requester order, against the oracle of the same lists: the first in
+//     origin order wins;
 //   - a combine key its machine does not request, a value away from its
 //     root, and (without a large machine) large values are refused —
 //     ErrUnplanned, ErrUnplanned, mpc.ErrNeedsLarge — before any round.
-func checkPlanAgainstOneShot(t *testing.T, c *mpc.Cluster, in planInput) {
+func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 	t.Helper()
 	k := c.K()
 	p, err := NewPlan(c, in.needs)
@@ -89,11 +145,7 @@ func checkPlanAgainstOneShot(t *testing.T, c *mpc.Cluster, in planInput) {
 		if used := c.Rounds() - before; used != want {
 			t.Errorf("%s: PlanBroadcast charged %d rounds, want %d (tree %d + answer + scatter)", cb.name, used, want, depth)
 		}
-		oneShot, err := SegmentedBroadcast(c, in.needs, aggRoots, in.large, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswers(t, cb.name, got, oneShot)
+		sameAnswers(t, cb.name, got, oracle(in.needs, Flatten(aggRoots), in.large))
 	}
 
 	dup := make([][]KV[int64], k)
@@ -107,11 +159,7 @@ func checkPlanAgainstOneShot(t *testing.T, c *mpc.Cluster, in planInput) {
 	if err != nil {
 		t.Fatalf("duplicates: PlanBroadcast: %v", err)
 	}
-	oneShot, err := SegmentedBroadcast(c, in.needs, dup, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswers(t, "duplicates", got, oneShot)
+	sameAnswers(t, "duplicates", got, oracle(in.needs, Flatten(dup)))
 
 	before := c.Rounds()
 	stray := make([][]KV[int64], k)
@@ -136,23 +184,12 @@ func checkPlanAgainstOneShot(t *testing.T, c *mpc.Cluster, in planInput) {
 	}
 }
 
-// sameAnswers fails t unless the plan's answers equal the one-shot ones,
-// machine by machine.
-func sameAnswers(t *testing.T, name string, plan, oneShot []map[int64]int64) {
-	t.Helper()
-	for i := range oneShot {
-		if !maps.Equal(plan[i], oneShot[i]) {
-			t.Fatalf("%s: machine %d is answered %v over the plan, %v by SegmentedBroadcast", name, i, plan[i], oneShot[i])
-		}
-	}
-}
-
 // TestPlanMatchesOneShot is the differential test of the plan against the
-// one-shot collectives on a 128-machine cluster, with and without the large
-// machine: a hot key every machine requests (its requests span at least
-// three machines), random keys, keys requested and never valued, every
-// eleventh machine empty, and — with the large machine — large values,
-// duplicated, for keys no item carries.
+// one-shot AggregateByKey and the sequential oracle (checkPlan) on a
+// 128-machine cluster, with and without the large machine: a hot key every
+// machine requests (its requests span at least three machines), random keys,
+// keys requested and never valued, every eleventh machine empty, and — with
+// the large machine — large values, duplicated, for keys no item carries.
 func TestPlanMatchesOneShot(t *testing.T) {
 	for _, noLarge := range []bool{false, true} {
 		c := newCluster(t, 256, 2048, noLarge)
@@ -198,7 +235,7 @@ func TestPlanMatchesOneShot(t *testing.T) {
 		if !hot {
 			t.Fatalf("noLarge=%v: the hot key's requests span fewer than three machines: %v", noLarge, p.spans)
 		}
-		checkPlanAgainstOneShot(t, c, in)
+		checkPlan(t, c, in)
 	}
 }
 
@@ -235,6 +272,135 @@ func FuzzPlan(f *testing.F) {
 		for i := range in.needs {
 			in.needs[i] = DistinctInts(in.needs[i])
 		}
-		checkPlanAgainstOneShot(t, c, in)
+		checkPlan(t, c, in)
 	})
+}
+
+// dupValues builds the FirstWins input on k machines: every machine holds
+// two values of the hot key 7 and requests it, a cold key 100+j (j < 5) has
+// a value on machine j+1 and a later one on machine k-1-j, and key 999 is
+// requested by everyone and held by no one.
+func dupValues(k int) (values [][]KV[int64], needs [][]int64) {
+	values, needs = make([][]KV[int64], k), make([][]int64, k)
+	for i := range values {
+		values[i] = []KV[int64]{{K: 7, V: int64(10*i + 1)}, {K: 7, V: int64(10*i + 2)}}
+		needs[i] = []int64{7, int64(100 + i%5), 999}
+	}
+	for j := 0; j < 5; j++ {
+		values[k-1-j] = append(values[k-1-j], KV[int64]{K: int64(100 + j), V: int64(2000 + j)})
+		values[j+1] = append(values[j+1], KV[int64]{K: int64(100 + j), V: int64(1000 + j)})
+	}
+	return values, needs
+}
+
+// TestPlanBroadcastDuplicateValuesFirstWins: of several values for one key,
+// every requester is answered with the first in (origin machine, origin
+// position) order — not with whichever value shares a machine with its
+// request, which is what a hot key with 2K values and K requests used to
+// read. The large machine's values enter behind the root's own.
+func TestPlanBroadcastDuplicateValuesFirstWins(t *testing.T) {
+	for _, noLarge := range []bool{false, true} {
+		c := newCluster(t, 256, 2048, noLarge)
+		values, needs := dupValues(c.K())
+		var large []KV[int64]
+		if !noLarge {
+			large = []KV[int64]{{K: 7, V: -1}, {K: 100, V: -2}, {K: 555, V: 5}, {K: 555, V: 6}}
+			needs[3] = append(needs[3], 555)
+		}
+		p, err := NewPlan(c, needs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PlanBroadcast(c, p, atRoots(p, c.K(), values), large, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			want := map[int64]int64{7: 1, int64(100 + i%5): int64(1000 + i%5)}
+			if !noLarge && i == 3 {
+				want[555] = 5
+			}
+			if !maps.Equal(got[i], want) {
+				t.Fatalf("noLarge=%v machine %d got %v, want %v", noLarge, i, got[i], want)
+			}
+		}
+		sameAnswers(t, "duplicates", got, oracle(needs, Flatten(values), large))
+	}
+}
+
+// TestDisseminateLargeValuesNeedLarge: large values on a cluster without a
+// large machine are refused with mpc.ErrNeedsLarge, as every other
+// needs-large primitive refuses, before NewPlan's Sort is charged.
+func TestDisseminateLargeValuesNeedLarge(t *testing.T) {
+	c := newCluster(t, 256, 2048, true)
+	_, err := DisseminateFromLarge(c, [][]int64{{7}}, map[int64]int64{7: 1}, 1)
+	if !errors.Is(err, mpc.ErrNeedsLarge) {
+		t.Fatalf("err = %v, want ErrNeedsLarge", err)
+	}
+	if c.Rounds() != 0 {
+		t.Errorf("refused call charged %d rounds", c.Rounds())
+	}
+}
+
+// TestDisseminateChargesSortScatterTreeAnswer pins DisseminateFromLarge's
+// round cost, a function of public parameters only: NewPlan's Sort of the
+// same requests, a scatter round when the large machine holds values,
+// treeDepth(K, b) tree rounds and the answer round — nothing for finding the
+// spans.
+func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
+	const k, vwords = 128, 1
+	small := mpc.UniformProfile(k)
+	small.CapScale[k/2] = 0.006 // room for the splitter list, not for K children
+	for _, tc := range []struct {
+		name     string
+		cfg      mpc.Config
+		values   bool
+		minDepth int
+	}{
+		{"default", mpc.Config{}, true, 1},
+		{"default, no values", mpc.Config{}, false, 1},
+		{"NoLarge, no values", mpc.Config{NoLarge: true}, false, 1},
+		{"one small-capacity machine", mpc.Config{Profile: small}, true, 2},
+	} {
+		cfg := tc.cfg
+		cfg.N, cfg.M, cfg.K, cfg.Seed = 256, 2048, k, 42
+		c, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth := treeDepth(k, branching(c, vwords+1))
+		if depth < tc.minDepth {
+			t.Fatalf("%s: tree depth %d, want at least %d", tc.name, depth, tc.minDepth)
+		}
+		_, needs := dupValues(k)
+		values := map[int64]int64{}
+		if tc.values {
+			for x := int64(0); x < 3*k; x++ {
+				values[x] = x
+			}
+		}
+		keys := make([][]SortKey, k) // the request items' sort keys
+		for i := range keys {
+			for _, x := range needs[i] {
+				keys[i] = append(keys[i], requestKey(request{Key: x, M: int32(i)}))
+			}
+		}
+		before := c.Rounds()
+		if _, err := Sort(c, keys, sortKeyWords, func(key SortKey) SortKey { return key }); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := c.Rounds() - before + depth + 1
+		if tc.values {
+			want++
+		}
+		before = c.Rounds()
+		got, err := DisseminateFromLarge(c, needs, values, vwords)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sameAnswers(t, tc.name, got, oracle(needs, SortedKVs(values)))
+		if used := c.Rounds() - before; used != want {
+			t.Errorf("%s: DisseminateFromLarge charged %d rounds, want %d (one Sort + scatter + %d tree + 1 answer)", tc.name, used, want, depth)
+		}
+	}
 }

@@ -15,16 +15,16 @@
 //     sort: each partial goes to the bucket its machine's own request for the
 //     key went to, and one span-up round folds a span's partials into its
 //     root (PlanCombine), where Claim 3 reads them;
-//   - Claim 3 (Dissemination): requests are sorted by (x, 1, requester), so
-//     a key's values, under (x, 0, 0), have one machine — its root; the spans
-//     a machine sits in are a function of Sort's splitters and come with
-//     Sort's reply, and machine-range trees with capacity-bounded branching
-//     (the paper's trees with branching n^γ) run downward over them,
-//     delivering per-key values to every machine that requested the key. A
-//     request set used once sorts its values with it (SegmentedBroadcast);
-//     one disseminated to again and again is sorted once into a Plan, and
-//     every PlanBroadcast over it is the tree and the answer round, the
-//     large machine's values routed straight to their roots;
+//   - Claim 3 (Dissemination): one form. A request set is sorted once by
+//     (x, 1, requester) into a Plan (NewPlan), so a key's values have one
+//     machine, its root, the bucket of (x, 0, 0); the spans a machine sits
+//     in are a function of Sort's splitters and come with Sort's reply. Every
+//     PlanBroadcast over the plan routes the large machine's values straight
+//     to their roots (one scatter round), and machine-range trees with
+//     capacity-bounded branching (the paper's trees with branching n^γ) run
+//     downward over the spans, delivering per-key values to every machine
+//     that requested the key. A request set used once is the same two calls
+//     (DisseminateFromLarge);
 //   - Claim 4 (Arranging nodes): sort directed edges by source, report the
 //     per-key machine runs to the large machine (at most n + K - 1 runs by
 //     contiguity), enabling the "collect the k lightest edges of each
@@ -40,9 +40,9 @@
 // heap arithmetic of the range trees (a position's children are the range
 // b·p+1 … b·p+b, walked in place).
 //
-// A collective allocates per machine, never per message, and Sort,
-// SegmentedBroadcast and PlanBroadcast (their result maps aside),
-// PlanCombine and ScatterFromLarge per call: struct payloads travel as
+// A collective allocates per machine, never per message, and Sort, NewPlan,
+// PlanBroadcast (its result maps aside), PlanCombine and ScatterFromLarge
+// per call: struct payloads travel as
 // pointers into one slab per sender per round — Sort's reply and route
 // rounds and the answer round carve every sender's from one array —
 // wire-native scalars and slices by value (DESIGN.md §14, "Payload slabs").
@@ -53,7 +53,6 @@ import (
 	"slices"
 
 	"hetmpc/internal/mpc"
-	"hetmpc/internal/xrand"
 )
 
 // KV pairs an int64 key with a value. Composite keys (vertex pairs etc.) are
@@ -454,11 +453,6 @@ func BroadcastSeed(c *mpc.Cluster) (uint64, error) {
 		return 0, err
 	}
 	return seed, nil
-}
-
-// hashKeyToMachine places key on a machine pseudo-uniformly.
-func hashKeyToMachine(key int64, k int) int {
-	return int(xrand.SplitMix64(uint64(key)+0x9e37) % uint64(k))
 }
 
 // SortKVsByKey sorts a KV slice by key, stable among equal keys (the radix

@@ -1,6 +1,7 @@
 package prims
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -187,9 +188,10 @@ func TestBroadcastValueDirectAndTree(t *testing.T) {
 type wide [40]int64
 
 // TestDeepTrees drives both tree walkers — BroadcastValue's tree and
-// SegmentedBroadcast's down-tree — past depth 1, with an AggregateByKey of
-// the same wide values between them, and compares the results with the same
-// calls on a default-capacity cluster, where every tree is one level.
+// PlanBroadcast's down-tree — past depth 1, with an AggregateByKey of the
+// same wide values between them, and compares the results with the same
+// calls on a default-capacity cluster, where every tree is one level, and
+// the broadcast's answers with the sequential oracle.
 func TestDeepTrees(t *testing.T) {
 	const k, vwords = 64, len(wide{})
 	for _, noLarge := range []bool{false, true} {
@@ -243,29 +245,38 @@ func TestDeepTrees(t *testing.T) {
 					agg[kv.K] = kv.V
 				}
 			}
-			if seg, err = SegmentedBroadcast(c, needs, values, nil, vwords); err != nil {
+			p, err := NewPlan(c, needs)
+			if err != nil {
 				t.Fatal(err)
 			}
+			// The hot key's span must outgrow one level of the tree.
+			if hot := p.spans[2*p.root(9)]; wantDeep && (hot.Key != 9 || hot.B-hot.A <= b) {
+				t.Fatalf("CSmall=%v: the hot key's span %v fits one level of branching %d", csmall, hot, b)
+			}
+			if seg, err = PlanBroadcast(c, p, atRoots(p, k, values), nil, vwords); err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, fmt.Sprintf("noLarge=%v CSmall=%v", noLarge, csmall), seg, oracle(needs, Flatten(values)))
 			return bcast, agg, seg
 		}
 		deepB, deepA, deepS := run(0.1, 0.027, true)
-		flatB, flatA, flatS := run(0, 0, false)
+		flatB, flatA, _ := run(0, 0, false)
 		if !reflect.DeepEqual(deepB, flatB) || deepB[k-1] != (wide{55}) {
 			t.Fatalf("noLarge=%v: deep BroadcastValue diverges", noLarge)
 		}
 		if !reflect.DeepEqual(deepA, flatA) || deepA[9] != (wide{k / 4, k * (k/4 - 1) / 2}) {
 			t.Fatalf("noLarge=%v: deep AggregateByKey diverges: hot key %v", noLarge, deepA[9])
 		}
-		if !reflect.DeepEqual(deepS, flatS) || deepS[0][9] != (wide{900}) || len(deepS[0]) != 2 {
-			t.Fatalf("noLarge=%v: deep SegmentedBroadcast diverges: machine 0 got %v keys", noLarge, len(deepS[0]))
+		if deepS[0][9] != (wide{900}) || len(deepS[0]) != 2 {
+			t.Fatalf("noLarge=%v: deep PlanBroadcast answers machine 0 with %v", noLarge, deepS[0])
 		}
 	}
 }
 
 // TestTreeFanoutAllocIndependentOfBranching pins that a tree level costs
 // its children, not the branching factor: the same multi-machine-span
-// SegmentedBroadcast on two clusters that differ only in CSmall — so only
-// in branching, depth 1 in both — allocates the same volume.
+// PlanBroadcast on two clusters that differ only in CSmall — so only in
+// branching, depth 1 in both — allocates the same volume.
 func TestTreeFanoutAllocIndependentOfBranching(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are nondeterministic under the race detector")
@@ -279,25 +290,29 @@ func TestTreeFanoutAllocIndependentOfBranching(t *testing.T) {
 		if d := treeDepth(k, branching(c, 2)); d != 1 {
 			t.Fatalf("CSmall=%v: depth %d, want 1", csmall, d)
 		}
-		values := make([][]KV[int64], k)
-		values[k-1] = []KV[int64]{{K: 7, V: 700}}
 		needs := make([][]int64, k)
 		for i := range needs {
 			needs[i] = []int64{7}
 		}
+		p, err := NewPlan(c, needs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := atRoots(p, k, [][]KV[int64]{{{K: 7, V: 700}}})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := SegmentedBroadcast(c, needs, values, nil, 1)
+		got, err := PlanBroadcast(c, p, values, nil, 1)
 		runtime.ReadMemStats(&after)
-		if err != nil || got[0][7] != 700 {
-			t.Fatalf("CSmall=%v: %v %v", csmall, got[0], err)
+		if err != nil {
+			t.Fatalf("CSmall=%v: %v", csmall, err)
 		}
+		sameAnswers(t, fmt.Sprintf("CSmall=%v", csmall), got, oracle(needs, Flatten(values)))
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	alloc(6) // warm the sort kernels' pools
 	lo, hi := alloc(6), alloc(600)
 	if ratio := float64(hi) / float64(lo); ratio > 1.5 || ratio < 1/1.5 {
-		t.Errorf("SegmentedBroadcast allocates %d B at CSmall=6, %d B at CSmall=600 (ratio %.2f): fan-out scales with branching", lo, hi, ratio)
+		t.Errorf("PlanBroadcast allocates %d B at CSmall=6, %d B at CSmall=600 (ratio %.2f): fan-out scales with branching", lo, hi, ratio)
 	}
 }
 
@@ -464,7 +479,9 @@ func TestAggregateByKeyMin(t *testing.T) {
 	}
 }
 
-func TestSegmentedBroadcastFromLarge(t *testing.T) {
+// TestDisseminateFromLarge: every request is answered as the sequential
+// oracle answers it, keys with no value included.
+func TestDisseminateFromLarge(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
 	values := map[int64]int64{}
 	for k := int64(0); k < 200; k++ {
@@ -486,37 +503,29 @@ func TestSegmentedBroadcastFromLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range needs {
-		for _, k := range needs[i] {
-			v, ok := got[i][k]
-			wantV, wantOK := values[k]
-			if ok != wantOK || (ok && v != wantV) {
-				t.Fatalf("machine %d key %d: got (%d,%v) want (%d,%v)", i, k, v, ok, wantV, wantOK)
-			}
-		}
-	}
+	sameAnswers(t, "FromLarge", got, oracle(needs, SortedKVs(values)))
 }
 
-func TestSegmentedBroadcastDistributedValues(t *testing.T) {
-	// Values live on the small machines (no large-machine source): the
-	// hot-key case where one key is needed by every machine.
+// TestPlanBroadcastDistributedValues: a value held by a small machine — its
+// key's root, with no large-machine source — reaches every requester of the
+// hot key, which every machine needs.
+func TestPlanBroadcastDistributedValues(t *testing.T) {
 	for _, noLarge := range []bool{false, true} {
 		c := newCluster(t, 256, 2048, noLarge)
-		smallValues := make([][]KV[int64], c.K())
-		smallValues[c.K()-1] = []KV[int64]{{K: 7, V: 700}} // value at the far end
 		needs := make([][]int64, c.K())
 		for i := range needs {
 			needs[i] = []int64{7}
 		}
-		got, err := SegmentedBroadcast(c, needs, smallValues, nil, 1)
+		p, err := NewPlan(c, needs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i][7] != 700 {
-				t.Fatalf("noLarge=%v machine %d got %v", noLarge, i, got[i])
-			}
+		values := atRoots(p, c.K(), [][]KV[int64]{{{K: 7, V: 700}}})
+		got, err := PlanBroadcast(c, p, values, nil, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameAnswers(t, fmt.Sprintf("noLarge=%v", noLarge), got, oracle(needs, Flatten(values)))
 	}
 }
 

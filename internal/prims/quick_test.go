@@ -1,6 +1,7 @@
 package prims
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -114,9 +115,10 @@ func TestAggregateQuick(t *testing.T) {
 	}
 }
 
-// TestDisseminateQuick property-tests SegmentedBroadcast: every requested
-// key with a value is answered with exactly that value; keys without values
-// stay unanswered.
+// TestDisseminateQuick property-tests DisseminateFromLarge against the
+// sequential oracle: every requested key with a value is answered with
+// exactly that value; keys without values stay unanswered, and no machine
+// is answered a key it did not request.
 func TestDisseminateQuick(t *testing.T) {
 	prop := func(seed uint64) bool {
 		c, err := mpc.New(mpc.Config{N: 128, M: 512, Seed: seed})
@@ -145,26 +147,10 @@ func TestDisseminateQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range needs {
-			for _, k := range needs[i] {
-				v, ok := got[i][k]
-				wv, wok := values[k]
-				if ok != wok || (ok && v != wv) {
-					return false
-				}
-			}
-			// No phantom keys.
-			for k := range got[i] {
-				found := false
-				for _, need := range needs[i] {
-					if need == k {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
+		want := oracle(needs, SortedKVs(values))
+		for i := range want {
+			if !maps.Equal(got[i], want[i]) {
+				return false
 			}
 		}
 		return true

@@ -33,7 +33,7 @@ func commOf(s hetmpc.ClusterStats) comm {
 // report, instruction and tree-combine rounds (which never sent) were
 // deleted: per call −3 rounds, −182 messages, −546 words, max-send and
 // max-recv untouched. Three of them (connectivity makes no dissemination)
-// were re-captured again when SegmentedBroadcast began reading its spans off
+// were re-captured again when dissemination began reading its spans off
 // Sort's splitters: per call −2 rounds and fewer messages and words, max-send
 // and max-recv untouched; and once more for Sort's cut replies (DESIGN.md §1).
 // Matching's was re-captured once more when it began aggregating degrees and
@@ -46,7 +46,10 @@ func commOf(s hetmpc.ClusterStats) comm {
 // Borůvka began building one plan a phase (Borůvka's of its tail labels
 // only): one Sort a phase in place of four (the peel) or two (Borůvka), −10
 // and −19 rounds, with fewer messages and words and lower max-send and
-// max-recv.
+// max-recv. MST's was re-captured once more when its one-shot disseminations
+// became a plan used once and its KKT step began sending only the labels of
+// F's vertices (DESIGN.md §1): −1 round (F was empty, so no scatter round),
+// 290,964 → 267,048 words, lower max-send and max-recv.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -63,7 +66,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{44, 38093, 290964, 16582, 25337}},
+		}, comm{43, 36959, 267048, 15834, 24758}},
 		{"connectivity", false, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.Connectivity(c, gU)
 			if err == nil && r.Components != 1 {
