@@ -522,11 +522,11 @@ func (c *Cluster) ResetStats() {
 		}
 	}
 	// Traffic-proportional scratch — the sender list, encode buffers and
-	// decoder arenas — is returned to the garbage collector rather than
-	// leaked into the next run: a reset cluster's steady-state allocation
-	// profile must match a fresh one (TestResetStatsScratchMatchesFresh), and
-	// a big run's high-water footprint must not pin memory under a later
-	// small one. The fixed-size per-slot counters (K+1 words each) are
+	// the decoder's read buffer — is returned to the garbage collector
+	// rather than leaked into the next run: a reset cluster's steady-state
+	// allocation profile must match a fresh one
+	// (TestResetStatsScratchMatchesFresh), and a big run's high-water
+	// footprint must not pin memory under a later small one. The fixed-size per-slot counters (K+1 words each) are
 	// retained.
 	c.exch.senders = nil
 	if c.wn != nil {

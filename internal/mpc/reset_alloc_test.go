@@ -6,7 +6,7 @@ import (
 
 // TestResetStatsScratchMatchesFresh pins the ResetStats scratch contract:
 // a mid-run reset returns the traffic-proportional scratch (sender list,
-// decoder arenas), so a reset cluster re-warms and then
+// decoder read buffer), so a reset cluster re-warms and then
 // allocates exactly what a fresh cluster does in steady state — no more (a
 // leaked pool would hide re-growth) and no less (a retained pool would mask
 // the release).

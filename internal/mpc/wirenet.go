@@ -20,11 +20,11 @@ import (
 // destination's stream sequentially into flat[slotBase+0..n). No offsets
 // cross the wire; the stream order is the offset.
 //
-// Payloads that are not wire-native (algorithm-local structs; see the wire
-// package comment) cross as KindRef frames whose payload values ride the
-// per-destination refs table, built fully before the drain goroutine is
-// spawned (the spawn is the happens-before edge; file descriptors provide
-// none).
+// Payloads that are not wire-native (algorithm-local structs and slices;
+// see the wire package comment) cross as KindRef frames whose payload
+// values ride the per-destination refs table, built fully before the drain
+// goroutine is spawned (the spawn is the happens-before edge; file
+// descriptors provide none).
 type wireNet struct {
 	tr     wire.Transport
 	opened bool
@@ -33,7 +33,7 @@ type wireNet struct {
 
 	bufs    [][]byte       // per destination slot, encoded frames of the round
 	refs    [][]any        // per destination slot, KindRef payload table
-	dec     wire.Decoder   // the drain's read buffer and payload arenas, shared by all links
+	dec     wire.Decoder   // the drain's read buffer, shared by all links
 	drained sync.WaitGroup // the round's drain goroutine
 	werr    []error        // per slot, writer error of the round
 	rerr    []error        // per slot, reader error of the round
@@ -74,8 +74,8 @@ func (wn *wireNet) open(slots int) error {
 }
 
 // release drops the traffic-proportional buffers — encode buffers, ref
-// tables, the decoder's buffer and arenas — keeping the links and per-slot bookkeeping
-// intact. Called from ResetStats so a reused transported cluster starts
+// tables, the decoder's buffer — keeping the links and per-slot
+// bookkeeping intact. Called from ResetStats so a reused transported cluster starts
 // the next run without the previous run's high-water footprint.
 func (wn *wireNet) release() {
 	for i := range wn.bufs {
@@ -203,7 +203,6 @@ func (wn *wireNet) encodeRound(senders []sender) error {
 // writer is never left blocked).
 func (wn *wireNet) drain(sc *exchScratch, flat []Msg) {
 	defer wn.drained.Done()
-	wn.dec.Release()
 	for slot := range wn.links {
 		n := sc.recvCount[slot]
 		if n == 0 {
@@ -221,7 +220,7 @@ func (wn *wireNet) drain(sc *exchScratch, flat []Msg) {
 // The link must hold nothing after the n-th frame: leftover bytes would
 // otherwise be parsed as the next round's first header and blamed on it.
 //
-//hetlint:zeroalloc steady-state decode path: the decoder's buffer and arenas absorb the stream (pinned by TestWireRoundAllocsIndependentOfK)
+//hetlint:zeroalloc steady-state decode path: the decoder's buffer absorbs the stream (pinned by TestWireRoundAllocsIndependentOfK)
 func (wn *wireNet) readInto(slot, n, base int, flat []Msg) error {
 	link := wn.links[slot]
 	var m wire.Message

@@ -65,10 +65,11 @@ func TestWireDeliveryMatchesInproc(t *testing.T) {
 	}
 }
 
-// TestWireNativePayloadKinds pushes every wire-native payload kind (and one
-// by-ref payload) through a real transport and checks the delivered values.
+// TestWireNativePayloadKinds pushes every wire-native payload kind (and
+// by-ref payloads: Go slices and a local struct) through a real transport
+// and checks the delivered values.
 func TestWireNativePayloadKinds(t *testing.T) {
-	type local struct{ A, B int } // not wire-native: crosses by ref
+	type local struct{ A, B int } // not wire-native: crosses by ref, as the slices do
 	payloads := []any{
 		nil,
 		int64(-7),

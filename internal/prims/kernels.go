@@ -3,8 +3,6 @@ package prims
 import (
 	"slices"
 	"sync"
-
-	"hetmpc/internal/arena"
 )
 
 // keyed pairs an extracted sort key with the item's original position. The
@@ -27,8 +25,19 @@ func flipKey(k SortKey) [3]uint64 {
 
 // keyedPool recycles the keyed scratch of SortLocal across calls: the
 // primitives sort per small machine per round, so steady-state rounds reuse
-// warm slabs instead of reallocating the side buffers every time.
-var keyedPool = sync.Pool{New: func() any { return &arena.Arena[keyed]{} }}
+// a warm buffer instead of reallocating the side buffers every time.
+var keyedPool = sync.Pool{New: func() any { return new([]keyed) }}
+
+// window returns an n-element view of the pooled buffer *p, reallocating
+// only past its high-water mark, to max(n, 2·cap). The view holds whatever
+// the buffer last held: every caller overwrites all n elements before
+// reading any.
+func window[T any](p *[]T, n int) []T {
+	if cap(*p) < n {
+		*p = make([]T, max(n, 2*cap(*p)))
+	}
+	return (*p)[:n]
+}
 
 // radixCutoff is the slice length below which SortLocal always uses the
 // comparison fallback: an LSD pass costs two linear sweeps plus a 256-entry
@@ -59,8 +68,8 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 	if n < 2 {
 		return
 	}
-	ar := keyedPool.Get().(*arena.Arena[keyed])
-	kb := ar.AllocUninit(n)
+	kp := keyedPool.Get().(*[]keyed)
+	kb := window(kp, n)
 	or := [3]uint64{}
 	and := [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
 	var prev [3]uint64 // the zero triple is below or equal to every flipped key
@@ -79,8 +88,7 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 	}
 	if inOrder {
 		// A stable sort of sorted input is the identity.
-		ar.Reset()
-		keyedPool.Put(ar)
+		keyedPool.Put(kp)
 		return
 	}
 	// Plan one pass per byte that actually varies, least-significant key
@@ -119,8 +127,7 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 	default:
 		sortPacked24(items, kb, plan[:np])
 	}
-	ar.Reset()
-	keyedPool.Put(ar)
+	keyedPool.Put(kp)
 }
 
 // wordsLess is the lexicographic order on flipped key triples.
@@ -159,8 +166,8 @@ type keyed24 struct {
 	idx    int32
 }
 
-var k16Pool = sync.Pool{New: func() any { return &arena.Arena[keyed16]{} }}
-var k24Pool = sync.Pool{New: func() any { return &arena.Arena[keyed24]{} }}
+var k16Pool = sync.Pool{New: func() any { return new([]keyed16) }}
+var k24Pool = sync.Pool{New: func() any { return new([]keyed24) }}
 
 // sortPacked16 runs the radix passes on 16-byte packed records. The pack
 // sweep is fused with the histogram sweep (counting-sort histograms depend
@@ -168,11 +175,11 @@ var k24Pool = sync.Pool{New: func() any { return &arena.Arena[keyed24]{} }}
 // one read of kb plus np scatter sweeps over the compact records.
 func sortPacked16[T any](items []T, kb []keyed, plan []bytePass) {
 	n, np := len(kb), len(plan)
-	pa := k16Pool.Get().(*arena.Arena[keyed16])
-	buf := pa.AllocUninit(2 * n)
+	pp := k16Pool.Get().(*[]keyed16)
+	buf := window(pp, 2*n)
 	src, dst := buf[:n], buf[n:]
-	ca := countsPool.Get().(*arena.Arena[int32])
-	scratch := ca.AllocUninit(np*256 + n)
+	hp := countsPool.Get().(*[]int32)
+	scratch := window(hp, np*256+n)
 	counts, perm := scratch[:np*256], scratch[np*256:]
 	clear(counts)
 	for i := range kb {
@@ -199,21 +206,19 @@ func sortPacked16[T any](items []T, kb []keyed, plan []bytePass) {
 		perm[i] = src[i].idx
 	}
 	applyPermIdx(items, perm)
-	ca.Reset()
-	countsPool.Put(ca)
-	pa.Reset()
-	k16Pool.Put(pa)
+	countsPool.Put(hp)
+	k16Pool.Put(pp)
 }
 
 // sortPacked24 is sortPacked16 for 9..16 varying bytes: passes 0..7 pack
 // into k0, passes 8..15 into k1.
 func sortPacked24[T any](items []T, kb []keyed, plan []bytePass) {
 	n, np := len(kb), len(plan)
-	pa := k24Pool.Get().(*arena.Arena[keyed24])
-	buf := pa.AllocUninit(2 * n)
+	pp := k24Pool.Get().(*[]keyed24)
+	buf := window(pp, 2*n)
 	src, dst := buf[:n], buf[n:]
-	ca := countsPool.Get().(*arena.Arena[int32])
-	scratch := ca.AllocUninit(np*256 + n)
+	hp := countsPool.Get().(*[]int32)
+	scratch := window(hp, np*256+n)
 	counts, perm := scratch[:np*256], scratch[np*256:]
 	clear(counts)
 	lo := plan[:8]
@@ -256,10 +261,8 @@ func sortPacked24[T any](items []T, kb []keyed, plan []bytePass) {
 		perm[i] = src[i].idx
 	}
 	applyPermIdx(items, perm)
-	ca.Reset()
-	countsPool.Put(ca)
-	pa.Reset()
-	k24Pool.Put(pa)
+	countsPool.Put(hp)
+	k24Pool.Put(pp)
 }
 
 // prefixSum converts a 256-digit histogram into exclusive start offsets.
@@ -297,10 +300,10 @@ func applyPermIdx[T any](items []T, perm []int32) {
 
 // countsPool recycles the fused radix histograms of SortLocal (up to 24
 // passes × 256 digits of int32 counts).
-var countsPool = sync.Pool{New: func() any { return &arena.Arena[int32]{} }}
+var countsPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // u64Pool recycles the flipped-word scratch of SortInts.
-var u64Pool = sync.Pool{New: func() any { return &arena.Arena[uint64]{} }}
+var u64Pool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // SortInts sorts xs ascending. It is the plain-int64 sibling of the
 // SortLocal kernel: the engine's map-drain loops (collect keys, sort,
@@ -316,8 +319,8 @@ func SortInts(xs []int64) {
 		return
 	}
 	const flip = 1 << 63
-	ar := u64Pool.Get().(*arena.Arena[uint64])
-	buf := ar.AllocUninit(2 * n)
+	up := u64Pool.Get().(*[]uint64)
+	buf := window(up, 2*n)
 	src, dst := buf[:n], buf[n:]
 	var or uint64
 	and := ^uint64(0)
@@ -338,12 +341,11 @@ func SortInts(xs []int64) {
 	}
 	if np == 0 {
 		// All values equal: xs is already sorted.
-		ar.Reset()
-		u64Pool.Put(ar)
+		u64Pool.Put(up)
 		return
 	}
-	ca := countsPool.Get().(*arena.Arena[int32])
-	counts := ca.AllocUninit(np * 256)
+	hp := countsPool.Get().(*[]int32)
+	counts := window(hp, np*256)
 	clear(counts)
 	for _, u := range src {
 		for p := 0; p < np; p++ {
@@ -364,10 +366,8 @@ func SortInts(xs []int64) {
 	for i, u := range src {
 		xs[i] = int64(u ^ flip)
 	}
-	ca.Reset()
-	countsPool.Put(ca)
-	ar.Reset()
-	u64Pool.Put(ar)
+	countsPool.Put(hp)
+	u64Pool.Put(up)
 }
 
 // applyPerm rearranges items so that items[i] = old items[kb[i].idx],

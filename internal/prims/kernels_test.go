@@ -279,22 +279,39 @@ func TestScatterViewsAreCapClamped(t *testing.T) {
 	}
 }
 
-// TestSortLocalSteadyStateAllocs pins the pooled keyed scratch: once the
-// pool is warm, sorting allocates nothing beyond the sort itself.
+// TestSortLocalSteadyStateAllocs pins the pooled scratch of every SortLocal
+// path: once the pools are warm, sorting allocates nothing beyond the sort
+// itself — below the radix cutoff, past 16 varying key bytes (both the
+// comparison sort), and on the 16- and 24-byte packed radix paths.
 func TestSortLocalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
 	}
-	rng := xrand.New(17)
-	items := fuzzedItems(rng, 4096, 1<<20)
-	scratch := slices.Clone(items)
+	gens := keyGens(xrand.New(17))
 	key := func(it kitem) SortKey { return it.key }
-	SortLocal(scratch, key) // warm the pool
-	if got := testing.AllocsPerRun(20, func() {
-		copy(scratch, items)
-		SortLocal(scratch, key)
-	}); got != 0 {
-		t.Errorf("steady-state SortLocal allocates %v per call, want 0", got)
+	for _, tc := range []struct {
+		name, gen string
+		n         int
+	}{
+		{"comparison/short", "packed16", radixCutoff - 32},
+		{"comparison/unpacked", "unpacked", 4096},
+		{"packed16", "packed16", 4096},
+		{"packed24", "packed24", 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := make([]kitem, tc.n)
+			for i := range items {
+				items[i] = kitem{key: gens[tc.gen](), tag: i}
+			}
+			scratch := slices.Clone(items)
+			SortLocal(scratch, key) // warm the pools
+			if got := testing.AllocsPerRun(20, func() {
+				copy(scratch, items)
+				SortLocal(scratch, key)
+			}); got != 0 {
+				t.Errorf("steady-state SortLocal allocates %v per call, want 0", got)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@
 // per call: struct payloads travel as
 // pointers into one slab per sender per round — Sort's reply and route
 // rounds and the answer round carve every sender's from one array —
-// wire-native scalars and slices by value (DESIGN.md §14, "Payload slabs").
+// wire-native scalars by value (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (

@@ -156,11 +156,21 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	return err
 }
 
-// ReadGraph reads a whole-graph shard block written by WriteGraph.
+// ReadGraph reads a whole-graph shard block written by WriteGraph. A shard
+// at a non-zero offset, or with an endpoint outside its N vertices, is not
+// a graph: ErrCorrupt.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	var s Shard
 	if _, err := s.ReadFrom(r); err != nil {
 		return nil, err
+	}
+	if s.Offset != 0 {
+		return nil, fmt.Errorf("%w: graph block at edge offset %d, want 0", ErrCorrupt, s.Offset)
+	}
+	for i, e := range s.Edges {
+		if e.U >= int(s.N) || e.V >= int(s.N) {
+			return nil, fmt.Errorf("%w: edge %d endpoints %d-%d outside %d vertices", ErrCorrupt, i, e.U, e.V, s.N)
+		}
 	}
 	return graph.New(int(s.N), s.Edges, s.Weighted), nil
 }

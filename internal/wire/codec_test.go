@@ -10,20 +10,21 @@ import (
 	"testing/iotest"
 )
 
-// sampleMessages covers every payload kind, including the empty-slice and
-// extreme-value edges of each.
+// sampleMessages covers every payload kind at the extremes of its fields,
+// including header-only frames with and without a word charge.
 func sampleMessages() []Message {
 	return []Message{
 		{From: -1, To: 0, Words: 0, Kind: KindNil},
+		{From: 4, To: 5, Words: 3, Kind: KindNil},
 		{From: 0, To: -1, Words: 1, Kind: KindInt64, I64: -7},
 		{From: 3, To: 4, Words: 2, Kind: KindInt64, I64: 1<<63 - 1},
+		{From: 4, To: 3, Words: 1, Kind: KindInt64, I64: -1 << 63},
 		{From: 1, To: 2, Words: 1, Kind: KindUint64, U64: 1 << 63},
-		{From: 2, To: 0, Words: 3, Kind: KindInt64Slice, I64s: []int64{1, -2, 3}},
-		{From: 2, To: 1, Words: 0, Kind: KindInt64Slice, I64s: []int64{}},
-		{From: 5, To: 6, Words: 4, Kind: KindUint64Slice, U64s: []uint64{0, ^uint64(0)}},
-		{From: 6, To: 5, Words: 2, Kind: KindBytes, Bytes: []byte("frame me")},
-		{From: 7, To: 8, Words: 1, Kind: KindBytes, Bytes: []byte{}},
+		{From: 2, To: 1, Words: 1, Kind: KindUint64, U64: 0},
+		{From: 5, To: 6, Words: 1<<32 - 1, Kind: KindUint64, U64: ^uint64(0)},
 		{From: -1, To: 9, Words: 9, Kind: KindRef, Ref: 41},
+		{From: 9, To: -1, Words: 3, Kind: KindRef, Ref: 0},
+		{From: 7, To: 8, Words: 1, Kind: KindRef, Ref: 1<<32 - 1},
 	}
 }
 
@@ -38,12 +39,6 @@ func payloadEqual(a, b *Message) bool {
 		return a.I64 == b.I64
 	case KindUint64:
 		return a.U64 == b.U64
-	case KindInt64Slice:
-		return len(a.I64s) == len(b.I64s) && (len(a.I64s) == 0 || reflect.DeepEqual(a.I64s, b.I64s))
-	case KindUint64Slice:
-		return len(a.U64s) == len(b.U64s) && (len(a.U64s) == 0 || reflect.DeepEqual(a.U64s, b.U64s))
-	case KindBytes:
-		return bytes.Equal(a.Bytes, b.Bytes)
 	case KindRef:
 		return a.Ref == b.Ref
 	}
@@ -88,9 +83,9 @@ func TestMessageRoundTrip(t *testing.T) {
 
 // TestFromPayloadRoundTrip checks the engine-payload classification:
 // wire-native values survive FromPayload→Payload unchanged, non-native
-// values are flagged for the by-ref path.
+// values — Go slices among them — are flagged for the by-ref path.
 func TestFromPayloadRoundTrip(t *testing.T) {
-	native := []any{nil, int64(-3), uint64(9), []int64{1, 2}, []uint64{3}, []byte("x")}
+	native := []any{nil, int64(-3), uint64(9)}
 	var m Message
 	for i, p := range native {
 		if !m.FromPayload(p) {
@@ -101,7 +96,7 @@ func TestFromPayloadRoundTrip(t *testing.T) {
 		}
 	}
 	type local struct{ X int }
-	for _, p := range []any{local{1}, "a string", 7, []int{1}} {
+	for _, p := range []any{local{1}, "a string", 7, []int{1}, []int64{1, 2}, []uint64{3}, []byte("x")} {
 		if m.FromPayload(p) {
 			t.Errorf("payload %T wrongly classified wire-native", p)
 		}
@@ -115,7 +110,7 @@ func TestFromPayloadRoundTrip(t *testing.T) {
 // every failure must be one of the typed codec errors, never a panic and
 // never a silent success.
 func TestDecodeTypedErrors(t *testing.T) {
-	good, err := AppendMessage(nil, &Message{From: 1, To: 2, Words: 3, Kind: KindInt64Slice, I64s: []int64{4, 5}})
+	good, err := AppendMessage(nil, &Message{From: 1, To: 2, Words: 3, Kind: KindInt64, I64: 45})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +130,8 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"bad magic", corrupt(0, 0x00), ErrCorrupt},
 		{"bad version", corrupt(2, 9), ErrCorrupt},
 		{"bad kind", corrupt(3, byte(kindCount)), ErrCorrupt},
-		{"plen vs kind", corrupt(16, 7), ErrCorrupt}, // slice payload not /8
-		{"huge plen", corrupt(19, 0xFF), ErrTooLarge},
+		{"plen vs kind", corrupt(16, 7), ErrCorrupt}, // scalar payload not 8 bytes
+		{"huge plen", corrupt(19, 0xFF), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		var m Message
@@ -174,7 +169,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 // randomMessages builds n deterministic pseudo-random messages across all
-// wire-native kinds.
+// payload kinds.
 func randomMessages(n int, seed uint64) []Message {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 	msgs := make([]Message, n)
@@ -183,7 +178,7 @@ func randomMessages(n int, seed uint64) []Message {
 		m.From = int32(rng.IntN(64)) - 1
 		m.To = int32(rng.IntN(64)) - 1
 		m.Words = uint32(rng.IntN(1 << 16))
-		switch rng.IntN(7) {
+		switch rng.IntN(4) {
 		case 0:
 			m.Kind = KindNil
 		case 1:
@@ -191,24 +186,6 @@ func randomMessages(n int, seed uint64) []Message {
 		case 2:
 			m.Kind, m.U64 = KindUint64, rng.Uint64()
 		case 3:
-			m.Kind = KindInt64Slice
-			m.I64s = make([]int64, rng.IntN(40))
-			for j := range m.I64s {
-				m.I64s[j] = int64(rng.Uint64())
-			}
-		case 4:
-			m.Kind = KindUint64Slice
-			m.U64s = make([]uint64, rng.IntN(40))
-			for j := range m.U64s {
-				m.U64s[j] = rng.Uint64()
-			}
-		case 5:
-			m.Kind = KindBytes
-			m.Bytes = make([]byte, rng.IntN(100))
-			for j := range m.Bytes {
-				m.Bytes[j] = byte(rng.Uint64())
-			}
-		case 6:
 			m.Kind, m.Ref = KindRef, uint32(rng.IntN(1000))
 		}
 	}
@@ -219,16 +196,11 @@ func randomMessages(n int, seed uint64) []Message {
 // of random messages decodes identically no matter how the reader chops it —
 // 1-byte dribbles, prime-sized chunks, jumbo reads, the iotest readers
 // (including data and io.EOF returned by one Read). The decoder keeps what
-// it read ahead between frames, so the stream is built to cross both of its
-// buffer paths: one frame larger than the buffer (grow) and, under the jumbo
-// readers, frames that straddle the buffer's end (compaction).
+// it read ahead between frames, so the stream is built to wrap its buffer
+// more than once and, under the jumbo readers, to have frames straddle the
+// buffer's end (compaction).
 func TestStreamSurvivesChunkBoundaries(t *testing.T) {
-	msgs := randomMessages(1500, 42)
-	const big = 700 // the frame that does not fit the buffer
-	msgs[big] = Message{From: 1, To: 2, Words: 9, Kind: KindUint64Slice, U64s: make([]uint64, readChunk/8+100)}
-	for i := range msgs[big].U64s {
-		msgs[big].U64s[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
+	msgs := randomMessages(8000, 42)
 	var stream []byte
 	var err error
 	frameLen := make([]int, len(msgs))
@@ -281,9 +253,6 @@ func TestStreamSurvivesChunkBoundaries(t *testing.T) {
 		if b := dec.Buffered(); b != 0 {
 			t.Errorf("%s: %d bytes buffered after the last frame", rd.name, b)
 		}
-		if cap(dec.buf) < frameLen[big] {
-			t.Errorf("%s: buffer of %d bytes never grew to the %d-byte frame", rd.name, cap(dec.buf), frameLen[big])
-		}
 		if rd.straddle && straddled == 0 {
 			t.Errorf("%s: no frame straddled the buffer's end; the compaction path went untested", rd.name)
 		}
@@ -313,8 +282,8 @@ func TestDecoderDropReleasesBuffer(t *testing.T) {
 }
 
 // TestDecoderZeroSteadyStateAllocs pins the zero-alloc claim: after one
-// warm-up pass grows the arenas to their high-water mark, decoding the full
-// framed stream (with the per-round Release) allocates nothing.
+// warm-up pass allocates the read buffer, decoding the full framed stream
+// allocates nothing.
 func TestDecoderZeroSteadyStateAllocs(t *testing.T) {
 	msgs := randomMessages(300, 7)
 	var stream []byte
@@ -329,14 +298,13 @@ func TestDecoderZeroSteadyStateAllocs(t *testing.T) {
 	var m Message
 	pass := func() {
 		r.Reset(stream)
-		dec.Release()
 		for i := 0; i < len(msgs); i++ {
 			if err := dec.ReadMessage(r, &m); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	pass() // warm-up: arenas grow once
+	pass() // warm-up: the read buffer is allocated once
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Errorf("steady-state decode allocates %.1f per stream, want 0", allocs)
 	}

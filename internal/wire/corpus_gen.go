@@ -4,8 +4,9 @@
 //
 //	go run ./internal/wire/corpus_gen.go
 //
-// The seeds cover every payload kind, multi-frame streams, and the three
-// typed-error shapes (truncated, corrupt, oversized), so a plain `go test`
+// The seeds cover every payload kind, multi-frame streams, and the two
+// typed-error shapes (truncated, corrupt — an oversized plen is corrupt
+// too, since each kind has one payload length), so a plain `go test`
 // run replays all of them as regression inputs.
 package main
 
@@ -31,14 +32,14 @@ func main() {
 		frame(wire.Message{From: -1, To: 0, Kind: wire.KindNil}),
 		frame(wire.Message{From: 0, To: 1, Words: 1, Kind: wire.KindInt64, I64: -7}),
 		frame(wire.Message{From: 1, To: 2, Words: 1, Kind: wire.KindUint64, U64: 1 << 63}),
-		frame(wire.Message{From: 2, To: -1, Words: 3, Kind: wire.KindInt64Slice, I64s: []int64{1, -2, 3}}),
-		frame(wire.Message{From: 3, To: 4, Words: 2, Kind: wire.KindUint64Slice, U64s: []uint64{9, ^uint64(0)}}),
-		frame(wire.Message{From: 4, To: 5, Words: 2, Kind: wire.KindBytes, Bytes: []byte("seed bytes")}),
 		frame(wire.Message{From: -1, To: 6, Words: 1, Kind: wire.KindRef, Ref: 12}),
+		frame(wire.Message{From: -1, To: -1, Words: 2, Kind: wire.KindInt64, I64: -1 << 63}),
+		frame(wire.Message{From: 3, To: 4, Words: 1<<32 - 1, Kind: wire.KindUint64, U64: ^uint64(0)}),
+		frame(wire.Message{From: 4, To: 5, Words: 3, Kind: wire.KindRef, Ref: 1<<32 - 1}),
 	}
 	// A two-frame stream and its truncation.
 	stream := append(frame(wire.Message{Kind: wire.KindInt64, I64: 42}),
-		frame(wire.Message{Kind: wire.KindBytes, Bytes: []byte("tail")})...)
+		frame(wire.Message{Kind: wire.KindRef, Ref: 7})...)
 	seeds = append(seeds, stream, stream[:len(stream)-3])
 	// Corrupt shapes: bad magic, bad version, bad kind, plen/kind clash,
 	// oversized plen.

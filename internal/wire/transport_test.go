@@ -152,6 +152,34 @@ func TestShardBlockRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadGraphRefusesNonGraphBlocks: ReadGraph takes outside input
+// (hetrun -input), so a shard that is not a whole graph — a mid-graph
+// offset, or an endpoint at or past N — is ErrCorrupt, never a graph with
+// edges silently dropped (on 3 vertices, 0–5 and 1–2 share graph.New's key).
+func TestReadGraphRefusesNonGraphBlocks(t *testing.T) {
+	read := func(s Shard) (*graph.Graph, error) {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return ReadGraph(&buf)
+	}
+	for name, s := range map[string]Shard{
+		"offset and endpoint": {N: 3, Offset: 7, Edges: []graph.Edge{{U: 0, V: 5, W: 1}, {U: 1, V: 2, W: 1}}},
+		"offset":              {N: 3, Offset: 7, Edges: []graph.Edge{{U: 1, V: 2, W: 1}}},
+		"endpoint past N":     {N: 3, Edges: []graph.Edge{{U: 0, V: 5, W: 1}, {U: 1, V: 2, W: 1}}},
+		"endpoint at N":       {N: 3, Edges: []graph.Edge{{U: 3, V: 1, W: 1}}},
+	} {
+		if g, err := read(s); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: read back %v, %v; want ErrCorrupt", name, g, err)
+		}
+	}
+	g, err := read(Shard{N: 3, Edges: []graph.Edge{{U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1}}})
+	if err != nil || g.N != 3 || len(g.Edges) != 2 {
+		t.Fatalf("valid 3-vertex graph read back as %+v, %v", g, err)
+	}
+}
+
 func boolInt(b bool) int {
 	if b {
 		return 1
