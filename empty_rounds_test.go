@@ -44,6 +44,12 @@ func table1Calls() []table1Call {
 // cluster, and returns the summary of the twelve timelines concatenated.
 func table1Summary(t *testing.T) *hetmpc.TraceSummary {
 	t.Helper()
+	return hetmpc.SummarizeTrace(table1Rounds(t))
+}
+
+// table1Rounds is the twelve Table-1 calls' timelines, concatenated.
+func table1Rounds(t *testing.T) []hetmpc.TraceRound {
+	t.Helper()
 	var rounds []hetmpc.TraceRound
 	for _, call := range table1Calls() {
 		tr := hetmpc.NewTrace()
@@ -56,7 +62,7 @@ func table1Summary(t *testing.T) *hetmpc.TraceSummary {
 		}
 		rounds = append(rounds, tr.Rounds()...)
 	}
-	return hetmpc.SummarizeTrace(rounds)
+	return rounds
 }
 
 // TestTable1EmptyRounds pins the model clock's silent barriers (DESIGN.md
@@ -219,6 +225,53 @@ func TestTable1SketchSortWords(t *testing.T) {
 	}
 	if words == 0 || words > 64<<10 {
 		t.Errorf("connectivity/sketch/sort* carries %d words, want at most %d", words, 64<<10)
+	}
+}
+
+// TestTable1SketchGatherWords pins what connectivity's sketch gather carries
+// (DESIGN.md §3.4): each sketch ships its key, family id, universe and depth
+// and the levels it stores, 4 + 3·depth words, so the rounds under
+// "connectivity/sketch/gather" carry at most 192 K words at n=512, m=4096.
+// Charging every sketch as the full 18-level sampler carried 525,312, and a
+// gather that charges levels no sketch stores fails here.
+func TestTable1SketchGatherWords(t *testing.T) {
+	var words int64
+	for _, p := range table1Summary(t).Phases {
+		if strings.HasPrefix(p.Phase, "connectivity/sketch/gather") {
+			words += p.Words
+		}
+	}
+	if words == 0 || words > 192<<10 {
+		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 192<<10)
+	}
+}
+
+// TestTable1SortCoordinatorShare counts what ROADMAP item M sets out to
+// lower: over the twelve Table-1 calls, the makespan share of the rounds
+// under a ".../sort" phase path in which one machine sends or receives at
+// least half the round's words — the coordinator's sample and reply rounds,
+// where every machine's whole run meets one machine. It is 73.3 % (1.75 M
+// of 2.39 M); the share is pinned as a ceiling, and a Sort that samples
+// what the bucket bound needs lowers it.
+func TestTable1SortCoordinatorShare(t *testing.T) {
+	var coord, total float64
+	for _, r := range table1Rounds(t) {
+		total += r.Makespan
+		if !strings.HasSuffix(r.Phase, "/sort") && !strings.Contains(r.Phase, "/sort/") || r.Words == 0 {
+			continue
+		}
+		peak := 0
+		for slot := range r.SendWords {
+			peak = max(peak, r.SendWords[slot], r.RecvWords[slot])
+		}
+		if 2*int64(peak) >= r.Words {
+			coord += r.Makespan
+		}
+	}
+	share := coord / total
+	t.Logf("coordinator-bound Sort rounds: %.0f of %.0f makespan (%.1f %%)", coord, total, 100*share)
+	if share > 0.735 {
+		t.Errorf("coordinator-bound Sort rounds carry %.1f %% of Table 1's makespan, want at most 73.5 %%", 100*share)
 	}
 }
 

@@ -92,6 +92,21 @@ import (
 // Baseline* algorithm.
 var ErrNeedsLarge = mpc.ErrNeedsLarge
 
+// ErrCapacity is wrapped by every refusal of a round or held state that
+// exceeds a machine's capacity; the error names the machine. Detect it with
+// errors.Is(err, hetmpc.ErrCapacity).
+var ErrCapacity = mpc.ErrCapacity
+
+// ErrRounds is wrapped when a run exceeds the cluster's round budget
+// (Config.MaxRounds).
+var ErrRounds = mpc.ErrRounds
+
+// ErrSketchFailure is wrapped when sketch connectivity (Connectivity,
+// ApproxMSTWeight) runs out of Borůvka phases with a component whose
+// ℓ0-samplers never sampled its outgoing edge: a randomized failure, never
+// a wrong answer.
+var ErrSketchFailure = core.ErrSketchFailure
+
 // Re-exported model types.
 type (
 	// Config parameterizes a cluster; see mpc.Config for field docs.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hetmpc"
-	"hetmpc/internal/mpc"
 )
 
 // TestPublicAPIEndToEnd drives every public entry point once through the
@@ -132,23 +131,28 @@ func TestHeterogeneousVsBaselineRounds(t *testing.T) {
 	}
 }
 
-// TestCapacityFailureInjection shrinks the machine capacities until the
-// model enforcement fires, and checks the error is the typed one.
+// TestCapacityFailureInjection starves the cluster two ways — capacities
+// shrunk until the model enforcement fires, and a round budget shorter than
+// MST — and checks each refusal is the façade's typed sentinel, so a
+// downstream module can tell them apart with errors.Is alone.
 func TestCapacityFailureInjection(t *testing.T) {
 	g := hetmpc.GNMWeighted(256, 2048, 3)
-	c, err := hetmpc.NewCluster(hetmpc.Config{
-		N: g.N, M: g.M(), Seed: 1,
-		CSmall: 0.05, LogExpSmall: 1, // starve the small machines
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = hetmpc.MST(c, g)
-	if err == nil {
-		t.Fatal("starved cluster still succeeded")
-	}
-	if !errors.Is(err, mpc.ErrCapacity) {
-		t.Fatalf("want ErrCapacity, got %v", err)
+	for _, tc := range []struct {
+		name string
+		cfg  hetmpc.Config
+		want error
+	}{
+		{"capacity", hetmpc.Config{N: g.N, M: g.M(), Seed: 1, CSmall: 0.05, LogExpSmall: 1}, hetmpc.ErrCapacity},
+		{"rounds", hetmpc.Config{N: g.N, M: g.M(), Seed: 1, MaxRounds: 3}, hetmpc.ErrRounds},
+	} {
+		c, err := hetmpc.NewCluster(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = hetmpc.MST(c, g)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: starved cluster returned %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

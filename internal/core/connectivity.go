@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -23,9 +24,12 @@ type ConnectivityResult struct {
 // Connectivity identifies the connected components in O(1) rounds
 // (Theorem C.1): the small machines sort the edge incidences by vertex and
 // build each vertex's linear ℓ0-sampling sketch where its incidences meet;
-// the sketches go to the large machine — O(n polylog n) bits in total —
-// which then runs Borůvka locally, sampling an outgoing edge of each
-// component from the summed sketches (Property 1) of fresh rounds.
+// the sketches go to the large machine, each charged the levels it stores
+// (Sketch.Words: the levels above are zero by construction and rebuilt
+// there) — O(n polylog n) bits in total — which then runs Borůvka locally,
+// sampling an outgoing edge of each component from the summed sketches
+// (Property 1) of fresh rounds. A run whose samplers fail in every phase
+// returns an error wrapping ErrSketchFailure.
 //
 // Shared randomness is a single broadcast seed, replacing [36]'s shared
 // random bits exactly as the paper describes.
@@ -47,14 +51,10 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 		return nil, err
 	}
 	phases, levels := sketchShape(n, len(g.Edges))
-	universe := int64(n) * int64(n)
 	families := make([]*sketch.Family, phases)
 	for t := range families {
 		families[t] = sketch.NewFamilyLevels(levels, xrand.Split(seed, uint64(t)+1))
 	}
-	// The model ships the paper's full ℓ0-sampler per sketch, whatever
-	// prefix of its levels the host stores.
-	skWords := families[0].Words()
 	// One edge updater per family: precomputed fingerprint power tables.
 	// Updaters are read-only and shared across the small-machine goroutines.
 	updaters := make([]*sketch.EdgeUpdater, phases)
@@ -62,67 +62,69 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 		updaters[t] = families[t].NewEdgeUpdater(n)
 	}
 
-	atLarge, err := gatherSketches(c, edges, updaters, n, skWords)
+	atLarge, err := gatherSketches(c, edges, updaters, n)
 	if err != nil {
 		return nil, err
 	}
+	var dsu *unionfind.DSU
+	if dsu, res.Phases, err = boruvka(families, atLarge, n); err != nil {
+		return nil, err
+	}
 
-	// Large machine: local Borůvka with fresh sketches per phase.
+	// Labels: smallest member id per component (computed on the large
+	// machine, where the output resides). Descending, the last write to a
+	// root is its smallest member.
+	smallest := make([]int, n)
+	for v := n - 1; v >= 0; v-- {
+		smallest[dsu.Find(v)] = v
+	}
+	res.Labels = make([]int, n)
+	for v := range res.Labels {
+		res.Labels[v] = smallest[dsu.Find(v)]
+	}
+	res.Components = dsu.Count()
+	return res, nil
+}
+
+// ErrSketchFailure is wrapped when the large machine's Borůvka runs out of
+// sketch families while a component still has an edge leaving it: its
+// ℓ0-samplers failed in every phase, which Theorem C.1 bounds w.h.p.
+var ErrSketchFailure = errors.New("sketch connectivity did not converge")
+
+// boruvka is the large machine's local Borůvka over the gathered sketches,
+// keyed phase·n + vertex: phase t sums family t's sketches per component and
+// joins each component along the edge its sum samples, until every sum is
+// zero. It returns the components and the phases run, or an error wrapping
+// ErrSketchFailure if a sum is still nonzero after the last family's phase.
+func boruvka(families []*sketch.Family, atLarge map[int64]*sketch.Sketch, n int) (*unionfind.DSU, int, error) {
+	universe := int64(n) * int64(n)
 	dsu := unionfind.New(n)
 	sums := make([]*sketch.Sketch, n)
-	for t := 0; t < phases; t++ {
-		if err := componentSums(sums, families[t], universe, dsu, atLarge, int64(t)*int64(n)); err != nil {
-			return nil, err
+	last := len(families) - 1
+	// One pass past the last phase re-sums the last family over the final
+	// components, to verify that none has an edge leaving it.
+	for t := 0; ; t++ {
+		f := families[min(t, last)]
+		if err := componentSums(sums, f, universe, dsu, atLarge, int64(min(t, last))*int64(n)); err != nil {
+			return nil, 0, err
 		}
-		allZero := true
+		done := true
 		for _, s := range sums { // ascending root order
 			if s == nil || s.IsZero() {
 				continue
 			}
-			allZero = false
-			idx, _, ok := families[t].Query(s)
-			if !ok {
-				continue // sampler failure: retry next phase
+			if t > last {
+				return nil, 0, fmt.Errorf("core: connectivity: a component still has an outgoing edge after %d phases: %w", len(families), ErrSketchFailure)
 			}
-			u, v := sketch.DecodeEdgeKey(idx, n)
-			dsu.Union(u, v)
+			done = false
+			if idx, _, ok := f.Query(s); ok { // a sampler failure retries next phase
+				dsu.Union(sketch.DecodeEdgeKey(idx, n))
+			}
 		}
-		res.Phases++
-		if allZero {
-			break
-		}
-	}
-	// Verify completion: any nonzero component sum left means we ran out of
-	// phases (vanishingly unlikely with 2 log n + 6 phases).
-	lastT := res.Phases - 1
-	if err := componentSums(sums, families[lastT], universe, dsu, atLarge, int64(lastT)*int64(n)); err != nil {
-		return nil, err
-	}
-	for _, s := range sums {
-		if s != nil && !s.IsZero() {
-			return nil, fmt.Errorf("core: connectivity did not converge in %d phases", phases)
+		if done {
+			return dsu, min(t+1, len(families)), nil
 		}
 	}
-
-	// Labels: smallest member id per component (computed on the large
-	// machine, where the output resides).
-	min := make([]int, n)
-	for i := range min {
-		min[i] = n
-	}
-	for v := 0; v < n; v++ {
-		r := dsu.Find(v)
-		if v < min[r] {
-			min[r] = v
-		}
-	}
-	labels := make([]int, n)
-	for v := 0; v < n; v++ {
-		labels[v] = min[dsu.Find(v)]
-	}
-	res.Labels = labels
-	res.Components = dsu.Count()
-	return res, nil
 }
 
 // sketchShape returns the number of Borůvka phases — one sketch family each
@@ -146,8 +148,9 @@ func sketchShape(n, m int) (phases, levels int) {
 // gatherSketches is the "sketch" phase: the incidences meet by vertex, each
 // machine builds the sketches of its run's vertices — each the sum of the
 // partial sketches of any edge partition, cell for cell, as a sketch is
-// linear — and ships them to the large machine, keyed phase·n + vertex.
-func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.EdgeUpdater, n, skWords int) (map[int64]*sketch.Sketch, error) {
+// linear — and ships them to the large machine, keyed phase·n + vertex, each
+// charged the levels it stores.
+func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.EdgeUpdater, n int) (map[int64]*sketch.Sketch, error) {
 	defer c.Span("sketch").End()
 	runs, err := sortIncidences(c, edges)
 	if err != nil {
@@ -157,7 +160,7 @@ func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.Edg
 	c.Each(func(i int) {
 		items[i] = vertexSketches(updaters, runs[i], n)
 	})
-	return prims.GatherMap(c, items, skWords)
+	return prims.GatherMap(c, items, (*sketch.Sketch).Words)
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words

@@ -11,6 +11,7 @@ import (
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
 	"hetmpc/internal/sketch"
+	"hetmpc/internal/trace"
 )
 
 func checkConnectivity(t *testing.T, g *graph.Graph, seed uint64) *ConnectivityResult {
@@ -262,6 +263,62 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 	t.Logf("%d cells for %d sketches of %d levels", cells, sketches, levels)
 	if cells*100 > 35*sketches*levels {
 		t.Errorf("%d cells for %d sketches of %d levels, want at most 35 %% of the full width", cells, sketches, levels)
+	}
+}
+
+// TestConnectivityGatherChargesStoredLevels pins the sketch gather's charge
+// on the same shape: a sketch ships its key, family id, universe and depth,
+// then its stored levels, so the gather round carries Σ (4 + 3·Depth())
+// words over the sketches the machines build — counted here from the
+// sketches themselves — and less than the full sampler's 4 + 3·levels each.
+func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
+	g := graph.GNM(1024, 4096, 7)
+	const k = 128
+	edges, runs, updaters, levels := sketchPhaseInput(t, g, k)
+	var want, full int64
+	for _, run := range runs {
+		for _, kv := range vertexSketches(updaters, run, g.N) {
+			want += 4 + 3*int64(kv.V.Depth())
+			full += 4 + 3*int64(levels)
+		}
+	}
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: k, Seed: 7, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gatherSketches(c, edges, updaters, g.N); err != nil {
+		t.Fatal(err)
+	}
+	rounds := tr.Rounds()
+	last := rounds[len(rounds)-1]
+	if last.Phase != "sketch/gather" || last.Words != want {
+		t.Errorf("last round %q carries %d words, want the gather's Σ (4 + 3·depth) = %d", last.Phase, last.Words, want)
+	}
+	t.Logf("gather: %d words, %d at full width", want, full)
+	if 2*want > full {
+		t.Errorf("gather charges %d words, want under half the full sampler's %d", want, full)
+	}
+}
+
+// TestBoruvkaSketchFailureIsTyped runs the large machine's Borůvka with one
+// sketch family on a 64-vertex path: one phase joins each component to at
+// most one neighbour's, so components with an edge leaving them remain and
+// the run must fail with an error wrapping ErrSketchFailure — never return
+// a labelling.
+func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
+	g := graph.Path(64)
+	_, runs, _, levels := sketchPhaseInput(t, g, 4)
+	f := sketch.NewFamilyLevels(levels, 1)
+	ups := []*sketch.EdgeUpdater{f.NewEdgeUpdater(g.N)}
+	atLarge := map[int64]*sketch.Sketch{}
+	for _, run := range runs {
+		for _, kv := range vertexSketches(ups, run, g.N) {
+			atLarge[kv.K] = kv.V
+		}
+	}
+	if _, phases, err := boruvka([]*sketch.Family{f}, atLarge, g.N); !errors.Is(err, ErrSketchFailure) {
+		t.Fatalf("one family on a 64-path: err = %v after %d phases, want ErrSketchFailure", err, phases)
 	}
 }
 

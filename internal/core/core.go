@@ -112,7 +112,7 @@ func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight 
 	if err != nil {
 		return nil, err
 	}
-	return prims.GatherMap(c, roots, 1)
+	return prims.GatherMap(c, roots, func(int64) int { return 1 })
 }
 
 func unitWeight(graph.Edge) int64 { return 1 }

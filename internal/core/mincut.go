@@ -118,7 +118,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, 
 	if err != nil {
 		return 0, false, err
 	}
-	atLarge, err := prims.GatherMap(c, roots, twoOutWords)
+	atLarge, err := prims.GatherMap(c, roots, func(twoOutVal) int { return twoOutWords })
 	if err != nil {
 		return 0, false, err
 	}

@@ -195,7 +195,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domLarge, err := prims.GatherMap(c, domRoots, 1)
+		domLarge, err := prims.GatherMap(c, domRoots, func(bool) int { return 1 })
 		if err != nil {
 			return nil, err
 		}

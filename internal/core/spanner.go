@@ -144,7 +144,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	orAtLarge, err := prims.GatherMap(c, orRoots, bitWords)
+	orAtLarge, err := prims.GatherMap(c, orRoots, func(vbits) int { return bitWords })
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +273,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigAtLarge, err := prims.GatherMap(c, sigRoots, sigWords)
+	sigAtLarge, err := prims.GatherMap(c, sigRoots, func(sigAgg) int { return sigWords })
 	if err != nil {
 		return nil, err
 	}

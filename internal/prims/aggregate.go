@@ -109,16 +109,22 @@ func AggregateByKey[V any](
 	if !gatherLarge {
 		return roots, nil, nil
 	}
-	atLarge, err = GatherMap(c, roots, vwords)
+	atLarge, err = GatherMap(c, roots, func(V) int { return vwords })
 	return roots, atLarge, err
 }
 
 // GatherMap ships every machine's (key, value) pairs to the large machine
-// (GatherToLarge, one round at vwords+1 words a pair) and returns them as one
-// map — the gatherLarge step of AggregateByKey, and what a PlanCombine's
-// roots take to reach the large machine.
-func GatherMap[V any](c *mpc.Cluster, kvs [][]KV[V], vwords int) (map[int64]V, error) {
-	all, err := GatherToLarge(c, kvs, vwords+1)
+// (GatherToLarge's one round, a pair charged 1 + words(value)) and returns
+// them as one map — the gatherLarge step of AggregateByKey, and what a
+// PlanCombine's roots take to reach the large machine.
+func GatherMap[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) (map[int64]V, error) {
+	all, err := gather(c, kvs, func(items []KV[V]) int {
+		w := len(items)
+		for _, kv := range items {
+			w += words(kv.V)
+		}
+		return w
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -302,6 +302,12 @@ func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
 // them concatenated in (machine, local index) order. The receive cap of the
 // large machine bounds the legal volume; violations surface as ErrCapacity.
 func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error) {
+	return gather(c, data, func(items []T) int { return len(items) * itemWords })
+}
+
+// gather is the one gather round: GatherToLarge with each machine's message
+// charged words(its items).
+func gather[T any](c *mpc.Cluster, data [][]T, words func([]T) int) ([]T, error) {
 	if !c.HasLarge() {
 		return nil, fmt.Errorf("prims: GatherToLarge: %w", mpc.ErrNeedsLarge)
 	}
@@ -316,7 +322,8 @@ func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error
 			outs[i] = nil
 			continue
 		}
-		outs[i][0] = chunkMsg(&slab[i], mpc.Large, data[i], itemWords)
+		slab[i].Items = data[i]
+		outs[i][0] = mpc.Msg{To: mpc.Large, Words: words(data[i]), Data: &slab[i]}
 	}
 	_, inLarge, err := c.Exchange(outs, nil)
 	if err != nil {

@@ -28,6 +28,9 @@ func checkPair(t *testing.T, f *Family, p prefixPair, when string) {
 	if p.prefix.Depth() > f.Levels() {
 		t.Fatalf("%s: prefix is %d levels deep in a family of %d", when, p.prefix.Depth(), f.Levels())
 	}
+	if p.prefix.Words() > p.full.Words() {
+		t.Fatalf("%s: the prefix ships %d words, more than the full-width %d", when, p.prefix.Words(), p.full.Words())
+	}
 	if p.prefix.IsZero() != p.full.IsZero() {
 		t.Fatalf("%s: IsZero %v on the prefix, %v full-width", when, p.prefix.IsZero(), p.full.IsZero())
 	}

@@ -21,9 +21,9 @@
 // prefix: levels at and above the stored length are zero. That is the one
 // representation (Family.NewSketch is the prefix of full length); an update
 // or merge deeper than the prefix grows it, so nothing is ever dropped. A
-// vertex of degree d stores about log2 d + 1 levels of ~20. What a sketch
-// costs on the model's wire is a separate matter: Family.Words charges the
-// full ℓ0-sampler of the paper whatever the host stores.
+// vertex of degree d stores about log2 d + 1 levels of ~20. A sketch ships
+// the same prefix: Sketch.Words charges its depth and stored levels, and the
+// receiver's readers take the levels above as the zeros they are.
 package sketch
 
 import (
@@ -74,12 +74,6 @@ func NewFamilyLevels(levels int, seed uint64) *Family {
 
 // Levels returns the number of geometric levels.
 func (f *Family) Levels() int { return f.levels }
-
-// Words returns the communication size of one sketch of the family in
-// machine words: the full ℓ0-sampler (every level's one-sparse triple plus
-// the family id and universe), which is what the model charges for a sketch
-// however short the prefix the host stores for it.
-func (f *Family) Words() int { return 2 + 3*f.levels }
 
 // depth returns how many of the family's levels hold an index hashing to h.
 // Level ℓ holds it iff h < p/2^ℓ, so the levels holding it are the prefix
@@ -166,6 +160,11 @@ func (f *Family) NewSketch(universe int64) *Sketch {
 
 // Depth returns the number of levels the sketch stores.
 func (s *Sketch) Depth() int { return len(s.levels) }
+
+// Words returns the sketch's size on the model's wire in machine words: its
+// family id, universe and depth, then one one-sparse triple per stored level.
+// The levels above the depth are zero, so nothing else need be sent.
+func (s *Sketch) Words() int { return 3 + 3*len(s.levels) }
 
 // grow extends the stored prefix with zero levels to at least depth.
 func (s *Sketch) grow(depth int) {
@@ -279,7 +278,7 @@ func (up *EdgeUpdater) AddEdgeBoth(su, sv *Sketch, e graph.Edge) {
 // An Incidence is one endpoint's half of an edge: vertex V meets neighbour
 // U ≠ V. It carries edge {V, U}'s update to V's sketch — +1 if V is the
 // smaller endpoint, -1 if the larger — in two words, where a sketch is
-// Family.Words.
+// Sketch.Words.
 type Incidence struct{ V, U int }
 
 // VertexSketches builds the sketches of the vertices of one run of

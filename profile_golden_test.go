@@ -49,7 +49,11 @@ func commOf(s hetmpc.ClusterStats) comm {
 // max-recv. MST's was re-captured once more when its one-shot disseminations
 // became a plan used once and its KKT step began sending only the labels of
 // F's vertices (DESIGN.md §1): −1 round (F was empty, so no scatter round),
-// 290,964 → 267,048 words, lower max-send and max-recv.
+// 290,964 → 267,048 words, lower max-send and max-recv. Connectivity's was
+// re-captured once more when its sketch gather began charging each sketch
+// the levels it stores (4 + 3·depth words with its key) instead of the full
+// sampler's 4 + 3·levels: the same 5 rounds and messages, 581,490 → 240,885
+// words, max-recv (the gather) 525,312 → 184,707, max-send untouched.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -73,7 +77,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("components %d, want 1", r.Components)
 			}
 			return err
-		}, comm{5, 8064, 581490, 14854, 525312}},
+		}, comm{5, 8064, 240885, 14854, 184707}},
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
