@@ -172,6 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c, err := hetmpc.NewCluster(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetrun:", err)
+		if errors.Is(err, hetmpc.ErrTransport) {
+			return 1 // the links failed to open: a run failure, not bad input
+		}
 		return 2
 	}
 	defer c.Close()

@@ -267,12 +267,14 @@ func ParsePlacement(spec string) (PlacementPolicy, error) { return sched.Parse(s
 // NewTCPTransport push every round through real file descriptors, with the
 // measured bytes reported in ClusterStats.WireBytes beside the modeled
 // words the cost model keeps charging unchanged. A transport belongs to
-// exactly one cluster; release it with Cluster.Close.
+// exactly one cluster: NewCluster opens its links and Cluster.Close
+// releases them.
 type Transport = wire.Transport
 
-// ErrTransport is wrapped by every transport-layer failure an Exchange
-// surfaces — a link dying mid-round, a transport that cannot open. The
-// error names the failed link; detect with errors.Is.
+// ErrTransport is wrapped by every transport-layer failure: a transport
+// that cannot open (returned by NewCluster) and a link dying mid-round
+// (returned by the Exchange that meets it, naming the link). Detect it
+// with errors.Is.
 var ErrTransport = wire.ErrTransport
 
 // NewPipeTransport returns the socketpair transport: one AF_UNIX stream
@@ -337,9 +339,9 @@ type (
 )
 
 // NewMetrics returns an empty metrics registry for Config.Metrics. It sums
-// every record it is fed (never rebased by ResetStats), so share one
-// registry across clusters run one after another to aggregate them, or use
-// one per cluster to keep them apart.
+// every record it is fed, so share one registry across clusters run one
+// after another to aggregate them, or use one per cluster to keep them
+// apart.
 func NewMetrics() *Metrics { return metrics.New() }
 
 // --- Fault injection and recovery (DESIGN.md §7) ---

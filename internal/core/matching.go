@@ -251,16 +251,14 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 			return nil, fmt.Errorf("core: filtering failed to converge (%d live)", liveCnt)
 		}
 		res.FilterIters++
+		// SumAll left liveCnt on every machine and capEdges is a function of
+		// n, F and LargeCap, so each machine computes the rate itself.
 		p := float64(capEdges) / float64(liveCnt)
-		ps, err := prims.BroadcastValue(c, p, 1)
-		if err != nil {
-			return nil, err
-		}
 		sample := make([][]graph.Edge, kk)
 		c.Each(func(i int) {
 			rng := c.Rand(i)
 			for _, e := range live[i] {
-				if rng.Float64() < ps[i] {
+				if rng.Float64() < p {
 					sample[i] = append(sample[i], e)
 				}
 			}

@@ -200,13 +200,8 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	// per-machine links (wirenet.go) in the same sender order the windows
 	// were counted in, so the inbox is bit-identical to the shared-memory
 	// copy.
-	if c.wn != nil && c.wn.active() {
-		if err := c.wn.open(c.k + 1); err != nil {
-			return nil, nil, err
-		}
-	}
 	var wireBytes int64
-	if c.wn != nil && c.wn.active() {
+	if c.wn != nil {
 		var werr error
 		wireBytes, werr = c.deliverWire(flat)
 		// Charged here, not through the ledger: a round whose transport

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // buildHeavyRound returns a deterministic round with enough traffic to take
@@ -263,12 +264,12 @@ func TestExchangeRejectsOutOfRangeSender(t *testing.T) {
 	}
 }
 
-// TestParallelNFirstErrorWins: parallelN must return an error when any call
-// fails, and it must be one of the errors actually produced.
+// TestParallelNFirstErrorWins: forN must return the error of the lowest
+// failing index, as the serial loop does.
 func TestParallelNFirstErrorWins(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := parallelN(64, func(i int) error {
+	err := forN(64, nil, func(i int) error {
 		switch i {
 		case 10:
 			return errA
@@ -278,8 +279,38 @@ func TestParallelNFirstErrorWins(t *testing.T) {
 			return nil
 		}
 	})
-	if !errors.Is(err, errA) && !errors.Is(err, errB) {
-		t.Fatalf("got %v, want one of the produced errors", err)
+	if !errors.Is(err, errA) {
+		t.Fatalf("got %v, want index 10's error", err)
+	}
+}
+
+// TestForSmallErrorDeterministicAcrossGOMAXPROCS: ForSmall returns the lowest
+// failing machine's error whatever the goroutine timing. Machine 0 fails only
+// after machine 9 has, so a first-come rule would return machine 9's error.
+func TestForSmallErrorDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		c := newTest(t, Config{N: 256, M: 2048, K: 16, Seed: 1})
+		nineFailed := make(chan struct{})
+		err := c.ForSmall(func(i int) error {
+			switch i {
+			case 0:
+				select {
+				case <-nineFailed:
+					time.Sleep(20 * time.Millisecond) // let machine 9's failure be recorded first
+				case <-time.After(10 * time.Second):
+				}
+			case 9:
+				close(nineFailed)
+			default:
+				return nil
+			}
+			return fmt.Errorf("machine %d failed", i)
+		})
+		if err == nil || err.Error() != "machine 0 failed" {
+			t.Fatalf("GOMAXPROCS=%d: ForSmall = %v, want machine 0's error", procs, err)
+		}
 	}
 }
 
@@ -288,7 +319,7 @@ func TestParallelNFirstErrorWins(t *testing.T) {
 func TestParallelNStopsSchedulingAfterError(t *testing.T) {
 	var calls atomic.Int64
 	sentinel := errors.New("boom")
-	err := parallelN(1_000_000, func(i int) error {
+	err := forN(1_000_000, nil, func(i int) error {
 		calls.Add(1)
 		if i == 0 {
 			return sentinel
@@ -305,11 +336,50 @@ func TestParallelNStopsSchedulingAfterError(t *testing.T) {
 
 // TestParallelNEdgeCases: n = 0 and n = 1 take the inline path.
 func TestParallelNEdgeCases(t *testing.T) {
-	if err := parallelN(0, func(int) error { return errors.New("never") }); err != nil {
+	if err := forN(0, nil, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0: %v", err)
 	}
 	ran := false
-	if err := parallelN(1, func(i int) error { ran = true; return nil }); err != nil || !ran {
+	if err := forN(1, nil, func(i int) error { ran = true; return nil }); err != nil || !ran {
 		t.Fatalf("n=1: err=%v ran=%v", err, ran)
+	}
+}
+
+// TestExchangeAlternatingShapesDeliver alternates two routing shapes over
+// the recycled counters and cursors: every round must deliver exactly
+// its own messages to their addressees.
+func TestExchangeAlternatingShapesDeliver(t *testing.T) {
+	c := newTest(t, Config{N: 64, M: 256, Seed: 1})
+	k := c.K()
+	shapes := [][][]Msg{ringRound(c, 2), nil}
+	// Shape 1: reversed ring with doubled fan-out from machine 0.
+	rev := make([][]Msg, k)
+	for i := 0; i < k; i++ {
+		rev[i] = []Msg{{To: (i + k - 1) % k, Words: 1, Data: 100 + i}}
+	}
+	rev[0] = append(rev[0], Msg{To: k / 2, Words: 3, Data: -1})
+	shapes[1] = rev
+	for round := 0; round < 8; round++ {
+		outs := shapes[round%2]
+		ins, _, err := c.Exchange(outs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for i := range ins {
+			total += len(ins[i])
+			for _, m := range ins[i] {
+				if m.To != i {
+					t.Fatalf("round %d: machine %d received a message addressed to %d", round, i, m.To)
+				}
+			}
+		}
+		want := k
+		if round%2 == 1 {
+			want = k + 1
+		}
+		if total != want {
+			t.Fatalf("round %d delivered %d messages, want %d", round, total, want)
+		}
 	}
 }

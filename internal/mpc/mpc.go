@@ -117,8 +117,9 @@ type Config struct {
 	// machine and wire.NewTCP() through a loopback TCP connection per
 	// machine, both byte-identical in outputs and modeled Stats, with the
 	// measured bytes surfaced in Stats.WireBytes. The cost model always
-	// stays above delivery. A transport belongs to exactly one cluster;
-	// release it with Cluster.Close.
+	// stays above delivery. A transport belongs to exactly one cluster: New
+	// opens its links (an Open failure is New's error, wrapping
+	// wire.ErrTransport) and Cluster.Close releases them.
 	Transport wire.Transport
 
 	// Metrics, when non-nil, folds every ledger record into the run's
@@ -128,7 +129,7 @@ type Config struct {
 	// metrics observe and never perturb — a metered run's Stats are
 	// bit-identical to the same run unmetered — and nil is the zero-overhead
 	// path. One registry may serve clusters run one after another; it then
-	// sums all of their records, and ResetStats does not rebase it.
+	// sums all of their records.
 	Metrics *metrics.Registry
 
 	// Trace, when non-nil, collects the structured per-round timeline
@@ -335,9 +336,13 @@ func New(cfg Config) (*Cluster, error) {
 	if err := c.applyFaults(cfg.Faults); err != nil {
 		return nil, err
 	}
-	c.applyTransport(cfg.Transport)
 	if !cfg.NoLarge && largeCap < 4*k {
 		return nil, fmt.Errorf("mpc: out of the model envelope: large capacity %d cannot address K=%d machines", largeCap, k)
+	}
+	// Last: every check above must pass before links are opened, so a
+	// rejected Config never holds a transport resource.
+	if err := c.openTransport(cfg.Transport); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -479,60 +484,6 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
 
 // Rounds returns the number of communication rounds executed so far.
 func (c *Cluster) Rounds() int { return c.stats.Rounds }
-
-// ResetStats zeroes the metrics, including per-machine busy times
-// (capacities are unchanged), and rebases the fault engine's round clock:
-// the round-keyed recovery state — last-checkpoint rounds, restart-downtime
-// windows, held replica sizes — resets with the counter, so the checkpoint
-// cadence restarts from the reset and no machine is left inside a downtime
-// window addressed in pre-reset round numbers. A plan's round-addressed
-// schedules (Crash.Round, Slowdown.From/To, the rate hash) are therefore
-// interpreted relative to the most recent reset: resetting mid-run replays
-// the plan from its round 1, exactly as if the cluster had been rebuilt.
-// The trace buffer (Config.Trace) is cleared with the round clock — its
-// records are keyed by round number, so post-reset records restart from
-// round 1 on an empty timeline; open phase spans survive, since they belong
-// to whatever algorithm is in flight.
-func (c *Cluster) ResetStats() {
-	c.stats = Stats{}
-	for i := range c.busy {
-		c.busy[i] = 0
-	}
-	if c.tr != nil {
-		c.tr.Reset()
-	}
-	// An adaptive placement policy re-adapts from scratch after a reset:
-	// the estimator returns to its declared-profile seed and the shares to
-	// the static Throughput seed, exactly as if the cluster had been rebuilt.
-	if c.est != nil {
-		c.est.Reset()
-		c.refreshPlaceShare()
-	}
-	if c.ft != nil {
-		for i := 0; i < c.k; i++ {
-			c.ft.lastCkpt[i] = 0
-			c.ft.downUntil[i] = 0
-			c.ft.replicaWords[i] = 0
-		}
-	}
-	// Per-link byte counters track Stats.WireBytes, so they reset with it.
-	if c.wn != nil {
-		for i := range c.wn.bytes {
-			c.wn.bytes[i] = 0
-		}
-	}
-	// Traffic-proportional scratch — the sender list, encode buffers and
-	// the decoder's read buffer — is returned to the garbage collector
-	// rather than leaked into the next run: a reset cluster's steady-state
-	// allocation profile must match a fresh one
-	// (TestResetStatsScratchMatchesFresh), and a big run's high-water
-	// footprint must not pin memory under a later small one. The fixed-size per-slot counters (K+1 words each) are
-	// retained.
-	c.exch.senders = nil
-	if c.wn != nil {
-		c.wn.release()
-	}
-}
 
 // BusyTime returns the accumulated simulated busy time of machine id
 // (Large or a small-machine index): Σ over rounds of

@@ -17,21 +17,20 @@ func (c *Cluster) Each(fn func(i int)) {
 
 // ForSmall is Each for the rare local step that can fail (a payload type
 // assertion on a received message). The first error aborts scheduling of new
-// work and is returned; all started goroutines are waited for before
-// returning.
+// work; all started goroutines are waited for, and the error of the lowest
+// failing machine is returned — the one a serial loop would return, whatever
+// the goroutine timing.
 func (c *Cluster) ForSmall(fn func(i int) error) error {
-	return parallelN(c.k, fn)
-}
-
-// parallelN runs fn(0..n-1) on a bounded worker pool and returns the first
-// error encountered.
-func parallelN(n int, fn func(i int) error) error {
-	return forN(n, nil, fn)
+	return forN(c.k, nil, fn)
 }
 
 // forN is the one worker loop behind Each and ForSmall. It runs each(i) for
 // i in 0..n-1 or, when each is nil, try(i), stopping at try's first error.
 // Taking both callback shapes here keeps Each free of an adapter closure.
+//
+// Indices are handed out in increasing order, so when index i fails every
+// index below it has already started; waiting for them and keeping the
+// lowest failing index makes the returned error the serial loop's.
 func forN(n int, each func(i int), try func(i int) error) error {
 	workers := 2*runtime.GOMAXPROCS(0) + 2 //hetlint:nondet worker-pool sizing only; engine outputs are pinned bit-identical across pool widths by the GOMAXPROCS golden sweeps
 	if workers > n {
@@ -48,11 +47,14 @@ func forN(n int, each func(i int), try func(i int) error) error {
 		return nil
 	}
 	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		failed   atomic.Bool
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		failed atomic.Bool
+		first  struct {
+			sync.Mutex
+			i   int
+			err error
+		}
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -69,7 +71,11 @@ func forN(n int, each func(i int), try func(i int) error) error {
 				if each != nil {
 					each(i)
 				} else if err := try(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
+					first.Lock()
+					if first.err == nil || i < first.i {
+						first.i, first.err = i, err
+					}
+					first.Unlock()
 					failed.Store(true)
 					return
 				}
@@ -77,5 +83,5 @@ func forN(n int, each func(i int), try func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	return first.err
 }

@@ -252,10 +252,33 @@ func TestMakespanAccounting(t *testing.T) {
 	if got := c.Stats().Makespan; got != want+1 {
 		t.Fatalf("makespan after empty round %v, want %v", got, want+1)
 	}
+}
 
-	c.ResetStats()
-	if c.Stats().Makespan != 0 || c.BusyTime(1) != 0 {
-		t.Fatal("ResetStats did not clear makespan/busy state")
+// TestBusyImbalanceEdgeCases pins the documented degenerate behavior: 0 —
+// never NaN — on the k == 0 cluster (unreachable through New, which floors
+// K at 2, but presentable as a zero-value Cluster) and on clusters where no
+// small-machine traffic has flowed, with and without the large machine.
+func TestBusyImbalanceEdgeCases(t *testing.T) {
+	var zero Cluster
+	if got := zero.BusyImbalance(); got != 0 {
+		t.Fatalf("zero-value cluster imbalance = %v, want 0", got)
+	}
+
+	for _, noLarge := range []bool{false, true} {
+		c := newTest(t, Config{N: 64, M: 256, Seed: 1, NoLarge: noLarge})
+		if got := c.BusyImbalance(); got != 0 {
+			t.Fatalf("noLarge=%v: idle cluster imbalance = %v, want 0", noLarge, got)
+		}
+		// One lopsided round: only machine 0 speaks. Imbalance is now
+		// defined (max/mean over k machines) and must be at least 1.
+		outs := make([][]Msg, c.K())
+		outs[0] = []Msg{{To: 1, Words: 3, Data: "x"}}
+		if _, _, err := c.Exchange(outs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.BusyImbalance(); got < 1 {
+			t.Fatalf("noLarge=%v: imbalance after traffic = %v, want >= 1", noLarge, got)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ func TestSpanDeltaAndNesting(t *testing.T) {
 
 // TestSpanStack pins the span-path semantics on the cluster: "/"-joined
 // paths, closing by depth (the leak-cleanup contract of Span.End), stale
-// Ends as no-ops, and ResetStats keeping open spans. The path is tracked
+// Ends as no-ops. The path is tracked
 // whenever a collector or a registry is attached — and only then, so the
 // bare engine's Span stays a Stats snapshot.
 func TestSpanStack(t *testing.T) {
@@ -85,10 +85,6 @@ func TestSpanStack(t *testing.T) {
 			cc.End() // deeper than the stack: no-op
 			if c.Phase() != "a" {
 				t.Fatalf("stale End changed the path to %q", c.Phase())
-			}
-			c.ResetStats()
-			if c.Phase() != "a" {
-				t.Fatalf("ResetStats: phase %q, want the open span kept", c.Phase())
 			}
 			d := c.Span("d")
 			if c.Phase() != "a/d" {
@@ -145,32 +141,6 @@ func TestEmptyRoundAdvancesClockAndTraces(t *testing.T) {
 		if r.Makespan != 1 || r.Round != i+1 {
 			t.Fatalf("empty-round record %d: makespan %v round %d, want 1 and %d", i, r.Makespan, r.Round, i+1)
 		}
-	}
-}
-
-// TestResetStatsClearsTrace: the trace buffer is keyed by the round clock,
-// so ResetStats must clear it with the clock; post-reset records restart
-// from round 1 on an empty timeline.
-func TestResetStatsClearsTrace(t *testing.T) {
-	tr := trace.New()
-	c := newTest(t, Config{N: 64, M: 256, Seed: 1, Trace: tr})
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.Exchange(ringRound(c, 2), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("recorded %d rounds, want 3", tr.Len())
-	}
-	c.ResetStats()
-	if tr.Len() != 0 {
-		t.Fatalf("trace buffer holds %d records after ResetStats, want 0", tr.Len())
-	}
-	if _, _, err := c.Exchange(ringRound(c, 2), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Rounds()[0].Round; got != 1 {
-		t.Fatalf("post-reset record keyed to round %d, want 1 (stale clock)", got)
 	}
 }
 

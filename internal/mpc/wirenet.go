@@ -26,10 +26,8 @@ import (
 // goroutine is spawned (the spawn is the happens-before edge; file
 // descriptors provide none).
 type wireNet struct {
-	tr     wire.Transport
-	opened bool
-	links  []wire.Link
-	inproc bool // transport opened to a nil link set: memcpy path
+	tr    wire.Transport
+	links []wire.Link
 
 	bufs    [][]byte       // per destination slot, encoded frames of the round
 	refs    [][]any        // per destination slot, KindRef payload table
@@ -41,50 +39,36 @@ type wireNet struct {
 	broken  error          // sticky: first transport failure; later rounds fail fast
 }
 
-// active reports whether delivery goes over links (false before Open and
-// for transports that opted into the shared-memory path).
-func (wn *wireNet) active() bool { return !wn.inproc }
-
-// open lazily opens the transport's links at the first delivering Exchange.
-func (wn *wireNet) open(slots int) error {
-	if wn.opened {
+// openTransport opens tr's links, one per machine slot. A nil tr, or one
+// whose Open returns no links, leaves c.wn nil: the shared-memory path. A
+// failed Open, or a wrong link count, closes tr and returns an error
+// wrapping wire.ErrTransport.
+func (c *Cluster) openTransport(tr wire.Transport) error {
+	if tr == nil {
 		return nil
 	}
-	links, err := wn.tr.Open(slots)
+	slots := c.k + 1
+	links, err := tr.Open(slots)
+	if err == nil && links != nil && len(links) != slots {
+		err = fmt.Errorf("opened %d links, want %d", len(links), slots)
+	}
 	if err != nil {
-		wn.broken = fmt.Errorf("mpc: transport %q failed to open: %v: %w", wn.tr.Name(), err, wire.ErrTransport)
-		return wn.broken
+		tr.Close()
+		return fmt.Errorf("mpc: transport %q failed to open: %v: %w", tr.Name(), err, wire.ErrTransport)
 	}
-	wn.opened = true
 	if links == nil {
-		wn.inproc = true
 		return nil
 	}
-	if len(links) != slots {
-		wn.broken = fmt.Errorf("mpc: transport %q opened %d links, want %d: %w", wn.tr.Name(), len(links), slots, wire.ErrTransport)
-		return wn.broken
+	c.wn = &wireNet{
+		tr:    tr,
+		links: links,
+		bufs:  make([][]byte, slots),
+		refs:  make([][]any, slots),
+		werr:  make([]error, slots),
+		rerr:  make([]error, slots),
+		bytes: make([]int64, slots),
 	}
-	wn.links = links
-	wn.bufs = make([][]byte, slots)
-	wn.refs = make([][]any, slots)
-	wn.werr = make([]error, slots)
-	wn.rerr = make([]error, slots)
-	wn.bytes = make([]int64, slots)
 	return nil
-}
-
-// release drops the traffic-proportional buffers — encode buffers, ref
-// tables, the decoder's buffer — keeping the links and per-slot
-// bookkeeping intact. Called from ResetStats so a reused transported cluster starts
-// the next run without the previous run's high-water footprint.
-func (wn *wireNet) release() {
-	for i := range wn.bufs {
-		wn.bufs[i] = nil
-	}
-	for i := range wn.refs {
-		wn.refs[i] = nil
-	}
-	wn.dec.Drop()
 }
 
 // fail closes the link of slot and records err once. Closing is the
@@ -243,24 +227,6 @@ func (wn *wireNet) readInto(slot, n, base int, flat []Msg) error {
 	return nil
 }
 
-// applyTransport wires cfg.Transport into the cluster (nil = shared-memory
-// delivery, the pre-wire engine path).
-func (c *Cluster) applyTransport(tr wire.Transport) {
-	if tr == nil {
-		return
-	}
-	c.wn = &wireNet{tr: tr}
-}
-
-// Transport returns the cluster's transport, nil for the in-process
-// shared-memory path.
-func (c *Cluster) Transport() wire.Transport {
-	if c.wn == nil {
-		return nil
-	}
-	return c.wn.tr
-}
-
 // TransportName returns the transport spec name ("inproc" for the
 // shared-memory path).
 func (c *Cluster) TransportName() string {
@@ -273,7 +239,7 @@ func (c *Cluster) TransportName() string {
 // WireBytesOf returns the cumulative bytes written to machine id's link
 // (Large or a small-machine index); 0 under the shared-memory path.
 func (c *Cluster) WireBytesOf(id int) int64 {
-	if c.wn == nil || c.wn.bytes == nil {
+	if c.wn == nil {
 		return 0
 	}
 	return c.wn.bytes[machineSlot(id)]
@@ -284,7 +250,7 @@ func (c *Cluster) WireBytesOf(id int) int64 {
 // Exchange must surface a wire.ErrTransport naming the link rather than
 // hanging. No-op under the shared-memory path.
 func (c *Cluster) KillLink(id int) error {
-	if c.wn == nil || c.wn.links == nil {
+	if c.wn == nil {
 		return nil
 	}
 	return c.wn.links[machineSlot(id)].Close()

@@ -152,29 +152,60 @@ func TestWireTransportErrorNamesLink(t *testing.T) {
 	}
 }
 
-// TestWireResetStatsClearsByteCounters pins ResetStats semantics: the
-// per-link byte counters track Stats.WireBytes through a reset.
-func TestWireResetStatsClearsByteCounters(t *testing.T) {
-	c := newTest(t, Config{N: 64, M: 256, Seed: 2, Transport: wire.NewTCP()})
+// fakeTransport is a Transport whose Open returns a scripted result and
+// which counts its Close calls.
+type fakeTransport struct {
+	links  []wire.Link
+	err    error
+	closed int
+}
+
+func (f *fakeTransport) Name() string                  { return "fake" }
+func (f *fakeTransport) Open(int) ([]wire.Link, error) { return f.links, f.err }
+func (f *fakeTransport) Close() error                  { f.closed++; return nil }
+
+// TestNewOpensTransport pins the one place a transport is opened: New. An
+// Open error and a wrong link count are New's error, wrapping
+// wire.ErrTransport, and New closes the transport before returning it.
+func TestNewOpensTransport(t *testing.T) {
+	for name, f := range map[string]*fakeTransport{
+		"open error":       {err: errors.New("no sockets left")},
+		"wrong link count": {links: make([]wire.Link, 1)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Config{N: 64, M: 256, Seed: 1, Transport: f})
+			if c != nil || !errors.Is(err, wire.ErrTransport) {
+				t.Fatalf("New = %v, %v; want nil and a wrapped wire.ErrTransport", c, err)
+			}
+			if !strings.Contains(err.Error(), `"fake"`) {
+				t.Errorf("error does not name the transport: %v", err)
+			}
+			if f.closed != 1 {
+				t.Errorf("transport closed %d times, want 1", f.closed)
+			}
+		})
+	}
+}
+
+// TestInprocTransportIsSharedMemory: the explicit in-process transport opens
+// no links, so the cluster takes the shared-memory path a nil transport
+// selects: no bytes are measured on any link.
+func TestInprocTransportIsSharedMemory(t *testing.T) {
+	c := newTest(t, Config{N: 64, M: 256, Seed: 1, Transport: wire.Inproc{}})
 	defer c.Close()
-	outs := make([][]Msg, c.K())
-	outs[0] = []Msg{{To: 1, Words: 3, Data: []int64{9, 9, 9}}}
-	if _, _, err := c.Exchange(outs, nil); err != nil {
+	if _, _, err := c.Exchange(ringRound(c, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().WireBytes == 0 || c.WireBytesOf(1) == 0 {
-		t.Fatal("no bytes measured before reset")
+	if got := c.TransportName(); got != "inproc" {
+		t.Errorf("TransportName = %q, want inproc", got)
 	}
-	c.ResetStats()
-	if c.Stats().WireBytes != 0 || c.WireBytesOf(1) != 0 {
-		t.Fatalf("reset left wire bytes: stats %d, link %d", c.Stats().WireBytes, c.WireBytesOf(1))
+	for i := Large; i < c.K(); i++ {
+		if got := c.WireBytesOf(i); got != 0 {
+			t.Errorf("WireBytesOf(%d) = %d under inproc, want 0", i, got)
+		}
 	}
-	outs[0] = []Msg{{To: 1, Words: 1, Data: int64(1)}}
-	if _, _, err := c.Exchange(outs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().WireBytes != c.WireBytesOf(1) {
-		t.Fatalf("post-reset counters diverge: stats %d, link %d", c.Stats().WireBytes, c.WireBytesOf(1))
+	if got := c.Stats().WireBytes; got != 0 {
+		t.Errorf("Stats.WireBytes = %d under inproc, want 0", got)
 	}
 }
 

@@ -77,7 +77,6 @@ func (a Adaptive) NewEstimator(m Machines) (*Estimator, error) {
 	e := &Estimator{
 		alpha:    a.Alpha,
 		capShare: append([]float64(nil), m.CapShare...),
-		declared: append([]float64(nil), m.InvCost...),
 		est:      append([]float64(nil), m.InvCost...),
 	}
 	return e, nil
@@ -101,9 +100,8 @@ type OnlinePolicy interface {
 type Estimator struct {
 	alpha    float64
 	capShare []float64
-	declared []float64 // declared per-word costs; the Reset target
 	est      []float64 // EWMA per-word cost estimate, per small machine
-	rounds   int       // observations folded in since the last Reset
+	rounds   int       // observations folded in so far
 }
 
 // K returns the number of machines the estimator tracks.
@@ -113,7 +111,7 @@ func (e *Estimator) K() int { return len(e.est) }
 func (e *Estimator) Alpha() float64 { return e.alpha }
 
 // Rounds returns how many observations Observe has folded in since the
-// last Reset.
+// estimator was built.
 func (e *Estimator) Rounds() int { return e.rounds }
 
 // Estimate returns the current per-word cost estimate of small machine i.
@@ -129,14 +127,6 @@ func (e *Estimator) SetEstimate(i int, cost float64) error {
 	}
 	e.est[i] = cost
 	return nil
-}
-
-// Reset restores the declared-profile estimate (the state of a freshly
-// built estimator). The simulator calls it from ResetStats, so a reset run
-// re-adapts from scratch exactly as if the cluster had been rebuilt.
-func (e *Estimator) Reset() {
-	copy(e.est, e.declared)
-	e.rounds = 0
 }
 
 // Observe folds one exchange round into the estimate. r uses the trace

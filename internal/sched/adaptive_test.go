@@ -265,39 +265,6 @@ func TestEstimatorAlphaZero(t *testing.T) {
 	}
 }
 
-// TestEstimatorReset: Reset restores the declared seed exactly — the state
-// of a freshly built estimator — so a ResetStats replay re-adapts from
-// scratch.
-func TestEstimatorReset(t *testing.T) {
-	m := propFixtures()[4].m // both
-	est, err := Adaptive{Alpha: 1}.NewEstimator(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est.Observe(trace.Round{SendWords: []int{0, 10, 10, 10, 10}, Busy: []float64{0, 10, 20, 30, 40}})
-	if err := est.SetEstimate(2, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	est.Reset()
-	if est.Rounds() != 0 {
-		t.Fatalf("rounds %d after Reset", est.Rounds())
-	}
-	want, err := Throughput{}.Shares(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < est.K(); i++ {
-		if est.Estimate(i) != m.InvCost[i] {
-			t.Fatalf("est[%d] = %v after Reset, declared %v", i, est.Estimate(i), m.InvCost[i])
-		}
-	}
-	for i, s := range est.Shares(nil) {
-		if s != want[i] {
-			t.Fatalf("share[%d] = %v after Reset, throughput %v", i, s, want[i])
-		}
-	}
-}
-
 // TestEstimatorRejects: out-of-range gains and degenerate machine
 // descriptions fail at construction; degenerate cost overrides fail at
 // SetEstimate. Nothing may reach Shares with an uninvertible estimate.

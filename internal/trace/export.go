@@ -91,42 +91,6 @@ func ReadJSONL(r io.Reader) ([]Round, error) {
 	return rounds, nil
 }
 
-// JSONLSink streams Round records as they are recorded — the long-run path
-// where buffering the whole timeline in the Collector is unwanted. Wire it
-// with Collector.SetSink; Close flushes. Errors are sticky: the first write
-// failure is kept and returned by Close, so the synchronous record path
-// never has to handle I/O errors.
-type JSONLSink struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLSink returns a sink streaming to w, with the schema header
-// already staged.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{bw: bufio.NewWriter(w)}
-	s.enc = json.NewEncoder(s.bw)
-	s.err = s.enc.Encode(jsonlHeader{Schema: SchemaVersion, Format: jsonlFormat})
-	return s
-}
-
-// Record writes one round (a no-op after the first error).
-func (s *JSONLSink) Record(r Round) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(&r)
-}
-
-// Close flushes and returns the first error of the stream's lifetime.
-func (s *JSONLSink) Close() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.bw.Flush()
-}
-
 // perfettoScale maps one simulated time unit to Chrome trace-event
 // microseconds: 1 unit renders as 1ms, so a round-latency-1 cluster shows
 // rounds at millisecond pitch.

@@ -101,7 +101,7 @@ func MachineName(id int) string {
 }
 
 // Sink receives each Round as the engine records it — the streaming path
-// for long runs (JSONLSink writes them straight to disk). Record runs
+// for long runs. Record runs
 // synchronously on the round barrier, so implementations must not block on
 // anything the round depends on.
 type Sink interface {
@@ -154,10 +154,6 @@ func (t *Collector) Rounds() []Round { return t.rounds }
 
 // Len returns the number of recorded rounds.
 func (t *Collector) Len() int { return len(t.rounds) }
-
-// Reset drops the recorded timeline: the round buffer resets with the
-// cluster's round clock (ResetStats).
-func (t *Collector) Reset() { t.rounds = t.rounds[:0] }
 
 // PhaseStat is one row of the critical-path summary: every record whose
 // phase path equals Phase, aggregated.

@@ -118,10 +118,8 @@ type Decoder struct {
 // has read.
 func (d *Decoder) Buffered() int { return d.w - d.r }
 
-// Drop releases the read buffer, and any bytes it still holds, to the
-// garbage collector. Clusters call it through ResetStats so a mid-run reset
-// returns the decode scratch instead of leaking it into the next run, and
-// after a failed link so its unread bytes are not decoded as the next
+// Drop discards the read buffer and any bytes it still holds. Clusters call
+// it after a failed link so its unread bytes are not decoded as the next
 // link's.
 func (d *Decoder) Drop() {
 	d.buf, d.r, d.w = nil, 0, 0

@@ -28,16 +28,14 @@ func (l *tcpLink) Close() error {
 
 // TCP is the sockets transport: one TCP connection per machine slot through
 // a loopback listener. The frame stream is byte-identical to what would
-// cross a real network; Addr makes the transport's contract observable and
-// is the seam a future cross-host runner replaces with remote dialing.
+// cross a real network.
 type TCP struct {
-	// Addr is the listen address; empty means "127.0.0.1:0" (an ephemeral
-	// loopback port).
-	Addr string
-
 	ln    net.Listener
 	links []Link
 }
+
+// tcpAddr is the listen address: an ephemeral loopback port.
+const tcpAddr = "127.0.0.1:0"
 
 // NewTCP returns an unopened loopback TCP transport.
 func NewTCP() *TCP { return &TCP{} }
@@ -49,13 +47,9 @@ func (*TCP) Name() string { return "tcp" }
 // connection pair per slot. Dials are sequential, so the k-th accepted
 // connection pairs with the k-th dial.
 func (t *TCP) Open(slots int) ([]Link, error) {
-	addr := t.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", tcpAddr)
 	if err != nil {
-		return nil, fmt.Errorf("listen %s: %w", addr, err)
+		return nil, fmt.Errorf("listen %s: %w", tcpAddr, err)
 	}
 	t.ln = ln
 	t.links = make([]Link, slots)

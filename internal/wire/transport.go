@@ -22,14 +22,14 @@ type Link interface {
 }
 
 // A Transport opens the per-machine links the Exchange deliver phase runs
-// over. Implementations must be usable for exactly one Cluster: Open is
-// called once (lazily, at the first delivering Exchange), Close at
-// Cluster.Close.
+// over. Implementations must be usable for exactly one Cluster: mpc.New
+// calls Open once, after every other Config check, and Close either at
+// Cluster.Close or, when Open fails, before New returns the error.
 //
 // A nil Transport — or one whose Open returns a nil slice — selects the
 // in-process shared-memory path: delivery copies message structs directly
 // into the inbox, bit-identical to the pre-wire engine, and wire_bytes
-// stays 0.
+// stays 0. Such a transport holds nothing, so the cluster never closes it.
 type Transport interface {
 	// Name reports the spec name ("inproc", "pipe", "tcp").
 	Name() string
