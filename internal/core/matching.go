@@ -59,7 +59,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	degMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
+	degs, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	lowEdges := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			if degMaps[i][int64(e.U)] <= lowCap && degMaps[i][int64(e.V)] <= lowCap {
+			if degs.At(i, int64(e.U)) <= lowCap && degs.At(i, int64(e.V)) <= lowCap {
 				lowEdges[i] = append(lowEdges[i], e)
 			}
 		}
@@ -175,14 +175,14 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 			matchedVals[int64(v)] = true
 		}
 	}
-	matchedMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(matchedVals), 1)
+	isMatched, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(matchedVals), 1)
 	if err != nil {
 		return nil, err
 	}
 	residual := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			if !matchedMaps[i][int64(e.U)] && !matchedMaps[i][int64(e.V)] {
+			if !isMatched.At(i, int64(e.U)) && !isMatched.At(i, int64(e.V)) {
 				residual[i] = append(residual[i], e)
 			}
 		}
@@ -279,14 +279,14 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 			matchedVals[int64(e.U)], matchedVals[int64(e.V)] = true, true
 		}
 		needs := prims.EndpointNeeds(live)
-		maps, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
+		isMatched, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			out := live[i][:0]
 			for _, e := range live[i] {
-				if !maps[i][int64(e.U)] && !maps[i][int64(e.V)] {
+				if !isMatched.At(i, int64(e.U)) && !isMatched.At(i, int64(e.V)) {
 					out = append(out, e)
 				}
 			}

@@ -138,7 +138,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, 
 	for v := 0; v < n; v++ {
 		labels[int64(v)] = int64(dsu.Find(v))
 	}
-	maps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels), 1)
+	lab, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels), 1)
 	if err != nil {
 		return 0, false, err
 	}
@@ -147,7 +147,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, 
 	cdegItems := make([][]prims.KV[int64], kk)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			u, v := maps[i][int64(e.U)], maps[i][int64(e.V)]
+			u, v := lab.At(i, int64(e.U)), lab.At(i, int64(e.V))
 			if u == v {
 				continue
 			}
@@ -209,14 +209,14 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, 
 	for v := 0; v < n; v++ {
 		labels2[int64(v)] = int64(dsu.Find(v))
 	}
-	maps2, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels2), 1)
+	lab2, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels2), 1)
 	if err != nil {
 		return 0, false, err
 	}
 	final := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			u, v := maps2[i][int64(e.U)], maps2[i][int64(e.V)]
+			u, v := lab2.At(i, int64(e.U)), lab2.At(i, int64(e.V))
 			if u != v {
 				final[i] = append(final[i], graph.Edge{U: int(u), V: int(v), W: 1})
 			}

@@ -170,23 +170,23 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// neighbours died in the iteration it joined; machines derive local
 		// domination and aggregate it so every holder of a dominated vertex's
 		// edges learns.
-		misMaps, err := prims.PlanBroadcast(c, plan, nil, joined, 1)
+		joinedAt, err := prims.PlanBroadcast(c, plan, nil, joined, 1)
 		if err != nil {
 			return nil, err
 		}
 		domItems := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
 			for _, e := range edges[i] {
-				if misMaps[i][int64(e.U)] {
+				if joinedAt.At(i, int64(e.U)) {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
 				}
-				if misMaps[i][int64(e.V)] {
+				if joinedAt.At(i, int64(e.V)) {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.U), V: true})
 				}
-				if misMaps[i][int64(e.U)] {
+				if joinedAt.At(i, int64(e.U)) {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.U), V: true})
 				}
-				if misMaps[i][int64(e.V)] {
+				if joinedAt.At(i, int64(e.V)) {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
 				}
 			}
@@ -204,9 +204,9 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 			return nil, err
 		}
 		c.Each(func(i int) {
-			for key, dead := range gotDead[i] {
-				if dead {
-					deadMaps[i][key] = true
+			for _, kv := range gotDead.Of(i) {
+				if kv.V {
+					deadMaps[i][kv.K] = true
 				}
 			}
 		})

@@ -144,17 +144,17 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		c.Each(func(i int) {
 			needs[i] = distinctEndpoints(edges[i])
 		})
-		maps, err := prims.DisseminateFromLarge(c, needs, relabel, 1)
+		relabeled, err := prims.DisseminateFromLarge(c, needs, relabel, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			out := edges[i][:0]
 			for _, e := range edges[i] {
-				if nu, ok := maps[i][int64(e.U)]; ok {
+				if nu, ok := relabeled.Get(i, int64(e.U)); ok {
 					e.U = int(nu)
 				}
-				if nv, ok := maps[i][int64(e.V)]; ok {
+				if nv, ok := relabeled.Get(i, int64(e.V)); ok {
 					e.V = int(nv)
 				}
 				if e.U != e.V {
@@ -453,7 +453,7 @@ func kktTry(
 		needs[i] = distinctEndpoints(edges[i])
 	})
 	values, lwords := forestLabels(labeling.Build(n, forest), forest)
-	maps, err := prims.DisseminateFromLarge(c, needs, values, lwords)
+	fLabels, err := prims.DisseminateFromLarge(c, needs, values, lwords)
 	if err != nil {
 		return nil, false, err
 	}
@@ -462,8 +462,8 @@ func kktTry(
 	light := make([][]cEdge, k)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			lu, okU := maps[i][int64(e.U)]
-			lv, okV := maps[i][int64(e.V)]
+			lu, okU := fLabels.Get(i, int64(e.U))
+			lv, okV := fLabels.Get(i, int64(e.V))
 			if !okU || !okV {
 				// An endpoint with no label is a singleton of F: F-light.
 				light[i] = append(light[i], e)

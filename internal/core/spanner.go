@@ -69,7 +69,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	degMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
+	degs, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		dbits[v] = vbits{B: b}
 	}
-	dMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(dbits), bitWords)
+	dBits, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(dbits), bitWords)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	orItems := make([][]prims.KV[vbits], kk)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			bu, bv := dMaps[i][int64(e.U)], dMaps[i][int64(e.V)]
+			bu, bv := dBits.At(i, int64(e.U)), dBits.At(i, int64(e.V))
 			orItems[i] = append(orItems[i],
 				prims.KV[vbits]{K: int64(e.U), V: bv},
 				prims.KV[vbits]{K: int64(e.V), V: bu})
@@ -213,7 +213,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 4: σ-selection aggregation (Algorithm 5 lines 18-29) ---
-	bMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(bbits), 1)
+	bBits, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(bbits), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -231,14 +231,17 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	sigWords := 1 + 5*levels
 	sigItems := make([][]prims.KV[sigAgg], kk)
 	c.Each(func(i int) {
+		// Every item's slots are cut from one slab for the machine.
+		slab := make([]sigSlot, 2*len(edges[i])*levels)
 		for _, e := range edges[i] {
 			for dir := 0; dir < 2; dir++ {
 				u, v := e.U, e.V
 				if dir == 1 {
 					u, v = v, u
 				}
-				bv := bMaps[i][int64(v)].B
-				agg := sigAgg{OrB: bv, Slots: make([]sigSlot, levels)}
+				bv := bBits.At(i, int64(v)).B
+				agg := sigAgg{OrB: bv, Slots: slab[:levels:levels]}
+				slab = slab[levels:]
 				for s := range agg.Slots {
 					agg.Slots[s].Nbr = -1
 				}
@@ -252,22 +255,16 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 		}
 	})
+	// The combine owns both arguments, so it folds b into a's slots.
 	sigCombine := func(a, b sigAgg) sigAgg {
-		out := sigAgg{OrB: a.OrB | b.OrB, Slots: make([]sigSlot, len(a.Slots))}
-		for s := range out.Slots {
-			sa, sb := a.Slots[s], b.Slots[s]
-			switch {
-			case sa.Nbr < 0:
-				out.Slots[s] = sb
-			case sb.Nbr < 0:
-				out.Slots[s] = sa
-			case sb.Rank < sa.Rank || (sb.Rank == sa.Rank && sb.Nbr < sa.Nbr):
-				out.Slots[s] = sb
-			default:
-				out.Slots[s] = sa
+		a.OrB |= b.OrB
+		for s, sb := range b.Slots {
+			sa := a.Slots[s]
+			if sa.Nbr < 0 || (sb.Nbr >= 0 && (sb.Rank < sa.Rank || (sb.Rank == sa.Rank && sb.Nbr < sa.Nbr))) {
+				a.Slots[s] = sb
 			}
 		}
-		return out
+		return a
 	}
 	sigRoots, err := prims.PlanCombine(c, plan, sigItems, sigWords, sigCombine)
 	if err != nil {
@@ -301,7 +298,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 5: clustering-graph edges E_lvl (Claim 2) ---
-	sigMaps, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(sigma), 1)
+	sigmas, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(sigma), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -309,12 +306,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	ceItems := make([][]prims.KV[clusterEdge], kk)
 	c.Each(func(i int) {
 		for _, e := range edges[i] {
-			su, okU := sigMaps[i][int64(e.U)]
-			sv, okV := sigMaps[i][int64(e.V)]
+			su, okU := sigmas.Get(i, int64(e.U))
+			sv, okV := sigmas.Get(i, int64(e.V))
 			if !okU || !okV || su == sv {
 				continue
 			}
-			du, dv := degMaps[i][int64(e.U)], degMaps[i][int64(e.V)]
+			du, dv := degs.At(i, int64(e.U)), degs.At(i, int64(e.V))
 			md := du
 			if dv < md {
 				md = dv
@@ -531,7 +528,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		slices.Sort(tblNeeds[i])
 	})
-	tblMaps, err := prims.DisseminateFromLarge(c, tblNeeds, tableValues, k+2)
+	tbls, err := prims.DisseminateFromLarge(c, tblNeeds, tableValues, k+2)
 	if err != nil {
 		return nil, err
 	}
@@ -549,8 +546,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				continue
 			}
 			for _, e := range perLvl[i][lvl] {
-				tu, okU := tblMaps[i][int64(lvl)*int64(n)+int64(e.U)]
-				tv, okV := tblMaps[i][int64(lvl)*int64(n)+int64(e.V)]
+				tu, okU := tbls.Get(i, int64(lvl)*int64(n)+int64(e.U))
+				tv, okV := tbls.Get(i, int64(lvl)*int64(n)+int64(e.V))
 				if !okU || !okV {
 					continue
 				}

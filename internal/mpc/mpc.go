@@ -233,8 +233,7 @@ type Cluster struct {
 	k        int
 	smallCap int // base (scale-1) small capacity
 	largeCap int
-	rngs     []*rand.Rand
-	largeRng *rand.Rand
+	rngs     []rand.Rand // the large machine's, then small machine i's at 1+i
 	stats    Stats
 	exch     *exchScratch
 
@@ -319,13 +318,9 @@ func New(cfg Config) (*Cluster, error) {
 		k:        k,
 		smallCap: smallCap,
 		largeCap: largeCap,
-		rngs:     make([]*rand.Rand, k),
-		largeRng: xrand.New(xrand.Split(cfg.Seed, 0)),
+		rngs:     xrand.Streams(cfg.Seed, k+1),
 		exch:     newExchScratch(k),
 		tr:       cfg.Trace,
-	}
-	for i := range c.rngs {
-		c.rngs[i] = xrand.New(xrand.Split(cfg.Seed, uint64(i)+1))
 	}
 	if err := c.applyProfile(cfg.Profile); err != nil {
 		return nil, err
@@ -523,10 +518,10 @@ func (c *Cluster) BusyImbalance() float64 {
 }
 
 // Rand returns small machine i's private PRNG.
-func (c *Cluster) Rand(i int) *rand.Rand { return c.rngs[i] }
+func (c *Cluster) Rand(i int) *rand.Rand { return &c.rngs[1+i] }
 
 // LargeRand returns the large machine's private PRNG.
-func (c *Cluster) LargeRand() *rand.Rand { return c.largeRng }
+func (c *Cluster) LargeRand() *rand.Rand { return &c.rngs[0] }
 
 // capOf returns the per-round word capacity of machine id under the
 // cluster's profile.

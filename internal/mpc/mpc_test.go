@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"hetmpc/internal/xrand"
 )
 
 func newTest(t *testing.T, cfg Config) *Cluster {
@@ -148,6 +150,45 @@ func TestPerMachineRNGDeterministicAndPrivate(t *testing.T) {
 	c3 := newTest(t, Config{N: 64, M: 256, Seed: 10})
 	if c1.Rand(0).Uint64() == c3.Rand(0).Uint64() {
 		t.Fatal("different seeds, same stream")
+	}
+}
+
+// TestRandStreamsFollowSplit: machine i's generator draws the stream of
+// xrand.New(xrand.Split(seed, i+1)), the large machine's that of seed's
+// child 0 — the streams every seeded run has drawn.
+func TestRandStreamsFollowSplit(t *testing.T) {
+	const seed = 9
+	c := newTest(t, Config{N: 256, M: 2048, Seed: seed})
+	for _, i := range []int{-1, 0, 1, c.K() - 1} {
+		got, want := c.LargeRand(), xrand.New(xrand.Split(seed, 0))
+		if i >= 0 {
+			got, want = c.Rand(i), xrand.New(xrand.Split(seed, uint64(i)+1))
+		}
+		for d := 0; d < 4; d++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("machine %d draw %d: %#x, want %#x", i, d, g, w)
+			}
+		}
+	}
+}
+
+// TestNewAllocsIndependentOfK: a cluster's per-machine state — generators
+// included — is a fixed number of arrays, so New allocates as often at
+// K=512 as at K=64.
+func TestNewAllocsIndependentOfK(t *testing.T) {
+	allocs := func(k int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			c, err := New(Config{N: 4096, M: 1 << 16, K: k, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if lo, hi := allocs(64), allocs(512); hi != lo {
+		t.Errorf("New allocates %v times at K=64, %v at K=512: allocation follows the machines", lo, hi)
 	}
 }
 

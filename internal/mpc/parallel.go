@@ -46,42 +46,48 @@ func forN(n int, each func(i int), try func(i int) error) error {
 		}
 		return nil
 	}
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		first  struct {
-			sync.Mutex
-			i   int
-			err error
-		}
-	)
-	wg.Add(workers)
+	p := &pool{n: n, each: each, try: try}
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if each != nil {
-					each(i)
-				} else if err := try(i); err != nil {
-					first.Lock()
-					if first.err == nil || i < first.i {
-						first.i, first.err = i, err
-					}
-					first.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
+		go p.work()
 	}
-	wg.Wait()
-	return first.err
+	p.wg.Wait()
+	return p.err
+}
+
+// pool is one forN call's shared state, one allocation whatever the number
+// of workers: the callbacks, the next index to hand out, and the lowest
+// failing index with its error.
+type pool struct {
+	n      int
+	each   func(i int)
+	try    func(i int) error
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	mu     sync.Mutex
+	i      int
+	err    error
+}
+
+// work is one worker: it takes indices until they run out or one fails.
+func (p *pool) work() {
+	defer p.wg.Done()
+	for !p.failed.Load() {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		if p.each != nil {
+			p.each(i)
+		} else if err := p.try(i); err != nil {
+			p.mu.Lock()
+			if p.err == nil || i < p.i {
+				p.i, p.err = i, err
+			}
+			p.mu.Unlock()
+			p.failed.Store(true)
+			return
+		}
+	}
 }

@@ -261,9 +261,8 @@ func TestSortRouteAllocLinearInK(t *testing.T) {
 // eight times as much. ScatterFromLarge, DisseminateFromLarge, PlanCombine
 // and PlanBroadcast allocate per call, as Sort does
 // (TestSortRouteAllocLinearInK), so theirs also sits under an absolute
-// ceiling that one more allocation per machine would break;
-// DisseminateFromLarge's and PlanBroadcast's is their K result maps — the
-// API — at up to four allocations each.
+// ceiling that one more allocation per machine would break — the answers
+// included, which are one slab for every machine.
 func TestCollectiveAllocsPerMachine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -321,10 +320,10 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 		}
 		sameAnswers(t, fmt.Sprintf("DisseminateFromLarge, %d per machine", per), got, oracle(needs[per], SortedKVs(values[per])))
 	}
-	check("DisseminateFromLarge", float64(5*k), func(per int) {
+	check("DisseminateFromLarge", 168, func(per int) {
 		got, err := DisseminateFromLarge(c, needs[per], values[per], 1)
-		if err != nil || len(got[0]) != per {
-			t.Fatalf("DisseminateFromLarge: %d of %d answers, err %v", len(got[0]), per, err)
+		if err != nil || len(got.Of(0)) != per {
+			t.Fatalf("DisseminateFromLarge: %d of %d answers, err %v", len(got.Of(0)), per, err)
 		}
 	})
 	// Over a plan of the same requests: every machine combines a partial of
@@ -350,10 +349,10 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	check("PlanBroadcast", float64(5*k), func(per int) {
+	check("PlanBroadcast", 56, func(per int) {
 		got, err := PlanBroadcast(c, plans[per], roots[per], nil, 1)
-		if err != nil || len(got[0]) != per {
-			t.Fatalf("PlanBroadcast: %d of %d answers, err %v", len(got[0]), per, err)
+		if err != nil || len(got.Of(0)) != per {
+			t.Fatalf("PlanBroadcast: %d of %d answers, err %v", len(got.Of(0)), per, err)
 		}
 	})
 }

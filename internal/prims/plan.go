@@ -12,6 +12,10 @@ import (
 // key's root. It is returned before any round is charged.
 var ErrUnplanned = errors.New("prims: input outside the plan")
 
+// ErrAnswerOrder refuses answers whose keys do not strictly ascend on a
+// machine (a key twice in its needs) before a bisection could miss one.
+var ErrAnswerOrder = errors.New("prims: answers out of key order")
+
 // Plan is what one Sort of a request set leaves, kept for every PlanBroadcast
 // and PlanCombine over that set (DESIGN.md §1): the coordinator's splitter
 // list, each bucket's requests and spans, and on machine i the bucket each of
@@ -150,18 +154,19 @@ func SortedKVs[V any](m map[int64]V) []KV[V] {
 }
 
 // DisseminateFromLarge is Claim 3 for a request set used once, with every
-// value on the large machine: machine i needs the keys in needs[i]. It is
+// value on the large machine: machine i needs the keys in needs[i], and the
+// Answers hold, on machine i, the requested keys that have a value. It is
 // NewPlan of needs and one PlanBroadcast of values over it, so it charges a
 // Sort, the scatter round, treeDepth(K, b) tree rounds and the answer round.
 // Values without a large machine are refused with mpc.ErrNeedsLarge before
 // any round.
-func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int64]V, vwords int) ([]map[int64]V, error) {
+func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int64]V, vwords int) (Answers[V], error) {
 	if len(values) > 0 && !c.HasLarge() {
-		return nil, fmt.Errorf("prims: DisseminateFromLarge: %w", mpc.ErrNeedsLarge)
+		return Answers[V]{}, fmt.Errorf("prims: DisseminateFromLarge: %w", mpc.ErrNeedsLarge)
 	}
 	p, err := NewPlan(c, needs)
 	if err != nil {
-		return nil, err
+		return Answers[V]{}, err
 	}
 	return PlanBroadcast(c, p, nil, SortedKVs(values), vwords)
 }
@@ -170,26 +175,27 @@ func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int
 // sit at their keys' roots, as PlanCombine leaves them (else ErrUnplanned),
 // and the coordinator routes the large values straight to their roots (one
 // scatter round; mpc.ErrNeedsLarge without a large machine); then broadcast's
-// treeDepth(K, b)+1 rounds deliver them. Of a key's values the first wins: a
-// root's own in list order, then the large machine's in list order.
+// treeDepth(K, b)+1 rounds deliver them, as Answers: machine i's requested
+// keys that have a value, by ascending key. Of a key's values the first
+// wins: a root's own in list order, then the large machine's in list order.
 //
 // A large value goes to its key's root whether or not anyone requests the
 // key, and the root of a key past every request is the last bucket: a caller
 // sends only values of keys that can be requested (DESIGN.md §1).
-func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V], vwords int) ([]map[int64]V, error) {
+func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V], vwords int) (Answers[V], error) {
 	if err := checkBuckets(c, "PlanBroadcast small", small); err != nil {
-		return nil, err
+		return Answers[V]{}, err
 	}
 	for i := range small {
 		for _, kv := range small[i] {
 			if r := p.root(kv.K); r != i {
-				return nil, fmt.Errorf("prims: PlanBroadcast: %w: machine %d holds a value of key %d, whose root is machine %d",
+				return Answers[V]{}, fmt.Errorf("prims: PlanBroadcast: %w: machine %d holds a value of key %d, whose root is machine %d",
 					ErrUnplanned, i, kv.K, r)
 			}
 		}
 	}
 	if len(large) > 0 && !c.HasLarge() {
-		return nil, fmt.Errorf("prims: PlanBroadcast large: %w", mpc.ErrNeedsLarge)
+		return Answers[V]{}, fmt.Errorf("prims: PlanBroadcast large: %w", mpc.ErrNeedsLarge)
 	}
 	defer c.Span("broadcast").End()
 	k := c.K()
@@ -197,7 +203,7 @@ func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V
 	if len(large) > 0 {
 		var err error
 		if injected, err = scatterTo(c, p, large, vwords); err != nil {
-			return nil, err
+			return Answers[V]{}, err
 		}
 	}
 	// A root's values: its own, then the large machine's, stably sorted.
@@ -251,7 +257,7 @@ func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]K
 // interval tree over the span (the paper's trees of Claims 2/3,
 // treeDepth(K, b) rounds), and every machine answers the requests routed to
 // it (1 round). A request for a key with no value is left unanswered.
-func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) ([]map[int64]V, error) {
+func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answers[V], error) {
 	k := c.K()
 	spans := p.spans
 	// Machine i's spans are entries 2i and 2i+1 of spans; down and has hold,
@@ -319,13 +325,13 @@ func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) ([]ma
 		}
 		ins, _, err := c.Exchange(outs, nil)
 		if err != nil {
-			return nil, err
+			return Answers[V]{}, err
 		}
 		for i, inbox := range ins {
 			for _, m := range inbox {
 				dm, ok := m.Data.(*KV[V])
 				if !ok || dm == nil {
-					return nil, fmt.Errorf("prims: unexpected dissemination payload %T", m.Data)
+					return Answers[V]{}, fmt.Errorf("prims: unexpected dissemination payload %T", m.Data)
 				}
 				if j := spanOf(i, dm.K); j >= 0 {
 					down[j], has[j] = *dm, true
@@ -368,20 +374,63 @@ func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) ([]ma
 	})
 	ins, _, err := c.Exchange(outs, nil)
 	if err != nil {
-		return nil, err
+		return Answers[V]{}, err
 	}
-	result := make([]map[int64]V, k)
+	// Buckets answer in bucket order, each in request order, so every inbox
+	// runs by ascending key: the inboxes are copied back to back into one
+	// slab, checking the order.
+	a := Answers[V]{starts: make([]int, k+1)}
 	for i, inbox := range ins {
-		result[i] = make(map[int64]V, len(inbox))
+		a.starts[i+1] = a.starts[i] + len(inbox)
+	}
+	a.kvs = make([]KV[V], 0, a.starts[k])
+	for i, inbox := range ins {
 		for _, m := range inbox {
-			a, ok := m.Data.(*KV[V])
-			if !ok || a == nil {
-				return nil, fmt.Errorf("prims: unexpected answer payload %T", m.Data)
+			kv, ok := m.Data.(*KV[V])
+			if !ok || kv == nil {
+				return Answers[V]{}, fmt.Errorf("prims: unexpected answer payload %T", m.Data)
 			}
-			result[i][a.K] = a.V
+			if n := len(a.kvs); n > a.starts[i] && a.kvs[n-1].K >= kv.K {
+				return Answers[V]{}, fmt.Errorf("prims: %w: machine %d is answered key %d after key %d", ErrAnswerOrder, i, kv.K, a.kvs[n-1].K)
+			}
+			a.kvs = append(a.kvs, *kv)
 		}
 	}
-	return result, nil
+	return a, nil
+}
+
+// Answers is what PlanBroadcast delivers: on each machine the (key, value)
+// of every request of it that has a value, by ascending key, every machine's
+// cut from one slab. The zero Answers answers no machine anything.
+type Answers[V any] struct {
+	kvs    []KV[V]
+	starts []int // machine i's answers are kvs[starts[i]:starts[i+1]]
+}
+
+// Of returns machine i's answers by ascending key; nil past the machines.
+func (a Answers[V]) Of(i int) []KV[V] {
+	if i+1 >= len(a.starts) {
+		return nil
+	}
+	return a.kvs[a.starts[i]:a.starts[i+1]:a.starts[i+1]]
+}
+
+// Get returns the value machine i was answered for key, found by bisection,
+// and whether it was answered one.
+func (a Answers[V]) Get(i int, key int64) (V, bool) {
+	kvs := a.Of(i)
+	j := bisect(0, len(kvs), func(j int) bool { return kvs[j].K >= key })
+	if j < len(kvs) && kvs[j].K == key {
+		return kvs[j].V, true
+	}
+	var zero V
+	return zero, false
+}
+
+// At is Get's value alone: the zero V for a key machine i was not answered.
+func (a Answers[V]) At(i int, key int64) V {
+	v, _ := a.Get(i, key)
+	return v
 }
 
 // PlanCombine implements Claim 2 over a plan, with no Sort: machine i's items

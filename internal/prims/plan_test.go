@@ -57,22 +57,35 @@ func atRoots[V any](p *Plan, k int, values [][]KV[V]) [][]KV[V] {
 	return small
 }
 
-// sameAnswers fails t unless got equals the oracle's answers, machine by
-// machine; a machine past either list is answered nothing.
-func sameAnswers[V comparable](t *testing.T, name string, got, want []map[int64]V) {
+// sameAnswers fails t unless every machine's answers strictly ascend by key
+// and equal the oracle's, machine by machine; a machine past either is
+// answered nothing.
+func sameAnswers[V comparable](t *testing.T, name string, got Answers[V], want []map[int64]V) {
 	t.Helper()
-	for i := range max(len(got), len(want)) {
-		var g, w map[int64]V
-		if i < len(got) {
-			g = got[i]
-		}
+	for i := range max(len(got.starts)-1, len(want)) {
+		var w map[int64]V
 		if i < len(want) {
 			w = want[i]
 		}
-		if !maps.Equal(g, w) {
-			t.Fatalf("%s: machine %d is answered %v, the oracle %v", name, i, g, w)
+		g := got.Of(i)
+		for j := 1; j < len(g); j++ {
+			if g[j-1].K >= g[j].K {
+				t.Fatalf("%s: machine %d's answers do not strictly ascend: %v", name, i, g)
+			}
+		}
+		if gm := answerMap(g); !maps.Equal(gm, w) {
+			t.Fatalf("%s: machine %d is answered %v, the oracle %v", name, i, gm, w)
 		}
 	}
+}
+
+// answerMap is one machine's answers as a map.
+func answerMap[V any](kvs []KV[V]) map[int64]V {
+	m := make(map[int64]V, len(kvs))
+	for _, kv := range kvs {
+		m[kv.K] = kv.V
+	}
+	return m
 }
 
 // checkPlan runs in's collectives over one NewPlan of in.needs on c and
@@ -315,13 +328,13 @@ func TestPlanBroadcastDuplicateValuesFirstWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
+		for i := range c.K() {
 			want := map[int64]int64{7: 1, int64(100 + i%5): int64(1000 + i%5)}
 			if !noLarge && i == 3 {
 				want[555] = 5
 			}
-			if !maps.Equal(got[i], want) {
-				t.Fatalf("noLarge=%v machine %d got %v, want %v", noLarge, i, got[i], want)
+			if g := answerMap(got.Of(i)); !maps.Equal(g, want) {
+				t.Fatalf("noLarge=%v machine %d got %v, want %v", noLarge, i, g, want)
 			}
 		}
 		sameAnswers(t, "duplicates", got, oracle(needs, Flatten(values), large))
@@ -402,5 +415,54 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 		if used := c.Rounds() - before; used != want {
 			t.Errorf("%s: DisseminateFromLarge charged %d rounds, want %d (one Sort + scatter + %d tree + 1 answer)", tc.name, used, want, depth)
 		}
+	}
+}
+
+// TestAnswersLookup: Get and At find a machine's answered keys by bisection
+// and report a key it was not answered — below, between and past its keys,
+// or requested with no value — as absent with the zero value; an empty
+// machine, a machine past K and the zero Answers are answered nothing.
+func TestAnswersLookup(t *testing.T) {
+	c := newCluster(t, 256, 2048, false)
+	k := c.K()
+	needs := make([][]int64, k) // machine 0 requests nothing
+	needs[1], needs[2] = []int64{3, 5, 9}, []int64{5, 7}
+	values := map[int64]int64{3: 30, 5: 50, 9: 90}
+	got, err := DisseminateFromLarge(c, needs, values, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range needs[1] {
+		if v, ok := got.Get(1, key); !ok || v != values[key] || got.At(1, key) != v {
+			t.Errorf("machine 1 key %d: Get = %d, %v; At = %d; want %d", key, v, ok, got.At(1, key), values[key])
+		}
+	}
+	absent := []struct {
+		i   int
+		key int64
+	}{{1, 1}, {1, 4}, {1, 10}, {2, 7}, {0, 5}, {k, 5}}
+	for _, a := range absent {
+		if v, ok := got.Get(a.i, a.key); ok || v != 0 || got.At(a.i, a.key) != 0 {
+			t.Errorf("machine %d key %d: Get = %d, %v; At = %d; want absent", a.i, a.key, v, ok, got.At(a.i, a.key))
+		}
+	}
+	if n := len(got.Of(0)) + len(got.Of(k)); n != 0 {
+		t.Errorf("an empty machine and one past K hold %d answers", n)
+	}
+	var none Answers[int64]
+	if v, ok := none.Get(0, 5); ok || v != 0 || none.Of(0) != nil {
+		t.Errorf("the zero Answers answers machine 0: %d, %v, %v", v, ok, none.Of(0))
+	}
+}
+
+// TestPlanBroadcastRefusesRepeatedRequest: a key twice in one machine's
+// needs is answered twice, and the answers' decode refuses the repeat with
+// ErrAnswerOrder rather than hand a lookup keys that do not strictly ascend.
+func TestPlanBroadcastRefusesRepeatedRequest(t *testing.T) {
+	c := newCluster(t, 256, 2048, false)
+	needs := make([][]int64, c.K())
+	needs[1] = []int64{5, 5}
+	if _, err := DisseminateFromLarge(c, needs, map[int64]int64{5: 50}, 1); !errors.Is(err, ErrAnswerOrder) {
+		t.Fatalf("err = %v, want ErrAnswerOrder", err)
 	}
 }

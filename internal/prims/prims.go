@@ -41,11 +41,11 @@
 // b·p+1 … b·p+b, walked in place).
 //
 // A collective allocates per machine, never per message, and Sort, NewPlan,
-// PlanBroadcast (its result maps aside), PlanCombine and ScatterFromLarge
-// per call: struct payloads travel as
-// pointers into one slab per sender per round — Sort's reply and route
-// rounds and the answer round carve every sender's from one array —
-// wire-native scalars by value (DESIGN.md §14, "Payload slabs").
+// PlanBroadcast, PlanCombine and ScatterFromLarge per call: struct payloads
+// travel as pointers into one slab per sender per round — Sort's reply and
+// route rounds and the answer round carve every sender's from one array —
+// wire-native scalars by value, and PlanBroadcast's answers land in one slab
+// for every receiver (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (

@@ -195,7 +195,7 @@ type wide [40]int64
 func TestDeepTrees(t *testing.T) {
 	const k, vwords = 64, len(wide{})
 	for _, noLarge := range []bool{false, true} {
-		run := func(csmall, clarge float64, wantDeep bool) (bcast []wide, agg map[int64]wide, seg []map[int64]wide) {
+		run := func(csmall, clarge float64, wantDeep bool) (bcast []wide, agg map[int64]wide, seg Answers[wide]) {
 			c, err := mpc.New(mpc.Config{N: 256, M: 2048, K: k, CSmall: csmall, CLarge: clarge, Seed: 42, NoLarge: noLarge})
 			if err != nil {
 				t.Fatal(err)
@@ -267,8 +267,8 @@ func TestDeepTrees(t *testing.T) {
 		if !reflect.DeepEqual(deepA, flatA) || deepA[9] != (wide{k / 4, k * (k/4 - 1) / 2}) {
 			t.Fatalf("noLarge=%v: deep AggregateByKey diverges: hot key %v", noLarge, deepA[9])
 		}
-		if deepS[0][9] != (wide{900}) || len(deepS[0]) != 2 {
-			t.Fatalf("noLarge=%v: deep PlanBroadcast answers machine 0 with %v", noLarge, deepS[0])
+		if deepS.At(0, 9) != (wide{900}) || len(deepS.Of(0)) != 2 {
+			t.Fatalf("noLarge=%v: deep PlanBroadcast answers machine 0 with %v", noLarge, deepS.Of(0))
 		}
 	}
 }

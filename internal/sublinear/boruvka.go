@@ -147,17 +147,17 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 			}
 		})
 		// Disseminate the adoption map to every machine holding the label.
-		maps, err := prims.PlanBroadcast(c, plan, adoptions, nil, 1)
+		adopted, err := prims.PlanBroadcast(c, plan, adoptions, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			out := edges[i][:0]
 			for _, e := range edges[i] {
-				if nl, ok := maps[i][e.LU]; ok {
+				if nl, ok := adopted.Get(i, e.LU); ok {
 					e.LU = nl
 				}
-				if nl, ok := maps[i][e.LV]; ok {
+				if nl, ok := adopted.Get(i, e.LV); ok {
 					e.LV = nl
 				}
 				if e.LU != e.LV {

@@ -94,7 +94,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		// core's deterministic choice). One aggregation + one dissemination —
 		// except at the last level, where C_k = ∅: nobody re-clusters, every
 		// vertex still clustered is removed, and there is nothing to send.
-		newCenters := make([]map[int64]reclusterVal, kk)
+		var newCenters prims.Answers[reclusterVal]
 		if level < k {
 			items := make([][]prims.KV[reclusterVal], kk)
 			c.Each(func(i int) {
@@ -151,7 +151,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				if level < k && survives(level, int(cv)) {
 					continue // center survives
 				}
-				if rv, ok := newCenters[i][v]; ok {
+				if rv, ok := newCenters.Get(i, v); ok {
 					center[i][v] = rv.Ctr
 					continue
 				}

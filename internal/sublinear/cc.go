@@ -122,13 +122,13 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		adoptMaps, err := prims.PlanBroadcast(c, plan, adoptRoots, nil, 1)
+		adopted, err := prims.PlanBroadcast(c, plan, adoptRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			for v, l := range labels[i] {
-				if nl, ok := adoptMaps[i][l]; ok {
+				if nl, ok := adopted.Get(i, l); ok {
 					labels[i][v] = nl
 				}
 			}

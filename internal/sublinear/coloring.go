@@ -134,7 +134,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		blockMaps, err := prims.PlanBroadcast(c, plan, blockRoots, nil, 1)
+		blocks, err := prims.PlanBroadcast(c, plan, blockRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 				if col >= 0 {
 					continue
 				}
-				blocked, known := blockMaps[i][v]
+				blocked, known := blocks.Get(i, v)
 				if known && !blocked {
 					colors[i][v] = try(round, int(v))
 				}

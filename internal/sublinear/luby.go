@@ -99,7 +99,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		minMaps, err := prims.PlanBroadcast(c, plan, minRoots, nil, 1)
+		minNbrs, err := prims.PlanBroadcast(c, plan, minRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				if s != 0 {
 					continue
 				}
-				minNbr, ok := minMaps[i][v]
+				minNbr, ok := minNbrs.Get(i, v)
 				if !ok || prio(round, int(v)) < minNbr {
 					verdict[v] = true
 				}
@@ -137,13 +137,13 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domMaps, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
+		dominated, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			for v := range state[i] {
-				if state[i][v] == 0 && domMaps[i][v] {
+				if state[i][v] == 0 && dominated.At(i, v) {
 					state[i][v] = 2
 				}
 			}

@@ -122,7 +122,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		minMaps, err := prims.PlanBroadcast(c, plan, minRoots, nil, rankValWords)
+		mins, err := prims.PlanBroadcast(c, plan, minRoots, nil, rankValWords)
 		if err != nil {
 			return nil, err
 		}
@@ -132,8 +132,8 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		c.Each(func(i int) {
 			for j, e := range live[i] {
 				rv := rankVal{Rank: ranks[i][j], EU: int32(e.U), EV: int32(e.V)}
-				mu, okU := minMaps[i][int64(e.U)]
-				mv, okV := minMaps[i][int64(e.V)]
+				mu, okU := mins.Get(i, int64(e.U))
+				mv, okV := mins.Get(i, int64(e.V))
 				if okU && okV && mu == rv && mv == rv {
 					matched[i] = append(matched[i], e)
 					deadItems[i] = append(deadItems[i],
@@ -146,14 +146,14 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		deadMaps, err := prims.PlanBroadcast(c, plan, deadRoots, nil, 1)
+		dead, err := prims.PlanBroadcast(c, plan, deadRoots, nil, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			out := live[i][:0]
 			for _, e := range live[i] {
-				if deadMaps[i][int64(e.U)] || deadMaps[i][int64(e.V)] {
+				if dead.At(i, int64(e.U)) || dead.At(i, int64(e.V)) {
 					continue
 				}
 				out = append(out, e)

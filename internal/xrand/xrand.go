@@ -39,6 +39,19 @@ func New(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, SplitMix64(seed)))
 }
 
+// Streams returns n generators cut from two slabs, the i-th drawing the
+// stream of New(Split(seed, i)).
+func Streams(seed uint64, n int) []rand.Rand {
+	pcgs := make([]rand.PCG, n)
+	rngs := make([]rand.Rand, n)
+	for i := range rngs {
+		s := Split(seed, uint64(i))
+		pcgs[i].Seed(s, SplitMix64(s))
+		rngs[i] = *rand.New(&pcgs[i])
+	}
+	return rngs
+}
+
 // ModP reduces x modulo MersennePrime.
 func ModP(x uint64) uint64 {
 	x = (x & MersennePrime) + (x >> 61)
