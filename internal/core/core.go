@@ -39,6 +39,9 @@ type cEdge struct {
 
 const cEdgeWords = 5
 
+// Ends returns the contracted endpoints, U then V.
+func (e cEdge) Ends() (int, int) { return e.U, e.V }
+
 // orig returns the original graph edge.
 func (e cEdge) orig() graph.Edge { return graph.NewEdge(e.OU, e.OV, e.W) }
 
@@ -74,17 +77,6 @@ func toCEdges(data [][]graph.Edge) [][]cEdge {
 		}
 	}
 	return out
-}
-
-// distinctEndpoints returns the sorted distinct contracted endpoints of a
-// machine's edges (the dissemination "needs" list) — prims.EndpointNeeds
-// for contracted edges, deduplicated the same way (prims.DistinctInts).
-func distinctEndpoints(edges []cEdge) []int64 {
-	out := make([]int64, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out, int64(e.U), int64(e.V))
-	}
-	return prims.DistinctInts(out)
 }
 
 // degreesAtLarge brings every non-isolated vertex's degree to the large

@@ -51,7 +51,8 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 
 	// Degrees and the low/high threshold, over the one plan of the edges'
 	// endpoints that phase 3's dissemination reuses.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -72,8 +73,10 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	// --- Phase 1: peel the low-degree induced subgraph ---
 	lowEdges := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			if degs.At(i, int64(e.U)) <= lowCap && degs.At(i, int64(e.V)) <= lowCap {
+		for j, e := range edges[i] {
+			du, _ := degs.Slot(i, int(slots[i][2*j]))
+			dv, _ := degs.Slot(i, int(slots[i][2*j+1]))
+			if du <= lowCap && dv <= lowCap {
 				lowEdges[i] = append(lowEdges[i], e)
 			}
 		}
@@ -181,8 +184,10 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 	residual := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			if !isMatched.At(i, int64(e.U)) && !isMatched.At(i, int64(e.V)) {
+		for j, e := range edges[i] {
+			mu, _ := isMatched.Slot(i, int(slots[i][2*j]))
+			mv, _ := isMatched.Slot(i, int(slots[i][2*j+1]))
+			if !mu && !mv {
 				residual[i] = append(residual[i], e)
 			}
 		}
@@ -278,15 +283,17 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 		for _, e := range add {
 			matchedVals[int64(e.U)], matchedVals[int64(e.V)] = true, true
 		}
-		needs := prims.EndpointNeeds(live)
+		needs, slots := prims.DistinctSlots(prims.Endpoints(live))
 		isMatched, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			out := live[i][:0]
-			for _, e := range live[i] {
-				if !isMatched.At(i, int64(e.U)) && !isMatched.At(i, int64(e.V)) {
+			for j, e := range live[i] {
+				mu, _ := isMatched.Slot(i, int(slots[i][2*j]))
+				mv, _ := isMatched.Slot(i, int(slots[i][2*j+1]))
+				if !mu && !mv {
 					out = append(out, e)
 				}
 			}

@@ -44,7 +44,8 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	}
 	// Every trial aggregates and disseminates over the same endpoints: one
 	// plan serves them all.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	capEdges := int64(c.LargeCap() / (4 * prims.EdgeWords))
 	for trial := 0; trial < trials; trial++ {
 		res.Trials++
-		val, ok, err := minCutTrial(c, edges, plan, n, capEdges)
+		val, ok, err := minCutTrial(c, edges, plan, slots, n, capEdges)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +90,7 @@ type twoOutVal struct {
 
 const twoOutWords = 8
 
-func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, capEdges int64) (int64, bool, error) {
+func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [][]int32, n int, capEdges int64) (int64, bool, error) {
 	kk := c.K()
 	// 2-out sampling via two independent min-rank aggregations in one pass.
 	items := make([][]prims.KV[twoOutVal], kk)
@@ -146,8 +147,9 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, 
 	contracted := make([][]graph.Edge, kk)
 	cdegItems := make([][]prims.KV[int64], kk)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			u, v := lab.At(i, int64(e.U)), lab.At(i, int64(e.V))
+		for j := range edges[i] {
+			u, _ := lab.Slot(i, int(slots[i][2*j]))
+			v, _ := lab.Slot(i, int(slots[i][2*j+1]))
 			if u == v {
 				continue
 			}
@@ -215,8 +217,9 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, n int, 
 	}
 	final := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			u, v := lab2.At(i, int64(e.U)), lab2.At(i, int64(e.V))
+		for j := range edges[i] {
+			u, _ := lab2.Slot(i, int(slots[i][2*j]))
+			v, _ := lab2.Slot(i, int(slots[i][2*j+1]))
 			if u != v {
 				final[i] = append(final[i], graph.Edge{U: int(u), V: int(v), W: 1})
 			}

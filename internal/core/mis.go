@@ -40,7 +40,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	kk := c.K()
 	// Every aggregation and dissemination below is over the endpoints of
 	// the machines' edges: one plan serves them all.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -91,10 +92,10 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	inMIS := make([]bool, n)
 	processed := make([]bool, n) // vertices already decided by greedy
 	accAdj := make(map[int][]int)
-	// Machines' view of dead vertices.
-	deadMaps := make([]map[int64]bool, kk)
-	for i := range deadMaps {
-		deadMaps[i] = map[int64]bool{}
+	// Machines' view of dead vertices, by slot.
+	dead := make([][]bool, kk)
+	for i := range dead {
+		dead[i] = make([]bool, len(verts[i]))
 	}
 
 	for it, tau := range taus {
@@ -102,8 +103,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// pairwise non-adjacent and all join the MIS.
 		aliveCounts := make([]int64, kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if !deadMaps[i][int64(e.U)] && !deadMaps[i][int64(e.V)] {
+			for j := range edges[i] {
+				if !dead[i][slots[i][2*j]] && !dead[i][slots[i][2*j+1]] {
 					aliveCounts[i]++
 				}
 			}
@@ -119,8 +120,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// Ship alive prefix edges.
 		batch := make([][]graph.Edge, kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if deadMaps[i][int64(e.U)] || deadMaps[i][int64(e.V)] {
+			for j, e := range edges[i] {
+				if dead[i][slots[i][2*j]] || dead[i][slots[i][2*j+1]] {
 					continue
 				}
 				if pr(e.U) <= tauList[i][it] && pr(e.V) <= tauList[i][it] {
@@ -176,17 +177,19 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		}
 		domItems := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if joinedAt.At(i, int64(e.U)) {
+			for j, e := range edges[i] {
+				ju, _ := joinedAt.Slot(i, int(slots[i][2*j]))
+				jv, _ := joinedAt.Slot(i, int(slots[i][2*j+1]))
+				if ju {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
 				}
-				if joinedAt.At(i, int64(e.V)) {
+				if jv {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.U), V: true})
 				}
-				if joinedAt.At(i, int64(e.U)) {
+				if ju {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.U), V: true})
 				}
-				if joinedAt.At(i, int64(e.V)) {
+				if jv {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
 				}
 			}
@@ -204,9 +207,9 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 			return nil, err
 		}
 		c.Each(func(i int) {
-			for _, kv := range gotDead.Of(i) {
-				if kv.V {
-					deadMaps[i][kv.K] = true
+			for s := range dead[i] {
+				if d, _ := gotDead.Slot(i, s); d {
+					dead[i][s] = true
 				}
 			}
 		})

@@ -140,21 +140,18 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		relabel := localBudgetedBoruvka(dsu, arr, collected, budget, &mstEdges)
 
 		// Disseminate the relabel map c'_i (Claim 3) and relabel locally.
-		needs := make([][]int64, c.K())
-		c.Each(func(i int) {
-			needs[i] = distinctEndpoints(edges[i])
-		})
+		needs, slots := prims.DistinctSlots(prims.Endpoints(edges))
 		relabeled, err := prims.DisseminateFromLarge(c, needs, relabel, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.Each(func(i int) {
 			out := edges[i][:0]
-			for _, e := range edges[i] {
-				if nu, ok := relabeled.Get(i, int64(e.U)); ok {
+			for j, e := range edges[i] {
+				if nu, ok := relabeled.Slot(i, int(slots[i][2*j])); ok {
 					e.U = int(nu)
 				}
-				if nv, ok := relabeled.Get(i, int64(e.V)); ok {
+				if nv, ok := relabeled.Slot(i, int(slots[i][2*j+1])); ok {
 					e.V = int(nv)
 				}
 				if e.U != e.V {
@@ -448,10 +445,7 @@ func kktTry(
 	}
 	// Disseminate the labels of F's vertices to every machine holding an
 	// edge of one (Claim 3).
-	needs := make([][]int64, k)
-	c.Each(func(i int) {
-		needs[i] = distinctEndpoints(edges[i])
-	})
+	needs, slots := prims.DistinctSlots(prims.Endpoints(edges))
 	values, lwords := forestLabels(labeling.Build(n, forest), forest)
 	fLabels, err := prims.DisseminateFromLarge(c, needs, values, lwords)
 	if err != nil {
@@ -461,9 +455,9 @@ func kktTry(
 	// Identify and count the F-light edges.
 	light := make([][]cEdge, k)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			lu, okU := fLabels.Get(i, int64(e.U))
-			lv, okV := fLabels.Get(i, int64(e.V))
+		for j, e := range edges[i] {
+			lu, okU := fLabels.Slot(i, int(slots[i][2*j]))
+			lv, okV := fLabels.Slot(i, int(slots[i][2*j+1]))
 			if !okU || !okV {
 				// An endpoint with no label is a singleton of F: F-light.
 				light[i] = append(light[i], e)

@@ -59,7 +59,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 
 	// The plan of the stored edges' endpoints: every per-vertex aggregation
 	// and dissemination below runs over it.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -126,8 +127,9 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	// --- Step 3: neighbor-OR aggregation (Algorithm 5 line 11) ---
 	orItems := make([][]prims.KV[vbits], kk)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			bu, bv := dBits.At(i, int64(e.U)), dBits.At(i, int64(e.V))
+		for j, e := range edges[i] {
+			bu, _ := dBits.Slot(i, int(slots[i][2*j]))
+			bv, _ := dBits.Slot(i, int(slots[i][2*j+1]))
 			orItems[i] = append(orItems[i],
 				prims.KV[vbits]{K: int64(e.U), V: bv},
 				prims.KV[vbits]{K: int64(e.V), V: bu})
@@ -233,21 +235,21 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	c.Each(func(i int) {
 		// Every item's slots are cut from one slab for the machine.
 		slab := make([]sigSlot, 2*len(edges[i])*levels)
-		for _, e := range edges[i] {
+		for j, e := range edges[i] {
 			for dir := 0; dir < 2; dir++ {
 				u, v := e.U, e.V
 				if dir == 1 {
 					u, v = v, u
 				}
-				bv := bBits.At(i, int64(v)).B
-				agg := sigAgg{OrB: bv, Slots: slab[:levels:levels]}
+				bv, _ := bBits.Slot(i, int(slots[i][2*j+1-dir]))
+				agg := sigAgg{OrB: bv.B, Slots: slab[:levels:levels]}
 				slab = slab[levels:]
 				for s := range agg.Slots {
 					agg.Slots[s].Nbr = -1
 				}
 				r := rankHash.Eval(uint64(u)*uint64(n) + uint64(v))
 				for lvl := 0; lvl < levels; lvl++ {
-					if bv&(1<<lvl) != 0 {
+					if bv.B&(1<<lvl) != 0 {
 						agg.Slots[lvl] = sigSlot{Rank: r, Nbr: int32(v), OU: int32(e.U), OV: int32(e.V), W: e.W}
 					}
 				}
@@ -305,13 +307,14 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	n2 := int64(n) * int64(n)
 	ceItems := make([][]prims.KV[clusterEdge], kk)
 	c.Each(func(i int) {
-		for _, e := range edges[i] {
-			su, okU := sigmas.Get(i, int64(e.U))
-			sv, okV := sigmas.Get(i, int64(e.V))
+		for j, e := range edges[i] {
+			su, okU := sigmas.Slot(i, int(slots[i][2*j]))
+			sv, okV := sigmas.Slot(i, int(slots[i][2*j+1]))
 			if !okU || !okV || su == sv {
 				continue
 			}
-			du, dv := degs.At(i, int64(e.U)), degs.At(i, int64(e.V))
+			du, _ := degs.Slot(i, int(slots[i][2*j]))
+			dv, _ := degs.Slot(i, int(slots[i][2*j+1]))
 			md := du
 			if dv < md {
 				md = dv
@@ -508,26 +511,21 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// Disseminate the cluster tables to machines holding sampled-level
-	// clustering edges, then run lines 16-18 distributed.
-	tblNeeds := make([][]int64, kk)
+	// clustering edges, then run lines 16-18 distributed. The machine's
+	// sampled-level edges, in level order, read their endpoints' tables off
+	// slots 2j and 2j+1 of tblSlots.
+	tblKeys := make([][]int64, kk)
 	c.Each(func(i int) {
-		seen := make(map[int64]bool)
 		for lvl := 0; lvl < levels; lvl++ {
 			if plans[i].Direct[lvl] {
 				continue
 			}
 			for _, e := range perLvl[i][lvl] {
-				for _, v := range [2]int{e.U, e.V} {
-					key := int64(lvl)*int64(n) + int64(v)
-					if !seen[key] {
-						seen[key] = true
-						tblNeeds[i] = append(tblNeeds[i], key)
-					}
-				}
+				tblKeys[i] = append(tblKeys[i], int64(lvl)*int64(n)+int64(e.U), int64(lvl)*int64(n)+int64(e.V))
 			}
 		}
-		slices.Sort(tblNeeds[i])
 	})
+	tblNeeds, tblSlots := prims.DistinctSlots(tblKeys)
 	tbls, err := prims.DisseminateFromLarge(c, tblNeeds, tableValues, k+2)
 	if err != nil {
 		return nil, err
@@ -541,13 +539,15 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	remItems := make([][]prims.KV[remVal], kk)
 	c.Each(func(i int) {
+		ts := tblSlots[i]
 		for lvl := 0; lvl < levels; lvl++ {
 			if plans[i].Direct[lvl] {
 				continue
 			}
 			for _, e := range perLvl[i][lvl] {
-				tu, okU := tbls.Get(i, int64(lvl)*int64(n)+int64(e.U))
-				tv, okV := tbls.Get(i, int64(lvl)*int64(n)+int64(e.V))
+				tu, okU := tbls.Slot(i, int(ts[0]))
+				tv, okV := tbls.Slot(i, int(ts[1]))
+				ts = ts[2:]
 				if !okU || !okV {
 					continue
 				}

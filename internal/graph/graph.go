@@ -31,6 +31,9 @@ func NewEdge(u, v int, w int64) Edge {
 	return Edge{U: u, V: v, W: w}
 }
 
+// Ends returns the edge's endpoints, U then V.
+func (e Edge) Ends() (int, int) { return e.U, e.V }
+
 // Key packs the canonical endpoint pair into a single int64, suitable for map
 // keys and sketch universe indices. n is the vertex count.
 func (e Edge) Key(n int) int64 { return int64(e.U)*int64(n) + int64(e.V) }

@@ -206,32 +206,20 @@ func Counts[T any](data [][]T) []int64 {
 	return out
 }
 
-// EndpointNeeds returns each machine's deduplicated endpoint key list,
-// sorted — the needs input of NewPlan for per-vertex values.
-// Dedup goes through sort + compact rather than a hash set: callers run it
-// once per iteration over every live edge, and the sort is the radix kernel.
-func EndpointNeeds(edges [][]graph.Edge) [][]int64 {
-	needs := make([][]int64, len(edges))
-	for i := range edges {
-		if len(edges[i]) == 0 {
-			continue
+// Endpoints lays each machine's edges out as keys, edge j's U at position
+// 2j and V at 2j+1: DistinctSlots of them is the needs of the plan of the
+// edges' endpoints, and each edge's two slots in it. Every machine's keys are
+// carved from one array.
+func Endpoints[E interface{ Ends() (int, int) }](edges [][]E) [][]int64 {
+	flat, keys := make([]int64, 0, 2*CountItems(edges)), make([][]int64, len(edges))
+	for i, es := range edges {
+		for _, e := range es {
+			u, v := e.Ends()
+			flat = append(flat, int64(u), int64(v))
 		}
-		vs := make([]int64, 0, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			vs = append(vs, int64(e.U), int64(e.V))
-		}
-		needs[i] = DistinctInts(vs)
+		keys[i], flat = flat[:len(flat):len(flat)], flat[len(flat):]
 	}
-	return needs
-}
-
-// DistinctInts sorts vs and returns its distinct values, ascending, in vs's
-// own array — the one dedup behind every dissemination "needs" list: collect
-// the keys into a slice sized by their count, radix sort, compact. No map,
-// no growth.
-func DistinctInts(vs []int64) []int64 {
-	SortInts(vs)
-	return slices.Compact(vs)
+	return keys
 }
 
 // Flatten concatenates all machines' items (a test/validation helper; real

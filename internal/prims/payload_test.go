@@ -318,12 +318,12 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAnswers(t, fmt.Sprintf("DisseminateFromLarge, %d per machine", per), got, oracle(needs[per], SortedKVs(values[per])))
+		sameAnswers(t, fmt.Sprintf("DisseminateFromLarge, %d per machine", per), got, needs[per], oracle(needs[per], SortedKVs(values[per])))
 	}
 	check("DisseminateFromLarge", 168, func(per int) {
 		got, err := DisseminateFromLarge(c, needs[per], values[per], 1)
-		if err != nil || len(got.Of(0)) != per {
-			t.Fatalf("DisseminateFromLarge: %d of %d answers, err %v", len(got.Of(0)), per, err)
+		if _, ok := got.Slot(0, per-1); err != nil || !ok {
+			t.Fatalf("DisseminateFromLarge: slot %d unanswered, err %v", per-1, err)
 		}
 	})
 	// Over a plan of the same requests: every machine combines a partial of
@@ -351,8 +351,8 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 	})
 	check("PlanBroadcast", 56, func(per int) {
 		got, err := PlanBroadcast(c, plans[per], roots[per], nil, 1)
-		if err != nil || len(got.Of(0)) != per {
-			t.Fatalf("PlanBroadcast: %d of %d answers, err %v", len(got.Of(0)), per, err)
+		if _, ok := got.Slot(0, per-1); err != nil || !ok {
+			t.Fatalf("PlanBroadcast: slot %d unanswered, err %v", per-1, err)
 		}
 	})
 }

@@ -12,9 +12,9 @@ import (
 // key's root. It is returned before any round is charged.
 var ErrUnplanned = errors.New("prims: input outside the plan")
 
-// ErrAnswerOrder refuses answers whose keys do not strictly ascend on a
-// machine (a key twice in its needs) before a bisection could miss one.
-var ErrAnswerOrder = errors.New("prims: answers out of key order")
+// ErrNeedsOrder refuses needs that do not strictly ascend on a machine (a key
+// twice, or out of order). NewPlan returns it before any round is charged.
+var ErrNeedsOrder = errors.New("prims: needs not strictly ascending")
 
 // Plan is what one Sort of a request set leaves, kept for every PlanBroadcast
 // and PlanCombine over that set (DESIGN.md §1): the coordinator's splitter
@@ -26,7 +26,8 @@ type Plan struct {
 	sp      []SortKey
 	spans   []span      // entries 2i and 2i+1 are machine i's
 	reqs    [][]request // bucket i's requests, by (key, requester)
-	own     [][]request // machine i's requests, by key; M is the bucket each went to
+	own     [][]request // machine i's requests, slot by slot; M is the bucket each went to
+	starts  []int       // machine i's slots are [starts[i], starts[i+1]) of all machines'
 	spanned bool        // some machine sits in a span
 }
 
@@ -48,11 +49,20 @@ type span struct {
 	A, B int
 }
 
-// NewPlan builds the plan of needs (deduplicated keys per machine) by one
-// Sort of its request items, 3 words each, under the "plan" span.
+// NewPlan builds the plan of needs by one Sort of its request items, 3 words
+// each, under the "plan" span. Each machine's needs strictly ascend, as
+// DistinctSlots builds them (else ErrNeedsOrder): slot s of machine i, where
+// its answers for needs[i][s] land, is fixed for the plan's life.
 func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 	if err := checkBuckets(c, "NewPlan needs", needs); err != nil {
 		return nil, err
+	}
+	for i, ns := range needs {
+		for j := 1; j < len(ns); j++ {
+			if ns[j] <= ns[j-1] {
+				return nil, fmt.Errorf("%w: machine %d needs key %d after key %d", ErrNeedsOrder, i, ns[j], ns[j-1])
+			}
+		}
 	}
 	defer c.Span("plan").End()
 	k := c.K()
@@ -79,9 +89,9 @@ func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 	}
 
 	// The buckets are the routed requests, and a machine's own requests —
-	// its sorted run (items[i], sorted in place) — take their buckets off
-	// its cuts, in place.
-	p := &Plan{sp: lay.sp, spans: lay.spans, reqs: sorted, own: items}
+	// its run (items[i], already in key order) — take their buckets off its
+	// cuts, in place.
+	p := &Plan{sp: lay.sp, spans: lay.spans, reqs: sorted, own: items, starts: starts}
 	c.Each(func(i int) {
 		lo := 0
 		for _, ct := range lay.cuts[i] {
@@ -95,6 +105,35 @@ func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 		p.spanned = p.spanned || s.B > s.A
 	}
 	return p, nil
+}
+
+// DistinctSlots is the one dedup behind every needs list: per machine,
+// keys[i]'s distinct values, strictly ascending, in keys[i]'s own array, and
+// each position's slot in them: needs[i][slots[i][j]] == keys[i][j]. It
+// sorts (key, position) pairs — requests, M the position — and compacts.
+func DistinctSlots(keys [][]int64) (needs [][]int64, slots [][]int32) {
+	n, most := 0, 0
+	for _, ks := range keys {
+		n, most = n+len(ks), max(most, len(ks))
+	}
+	pairs, flat := make([]request, most), make([]int32, n)
+	needs, slots = make([][]int64, len(keys)), make([][]int32, len(keys))
+	for i, ks := range keys {
+		ps := pairs[:len(ks)]
+		for j, x := range ks {
+			ps[j] = request{Key: x, M: int32(j)}
+		}
+		SortLocal(ps, func(r request) SortKey { return SortKey{A: r.Key} })
+		out, sl := ks[:0], flat[:len(ks):len(ks)]
+		for _, r := range ps {
+			if len(out) == 0 || out[len(out)-1] != r.Key {
+				out = append(out, r.Key)
+			}
+			sl[r.M] = int32(len(out) - 1)
+		}
+		needs[i], slots[i], flat = out, sl, flat[len(ks):]
+	}
+	return needs, slots
 }
 
 // root returns the root of key x (rootOf).
@@ -155,7 +194,7 @@ func SortedKVs[V any](m map[int64]V) []KV[V] {
 
 // DisseminateFromLarge is Claim 3 for a request set used once, with every
 // value on the large machine: machine i needs the keys in needs[i], and the
-// Answers hold, on machine i, the requested keys that have a value. It is
+// Answers hold, in its slot s, the value of needs[i][s] if it has one. It is
 // NewPlan of needs and one PlanBroadcast of values over it, so it charges a
 // Sort, the scatter round, treeDepth(K, b) tree rounds and the answer round.
 // Values without a large machine are refused with mpc.ErrNeedsLarge before
@@ -175,9 +214,9 @@ func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int
 // sit at their keys' roots, as PlanCombine leaves them (else ErrUnplanned),
 // and the coordinator routes the large values straight to their roots (one
 // scatter round; mpc.ErrNeedsLarge without a large machine); then broadcast's
-// treeDepth(K, b)+1 rounds deliver them, as Answers: machine i's requested
-// keys that have a value, by ascending key. Of a key's values the first
-// wins: a root's own in list order, then the large machine's in list order.
+// treeDepth(K, b)+1 rounds deliver them, as Answers: in machine i's slot s
+// the value of needs[i][s], if it has one. Of a key's values the first wins:
+// a root's own in list order, then the large machine's in list order.
 //
 // A large value goes to its key's root whether or not anyone requests the
 // key, and the root of a key past every request is the last bucket: a caller
@@ -377,60 +416,45 @@ func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answ
 		return Answers[V]{}, err
 	}
 	// Buckets answer in bucket order, each in request order, so every inbox
-	// runs by ascending key: the inboxes are copied back to back into one
-	// slab, checking the order.
-	a := Answers[V]{starts: make([]int, k+1)}
+	// runs by ascending key, as the machine's slots do: one merge walk lays
+	// it over them.
+	a := Answers[V]{vals: make([]V, p.starts[k]), has: make([]bool, p.starts[k]), starts: p.starts}
 	for i, inbox := range ins {
-		a.starts[i+1] = a.starts[i] + len(inbox)
-	}
-	a.kvs = make([]KV[V], 0, a.starts[k])
-	for i, inbox := range ins {
+		own, s := p.own[i], 0
 		for _, m := range inbox {
 			kv, ok := m.Data.(*KV[V])
 			if !ok || kv == nil {
 				return Answers[V]{}, fmt.Errorf("prims: unexpected answer payload %T", m.Data)
 			}
-			if n := len(a.kvs); n > a.starts[i] && a.kvs[n-1].K >= kv.K {
-				return Answers[V]{}, fmt.Errorf("prims: %w: machine %d is answered key %d after key %d", ErrAnswerOrder, i, kv.K, a.kvs[n-1].K)
+			for s < len(own) && own[s].Key < kv.K {
+				s++
 			}
-			a.kvs = append(a.kvs, *kv)
+			if s == len(own) || own[s].Key != kv.K {
+				return Answers[V]{}, fmt.Errorf("prims: machine %d is answered key %d, which no slot of it awaits", i, kv.K)
+			}
+			a.vals[p.starts[i]+s], a.has[p.starts[i]+s] = kv.V, true
 		}
 	}
 	return a, nil
 }
 
-// Answers is what PlanBroadcast delivers: on each machine the (key, value)
-// of every request of it that has a value, by ascending key, every machine's
-// cut from one slab. The zero Answers answers no machine anything.
+// Answers is what PlanBroadcast delivers: slot s of machine i holds the value
+// of the plan's needs[i][s], if it has one, every machine's slots cut from
+// one slab at the plan's offsets. The zero Answers answers nothing.
 type Answers[V any] struct {
-	kvs    []KV[V]
-	starts []int // machine i's answers are kvs[starts[i]:starts[i+1]]
+	vals   []V
+	has    []bool
+	starts []int // machine i's slots are vals[starts[i]:starts[i+1]]
 }
 
-// Of returns machine i's answers by ascending key; nil past the machines.
-func (a Answers[V]) Of(i int) []KV[V] {
-	if i+1 >= len(a.starts) {
-		return nil
+// Slot returns the value machine i was answered in slot s, and whether it
+// was answered one; the zero V and false past the machines or past machine
+// i's slots.
+func (a Answers[V]) Slot(i, s int) (v V, ok bool) {
+	if i+1 < len(a.starts) && s >= 0 && s < a.starts[i+1]-a.starts[i] {
+		v, ok = a.vals[a.starts[i]+s], a.has[a.starts[i]+s]
 	}
-	return a.kvs[a.starts[i]:a.starts[i+1]:a.starts[i+1]]
-}
-
-// Get returns the value machine i was answered for key, found by bisection,
-// and whether it was answered one.
-func (a Answers[V]) Get(i int, key int64) (V, bool) {
-	kvs := a.Of(i)
-	j := bisect(0, len(kvs), func(j int) bool { return kvs[j].K >= key })
-	if j < len(kvs) && kvs[j].K == key {
-		return kvs[j].V, true
-	}
-	var zero V
-	return zero, false
-}
-
-// At is Get's value alone: the zero V for a key machine i was not answered.
-func (a Answers[V]) At(i int, key int64) V {
-	v, _ := a.Get(i, key)
-	return v
+	return v, ok
 }
 
 // PlanCombine implements Claim 2 over a plan, with no Sort: machine i's items

@@ -2,8 +2,10 @@ package prims
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"hetmpc/internal/mpc"
@@ -57,33 +59,38 @@ func atRoots[V any](p *Plan, k int, values [][]KV[V]) [][]KV[V] {
 	return small
 }
 
-// sameAnswers fails t unless every machine's answers strictly ascend by key
-// and equal the oracle's, machine by machine; a machine past either is
-// answered nothing.
-func sameAnswers[V comparable](t *testing.T, name string, got Answers[V], want []map[int64]V) {
+// sameAnswers fails t unless every slot s of every machine i holds the
+// oracle's answer for needs[i][s], present and absent alike; a slot past a
+// machine's needs, and a machine past them, is answered nothing.
+func sameAnswers[V comparable](t *testing.T, name string, got Answers[V], needs [][]int64, want []map[int64]V) {
 	t.Helper()
-	for i := range max(len(got.starts)-1, len(want)) {
-		var w map[int64]V
-		if i < len(want) {
-			w = want[i]
+	for i := range len(needs) + 1 {
+		var ns []int64
+		if i < len(needs) {
+			ns = needs[i]
 		}
-		g := got.Of(i)
-		for j := 1; j < len(g); j++ {
-			if g[j-1].K >= g[j].K {
-				t.Fatalf("%s: machine %d's answers do not strictly ascend: %v", name, i, g)
+		for s := range len(ns) + 1 {
+			g, gok := got.Slot(i, s)
+			var w V
+			wok, key := false, "none"
+			if s < len(ns) {
+				w, wok = want[i][ns[s]]
+				key = fmt.Sprint(ns[s])
 			}
-		}
-		if gm := answerMap(g); !maps.Equal(gm, w) {
-			t.Fatalf("%s: machine %d is answered %v, the oracle %v", name, i, gm, w)
+			if g != w || gok != wok {
+				t.Fatalf("%s: machine %d slot %d (key %s) is answered %v, %v; the oracle %v, %v", name, i, s, key, g, gok, w, wok)
+			}
 		}
 	}
 }
 
-// answerMap is one machine's answers as a map.
-func answerMap[V any](kvs []KV[V]) map[int64]V {
-	m := make(map[int64]V, len(kvs))
-	for _, kv := range kvs {
-		m[kv.K] = kv.V
+// answerMap is machine i's answers as a map from its needs' keys.
+func answerMap[V any](a Answers[V], i int, needs []int64) map[int64]V {
+	m := make(map[int64]V, len(needs))
+	for s, x := range needs {
+		if v, ok := a.Slot(i, s); ok {
+			m[x] = v
+		}
 	}
 	return m
 }
@@ -158,7 +165,7 @@ func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 		if used := c.Rounds() - before; used != want {
 			t.Errorf("%s: PlanBroadcast charged %d rounds, want %d (tree %d + answer + scatter)", cb.name, used, want, depth)
 		}
-		sameAnswers(t, cb.name, got, oracle(in.needs, Flatten(aggRoots), in.large))
+		sameAnswers(t, cb.name, got, in.needs, oracle(in.needs, Flatten(aggRoots), in.large))
 	}
 
 	dup := make([][]KV[int64], k)
@@ -172,7 +179,7 @@ func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 	if err != nil {
 		t.Fatalf("duplicates: PlanBroadcast: %v", err)
 	}
-	sameAnswers(t, "duplicates", got, oracle(in.needs, Flatten(dup)))
+	sameAnswers(t, "duplicates", got, in.needs, oracle(in.needs, Flatten(dup)))
 
 	before := c.Rounds()
 	stray := make([][]KV[int64], k)
@@ -220,7 +227,8 @@ func TestPlanMatchesOneShot(t *testing.T) {
 			if !noLarge {
 				ns = append(ns, 1000+rng.Int64N(60)) // 1050…1059 have no value
 			}
-			in.needs[i] = DistinctInts(ns)
+			distinct, _ := DistinctSlots([][]int64{ns})
+			in.needs[i] = distinct[0]
 			for _, x := range in.needs[i] {
 				if x < 1000 && rng.IntN(3) > 0 {
 					for n := 1 + rng.IntN(2); n > 0; n-- {
@@ -282,9 +290,7 @@ func FuzzPlan(f *testing.F) {
 			}
 			in.needs[m] = append(in.needs[m], x)
 		}
-		for i := range in.needs {
-			in.needs[i] = DistinctInts(in.needs[i])
-		}
+		in.needs, _ = DistinctSlots(in.needs)
 		checkPlan(t, c, in)
 	})
 }
@@ -318,7 +324,7 @@ func TestPlanBroadcastDuplicateValuesFirstWins(t *testing.T) {
 		var large []KV[int64]
 		if !noLarge {
 			large = []KV[int64]{{K: 7, V: -1}, {K: 100, V: -2}, {K: 555, V: 5}, {K: 555, V: 6}}
-			needs[3] = append(needs[3], 555)
+			needs[3] = slices.Insert(needs[3], 2, 555) // {7, 103, 555, 999}
 		}
 		p, err := NewPlan(c, needs)
 		if err != nil {
@@ -333,11 +339,11 @@ func TestPlanBroadcastDuplicateValuesFirstWins(t *testing.T) {
 			if !noLarge && i == 3 {
 				want[555] = 5
 			}
-			if g := answerMap(got.Of(i)); !maps.Equal(g, want) {
+			if g := answerMap(got, i, needs[i]); !maps.Equal(g, want) {
 				t.Fatalf("noLarge=%v machine %d got %v, want %v", noLarge, i, g, want)
 			}
 		}
-		sameAnswers(t, "duplicates", got, oracle(needs, Flatten(values), large))
+		sameAnswers(t, "duplicates", got, needs, oracle(needs, Flatten(values), large))
 	}
 }
 
@@ -411,17 +417,17 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		sameAnswers(t, tc.name, got, oracle(needs, SortedKVs(values)))
+		sameAnswers(t, tc.name, got, needs, oracle(needs, SortedKVs(values)))
 		if used := c.Rounds() - before; used != want {
 			t.Errorf("%s: DisseminateFromLarge charged %d rounds, want %d (one Sort + scatter + %d tree + 1 answer)", tc.name, used, want, depth)
 		}
 	}
 }
 
-// TestAnswersLookup: Get and At find a machine's answered keys by bisection
-// and report a key it was not answered — below, between and past its keys,
-// or requested with no value — as absent with the zero value; an empty
-// machine, a machine past K and the zero Answers are answered nothing.
+// TestAnswersLookup: Slot reads machine i's answer to needs[i][s] in slot
+// s, and reports a slot whose key has no value, one past the machine's
+// needs, any slot of an empty machine or of a machine past K, and any slot of
+// the zero Answers as absent with the zero value.
 func TestAnswersLookup(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
 	k := c.K()
@@ -432,37 +438,97 @@ func TestAnswersLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range needs[1] {
-		if v, ok := got.Get(1, key); !ok || v != values[key] || got.At(1, key) != v {
-			t.Errorf("machine 1 key %d: Get = %d, %v; At = %d; want %d", key, v, ok, got.At(1, key), values[key])
+	for _, a := range []struct {
+		i, s int
+		want int64
+	}{{1, 0, 30}, {1, 1, 50}, {1, 2, 90}, {2, 0, 50}} {
+		if v, ok := got.Slot(a.i, a.s); !ok || v != a.want {
+			t.Errorf("machine %d slot %d: Slot = %d, %v; want %d", a.i, a.s, v, ok, a.want)
 		}
 	}
-	absent := []struct {
-		i   int
-		key int64
-	}{{1, 1}, {1, 4}, {1, 10}, {2, 7}, {0, 5}, {k, 5}}
+	absent := []struct{ i, s int }{{1, 3}, {1, -1}, {2, 1}, {2, 2}, {0, 0}, {k, 0}}
 	for _, a := range absent {
-		if v, ok := got.Get(a.i, a.key); ok || v != 0 || got.At(a.i, a.key) != 0 {
-			t.Errorf("machine %d key %d: Get = %d, %v; At = %d; want absent", a.i, a.key, v, ok, got.At(a.i, a.key))
+		if v, ok := got.Slot(a.i, a.s); ok || v != 0 {
+			t.Errorf("machine %d slot %d: Slot = %d, %v; want absent", a.i, a.s, v, ok)
 		}
-	}
-	if n := len(got.Of(0)) + len(got.Of(k)); n != 0 {
-		t.Errorf("an empty machine and one past K hold %d answers", n)
 	}
 	var none Answers[int64]
-	if v, ok := none.Get(0, 5); ok || v != 0 || none.Of(0) != nil {
-		t.Errorf("the zero Answers answers machine 0: %d, %v, %v", v, ok, none.Of(0))
+	if v, ok := none.Slot(0, 0); ok || v != 0 {
+		t.Errorf("the zero Answers answers machine 0: %d, %v", v, ok)
 	}
 }
 
-// TestPlanBroadcastRefusesRepeatedRequest: a key twice in one machine's
-// needs is answered twice, and the answers' decode refuses the repeat with
-// ErrAnswerOrder rather than hand a lookup keys that do not strictly ascend.
+// TestPlanBroadcastRefusesRepeatedRequest: a needs list that does not
+// strictly ascend — a key twice, or distinct keys out of order — is refused
+// with ErrNeedsOrder before any round is charged, by NewPlan and so by
+// DisseminateFromLarge.
 func TestPlanBroadcastRefusesRepeatedRequest(t *testing.T) {
-	c := newCluster(t, 256, 2048, false)
-	needs := make([][]int64, c.K())
-	needs[1] = []int64{5, 5}
-	if _, err := DisseminateFromLarge(c, needs, map[int64]int64{5: 50}, 1); !errors.Is(err, ErrAnswerOrder) {
-		t.Fatalf("err = %v, want ErrAnswerOrder", err)
+	for _, bad := range [][]int64{{5, 5}, {9, 5, 3}} {
+		c := newCluster(t, 256, 2048, false)
+		needs := make([][]int64, c.K())
+		needs[1] = bad
+		before := c.Stats()
+		if _, err := DisseminateFromLarge(c, needs, map[int64]int64{5: 50}, 1); !errors.Is(err, ErrNeedsOrder) {
+			t.Fatalf("needs %v: err = %v, want ErrNeedsOrder", bad, err)
+		} else if strings.Count(err.Error(), "prims:") != 1 {
+			t.Errorf("needs %v: %q repeats its prefix", bad, err)
+		}
+		if _, err := NewPlan(c, needs); !errors.Is(err, ErrNeedsOrder) {
+			t.Fatalf("needs %v: NewPlan err = %v, want ErrNeedsOrder", bad, err)
+		}
+		if after := c.Stats(); after.Rounds != before.Rounds || after.TotalWords != before.TotalWords {
+			t.Errorf("needs %v: refused calls charged %d rounds, %d words", bad, after.Rounds-before.Rounds, after.TotalWords-before.TotalWords)
+		}
+	}
+}
+
+// TestDistinctSlots: whatever the order of a machine's keys, its needs
+// strictly ascend and every position's slot holds its key.
+func TestDistinctSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keys []int64
+		want []int64
+	}{
+		{"empty", nil, nil},
+		{"all equal", []int64{4, 4, 4, 4}, []int64{4}},
+		{"distinct", []int64{-3, 0, 8, 1 << 40}, []int64{-3, 0, 8, 1 << 40}},
+		{"reversed", []int64{9, 7, 7, 5, 3, 3, -1}, []int64{-1, 3, 5, 7, 9}},
+		{"past the radix cutoff", func() []int64 {
+			ks := make([]int64, 3*radixCutoff)
+			for j := range ks {
+				ks[j] = int64(len(ks)-j) % 50
+			}
+			return ks
+		}(), func() []int64 {
+			ks := make([]int64, 50)
+			for j := range ks {
+				ks[j] = int64(j)
+			}
+			return ks
+		}()},
+	} {
+		keys := slices.Clone(tc.keys)
+		needs, slots := DistinctSlots([][]int64{keys, nil})
+		if len(needs) != 2 || len(slots) != 2 || len(needs[1]) != 0 || len(slots[1]) != 0 {
+			t.Fatalf("%s: an empty machine gets needs %v, slots %v", tc.name, needs[1:], slots[1:])
+		}
+		out, sl := needs[0], slots[0]
+		if !slices.Equal(out, tc.want) {
+			t.Errorf("%s: needs %v, want %v", tc.name, out, tc.want)
+		}
+		for j := 1; j < len(out); j++ {
+			if out[j-1] >= out[j] {
+				t.Errorf("%s: needs %v do not strictly ascend", tc.name, out)
+			}
+		}
+		if len(sl) != len(tc.keys) {
+			t.Fatalf("%s: %d slots for %d keys", tc.name, len(sl), len(tc.keys))
+		}
+		for j, x := range tc.keys {
+			if out[sl[j]] != x {
+				t.Errorf("%s: position %d (key %d) has slot %d, which holds %d", tc.name, j, x, sl[j], out[sl[j]])
+			}
+		}
 	}
 }

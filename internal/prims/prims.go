@@ -23,7 +23,10 @@
 //     to their roots (one scatter round), and machine-range trees with
 //     capacity-bounded branching (the paper's trees with branching n^γ) run
 //     downward over the spans, delivering per-key values to every machine
-//     that requested the key. A request set used once is the same two calls
+//     that requested the key. Each machine's needs strictly ascend, so
+//     slot s of machine i is needs[i][s]: DistinctSlots builds them and
+//     returns each input position's slot, and the answers are read by slot
+//     (Answers.Slot). A request set used once is the same two calls
 //     (DisseminateFromLarge);
 //   - Claim 4 (Arranging nodes): sort directed edges by source, report the
 //     per-key machine runs to the large machine (at most n + K - 1 runs by
@@ -45,7 +48,7 @@
 // travel as pointers into one slab per sender per round — Sort's reply and
 // route rounds and the answer round carve every sender's from one array —
 // wire-native scalars by value, and PlanBroadcast's answers land in one slab
-// for every receiver (DESIGN.md §14, "Payload slabs").
+// of slots for every receiver (DESIGN.md §14, "Payload slabs").
 package prims
 
 import (

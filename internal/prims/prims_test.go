@@ -256,7 +256,7 @@ func TestDeepTrees(t *testing.T) {
 			if seg, err = PlanBroadcast(c, p, atRoots(p, k, values), nil, vwords); err != nil {
 				t.Fatal(err)
 			}
-			sameAnswers(t, fmt.Sprintf("noLarge=%v CSmall=%v", noLarge, csmall), seg, oracle(needs, Flatten(values)))
+			sameAnswers(t, fmt.Sprintf("noLarge=%v CSmall=%v", noLarge, csmall), seg, needs, oracle(needs, Flatten(values)))
 			return bcast, agg, seg
 		}
 		deepB, deepA, deepS := run(0.1, 0.027, true)
@@ -267,8 +267,9 @@ func TestDeepTrees(t *testing.T) {
 		if !reflect.DeepEqual(deepA, flatA) || deepA[9] != (wide{k / 4, k * (k/4 - 1) / 2}) {
 			t.Fatalf("noLarge=%v: deep AggregateByKey diverges: hot key %v", noLarge, deepA[9])
 		}
-		if deepS.At(0, 9) != (wide{900}) || len(deepS.Of(0)) != 2 {
-			t.Fatalf("noLarge=%v: deep PlanBroadcast answers machine 0 with %v", noLarge, deepS.Of(0))
+		hot, okHot := deepS.Slot(0, 0) // machine 0 needs {9, 101}
+		if _, okCold := deepS.Slot(0, 1); hot != (wide{900}) || !okHot || !okCold {
+			t.Fatalf("noLarge=%v: deep PlanBroadcast answers machine 0's hot key with %v, %v, its cold key %v", noLarge, hot, okHot, okCold)
 		}
 	}
 }
@@ -306,7 +307,7 @@ func TestTreeFanoutAllocIndependentOfBranching(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CSmall=%v: %v", csmall, err)
 		}
-		sameAnswers(t, fmt.Sprintf("CSmall=%v", csmall), got, oracle(needs, Flatten(values)))
+		sameAnswers(t, fmt.Sprintf("CSmall=%v", csmall), got, needs, oracle(needs, Flatten(values)))
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	alloc(6) // warm the sort kernels' pools
@@ -490,20 +491,16 @@ func TestDisseminateFromLarge(t *testing.T) {
 	rng := xrand.New(5)
 	needs := make([][]int64, c.K())
 	for i := range needs {
-		seen := map[int64]bool{}
 		for j := 0; j < 20; j++ {
-			k := rng.Int64N(220) // some keys have no value
-			if !seen[k] {
-				seen[k] = true
-				needs[i] = append(needs[i], k)
-			}
+			needs[i] = append(needs[i], rng.Int64N(220)) // some keys have no value
 		}
 	}
+	needs, _ = DistinctSlots(needs)
 	got, err := DisseminateFromLarge(c, needs, values, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, "FromLarge", got, oracle(needs, SortedKVs(values)))
+	sameAnswers(t, "FromLarge", got, needs, oracle(needs, SortedKVs(values)))
 }
 
 // TestPlanBroadcastDistributedValues: a value held by a small machine — its
@@ -525,7 +522,7 @@ func TestPlanBroadcastDistributedValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAnswers(t, fmt.Sprintf("noLarge=%v", noLarge), got, oracle(needs, Flatten(values)))
+		sameAnswers(t, fmt.Sprintf("noLarge=%v", noLarge), got, needs, oracle(needs, Flatten(values)))
 	}
 }
 

@@ -96,8 +96,9 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 
 		// Only a tail label can adopt, and every machine flips the coins
 		// itself: the phase's one plan is of the tail labels each machine
-		// holds, and only their minimum outgoing edges are aggregated.
-		labelNeeds := make([][]int64, kk)
+		// holds, and only their minimum outgoing edges are aggregated. The
+		// edges' tail labels, in edge order, read their slots off tailSlots.
+		tails := make([][]int64, kk)
 		items := make([][]prims.KV[minEdgeVal], kk)
 		c.Each(func(i int) {
 			ls := make([]int64, 0, 2*len(edges[i]))
@@ -118,8 +119,9 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 					items[i] = append(items[i], prims.KV[minEdgeVal]{K: e.LV, V: mv})
 				}
 			}
-			labelNeeds[i] = prims.DistinctInts(ls)
+			tails[i] = ls
 		})
+		labelNeeds, tailSlots := prims.DistinctSlots(tails)
 		plan, err := prims.NewPlan(c, labelNeeds)
 		if err != nil {
 			return nil, err
@@ -152,13 +154,21 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 			return nil, err
 		}
 		c.Each(func(i int) {
-			out := edges[i][:0]
-			for _, e := range edges[i] {
-				if nl, ok := adopted.Get(i, e.LU); ok {
-					e.LU = nl
+			out, ts := edges[i][:0], tailSlots[i]
+			// adopt relabels l, a label of a live edge, if it is a tail
+			// label and adopted a head's.
+			adopt := func(l int64) int64 {
+				if !coin(phase, l) {
+					nl, ok := adopted.Slot(i, int(ts[0]))
+					if ts = ts[1:]; ok {
+						return nl
+					}
 				}
-				if nl, ok := adopted.Get(i, e.LV); ok {
-					e.LV = nl
+				return l
+			}
+			for _, e := range edges[i] {
+				if e.LU != e.LV {
+					e.LU, e.LV = adopt(e.LU), adopt(e.LV)
 				}
 				if e.LU != e.LV {
 					out = append(out, e)

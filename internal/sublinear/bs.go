@@ -41,7 +41,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	kk := c.K()
 	// Every level's re-cluster aggregation and dissemination is over the
 	// endpoints of the machines' edges: one plan serves them all.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -56,20 +57,16 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		return centerHash.Eval01(uint64(level)*uint64(n+1)+uint64(center)) < p
 	}
 
-	// Per-machine cluster state: center[v] for the vertices the machine
-	// holds (consistent across machines), -1 = unclustered, and the level at
-	// which v was removed (for lines 16-18).
-	center := make([]map[int64]int64, kk)
-	removedAt := make([]map[int64]int, kk)
-	prevCenter := make([]map[int64]int64, kk)
+	// Per-machine cluster state by slot: the center of each vertex the
+	// machine holds (consistent across machines), -1 = unclustered, and the
+	// level at which it was removed (for lines 16-18; 0 = never).
+	center := make([][]int64, kk)
+	removedAt := make([][]int, kk)
+	prevCenter := make([][]int64, kk)
 	c.Each(func(i int) {
-		center[i] = make(map[int64]int64)
-		removedAt[i] = make(map[int64]int)
-		prevCenter[i] = make(map[int64]int64)
-		for _, e := range edges[i] {
-			center[i][int64(e.U)] = int64(e.U)
-			center[i][int64(e.V)] = int64(e.V)
-		}
+		center[i] = slices.Clone(verts[i])
+		removedAt[i] = make([]int, len(verts[i]))
+		prevCenter[i] = make([]int64, len(verts[i]))
 	})
 
 	spannerParts := make([][]graph.Edge, kk)
@@ -84,11 +81,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	for level := 1; level <= k; level++ {
 		// Snapshot c_{level-1} for every vertex (including -1 for already
 		// removed ones) before any update.
-		c.Each(func(i int) {
-			for v, cv := range center[i] {
-				prevCenter[i][v] = cv
-			}
-		})
+		c.Each(func(i int) { copy(prevCenter[i], center[i]) })
 		// Each still-clustered vertex whose center dies looks for a neighbor
 		// whose center survives; the smallest such neighbor wins (matching
 		// core's deterministic choice). One aggregation + one dissemination —
@@ -98,13 +91,14 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		if level < k {
 			items := make([][]prims.KV[reclusterVal], kk)
 			c.Each(func(i int) {
-				for _, e := range edges[i] {
+				for j, e := range edges[i] {
 					for dir := 0; dir < 2; dir++ {
 						v, u := e.U, e.V
+						sv, su := slots[i][2*j+dir], slots[i][2*j+1-dir]
 						if dir == 1 {
 							v, u = e.V, e.U
 						}
-						cv, cu := center[i][int64(v)], center[i][int64(u)]
+						cv, cu := center[i][sv], center[i][su]
 						if cv < 0 || cu < 0 {
 							continue
 						}
@@ -144,19 +138,19 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		// Update cluster state consistently everywhere.
 		c.Each(func(i int) {
-			for v, cv := range center[i] {
+			for s, cv := range center[i] {
 				if cv < 0 {
 					continue
 				}
 				if level < k && survives(level, int(cv)) {
 					continue // center survives
 				}
-				if rv, ok := newCenters.Get(i, v); ok {
-					center[i][v] = rv.Ctr
+				if rv, ok := newCenters.Slot(i, s); ok {
+					center[i][s] = rv.Ctr
 					continue
 				}
-				center[i][v] = -1
-				removedAt[i][v] = level
+				center[i][s] = -1
+				removedAt[i][s] = level
 			}
 		})
 		// Lines 16-18 for this level: removed vertices add one edge per
@@ -168,20 +162,17 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		remItems := make([][]prims.KV[remVal], kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
+			for j, e := range edges[i] {
 				for dir := 0; dir < 2; dir++ {
 					v, u := e.U, e.V
+					sv, su := slots[i][2*j+dir], slots[i][2*j+1-dir]
 					if dir == 1 {
 						v, u = e.V, e.U
 					}
-					if removedAt[i][int64(v)] != level {
+					if removedAt[i][sv] != level {
 						continue
 					}
-					cu := prevCenter[i][int64(u)]
-					cv := prevCenter[i][int64(v)]
-					if _, had := prevCenter[i][int64(u)]; !had {
-						continue
-					}
+					cu, cv := prevCenter[i][su], prevCenter[i][sv]
 					if cu < 0 || cu == cv {
 						continue
 					}

@@ -3,6 +3,7 @@ package sublinear
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -52,23 +53,18 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		return coinHash.Eval(uint64(phase)*uint64(n+1)+uint64(label))&1 == 0
 	}
 
-	// Per-machine current label of every vertex it stores.
-	labels := make([]map[int64]int64, kk)
-	c.Each(func(i int) {
-		labels[i] = make(map[int64]int64)
-		for _, e := range edges[i] {
-			labels[i][int64(e.U)] = int64(e.U)
-			labels[i][int64(e.V)] = int64(e.V)
-		}
-	})
+	// Per-machine current label of every vertex it stores, by slot.
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	labels := make([][]int64, kk)
+	c.Each(func(i int) { labels[i] = slices.Clone(verts[i]) })
 
 	maxPhases := 4*int(math.Ceil(math.Log2(float64(n)+2))) + 10
 	for phase := 0; ; phase++ {
 		// Count live (inter-component) edges.
 		liveCounts := make([]int64, kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if labels[i][int64(e.U)] != labels[i][int64(e.V)] {
+			for j := range edges[i] {
+				if labels[i][slots[i][2*j]] != labels[i][slots[i][2*j+1]] {
 					liveCounts[i]++
 				}
 			}
@@ -87,17 +83,18 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 
 		// Only a tail label can adopt, and every machine flips the coins
 		// itself: the phase's one plan is of the tail labels each machine
-		// holds.
-		labelNeeds := make([][]int64, kk)
+		// holds, and its vertices of tail labels, in slot order, read their
+		// labels' slots off tailSlots.
+		tails := make([][]int64, kk)
 		c.Each(func(i int) {
-			ls := make([]int64, 0, len(labels[i]))
+			tails[i] = make([]int64, 0, len(labels[i]))
 			for _, l := range labels[i] {
 				if !coin(phase, int(l)) {
-					ls = append(ls, l)
+					tails[i] = append(tails[i], l)
 				}
 			}
-			labelNeeds[i] = prims.DistinctInts(ls)
 		})
+		labelNeeds, tailSlots := prims.DistinctSlots(tails)
 		plan, err := prims.NewPlan(c, labelNeeds)
 		if err != nil {
 			return nil, err
@@ -105,8 +102,8 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		// Tail labels adopt the smallest head neighbor label.
 		items := make([][]prims.KV[int64], kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				lu, lv := labels[i][int64(e.U)], labels[i][int64(e.V)]
+			for j := range edges[i] {
+				lu, lv := labels[i][slots[i][2*j]], labels[i][slots[i][2*j+1]]
 				if lu == lv {
 					continue
 				}
@@ -127,9 +124,13 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 			return nil, err
 		}
 		c.Each(func(i int) {
-			for v, l := range labels[i] {
-				if nl, ok := adopted.Get(i, l); ok {
-					labels[i][v] = nl
+			ts := tailSlots[i]
+			for s, l := range labels[i] {
+				if !coin(phase, int(l)) {
+					if nl, ok := adopted.Slot(i, int(ts[0])); ok {
+						labels[i][s] = nl
+					}
+					ts = ts[1:]
 				}
 			}
 		})
@@ -141,8 +142,8 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		global[v] = v
 	}
 	for i := range labels {
-		for v, l := range labels[i] {
-			global[v] = int(l)
+		for s, v := range verts[i] {
+			global[v] = int(labels[i][s])
 		}
 	}
 	// Normalize to smallest-member labels for comparison with references.

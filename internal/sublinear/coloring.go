@@ -38,7 +38,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	kk := c.K()
 	// Every aggregation and dissemination below is over the endpoints of
 	// the machines' edges: one plan serves them all.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
 	}
@@ -79,14 +80,13 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		return int(tryHash.Eval(uint64(round)*uint64(n+1)+uint64(v)) % uint64(maxDeg+1))
 	}
 
-	// Per-machine per-vertex fixed color (-1 = uncolored), consistent across
+	// Per-machine fixed color by slot (-1 = uncolored), consistent across
 	// machines because all decisions derive from disseminated aggregates.
-	colors := make([]map[int64]int, kk)
+	colors := make([][]int, kk)
 	c.Each(func(i int) {
-		colors[i] = make(map[int64]int)
-		for _, e := range edges[i] {
-			colors[i][int64(e.U)] = -1
-			colors[i][int64(e.V)] = -1
+		colors[i] = make([]int, len(verts[i]))
+		for s := range colors[i] {
+			colors[i][s] = -1
 		}
 	})
 	maxRounds := 8*int(math.Ceil(math.Log2(float64(n)+2))) + 16
@@ -94,8 +94,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	for round := 0; ; round++ {
 		liveCounts := make([]int64, kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if colors[i][int64(e.U)] < 0 || colors[i][int64(e.V)] < 0 {
+			for j := range edges[i] {
+				if colors[i][slots[i][2*j]] < 0 || colors[i][slots[i][2*j+1]] < 0 {
 					liveCounts[i]++
 				}
 			}
@@ -116,8 +116,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		// (same trial, or an already-fixed equal color)?
 		items := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				cu, cv := colors[i][int64(e.U)], colors[i][int64(e.V)]
+			for j, e := range edges[i] {
+				cu, cv := colors[i][slots[i][2*j]], colors[i][slots[i][2*j+1]]
 				if cu < 0 {
 					blocked := (cv < 0 && try(round, e.V) == try(round, e.U)) ||
 						(cv >= 0 && cv == try(round, e.U))
@@ -139,26 +139,23 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			return nil, err
 		}
 		c.Each(func(i int) {
-			for v, col := range colors[i] {
-				if col >= 0 {
+			for s, v := range verts[i] {
+				if colors[i][s] >= 0 {
 					continue
 				}
-				blocked, known := blocks.Get(i, v)
+				blocked, known := blocks.Slot(i, s)
 				if known && !blocked {
-					colors[i][v] = try(round, int(v))
+					colors[i][s] = try(round, int(v))
 				}
 			}
 		})
 	}
 
 	// Validation view.
-	out := make([]int, n)
-	for v := range out {
-		out[v] = 0 // isolated vertices
-	}
+	out := make([]int, n) // isolated vertices keep color 0
 	for i := range colors {
-		for v, col := range colors[i] {
-			if col >= 0 {
+		for s, v := range verts[i] {
+			if col := colors[i][s]; col >= 0 {
 				out[v] = col
 			}
 		}

@@ -3,7 +3,6 @@ package sublinear
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -45,28 +44,25 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		return prioHash.Eval(uint64(round)*uint64(n+1) + uint64(v))
 	}
 
-	// Per-machine vertex state: 0 live, 1 in MIS, 2 dead (dominated).
-	state := make([]map[int64]byte, kk)
-	c.Each(func(i int) {
-		state[i] = make(map[int64]byte)
-		for _, e := range edges[i] {
-			state[i][int64(e.U)] = 0
-			state[i][int64(e.V)] = 0
-		}
-	})
 	// Every round aggregates and disseminates over the same endpoints: one
 	// plan serves them all.
-	plan, err := prims.NewPlan(c, prims.EndpointNeeds(edges))
+	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+	plan, err := prims.NewPlan(c, verts)
 	if err != nil {
 		return nil, err
+	}
+	// Per-machine vertex state by slot: 0 live, 1 in MIS, 2 dead (dominated).
+	state := make([][]byte, kk)
+	for i := range state {
+		state[i] = make([]byte, len(verts[i]))
 	}
 	maxRounds := 6*int(math.Ceil(math.Log2(float64(n)+2))) + 12
 
 	for round := 0; ; round++ {
 		liveCounts := make([]int64, kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if state[i][int64(e.U)] == 0 && state[i][int64(e.V)] == 0 {
+			for j := range edges[i] {
+				if state[i][slots[i][2*j]] == 0 && state[i][slots[i][2*j+1]] == 0 {
 					liveCounts[i]++
 				}
 			}
@@ -86,8 +82,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// Per live vertex: minimum live-neighbor priority.
 		items := make([][]prims.KV[uint64], kk)
 		c.Each(func(i int) {
-			for _, e := range edges[i] {
-				if state[i][int64(e.U)] != 0 || state[i][int64(e.V)] != 0 {
+			for j, e := range edges[i] {
+				if state[i][slots[i][2*j]] != 0 || state[i][slots[i][2*j+1]] != 0 {
 					continue
 				}
 				items[i] = append(items[i],
@@ -108,27 +104,22 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// Then domination spreads by one more aggregation round.
 		domItems := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
-			// Two passes: decide verdicts from the pre-round state, then
-			// apply them (deciding and mutating in one pass would hide a
-			// vertex's MIS-ness from its later edges on the same machine).
-			verdict := make(map[int64]bool, len(state[i]))
-			for v, s := range state[i] {
-				if s != 0 {
+			// A verdict reads its vertex's pre-round state alone, and the
+			// edges announce this round's verdicts, not earlier rounds' joins.
+			verdict := make([]bool, len(state[i]))
+			for s, v := range verts[i] {
+				if state[i][s] != 0 {
 					continue
 				}
-				minNbr, ok := minNbrs.Get(i, v)
-				if !ok || prio(round, int(v)) < minNbr {
-					verdict[v] = true
+				if minNbr, ok := minNbrs.Slot(i, s); !ok || prio(round, int(v)) < minNbr {
+					verdict[s], state[i][s] = true, 1
 				}
 			}
-			for v := range verdict {
-				state[i][v] = 1
-			}
-			for _, e := range edges[i] {
-				if verdict[int64(e.U)] {
+			for j, e := range edges[i] {
+				if verdict[slots[i][2*j]] {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.V), V: true})
 				}
-				if verdict[int64(e.V)] {
+				if verdict[slots[i][2*j+1]] {
 					domItems[i] = append(domItems[i], prims.KV[bool]{K: int64(e.U), V: true})
 				}
 			}
@@ -142,9 +133,9 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 			return nil, err
 		}
 		c.Each(func(i int) {
-			for v := range state[i] {
-				if state[i][v] == 0 && dominated.At(i, v) {
-					state[i][v] = 2
+			for s := range state[i] {
+				if dom, _ := dominated.Slot(i, s); state[i][s] == 0 && dom {
+					state[i][s] = 2
 				}
 			}
 		})
@@ -153,26 +144,19 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	// Assemble the MIS (validation view): MIS-state vertices, still-alive
 	// vertices (all their neighbors died dominated, so they are independent
 	// of the MIS and must join for maximality), plus isolated vertices.
-	misSet := map[int]bool{}
-	hasEdges := make([]bool, n)
+	inMIS, hasEdges := make([]bool, n), make([]bool, n)
 	for i := range state {
-		for v, s := range state[i] {
+		for s, v := range verts[i] {
 			hasEdges[v] = true
-			if s == 1 || s == 0 {
-				misSet[int(v)] = true
-			}
+			inMIS[v] = inMIS[v] || state[i][s] != 2
 		}
 	}
-	for v := 0; v < n; v++ {
-		if !hasEdges[v] {
-			misSet[v] = true
+	out := make([]int, 0, n)
+	for v := range inMIS {
+		if inMIS[v] || !hasEdges[v] {
+			out = append(out, v)
 		}
 	}
-	out := make([]int, 0, len(misSet))
-	for v := range misSet {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	res.Set = out
 	return res, nil
 }

@@ -108,7 +108,8 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		})
 		// Both aggregations and disseminations of the iteration are over the
 		// live endpoints: one plan serves all four.
-		plan, err := prims.NewPlan(c, prims.EndpointNeeds(live))
+		verts, slots := prims.DistinctSlots(prims.Endpoints(live))
+		plan, err := prims.NewPlan(c, verts)
 		if err != nil {
 			return nil, err
 		}
@@ -132,8 +133,8 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		c.Each(func(i int) {
 			for j, e := range live[i] {
 				rv := rankVal{Rank: ranks[i][j], EU: int32(e.U), EV: int32(e.V)}
-				mu, okU := mins.Get(i, int64(e.U))
-				mv, okV := mins.Get(i, int64(e.V))
+				mu, okU := mins.Slot(i, int(slots[i][2*j]))
+				mv, okV := mins.Slot(i, int(slots[i][2*j+1]))
 				if okU && okV && mu == rv && mv == rv {
 					matched[i] = append(matched[i], e)
 					deadItems[i] = append(deadItems[i],
@@ -152,11 +153,12 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		}
 		c.Each(func(i int) {
 			out := live[i][:0]
-			for _, e := range live[i] {
-				if dead.At(i, int64(e.U)) || dead.At(i, int64(e.V)) {
-					continue
+			for j, e := range live[i] {
+				du, _ := dead.Slot(i, int(slots[i][2*j]))
+				dv, _ := dead.Slot(i, int(slots[i][2*j+1]))
+				if !du && !dv {
+					out = append(out, e)
 				}
-				out = append(out, e)
 			}
 			live[i] = out
 		})
