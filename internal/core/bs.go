@@ -59,6 +59,7 @@ func bsPhase1(
 		}
 	}
 	for _, a := range sampledAdj {
+		//hetlint:sorted a maximum over the entries does not depend on their order
 		for v, hs := range a {
 			if v+1 > maxID {
 				maxID = v + 1

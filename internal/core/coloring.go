@@ -54,12 +54,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxDeg := 1
-	for _, d := range degAtLarge {
-		if int(d) > maxDeg {
-			maxDeg = int(d)
-		}
-	}
+	maxDeg := int(maxValue(degAtLarge, 1))
 	res.MaxColor = maxDeg
 	logn := math.Log2(float64(n) + 2)
 	listLen := int(math.Ceil(2 * logn))

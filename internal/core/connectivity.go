@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -92,20 +93,25 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 var ErrSketchFailure = errors.New("sketch connectivity did not converge")
 
 // boruvka is the large machine's local Borůvka over the gathered sketches,
-// keyed phase·n + vertex: phase t sums family t's sketches per component and
+// by key phase·n + vertex: phase t sums family t's sketches per component and
 // joins each component along the edge its sum samples, until every sum is
 // zero. It returns the components and the phases run, or an error wrapping
 // ErrSketchFailure if a sum is still nonzero after the last family's phase.
-func boruvka(families []*sketch.Family, atLarge map[int64]*sketch.Sketch, n int) (*unionfind.DSU, int, error) {
+func boruvka(families []*sketch.Family, atLarge []prims.KV[*sketch.Sketch], n int) (*unionfind.DSU, int, error) {
 	universe := int64(n) * int64(n)
 	dsu := unionfind.New(n)
 	sums := make([]*sketch.Sketch, n)
 	last := len(families) - 1
+	// at is the first entry of phase t's sketches, or of a later phase's.
+	at := func(t int) int {
+		return sort.Search(len(atLarge), func(j int) bool { return atLarge[j].K >= int64(t)*int64(n) })
+	}
 	// One pass past the last phase re-sums the last family over the final
 	// components, to verify that none has an edge leaving it.
 	for t := 0; ; t++ {
-		f := families[min(t, last)]
-		if err := componentSums(sums, f, universe, dsu, atLarge, int64(min(t, last))*int64(n)); err != nil {
+		ph := min(t, last)
+		f := families[ph]
+		if err := componentSums(sums, f, universe, dsu, atLarge[at(ph):at(ph+1)], int64(ph)*int64(n)); err != nil {
 			return nil, 0, err
 		}
 		done := true
@@ -149,8 +155,9 @@ func sketchShape(n, m int) (phases, levels int) {
 // machine builds the sketches of its run's vertices — each the sum of the
 // partial sketches of any edge partition, cell for cell, as a sketch is
 // linear — and ships them to the large machine, keyed phase·n + vertex, each
-// charged the levels it stores.
-func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.EdgeUpdater, n int) (map[int64]*sketch.Sketch, error) {
+// charged the levels it stores. The large machine holds them by key: phase
+// by phase, each phase's by vertex.
+func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.EdgeUpdater, n int) ([]prims.KV[*sketch.Sketch], error) {
 	defer c.Span("sketch").End()
 	runs, err := sortIncidences(c, edges)
 	if err != nil {
@@ -160,7 +167,7 @@ func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.Edg
 	c.Each(func(i int) {
 		items[i] = vertexSketches(updaters, runs[i], n)
 	})
-	return prims.GatherMap(c, items, (*sketch.Sketch).Words)
+	return prims.GatherKVs(c, items, (*sketch.Sketch).Words)
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words
@@ -194,23 +201,19 @@ func vertexSketches(updaters []*sketch.EdgeUpdater, run []sketch.Incidence, n in
 	return items
 }
 
-// componentSums fills sums[r] with the sum of the vertex sketches keyed
-// base+v over the members v of the component rooted at r under dsu, and
-// with nil where no member has a sketch (isolated vertices have none).
-// Members are added in increasing order into a full-width sketch of f, so
-// no merge grows its destination and atLarge is left untouched.
-func componentSums(sums []*sketch.Sketch, f *sketch.Family, universe int64, dsu *unionfind.DSU, atLarge map[int64]*sketch.Sketch, base int64) error {
+// componentSums fills sums[r] with the sum of the vertex sketches of run,
+// keyed base+v by vertex, over the members v of the component rooted at r
+// under dsu, and with nil where no member has a sketch (isolated vertices
+// have none). Members are added in increasing order into a full-width sketch
+// of f, so no merge grows its destination and run is left untouched.
+func componentSums(sums []*sketch.Sketch, f *sketch.Family, universe int64, dsu *unionfind.DSU, run []prims.KV[*sketch.Sketch], base int64) error {
 	clear(sums)
-	for v := range sums {
-		s, ok := atLarge[base+int64(v)]
-		if !ok {
-			continue
-		}
-		r := dsu.Find(v)
+	for _, kv := range run {
+		r := dsu.Find(int(kv.K - base))
 		if sums[r] == nil {
 			sums[r] = f.NewSketch(universe)
 		}
-		if err := sums[r].Merge(s); err != nil {
+		if err := sums[r].Merge(kv.V); err != nil {
 			return err
 		}
 	}

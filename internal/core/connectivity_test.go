@@ -311,11 +311,9 @@ func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
 	_, runs, _, levels := sketchPhaseInput(t, g, 4)
 	f := sketch.NewFamilyLevels(levels, 1)
 	ups := []*sketch.EdgeUpdater{f.NewEdgeUpdater(g.N)}
-	atLarge := map[int64]*sketch.Sketch{}
+	var atLarge []prims.KV[*sketch.Sketch]
 	for _, run := range runs {
-		for _, kv := range vertexSketches(ups, run, g.N) {
-			atLarge[kv.K] = kv.V
-		}
+		atLarge = append(atLarge, vertexSketches(ups, run, g.N)...)
 	}
 	if _, phases, err := boruvka([]*sketch.Family{f}, atLarge, g.N); !errors.Is(err, ErrSketchFailure) {
 		t.Fatalf("one family on a 64-path: err = %v after %d phases, want ErrSketchFailure", err, phases)

@@ -80,11 +80,11 @@ func toCEdges(data [][]graph.Edge) [][]cEdge {
 }
 
 // degreesAtLarge brings every non-isolated vertex's degree to the large
-// machine (Claim 2): two (endpoint, weight(e)) items per edge, summed per
-// vertex — over p, the plan of the edges' endpoints, when the caller has one,
-// else by AggregateByKey. unitWeight counts edges; mincut's weighted variant
-// sums e.W.
-func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight func(graph.Edge) int64) (map[int64]int64, error) {
+// machine (Claim 2), by vertex: two (endpoint, weight(e)) items per edge,
+// summed per vertex — over p, the plan of the edges' endpoints, when the
+// caller has one, else by AggregateByKey. unitWeight counts edges; mincut's
+// weighted variant sums e.W.
+func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight func(graph.Edge) int64) ([]prims.KV[int64], error) {
 	items := make([][]prims.KV[int64], c.K())
 	c.Each(func(i int) {
 		items[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
@@ -96,15 +96,25 @@ func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight 
 		}
 	})
 	add := func(a, b int64) int64 { return a + b }
+	var roots [][]prims.KV[int64]
+	var err error
 	if p == nil {
-		_, atLarge, err := prims.AggregateByKey(c, items, 1, add, true)
-		return atLarge, err
+		roots, err = prims.AggregateByKey(c, items, 1, add)
+	} else {
+		roots, err = prims.PlanCombine(c, p, items, 1, add)
 	}
-	roots, err := prims.PlanCombine(c, p, items, 1, add)
 	if err != nil {
 		return nil, err
 	}
-	return prims.GatherMap(c, roots, func(int64) int { return 1 })
+	return prims.GatherKVs(c, roots, func(int64) int { return 1 })
+}
+
+// maxValue is the largest value of kvs, at least floor.
+func maxValue(kvs []prims.KV[int64], floor int64) int64 {
+	for _, kv := range kvs {
+		floor = max(floor, kv.V)
+	}
+	return floor
 }
 
 func unitWeight(graph.Edge) int64 { return 1 }

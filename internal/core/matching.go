@@ -60,7 +60,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	degs, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
+	degs, err := prims.PlanBroadcast(c, plan, nil, degAtLarge, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -139,8 +139,11 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	collected, err := arr.CollectBudget(c, func(key int64) int {
-		if degAtLarge[key] > lowCap {
+	// The arranged keys are the edges' endpoints, as degAtLarge's are: a
+	// position in one is the same vertex's in the other.
+	high := func(p int) bool { return degAtLarge[p].V > lowCap }
+	collected, err := arr.CollectBudget(c, func(p int) int {
+		if high(p) {
 			return int(budget)
 		}
 		return 0
@@ -149,19 +152,13 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 		return nil, err
 	}
 	// Large machine: greedy M2 over the high vertices in sorted order.
-	highs := make([]int64, 0, len(degAtLarge))
-	for v, dv := range degAtLarge {
-		if dv > lowCap {
-			highs = append(highs, v)
-		}
-	}
-	prims.SortInts(highs)
-	for _, v := range highs {
-		if matchedAt[v] {
+	for p, kv := range degAtLarge {
+		v := int(kv.K)
+		if !high(p) || matchedAt[v] {
 			continue
 		}
-		for _, re := range collected[v] {
-			u := re.E.Other(int(v))
+		for _, re := range collected[p] {
+			u := re.E.Other(v)
 			if !matchedAt[u] {
 				matching = append(matching, re.E)
 				matchedAt[v] = true
@@ -172,13 +169,13 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 
 	// --- Phase 3: ship all edges with both endpoints unmatched ---
-	matchedVals := make(map[int64]bool, len(matching)*2)
+	matchedVals := make([]prims.KV[bool], 0, len(matching)*2)
 	for v, ok := range matchedAt {
 		if ok {
-			matchedVals[int64(v)] = true
+			matchedVals = append(matchedVals, prims.KV[bool]{K: int64(v), V: true})
 		}
 	}
-	isMatched, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(matchedVals), 1)
+	isMatched, err := prims.PlanBroadcast(c, plan, nil, matchedVals, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -279,10 +276,14 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 		// Disseminate this iteration's matched vertices and filter. An
 		// earlier iteration's have no live edge left, so nobody requests
 		// them (DESIGN.md §1).
-		matchedVals := make(map[int64]bool, 2*len(add))
+		matchedVals := make([]prims.KV[bool], 0, 2*len(add))
 		for _, e := range add {
-			matchedVals[int64(e.U)], matchedVals[int64(e.V)] = true, true
+			matchedVals = append(matchedVals, prims.KV[bool]{K: int64(e.U), V: true})
+			if e.V != e.U {
+				matchedVals = append(matchedVals, prims.KV[bool]{K: int64(e.V), V: true})
+			}
 		}
+		prims.SortKVsByKey(matchedVals) // the edges of a matching share no endpoint
 		needs, slots := prims.DistinctSlots(prims.Endpoints(live))
 		isMatched, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
 		if err != nil {

@@ -61,9 +61,7 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 		return res, nil
 	}
 	for _, d := range degAtLarge {
-		if d < res.Value {
-			res.Value = d
-		}
+		res.Value = min(res.Value, d.V)
 	}
 
 	trials := 2*int(math.Ceil(math.Log2(float64(n)+2))) + 4
@@ -119,27 +117,18 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	if err != nil {
 		return 0, false, err
 	}
-	atLarge, err := prims.GatherMap(c, roots, func(twoOutVal) int { return twoOutWords })
+	atLarge, err := prims.GatherKVs(c, roots, func(twoOutVal) int { return twoOutWords })
 	if err != nil {
 		return 0, false, err
 	}
 	// Contract the 2-out components on the large machine.
 	dsu := unionfind.New(n)
-	keys := make([]int64, 0, len(atLarge))
-	for v := range atLarge {
-		keys = append(keys, v)
+	for _, kv := range atLarge {
+		v := int(kv.K)
+		dsu.Union(v, kv.V.E1.Other(v))
+		dsu.Union(v, kv.V.E2.Other(v))
 	}
-	prims.SortInts(keys)
-	for _, v := range keys {
-		to := atLarge[v]
-		dsu.Union(int(v), to.E1.Other(int(v)))
-		dsu.Union(int(v), to.E2.Other(int(v)))
-	}
-	labels := make(map[int64]int64, n)
-	for v := 0; v < n; v++ {
-		labels[int64(v)] = int64(dsu.Find(v))
-	}
-	lab, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels), 1)
+	lab, err := prims.PlanBroadcast(c, plan, nil, componentLabels(dsu, n), 1)
 	if err != nil {
 		return 0, false, err
 	}
@@ -160,8 +149,11 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 				prims.KV[int64]{K: v, V: 1})
 		}
 	})
-	_, cdeg, err := prims.AggregateByKey(c, cdegItems, 1,
-		func(a, b int64) int64 { return a + b }, true)
+	cdegRoots, err := prims.AggregateByKey(c, cdegItems, 1, func(a, b int64) int64 { return a + b })
+	if err != nil {
+		return 0, false, err
+	}
+	cdeg, err := prims.GatherKVs(c, cdegRoots, func(int64) int { return 1 })
 	if err != nil {
 		return 0, false, err
 	}
@@ -172,9 +164,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	}
 	delta := int64(math.MaxInt64)
 	for _, d := range cdeg {
-		if d < delta {
-			delta = d
-		}
+		delta = min(delta, d.V)
 	}
 	if delta < 1 {
 		delta = 1
@@ -194,24 +184,18 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 			}
 		}
 	})
-	_, sampledPairs, err := prims.AggregateByKey(c, sampled, 1,
-		func(a, b bool) bool { return a || b }, true)
+	sampledRoots, err := prims.AggregateByKey(c, sampled, 1, func(a, b bool) bool { return a || b })
 	if err != nil {
 		return 0, false, err
 	}
-	spKeys := make([]int64, 0, len(sampledPairs))
-	for key := range sampledPairs {
-		spKeys = append(spKeys, key)
+	sampledPairs, err := prims.GatherKVs(c, sampledRoots, func(bool) int { return 1 })
+	if err != nil {
+		return 0, false, err
 	}
-	prims.SortInts(spKeys)
-	for _, key := range spKeys {
-		dsu.Union(int(key/int64(n)), int(key%int64(n)))
+	for _, kv := range sampledPairs {
+		dsu.Union(int(kv.K/int64(n)), int(kv.K%int64(n)))
 	}
-	labels2 := make(map[int64]int64, n)
-	for v := 0; v < n; v++ {
-		labels2[int64(v)] = int64(dsu.Find(v))
-	}
-	lab2, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(labels2), 1)
+	lab2, err := prims.PlanBroadcast(c, plan, nil, componentLabels(dsu, n), 1)
 	if err != nil {
 		return 0, false, err
 	}
@@ -245,6 +229,15 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	// Exact min cut of the contracted multigraph on the large machine.
 	val := stoerWagnerMulti(n, multi)
 	return val, true, nil
+}
+
+// componentLabels is every vertex's component root under dsu, by vertex.
+func componentLabels(dsu *unionfind.DSU, n int) []prims.KV[int64] {
+	labels := make([]prims.KV[int64], n)
+	for v := range labels {
+		labels[v] = prims.KV[int64]{K: int64(v), V: int64(dsu.Find(v))}
+	}
+	return labels
 }
 
 // stoerWagnerMulti runs Stoer-Wagner on a multigraph given by (possibly
@@ -307,9 +300,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 	}
 	upper := int64(math.MaxInt64)
 	for _, d := range wdeg {
-		if d < upper {
-			upper = d
-		}
+		upper = min(upper, d.V)
 	}
 	res.Value = upper
 

@@ -58,12 +58,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxDeg := float64(1)
-	for _, d := range degAtLarge {
-		if float64(d) > maxDeg {
-			maxDeg = float64(d)
-		}
-	}
+	maxDeg := float64(maxValue(degAtLarge, 1))
 
 	// Prefix thresholds τ_i = Δ^{-(3/4)^i}, ending with τ = 1.
 	var taus []float64
@@ -198,7 +193,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domLarge, err := prims.GatherMap(c, domRoots, func(bool) int { return 1 })
+		domLarge, err := prims.GatherKVs(c, domRoots, func(bool) int { return 1 })
 		if err != nil {
 			return nil, err
 		}
@@ -215,8 +210,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		})
 		// The large machine also learns which vertices died via edges it
 		// never saw (a dominated vertex with all its edges off-prefix).
-		for v := range domLarge {
-			if domLarge[v] && aliveLarge[v] {
+		for _, kv := range domLarge {
+			if v := kv.K; kv.V && aliveLarge[v] {
 				aliveLarge[v] = false
 				processed[v] = true
 			}

@@ -130,7 +130,7 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		}
 
 		// Collect each active vertex's min(budget, deg) lightest out-edges.
-		collected, err := arr.CollectBudget(c, func(int64) int { return budget })
+		collected, err := arr.CollectBudget(c, func(int) int { return budget })
 		if err != nil {
 			return nil, err
 		}
@@ -236,14 +236,15 @@ func phaseBudget(effF, log2n float64, phase, active, largeCap int) int {
 // minimum outgoing candidate only while no member's truncated list is
 // exhausted (see DESIGN.md substitution 5 for why plain Kruskal on the
 // collected edges is not sound). It mutates dsu, appends the used original
-// edges to mstEdges and returns the relabel map phase-vertex → new root.
+// edges to mstEdges and returns the relabel list phase-vertex → new root, by
+// phase-vertex.
 func localBudgetedBoruvka(
 	dsu *unionfind.DSU,
 	arr *prims.Arranged[cEdge],
-	collected map[int64][]cEdge,
+	collected [][]cEdge,
 	budget int,
 	mstEdges *[]graph.Edge,
-) map[int64]int64 {
+) []prims.KV[int64] {
 	type vlist struct {
 		v        int
 		edges    []cEdge // sorted by weight
@@ -252,10 +253,9 @@ func localBudgetedBoruvka(
 	}
 	verts := make([]*vlist, 0, len(arr.Keys))
 	byV := make(map[int]*vlist, len(arr.Keys))
-	for _, key := range arr.Keys {
+	for p, key := range arr.Keys {
 		v := int(key)
-		deg := arr.Degree(key)
-		lst := &vlist{v: v, edges: collected[key], complete: deg <= budget}
+		lst := &vlist{v: v, edges: collected[p], complete: arr.Degree(p) <= budget}
 		verts = append(verts, lst)
 		byV[v] = lst
 	}
@@ -273,6 +273,7 @@ func localBudgetedBoruvka(
 			ok   bool
 		}
 		cands := make(map[int]cand, len(members))
+		//hetlint:sorted each root's candidate depends on its own members alone, and cands is read in sorted root order below
 		for root, mem := range members {
 			best := cand{}
 			blocked := false
@@ -335,9 +336,9 @@ func localBudgetedBoruvka(
 		}
 	}
 
-	relabel := make(map[int64]int64, len(verts))
-	for _, vl := range verts {
-		relabel[int64(vl.v)] = int64(dsu.Find(vl.v))
+	relabel := make([]prims.KV[int64], len(verts))
+	for x, vl := range verts {
+		relabel[x] = prims.KV[int64]{K: int64(vl.v), V: int64(dsu.Find(vl.v))}
 	}
 	return relabel
 }
@@ -353,13 +354,13 @@ func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 			items[i] = append(items[i], prims.KV[cEdge]{K: pairKey(e.U, e.V, n), V: e})
 		}
 	})
-	roots, _, err := prims.AggregateByKey(c, items, cEdgeWords,
+	roots, err := prims.AggregateByKey(c, items, cEdgeWords,
 		func(a, b cEdge) cEdge {
 			if a.lessByWeight(b) {
 				return a
 			}
 			return b
-		}, false)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -374,23 +375,25 @@ func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 }
 
 // forestLabels returns the labels of the vertices with an edge in forest,
-// by vertex, and the largest one's words. A vertex with none is a singleton
+// one a vertex, by vertex, and the largest one's words. A vertex with none is a singleton
 // tree of F, in a different tree from every other endpoint, so an edge at it
 // is F-light with or without its label: leaving it out changes no answer,
 // and every label sent is requested, by the machine that sampled its forest
 // edge (a large value nobody requests still ships, DESIGN.md §1). The filter
 // reads the edges, not len(label) == 1: a level-0 centroid of a non-trivial
 // tree has a 1-entry label too.
-func forestLabels(labels labeling.Labels, forest []graph.Edge) (map[int64]labeling.Label, int) {
-	values := make(map[int64]labeling.Label, 2*len(forest))
+func forestLabels(labels labeling.Labels, forest []graph.Edge) ([]prims.KV[labeling.Label], int) {
+	values := make([]prims.KV[labeling.Label], 0, 2*len(forest))
 	lwords := 1
 	for _, e := range forest {
 		for _, v := range [2]int{e.U, e.V} {
-			values[int64(v)] = labels[v]
+			values = append(values, prims.KV[labeling.Label]{K: int64(v), V: labels[v]})
 			lwords = max(lwords, labels[v].Words())
 		}
 	}
-	return values, lwords
+	prims.SortKVsByKey(values)
+	// Forest edges share endpoints; a vertex's entries carry the same label.
+	return slices.CompactFunc(values, func(a, b prims.KV[labeling.Label]) bool { return a.K == b.K }), lwords
 }
 
 // kktTry performs one iteration of the §3 sampling step: sample each stored

@@ -341,18 +341,18 @@ func TestKKTDisseminatesForestLabels(t *testing.T) {
 	}
 	values, lwords := forestLabels(labels, forest)
 	keys := make([]int64, 0, len(values))
-	for v := range values {
-		keys = append(keys, v)
+	for _, kv := range values {
+		keys = append(keys, kv.K)
 	}
-	if slices.Sort(keys); !slices.Equal(keys, []int64{0, 1, 2, 3, 4}) {
-		t.Fatalf("labels of %v sent, want F's vertices 0…4", keys)
+	if !slices.Equal(keys, []int64{0, 1, 2, 3, 4}) {
+		t.Fatalf("labels of %v sent, want F's vertices 0…4, once each, by vertex", keys)
 	}
 	want := 0
-	for v, l := range values {
-		if !reflect.DeepEqual(l, labels[v]) {
-			t.Fatalf("vertex %d sends %v, its label is %v", v, l, labels[v])
+	for _, kv := range values {
+		if !reflect.DeepEqual(kv.V, labels[kv.K]) {
+			t.Fatalf("vertex %d sends %v, its label is %v", kv.K, kv.V, labels[kv.K])
 		}
-		want = max(want, l.Words())
+		want = max(want, kv.V.Words())
 	}
 	if lwords != want {
 		t.Fatalf("label words %d, want %d", lwords, want)

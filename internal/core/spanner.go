@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"hetmpc/internal/graph"
@@ -66,21 +65,19 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 1: degrees (Claim 2 + Claim 3) ---
+	// The large machine's per-vertex state below is slices aligned with
+	// degAtLarge: one entry for every vertex with an edge, by vertex. The
+	// neighbor-OR and σ-selection items below name both endpoints of every
+	// edge, so their gathered roots are aligned with it too.
 	degAtLarge, err := degreesAtLarge(c, plan, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
-	degs, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(degAtLarge), 1)
+	degs, err := prims.PlanBroadcast(c, plan, nil, degAtLarge, 1)
 	if err != nil {
 		return nil, err
 	}
-	maxDeg := int64(1)
-	for _, d := range degAtLarge {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	levels := bits.Len64(uint64(maxDeg)) // classes [2^i, 2^{i+1}), i = 0..levels-1
+	levels := bits.Len64(uint64(maxValue(degAtLarge, 1))) // classes [2^i, 2^{i+1}), i = 0..levels-1
 	if levels < 1 {
 		levels = 1
 	}
@@ -101,13 +98,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		b[idx/64] |= 1 << (idx % 64)
 	}
 	lrng := c.LargeRand()
-	vertsWithEdges := make([]int64, 0, len(degAtLarge))
-	for v := range degAtLarge {
-		vertsWithEdges = append(vertsWithEdges, v)
-	}
-	slices.Sort(vertsWithEdges)
-	dbits := make(map[int64]vbits, len(degAtLarge))
-	for _, v := range vertsWithEdges {
+	dbits := make([]prims.KV[vbits], len(degAtLarge))
+	for x, d := range degAtLarge {
 		b := make([]uint64, bitWords)
 		for lvl := 1; lvl < levels; lvl++ {
 			p := float64(lvl) / math.Pow(2, float64(lvl))
@@ -117,9 +109,9 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				}
 			}
 		}
-		dbits[v] = vbits{B: b}
+		dbits[x] = prims.KV[vbits]{K: d.K, V: vbits{B: b}}
 	}
-	dBits, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(dbits), bitWords)
+	dBits, err := prims.PlanBroadcast(c, plan, nil, dbits, bitWords)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +138,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	orAtLarge, err := prims.GatherMap(c, orRoots, func(vbits) int { return bitWords })
+	orAtLarge, err := prims.GatherKVs(c, orRoots, func(vbits) int { return bitWords })
 	if err != nil {
 		return nil, err
 	}
@@ -157,20 +149,16 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	for lvl := 1; lvl < levels; lvl++ {
 		sizes[lvl] = make([]int, trials)
 	}
-	augmented := make(map[int64][]bool) // v → per (lvl,trial) augmented membership flattened
-	for v, own := range dbits {
-		deg := degAtLarge[v]
-		cls := bits.Len64(uint64(deg)) - 1 // degree class
-		or, hasOr := orAtLarge[v]
+	augmented := make([][]bool, len(dbits)) // per (lvl,trial) augmented membership flattened
+	for x, own := range dbits {
+		cls := bits.Len64(uint64(degAtLarge[x].V)) - 1 // degree class
+		or := orAtLarge[x].V
 		mem := make([]bool, (levels-1)*trials)
 		for lvl := 1; lvl < levels; lvl++ {
 			for j := 0; j < trials; j++ {
-				in := dBit(own.B, lvl, j)
-				if !in && lvl <= cls {
-					covered := hasOr && dBit(or.B, lvl, j)
-					if !covered {
-						in = true // u joins D_lvl^j (augmentation)
-					}
+				in := dBit(own.V.B, lvl, j)
+				if !in && lvl <= cls && !dBit(or.B, lvl, j) {
+					in = true // u joins D_lvl^j (augmentation)
 				}
 				if in {
 					mem[(lvl-1)*trials+j] = true
@@ -178,7 +166,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				}
 			}
 		}
-		augmented[v] = mem
+		augmented[x] = mem
 	}
 	bestTrial := make([]int, levels)
 	for lvl := 1; lvl < levels; lvl++ {
@@ -191,8 +179,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		bestTrial[lvl] = best
 	}
 	type bset struct{ B uint64 }
-	bbits := make(map[int64]bset, len(dbits))
-	for v, mem := range augmented {
+	bbits := make([]prims.KV[bset], len(dbits))
+	for x, mem := range augmented {
 		var b uint64
 		inAny := uint64(0)
 		for lvl := levels - 1; lvl >= 1; lvl-- {
@@ -211,11 +199,11 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 		}
 		b |= 1 // B_0 = V
-		bbits[v] = bset{B: b}
+		bbits[x] = prims.KV[bset]{K: dbits[x].K, V: bset{B: b}}
 	}
 
 	// --- Step 4: σ-selection aggregation (Algorithm 5 lines 18-29) ---
-	bBits, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(bbits), 1)
+	bBits, err := prims.PlanBroadcast(c, plan, nil, bbits, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -272,22 +260,22 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigAtLarge, err := prims.GatherMap(c, sigRoots, func(sigAgg) int { return sigWords })
+	sigAtLarge, err := prims.GatherKVs(c, sigRoots, func(sigAgg) int { return sigWords })
 	if err != nil {
 		return nil, err
 	}
 
 	// Large machine: compute i_u, σ_u and the star edges.
 	var spanner []graph.Edge // accumulates H on the large machine
-	sigma := make(map[int64]int64, len(degAtLarge))
-	topLevel := make(map[int64]int, len(degAtLarge))
-	for v, agg := range sigAtLarge {
-		own := bbits[v].B
+	sigma := make([]prims.KV[int64], len(sigAtLarge))
+	topLevel := make([]int, len(sigAtLarge))
+	for x, kv := range sigAtLarge {
+		v, agg, own := kv.K, kv.V, bbits[x].V.B
 		all := own | agg.OrB
 		iu := 63 - bits.LeadingZeros64(all) // max set bit; B_0 guarantees >= 0
-		topLevel[v] = iu
+		topLevel[x] = iu
+		sigma[x] = prims.KV[int64]{K: v, V: v}
 		if own&(1<<iu) != 0 {
-			sigma[v] = v
 			continue
 		}
 		slot := agg.Slots[iu]
@@ -295,12 +283,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			// OrB said a neighbor exists at iu; slots must agree.
 			return nil, fmt.Errorf("core: spanner σ-selection inconsistency at vertex %d", v)
 		}
-		sigma[v] = int64(slot.Nbr)
+		sigma[x].V = int64(slot.Nbr)
 		spanner = append(spanner, graph.NewEdge(int(slot.OU), int(slot.OV), slot.W))
 	}
 
 	// --- Step 5: clustering-graph edges E_lvl (Claim 2) ---
-	sigmas, err := prims.PlanBroadcast(c, plan, nil, prims.SortedKVs(sigma), 1)
+	sigmas, err := prims.PlanBroadcast(c, plan, nil, sigma, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +328,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 		return a
 	}
-	ceRoots, _, err := prims.AggregateByKey(c, ceItems, clusterEdgeWords, ceCombine, false)
+	ceRoots, err := prims.AggregateByKey(c, ceItems, clusterEdgeWords, ceCombine)
 	if err != nil {
 		return nil, err
 	}
@@ -421,8 +409,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	// Vertex sets V_lvl = {σ_u : i_u >= lvl}.
 	vSets := make([][]int, levels)
-	for v, iu := range topLevel {
-		s := int(sigma[v])
+	for x, iu := range topLevel {
+		s := int(sigma[x].V)
 		for lvl := 0; lvl <= iu && lvl < levels; lvl++ {
 			vSets[lvl] = append(vSets[lvl], s)
 		}
@@ -479,7 +467,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	// Per sampled level: run lines 1-15 on the large machine.
 	type ctrTable struct{ C []int32 }
 	tables := make([]*bsTables, levels)
-	tableValues := make(map[int64]ctrTable) // key = lvl*n + clusterID
+	var tableValues []prims.KV[ctrTable] // key = lvl*n + clusterID, ascending: levels ascend, and vSets[lvl] too
 	for lvl := 0; lvl < levels; lvl++ {
 		if direct[lvl] {
 			continue
@@ -506,7 +494,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			for i := 0; i <= k; i++ {
 				tc[i] = int32(t.Centers[i][v])
 			}
-			tableValues[int64(lvl)*int64(n)+int64(v)] = ctrTable{C: tc}
+			tableValues = append(tableValues, prims.KV[ctrTable]{K: int64(lvl)*int64(n) + int64(v), V: ctrTable{C: tc}})
 		}
 	}
 
@@ -582,13 +570,13 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 		}
 	})
-	remRoots, _, err := prims.AggregateByKey(c, remItems, 4,
+	remRoots, err := prims.AggregateByKey(c, remItems, 4,
 		func(a, b remVal) remVal {
 			if b.U < a.U {
 				return b
 			}
 			return a
-		}, false)
+		})
 	if err != nil {
 		return nil, err
 	}

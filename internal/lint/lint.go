@@ -53,16 +53,19 @@ type Analyzer struct {
 	Run        func(pass *Pass)
 }
 
-// enginePaths is the deterministic-engine package set of ISSUE/DESIGN §13:
-// the packages whose Stats/trace output must be bit-identical across
-// GOMAXPROCS, transports and runs.
+// enginePaths is the deterministic-engine package set of DESIGN.md §13: the
+// packages whose Stats/trace output must be bit-identical across
+// GOMAXPROCS, transports and runs — the engine and the algorithms that drive
+// it.
 var enginePaths = map[string]bool{
-	"hetmpc/internal/mpc":     true,
-	"hetmpc/internal/prims":   true,
-	"hetmpc/internal/sched":   true,
-	"hetmpc/internal/trace":   true,
-	"hetmpc/internal/metrics": true,
-	"hetmpc/internal/wire":    true,
+	"hetmpc/internal/mpc":       true,
+	"hetmpc/internal/prims":     true,
+	"hetmpc/internal/sched":     true,
+	"hetmpc/internal/trace":     true,
+	"hetmpc/internal/metrics":   true,
+	"hetmpc/internal/wire":      true,
+	"hetmpc/internal/core":      true,
+	"hetmpc/internal/sublinear": true,
 }
 
 // IsEnginePath reports whether the import path belongs to the deterministic

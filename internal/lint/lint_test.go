@@ -52,6 +52,7 @@ func TestIsEnginePath(t *testing.T) {
 	for _, p := range []string{
 		"hetmpc/internal/mpc", "hetmpc/internal/prims", "hetmpc/internal/sched",
 		"hetmpc/internal/trace", "hetmpc/internal/metrics", "hetmpc/internal/wire",
+		"hetmpc/internal/core", "hetmpc/internal/sublinear",
 	} {
 		if !IsEnginePath(p) {
 			t.Errorf("IsEnginePath(%q) = false, want true", p)

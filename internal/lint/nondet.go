@@ -8,8 +8,8 @@ import (
 )
 
 // NonDet forbids ambient nondeterminism in the deterministic-engine
-// packages and in the algorithm layers and the experiment harness above
-// them (packageStatePaths) — everything whose output is a pure function of
+// packages and in the sketch layer and the experiment harness beside them
+// (packageStatePaths) — everything whose output is a pure function of
 // input, seed and Config/Env: wall-clock time (time.Now/Since/Until — model time is the only
 // clock), the global math/rand source (internal/xrand seeds every stream),
 // environment lookups (engine behavior is a function of Config, never of
@@ -28,7 +28,7 @@ import (
 // error sentinels are not writes.
 var NonDet = &Analyzer{
 	Name: "nondet",
-	Doc:  "forbid wall-clock, global rand, env and CPU-count dependence and writes to package-level variables in engine packages and in sketch/core/sublinear/exp",
+	Doc:  "forbid wall-clock, global rand, env and CPU-count dependence and writes to package-level variables in engine packages and in sketch/exp",
 	Key:  "nondet",
 	Run:  runNonDet,
 }
@@ -36,10 +36,8 @@ var NonDet = &Analyzer{
 // packageStatePaths are the packages beyond the engine set that nondet
 // covers.
 var packageStatePaths = map[string]bool{
-	"hetmpc/internal/sketch":    true,
-	"hetmpc/internal/core":      true,
-	"hetmpc/internal/sublinear": true,
-	"hetmpc/internal/exp":       true,
+	"hetmpc/internal/sketch": true,
+	"hetmpc/internal/exp":    true,
 }
 
 // nondetFuncs maps package path -> function name -> remedy. Only

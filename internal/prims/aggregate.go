@@ -1,6 +1,11 @@
 package prims
 
-import "hetmpc/internal/mpc"
+import (
+	"errors"
+	"fmt"
+
+	"hetmpc/internal/mpc"
+)
 
 // localCombine is the first step of AggregateByKey and PlanCombine: one
 // machine's items combined per key, sorted by key. It sorts a copy, in buf's
@@ -69,32 +74,28 @@ func foldRuns[V any](kvs []KV[V], combine func(a, b V) V) []KV[V] {
 // (PlaceShare weighting of the splitters, DESIGN.md §8), so slow or small
 // machines own fewer keys under throughput/speculate placement.
 //
-// If gatherLarge is true an extra round ships every (key, value) to the
-// large machine and atLarge holds them all; the caller is responsible for
-// the total fitting the large machine's capacity (≤ Õ(n) keys, as in every
-// use in the paper).
-//
 // combine must be associative and commutative. It receives ownership of both
 // arguments: for pointer-typed V it may mutate and return either one (no
 // value it has combined away is ever read again), which lets sketch-like
-// values merge without cloning. vwords is the value size in words.
+// values merge without cloning. vwords is the value size in words. A caller
+// that needs every combined value on the large machine follows with
+// GatherKVs of the roots (one round).
 func AggregateByKey[V any](
 	c *mpc.Cluster,
 	items [][]KV[V],
 	vwords int,
 	combine func(a, b V) V,
-	gatherLarge bool,
-) (roots [][]KV[V], atLarge map[int64]V, err error) {
+) ([][]KV[V], error) {
 	defer c.Span("aggregate").End()
 	if err := checkBuckets(c, "AggregateByKey", items); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Local combine, then the global sort by key.
 	partials := localCombineAll(c, items, combine)
-	roots, err = Sort(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
+	roots, err := Sort(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Fold the ≤ K partials of each key: the sort key is the aggregation key
@@ -106,18 +107,20 @@ func AggregateByKey[V any](
 	// registered the pre-fold buckets; re-register so checkpoints see the
 	// shrunken volume).
 	registerState(c, roots, vwords+1)
-	if !gatherLarge {
-		return roots, nil, nil
-	}
-	atLarge, err = GatherMap(c, roots, func(V) int { return vwords })
-	return roots, atLarge, err
+	return roots, nil
 }
 
-// GatherMap ships every machine's (key, value) pairs to the large machine
+// ErrRepeatedKey refuses a GatherKVs input that holds a key twice: the large
+// machine's slab has one entry a key.
+var ErrRepeatedKey = errors.New("prims: key gathered twice")
+
+// GatherKVs ships every machine's (key, value) pairs to the large machine
 // (GatherToLarge's one round, a pair charged 1 + words(value)) and returns
-// them as one map — the gatherLarge step of AggregateByKey, and what a
-// PlanCombine's roots take to reach the large machine.
-func GatherMap[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) (map[int64]V, error) {
+// them in strictly ascending key order — the large machine's one format.
+// Aggregation and plan roots arrive that way already; other input, such as
+// keys laid out vertex-major but numbered phase-major, is sorted there. A key
+// held twice is refused with ErrRepeatedKey.
+func GatherKVs[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) ([]KV[V], error) {
 	all, err := gather(c, kvs, func(items []KV[V]) int {
 		w := len(items)
 		for _, kv := range items {
@@ -128,9 +131,11 @@ func GatherMap[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) (map[int
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[int64]V, len(all))
-	for _, kv := range all {
-		m[kv.K] = kv.V
+	SortKVsByKey(all)
+	for j := 1; j < len(all); j++ {
+		if all[j].K == all[j-1].K {
+			return nil, fmt.Errorf("prims: GatherKVs: %w: key %d", ErrRepeatedKey, all[j].K)
+		}
 	}
-	return m, nil
+	return all, nil
 }

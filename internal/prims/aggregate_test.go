@@ -1,8 +1,10 @@
 package prims
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +24,7 @@ func hotKey(c *mpc.Cluster, vwords int) (owner int, got minSum, err error) {
 	for i := range items {
 		items[i] = []KV[minSum]{{K: 9, V: minSum{int64(1000 - i), int64(i)}}}
 	}
-	roots, _, err := AggregateByKey(c, items, vwords, combineMinSum, false)
+	roots, err := AggregateByKey(c, items, vwords, combineMinSum)
 	if err != nil {
 		return 0, minSum{}, err
 	}
@@ -91,7 +93,7 @@ func TestAggregateHotKeyFitsOrFailsTyped(t *testing.T) {
 
 // TestAggregateChargesOneSort pins the round cost: AggregateByKey has no
 // round of its own — it charges exactly what Sort charges for the same
-// partials, plus the gather round when asked for one.
+// partials, and GatherKVs of its roots one round more.
 func TestAggregateChargesOneSort(t *testing.T) {
 	add := func(a, b int64) int64 { return a + b }
 	for _, mode := range []struct{ noLarge, gather bool }{{false, false}, {false, true}, {true, false}} {
@@ -110,15 +112,70 @@ func TestAggregateChargesOneSort(t *testing.T) {
 		}
 		sortRounds := c.Rounds() - before
 		before = c.Rounds()
-		if _, _, err := AggregateByKey(c, kvs, 1, add, mode.gather); err != nil {
+		roots, err := AggregateByKey(c, kvs, 1, add)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if mode.gather {
+			if _, err := GatherKVs(c, roots, func(int64) int { return 1 }); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want := sortRounds
 		if mode.gather {
 			want++
 		}
 		if got := c.Rounds() - before; got != want {
-			t.Errorf("noLarge=%v gather=%v: AggregateByKey charged %d rounds, one Sort of its partials charges %d", mode.noLarge, mode.gather, got, sortRounds)
+			t.Errorf("noLarge=%v gather=%v: AggregateByKey charged %d rounds, want %d", mode.noLarge, mode.gather, got, want)
+		}
+	}
+}
+
+// TestGatherKVsSortsAndCharges: sketch-like input — every machine holds its
+// vertices' keys vertex by vertex, numbered phase·n + vertex — reaches the
+// large machine in strictly ascending key order, in one round that charges
+// each pair 1 + words(value): 6144 words here, what the map-building gather
+// it replaces charged on the same input.
+func TestGatherKVsSortsAndCharges(t *testing.T) {
+	c := newCluster(t, 256, 2048, false)
+	n := int64(8 * c.K())
+	kvs := make([][]KV[int64], c.K())
+	var want []KV[int64]
+	for i := range kvs {
+		for v := int64(8 * i); v < int64(8*i+8); v++ {
+			for ph := int64(0); ph < 3; ph++ {
+				kvs[i] = append(kvs[i], KV[int64]{K: ph*n + v, V: v + ph})
+				want = append(want, KV[int64]{K: ph*n + v, V: v + ph})
+			}
+		}
+	}
+	slices.SortFunc(want, func(a, b KV[int64]) int { return cmp.Compare(a.K, b.K) })
+	before := c.Stats()
+	got, err := GatherKVs(c, kvs, func(v int64) int { return int(v % 3) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	if !slices.Equal(got, want) {
+		t.Fatalf("GatherKVs returns %d pairs not in key order", len(got))
+	}
+	if rounds, words := after.Rounds-before.Rounds, after.TotalWords-before.TotalWords; rounds != 1 || words != 6144 {
+		t.Errorf("GatherKVs charged %d rounds and %d words, want 1 and 6144", rounds, words)
+	}
+}
+
+// TestGatherKVsRefusesRepeatedKey: a key held on two machines, or twice on
+// one, is refused with ErrRepeatedKey naming it, never resolved by which copy
+// arrives last.
+func TestGatherKVsRefusesRepeatedKey(t *testing.T) {
+	for _, kvs := range [][][]KV[int64]{
+		{{{K: 3, V: 1}, {K: 5, V: 1}}, {{K: 5, V: 2}}},
+		{{{K: 5, V: 1}, {K: 5, V: 2}}},
+	} {
+		c := newCluster(t, 256, 2048, false)
+		_, err := GatherKVs(c, kvs, func(int64) int { return 1 })
+		if !errors.Is(err, ErrRepeatedKey) || !strings.Contains(err.Error(), "key 5") {
+			t.Errorf("%v: err = %v, want ErrRepeatedKey naming key 5", kvs, err)
 		}
 	}
 }

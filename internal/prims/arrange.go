@@ -16,19 +16,16 @@ type RunPart struct {
 // contiguous across machines, with the large machine knowing every run's
 // (machine, count) decomposition — i.e. M_first(v), the out-degree of v, and
 // exactly how many of v's items each machine stores (the k(v,M) table used
-// by the MST collection step).
+// by the MST collection step). The large machine's view is indexed by
+// position in Keys.
 type Arranged[T any] struct {
-	Data [][]T               // per-machine sorted items
-	Keys []int64             // distinct keys in global order (large machine's view)
-	Runs map[int64][]RunPart // large machine's view: ordered run decomposition
+	Data [][]T   // per-machine sorted items
+	Keys []int64 // distinct keys in global order (large machine's view)
 
+	parts     []RunPart // the run of Keys[p] is parts[at[p]:at[p+1]], in machine order
+	at        []int
 	key       func(T) int64
 	itemWords int
-	local     []map[int64]localRun // per machine: key → (start, count)
-}
-
-type localRun struct {
-	Start, Count int
 }
 
 // Arrange sorts the items by sortKey — whose leading component .A is the
@@ -50,22 +47,19 @@ func Arrange[T any](
 	if err != nil {
 		return nil, err
 	}
-	// Local run index.
-	local := make([]map[int64]localRun, k)
+	// Every machine reports its runs.
 	type runRec struct {
 		Key   int64
 		Count int
 	}
 	reports := make([][]runRec, k)
 	c.Each(func(i int) {
-		local[i] = make(map[int64]localRun)
 		for j := 0; j < len(sorted[i]); {
 			kk := key(sorted[i][j])
 			start := j
 			for j < len(sorted[i]) && key(sorted[i][j]) == kk {
 				j++
 			}
-			local[i][kk] = localRun{Start: start, Count: j - start}
 			reports[i] = append(reports[i], runRec{Key: kk, Count: j - start})
 		}
 	})
@@ -84,57 +78,54 @@ func Arrange[T any](
 		return nil, err
 	}
 	// Delivery is in machine order over globally sorted data, so a key is
-	// first seen in ascending order: keys needs no sort.
-	runs := make(map[int64][]RunPart)
-	var keys []int64
+	// first seen in ascending order, and a run continuing on the next machine
+	// continues the last key: keys needs no sort.
+	a := &Arranged[T]{Data: sorted, key: key, itemWords: itemWords}
 	for _, m := range inLarge {
 		recs, ok := m.Data.([]runRec)
 		if !ok {
 			return nil, fmt.Errorf("prims: unexpected run report %T", m.Data)
 		}
 		for _, r := range recs {
-			if len(runs[r.Key]) == 0 {
-				keys = append(keys, r.Key)
+			if n := len(a.Keys); n == 0 || a.Keys[n-1] != r.Key {
+				a.Keys, a.at = append(a.Keys, r.Key), append(a.at, len(a.parts))
 			}
-			runs[r.Key] = append(runs[r.Key], RunPart{Machine: m.From, Count: r.Count})
+			a.parts = append(a.parts, RunPart{Machine: m.From, Count: r.Count})
 		}
 	}
-	return &Arranged[T]{
-		Data:      sorted,
-		Keys:      keys,
-		Runs:      runs,
-		key:       key,
-		itemWords: itemWords,
-		local:     local,
-	}, nil
+	a.at = append(a.at, len(a.parts))
+	return a, nil
 }
 
-// Degree returns the total run length of key (the out-degree in the directed
-// edge arrangements), from the large machine's view.
-func (a *Arranged[T]) Degree(key int64) int {
+// runOf returns the run decomposition of Keys[p].
+func (a *Arranged[T]) runOf(p int) []RunPart { return a.parts[a.at[p]:a.at[p+1]] }
+
+// Degree returns the total run length of Keys[p] (the out-degree in the
+// directed edge arrangements), from the large machine's view.
+func (a *Arranged[T]) Degree(p int) int {
 	d := 0
-	for _, p := range a.Runs[key] {
-		d += p.Count
+	for _, part := range a.runOf(p) {
+		d += part.Count
 	}
 	return d
 }
 
-// CollectBudget implements the collection pattern of §3 and §5: for each
-// key, the large machine requests the first budget(key) items of the key's
-// global run (they are the lightest, since runs are sorted) and returns them
-// per key, in global order. Two rounds: queries out, items back. The caller
-// is responsible for Σ budgets fitting the large machine (the paper's
-// O(n log n) bound).
-func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(key int64) int) (map[int64][]T, error) {
+// CollectBudget implements the collection pattern of §3 and §5: for the key
+// at each position p of Keys, the large machine requests the first budget(p)
+// items of the key's global run (they are the lightest, since runs are
+// sorted) and returns them at position p, in global order. Two rounds:
+// queries out, items back. The caller is responsible for Σ budgets fitting
+// the large machine (the paper's O(n log n) bound).
+func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][]T, error) {
 	k := c.K()
 	type query struct {
 		Key  int64
 		Take int
 	}
 	queries := make([][]query, k)
-	for _, kk := range a.Keys {
-		want := budget(kk)
-		for _, part := range a.Runs[kk] {
+	for p, kk := range a.Keys {
+		want := budget(p)
+		for _, part := range a.runOf(p) {
 			if want <= 0 {
 				break
 			}
@@ -157,7 +148,9 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(key int64) int) 
 	if err != nil {
 		return nil, err
 	}
-	// Machines answer with the first Take items of each queried run.
+	// Machines answer with the first Take items of each queried run: queries
+	// and runs both ascend by key, so one walk over the machine's items finds
+	// them.
 	type reply struct {
 		Key   int64
 		Items []T
@@ -170,19 +163,15 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(key int64) int) 
 				return fmt.Errorf("prims: unexpected query payload %T", m.Data)
 			}
 			var replies []reply
-			words := 0
+			words, data := 0, a.Data[i]
 			for _, q := range qs {
-				run, ok := a.local[i][q.Key]
-				if !ok {
-					continue
+				// The query is cut from this machine's report of the run:
+				// the run is here, at least Take long.
+				for a.key(data[0]) < q.Key {
+					data = data[1:]
 				}
-				take := q.Take
-				if take > run.Count {
-					take = run.Count
-				}
-				items := a.Data[i][run.Start : run.Start+take]
-				replies = append(replies, reply{Key: q.Key, Items: items})
-				words += 1 + take*a.itemWords
+				replies = append(replies, reply{Key: q.Key, Items: data[:q.Take]})
+				words += 1 + q.Take*a.itemWords
 			}
 			if len(replies) > 0 {
 				outs[i] = append(outs[i], mpc.Msg{To: mpc.Large, Words: words, Data: replies})
@@ -196,14 +185,19 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(key int64) int) 
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int64][]T, len(a.Keys))
-	for _, m := range inLarge { // machine order == run order per key
+	// Machine order is run order per key, and every machine's replies ascend
+	// by key, each a key of Keys: one walk over Keys places them.
+	out, p := make([][]T, len(a.Keys)), 0
+	for _, m := range inLarge {
 		replies, ok := m.Data.([]reply)
 		if !ok {
 			return nil, fmt.Errorf("prims: unexpected collect payload %T", m.Data)
 		}
 		for _, r := range replies {
-			out[r.Key] = append(out[r.Key], r.Items...)
+			for a.Keys[p] < r.Key {
+				p++
+			}
+			out[p] = append(out[p], r.Items...)
 		}
 	}
 	return out, nil

@@ -302,74 +302,6 @@ func applyPermIdx[T any](items []T, perm []int32) {
 // passes × 256 digits of int32 counts).
 var countsPool = sync.Pool{New: func() any { return new([]int32) }}
 
-// u64Pool recycles the flipped-word scratch of SortInts.
-var u64Pool = sync.Pool{New: func() any { return new([]uint64) }}
-
-// SortInts sorts xs ascending. It is the plain-int64 sibling of the
-// SortLocal kernel: the engine's map-drain loops (collect keys, sort,
-// iterate deterministically) sit on the per-round hot path of every
-// algorithm, so they get the same byte-skipping LSD radix treatment —
-// bias-flipped words, OR/AND vary masks, fused histograms, pooled scratch.
-// Below the radix cutoff it is exactly slices.Sort; equivalence is pinned
-// by TestSortIntsMatchesSlices.
-func SortInts(xs []int64) {
-	n := len(xs)
-	if n < radixCutoff {
-		slices.Sort(xs)
-		return
-	}
-	const flip = 1 << 63
-	up := u64Pool.Get().(*[]uint64)
-	buf := window(up, 2*n)
-	src, dst := buf[:n], buf[n:]
-	var or uint64
-	and := ^uint64(0)
-	for i, x := range xs {
-		u := uint64(x) ^ flip
-		src[i] = u
-		or |= u
-		and &= u
-	}
-	vary := or ^ and
-	var shifts [8]uint
-	np := 0
-	for s := uint(0); s < 64; s += 8 {
-		if (vary>>s)&0xff != 0 {
-			shifts[np] = s
-			np++
-		}
-	}
-	if np == 0 {
-		// All values equal: xs is already sorted.
-		u64Pool.Put(up)
-		return
-	}
-	hp := countsPool.Get().(*[]int32)
-	counts := window(hp, np*256)
-	clear(counts)
-	for _, u := range src {
-		for p := 0; p < np; p++ {
-			counts[p<<8|int((u>>shifts[p])&0xff)]++
-		}
-	}
-	for p := 0; p < np; p++ {
-		cp := counts[p<<8 : p<<8+256]
-		prefixSum(cp)
-		shift := shifts[p]
-		for _, u := range src {
-			d := (u >> shift) & 0xff
-			dst[cp[d]] = u
-			cp[d]++
-		}
-		src, dst = dst, src
-	}
-	for i, u := range src {
-		xs[i] = int64(u ^ flip)
-	}
-	countsPool.Put(hp)
-	u64Pool.Put(up)
-}
-
 // applyPerm rearranges items so that items[i] = old items[kb[i].idx],
 // following permutation cycles in place with O(1) extra space; visited
 // entries are marked by bit-complementing their idx (kb is scratch and is

@@ -399,53 +399,6 @@ func TestSortKernelPackedPaths(t *testing.T) {
 	}
 }
 
-// TestSortIntsMatchesSlices pins the int64 radix kernel against slices.Sort
-// across sizes straddling the radix cutoff, negative values (bias flip),
-// duplicates, and all-equal inputs.
-func TestSortIntsMatchesSlices(t *testing.T) {
-	rng := xrand.New(41)
-	for _, n := range []int{0, 1, 2, 95, 96, 97, 1000, 4096} {
-		for _, gen := range []func() int64{
-			func() int64 { return int64(rng.Uint64()) },              // full range incl. negatives
-			func() int64 { return int64(rng.Uint64()%64) - 32 },      // small signed range, duplicates
-			func() int64 { return 7 },                                // all equal
-			func() int64 { return int64(rng.Uint64() & 0xffff00ff) }, // sparse varying bytes
-		} {
-			xs := make([]int64, n)
-			for i := range xs {
-				xs[i] = gen()
-			}
-			want := slices.Clone(xs)
-			slices.Sort(want)
-			SortInts(xs)
-			if !slices.Equal(xs, want) {
-				t.Fatalf("n=%d: SortInts diverges from slices.Sort", n)
-			}
-		}
-	}
-}
-
-// TestSortIntsSteadyStateAllocs pins the pooled SortInts scratch: warm-pool
-// calls allocate nothing.
-func TestSortIntsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are nondeterministic under the race detector")
-	}
-	rng := xrand.New(43)
-	items := make([]int64, 8192)
-	for i := range items {
-		items[i] = int64(rng.Uint64())
-	}
-	scratch := slices.Clone(items)
-	SortInts(scratch) // warm the pool
-	if got := testing.AllocsPerRun(20, func() {
-		copy(scratch, items)
-		SortInts(scratch)
-	}); got != 0 {
-		t.Errorf("steady-state SortInts allocates %v per call, want 0", got)
-	}
-}
-
 // mapCombine is the local-combine oracle: fold every item into a map in
 // input order, then sort the distinct keys.
 func mapCombine[V any](items []KV[V], combine func(a, b V) V) []KV[V] {
@@ -541,7 +494,7 @@ func checkAggregate(t *testing.T, c *mpc.Cluster, items [][]KV[[]int64], vwords 
 		partials[i] = mapCombine(items[i], combine)
 	}
 	want := mapCombine(Flatten(items), combine)
-	roots, atLarge, err := AggregateByKey(c, items, vwords, combine, gather)
+	roots, err := AggregateByKey(c, items, vwords, combine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,16 +520,15 @@ func checkAggregate(t *testing.T, c *mpc.Cluster, items [][]KV[[]int64], vwords 
 		}
 	}
 	if gather {
-		if len(atLarge) != len(final) {
-			t.Fatalf("atLarge holds %d keys, roots %d", len(atLarge), len(final))
+		// The roots reach the large machine as they stand: the same pairs,
+		// in the same order.
+		atLarge, err := GatherKVs(c, roots, func([]int64) int { return vwords })
+		if err != nil {
+			t.Fatal(err)
 		}
-		for key, v := range final {
-			if !slices.Equal(atLarge[key], v) {
-				t.Fatalf("atLarge[%d] = %v, root %v", key, atLarge[key], v)
-			}
+		if !reflect.DeepEqual(atLarge, got) {
+			t.Fatalf("GatherKVs of the roots gives %v, the roots %v", atLarge, got)
 		}
-	} else if atLarge != nil {
-		t.Fatal("atLarge built without gatherLarge")
 	}
 	for i := range partials {
 		for _, kv := range partials[i] {

@@ -181,25 +181,14 @@ func lenAt[T any](data [][]T, i int) int {
 	return 0
 }
 
-// SortedKVs returns m's entries as a KV slice sorted by key: PlanBroadcast's
-// large values from a map, in an order that does not depend on the map's.
-func SortedKVs[V any](m map[int64]V) []KV[V] {
-	kvs := make([]KV[V], 0, len(m))
-	for key, v := range m {
-		kvs = append(kvs, KV[V]{K: key, V: v})
-	}
-	SortKVsByKey(kvs)
-	return kvs
-}
-
 // DisseminateFromLarge is Claim 3 for a request set used once, with every
-// value on the large machine: machine i needs the keys in needs[i], and the
-// Answers hold, in its slot s, the value of needs[i][s] if it has one. It is
-// NewPlan of needs and one PlanBroadcast of values over it, so it charges a
-// Sort, the scatter round, treeDepth(K, b) tree rounds and the answer round.
-// Values without a large machine are refused with mpc.ErrNeedsLarge before
-// any round.
-func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int64]V, vwords int) (Answers[V], error) {
+// value on the large machine, in values by key: machine i needs the keys in
+// needs[i], and the Answers hold, in its slot s, the value of needs[i][s] if
+// it has one. It is NewPlan of needs and one PlanBroadcast of values over it,
+// so it charges a Sort, the scatter round, treeDepth(K, b) tree rounds and
+// the answer round. Values without a large machine are refused with
+// mpc.ErrNeedsLarge before any round.
+func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values []KV[V], vwords int) (Answers[V], error) {
 	if len(values) > 0 && !c.HasLarge() {
 		return Answers[V]{}, fmt.Errorf("prims: DisseminateFromLarge: %w", mpc.ErrNeedsLarge)
 	}
@@ -207,7 +196,7 @@ func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values map[int
 	if err != nil {
 		return Answers[V]{}, err
 	}
-	return PlanBroadcast(c, p, nil, SortedKVs(values), vwords)
+	return PlanBroadcast(c, p, nil, values, vwords)
 }
 
 // PlanBroadcast implements Claim 3 over a plan, with no Sort: small[i] must

@@ -145,7 +145,7 @@ func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 				}
 			}
 		}
-		aggRoots, _, err := AggregateByKey(c, in.items, 1, cb.combine, false)
+		aggRoots, err := AggregateByKey(c, in.items, 1, cb.combine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestPlanBroadcastDuplicateValuesFirstWins(t *testing.T) {
 // needs-large primitive refuses, before NewPlan's Sort is charged.
 func TestDisseminateLargeValuesNeedLarge(t *testing.T) {
 	c := newCluster(t, 256, 2048, true)
-	_, err := DisseminateFromLarge(c, [][]int64{{7}}, map[int64]int64{7: 1}, 1)
+	_, err := DisseminateFromLarge(c, [][]int64{{7}}, []KV[int64]{{K: 7, V: 1}}, 1)
 	if !errors.Is(err, mpc.ErrNeedsLarge) {
 		t.Fatalf("err = %v, want ErrNeedsLarge", err)
 	}
@@ -392,10 +392,10 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 			t.Fatalf("%s: tree depth %d, want at least %d", tc.name, depth, tc.minDepth)
 		}
 		_, needs := dupValues(k)
-		values := map[int64]int64{}
+		var values []KV[int64]
 		if tc.values {
 			for x := int64(0); x < 3*k; x++ {
-				values[x] = x
+				values = append(values, KV[int64]{K: x, V: x})
 			}
 		}
 		keys := make([][]SortKey, k) // the request items' sort keys
@@ -417,7 +417,7 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		sameAnswers(t, tc.name, got, needs, oracle(needs, SortedKVs(values)))
+		sameAnswers(t, tc.name, got, needs, oracle(needs, values))
 		if used := c.Rounds() - before; used != want {
 			t.Errorf("%s: DisseminateFromLarge charged %d rounds, want %d (one Sort + scatter + %d tree + 1 answer)", tc.name, used, want, depth)
 		}
@@ -433,8 +433,7 @@ func TestAnswersLookup(t *testing.T) {
 	k := c.K()
 	needs := make([][]int64, k) // machine 0 requests nothing
 	needs[1], needs[2] = []int64{3, 5, 9}, []int64{5, 7}
-	values := map[int64]int64{3: 30, 5: 50, 9: 90}
-	got, err := DisseminateFromLarge(c, needs, values, 1)
+	got, err := DisseminateFromLarge(c, needs, []KV[int64]{{K: 3, V: 30}, {K: 5, V: 50}, {K: 9, V: 90}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +467,7 @@ func TestPlanBroadcastRefusesRepeatedRequest(t *testing.T) {
 		needs := make([][]int64, c.K())
 		needs[1] = bad
 		before := c.Stats()
-		if _, err := DisseminateFromLarge(c, needs, map[int64]int64{5: 50}, 1); !errors.Is(err, ErrNeedsOrder) {
+		if _, err := DisseminateFromLarge(c, needs, []KV[int64]{{K: 5, V: 50}}, 1); !errors.Is(err, ErrNeedsOrder) {
 			t.Fatalf("needs %v: err = %v, want ErrNeedsOrder", bad, err)
 		} else if strings.Count(err.Error(), "prims:") != 1 {
 			t.Errorf("needs %v: %q repeats its prefix", bad, err)

@@ -10,11 +10,12 @@
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
 //     key is the aggregation key alone, so a key's ≤ K partials meet on one
 //     machine and no tree is needed (or charged); results are per machine a
-//     sorted run of (key, value), optionally gathered to the large machine
-//     (AggregateByKey). Over a Plan of keys the machines request there is no
-//     sort: each partial goes to the bucket its machine's own request for the
-//     key went to, and one span-up round folds a span's partials into its
-//     root (PlanCombine), where Claim 3 reads them;
+//     sorted run of (key, value) (AggregateByKey), which GatherKVs brings to
+//     the large machine as one key-sorted slab. Over a Plan of keys the
+//     machines request there is no sort: each partial goes to the bucket its
+//     machine's own request for the key went to, and one span-up round folds
+//     a span's partials into its root (PlanCombine), where Claim 3 reads
+//     them;
 //   - Claim 3 (Dissemination): one form. A request set is sorted once by
 //     (x, 1, requester) into a Plan (NewPlan), so a key's values have one
 //     machine, its root, the bucket of (x, 0, 0); the spans a machine sits

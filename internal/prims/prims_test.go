@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -228,11 +229,11 @@ func TestDeepTrees(t *testing.T) {
 			if bcast, err = BroadcastValue(c, wide{55}, vwords+1); err != nil {
 				t.Fatal(err)
 			}
-			roots, _, err := AggregateByKey(c, items, vwords, func(a, b wide) wide {
+			roots, err := AggregateByKey(c, items, vwords, func(a, b wide) wide {
 				a[0] += b[0]
 				a[1] += b[1]
 				return a
-			}, false)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,8 +426,7 @@ func TestAggregateByKeySums(t *testing.T) {
 				want[k] += v
 			}
 		}
-		roots, atLarge, err := AggregateByKey(c, items, 1,
-			func(a, b int64) int64 { return a + b }, !noLarge)
+		roots, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,10 +448,17 @@ func TestAggregateByKeySums(t *testing.T) {
 			}
 		}
 		if !noLarge {
-			for k, v := range want {
-				if atLarge[k] != v {
-					t.Fatalf("atLarge key %d: got %d want %d", k, atLarge[k], v)
+			atLarge, err := GatherKVs(c, roots, func(int64) int { return 1 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range atLarge {
+				if want[kv.K] != kv.V {
+					t.Fatalf("atLarge key %d: got %d want %d", kv.K, kv.V, want[kv.K])
 				}
+			}
+			if len(atLarge) != len(want) {
+				t.Fatalf("atLarge holds %d keys, want %d", len(atLarge), len(want))
 			}
 		}
 	}
@@ -464,19 +471,17 @@ func TestAggregateByKeyMin(t *testing.T) {
 	for i := range items {
 		items[i] = append(items[i], KV[int64]{K: 9, V: int64(1000 - i)})
 	}
-	_, atLarge, err := AggregateByKey(c, items, 1,
-		func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		}, true)
+	roots, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return min(a, b) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(1000 - (c.K() - 1))
-	if atLarge[9] != want {
-		t.Fatalf("min = %d, want %d", atLarge[9], want)
+	atLarge, err := GatherKVs(c, roots, func(int64) int { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []KV[int64]{{K: 9, V: int64(1000 - (c.K() - 1))}}
+	if !slices.Equal(atLarge, want) {
+		t.Fatalf("atLarge = %v, want %v", atLarge, want)
 	}
 }
 
@@ -484,9 +489,9 @@ func TestAggregateByKeyMin(t *testing.T) {
 // oracle answers it, keys with no value included.
 func TestDisseminateFromLarge(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
-	values := map[int64]int64{}
+	var values []KV[int64]
 	for k := int64(0); k < 200; k++ {
-		values[k] = k * 10
+		values = append(values, KV[int64]{K: k, V: k * 10})
 	}
 	rng := xrand.New(5)
 	needs := make([][]int64, c.K())
@@ -500,7 +505,7 @@ func TestDisseminateFromLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, "FromLarge", got, needs, oracle(needs, SortedKVs(values)))
+	sameAnswers(t, "FromLarge", got, needs, oracle(needs, values))
 }
 
 // TestPlanBroadcastDistributedValues: a value held by a small machine — its
@@ -526,56 +531,51 @@ func TestPlanBroadcastDistributedValues(t *testing.T) {
 	}
 }
 
+// TestArrangeAndCollectBudget: the run index gives every vertex's degree at
+// its position in Keys, and CollectBudget returns, at each position, the
+// budget(position) lightest out-edges of that key — as a map from each vertex
+// to its sorted out-edges says, budgets of zero and past the degree included.
 func TestArrangeAndCollectBudget(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
 	g := graph.GNMWeighted(100, 600, 9)
 	// Directed duplication sorted by (source, weight) — the §3 arrangement.
 	dir := make([][]graph.Edge, c.K())
+	out := map[int64][]graph.Edge{} // the oracle: every vertex's out-edges
 	for j, e := range g.Edges {
 		m := j % c.K()
+		back := graph.Edge{U: e.V, V: e.U, W: e.W}
 		dir[m] = append(dir[m], e)
-		dir[(j+1)%c.K()] = append(dir[(j+1)%c.K()], graph.Edge{U: e.V, V: e.U, W: e.W})
+		dir[(j+1)%c.K()] = append(dir[(j+1)%c.K()], back)
+		out[int64(e.U)] = append(out[int64(e.U)], e)
+		out[int64(e.V)] = append(out[int64(e.V)], back)
 	}
 	sortKey := func(e graph.Edge) SortKey { return SortKey{A: int64(e.U), B: e.W, C: int64(e.V)} }
 	arr, err := Arrange(c, dir, sortKey, EdgeWords)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Degrees from the run index must match the real degrees.
-	deg := g.Degrees()
-	for v := 0; v < g.N; v++ {
-		if got := arr.Degree(int64(v)); got != deg[v] {
-			t.Fatalf("degree of %d: got %d want %d", v, got, deg[v])
+	if len(arr.Keys) != len(out) {
+		t.Fatalf("%d keys arranged, %d vertices have an edge", len(arr.Keys), len(out))
+	}
+	for p, key := range arr.Keys {
+		if got := arr.Degree(p); got != len(out[key]) {
+			t.Fatalf("degree of %d at position %d: got %d want %d", key, p, got, len(out[key]))
 		}
 	}
-	// Collect the 3 lightest out-edges of every vertex.
-	collected, err := arr.CollectBudget(c, func(key int64) int { return 3 })
+	budget := func(p int) int { return p % 5 }
+	collected, err := arr.CollectBudget(c, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := g.Adj()
-	for v := 0; v < g.N; v++ {
-		items := collected[int64(v)]
-		wantN := 3
-		if deg[v] < 3 {
-			wantN = deg[v]
-		}
-		if len(items) != wantN {
-			t.Fatalf("vertex %d: collected %d, want %d", v, len(items), wantN)
-		}
-		// They must be the lightest.
-		ws := make([]int64, 0, len(adj[v]))
-		for _, h := range adj[v] {
-			ws = append(ws, h.W)
-		}
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		for x, it := range items {
-			if it.W != ws[x] {
-				t.Fatalf("vertex %d item %d: weight %d want %d", v, x, it.W, ws[x])
-			}
-			if it.U != v {
-				t.Fatalf("vertex %d: collected foreign edge %v", v, it)
-			}
+	if len(collected) != len(arr.Keys) {
+		t.Fatalf("collected %d lists for %d keys", len(collected), len(arr.Keys))
+	}
+	for p, key := range arr.Keys {
+		want := out[key]
+		slices.SortFunc(want, func(a, b graph.Edge) int { return sortKey(a).Compare(sortKey(b)) })
+		want = want[:min(budget(p), len(want))]
+		if !slices.Equal(collected[p], want) && len(want)+len(collected[p]) > 0 {
+			t.Fatalf("key %d at position %d: collected %v, want %v", key, p, collected[p], want)
 		}
 	}
 }
@@ -626,7 +626,7 @@ func TestArrangeKeysAscendUnsorted(t *testing.T) {
 		if j > 0 && key <= arr.Keys[j-1] {
 			t.Fatalf("Keys[%d] = %d after %d", j, key, arr.Keys[j-1])
 		}
-		parts := arr.Runs[key]
+		parts := arr.runOf(j)
 		if len(parts) > 1 {
 			straddles++
 		}
@@ -635,8 +635,8 @@ func TestArrangeKeysAscendUnsorted(t *testing.T) {
 				t.Fatalf("key %d: run parts %v out of machine order", key, parts)
 			}
 		}
-		if arr.Degree(key) != count[key] {
-			t.Fatalf("key %d: run index counts %d items, input holds %d", key, arr.Degree(key), count[key])
+		if arr.Degree(j) != count[key] {
+			t.Fatalf("key %d: run index counts %d items, input holds %d", key, arr.Degree(j), count[key])
 		}
 	}
 	if straddles == 0 || empties == 0 {
@@ -674,7 +674,11 @@ func TestPrimitivesRoundCountsConstant(t *testing.T) {
 		items[i] = []KV[int64]{{K: int64(i % 17), V: 1}}
 	}
 	before := c.Rounds()
-	if _, _, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b }, true); err != nil {
+	roots, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GatherKVs(c, roots, func(int64) int { return 1 }); err != nil {
 		t.Fatal(err)
 	}
 	if used := c.Rounds() - before; used > 25 {
@@ -685,7 +689,7 @@ func TestPrimitivesRoundCountsConstant(t *testing.T) {
 		needs[i] = []int64{int64(i % 17)}
 	}
 	before = c.Rounds()
-	if _, err := DisseminateFromLarge(c, needs, map[int64]int64{0: 1, 5: 2, 16: 3}, 1); err != nil {
+	if _, err := DisseminateFromLarge(c, needs, []KV[int64]{{K: 0, V: 1}, {K: 5, V: 2}, {K: 16, V: 3}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if used := c.Rounds() - before; used > 25 {

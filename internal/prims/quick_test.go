@@ -87,7 +87,7 @@ func TestAggregateQuick(t *testing.T) {
 				want[k] += v
 			}
 		}
-		roots, _, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b }, false)
+		roots, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b })
 		if err != nil {
 			return false
 		}
@@ -126,10 +126,10 @@ func TestDisseminateQuick(t *testing.T) {
 			return false
 		}
 		rng := xrand.New(seed + 9)
-		values := map[int64]int64{}
+		var values []KV[int64]
 		for k := int64(0); k < 30; k++ {
 			if rng.IntN(2) == 0 {
-				values[k] = rng.Int64N(1 << 30)
+				values = append(values, KV[int64]{K: k, V: rng.Int64N(1 << 30)})
 			}
 		}
 		needs := make([][]int64, c.K())
@@ -143,7 +143,7 @@ func TestDisseminateQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := oracle(needs, SortedKVs(values))
+		want := oracle(needs, values)
 		for i := range want {
 			if !maps.Equal(answerMap(got, i, needs[i]), want[i]) {
 				return false

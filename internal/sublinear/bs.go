@@ -184,13 +184,13 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 				}
 			}
 		})
-		remRoots, _, err := prims.AggregateByKey(c, remItems, 4,
+		remRoots, err := prims.AggregateByKey(c, remItems, 4,
 			func(a, b remVal) remVal {
 				if b.U < a.U {
 					return b
 				}
 				return a
-			}, false)
+			})
 		if err != nil {
 			return nil, err
 		}
