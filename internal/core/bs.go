@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"hetmpc/internal/graph"
 )
@@ -30,15 +29,16 @@ func (t *bsTables) removalLevel(v int) int {
 }
 
 // bsPhase1 runs lines 1–15 of Algorithm 2 (ModifiedBaswanaSen) locally:
-// given the sampled subgraphs G_1..G_k as adjacency maps, it computes the
+// given the sampled subgraphs G_1..G_k as adjacency lists, it computes the
 // cluster tables and the re-clustering spanner edges. With every G_i equal
 // to the full graph this is exactly lines 1–15 of the original Baswana-Sen
 // (Algorithm 1).
 //
 // vertices lists the (cluster) vertex ids in play; centerProb is the
-// per-level center survival probability 1/r^{1/k}. sampledAdj[i] maps vertex
-// → neighbors in G_{i+1} (i.e. index 0 holds G_1). Each neighbor entry
-// carries the original graph edge to be added to the spanner when used.
+// per-level center survival probability 1/r^{1/k}. sampledAdj[i][v] lists
+// v's neighbors in G_{i+1} (i.e. index 0 holds G_1); every list has one
+// entry per id, which sizes the tables. Each neighbor entry carries the
+// original graph edge to be added to the spanner when used.
 type bsHalf struct {
 	To   int
 	Orig graph.Edge
@@ -46,33 +46,15 @@ type bsHalf struct {
 
 func bsPhase1(
 	vertices []int,
-	sampledAdj []map[int][]bsHalf,
+	sampledAdj [][][]bsHalf,
 	k int,
 	centerProb float64,
 	rng *rand.Rand,
 ) (*bsTables, []graph.Edge) {
+	bound := len(sampledAdj[0])
 	t := &bsTables{K: k, Centers: make([][]int, k+1)}
-	maxID := 0
-	for _, v := range vertices {
-		if v+1 > maxID {
-			maxID = v + 1
-		}
-	}
-	for _, a := range sampledAdj {
-		//hetlint:sorted a maximum over the entries does not depend on their order
-		for v, hs := range a {
-			if v+1 > maxID {
-				maxID = v + 1
-			}
-			for _, h := range hs {
-				if h.To+1 > maxID {
-					maxID = h.To + 1
-				}
-			}
-		}
-	}
 	for i := range t.Centers {
-		t.Centers[i] = make([]int, maxID)
+		t.Centers[i] = make([]int, bound)
 		for j := range t.Centers[i] {
 			t.Centers[i][j] = -1
 		}
@@ -83,24 +65,19 @@ func bsPhase1(
 	var spanner []graph.Edge
 
 	// Centers kept as a sorted slice so the per-center coin flips are
-	// deterministic for a given rng state.
+	// deterministic for a given rng state. survives[c] marks C_i among
+	// C_{i-1}; every center read at level i is in C_{i-1}.
 	centers := make([]int, len(vertices))
 	copy(centers, vertices)
-	sort.Ints(centers)
-	isCenter := make(map[int]bool, len(centers))
-	for _, v := range centers {
-		isCenter[v] = true // C_0 = V
-	}
+	slices.Sort(centers)
+	survives := make([]bool, bound)
 	for i := 1; i <= k; i++ {
 		// Sample C_i from C_{i-1}.
-		next := make(map[int]bool, len(isCenter))
 		var nextList []int
-		if i < k {
-			for _, c := range centers {
-				if rng.Float64() < centerProb {
-					next[c] = true
-					nextList = append(nextList, c)
-				}
+		for _, c := range centers {
+			survives[c] = i < k && rng.Float64() < centerProb
+			if survives[c] {
+				nextList = append(nextList, c)
 			}
 		}
 		adj := sampledAdj[i-1]
@@ -109,7 +86,7 @@ func bsPhase1(
 			if cv < 0 {
 				continue
 			}
-			if next[cv] {
+			if survives[cv] {
 				t.Centers[i][v] = cv
 				continue
 			}
@@ -119,7 +96,7 @@ func bsPhase1(
 			var bestEdge graph.Edge
 			for _, h := range adj[v] {
 				cu := t.Centers[i-1][h.To]
-				if cu >= 0 && next[cu] && (bestU < 0 || h.To < bestU) {
+				if cu >= 0 && survives[cu] && (bestU < 0 || h.To < bestU) {
 					bestU = h.To
 					bestEdge = h.Orig
 				}
@@ -131,7 +108,6 @@ func bsPhase1(
 			// else: v becomes unclustered at level i (lines 16-18 happen
 			// elsewhere, on the full neighborhood).
 		}
-		isCenter = next
 		centers = nextList
 	}
 	return t, spanner
@@ -141,11 +117,18 @@ func bsPhase1(
 // every vertex v removed at level i, add one edge to each adjacent
 // level-(i-1) cluster (choosing the smallest-id neighbor per cluster,
 // excluding v's own former cluster).
-func bsRemovalEdges(t *bsTables, vertices []int, fullAdj map[int][]bsHalf) []graph.Edge {
+func bsRemovalEdges(t *bsTables, vertices []int, fullAdj [][]bsHalf) []graph.Edge {
+	// best[c] is the pick for adjacent cluster c (u = -1: none yet); the
+	// clusters touched for one v are listed in cs and reset after it.
 	type pick struct {
 		u    int
 		edge graph.Edge
 	}
+	best := make([]pick, len(fullAdj))
+	for c := range best {
+		best[c].u = -1
+	}
+	var cs []int
 	var out []graph.Edge
 	for _, v := range vertices {
 		i := t.removalLevel(v)
@@ -153,26 +136,53 @@ func bsRemovalEdges(t *bsTables, vertices []int, fullAdj map[int][]bsHalf) []gra
 			continue
 		}
 		own := t.Centers[i-1][v]
-		best := make(map[int]pick)
 		for _, h := range fullAdj[v] {
 			c := t.Centers[i-1][h.To]
 			if c < 0 || c == own {
 				continue
 			}
-			if p, ok := best[c]; !ok || h.To < p.u {
+			if best[c].u < 0 {
+				cs = append(cs, c)
+			}
+			if best[c].u < 0 || h.To < best[c].u {
 				best[c] = pick{u: h.To, edge: h.Orig}
 			}
 		}
-		cs := make([]int, 0, len(best))
-		for c := range best {
-			cs = append(cs, c)
-		}
-		sort.Ints(cs)
+		slices.Sort(cs)
 		for _, c := range cs {
 			out = append(out, best[c].edge)
+			best[c].u = -1
 		}
+		cs = cs[:0]
 	}
 	return out
+}
+
+// bsAdjacency lists each id's neighbors over edges, one list per id below
+// bound, asking keep (when non-nil) once per edge in edge order whether the
+// edge is in.
+func bsAdjacency(bound int, edges []clusterEdge, keep func() bool) [][]bsHalf {
+	adj := make([][]bsHalf, bound)
+	for _, e := range edges {
+		if keep == nil || keep() {
+			adj[e.U] = append(adj[e.U], bsHalf{To: e.V, Orig: e.Orig})
+			adj[e.V] = append(adj[e.V], bsHalf{To: e.U, Orig: e.Orig})
+		}
+	}
+	return adj
+}
+
+// clusterIDBound is one more than the largest id among vertices and the
+// edges' endpoints.
+func clusterIDBound(vertices []int, edges []clusterEdge) int {
+	bound := 0
+	for _, v := range vertices {
+		bound = max(bound, v+1)
+	}
+	for _, e := range edges {
+		bound = max(bound, e.U+1, e.V+1)
+	}
+	return bound
 }
 
 // baswanaSenLocal computes a (2k-1)-spanner of the unweighted graph given by
@@ -181,22 +191,7 @@ func bsRemovalEdges(t *bsTables, vertices []int, fullAdj map[int][]bsHalf) []gra
 // "original Baswana-Sen" reference). Every edge carries its original-graph
 // edge; the returned spanner consists of original edges.
 func baswanaSenLocal(vertices []int, edges []clusterEdge, k int, rng *rand.Rand) []graph.Edge {
-	if k < 1 {
-		k = 1
-	}
-	adj := make(map[int][]bsHalf, len(vertices))
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], bsHalf{To: e.V, Orig: e.Orig})
-		adj[e.V] = append(adj[e.V], bsHalf{To: e.U, Orig: e.Orig})
-	}
-	sampled := make([]map[int][]bsHalf, k)
-	for i := range sampled {
-		sampled[i] = adj // original BS: N_i(v) = N(v)
-	}
-	prob := 1 / math.Pow(float64(max(2, len(vertices))), 1/float64(k))
-	t, reclust := bsPhase1(vertices, sampled, k, prob, rng)
-	removal := bsRemovalEdges(t, vertices, adj)
-	return dedupeEdges(append(reclust, removal...))
+	return localBaswanaSen(vertices, edges, k, nil, rng)
 }
 
 // modifiedBaswanaSenLocal is Algorithm 2 run entirely locally, sampling each
@@ -204,25 +199,28 @@ func baswanaSenLocal(vertices []int, edges []clusterEdge, k int, rng *rand.Rand)
 // spanner is still a (2k-1)-spanner but with O(k·r^{1+1/k}/p) expected edges
 // (Lemma 4.3).
 func modifiedBaswanaSenLocal(vertices []int, edges []clusterEdge, k int, p float64, rng *rand.Rand) []graph.Edge {
-	adj := make(map[int][]bsHalf, len(vertices))
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], bsHalf{To: e.V, Orig: e.Orig})
-		adj[e.V] = append(adj[e.V], bsHalf{To: e.U, Orig: e.Orig})
-	}
-	sampled := make([]map[int][]bsHalf, k)
+	return localBaswanaSen(vertices, edges, k, func() bool { return rng.Float64() < p }, rng)
+}
+
+// localBaswanaSen runs Algorithm 2 with G_i drawn edge by edge through keep,
+// or G_i = G for every i when keep is nil (the original Baswana-Sen). k < 1
+// runs as k = 1.
+func localBaswanaSen(vertices []int, edges []clusterEdge, k int, keep func() bool, rng *rand.Rand) []graph.Edge {
+	k = max(k, 1)
+	bound := clusterIDBound(vertices, edges)
+	adj := bsAdjacency(bound, edges, nil)
+	sampled := make([][][]bsHalf, k)
 	for i := range sampled {
-		sampled[i] = make(map[int][]bsHalf)
-		for _, e := range edges {
-			if rng.Float64() < p {
-				sampled[i][e.U] = append(sampled[i][e.U], bsHalf{To: e.V, Orig: e.Orig})
-				sampled[i][e.V] = append(sampled[i][e.V], bsHalf{To: e.U, Orig: e.Orig})
-			}
+		if keep == nil {
+			sampled[i] = adj // original BS: N_i(v) = N(v)
+		} else {
+			sampled[i] = bsAdjacency(bound, edges, keep)
 		}
 	}
 	prob := 1 / math.Pow(float64(max(2, len(vertices))), 1/float64(k))
 	t, reclust := bsPhase1(vertices, sampled, k, prob, rng)
 	removal := bsRemovalEdges(t, vertices, adj)
-	return dedupeEdges(append(reclust, removal...))
+	return graph.DedupEdges(append(reclust, removal...))
 }
 
 // clusterEdge is an edge of a clustering graph A_i: endpoints are cluster
@@ -239,20 +237,7 @@ const clusterEdgeWords = 5
 // exceeds 2k-1), using depth-limited BFS with timestamps. Size is
 // O(r^{1+1/k}) by the girth argument. Returns the attached original edges.
 func greedySpanner(vertices []int, edges []clusterEdge, k int) []graph.Edge {
-	maxID := 0
-	for _, v := range vertices {
-		if v+1 > maxID {
-			maxID = v + 1
-		}
-	}
-	for _, e := range edges {
-		if e.U+1 > maxID {
-			maxID = e.U + 1
-		}
-		if e.V+1 > maxID {
-			maxID = e.V + 1
-		}
-	}
+	maxID := clusterIDBound(vertices, edges)
 	adjH := make([][]int, maxID)
 	limit := 2*k - 1
 	visited := make([]int, maxID) // timestamp marks
@@ -307,22 +292,5 @@ func greedySpanner(vertices []int, edges []clusterEdge, k int) []graph.Edge {
 			out = append(out, e.Orig)
 		}
 	}
-	return out
-}
-
-// dedupeEdges canonicalizes and deduplicates a list of original edges.
-func dedupeEdges(edges []graph.Edge) []graph.Edge {
-	seen := make(map[[2]int]bool, len(edges))
-	out := make([]graph.Edge, 0, len(edges))
-	for _, e := range edges {
-		e = graph.NewEdge(e.U, e.V, e.W)
-		key := [2]int{e.U, e.V}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, e)
-	}
-	slices.SortFunc(out, graph.CompareEndpoints)
 	return out
 }

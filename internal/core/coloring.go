@@ -128,12 +128,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 }
 
 func listsIntersect(a, b []int) bool {
-	set := make(map[int]bool, len(a))
 	for _, x := range a {
-		set[x] = true
-	}
-	for _, y := range b {
-		if set[y] {
+		if slices.Contains(b, x) {
 			return true
 		}
 	}
@@ -149,14 +145,16 @@ func listsIntersect(a, b []int) bool {
 // augmentation fails for some vertex (the caller retries with fresh lists).
 // Non-conflict vertices keep color -1.
 func listColorConflicts(n int, confEdges []graph.Edge, list func(int) []int) []int {
-	adj := make(map[int][]int)
+	adj := make([][]int, n)
 	for _, e := range confEdges {
 		adj[e.U] = append(adj[e.U], e.V)
 		adj[e.V] = append(adj[e.V], e.U)
 	}
-	verts := make([]int, 0, len(adj))
+	var verts []int
 	for v := range adj {
-		verts = append(verts, v)
+		if len(adj[v]) > 0 {
+			verts = append(verts, v)
+		}
 	}
 	slices.SortFunc(verts, func(a, b int) int {
 		if c := cmp.Compare(len(adj[b]), len(adj[a])); c != 0 {
@@ -176,7 +174,10 @@ func listColorConflicts(n int, confEdges []graph.Edge, list func(int) []int) []i
 		}
 		return true
 	}
-	visited := make(map[int]bool)
+	// visited[u] == stamp marks u as moved during the current vertex's
+	// augmentation.
+	visited := make([]int, n)
+	stamp := 0
 	var assign func(v int, depth int) bool
 	assign = func(v int, depth int) bool {
 		if depth > 64 {
@@ -191,10 +192,10 @@ func listColorConflicts(n int, confEdges []graph.Edge, list func(int) []int) []i
 		// Augment: steal a color from a movable neighbor.
 		for _, c := range list(v) {
 			for _, u := range adj[v] {
-				if colors[u] != c || visited[u] {
+				if colors[u] != c || visited[u] == stamp {
 					continue
 				}
-				visited[u] = true
+				visited[u] = stamp
 				colors[u] = -1
 				colors[v] = c
 				if assign(u, depth+1) {
@@ -207,8 +208,8 @@ func listColorConflicts(n int, confEdges []graph.Edge, list func(int) []int) []i
 		return false
 	}
 	for _, v := range verts {
-		clear(visited)
-		visited[v] = true
+		stamp++
+		visited[v] = stamp
 		if !assign(v, 0) {
 			return nil // retry with fresh lists
 		}
@@ -232,18 +233,19 @@ func greedyColorComplete(n int, edges []graph.Edge, maxColor int, pre []int) []i
 	if pre != nil {
 		copy(colors, pre)
 	}
+	// usedBy[col] == v+1 marks col as taken by a neighbor of v.
+	usedBy := make([]int, maxColor+1)
 	for v := 0; v < n; v++ {
 		if colors[v] >= 0 {
 			continue
 		}
-		used := make(map[int]bool, len(adj[v]))
 		for _, u := range adj[v] {
-			if colors[u] >= 0 {
-				used[colors[u]] = true
+			if col := colors[u]; col >= 0 && col <= maxColor {
+				usedBy[col] = v + 1
 			}
 		}
 		for col := 0; col <= maxColor; col++ {
-			if !used[col] {
+			if usedBy[col] != v+1 {
 				colors[v] = col
 				break
 			}

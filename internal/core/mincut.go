@@ -241,23 +241,25 @@ func componentLabels(dsu *unionfind.DSU, n int) []prims.KV[int64] {
 }
 
 // stoerWagnerMulti runs Stoer-Wagner on a multigraph given by (possibly
-// repeated, sparse-id) unit edges, relabeling ids densely first.
+// repeated, sparse-id) unit edges over ids below n, relabeling ids densely
+// in order of first appearance first.
 func stoerWagnerMulti(n int, edges []graph.Edge) int64 {
-	ids := make(map[int]int)
-	for _, e := range edges {
-		if _, ok := ids[e.U]; !ok {
-			ids[e.U] = len(ids)
-		}
-		if _, ok := ids[e.V]; !ok {
-			ids[e.V] = len(ids)
-		}
-	}
+	ids := make([]int, n) // dense id + 1; 0 while unseen
 	dense := make([]graph.Edge, len(edges))
+	next := 0
+	id := func(v int) int {
+		if ids[v] == 0 {
+			next++
+			ids[v] = next
+		}
+		return ids[v] - 1
+	}
 	for i, e := range edges {
-		dense[i] = graph.Edge{U: ids[e.U], V: ids[e.V], W: e.W}
+		u := id(e.U)
+		dense[i] = graph.Edge{U: u, V: id(e.V), W: e.W}
 	}
 	// StoerWagner accumulates parallel edges by weight addition.
-	return graph.StoerWagner(&graph.Graph{N: len(ids), Edges: dense, Weighted: true})
+	return graph.StoerWagner(&graph.Graph{N: next, Edges: dense, Weighted: true})
 }
 
 // ApproxMinCut estimates the minimum cut of a weighted graph within (1±ε)

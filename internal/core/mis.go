@@ -86,7 +86,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	}
 	inMIS := make([]bool, n)
 	processed := make([]bool, n) // vertices already decided by greedy
-	accAdj := make(map[int][]int)
+	accAdj := make([][]int, n)
 	// Machines' view of dead vertices, by slot.
 	dead := make([][]bool, kk)
 	for i := range dead {

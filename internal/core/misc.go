@@ -50,7 +50,7 @@ type APSPOracle struct {
 	BuildStats Stats
 
 	adj   [][]graph.Half
-	cache map[int][]int64 // per-source distance cache (large-machine local)
+	cache [][]int64 // per-source distance cache, nil until computed (large-machine local)
 }
 
 // BuildAPSPOracle constructs the oracle in O(1) rounds: an O(log n)-spanner
@@ -80,7 +80,7 @@ func BuildAPSPOracle(c *mpc.Cluster, g *graph.Graph) (*APSPOracle, error) {
 	o.Spanner = h
 	o.Stretch = res.Stretch
 	o.adj = h.Adj()
-	o.cache = make(map[int][]int64)
+	o.cache = make([][]int64, g.N)
 	return o, nil
 }
 
@@ -88,8 +88,8 @@ func BuildAPSPOracle(c *mpc.Cluster, g *graph.Graph) (*APSPOracle, error) {
 // Stretch times the true distance, and never below it. Unreachable pairs
 // return math.MaxInt64.
 func (o *APSPOracle) Dist(u, v int) int64 {
-	d, ok := o.cache[u]
-	if !ok {
+	d := o.cache[u]
+	if d == nil {
 		if o.Spanner.Weighted {
 			d = graph.DijkstraDist(o.adj, u)
 		} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/labeling"
@@ -251,34 +250,31 @@ func localBudgetedBoruvka(
 		ptr      int
 		complete bool // list covers all of v's out-edges
 	}
-	verts := make([]*vlist, 0, len(arr.Keys))
-	byV := make(map[int]*vlist, len(arr.Keys))
+	verts := make([]vlist, len(arr.Keys))
 	for p, key := range arr.Keys {
-		v := int(key)
-		lst := &vlist{v: v, edges: collected[p], complete: arr.Degree(p) <= budget}
-		verts = append(verts, lst)
-		byV[v] = lst
+		verts[p] = vlist{v: int(key), edges: collected[p], complete: arr.Degree(p) <= budget}
 	}
-	// Supercluster membership: root → member phase-vertices.
-	members := make(map[int][]int, len(verts))
-	for _, vl := range verts {
-		members[dsu.Find(vl.v)] = append(members[dsu.Find(vl.v)], vl.v)
+	// Supercluster membership: members[root] lists the positions in verts
+	// of root's members; it is empty for every vertex that is not a root.
+	members := make([][]int, dsu.Len())
+	for p := range verts {
+		r := dsu.Find(verts[p].v)
+		members[r] = append(members[r], p)
 	}
 
+	var cands []cEdge
 	for {
 		// For each supercluster, find the minimum non-internal candidate,
 		// honoring the budget rule.
-		type cand struct {
-			edge cEdge
-			ok   bool
-		}
-		cands := make(map[int]cand, len(members))
-		//hetlint:sorted each root's candidate depends on its own members alone, and cands is read in sorted root order below
+		cands = cands[:0]
 		for root, mem := range members {
-			best := cand{}
-			blocked := false
-			for _, v := range mem {
-				vl := byV[v]
+			if len(mem) == 0 {
+				continue
+			}
+			var best cEdge
+			ok, blocked := false, false
+			for _, p := range mem {
+				vl := &verts[p]
 				// Advance past internal edges.
 				for vl.ptr < len(vl.edges) && dsu.Find(vl.edges[vl.ptr].V) == root {
 					vl.ptr++
@@ -291,28 +287,22 @@ func localBudgetedBoruvka(
 					continue // v truly has no outgoing edges left
 				}
 				e := vl.edges[vl.ptr]
-				if !best.ok || e.lessByWeight(best.edge) {
-					best = cand{edge: e, ok: true}
+				if !ok || e.lessByWeight(best) {
+					best, ok = e, true
 				}
 			}
-			if !blocked && best.ok {
-				cands[root] = best
+			if !blocked && ok {
+				cands = append(cands, best)
 			}
 		}
 		if len(cands) == 0 {
 			break
 		}
-		// Merge along all candidates (each is the true minimum outgoing edge
-		// of its cluster, hence an MST edge by the cut property).
+		// Merge along all candidates, in ascending root order (each is the
+		// true minimum outgoing edge of its cluster, hence an MST edge by
+		// the cut property).
 		merged := false
-		// Deterministic iteration order.
-		roots := make([]int, 0, len(cands))
-		for r := range cands {
-			roots = append(roots, r)
-		}
-		sort.Ints(roots)
-		for _, r := range roots {
-			e := cands[r].edge
+		for _, e := range cands {
 			ru, rv := dsu.Find(e.U), dsu.Find(e.V)
 			if ru == rv {
 				continue // the other side already merged into us this round
@@ -322,11 +312,11 @@ func localBudgetedBoruvka(
 			// Merge membership lists.
 			if nr != ru {
 				members[nr] = append(members[nr], members[ru]...)
-				delete(members, ru)
+				members[ru] = nil
 			}
 			if nr != rv {
 				members[nr] = append(members[nr], members[rv]...)
-				delete(members, rv)
+				members[rv] = nil
 			}
 			*mstEdges = append(*mstEdges, e.orig())
 			merged = true

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -416,7 +416,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		}
 	}
 	for lvl := range vSets {
-		vSets[lvl] = dedupInts(vSets[lvl])
+		slices.Sort(vSets[lvl])
+		vSets[lvl] = slices.Compact(vSets[lvl])
 	}
 	byLvl := make([][]clusterEdge, levels)
 	for _, le := range directEdges {
@@ -472,9 +473,9 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		if direct[lvl] {
 			continue
 		}
-		sampledAdj := make([]map[int][]bsHalf, k)
+		sampledAdj := make([][][]bsHalf, k)
 		for i := range sampledAdj {
-			sampledAdj[i] = make(map[int][]bsHalf)
+			sampledAdj[i] = make([][]bsHalf, n)
 		}
 		for _, se := range sampEdges {
 			if int(se.Lvl) != lvl {
@@ -592,20 +593,8 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	spanner = append(spanner, remEdges...)
 
-	res.Edges = dedupeEdges(spanner)
+	res.Edges = graph.DedupEdges(spanner)
 	return res, nil
-}
-
-// dedupInts sorts and deduplicates.
-func dedupInts(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // SpannerWeighted computes an O(k)-spanner for a weighted graph by the
@@ -647,6 +636,6 @@ func SpannerWeighted(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, err
 		}
 		all = append(all, r.Edges...)
 	}
-	res.Edges = dedupeEdges(all)
+	res.Edges = graph.DedupEdges(all)
 	return res, nil
 }

@@ -62,6 +62,17 @@ func CompareEndpoints(a, b Edge) int {
 	return cmp.Compare(a.V, b.V)
 }
 
+// DedupEdges canonicalizes edges, sorts them by endpoints and keeps the first
+// occurrence of each endpoint pair. It reorders edges in place and returns
+// the deduplicated prefix.
+func DedupEdges(edges []Edge) []Edge {
+	for i, e := range edges {
+		edges[i] = NewEdge(e.U, e.V, e.W)
+	}
+	slices.SortStableFunc(edges, CompareEndpoints)
+	return slices.CompactFunc(edges, func(a, b Edge) bool { return CompareEndpoints(a, b) == 0 })
+}
+
 // Other returns the endpoint of e that is not x.
 func (e Edge) Other(x int) int {
 	if e.U == x {

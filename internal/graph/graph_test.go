@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +42,52 @@ func TestNewDedupesAndDropsSelfLoops(t *testing.T) {
 	}
 	if g.Edges[0].W != 3 {
 		t.Fatalf("parallel dedupe kept weight %d, want 3", g.Edges[0].W)
+	}
+}
+
+func TestDedupEdgesMatchesMapOracle(t *testing.T) {
+	// The oracle: canonicalize, keep the first weight seen per endpoint
+	// pair, then list the pairs in (U, V) order.
+	oracle := func(edges []Edge) []Edge {
+		first := map[[2]int]int64{}
+		var pairs [][2]int
+		for _, e := range edges {
+			e = NewEdge(e.U, e.V, e.W)
+			if _, ok := first[[2]int{e.U, e.V}]; !ok {
+				first[[2]int{e.U, e.V}] = e.W
+				pairs = append(pairs, [2]int{e.U, e.V})
+			}
+		}
+		slices.SortFunc(pairs, func(a, b [2]int) int {
+			return CompareEndpoints(Edge{U: a[0], V: a[1]}, Edge{U: b[0], V: b[1]})
+		})
+		out := make([]Edge, len(pairs))
+		for i, p := range pairs {
+			out[i] = Edge{U: p[0], V: p[1], W: first[p]}
+		}
+		return out
+	}
+	cases := map[string][]Edge{
+		"empty": nil,
+		"non-canonical": {
+			{U: 3, V: 1, W: 2}, {U: 2, V: 0, W: 1}, {U: 1, V: 3, W: 5}, {U: 4, V: 4, W: 1},
+		},
+		"repeated pairs, first weight wins": {
+			{U: 0, V: 1, W: 9}, {U: 1, V: 0, W: 3}, {U: 0, V: 1, W: 1}, {U: 2, V: 5, W: 7}, {U: 5, V: 2, W: 4},
+		},
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	var random []Edge
+	for range 500 {
+		random = append(random, Edge{U: rng.IntN(20), V: rng.IntN(20), W: int64(rng.IntN(100)) + 1})
+	}
+	cases["random"] = random
+	for name, edges := range cases {
+		want := oracle(edges)
+		got := DedupEdges(slices.Clone(edges))
+		if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
+			t.Errorf("%s: DedupEdges = %v, want %v", name, got, want)
+		}
 	}
 }
 

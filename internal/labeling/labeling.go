@@ -57,7 +57,7 @@ func Build(n int, treeEdges []graph.Edge) Labels {
 
 	labels := make(Labels, n)
 	removed := make([]bool, n)
-	size := make([]int, n)
+	sc := &scratch{size: make([]int, n), parent: make([]int, n), seen: make([]int, n)}
 
 	// Iterative work list of (piece root, level) pairs; each piece is
 	// processed by finding its centroid, labeling the piece from the
@@ -81,7 +81,7 @@ func Build(n int, treeEdges []graph.Edge) Labels {
 		for len(stack) > 0 {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			c := processPiece(p.root, p.level, adj, removed, size, labels)
+			c := processPiece(p.root, p.level, adj, removed, sc, labels)
 			for _, h := range adj[c] {
 				if !removed[h.To] {
 					stack = append(stack, piece{root: h.To, level: p.level + 1})
@@ -93,17 +93,41 @@ func Build(n int, treeEdges []graph.Edge) Labels {
 	return labels
 }
 
+// scratch is the per-vertex working state processPiece reuses across pieces:
+// subtree sizes, BFS parents, the BFS order of the current piece, and
+// visited marks (seen[v] == stamp marks v as visited by the current BFS).
+type scratch struct {
+	size, parent, seen []int
+	order              []int
+	stamp              int
+}
+
 // processPiece finds the centroid of the piece containing root (over
 // non-removed vertices), appends an entry for it to every vertex of the
 // piece, and returns the centroid.
-func processPiece(root, level int, adj [][]graph.Half, removed []bool, size []int, labels Labels) int {
-	// Collect the piece (BFS order) and compute subtree sizes bottom-up.
-	order := collect(root, adj, removed)
+func processPiece(root, level int, adj [][]graph.Half, removed []bool, sc *scratch, labels Labels) int {
+	// Collect the piece (BFS order, with parents) and compute subtree sizes
+	// bottom-up.
+	size, parent := sc.size, sc.parent
+	sc.stamp++
+	sc.seen[root] = sc.stamp
+	parent[root] = -1
+	order := append(sc.order[:0], root)
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, h := range adj[v] {
+			if !removed[h.To] && sc.seen[h.To] != sc.stamp {
+				sc.seen[h.To] = sc.stamp
+				parent[h.To] = v
+				order = append(order, h.To)
+			}
+		}
+	}
+	sc.order = order
 	total := len(order)
 	for _, v := range order {
 		size[v] = 1
 	}
-	parent := bfsParents(root, adj, removed)
 	for i := total - 1; i >= 0; i-- {
 		v := order[i]
 		if p := parent[v]; p >= 0 {
@@ -131,15 +155,16 @@ func processPiece(root, level int, adj [][]graph.Half, removed []bool, size []in
 		max graph.Edge
 	}
 	queue := []qi{{v: centroid}}
-	seen := map[int]bool{centroid: true}
+	sc.stamp++
+	sc.seen[centroid] = sc.stamp
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, h := range adj[cur.v] {
-			if removed[h.To] || seen[h.To] {
+			if removed[h.To] || sc.seen[h.To] == sc.stamp {
 				continue
 			}
-			seen[h.To] = true
+			sc.seen[h.To] = sc.stamp
 			edge := graph.NewEdge(cur.v, h.To, h.W)
 			m := cur.max
 			if m.W == 0 || m.Less(edge) {
@@ -150,40 +175,6 @@ func processPiece(root, level int, adj [][]graph.Half, removed []bool, size []in
 		}
 	}
 	return centroid
-}
-
-func collect(root int, adj [][]graph.Half, removed []bool) []int {
-	order := []int{root}
-	seen := map[int]bool{root: true}
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		for _, h := range adj[v] {
-			if !removed[h.To] && !seen[h.To] {
-				seen[h.To] = true
-				order = append(order, h.To)
-			}
-		}
-	}
-	return order
-}
-
-func bfsParents(root int, adj [][]graph.Half, removed []bool) map[int]int {
-	parent := map[int]int{root: -1}
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, h := range adj[v] {
-			if removed[h.To] {
-				continue
-			}
-			if _, ok := parent[h.To]; !ok {
-				parent[h.To] = v
-				queue = append(queue, h.To)
-			}
-		}
-	}
-	return parent
 }
 
 // Decode is the decoder algorithm D_flow: given the labels of u and v it

@@ -203,17 +203,6 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// Validation view: flatten and dedupe.
-	all := prims.Flatten(spannerParts)
-	seen := make(map[int64]bool, len(all))
-	out := all[:0]
-	for _, e := range all {
-		key := e.Key(n)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, e)
-		}
-	}
-	slices.SortFunc(out, graph.CompareEndpoints)
-	res.Edges = out
+	res.Edges = graph.DedupEdges(prims.Flatten(spannerParts))
 	return res, nil
 }

@@ -147,19 +147,15 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 		}
 	}
 	// Normalize to smallest-member labels for comparison with references.
-	remap := map[int]int{}
-	for v := 0; v < n; v++ {
-		l := global[v]
-		if cur, ok := remap[l]; !ok || v < cur {
-			remap[l] = v
+	// Walking v upward, smallest[l] is set (to v+1) at l's first member.
+	smallest := make([]int, n)
+	for v, l := range global {
+		if smallest[l] == 0 {
+			smallest[l] = v + 1
+			res.Components++
 		}
-	}
-	distinct := map[int]bool{}
-	for v := 0; v < n; v++ {
-		global[v] = remap[global[v]]
-		distinct[global[v]] = true
+		global[v] = smallest[l] - 1
 	}
 	res.Labels = global
-	res.Components = len(distinct)
 	return res, nil
 }
