@@ -66,6 +66,8 @@ var enginePaths = map[string]bool{
 	"hetmpc/internal/wire":      true,
 	"hetmpc/internal/core":      true,
 	"hetmpc/internal/sublinear": true,
+	"hetmpc/internal/labeling":  true,
+	"hetmpc/internal/unionfind": true,
 }
 
 // IsEnginePath reports whether the import path belongs to the deterministic

@@ -53,6 +53,7 @@ func TestIsEnginePath(t *testing.T) {
 		"hetmpc/internal/mpc", "hetmpc/internal/prims", "hetmpc/internal/sched",
 		"hetmpc/internal/trace", "hetmpc/internal/metrics", "hetmpc/internal/wire",
 		"hetmpc/internal/core", "hetmpc/internal/sublinear",
+		"hetmpc/internal/labeling", "hetmpc/internal/unionfind",
 	} {
 		if !IsEnginePath(p) {
 			t.Errorf("IsEnginePath(%q) = false, want true", p)
