@@ -241,8 +241,8 @@ func componentLabels(dsu *unionfind.DSU, n int) []prims.KV[int64] {
 }
 
 // stoerWagnerMulti runs Stoer-Wagner on a multigraph given by (possibly
-// repeated, sparse-id) unit edges over ids below n, relabeling ids densely
-// in order of first appearance first.
+// repeated, sparse-id) unit edges over ids below n, relabeling the ids
+// densely, in order of first appearance.
 func stoerWagnerMulti(n int, edges []graph.Edge) int64 {
 	ids := make([]int, n) // dense id + 1; 0 while unseen
 	dense := make([]graph.Edge, len(edges))
@@ -255,8 +255,7 @@ func stoerWagnerMulti(n int, edges []graph.Edge) int64 {
 		return ids[v] - 1
 	}
 	for i, e := range edges {
-		u := id(e.U)
-		dense[i] = graph.Edge{U: u, V: id(e.V), W: e.W}
+		dense[i] = graph.Edge{U: id(e.U), V: id(e.V), W: e.W} // U's id first: literals evaluate left to right
 	}
 	// StoerWagner accumulates parallel edges by weight addition.
 	return graph.StoerWagner(&graph.Graph{N: next, Edges: dense, Weighted: true})
