@@ -10,7 +10,8 @@ import (
 // SortKey is the compact, 3-word lexicographic sort key extracted from every
 // item. Keeping splitters to 3 words (rather than whole items, which may
 // carry large payloads such as labels) keeps the splitter broadcast within
-// the small machines' capacity.
+// the small machines' capacity. A run of keys is sent as three columns, a
+// constant one once (keyWords).
 type SortKey struct{ A, B, C int64 }
 
 // Less is the lexicographic order on sort keys.
@@ -37,6 +38,31 @@ func (k SortKey) Compare(o SortKey) int {
 
 const sortKeyWords = 3
 
+// keyWords is what a run of sort keys costs on the wire, sent as its three
+// columns: a component that is constant over the run is sent once, any other
+// once per key. Which columns are constant rides in the message's header
+// word, so an empty run costs nothing, one key its 3 words, and no run more
+// than sortKeyWords a key. A machine's plan requests (x, 1, requester) and
+// every (x, 0, 0) key are one word a key and two.
+func keyWords(keys []SortKey) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	var a, b, c bool // the column varies over the run
+	for _, k := range keys[1:] {
+		a, b, c = a || k.A != keys[0].A, b || k.B != keys[0].B, c || k.C != keys[0].C
+	}
+	words := 0
+	for _, varies := range [...]bool{a, b, c} {
+		if varies {
+			words += len(keys)
+		} else {
+			words++
+		}
+	}
+	return words
+}
+
 // Sort implements Claim 1: it sorts the items stored on the small machines
 // by their SortKey so that afterwards machine i's items all precede machine
 // i+1's items and each machine's slice is locally sorted. It is a sample
@@ -47,10 +73,10 @@ const sortKeyWords = 3
 //     (1 round);
 //  3. the coordinator picks K-1 splitter keys and replies to every machine
 //     (1 round): a machine whose sample was its whole run gets the cuts of
-//     that run, (bucket, count) pairs, and any other the splitter list, to
-//     cut its run itself. When the replies together exceed the
-//     coordinator's round budget the list goes to everyone instead, down a
-//     capacity-bounded tree;
+//     that run, as (bucket, count) pairs or one bucket id per item, whichever
+//     is shorter, and any other the splitter list, to cut its run itself.
+//     When the replies together exceed the coordinator's round budget the
+//     list goes to everyone instead, down a capacity-bounded tree;
 //  4. items are routed to their bucket along the cuts (1 round) and
 //     re-sorted.
 //
@@ -195,7 +221,9 @@ func route[T any](c *mpc.Cluster, data [][]T, cuts [][]cut, itemWords, spare int
 func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([]SortKey, []sample, error) {
 	k := c.K()
 	// Step 2: weighted key samples to the coordinator (sample extraction is
-	// local computation, parallel over the small-machine axis).
+	// local computation, parallel over the small-machine axis). q is sized
+	// for samples at sortKeyWords a key, the most keyWords charges, so the
+	// round fits whatever the keys' columns hold.
 	q := coordCap(c) / (2 * k * (sortKeyWords + 1))
 	if q < 1 {
 		q = 1
@@ -222,7 +250,7 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([]So
 		for j := range keys {
 			keys[j] = key(data[i][j*n/len(keys)])
 		}
-		outs[i][0] = mpc.Msg{To: coordinator(c), Words: len(keys)*sortKeyWords + 1, Data: &slab[i]}
+		outs[i][0] = mpc.Msg{To: coordinator(c), Words: keyWords(keys) + 1, Data: &slab[i]}
 	})
 	inbox, err := toCoordinator(c, outs)
 	if err != nil {
@@ -273,6 +301,12 @@ const (
 	spanWords = 3
 )
 
+// runCutWords is what the cuts of a whole run of items cost on the wire, in
+// the shorter of two forms that decode to the same cuts: cutWords a cut, or
+// one bucket id per item (the run's cuts are the id column's runs). The form
+// rides in the reply's header word.
+func runCutWords(cuts []cut, items int) int { return min(cutWords*len(cuts), items) }
+
 // sortReply is the coordinator's answer to one machine's sample: the cuts of
 // the machine's run or, for a machine that holds more than it sampled, the
 // splitter list to derive them from. The list is never nil (sortSplitters
@@ -288,23 +322,24 @@ type sortReply struct {
 // has already sent the coordinator every key it holds, so the coordinator
 // cuts the run for it (runCuts, into the machine's share of cutBuf) and, if
 // spans is non-nil, works out its spans too (splitterSpans, into entries 2i
-// and 2i+1); the reply is 2 words a cut and 3 a span, at most
-// 2·min(items, K)+7, where the list is 3·(K-1)+1. A machine that holds more
-// is sent the list and derives both itself. The replies go out in one direct
-// round if together they fit half the coordinator's capacity
-// (BroadcastValue's rule; machine 0 keeps its own when it is the
-// coordinator). If they do not, the list is broadcast to everyone — K copies
-// of it fit still less, so down the tree — and every reply is the list.
+// and 2i+1); the reply is a header word, runCutWords of the cuts and 3 words
+// a span, at most min(2·K, items)+7, where the list is keyWords(sp)+1. A
+// machine that holds more is sent the list and derives both itself. The
+// replies go out in one direct round if together they fit half the
+// coordinator's capacity (BroadcastValue's rule; machine 0 keeps its own when
+// it is the coordinator). If they do not, the list is broadcast to everyone —
+// K copies of it fit still less, so down the tree — and every reply is the
+// list.
 func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, starts []int, spans []span) ([]sortReply, error) {
 	k := c.K()
 	replies := make([]sortReply, k)
 	msgs := make([]mpc.Msg, 0, k)
-	total := 0
+	total, listWords := 0, keyWords(sp)
 	for i := range replies {
 		r, words := &replies[i], 1
 		if samples[i].whole() {
 			r.Cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], samples[i].Keys, sp, k, func(s SortKey) SortKey { return s })
-			words += cutWords * len(r.Cuts)
+			words += runCutWords(r.Cuts, len(samples[i].Keys))
 			if spans != nil {
 				for s, si := range splitterSpans(sp, k, i) {
 					spans[2*i+s] = si
@@ -315,7 +350,7 @@ func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, s
 			}
 		} else {
 			r.List = sp
-			words += sortKeyWords * len(sp)
+			words += listWords
 		}
 		if i == coordinator(c) {
 			continue // machine 0 keeps its own reply locally
@@ -329,7 +364,7 @@ func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, s
 		round.End()
 		return replies, err
 	}
-	lists, err := BroadcastValue(c, sp, len(sp)*sortKeyWords+1)
+	lists, err := BroadcastValue(c, sp, listWords+1)
 	if err != nil {
 		return nil, err
 	}

@@ -38,13 +38,16 @@ func sortRounds(t *testing.T, cfg mpc.Config, data [][]SortKey) (*mpc.Cluster, [
 	return c, tr.Rounds()
 }
 
-// TestSortChargesThreeRoundsWhenRepliesFit pins step 3's cost on a cluster
-// without a large machine. Where the replies fit half the coordinator's
-// capacity a Sort is sample, reply, route — three rounds — and the reply
-// round carries, to every machine but the coordinator, one header word plus
-// two words per cut (a machine whose sample is its whole run) or the list
-// (a machine that holds more than q items). Where they do not fit, step 3
-// is exactly BroadcastValue of the list: its tree depth, its words.
+// TestSortChargesThreeRoundsWhenRepliesFit pins steps 2 and 3's cost on a
+// cluster without a large machine. Where the replies fit half the
+// coordinator's capacity a Sort is sample, reply, route — three rounds — the
+// sample round carries every machine's encoded sample, and the reply round
+// carries, to every machine but the coordinator, the encoded cuts of
+// its run (a machine whose sample is its whole run) or the encoded list (a
+// machine that holds more than q items), each with its header word. Where
+// they do not fit, step 3 is exactly BroadcastValue of the list: its tree
+// depth, its words. The expected words are the lengths of the encodings in
+// sortwords_test.go, not the charges under test.
 func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 311))
 	input := func(k int, size func(i int) int) [][]SortKey {
@@ -56,9 +59,9 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		}
 		return data
 	}
-	// wantReplies is the reply round's words for this input, from the
-	// splitters a twin cluster picks over the same locally sorted runs.
-	wantReplies := func(cfg mpc.Config, data [][]SortKey, q int) (words int64) {
+	// splitters is the list a twin cluster picks over the same locally
+	// sorted runs, which it returns too.
+	splitters := func(cfg mpc.Config, data [][]SortKey) ([]SortKey, [][]SortKey) {
 		twin, err := mpc.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -72,11 +75,33 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 1; i < len(runs); i++ { // machine 0 is the coordinator
-			if len(runs[i]) > q {
-				words += int64(sortKeyWords*len(sp) + 1)
+		return sp, runs
+	}
+	// wantSamples is the sample round's words for this input: every
+	// machine's q evenly spaced keys (all of them when it holds at most q),
+	// encoded under its count.
+	wantSamples := func(data [][]SortKey, q int) (words int64) {
+		for _, run := range data {
+			run = slices.Clone(run)
+			slices.SortFunc(run, SortKey.Compare)
+			sample := make([]SortKey, min(q, len(run)))
+			for j := range sample {
+				sample[j] = run[j*len(run)/len(sample)]
+			}
+			words += int64(len(encodeKeys(int64(len(run)), sample)))
+		}
+		return words
+	}
+	// wantReplies is the reply round's words for this input: every machine
+	// but the coordinator (machine 0) is sent its encoded cuts or the list.
+	wantReplies := func(cfg mpc.Config, data [][]SortKey, q int) (words int64) {
+		sp, runs := splitters(cfg, data)
+		list := len(encodeKeys(int64(len(sp)), sp))
+		for _, run := range runs[1:] {
+			if len(run) > q {
+				words += int64(list)
 			} else {
-				words += int64(cutWords*len(runCuts(nil, runs[i], sp, twin.K(), identKey)) + 1)
+				words += int64(len(encodeRunCuts(runCuts(nil, run, sp, len(runs), identKey), len(run))))
 			}
 		}
 		return words
@@ -106,8 +131,11 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		if len(rounds) != 3 || rounds[1].Phase != "sort/broadcast" {
 			t.Fatalf("%s: Sort charged %d rounds, want sample, reply, route: %+v", tc.name, len(rounds), rounds)
 		}
+		if want := wantSamples(data, q); rounds[0].Words != want {
+			t.Errorf("%s: the sample round carries %d words, want %d (the encoded samples)", tc.name, rounds[0].Words, want)
+		}
 		if want := wantReplies(fit, data, q); rounds[1].Words != want {
-			t.Errorf("%s: the reply round carries %d words, want %d (a header and two words a cut, or the list)", tc.name, rounds[1].Words, want)
+			t.Errorf("%s: the reply round carries %d words, want %d (the encoded cuts or list)", tc.name, rounds[1].Words, want)
 		}
 	}
 
@@ -116,7 +144,8 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	deep := mpc.Config{N: 256, M: 2048, K: 64, CSmall: 0.1, Seed: 42, NoLarge: true}
 	data := input(deep.K, func(int) int { return 3 })
 	c, rounds := sortRounds(t, deep, data)
-	listWords := sortKeyWords*(deep.K-1) + 1
+	sp, _ := splitters(deep, data)
+	listWords := len(encodeKeys(int64(len(sp)), sp))
 	depth := treeDepth(deep.K, branching(c, listWords))
 	if (deep.K-1)*listWords <= coordCap(c)/2 || depth < 2 {
 		t.Fatalf("deep: %d lists of %d words against coordinator cap %d, tree depth %d: the replies fit", deep.K-1, listWords, coordCap(c), depth)
@@ -139,7 +168,9 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 // TestSortReplyOverCapFailsTyped: the reply round is an ordinary round. A
 // machine too small for its reply — here the list, to a machine that holds
 // more than q items and can send its sample but not receive K-1 splitters —
-// fails the Sort with mpc.ErrCapacity naming the machine, not silently.
+// fails the Sort with mpc.ErrCapacity naming the machine, not silently. The
+// keys vary in all three components, so the list is charged its full
+// sortKeyWords a splitter; a sample costs at most that too.
 func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	const k, hot = 128, 77
 	prof := mpc.UniformProfile(k)
@@ -159,7 +190,7 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 			n = 100 // over q = 64: the machine is sent the list
 		}
 		for j := 0; j < n; j++ {
-			data[i] = append(data[i], SortKey{A: int64((i*131 + j*17) % 1000)})
+			data[i] = append(data[i], SortKey{A: int64((i*131 + j*17) % 1000), B: int64(i), C: int64(j)})
 		}
 	}
 	_, err = Sort(c, data, 1, identKey)

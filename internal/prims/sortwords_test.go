@@ -1,0 +1,225 @@
+package prims
+
+import (
+	"slices"
+	"testing"
+
+	"hetmpc/internal/xrand"
+)
+
+// This file is the proof that Sort's sample, list and whole-run reply charges
+// are honest (DESIGN.md §1): a lossless encoding of each message whose length
+// is the words the message is charged. The encoder and decoder exist only
+// here; the simulator charges their length and hands the payload over as is.
+
+// encodeKeys writes a run of sort keys and the header value head as columns.
+// Word 0 is head<<3 with bit j set when column j (A, B, C) varies over the
+// run; a varying column follows as one word a key, a constant one as one
+// word, and an empty run as nothing.
+func encodeKeys(head int64, keys []SortKey) []int64 {
+	cols := [3][]int64{}
+	var flags int64
+	for j := range cols {
+		for _, k := range keys {
+			cols[j] = append(cols[j], [3]int64{k.A, k.B, k.C}[j])
+		}
+		if slices.ContainsFunc(cols[j], func(v int64) bool { return v != cols[j][0] }) {
+			flags |= 1 << j
+		} else if len(keys) > 0 {
+			cols[j] = cols[j][:1]
+		}
+	}
+	return slices.Concat([]int64{head<<3 | flags}, cols[0], cols[1], cols[2])
+}
+
+// decodeKeys reverses encodeKeys. The run's length is not on the wire: the
+// receiver derives it from the header value, as the coordinator does a
+// sample's from its machine's count (min(q, count)) and a machine the list's
+// from its length.
+func decodeKeys(words []int64, count func(head int64) int) (int64, []SortKey) {
+	head, flags := words[0]>>3, words[0]&7
+	n, rest := count(head), words[1:]
+	var cols [3][]int64
+	for j := range cols {
+		w := min(1, n)
+		if flags&(1<<j) != 0 {
+			w = n
+		}
+		cols[j], rest = rest[:w], rest[w:]
+	}
+	keys := make([]SortKey, n)
+	for i := range keys {
+		at := func(col []int64) int64 { return col[min(i, len(col)-1)] }
+		keys[i] = SortKey{A: at(cols[0]), B: at(cols[1]), C: at(cols[2])}
+	}
+	return head, keys
+}
+
+// encodeRunCuts writes the cuts of a whole run of items in the shorter of
+// two forms, named by the header word: 0 then (bucket, count) pairs, or 1
+// then one bucket id per item.
+func encodeRunCuts(cuts []cut, items int) []int64 {
+	if cutWords*len(cuts) <= items {
+		out := []int64{0}
+		for _, ct := range cuts {
+			out = append(out, int64(ct.Bucket), int64(ct.Count))
+		}
+		return out
+	}
+	out := []int64{1}
+	for _, ct := range cuts {
+		for range ct.Count {
+			out = append(out, int64(ct.Bucket))
+		}
+	}
+	return out
+}
+
+// decodeRunCuts reverses encodeRunCuts: the id form's cuts are the id
+// column's runs.
+func decodeRunCuts(words []int64) []cut {
+	var cuts []cut
+	if words[0] == 0 {
+		for p := 1; p < len(words); p += 2 {
+			cuts = append(cuts, cut{Bucket: int32(words[p]), Count: int32(words[p+1])})
+		}
+		return cuts
+	}
+	for _, b := range words[1:] {
+		if len(cuts) > 0 && cuts[len(cuts)-1].Bucket == int32(b) {
+			cuts[len(cuts)-1].Count++
+		} else {
+			cuts = append(cuts, cut{Bucket: int32(b), Count: 1})
+		}
+	}
+	return cuts
+}
+
+// checkKeyRun round-trips a key run under header head and checks that the
+// encoding is the words keyWords charges, plus the header.
+func checkKeyRun(t *testing.T, head int64, keys []SortKey, count func(int64) int) int {
+	t.Helper()
+	enc := encodeKeys(head, keys)
+	gotHead, got := decodeKeys(enc, count)
+	if gotHead != head || !slices.Equal(got, keys) {
+		t.Fatalf("keys %v under header %d decode to %v under %d", keys, head, got, gotHead)
+	}
+	if len(enc) != keyWords(keys)+1 {
+		t.Fatalf("keys %v encode to %d words, keyWords charges %d + 1", keys, len(enc), keyWords(keys))
+	}
+	return len(enc)
+}
+
+// checkRunCuts round-trips the cuts of a whole run and checks that the
+// encoding is the words runCutWords charges, plus the header.
+func checkRunCuts(t *testing.T, cuts []cut, items int) int {
+	t.Helper()
+	enc := encodeRunCuts(cuts, items)
+	if got := decodeRunCuts(enc); !slices.Equal(got, cuts) {
+		t.Fatalf("cuts %v of %d items decode to %v", cuts, items, got)
+	}
+	if len(enc) != runCutWords(cuts, items)+1 {
+		t.Fatalf("cuts %v of %d items encode to %d words, runCutWords charges %d + 1", cuts, items, len(enc), runCutWords(cuts, items))
+	}
+	return len(enc)
+}
+
+// TestSortMessageWords: every shape Table 1's Sorts send round-trips, and
+// its encoding is exactly the words charged.
+func TestSortMessageWords(t *testing.T) {
+	const q = 64
+	sampleCount := func(count int64) int { return min(q, int(count)) }
+	listCount := func(n int64) int { return int(n) }
+	run := func(n int, key func(j int) SortKey) []SortKey {
+		keys := make([]SortKey, n)
+		for j := range keys {
+			keys[j] = key(j)
+		}
+		return keys
+	}
+	for _, tc := range []struct {
+		name  string
+		count int64
+		keys  []SortKey
+		want  int
+	}{
+		// A machine's plan requests: the tag and the requester are constant.
+		{"plan requests", 45, run(45, func(j int) SortKey { return SortKey{A: int64(3 * j), B: 1, C: 17} }), 45 + 2 + 1},
+		{"aggregate keys", 45, run(45, func(j int) SortKey { return SortKey{A: int64(j * j)} }), 45 + 2 + 1},
+		{"all varying", 45, run(45, func(j int) SortKey { return SortKey{A: int64(j), B: int64(-j), C: int64(j % 7)} }), 3*45 + 1},
+		{"one key", 1, []SortKey{{A: 5, B: 1, C: 3}}, 3 + 1},
+		{"empty sample", 0, nil, 1},
+		// A machine over q sends q keys and its count.
+		{"over q", 300, run(q, func(j int) SortKey { return SortKey{A: int64(j), B: 1, C: 4} }), q + 2 + 1},
+	} {
+		if got := checkKeyRun(t, tc.count, tc.keys, sampleCount); got != tc.want {
+			t.Errorf("%s sample: %d words, want %d", tc.name, got, tc.want)
+		}
+		if got := checkKeyRun(t, int64(len(tc.keys)), tc.keys, listCount); got != tc.want {
+			t.Errorf("%s list: %d words, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	// Whole runs of 45 items against K = 182 buckets.
+	const items, k = 45, 182
+	sp := make([]SortKey, k-1)
+	for j := range sp {
+		sp[j] = SortKey{A: int64(10 * (j + 1))}
+	}
+	for _, tc := range []struct {
+		name string
+		key  func(j int) SortKey
+		want int
+	}{
+		{"one bucket", func(j int) SortKey { return SortKey{A: 500} }, 1 + 2},
+		{"three buckets", func(j int) SortKey { return SortKey{A: int64(500 + 10*(j%3))} }, 1 + 2*3},
+		{"sparse", func(j int) SortKey { return SortKey{A: int64(37 * j)} }, 1 + items},
+	} {
+		keys := run(items, tc.key)
+		slices.SortFunc(keys, SortKey.Compare)
+		cuts := runCuts(nil, keys, sp, k, identKey)
+		if got := checkRunCuts(t, cuts, items); got != tc.want {
+			t.Errorf("%s: %d cuts of %d items encode to %d words, want %d", tc.name, len(cuts), items, got, tc.want)
+		}
+	}
+	checkRunCuts(t, nil, 0)
+}
+
+// FuzzSortMessageWords fuzzes the same two encodings over random key runs:
+// each column of the run is constant or drawn per key by its bit of mask,
+// and the sorted run is cut against splitters drawn from it into 1..256
+// buckets. Decoding what was encoded returns the input, the encoding's
+// length is the words charged, and no run costs more than 3 words a key.
+func FuzzSortMessageWords(f *testing.F) {
+	f.Add(uint8(45), uint8(1), uint8(181), uint64(7)) // plan-shaped
+	f.Add(uint8(1), uint8(7), uint8(0), uint64(1))
+	f.Add(uint8(0), uint8(0), uint8(3), uint64(2))
+	f.Add(uint8(200), uint8(7), uint8(255), uint64(3))
+	f.Fuzz(func(t *testing.T, n, mask, nbm1 uint8, seed uint64) {
+		rng := xrand.New(seed)
+		draw := func(bit uint8, c int64) int64 {
+			if mask&bit == 0 {
+				return c
+			}
+			return rng.Int64N(64) - 32
+		}
+		keys := make([]SortKey, n)
+		for j := range keys {
+			keys[j] = SortKey{A: draw(1, 3), B: draw(2, 1), C: draw(4, -9)}
+		}
+		slices.SortFunc(keys, SortKey.Compare)
+		words := checkKeyRun(t, int64(n), keys, func(h int64) int { return int(h) })
+		if len(keys) > 0 && (words < sortKeyWords+1 || words > sortKeyWords*len(keys)+1) {
+			t.Fatalf("%d keys cost %d words, want 4..%d", len(keys), words, sortKeyWords*len(keys)+1)
+		}
+
+		nb := int(nbm1) + 1
+		var sp []SortKey
+		for j := 1; j < nb && len(keys) > 0; j++ {
+			sp = append(sp, keys[rng.IntN(len(keys))])
+		}
+		slices.SortFunc(sp, SortKey.Compare)
+		cuts := runCuts(nil, keys, sp, nb, identKey)
+		checkRunCuts(t, cuts, len(keys))
+	})
+}

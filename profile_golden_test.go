@@ -53,7 +53,15 @@ func commOf(s hetmpc.ClusterStats) comm {
 // re-captured once more when its sketch gather began charging each sketch
 // the levels it stores (4 + 3·depth words with its key) instead of the full
 // sampler's 4 + 3·levels: the same 5 rounds and messages, 581,490 → 240,885
-// words, max-recv (the gather) 525,312 → 184,707, max-send untouched.
+// words, max-recv (the gather) 525,312 → 184,707, max-send untouched. All
+// four were re-captured once more when Sort began charging its sample and
+// its list by their columns, a constant one once, and a whole run's cuts in
+// the shorter of cuts and bucket ids (DESIGN.md §1): the same rounds and
+// messages; words 267,048 → 221,728 (MST), 240,885 → 218,385
+// (connectivity), 371,359 → 315,195 (matching) and 470,690 → 385,790
+// (baseline MST); max-send (the coordinator's replies) 15,834 → 9,141,
+// 14,854 → 8,374, 15,940 → 9,159 and 9,631 → 5,555; max-recv untouched but
+// baseline MST's, whose samples it is, 13,136 → 4,864.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -70,25 +78,25 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{43, 36959, 267048, 15834, 24758}},
+		}, comm{43, 36959, 221728, 9141, 24758}},
 		{"connectivity", false, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.Connectivity(c, gU)
 			if err == nil && r.Components != 1 {
 				t.Errorf("components %d, want 1", r.Components)
 			}
 			return err
-		}, comm{5, 8064, 240885, 14854, 184707}},
+		}, comm{5, 8064, 218385, 8374, 184707}},
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
-		}, comm{51, 76475, 371359, 15940, 24758}},
+		}, comm{51, 76475, 315195, 9159, 24758}},
 		{"baseline-mst", true, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.BaselineMST(c, gW)
 			if err == nil && r.Weight != 153235 {
 				t.Errorf("baseline mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{164, 94963, 470690, 9631, 13136}},
+		}, comm{164, 94963, 385790, 5555, 4864}},
 	}
 
 	for _, tc := range cases {
