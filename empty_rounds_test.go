@@ -76,7 +76,7 @@ func table1Rounds(t *testing.T) []hetmpc.TraceRound {
 // there is the route round that carries every partial — except the two
 // random-mate loops' below, and a new empty round anywhere fails by its path.
 func TestTable1EmptyRounds(t *testing.T) {
-	// 27 of the 722 rounds. The protocols below run a fixed number of
+	// 19 of the 556 rounds. The protocols below run a fixed number of
 	// rounds so that the round count depends on public parameters only; each
 	// listed round had nothing to carry on this input.
 	allowed := map[string]int{
@@ -95,20 +95,15 @@ func TestTable1EmptyRounds(t *testing.T) {
 		// one. These are the only aggregate leaves allowed an empty round.
 		"baseline-cc/aggregate":  2,
 		"baseline-mst/aggregate": 1,
-		// The tree-down and answer rounds of a dissemination where no
-		// splitter names a span whose key has a value, or no requested key
-		// has a value to send down and answer with: MST's KKT step samples
-		// no forest edge here, so it has no label to send.
-		"baseline-cc/broadcast":  4,
-		"baseline-mst/broadcast": 2,
-		"baseline-mis/broadcast": 1,
-		"mst/sample/broadcast":   2,
-		"spanner/broadcast":      2,
-		// PlanCombine's span-up round when no span member holds a partial of
-		// its span key: Luby's last domination aggregate, and a connectivity
-		// phase. (A plan with no span at all charges no span-up round.)
-		"baseline-mis/aggregate/span-up": 1,
-		"baseline-cc/aggregate/span-up":  1,
+		// The answer round of a dissemination where no requested key has a
+		// value to answer with: MST's KKT step samples no forest edge here,
+		// so it has no label to send. Every Table-1 plan is key-aligned, so
+		// no dissemination has a tree-down round and no PlanCombine a
+		// span-up round.
+		"baseline-cc/broadcast":  2,
+		"baseline-mst/broadcast": 1,
+		"mst/sample/broadcast":   1,
+		"spanner/broadcast":      1,
 		// GatherToLarge with nothing left to gather (an empty residual or
 		// sample).
 		"matching/gather":   1,
@@ -127,8 +122,8 @@ func TestTable1EmptyRounds(t *testing.T) {
 			got[p.Phase] = p.EmptyRounds
 		}
 	}
-	if s.Rounds != 722 {
-		t.Errorf("the twelve calls charge %d rounds, want 722", s.Rounds)
+	if s.Rounds != 556 {
+		t.Errorf("the twelve calls charge %d rounds, want 556", s.Rounds)
 	}
 	phases := make([]string, 0, len(got)+len(allowed))
 	for phase := range got {

@@ -52,7 +52,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	// Degrees and the low/high threshold, over the one plan of the edges'
 	// endpoints that phase 3's dissemination reuses.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -167,7 +167,11 @@ func TestMatchingFiltering(t *testing.T) {
 // TestMatchingFilteringRounds pins the filtering loop's round count on the
 // `hetrun -alg matching-filter -gen gnm -n 256 -m 16384 -f 0.1 -seed 7` run:
 // every machine computes the sampling rate from the SumAll it just took, so
-// an iteration spends no round broadcasting it.
+// an iteration spends no round broadcasting it. Each iteration's
+// DisseminateFromLarge is a plan whose every key is aligned (K is below one
+// tree level's fan-out), so it charges its Sort, scatter and answer rounds
+// and no tree round: 21 rounds with one tree round an iteration, 19
+// without.
 func TestMatchingFilteringRounds(t *testing.T) {
 	g := graph.GNM(256, 16384, 7)
 	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), F: 0.1, Seed: 7})
@@ -181,8 +185,8 @@ func TestMatchingFilteringRounds(t *testing.T) {
 	if err := graph.CheckMatching(g, res.Edges, true); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Edges) != 127 || res.FilterIters != 2 || c.Rounds() != 21 {
-		t.Fatalf("%d edges in %d filter iterations and %d rounds, want 127 in 2 and 21",
+	if len(res.Edges) != 127 || res.FilterIters != 2 || c.Rounds() != 19 {
+		t.Fatalf("%d edges in %d filter iterations and %d rounds, want 127 in 2 and 19",
 			len(res.Edges), res.FilterIters, c.Rounds())
 	}
 }

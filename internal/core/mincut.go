@@ -45,7 +45,7 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	// Every trial aggregates and disseminates over the same endpoints: one
 	// plan serves them all.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, twoOutWords)
 	if err != nil {
 		return nil, err
 	}

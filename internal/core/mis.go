@@ -41,7 +41,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	// Every aggregation and dissemination below is over the endpoints of
 	// the machines' edges: one plan serves them all.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -93,6 +93,9 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		dead[i] = make([]bool, len(verts[i]))
 	}
 
+	// The iterations' domination items reuse one list a machine: PlanCombine
+	// copies what it is given before it returns.
+	domItems := make([][]prims.KV[bool], kk)
 	for it, tau := range taus {
 		// Early exit: with no alive-alive edges left, the alive vertices are
 		// pairwise non-adjacent and all join the MIS.
@@ -170,8 +173,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		domItems := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
+			domItems[i] = domItems[i][:0]
 			for j, e := range edges[i] {
 				ju, _ := joinedAt.Slot(i, int(slots[i][2*j]))
 				jv, _ := joinedAt.Slot(i, int(slots[i][2*j+1]))

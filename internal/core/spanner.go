@@ -57,9 +57,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	rankHash := xrand.NewHash(seed, 4)
 
 	// The plan of the stored edges' endpoints: every per-vertex aggregation
-	// and dissemination below runs over it.
+	// and dissemination below runs over it. Its widest values are the
+	// σ-selection's, sized by the degree classes: a degree is at most 2m.
+	trials := int(math.Ceil(math.Log2(float64(n) + 2)))
+	maxLevels := bits.Len64(uint64(2 * len(g.Edges)))
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, max(spannerBitWords(maxLevels, trials), spannerSigWords(maxLevels)))
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +86,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 2: hitting-set trials (Algorithm 5 lines 1-7) ---
-	trials := int(math.Ceil(math.Log2(float64(n) + 2)))
-	bitWords := ((levels-1)*trials + 63) / 64
-	if bitWords < 1 {
-		bitWords = 1
-	}
+	bitWords := spannerBitWords(levels, trials)
 	type vbits struct{ B []uint64 }
 	dBit := func(b []uint64, lvl, j int) bool {
 		idx := (lvl-1)*trials + j
@@ -218,7 +217,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		OrB   uint64
 		Slots []sigSlot
 	}
-	sigWords := 1 + 5*levels
+	sigWords := spannerSigWords(levels)
 	sigItems := make([][]prims.KV[sigAgg], kk)
 	c.Each(func(i int) {
 		// Every item's slots are cut from one slab for the machine.
@@ -596,6 +595,16 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	res.Edges = graph.DedupEdges(spanner)
 	return res, nil
 }
+
+// spannerBitWords is the size of a vertex's hitting-set bits: one per trial
+// per degree class above the first, at least a word.
+func spannerBitWords(levels, trials int) int {
+	return max(((levels-1)*trials+63)/64, 1)
+}
+
+// spannerSigWords is the size of a σ-selection value: the OR word and a
+// 5-word slot per degree class.
+func spannerSigWords(levels int) int { return 1 + 5*levels }
 
 // SpannerWeighted computes an O(k)-spanner for a weighted graph by the
 // standard reduction (§4 / [22]): edges are partitioned into O(log W)

@@ -46,11 +46,13 @@ func forN(n int, each func(i int), try func(i int) error) error {
 		}
 		return nil
 	}
+	// The calling goroutine is one of the workers.
 	p := &pool{n: n, each: each, try: try}
 	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		go p.work()
 	}
+	p.work()
 	p.wg.Wait()
 	return p.err
 }

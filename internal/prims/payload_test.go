@@ -39,13 +39,13 @@ func TestBucketBeyondKRefused(t *testing.T) {
 			return err
 		}},
 		{"NewPlan needs", func(c *mpc.Cluster, ints [][]int64, _ [][]KV[int64]) error {
-			_, err := NewPlan(c, ints)
+			_, err := NewPlan(c, ints, 1)
 			return err
 		}},
 		{"PlanBroadcast small", func(c *mpc.Cluster, _ [][]int64, kvs [][]KV[int64]) error {
 			// A plan of no requests roots every key at machine 0, so the
 			// machines' values move there; a stray bucket stays put.
-			p, err := NewPlan(c, nil)
+			p, err := NewPlan(c, nil, 1)
 			if err != nil {
 				return err
 			}
@@ -186,7 +186,7 @@ func TestPayloadAssertionsFailTyped(t *testing.T) {
 	}{
 		{"sample", &sample{Keys: []SortKey{{A: 1}}, Count: 4},
 			[]any{sample{Count: 4}, (*sample)(nil), &span{}, int64(4)},
-			func(inbox []mpc.Msg) error { _, _, err := collectSamples(inbox); return err }},
+			func(inbox []mpc.Msg) error { _, err := inboxSamples(inbox); return err }},
 	}
 	for _, tc := range coordinator {
 		if err := tc.collect([]mpc.Msg{{From: 0, Data: tc.good}, {From: 1, Data: tc.good}}); err != nil {
@@ -334,7 +334,7 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 	// each key it requests, and the combined values are broadcast back.
 	plans, items, roots := map[int]*Plan{}, map[int][][]KV[int64]{}, map[int][][]KV[int64]{}
 	for _, per := range []int{16, 128} {
-		p, err := NewPlan(c, needs[per])
+		p, err := NewPlan(c, needs[per], 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,9 @@ import (
 )
 
 // ErrUnplanned refuses an input a Plan does not route: a PlanCombine key a
-// machine does not request, or a PlanBroadcast value held away from its
-// key's root. It is returned before any round is charged.
+// machine does not request, a PlanBroadcast value held away from its key's
+// root, or a value wider than the plan was built for. It is returned before
+// any round is charged.
 var ErrUnplanned = errors.New("prims: input outside the plan")
 
 // ErrNeedsOrder refuses needs that do not strictly ascend on a machine (a key
@@ -21,14 +22,15 @@ var ErrNeedsOrder = errors.New("prims: needs not strictly ascending")
 // list, each bucket's requests and spans, and on machine i the bucket each of
 // its own requests went to, read off its cuts. The root of key x, where its
 // values go, is the bucket of (x, 0, 0). A plan is valid for as long as its
-// request set is.
+// request set is, for values of at most vwords words.
 type Plan struct {
-	sp      []SortKey
-	spans   []span      // entries 2i and 2i+1 are machine i's
-	reqs    [][]request // bucket i's requests, by (key, requester)
-	own     [][]request // machine i's requests, slot by slot; M is the bucket each went to
-	starts  []int       // machine i's slots are [starts[i], starts[i+1]) of all machines'
-	spanned bool        // some machine sits in a span
+	sp     []SortKey
+	spans  []span      // entries 2i and 2i+1 are machine i's
+	reqs   [][]request // bucket i's requests, by (key, requester)
+	own    [][]request // machine i's requests, slot by slot; M is the bucket each went to
+	starts []int       // machine i's slots are [starts[i], starts[i+1]) of all machines'
+	vwords int         // the widest value a collective over the plan carries
+	widest int         // machines of the widest span, 0 without one
 }
 
 // request is a request item: key Key and machine M — the requester, among
@@ -53,7 +55,14 @@ type span struct {
 // each, under the "plan" span. Each machine's needs strictly ascend, as
 // DistinctSlots builds them (else ErrNeedsOrder): slot s of machine i, where
 // its answers for needs[i][s] land, is fixed for the plan's life.
-func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
+//
+// vwords is the widest value any collective over the plan will carry. The
+// buckets are cut at key boundaries: a key with at most b =
+// branching(vwords+1) requests — one tree level's fan-out — sits whole in its
+// root's bucket, so it has no span, and only a key the coordinator cannot
+// bound that low keeps one (pickSplitters). An aligned root then answers or
+// receives at most what one tree level would carry for the key.
+func NewPlan(c *mpc.Cluster, needs [][]int64, vwords int) (*Plan, error) {
 	if err := checkBuckets(c, "NewPlan needs", needs); err != nil {
 		return nil, err
 	}
@@ -83,7 +92,7 @@ func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 		}
 		items[i] = its
 	})
-	sorted, lay, err := sortSplit(c, items, sortKeyWords, requestKey, true)
+	sorted, lay, err := sortSplit(c, items, sortKeyWords, requestKey, branching(c, vwords+1), true)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +100,7 @@ func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 	// The buckets are the routed requests, and a machine's own requests —
 	// its run (items[i], already in key order) — take their buckets off its
 	// cuts, in place.
-	p := &Plan{sp: lay.sp, spans: lay.spans, reqs: sorted, own: items, starts: starts}
+	p := &Plan{sp: lay.sp, spans: lay.spans, reqs: sorted, own: items, starts: starts, vwords: vwords}
 	c.Each(func(i int) {
 		lo := 0
 		for _, ct := range lay.cuts[i] {
@@ -102,7 +111,9 @@ func NewPlan(c *mpc.Cluster, needs [][]int64) (*Plan, error) {
 		}
 	})
 	for _, s := range p.spans {
-		p.spanned = p.spanned || s.B > s.A
+		if s.B > s.A {
+			p.widest = max(p.widest, s.B-s.A+1)
+		}
 	}
 	return p, nil
 }
@@ -153,8 +164,9 @@ func rootOf(sp []SortKey, x int64) int {
 // sp[i].A, can have requests on both sides of it. For such an x the span runs
 // from x's root to the first bucket whose splitter's key exceeds x, the last
 // a request for x can land in. That is a superset of the machines that do
-// hold x: a bound that falls between two keys' runs still names a 2-machine
-// span.
+// hold x: a bound (x, 1, r) that falls at the start of x's run still names a
+// 2-machine span. A key whose splitters were aligned to (x, 0, 0) has none:
+// its root is past all of them.
 func splitterSpans(sp []SortKey, k, i int) (spans [2]span) {
 	sp = sp[:min(len(sp), k-1)]
 	n := 0
@@ -173,6 +185,15 @@ func splitterSpans(sp []SortKey, k, i int) (spans [2]span) {
 	return spans
 }
 
+// fits refuses a collective over p whose values are wider than p was built
+// for: its keys were aligned to one tree level of the plan's width.
+func (p *Plan) fits(op string, vwords int) error {
+	if vwords > p.vwords {
+		return fmt.Errorf("prims: %s: %w: %d-word values over a plan of %d-word values", op, ErrUnplanned, vwords, p.vwords)
+	}
+	return nil
+}
+
 // lenAt is len(data[i]), 0 past the end of data.
 func lenAt[T any](data [][]T, i int) int {
 	if i < len(data) {
@@ -185,14 +206,15 @@ func lenAt[T any](data [][]T, i int) int {
 // value on the large machine, in values by key: machine i needs the keys in
 // needs[i], and the Answers hold, in its slot s, the value of needs[i][s] if
 // it has one. It is NewPlan of needs and one PlanBroadcast of values over it,
-// so it charges a Sort, the scatter round, treeDepth(K, b) tree rounds and
+// so it charges a Sort, the scatter round, treeDepth(w, b) tree rounds — w
+// the machines of the plan's widest span, 0 when every key is aligned — and
 // the answer round. Values without a large machine are refused with
 // mpc.ErrNeedsLarge before any round.
 func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values []KV[V], vwords int) (Answers[V], error) {
 	if len(values) > 0 && !c.HasLarge() {
 		return Answers[V]{}, fmt.Errorf("prims: DisseminateFromLarge: %w", mpc.ErrNeedsLarge)
 	}
-	p, err := NewPlan(c, needs)
+	p, err := NewPlan(c, needs, vwords)
 	if err != nil {
 		return Answers[V]{}, err
 	}
@@ -203,15 +225,20 @@ func DisseminateFromLarge[V any](c *mpc.Cluster, needs [][]int64, values []KV[V]
 // sit at their keys' roots, as PlanCombine leaves them (else ErrUnplanned),
 // and the coordinator routes the large values straight to their roots (one
 // scatter round; mpc.ErrNeedsLarge without a large machine); then broadcast's
-// treeDepth(K, b)+1 rounds deliver them, as Answers: in machine i's slot s
-// the value of needs[i][s], if it has one. Of a key's values the first wins:
-// a root's own in list order, then the large machine's in list order.
+// treeDepth(w, b)+1 rounds deliver them — w the machines of the plan's
+// widest span, 0 without one — as Answers: in machine i's slot s the value of
+// needs[i][s], if it has one. Of a key's values the first wins: a root's own
+// in list order, then the large machine's in list order. Values wider than
+// the plan's vwords are ErrUnplanned.
 //
 // A large value goes to its key's root whether or not anyone requests the
 // key, and the root of a key past every request is the last bucket: a caller
 // sends only values of keys that can be requested (DESIGN.md §1).
 func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V], vwords int) (Answers[V], error) {
 	if err := checkBuckets(c, "PlanBroadcast small", small); err != nil {
+		return Answers[V]{}, err
+	}
+	if err := p.fits("PlanBroadcast", vwords); err != nil {
 		return Answers[V]{}, err
 	}
 	for i := range small {
@@ -283,8 +310,9 @@ func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]K
 // sorted by key, the first of a key's values winning — to every request of
 // the plan: each span's root forwards its key's value down a capacity-bounded
 // interval tree over the span (the paper's trees of Claims 2/3,
-// treeDepth(K, b) rounds), and every machine answers the requests routed to
-// it (1 round). A request for a key with no value is left unanswered.
+// treeDepth(w, b) rounds for the widest span's w machines; the coordinator
+// reads w off its list), and every machine answers the requests routed to it
+// (1 round). A request for a key with no value is left unanswered.
 func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answers[V], error) {
 	k := c.K()
 	spans := p.spans
@@ -321,7 +349,7 @@ func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answ
 	// Tree-down per span: the root holds the value if one exists; forward
 	// level by level. fanout is the children span entry j feeds at depth d.
 	b := branching(c, vwords+1)
-	depth := treeDepth(k, b)
+	depth := treeDepth(p.widest, b)
 	fanout := func(j, d int) (lo, hi int) {
 		si := spans[j]
 		p := j/2 - si.A
@@ -457,9 +485,12 @@ func (a Answers[V]) Slot(i, s int) (v V, ok bool) {
 // receives at most one partial per request the plan routed to it, a root one
 // more per span member; past a cap the round fails with mpc.ErrCapacity.
 // combine is AggregateByKey's: associative, commutative, owning both
-// arguments.
+// arguments. Values wider than the plan's vwords are ErrUnplanned.
 func PlanCombine[V any](c *mpc.Cluster, p *Plan, items [][]KV[V], vwords int, combine func(a, b V) V) ([][]KV[V], error) {
 	if err := checkBuckets(c, "PlanCombine", items); err != nil {
+		return nil, err
+	}
+	if err := p.fits("PlanCombine", vwords); err != nil {
 		return nil, err
 	}
 	defer c.Span("aggregate").End()
@@ -503,7 +534,7 @@ func PlanCombine[V any](c *mpc.Cluster, p *Plan, items [][]KV[V], vwords int, co
 		roots[i] = foldRuns(roots[i], combine)
 	})
 
-	if p.spanned {
+	if p.widest > 0 {
 		// A machine is a non-root member of at most one span, whose key is
 		// its smallest; that key's fold goes to the root.
 		up := c.Span("span-up")

@@ -95,30 +95,85 @@ func answerMap[V any](a Answers[V], i int, needs []int64) map[int64]V {
 	return m
 }
 
-// checkPlan runs in's collectives over one NewPlan of in.needs on c and
-// fails t at the first difference from their references:
+// layoutWidest is the widest span of p's layout, read off its buckets: a
+// key's span runs from its root to the last bucket holding one of its
+// requests, and it has one when that is not the root.
+func layoutWidest(p *Plan) int {
+	last := map[int64]int{}
+	for b, reqs := range p.reqs {
+		for _, r := range reqs {
+			last[r.Key] = b
+		}
+	}
+	widest := 0
+	for x, b := range last {
+		if r := p.root(x); b > r {
+			widest = max(widest, b-r+1)
+		}
+	}
+	return widest
+}
+
+// checkAligned fails t unless every key of needs that the coordinator can
+// bound by b sits whole in its root's bucket. The bound is the alignment
+// rule's: the key's requests on machines that sample their whole run, plus
+// one for every other machine, since a machine requests a key at most once.
+func checkAligned(t *testing.T, c *mpc.Cluster, p *Plan, needs [][]int64, b int) {
+	t.Helper()
+	q, loose, count := sampleSize(c), 0, map[int64]int{}
+	for _, ns := range needs {
+		if len(ns) > q {
+			loose++
+			continue
+		}
+		for _, x := range ns {
+			count[x]++
+		}
+	}
+	for i, ns := range needs {
+		for s, x := range ns {
+			if bucket, root := int(p.own[i][s].M), p.root(x); count[x]+loose <= b && bucket != root {
+				t.Fatalf("key %d (at most %d requests, b = %d): machine %d's request went to bucket %d, its root is %d",
+					x, count[x]+loose, b, i, bucket, root)
+			}
+		}
+	}
+}
+
+// checkPlan runs in's collectives over one NewPlan of in.needs for values of
+// planWords words on c and fails t at the first difference from their
+// references:
 //
+//   - the plan is aligned: every key bound by b = branching(planWords+1)
+//     sits in its root's bucket (checkAligned), and its widest span is its
+//     layout's (layoutWidest);
 //   - PlanCombine against AggregateByKey, under a sum and under a first-wins
 //     combine (which sees the fold order): the same (key, value) set, every
 //     key at its root, one route round plus a span-up round when the plan
 //     has a span;
 //   - PlanBroadcast of that result and in.large against the oracle of
-//     AggregateByKey's and in.large: the same answers, in treeDepth+1 rounds
-//     plus the scatter round;
+//     AggregateByKey's and in.large: the same answers, in
+//     treeDepth(widest span, b)+1 rounds plus the scatter round;
 //   - PlanBroadcast of two values per request, put at the key's root in
 //     requester order, against the oracle of the same lists: the first in
 //     origin order wins;
 //   - a combine key its machine does not request, a value away from its
-//     root, and (without a large machine) large values are refused —
-//     ErrUnplanned, ErrUnplanned, mpc.ErrNeedsLarge — before any round.
-func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
+//     root, collectives wider than planWords, and (without a large machine)
+//     large values are refused — ErrUnplanned, ErrUnplanned, ErrUnplanned,
+//     mpc.ErrNeedsLarge — before any round.
+func checkPlan(t *testing.T, c *mpc.Cluster, in planInput, planWords int) *Plan {
 	t.Helper()
 	k := c.K()
-	p, err := NewPlan(c, in.needs)
+	p, err := NewPlan(c, in.needs, planWords)
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth := treeDepth(k, branching(c, 2))
+	checkAligned(t, c, p, in.needs, branching(c, planWords+1))
+	widest := layoutWidest(p)
+	if p.widest != widest {
+		t.Fatalf("the plan's widest span is %d machines, its layout's %d", p.widest, widest)
+	}
+	depth := treeDepth(widest, branching(c, 2))
 	for _, cb := range []struct {
 		name    string
 		combine func(a, b int64) int64
@@ -132,7 +187,7 @@ func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 			t.Fatalf("%s: PlanCombine: %v", cb.name, err)
 		}
 		want := 1
-		if p.spanned {
+		if widest > 0 {
 			want++
 		}
 		if got := c.Rounds() - before; got != want {
@@ -194,6 +249,12 @@ func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 			t.Errorf("a value away from its root: err = %v, want ErrUnplanned", err)
 		}
 	}
+	if _, err := PlanCombine(c, p, in.items, planWords+1, func(a, b int64) int64 { return a + b }); !errors.Is(err, ErrUnplanned) {
+		t.Errorf("a combine wider than the plan: err = %v, want ErrUnplanned", err)
+	}
+	if _, err := PlanBroadcast[int64](c, p, nil, nil, planWords+1); !errors.Is(err, ErrUnplanned) {
+		t.Errorf("a broadcast wider than the plan: err = %v, want ErrUnplanned", err)
+	}
 	if !c.HasLarge() {
 		if _, err := PlanBroadcast(c, p, nil, []KV[int64]{{K: 1, V: 1}}, 1); !errors.Is(err, mpc.ErrNeedsLarge) {
 			t.Errorf("large values without a large machine: err = %v, want ErrNeedsLarge", err)
@@ -202,14 +263,19 @@ func checkPlan(t *testing.T, c *mpc.Cluster, in planInput) {
 	if used := c.Rounds() - before; used != 0 {
 		t.Errorf("refused calls charged %d rounds", used)
 	}
+	return p
 }
 
 // TestPlanMatchesOneShot is the differential test of the plan against the
 // one-shot AggregateByKey and the sequential oracle (checkPlan) on a
 // 128-machine cluster, with and without the large machine: a hot key every
-// machine requests (its requests span at least three machines), random keys,
-// keys requested and never valued, every eleventh machine empty, and — with
-// the large machine — large values, duplicated, for keys no item carries.
+// machine requests, random keys, keys requested and never valued, every
+// eleventh machine empty, and — with the large machine — large values,
+// duplicated, for keys no item carries. Under a plan of 1-word values the
+// hot key is aligned, its requests all in its root's bucket; under a plan of
+// values so wide that one tree level fans out to 32 machines or fewer, its
+// requests exceed the bound and span at least three machines, and the cold
+// keys stay aligned beside it.
 func TestPlanMatchesOneShot(t *testing.T) {
 	for _, noLarge := range []bool{false, true} {
 		c := newCluster(t, 256, 2048, noLarge)
@@ -245,18 +311,98 @@ func TestPlanMatchesOneShot(t *testing.T) {
 				}
 			}
 		}
-		p, err := NewPlan(c, in.needs)
+		for _, planWords := range []int{1, c.MinSmallCap() / (2 * 32)} {
+			b := branching(c, planWords+1)
+			p := checkPlan(t, c, in, planWords)
+			hot := 0 // machines of the hot key's span
+			for _, s := range p.spans {
+				if s.Key == 7 && s.B > s.A {
+					hot = s.B - s.A + 1
+				}
+			}
+			if aligned := b >= k; aligned && hot > 0 {
+				t.Fatalf("noLarge=%v b=%d: the hot key spans %d machines, want it aligned", noLarge, b, hot)
+			} else if !aligned && hot < 3 {
+				t.Fatalf("noLarge=%v b=%d: the hot key's requests span fewer than three machines: %v", noLarge, b, p.spans)
+			}
+		}
+	}
+}
+
+// TestPlanAlignsKeys: on a plan whose every key the coordinator can bound by
+// one tree level's fan-out — a hot key every machine requests included —
+// every request sits in its root's bucket, no machine is in a span,
+// PlanCombine charges its one route round and PlanBroadcast its scatter and
+// answer rounds, no tree; and a collective wider than the plan was built
+// for is ErrUnplanned before any round.
+func TestPlanAlignsKeys(t *testing.T) {
+	for _, noLarge := range []bool{false, true} {
+		c := newCluster(t, 256, 2048, noLarge)
+		k := c.K()
+		if b := branching(c, 2); b < k {
+			t.Fatalf("noLarge=%v: branching %d below K=%d: the plan is not aligned by its bound", noLarge, b, k)
+		}
+		needs, items := make([][]int64, k), make([][]KV[int64], k)
+		for i := range needs {
+			needs[i] = []int64{7, int64(100 + i%13), int64(200 + i)}
+			items[i] = []KV[int64]{{K: 7, V: int64(i)}, {K: int64(100 + i%13), V: 1}}
+		}
+		p, err := NewPlan(c, needs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hot := false
-		for _, s := range p.spans {
-			hot = hot || (s.Key == 7 && s.B-s.A >= 2)
+		for i, ns := range needs {
+			for s, x := range ns {
+				if got, root := int(p.own[i][s].M), p.root(x); got != root {
+					t.Fatalf("noLarge=%v: machine %d's request for key %d went to bucket %d, its root is %d", noLarge, i, x, got, root)
+				}
+			}
 		}
-		if !hot {
-			t.Fatalf("noLarge=%v: the hot key's requests span fewer than three machines: %v", noLarge, p.spans)
+		for j, s := range p.spans {
+			if s != (span{}) {
+				t.Fatalf("noLarge=%v: machine %d sits in span %v", noLarge, j/2, s)
+			}
 		}
-		checkPlan(t, c, in)
+
+		before := c.Stats().Rounds
+		roots, err := PlanCombine(c, p, items, 1, func(a, b int64) int64 { return a + b })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := c.Stats().Rounds - before; used != 1 {
+			t.Errorf("noLarge=%v: PlanCombine charged %d rounds, want 1 (the route)", noLarge, used)
+		}
+		var large []KV[int64]
+		if !noLarge {
+			large = []KV[int64]{{K: int64(200 + k/2), V: -1}}
+		}
+		before = c.Stats().Rounds
+		got, err := PlanBroadcast(c, p, roots, large, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if !noLarge {
+			want++
+		}
+		if used := c.Stats().Rounds - before; used != want {
+			t.Errorf("noLarge=%v: PlanBroadcast charged %d rounds, want %d (scatter + answer)", noLarge, used, want)
+		}
+		if v, ok := got.Slot(k-1, 0); !ok || v != int64(k*(k-1)/2) {
+			t.Errorf("noLarge=%v: machine %d is answered the hot key's sum %d, %v; want %d", noLarge, k-1, v, ok, k*(k-1)/2)
+		}
+		sameAnswers(t, fmt.Sprintf("noLarge=%v", noLarge), got, needs, oracle(needs, Flatten(roots), large))
+
+		before = c.Stats().Rounds
+		if _, err := PlanCombine(c, p, items, 2, func(a, b int64) int64 { return a + b }); !errors.Is(err, ErrUnplanned) {
+			t.Errorf("noLarge=%v: a 2-word PlanCombine over a 1-word plan: err = %v, want ErrUnplanned", noLarge, err)
+		}
+		if _, err := PlanBroadcast(c, p, roots, large, 2); !errors.Is(err, ErrUnplanned) {
+			t.Errorf("noLarge=%v: a 2-word PlanBroadcast over a 1-word plan: err = %v, want ErrUnplanned", noLarge, err)
+		}
+		if used := c.Stats().Rounds - before; used != 0 {
+			t.Errorf("noLarge=%v: refused calls charged %d rounds", noLarge, used)
+		}
 	}
 }
 
@@ -264,17 +410,24 @@ func TestPlanMatchesOneShot(t *testing.T) {
 // Byte pairs (a, b) place one request each: machine a mod K requests key
 // b mod 64, and by a's top two bits the request is bare (0), carries an item
 // (1, 2; value b), or is for key 100 + b mod 16, which the large machine
-// holds a value of (3; a request without a large machine).
+// holds a value of (3; a request without a large machine). The plan is for
+// 1-word values when fan is 0, so every key is aligned; otherwise for values
+// so wide that one tree level fans out to about fan machines, and a key with
+// more requesters keeps its span and tree.
 func FuzzPlan(f *testing.F) {
-	f.Add(uint8(3), false, []byte{0x40, 7, 0x41, 7, 0x42, 7, 0x43, 7, 0x80, 9, 0xc1, 3, 0x02, 11})
-	f.Add(uint8(15), false, []byte{0x40, 1, 0x45, 1, 0x4a, 1, 0x4f, 1, 0x53, 1, 0xc0, 0, 0xc0, 16})
-	f.Add(uint8(0), true, []byte{0x40, 5, 0x80, 5, 0x00, 6})
-	f.Add(uint8(7), true, []byte{})
-	f.Fuzz(func(t *testing.T, kb uint8, noLarge bool, data []byte) {
+	f.Add(uint8(3), false, uint8(0), []byte{0x40, 7, 0x41, 7, 0x42, 7, 0x43, 7, 0x80, 9, 0xc1, 3, 0x02, 11})
+	f.Add(uint8(15), false, uint8(0), []byte{0x40, 1, 0x45, 1, 0x4a, 1, 0x4f, 1, 0x53, 1, 0xc0, 0, 0xc0, 16})
+	f.Add(uint8(0), true, uint8(0), []byte{0x40, 5, 0x80, 5, 0x00, 6})
+	f.Add(uint8(7), true, uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, kb uint8, noLarge bool, fan uint8, data []byte) {
 		k := int(kb)%16 + 1
 		c, err := mpc.New(mpc.Config{N: 64, M: 512, K: k, Seed: 3, NoLarge: noLarge})
 		if err != nil {
 			t.Fatal(err)
+		}
+		planWords := 1
+		if fan > 0 {
+			planWords = max(1, c.MinSmallCap()/(2*int(fan))-1)
 		}
 		in := planInput{needs: make([][]int64, k), items: make([][]KV[int64], k)}
 		for j := 0; j+1 < len(data); j += 2 {
@@ -291,7 +444,7 @@ func FuzzPlan(f *testing.F) {
 			in.needs[m] = append(in.needs[m], x)
 		}
 		in.needs, _ = DistinctSlots(in.needs)
-		checkPlan(t, c, in)
+		checkPlan(t, c, in, planWords)
 	})
 }
 
@@ -326,7 +479,7 @@ func TestPlanBroadcastDuplicateValuesFirstWins(t *testing.T) {
 			large = []KV[int64]{{K: 7, V: -1}, {K: 100, V: -2}, {K: 555, V: 5}, {K: 555, V: 6}}
 			needs[3] = slices.Insert(needs[3], 2, 555) // {7, 103, 555, 999}
 		}
-		p, err := NewPlan(c, needs)
+		p, err := NewPlan(c, needs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,24 +515,27 @@ func TestDisseminateLargeValuesNeedLarge(t *testing.T) {
 }
 
 // TestDisseminateChargesSortScatterTreeAnswer pins DisseminateFromLarge's
-// round cost, a function of public parameters only: NewPlan's Sort of the
-// same requests, a scatter round when the large machine holds values,
-// treeDepth(K, b) tree rounds and the answer round — nothing for finding the
-// spans.
+// round cost: NewPlan's Sort of the same requests, a scatter round when the
+// large machine holds values, treeDepth(w, b) tree rounds for the plan's
+// widest span of w machines — read off a twin plan's buckets
+// (layoutWidest), none when every key is aligned — and the answer round;
+// nothing for finding the spans. Every machine requests the hot keys 7 and
+// 999, so they are aligned on a default cluster, where K ≤ b, and keep a
+// span and a tree where one machine's small capacity cuts b below K.
 func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 	const k, vwords = 128, 1
 	small := mpc.UniformProfile(k)
 	small.CapScale[k/2] = 0.006 // room for the splitter list, not for K children
 	for _, tc := range []struct {
-		name     string
-		cfg      mpc.Config
-		values   bool
-		minDepth int
+		name   string
+		cfg    mpc.Config
+		values bool
+		tree   bool
 	}{
-		{"default", mpc.Config{}, true, 1},
-		{"default, no values", mpc.Config{}, false, 1},
-		{"NoLarge, no values", mpc.Config{NoLarge: true}, false, 1},
-		{"one small-capacity machine", mpc.Config{Profile: small}, true, 2},
+		{"default", mpc.Config{}, true, false},
+		{"default, no values", mpc.Config{}, false, false},
+		{"NoLarge, no values", mpc.Config{NoLarge: true}, false, false},
+		{"one small-capacity machine", mpc.Config{Profile: small}, true, true},
 	} {
 		cfg := tc.cfg
 		cfg.N, cfg.M, cfg.K, cfg.Seed = 256, 2048, k, 42
@@ -387,11 +543,20 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		depth := treeDepth(k, branching(c, vwords+1))
-		if depth < tc.minDepth {
-			t.Fatalf("%s: tree depth %d, want at least %d", tc.name, depth, tc.minDepth)
+		twin, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		_, needs := dupValues(k)
+		p, err := NewPlan(twin, needs, vwords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := branching(c, vwords+1)
+		depth := treeDepth(layoutWidest(p), b)
+		if (depth > 0) != tc.tree || (b >= k) == tc.tree {
+			t.Fatalf("%s: branching %d over K=%d, tree depth %d, want a tree: %v", tc.name, b, k, depth, tc.tree)
+		}
 		var values []KV[int64]
 		if tc.values {
 			for x := int64(0); x < 3*k; x++ {
@@ -472,7 +637,7 @@ func TestPlanBroadcastRefusesRepeatedRequest(t *testing.T) {
 		} else if strings.Count(err.Error(), "prims:") != 1 {
 			t.Errorf("needs %v: %q repeats its prefix", bad, err)
 		}
-		if _, err := NewPlan(c, needs); !errors.Is(err, ErrNeedsOrder) {
+		if _, err := NewPlan(c, needs, 1); !errors.Is(err, ErrNeedsOrder) {
 			t.Fatalf("needs %v: NewPlan err = %v, want ErrNeedsOrder", bad, err)
 		}
 		if after := c.Stats(); after.Rounds != before.Rounds || after.TotalWords != before.TotalWords {

@@ -13,18 +13,20 @@
 //     sorted run of (key, value) (AggregateByKey), which GatherKVs brings to
 //     the large machine as one key-sorted slab. Over a Plan of keys the
 //     machines request there is no sort: each partial goes to the bucket its
-//     machine's own request for the key went to, and one span-up round folds
-//     a span's partials into its root (PlanCombine), where Claim 3 reads
-//     them;
+//     machine's own request for the key went to, and, when a key spans
+//     machines, one span-up round folds a span's partials into its root
+//     (PlanCombine), where Claim 3 reads them;
 //   - Claim 3 (Dissemination): one form. A request set is sorted once by
 //     (x, 1, requester) into a Plan (NewPlan), so a key's values have one
 //     machine, its root, the bucket of (x, 0, 0); the spans a machine sits
-//     in are a function of Sort's splitters and come with Sort's reply. Every
-//     PlanBroadcast over the plan routes the large machine's values straight
-//     to their roots (one scatter round), and machine-range trees with
-//     capacity-bounded branching (the paper's trees with branching n^γ) run
-//     downward over the spans, delivering per-key values to every machine
-//     that requested the key. Each machine's needs strictly ascend, so
+//     in are a function of Sort's splitters and come with Sort's reply. The
+//     buckets are cut at key boundaries, so a key with at most one tree
+//     level's fan-out of requests sits whole in its root's bucket and only a
+//     hotter key spans. Every PlanBroadcast over the plan routes the large
+//     machine's values straight to their roots (one scatter round), and
+//     machine-range trees with capacity-bounded branching (the paper's trees
+//     with branching n^γ) run downward over the spans, delivering per-key
+//     values to every machine that requested the key. Each machine's needs strictly ascend, so
 //     slot s of machine i is needs[i][s]: DistinctSlots builds them and
 //     returns each input position's slot, and the answers are read by slot
 //     (Answers.Slot). A request set used once is the same two calls

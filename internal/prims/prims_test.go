@@ -246,7 +246,7 @@ func TestDeepTrees(t *testing.T) {
 					agg[kv.K] = kv.V
 				}
 			}
-			p, err := NewPlan(c, needs)
+			p, err := NewPlan(c, needs, vwords)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,9 +296,14 @@ func TestTreeFanoutAllocIndependentOfBranching(t *testing.T) {
 		for i := range needs {
 			needs[i] = []int64{7}
 		}
-		p, err := NewPlan(c, needs)
+		// A plan for values as wide as a machine keeps the hot key's span
+		// and tree: its K requests exceed one level of that plan's fan-out.
+		p, err := NewPlan(c, needs, c.MinSmallCap())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if p.widest == 0 {
+			t.Fatalf("CSmall=%v: the hot key has no span, so no tree runs", csmall)
 		}
 		values := atRoots(p, k, [][]KV[int64]{{{K: 7, V: 700}}})
 		var before, after runtime.MemStats
@@ -518,7 +523,7 @@ func TestPlanBroadcastDistributedValues(t *testing.T) {
 		for i := range needs {
 			needs[i] = []int64{7}
 		}
-		p, err := NewPlan(c, needs)
+		p, err := NewPlan(c, needs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

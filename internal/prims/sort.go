@@ -3,6 +3,7 @@ package prims
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"hetmpc/internal/mpc"
 )
@@ -82,7 +83,7 @@ func keyWords(keys []SortKey) int {
 //
 // itemWords is the accounted size of one item.
 func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, error) {
-	sorted, _, err := sortSplit(c, data, itemWords, key, false)
+	sorted, _, err := sortSplit(c, data, itemWords, key, 0, false)
 	return sorted, err
 }
 
@@ -100,8 +101,9 @@ type layout struct {
 // every machine the spans it sits in: bucket j holds exactly the keys in
 // [sp[j-1], sp[j]) (the splitter list sp clipped to K-1, as walkBuckets clips
 // it), so which keys can straddle which machines is a function of the list
-// alone (splitterSpans).
-func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, wantSpans bool) ([][]T, layout, error) {
+// alone (splitterSpans). With align > 0 the splitters are cut at the key
+// boundaries of every key with at most align items (pickSplitters).
+func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, align int, wantSpans bool) ([][]T, layout, error) {
 	defer c.Span("sort").End()
 	k := c.K()
 	if err := checkBuckets(c, "Sort", data); err != nil {
@@ -134,7 +136,7 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	lay := layout{cuts: make([][]cut, k)}
 	var samples []sample
 	var err error
-	if lay.sp, samples, err = sortSplitters(c, data, key); err != nil {
+	if lay.sp, samples, err = sortSplitters(c, data, key, align); err != nil {
 		return nil, layout{}, err
 	}
 	if wantSpans {
@@ -216,21 +218,14 @@ func route[T any](c *mpc.Cluster, data [][]T, cuts [][]cut, itemWords, spare int
 
 // sortSplitters is step 2 of Sort over locally sorted data and the
 // coordinator's half of step 3: every machine sends a weighted key sample to
-// the coordinator, which picks the K-1 placement-weighted splitters. It
-// returns the coordinator's list and the samples it was sent, by machine.
-func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([]SortKey, []sample, error) {
+// the coordinator, which picks the K-1 placement-weighted splitters
+// (pickSplitters, aligned at key boundaries under align). It returns the
+// coordinator's list and the samples it was sent, by machine.
+func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, align int) ([]SortKey, []sample, error) {
 	k := c.K()
 	// Step 2: weighted key samples to the coordinator (sample extraction is
-	// local computation, parallel over the small-machine axis). q is sized
-	// for samples at sortKeyWords a key, the most keyWords charges, so the
-	// round fits whatever the keys' columns hold.
-	q := coordCap(c) / (2 * k * (sortKeyWords + 1))
-	if q < 1 {
-		q = 1
-	}
-	if q > 64 {
-		q = 64
-	}
+	// local computation, parallel over the small-machine axis).
+	q := sampleSize(c)
 	// The round's samples are one slab and their keys one array, carved
 	// here (serially) so the parallel extraction only fills them in.
 	outs := perMachineOuts(k)
@@ -258,38 +253,107 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey) ([]So
 	}
 
 	// Step 3: coordinator picks splitters weighted by machine loads.
-	samples, total, err := collectSamples(inbox)
+	samples, err := inboxSamples(inbox)
 	if err != nil {
 		return nil, nil, err
 	}
-	SortLocal(samples, func(s weightedKey) SortKey { return s.key })
-	// Splitter targets are placement-weighted: bucket i should hold a
-	// PlaceShare(i)/Σ share of the items under the cluster's placement
-	// policy (DESIGN.md §8) — capacity shares under the default cap policy
-	// (Frisk's balancing rule), min(capacity, effective speed) under
-	// throughput/speculate — so skewed machines receive only what they can
-	// absorb (or move in time). With uniform weights (all exactly 1) this
-	// reduces to the even split total/k.
-	splitters := make([]SortKey, 0, k-1)
-	if len(samples) > 0 && total > 0 {
-		var totalShare float64
-		prefix := make([]float64, k) // prefix[j] = Σ_{i<j} PlaceShare(i)
-		for i := 0; i < k; i++ {
-			prefix[i] = totalShare
-			totalShare += c.PlaceShare(i)
+	return pickSplitters(c, samples, align), slab, nil
+}
+
+// sampleSize is the most keys a machine samples, q: sized for samples at
+// sortKeyWords a key, the most keyWords charges, so the sample round fits
+// whatever the keys' columns hold, and at most 64.
+func sampleSize(c *mpc.Cluster) int {
+	return min(max(coordCap(c)/(2*c.K()*(sortKeyWords+1)), 1), 64)
+}
+
+// inboxSamples is the coordinator's side of the sample round: the merge of
+// the samples it was sent, a cursor on each in delivery order.
+func inboxSamples(inbox []mpc.Msg) (sampleMerge, error) {
+	m := sampleMerge{cur: make([]sampleCursor, len(inbox))}
+	for j, msg := range inbox {
+		s, ok := msg.Data.(*sample)
+		if !ok || s == nil {
+			return sampleMerge{}, fmt.Errorf("prims: unexpected sample payload %T", msg.Data)
 		}
-		var cum float64
-		next := 1
-		target := float64(total) / totalShare
-		for _, s := range samples {
-			cum += s.weight
-			for next < k && cum >= prefix[next]*target {
-				splitters = append(splitters, s.key)
-				next++
+		m.cur[j] = sampleCursor{s: s}
+		if len(s.Keys) > 0 {
+			m.cur[j].weight = float64(s.Count) / float64(len(s.Keys))
+		}
+	}
+	m.play()
+	return m, nil
+}
+
+// pickSplitters walks the samples' keys in sorted order — a K-way merge of
+// the sorted samples, equal keys in delivery order, as a stable sort of
+// their concatenation orders them — each key standing for its machine's
+// count over its sample size, and takes a splitter wherever the running
+// weight crosses a bucket's target. The targets are placement-weighted:
+// bucket i should hold a PlaceShare(i)/Σ share of the items under the
+// cluster's placement policy (DESIGN.md §8) — capacity shares under the
+// default cap policy (Frisk's balancing rule), min(capacity, effective
+// speed) under throughput/speculate — so skewed machines receive only what
+// they can absorb (or move in time). With uniform weights (all exactly 1)
+// this reduces to the even split total/k.
+//
+// With align > 0 the list is cut at key boundaries: the splitters taken
+// inside the run of a key x (the A column) all move down to (x, 0, 0) when
+// at most align items can carry x, so every item of x lands in one bucket.
+// The merge counts x's keys in whole samples exactly, and a machine whose
+// sample is not its whole run, or that sent none, counts as one: for plan
+// requests, at most one a machine, that bounds x's items. A key whose bound
+// exceeds align keeps its splitters.
+func pickSplitters(c *mpc.Cluster, m sampleMerge, align int) []SortKey {
+	k := c.K()
+	total, loose := 0, k
+	for _, cur := range m.cur {
+		total += cur.s.Count
+		if cur.s.whole() {
+			loose--
+		}
+	}
+	splitters := make([]SortKey, 0, k-1)
+	if total == 0 {
+		return splitters
+	}
+	var totalShare float64
+	prefix := make([]float64, k) // prefix[j] = Σ_{i<j} PlaceShare(i)
+	for i := 0; i < k; i++ {
+		prefix[i] = totalShare
+		totalShare += c.PlaceShare(i)
+	}
+	target := float64(total) / totalShare
+
+	// x's run of merged keys took splitters[from:], n of its keys from whole
+	// samples; align closes it.
+	var x int64
+	from, n := 0, 0
+	closeRun := func() {
+		if align > 0 && n+loose <= align {
+			for j := from; j < len(splitters); j++ {
+				splitters[j] = SortKey{A: x}
 			}
 		}
 	}
-	return splitters, slab, nil
+	var cum float64
+	next := 1
+	for cur, kk, ok := m.pop(); ok; cur, kk, ok = m.pop() {
+		if kk.A != x {
+			closeRun()
+			x, from, n = kk.A, len(splitters), 0
+		}
+		if cur.s.whole() {
+			n++
+		}
+		cum += cur.weight
+		for next < k && cum >= prefix[next]*target {
+			splitters = append(splitters, kk)
+			next++
+		}
+	}
+	closeRun()
+	return splitters
 }
 
 // cut is one step of a machine's route: the next Count items of its locally
@@ -394,37 +458,101 @@ type sample struct {
 // whole reports whether the sample is every key the machine holds, in order.
 func (s *sample) whole() bool { return s.Count == len(s.Keys) }
 
-// weightedKey is a sampled key standing for weight items of its machine.
-type weightedKey struct {
-	key    SortKey
+// sampleMerge is a K-way merge of sorted samples: a loser tree over the
+// samples' heads, ordered by key and then delivery order, so equal keys come
+// out in delivery order, as a stable sort of the samples' concatenation has
+// them. A pop replays one leaf-to-root path, one comparison a level.
+type sampleMerge struct {
+	cur  []sampleCursor
+	tree []mergeNode // tree[0] is the winner, tree[x] for 0 < x < K the loser at node x
+}
+
+// sampleCursor is a sample's next position and the items each of its keys
+// stands for.
+type sampleCursor struct {
+	s      *sample
+	pos    int32
 	weight float64
 }
 
-// collectSamples is the coordinator's side of the sample round: every
-// sampled key weighted by its machine's load, in delivery order, and the
-// total item count.
-func collectSamples(inbox []mpc.Msg) (samples []weightedKey, total int, err error) {
-	n := 0
-	for _, m := range inbox {
-		s, ok := m.Data.(*sample)
-		if !ok || s == nil {
-			return nil, 0, fmt.Errorf("prims: unexpected sample payload %T", m.Data)
-		}
-		n += len(s.Keys)
+// mergeNode is sample j's head in the tournament: its next key, or, once
+// the sample is spent, the largest key.
+type mergeNode struct {
+	key   SortKey
+	spent bool
+	j     int32
+}
+
+func (cur *sampleCursor) head(j int32) mergeNode {
+	if int(cur.pos) == len(cur.s.Keys) {
+		return mergeNode{key: SortKey{A: math.MaxInt64, B: math.MaxInt64, C: math.MaxInt64}, spent: true, j: j}
 	}
-	samples = make([]weightedKey, 0, n)
-	for _, m := range inbox {
-		s := m.Data.(*sample)
-		total += s.Count
-		if len(s.Keys) == 0 {
-			continue
-		}
-		w := float64(s.Count) / float64(len(s.Keys))
-		for _, kk := range s.Keys {
-			samples = append(samples, weightedKey{key: kk, weight: w})
+	return mergeNode{key: cur.s.Keys[cur.pos], j: j}
+}
+
+// less orders heads by key, a spent sample after every live one, then by
+// delivery order.
+func (a *mergeNode) less(b *mergeNode) bool {
+	switch {
+	case a.key.A != b.key.A:
+		return a.key.A < b.key.A
+	case a.key.B != b.key.B:
+		return a.key.B < b.key.B
+	case a.key.C != b.key.C:
+		return a.key.C < b.key.C
+	case a.spent != b.spent:
+		return b.spent
+	}
+	return a.j < b.j
+}
+
+// play plays the tournament over the samples' first keys: leaf j sits at
+// node K+j and node x's children are 2x and 2x+1. The nodes first take
+// their subtree's winner, bottom-up; then, top-down, each keeps the loser
+// of its children's winners.
+func (m *sampleMerge) play() {
+	n := len(m.cur)
+	if n == 0 {
+		return
+	}
+	m.tree = make([]mergeNode, 2*n)
+	for j := range m.cur {
+		m.tree[n+j] = m.cur[j].head(int32(j))
+	}
+	for x := n - 1; x >= 1; x-- {
+		if a, b := &m.tree[2*x], &m.tree[2*x+1]; b.less(a) {
+			m.tree[x] = *b
+		} else {
+			m.tree[x] = *a
 		}
 	}
-	return samples, total, nil
+	m.tree[0] = m.tree[1] // the root's winner (with one sample, its leaf)
+	for x := 1; x < n; x++ {
+		if a, b := &m.tree[2*x], &m.tree[2*x+1]; b.less(a) {
+			m.tree[x] = *a
+		} else {
+			m.tree[x] = *b
+		}
+	}
+}
+
+// pop returns the smallest key left and its sample's cursor, or
+// ok == false.
+func (m *sampleMerge) pop() (cur *sampleCursor, key SortKey, ok bool) {
+	if len(m.cur) == 0 || m.tree[0].spent {
+		return nil, SortKey{}, false
+	}
+	j := m.tree[0].j
+	cur, key = &m.cur[j], m.tree[0].key
+	cur.pos++
+	w := cur.head(j)
+	for x := (int(j) + len(m.cur)) / 2; x >= 1; x /= 2 {
+		if m.tree[x].less(&w) {
+			m.tree[x], w = w, m.tree[x]
+		}
+	}
+	m.tree[0] = w
+	return cur, key, true
 }
 
 // IsGloballySorted verifies the Sort postcondition (used by tests).

@@ -71,7 +71,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 			runs[i] = slices.Clone(data[i])
 			slices.SortFunc(runs[i], SortKey.Compare)
 		}
-		sp, _, err := sortSplitters(twin, runs, identKey)
+		sp, _, err := sortSplitters(twin, runs, identKey, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

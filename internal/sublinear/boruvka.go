@@ -81,6 +81,9 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 	mstParts := make([][]graph.Edge, kk) // MST edges stay distributed
 	maxPhases := 6*int(math.Ceil(math.Log2(float64(n)+2))) + 12
 
+	// The phases' combine items reuse one list a machine: PlanCombine copies
+	// what it is given before it returns.
+	items := make([][]prims.KV[minEdgeVal], kk)
 	for phase := 0; ; phase++ {
 		live, err := prims.SumAll(c, liveCounts(edges))
 		if err != nil {
@@ -99,10 +102,9 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 		// holds, and only their minimum outgoing edges are aggregated. The
 		// edges' tail labels, in edge order, read their slots off tailSlots.
 		tails := make([][]int64, kk)
-		items := make([][]prims.KV[minEdgeVal], kk)
 		c.Each(func(i int) {
 			ls := make([]int64, 0, 2*len(edges[i]))
-			items[i] = make([]prims.KV[minEdgeVal], 0, 2*len(edges[i]))
+			items[i] = slices.Grow(items[i][:0], 2*len(edges[i]))
 			for _, e := range edges[i] {
 				if e.LU == e.LV {
 					continue
@@ -122,7 +124,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 			tails[i] = ls
 		})
 		labelNeeds, tailSlots := prims.DistinctSlots(tails)
-		plan, err := prims.NewPlan(c, labelNeeds)
+		plan, err := prims.NewPlan(c, labelNeeds, minEdgeWords)
 		if err != nil {
 			return nil, err
 		}

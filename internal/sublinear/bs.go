@@ -17,6 +17,10 @@ type SpannerResult struct {
 	Stats  mpc.Stats
 }
 
+// reclusterWords is the accounted size of a re-cluster candidate: the
+// neighbor, its center and the edge.
+const reclusterWords = 5
+
 // Spanner is the sublinear-regime spanner baseline: the Baswana-Sen
 // algorithm run level by level with no large machine — k levels of O(1)
 // rounds each, i.e. Θ(k) rounds (the paper's Table 1 cites [14]'s O(log k)
@@ -42,7 +46,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	// Every level's re-cluster aggregation and dissemination is over the
 	// endpoints of the machines' edges: one plan serves them all.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, reclusterWords)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +119,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 					}
 				}
 			})
-			minRoots, err := prims.PlanCombine(c, plan, items, 5,
+			minRoots, err := prims.PlanCombine(c, plan, items, reclusterWords,
 				func(a, b reclusterVal) reclusterVal {
 					if b.U < a.U {
 						return b
@@ -132,7 +136,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 					spannerParts[i] = append(spannerParts[i], graph.NewEdge(int(rv.OU), int(rv.OV), rv.W))
 				}
 			})
-			if newCenters, err = prims.PlanBroadcast(c, plan, minRoots, nil, 5); err != nil {
+			if newCenters, err = prims.PlanBroadcast(c, plan, minRoots, nil, reclusterWords); err != nil {
 				return nil, err
 			}
 		}

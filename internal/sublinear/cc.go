@@ -59,6 +59,9 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 	c.Each(func(i int) { labels[i] = slices.Clone(verts[i]) })
 
 	maxPhases := 4*int(math.Ceil(math.Log2(float64(n)+2))) + 10
+	// The phases' combine items reuse one list a machine: PlanCombine copies
+	// what it is given before it returns.
+	items := make([][]prims.KV[int64], kk)
 	for phase := 0; ; phase++ {
 		// Count live (inter-component) edges.
 		liveCounts := make([]int64, kk)
@@ -95,13 +98,13 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 			}
 		})
 		labelNeeds, tailSlots := prims.DistinctSlots(tails)
-		plan, err := prims.NewPlan(c, labelNeeds)
+		plan, err := prims.NewPlan(c, labelNeeds, 1)
 		if err != nil {
 			return nil, err
 		}
 		// Tail labels adopt the smallest head neighbor label.
-		items := make([][]prims.KV[int64], kk)
 		c.Each(func(i int) {
+			items[i] = items[i][:0]
 			for j := range edges[i] {
 				lu, lv := labels[i][slots[i][2*j]], labels[i][slots[i][2*j+1]]
 				if lu == lv {

@@ -39,7 +39,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	// Every aggregation and dissemination below is over the endpoints of
 	// the machines' edges: one plan serves them all.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -91,6 +91,9 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	})
 	maxRounds := 8*int(math.Ceil(math.Log2(float64(n)+2))) + 16
 
+	// The rounds' combine items reuse one list a machine: PlanCombine copies
+	// what it is given before it returns.
+	items := make([][]prims.KV[bool], kk)
 	for round := 0; ; round++ {
 		liveCounts := make([]int64, kk)
 		c.Each(func(i int) {
@@ -114,8 +117,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 
 		// Per uncolored vertex: does any neighbor block its tried color
 		// (same trial, or an already-fixed equal color)?
-		items := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
+			items[i] = items[i][:0]
 			for j, e := range edges[i] {
 				cu, cv := colors[i][slots[i][2*j]], colors[i][slots[i][2*j+1]]
 				if cu < 0 {

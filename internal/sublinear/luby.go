@@ -47,7 +47,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	// Every round aggregates and disseminates over the same endpoints: one
 	// plan serves them all.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts)
+	plan, err := prims.NewPlan(c, verts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -58,6 +58,9 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	}
 	maxRounds := 6*int(math.Ceil(math.Log2(float64(n)+2))) + 12
 
+	// The rounds' combine items reuse one list a machine each: PlanCombine
+	// copies what it is given before it returns.
+	items, domItems := make([][]prims.KV[uint64], kk), make([][]prims.KV[bool], kk)
 	for round := 0; ; round++ {
 		liveCounts := make([]int64, kk)
 		c.Each(func(i int) {
@@ -80,8 +83,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		res.Rounds++
 
 		// Per live vertex: minimum live-neighbor priority.
-		items := make([][]prims.KV[uint64], kk)
 		c.Each(func(i int) {
+			items[i] = items[i][:0]
 			for j, e := range edges[i] {
 				if state[i][slots[i][2*j]] != 0 || state[i][slots[i][2*j+1]] != 0 {
 					continue
@@ -102,8 +105,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		// A live vertex with priority strictly below all live neighbors
 		// joins the MIS; every machine holding it reaches the same verdict.
 		// Then domination spreads by one more aggregation round.
-		domItems := make([][]prims.KV[bool], kk)
 		c.Each(func(i int) {
+			domItems[i] = domItems[i][:0]
 			// A verdict reads its vertex's pre-round state alone, and the
 			// edges announce this round's verdicts, not earlier rounds' joins.
 			verdict := make([]bool, len(state[i]))

@@ -14,6 +14,7 @@ package sublinear
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -76,6 +77,9 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 	}
 	maxIters := 4*int(math.Ceil(math.Log2(float64(total)+2))) + 12
 
+	// The iterations' combine items reuse one list a machine each:
+	// PlanCombine copies what it is given before it returns.
+	items, deadItems := make([][]prims.KV[rankVal], k), make([][]prims.KV[bool], k)
 	for iter := 0; ; iter++ {
 		remaining, err := prims.SumAll(c, prims.Counts(live))
 		if err != nil {
@@ -92,11 +96,10 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 
 		// Draw ranks and aggregate the per-vertex minimum.
 		ranks := make([][]uint64, k)
-		items := make([][]prims.KV[rankVal], k)
 		c.Each(func(i int) {
 			rng := c.Rand(i)
 			ranks[i] = make([]uint64, len(live[i]))
-			items[i] = make([]prims.KV[rankVal], 0, 2*len(live[i]))
+			items[i] = slices.Grow(items[i][:0], 2*len(live[i]))
 			for j, e := range live[i] {
 				r := rng.Uint64()
 				ranks[i][j] = r
@@ -109,7 +112,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		// Both aggregations and disseminations of the iteration are over the
 		// live endpoints: one plan serves all four.
 		verts, slots := prims.DistinctSlots(prims.Endpoints(live))
-		plan, err := prims.NewPlan(c, verts)
+		plan, err := prims.NewPlan(c, verts, rankValWords)
 		if err != nil {
 			return nil, err
 		}
@@ -129,8 +132,8 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		}
 
 		// An edge is matched iff it is the minimum at both endpoints.
-		deadItems := make([][]prims.KV[bool], k)
 		c.Each(func(i int) {
+			deadItems[i] = deadItems[i][:0]
 			for j, e := range live[i] {
 				rv := rankVal{Rank: ranks[i][j], EU: int32(e.U), EV: int32(e.V)}
 				mu, okU := mins.Slot(i, int(slots[i][2*j]))
