@@ -9,17 +9,20 @@ import (
 )
 
 // table1Call is one of the twelve Table-1 calls: six problems, sublinear
-// baseline and heterogeneous, n=512 m=4096 seed 7. run returns the call's
-// output.
+// baseline and heterogeneous. run returns the call's output.
 type table1Call struct {
 	name    string
 	noLarge bool
 	run     func(c *hetmpc.Cluster) (any, error)
 }
 
-func table1Calls() []table1Call {
-	gU := hetmpc.ConnectedGNM(512, 4096, 7, false)
-	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
+// table1Calls is the twelve calls of Table 1: n=512 m=4096 seed 7.
+func table1Calls() []table1Call { return table1CallsAt(512, 4096, 7) }
+
+// table1CallsAt is the twelve calls over connected G(n, m) graphs of seed.
+func table1CallsAt(n, m int, seed uint64) []table1Call {
+	gU := hetmpc.ConnectedGNM(n, m, seed, false)
+	gW := hetmpc.ConnectedGNM(n, m, seed, true)
 	const spannerK = 3
 	return []table1Call{
 		{"sublinear.cc", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineConnectivity(c, gU) }},

@@ -71,3 +71,46 @@ func TestTable1OutputsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTable1At4096Golden pins the twelve Table-1 calls at n=4096 m=8n seed 7,
+// where a machine holds more plan requests than Sort's sample takes at
+// n=512: each call's output size and hash, and its rounds.
+func TestTable1At4096Golden(t *testing.T) {
+	const n = 4096
+	want := map[string]struct {
+		size   int
+		sum    uint64
+		rounds int
+	}{
+		"sublinear.cc":       {4096, 0x9214ad10afbcbe5c, 87},
+		"core.cc":            {4096, 0x9214ad10afbcbe5c, 5},
+		"sublinear.mst":      {4095, 0x6376902961801496, 185},
+		"core.mst":           {4095, 0xfeb8b7a4e50ae88c, 41},
+		"sublinear.spanner":  {32302, 0xd4e541af5c7f9869, 17},
+		"core.spanner":       {6683, 0xc18732640ed247e2, 33},
+		"sublinear.coloring": {4096, 0x7b8202f627ccdb47, 49},
+		"core.coloring":      {4096, 0xe20e5f9c093c924f, 5},
+		"sublinear.mis":      {702, 0xef2c941bbc9272ff, 30},
+		"core.mis":           {725, 0xbdbe91171e8a640e, 71},
+		"sublinear.matching": {1942, 0xa5069830aaff4944, 47},
+		"core.matching":      {1944, 0x099e0c97b0a641b8, 40},
+	}
+	var makespan float64
+	for _, call := range table1CallsAt(n, 8*n, 7) {
+		c, err := hetmpc.NewCluster(hetmpc.Config{N: n, M: 8 * n, Seed: 7, NoLarge: call.noLarge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := call.run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", call.name, err)
+		}
+		size, sum := outputDigest(out)
+		rounds := c.Stats().Rounds
+		if w := want[call.name]; size != w.size || sum != w.sum || rounds != w.rounds {
+			t.Errorf("%s: output size %d hash %#x in %d rounds, want %d %#x in %d", call.name, size, sum, rounds, w.size, w.sum, w.rounds)
+		}
+		makespan += c.Stats().Makespan
+	}
+	t.Logf("the twelve calls' makespan: %.0f", makespan)
+}
