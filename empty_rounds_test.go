@@ -250,9 +250,11 @@ func TestTable1SketchGatherWords(t *testing.T) {
 // least half the round's words — the coordinator's sample and reply rounds,
 // where every machine's whole run meets one machine. It was 73.3 % (1.75 M
 // of 2.39 M) while every key cost 3 words and every cut 2; charged by their
-// columns and in the shorter cut form (DESIGN.md §1) it is 58.5 % (0.90 M
-// of 1.54 M). The share is pinned as a ceiling, and a Sort that samples
-// what the bucket bound needs lowers it.
+// columns and in the shorter cut form (DESIGN.md §1) it was 58.5 % (0.90 M
+// of 1.54 M), and with key-aligned plans it is 55.1 % (0.84 M of 1.52 M).
+// Sending runs whole by cost does not move it: at n=512 no run is longer
+// than q. The share is pinned as a ceiling, and a Sort that samples what
+// the bucket bound needs lowers it.
 func TestTable1SortCoordinatorShare(t *testing.T) {
 	var coord, total float64
 	for _, r := range table1Rounds(t) {
@@ -270,8 +272,8 @@ func TestTable1SortCoordinatorShare(t *testing.T) {
 	}
 	share := coord / total
 	t.Logf("coordinator-bound Sort rounds: %.0f of %.0f makespan (%.1f %%)", coord, total, 100*share)
-	if share > 0.586 {
-		t.Errorf("coordinator-bound Sort rounds carry %.1f %% of Table 1's makespan, want at most 58.6 %%", 100*share)
+	if share > 0.552 {
+		t.Errorf("coordinator-bound Sort rounds carry %.1f %% of Table 1's makespan, want at most 55.2 %%", 100*share)
 	}
 }
 

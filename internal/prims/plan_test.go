@@ -120,9 +120,9 @@ func layoutWidest(p *Plan) int {
 // one for every other machine, since a machine requests a key at most once.
 func checkAligned(t *testing.T, c *mpc.Cluster, p *Plan, needs [][]int64, b int) {
 	t.Helper()
-	q, loose, count := sampleSize(c), 0, map[int64]int{}
+	loose, count := 0, map[int64]int{}
 	for _, ns := range needs {
-		if len(ns) > q {
+		if whole, _ := wholeRun(c, len(ns)); !whole {
 			loose++
 			continue
 		}

@@ -2,9 +2,10 @@
 // multi-round protocols on the mpc simulator:
 //
 //   - Claim 1 (Sorting): a coordinator-based sample sort, O(1) rounds:
-//     sample, reply, route. The coordinator answers a machine whose sample
-//     was its whole run with the cuts of that run — (bucket, count) pairs —
-//     and any other with the splitter list to cut its run itself; the
+//     sample, reply, route. A machine sends its whole run as its sample
+//     when that costs no more than being sent the splitter list (wholeRun),
+//     and the coordinator answers it with the cuts of that run — (bucket,
+//     count) pairs — and any other with the list to cut its run itself; the
 //     replies take one direct round when together they fit the coordinator's
 //     round budget, else the list goes down a capacity-bounded tree;
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort

@@ -70,8 +70,8 @@ func keyWords(keys []SortKey) int {
 // sort:
 //
 //  1. local sort;
-//  2. every machine sends a small weighted key sample to the coordinator
-//     (1 round);
+//  2. every machine sends the coordinator a weighted key sample, its whole
+//     run when wholeRun says so (1 round);
 //  3. the coordinator picks K-1 splitter keys and replies to every machine
 //     (1 round): a machine whose sample was its whole run gets the cuts of
 //     that run, as (bucket, count) pairs or one bucket id per item, whichever
@@ -225,18 +225,17 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, align
 	k := c.K()
 	// Step 2: weighted key samples to the coordinator (sample extraction is
 	// local computation, parallel over the small-machine axis).
-	q := sampleSize(c)
 	// The round's samples are one slab and their keys one array, carved
 	// here (serially) so the parallel extraction only fills them in.
 	outs := perMachineOuts(k)
 	slab := make([]sample, k)
 	nkeys := 0
 	for i := range slab {
-		nkeys += min(q, len(data[i]))
+		nkeys += sampleSize(c, len(data[i]))
 	}
 	keyBuf := make([]SortKey, nkeys)
 	for i := range slab {
-		take := min(q, len(data[i]))
+		take := sampleSize(c, len(data[i]))
 		slab[i] = sample{Keys: keyBuf[:take:take], Count: len(data[i])}
 		keyBuf = keyBuf[take:]
 	}
@@ -260,11 +259,29 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, align
 	return pickSplitters(c, samples, align), slab, nil
 }
 
-// sampleSize is the most keys a machine samples, q: sized for samples at
-// sortKeyWords a key, the most keyWords charges, so the sample round fits
-// whatever the keys' columns hold, and at most 64.
-func sampleSize(c *mpc.Cluster) int {
-	return min(max(coordCap(c)/(2*c.K()*(sortKeyWords+1)), 1), 64)
+// wholeRun is step 2's rule (DESIGN.md §1): whether a machine that holds n
+// items sends the coordinator its whole run, and q, the evenly spaced keys
+// it samples if not. Both are bounded by the capacity term, the keys a
+// machine may send so that K samples at sortKeyWords a key (the most keyWords
+// charges) plus a header fit half the coordinator's round whatever the keys'
+// columns hold; q is also at most 64. A run within q is whole. A longer one
+// is whole while its worst case — sortKeyWords a key up and at most a word
+// an item of cuts down, 4n — is no more than the sampled path's: q keys up
+// and the list of K-1 splitters down, 3(q+K-1).
+func wholeRun(c *mpc.Cluster, n int) (whole bool, q int) {
+	k := c.K()
+	capTerm := max(coordCap(c)/(2*k*(sortKeyWords+1)), 1)
+	q = min(capTerm, 64)
+	return n <= capTerm && (n <= q || sortKeyWords*n+n <= sortKeyWords*(q+k-1)), q
+}
+
+// sampleSize is how many keys a machine that holds n items samples: all n
+// when it sends its whole run (wholeRun), q otherwise.
+func sampleSize(c *mpc.Cluster, n int) int {
+	if whole, q := wholeRun(c, n); !whole {
+		return q
+	}
+	return n
 }
 
 // inboxSamples is the coordinator's side of the sample round: the merge of
@@ -382,8 +399,8 @@ type sortReply struct {
 
 // sortReplies is the rest of step 3: the coordinator answers every sample,
 // and the returned replies are what each machine holds afterwards. A machine
-// whose sample is its whole run (at most q items: a property of the input)
-// has already sent the coordinator every key it holds, so the coordinator
+// whose sample is its whole run (wholeRun: a property of the input) has
+// already sent the coordinator every key it holds, so the coordinator
 // cuts the run for it (runCuts, into the machine's share of cutBuf) and, if
 // spans is non-nil, works out its spans too (splitterSpans, into entries 2i
 // and 2i+1); the reply is a header word, runCutWords of the cuts and 3 words

@@ -38,15 +38,14 @@ func sortRounds(t *testing.T, cfg mpc.Config, data [][]SortKey) (*mpc.Cluster, [
 	return c, tr.Rounds()
 }
 
-// TestSortChargesThreeRoundsWhenRepliesFit pins steps 2 and 3's cost on a
-// cluster without a large machine. Where the replies fit half the
-// coordinator's capacity a Sort is sample, reply, route — three rounds — the
-// sample round carries every machine's encoded sample, and the reply round
-// carries, to every machine but the coordinator, the encoded cuts of
-// its run (a machine whose sample is its whole run) or the encoded list (a
-// machine that holds more than q items), each with its header word. Where
-// they do not fit, step 3 is exactly BroadcastValue of the list: its tree
-// depth, its words. The expected words are the lengths of the encodings in
+// TestSortChargesThreeRoundsWhenRepliesFit pins steps 2 and 3's cost. Where
+// the replies fit half the coordinator's capacity a Sort is sample, reply,
+// route — three rounds — the sample round carries every machine's encoded
+// sample, and the reply round carries, to every machine but the coordinator,
+// the encoded cuts of its run (a machine that sends its whole run, wholeRun)
+// or the encoded list (any other), each with its header word. Where they do
+// not fit, step 3 is exactly BroadcastValue of the list: its tree depth, its
+// words. The expected words are the lengths of the encodings in
 // sortwords_test.go, not the charges under test.
 func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 311))
@@ -78,13 +77,13 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		return sp, runs
 	}
 	// wantSamples is the sample round's words for this input: every
-	// machine's q evenly spaced keys (all of them when it holds at most q),
-	// encoded under its count.
-	wantSamples := func(data [][]SortKey, q int) (words int64) {
+	// machine's sampleSize evenly spaced keys (all of them when it sends its
+	// whole run), encoded under its count.
+	wantSamples := func(c *mpc.Cluster, data [][]SortKey) (words int64) {
 		for _, run := range data {
 			run = slices.Clone(run)
 			slices.SortFunc(run, SortKey.Compare)
-			sample := make([]SortKey, min(q, len(run)))
+			sample := make([]SortKey, sampleSize(c, len(run)))
 			for j := range sample {
 				sample[j] = run[j*len(run)/len(sample)]
 			}
@@ -92,52 +91,107 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		}
 		return words
 	}
+	// cutWords is the words the cuts of machine i's run encode to.
+	cutWords := func(sp []SortKey, runs [][]SortKey, i int) int {
+		return len(encodeRunCuts(runCuts(nil, runs[i], sp, len(runs), identKey), len(runs[i])))
+	}
 	// wantReplies is the reply round's words for this input: every machine
-	// but the coordinator (machine 0) is sent its encoded cuts or the list.
-	wantReplies := func(cfg mpc.Config, data [][]SortKey, q int) (words int64) {
+	// but the coordinator is sent its encoded cuts, when it sends its whole
+	// run, or the list.
+	wantReplies := func(c *mpc.Cluster, cfg mpc.Config, data [][]SortKey) (words int64) {
 		sp, runs := splitters(cfg, data)
 		list := len(encodeKeys(int64(len(sp)), sp))
-		for _, run := range runs[1:] {
-			if len(run) > q {
+		for i := range runs {
+			switch whole, _ := wholeRun(c, len(runs[i])); {
+			case i == coordinator(c):
+			case whole:
+				words += int64(cutWords(sp, runs, i))
+			default:
 				words += int64(list)
-			} else {
-				words += int64(len(encodeRunCuts(runCuts(nil, run, sp, len(runs), identKey), len(run))))
 			}
 		}
 		return words
 	}
+	// checkThreeRounds runs one Sort of data on cfg and checks it is sample,
+	// reply, route with the sample and reply words above, and that the
+	// machines named are sent the list and the cuts of their runs: the
+	// rule's verdict read off the reply round, not off wholeRun. Trace slot
+	// 1+i is machine i.
+	checkThreeRounds := func(name string, cfg mpc.Config, data [][]SortKey, listTo, cutsTo []int) {
+		t.Helper()
+		c, rounds := sortRounds(t, cfg, data)
+		if len(rounds) != 3 || rounds[1].Phase != "sort/broadcast" {
+			t.Fatalf("%s: Sort charged %d rounds, want sample, reply, route: %+v", name, len(rounds), rounds)
+		}
+		if want := wantSamples(c, data); rounds[0].Words != want {
+			t.Errorf("%s: the sample round carries %d words, want %d (the encoded samples)", name, rounds[0].Words, want)
+		}
+		if want := wantReplies(c, cfg, data); rounds[1].Words != want {
+			t.Errorf("%s: the reply round carries %d words, want %d (the encoded cuts or list)", name, rounds[1].Words, want)
+		}
+		sp, runs := splitters(cfg, data)
+		list := len(encodeKeys(int64(len(sp)), sp))
+		for _, i := range listTo {
+			if got := rounds[1].RecvWords[1+i]; got != list {
+				t.Errorf("%s: machine %d (%d items) is sent %d words, want the list's %d", name, i, len(runs[i]), got, list)
+			}
+		}
+		for _, i := range cutsTo {
+			if got, want := rounds[1].RecvWords[1+i], cutWords(sp, runs, i); got != want || want >= list {
+				t.Errorf("%s: machine %d (%d items) is sent %d words, want its cuts' %d, shorter than the list's %d", name, i, len(runs[i]), got, want, list)
+			}
+		}
+	}
 
-	// Table 1's baseline shape: K = 182, q = 64.
+	// Table 1's baseline shape: K = 182, q = 64, and the capacity term (93)
+	// sends a run past it the list, though its whole run would cost less.
 	fit := mpc.Config{N: 512, M: 4096, Seed: 7, NoLarge: true}
 	const q = 64
+	k := fit.DeriveK()
+	twin, err := mpc.New(fit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capTerm := coordCap(twin) / (2 * k * (sortKeyWords + 1))
+	if k != 182 || capTerm <= q || (sortKeyWords+1)*(capTerm+1) > sortKeyWords*(q+k-1) {
+		t.Fatalf("K=%d capacity term %d: not Table 1's baseline shape", k, capTerm)
+	}
 	for _, tc := range []struct {
-		name string
-		size func(i int) int
+		name   string
+		size   func(i int) int
+		listTo []int
 	}{
-		{"every sample whole", func(i int) int { return i % (q + 1) }},
+		{"every sample whole", func(i int) int { return i % (q + 1) }, nil},
 		{"one machine over q", func(i int) int {
 			if i == 100 {
 				return 3 * q
 			}
 			return i % (q + 1)
-		}},
+		}, []int{100}},
+		{"one machine past the capacity term", func(i int) int {
+			if i == 100 {
+				return capTerm + 1
+			}
+			return i % (q + 1)
+		}, []int{100}},
 	} {
-		k := fit.DeriveK()
-		data := input(k, tc.size)
-		c, rounds := sortRounds(t, fit, data)
-		if k != 182 || coordCap(c)/(2*k*(sortKeyWords+1)) < q {
-			t.Fatalf("%s: K=%d coordinator cap %d: not Table 1's baseline shape", tc.name, k, coordCap(c))
-		}
-		if len(rounds) != 3 || rounds[1].Phase != "sort/broadcast" {
-			t.Fatalf("%s: Sort charged %d rounds, want sample, reply, route: %+v", tc.name, len(rounds), rounds)
-		}
-		if want := wantSamples(data, q); rounds[0].Words != want {
-			t.Errorf("%s: the sample round carries %d words, want %d (the encoded samples)", tc.name, rounds[0].Words, want)
-		}
-		if want := wantReplies(fit, data, q); rounds[1].Words != want {
-			t.Errorf("%s: the reply round carries %d words, want %d (the encoded cuts or list)", tc.name, rounds[1].Words, want)
-		}
+		checkThreeRounds(tc.name, fit, input(k, tc.size), tc.listTo, []int{1, 64})
 	}
+
+	// Table 1's heterogeneous shape: the large machine coordinates, its
+	// capacity term is far past the bound 4n <= 3(q+K-1), and that bound
+	// decides. The machine at the bound, past q, is sent its cuts; the one
+	// past it the list.
+	bound := sortKeyWords * (q + k - 1) / (sortKeyWords + 1)
+	checkThreeRounds("large coordinator", mpc.Config{N: 512, M: 4096, Seed: 7}, input(k, func(i int) int {
+		switch i {
+		case 100:
+			return bound
+		case 101:
+			return bound + 1
+		}
+		return i % (q + 1)
+	}), []int{101}, []int{64, 100})
 
 	// TestDeepTrees' shape: K = 64 machines of 819 words, q = 1. Every
 	// machine holds more than it samples, and 63 lists do not fit.
@@ -166,20 +220,24 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 }
 
 // TestSortReplyOverCapFailsTyped: the reply round is an ordinary round. A
-// machine too small for its reply — here the list, to a machine that holds
-// more than q items and can send its sample but not receive K-1 splitters —
-// fails the Sort with mpc.ErrCapacity naming the machine, not silently. The
-// keys vary in all three components, so the list is charged its full
-// sortKeyWords a splitter; a sample costs at most that too.
+// machine too small for its reply — here the list, to a machine whose run is
+// too long to send whole and that can send its sample but not receive K-1
+// splitters — fails the Sort with mpc.ErrCapacity naming the machine, not
+// silently. The keys vary in all three components, so the list is charged
+// its full sortKeyWords a splitter; a sample costs at most that too.
 func TestSortReplyOverCapFailsTyped(t *testing.T) {
-	const k, hot = 128, 77
+	const k, hot, hotItems = 128, 77, 200
 	prof := mpc.UniformProfile(k)
 	prof.CapScale[hot] = 0.004
 	c, err := mpc.New(mpc.Config{N: 256, M: 2048, K: k, Seed: 42, Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampleWords, listWords := 64*sortKeyWords+1, sortKeyWords*(k-1)+1
+	whole, q := wholeRun(c, hotItems)
+	if whole {
+		t.Fatalf("a run of %d items is sent whole: the machine would not be sent the list", hotItems)
+	}
+	sampleWords, listWords := q*sortKeyWords+1, sortKeyWords*(k-1)+1
 	if cap := c.SmallCapOf(hot); cap < sampleWords || cap >= listWords {
 		t.Fatalf("machine %d has cap %d, want room for its sample (%d) and not for the list (%d)", hot, cap, sampleWords, listWords)
 	}
@@ -187,7 +245,7 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	for i := range data {
 		n := 10
 		if i == hot {
-			n = 100 // over q = 64: the machine is sent the list
+			n = hotItems // past the whole-run bound: the machine is sent the list
 		}
 		for j := 0; j < n; j++ {
 			data[i] = append(data[i], SortKey{A: int64((i*131 + j*17) % 1000), B: int64(i), C: int64(j)})

@@ -149,7 +149,7 @@ func TestSortMessageWords(t *testing.T) {
 		{"all varying", 45, run(45, func(j int) SortKey { return SortKey{A: int64(j), B: int64(-j), C: int64(j % 7)} }), 3*45 + 1},
 		{"one key", 1, []SortKey{{A: 5, B: 1, C: 3}}, 3 + 1},
 		{"empty sample", 0, nil, 1},
-		// A machine over q sends q keys and its count.
+		// A machine past the whole-run bound (wholeRun) sends q keys and its count.
 		{"over q", 300, run(q, func(j int) SortKey { return SortKey{A: int64(j), B: 1, C: 4} }), q + 2 + 1},
 	} {
 		if got := checkKeyRun(t, tc.count, tc.keys, sampleCount); got != tc.want {

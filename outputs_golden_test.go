@@ -112,5 +112,10 @@ func TestTable1At4096Golden(t *testing.T) {
 		}
 		makespan += c.Stats().Makespan
 	}
+	// 20.4 M while every run past 64 items was sent the splitter list
+	// (DESIGN.md §1).
 	t.Logf("the twelve calls' makespan: %.0f", makespan)
+	if makespan > 12.3e6 {
+		t.Errorf("the twelve calls' makespan is %.0f, want at most 12.3 M", makespan)
+	}
 }
