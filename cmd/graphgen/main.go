@@ -1,12 +1,10 @@
-// Command graphgen writes workload graphs in the repository's text format
-// or, with -bin, the binary shard-block format (DESIGN.md §11). Both are
-// read back by cmd/hetrun -input, which sniffs the format.
+// Command graphgen writes workload graphs in the repository's text format,
+// which cmd/hetrun -input reads back.
 //
 // Usage:
 //
 //	graphgen -gen gnm -n 1024 -m 8192 -weighted -o g.txt
 //	graphgen -gen cycles2 -n 4096 > two-cycles.txt
-//	graphgen -gen gnm -n 1024 -m 8192 -bin -o g.bin
 package main
 
 import (
@@ -17,7 +15,6 @@ import (
 
 	"hetmpc"
 	"hetmpc/internal/graph"
-	"hetmpc/internal/wire"
 )
 
 func main() {
@@ -31,7 +28,6 @@ func run() int {
 		m        = flag.Int("m", 8192, "edges (where applicable)")
 		seed     = flag.Uint64("seed", 1, "seed")
 		weighted = flag.Bool("weighted", false, "assign unique integer weights")
-		bin      = flag.Bool("bin", false, "write the binary shard-block format (16 bytes/edge) instead of text")
 		out      = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
@@ -79,11 +75,7 @@ func run() int {
 		defer fh.Close()
 		w = fh
 	}
-	write := graph.Write
-	if *bin {
-		write = wire.WriteGraph
-	}
-	if err := write(w, g); err != nil {
+	if err := graph.Write(w, g); err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		return 1
 	}

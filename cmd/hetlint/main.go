@@ -5,8 +5,7 @@
 //
 // Exit status: 0 clean, 1 diagnostics found, 2 load/usage error. Every
 // diagnostic is either a bug to fix or a site to justify with a
-// //hetlint:<key> comment (see internal/lint). -vet additionally runs a
-// curated `go vet` pass set.
+// //hetlint:<key> comment (see internal/lint).
 package main
 
 import (
@@ -15,27 +14,16 @@ import (
 	"fmt"
 	"go/build"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
 	"hetmpc/internal/lint"
 )
 
-// vetPasses is the curated go vet subset that complements hetlint: the
-// passes whose findings are always bugs in this codebase.
-var vetPasses = []string{
-	"atomic", "bools", "copylocks", "loopclosure",
-	"lostcancel", "nilfunc", "printf", "unreachable",
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
-	var (
-		list = flag.Bool("list", false, "print the analyzer catalogue and exit")
-		vet  = flag.Bool("vet", false, "also run the curated go vet passes")
-	)
+	list := flag.Bool("list", false, "print the analyzer catalogue and exit")
 	flag.Parse()
 	if *list {
 		for _, a := range lint.All() {
@@ -88,35 +76,14 @@ func run() int {
 		}
 	}
 
-	status := 0
 	if count > 0 {
 		fmt.Fprintf(os.Stderr, "hetlint: %d diagnostic(s); fix or justify with //hetlint:<key> comments\n", count)
-		status = 1
+		return 1
 	}
-	if *vet && !runVet(patterns) {
-		status = 1
-	}
-	return status
+	return 0
 }
 
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "hetlint:", err)
 	return 2
-}
-
-// runVet shells out to the toolchain's vet with the curated pass set.
-func runVet(patterns []string) bool {
-	args := []string{"vet"}
-	for _, p := range vetPasses {
-		args = append(args, "-"+p)
-	}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "hetlint: go vet:", err)
-		return false
-	}
-	return true
 }

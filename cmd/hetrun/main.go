@@ -54,7 +54,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -68,7 +67,6 @@ import (
 	"hetmpc"
 	"hetmpc/internal/cliflags"
 	"hetmpc/internal/graph"
-	"hetmpc/internal/wire"
 )
 
 func main() {
@@ -266,13 +264,7 @@ func makeGraph(input, gen string, n, m int, seed uint64, alg string) (*hetmpc.Gr
 			return nil, err
 		}
 		defer fh.Close()
-		// Accept both graph formats: the binary shard stream (graphgen -bin)
-		// is sniffed by its block magic, anything else is the text format.
-		br := bufio.NewReader(fh)
-		if wire.SniffBlock(br) {
-			return wire.ReadGraph(br)
-		}
-		return graph.Read(br)
+		return graph.Read(fh)
 	}
 	weighted := alg == "mst" || alg == "baseline-mst" || alg == "approx-mst" || alg == "approx-mincut"
 	switch gen {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -15,6 +16,12 @@ import (
 // it in step with dispatch's switch.
 func TestExitCodes(t *testing.T) {
 	small := []string{"-n", "64", "-m", "256"}
+	// A header declaring more edges than a slice can hold: refused as it is
+	// read, not sized up front.
+	hugeM := filepath.Join(t.TempDir(), "huge-m.txt")
+	if err := os.WriteFile(hugeM, []byte("hetmpc-graph 10 999999999999999 0\n0 1 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	type testCase struct {
 		name   string
 		args   []string
@@ -41,6 +48,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad placement spec", []string{"-placement", "nope"}, 2, "", "nope"},
 		{"bad transport spec", []string{"-transport", "nope"}, 2, "", "nope"},
 		{"unreadable graph", []string{"-input", filepath.Join(t.TempDir(), "missing.txt")}, 2, "", "no such file"},
+		{"bad graph header", []string{"-alg", "connectivity", "-input", hugeM}, 2, "", "graph:"},
 	}
 	for _, alg := range algorithms {
 		gen := "gnm"

@@ -191,8 +191,6 @@ type (
 	Edge = graph.Edge
 	// Half is one direction of an edge in an adjacency list.
 	Half = graph.Half
-	// Stats is the per-run metrics snapshot attached to algorithm results.
-	Stats = core.Stats
 )
 
 // Re-exported result types.

@@ -18,7 +18,7 @@ type ColoringResult struct {
 	MaxColor      int
 	ConflictEdges int64
 	Retries       int
-	Stats         Stats
+	Stats         mpc.Stats
 }
 
 // Coloring computes a (Δ+1)-coloring in O(1) rounds (Theorem C.7, after
@@ -38,7 +38,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	sp := c.Span("coloring")
 	n := g.N
 	res := &ColoringResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	if len(g.Edges) == 0 {
 		res.Colors = make([]int, n)
 		return res, nil

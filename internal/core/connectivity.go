@@ -19,7 +19,7 @@ type ConnectivityResult struct {
 	Labels     []int // per-vertex component label (smallest member id)
 	Components int
 	Phases     int // Borůvka phases executed on the large machine (local)
-	Stats      Stats
+	Stats      mpc.Stats
 }
 
 // Connectivity identifies the connected components in O(1) rounds
@@ -41,7 +41,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	sp := c.Span("connectivity")
 	n := g.N
 	res := &ConnectivityResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func componentSums(sums []*sketch.Sketch, f *sketch.Family, universe int64, dsu 
 type MSTApproxResult struct {
 	Estimate   int64
 	Thresholds int
-	Stats      Stats
+	Stats      mpc.Stats
 }
 
 // ApproxMSTWeight estimates the MST weight within (1+ε) (Theorem C.2 /
@@ -245,7 +245,7 @@ func ApproxMSTWeight(c *mpc.Cluster, g *graph.Graph, eps float64) (*MSTApproxRes
 	}
 	sp := c.Span("approx-mst")
 	res := &MSTApproxResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	var maxW int64 = 1
 	for _, e := range g.Edges {
 		if e.W > maxW {

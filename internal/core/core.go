@@ -119,17 +119,13 @@ func maxValue(kvs []prims.KV[int64], floor int64) int64 {
 
 func unitWeight(graph.Edge) int64 { return 1 }
 
-// Stats is the per-run metrics snapshot attached to every algorithm result.
-type Stats struct {
-	Rounds     int
-	Messages   int64
-	TotalWords int64
-}
-
-// statsOf converts a finished span's full model-stats delta (mpc.Span.End)
-// into the compact per-run view attached to algorithm results.
-func statsOf(d mpc.Stats) Stats {
-	return Stats{Rounds: d.Rounds, Messages: d.Messages, TotalWords: d.TotalWords}
+// modelStats is a finished span's Stats delta (mpc.Span.End) as attached to
+// algorithm results: the model side only. WireBytes is measured on the
+// transport, not modeled, so it stays on the cluster's Stats and a result is
+// the same over every transport.
+func modelStats(d mpc.Stats) mpc.Stats {
+	d.WireBytes = 0
+	return d
 }
 
 // errNeedsLarge is the unified "requires the large machine" failure: every

@@ -16,7 +16,7 @@ type MatchingResult struct {
 	Edges       []graph.Edge // the maximal matching
 	Phase1Iters int          // peeling iterations (grow with the average degree d)
 	FilterIters int          // filtering iterations (Theorem 5.5 variant)
-	Stats       Stats
+	Stats       mpc.Stats
 }
 
 // MaximalMatching computes a maximal matching in the heterogeneous MPC
@@ -37,7 +37,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 	sp := c.Span("matching")
 	res := &MatchingResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	n := g.N
 	m := len(g.Edges)
 	if m == 0 {
@@ -220,7 +220,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 	}
 	sp := c.Span("matching-filter")
 	res := &MatchingResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	n := g.N
 	if len(g.Edges) == 0 {
 		return res, nil

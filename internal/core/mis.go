@@ -15,7 +15,7 @@ import (
 type MISResult struct {
 	Set        []int
 	Iterations int // rank-prefix iterations; O(log log Δ) by [26]
-	Stats      Stats
+	Stats      mpc.Stats
 }
 
 // MIS computes a maximal independent set in O(log log Δ) iterations of O(1)
@@ -32,7 +32,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	sp := c.Span("mis")
 	n := g.N
 	res := &MISResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 // TwoVsOneCycleResult is the output of the motivating §1 problem.
 type TwoVsOneCycleResult struct {
 	Cycles int // number of cycles (connected components)
-	Stats  Stats
+	Stats  mpc.Stats
 }
 
 // TwoVsOneCycle solves the "2-vs-1 cycle" problem — the source of the
@@ -29,7 +29,7 @@ func TwoVsOneCycle(c *mpc.Cluster, g *graph.Graph) (*TwoVsOneCycleResult, error)
 	}
 	sp := c.Span("2v1")
 	res := &TwoVsOneCycleResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err
@@ -47,7 +47,7 @@ func TwoVsOneCycle(c *mpc.Cluster, g *graph.Graph) (*TwoVsOneCycleResult, error)
 type APSPOracle struct {
 	Spanner    *graph.Graph
 	Stretch    int // guaranteed multiplicative stretch (O(log n))
-	BuildStats Stats
+	BuildStats mpc.Stats
 
 	adj   [][]graph.Half
 	cache [][]int64 // per-source distance cache, nil until computed (large-machine local)
@@ -62,7 +62,7 @@ func BuildAPSPOracle(c *mpc.Cluster, g *graph.Graph) (*APSPOracle, error) {
 	}
 	sp := c.Span("apsp")
 	o := &APSPOracle{}
-	defer func() { o.BuildStats = statsOf(sp.End()) }()
+	defer func() { o.BuildStats = modelStats(sp.End()) }()
 	k := int(math.Ceil(math.Log2(float64(g.N) + 2)))
 	var (
 		res *SpannerResult

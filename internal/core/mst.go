@@ -18,7 +18,7 @@ type MSTResult struct {
 	Weight        int64
 	BoruvkaPhases int // doubly-exponential Borůvka phases executed
 	SampleTries   int // KKT sampling attempts until success
-	Stats         Stats
+	Stats         mpc.Stats
 }
 
 // MSTOptions tunes the §3 algorithm for the ablation study (experiment
@@ -52,7 +52,7 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 	n := g.N
 	m := len(g.Edges)
 	res := &MSTResult{}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	if m == 0 {
 		return res, nil
 	}

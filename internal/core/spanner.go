@@ -18,7 +18,7 @@ type SpannerResult struct {
 	Stretch       int          // guaranteed stretch: 6k-1 (12k-1 weighted)
 	DirectLevels  int          // clustering graphs shipped whole to the large machine
 	SampledLevels int          // clustering graphs spanned via modified Baswana-Sen
-	Stats         Stats
+	Stats         mpc.Stats
 }
 
 // Spanner computes a (6k-1)-spanner of expected size O(n^{1+1/k}) for the
@@ -38,7 +38,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		k = 1
 	}
 	res := &SpannerResult{Stretch: 6*k - 1}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	n := g.N
 	if len(g.Edges) == 0 {
 		return res, nil
@@ -618,7 +618,7 @@ func SpannerWeighted(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, err
 	}
 	sp := c.Span("spanner-weighted")
 	res := &SpannerResult{Stretch: 12*k - 1}
-	defer func() { res.Stats = statsOf(sp.End()) }()
+	defer func() { res.Stats = modelStats(sp.End()) }()
 	var maxW int64 = 1
 	for _, e := range g.Edges {
 		if e.W > maxW {

@@ -29,7 +29,12 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph written by Write.
+// Read parses a graph written by Write. It takes outside input, so it
+// refuses — never silently repairs — a header whose weighted flag is not 0
+// or 1, an endpoint outside the n vertices, a non-positive weight, and edges
+// that graph.New would drop (a self-loop or a repeated pair), which would
+// leave fewer than the m edges the header declares. The edge list grows as
+// it is read, so a huge declared m costs nothing up front.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var (
@@ -45,7 +50,10 @@ func Read(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative dimensions")
 	}
-	edges := make([]Edge, 0, m)
+	if wf != 0 && wf != 1 {
+		return nil, fmt.Errorf("graph: weighted flag %d, want 0 or 1", wf)
+	}
+	var edges []Edge
 	for i := 0; i < m; i++ {
 		var u, v int
 		var w int64
@@ -60,5 +68,9 @@ func Read(r io.Reader) (*Graph, error) {
 		}
 		edges = append(edges, NewEdge(u, v, w))
 	}
-	return New(n, edges, wf == 1), nil
+	g := New(n, edges, wf == 1)
+	if g.M() != m {
+		return nil, fmt.Errorf("graph: %d of the %d declared edges are self-loops or repeats", m-g.M(), m)
+	}
+	return g, nil
 }

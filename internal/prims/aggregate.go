@@ -115,12 +115,13 @@ func AggregateByKey[V any](
 var ErrRepeatedKey = errors.New("prims: key gathered twice")
 
 // GatherKVs ships every machine's (key, value) pairs to the large machine
-// (GatherToLarge's one round, a pair charged 1 + words(value)) and returns
+// (one gather round, a pair charged 1 + words(value)) and returns
 // them in strictly ascending key order — the large machine's one format.
 // Aggregation and plan roots arrive that way already; other input, such as
 // keys laid out vertex-major but numbered phase-major, is sorted there. A key
 // held twice is refused with ErrRepeatedKey.
 func GatherKVs[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) ([]KV[V], error) {
+	defer c.Span("gather").End()
 	all, err := gather(c, kvs, func(items []KV[V]) int {
 		w := len(items)
 		for _, kv := range items {

@@ -92,7 +92,7 @@ func TestBucketBeyondKRefused(t *testing.T) {
 	}
 }
 
-// TestScatterBucketBeyondKRefused: ScatterFromLarge refuses a non-empty
+// TestScatterBucketBeyondKRefused: scatter refuses a non-empty
 // bucket at index ≥ K like its siblings above — typed, naming the bucket,
 // before the round is charged (the engine's own refusal comes after).
 func TestScatterBucketBeyondKRefused(t *testing.T) {
@@ -100,13 +100,13 @@ func TestScatterBucketBeyondKRefused(t *testing.T) {
 	k := c.K()
 	items := make([][]int64, k+3)
 	items[0] = []int64{1}
-	if _, err := ScatterFromLarge(c, items, 1); err != nil {
+	if _, err := scatter(c, items, oneWordEach[int64]); err != nil {
 		t.Fatalf("empty tail: %v", err)
 	}
 	before := c.Rounds()
 	items[k+1] = []int64{99}
-	_, err := ScatterFromLarge(c, items, 1)
-	if !errors.Is(err, mpc.ErrUnknownSender) || !strings.Contains(err.Error(), fmt.Sprintf("ScatterFromLarge: %v: bucket %d ", mpc.ErrUnknownSender, k+1)) {
+	_, err := scatter(c, items, oneWordEach[int64])
+	if !errors.Is(err, mpc.ErrUnknownSender) || !strings.Contains(err.Error(), fmt.Sprintf("scatter: %v: bucket %d ", mpc.ErrUnknownSender, k+1)) {
 		t.Errorf("stray bucket: err = %v, want ErrUnknownSender naming bucket %d", err, k+1)
 	}
 	if c.Rounds() != before {
@@ -259,8 +259,9 @@ func TestSortRouteAllocLinearInK(t *testing.T) {
 // TestCollectiveAllocsPerMachine pins the payload-slab rule: a collective
 // allocates per machine, not per message or item, so at a fixed K its
 // allocation count barely moves when every machine holds — and requests —
-// eight times as much. ScatterFromLarge, DisseminateFromLarge, PlanCombine
-// and PlanBroadcast allocate per call, as Sort does
+// eight times as much: Claim 4's run reports, queries and replies are one
+// array each. scatter, DisseminateFromLarge, PlanCombine and PlanBroadcast
+// allocate per call, as Sort does
 // (TestSortRouteAllocLinearInK), so theirs also sits under an absolute
 // ceiling that one more allocation per machine would break — the answers
 // included, which are one slab for every machine.
@@ -302,8 +303,19 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	check("ScatterFromLarge", 16, func(per int) {
-		if _, err := ScatterFromLarge(c, inputs[per], 1); err != nil {
+	check("scatter", 16, func(per int) {
+		if _, err := scatter(c, inputs[per], oneWordEach[int64]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Claim 4 over the same items: every item is its own key's run, and the
+	// large machine collects each key's one item.
+	check("Arrange+CollectBudget", 0, func(per int) {
+		arr, err := Arrange(c, inputs[per], key, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := arr.CollectBudget(c, func(int) int { return 1 }); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -282,10 +282,11 @@ func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V
 	return broadcast(c, p, vals, vwords)
 }
 
-// scatterTo ships the large machine's values to their roots in one round
-// (ScatterFromLarge), in list order per machine; the per-machine lists are
-// carved from one array.
+// scatterTo ships the large machine's values to their roots in one scatter
+// round, a value charged vwords+1, in list order per machine; the
+// per-machine lists are carved from one array.
 func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]KV[V], error) {
+	defer c.Span("scatter").End()
 	k := c.K()
 	starts := make([]int, k+1)
 	for _, kv := range large {
@@ -303,7 +304,7 @@ func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]K
 		m := p.root(kv.K)
 		perMachine[m] = append(perMachine[m], kv)
 	}
-	return ScatterFromLarge(c, perMachine, vwords+1)
+	return scatter(c, perMachine, func(kvs []KV[V]) int { return len(kvs) * (vwords + 1) })
 }
 
 // broadcast delivers vals[i] — machine i's values, each at its key's root,

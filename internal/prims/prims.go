@@ -32,23 +32,26 @@
 //     returns each input position's slot, and the answers are read by slot
 //     (Answers.Slot). A request set used once is the same two calls
 //     (DisseminateFromLarge);
-//   - Claim 4 (Arranging nodes): sort directed edges by source, report the
-//     per-key machine runs to the large machine (at most n + K - 1 runs by
-//     contiguity), enabling the "collect the k lightest edges of each
-//     vertex" pattern used by the MST and matching algorithms.
+//   - Claim 4 (Arranging nodes): sort directed edges by source, then one
+//     gather of the per-key machine runs to the large machine (at most
+//     n + K - 1 runs by contiguity), enabling the "collect the k lightest
+//     edges of each vertex" pattern used by the MST and matching
+//     algorithms: one scatter of queries, one gather of replies.
 //
 // Every primitive is charged its true round cost through mpc.Exchange; none
 // of them moves information outside the model.
 //
 // Each collective mechanism exists once: the rounds to and from the
 // coordinator (toCoordinator, fromCoordinator), the coordinator reduce
-// behind SumToLarge, SumAll and MaxAll (reduce), the bulk-item payload of
-// gather, scatter and sort routing (chunk, chunkMsg, appendChunks), and the
-// heap arithmetic of the range trees (a position's children are the range
-// b·p+1 … b·p+b, walked in place).
+// behind SumToLarge, SumAll and MaxAll (reduce), the one-round gather to
+// and scatter from the large machine behind GatherToLarge, GatherKVs,
+// PlanBroadcast and Claim 4 (gather, scatter — round builders that open no
+// span), the bulk-item payload of gather, scatter and sort routing (chunk,
+// chunkMsg, appendChunks), and the heap arithmetic of the range trees (a
+// position's children are the range b·p+1 … b·p+b, walked in place).
 //
 // A collective allocates per machine, never per message, and Sort, NewPlan,
-// PlanBroadcast, PlanCombine and ScatterFromLarge per call: struct payloads
+// PlanBroadcast, PlanCombine and scatter per call: struct payloads
 // travel as pointers into one slab per sender per round — Sort's reply and
 // route rounds and the answer round carve every sender's from one array —
 // wire-native scalars by value, and PlanBroadcast's answers land in one slab
@@ -264,11 +267,11 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 type chunk[T any] struct{ Items []T }
 
 // chunkMsg stores items in slot — an entry of the sender's chunk slab for
-// the round — and returns the message carrying it to machine `to`,
-// accounted at itemWords words per item.
-func chunkMsg[T any](slot *chunk[T], to int, items []T, itemWords int) mpc.Msg {
+// the round — and returns the message carrying them to machine `to`,
+// charged words.
+func chunkMsg[T any](slot *chunk[T], to int, items []T, words int) mpc.Msg {
 	slot.Items = items
-	return mpc.Msg{To: to, Words: len(items) * itemWords, Data: slot}
+	return mpc.Msg{To: to, Words: words, Data: slot}
 }
 
 // chunkItems is the checked pass over a chunk inbox: the number of items its
@@ -309,19 +312,21 @@ func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
 // them concatenated in (machine, local index) order. The receive cap of the
 // large machine bounds the legal volume; violations surface as ErrCapacity.
 func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error) {
+	defer c.Span("gather").End()
 	return gather(c, data, func(items []T) int { return len(items) * itemWords })
 }
 
-// gather is the one gather round: GatherToLarge with each machine's message
-// charged words(its items).
+// gather is the one gather round: every machine's items go to the large
+// machine as one chunk message charged words(its items), and arrive
+// concatenated in (machine, local index) order. It opens no span; its
+// callers do.
 func gather[T any](c *mpc.Cluster, data [][]T, words func([]T) int) ([]T, error) {
 	if !c.HasLarge() {
-		return nil, fmt.Errorf("prims: GatherToLarge: %w", mpc.ErrNeedsLarge)
+		return nil, fmt.Errorf("prims: gather: %w", mpc.ErrNeedsLarge)
 	}
-	if err := checkBuckets(c, "GatherToLarge", data); err != nil {
+	if err := checkBuckets(c, "gather", data); err != nil {
 		return nil, err
 	}
-	defer c.Span("gather").End()
 	outs := perMachineOuts(c.K())
 	slab := make([]chunk[T], c.K())
 	for i := range outs {
@@ -329,14 +334,56 @@ func gather[T any](c *mpc.Cluster, data [][]T, words func([]T) int) ([]T, error)
 			outs[i] = nil
 			continue
 		}
-		slab[i].Items = data[i]
-		outs[i][0] = mpc.Msg{To: mpc.Large, Words: words(data[i]), Data: &slab[i]}
+		outs[i][0] = chunkMsg(&slab[i], mpc.Large, data[i], words(data[i]))
 	}
 	_, inLarge, err := c.Exchange(outs, nil)
 	if err != nil {
 		return nil, err
 	}
 	return appendChunks([]T{}, inLarge)
+}
+
+// scatter is the one scatter round: the large machine sends items[i] to
+// machine i as one chunk message charged words(items[i]), and returns the
+// machines' inboxes, carved from one array. It opens no span; its callers
+// do.
+func scatter[T any](c *mpc.Cluster, items [][]T, words func([]T) int) ([][]T, error) {
+	if !c.HasLarge() {
+		return nil, fmt.Errorf("prims: scatter: %w", mpc.ErrNeedsLarge)
+	}
+	if err := checkBuckets(c, "scatter", items); err != nil {
+		return nil, err
+	}
+	out := make([]mpc.Msg, 0, len(items))
+	slab := make([]chunk[T], len(items))
+	for i := range items {
+		if len(items[i]) == 0 {
+			continue
+		}
+		out = append(out, chunkMsg(&slab[i], i, items[i], words(items[i])))
+	}
+	ins, _, err := c.Exchange(nil, out)
+	if err != nil {
+		return nil, err
+	}
+	// Count (the checked pass), carve one array, copy.
+	total := 0
+	for _, inbox := range ins {
+		n, err := chunkItems[T](inbox)
+		if err != nil {
+			return nil, err
+		}
+		total += n
+	}
+	flat := make([]T, 0, total)
+	res := make([][]T, c.K())
+	for i, inbox := range ins {
+		start := len(flat)
+		if flat = copyChunks(flat, inbox); len(flat) > start {
+			res[i] = flat[start:len(flat):len(flat)]
+		}
+	}
+	return res, nil
 }
 
 // reduce is the one coordinator reduce: every machine sends one int64
@@ -408,48 +455,6 @@ func SumAll(c *mpc.Cluster, vals []int64) (int64, error) {
 // the largest of the per-machine values. It opens no span of its own.
 func MaxAll(c *mpc.Cluster, vals []int64) (int64, error) {
 	return reduce(c, "MaxAll", vals, func(a, b int64) int64 { return max(a, b) }, true)
-}
-
-// ScatterFromLarge routes per-machine message lists from the large machine
-// (one round). msgs[i] is delivered to machine i.
-func ScatterFromLarge[T any](c *mpc.Cluster, items [][]T, itemWords int) ([][]T, error) {
-	if !c.HasLarge() {
-		return nil, fmt.Errorf("prims: ScatterFromLarge: %w", mpc.ErrNeedsLarge)
-	}
-	if err := checkBuckets(c, "ScatterFromLarge", items); err != nil {
-		return nil, err
-	}
-	defer c.Span("scatter").End()
-	out := make([]mpc.Msg, 0, len(items))
-	slab := make([]chunk[T], len(items))
-	for i := range items {
-		if len(items[i]) == 0 {
-			continue
-		}
-		out = append(out, chunkMsg(&slab[i], i, items[i], itemWords))
-	}
-	ins, _, err := c.Exchange(nil, out)
-	if err != nil {
-		return nil, err
-	}
-	// Count (the checked pass), carve one array, copy.
-	total := 0
-	for _, inbox := range ins {
-		n, err := chunkItems[T](inbox)
-		if err != nil {
-			return nil, err
-		}
-		total += n
-	}
-	flat := make([]T, 0, total)
-	res := make([][]T, c.K())
-	for i, inbox := range ins {
-		start := len(flat)
-		if flat = copyChunks(flat, inbox); len(flat) > start {
-			res[i] = flat[start:len(flat):len(flat)]
-		}
-	}
-	return res, nil
 }
 
 // BroadcastSeed derives a fresh shared random seed at the coordinator and

@@ -22,6 +22,10 @@ func newCluster(t *testing.T, n, m int, noLarge bool) *mpc.Cluster {
 	return c
 }
 
+// oneWordEach charges a message one word an item, as GatherToLarge with
+// itemWords 1 does.
+func oneWordEach[T any](items []T) int { return len(items) }
+
 func TestChainSpans(t *testing.T) {
 	b := func(first, last int64) boundsReport {
 		return boundsReport{First: first, Last: last, NonEmpty: true}
@@ -343,7 +347,7 @@ func TestGatherScatterSum(t *testing.T) {
 		t.Fatalf("gather sum %d want %d", got, want)
 	}
 	// Scatter back.
-	back, err := ScatterFromLarge(c, data, 1)
+	back, err := scatter(c, data, oneWordEach[int64])
 	if err != nil {
 		t.Fatal(err)
 	}

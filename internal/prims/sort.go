@@ -189,7 +189,7 @@ func route[T any](c *mpc.Cluster, data [][]T, cuts [][]cut, itemWords, spare int
 		out, lo := msgs[starts[i]:starts[i]:starts[i+1]], 0
 		for _, ct := range cuts[i] {
 			hi := lo + int(ct.Count)
-			out = append(out, chunkMsg(&slab[starts[i]+len(out)], int(ct.Bucket), data[i][lo:hi:hi], itemWords))
+			out = append(out, chunkMsg(&slab[starts[i]+len(out)], int(ct.Bucket), data[i][lo:hi:hi], int(ct.Count)*itemWords))
 			lo = hi
 		}
 		outs[i] = out

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -144,6 +145,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 			if !(tc.name == "empty" && err == io.EOF) {
 				t.Errorf("ReadMessage(%s): err %v, want %v", tc.name, err, tc.want)
 			}
+		}
+	}
+	for _, e := range []error{ErrTruncated, ErrCorrupt} {
+		if !strings.HasPrefix(e.Error(), "wire:") {
+			t.Errorf("%q lacks the wire: prefix", e)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package wire puts the simulator's messages on a real wire: a zero-alloc,
-// length-prefixed binary codec for Exchange messages and graph shards
-// (DESIGN.md §11), plus the pluggable Transport the mpc engine runs
-// its deliver phase over.
+// length-prefixed binary codec for Exchange messages (DESIGN.md §11), plus
+// the pluggable Transport the mpc engine runs its deliver phase over.
 //
 // # Frame codec
 //
@@ -60,7 +59,7 @@ package wire
 
 import "errors"
 
-// Frame geometry and limits.
+// Frame geometry.
 const (
 	// Magic is the frame magic (little-endian uint16 at offset 0).
 	Magic uint16 = 0xA817
@@ -68,10 +67,6 @@ const (
 	Version byte = 1
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 20
-	// DefaultMaxPayload bounds the body length a block reader accepts
-	// before allocating, so corrupt length prefixes cannot drive huge
-	// allocations.
-	DefaultMaxPayload = 1 << 26 // 64 MiB
 )
 
 // Typed codec and transport errors. Decoding never panics: malformed input
@@ -84,9 +79,6 @@ var (
 	// unknown version or kind, or a payload length that contradicts the kind
 	// (e.g. a KindInt64 frame whose plen is not 8).
 	ErrCorrupt = errors.New("wire: corrupt frame")
-	// ErrTooLarge is returned when a block's declared body length exceeds
-	// DefaultMaxPayload, or when a value is too large for its block field.
-	ErrTooLarge = errors.New("wire: frame payload exceeds limit")
 	// ErrTransport is wrapped by every transport-layer failure the engine
 	// surfaces — a link write/read failing mid-round, a peer dying, a
 	// transport that cannot open its links. The wrapping error names the
