@@ -119,3 +119,33 @@ func TestTable1At4096Golden(t *testing.T) {
 		t.Errorf("the twelve calls' makespan is %.0f, want at most 12.3 M", makespan)
 	}
 }
+
+// TestConnectivityBatchGolden pins core connectivity's output on G(512, 4096)
+// at four seeds whose Borůvka reads 8, 10, 11 and 13 sketch families (the
+// phases): each output's hash, labels, component count and phase count
+// included.
+func TestConnectivityBatchGolden(t *testing.T) {
+	for _, w := range []struct {
+		seed   uint64
+		phases int
+		sum    uint64
+	}{
+		{7, 8, 0xd4d737704d261d65},
+		{24, 10, 0x1f1d02d3450f438a},
+		{17, 11, 0x1f19fad3450d001b},
+		{61, 13, 0x1f1302d34506ef05},
+	} {
+		c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: w.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := hetmpc.Connectivity(c, hetmpc.ConnectedGNM(512, 4096, w.seed, false))
+		if err != nil {
+			t.Fatalf("seed %d: %v", w.seed, err)
+		}
+		_, sum := outputDigest(res)
+		if res.Phases != w.phases || sum != w.sum {
+			t.Errorf("seed %d: %d phases, output hash %#x, want %d %#x", w.seed, res.Phases, sum, w.phases, w.sum)
+		}
+	}
+}
