@@ -228,10 +228,12 @@ func TestTable1SketchSortWords(t *testing.T) {
 
 // TestTable1SketchGatherWords pins what connectivity's sketch gather carries
 // (DESIGN.md §3.4): each sketch ships its key, family id, universe and depth
-// and the levels it stores, 4 + 3·depth words, so the rounds under
-// "connectivity/sketch/gather" carry at most 192 K words at n=512, m=4096.
-// Charging every sketch as the full 18-level sampler carried 525,312, and a
-// gather that charges levels no sketch stores fails here.
+// and the levels it stores, 4 + 3·depth words, and the first batch ships
+// ⌈log2 n⌉ of the P = ⌈log2(n+2)⌉ + 8 families, so the rounds under
+// "connectivity/sketch/gather" carry at most 96 K words at n=512, m=4096.
+// Charging every sketch as the full 18-level sampler carried 525,312, and
+// shipping all 18 families at once 184,203; a gather that charges levels no
+// sketch stores, or ships families Borůvka does not read, fails here.
 func TestTable1SketchGatherWords(t *testing.T) {
 	var words int64
 	for _, p := range table1Summary(t).Phases {
@@ -239,22 +241,26 @@ func TestTable1SketchGatherWords(t *testing.T) {
 			words += p.Words
 		}
 	}
-	if words == 0 || words > 192<<10 {
-		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 192<<10)
+	t.Logf("connectivity/sketch/gather carries %d words", words)
+	if words == 0 || words > 96<<10 {
+		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 96<<10)
 	}
 }
 
 // TestTable1SortCoordinatorShare counts what ROADMAP item M sets out to
-// lower: over the twelve Table-1 calls, the makespan share of the rounds
-// under a ".../sort" phase path in which one machine sends or receives at
-// least half the round's words — the coordinator's sample and reply rounds,
-// where every machine's whole run meets one machine. It was 73.3 % (1.75 M
-// of 2.39 M) while every key cost 3 words and every cut 2; charged by their
-// columns and in the shorter cut form (DESIGN.md §1) it was 58.5 % (0.90 M
-// of 1.54 M), and with key-aligned plans it is 55.1 % (0.84 M of 1.52 M).
-// Sending runs whole by cost does not move it: at n=512 no run is longer
-// than q. The share is pinned as a ceiling, and a Sort that samples what
-// the bucket bound needs lowers it.
+// lower: over the twelve Table-1 calls, the makespan of the rounds under a
+// ".../sort" phase path in which one machine sends or receives at least
+// half the round's words — the coordinator's sample and reply rounds, where
+// every machine's whole run meets one machine. It was 73.3 % of Table 1's
+// makespan (1.75 M of 2.39 M) while every key cost 3 words and every cut 2;
+// charged by their columns and in the shorter cut form (DESIGN.md §1) it
+// was 58.5 % (0.90 M of 1.54 M), and with key-aligned plans 55.1 % (0.84 M
+// of 1.52 M). Sending runs whole by cost does not move it: at n=512 no run
+// is longer than q. A gather that shrinks the denominator, as connectivity's
+// sketch batches did, raises the share without the coordinator doing more,
+// so the makespan is pinned as an absolute ceiling — the 55.2 % share's
+// 0.552 × 1,519,684 — and a Sort that samples what the bucket bound needs
+// lowers it.
 func TestTable1SortCoordinatorShare(t *testing.T) {
 	var coord, total float64
 	for _, r := range table1Rounds(t) {
@@ -270,10 +276,9 @@ func TestTable1SortCoordinatorShare(t *testing.T) {
 			coord += r.Makespan
 		}
 	}
-	share := coord / total
-	t.Logf("coordinator-bound Sort rounds: %.0f of %.0f makespan (%.1f %%)", coord, total, 100*share)
-	if share > 0.552 {
-		t.Errorf("coordinator-bound Sort rounds carry %.1f %% of Table 1's makespan, want at most 55.2 %%", 100*share)
+	t.Logf("coordinator-bound Sort rounds: %.0f of %.0f makespan (%.1f %%)", coord, total, 100*coord/total)
+	if coord > 838_866 {
+		t.Errorf("coordinator-bound Sort rounds carry %.0f of Table 1's makespan, want at most 838,866", coord)
 	}
 }
 

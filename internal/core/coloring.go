@@ -38,7 +38,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	sp := c.Span("coloring")
 	n := g.N
 	res := &ColoringResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	if len(g.Edges) == 0 {
 		res.Colors = make([]int, n)
 		return res, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hetmpc/internal/graph"
@@ -29,7 +30,9 @@ type ConnectivityResult struct {
 // (Sketch.Words: the levels above are zero by construction and rebuilt
 // there) — O(n polylog n) bits in total — which then runs Borůvka locally,
 // sampling an outgoing edge of each component from the summed sketches
-// (Property 1) of fresh rounds. A run whose samplers fail in every phase
+// (Property 1) of fresh rounds. The first ⌈log2 n⌉ families' sketches are
+// shipped at once, and each later batch only when Borůvka reaches a family
+// not yet shipped (sketchBatches). A run whose samplers fail in every phase
 // returns an error wrapping ErrSketchFailure.
 //
 // Shared randomness is a single broadcast seed, replacing [36]'s shared
@@ -41,7 +44,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	sp := c.Span("connectivity")
 	n := g.N
 	res := &ConnectivityResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err
@@ -51,24 +54,12 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	phases, levels := sketchShape(n, len(g.Edges))
-	families := make([]*sketch.Family, phases)
-	for t := range families {
-		families[t] = sketch.NewFamilyLevels(levels, xrand.Split(seed, uint64(t)+1))
-	}
-	// One edge updater per family: precomputed fingerprint power tables.
-	// Updaters are read-only and shared across the small-machine goroutines.
-	updaters := make([]*sketch.EdgeUpdater, phases)
-	for t := range updaters {
-		updaters[t] = families[t].NewEdgeUpdater(n)
-	}
-
-	atLarge, err := gatherSketches(c, edges, updaters, n)
+	sk, err := gatherSketches(c, edges, seed, n, len(g.Edges))
 	if err != nil {
 		return nil, err
 	}
 	var dsu *unionfind.DSU
-	if dsu, res.Phases, err = boruvka(families, atLarge, n); err != nil {
+	if dsu, res.Phases, err = boruvka(sk.phases, n, sk.phase); err != nil {
 		return nil, err
 	}
 
@@ -92,26 +83,26 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 // ℓ0-samplers failed in every phase, which Theorem C.1 bounds w.h.p.
 var ErrSketchFailure = errors.New("sketch connectivity did not converge")
 
-// boruvka is the large machine's local Borůvka over the gathered sketches,
-// by key phase·n + vertex: phase t sums family t's sketches per component and
-// joins each component along the edge its sum samples, until every sum is
-// zero. It returns the components and the phases run, or an error wrapping
+// boruvka is the large machine's local Borůvka over phases sketch families,
+// phase(t) returning family t and its gathered sketches by vertex, keyed
+// t·n + vertex: phase t sums family t's sketches per component and joins
+// each component along the edge its sum samples, until every sum is zero.
+// It returns the components and the phases run, or an error wrapping
 // ErrSketchFailure if a sum is still nonzero after the last family's phase.
-func boruvka(families []*sketch.Family, atLarge []prims.KV[*sketch.Sketch], n int) (*unionfind.DSU, int, error) {
+func boruvka(phases, n int, phase func(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error)) (*unionfind.DSU, int, error) {
 	universe := int64(n) * int64(n)
 	dsu := unionfind.New(n)
 	sums := make([]*sketch.Sketch, n)
-	last := len(families) - 1
-	// at is the first entry of phase t's sketches, or of a later phase's.
-	at := func(t int) int {
-		return sort.Search(len(atLarge), func(j int) bool { return atLarge[j].K >= int64(t)*int64(n) })
-	}
+	last := phases - 1
 	// One pass past the last phase re-sums the last family over the final
 	// components, to verify that none has an edge leaving it.
 	for t := 0; ; t++ {
 		ph := min(t, last)
-		f := families[ph]
-		if err := componentSums(sums, f, universe, dsu, atLarge[at(ph):at(ph+1)], int64(ph)*int64(n)); err != nil {
+		f, run, err := phase(ph)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := componentSums(sums, f, universe, dsu, run, int64(ph)*int64(n)); err != nil {
 			return nil, 0, err
 		}
 		done := true
@@ -120,7 +111,7 @@ func boruvka(families []*sketch.Family, atLarge []prims.KV[*sketch.Sketch], n in
 				continue
 			}
 			if t > last {
-				return nil, 0, fmt.Errorf("core: connectivity: a component still has an outgoing edge after %d phases: %w", len(families), ErrSketchFailure)
+				return nil, 0, fmt.Errorf("core: connectivity: a component still has an outgoing edge after %d phases: %w", phases, ErrSketchFailure)
 			}
 			done = false
 			if idx, _, ok := f.Query(s); ok { // a sampler failure retries next phase
@@ -128,13 +119,14 @@ func boruvka(families []*sketch.Family, atLarge []prims.KV[*sketch.Sketch], n in
 			}
 		}
 		if done {
-			return dsu, min(t+1, len(families)), nil
+			return dsu, min(t+1, phases), nil
 		}
 	}
 }
 
-// sketchShape returns the number of Borůvka phases — one sketch family each
-// — and the level count of every family for an n-vertex, m-edge input.
+// sketchShape returns P, the number of Borůvka phases a run may take — one
+// sketch family each — and the level count of every family for an n-vertex,
+// m-edge input.
 func sketchShape(n, m int) (phases, levels int) {
 	phases = int(math.Ceil(math.Log2(float64(n)+2))) + 8
 	// Levels beyond log2(support) are always empty: the support of any
@@ -151,23 +143,94 @@ func sketchShape(n, m int) (phases, levels int) {
 	return phases, min(levels, maxLevels)
 }
 
-// gatherSketches is the "sketch" phase: the incidences meet by vertex, each
-// machine builds the sketches of its run's vertices — each the sum of the
-// partial sketches of any edge partition, cell for cell, as a sketch is
-// linear — and ships them to the large machine, keyed phase·n + vertex, each
-// charged the levels it stores. The large machine holds them by key: phase
-// by phase, each phase's by vertex.
-func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, updaters []*sketch.EdgeUpdater, n int) ([]prims.KV[*sketch.Sketch], error) {
+// sketchBatches is the sketch phase between the large machine's requests.
+// The small machines keep their incidence runs as the Sort left them — Sort
+// registered them as the machines' held state, and no later collective of
+// the phase registers another, so checkpoints count them between batches —
+// and build family t, seeded xrand.Split(seed, t+1), when it is asked for.
+// The large machine holds every gathered family's sketches, keyed
+// phase·n + vertex: phase by phase, each phase's by vertex.
+type sketchBatches struct {
+	c         *mpc.Cluster
+	runs      [][]sketch.Incidence
+	seed      uint64
+	n, levels int
+	phases    int              // P: the families a run gathers at most
+	next      int              // the next later batch's size: 1, 2, 4, …
+	families  []*sketch.Family // the families gathered, in phase order
+	atLarge   []prims.KV[*sketch.Sketch]
+}
+
+// gatherSketches is the "sketch" phase up to its first batch: the
+// incidences meet by vertex, and the sketches of the first ⌈log2 n⌉ of the
+// P families are gathered.
+func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, seed uint64, n, m int) (*sketchBatches, error) {
 	defer c.Span("sketch").End()
 	runs, err := sortIncidences(c, edges)
 	if err != nil {
 		return nil, err
 	}
-	items := make([][]prims.KV[*sketch.Sketch], c.K())
-	c.Each(func(i int) {
-		items[i] = vertexSketches(updaters, runs[i], n)
+	phases, levels := sketchShape(n, m)
+	s := &sketchBatches{c: c, runs: runs, seed: seed, n: n, levels: levels, phases: phases, next: 1}
+	return s, s.gather(min(max(bits.Len(uint(n-1)), 1), phases))
+}
+
+// phase returns family t and its sketches at the large machine, by vertex.
+// Borůvka reads the families in order, so a family not yet gathered is the
+// first of the next batch, which it pulls.
+func (s *sketchBatches) phase(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error) {
+	if t >= len(s.families) {
+		if err := s.pull(); err != nil {
+			return nil, nil, err
+		}
+	}
+	// at is the first entry of phase t's sketches, or of a later phase's.
+	at := func(t int) int {
+		return sort.Search(len(s.atLarge), func(j int) bool { return s.atLarge[j].K >= int64(t)*int64(s.n) })
+	}
+	return s.families[t], s.atLarge[at(t):at(t+1)], nil
+}
+
+// pull is a later batch: the large machine sends every small machine a
+// one-word "next batch" (one round), and the sketches of the next 1, 2,
+// 4, … families are gathered (one round), P in all at most. With the first
+// batch at ⌈log2 n⌉ and P = ⌈log2(n+2)⌉ + 8, at most 4 later batches run.
+func (s *sketchBatches) pull() error {
+	defer s.c.Span("sketch").End()
+	hi := min(len(s.families)+s.next, s.phases)
+	s.next *= 2
+	if _, err := prims.BroadcastValue(s.c, hi, 1); err != nil {
+		return err
+	}
+	return s.gather(hi)
+}
+
+// gather builds families len(s.families) … hi−1 and ships them: each
+// machine builds the sketches of its run's vertices — each the sum of the
+// partial sketches of any edge partition, cell for cell, as a sketch is
+// linear — and sends them to the large machine, keyed phase·n + vertex,
+// each charged the levels it stores. The batch's keys are all above the
+// earlier batches', so the large machine's sketches stay in key order.
+func (s *sketchBatches) gather(hi int) error {
+	lo := len(s.families)
+	// One edge updater per family: precomputed fingerprint power tables.
+	// Updaters are read-only and shared across the small-machine goroutines.
+	updaters := make([]*sketch.EdgeUpdater, hi-lo)
+	for t := range updaters {
+		f := sketch.NewFamilyLevels(s.levels, xrand.Split(s.seed, uint64(lo+t)+1))
+		s.families = append(s.families, f)
+		updaters[t] = f.NewEdgeUpdater(s.n)
+	}
+	items := make([][]prims.KV[*sketch.Sketch], s.c.K())
+	s.c.Each(func(i int) {
+		items[i] = vertexSketches(updaters, s.runs[i], lo, s.n)
 	})
-	return prims.GatherKVs(c, items, (*sketch.Sketch).Words)
+	batch, err := prims.GatherKVs(s.c, items, (*sketch.Sketch).Words)
+	if err != nil {
+		return err
+	}
+	s.atLarge = append(s.atLarge, batch...)
+	return nil
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words
@@ -187,14 +250,14 @@ func sortIncidences(c *mpc.Cluster, edges [][]graph.Edge) ([][]sketch.Incidence,
 }
 
 // vertexSketches is one small machine's sketches of its run of incidences
-// sorted by vertex, keyed phase·n + vertex.
-func vertexSketches(updaters []*sketch.EdgeUpdater, run []sketch.Incidence, n int) []prims.KV[*sketch.Sketch] {
+// sorted by vertex, updater t's keyed (first+t)·n + vertex.
+func vertexSketches(updaters []*sketch.EdgeUpdater, run []sketch.Incidence, first, n int) []prims.KV[*sketch.Sketch] {
 	sks := sketch.VertexSketches(updaters, run)
 	items := make([]prims.KV[*sketch.Sketch], 0, len(sks))
 	for j, in := range run {
 		if j == 0 || in.V != run[j-1].V {
 			for t := range updaters {
-				items = append(items, prims.KV[*sketch.Sketch]{K: int64(t)*int64(n) + int64(in.V), V: &sks[len(items)]})
+				items = append(items, prims.KV[*sketch.Sketch]{K: int64(first+t)*int64(n) + int64(in.V), V: &sks[len(items)]})
 			}
 		}
 	}
@@ -245,7 +308,7 @@ func ApproxMSTWeight(c *mpc.Cluster, g *graph.Graph, eps float64) (*MSTApproxRes
 	}
 	sp := c.Span("approx-mst")
 	res := &MSTApproxResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	var maxW int64 = 1
 	for _, e := range g.Edges {
 		if e.W > maxW {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
@@ -249,7 +250,7 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 	}
 	sketches, cells := 0, 0
 	for i, run := range runs {
-		for _, kv := range vertexSketches(updaters, run, g.N) {
+		for _, kv := range vertexSketches(updaters, run, 0, g.N) {
 			if kv.V.Depth() != deepest[kv.K] {
 				t.Fatalf("machine %d key %d: depth %d, want its deepest update's %d", i, kv.K, kv.V.Depth(), deepest[kv.K])
 			}
@@ -268,27 +269,36 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 
 // TestConnectivityGatherChargesStoredLevels pins the sketch gather's charge
 // on the same shape: a sketch ships its key, family id, universe and depth,
-// then its stored levels, so the gather round carries Σ (4 + 3·Depth())
-// words over the sketches the machines build — counted here from the
-// sketches themselves — and less than the full sampler's 4 + 3·levels each.
+// then its stored levels, so the first batch's gather round carries
+// Σ (4 + 3·Depth()) words over the sketches the machines build of the
+// families it ships — counted here from sketches rebuilt of those families —
+// and less than the full sampler's 4 + 3·levels each.
 func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	g := graph.GNM(1024, 4096, 7)
 	const k = 128
-	edges, runs, updaters, levels := sketchPhaseInput(t, g, k)
-	var want, full int64
-	for _, run := range runs {
-		for _, kv := range vertexSketches(updaters, run, g.N) {
-			want += 4 + 3*int64(kv.V.Depth())
-			full += 4 + 3*int64(levels)
-		}
-	}
+	edges, runs, _, levels := sketchPhaseInput(t, g, k)
 	tr := trace.New()
 	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: k, Seed: 7, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gatherSketches(c, edges, updaters, g.N); err != nil {
+	sk, err := gatherSketches(c, edges, 7, g.N, g.M())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sk.families) != 10 {
+		t.Fatalf("the first batch gathered %d families, want ⌈log2 1024⌉ = 10", len(sk.families))
+	}
+	updaters := make([]*sketch.EdgeUpdater, len(sk.families))
+	for p, f := range sk.families {
+		updaters[p] = f.NewEdgeUpdater(g.N)
+	}
+	var want, full int64
+	for _, run := range runs {
+		for _, kv := range vertexSketches(updaters, run, 0, g.N) {
+			want += 4 + 3*int64(kv.V.Depth())
+			full += 4 + 3*int64(levels)
+		}
 	}
 	rounds := tr.Rounds()
 	last := rounds[len(rounds)-1]
@@ -301,22 +311,47 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	}
 }
 
-// TestBoruvkaSketchFailureIsTyped runs the large machine's Borůvka with one
-// sketch family on a 64-vertex path: one phase joins each component to at
-// most one neighbour's, so components with an edge leaving them remain and
-// the run must fail with an error wrapping ErrSketchFailure — never return
-// a labelling.
+// TestBoruvkaSketchFailureIsTyped runs the large machine's Borůvka on a
+// 64-vertex path with P = 3 sketch families, one in the first batch: two
+// later batches are pulled, each a one-word request and a gather. Three
+// phases, each joining a component along at most one sampled edge, leave
+// components with an edge leaving them at this seed, so the run must fail
+// with an error wrapping ErrSketchFailure — never return a labelling. The
+// cluster checkpoints every round: between batches the small machines hold
+// their incidence runs, 2 words an incidence, as Sort registered them, so
+// each of the later batches' barriers replicates exactly those.
 func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
 	g := graph.Path(64)
-	_, runs, _, levels := sketchPhaseInput(t, g, 4)
-	f := sketch.NewFamilyLevels(levels, 1)
-	ups := []*sketch.EdgeUpdater{f.NewEdgeUpdater(g.N)}
-	var atLarge []prims.KV[*sketch.Sketch]
-	for _, run := range runs {
-		atLarge = append(atLarge, vertexSketches(ups, run, g.N)...)
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: 4, Seed: 7, Faults: &fault.Plan{Interval: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, phases, err := boruvka([]*sketch.Family{f}, atLarge, g.N); !errors.Is(err, ErrSketchFailure) {
-		t.Fatalf("one family on a 64-path: err = %v after %d phases, want ErrSketchFailure", err, phases)
+	edges, err := prims.DistributeEdges(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := sortIncidences(c, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, levels := sketchShape(g.N, g.M())
+	sk := &sketchBatches{c: c, runs: runs, seed: 1, n: g.N, levels: levels, phases: 3, next: 1}
+	if err := sk.gather(1); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	if _, phases, err := boruvka(sk.phases, g.N, sk.phase); !errors.Is(err, ErrSketchFailure) {
+		t.Fatalf("three families on a 64-path: err = %v after %d phases, want ErrSketchFailure", err, phases)
+	}
+	if len(sk.families) != 3 {
+		t.Errorf("%d families gathered, want all P = 3", len(sk.families))
+	}
+	d := c.Stats().Sub(before)
+	if d.Rounds != 4 || d.Checkpoints != 4 {
+		t.Errorf("the later batches took %d rounds and %d checkpoints, want 2 × (request + gather) = 4 of each", d.Rounds, d.Checkpoints)
+	}
+	if held := int64(4 * 2 * 2 * g.M()); d.ReplicationWords != held {
+		t.Errorf("the later batches' checkpoints replicated %d words, want 4 × the 2m incidences' %d", d.ReplicationWords, held/4)
 	}
 }
 
@@ -331,12 +366,12 @@ func TestConnectivityAllocsPerMachine(t *testing.T) {
 		if len(run) == 0 {
 			run = runs[1]
 		}
-		if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, run, g.N) }); got != 5 {
+		if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, run, 0, g.N) }); got != 5 {
 			t.Errorf("a machine holding %d incidences allocates %v times, want 5 whatever it holds", len(run), got)
 		}
 	}
 	_, _, updaters, _ := sketchPhaseInput(t, graph.GNM(256, 30, 1), 2)
-	if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, nil, 256) }); got != 0 {
+	if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, nil, 0, 256) }); got != 0 {
 		t.Errorf("an empty run allocates %v times, want 0", got)
 	}
 }

@@ -119,15 +119,6 @@ func maxValue(kvs []prims.KV[int64], floor int64) int64 {
 
 func unitWeight(graph.Edge) int64 { return 1 }
 
-// modelStats is a finished span's Stats delta (mpc.Span.End) as attached to
-// algorithm results: the model side only. WireBytes is measured on the
-// transport, not modeled, so it stays on the cluster's Stats and a result is
-// the same over every transport.
-func modelStats(d mpc.Stats) mpc.Stats {
-	d.WireBytes = 0
-	return d
-}
-
 // errNeedsLarge is the unified "requires the large machine" failure: every
 // large-requiring algorithm returns it wrapped with its name, so callers
 // detect the condition with errors.Is(err, mpc.ErrNeedsLarge).

@@ -37,7 +37,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 	sp := c.Span("matching")
 	res := &MatchingResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	n := g.N
 	m := len(g.Edges)
 	if m == 0 {
@@ -220,7 +220,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 	}
 	sp := c.Span("matching-filter")
 	res := &MatchingResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	n := g.N
 	if len(g.Edges) == 0 {
 		return res, nil

@@ -31,7 +31,7 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	sp := c.Span("mincut")
 	n := g.N
 	res := &MinCutResult{Value: math.MaxInt64}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	if len(g.Edges) == 0 {
 		if n > 1 {
 			res.Value = 0 // disconnected (or single vertex: no cut)
@@ -277,7 +277,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 	sp := c.Span("approx-mincut")
 	n := g.N
 	res := &MinCutResult{Value: math.MaxInt64}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	if len(g.Edges) == 0 {
 		if n > 1 {
 			res.Value = 0

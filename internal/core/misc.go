@@ -29,7 +29,7 @@ func TwoVsOneCycle(c *mpc.Cluster, g *graph.Graph) (*TwoVsOneCycleResult, error)
 	}
 	sp := c.Span("2v1")
 	res := &TwoVsOneCycleResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func BuildAPSPOracle(c *mpc.Cluster, g *graph.Graph) (*APSPOracle, error) {
 	}
 	sp := c.Span("apsp")
 	o := &APSPOracle{}
-	defer func() { o.BuildStats = modelStats(sp.End()) }()
+	defer func() { o.BuildStats = sp.End().Model() }()
 	k := int(math.Ceil(math.Log2(float64(g.N) + 2)))
 	var (
 		res *SpannerResult

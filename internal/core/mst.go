@@ -52,7 +52,7 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 	n := g.N
 	m := len(g.Edges)
 	res := &MSTResult{}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	if m == 0 {
 		return res, nil
 	}

@@ -38,7 +38,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		k = 1
 	}
 	res := &SpannerResult{Stretch: 6*k - 1}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	n := g.N
 	if len(g.Edges) == 0 {
 		return res, nil
@@ -618,7 +618,7 @@ func SpannerWeighted(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, err
 	}
 	sp := c.Span("spanner-weighted")
 	res := &SpannerResult{Stretch: 12*k - 1}
-	defer func() { res.Stats = modelStats(sp.End()) }()
+	defer func() { res.Stats = sp.End().Model() }()
 	var maxW int64 = 1
 	for _, e := range g.Edges {
 		if e.W > maxW {

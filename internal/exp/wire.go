@@ -66,7 +66,7 @@ func (rn *run) e32TransportSweep(seed uint64) (*Table, error) {
 				st := c.Stats()
 				c.Close() // sockets are per-cell resources; stats are read
 				wireBytes := st.WireBytes
-				st.WireBytes = 0 // compare the modeled side only
+				st = st.Model() // compare the modeled side only
 				switch transport {
 				case "inproc":
 					if wireBytes != 0 {

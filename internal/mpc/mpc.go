@@ -206,6 +206,15 @@ func (s Stats) Add(d Stats) Stats { return s.merge(d, 1) }
 // windowed maximum cannot be recovered from two snapshots.
 func (s Stats) Sub(before Stats) Stats { return s.merge(before, -1) }
 
+// Model returns s with its measured side cleared: WireBytes is counted on
+// the transport, not modeled, so it stays on the cluster's Stats, and every
+// algorithm result carries its span's delta as Model() — the same over every
+// transport.
+func (s Stats) Model() Stats {
+	s.WireBytes = 0
+	return s
+}
+
 // merge writes the additive/maximum split of Stats down once. sign·x is
 // exact, so Add and Sub are bit-identical to += and -=.
 func (s Stats) merge(d Stats, sign int) Stats {

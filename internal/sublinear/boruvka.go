@@ -56,7 +56,7 @@ func MST(c *mpc.Cluster, g *graph.Graph) (*MSTResult, error) {
 	sp := c.Span("baseline-mst")
 	n := g.N
 	res := &MSTResult{}
-	defer func() { res.Stats = sp.End() }()
+	defer func() { res.Stats = sp.End().Model() }()
 	kk := c.K()
 	edges := make([][]bEdge, kk)
 	dist, err := prims.DistributeEdges(c, g)

@@ -37,7 +37,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	n := g.N
 	res := &SpannerResult{Levels: k}
-	defer func() { res.Stats = sp.End() }()
+	defer func() { res.Stats = sp.End().Model() }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err

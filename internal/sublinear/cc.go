@@ -37,7 +37,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*CCResult, error) {
 	res := &CCResult{}
 	// Registered before the first fallible call so the span closes on every
 	// path (the early-return leak hetlint's spanpair analyzer flags).
-	defer func() { res.Stats = sp.End() }()
+	defer func() { res.Stats = sp.End().Model() }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	sp := c.Span("baseline-coloring")
 	n := g.N
 	res := &ColoringResult{}
-	defer func() { res.Stats = sp.End() }()
+	defer func() { res.Stats = sp.End().Model() }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	sp := c.Span("baseline-mis")
 	n := g.N
 	res := &MISResult{}
-	defer func() { res.Stats = sp.End() }()
+	defer func() { res.Stats = sp.End().Model() }()
 	edges, err := prims.DistributeEdges(c, g)
 	if err != nil {
 		return nil, err

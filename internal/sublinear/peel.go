@@ -69,7 +69,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 	}
 	matched := make([][]graph.Edge, k)
 	res := &PeelResult{}
-	defer func() { res.Stats = sp.End() }()
+	defer func() { res.Stats = sp.End().Model() }()
 
 	total := int64(0)
 	for i := range live {

@@ -123,17 +123,22 @@ func TestTable1At4096Golden(t *testing.T) {
 // TestConnectivityBatchGolden pins core connectivity's output on G(512, 4096)
 // at four seeds whose Borůvka reads 8, 10, 11 and 13 sketch families (the
 // phases): each output's hash, labels, component count and phase count
-// included.
+// included. The first batch ships ⌈log2 512⌉ = 9 families and the later
+// ones 1, 2 and 4 more, each two rounds, so the runs take 5, 7, 9 and 11
+// rounds; each must cost less makespan than gathering all P = 18 families
+// at once did (DESIGN.md §3.4).
 func TestConnectivityBatchGolden(t *testing.T) {
 	for _, w := range []struct {
-		seed   uint64
-		phases int
-		sum    uint64
+		seed     uint64
+		phases   int
+		sum      uint64
+		rounds   int
+		makespan float64 // with all 18 families in one gather
 	}{
-		{7, 8, 0xd4d737704d261d65},
-		{24, 10, 0x1f1d02d3450f438a},
-		{17, 11, 0x1f19fad3450d001b},
-		{61, 13, 0x1f1302d34506ef05},
+		{7, 8, 0xd4d737704d261d65, 5, 403_435},
+		{24, 10, 0x1f1d02d3450f438a, 7, 400_237},
+		{17, 11, 0x1f19fad3450d001b, 9, 404_907},
+		{61, 13, 0x1f1302d34506ef05, 11, 401_965},
 	} {
 		c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: w.seed})
 		if err != nil {
@@ -146,6 +151,14 @@ func TestConnectivityBatchGolden(t *testing.T) {
 		_, sum := outputDigest(res)
 		if res.Phases != w.phases || sum != w.sum {
 			t.Errorf("seed %d: %d phases, output hash %#x, want %d %#x", w.seed, res.Phases, sum, w.phases, w.sum)
+		}
+		st := c.Stats()
+		t.Logf("seed %d: %d rounds, makespan %.0f", w.seed, st.Rounds, st.Makespan)
+		if st.Rounds != w.rounds {
+			t.Errorf("seed %d: %d rounds, want %d", w.seed, st.Rounds, w.rounds)
+		}
+		if st.Makespan >= w.makespan {
+			t.Errorf("seed %d: makespan %.0f, want below the single gather's %.0f", w.seed, st.Makespan, w.makespan)
 		}
 	}
 }

@@ -71,7 +71,12 @@ func commOf(s hetmpc.ClusterStats) comm {
 // 221,728 → 218,613, 315,195 → 307,430 and 385,790 → 355,436; max-send (the
 // coordinator's replies, whose aligned splitters have constant B and C
 // columns) 9,141 → 8,374, 9,159 → 8,374 and 5,555 → 4,475; max-recv and
-// connectivity's, which makes no plan, untouched.
+// connectivity's, which makes no plan, untouched. Connectivity's was
+// re-captured once more when its first sketch batch began shipping
+// ⌈log2 n⌉ = 9 of the 18 families, of which Borůvka reads 8 at this seed
+// (DESIGN.md §3.4): the same 5 rounds and messages, words
+// 218,385 → 125,718, max-recv (the gather) 184,707 → 92,040, max-send
+// untouched.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -95,7 +100,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("components %d, want 1", r.Components)
 			}
 			return err
-		}, comm{5, 8064, 218385, 8374, 184707}},
+		}, comm{5, 8064, 125718, 8374, 92040}},
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err

@@ -41,6 +41,12 @@ var conformanceWorkloads = []struct {
 		g := hetmpc.GNM(512, 4096, 7)
 		return hetmpc.Connectivity(c, g)
 	}},
+	// A sublinear baseline's result carries the same model-only Stats as a
+	// core one: WireBytes stays on the cluster.
+	{"baseline-connectivity", []string{""}, func(c *hetmpc.Cluster) (any, error) {
+		g := hetmpc.GNM(512, 4096, 7)
+		return hetmpc.BaselineConnectivity(c, g)
+	}},
 	// Phase 1's peel builds a plan an iteration: NewPlan, PlanCombine's
 	// span-up round and PlanBroadcast cross the wire.
 	{"matching", []string{"", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
