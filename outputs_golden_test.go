@@ -72,29 +72,32 @@ func TestTable1OutputsGolden(t *testing.T) {
 	}
 }
 
+// table1At4096 is each Table-1 call's output size and hash, and its rounds,
+// at n=4096 m=8n seed 7.
+var table1At4096 = map[string]struct {
+	size   int
+	sum    uint64
+	rounds int
+}{
+	"sublinear.cc":       {4096, 0x9214ad10afbcbe5c, 87},
+	"core.cc":            {4096, 0x9214ad10afbcbe5c, 5},
+	"sublinear.mst":      {4095, 0x6376902961801496, 185},
+	"core.mst":           {4095, 0xfeb8b7a4e50ae88c, 41},
+	"sublinear.spanner":  {32302, 0xd4e541af5c7f9869, 17},
+	"core.spanner":       {6683, 0xc18732640ed247e2, 33},
+	"sublinear.coloring": {4096, 0x7b8202f627ccdb47, 49},
+	"core.coloring":      {4096, 0xe20e5f9c093c924f, 5},
+	"sublinear.mis":      {702, 0xef2c941bbc9272ff, 30},
+	"core.mis":           {725, 0xbdbe91171e8a640e, 71},
+	"sublinear.matching": {1942, 0xa5069830aaff4944, 47},
+	"core.matching":      {1944, 0x099e0c97b0a641b8, 40},
+}
+
 // TestTable1At4096Golden pins the twelve Table-1 calls at n=4096 m=8n seed 7,
 // where a machine holds more plan requests than Sort's sample takes at
 // n=512: each call's output size and hash, and its rounds.
 func TestTable1At4096Golden(t *testing.T) {
 	const n = 4096
-	want := map[string]struct {
-		size   int
-		sum    uint64
-		rounds int
-	}{
-		"sublinear.cc":       {4096, 0x9214ad10afbcbe5c, 87},
-		"core.cc":            {4096, 0x9214ad10afbcbe5c, 5},
-		"sublinear.mst":      {4095, 0x6376902961801496, 185},
-		"core.mst":           {4095, 0xfeb8b7a4e50ae88c, 41},
-		"sublinear.spanner":  {32302, 0xd4e541af5c7f9869, 17},
-		"core.spanner":       {6683, 0xc18732640ed247e2, 33},
-		"sublinear.coloring": {4096, 0x7b8202f627ccdb47, 49},
-		"core.coloring":      {4096, 0xe20e5f9c093c924f, 5},
-		"sublinear.mis":      {702, 0xef2c941bbc9272ff, 30},
-		"core.mis":           {725, 0xbdbe91171e8a640e, 71},
-		"sublinear.matching": {1942, 0xa5069830aaff4944, 47},
-		"core.matching":      {1944, 0x099e0c97b0a641b8, 40},
-	}
 	var makespan float64
 	for _, call := range table1CallsAt(n, 8*n, 7) {
 		c, err := hetmpc.NewCluster(hetmpc.Config{N: n, M: 8 * n, Seed: 7, NoLarge: call.noLarge})
@@ -107,7 +110,7 @@ func TestTable1At4096Golden(t *testing.T) {
 		}
 		size, sum := outputDigest(out)
 		rounds := c.Stats().Rounds
-		if w := want[call.name]; size != w.size || sum != w.sum || rounds != w.rounds {
+		if w := table1At4096[call.name]; size != w.size || sum != w.sum || rounds != w.rounds {
 			t.Errorf("%s: output size %d hash %#x in %d rounds, want %d %#x in %d", call.name, size, sum, rounds, w.size, w.sum, w.rounds)
 		}
 		makespan += c.Stats().Makespan
@@ -117,6 +120,37 @@ func TestTable1At4096Golden(t *testing.T) {
 	t.Logf("the twelve calls' makespan: %.0f", makespan)
 	if makespan > 12.3e6 {
 		t.Errorf("the twelve calls' makespan is %.0f, want at most 12.3 M", makespan)
+	}
+}
+
+// TestTable1RoundsFlatInN gates the paper's round claim beyond one n: each
+// heterogeneous Table-1 call's rounds at n=1024 and n=4096 (m=8n seed 7) are
+// at most its rounds at n=256 plus 1. The n=4096 rounds are the ones
+// TestTable1At4096Golden pins. The baselines' rounds, which may grow with n,
+// are logged, not gated.
+func TestTable1RoundsFlatInN(t *testing.T) {
+	rounds := func(n int, call table1Call) int {
+		c, err := hetmpc.NewCluster(hetmpc.Config{N: n, M: 8 * n, Seed: 7, NoLarge: call.noLarge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := call.run(c); err != nil {
+			t.Fatalf("n=%d %s: %v", n, call.name, err)
+		}
+		return c.Stats().Rounds
+	}
+	at1024 := table1CallsAt(1024, 8*1024, 7)
+	for i, call := range table1CallsAt(256, 8*256, 7) {
+		r256, r4096 := rounds(256, call), table1At4096[call.name].rounds
+		if call.noLarge {
+			t.Logf("%s: %d rounds at n=256, %d at n=4096", call.name, r256, r4096)
+			continue
+		}
+		r1024 := rounds(1024, at1024[i])
+		t.Logf("%s: %d / %d / %d rounds at n=256/1024/4096", call.name, r256, r1024, r4096)
+		if r1024 > r256+1 || r4096 > r256+1 {
+			t.Errorf("%s: %d rounds at n=1024 and %d at n=4096, want at most n=256's %d plus 1", call.name, r1024, r4096, r256)
+		}
 	}
 }
 
