@@ -29,12 +29,14 @@ import (
 // their sender has for that destination, so a grouping table is one more
 // entry per message that nothing reads.
 //
-// After delivery a stats pass reads the same counters to price the round:
-// each machine is charged w_i·(1/Speed_i + 1/Bandwidth_i) for the
-// words it moved, the round costs the barrier latency plus the busiest
-// machine's charge, and capacities are per machine under the cluster Profile
-// (violations name the machine and its cap). The result is one ledger record
-// handed to charge (ledger.go), the only place the round is accounted.
+// After delivery the same counters price the round: each machine is charged
+// w_i·(1/Speed_i + 1/Bandwidth_i) for the words it moved, written to the
+// round's Busy vector, and settle — the one pricing pass, which the
+// checkpoint barrier shares — adds the charges up; the round costs the
+// barrier latency plus the busiest machine's charge. Capacities are per
+// machine under the cluster Profile (violations name the machine and its
+// cap). The result is one ledger record handed to charge (ledger.go), the
+// only place the round is accounted.
 //
 // The whole round runs on the calling goroutine: the engine is a few percent
 // of a run's CPU, and fanning it out over senders bought nothing measurable
@@ -60,7 +62,7 @@ type exchScratch struct {
 	slotBase  []int // per destination slot, its window's start in the flat inbox; place's cursor
 
 	// busy is the per-slot time charged by the makespan contribution being
-	// priced — written by whichever scan prices it (the exchange scan, the
+	// priced — written by whichever site prices it (an exchange round, the
 	// checkpoint barrier, a recovery) and read through the ledger record.
 	busy []float64
 }
@@ -217,33 +219,25 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	c.stats.MaxRecvWords = max(c.stats.MaxRecvWords, maxRecv)
 
 	// Makespan: the round takes the barrier latency plus the busiest
-	// machine's time, w_i · (1/Speed_i + 1/Bandwidth_i) over the words it
-	// moved (scaled by any transient slowdown window of the fault plan).
-	// The scan runs serially in slot order, so the float accumulation is
-	// deterministic under any GOMAXPROCS, and it writes each slot's charge
-	// to sc.busy — the record's Busy vector. Under a speculate:R placement
-	// policy the scan additionally mirrors the R slowest shards onto idle
-	// fast machines, first-copy-wins (placement.go, DESIGN.md §8); the
-	// default path below is untouched, so cap and throughput runs are
-	// bit-identical to the pre-policy accounting.
-	var roundMax float64
-	argSlot := -1 // slot that set roundMax; -1 = none (all-zero words)
-	var specWords int64
-	if c.specR > 0 {
-		roundMax, argSlot, specWords = c.speculateRoundMax(sc.sendWords, sc.recvWords)
-	} else {
-		for slot := 0; slot <= c.k; slot++ {
-			t := 0.0
-			if w := sc.sendWords[slot] + sc.recvWords[slot]; w != 0 {
-				t = float64(w) * c.slowCost(slot)
-				c.busy[slot] += t
-				if t > roundMax {
-					roundMax, argSlot = t, slot
-				}
-			}
-			sc.busy[slot] = t
+	// machine's charge, w_i · (1/Speed_i + 1/Bandwidth_i) over the words it
+	// moved (scaled by any transient slowdown window of the fault plan),
+	// written per slot to sc.busy — the record's Busy vector. A slot that
+	// moved no word stays 0 without pricing: stacked slowdown windows can
+	// overflow its cost to +Inf, and 0·Inf is NaN. Under a speculate:R
+	// placement policy speculate rewrites the small machines' charges
+	// (placement.go, DESIGN.md §8); settle then prices the round in slot
+	// order, so the float accumulation is deterministic under any GOMAXPROCS.
+	for slot := range sc.busy {
+		sc.busy[slot] = 0
+		if w := sc.sendWords[slot] + sc.recvWords[slot]; w != 0 {
+			sc.busy[slot] = float64(w) * c.slowCost(slot)
 		}
 	}
+	var specWords int64
+	if c.specR > 0 {
+		specWords = c.speculate(sc.sendWords, sc.recvWords, sc.busy)
+	}
+	roundMax, argSlot := c.settle(sc.busy)
 	// The per-slot vectors are views of the round scratch, zeroed by the
 	// deferred reset.
 	c.charge(trace.Round{
@@ -262,6 +256,21 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	})
 	c.postRoundFaults()
 	return ins, inLarge, nil
+}
+
+// settle adds each slot's charge in busy to its machine's busy time and
+// returns the round's largest charge and the slot that set it (-1 when every
+// charge is 0). Every priced round but a recovery goes through it: an
+// exchange round and a checkpoint barrier.
+func (c *Cluster) settle(busy []float64) (roundMax float64, argSlot int) {
+	argSlot = -1
+	for slot, t := range busy {
+		c.busy[slot] += t
+		if t > roundMax {
+			roundMax, argSlot = t, slot
+		}
+	}
+	return roundMax, argSlot
 }
 
 // machineSlot maps a (validated) machine id, sender or destination, to its

@@ -13,7 +13,8 @@ import "hetmpc/internal/trace"
 // Stats.WireBytes advance inside Exchange before a round can fail (a
 // refused or transport-broken round is counted, never priced), the running
 // maxima are not additive, and c.busy is engine state that prices later
-// replays, so the scans advance it where they compute each charge.
+// replays, so settle (exchange.go) — or a recovery, by its own formula —
+// advances it where each charge is priced.
 
 // charge accounts one makespan contribution: it stamps the round clock and
 // the open span path, folds the record into Stats and passes it to whichever

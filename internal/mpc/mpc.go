@@ -98,7 +98,8 @@ type Config struct {
 	// Placement is the policy deciding how the placement primitives split
 	// work across the small machines (sched.Cap, sched.Throughput,
 	// sched.Speculate, sched.Adaptive). Nil is the capacity-proportional
-	// default, bit-identical to the pre-policy simulator. Adaptive policies
+	// default, sched.Cap. Every policy's shares go through the same check
+	// and the same placement path. Adaptive policies
 	// additionally re-estimate machine speeds from the rounds the run
 	// actually executes and re-split at round boundaries (DESIGN.md §10).
 	// See sched and DESIGN.md §8.
@@ -250,7 +251,6 @@ type Cluster struct {
 	smallCaps   []int     // per-machine capacity: CapScale[i] · smallCap
 	minSmallCap int       // min over smallCaps; tree/broadcast sizing bound
 	capShare    []float64 // CapScale normalized to max 1; capacity weights
-	uniformCaps bool      // all small capacities equal
 	invCost     []float64 // per slot (0=large, 1+i=small): 1/Speed + 1/Bandwidth
 	busy        []float64 // per slot, accumulated simulated busy time
 	latency     float64   // per-round synchronization cost
@@ -377,7 +377,6 @@ func (c *Cluster) applyProfile(p *Profile) error {
 		}
 	}
 	c.minSmallCap = 0
-	c.uniformCaps = true
 	for i := 0; i < c.k; i++ {
 		scale := at(capScale, i)
 		w := int(scale * float64(c.smallCap))
@@ -388,9 +387,6 @@ func (c *Cluster) applyProfile(p *Profile) error {
 		c.capShare[i] = scale / maxScale
 		if i == 0 || w < c.minSmallCap {
 			c.minSmallCap = w
-		}
-		if w != c.smallCaps[0] {
-			c.uniformCaps = false
 		}
 	}
 	c.invCost = make([]float64, c.k+1)
@@ -404,9 +400,6 @@ func (c *Cluster) applyProfile(p *Profile) error {
 
 // K returns the number of small machines.
 func (c *Cluster) K() int { return c.k }
-
-// N returns the configured vertex count.
-func (c *Cluster) N() int { return c.cfg.N }
 
 // SmallCap returns the base (profile scale 1) per-round word capacity of a
 // small machine. Under a capacity-skewed profile individual machines differ;
@@ -428,10 +421,6 @@ func (c *Cluster) MinSmallCap() int { return c.minSmallCap }
 // profiles every share is exactly 1.
 func (c *Cluster) CapShare(i int) float64 { return c.capShare[i] }
 
-// UniformCaps reports whether all small machines have equal capacity (true
-// for nil and uniform profiles).
-func (c *Cluster) UniformCaps() bool { return c.uniformCaps }
-
 // PlaceShare returns small machine i's placement weight under the cluster's
 // placement policy (DESIGN.md §8). The placement primitives
 // (prims.DistributeEdges, prims.Sort splitter weighting and, through Sort,
@@ -440,9 +429,9 @@ func (c *Cluster) UniformCaps() bool { return c.uniformCaps }
 func (c *Cluster) PlaceShare(i int) float64 { return c.placeShare[i] }
 
 // UniformPlacement reports whether every machine has the same placement
-// weight, letting placement take the even-split fast path. Under the
-// default Cap policy it preserves the legacy UniformCaps semantics exactly;
-// other policies compare their share vectors.
+// weight (PlaceShare), letting placement take the even-split fast path. It
+// compares the policy's share vector, so under the default Cap policy it is
+// true exactly when every capacity share is equal.
 func (c *Cluster) UniformPlacement() bool { return c.uniformPlace }
 
 // Placement returns the cluster's placement policy (never nil; the default
@@ -470,14 +459,8 @@ func (c *Cluster) LargeCap() int { return c.largeCap }
 // HasLarge reports whether the cluster includes the large machine.
 func (c *Cluster) HasLarge() bool { return !c.cfg.NoLarge }
 
-// Gamma returns the small-machine memory exponent.
-func (c *Cluster) Gamma() float64 { return c.cfg.Gamma }
-
 // F returns the large machine's extra memory exponent (0 = near-linear).
 func (c *Cluster) F() float64 { return c.cfg.F }
-
-// Seed returns the master seed of the cluster.
-func (c *Cluster) Seed() uint64 { return c.cfg.Seed }
 
 // Stats returns the accumulated run metrics.
 func (c *Cluster) Stats() Stats { return c.stats }

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -16,12 +17,11 @@ import (
 // cannot see — the actual words each machine moved this round, under any
 // transient slowdown window the fault plan has open.
 
-// specScratch is the per-round working state of the speculation scan,
+// specScratch is the per-round working state of the speculation pass,
 // allocated once so speculation adds no steady-state allocations.
 type specScratch struct {
 	w    []int     // words moved this round, per small machine
 	cost []float64 // effective per-word cost this round (slowCost)
-	eff  []float64 // effective round time after speculation: the small-machine tail of exchScratch.busy
 	ord  []int     // machines with traffic, slowest shard first
 	part []int     // partner candidates, fastest first
 }
@@ -34,15 +34,6 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		pol = sched.Cap{}
 	}
 	c.placement = pol
-	if _, isCap := pol.(sched.Cap); isCap {
-		// The default policy must be bit-identical to the pre-policy
-		// simulator: reuse the capacity shares (same backing floats) and the
-		// legacy integer-capacity uniformity flag for the even-split path.
-		c.placeShare = c.capShare
-		c.uniformPlace = c.uniformCaps
-		c.specR = 0
-		return nil
-	}
 	shares, err := pol.Shares(sched.Machines{
 		CapShare: slices.Clone(c.capShare),
 		InvCost:  slices.Clone(c.invCost[1:]),
@@ -53,24 +44,19 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 	if len(shares) != c.k {
 		return fmt.Errorf("mpc: placement %s returned %d shares, cluster has K=%d machines", pol.Name(), len(shares), c.k)
 	}
-	uniform := true
 	for i, s := range shares {
 		if !(s > 0) || math.IsInf(s, 0) || math.IsNaN(s) {
 			return fmt.Errorf("mpc: placement %s: share[%d] = %v, want a positive finite weight", pol.Name(), i, s)
 		}
-		if s != shares[0] {
-			uniform = false
-		}
 	}
 	c.placeShare = shares
-	c.uniformPlace = uniform
+	c.uniformPlace = allEqual(shares)
 	c.specR = pol.Speculation()
 	if op, ok := pol.(sched.OnlinePolicy); ok {
 		// The adaptive path: one estimator per cluster, seeded with the
 		// declared profile and fed every exchange record by charge.
-		// c.placeShare is the policy's own fresh slice here (never the
-		// capShare backing — Cap returned above), so the round barrier may
-		// overwrite it in place.
+		// c.placeShare is the policy's own fresh slice, so the round barrier
+		// may overwrite it in place.
 		est, err := op.NewEstimator(sched.Machines{
 			CapShare: slices.Clone(c.capShare),
 			InvCost:  slices.Clone(c.invCost[1:]),
@@ -91,7 +77,6 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		c.spec = &specScratch{
 			w:    make([]int, c.k),
 			cost: make([]float64, c.k),
-			eff:  c.exch.busy[1:],
 			ord:  make([]int, 0, c.k),
 			part: make([]int, 0, c.k),
 		}
@@ -101,27 +86,31 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 
 // refreshPlaceShare recomputes the live placement shares from the adaptive
 // estimator's current state (in place — the snapshot the next round's
-// placement decisions will see) and re-derives the even-split fast-path
-// flag the same way applyPlacement did.
+// placement decisions will see) and re-derives the even-split flag.
 func (c *Cluster) refreshPlaceShare() {
 	c.est.Shares(c.placeShare)
-	uniform := true
-	for _, s := range c.placeShare {
-		if s != c.placeShare[0] {
-			uniform = false
-			break
-		}
-	}
-	c.uniformPlace = uniform
+	c.uniformPlace = allEqual(c.placeShare)
 }
 
-// speculateRoundMax prices one round under speculate:R, replacing the plain
-// busiest-machine scan of Exchange. The model (DESIGN.md §8):
+// allEqual reports whether every share equals the first: the even-split
+// fast path UniformPlacement reports.
+func allEqual(shares []float64) bool {
+	for _, s := range shares {
+		if s != shares[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// speculate applies speculate:R to one round's charges, rewriting the small
+// machines' entries of busy (the round's Busy vector, slot 1+i for machine
+// i) in place before settle adds them up. The model (DESIGN.md §8):
 //
 //   - each small machine's shard is the w_i words it moved this round, at
 //     its effective per-word cost (profile speed/bandwidth × any transient
-//     slowdown window), t_i = w_i · cost_i;
-//   - the R slowest shards (largest t_i; ties to the lower index) are the
+//     slowdown window); its plain charge is busy[1+i] = w_i · cost_i;
+//   - the R slowest shards (largest charge; ties to the lower index) are the
 //     victims. Victim r is paired with the r-th fastest machine outside the
 //     victim set (smallest cost, then least own traffic, then lower index)
 //     — the idle fast machines;
@@ -134,99 +123,42 @@ func (c *Cluster) refreshPlaceShare() {
 //     at the copy's time.
 //
 // The large machine is the paper's coordinator and is never speculated on.
-// The scan runs serially in deterministic order, so speculation — like the
+// The pass runs serially in deterministic order, so speculation — like the
 // rest of the makespan accounting — is bit-identical under any GOMAXPROCS.
-//
-// The second return value is the slot that set the round's clock (-1 when
-// no machine moved a word), feeding the record's argmax attribution; the
-// third is the mirrored words the launched copies cost. Like the plain scan
-// it leaves every slot's charge in exchScratch.busy — st.eff is that
-// vector's small-machine tail.
-func (c *Cluster) speculateRoundMax(send, recv []int) (roundMax float64, argSlot int, specWords int64) {
-	argSlot = -1
-	c.exch.busy[0] = 0
-	if w := send[0] + recv[0]; w > 0 {
-		t := float64(w) * c.slowCost(0)
-		c.busy[0] += t
-		c.exch.busy[0] = t
-		if t > roundMax {
-			roundMax, argSlot = t, 0
-		}
-	}
-	st := c.spec
+// It returns the mirrored words the launched copies cost.
+func (c *Cluster) speculate(send, recv []int, busy []float64) (specWords int64) {
+	st, eff := c.spec, busy[1:]
 	st.ord = st.ord[:0]
 	for i := 0; i < c.k; i++ {
 		st.w[i] = send[1+i] + recv[1+i]
 		st.cost[i] = c.slowCost(1 + i)
-		st.eff[i] = float64(st.w[i]) * st.cost[i]
 		if st.w[i] > 0 {
 			st.ord = append(st.ord, i)
 		}
 	}
-	slices.SortFunc(st.ord, func(a, b int) int {
-		if st.eff[a] != st.eff[b] {
-			if st.eff[a] > st.eff[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	victims := c.specR
-	if victims > len(st.ord) {
-		victims = len(st.ord)
+	slices.SortFunc(st.ord, func(a, b int) int { return cmp.Or(cmp.Compare(eff[b], eff[a]), a-b) })
+	victims := min(c.specR, len(st.ord))
+	if victims == 0 {
+		return 0
 	}
-	if victims > 0 {
-		inSlow := func(i int) bool {
-			for _, v := range st.ord[:victims] {
-				if v == i {
-					return true
-				}
-			}
-			return false
-		}
-		st.part = st.part[:0]
-		for i := 0; i < c.k; i++ {
-			if !inSlow(i) {
-				st.part = append(st.part, i)
-			}
-		}
-		slices.SortFunc(st.part, func(a, b int) int {
-			if st.cost[a] != st.cost[b] {
-				if st.cost[a] < st.cost[b] {
-					return -1
-				}
-				return 1
-			}
-			if st.eff[a] != st.eff[b] {
-				if st.eff[a] < st.eff[b] {
-					return -1
-				}
-				return 1
-			}
-			return a - b
-		})
-		for r := 0; r < victims && r < len(st.part); r++ {
-			v, p := st.ord[r], st.part[r]
-			copyT := float64(st.w[v]) * st.cost[p]
-			alt := st.eff[p] + copyT
-			if alt >= st.eff[v] {
-				continue // the copy cannot win: not launched, nothing charged
-			}
-			specWords += int64(st.w[v])
-			st.eff[p] = alt // partner works its shard, then the copy
-			st.eff[v] = alt // victim cancelled when the copy wins
-		}
-	}
+	st.part = st.part[:0]
 	for i := 0; i < c.k; i++ {
-		t := st.eff[i]
-		if t == 0 {
-			continue
-		}
-		c.busy[1+i] += t
-		if t > roundMax {
-			roundMax, argSlot = t, 1+i
+		if !slices.Contains(st.ord[:victims], i) {
+			st.part = append(st.part, i)
 		}
 	}
-	return roundMax, argSlot, specWords
+	slices.SortFunc(st.part, func(a, b int) int {
+		return cmp.Or(cmp.Compare(st.cost[a], st.cost[b]), cmp.Compare(eff[a], eff[b]), a-b)
+	})
+	for r := 0; r < victims && r < len(st.part); r++ {
+		v, p := st.ord[r], st.part[r]
+		alt := eff[p] + float64(st.w[v])*st.cost[p]
+		if alt >= eff[v] {
+			continue // the copy cannot win: not launched, nothing charged
+		}
+		specWords += int64(st.w[v])
+		eff[p] = alt // partner works its shard, then the copy
+		eff[v] = alt // victim cancelled when the copy wins
+	}
+	return specWords
 }

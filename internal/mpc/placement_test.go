@@ -17,9 +17,8 @@ func ringRound(c *Cluster, words int) [][]Msg {
 	return outs
 }
 
-// TestPlacementDefaultIsCap: a nil policy resolves to Cap and reuses the
-// capacity shares verbatim — same backing floats, same legacy uniformity
-// flag — so the default is bit-identical to the pre-policy simulator.
+// TestPlacementDefaultIsCap: a nil policy resolves to Cap, whose placement
+// shares are the capacity shares verbatim.
 func TestPlacementDefaultIsCap(t *testing.T) {
 	for _, pol := range []sched.Policy{nil, sched.Cap{}} {
 		cfg := Config{N: 64, M: 256, Seed: 1, Placement: pol}
@@ -27,9 +26,6 @@ func TestPlacementDefaultIsCap(t *testing.T) {
 		c := newTest(t, cfg)
 		if c.Placement().Name() != "cap" {
 			t.Fatalf("default policy is %q, want cap", c.Placement().Name())
-		}
-		if c.UniformPlacement() != c.UniformCaps() {
-			t.Fatalf("cap uniformity flag diverged from UniformCaps")
 		}
 		for i := 0; i < c.K(); i++ {
 			if c.PlaceShare(i) != c.CapShare(i) {

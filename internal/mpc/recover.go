@@ -178,25 +178,17 @@ func (c *Cluster) checkpointBarrier(r int) {
 			ft.moved[ft.buddy[i]] += float64(words)
 		}
 	}
-	roundMax := 0.0
-	argSlot := -1
 	busy := c.exch.busy
 	clear(busy)
 	for i := 0; i < c.k; i++ {
-		w := ft.moved[i]
-		if w == 0 {
-			continue
-		}
-		ft.moved[i] = 0
 		// slowCost folds in any transient slowdown window active at this
 		// round, so replication is priced like the round's own traffic.
-		t := w * c.slowCost(1+i)
-		c.busy[1+i] += t
-		busy[1+i] = t
-		if t > roundMax {
-			roundMax, argSlot = t, 1+i
+		if w := ft.moved[i]; w != 0 {
+			ft.moved[i] = 0
+			busy[1+i] = w * c.slowCost(1+i)
 		}
 	}
+	roundMax, argSlot := c.settle(busy)
 	c.charge(trace.Round{
 		Kind:             trace.KindCheckpoint,
 		MaxTime:          roundMax,
