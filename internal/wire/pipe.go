@@ -8,29 +8,9 @@ import (
 	"syscall"
 )
 
-// pipeLink is one AF_UNIX stream socketpair: the engine writes encoded
-// frames into w and the delivery goroutine reads them back from r, so every
-// byte genuinely crosses the kernel boundary even on one host.
-type pipeLink struct {
-	name string
-	r, w *os.File
-}
-
-func (l *pipeLink) Name() string                { return l.name }
-func (l *pipeLink) Read(p []byte) (int, error)  { return l.r.Read(p) }
-func (l *pipeLink) Write(p []byte) (int, error) { return l.w.Write(p) }
-
-func (l *pipeLink) Close() error {
-	werr := l.w.Close()
-	rerr := l.r.Close()
-	if werr != nil {
-		return werr
-	}
-	return rerr
-}
-
 // Pipe is the socketpair transport: one AF_UNIX SOCK_STREAM pair per
-// machine slot. This is the single-host multi-process wire shape — the same
+// machine slot, so every byte genuinely crosses the kernel boundary even on
+// one host. This is the single-host multi-process wire shape — the same
 // file-descriptor I/O a forked worker would use — with the delivery
 // endpoint living in-process.
 type Pipe struct {
@@ -53,7 +33,7 @@ func (p *Pipe) Open(slots int) ([]Link, error) {
 			return nil, fmt.Errorf("socketpair for %s: %w", LinkName(slot), err)
 		}
 		name := LinkName(slot)
-		p.links[slot] = &pipeLink{
+		p.links[slot] = &link{
 			name: name,
 			w:    os.NewFile(uintptr(fds[0]), "wire-pipe-w-"+name),
 			r:    os.NewFile(uintptr(fds[1]), "wire-pipe-r-"+name),
@@ -64,15 +44,7 @@ func (p *Pipe) Open(slots int) ([]Link, error) {
 
 // Close implements Transport.
 func (p *Pipe) Close() error {
-	var first error
-	for _, l := range p.links {
-		if l == nil {
-			continue
-		}
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	err := closeLinks(p.links)
 	p.links = nil
-	return first
+	return err
 }

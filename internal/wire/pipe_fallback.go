@@ -9,24 +9,6 @@ import "net"
 // pipe, preserving the transport contract (framing, error propagation,
 // wire_bytes accounting) without kernel file descriptors.
 
-type pipeLink struct {
-	name string
-	a, b net.Conn // engine writes a, delivery reads b
-}
-
-func (l *pipeLink) Name() string                { return l.name }
-func (l *pipeLink) Read(p []byte) (int, error)  { return l.b.Read(p) }
-func (l *pipeLink) Write(p []byte) (int, error) { return l.a.Write(p) }
-
-func (l *pipeLink) Close() error {
-	aerr := l.a.Close()
-	berr := l.b.Close()
-	if aerr != nil {
-		return aerr
-	}
-	return berr
-}
-
 // Pipe is the single-host byte-stream transport (see pipe.go for the unix
 // socketpair implementation this stands in for).
 type Pipe struct {
@@ -43,23 +25,15 @@ func (*Pipe) Name() string { return "pipe" }
 func (p *Pipe) Open(slots int) ([]Link, error) {
 	p.links = make([]Link, slots)
 	for slot := 0; slot < slots; slot++ {
-		a, b := net.Pipe()
-		p.links[slot] = &pipeLink{name: LinkName(slot), a: a, b: b}
+		w, r := net.Pipe()
+		p.links[slot] = &link{name: LinkName(slot), r: r, w: w}
 	}
 	return p.links, nil
 }
 
 // Close implements Transport.
 func (p *Pipe) Close() error {
-	var first error
-	for _, l := range p.links {
-		if l == nil {
-			continue
-		}
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	err := closeLinks(p.links)
 	p.links = nil
-	return first
+	return err
 }

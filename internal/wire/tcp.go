@@ -1,34 +1,15 @@
 package wire
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 )
 
-// tcpLink is one loopback TCP connection: the engine writes frames into the
-// dialed side and the delivery goroutine reads them from the accepted side.
-type tcpLink struct {
-	name string
-	w    net.Conn // dialed (engine writes)
-	r    net.Conn // accepted (delivery reads)
-}
-
-func (l *tcpLink) Name() string                { return l.name }
-func (l *tcpLink) Read(p []byte) (int, error)  { return l.r.Read(p) }
-func (l *tcpLink) Write(p []byte) (int, error) { return l.w.Write(p) }
-
-func (l *tcpLink) Close() error {
-	werr := l.w.Close()
-	rerr := l.r.Close()
-	if werr != nil {
-		return werr
-	}
-	return rerr
-}
-
 // TCP is the sockets transport: one TCP connection per machine slot through
-// a loopback listener. The frame stream is byte-identical to what would
-// cross a real network.
+// a loopback listener. The engine writes frames into the dialed side and the
+// delivery goroutine reads them from the accepted side; the frame stream is
+// byte-identical to what would cross a real network.
 type TCP struct {
 	ln    net.Listener
 	links []Link
@@ -65,28 +46,19 @@ func (t *TCP) Open(slots int) ([]Link, error) {
 			t.Close()
 			return nil, fmt.Errorf("accept for %s: %w", LinkName(slot), err)
 		}
-		t.links[slot] = &tcpLink{name: LinkName(slot), w: w, r: r}
+		t.links[slot] = &link{name: LinkName(slot), r: r, w: w}
 	}
 	return t.links, nil
 }
 
 // Close implements Transport.
 func (t *TCP) Close() error {
-	var first error
+	var lerr error
 	if t.ln != nil {
-		if err := t.ln.Close(); err != nil {
-			first = err
-		}
+		lerr = t.ln.Close()
 		t.ln = nil
 	}
-	for _, l := range t.links {
-		if l == nil {
-			continue
-		}
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	err := cmp.Or(lerr, closeLinks(t.links))
 	t.links = nil
-	return first
+	return err
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -19,6 +20,39 @@ type Link interface {
 	// Name identifies the link in errors and stats: "large" for the large
 	// machine's link, "small-3" for small machine 3.
 	Name() string
+}
+
+// link is the one Link type of the Pipe and TCP transports: the engine
+// writes encoded frames into w and the delivery goroutine reads them back
+// from r — the two ends of a socketpair, a net.Pipe or a loopback TCP
+// connection.
+type link struct {
+	name string
+	r    io.ReadCloser
+	w    io.WriteCloser
+}
+
+func (l *link) Name() string                { return l.name }
+func (l *link) Read(p []byte) (int, error)  { return l.r.Read(p) }
+func (l *link) Write(p []byte) (int, error) { return l.w.Write(p) }
+
+// Close closes both ends, the writing end first, and returns the first
+// error.
+func (l *link) Close() error { return cmp.Or(l.w.Close(), l.r.Close()) }
+
+// closeLinks closes every opened link (a failed Open leaves nil entries)
+// and returns the first error.
+func closeLinks(links []Link) error {
+	var first error
+	for _, l := range links {
+		if l == nil {
+			continue
+		}
+		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // A Transport opens the per-machine links the Exchange deliver phase runs
