@@ -40,17 +40,14 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	if c.UniformPlacement() {
 		// Round-robin counts are exact (machine i gets one extra edge while
 		// i < n%k), so the shards carve from a single slab with no append
-		// doublings. Machines past the edge count keep the historical
-		// non-nil empty shard.
+		// doublings. A machine past the edge count keeps a nil shard.
 		slab, off := make([]graph.Edge, n), 0
 		for i := range out {
 			cnt := n / k
 			if i < n%k {
 				cnt++
 			}
-			if cnt == 0 {
-				out[i] = emptyEdges
-			} else {
+			if cnt > 0 {
 				out[i], off = slab[off:off:off+cnt], off+cnt
 			}
 		}
@@ -74,7 +71,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	}
 	slab, off := make([]graph.Edge, n), 0
 	for i := range out {
-		if counts[i] > 0 { // zero-count shards stay nil, as before
+		if counts[i] > 0 { // an empty shard is nil
 			out[i], off = slab[off:off:off+counts[i]], off+counts[i]
 		}
 	}
@@ -84,12 +81,6 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	registerState(c, out, EdgeWords)
 	return out, nil
 }
-
-// emptyEdges is the shared zero-length (but non-nil) shard handed to
-// machines that receive no edges under uniform placement — preserving the
-// historical make([]graph.Edge, 0, per) semantics that distinguish "empty
-// shard" from "no shard" in deep-equality comparisons.
-var emptyEdges = []graph.Edge{}
 
 // weightedAssign deals n items to machines in proportion to their capacity
 // shares: per-machine counts come from largest-remainder apportionment

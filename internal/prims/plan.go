@@ -309,11 +309,10 @@ func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]K
 
 // broadcast delivers vals[i] — machine i's values, each at its key's root,
 // sorted by key, the first of a key's values winning — to every request of
-// the plan: each span's root forwards its key's value down a capacity-bounded
-// interval tree over the span (the paper's trees of Claims 2/3,
-// treeDepth(w, b) rounds for the widest span's w machines; the coordinator
-// reads w off its list), and every machine answers the requests routed to it
-// (1 round). A request for a key with no value is left unanswered.
+// the plan: each span's root forwards its key's value down the span's tree
+// (treeDown; the coordinator reads the widest span off its list), and every
+// machine answers the requests routed to it (1 round). A request for a key
+// with no value is left unanswered.
 func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answers[V], error) {
 	k := c.K()
 	spans := p.spans
@@ -337,64 +336,8 @@ func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answ
 		}
 	})
 
-	// spanOf is the entry of machine i's span of key, or -1.
-	spanOf := func(i int, key int64) int {
-		for j := 2 * i; j < 2*i+2; j++ {
-			if spans[j].B > spans[j].A && spans[j].Key == key {
-				return j
-			}
-		}
-		return -1
-	}
-
-	// Tree-down per span: the root holds the value if one exists; forward
-	// level by level. fanout is the children span entry j feeds at depth d.
-	b := branching(c, vwords+1)
-	depth := treeDepth(p.widest, b)
-	fanout := func(j, d int) (lo, hi int) {
-		si := spans[j]
-		p := j/2 - si.A
-		if !has[j] || posDepth(p, b) != d {
-			return 0, 0 // not this level, or no value for this key
-		}
-		return childRange(p, b, si.B-si.A+1)
-	}
-	for d := 0; d < depth; d++ {
-		n := 0
-		for j := range spans {
-			lo, hi := fanout(j, d)
-			n += hi - lo
-		}
-		// Every child gets the same (key, value): the sender's down entry is
-		// the payload of all its messages, and the level's messages are one
-		// array.
-		msgs := make([]mpc.Msg, 0, n)
-		outs := make([][]mpc.Msg, k)
-		for i := range outs {
-			sent := len(msgs)
-			for j := 2 * i; j < 2*i+2; j++ {
-				lo, hi := fanout(j, d)
-				for ch := lo; ch < hi; ch++ {
-					msgs = append(msgs, mpc.Msg{To: spans[j].A + ch, Words: vwords + 1, Data: &down[j]})
-				}
-			}
-			outs[i] = msgs[sent:len(msgs):len(msgs)]
-		}
-		ins, _, err := c.Exchange(outs, nil)
-		if err != nil {
-			return Answers[V]{}, err
-		}
-		for i, inbox := range ins {
-			for _, m := range inbox {
-				dm, ok := m.Data.(*KV[V])
-				if !ok || dm == nil {
-					return Answers[V]{}, fmt.Errorf("prims: unexpected dissemination payload %T", m.Data)
-				}
-				if j := spanOf(i, dm.K); j >= 0 {
-					down[j], has[j] = *dm, true
-				}
-			}
-		}
+	if err := treeDown(c, spans, down, has, p.widest, vwords+1); err != nil {
+		return Answers[V]{}, err
 	}
 
 	// Answer the requests: the round's messages and answers are two arrays
@@ -418,7 +361,7 @@ func broadcast[V any](c *mpc.Cluster, p *Plan, vals [][]KV[V], vwords int) (Answ
 			var v *V
 			if len(vs) > 0 && vs[0].K == r.Key {
 				v = &vs[0].V
-			} else if j := spanOf(i, r.Key); j >= 0 && has[j] {
+			} else if j := spanOf(spans, i, r.Key); j >= 0 && has[j] {
 				v = &down[j].V
 			}
 			if v == nil {

@@ -47,8 +47,9 @@
 // and scatter from the large machine behind GatherToLarge, GatherKVs,
 // PlanBroadcast and Claim 4 (gather, scatter — round builders that open no
 // span), the bulk-item payload of gather, scatter and sort routing (chunk,
-// chunkMsg, appendChunks), and the heap arithmetic of the range trees (a
-// position's children are the range b·p+1 … b·p+b, walked in place).
+// chunkMsg, appendChunks), and the range trees' walk behind BroadcastValue
+// and PlanBroadcast (treeDown, whose heap arithmetic gives a position the
+// children b·p+1 … b·p+b, walked in place).
 //
 // A collective allocates per machine, never per message, and Sort, NewPlan,
 // PlanBroadcast, PlanCombine and scatter per call: struct payloads
@@ -217,49 +218,93 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 		}
 		return out, nil
 	}
-	// Tree broadcast rooted at machine 0.
+	// Tree broadcast: one span over every machine, rooted at machine 0.
 	if c.HasLarge() {
 		if _, _, err := c.Exchange(nil, []mpc.Msg{{To: 0, Words: words, Data: boxed}}); err != nil {
 			return nil, err
 		}
 	}
+	spans := make([]span, 2*k)
+	for i := 0; i < k; i++ {
+		spans[2*i] = span{A: 0, B: k - 1}
+	}
+	down := make([]KV[V], 2*k)
+	has := make([]bool, 2*k)
+	down[0], has[0] = KV[V]{V: val}, true
+	if err := treeDown(c, spans, down, has, k, words); err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] = down[2*i].V
+	}
+	return out, nil
+}
+
+// treeDown forwards each span's value down a capacity-bounded interval tree
+// over the span's machines (the paper's trees with branching n^γ),
+// treeDepth(widest, b) rounds for the widest span's machines. Machine i's
+// spans are entries 2i and 2i+1 of spans; down and has hold, beside each,
+// the span key's value once the machine has it — its root's before the
+// walk, every machine's after it. Every child gets the same (key, value),
+// at words words: the sender's down entry is the payload of all its
+// messages, and a level's messages are one array.
+func treeDown[V any](c *mpc.Cluster, spans []span, down []KV[V], has []bool, widest, words int) error {
+	k := c.K()
 	b := branching(c, words)
-	depth := treeDepth(k, b)
-	have := make([]bool, k)
-	have[0] = true
-	out[0] = val
-	for d := 0; d < depth; d++ {
+	// fanout is the children span entry j feeds at depth d.
+	fanout := func(j, d int) (lo, hi int) {
+		si := spans[j]
+		p := j/2 - si.A
+		if !has[j] || posDepth(p, b) != d {
+			return 0, 0 // not this level, or no value for this key
+		}
+		return childRange(p, b, si.B-si.A+1)
+	}
+	for d, depth := 0, treeDepth(widest, b); d < depth; d++ {
+		n := 0
+		for j := range spans {
+			lo, hi := fanout(j, d)
+			n += hi - lo
+		}
+		msgs := make([]mpc.Msg, 0, n)
 		outs := make([][]mpc.Msg, k)
-		for p := 0; p < k; p++ {
-			if !have[p] || posDepth(p, b) != d {
-				continue
+		for i := range outs {
+			sent := len(msgs)
+			for j := 2 * i; j < 2*i+2; j++ {
+				lo, hi := fanout(j, d)
+				for ch := lo; ch < hi; ch++ {
+					msgs = append(msgs, mpc.Msg{To: spans[j].A + ch, Words: words, Data: &down[j]})
+				}
 			}
-			lo, hi := childRange(p, b, k)
-			if lo == hi {
-				continue
-			}
-			outs[p] = make([]mpc.Msg, 0, hi-lo)
-			var fwd any = out[p]
-			for ch := lo; ch < hi; ch++ {
-				outs[p] = append(outs[p], mpc.Msg{To: ch, Words: words, Data: fwd})
-			}
+			outs[i] = msgs[sent:len(msgs):len(msgs)]
 		}
 		ins, _, err := c.Exchange(outs, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i, inbox := range ins {
 			for _, m := range inbox {
-				v, ok := m.Data.(V)
-				if !ok {
-					return nil, fmt.Errorf("prims: unexpected broadcast payload %T", m.Data)
+				dm, ok := m.Data.(*KV[V])
+				if !ok || dm == nil {
+					return fmt.Errorf("prims: unexpected tree payload %T", m.Data)
 				}
-				out[i] = v
-				have[i] = true
+				if j := spanOf(spans, i, dm.K); j >= 0 {
+					down[j], has[j] = *dm, true
+				}
 			}
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// spanOf is the entry of machine i's span of key, or -1.
+func spanOf(spans []span, i int, key int64) int {
+	for j := 2 * i; j < 2*i+2; j++ {
+		if spans[j].B > spans[j].A && spans[j].Key == key {
+			return j
+		}
+	}
+	return -1
 }
 
 // chunk is the payload of every bulk item transfer: gather, scatter and the
