@@ -177,17 +177,3 @@ func (g *Graph) Unweighted() *Graph {
 	}
 	return &Graph{N: g.N, Edges: edges, Weighted: false}
 }
-
-// SortEdges sorts the edge list in (W, U, V) order, in place.
-func (g *Graph) SortEdges() {
-	slices.SortFunc(g.Edges, Edge.Compare)
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() int64 {
-	var s int64
-	for _, e := range g.Edges {
-		s += e.W
-	}
-	return s
-}

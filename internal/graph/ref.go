@@ -226,14 +226,3 @@ func GreedyMIS(adj [][]Half, order []int, dead []bool) ([]int, []bool) {
 	}
 	return out, dead
 }
-
-// Eccentricity returns the maximum finite BFS distance from src.
-func Eccentricity(adj [][]Half, src int) int {
-	ecc := 0
-	for _, d := range BFSDist(adj, src) {
-		if d != math.MaxInt && d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

@@ -107,9 +107,6 @@ type Estimator struct {
 // K returns the number of machines the estimator tracks.
 func (e *Estimator) K() int { return len(e.est) }
 
-// Alpha returns the EWMA gain.
-func (e *Estimator) Alpha() float64 { return e.alpha }
-
 // Rounds returns how many observations Observe has folded in since the
 // estimator was built.
 func (e *Estimator) Rounds() int { return e.rounds }

@@ -11,8 +11,8 @@
 // Computation over Heterogeneous Clusters"). This package makes the policy
 // pluggable:
 //
-//   - Cap — the capacity-proportional split; the default, bit-identical to
-//     the pre-policy behavior (share_i = CapShare_i);
+//   - Cap — the capacity-proportional split, share_i = CapShare_i; the
+//     default;
 //   - Throughput — an LPT-style min-makespan split: share_i proportional to
 //     min(CapShare_i, effective speed under 1/Speed_i + 1/Bandwidth_i), so
 //     slow machines hold less work and a fast-but-small machine is never
@@ -78,9 +78,8 @@ type Policy interface {
 
 // Cap is the capacity-proportional policy: share_i = CapShare_i, the
 // placement rule the cost-model subsystem shipped with (Frisk's balancing
-// rule). It is the default — a nil mpc.Config.Placement behaves exactly
-// like Cap — and is bit-identical to the pre-policy simulator on every
-// profile.
+// rule). It is the default: a nil mpc.Config.Placement is Cap, and its
+// shares take the same path through the simulator as every other policy's.
 type Cap struct{}
 
 // Name implements Policy.
