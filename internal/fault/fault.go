@@ -179,7 +179,7 @@ func (p *Plan) SlowFactor(round, machine int) float64 {
 }
 
 // HasSlowdowns reports whether any slowdown window exists (a fast-path
-// guard for the per-round makespan scan).
+// guard for the per-round pricing).
 func (p *Plan) HasSlowdowns() bool { return p != nil && len(p.Slowdowns) > 0 }
 
 // ParsePlan builds a fault plan for a k-machine cluster from a CLI spec of

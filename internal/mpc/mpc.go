@@ -99,10 +99,10 @@ type Config struct {
 	// work across the small machines (sched.Cap, sched.Throughput,
 	// sched.Speculate, sched.Adaptive). Nil is the capacity-proportional
 	// default, sched.Cap. Every policy's shares go through the same check
-	// and the same placement path. Adaptive policies
-	// additionally re-estimate machine speeds from the rounds the run
-	// actually executes and re-split at round boundaries (DESIGN.md §10).
-	// See sched and DESIGN.md §8.
+	// and the same placement path. Adaptive policies additionally
+	// re-estimate machine speeds from the rounds the run actually executes
+	// and re-split at round boundaries (DESIGN.md §10). See sched and
+	// DESIGN.md §8.
 	Placement sched.Policy
 
 	// Faults is a deterministic fault-injection schedule (crashes,

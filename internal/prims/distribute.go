@@ -29,9 +29,9 @@ var ErrZeroCapacity = errors.New("prims: zero total capacity")
 // gets edge j); under skew the allotment is a smooth weighted round-robin —
 // machine i holds a PlaceShare(i)/ΣPlaceShare fraction — which reduces to
 // plain round-robin when all weights are equal. A policy whose weights sum
-// to zero yields ErrZeroCapacity. The placed buckets are registered as the
-// machines' recoverable state (registerState) when fault injection is
-// active.
+// to zero yields ErrZeroCapacity. A machine dealt no edge gets a nil shard.
+// The placed buckets are registered as the machines' recoverable state
+// (registerState) when fault injection is active.
 func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	defer c.Span("distribute").End()
 	k := c.K()
@@ -40,7 +40,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	if c.UniformPlacement() {
 		// Round-robin counts are exact (machine i gets one extra edge while
 		// i < n%k), so the shards carve from a single slab with no append
-		// doublings. A machine past the edge count keeps a nil shard.
+		// doublings.
 		slab, off := make([]graph.Edge, n), 0
 		for i := range out {
 			cnt := n / k
@@ -71,7 +71,7 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	}
 	slab, off := make([]graph.Edge, n), 0
 	for i := range out {
-		if counts[i] > 0 { // an empty shard is nil
+		if counts[i] > 0 {
 			out[i], off = slab[off:off:off+counts[i]], off+counts[i]
 		}
 	}

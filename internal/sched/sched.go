@@ -54,7 +54,7 @@ type Machines struct {
 	// machine has share 1 (mpc.Cluster.CapShare).
 	CapShare []float64
 	// InvCost is the per-machine per-word time, 1/Speed + 1/Bandwidth —
-	// the same quantity the makespan scan charges (DESIGN.md §6). Uniform
+	// the same quantity each round charges per word (DESIGN.md §6). Uniform
 	// clusters have 2 everywhere.
 	InvCost []float64
 }
