@@ -6,8 +6,11 @@
 //     when that costs no more than being sent the splitter list (wholeRun),
 //     and the coordinator answers it with the cuts of that run — (bucket,
 //     count) pairs — and any other with the list to cut its run itself; the
-//     replies take one direct round when together they fit the coordinator's
-//     round budget, else the list goes down a capacity-bounded tree;
+//     replies go out directly when together they fit the coordinator's
+//     round budget — in one round, or in two with the list through ⌈√ℓ⌉
+//     relays to its ℓ receivers when that moves fewer words through the
+//     busiest sender (sendReplies) — else the list goes down a
+//     capacity-bounded tree;
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
 //     key is the aggregation key alone, so a key's ≤ K partials meet on one
 //     machine and no tree is needed (or charged); results are per machine a
@@ -191,9 +194,9 @@ func childRange(p, b, size int) (lo, hi int) {
 }
 
 // BroadcastValue delivers one value held by the coordinator to every small
-// machine, using a direct send when it fits the coordinator's round budget
-// and a capacity-bounded B-ary tree otherwise. Returns the per-machine
-// copies.
+// machine, using a direct send when the copies it sends fit the
+// coordinator's round budget and a capacity-bounded B-ary tree otherwise.
+// Returns the per-machine copies.
 func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 	defer c.Span("broadcast").End()
 	k := c.K()
@@ -201,14 +204,14 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 	// A sender boxes the value once: every message it sends carries the
 	// same interface value.
 	var boxed any = val
-	direct := k*words <= coordCap(c)/2
-	if direct {
-		msgs := make([]mpc.Msg, 0, k)
-		for i := 0; i < k; i++ {
+	first := 0
+	if !c.HasLarge() {
+		first = 1 // machine 0 keeps its own copy locally
+	}
+	if (k-first)*words <= coordCap(c)/2 {
+		msgs := make([]mpc.Msg, 0, k-first)
+		for i := first; i < k; i++ {
 			msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: boxed})
-		}
-		if !c.HasLarge() {
-			msgs = msgs[1:] // machine 0 keeps its own copy locally
 		}
 		if _, err := fromCoordinator(c, msgs); err != nil {
 			return nil, err

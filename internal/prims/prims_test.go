@@ -188,6 +188,39 @@ func TestBroadcastValueDirectAndTree(t *testing.T) {
 	}
 }
 
+// TestBroadcastValueDirectFitCountsWhatItSends: without a large machine,
+// machine 0 keeps its own copy, so the direct send is K−1 copies, and it is
+// taken when those fit half the coordinator's capacity, though K would not.
+// One machine has half the capacity, so the tree's branching — bounded by
+// the smallest machine — would be two levels here.
+func TestBroadcastValueDirectFitCountsWhatItSends(t *testing.T) {
+	cfg := mpc.Config{N: 512, M: 4096, Seed: 42, NoLarge: true}
+	k := cfg.DeriveK()
+	cfg.Profile = mpc.UniformProfile(k)
+	cfg.Profile.CapScale[k-1] = 0.5
+	c, err := mpc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := coordCap(c) / 2
+	w := half / (k - 1)
+	if (k-1)*w > half || k*w <= half || treeDepth(k, branching(c, w)) < 2 {
+		t.Fatalf("K=%d, half the coordinator's capacity %d: %d-word copies are not at the boundary of a deep tree", k, half, w)
+	}
+	vals, err := BroadcastValue(c, int64(9), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Rounds != 1 || st.TotalWords != int64((k-1)*w) {
+		t.Fatalf("BroadcastValue of %d words charged %d rounds and %d words, want one direct round of %d copies = %d", w, st.Rounds, st.TotalWords, k-1, (k-1)*w)
+	}
+	for i, v := range vals {
+		if v != 9 {
+			t.Fatalf("machine %d got %d", i, v)
+		}
+	}
+}
+
 // wide is a 40-word value: on a small-CSmall cluster it pushes the tree
 // branching below K/2, so every range tree is at least two levels deep.
 type wide [40]int64

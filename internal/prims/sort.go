@@ -73,11 +73,12 @@ func keyWords(keys []SortKey) int {
 //  2. every machine sends the coordinator a weighted key sample, its whole
 //     run when wholeRun says so (1 round);
 //  3. the coordinator picks K-1 splitter keys and replies to every machine
-//     (1 round): a machine whose sample was its whole run gets the cuts of
-//     that run, as (bucket, count) pairs or one bucket id per item, whichever
-//     is shorter, and any other the splitter list, to cut its run itself.
-//     When the replies together exceed the coordinator's round budget the
-//     list goes to everyone instead, down a capacity-bounded tree;
+//     (1 round, or 2 when relays carry the list): a machine whose sample was
+//     its whole run gets the cuts of that run, as (bucket, count) pairs or
+//     one bucket id per item, whichever is shorter, and any other the
+//     splitter list, to cut its run itself. When the replies together exceed
+//     the coordinator's round budget the list goes to everyone instead, down
+//     a capacity-bounded tree;
 //  4. items are routed to their bucket along the cuts (1 round) and
 //     re-sorted.
 //
@@ -406,11 +407,12 @@ type sortReply struct {
 // and 2i+1); the reply is a header word, runCutWords of the cuts and 3 words
 // a span, at most min(2·K, items)+7, where the list is keyWords(sp)+1. A
 // machine that holds more is sent the list and derives both itself. The
-// replies go out in one direct round if together they fit half the
-// coordinator's capacity (BroadcastValue's rule; machine 0 keeps its own when
-// it is the coordinator). If they do not, the list is broadcast to everyone —
-// K copies of it fit still less, so down the tree — and every reply is the
-// list.
+// replies go out directly if together they fit half the coordinator's
+// capacity (machine 0 keeps its own when it is the coordinator), in one
+// round or, when that moves fewer words through the busiest sender, in two
+// through relays (sendReplies). If they do not fit, the list is broadcast
+// to everyone — K copies of it fit still less, so down the tree — and every
+// reply is the list.
 func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, starts []int, spans []span) ([]sortReply, error) {
 	k := c.K()
 	replies := make([]sortReply, k)
@@ -441,7 +443,7 @@ func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, s
 	}
 	if total <= coordCap(c)/2 {
 		round := c.Span("broadcast")
-		_, err := fromCoordinator(c, msgs)
+		err := sendReplies(c, msgs, replies, listWords+1)
 		round.End()
 		return replies, err
 	}
@@ -453,6 +455,66 @@ func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, s
 		replies[i] = sortReply{List: lists[i]}
 	}
 	return replies, nil
+}
+
+// sendReplies sends the coordinator's replies msgs, each carrying its
+// receiver's entry of replies, where a list reply costs listMsg words
+// (DESIGN.md §1). Let ℓ be the list receivers. They split, in machine
+// order, into r = ⌈√ℓ⌉ groups of at most g = ⌈ℓ/r⌉, the first machine of
+// each its relay. The relay form sends the cuts and one list a relay from
+// the coordinator, then (under "relay") each relay's list to the rest of
+// its group; the replies and their words are the direct round's, only the
+// list's senders differ. It is taken when its two rounds' busiest senders
+// together move fewer words than the direct round's coordinator,
+// cuts + r·listMsg + (g−1)·listMsg < cuts + ℓ·listMsg, and each relay's
+// sends fit half its capacity; otherwise the replies take one round.
+func sendReplies(c *mpc.Cluster, msgs []mpc.Msg, replies []sortReply, listMsg int) error {
+	ell := 0
+	for _, m := range msgs {
+		if replies[m.To].List != nil {
+			ell++
+		}
+	}
+	r := 1
+	for r*r < ell {
+		r++
+	}
+	g := (ell + r - 1) / r
+	relay := r+g-1 < ell
+	for j, n := 0, 0; relay && j < len(msgs); j++ {
+		if to := msgs[j].To; replies[to].List != nil {
+			relay = n%g != 0 || 2*(min(g, ell-n)-1)*listMsg <= c.SmallCapOf(to)
+			n++
+		}
+	}
+	if !relay {
+		_, err := fromCoordinator(c, msgs)
+		return err
+	}
+	// The coordinator's round keeps its messages in place in msgs; the
+	// relays' round is one array, fwd.
+	direct, fwd := msgs[:0], make([]mpc.Msg, 0, ell)
+	outs := make([][]mpc.Msg, c.K())
+	from, start, n := 0, 0, 0 // the group's relay, its first entry of fwd; the list receivers so far
+	for _, m := range msgs {
+		if replies[m.To].List != nil {
+			pos := n
+			n++
+			if pos%g != 0 {
+				fwd = append(fwd, mpc.Msg{To: m.To, Words: m.Words, Data: &replies[from]})
+				outs[from] = fwd[start:len(fwd):len(fwd)]
+				continue
+			}
+			from, start = m.To, len(fwd)
+		}
+		direct = append(direct, m)
+	}
+	if _, err := fromCoordinator(c, direct); err != nil {
+		return err
+	}
+	defer c.Span("relay").End()
+	_, _, err := c.Exchange(outs, nil)
+	return err
 }
 
 // runCuts appends to dst the cuts of a locally sorted run against the

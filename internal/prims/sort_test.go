@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"hetmpc/internal/fault"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/trace"
 )
@@ -39,14 +41,15 @@ func sortRounds(t *testing.T, cfg mpc.Config, data [][]SortKey) (*mpc.Cluster, [
 }
 
 // TestSortChargesThreeRoundsWhenRepliesFit pins steps 2 and 3's cost. Where
-// the replies fit half the coordinator's capacity a Sort is sample, reply,
-// route — three rounds — the sample round carries every machine's encoded
-// sample, and the reply round carries, to every machine but the coordinator,
-// the encoded cuts of its run (a machine that sends its whole run, wholeRun)
-// or the encoded list (any other), each with its header word. Where they do
-// not fit, step 3 is exactly BroadcastValue of the list: its tree depth, its
-// words. The expected words are the lengths of the encodings in
-// sortwords_test.go, not the charges under test.
+// the replies fit half the coordinator's capacity and at most one machine
+// is sent the list, so no relay pays (TestSortRelaysTheList), a Sort is
+// sample, reply, route — three rounds — the sample round carries every
+// machine's encoded sample, and the reply round carries, to every machine
+// but the coordinator, the encoded cuts of its run (a machine that sends its
+// whole run, wholeRun) or the encoded list (any other), each with its header
+// word. Where they do not fit, step 3 is exactly BroadcastValue of the list:
+// its tree depth, its words. The expected words are the lengths of the
+// encodings in sortwords_test.go, not the charges under test.
 func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 311))
 	input := func(k int, size func(i int) int) [][]SortKey {
@@ -262,5 +265,147 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	}
 	if _, err := Sort(c, data, 1, identKey); err != nil {
 		t.Fatalf("Sort with every reply within cap: %v", err)
+	}
+}
+
+// relayInput is TestSortRelaysTheList's input: k machines of 100 to 163
+// keys that vary in all three columns, so every run is longer than its
+// sample (wholeRun) and every machine is sent the list, charged
+// sortKeyWords a splitter.
+func relayInput(k int) [][]SortKey {
+	rng := rand.New(rand.NewPCG(7, 45))
+	data := make([][]SortKey, k)
+	for i := range data {
+		for j := 0; j < 100+i; j++ {
+			data[i] = append(data[i], SortKey{A: rng.Int64N(1 << 20), B: int64(i), C: int64(j)})
+		}
+	}
+	return data
+}
+
+// TestSortRelaysTheList pins the relay form of Sort's reply (DESIGN.md §1):
+// at K = 64 with every run longer than its sample the ℓ list receivers
+// split into r = 8 groups of at most g = 8. The coordinator sends one list
+// a relay under sort/broadcast, each relay the rest of its group under
+// sort/broadcast/relay; together they carry the ℓ lists of the direct
+// round, and the buckets are the splitter rule's.
+func TestSortRelaysTheList(t *testing.T) {
+	for _, noLarge := range []bool{false, true} {
+		cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7, NoLarge: noLarge}
+		data := relayInput(cfg.K)
+		twin, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := Flatten(data)
+		slices.SortFunc(all, SortKey.Compare)
+		runs := make([][]SortKey, cfg.K)
+		for i := range data {
+			if whole, _ := wholeRun(twin, len(data[i])); whole {
+				t.Fatalf("noLarge=%v: machine %d's %d items are sent whole", noLarge, i, len(data[i]))
+			}
+			runs[i] = slices.Clone(data[i])
+			slices.SortFunc(runs[i], SortKey.Compare)
+		}
+		sp, _, err := sortSplitters(twin, runs, identKey, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := int64(len(encodeKeys(int64(len(sp)), sp)))
+		if list != sortKeyWords*int64(cfg.K-1)+1 {
+			t.Fatalf("noLarge=%v: the list is %d words, want every column charged", noLarge, list)
+		}
+		ell, coord := cfg.K, 0 // the list receivers; the coordinator's trace slot
+		if noLarge {
+			ell, coord = cfg.K-1, 1
+		}
+		const r, g = 8, 8
+
+		_, rounds := sortRounds(t, cfg, data)
+		if len(rounds) != 4 || rounds[1].Phase != "sort/broadcast" || rounds[2].Phase != "sort/broadcast/relay" {
+			t.Fatalf("noLarge=%v: Sort charged %d rounds, want sample, reply, relay, route: %+v", noLarge, len(rounds), rounds)
+		}
+		if got := int64(rounds[1].SendWords[coord]); got != r*list || rounds[1].Words != got {
+			t.Errorf("noLarge=%v: the coordinator sends %d of the reply round's %d words, want %d lists = %d", noLarge, got, rounds[1].Words, r, r*list)
+		}
+		for slot, sent := range rounds[2].SendWords {
+			if int64(sent) > (g-1)*list {
+				t.Errorf("noLarge=%v: trace slot %d relays %d words, want at most %d lists = %d", noLarge, slot, sent, g-1, (g-1)*list)
+			}
+		}
+		if got, want := rounds[1].Words+rounds[2].Words, int64(ell)*list; got != want {
+			t.Errorf("noLarge=%v: the replies carry %d words, want %d lists = %d, the direct round's", noLarge, got, ell, want)
+		}
+		for slot := 1 + cfg.K - ell; slot <= cfg.K; slot++ {
+			if got := int64(rounds[1].RecvWords[slot] + rounds[2].RecvWords[slot]); got != list {
+				t.Errorf("noLarge=%v: trace slot %d is sent %d words, want one list = %d", noLarge, slot, got, list)
+			}
+		}
+
+		// The buckets are the splitter rule's, over the same data.
+		in := make([][]SortKey, len(data))
+		for i := range data {
+			in[i] = slices.Clone(data[i])
+		}
+		c, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, err := Sort(c, in, 1, identKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]SortKey, cfg.K)
+		walkBuckets(all, sp, cfg.K, identKey, func(j int, run []SortKey) { want[j] = run })
+		for j := range want {
+			if !slices.Equal(sorted[j], want[j]) {
+				t.Fatalf("noLarge=%v: bucket %d holds %d keys, the splitter rule's %d", noLarge, j, len(sorted[j]), len(want[j]))
+			}
+		}
+	}
+}
+
+// TestSortRelayCrash crashes a relay in the relay round, under a plan that
+// checkpoints every round: the recovery is lossless, so the output is the
+// fault-free run's.
+func TestSortRelayCrash(t *testing.T) {
+	cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7}
+	data := relayInput(cfg.K)
+	_, rounds := sortRounds(t, cfg, data)
+	relay := slices.IndexFunc(rounds, func(r trace.Round) bool { return r.Phase == "sort/broadcast/relay" })
+	if relay < 0 {
+		t.Fatal("no relay round")
+	}
+	const victim = 8 // the second group's relay
+	if rounds[relay].SendWords[1+victim] == 0 {
+		t.Fatalf("machine %d relays nothing", victim)
+	}
+	run := func(plan *fault.Plan) ([][]SortKey, mpc.Stats) {
+		cfg := cfg
+		cfg.Faults = plan
+		c, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([][]SortKey, len(data))
+		for i := range data {
+			in[i] = slices.Clone(data[i])
+		}
+		sorted, err := Sort(c, in, 1, identKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sorted, c.Stats()
+	}
+	plain, _ := run(nil)
+	faulty, st := run(&fault.Plan{
+		Interval: 1,
+		Crashes:  []fault.Crash{{Round: rounds[relay].Round, Machine: victim, RestartAfter: 1}},
+	})
+	if !reflect.DeepEqual(plain, faulty) {
+		t.Fatal("a relay's crash changed the sorted output")
+	}
+	if st.Crashes < 1 || st.RecoveryRounds == 0 {
+		t.Fatalf("the relay's crash was not recovered: %+v", st)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,37 +29,51 @@ type wireRun struct {
 	traceWire int64               // Σ per-round wire bytes from the trace
 }
 
-// conformanceWorkloads are the algorithm × profile cells of the suite.
-var conformanceWorkloads = []struct {
+// conformanceWorkload is one algorithm of the suite, run on every profile
+// it names, on k small machines. k is 0, the derived K, but in a cell that
+// sets it to make a Sort relay its splitter list, and such a cell must
+// show a relay round.
+type conformanceWorkload struct {
 	name     string
+	k        int
 	profiles []string
 	run      func(c *hetmpc.Cluster) (any, error)
-}{
-	{"mst", []string{"", "zipf:0.8", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
+}
+
+// conformanceWorkloads are the algorithm × profile cells of the suite.
+var conformanceWorkloads = []conformanceWorkload{
+	{"mst", 0, []string{"", "zipf:0.8", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.ConnectedGNM(512, 4096, 7, true)
 		return hetmpc.MST(c, g)
 	}},
-	{"connectivity", []string{"", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
+	// At K = 32 a machine's run outgrows its sample, so Sort's splitter
+	// list reaches its machines through relays (DESIGN.md §1) and the relay
+	// payloads cross the wire.
+	{"mst-k32", 32, []string{""}, func(c *hetmpc.Cluster) (any, error) {
+		g := hetmpc.ConnectedGNM(512, 4096, 7, true)
+		return hetmpc.MST(c, g)
+	}},
+	{"connectivity", 0, []string{"", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.GNM(512, 4096, 7)
 		return hetmpc.Connectivity(c, g)
 	}},
 	// A sublinear baseline's result carries the same model-only Stats as a
 	// core one: WireBytes stays on the cluster.
-	{"baseline-connectivity", []string{""}, func(c *hetmpc.Cluster) (any, error) {
+	{"baseline-connectivity", 0, []string{""}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.GNM(512, 4096, 7)
 		return hetmpc.BaselineConnectivity(c, g)
 	}},
 	// Phase 1's peel builds a plan an iteration: NewPlan, PlanCombine's
 	// span-up round and PlanBroadcast cross the wire.
-	{"matching", []string{"", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
+	{"matching", 0, []string{"", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.ConnectedGNM(512, 4096, 7, false)
 		return hetmpc.MaximalMatching(c, g)
 	}},
 }
 
-func runConformanceCell(t *testing.T, alg, profile, transport string) wireRun {
+func runConformanceCell(t *testing.T, wl conformanceWorkload, profile, transport string) wireRun {
 	t.Helper()
-	cfg := hetmpc.Config{N: 512, M: 4096, Seed: 7}
+	cfg := hetmpc.Config{N: 512, M: 4096, K: wl.k, Seed: 7}
 	if profile != "" {
 		p, err := hetmpc.ParseProfile(profile, cfg.DeriveK())
 		if err != nil {
@@ -77,15 +93,9 @@ func runConformanceCell(t *testing.T, alg, profile, transport string) wireRun {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var wl func(*hetmpc.Cluster) (any, error)
-	for _, w := range conformanceWorkloads {
-		if w.name == alg {
-			wl = w.run
-		}
-	}
-	res, err := wl(c)
+	res, err := wl.run(c)
 	if err != nil {
-		t.Fatalf("%s/%s/%s: %v", alg, profile, transport, err)
+		t.Fatalf("%s/%s/%s: %v", wl.name, profile, transport, err)
 	}
 	r := wireRun{result: res, stats: c.Stats(), wireBytes: c.Stats().WireBytes}
 	r.stats.WireBytes = 0
@@ -114,15 +124,21 @@ func TestCrossTransportGolden(t *testing.T) {
 			}
 			t.Run(wl.name+"/"+profName, func(t *testing.T) {
 				runtime.GOMAXPROCS(prev)
-				base := runConformanceCell(t, wl.name, spec, "inproc")
+				base := runConformanceCell(t, wl, spec, "inproc")
 				if base.wireBytes != 0 || base.traceWire != 0 {
 					t.Fatalf("inproc measured %d wire bytes (%d traced), want 0", base.wireBytes, base.traceWire)
+				}
+				relayed := slices.ContainsFunc(base.trace, func(r hetmpc.TraceRound) bool {
+					return strings.HasSuffix(r.Phase, "sort/broadcast/relay")
+				})
+				if wl.k != 0 && !relayed {
+					t.Fatal("no Sort relays its list: the cell does not put relay payloads on the wire")
 				}
 				var pipeBytes, tcpBytes int64
 				for _, transport := range []string{"inproc", "pipe", "tcp"} {
 					for _, procs := range []int{1, 4, 8} {
 						runtime.GOMAXPROCS(procs)
-						got := runConformanceCell(t, wl.name, spec, transport)
+						got := runConformanceCell(t, wl, spec, transport)
 						tag := fmt.Sprintf("%s@GOMAXPROCS=%d", transport, procs)
 						if !reflect.DeepEqual(got.result, base.result) {
 							t.Errorf("%s: algorithm output diverged from inproc", tag)
