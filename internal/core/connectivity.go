@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"sort"
 
 	"hetmpc/internal/graph"
@@ -30,10 +31,11 @@ type ConnectivityResult struct {
 // (Sketch.Words: the levels above are zero by construction and rebuilt
 // there) — O(n polylog n) bits in total — which then runs Borůvka locally,
 // sampling an outgoing edge of each component from the summed sketches
-// (Property 1) of fresh rounds. The first ⌈log2 n⌉ families' sketches are
-// shipped at once, and each later batch only when Borůvka reaches a family
-// not yet shipped (sketchBatches). A run whose samplers fail in every phase
-// returns an error wrapping ErrSketchFailure.
+// (Property 1) of fresh rounds. The first contractAfter families are shipped
+// per vertex; if Borůvka reads a later one, the large machine contracts the
+// components the first phases left, and the later families are shipped once
+// per component share (sketchPhase.contract). A run whose samplers fail in
+// every phase returns an error wrapping ErrSketchFailure.
 //
 // Shared randomness is a single broadcast seed, replacing [36]'s shared
 // random bits exactly as the paper describes.
@@ -58,15 +60,14 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dsu *unionfind.DSU
-	if dsu, res.Phases, err = boruvka(sk.phases, n, sk.phase); err != nil {
+	if res.Phases, err = boruvka(sk.dsu, sk.phases, sk.phase); err != nil {
 		return nil, err
 	}
 
 	// Labels: smallest member id per component (computed on the large
 	// machine, where the output resides). Descending, the last write to a
 	// root is its smallest member.
-	smallest := make([]int, n)
+	dsu, smallest := sk.dsu, make([]int, n)
 	for v := n - 1; v >= 0; v-- {
 		smallest[dsu.Find(v)] = v
 	}
@@ -84,14 +85,15 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 var ErrSketchFailure = errors.New("sketch connectivity did not converge")
 
 // boruvka is the large machine's local Borůvka over phases sketch families,
-// phase(t) returning family t and its gathered sketches by vertex, keyed
-// t·n + vertex: phase t sums family t's sketches per component and joins
-// each component along the edge its sum samples, until every sum is zero.
-// It returns the components and the phases run, or an error wrapping
-// ErrSketchFailure if a sum is still nonzero after the last family's phase.
-func boruvka(phases, n int, phase func(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error)) (*unionfind.DSU, int, error) {
+// joining the components of dsu, phase(t) returning family t and its
+// gathered sketches keyed t·n + v for a member v of their group: phase t
+// sums family t's sketches per component and joins each component along the
+// edge its sum samples, until every sum is zero. It returns the phases run,
+// or an error wrapping ErrSketchFailure if a sum is still nonzero after the
+// last family's phase.
+func boruvka(dsu *unionfind.DSU, phases int, phase func(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error)) (int, error) {
+	n := dsu.Len()
 	universe := int64(n) * int64(n)
-	dsu := unionfind.New(n)
 	sums := make([]*sketch.Sketch, n)
 	last := phases - 1
 	// One pass past the last phase re-sums the last family over the final
@@ -100,10 +102,10 @@ func boruvka(phases, n int, phase func(t int) (*sketch.Family, []prims.KV[*sketc
 		ph := min(t, last)
 		f, run, err := phase(ph)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if err := componentSums(sums, f, universe, dsu, run, int64(ph)*int64(n)); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		done := true
 		for _, s := range sums { // ascending root order
@@ -111,7 +113,7 @@ func boruvka(phases, n int, phase func(t int) (*sketch.Family, []prims.KV[*sketc
 				continue
 			}
 			if t > last {
-				return nil, 0, fmt.Errorf("core: connectivity: a component still has an outgoing edge after %d phases: %w", phases, ErrSketchFailure)
+				return 0, fmt.Errorf("core: connectivity: a component still has an outgoing edge after %d phases: %w", phases, ErrSketchFailure)
 			}
 			done = false
 			if idx, _, ok := f.Query(s); ok { // a sampler failure retries next phase
@@ -119,7 +121,7 @@ func boruvka(phases, n int, phase func(t int) (*sketch.Family, []prims.KV[*sketc
 			}
 		}
 		if done {
-			return dsu, min(t+1, phases), nil
+			return min(t+1, phases), nil
 		}
 	}
 }
@@ -143,44 +145,69 @@ func sketchShape(n, m int) (phases, levels int) {
 	return phases, min(levels, maxLevels)
 }
 
-// sketchBatches is the sketch phase between the large machine's requests.
-// The small machines keep their incidence runs as the Sort left them — Sort
-// registered them as the machines' held state, and no later collective of
-// the phase registers another, so checkpoints count them between batches —
-// and build family t, seeded xrand.Split(seed, t+1), when it is asked for.
-// The large machine holds every gathered family's sketches, keyed
-// phase·n + vertex: phase by phase, each phase's by vertex.
-type sketchBatches struct {
+// contractAfter is how many Borůvka phases read per-vertex sketches: the
+// first gather ships families 0…contractAfter−1 of every vertex, and the
+// later families are built once per share of a component those phases leave.
+// DESIGN.md §3.4 tables the words for contracting after 1…4 phases.
+const contractAfter = 3
+
+// sketchPhase is the sketch phase from the Sort on, driven by the large
+// machine's Borůvka. The small machines keep their incidence runs as the
+// Sort left them, sorted by vertex; the large machine holds dsu, Borůvka's
+// components, and every gathered family's sketches, keyed phase·n + group:
+// phase by phase, each phase's by group. Family t is seeded
+// xrand.Split(seed, t+1).
+type sketchPhase struct {
 	c         *mpc.Cluster
 	runs      [][]sketch.Incidence
+	dsu       *unionfind.DSU
 	seed      uint64
 	n, levels int
-	phases    int              // P: the families a run gathers at most
-	next      int              // the next later batch's size: 1, 2, 4, …
-	families  []*sketch.Family // the families gathered, in phase order
-	atLarge   []prims.KV[*sketch.Sketch]
+	phases    int                        // P: the families a run gathers at most
+	families  []*sketch.Family           // the families gathered, in phase order
+	atLarge   []prims.KV[*sketch.Sketch] // their sketches
+	vertices  []share                    // the first gather's groups: every vertex with an incidence
 }
 
-// gatherSketches is the "sketch" phase up to its first batch: the
-// incidences meet by vertex, and the sketches of the first ⌈log2 n⌉ of the
-// P families are gathered.
-func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, seed uint64, n, m int) (*sketchBatches, error) {
+// A share is what a machine ships of one group of its run — a vertex before
+// the contraction, its share of a component after: the group's sketch of
+// each family the gather ships, keyed phase·n + group, and deg, the
+// incidences the group holds. The machine rides uncharged: the message names
+// its sender.
+type share struct {
+	group    int
+	sketches []prims.KV[*sketch.Sketch]
+	deg      int
+	machine  int
+}
+
+// gatherSketches is the "sketch" phase up to its first gather: the
+// incidences meet by vertex, and the sketches of the first contractAfter of
+// the P families are gathered with each vertex's degree.
+func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, seed uint64, n, m int) (*sketchPhase, error) {
 	defer c.Span("sketch").End()
 	runs, err := sortIncidences(c, edges)
 	if err != nil {
 		return nil, err
 	}
 	phases, levels := sketchShape(n, m)
-	s := &sketchBatches{c: c, runs: runs, seed: seed, n: n, levels: levels, phases: phases, next: 1}
-	return s, s.gather(min(max(bits.Len(uint(n-1)), 1), phases))
+	s := &sketchPhase{c: c, runs: runs, dsu: unionfind.New(n), seed: seed, n: n, levels: levels, phases: phases}
+	return s, s.gatherVertices()
 }
 
-// phase returns family t and its sketches at the large machine, by vertex.
-// Borůvka reads the families in order, so a family not yet gathered is the
-// first of the next batch, which it pulls.
-func (s *sketchBatches) phase(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error) {
+// gatherVertices is the first gather: families 0…contractAfter−1 of every
+// vertex, one degree word a vertex beside them (one round).
+func (s *sketchPhase) gatherVertices() (err error) {
+	s.vertices, err = s.gather(s.runs, min(contractAfter, s.phases), 1)
+	return err
+}
+
+// phase returns family t and its sketches at the large machine. Borůvka
+// reads the families in order, so the first family not yet gathered is
+// contractAfter, which contracts.
+func (s *sketchPhase) phase(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error) {
 	if t >= len(s.families) {
-		if err := s.pull(); err != nil {
+		if err := s.contract(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -191,27 +218,207 @@ func (s *sketchBatches) phase(t int) (*sketch.Family, []prims.KV[*sketch.Sketch]
 	return s.families[t], s.atLarge[at(t):at(t+1)], nil
 }
 
-// pull is a later batch: the large machine sends every small machine a
-// one-word "next batch" (one round), and the sketches of the next 1, 2,
-// 4, … families are gathered (one round), P in all at most. With the first
-// batch at ⌈log2 n⌉ and P = ⌈log2(n+2)⌉ + 8, at most 4 later batches run.
-func (s *sketchBatches) pull() error {
-	defer s.c.Span("sketch").End()
-	hi := min(len(s.families)+s.next, s.phases)
-	s.next *= 2
-	if _, err := prims.BroadcastValue(s.c, hi, 1); err != nil {
-		return err
-	}
-	return s.gather(hi)
+// placement is what the large machine sends a machine in the contraction:
+// the root of each vertex of its run, in run order, and the cuts that route
+// the run, filed under the roots, to the machines the components are packed
+// onto.
+type placement struct {
+	roots []int
+	cuts  []prims.Cut
 }
 
-// gather builds families len(s.families) … hi−1 and ships them: each
-// machine builds the sketches of its run's vertices — each the sum of the
-// partial sketches of any edge partition, cell for cell, as a sketch is
-// linear — and sends them to the large machine, keyed phase·n + vertex,
-// each charged the levels it stores. The batch's keys are all above the
-// earlier batches', so the large machine's sketches stay in key order.
-func (s *sketchBatches) gather(hi int) error {
+// byGroup sorts incidences by the sketch they update.
+func byGroup(in sketch.Incidence) prims.SortKey { return prims.SortKey{A: int64(in.Group())} }
+
+// contract is the rest of the sketch phase, run when Borůvka first reads
+// family contractAfter:
+//
+//  1. the large machine packs the incidences onto machines (pack) and sends
+//     each machine its vertices' roots under dsu and the cuts of its run
+//     (one scatter round, a word a root and 2 a cut);
+//  2. every machine files its incidences under their vertices' roots and
+//     routes them along the cuts (one round, 3 words an incidence); the
+//     routed incidences are the machines' held state from here on;
+//  3. the remaining families are gathered, a sketch per component share
+//     (one round).
+//
+// A component's sketch is the sum of its members' (Property 1) and the sum
+// of its shares' is that sum cell for cell, so Borůvka's component sums —
+// and with them every output — are what per-vertex sketches give.
+func (s *sketchPhase) contract() error {
+	defer s.c.Span("sketch").End()
+	c, k := s.c, s.c.K()
+	places := s.pack()
+	items := make([][]placement, k)
+	for i := range items {
+		if len(places[i].roots) > 0 {
+			items[i] = places[i : i+1 : i+1]
+		}
+	}
+	round := c.Span("scatter")
+	got, err := prims.Scatter(c, items, func(ps []placement) int { return len(ps[0].roots) + 2*len(ps[0].cuts) })
+	round.End()
+	if err != nil {
+		return err
+	}
+
+	// The filed runs are one array.
+	starts := make([]int, k+1)
+	for i := range k {
+		starts[i+1] = starts[i] + len(s.runs[i])
+	}
+	flat := make([]sketch.Incidence, starts[k])
+	filed, cuts := make([][]sketch.Incidence, k), make([][]prims.Cut, k)
+	c.Each(func(i int) {
+		run := flat[starts[i]:starts[i+1]:starts[i+1]]
+		if len(got[i]) > 0 {
+			p, v := got[i][0], -1
+			for x, in := range s.runs[i] {
+				if x == 0 || in.V != s.runs[i][x-1].V {
+					v++
+				}
+				run[x] = in.FiledUnder(p.roots[v])
+			}
+			prims.SortLocal(run, byGroup)
+			cuts[i] = p.cuts
+		}
+		filed[i] = run
+	})
+	round = c.Span("route")
+	routed, err := prims.Route(c, filed, cuts, 3, 0, byGroup)
+	round.End()
+	if err != nil {
+		return err
+	}
+	c.HoldState(func(i int) int { return 3 * len(routed[i]) })
+
+	_, err = s.gather(routed, s.phases, 0)
+	return err
+}
+
+// pack is the large machine's half of the contraction's first step: every
+// vertex's root under dsu, and a packing of the incidences in (root,
+// vertex) order onto the bins, each taking its placement-weighted share of
+// them as a Sort bucket does, so a component may straddle bins. It returns
+// each machine's placement: the vertices arrived in machine order, each
+// machine's in run order, so a machine's roots are one stretch, and its
+// cuts follow its run filed under them.
+func (s *sketchPhase) pack() []placement {
+	c, k := s.c, s.c.K()
+	roots, held := make([]int, len(s.vertices)), make([]int, k)
+	total, comps := 0, 0
+	for x, v := range s.vertices {
+		if roots[x] = s.dsu.Find(v.group); roots[x] == v.group {
+			comps++
+		}
+		total += v.deg
+		held[v.machine] += v.deg
+	}
+	places := make([]placement, k)
+	for x := 0; x < len(s.vertices); {
+		i, y := s.vertices[x].machine, x
+		for y < len(s.vertices) && s.vertices[y].machine == i {
+			y++
+		}
+		places[i].roots, x = roots[x:y:y], y
+	}
+	bins := s.bins(total, comps, held)
+	ends := make([]int, len(bins)) // bin j packs positions [ends[j−1], ends[j])
+	var sum, cum float64
+	for _, i := range bins {
+		sum += c.PlaceShare(i)
+	}
+	for j, i := range bins {
+		cum += c.PlaceShare(i)
+		ends[j] = int(float64(total) * cum / sum)
+	}
+	ends[len(ends)-1] = total
+	order := make([]int, len(s.vertices))
+	for x := range order {
+		order[x] = x
+	}
+	prims.SortLocal(order, func(x int) prims.SortKey { return prims.SortKey{A: int64(roots[x])*int64(len(order)) + int64(x)} })
+	j, pos := 0, 0
+	for _, x := range order {
+		v := s.vertices[x]
+		p := &places[v.machine]
+		for d := v.deg; d > 0; {
+			for pos >= ends[j] {
+				j++
+			}
+			take, bin := min(d, ends[j]-pos), int32(bins[j])
+			if n := len(p.cuts); n > 0 && p.cuts[n-1].Bucket == bin {
+				p.cuts[n-1].Count += int32(take)
+			} else {
+				p.cuts = append(p.cuts, prims.Cut{Bucket: bin, Count: int32(take)})
+			}
+			pos, d = pos+take, d-take
+		}
+	}
+	return places
+}
+
+// bins returns the machines the contraction packs total incidences onto, in
+// machine order: the B of largest PlaceShare (the first on ties), B the
+// candidate of least estimated price (DESIGN.md §3.4). Packed by
+// PlaceShare, bin j receives 3·total·s_j/S words in the route, s_j its
+// share and S the bins', while every machine i sends its run, 3·held[i]; in
+// the second gather bin j sends about comps·s_j/S + 1 component shares and
+// the large machine receives comps + B − 1, each F sketches of about w
+// words, F the families left and w the first gather's mean. A candidate
+// prices each round at its busiest machine's words times WordCost, so more
+// bins shorten the route and lengthen the gather where the large machine
+// is the busiest, and shorten both where the bins are. A candidate whose
+// route overfills half a bin's cap is not taken; all K bins are the
+// fallback.
+func (s *sketchPhase) bins(total, comps int, held []int) []int {
+	c, k := s.c, s.c.K()
+	sketches, words := 0, 0
+	for _, v := range s.vertices {
+		for _, kv := range v.sketches {
+			sketches, words = sketches+1, words+1+kv.V.Words()
+		}
+	}
+	share := float64(s.phases-len(s.families)) * float64(words) / float64(max(sketches, 1)) // F·w
+	machines := make([]int, k)
+	var floor float64 // the route's busiest sender, bin or not
+	for i := range machines {
+		machines[i] = i
+		floor = max(floor, c.WordCost(i)*float64(3*held[i]))
+	}
+	slices.SortStableFunc(machines, func(x, y int) int { return cmp.Compare(c.PlaceShare(y), c.PlaceShare(x)) })
+	best, bins := math.Inf(1), k
+	for b := 1; b <= k; b++ {
+		var sum float64
+		for _, i := range machines[:b] {
+			sum += c.PlaceShare(i)
+		}
+		route, gather, fits := floor, c.WordCost(mpc.Large)*float64(comps+b-1)*share, true
+		for _, i := range machines[:b] {
+			part := c.PlaceShare(i) / sum
+			in := 3 * float64(total) * part
+			fits = fits && 2*in <= float64(c.SmallCapOf(i))
+			route = max(route, c.WordCost(i)*(in+float64(3*held[i])))
+			gather = max(gather, c.WordCost(i)*(float64(comps)*part+1)*share)
+		}
+		if fits && route+gather < best {
+			best, bins = route+gather, b
+		}
+	}
+	machines = machines[:bins]
+	slices.Sort(machines)
+	return machines
+}
+
+// gather builds families len(s.families) … hi−1 of every machine's run,
+// sorted by group — a sketch per (family, group), each the sum of its
+// group's updates, cell for cell in any order — and ships them to the large
+// machine (one round), each charged its key and Sketch.Words, with degWords
+// more a group. The large machine files them after the families it holds,
+// by family: the groups ascend in machine order, so every family's keys do.
+// It returns the groups, in machine order.
+func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]share, error) {
+	defer s.c.Span("gather").End()
 	lo := len(s.families)
 	// One edge updater per family: precomputed fingerprint power tables.
 	// Updaters are read-only and shared across the small-machine goroutines.
@@ -221,16 +428,37 @@ func (s *sketchBatches) gather(hi int) error {
 		s.families = append(s.families, f)
 		updaters[t] = f.NewEdgeUpdater(s.n)
 	}
-	items := make([][]prims.KV[*sketch.Sketch], s.c.K())
+	items := make([][]share, s.c.K())
 	s.c.Each(func(i int) {
-		items[i] = vertexSketches(updaters, s.runs[i], lo, s.n)
+		sks, run := vertexSketches(updaters, runs[i], lo, s.n), runs[i]
+		shares := make([]share, 0, len(sks)/len(updaters))
+		for j, in := range run {
+			if g := in.Group(); j == 0 || g != run[j-1].Group() {
+				at := len(shares) * len(updaters)
+				shares = append(shares, share{group: g, sketches: sks[at : at+len(updaters)], machine: i})
+			}
+			shares[len(shares)-1].deg++
+		}
+		items[i] = shares
 	})
-	batch, err := prims.GatherKVs(s.c, items, (*sketch.Sketch).Words)
+	got, err := prims.Gather(s.c, items, func(shares []share) int {
+		w := degWords * len(shares)
+		for _, sh := range shares {
+			for _, kv := range sh.sketches {
+				w += 1 + kv.V.Words()
+			}
+		}
+		return w
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.atLarge = append(s.atLarge, batch...)
-	return nil
+	for t := range updaters {
+		for _, sh := range got {
+			s.atLarge = append(s.atLarge, sh.sketches[t])
+		}
+	}
+	return got, nil
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words
@@ -246,29 +474,30 @@ func sortIncidences(c *mpc.Cluster, edges [][]graph.Edge) ([][]sketch.Incidence,
 			}
 		}
 	})
-	return prims.Sort(c, incs, 2, func(in sketch.Incidence) prims.SortKey { return prims.SortKey{A: int64(in.V)} })
+	return prims.Sort(c, incs, 2, byGroup)
 }
 
 // vertexSketches is one small machine's sketches of its run of incidences
-// sorted by vertex, updater t's keyed (first+t)·n + vertex.
+// sorted by group, updater t's keyed (first+t)·n + group.
 func vertexSketches(updaters []*sketch.EdgeUpdater, run []sketch.Incidence, first, n int) []prims.KV[*sketch.Sketch] {
 	sks := sketch.VertexSketches(updaters, run)
 	items := make([]prims.KV[*sketch.Sketch], 0, len(sks))
 	for j, in := range run {
-		if j == 0 || in.V != run[j-1].V {
+		if g := in.Group(); j == 0 || g != run[j-1].Group() {
 			for t := range updaters {
-				items = append(items, prims.KV[*sketch.Sketch]{K: int64(first+t)*int64(n) + int64(in.V), V: &sks[len(items)]})
+				items = append(items, prims.KV[*sketch.Sketch]{K: int64(first+t)*int64(n) + int64(g), V: &sks[len(items)]})
 			}
 		}
 	}
 	return items
 }
 
-// componentSums fills sums[r] with the sum of the vertex sketches of run,
-// keyed base+v by vertex, over the members v of the component rooted at r
-// under dsu, and with nil where no member has a sketch (isolated vertices
-// have none). Members are added in increasing order into a full-width sketch
-// of f, so no merge grows its destination and run is left untouched.
+// componentSums fills sums[r] with the sum of the sketches of run, keyed
+// base+v by a member v of their group, over the groups in the component
+// rooted at r under dsu, and with nil where no member has a sketch (isolated
+// vertices have none). Groups are added in increasing order into a
+// full-width sketch of f, so no merge grows its destination and run is left
+// untouched.
 func componentSums(sums []*sketch.Sketch, f *sketch.Family, universe int64, dsu *unionfind.DSU, run []prims.KV[*sketch.Sketch], base int64) error {
 	clear(sums)
 	for _, kv := range run {

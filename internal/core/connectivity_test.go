@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"regexp"
 	"strconv"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"hetmpc/internal/prims"
 	"hetmpc/internal/sketch"
 	"hetmpc/internal/trace"
+	"hetmpc/internal/unionfind"
 )
 
 func checkConnectivity(t *testing.T, g *graph.Graph, seed uint64) *ConnectivityResult {
@@ -267,12 +269,16 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 	}
 }
 
-// TestConnectivityGatherChargesStoredLevels pins the sketch gather's charge
+// TestConnectivityGatherChargesStoredLevels pins the sketch gathers' charge
 // on the same shape: a sketch ships its key, family id, universe and depth,
-// then its stored levels, so the first batch's gather round carries
-// Σ (4 + 3·Depth()) words over the sketches the machines build of the
-// families it ships — counted here from sketches rebuilt of those families —
-// and less than the full sampler's 4 + 3·levels each.
+// then its stored levels, so each gather round carries Σ (4 + 3·Depth())
+// words over the sketches it ships, and the first one a degree word a vertex
+// more. The first gather's sketches — families 0…contractAfter−1 of every
+// vertex — are counted here from sketches rebuilt of those families, and the
+// second's from what reached the large machine: one sketch per family and
+// component share, fewer than one per family and vertex. Together they
+// charge less than the full sampler's 4 + 3·levels for every (family,
+// vertex) sketch of the families Borůvka read.
 func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	g := graph.GNM(1024, 4096, 7)
 	const k = 128
@@ -286,72 +292,113 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sk.families) != 10 {
-		t.Fatalf("the first batch gathered %d families, want ⌈log2 1024⌉ = 10", len(sk.families))
+	if len(sk.families) != contractAfter {
+		t.Fatalf("the first gather shipped %d families, want contractAfter = %d", len(sk.families), contractAfter)
 	}
-	updaters := make([]*sketch.EdgeUpdater, len(sk.families))
+	updaters := make([]*sketch.EdgeUpdater, contractAfter)
 	for p, f := range sk.families {
 		updaters[p] = f.NewEdgeUpdater(g.N)
 	}
-	var want, full int64
+	var first, vertices int64
 	for _, run := range runs {
-		for _, kv := range vertexSketches(updaters, run, 0, g.N) {
-			want += 4 + 3*int64(kv.V.Depth())
-			full += 4 + 3*int64(levels)
+		items := vertexSketches(updaters, run, 0, g.N)
+		for _, kv := range items {
+			first += 4 + 3*int64(kv.V.Depth())
+		}
+		vertices += int64(len(items) / contractAfter)
+	}
+	gathers := func() (words []int64) {
+		for _, r := range tr.Rounds() {
+			if r.Phase == "sketch/gather" {
+				words = append(words, r.Words)
+			}
+		}
+		return words
+	}
+	if got := gathers(); len(got) != 1 || got[0] != first+vertices {
+		t.Fatalf("the first gather carries %v words, want Σ (4 + 3·depth) + a degree word a vertex = %d + %d", got, first, vertices)
+	}
+
+	phases, err := boruvka(sk.dsu, sk.phases, sk.phase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if phases <= contractAfter {
+		t.Fatalf("Borůvka read %d families: the run never contracted", phases)
+	}
+	base := int64(contractAfter) * int64(g.N)
+	var second, shipped int64
+	for _, kv := range sk.atLarge {
+		if kv.K >= base {
+			second += 4 + 3*int64(kv.V.Depth())
+			shipped++
 		}
 	}
-	rounds := tr.Rounds()
-	last := rounds[len(rounds)-1]
-	if last.Phase != "sketch/gather" || last.Words != want {
-		t.Errorf("last round %q carries %d words, want the gather's Σ (4 + 3·depth) = %d", last.Phase, last.Words, want)
+	later := int64(sk.phases - contractAfter)
+	if got := gathers(); len(got) != 2 || got[1] != second {
+		t.Errorf("the gathers carry %v words, want the second's Σ (4 + 3·depth) = %d", got, second)
 	}
-	t.Logf("gather: %d words, %d at full width", want, full)
-	if 2*want > full {
-		t.Errorf("gather charges %d words, want under half the full sampler's %d", want, full)
+	if shipped%later != 0 || shipped >= later*vertices {
+		t.Errorf("the second gather shipped %d sketches of %d families, want a whole number of shares a family, fewer than the %d vertices", shipped, later, vertices)
+	}
+	full := int64(phases) * vertices * (4 + 3*int64(levels))
+	t.Logf("gathers: %d + %d words, %d shares a family after %d phases; %d at full width", first+vertices, second, shipped/later, contractAfter, full)
+	if 2*(first+vertices+second) > full {
+		t.Errorf("the gathers charge %d words, want under half the full sampler's %d", first+vertices+second, full)
 	}
 }
 
 // TestBoruvkaSketchFailureIsTyped runs the large machine's Borůvka on a
-// 64-vertex path with P = 3 sketch families, one in the first batch: two
-// later batches are pulled, each a one-word request and a gather. Three
-// phases, each joining a component along at most one sampled edge, leave
-// components with an edge leaving them at this seed, so the run must fail
-// with an error wrapping ErrSketchFailure — never return a labelling. The
-// cluster checkpoints every round: between batches the small machines hold
-// their incidence runs, 2 words an incidence, as Sort registered them, so
-// each of the later batches' barriers replicates exactly those.
+// 64-vertex path with P = 3 sketch families, all of them in the first
+// gather, and with P = 4, whose fourth family the contraction ships: three
+// or four phases, each joining a component along at most one sampled edge,
+// leave components with an edge leaving them at this seed, so each run must
+// fail with an error wrapping ErrSketchFailure — never return a labelling.
+// The cluster checkpoints every round, and each barrier replicates what the
+// small machines hold: their incidence runs, 2 words an incidence, as Sort
+// registered them, through the first gather, the scatter and the route, and
+// the routed incidences, 3 words each with their root, from then on.
 func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
 	g := graph.Path(64)
-	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: 4, Seed: 7, Faults: &fault.Plan{Interval: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges, err := prims.DistributeEdges(c, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := sortIncidences(c, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, levels := sketchShape(g.N, g.M())
-	sk := &sketchBatches{c: c, runs: runs, seed: 1, n: g.N, levels: levels, phases: 3, next: 1}
-	if err := sk.gather(1); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats()
-	if _, phases, err := boruvka(sk.phases, g.N, sk.phase); !errors.Is(err, ErrSketchFailure) {
-		t.Fatalf("three families on a 64-path: err = %v after %d phases, want ErrSketchFailure", err, phases)
-	}
-	if len(sk.families) != 3 {
-		t.Errorf("%d families gathered, want all P = 3", len(sk.families))
-	}
-	d := c.Stats().Sub(before)
-	if d.Rounds != 4 || d.Checkpoints != 4 {
-		t.Errorf("the later batches took %d rounds and %d checkpoints, want 2 × (request + gather) = 4 of each", d.Rounds, d.Checkpoints)
-	}
-	if held := int64(4 * 2 * 2 * g.M()); d.ReplicationWords != held {
-		t.Errorf("the later batches' checkpoints replicated %d words, want 4 × the 2m incidences' %d", d.ReplicationWords, held/4)
+	incidences := int64(2 * g.M())
+	for _, w := range []struct {
+		phases, rounds int
+		replicated     int64
+	}{
+		{3, 1, 2 * incidences},
+		{4, 4, 3*2*incidences + 3*incidences},
+	} {
+		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: 4, Seed: 7, Faults: &fault.Plan{Interval: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges, err := prims.DistributeEdges(c, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := sortIncidences(c, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, levels := sketchShape(g.N, g.M())
+		sk := &sketchPhase{c: c, runs: runs, dsu: unionfind.New(g.N), seed: 1, n: g.N, levels: levels, phases: w.phases}
+		before := c.Stats()
+		if err := sk.gatherVertices(); err != nil {
+			t.Fatal(err)
+		}
+		if phases, err := boruvka(sk.dsu, sk.phases, sk.phase); !errors.Is(err, ErrSketchFailure) {
+			t.Fatalf("P = %d on a 64-path: err = %v after %d phases, want ErrSketchFailure", w.phases, err, phases)
+		}
+		if len(sk.families) != w.phases {
+			t.Errorf("P = %d: %d families gathered, want all of them", w.phases, len(sk.families))
+		}
+		d := c.Stats().Sub(before)
+		if d.Rounds != w.rounds || d.Checkpoints != w.rounds {
+			t.Errorf("P = %d: the sketch rounds took %d rounds and %d checkpoints, want %d of each", w.phases, d.Rounds, d.Checkpoints, w.rounds)
+		}
+		if d.ReplicationWords != w.replicated {
+			t.Errorf("P = %d: the checkpoints replicated %d words, want the held incidences' %d", w.phases, d.ReplicationWords, w.replicated)
+		}
 	}
 }
 
@@ -373,5 +420,121 @@ func TestConnectivityAllocsPerMachine(t *testing.T) {
 	_, _, updaters, _ := sketchPhaseInput(t, graph.GNM(256, 30, 1), 2)
 	if got := testing.AllocsPerRun(10, func() { vertexSketches(updaters, nil, 0, 256) }); got != 0 {
 		t.Errorf("an empty run allocates %v times, want 0", got)
+	}
+}
+
+// TestConnectivityContractionGolden pins the contraction (DESIGN.md §3.4) on
+// TestConnectivityBatchGolden's input — G(512, 4096) at its four seeds, on
+// the default cluster — and at seed 7 on K = 24 machines. Every run reads
+// more than contractAfter families, so each contracts in 3 rounds (8 in all
+// on the default cluster), with the pinned components left after
+// contractAfter phases; Borůvka reads the pinned phases and finds one
+// component. At every phase t ≥ contractAfter, the component sums Borůvka
+// forms of family t's gathered shares equal, cell for cell, the sums of
+// per-vertex sketches of family t that the test builds itself from the
+// Sort's runs. The packing's bins split components between machines in
+// every run, so share keys repeat. A star, which Borůvka finishes within
+// contractAfter families, charges no scatter, route or second gather: 5
+// rounds, one gather.
+func TestConnectivityContractionGolden(t *testing.T) {
+	for _, w := range []struct {
+		seed             uint64
+		k, phases, comps int
+	}{
+		{7, 0, 8, 46},
+		{24, 0, 10, 43},
+		{17, 0, 11, 38},
+		{61, 0, 13, 50},
+		{7, 24, 8, 46},
+	} {
+		g := graph.ConnectedGNM(512, 4096, w.seed, false)
+		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: w.k, Seed: w.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges, err := prims.DistributeEdges(c, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, err := prims.BroadcastSeed(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := gatherSketches(c, edges, seed, g.N, g.M())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats().Rounds
+		universe := int64(g.N) * int64(g.N)
+		got, want := make([]*sketch.Sketch, g.N), make([]*sketch.Sketch, g.N)
+		comps, repeats := 0, 0
+		phase := func(ph int) (*sketch.Family, []prims.KV[*sketch.Sketch], error) {
+			f, run, err := sk.phase(ph)
+			if err != nil || ph < contractAfter {
+				return f, run, err
+			}
+			if ph == contractAfter {
+				comps = sk.dsu.Count() - (g.N - len(sk.vertices))
+			}
+			base := int64(ph) * int64(g.N)
+			var perVertex []prims.KV[*sketch.Sketch]
+			up := f.NewEdgeUpdater(g.N)
+			for _, r := range sk.runs {
+				perVertex = append(perVertex, vertexSketches([]*sketch.EdgeUpdater{up}, r, ph, g.N)...)
+			}
+			if err := componentSums(got, f, universe, sk.dsu, run, base); err != nil {
+				return nil, nil, err
+			}
+			if err := componentSums(want, f, universe, sk.dsu, perVertex, base); err != nil {
+				return nil, nil, err
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d K=%d: family %d's component sums differ from the per-vertex sketches'", w.seed, c.K(), ph)
+			}
+			for j := 1; j < len(run); j++ {
+				if run[j].K == run[j-1].K {
+					repeats++
+				}
+			}
+			return f, run, nil
+		}
+		phases, err := boruvka(sk.dsu, sk.phases, phase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := c.Stats().Rounds
+		t.Logf("seed %d K=%d: %d phases, %d components after %d, %d repeated share keys, %d rounds", w.seed, c.K(), phases, comps, contractAfter, repeats, rounds)
+		if phases != w.phases || comps != w.comps || sk.dsu.Count() != 1 {
+			t.Errorf("seed %d K=%d: %d phases, %d components after %d, %d at the end; want %d, %d, 1", w.seed, c.K(), phases, comps, contractAfter, sk.dsu.Count(), w.phases, w.comps)
+		}
+		if rounds-before != 3 || w.k == 0 && rounds != 8 {
+			t.Errorf("seed %d K=%d: the contraction took %d rounds of %d, want 3 (of 8 on the default cluster)", w.seed, c.K(), rounds-before, rounds)
+		}
+		if repeats == 0 {
+			t.Errorf("seed %d K=%d: no component straddles two machines", w.seed, c.K())
+		}
+	}
+
+	g := graph.Star(64)
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 5, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Connectivity(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathers := 0
+	for _, r := range tr.Rounds() {
+		switch r.Phase {
+		case "connectivity/sketch/scatter", "connectivity/sketch/route":
+			t.Errorf("the star charges a %s round", r.Phase)
+		case "connectivity/sketch/gather":
+			gathers++
+		}
+	}
+	if res.Phases > contractAfter || res.Stats.Rounds != 5 || gathers != 1 {
+		t.Errorf("the star: %d phases in %d rounds, %d gathers; want at most %d phases in 5 rounds, one gather", res.Phases, res.Stats.Rounds, gathers, contractAfter)
 	}
 }

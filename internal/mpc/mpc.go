@@ -483,6 +483,11 @@ func (c *Cluster) BusyTime(id int) float64 {
 	return c.busy[1+id]
 }
 
+// WordCost returns the per-word cost of machine id (Large or a small-machine
+// index) under the profile, 1/Speed + 1/Bandwidth: what a round charges the
+// machine for each word it moves, outside any slowdown window.
+func (c *Cluster) WordCost(id int) float64 { return c.invCost[1+id] }
+
 // BusyImbalance returns max/mean of the small machines' busy times (1 =
 // perfectly balanced). It is defined as 0 — never NaN — in the degenerate
 // cases: a cluster where no small-machine traffic has flowed yet (all busy

@@ -122,7 +122,7 @@ var ErrRepeatedKey = errors.New("prims: key gathered twice")
 // held twice is refused with ErrRepeatedKey.
 func GatherKVs[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) ([]KV[V], error) {
 	defer c.Span("gather").End()
-	all, err := gather(c, kvs, func(items []KV[V]) int {
+	all, err := Gather(c, kvs, func(items []KV[V]) int {
 		w := len(items)
 		for _, kv := range items {
 			w += words(kv.V)

@@ -67,7 +67,7 @@ func Arrange[T any](c *mpc.Cluster, data [][]T, sortKey func(T) SortKey, itemWor
 		}
 		reports[i] = rs
 	})
-	runs, err := gather(c, reports, func(rs []runRec) int { return 2 * len(rs) })
+	runs, err := Gather(c, reports, func(rs []runRec) int { return 2 * len(rs) })
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][
 			queries[r.Machine] = append(queries[r.Machine], r)
 		}
 	}
-	ins, err := scatter(c, queries, func(qs []runRec) int { return 2 * len(qs) })
+	ins, err := Scatter(c, queries, func(qs []runRec) int { return 2 * len(qs) })
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][
 			replies[i][j] = reply[T]{Key: q.Key, Items: data[:q.Count]}
 		}
 	})
-	got, err := gather(c, replies, func(rs []reply[T]) int {
+	got, err := Gather(c, replies, func(rs []reply[T]) int {
 		w := len(rs)
 		for _, r := range rs {
 			w += len(r.Items) * a.itemWords

@@ -92,7 +92,7 @@ func TestBucketBeyondKRefused(t *testing.T) {
 	}
 }
 
-// TestScatterBucketBeyondKRefused: scatter refuses a non-empty
+// TestScatterBucketBeyondKRefused: Scatter refuses a non-empty
 // bucket at index ≥ K like its siblings above — typed, naming the bucket,
 // before the round is charged (the engine's own refusal comes after).
 func TestScatterBucketBeyondKRefused(t *testing.T) {
@@ -100,12 +100,12 @@ func TestScatterBucketBeyondKRefused(t *testing.T) {
 	k := c.K()
 	items := make([][]int64, k+3)
 	items[0] = []int64{1}
-	if _, err := scatter(c, items, oneWordEach[int64]); err != nil {
+	if _, err := Scatter(c, items, oneWordEach[int64]); err != nil {
 		t.Fatalf("empty tail: %v", err)
 	}
 	before := c.Rounds()
 	items[k+1] = []int64{99}
-	_, err := scatter(c, items, oneWordEach[int64])
+	_, err := Scatter(c, items, oneWordEach[int64])
 	if !errors.Is(err, mpc.ErrUnknownSender) || !strings.Contains(err.Error(), fmt.Sprintf("scatter: %v: bucket %d ", mpc.ErrUnknownSender, k+1)) {
 		t.Errorf("stray bucket: err = %v, want ErrUnknownSender naming bucket %d", err, k+1)
 	}
@@ -260,7 +260,7 @@ func TestSortRouteAllocLinearInK(t *testing.T) {
 // allocates per machine, not per message or item, so at a fixed K its
 // allocation count barely moves when every machine holds — and requests —
 // eight times as much: Claim 4's run reports, queries and replies are one
-// array each. scatter, DisseminateFromLarge, PlanCombine and PlanBroadcast
+// array each. Scatter, DisseminateFromLarge, PlanCombine and PlanBroadcast
 // allocate per call, as Sort does
 // (TestSortRouteAllocLinearInK), so theirs also sits under an absolute
 // ceiling that one more allocation per machine would break — the answers
@@ -304,7 +304,7 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 		}
 	})
 	check("scatter", 16, func(per int) {
-		if _, err := scatter(c, inputs[per], oneWordEach[int64]); err != nil {
+		if _, err := Scatter(c, inputs[per], oneWordEach[int64]); err != nil {
 			t.Fatal(err)
 		}
 	})

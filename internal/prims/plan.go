@@ -304,7 +304,7 @@ func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]K
 		m := p.root(kv.K)
 		perMachine[m] = append(perMachine[m], kv)
 	}
-	return scatter(c, perMachine, func(kvs []KV[V]) int { return len(kvs) * (vwords + 1) })
+	return Scatter(c, perMachine, func(kvs []KV[V]) int { return len(kvs) * (vwords + 1) })
 }
 
 // broadcast delivers vals[i] — machine i's values, each at its key's root,
@@ -448,7 +448,7 @@ func PlanCombine[V any](c *mpc.Cluster, p *Plan, items [][]KV[V], vwords int, co
 	for i := 0; i < k; i++ {
 		starts[i+1] = starts[i] + min(k, len(partials[i]))
 	}
-	cutBuf, cuts := make([]cut, starts[k]), make([][]cut, k)
+	cutBuf, cuts := make([]Cut, starts[k]), make([][]Cut, k)
 	if err := c.ForSmall(func(i int) error {
 		own, cs, o := p.own[i], cutBuf[starts[i]:starts[i]:starts[i+1]], 0
 		for _, kv := range partials[i] {
@@ -461,7 +461,7 @@ func PlanCombine[V any](c *mpc.Cluster, p *Plan, items [][]KV[V], vwords int, co
 			if n := len(cs); n > 0 && cs[n-1].Bucket == own[o].M {
 				cs[n-1].Count++
 			} else {
-				cs = append(cs, cut{Bucket: own[o].M, Count: 1})
+				cs = append(cs, Cut{Bucket: own[o].M, Count: 1})
 			}
 		}
 		cuts[i] = cs
@@ -470,7 +470,7 @@ func PlanCombine[V any](c *mpc.Cluster, p *Plan, items [][]KV[V], vwords int, co
 		return nil, err
 	}
 	// One spare slot a bucket, for the span key its machine may get as root.
-	roots, err := route(c, partials, cuts, vwords+1, 1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
+	roots, err := Route(c, partials, cuts, vwords+1, 1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
 	if err != nil {
 		return nil, err
 	}

@@ -48,14 +48,16 @@
 // coordinator (toCoordinator, fromCoordinator), the coordinator reduce
 // behind SumToLarge, SumAll and MaxAll (reduce), the one-round gather to
 // and scatter from the large machine behind GatherToLarge, GatherKVs,
-// PlanBroadcast and Claim 4 (gather, scatter — round builders that open no
-// span), the bulk-item payload of gather, scatter and sort routing (chunk,
-// chunkMsg, appendChunks), and the range trees' walk behind BroadcastValue
+// PlanBroadcast, Claim 4 and connectivity's contraction (Gather, Scatter —
+// round builders that open no span), the route along cuts behind Sort,
+// PlanCombine and that contraction (Route), the bulk-item payload of
+// Gather, Scatter and Route (chunk, chunkMsg, appendChunks), and the range
+// trees' walk behind BroadcastValue
 // and PlanBroadcast (treeDown, whose heap arithmetic gives a position the
 // children b·p+1 … b·p+b, walked in place).
 //
 // A collective allocates per machine, never per message, and Sort, NewPlan,
-// PlanBroadcast, PlanCombine and scatter per call: struct payloads
+// PlanBroadcast, PlanCombine and Scatter per call: struct payloads
 // travel as pointers into one slab per sender per round — Sort's reply and
 // route rounds and the answer round carve every sender's from one array —
 // wire-native scalars by value, and PlanBroadcast's answers land in one slab
@@ -361,14 +363,14 @@ func appendChunks[T any](dst []T, inbox []mpc.Msg) ([]T, error) {
 // large machine bounds the legal volume; violations surface as ErrCapacity.
 func GatherToLarge[T any](c *mpc.Cluster, data [][]T, itemWords int) ([]T, error) {
 	defer c.Span("gather").End()
-	return gather(c, data, func(items []T) int { return len(items) * itemWords })
+	return Gather(c, data, func(items []T) int { return len(items) * itemWords })
 }
 
-// gather is the one gather round: every machine's items go to the large
+// Gather is the one gather round: every machine's items go to the large
 // machine as one chunk message charged words(its items), and arrive
 // concatenated in (machine, local index) order. It opens no span; its
 // callers do.
-func gather[T any](c *mpc.Cluster, data [][]T, words func([]T) int) ([]T, error) {
+func Gather[T any](c *mpc.Cluster, data [][]T, words func([]T) int) ([]T, error) {
 	if !c.HasLarge() {
 		return nil, fmt.Errorf("prims: gather: %w", mpc.ErrNeedsLarge)
 	}
@@ -391,11 +393,11 @@ func gather[T any](c *mpc.Cluster, data [][]T, words func([]T) int) ([]T, error)
 	return appendChunks([]T{}, inLarge)
 }
 
-// scatter is the one scatter round: the large machine sends items[i] to
+// Scatter is the one scatter round: the large machine sends items[i] to
 // machine i as one chunk message charged words(items[i]), and returns the
 // machines' inboxes, carved from one array. It opens no span; its callers
 // do.
-func scatter[T any](c *mpc.Cluster, items [][]T, words func([]T) int) ([][]T, error) {
+func Scatter[T any](c *mpc.Cluster, items [][]T, words func([]T) int) ([][]T, error) {
 	if !c.HasLarge() {
 		return nil, fmt.Errorf("prims: scatter: %w", mpc.ErrNeedsLarge)
 	}

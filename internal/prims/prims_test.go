@@ -380,7 +380,7 @@ func TestGatherScatterSum(t *testing.T) {
 		t.Fatalf("gather sum %d want %d", got, want)
 	}
 	// Scatter back.
-	back, err := scatter(c, data, oneWordEach[int64])
+	back, err := Scatter(c, data, oneWordEach[int64])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 // machine i's.
 type layout struct {
 	sp    []SortKey
-	cuts  [][]cut
+	cuts  [][]Cut
 	spans []span
 }
 
@@ -131,10 +131,10 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	for i := 0; i < k; i++ {
 		starts[i+1] = starts[i] + min(k, len(data[i]))
 	}
-	cutBuf := make([]cut, starts[k])
+	cutBuf := make([]Cut, starts[k])
 
 	// Steps 2–3: sample, pick the splitters, reply.
-	lay := layout{cuts: make([][]cut, k)}
+	lay := layout{cuts: make([][]Cut, k)}
 	var samples []sample
 	var err error
 	if lay.sp, samples, err = sortSplitters(c, data, key, align); err != nil {
@@ -161,7 +161,7 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 			}
 		}
 	})
-	result, err := route(c, data, lay.cuts, itemWords, 0, key)
+	result, err := Route(c, data, lay.cuts, itemWords, 0, key)
 	if err != nil {
 		return nil, layout{}, err
 	}
@@ -170,14 +170,14 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	return result, lay, nil
 }
 
-// route is Sort's step 4, the one round that moves items along cuts: every
+// Route is Sort's step 4, the one round that moves items along cuts: every
 // machine sends its locally sorted run data[i] to the buckets cuts[i] names,
 // one chunk a cut, and each bucket comes back re-sorted. The round's
 // messages, their chunk payloads and the buckets are one array each: the
 // receive side counts each inbox (the checked pass — a foreign payload is an
 // error before anything is copied), carves the buckets cap-clamped with spare
 // free slots past each, then copies and re-sorts each in place.
-func route[T any](c *mpc.Cluster, data [][]T, cuts [][]cut, itemWords, spare int, key func(T) SortKey) ([][]T, error) {
+func Route[T any](c *mpc.Cluster, data [][]T, cuts [][]Cut, itemWords, spare int, key func(T) SortKey) ([][]T, error) {
 	k := c.K()
 	starts := make([]int, k+1) // machine i's share of an array sits at [starts[i], starts[i+1])
 	for i := 0; i < k; i++ {
@@ -374,9 +374,9 @@ func pickSplitters(c *mpc.Cluster, m sampleMerge, align int) []SortKey {
 	return splitters
 }
 
-// cut is one step of a machine's route: the next Count items of its locally
+// Cut is one step of a machine's route: the next Count items of its locally
 // sorted run go to machine Bucket.
-type cut struct{ Bucket, Count int32 }
+type Cut struct{ Bucket, Count int32 }
 
 const (
 	cutWords  = 2
@@ -387,14 +387,14 @@ const (
 // the shorter of two forms that decode to the same cuts: cutWords a cut, or
 // one bucket id per item (the run's cuts are the id column's runs). The form
 // rides in the reply's header word.
-func runCutWords(cuts []cut, items int) int { return min(cutWords*len(cuts), items) }
+func runCutWords(cuts []Cut, items int) int { return min(cutWords*len(cuts), items) }
 
 // sortReply is the coordinator's answer to one machine's sample: the cuts of
 // the machine's run or, for a machine that holds more than it sampled, the
 // splitter list to derive them from. The list is never nil (sortSplitters
 // makes it), so a nil List says the reply is cuts.
 type sortReply struct {
-	Cuts []cut
+	Cuts []Cut
 	List []SortKey
 }
 
@@ -413,7 +413,7 @@ type sortReply struct {
 // through relays (sendReplies). If they do not fit, the list is broadcast
 // to everyone — K copies of it fit still less, so down the tree — and every
 // reply is the list.
-func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []cut, starts []int, spans []span) ([]sortReply, error) {
+func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []Cut, starts []int, spans []span) ([]sortReply, error) {
 	k := c.K()
 	replies := make([]sortReply, k)
 	msgs := make([]mpc.Msg, 0, k)
@@ -521,9 +521,9 @@ func sendReplies(c *mpc.Cluster, msgs []mpc.Msg, replies []sortReply, listMsg in
 // splitter list sp: one per non-empty bucket, in bucket order (walkBuckets).
 // A machine that was sent the list calls it over its items, the coordinator
 // over a sample that is a machine's whole run.
-func runCuts[T any](dst []cut, run []T, sp []SortKey, nb int, key func(T) SortKey) []cut {
+func runCuts[T any](dst []Cut, run []T, sp []SortKey, nb int, key func(T) SortKey) []Cut {
 	walkBuckets(run, sp, nb, key, func(j int, r []T) {
-		dst = append(dst, cut{Bucket: int32(j), Count: int32(len(r))})
+		dst = append(dst, Cut{Bucket: int32(j), Count: int32(len(r))})
 	})
 	return dst
 }

@@ -58,7 +58,7 @@ func decodeKeys(words []int64, count func(head int64) int) (int64, []SortKey) {
 // encodeRunCuts writes the cuts of a whole run of items in the shorter of
 // two forms, named by the header word: 0 then (bucket, count) pairs, or 1
 // then one bucket id per item.
-func encodeRunCuts(cuts []cut, items int) []int64 {
+func encodeRunCuts(cuts []Cut, items int) []int64 {
 	if cutWords*len(cuts) <= items {
 		out := []int64{0}
 		for _, ct := range cuts {
@@ -77,11 +77,11 @@ func encodeRunCuts(cuts []cut, items int) []int64 {
 
 // decodeRunCuts reverses encodeRunCuts: the id form's cuts are the id
 // column's runs.
-func decodeRunCuts(words []int64) []cut {
-	var cuts []cut
+func decodeRunCuts(words []int64) []Cut {
+	var cuts []Cut
 	if words[0] == 0 {
 		for p := 1; p < len(words); p += 2 {
-			cuts = append(cuts, cut{Bucket: int32(words[p]), Count: int32(words[p+1])})
+			cuts = append(cuts, Cut{Bucket: int32(words[p]), Count: int32(words[p+1])})
 		}
 		return cuts
 	}
@@ -89,7 +89,7 @@ func decodeRunCuts(words []int64) []cut {
 		if len(cuts) > 0 && cuts[len(cuts)-1].Bucket == int32(b) {
 			cuts[len(cuts)-1].Count++
 		} else {
-			cuts = append(cuts, cut{Bucket: int32(b), Count: 1})
+			cuts = append(cuts, Cut{Bucket: int32(b), Count: 1})
 		}
 	}
 	return cuts
@@ -112,7 +112,7 @@ func checkKeyRun(t *testing.T, head int64, keys []SortKey, count func(int64) int
 
 // checkRunCuts round-trips the cuts of a whole run and checks that the
 // encoding is the words runCutWords charges, plus the header.
-func checkRunCuts(t *testing.T, cuts []cut, items int) int {
+func checkRunCuts(t *testing.T, cuts []Cut, items int) int {
 	t.Helper()
 	enc := encodeRunCuts(cuts, items)
 	if got := decodeRunCuts(enc); !slices.Equal(got, cuts) {

@@ -403,3 +403,57 @@ func TestVertexSketchesPanicsOnUnsortedRun(t *testing.T) {
 	up := NewFamilyLevels(5, 1).NewEdgeUpdater(8)
 	VertexSketches([]*EdgeUpdater{up}, []Incidence{{V: 3, U: 1}, {V: 1, U: 3}})
 }
+
+// TestGroupSketchesSumTheirVertices pins the contracted build: incidences
+// FiledUnder a representative of their vertex's group and sorted by Group
+// build one sketch per group, the sum of its vertices' sketches cell for
+// cell — the edges inside a group cancel — stored up to its highest nonzero
+// level.
+func TestGroupSketchesSumTheirVertices(t *testing.T) {
+	const n = 64
+	universe := int64(n) * int64(n)
+	for seed := uint64(1); seed <= 8; seed++ {
+		up := NewFamilyLevels(prefixLevelCounts[seed%4], seed).NewEdgeUpdater(n)
+		edges, _ := machineEdges(n, 200, seed)
+		rep := make([]int, n) // groups of consecutive vertices, each filed under its smallest
+		for v := range rep {
+			rep[v] = v - v%int(seed+1)
+		}
+		var filed []Incidence
+		for _, in := range sortedRun(edges) {
+			filed = append(filed, in.FiledUnder(rep[in.V]))
+		}
+		slices.SortStableFunc(filed, func(a, b Incidence) int { return cmp.Compare(a.Group(), b.Group()) })
+		want := make([]*Sketch, n)
+		for _, e := range edges {
+			for _, v := range []int{e.U, e.V} {
+				if want[rep[v]] == nil {
+					want[rep[v]] = up.f.NewSketch(universe)
+				}
+			}
+			up.AddEdgeBoth(want[rep[e.U]], want[rep[e.V]], e)
+		}
+		got := VertexSketches([]*EdgeUpdater{up}, filed)
+		j := 0
+		for i, in := range filed {
+			if i > 0 && in.Group() == filed[i-1].Group() {
+				continue
+			}
+			s, w := &got[j], want[in.Group()]
+			j++
+			if d := s.Depth(); d > 0 && s.levels[d-1] == (oneSparse{}) {
+				t.Fatalf("seed %d group %d: stores a zero top level", seed, in.Group())
+			}
+			sum := up.f.NewSketch(universe)
+			if err := sum.Merge(s); err != nil {
+				t.Fatal(err)
+			}
+			if !equalLevels(sum.levels, w.levels) {
+				t.Fatalf("seed %d group %d: the group's sketch differs from its vertices' sum", seed, in.Group())
+			}
+		}
+		if j != len(got) {
+			t.Fatalf("seed %d: %d sketches for %d groups", seed, len(got), j)
+		}
+	}
+}

@@ -8,7 +8,8 @@
 // added together (Property 1 in the paper): the sketch of a vertex is the
 // sum of the sketches of any partition of its edges, and the sum over a
 // vertex set samples an edge leaving it. The small machines build each
-// vertex's sketch where its incidences meet (VertexSketches).
+// vertex's sketch, or each component's, where its incidences meet
+// (VertexSketches).
 //
 // The vector being sketched is the signed vertex-incidence vector a_v over
 // the edge universe {(i,j) : i < j}: a_v[(i,j)] = +1 if v == i and the edge
@@ -276,21 +277,45 @@ func (up *EdgeUpdater) AddEdgeBoth(su, sv *Sketch, e graph.Edge) {
 }
 
 // An Incidence is one endpoint's half of an edge: vertex V meets neighbour
-// U ≠ V. It carries edge {V, U}'s update to V's sketch — +1 if V is the
-// smaller endpoint, -1 if the larger — in two words, where a sketch is
-// Sketch.Words.
-type Incidence struct{ V, U int }
+// U ≠ V. It carries edge {V, U}'s update — +1 if V is the smaller endpoint,
+// -1 if the larger — to the sketch of its group (Group): V's own, in two
+// words, where a sketch is Sketch.Words, or, once FiledUnder a
+// representative of V's component, the component's, in three. The
+// component's sketch is the sum of its members' (Property 1), as the edges
+// inside it cancel.
+type Incidence struct {
+	V, U int
+	rep  int // 1 + the representative the incidence is filed under; 0 files it under V
+}
 
-// VertexSketches builds the sketches of the vertices of one run of
-// incidences sorted by vertex, holding every incidence of each of its
-// vertices: for each vertex and each updater (one per family — per Borůvka
-// phase), the sketch of the vertex's incidence vector. Sketch j·len(ups)+t
-// is updater t's sketch of the run's j-th distinct vertex. Bit for bit the
-// sketches are what AddEdgeBoth over the vertex's edges leaves in
-// Family.NewSketch ones, at exactly their depth: every update is prepared
-// once, a sketch's depth is the deepest of its updates, and headers and
-// cells are carved to fit before the updates are applied — two slices and
-// two scratch slices per run whatever it holds, and no cell that stays zero.
+// FiledUnder returns the incidence filed under rep, a representative of V's
+// component: it then updates the component's sketch.
+func (in Incidence) FiledUnder(rep int) Incidence {
+	in.rep = rep + 1
+	return in
+}
+
+// Group is the sketch the incidence updates: V's, or its component
+// representative's once FiledUnder one.
+func (in Incidence) Group() int {
+	if in.rep == 0 {
+		return in.V
+	}
+	return in.rep - 1
+}
+
+// VertexSketches builds the sketches of the groups of one run of incidences
+// sorted by group, holding every incidence of each of its groups: for each
+// group and each updater (one per family — per Borůvka phase), the sketch of
+// the group's incidence vector. Sketch j·len(ups)+t is updater t's sketch of
+// the run's j-th distinct group. Bit for bit the sketches are what
+// AddEdgeBoth over the group's edges leaves in Family.NewSketch ones: every
+// update is prepared once, a sketch is carved at the deepest of its updates,
+// headers and cells are carved to fit before the updates are applied — two
+// slices and two scratch slices per run whatever it holds — and a sketch
+// then stores up to its highest nonzero level, which for a vertex is its
+// deepest update's. A group's sketch is the sum of its vertices' (the cell
+// adds are canonical), whichever order its incidences come in.
 func VertexSketches(ups []*EdgeUpdater, run []Incidence) []Sketch {
 	phases := len(ups)
 	if len(run) == 0 || phases == 0 {
@@ -301,13 +326,14 @@ func VertexSketches(ups []*EdgeUpdater, run []Incidence) []Sketch {
 		depth, k int32 // k: the index of the sketch the update goes to
 	}
 	prep := make([]prepared, len(run)*phases)
-	depths := make([]int32, len(run)*phases) // the first d·phases, for d distinct vertices
+	depths := make([]int32, len(run)*phases) // the first d·phases, for d distinct groups
 	d := 0
 	for i, in := range run {
-		if i > 0 && in.V < run[i-1].V {
-			panic("sketch: incidence run not sorted by vertex") // programming error, not data error
+		g := in.Group()
+		if i > 0 && g < run[i-1].Group() {
+			panic("sketch: incidence run not sorted by group") // programming error, not data error
 		}
-		if i == 0 || in.V != run[i-1].V {
+		if i == 0 || g != run[i-1].Group() {
 			d++
 		}
 		e := graph.NewEdge(in.V, in.U, 1)
@@ -330,7 +356,21 @@ func VertexSketches(ups []*EdgeUpdater, run []Incidence) []Sketch {
 			addLevels(sks[p.k].levels, idx, val, p.rPow, int(p.depth))
 		}
 	}
+	for k := range sks {
+		sks[k].trim()
+	}
 	return sks
+}
+
+// trim drops the zero levels at the top of the stored prefix, where the
+// updates that reached them cancelled: the levels above the prefix are zero
+// by representation, so every reader sees the same cells.
+func (s *Sketch) trim() {
+	d := len(s.levels)
+	for d > 0 && s.levels[d-1] == (oneSparse{}) {
+		d--
+	}
+	s.levels = s.levels[:d]
 }
 
 // Clone returns a deep copy of the sketch.

@@ -76,7 +76,12 @@ func commOf(s hetmpc.ClusterStats) comm {
 // ⌈log2 n⌉ = 9 of the 18 families, of which Borůvka reads 8 at this seed
 // (DESIGN.md §3.4): the same 5 rounds and messages, words
 // 218,385 → 125,718, max-recv (the gather) 184,707 → 92,040, max-send
-// untouched.
+// untouched. Connectivity's was re-captured once more when it began
+// shipping the first 3 families per vertex and, once Borůvka read a fourth,
+// contracting the components they left and shipping the other 15 once per
+// component share (DESIGN.md §3.4): rounds 5 → 8 (a scatter, a route and a
+// second gather), messages 8,064 → 8,725, words 125,718 → 112,514, max-recv
+// (the first gather) 92,040 → 31,220, max-send untouched.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -100,7 +105,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("components %d, want 1", r.Components)
 			}
 			return err
-		}, comm{5, 8064, 125718, 8374, 92040}},
+		}, comm{8, 8725, 112514, 8374, 31220}},
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
@@ -171,7 +176,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Fatalf("zero fault plan not bit-identical to nil:\n zero: %+v\n  nil: %+v",
 					cZero.Stats(), cNil.Stats())
 			}
-			// Interval 4: the shortest golden, connectivity, is 5 rounds.
+			// Interval 4: the shortest golden, connectivity, is 8 rounds.
 			cfg.Faults = &hetmpc.FaultPlan{Interval: 4, CrashRate: 0.002}
 			cFault, err := hetmpc.NewCluster(cfg)
 			if err != nil {
