@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/labeling"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/trace"
 	"hetmpc/internal/unionfind"
 	"hetmpc/internal/xrand"
 )
@@ -361,5 +365,51 @@ func TestKKTDisseminatesForestLabels(t *testing.T) {
 	res := checkMSTRun(t, graph.ConnectedGNM(512, 4096, 7, true), 7)
 	if res.SampleTries == 0 {
 		t.Fatal("the sampling step did not run")
+	}
+}
+
+// TestMSTHubFallsBackUnderTightCaps: a hub adjacent to every vertex has a
+// directed run of about 5·n words, more than a small machine holds at
+// CSmall = 1, LogExpSmall = 2 (2,262 words at n = 512). The contraction's
+// grouped Arrange cannot cut its buckets at group boundaries, so it samples
+// full keys in one more round (DESIGN.md §1), and the forest is the one
+// the run at these caps returned before Arrange grouped its Sort: 40 rounds
+// then, 41 now, output hash pinned.
+func TestMSTHubFallsBackUnderTightCaps(t *testing.T) {
+	g := graph.ConnectedGNM(512, 2048, 5, true)
+	seen := map[int64]bool{}
+	for _, e := range g.Edges {
+		seen[e.Key(g.N)] = true
+	}
+	rng := xrand.New(9)
+	for v := 1; v < g.N; v++ {
+		if e := graph.NewEdge(0, v, 1+rng.Int64N(1<<20)); !seen[e.Key(g.N)] {
+			g.Edges = append(g.Edges, e)
+		}
+	}
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 7, CSmall: 1, LogExpSmall: 2, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MST(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.CheckMST(g, res.Edges); err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for _, r := range tr.Rounds() {
+		if strings.HasSuffix(r.Phase, "arrange/sort/full") {
+			full++
+		}
+	}
+	h := fnv.New64a()
+	for _, e := range res.Edges {
+		fmt.Fprintf(h, "%d %d %d;", e.U, e.V, e.W)
+	}
+	if full != 1 || c.Rounds() != 41 || h.Sum64() != 0xebf5db34db65b254 {
+		t.Fatalf("%d fallback rounds, %d rounds, forest hash %#x: want 1, 41 and 0xebf5db34db65b254", full, c.Rounds(), h.Sum64())
 	}
 }

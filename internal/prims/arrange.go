@@ -32,14 +32,16 @@ type runRec struct {
 
 // Arrange sorts the items by sortKey — whose leading component .A is the
 // grouping key — and builds the run index on the large machine. Requires a
-// large machine. Rounds: one Sort plus one gather of the runs.
+// large machine. Rounds: one grouped Sort, which cuts its buckets between
+// groups (one round more when a group might not fit its bucket), plus one
+// gather of the runs.
 func Arrange[T any](c *mpc.Cluster, data [][]T, sortKey func(T) SortKey, itemWords int) (*Arranged[T], error) {
 	if !c.HasLarge() {
 		return nil, fmt.Errorf("prims: Arrange: %w", mpc.ErrNeedsLarge)
 	}
 	defer c.Span("arrange").End()
 	key := func(it T) int64 { return sortKey(it).A }
-	sorted, err := Sort(c, data, itemWords, sortKey)
+	sorted, _, err := sortSplit(c, data, itemWords, sortKey, split{grouped: true})
 	if err != nil {
 		return nil, err
 	}

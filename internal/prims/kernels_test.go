@@ -578,7 +578,7 @@ func TestSortKernelEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp, _, err := sortSplitters(twin, sorted, key, 0)
+			sp, _, err := sortSplitters(twin, sorted, key, split{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,7 +92,7 @@ func NewPlan(c *mpc.Cluster, needs [][]int64, vwords int) (*Plan, error) {
 		}
 		items[i] = its
 	})
-	sorted, lay, err := sortSplit(c, items, sortKeyWords, requestKey, branching(c, vwords+1), true)
+	sorted, lay, err := sortSplit(c, items, sortKeyWords, requestKey, split{align: branching(c, vwords+1), spans: true})
 	if err != nil {
 		return nil, err
 	}

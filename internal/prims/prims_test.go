@@ -6,10 +6,12 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/trace"
 	"hetmpc/internal/xrand"
 )
 
@@ -622,43 +624,61 @@ func TestArrangeAndCollectBudget(t *testing.T) {
 	}
 }
 
-// TestArrangeKeysAscendUnsorted: Arrange does not sort the key list it
-// builds. The run reports arrive in machine order over globally sorted data,
-// so a key is first seen in ascending order even when its run straddles
-// machines and empty machines (which report nothing) sit inside it.
-func TestArrangeKeysAscendUnsorted(t *testing.T) {
-	c := newCluster(t, 256, 2048, false)
-	k := c.K()
-	type item struct{ Key, Seq int64 }
-	data := make([][]item, k)
-	count := map[int64]int{}
-	add := func(i int, it item) {
+// arrangeLumps is the input of the two tests below, on 256 vertices and
+// 2,048 edges (K = 128): every third machine is empty; five spread groups of
+// about 800 items each have distinct sort keys, negative group keys
+// included; and one lump of about 500 items sits under a single sort key
+// (500, 0). Every machine's run is whole (wholeRun). count is each group's
+// size.
+func arrangeLumps() (data [][]lumpItem, count map[int64]int) {
+	const k = 128
+	data, count = make([][]lumpItem, k), map[int64]int{}
+	add := func(i int, it lumpItem) {
 		data[i] = append(data[i], it)
 		count[it.Key]++
 	}
 	for j := 0; j < 6000; j++ {
 		i := j % k
 		if i%3 == 0 {
-			continue // every third input machine is empty
+			continue
 		}
-		// Five spread keys, negative ones included: distinct sort keys, so
-		// the splitters cut inside each run.
-		add(i, item{Key: int64(j%5)*1000 - 2000, Seq: int64(j)})
-		// One lump: 2,000 items under a single sort key. They land in one
-		// bucket, and the buckets of the duplicate splitters after it are
-		// empty.
-		if j%2 == 0 {
-			add(i, item{Key: 500})
+		add(i, lumpItem{Key: int64(j%5)*1000 - 2000, Seq: int64(j)})
+		if j%8 == 0 {
+			add(i, lumpItem{Key: 500})
 		}
 	}
-	arr, err := Arrange(c, data, func(it item) SortKey { return SortKey{A: it.Key, B: it.Seq} }, 2)
+	return data, count
+}
+
+type lumpItem struct{ Key, Seq int64 }
+
+// arrangeTraced arranges arrangeLumps at 2 words an item on a traced
+// cluster built from cfg and checks the run index: Keys ascend (Arrange
+// does not sort them: the run reports arrive in machine order over globally
+// sorted data, so a key is first seen in ascending order even when its run
+// straddles machines and empty machines, which report nothing, sit inside
+// it), every run's parts are in machine order, and every degree is the
+// group's size. It returns the cluster, the rounds, the keys whose run
+// straddles machines, and the empty sorted machines.
+func arrangeTraced(t *testing.T, cfg mpc.Config) (c *mpc.Cluster, rounds []trace.Round, straddles, empties int) {
+	t.Helper()
+	tr := trace.New()
+	cfg.Trace = tr
+	c, err := mpc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, count := arrangeLumps()
+	if c.K() != len(data) {
+		t.Fatalf("K = %d, the input is laid out for %d", c.K(), len(data))
+	}
+	arr, err := Arrange(c, data, func(it lumpItem) SortKey { return SortKey{A: it.Key, B: it.Seq} }, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(arr.Keys) != len(count) {
 		t.Fatalf("Keys = %v, want the %d distinct keys", arr.Keys, len(count))
 	}
-	straddles, empties := 0, 0
 	for i := range arr.Data {
 		if len(arr.Data[i]) == 0 {
 			empties++
@@ -681,8 +701,63 @@ func TestArrangeKeysAscendUnsorted(t *testing.T) {
 			t.Fatalf("key %d: run index counts %d items, input holds %d", key, arr.Degree(j), count[key])
 		}
 	}
+	return c, tr.Rounds(), straddles, empties
+}
+
+// fullRounds counts the rounds of a grouped Sort's full-key fallback.
+func fullRounds(rounds []trace.Round) int {
+	n := 0
+	for _, r := range rounds {
+		if strings.HasSuffix(r.Phase, "sort/full") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestArrangeKeysAscendUnsorted runs Arrange where a group cannot fit its
+// bucket: at CSmall = 1, LogExpSmall = 2 a small machine holds 1,296 words,
+// and a spread group's 1,600 do not fit. The grouped Sort falls back to
+// full keys in one more round; then the splitters cut inside the spread
+// groups, so their runs straddle machines, and the lump's duplicate
+// splitters leave the buckets after it empty.
+func TestArrangeKeysAscendUnsorted(t *testing.T) {
+	cfg := mpc.Config{N: 256, M: 2048, Seed: 42, CSmall: 1, LogExpSmall: 2}
+	c, rounds, straddles, empties := arrangeTraced(t, cfg)
 	if straddles == 0 || empties == 0 {
 		t.Fatalf("%d keys straddle machines and %d sorted machines are empty: the input exercises neither", straddles, empties)
+	}
+	if got := fullRounds(rounds); got != 1 {
+		t.Fatalf("%d rounds under sort/full, want the fallback's one", got)
+	}
+	twin, _, _, _ := arrangeTraced(t, mpc.Config{N: 256, M: 2048, Seed: 42})
+	if c.Rounds() != twin.Rounds()+1 {
+		t.Fatalf("Arrange took %d rounds under tight caps, %d under the default: want the fallback's one more", c.Rounds(), twin.Rounds())
+	}
+}
+
+// TestArrangeGroupsFit is its twin at the default caps, where every group
+// fits its bucket: no round falls back, no key's run straddles machines, and
+// the sample carries the grouping column only — a machine's whole run of n
+// keys costs n + 2 words plus its header, an empty one the header.
+func TestArrangeGroupsFit(t *testing.T) {
+	_, rounds, straddles, _ := arrangeTraced(t, mpc.Config{N: 256, M: 2048, Seed: 42})
+	if got := fullRounds(rounds); got != 0 {
+		t.Fatalf("%d rounds under sort/full, want none", got)
+	}
+	if straddles != 0 {
+		t.Fatalf("%d keys straddle machines, want none", straddles)
+	}
+	data, _ := arrangeLumps()
+	want := int64(0)
+	for _, run := range data {
+		if len(run) > 0 {
+			want += int64(len(run)) + 2
+		}
+		want++
+	}
+	if rounds[0].Phase != "arrange/sort" || rounds[0].Words != want {
+		t.Fatalf("the first round is %q with %d words, want the arrange/sort sample with %d", rounds[0].Phase, rounds[0].Words, want)
 	}
 }
 

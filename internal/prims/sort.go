@@ -39,6 +39,9 @@ func (k SortKey) Compare(o SortKey) int {
 
 const sortKeyWords = 3
 
+// identKey keys a sort key by itself, as the coordinator walks samples.
+func identKey(k SortKey) SortKey { return k }
+
 // keyWords is what a run of sort keys costs on the wire, sent as its three
 // columns: a component that is constant over the run is sent once, any other
 // once per key. Which columns are constant rides in the message's header
@@ -84,8 +87,19 @@ func keyWords(keys []SortKey) int {
 //
 // itemWords is the accounted size of one item.
 func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, error) {
-	sorted, _, err := sortSplit(c, data, itemWords, key, 0, false)
+	sorted, _, err := sortSplit(c, data, itemWords, key, split{})
 	return sorted, err
+}
+
+// split is how a sortSplit picks its buckets beyond Sort's: align > 0 cuts
+// the splitters at the boundaries of every key with at most align items
+// (pickSplitters), spans tells every machine the spans it sits in, and
+// grouped cuts them at every boundary of the A column — the groups — and
+// samples that column only (Arrange's mode, DESIGN.md §1).
+type split struct {
+	align   int
+	spans   bool
+	grouped bool
 }
 
 // layout is what a Sort leaves behind besides the buckets: the coordinator's
@@ -98,13 +112,14 @@ type layout struct {
 	spans []span
 }
 
-// sortSplit is Sort that also returns its layout and, with wantSpans, tells
+// sortSplit is Sort that also returns its layout and, with how.spans, tells
 // every machine the spans it sits in: bucket j holds exactly the keys in
 // [sp[j-1], sp[j]) (the splitter list sp clipped to K-1, as walkBuckets clips
 // it), so which keys can straddle which machines is a function of the list
-// alone (splitterSpans). With align > 0 the splitters are cut at the key
-// boundaries of every key with at most align items (pickSplitters).
-func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, align int, wantSpans bool) ([][]T, layout, error) {
+// alone (splitterSpans). A grouped Sort whose group-aligned buckets might not
+// fit their receivers (groupsFit) samples again with full keys, one more
+// round under "full", and splits by them.
+func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, how split) ([][]T, layout, error) {
 	defer c.Span("sort").End()
 	k := c.K()
 	if err := checkBuckets(c, "Sort", data); err != nil {
@@ -137,10 +152,18 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	lay := layout{cuts: make([][]Cut, k)}
 	var samples []sample
 	var err error
-	if lay.sp, samples, err = sortSplitters(c, data, key, align); err != nil {
+	if lay.sp, samples, err = sortSplitters(c, data, key, how); err != nil {
 		return nil, layout{}, err
 	}
-	if wantSpans {
+	if how.grouped && !groupsFit(c, lay.sp, samples, itemWords) {
+		full := c.Span("full")
+		lay.sp, samples, err = sortSplitters(c, data, key, split{align: how.align})
+		full.End()
+		if err != nil {
+			return nil, layout{}, err
+		}
+	}
+	if how.spans {
 		lay.spans = make([]span, 2*k)
 	}
 	replies, err := sortReplies(c, lay.sp, samples, cutBuf, starts, lay.spans)
@@ -155,7 +178,7 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 		lay.cuts[i] = replies[i].Cuts
 		if list := replies[i].List; list != nil {
 			lay.cuts[i] = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], data[i], list, k, key)
-			if wantSpans {
+			if how.spans {
 				si := splitterSpans(list, k, i)
 				copy(lay.spans[2*i:], si[:])
 			}
@@ -220,9 +243,12 @@ func Route[T any](c *mpc.Cluster, data [][]T, cuts [][]Cut, itemWords, spare int
 // sortSplitters is step 2 of Sort over locally sorted data and the
 // coordinator's half of step 3: every machine sends a weighted key sample to
 // the coordinator, which picks the K-1 placement-weighted splitters
-// (pickSplitters, aligned at key boundaries under align). It returns the
-// coordinator's list and the samples it was sent, by machine.
-func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, align int) ([]SortKey, []sample, error) {
+// (pickSplitters, aligned at key boundaries under how.align). A sampled key
+// is the middle of the block of items it stands for. A grouped sample keeps
+// each key's A column only, as (A, MinInt64, MinInt64) — the least key of
+// its group — so every splitter picked from it is a group's least key. It
+// returns the coordinator's list and the samples it was sent, by machine.
+func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, how split) ([]SortKey, []sample, error) {
 	k := c.K()
 	// Step 2: weighted key samples to the coordinator (sample extraction is
 	// local computation, parallel over the small-machine axis).
@@ -243,7 +269,10 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, align
 	c.Each(func(i int) {
 		keys, n := slab[i].Keys, len(data[i])
 		for j := range keys {
-			keys[j] = key(data[i][j*n/len(keys)])
+			keys[j] = key(data[i][(2*j+1)*n/(2*len(keys))])
+			if how.grouped {
+				keys[j].B, keys[j].C = math.MinInt64, math.MinInt64
+			}
 		}
 		outs[i][0] = mpc.Msg{To: coordinator(c), Words: keyWords(keys) + 1, Data: &slab[i]}
 	})
@@ -257,7 +286,32 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, align
 	if err != nil {
 		return nil, nil, err
 	}
-	return pickSplitters(c, samples, align), slab, nil
+	return pickSplitters(c, samples, how.align), slab, nil
+}
+
+// groupsFit is the coordinator's load check on group-aligned splitters sp:
+// whether every bucket's load bound, in items of itemWords words, fits its
+// receiver's capacity in the route round. A whole sample counts its keys in
+// the bucket exactly. A machine that sampled q of its n items holds at most
+// ⌈n/q⌉ items between two of its sampled keys, so at most (s+1)·⌈n/q⌉ in a
+// bucket where s of its sampled keys fall.
+func groupsFit(c *mpc.Cluster, sp []SortKey, samples []sample, itemWords int) bool {
+	k := c.K()
+	load, base := make([]int, k), 0 // bucket j's bound is base + load[j]
+	for i := range samples {
+		s, w := &samples[i], 1
+		if !s.whole() {
+			w = (s.Count + len(s.Keys) - 1) / len(s.Keys)
+			base += w
+		}
+		walkBuckets(s.Keys, sp, k, identKey, func(j int, r []SortKey) { load[j] += w * len(r) })
+	}
+	for j, l := range load {
+		if (base+l)*itemWords > c.SmallCapOf(j) {
+			return false
+		}
+	}
+	return true
 }
 
 // wholeRun is step 2's rule (DESIGN.md §1): whether a machine that holds n
@@ -421,7 +475,7 @@ func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []Cut, s
 	for i := range replies {
 		r, words := &replies[i], 1
 		if samples[i].whole() {
-			r.Cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], samples[i].Keys, sp, k, func(s SortKey) SortKey { return s })
+			r.Cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], samples[i].Keys, sp, k, identKey)
 			words += runCutWords(r.Cuts, len(samples[i].Keys))
 			if spans != nil {
 				for s, si := range splitterSpans(sp, k, i) {

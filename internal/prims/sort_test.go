@@ -14,8 +14,6 @@ import (
 	"hetmpc/internal/trace"
 )
 
-func identKey(k SortKey) SortKey { return k }
-
 // sortRounds runs one Sort of single-word items on a traced cluster built
 // from cfg and returns the cluster and the trace records of its rounds.
 func sortRounds(t *testing.T, cfg mpc.Config, data [][]SortKey) (*mpc.Cluster, []trace.Round) {
@@ -73,7 +71,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 			runs[i] = slices.Clone(data[i])
 			slices.SortFunc(runs[i], SortKey.Compare)
 		}
-		sp, _, err := sortSplitters(twin, runs, identKey, 0)
+		sp, _, err := sortSplitters(twin, runs, identKey, split{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +305,7 @@ func TestSortRelaysTheList(t *testing.T) {
 			runs[i] = slices.Clone(data[i])
 			slices.SortFunc(runs[i], SortKey.Compare)
 		}
-		sp, _, err := sortSplitters(twin, runs, identKey, 0)
+		sp, _, err := sortSplitters(twin, runs, identKey, split{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,5 +405,43 @@ func TestSortRelayCrash(t *testing.T) {
 	}
 	if st.Crashes < 1 || st.RecoveryRounds == 0 {
 		t.Fatalf("the relay's crash was not recovered: %+v", st)
+	}
+}
+
+// TestSortSampledBucketsBalanced: a machine that samples q of its n items
+// takes each block's middle key (DESIGN.md §1), so a splitter the weighted
+// walk takes splits its block evenly. At K = 512 with 1,024 uniform keys a
+// machine and q = 64, taking each block's first key — which the walk
+// counted as the whole block after it — left the largest bucket 5,817
+// items against the target of 1,024; the middles leave it under 3×.
+func TestSortSampledBucketsBalanced(t *testing.T) {
+	const k, per = 512, 1024
+	cfg := mpc.Config{N: 4096, M: 8 * 4096, K: k, Seed: 7}
+	c, err := mpc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole, q := wholeRun(c, per); whole || q != 64 {
+		t.Fatalf("wholeRun(%d) = %v, q = %d: want a sample of 64 keys", per, whole, q)
+	}
+	rng := rand.New(rand.NewPCG(7, 512))
+	data := make([][]SortKey, k)
+	for i := range data {
+		data[i] = make([]SortKey, per)
+		for j := range data[i] {
+			data[i][j] = SortKey{A: rng.Int64()}
+		}
+	}
+	sorted, err := Sort(c, data, 1, identKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for i := range sorted {
+		largest = max(largest, len(sorted[i]))
+	}
+	t.Logf("largest bucket: %d items, target %d", largest, per)
+	if largest > 3*per {
+		t.Errorf("largest bucket holds %d items, want at most 3 × %d", largest, per)
 	}
 }

@@ -1,6 +1,7 @@
 package prims
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -151,6 +152,8 @@ func TestSortMessageWords(t *testing.T) {
 		{"empty sample", 0, nil, 1},
 		// A machine past the whole-run bound (wholeRun) sends q keys and its count.
 		{"over q", 300, run(q, func(j int) SortKey { return SortKey{A: int64(j), B: 1, C: 4} }), q + 2 + 1},
+		// Arrange's grouped sample: each key is its group's least.
+		{"grouped", 45, run(45, func(j int) SortKey { return groupKey(SortKey{A: int64(j / 3), B: int64(j), C: -1}) }), 45 + 2 + 1},
 	} {
 		if got := checkKeyRun(t, tc.count, tc.keys, sampleCount); got != tc.want {
 			t.Errorf("%s sample: %d words, want %d", tc.name, got, tc.want)
@@ -162,6 +165,11 @@ func TestSortMessageWords(t *testing.T) {
 
 	// Whole runs of 45 items against K = 182 buckets.
 	const items, k = 45, 182
+	// A group-aligned list of its K-1 splitters is K + 1 words and the header.
+	aligned := run(k-1, func(j int) SortKey { return groupKey(SortKey{A: int64(7 * j)}) })
+	if got := checkKeyRun(t, int64(len(aligned)), aligned, listCount); got != k+1+1 {
+		t.Errorf("group-aligned list: %d words, want %d", got, k+1+1)
+	}
 	sp := make([]SortKey, k-1)
 	for j := range sp {
 		sp[j] = SortKey{A: int64(10 * (j + 1))}
@@ -185,16 +193,24 @@ func TestSortMessageWords(t *testing.T) {
 	checkRunCuts(t, nil, 0)
 }
 
+// groupKey is a key's group's least key, as a grouped sample carries it.
+func groupKey(k SortKey) SortKey { return SortKey{A: k.A, B: math.MinInt64, C: math.MinInt64} }
+
 // FuzzSortMessageWords fuzzes the same two encodings over random key runs:
 // each column of the run is constant or drawn per key by its bit of mask,
-// and the sorted run is cut against splitters drawn from it into 1..256
-// buckets. Decoding what was encoded returns the input, the encoding's
-// length is the words charged, and no run costs more than 3 words a key.
+// and the sorted run is cut against splitters drawn from its sample into
+// 1..256 buckets. With bit 8 of mask the sample is grouped (groupKey), as
+// Arrange's is, and so are the splitters. Decoding what was encoded returns
+// the input, the encoding's length is the words charged, no run costs more
+// than 3 words a key — a grouped one no more than n + 2 — and the cuts of a
+// grouped whole sample are the cuts of the run it stands for.
 func FuzzSortMessageWords(f *testing.F) {
 	f.Add(uint8(45), uint8(1), uint8(181), uint64(7)) // plan-shaped
 	f.Add(uint8(1), uint8(7), uint8(0), uint64(1))
 	f.Add(uint8(0), uint8(0), uint8(3), uint64(2))
 	f.Add(uint8(200), uint8(7), uint8(255), uint64(3))
+	f.Add(uint8(45), uint8(15), uint8(181), uint64(4)) // arrange-shaped
+	f.Add(uint8(200), uint8(9), uint8(7), uint64(5))
 	f.Fuzz(func(t *testing.T, n, mask, nbm1 uint8, seed uint64) {
 		rng := xrand.New(seed)
 		draw := func(bit uint8, c int64) int64 {
@@ -208,18 +224,33 @@ func FuzzSortMessageWords(f *testing.F) {
 			keys[j] = SortKey{A: draw(1, 3), B: draw(2, 1), C: draw(4, -9)}
 		}
 		slices.SortFunc(keys, SortKey.Compare)
-		words := checkKeyRun(t, int64(n), keys, func(h int64) int { return int(h) })
+		grouped, sample := mask&8 != 0, keys
+		if grouped {
+			sample = make([]SortKey, len(keys))
+			for j, k := range keys {
+				sample[j] = groupKey(k)
+			}
+		}
+		count := func(h int64) int { return int(h) }
+		words := checkKeyRun(t, int64(n), sample, count)
 		if len(keys) > 0 && (words < sortKeyWords+1 || words > sortKeyWords*len(keys)+1) {
 			t.Fatalf("%d keys cost %d words, want 4..%d", len(keys), words, sortKeyWords*len(keys)+1)
+		}
+		if grouped && len(keys) > 0 && words > len(keys)+2+1 {
+			t.Fatalf("%d grouped keys cost %d words, want at most %d", len(keys), words, len(keys)+2+1)
 		}
 
 		nb := int(nbm1) + 1
 		var sp []SortKey
 		for j := 1; j < nb && len(keys) > 0; j++ {
-			sp = append(sp, keys[rng.IntN(len(keys))])
+			sp = append(sp, sample[rng.IntN(len(keys))])
 		}
 		slices.SortFunc(sp, SortKey.Compare)
+		checkKeyRun(t, int64(len(sp)), sp, count)
 		cuts := runCuts(nil, keys, sp, nb, identKey)
 		checkRunCuts(t, cuts, len(keys))
+		if got := runCuts(nil, sample, sp, nb, identKey); !slices.Equal(got, cuts) {
+			t.Fatalf("the sample cuts to %v, the run it stands for to %v", got, cuts)
+		}
 	})
 }
