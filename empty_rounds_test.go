@@ -6,41 +6,26 @@ import (
 	"testing"
 
 	"hetmpc"
+	"hetmpc/internal/exp"
 )
 
-// table1Call is one of the twelve Table-1 calls: six problems, sublinear
-// baseline and heterogeneous. run returns the call's output.
-type table1Call struct {
-	name    string
-	noLarge bool
-	run     func(c *hetmpc.Cluster) (any, error)
-}
-
 // table1Calls is the twelve calls of Table 1: n=512 m=4096 seed 7.
-func table1Calls() []table1Call { return table1CallsAt(512, 4096, 7) }
+func table1Calls() []exp.Table1Call { return exp.Table1Calls(512, 4096, 7) }
 
-// table1CallsAt is the twelve calls over connected G(n, m) graphs of seed.
-func table1CallsAt(n, m int, seed uint64) []table1Call {
-	gU := hetmpc.ConnectedGNM(n, m, seed, false)
-	gW := hetmpc.ConnectedGNM(n, m, seed, true)
-	const spannerK = 3
-	return []table1Call{
-		{"sublinear.cc", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineConnectivity(c, gU) }},
-		{"core.cc", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.Connectivity(c, gU) }},
-		{"sublinear.mst", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineMST(c, gW) }},
-		{"core.mst", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.MST(c, gW) }},
-		{"sublinear.spanner", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineSpanner(c, gU, spannerK) }},
-		{"core.spanner", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.Spanner(c, gU, spannerK) }},
-		{"sublinear.coloring", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineColoring(c, gU) }},
-		{"core.coloring", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.Coloring(c, gU) }},
-		{"sublinear.mis", true, func(c *hetmpc.Cluster) (any, error) { return hetmpc.BaselineMIS(c, gU) }},
-		{"core.mis", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.MIS(c, gU) }},
-		{"sublinear.matching", true, func(c *hetmpc.Cluster) (any, error) {
-			m, _, err := hetmpc.BaselineMatching(c, gU)
-			return m, err
-		}},
-		{"core.matching", false, func(c *hetmpc.Cluster) (any, error) { return hetmpc.MaximalMatching(c, gU) }},
+// runCall makes call on a fresh cluster of cfg — call.Config, or a copy with
+// a trace or fault plan set — and returns its validated output and the
+// cluster.
+func runCall(t *testing.T, call exp.Table1Call, cfg hetmpc.Config) (any, *hetmpc.Cluster) {
+	t.Helper()
+	c, err := hetmpc.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	out, err := call.Run(c)
+	if err != nil {
+		t.Fatalf("n=%d %s: %v", cfg.N, call.Name, err)
+	}
+	return out, c
 }
 
 // table1Summary runs the twelve Table-1 calls, each on its own traced
@@ -55,15 +40,10 @@ func table1Rounds(t *testing.T) []hetmpc.TraceRound {
 	t.Helper()
 	var rounds []hetmpc.TraceRound
 	for _, call := range table1Calls() {
-		tr := hetmpc.NewTrace()
-		c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: 7, NoLarge: call.noLarge, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := call.run(c); err != nil {
-			t.Fatalf("%s: %v", call.name, err)
-		}
-		rounds = append(rounds, tr.Rounds()...)
+		cfg := call.Config
+		cfg.Trace = hetmpc.NewTrace()
+		runCall(t, call, cfg)
+		rounds = append(rounds, cfg.Trace.Rounds()...)
 	}
 	return rounds
 }

@@ -162,7 +162,6 @@ var experiments = []struct {
 	{"e6", (*run).e6ModifiedBS},
 	{"e7", (*run).e7Matching},
 	{"e8", (*run).e8Filtering},
-	{"e9", (*run).e9Connectivity},
 	{"e10", (*run).e10ApproxMST},
 	{"e11", (*run).e11MinCut},
 	{"e12", (*run).e12MIS},

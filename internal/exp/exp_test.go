@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,27 @@ func TestAllExperimentsRegistered(t *testing.T) {
 			t.Fatalf("experiment id %q registered twice", e.id)
 		}
 		seen[e.id] = true
+	}
+}
+
+// TestBenchFilesNameExperiments: every untagged bench/BENCH_<id>.json is
+// the committed artifact of a registered experiment, so the file of a
+// deleted or renamed one cannot linger. Tagged files (BENCH_<id>@….json)
+// are override runs and are not committed baselines.
+func TestBenchFilesNameExperiments(t *testing.T) {
+	files, err := filepath.Glob("../../bench/BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no bench/BENCH_*.json found (%v)", err)
+	}
+	ids := map[string]bool{}
+	for _, id := range IDs() {
+		ids[id] = true
+	}
+	for _, f := range files {
+		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
+		if !strings.Contains(id, "@") && !ids[id] {
+			t.Errorf("%s names no registered experiment", filepath.Base(f))
+		}
 	}
 }
 

@@ -30,15 +30,16 @@ func TestE20ArtifactCarriesFaultMetrics(t *testing.T) {
 
 // TestSetFaultsOverride: Env.Faults rebuilds an experiment under faults,
 // tags its artifact, and renames the file so the committed baseline is
-// never clobbered.
+// never clobbered. E14 pins no axis, so the plan reaches its baseline and
+// heterogeneous clusters alike.
 func TestSetFaultsOverride(t *testing.T) {
 	if err := (Env{Faults: "bogus"}).Validate(); err == nil {
 		t.Fatal("bad fault spec accepted")
 	}
-	if _, _, err := (Env{Faults: "bogus"}).Run("e9", 7); err == nil {
+	if _, _, err := (Env{Faults: "bogus"}).Run("e14", 7); err == nil {
 		t.Fatal("Run accepted a bad fault spec")
 	}
-	art, _, err := Env{Faults: "ckpt:4+rate:0.002"}.Run("e9", 7)
+	art, _, err := Env{Faults: "ckpt:4+rate:0.002"}.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,13 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/labeling"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/sublinear"
 	"hetmpc/internal/xrand"
 )
 
@@ -17,18 +19,65 @@ import (
 // Sizes used by the Table 1 reproduction. Small enough to run in seconds,
 // large enough that the log-vs-loglog-vs-constant separations are visible.
 const (
-	t1N       = 512
-	t1M       = 4096
-	t1CutN    = 128 // Stoer-Wagner reference is cubic; min-cut rows use this
-	t1ApproxN = 96  // the threshold sweep runs many sketch-connectivity passes
+	t1N        = 512
+	t1M        = 4096
+	t1SpannerK = 3
+	t1CutN     = 128 // Stoer-Wagner reference is cubic; min-cut rows use this
+	t1ApproxN  = 96  // the threshold sweep runs many sketch-connectivity passes
 )
+
+// Table1Call is one of Table 1's twelve calls: one problem in one regime.
+// Run makes the call on a cluster built from Config and returns its result
+// once the result matches the exact reference (a validator of cells.go).
+type Table1Call struct {
+	Name   string       // "sublinear.cc" … "core.matching"
+	Config mpc.Config   // N, M and Seed; NoLarge for a sublinear call
+	Graph  *graph.Graph // the input
+	Run    func(*mpc.Cluster) (any, error)
+}
+
+// Table1Calls is Table 1's twelve calls on ConnectedGNM(n, m, seed),
+// weighted for MST: each problem's sublinear baseline, then its
+// heterogeneous call. The one definition the root goldens, the rounds gate
+// and table1 share.
+func Table1Calls(n, m int, seed uint64) []Table1Call {
+	gU := graph.ConnectedGNM(n, m, seed, false)
+	gW := graph.ConnectedGNM(n, m, seed, true)
+	_, comps := graph.Components(gU)
+	_, weight := graph.KruskalMSF(gW)
+	call := func(name string, g *graph.Graph, run func(*mpc.Cluster) (any, error)) Table1Call {
+		cfg := mpc.Config{N: n, M: m, NoLarge: strings.HasPrefix(name, "sublinear."), Seed: seed}
+		return Table1Call{name, cfg, g, run}
+	}
+	return []Table1Call{
+		call("sublinear.cc", gU, erased(baseCC(gU, comps))),
+		call("core.cc", gU, erased(cc(gU, comps))),
+		call("sublinear.mst", gW, erased(baseMST(gW, weight))),
+		call("core.mst", gW, erased(mst(gW, weight))),
+		call("sublinear.spanner", gU, erased(baseSpanner(gU, t1SpannerK, seed))),
+		call("core.spanner", gU, erased(spanner(gU, t1SpannerK, seed))),
+		call("sublinear.coloring", gU, erased(baseColoring(gU))),
+		call("core.coloring", gU, erased(coloring(gU))),
+		call("sublinear.mis", gU, erased(baseMIS(gU))),
+		call("core.mis", gU, erased(mis(gU))),
+		call("sublinear.matching", gU, erased(baseMatching(gU))),
+		call("core.matching", gU, erased(maximal(gU, core.MaximalMatching))),
+	}
+}
+
+// erased is run with its result type erased.
+func erased[R any](run func(*mpc.Cluster) (R, error)) func(*mpc.Cluster) (any, error) {
+	return func(c *mpc.Cluster) (any, error) { return run(c) }
+}
 
 // table1 reproduces the paper's Table 1: for each problem it measures the
 // executed communication rounds in the sublinear baseline regime (no large
 // machine), the heterogeneous regime (one near-linear machine), and the
 // heterogeneous regime with a superlinear machine (f = 0.5, the abstract's
 // "all problems in O(1) rounds" setting), next to the complexities the paper
-// states. Output correctness is validated on every run.
+// states. The first two columns are Table1Calls; the third reruns a
+// heterogeneous call on the superlinear cluster. Output correctness is
+// validated on every run.
 func (rn *run) table1(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Table 1 — measured rounds, n=%d m=%d (γ=0.5; min-cut rows n=%d)", t1N, t1M, t1CutN),
@@ -36,47 +85,38 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 			"paper: sublinear", "paper: heterogeneous", "paper: near-linear"},
 	}
 
-	gU := graph.ConnectedGNM(t1N, t1M, seed, false)
-	gW := graph.ConnectedGNM(t1N, t1M, seed, true)
-	_, comps := graph.Components(gU)
-	_, want := graph.KruskalMSF(gW)
-	base, regime, super := baseline(t1N, t1M, seed), het(t1N, t1M, 0, seed), het(t1N, t1M, 0.5, seed)
+	calls, out := map[string]Table1Call{}, map[string]any{}
+	for _, call := range Table1Calls(t1N, t1M, seed) {
+		_, r, err := cell(rn, call.Config, call.Run)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", call.Name, err)
+		}
+		calls[call.Name], out[call.Name] = call, r
+	}
+	super := het(t1N, t1M, 0.5, seed)
 
 	// --- Connectivity ---
 	{
-		_, rs, err := cell(rn, base, baseCC(gU, comps))
-		if err != nil {
-			return nil, err
-		}
-		_, rh, err := cell(rn, regime, cc(gU, comps))
-		if err != nil {
-			return nil, err
-		}
-		_, rf, err := cell(rn, super, cc(gU, comps))
+		rs, rh := out["sublinear.cc"].(*sublinear.CCResult), out["core.cc"].(*core.ConnectivityResult)
+		_, rf, err := cell(rn, super, calls["core.cc"].Run)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("connectivity",
 			fmt.Sprintf("%d rounds (%d phases)", rs.Stats.Rounds, rs.Phases),
 			fmt.Sprintf("%d rounds", rh.Stats.Rounds),
-			fmt.Sprintf("%d rounds", rf.Stats.Rounds),
+			fmt.Sprintf("%d rounds", rf.(*core.ConnectivityResult).Stats.Rounds),
 			"O(log D + loglog n)", "O(1)", "O(1)")
 	}
 
 	// --- MST ---
 	{
-		_, rs, err := cell(rn, base, baseMST(gW, want))
-		if err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
-		}
-		_, rh, err := cell(rn, regime, mst(gW, want))
+		rs, rh := out["sublinear.mst"].(*sublinear.MSTResult), out["core.mst"].(*core.MSTResult)
+		_, r, err := cell(rn, super, calls["core.mst"].Run)
 		if err != nil {
 			return nil, err
 		}
-		_, rf, err := cell(rn, super, mst(gW, want))
-		if err != nil {
-			return nil, err
-		}
+		rf := r.(*core.MSTResult)
 		t.AddRow("MST",
 			fmt.Sprintf("%d rounds (%d phases)", rs.Stats.Rounds, rs.Phases),
 			fmt.Sprintf("%d rounds (%d phases)", rh.Stats.Rounds, rh.BoruvkaPhases),
@@ -107,16 +147,8 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 
 	// --- O(k)-spanner ---
 	{
-		k := 4
-		_, rs, err := cell(rn, base, baseSpanner(gU, k, seed))
-		if err != nil {
-			return nil, err
-		}
-		_, rh, err := cell(rn, regime, spanner(gU, k, seed))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("O(k)-spanner (k=%d)", k),
+		rs, rh := out["sublinear.spanner"].(*sublinear.SpannerResult), out["core.spanner"].(*core.SpannerResult)
+		t.AddRow(fmt.Sprintf("O(k)-spanner (k=%d)", t1SpannerK),
 			fmt.Sprintf("%d rounds (%d levels; plain BS)", rs.Stats.Rounds, rs.Levels),
 			fmt.Sprintf("%d rounds, %d edges", rh.Stats.Rounds, len(rh.Edges)),
 			"same as heterogeneous",
@@ -164,14 +196,7 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 
 	// --- (Δ+1) coloring ---
 	{
-		_, rs, err := cell(rn, base, baseColoring(gU))
-		if err != nil {
-			return nil, err
-		}
-		_, rh, err := cell(rn, regime, coloring(gU))
-		if err != nil {
-			return nil, err
-		}
+		rs, rh := out["sublinear.coloring"].(*sublinear.ColoringResult), out["core.coloring"].(*core.ColoringResult)
 		t.AddRow("(Δ+1) vertex coloring",
 			fmt.Sprintf("%d rounds (%d trials)", rs.Stats.Rounds, rs.Rounds),
 			fmt.Sprintf("%d rounds", rh.Stats.Rounds),
@@ -181,14 +206,7 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 
 	// --- MIS ---
 	{
-		_, rs, err := cell(rn, base, baseMIS(gU))
-		if err != nil {
-			return nil, err
-		}
-		_, rh, err := cell(rn, regime, mis(gU))
-		if err != nil {
-			return nil, err
-		}
+		rs, rh := out["sublinear.mis"].(*sublinear.MISResult), out["core.mis"].(*core.MISResult)
 		t.AddRow("maximal independent set",
 			fmt.Sprintf("%d rounds (%d Luby rounds)", rs.Stats.Rounds, rs.Rounds),
 			fmt.Sprintf("%d rounds (%d iterations)", rh.Stats.Rounds, rh.Iterations),
@@ -198,15 +216,8 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 
 	// --- maximal matching ---
 	{
-		_, ps, err := cell(rn, base, baseMatching(gU))
-		if err != nil {
-			return nil, err
-		}
-		_, rh, err := cell(rn, regime, maximal(gU, core.MaximalMatching))
-		if err != nil {
-			return nil, err
-		}
-		_, rf, err := cell(rn, super, maximal(gU, core.MatchingFiltering))
+		ps, rh := out["sublinear.matching"].(*sublinear.PeelResult), out["core.matching"].(*core.MatchingResult)
+		_, rf, err := cell(rn, super, maximal(calls["core.matching"].Graph, core.MatchingFiltering))
 		if err != nil {
 			return nil, err
 		}
@@ -415,30 +426,6 @@ func (rn *run) e8Filtering(seed uint64) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(f, r.FilterIters, r.Stats.Rounds, 1/f)
-	}
-	return t, nil
-}
-
-// e9Connectivity checks the O(1)-rounds claim across n: heterogeneous
-// rounds stay flat while the baseline grows like log n.
-func (rn *run) e9Connectivity(seed uint64) (*Table, error) {
-	t := &Table{
-		Title:  "E9 — connectivity rounds vs n (Theorem C.1): het flat, baseline ~ log n",
-		Header: []string{"n", "m", "het rounds", "baseline rounds", "baseline phases", "components"},
-	}
-	for _, n := range []int{128, 256, 512, 1024} {
-		m := 4 * n
-		g := graph.GNM(n, m, seed+uint64(n))
-		_, want := graph.Components(g)
-		_, rh, err := cell(rn, het(n, m, 0, seed), cc(g, want))
-		if err != nil {
-			return nil, fmt.Errorf("n=%d: %w", n, err)
-		}
-		_, rs, err := cell(rn, baseline(n, m, seed), baseCC(g, want))
-		if err != nil {
-			return nil, fmt.Errorf("baseline n=%d: %w", n, err)
-		}
-		t.AddRow(n, m, rh.Stats.Rounds, rs.Stats.Rounds, rs.Phases, rh.Components)
 	}
 	return t, nil
 }

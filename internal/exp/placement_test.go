@@ -13,7 +13,7 @@ func TestSetPlacementOverride(t *testing.T) {
 		t.Fatal("bad placement spec accepted")
 	}
 	env := Env{Placement: "throughput"}
-	art, _, err := env.Run("e9", 7)
+	art, _, err := env.Run("e14", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,29 +212,24 @@ func TestUniformProfileGoldens(t *testing.T) {
 func TestTable1FaultsChangeOnlyCost(t *testing.T) {
 	for _, call := range table1Calls() {
 		run := func(plan *hetmpc.FaultPlan) (any, hetmpc.ClusterStats) {
-			c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: 7, NoLarge: call.noLarge, Faults: plan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := call.run(c)
-			if err != nil {
-				t.Fatalf("%s: %v", call.name, err)
-			}
+			cfg := call.Config
+			cfg.Faults = plan
+			out, c := runCall(t, call, cfg)
 			return withoutStats(out), c.Stats()
 		}
 		plain, plainStats := run(nil)
 		faulty, faultyStats := run(&hetmpc.FaultPlan{Interval: 2, CrashRate: 0.01})
 		if !reflect.DeepEqual(plain, faulty) {
-			t.Errorf("%s: faults changed the output", call.name)
+			t.Errorf("%s: faults changed the output", call.Name)
 		}
 		if got, want := commOf(faultyStats), commOf(plainStats); got != want {
-			t.Errorf("%s: faults changed the communication stats: %+v, fault-free %+v", call.name, got, want)
+			t.Errorf("%s: faults changed the communication stats: %+v, fault-free %+v", call.Name, got, want)
 		}
 		if faultyStats.Crashes == 0 {
-			t.Errorf("%s: the plan crashed no machine: %+v", call.name, faultyStats)
+			t.Errorf("%s: the plan crashed no machine: %+v", call.Name, faultyStats)
 		}
 		if faultyStats.Makespan <= plainStats.Makespan {
-			t.Errorf("%s: makespan %v under faults, not above fault-free %v", call.name, faultyStats.Makespan, plainStats.Makespan)
+			t.Errorf("%s: makespan %v under faults, not above fault-free %v", call.Name, faultyStats.Makespan, plainStats.Makespan)
 		}
 	}
 }
