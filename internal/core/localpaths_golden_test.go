@@ -63,7 +63,7 @@ func TestLocalPathsGolden(t *testing.T) {
 			t.Fatalf("no sampled level (direct %d): the modified Baswana-Sen path did not run", res.DirectLevels)
 		}
 		size, sum := digest(res.Edges)
-		check(t, "spanner", size, sum, pin{1124, 0x947256bc1a5581be})
+		check(t, "spanner", size, sum, pin{1145, 0xd2642c0374b1ae3})
 	})
 
 	t.Run("labeling", func(t *testing.T) {

@@ -18,6 +18,13 @@ type MISResult struct {
 	Stats      mpc.Stats
 }
 
+// misReport is one machine's report in an MIS iteration's gather.
+type misReport struct {
+	alive int64
+	edges []graph.Edge
+	dom   []prims.KV[bool]
+}
+
 // MIS computes a maximal independent set in O(log log Δ) iterations of O(1)
 // rounds each (Theorem C.6, after Ghaffari et al. [26]): a shared random
 // vertex priority simulates the random permutation; iteration i ships to the
@@ -96,44 +103,65 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	// The iterations' domination items reuse one list a machine: PlanCombine
 	// copies what it is given before it returns.
 	domItems := make([][]prims.KV[bool], kk)
+	// domRoots is the previous iteration's combine: the dominated vertices at
+	// their roots, which ride this iteration's gather to the large machine.
+	var domRoots [][]prims.KV[bool]
 	for it, tau := range taus {
-		// Early exit: with no alive-alive edges left, the alive vertices are
-		// pairwise non-adjacent and all join the MIS.
-		aliveCounts := make([]int64, kk)
+		// One report a machine rides the prefix gather: its alive-edge count
+		// (1 word), its alive prefix edges, and the dominated roots it holds
+		// (1 word each: every value is true). A machine with nothing to report
+		// stays silent, which reads as a count of 0.
+		slab := make([]misReport, kk)
+		reports := make([][]misReport, kk)
 		c.Each(func(i int) {
-			for j := range edges[i] {
-				if !dead[i][slots[i][2*j]] && !dead[i][slots[i][2*j+1]] {
-					aliveCounts[i]++
-				}
-			}
-		})
-		aliveEdges, err := prims.SumAll(c, aliveCounts)
-		if err != nil {
-			return nil, err
-		}
-		if aliveEdges == 0 {
-			break
-		}
-		res.Iterations++
-		// Ship alive prefix edges.
-		batch := make([][]graph.Edge, kk)
-		c.Each(func(i int) {
+			r := &slab[i]
 			for j, e := range edges[i] {
 				if dead[i][slots[i][2*j]] || dead[i][slots[i][2*j+1]] {
 					continue
 				}
+				r.alive++
 				if pr(e.U) <= tauList[i][it] && pr(e.V) <= tauList[i][it] {
-					batch[i] = append(batch[i], e)
+					r.edges = append(r.edges, e)
 				}
 			}
+			if domRoots != nil {
+				r.dom = domRoots[i]
+			}
+			if r.alive > 0 || len(r.dom) > 0 {
+				reports[i] = slab[i : i+1 : i+1]
+			}
 		})
-		got, err := prims.GatherToLarge(c, batch, prims.EdgeWords)
+		gather := c.Span("gather")
+		got, err := prims.Gather(c, reports, func(rs []misReport) int {
+			return 1 + len(rs[0].edges)*prims.EdgeWords + len(rs[0].dom)
+		})
+		gather.End()
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range got {
-			accAdj[e.U] = append(accAdj[e.U], e.V)
-			accAdj[e.V] = append(accAdj[e.V], e.U)
+		// The large machine also learns which vertices died via edges it
+		// never saw (a dominated vertex with all its edges off-prefix).
+		var aliveEdges int64
+		for _, r := range got {
+			aliveEdges += r.alive
+			for _, kv := range r.dom {
+				if v := kv.K; kv.V && aliveLarge[v] {
+					aliveLarge[v] = false
+					processed[v] = true
+				}
+			}
+		}
+		// Early exit: with no alive-alive edges left, the alive vertices are
+		// pairwise non-adjacent and all join the MIS.
+		if aliveEdges == 0 {
+			break
+		}
+		res.Iterations++
+		for _, r := range got {
+			for _, e := range r.edges {
+				accAdj[e.U] = append(accAdj[e.U], e.V)
+				accAdj[e.V] = append(accAdj[e.V], e.U)
+			}
 		}
 		// Greedy by priority over the alive prefix.
 		prefix := make([]int, 0, n)
@@ -192,12 +220,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				}
 			}
 		})
-		domRoots, err := prims.PlanCombine(c, plan, domItems, 1, func(a, b bool) bool { return a || b })
-		if err != nil {
-			return nil, err
-		}
-		domLarge, err := prims.GatherKVs(c, domRoots, func(bool) int { return 1 })
-		if err != nil {
+		if domRoots, err = prims.PlanCombine(c, plan, domItems, 1, func(a, b bool) bool { return a || b }); err != nil {
 			return nil, err
 		}
 		gotDead, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
@@ -211,18 +234,13 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				}
 			}
 		})
-		// The large machine also learns which vertices died via edges it
-		// never saw (a dominated vertex with all its edges off-prefix).
-		for _, kv := range domLarge {
-			if v := kv.K; kv.V && aliveLarge[v] {
-				aliveLarge[v] = false
-				processed[v] = true
-			}
-		}
 	}
 
 	// Any vertices still alive have no alive edges left: they join the MIS
-	// (this also covers the early-exit path and isolated vertices).
+	// (this also covers the early-exit path and isolated vertices). After
+	// the τ = 1 iteration the last combine's roots need not reach the large
+	// machine: that iteration shipped every alive edge, so every vertex its
+	// joins dominate is already dead there.
 	set := make([]int, 0, n/2)
 	for v := 0; v < n; v++ {
 		if inMIS[v] || aliveLarge[v] {

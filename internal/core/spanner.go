@@ -443,9 +443,16 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 		BSLevel int32
 		E       clusterEdge
 	}
+	// Each (level, BS-level, edge) trial is a coin hashed from the broadcast
+	// seed and the edge, so the sample is a function of the input, not of
+	// the machine a Sort's buckets put the edge on.
+	trialSeed := xrand.Split(seed, uint64(n))
+	coin := func(lvl, bsl int, e graph.Edge) float64 {
+		h := xrand.Split(xrand.Split(trialSeed, uint64(lvl*(k+1)+bsl)), uint64(e.U)*uint64(n)+uint64(e.V))
+		return float64(h>>11) / (1 << 53)
+	}
 	sampData := make([][]sampledEdge, kk)
 	c.Each(func(i int) {
-		rng := c.Rand(i)
 		for lvl := 0; lvl < levels; lvl++ {
 			if plans[i].Direct[lvl] {
 				continue
@@ -453,7 +460,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			p := plans[i].P[lvl]
 			for _, e := range perLvl[i][lvl] {
 				for bsl := 1; bsl <= k; bsl++ {
-					if rng.Float64() < p {
+					if coin(lvl, bsl, e.Orig) < p {
 						sampData[i] = append(sampData[i], sampledEdge{Lvl: int32(lvl), BSLevel: int32(bsl), E: e})
 					}
 				}

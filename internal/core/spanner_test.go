@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/graph"
+	"hetmpc/internal/mpc"
 	"hetmpc/internal/xrand"
 )
 
@@ -193,6 +195,37 @@ func TestSpannerWeighted(t *testing.T) {
 	h := graph.New(g.N, res.Edges, true)
 	if err := graph.CheckSpanner(g, h, res.Stretch, 5, 3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpannerIndependentOfBuckets: the sampled levels' coins are hashed
+// from the broadcast seed and the edge, so a spanner is a function of the
+// graph and the seed, not of where a Sort's buckets put each cluster edge.
+// At K = 256 a beefy large machine coordinates its Sorts alone while the
+// default cluster's go through 16 leaders, so their buckets differ; the
+// spanners must not.
+func TestSpannerIndependentOfBuckets(t *testing.T) {
+	const k = 256
+	g := graph.ConnectedGNM(1024, 65536, 7, false)
+	run := func(prof *mpc.Profile) *SpannerResult {
+		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: k, Seed: 7, Profile: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Spanner(c, g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	beefy := mpc.UniformProfile(k)
+	beefy.LargeSpeed, beefy.LargeBandwidth = 64, 64
+	a, b := run(nil), run(beefy)
+	if a.SampledLevels == 0 {
+		t.Fatal("no sampled level: the coins under test are never drawn")
+	}
+	if !slices.Equal(a.Edges, b.Edges) {
+		t.Fatalf("the default cluster's spanner has %d edges, the beefy coordinator's %d: the output follows the buckets", len(a.Edges), len(b.Edges))
 	}
 }
 

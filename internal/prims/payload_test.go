@@ -186,7 +186,10 @@ func TestPayloadAssertionsFailTyped(t *testing.T) {
 	}{
 		{"sample", &sample{Keys: []SortKey{{A: 1}}, Count: 4},
 			[]any{sample{Count: 4}, (*sample)(nil), &span{}, int64(4)},
-			func(inbox []mpc.Msg) error { _, err := inboxSamples(inbox); return err }},
+			func(inbox []mpc.Msg) error {
+				_, err := inboxSamples(inbox, make([]sampleCursor, len(inbox)), make([]mergeNode, 2*len(inbox)))
+				return err
+			}},
 	}
 	for _, tc := range coordinator {
 		if err := tc.collect([]mpc.Msg{{From: 0, Data: tc.good}, {From: 1, Data: tc.good}}); err != nil {

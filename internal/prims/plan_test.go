@@ -114,15 +114,16 @@ func layoutWidest(p *Plan) int {
 	return widest
 }
 
-// checkAligned fails t unless every key of needs that the coordinator can
-// bound by b sits whole in its root's bucket. The bound is the alignment
-// rule's: the key's requests on machines that sample their whole run, plus
-// one for every other machine, since a machine requests a key at most once.
+// checkAligned fails t unless every key of needs that the leaders can bound
+// by b sits whole in its root's bucket. The bound is the alignment rule's:
+// the key's requests on machines that sample their whole run, plus one for
+// every other machine, since a machine requests a key at most once — and
+// one for every machine when r > 1 leaders count no key exactly.
 func checkAligned(t *testing.T, c *mpc.Cluster, p *Plan, needs [][]int64, b int) {
 	t.Helper()
-	loose, count := 0, map[int64]int{}
-	for _, ns := range needs {
-		if whole, _ := wholeRun(c, len(ns)); !whole {
+	ld, loose, count := sortLeaders(c, b), 0, map[int64]int{}
+	for i, ns := range needs {
+		if whole, _ := ld.wholeRun(c, i, len(ns)); !whole || ld.r() > 1 {
 			loose++
 			continue
 		}
@@ -413,17 +414,34 @@ func TestPlanAlignsKeys(t *testing.T) {
 // holds a value of (3; a request without a large machine). The plan is for
 // 1-word values when fan is 0, so every key is aligned; otherwise for values
 // so wide that one tree level fans out to about fan machines, and a key with
-// more requesters keeps its span and tree.
+// more requesters keeps its span and tree. The plan's Sort is led by ⌈√K⌉
+// group leaders when fan is 0 or at least K (sortLeaders). With kb ≥ 128
+// the small machines' caps are 12× tighter and the large machine is a
+// beefy one, 64× a small one's speed and link, so the coordinator leads
+// alone when there is a large machine, as it does for an aligned Sort with
+// fan below K; without one, leaders lead where the tight caps leave them
+// room for their groups' samples, summaries and replies.
 func FuzzPlan(f *testing.F) {
 	f.Add(uint8(3), false, uint8(0), []byte{0x40, 7, 0x41, 7, 0x42, 7, 0x43, 7, 0x80, 9, 0xc1, 3, 0x02, 11})
 	f.Add(uint8(15), false, uint8(0), []byte{0x40, 1, 0x45, 1, 0x4a, 1, 0x4f, 1, 0x53, 1, 0xc0, 0, 0xc0, 16})
 	f.Add(uint8(0), true, uint8(0), []byte{0x40, 5, 0x80, 5, 0x00, 6})
 	f.Add(uint8(7), true, uint8(0), []byte{})
+	f.Add(uint8(128+15), false, uint8(0), []byte{0x40, 1, 0x45, 1, 0x4a, 1, 0x4f, 1, 0x53, 1, 0xc0, 0, 0xc0, 16})
+	f.Add(uint8(128+15), true, uint8(0), []byte{0x40, 1, 0x45, 1, 0x4a, 1, 0x4f, 1, 0x53, 1, 0xc0, 0, 0xc0, 16})
 	f.Fuzz(func(t *testing.T, kb uint8, noLarge bool, fan uint8, data []byte) {
 		k := int(kb)%16 + 1
-		c, err := mpc.New(mpc.Config{N: 64, M: 512, K: k, Seed: 3, NoLarge: noLarge})
+		cfg := mpc.Config{N: 64, M: 512, K: k, Seed: 3, NoLarge: noLarge}
+		if kb >= 128 {
+			cfg.CSmall = 0.5
+			cfg.Profile = mpc.UniformProfile(cfg.DeriveK())
+			cfg.Profile.LargeSpeed, cfg.Profile.LargeBandwidth = 64, 64
+		}
+		c, err := mpc.New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r := sortLeaders(c, 0).r(); kb >= 128 && !noLarge && r > 1 || kb < 128 && k >= 2 && r == 1 {
+			t.Fatalf("K=%d CSmall=%v noLarge=%v: %d leaders", k, cfg.CSmall, noLarge, r)
 		}
 		planWords := 1
 		if fan > 0 {
@@ -569,8 +587,10 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 				keys[i] = append(keys[i], requestKey(request{Key: x, M: int32(i)}))
 			}
 		}
+		// The plan's Sort is aligned (NewPlan), so its leaders are the ones
+		// an aligned Sort picks (sortLeaders).
 		before := c.Rounds()
-		if _, err := Sort(c, keys, sortKeyWords, func(key SortKey) SortKey { return key }); err != nil {
+		if _, _, err := sortSplit(c, keys, sortKeyWords, identKey, split{align: b, spans: true}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		want := c.Rounds() - before + depth + 1

@@ -1,16 +1,15 @@
 // Package prims implements the paper's algorithmic toolbox (§2) as real
 // multi-round protocols on the mpc simulator:
 //
-//   - Claim 1 (Sorting): a coordinator-based sample sort, O(1) rounds:
-//     sample, reply, route. A machine sends its whole run as its sample
-//     when that costs no more than being sent the splitter list (wholeRun),
-//     and the coordinator answers it with the cuts of that run — (bucket,
-//     count) pairs — and any other with the list to cut its run itself; the
-//     replies go out directly when together they fit the coordinator's
-//     round budget — in one round, or in two with the list through ⌈√ℓ⌉
-//     relays to its ℓ receivers when that moves fewer words through the
-//     busiest sender (sendReplies) — else the list goes down a
-//     capacity-bounded tree;
+//   - Claim 1 (Sorting): a sample sort, O(1) rounds: sample, summary,
+//     reply, route. Every machine sends its group's leader — one of ⌈√K⌉,
+//     or the coordinator alone where sortLeaders keeps one — its whole run
+//     as its sample when that costs no more than being sent the splitter
+//     list (wholeRun), else q keys; the leaders exchange summaries of their
+//     groups and pick the same splitters, and each answers its group with
+//     the cuts of a whole run — (bucket, count) pairs — or the list to cut
+//     a run itself. The coordinator's replies, when they do not fit its
+//     round budget, go down a capacity-bounded tree instead;
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
 //     key is the aggregation key alone, so a key's ≤ K partials meet on one
 //     machine and no tree is needed (or charged); results are per machine a
@@ -88,12 +87,7 @@ func coordinator(c *mpc.Cluster) int {
 }
 
 // coordCap returns the coordinator's capacity.
-func coordCap(c *mpc.Cluster) int {
-	if c.HasLarge() {
-		return c.LargeCap()
-	}
-	return c.SmallCapOf(0)
-}
+func coordCap(c *mpc.Cluster) int { return leaderCap(c, coordinator(c)) }
 
 // toCoordinator runs one round of small-machine sends and returns the
 // coordinator's inbox, in delivery (machine) order.

@@ -730,9 +730,21 @@ func TestArrangeKeysAscendUnsorted(t *testing.T) {
 	if got := fullRounds(rounds); got != 1 {
 		t.Fatalf("%d rounds under sort/full, want the fallback's one", got)
 	}
-	twin, _, _, _ := arrangeTraced(t, mpc.Config{N: 256, M: 2048, Seed: 42})
-	if c.Rounds() != twin.Rounds()+1 {
-		t.Fatalf("Arrange took %d rounds under tight caps, %d under the default: want the fallback's one more", c.Rounds(), twin.Rounds())
+	// Tight caps leave a leader no room for its group's replies, so the
+	// coordinator leads (sortLeaders); at the default caps 12 leaders add
+	// one summary round.
+	if r := sortLeaders(c, 0).r(); r != 1 {
+		t.Fatalf("%d leaders under tight caps, want the coordinator alone", r)
+	}
+	twin, twinRounds, _, _ := arrangeTraced(t, mpc.Config{N: 256, M: 2048, Seed: 42})
+	summaries := 0
+	for _, r := range twinRounds {
+		if strings.HasSuffix(r.Phase, "sort/summary") {
+			summaries++
+		}
+	}
+	if c.Rounds() != twin.Rounds()-summaries+1 {
+		t.Fatalf("Arrange took %d rounds under tight caps, %d under the default with %d summary rounds: want the fallback's one more than the coordinator's Sort", c.Rounds(), twin.Rounds(), summaries)
 	}
 }
 

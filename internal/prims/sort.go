@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"hetmpc/internal/mpc"
 )
@@ -70,18 +71,21 @@ func keyWords(keys []SortKey) int {
 // Sort implements Claim 1: it sorts the items stored on the small machines
 // by their SortKey so that afterwards machine i's items all precede machine
 // i+1's items and each machine's slice is locally sorted. It is a sample
-// sort:
+// sort whose splitters are agreed by r = ⌈√K⌉ group leaders, or by the
+// coordinator alone (sortLeaders, DESIGN.md §1):
 //
 //  1. local sort;
-//  2. every machine sends the coordinator a weighted key sample, its whole
-//     run when wholeRun says so (1 round);
-//  3. the coordinator picks K-1 splitter keys and replies to every machine
-//     (1 round, or 2 when relays carry the list): a machine whose sample was
-//     its whole run gets the cuts of that run, as (bucket, count) pairs or
-//     one bucket id per item, whichever is shorter, and any other the
-//     splitter list, to cut its run itself. When the replies together exceed
-//     the coordinator's round budget the list goes to everyone instead, down
-//     a capacity-bounded tree;
+//  2. every machine sends its group's leader a weighted key sample, its
+//     whole run when wholeRun says so (1 round); with more than one group,
+//     every leader sends every other a summary of its group's samples (1
+//     round, under "summary"), and every leader picks the same K-1
+//     splitters from the r summaries;
+//  3. every leader replies to its group (1 round): a machine whose sample
+//     was its whole run gets the cuts of that run, as (bucket, count) pairs
+//     or one bucket id per item, whichever is shorter, and any other the
+//     splitter list, to cut its run itself. When the coordinator's replies
+//     exceed its round budget the list goes to everyone instead, down a
+//     capacity-bounded tree;
 //  4. items are routed to their bucket along the cuts (1 round) and
 //     re-sorted.
 //
@@ -102,7 +106,7 @@ type split struct {
 	grouped bool
 }
 
-// layout is what a Sort leaves behind besides the buckets: the coordinator's
+// layout is what a Sort leaves behind besides the buckets: the leaders'
 // splitter list, every machine's cuts of its locally sorted run (data[i],
 // sorted in place) and, if asked for, the spans — entries 2i and 2i+1 are
 // machine i's.
@@ -117,8 +121,8 @@ type layout struct {
 // [sp[j-1], sp[j]) (the splitter list sp clipped to K-1, as walkBuckets clips
 // it), so which keys can straddle which machines is a function of the list
 // alone (splitterSpans). A grouped Sort whose group-aligned buckets might not
-// fit their receivers (groupsFit) samples again with full keys, one more
-// round under "full", and splits by them.
+// fit their receivers (groupsFit) samples again with full keys, under
+// "full", and splits by them.
 func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey, how split) ([][]T, layout, error) {
 	defer c.Span("sort").End()
 	k := c.K()
@@ -148,16 +152,17 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	}
 	cutBuf := make([]Cut, starts[k])
 
-	// Steps 2–3: sample, pick the splitters, reply.
+	// Steps 2–3: sample, agree on the splitters, reply.
+	ld := sortLeaders(c, how.align)
 	lay := layout{cuts: make([][]Cut, k)}
 	var samples []sample
-	var err error
-	if lay.sp, samples, err = sortSplitters(c, data, key, how); err != nil {
+	fits, err := true, error(nil)
+	if lay.sp, samples, fits, err = sortSplitters(c, ld, data, key, how, itemWords); err != nil {
 		return nil, layout{}, err
 	}
-	if how.grouped && !groupsFit(c, lay.sp, samples, itemWords) {
+	if !fits {
 		full := c.Span("full")
-		lay.sp, samples, err = sortSplitters(c, data, key, split{align: how.align})
+		lay.sp, samples, _, err = sortSplitters(c, ld, data, key, split{align: how.align}, itemWords)
 		full.End()
 		if err != nil {
 			return nil, layout{}, err
@@ -166,7 +171,7 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	if how.spans {
 		lay.spans = make([]span, 2*k)
 	}
-	replies, err := sortReplies(c, lay.sp, samples, cutBuf, starts, lay.spans)
+	replies, err := sortReplies(c, ld, lay.sp, samples, cutBuf, starts, lay.spans)
 	if err != nil {
 		return nil, layout{}, err
 	}
@@ -240,29 +245,122 @@ func Route[T any](c *mpc.Cluster, data [][]T, cuts [][]Cut, itemWords, spare int
 	return result, nil
 }
 
-// sortSplitters is step 2 of Sort over locally sorted data and the
-// coordinator's half of step 3: every machine sends a weighted key sample to
-// the coordinator, which picks the K-1 placement-weighted splitters
-// (pickSplitters, aligned at key boundaries under how.align). A sampled key
-// is the middle of the block of items it stands for. A grouped sample keeps
-// each key's A column only, as (A, MinInt64, MinInt64) — the least key of
-// its group — so every splitter picked from it is a group's least key. It
-// returns the coordinator's list and the samples it was sent, by machine.
-func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, how split) ([]SortKey, []sample, error) {
+// leaders is how a Sort's steps 2–3 are spread (DESIGN.md §1): the machines
+// split, in machine order, into groups of g, and machine i sends its sample
+// to ids[i/g], its group's leader. One group is led by the coordinator.
+type leaders struct {
+	g   int
+	ids []int
+}
+
+// sortLeaders picks a Sort's leaders from the cluster and align alone, so
+// every machine picks the same ones before any round: r = ⌈√K⌉ groups of
+// g = ⌈K/r⌉ machines, each led by its machine of the lowest WordCost (the
+// first of a tie). The coordinator stays the one leader when any of three
+// inequalities holds:
+//   - it is at least r× cheaper a word than the dearest leader, so reading
+//     every sample itself costs it no more than a leader's share does;
+//   - an aligned Sort has align < K, so a key may have more than align items
+//     and only whole runs at one machine count them exactly (pickSplitters);
+//   - a leader could not hold, within half its capacity, what steps 2–3 put
+//     on it at their worst: its group's g samples of capTerm keys (wholeRun),
+//     the r−1 summaries of 4g keys, and g replies of the longest kind, a
+//     plan's list to the large machine among them.
+func sortLeaders(c *mpc.Cluster, align int) leaders {
 	k := c.K()
-	// Step 2: weighted key samples to the coordinator (sample extraction is
-	// local computation, parallel over the small-machine axis).
+	one := leaders{g: k, ids: []int{coordinator(c)}}
+	r := 1
+	for r*r < k {
+		r++
+	}
+	g := (k + r - 1) / r
+	if r = (k + g - 1) / g; r == 1 || align > 0 && align < k {
+		return one
+	}
+	ids := make([]int, r)
+	dearest, room := 0.0, math.MaxInt
+	for j := range ids {
+		lo, hi := j*g, min(k, (j+1)*g)
+		ids[j] = lo
+		for i := lo + 1; i < hi; i++ {
+			if c.WordCost(i) < c.WordCost(ids[j]) {
+				ids[j] = i
+			}
+		}
+		dearest, room = max(dearest, c.WordCost(ids[j])), min(room, c.SmallCapOf(ids[j]))
+	}
+	capTerm := room / (2 * g * (sortKeyWords + 1))
+	reply := max(sortKeyWords*(k-1)+1, 1+2*k+2*spanWords)
+	held := g*(sortKeyWords*capTerm+1) + (r-1)*(sortKeyWords*4*g+2) + g*reply
+	if float64(r)*c.WordCost(coordinator(c)) <= dearest || 2*held > room {
+		return one
+	}
+	return leaders{g: g, ids: ids}
+}
+
+// r is the number of leaders.
+func (ld leaders) r() int { return len(ld.ids) }
+
+// group returns group j's machines, [lo, hi) of k.
+func (ld leaders) group(k, j int) (lo, hi int) { return j * ld.g, min(k, (j+1)*ld.g) }
+
+// leaderCap is machine id's capacity: the large machine's or a small one's.
+func leaderCap(c *mpc.Cluster, id int) int {
+	if id == mpc.Large {
+		return c.LargeCap()
+	}
+	return c.SmallCapOf(id)
+}
+
+// wholeRun is step 2's rule (DESIGN.md §1): whether machine i, holding n
+// items, sends its leader its whole run, and q, the evenly spaced keys it
+// samples if not. Both are bounded by the capacity term, the keys a machine
+// may send so that its group's g samples at sortKeyWords a key (the most
+// keyWords charges) plus a header fit half its leader's round whatever the
+// keys' columns hold; q is also at most 64. A run within q is whole. A
+// longer one is whole while its worst case — sortKeyWords a key up and at
+// most a word an item of cuts down, 4n — is no more than the sampled path's:
+// q keys up and the list of K-1 splitters down, 3(q+K-1).
+func (ld leaders) wholeRun(c *mpc.Cluster, i, n int) (whole bool, q int) {
+	k := c.K()
+	capTerm := max(leaderCap(c, ld.ids[i/ld.g])/(2*ld.g*(sortKeyWords+1)), 1)
+	q = min(capTerm, 64)
+	return n <= capTerm && (n <= q || sortKeyWords*n+n <= sortKeyWords*(q+k-1)), q
+}
+
+// sampleSize is how many keys machine i, holding n items, samples: all n
+// when it sends its whole run (wholeRun), q otherwise.
+func (ld leaders) sampleSize(c *mpc.Cluster, i, n int) int {
+	if whole, q := ld.wholeRun(c, i, n); !whole {
+		return q
+	}
+	return n
+}
+
+// sortSplitters is step 2 of Sort over locally sorted data: every machine
+// sends its leader a weighted key sample, and the leaders agree on the K-1
+// placement-weighted splitters (pickSplitters, aligned at key boundaries
+// under how.align) — one leader from the samples it was sent, r > 1 from
+// the summaries they exchange (summarise). A sampled key is the middle of
+// the block of items it stands for. A grouped sample keeps each key's A
+// column only, as (A, MinInt64, MinInt64) — the least key of its group — so
+// every splitter picked from it is a group's least key. It returns the
+// list, the samples by machine and whether the buckets fit their receivers:
+// always, unless a grouped Sort's load check says not (groupsFit, over what
+// the leaders merged).
+func sortSplitters[T any](c *mpc.Cluster, ld leaders, data [][]T, key func(T) SortKey, how split, itemWords int) ([]SortKey, []sample, bool, error) {
+	k := c.K()
 	// The round's samples are one slab and their keys one array, carved
 	// here (serially) so the parallel extraction only fills them in.
 	outs := perMachineOuts(k)
 	slab := make([]sample, k)
 	nkeys := 0
 	for i := range slab {
-		nkeys += sampleSize(c, len(data[i]))
+		nkeys += ld.sampleSize(c, i, len(data[i]))
 	}
 	keyBuf := make([]SortKey, nkeys)
 	for i := range slab {
-		take := sampleSize(c, len(data[i]))
+		take := ld.sampleSize(c, i, len(data[i]))
 		slab[i] = sample{Keys: keyBuf[:take:take], Count: len(data[i])}
 		keyBuf = keyBuf[take:]
 	}
@@ -274,38 +372,170 @@ func sortSplitters[T any](c *mpc.Cluster, data [][]T, key func(T) SortKey, how s
 				keys[j].B, keys[j].C = math.MinInt64, math.MinInt64
 			}
 		}
-		outs[i][0] = mpc.Msg{To: coordinator(c), Words: keyWords(keys) + 1, Data: &slab[i]}
+		outs[i][0] = mpc.Msg{To: ld.ids[i/ld.g], Words: keyWords(keys) + 1, Data: &slab[i]}
 	})
-	inbox, err := toCoordinator(c, outs)
+	ins, inLarge, err := c.Exchange(outs, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 
-	// Step 3: coordinator picks splitters weighted by machine loads.
-	samples, err := inboxSamples(inbox)
-	if err != nil {
-		return nil, nil, err
+	// Every leader merges its group's samples; the merges' cursors and
+	// trees are one array each.
+	merges := make([]sampleMerge, ld.r())
+	cur, tree := make([]sampleCursor, k), make([]mergeNode, 2*k)
+	for j, id := range ld.ids {
+		inbox := inLarge
+		if id != mpc.Large {
+			inbox = ins[id]
+		}
+		lo, hi := ld.group(k, j)
+		if merges[j], err = inboxSamples(inbox, cur[lo:hi], tree[2*lo:2*hi]); err != nil {
+			return nil, nil, false, err
+		}
 	}
-	return pickSplitters(c, samples, how.align), slab, nil
+	view := slab
+	if ld.r() > 1 {
+		if merges[0], view, err = summarise(c, ld, slab, merges, how.grouped); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	sp := pickSplitters(c, merges[0], how.align)
+	return sp, slab, !how.grouped || groupsFit(c, sp, view, itemWords), nil
 }
 
-// groupsFit is the coordinator's load check on group-aligned splitters sp:
-// whether every bucket's load bound, in items of itemWords words, fits its
-// receiver's capacity in the route round. A whole sample counts its keys in
-// the bucket exactly. A machine that sampled q of its n items holds at most
-// ⌈n/q⌉ items between two of its sampled keys, so at most (s+1)·⌈n/q⌉ in a
-// bucket where s of its sampled keys fall.
-func groupsFit(c *mpc.Cluster, sp []SortKey, samples []sample, itemWords int) bool {
-	k := c.K()
-	load, base := make([]int, k), 0 // bucket j's bound is base + load[j]
+// summaries is the r > 1 leaders' local step before the summary round.
+// Leader j walks its group's merged samples (merges[j]) and keeps s keys of
+// equal weight W/s, W its group's items: s = g when every sample of the
+// group is a whole run and 4g when one is not, or every key when the whole
+// group holds at most g items. Key t is where the running weight first
+// reaches (t + (j+½)/r)·W/s, so the r summaries are staggered and their
+// keys interleave. A grouped Sort's summary also carries, in one more word,
+// the most items of the group between two consecutive keys (Gap, the bound
+// groupsFit puts on a sample).
+func summaries(c *mpc.Cluster, ld leaders, slab []sample, merges []sampleMerge, grouped bool) []sample {
+	k, r, most := c.K(), ld.r(), 4*ld.g
+	// The summaries, their keys and a grouped Sort's loads are one array
+	// each, carved by the most keys a summary can hold.
+	sums := make([]sample, r)
+	keyBuf := make([]SortKey, r*most)
+	var loadBuf []int
+	if grouped {
+		loadBuf = make([]int, r*(most+1))
+	}
+	c.Each(func(i int) {
+		j := i / ld.g
+		if i != ld.ids[j] {
+			return
+		}
+		lo, hi := ld.group(k, j)
+		group, w, s := slab[lo:hi], 0, ld.g
+		for x := range group {
+			w += group[x].Count
+			if !group[x].whole() {
+				s = most
+			}
+		}
+		if s == ld.g && w <= s {
+			s = w
+		}
+		keys := keyBuf[j*most : j*most+s]
+		step, stagger := float64(w)/float64(max(s, 1)), (float64(j)+0.5)/float64(r)
+		t, cum := 0, 0.0
+		for cur, kk, ok := merges[j].pop(); ok && t < s; cur, kk, ok = merges[j].pop() {
+			for cum += cur.weight; t < s && cum >= (float64(t)+stagger)*step; t++ {
+				keys[t] = kk
+			}
+		}
+		for ; t > 0 && t < s; t++ { // rounding left the last targets short
+			keys[t] = keys[t-1]
+		}
+		sums[j] = sample{Keys: keys, Count: w}
+		if grouped && !sums[j].whole() {
+			load := loadBuf[j*(most+1) : j*(most+1)+s+1]
+			sums[j].Gap = bucketLoads(group, keys, load) + slices.Max(load)
+		}
+	})
+	return sums
+}
+
+// summaryWords is what a summary costs on the wire: its keys under its
+// count, and a grouped Sort's Gap word.
+func summaryWords(s *sample, grouped bool) int {
+	if grouped {
+		return keyWords(s.Keys) + 2
+	}
+	return keyWords(s.Keys) + 1
+}
+
+// summarise is the r > 1 leaders' half of step 2: their summaries
+// (summaries), then one round under "summary" in which every leader sends
+// its summary to every other. It returns the merge of the r summaries in
+// leader order, which every leader holds and the simulator builds once, and
+// the summaries.
+func summarise(c *mpc.Cluster, ld leaders, slab []sample, merges []sampleMerge, grouped bool) (sampleMerge, []sample, error) {
+	k, r := c.K(), ld.r()
+	sums := summaries(c, ld, slab, merges, grouped)
+	msgs := make([]mpc.Msg, r*(r-1))
+	outs := make([][]mpc.Msg, k)
+	for j, id := range ld.ids {
+		words := summaryWords(&sums[j], grouped)
+		out := msgs[j*(r-1) : j*(r-1) : (j+1)*(r-1)]
+		for o, to := range ld.ids {
+			if o != j {
+				out = append(out, mpc.Msg{To: to, Words: words, Data: &sums[j]})
+			}
+		}
+		outs[id] = out
+	}
+	round := c.Span("summary")
+	ins, _, err := c.Exchange(outs, nil)
+	round.End()
+	if err != nil {
+		return sampleMerge{}, nil, err
+	}
+	// Leader 0's view: its own summary, then the others' in delivery order,
+	// which is leader order.
+	inbox := ins[ld.ids[0]]
+	if len(inbox) != r-1 {
+		return sampleMerge{}, nil, fmt.Errorf("prims: leader %d was sent %d summaries, want %d", ld.ids[0], len(inbox), r-1)
+	}
+	m := sampleMerge{cur: make([]sampleCursor, r), tree: make([]mergeNode, 2*r), summaries: true}
+	m.cur[0] = cursorOf(&sums[0])
+	for j, msg := range inbox {
+		s, ok := msg.Data.(*sample)
+		if !ok || s == nil {
+			return sampleMerge{}, nil, fmt.Errorf("prims: unexpected summary payload %T", msg.Data)
+		}
+		m.cur[1+j] = cursorOf(s)
+	}
+	m.play()
+	return m, sums, nil
+}
+
+// bucketLoads adds to load[j] a bound on the items the samples hold in
+// bucket j of the list sp, walkBuckets over len(load) buckets: a whole
+// sample's keys in it exactly, and a sample with at most gap() items
+// between two of its keys (its keys in it + 1)·gap(). It returns the sum of
+// the +1 terms, which every bucket's bound adds.
+func bucketLoads(samples []sample, sp []SortKey, load []int) (base int) {
 	for i := range samples {
 		s, w := &samples[i], 1
 		if !s.whole() {
-			w = (s.Count + len(s.Keys) - 1) / len(s.Keys)
+			w = s.gap()
 			base += w
 		}
-		walkBuckets(s.Keys, sp, k, identKey, func(j int, r []SortKey) { load[j] += w * len(r) })
+		walkBuckets(s.Keys, sp, len(load), identKey, func(j int, r []SortKey) { load[j] += w * len(r) })
 	}
+	return base
+}
+
+// groupsFit is the leaders' load check on group-aligned splitters sp:
+// whether every bucket's load bound (bucketLoads over the samples the
+// leaders merged — the machines' or the summaries), in items of itemWords
+// words, fits its receiver's capacity in the route round.
+func groupsFit(c *mpc.Cluster, sp []SortKey, samples []sample, itemWords int) bool {
+	load := make([]int, c.K())
+	base := bucketLoads(samples, sp, load)
 	for j, l := range load {
 		if (base+l)*itemWords > c.SmallCapOf(j) {
 			return false
@@ -314,53 +544,29 @@ func groupsFit(c *mpc.Cluster, sp []SortKey, samples []sample, itemWords int) bo
 	return true
 }
 
-// wholeRun is step 2's rule (DESIGN.md §1): whether a machine that holds n
-// items sends the coordinator its whole run, and q, the evenly spaced keys
-// it samples if not. Both are bounded by the capacity term, the keys a
-// machine may send so that K samples at sortKeyWords a key (the most keyWords
-// charges) plus a header fit half the coordinator's round whatever the keys'
-// columns hold; q is also at most 64. A run within q is whole. A longer one
-// is whole while its worst case — sortKeyWords a key up and at most a word
-// an item of cuts down, 4n — is no more than the sampled path's: q keys up
-// and the list of K-1 splitters down, 3(q+K-1).
-func wholeRun(c *mpc.Cluster, n int) (whole bool, q int) {
-	k := c.K()
-	capTerm := max(coordCap(c)/(2*k*(sortKeyWords+1)), 1)
-	q = min(capTerm, 64)
-	return n <= capTerm && (n <= q || sortKeyWords*n+n <= sortKeyWords*(q+k-1)), q
-}
-
-// sampleSize is how many keys a machine that holds n items samples: all n
-// when it sends its whole run (wholeRun), q otherwise.
-func sampleSize(c *mpc.Cluster, n int) int {
-	if whole, q := wholeRun(c, n); !whole {
-		return q
+// inboxSamples is a leader's side of the sample round: the merge of the
+// samples it was sent, a cursor on each in delivery order, over the
+// caller's cursors and tree (2 nodes a sample).
+func inboxSamples(inbox []mpc.Msg, cur []sampleCursor, tree []mergeNode) (sampleMerge, error) {
+	if len(inbox) != len(cur) {
+		return sampleMerge{}, fmt.Errorf("prims: a leader was sent %d samples, want %d", len(inbox), len(cur))
 	}
-	return n
-}
-
-// inboxSamples is the coordinator's side of the sample round: the merge of
-// the samples it was sent, a cursor on each in delivery order.
-func inboxSamples(inbox []mpc.Msg) (sampleMerge, error) {
-	m := sampleMerge{cur: make([]sampleCursor, len(inbox))}
+	m := sampleMerge{cur: cur, tree: tree}
 	for j, msg := range inbox {
 		s, ok := msg.Data.(*sample)
 		if !ok || s == nil {
 			return sampleMerge{}, fmt.Errorf("prims: unexpected sample payload %T", msg.Data)
 		}
-		m.cur[j] = sampleCursor{s: s}
-		if len(s.Keys) > 0 {
-			m.cur[j].weight = float64(s.Count) / float64(len(s.Keys))
-		}
+		m.cur[j] = cursorOf(s)
 	}
 	m.play()
 	return m, nil
 }
 
-// pickSplitters walks the samples' keys in sorted order — a K-way merge of
-// the sorted samples, equal keys in delivery order, as a stable sort of
-// their concatenation orders them — each key standing for its machine's
-// count over its sample size, and takes a splitter wherever the running
+// pickSplitters walks the samples' keys in sorted order — a merge of the
+// sorted samples or summaries, equal keys in delivery order, as a stable
+// sort of their concatenation orders them — each key standing for its
+// sample's count over its size, and takes a splitter wherever the running
 // weight crosses a bucket's target. The targets are placement-weighted:
 // bucket i should hold a PlaceShare(i)/Σ share of the items under the
 // cluster's placement policy (DESIGN.md §8) — capacity shares under the
@@ -374,14 +580,15 @@ func inboxSamples(inbox []mpc.Msg) (sampleMerge, error) {
 // at most align items can carry x, so every item of x lands in one bucket.
 // The merge counts x's keys in whole samples exactly, and a machine whose
 // sample is not its whole run, or that sent none, counts as one: for plan
-// requests, at most one a machine, that bounds x's items. A key whose bound
-// exceeds align keeps its splitters.
+// requests, at most one a machine, that bounds x's items. Summaries count
+// no key exactly, so over them the bound is K, which sortLeaders allows only
+// when align ≥ K. A key whose bound exceeds align keeps its splitters.
 func pickSplitters(c *mpc.Cluster, m sampleMerge, align int) []SortKey {
 	k := c.K()
 	total, loose := 0, k
 	for _, cur := range m.cur {
 		total += cur.s.Count
-		if cur.s.whole() {
+		if m.exact(cur) {
 			loose--
 		}
 	}
@@ -415,7 +622,7 @@ func pickSplitters(c *mpc.Cluster, m sampleMerge, align int) []SortKey {
 			closeRun()
 			x, from, n = kk.A, len(splitters), 0
 		}
-		if cur.s.whole() {
+		if m.exact(*cur) {
 			n++
 		}
 		cum += cur.weight
@@ -443,62 +650,80 @@ const (
 // rides in the reply's header word.
 func runCutWords(cuts []Cut, items int) int { return min(cutWords*len(cuts), items) }
 
-// sortReply is the coordinator's answer to one machine's sample: the cuts of
-// the machine's run or, for a machine that holds more than it sampled, the
-// splitter list to derive them from. The list is never nil (sortSplitters
+// sortReply is a leader's answer to one machine's sample: the cuts of the
+// machine's run or, for a machine that holds more than it sampled, the
+// splitter list to derive them from. The list is never nil (pickSplitters
 // makes it), so a nil List says the reply is cuts.
 type sortReply struct {
 	Cuts []Cut
 	List []SortKey
 }
 
-// sortReplies is the rest of step 3: the coordinator answers every sample,
-// and the returned replies are what each machine holds afterwards. A machine
-// whose sample is its whole run (wholeRun: a property of the input) has
-// already sent the coordinator every key it holds, so the coordinator
-// cuts the run for it (runCuts, into the machine's share of cutBuf) and, if
-// spans is non-nil, works out its spans too (splitterSpans, into entries 2i
-// and 2i+1); the reply is a header word, runCutWords of the cuts and 3 words
-// a span, at most min(2·K, items)+7, where the list is keyWords(sp)+1. A
-// machine that holds more is sent the list and derives both itself. The
-// replies go out directly if together they fit half the coordinator's
-// capacity (machine 0 keeps its own when it is the coordinator), in one
-// round or, when that moves fewer words through the busiest sender, in two
-// through relays (sendReplies). If they do not fit, the list is broadcast
-// to everyone — K copies of it fit still less, so down the tree — and every
-// reply is the list.
-func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []Cut, starts []int, spans []span) ([]sortReply, error) {
+// sortReplies is the rest of step 3: every leader answers its group's
+// samples, and the returned replies are what each machine holds afterwards.
+// A machine whose sample is its whole run (wholeRun: a property of the
+// input) has already sent its leader every key it holds, so the leader cuts
+// the run for it (runCuts, into the machine's share of cutBuf) and, if spans
+// is non-nil, works out its spans too (splitterSpans, into entries 2i and
+// 2i+1); the reply is a header word, runCutWords of the cuts and 3 words a
+// span, at most min(2·K, items)+7, where the list is keyWords(sp)+1. A
+// machine that holds more is sent the list and derives both itself. A
+// leader keeps its own reply. A plan's list (spans != nil) also goes to the
+// large machine, which routes its values along it (PlanBroadcast), from
+// leader 0 when the leaders are small machines. The replies go out in one
+// round when every leader's together fit half its capacity, which
+// sortLeaders makes sure of when there are r > 1 leaders. If the
+// coordinator's do not, the list is broadcast to everyone — K copies of it
+// fit still less, so down the tree — and every reply is the list.
+func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cutBuf []Cut, starts []int, spans []span) ([]sortReply, error) {
 	k := c.K()
-	replies := make([]sortReply, k)
-	msgs := make([]mpc.Msg, 0, k)
-	total, listWords := 0, keyWords(sp)
-	for i := range replies {
-		r, words := &replies[i], 1
-		if samples[i].whole() {
-			r.Cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], samples[i].Keys, sp, k, identKey)
-			words += runCutWords(r.Cuts, len(samples[i].Keys))
-			if spans != nil {
-				for s, si := range splitterSpans(sp, k, i) {
-					spans[2*i+s] = si
-					if si.B > si.A {
-						words += spanWords
+	replies := make([]sortReply, k+1) // entry k is the large machine's copy of a plan's list
+	msgs := make([]mpc.Msg, 0, k+1)
+	outs := make([][]mpc.Msg, k)
+	var outLarge []mpc.Msg
+	listWords, fits := keyWords(sp), true
+	for j, id := range ld.ids {
+		lo, hi := ld.group(k, j)
+		start, total := len(msgs), 0
+		for i := lo; i < hi; i++ {
+			r, words := &replies[i], 1
+			if samples[i].whole() {
+				r.Cuts = runCuts(cutBuf[starts[i]:starts[i]:starts[i+1]], samples[i].Keys, sp, k, identKey)
+				words += runCutWords(r.Cuts, len(samples[i].Keys))
+				if spans != nil {
+					for s, si := range splitterSpans(sp, k, i) {
+						spans[2*i+s] = si
+						if si.B > si.A {
+							words += spanWords
+						}
 					}
 				}
+			} else {
+				r.List = sp
+				words += listWords
 			}
+			if i == id {
+				continue // a leader keeps its own reply
+			}
+			msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: r})
+			total += words
+		}
+		if j == 0 && spans != nil && c.HasLarge() && id != mpc.Large {
+			replies[k] = sortReply{List: sp}
+			msgs = append(msgs, mpc.Msg{To: mpc.Large, Words: listWords + 1, Data: &replies[k]})
+			total += listWords + 1
+		}
+		fits = fits && total <= leaderCap(c, id)/2
+		if id == mpc.Large {
+			outLarge = msgs[start:len(msgs):len(msgs)]
 		} else {
-			r.List = sp
-			words += listWords
+			outs[id] = msgs[start:len(msgs):len(msgs)]
 		}
-		if i == coordinator(c) {
-			continue // machine 0 keeps its own reply locally
-		}
-		msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: r})
-		total += words
 	}
-	if total <= coordCap(c)/2 {
-		round := c.Span("broadcast")
-		err := sendReplies(c, msgs, replies, listWords+1)
-		round.End()
+	replies = replies[:k]
+	if fits {
+		defer c.Span("broadcast").End()
+		_, _, err := c.Exchange(outs, outLarge)
 		return replies, err
 	}
 	lists, err := BroadcastValue(c, sp, listWords+1)
@@ -509,66 +734,6 @@ func sortReplies(c *mpc.Cluster, sp []SortKey, samples []sample, cutBuf []Cut, s
 		replies[i] = sortReply{List: lists[i]}
 	}
 	return replies, nil
-}
-
-// sendReplies sends the coordinator's replies msgs, each carrying its
-// receiver's entry of replies, where a list reply costs listMsg words
-// (DESIGN.md §1). Let ℓ be the list receivers. They split, in machine
-// order, into r = ⌈√ℓ⌉ groups of at most g = ⌈ℓ/r⌉, the first machine of
-// each its relay. The relay form sends the cuts and one list a relay from
-// the coordinator, then (under "relay") each relay's list to the rest of
-// its group; the replies and their words are the direct round's, only the
-// list's senders differ. It is taken when its two rounds' busiest senders
-// together move fewer words than the direct round's coordinator,
-// cuts + r·listMsg + (g−1)·listMsg < cuts + ℓ·listMsg, and each relay's
-// sends fit half its capacity; otherwise the replies take one round.
-func sendReplies(c *mpc.Cluster, msgs []mpc.Msg, replies []sortReply, listMsg int) error {
-	ell := 0
-	for _, m := range msgs {
-		if replies[m.To].List != nil {
-			ell++
-		}
-	}
-	r := 1
-	for r*r < ell {
-		r++
-	}
-	g := (ell + r - 1) / r
-	relay := r+g-1 < ell
-	for j, n := 0, 0; relay && j < len(msgs); j++ {
-		if to := msgs[j].To; replies[to].List != nil {
-			relay = n%g != 0 || 2*(min(g, ell-n)-1)*listMsg <= c.SmallCapOf(to)
-			n++
-		}
-	}
-	if !relay {
-		_, err := fromCoordinator(c, msgs)
-		return err
-	}
-	// The coordinator's round keeps its messages in place in msgs; the
-	// relays' round is one array, fwd.
-	direct, fwd := msgs[:0], make([]mpc.Msg, 0, ell)
-	outs := make([][]mpc.Msg, c.K())
-	from, start, n := 0, 0, 0 // the group's relay, its first entry of fwd; the list receivers so far
-	for _, m := range msgs {
-		if replies[m.To].List != nil {
-			pos := n
-			n++
-			if pos%g != 0 {
-				fwd = append(fwd, mpc.Msg{To: m.To, Words: m.Words, Data: &replies[from]})
-				outs[from] = fwd[start:len(fwd):len(fwd)]
-				continue
-			}
-			from, start = m.To, len(fwd)
-		}
-		direct = append(direct, m)
-	}
-	if _, err := fromCoordinator(c, direct); err != nil {
-		return err
-	}
-	defer c.Span("relay").End()
-	_, _, err := c.Exchange(outs, nil)
-	return err
 }
 
 // runCuts appends to dst the cuts of a locally sorted run against the
@@ -582,23 +747,43 @@ func runCuts[T any](dst []Cut, run []T, sp []SortKey, nb int, key func(T) SortKe
 	return dst
 }
 
-// sample is one machine's evenly spaced key sample and item count.
+// sample is one machine's evenly spaced key sample and item count, or a
+// leader's summary of its group's samples (summarise): Count items, each key
+// standing for Count/len(Keys) of them. Gap is set on a grouped Sort's
+// summary only.
 type sample struct {
 	Keys  []SortKey
 	Count int
+	Gap   int
 }
 
-// whole reports whether the sample is every key the machine holds, in order.
+// whole reports whether the sample is every key its machines hold, in order.
 func (s *sample) whole() bool { return s.Count == len(s.Keys) }
 
-// sampleMerge is a K-way merge of sorted samples: a loser tree over the
-// samples' heads, ordered by key and then delivery order, so equal keys come
-// out in delivery order, as a stable sort of the samples' concatenation has
-// them. A pop replays one leaf-to-root path, one comparison a level.
-type sampleMerge struct {
-	cur  []sampleCursor
-	tree []mergeNode // tree[0] is the winner, tree[x] for 0 < x < K the loser at node x
+// gap bounds the items between two consecutive keys of a sample that is not
+// whole: Gap for a summary, ⌈Count/len(Keys)⌉ for a machine's evenly spaced
+// keys.
+func (s *sample) gap() int {
+	if s.Gap > 0 {
+		return s.Gap
+	}
+	return (s.Count + len(s.Keys) - 1) / len(s.Keys)
 }
+
+// sampleMerge is a merge of sorted samples: a loser tree over the samples'
+// heads, ordered by key and then delivery order, so equal keys come out in
+// delivery order, as a stable sort of the samples' concatenation has them.
+// A pop replays one leaf-to-root path, one comparison a level. A merge of
+// summaries counts no key exactly (pickSplitters).
+type sampleMerge struct {
+	cur       []sampleCursor
+	tree      []mergeNode // tree[0] is the winner, tree[x] for 0 < x < len(cur) the loser at node x
+	summaries bool
+}
+
+// exact reports whether cur's keys are every key of one machine, counted
+// exactly by pickSplitters' alignment.
+func (m *sampleMerge) exact(cur sampleCursor) bool { return !m.summaries && cur.s.whole() }
 
 // sampleCursor is a sample's next position and the items each of its keys
 // stands for.
@@ -614,6 +799,15 @@ type mergeNode struct {
 	key   SortKey
 	spent bool
 	j     int32
+}
+
+// cursorOf is a cursor at the start of s.
+func cursorOf(s *sample) sampleCursor {
+	cur := sampleCursor{s: s}
+	if len(s.Keys) > 0 {
+		cur.weight = float64(s.Count) / float64(len(s.Keys))
+	}
+	return cur
 }
 
 func (cur *sampleCursor) head(j int32) mergeNode {
@@ -639,16 +833,16 @@ func (a *mergeNode) less(b *mergeNode) bool {
 	return a.j < b.j
 }
 
-// play plays the tournament over the samples' first keys: leaf j sits at
-// node K+j and node x's children are 2x and 2x+1. The nodes first take
-// their subtree's winner, bottom-up; then, top-down, each keeps the loser
-// of its children's winners.
+// play plays the tournament, in m.tree (2 nodes a sample), over the
+// samples' first keys: leaf j sits at node n+j of n samples and node x's
+// children are 2x and 2x+1. The nodes first take their subtree's winner,
+// bottom-up; then, top-down, each keeps the loser of its children's
+// winners.
 func (m *sampleMerge) play() {
 	n := len(m.cur)
 	if n == 0 {
 		return
 	}
-	m.tree = make([]mergeNode, 2*n)
 	for j := range m.cur {
 		m.tree[n+j] = m.cur[j].head(int32(j))
 	}

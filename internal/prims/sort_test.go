@@ -39,15 +39,16 @@ func sortRounds(t *testing.T, cfg mpc.Config, data [][]SortKey) (*mpc.Cluster, [
 }
 
 // TestSortChargesThreeRoundsWhenRepliesFit pins steps 2 and 3's cost. Where
-// the replies fit half the coordinator's capacity and at most one machine
-// is sent the list, so no relay pays (TestSortRelaysTheList), a Sort is
-// sample, reply, route — three rounds — the sample round carries every
+// every leader's replies fit half its capacity, a Sort is sample, reply,
+// route — three rounds — with one more, the summaries, when r > 1 leaders
+// agree on the splitters (sortLeaders). The sample round carries every
 // machine's encoded sample, and the reply round carries, to every machine
-// but the coordinator, the encoded cuts of its run (a machine that sends its
-// whole run, wholeRun) or the encoded list (any other), each with its header
-// word. Where they do not fit, step 3 is exactly BroadcastValue of the list:
-// its tree depth, its words. The expected words are the lengths of the
-// encodings in sortwords_test.go, not the charges under test.
+// but a leader, the encoded cuts of its run (a machine that sends its whole
+// run, wholeRun) or the encoded list (any other), each with its header
+// word. Where the coordinator's replies do not fit, step 3 is exactly
+// BroadcastValue of the list: its tree depth, its words. The expected words
+// are the lengths of the encodings in sortwords_test.go, not the charges
+// under test.
 func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 311))
 	input := func(k int, size func(i int) int) [][]SortKey {
@@ -59,32 +60,15 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		}
 		return data
 	}
-	// splitters is the list a twin cluster picks over the same locally
-	// sorted runs, which it returns too.
-	splitters := func(cfg mpc.Config, data [][]SortKey) ([]SortKey, [][]SortKey) {
-		twin, err := mpc.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs := make([][]SortKey, len(data))
-		for i := range data {
-			runs[i] = slices.Clone(data[i])
-			slices.SortFunc(runs[i], SortKey.Compare)
-		}
-		sp, _, err := sortSplitters(twin, runs, identKey, split{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sp, runs
-	}
 	// wantSamples is the sample round's words for this input: every
 	// machine's sampleSize evenly spaced keys (all of them when it sends its
 	// whole run), encoded under its count.
 	wantSamples := func(c *mpc.Cluster, data [][]SortKey) (words int64) {
-		for _, run := range data {
+		ld := sortLeaders(c, 0)
+		for i, run := range data {
 			run = slices.Clone(run)
 			slices.SortFunc(run, SortKey.Compare)
-			sample := make([]SortKey, sampleSize(c, len(run)))
+			sample := make([]SortKey, ld.sampleSize(c, i, len(run)))
 			for j := range sample {
 				sample[j] = run[j*len(run)/len(sample)]
 			}
@@ -97,14 +81,15 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		return len(encodeRunCuts(runCuts(nil, runs[i], sp, len(runs), identKey), len(runs[i])))
 	}
 	// wantReplies is the reply round's words for this input: every machine
-	// but the coordinator is sent its encoded cuts, when it sends its whole
-	// run, or the list.
+	// but a leader is sent its encoded cuts, when it sends its whole run, or
+	// the list.
 	wantReplies := func(c *mpc.Cluster, cfg mpc.Config, data [][]SortKey) (words int64) {
-		sp, runs := splitters(cfg, data)
+		sp, runs := sortedSplitters(t, cfg, data)
 		list := len(encodeKeys(int64(len(sp)), sp))
+		ld := sortLeaders(c, 0)
 		for i := range runs {
-			switch whole, _ := wholeRun(c, len(runs[i])); {
-			case i == coordinator(c):
+			switch whole, _ := ld.wholeRun(c, i, len(runs[i])); {
+			case i == ld.ids[i/ld.g]:
 			case whole:
 				words += int64(cutWords(sp, runs, i))
 			default:
@@ -114,38 +99,50 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		return words
 	}
 	// checkThreeRounds runs one Sort of data on cfg and checks it is sample,
-	// reply, route with the sample and reply words above, and that the
-	// machines named are sent the list and the cuts of their runs: the
-	// rule's verdict read off the reply round, not off wholeRun. Trace slot
-	// 1+i is machine i.
-	checkThreeRounds := func(name string, cfg mpc.Config, data [][]SortKey, listTo, cutsTo []int) {
+	// summary when there are r leaders, reply, route, with the sample and
+	// reply words above, and that the machines named are sent the list and
+	// the cuts of their runs: the rule's verdict read off the reply round,
+	// not off wholeRun. Trace slot 1+i is machine i.
+	checkThreeRounds := func(name string, cfg mpc.Config, data [][]SortKey, r int, listTo, cutsTo []int) {
 		t.Helper()
 		c, rounds := sortRounds(t, cfg, data)
-		if len(rounds) != 3 || rounds[1].Phase != "sort/broadcast" {
-			t.Fatalf("%s: Sort charged %d rounds, want sample, reply, route: %+v", name, len(rounds), rounds)
+		if got := sortLeaders(c, 0).r(); got != r {
+			t.Fatalf("%s: %d leaders, want %d", name, got, r)
 		}
+		want := []string{"sort", "sort/summary", "sort/broadcast", "sort"}
+		if r == 1 {
+			want = slices.Delete(want, 1, 2)
+		}
+		phases := make([]string, len(rounds))
+		for j, rd := range rounds {
+			phases[j] = rd.Phase
+		}
+		if !slices.Equal(phases, want) {
+			t.Fatalf("%s: Sort charged rounds %q, want %q", name, phases, want)
+		}
+		reply := rounds[len(rounds)-2]
 		if want := wantSamples(c, data); rounds[0].Words != want {
 			t.Errorf("%s: the sample round carries %d words, want %d (the encoded samples)", name, rounds[0].Words, want)
 		}
-		if want := wantReplies(c, cfg, data); rounds[1].Words != want {
-			t.Errorf("%s: the reply round carries %d words, want %d (the encoded cuts or list)", name, rounds[1].Words, want)
+		if want := wantReplies(c, cfg, data); reply.Words != want {
+			t.Errorf("%s: the reply round carries %d words, want %d (the encoded cuts or list)", name, reply.Words, want)
 		}
-		sp, runs := splitters(cfg, data)
+		sp, runs := sortedSplitters(t, cfg, data)
 		list := len(encodeKeys(int64(len(sp)), sp))
 		for _, i := range listTo {
-			if got := rounds[1].RecvWords[1+i]; got != list {
+			if got := reply.RecvWords[1+i]; got != list {
 				t.Errorf("%s: machine %d (%d items) is sent %d words, want the list's %d", name, i, len(runs[i]), got, list)
 			}
 		}
 		for _, i := range cutsTo {
-			if got, want := rounds[1].RecvWords[1+i], cutWords(sp, runs, i); got != want || want >= list {
+			if got, want := reply.RecvWords[1+i], cutWords(sp, runs, i); got != want || want >= list {
 				t.Errorf("%s: machine %d (%d items) is sent %d words, want its cuts' %d, shorter than the list's %d", name, i, len(runs[i]), got, want, list)
 			}
 		}
 	}
 
-	// Table 1's baseline shape: K = 182, q = 64, and the capacity term (93)
-	// sends a run past it the list, though its whole run would cost less.
+	// Table 1's baseline shape: K = 182 in 14 groups of 13, q = 64, and the
+	// leaders' capacity term is far past the bound 4n <= 3(q+K-1).
 	fit := mpc.Config{N: 512, M: 4096, Seed: 7, NoLarge: true}
 	const q = 64
 	k := fit.DeriveK()
@@ -153,9 +150,11 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capTerm := coordCap(twin) / (2 * k * (sortKeyWords + 1))
-	if k != 182 || capTerm <= q || (sortKeyWords+1)*(capTerm+1) > sortKeyWords*(q+k-1) {
-		t.Fatalf("K=%d capacity term %d: not Table 1's baseline shape", k, capTerm)
+	ld := sortLeaders(twin, 0)
+	capTerm := leaderCap(twin, ld.ids[0]) / (2 * ld.g * (sortKeyWords + 1))
+	bound := sortKeyWords * (q + k - 1) / (sortKeyWords + 1)
+	if k != 182 || ld.g != 13 || capTerm <= bound {
+		t.Fatalf("K=%d g=%d capacity term %d: not Table 1's baseline shape", k, ld.g, capTerm)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -169,22 +168,21 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 			}
 			return i % (q + 1)
 		}, []int{100}},
-		{"one machine past the capacity term", func(i int) int {
+		{"one machine past the bound", func(i int) int {
 			if i == 100 {
-				return capTerm + 1
+				return bound + 1
 			}
 			return i % (q + 1)
 		}, []int{100}},
 	} {
-		checkThreeRounds(tc.name, fit, input(k, tc.size), tc.listTo, []int{1, 64})
+		checkThreeRounds(tc.name, fit, input(k, tc.size), 14, tc.listTo, []int{1, 64})
 	}
 
-	// Table 1's heterogeneous shape: the large machine coordinates, its
-	// capacity term is far past the bound 4n <= 3(q+K-1), and that bound
-	// decides. The machine at the bound, past q, is sent its cuts; the one
-	// past it the list.
-	bound := sortKeyWords * (q + k - 1) / (sortKeyWords + 1)
-	checkThreeRounds("large coordinator", mpc.Config{N: 512, M: 4096, Seed: 7}, input(k, func(i int) int {
+	// Table 1's heterogeneous shape: the large machine costs a small one's
+	// per word, so 14 small leaders agree on the splitters. The machine at
+	// the bound, past q, is sent its cuts; the one past it the list.
+	het := mpc.Config{N: 512, M: 4096, Seed: 7}
+	checkThreeRounds("small leaders", het, input(k, func(i int) int {
 		switch i {
 		case 100:
 			return bound
@@ -192,14 +190,30 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 			return bound + 1
 		}
 		return i % (q + 1)
-	}), []int{101}, []int{64, 100})
+	}), 14, []int{101}, []int{64, 100})
 
-	// TestDeepTrees' shape: K = 64 machines of 819 words, q = 1. Every
+	// A beefy large machine, 64× a small one's speed and link, is the one
+	// leader: it answers every machine itself.
+	beefy := het
+	beefy.Profile = mpc.UniformProfile(k)
+	beefy.Profile.LargeSpeed, beefy.Profile.LargeBandwidth = 64, 64
+	checkThreeRounds("beefy coordinator", beefy, input(k, func(i int) int {
+		if i == 101 {
+			return bound + 1
+		}
+		return i % (q + 1)
+	}), 1, []int{101}, []int{64, 100})
+
+	// TestDeepTrees' shape: K = 64 machines of 819 words, q = 1. No leader
+	// has room for its group's replies, so the coordinator leads; every
 	// machine holds more than it samples, and 63 lists do not fit.
 	deep := mpc.Config{N: 256, M: 2048, K: 64, CSmall: 0.1, Seed: 42, NoLarge: true}
 	data := input(deep.K, func(int) int { return 3 })
 	c, rounds := sortRounds(t, deep, data)
-	sp, _ := splitters(deep, data)
+	if r := sortLeaders(c, 0).r(); r != 1 {
+		t.Fatalf("deep: %d leaders, want the coordinator alone", r)
+	}
+	sp, _ := sortedSplitters(t, deep, data)
 	listWords := len(encodeKeys(int64(len(sp)), sp))
 	depth := treeDepth(deep.K, branching(c, listWords))
 	if (deep.K-1)*listWords <= coordCap(c)/2 || depth < 2 {
@@ -220,6 +234,26 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	}
 }
 
+// sortedSplitters is the list a twin cluster built from cfg picks over
+// data's locally sorted runs, which it returns too.
+func sortedSplitters(t *testing.T, cfg mpc.Config, data [][]SortKey) ([]SortKey, [][]SortKey) {
+	t.Helper()
+	twin, err := mpc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([][]SortKey, len(data))
+	for i := range data {
+		runs[i] = slices.Clone(data[i])
+		slices.SortFunc(runs[i], SortKey.Compare)
+	}
+	sp, _, _, err := sortSplitters(twin, sortLeaders(twin, 0), runs, identKey, split{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp, runs
+}
+
 // TestSortReplyOverCapFailsTyped: the reply round is an ordinary round. A
 // machine too small for its reply — here the list, to a machine whose run is
 // too long to send whole and that can send its sample but not receive K-1
@@ -234,7 +268,7 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, q := wholeRun(c, hotItems)
+	whole, q := sortLeaders(c, 0).wholeRun(c, hot, hotItems)
 	if whole {
 		t.Fatalf("a run of %d items is sent whole: the machine would not be sent the list", hotItems)
 	}
@@ -266,11 +300,10 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	}
 }
 
-// relayInput is TestSortRelaysTheList's input: k machines of 100 to 163
-// keys that vary in all three columns, so every run is longer than its
-// sample (wholeRun) and every machine is sent the list, charged
-// sortKeyWords a splitter.
-func relayInput(k int) [][]SortKey {
+// leaderInput is the leader tests' input: k machines of 100 to 163 keys
+// that vary in all three columns, so every run is longer than its sample
+// (wholeRun) and every machine is sent the list.
+func leaderInput(k int) [][]SortKey {
 	rng := rand.New(rand.NewPCG(7, 45))
 	data := make([][]SortKey, k)
 	for i := range data {
@@ -281,66 +314,42 @@ func relayInput(k int) [][]SortKey {
 	return data
 }
 
-// TestSortRelaysTheList pins the relay form of Sort's reply (DESIGN.md §1):
-// at K = 64 with every run longer than its sample the ℓ list receivers
-// split into r = 8 groups of at most g = 8. The coordinator sends one list
-// a relay under sort/broadcast, each relay the rest of its group under
-// sort/broadcast/relay; together they carry the ℓ lists of the direct
-// round, and the buckets are the splitter rule's.
-func TestSortRelaysTheList(t *testing.T) {
+// TestSortLeadersShareTheSamples pins step 2 under r = ⌈√K⌉ leaders
+// (DESIGN.md §1): at K = 64, with and without the large machine, 8 leaders
+// each take their group of 8 machines' samples, then 7 summaries of 4g = 32
+// keys (every sample is q keys of a longer run). No machine receives more
+// over the two rounds than its group's samples and r-1 summaries, where the
+// coordinator alone took all 64 samples; and the buckets are the splitter
+// rule's over the list the leaders agreed on.
+func TestSortLeadersShareTheSamples(t *testing.T) {
 	for _, noLarge := range []bool{false, true} {
 		cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7, NoLarge: noLarge}
-		data := relayInput(cfg.K)
-		twin, err := mpc.New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		data := leaderInput(cfg.K)
+		c, rounds := sortRounds(t, cfg, data)
+		ld := sortLeaders(c, 0)
+		const r, g = 8, 8
+		if ld.r() != r || ld.g != g || rounds[1].Phase != "sort/summary" {
+			t.Fatalf("noLarge=%v: %d leaders of %d, second round %q: want %d of %d and the summaries", noLarge, ld.r(), ld.g, rounds[1].Phase, r, g)
 		}
+		// A sample is q keys under its count; a summary 4g keys, its header.
+		_, q := ld.wholeRun(c, 0, len(data[0]))
+		sample, summary := int64(sortKeyWords*q+1), int64(sortKeyWords*4*g+1)
+		for slot := range rounds[0].RecvWords {
+			got := int64(rounds[0].RecvWords[slot] + rounds[1].RecvWords[slot])
+			if want := g*sample + (r-1)*summary; got > want {
+				t.Errorf("noLarge=%v: trace slot %d receives %d words in the sample and summary rounds, want at most %d samples and %d summaries = %d", noLarge, slot, got, g, r-1, want)
+			}
+			if leader := slot >= 1 && slices.Contains(ld.ids, slot-1); !leader && got != 0 {
+				t.Errorf("noLarge=%v: trace slot %d is no leader and receives %d words", noLarge, slot, got)
+			}
+		}
+		if got, want := rounds[1].Words, int64(r*(r-1))*summary; got != want {
+			t.Errorf("noLarge=%v: the summary round carries %d words, want %d summaries = %d", noLarge, got, r*(r-1), want)
+		}
+
+		sp, _ := sortedSplitters(t, cfg, data)
 		all := Flatten(data)
 		slices.SortFunc(all, SortKey.Compare)
-		runs := make([][]SortKey, cfg.K)
-		for i := range data {
-			if whole, _ := wholeRun(twin, len(data[i])); whole {
-				t.Fatalf("noLarge=%v: machine %d's %d items are sent whole", noLarge, i, len(data[i]))
-			}
-			runs[i] = slices.Clone(data[i])
-			slices.SortFunc(runs[i], SortKey.Compare)
-		}
-		sp, _, err := sortSplitters(twin, runs, identKey, split{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		list := int64(len(encodeKeys(int64(len(sp)), sp)))
-		if list != sortKeyWords*int64(cfg.K-1)+1 {
-			t.Fatalf("noLarge=%v: the list is %d words, want every column charged", noLarge, list)
-		}
-		ell, coord := cfg.K, 0 // the list receivers; the coordinator's trace slot
-		if noLarge {
-			ell, coord = cfg.K-1, 1
-		}
-		const r, g = 8, 8
-
-		_, rounds := sortRounds(t, cfg, data)
-		if len(rounds) != 4 || rounds[1].Phase != "sort/broadcast" || rounds[2].Phase != "sort/broadcast/relay" {
-			t.Fatalf("noLarge=%v: Sort charged %d rounds, want sample, reply, relay, route: %+v", noLarge, len(rounds), rounds)
-		}
-		if got := int64(rounds[1].SendWords[coord]); got != r*list || rounds[1].Words != got {
-			t.Errorf("noLarge=%v: the coordinator sends %d of the reply round's %d words, want %d lists = %d", noLarge, got, rounds[1].Words, r, r*list)
-		}
-		for slot, sent := range rounds[2].SendWords {
-			if int64(sent) > (g-1)*list {
-				t.Errorf("noLarge=%v: trace slot %d relays %d words, want at most %d lists = %d", noLarge, slot, sent, g-1, (g-1)*list)
-			}
-		}
-		if got, want := rounds[1].Words+rounds[2].Words, int64(ell)*list; got != want {
-			t.Errorf("noLarge=%v: the replies carry %d words, want %d lists = %d, the direct round's", noLarge, got, ell, want)
-		}
-		for slot := 1 + cfg.K - ell; slot <= cfg.K; slot++ {
-			if got := int64(rounds[1].RecvWords[slot] + rounds[2].RecvWords[slot]); got != list {
-				t.Errorf("noLarge=%v: trace slot %d is sent %d words, want one list = %d", noLarge, slot, got, list)
-			}
-		}
-
-		// The buckets are the splitter rule's, over the same data.
 		in := make([][]SortKey, len(data))
 		for i := range data {
 			in[i] = slices.Clone(data[i])
@@ -363,20 +372,20 @@ func TestSortRelaysTheList(t *testing.T) {
 	}
 }
 
-// TestSortRelayCrash crashes a relay in the relay round, under a plan that
-// checkpoints every round: the recovery is lossless, so the output is the
-// fault-free run's.
-func TestSortRelayCrash(t *testing.T) {
+// TestSortLeaderCrash crashes a leader in the summary round, under a plan
+// that checkpoints every round: the recovery is lossless, so the output is
+// the fault-free run's.
+func TestSortLeaderCrash(t *testing.T) {
 	cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7}
-	data := relayInput(cfg.K)
+	data := leaderInput(cfg.K)
 	_, rounds := sortRounds(t, cfg, data)
-	relay := slices.IndexFunc(rounds, func(r trace.Round) bool { return r.Phase == "sort/broadcast/relay" })
-	if relay < 0 {
-		t.Fatal("no relay round")
+	summary := slices.IndexFunc(rounds, func(r trace.Round) bool { return r.Phase == "sort/summary" })
+	if summary < 0 {
+		t.Fatal("no summary round")
 	}
-	const victim = 8 // the second group's relay
-	if rounds[relay].SendWords[1+victim] == 0 {
-		t.Fatalf("machine %d relays nothing", victim)
+	const victim = 8 // the second group's leader
+	if rounds[summary].SendWords[1+victim] == 0 {
+		t.Fatalf("machine %d sends no summary", victim)
 	}
 	run := func(plan *fault.Plan) ([][]SortKey, mpc.Stats) {
 		cfg := cfg
@@ -398,13 +407,32 @@ func TestSortRelayCrash(t *testing.T) {
 	plain, _ := run(nil)
 	faulty, st := run(&fault.Plan{
 		Interval: 1,
-		Crashes:  []fault.Crash{{Round: rounds[relay].Round, Machine: victim, RestartAfter: 1}},
+		Crashes:  []fault.Crash{{Round: rounds[summary].Round, Machine: victim, RestartAfter: 1}},
 	})
 	if !reflect.DeepEqual(plain, faulty) {
-		t.Fatal("a relay's crash changed the sorted output")
+		t.Fatal("a leader's crash changed the sorted output")
 	}
 	if st.Crashes < 1 || st.RecoveryRounds == 0 {
-		t.Fatalf("the relay's crash was not recovered: %+v", st)
+		t.Fatalf("the leader's crash was not recovered: %+v", st)
+	}
+}
+
+// TestSortBeefyCoordinatorLeadsAlone: a large machine 64× a small one's
+// speed and link is more than r = 8 times cheaper a word than any leader,
+// so it stays the one leader (sortLeaders) and a Sort is sample, reply,
+// route with every sample sent to it.
+func TestSortBeefyCoordinatorLeadsAlone(t *testing.T) {
+	cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7, Profile: mpc.UniformProfile(64)}
+	cfg.Profile.LargeSpeed, cfg.Profile.LargeBandwidth = 64, 64
+	c, rounds := sortRounds(t, cfg, leaderInput(cfg.K))
+	if ld := sortLeaders(c, 0); ld.r() != 1 || ld.ids[0] != mpc.Large {
+		t.Fatalf("leaders %v, want the large machine alone", ld.ids)
+	}
+	if len(rounds) != 3 || rounds[1].Phase != "sort/broadcast" {
+		t.Fatalf("Sort charged %d rounds, want sample, reply, route: %+v", len(rounds), rounds)
+	}
+	if got := rounds[0].RecvWords[0]; int64(got) != rounds[0].Words {
+		t.Errorf("the large machine receives %d of the sample round's %d words, want all", got, rounds[0].Words)
 	}
 }
 
@@ -421,7 +449,7 @@ func TestSortSampledBucketsBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole, q := wholeRun(c, per); whole || q != 64 {
+	if whole, q := sortLeaders(c, 0).wholeRun(c, 0, per); whole || q != 64 {
 		t.Fatalf("wholeRun(%d) = %v, q = %d: want a sample of 64 keys", per, whole, q)
 	}
 	rng := rand.New(rand.NewPCG(7, 512))

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"hetmpc/internal/mpc"
+	"hetmpc/internal/trace"
 	"hetmpc/internal/xrand"
 )
 
@@ -211,6 +213,8 @@ func FuzzSortMessageWords(f *testing.F) {
 	f.Add(uint8(200), uint8(7), uint8(255), uint64(3))
 	f.Add(uint8(45), uint8(15), uint8(181), uint64(4)) // arrange-shaped
 	f.Add(uint8(200), uint8(9), uint8(7), uint64(5))
+	f.Add(uint8(200), uint8(23), uint8(63), uint64(6)) // tight caps: the coordinator leads
+	f.Add(uint8(200), uint8(7), uint8(63), uint64(7))  // 8 leaders
 	f.Fuzz(func(t *testing.T, n, mask, nbm1 uint8, seed uint64) {
 		rng := xrand.New(seed)
 		draw := func(bit uint8, c int64) int64 {
@@ -252,5 +256,85 @@ func FuzzSortMessageWords(f *testing.F) {
 		if got := runCuts(nil, sample, sp, nb, identKey); !slices.Equal(got, cuts) {
 			t.Fatalf("the sample cuts to %v, the run it stands for to %v", got, cuts)
 		}
+		checkSummaries(t, keys, nb, mask, seed)
 	})
+}
+
+// checkSummaries sorts keys, dealt round-robin, on min(nb, 64) machines:
+// with bit 16 of mask the small machines' caps are too tight for ⌈√K⌉
+// leaders to hold their groups' samples, summaries and replies, so the
+// coordinator leads alone (sortLeaders); at the default caps leaders do,
+// from K = 2 on. Every leader's summary round-trips, and the summary round
+// carries r−1 copies of each, as encoded. A summary's key count is not on
+// the wire: the receiver derives it from the header, twice the group's
+// count plus a bit set when the summary is 4g keys, else min(count, g).
+func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint64) {
+	t.Helper()
+	cfg := mpc.Config{N: 256, M: 2048, K: min(nb, 64), Seed: seed, Trace: trace.New()}
+	if mask&16 != 0 {
+		cfg.CSmall = 0.05
+	}
+	c, err := mpc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ld, grouped := c.K(), sortLeaders(c, 0), mask&8 != 0
+	if tight := mask&16 != 0; tight && k >= 8 && ld.r() != 1 || !tight && k >= 2 && ld.r() == 1 {
+		t.Fatalf("K=%d CSmall=%v: %d leaders", k, cfg.CSmall, ld.r())
+	}
+	runs := make([][]SortKey, k)
+	for j, key := range keys {
+		runs[j%k] = append(runs[j%k], key)
+	}
+	for i := range runs {
+		slices.SortFunc(runs[i], SortKey.Compare)
+	}
+	_, samples, _, err := sortSplitters(c, ld, runs, identKey, split{grouped: grouped}, 1)
+	if err != nil || ld.r() == 1 {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	// The leaders' summaries, rebuilt from the samples they were sent.
+	r := ld.r()
+	cur, tree := make([]sampleCursor, k), make([]mergeNode, 2*k)
+	merges := make([]sampleMerge, r)
+	for j := range merges {
+		lo, hi := ld.group(k, j)
+		inbox := make([]mpc.Msg, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			inbox = append(inbox, mpc.Msg{From: i, Data: &samples[i]})
+		}
+		if merges[j], err = inboxSamples(inbox, cur[lo:hi], tree[2*lo:2*hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want int64
+	for j, sum := range summaries(c, ld, samples, merges, grouped) {
+		four := int64(0)
+		if len(sum.Keys) == 4*ld.g {
+			four = 1
+		}
+		enc := encodeKeys(2*int64(sum.Count)+four, sum.Keys)
+		if grouped {
+			enc = append(enc, int64(sum.Gap))
+		}
+		head, got := decodeKeys(enc, func(h int64) int {
+			if h&1 == 1 {
+				return 4 * ld.g
+			}
+			return min(int(h>>1), ld.g)
+		})
+		if head>>1 != int64(sum.Count) || !slices.Equal(got, sum.Keys) || grouped && enc[len(enc)-1] != int64(sum.Gap) {
+			t.Fatalf("leader %d's summary of %d keys under count %d does not round-trip", j, len(sum.Keys), sum.Count)
+		}
+		if len(enc) != summaryWords(&sum, grouped) {
+			t.Fatalf("leader %d's summary encodes to %d words, summaryWords charges %d", j, len(enc), summaryWords(&sum, grouped))
+		}
+		want += int64(r-1) * int64(len(enc))
+	}
+	if rd := cfg.Trace.Rounds()[1]; rd.Phase != "summary" || rd.Words != want {
+		t.Fatalf("the summary round is %q with %d words, want summary with %d", rd.Phase, rd.Words, want)
+	}
 }

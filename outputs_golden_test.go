@@ -78,18 +78,18 @@ var table1At4096 = map[string]struct {
 	sum    uint64
 	rounds int
 }{
-	"sublinear.cc":       {4096, 0x9214ad10afbcbe5c, 87},
-	"core.cc":            {4096, 0x9214ad10afbcbe5c, 8},
-	"sublinear.mst":      {4095, 0x6376902961801496, 185},
-	"core.mst":           {4095, 0xfeb8b7a4e50ae88c, 41},
-	"sublinear.spanner":  {32302, 0xd4e541af5c7f9869, 17},
-	"core.spanner":       {6683, 0xc18732640ed247e2, 33},
-	"sublinear.coloring": {4096, 0x7b8202f627ccdb47, 49},
-	"core.coloring":      {4096, 0xe20e5f9c093c924f, 5},
-	"sublinear.mis":      {702, 0xef2c941bbc9272ff, 30},
-	"core.mis":           {725, 0xbdbe91171e8a640e, 71},
-	"sublinear.matching": {1942, 0xa5069830aaff4944, 47},
-	"core.matching":      {1944, 0x099e0c97b0a641b8, 40},
+	"sublinear.cc":       {4096, 0x9214ad10afbcbe5c, 99},
+	"core.cc":            {4096, 0x9214ad10afbcbe5c, 9},
+	"sublinear.mst":      {4095, 0x6376902961801496, 211},
+	"core.mst":           {4095, 0xfeb8b7a4e50ae88c, 49},
+	"sublinear.spanner":  {32302, 0xd4e541af5c7f9869, 21},
+	"core.spanner":       {6683, 0xc18732640ed247e2, 37},
+	"sublinear.coloring": {4096, 0x7b8202f627ccdb47, 50},
+	"core.coloring":      {4096, 0xe20e5f9c093c924f, 6},
+	"sublinear.mis":      {702, 0xef2c941bbc9272ff, 31},
+	"core.mis":           {725, 0xbdbe91171e8a640e, 48},
+	"sublinear.matching": {1942, 0xa5069830aaff4944, 52},
+	"core.matching":      {1944, 0x099e0c97b0a641b8, 44},
 }
 
 // TestTable1At4096Golden pins the twelve Table-1 calls at n=4096 m=8n seed 7,
@@ -108,11 +108,12 @@ func TestTable1At4096Golden(t *testing.T) {
 		}
 		makespan += c.Stats().Makespan
 	}
-	// The twelve calls measure 8,929,911 since Arrange's grouped Sort
-	// (DESIGN.md §1); the ceiling is that plus 1.9 %.
+	// The twelve calls measure 3,337,845 since ⌈√K⌉ group leaders agree on
+	// Sort's splitters and MIS's exit count rides its gather (DESIGN.md §1,
+	// §3.4); the ceiling is that plus 1.9 %.
 	t.Logf("the twelve calls' makespan: %.0f", makespan)
-	if makespan > 9.1e6 {
-		t.Errorf("the twelve calls' makespan is %.0f, want at most 9.1 M", makespan)
+	if makespan > 3.4e6 {
+		t.Errorf("the twelve calls' makespan is %.0f, want at most 3.4 M", makespan)
 	}
 }
 
@@ -148,8 +149,8 @@ func TestTable1RoundsFlatInN(t *testing.T) {
 // phases): each output's hash, labels, component count and phase count
 // included. Every run reads more than the contractAfter = 3 families the
 // first gather ships per vertex, so each contracts — a scatter, a route and
-// a gather of the later families per component share — and takes 8 rounds
-// whatever it reads; each must cost less makespan than it did when the
+// a gather of the later families per component share — and takes 9 rounds
+// whatever it reads (its incidence Sort exchanges summaries, DESIGN.md §1); each must cost less makespan than it did when the
 // families were gathered per vertex in batches pulled as Borůvka reached
 // them, in 5, 7, 9 and 11 rounds (DESIGN.md §3.4).
 func TestConnectivityBatchGolden(t *testing.T) {
@@ -160,10 +161,10 @@ func TestConnectivityBatchGolden(t *testing.T) {
 		rounds   int
 		makespan float64 // with per-vertex batches
 	}{
-		{7, 8, 0xd4d737704d261d65, 8, 219_199},
-		{24, 10, 0x1f1d02d3450f438a, 8, 237_965},
-		{17, 11, 0x1f19fad3450d001b, 8, 282_513},
-		{61, 13, 0x1f1302d34506ef05, 8, 362_369},
+		{7, 8, 0xd4d737704d261d65, 9, 219_199},
+		{24, 10, 0x1f1d02d3450f438a, 9, 237_965},
+		{17, 11, 0x1f19fad3450d001b, 9, 282_513},
+		{61, 13, 0x1f1302d34506ef05, 9, 362_369},
 	} {
 		c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: w.seed})
 		if err != nil {

@@ -87,6 +87,15 @@ func commOf(s hetmpc.ClusterStats) comm {
 // (DESIGN.md §1): the same 40 rounds; messages 36,588 → 36,041 and
 // 74,888 → 74,886; words 218,613 → 195,443 and 307,430 → 291,076; max-recv
 // (the large machine's arrange sample) 24,758 → 8,738; max-send untouched.
+// All four were re-captured once more when ⌈√K⌉ = 14 group leaders began
+// reading the samples, exchanging summaries and replying to their groups
+// (DESIGN.md §1): one more round a Sort, rounds 40 → 48, 8 → 9, 40 → 44
+// and 129 → 147; messages 36,041 → 35,400, 8,725 → 8,303, 74,886 → 72,777
+// and 89,852 → 91,532; words 195,443 → 213,200, 112,514 → 114,686,
+// 291,076 → 307,949 and 355,436 → 435,846; max-send (the coordinator's
+// replies, now a leader's) 8,374 → 1,024, 8,374 → 3,876, 8,374 → 1,024 and
+// 4,475 → 364; max-recv 8,738 → 5,632, 8,738 → 1,024 and 4,864 → 910, as
+// no machine reads every sample, connectivity's (its gather) untouched.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -103,25 +112,25 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{40, 36041, 195443, 8374, 8738}},
+		}, comm{48, 35400, 213200, 1024, 5632}},
 		{"connectivity", false, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.Connectivity(c, gU)
 			if err == nil && r.Components != 1 {
 				t.Errorf("components %d, want 1", r.Components)
 			}
 			return err
-		}, comm{8, 8725, 112514, 8374, 31220}},
+		}, comm{9, 8303, 114686, 3876, 31220}},
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
-		}, comm{40, 74886, 291076, 8374, 8738}},
+		}, comm{44, 72777, 307949, 1024, 1024}},
 		{"baseline-mst", true, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.BaselineMST(c, gW)
 			if err == nil && r.Weight != 153235 {
 				t.Errorf("baseline mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{129, 89852, 355436, 4475, 4864}},
+		}, comm{147, 91532, 435846, 364, 910}},
 	}
 
 	for _, tc := range cases {
@@ -181,7 +190,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Fatalf("zero fault plan not bit-identical to nil:\n zero: %+v\n  nil: %+v",
 					cZero.Stats(), cNil.Stats())
 			}
-			// Interval 4: the shortest golden, connectivity, is 8 rounds.
+			// Interval 4: the shortest golden, connectivity, is 9 rounds.
 			cfg.Faults = &hetmpc.FaultPlan{Interval: 4, CrashRate: 0.002}
 			cFault, err := hetmpc.NewCluster(cfg)
 			if err != nil {

@@ -31,8 +31,8 @@ type wireRun struct {
 
 // conformanceWorkload is one algorithm of the suite, run on every profile
 // it names, on k small machines. k is 0, the derived K, but in a cell that
-// sets it to make a Sort relay its splitter list, and such a cell must
-// show a relay round.
+// sets it to make Sort's leaders send each other summaries and their groups
+// the splitter list, and such a cell must show a summary round.
 type conformanceWorkload struct {
 	name     string
 	k        int
@@ -46,9 +46,9 @@ var conformanceWorkloads = []conformanceWorkload{
 		g := hetmpc.ConnectedGNM(512, 4096, 7, true)
 		return hetmpc.MST(c, g)
 	}},
-	// At K = 32 a machine's run outgrows its sample, so Sort's splitter
-	// list reaches its machines through relays (DESIGN.md §1) and the relay
-	// payloads cross the wire.
+	// At K = 32 a machine's run outgrows its sample, so Sort's 6 group
+	// leaders exchange summaries of 4g keys and send their groups the
+	// splitter list (DESIGN.md §1): both payloads cross the wire.
 	{"mst-k32", 32, []string{""}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.ConnectedGNM(512, 4096, 7, true)
 		return hetmpc.MST(c, g)
@@ -128,11 +128,11 @@ func TestCrossTransportGolden(t *testing.T) {
 				if base.wireBytes != 0 || base.traceWire != 0 {
 					t.Fatalf("inproc measured %d wire bytes (%d traced), want 0", base.wireBytes, base.traceWire)
 				}
-				relayed := slices.ContainsFunc(base.trace, func(r hetmpc.TraceRound) bool {
-					return strings.HasSuffix(r.Phase, "sort/broadcast/relay")
+				summarised := slices.ContainsFunc(base.trace, func(r hetmpc.TraceRound) bool {
+					return strings.HasSuffix(r.Phase, "sort/summary")
 				})
-				if wl.k != 0 && !relayed {
-					t.Fatal("no Sort relays its list: the cell does not put relay payloads on the wire")
+				if wl.k != 0 && !summarised {
+					t.Fatal("no Sort's leaders exchange summaries: the cell does not put summary payloads on the wire")
 				}
 				var pipeBytes, tcpBytes int64
 				for _, transport := range []string{"inproc", "pipe", "tcp"} {
