@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hetmpc/internal/fault"
+	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/trace"
 )
@@ -471,5 +472,147 @@ func TestSortSampledBucketsBalanced(t *testing.T) {
 	t.Logf("largest bucket: %d items, target %d", largest, per)
 	if largest > 3*per {
 		t.Errorf("largest bucket holds %d items, want at most 3 × %d", largest, per)
+	}
+}
+
+// TestSortLeadersFollowKeyWidth runs three Sorts of one MST-shaped input on
+// the shape of the wire benchmark's MST cells (n = 1,024, m = 16,384: K =
+// 512) and reads each Sort's leaders off its trace: the machines its sample
+// round reaches. Arrange's grouped Sort and AggregateByKey's sample,
+// summarise and list keys that vary in column A only, one word a key, so
+// their leaders' held state fits half a small machine and ⌈√K⌉ = 23 lead
+// (sortLeaders); a plain Sort of 3-column keys is charged three words a key,
+// which does not fit, so the coordinator leads it alone. No leader receives
+// in the sample and summary rounds and sends in the reply round more than
+// half its capacity. At a third of the default caps, an Arrange with a
+// 30,000-item group, too large for any bucket, samples again with full keys
+// under sort/full (groupsFit): it does so on the plain Sort's leaders, and
+// its buckets are the plain Sort's.
+func TestSortLeadersFollowKeyWidth(t *testing.T) {
+	cfg := mpc.Config{N: 1024, M: 16384, Seed: 7}
+	g := graph.ConnectedGNM(cfg.N, cfg.M, cfg.Seed, true)
+	// directed is every edge both ways, dealt round-robin, and lump more
+	// items under the key -1: MST's arrangement, fresh for every call.
+	directed := func(k, lump int) [][]graph.Edge {
+		data := make([][]graph.Edge, k)
+		for j, e := range g.Edges {
+			data[j%k] = append(data[j%k], e)
+			data[(j+1)%k] = append(data[(j+1)%k], graph.Edge{U: e.V, V: e.U, W: e.W})
+		}
+		for j := 0; j < lump; j++ {
+			data[j%k] = append(data[j%k], graph.Edge{U: -1, V: j % cfg.N, W: int64(j)})
+		}
+		return data
+	}
+	byVertex := func(e graph.Edge) SortKey { return SortKey{A: int64(e.U), B: e.W, C: int64(e.V)} }
+	traced := func(cfg mpc.Config, call func(c *mpc.Cluster) error) (*mpc.Cluster, []trace.Round) {
+		t.Helper()
+		tr := trace.New()
+		cfg.Trace = tr
+		c, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := call(c); err != nil {
+			t.Fatal(err)
+		}
+		return c, tr.Rounds()
+	}
+	// leaders checks one Sort of the rounds, which start at its sample round
+	// (that of its pass under sort/full when full): r machines receive in
+	// it, and no leader holds more than half its capacity over its sample,
+	// summary and reply rounds. It returns the leaders' trace slots.
+	leaders := func(name string, c *mpc.Cluster, rounds []trace.Round, full bool, r int) []int {
+		t.Helper()
+		if full {
+			at := slices.IndexFunc(rounds, func(rd trace.Round) bool { return strings.HasSuffix(rd.Phase, "sort/full") })
+			if at < 0 {
+				t.Fatalf("%s: no round under sort/full", name)
+			}
+			rounds = rounds[at:]
+		}
+		var slots []int
+		for slot, w := range rounds[0].RecvWords {
+			if w > 0 {
+				slots = append(slots, slot)
+			}
+		}
+		if len(slots) != r {
+			t.Fatalf("%s: %d machines receive samples, want %d leaders", name, len(slots), r)
+		}
+		summary := slices.IndexFunc(rounds, func(rd trace.Round) bool { return strings.HasSuffix(rd.Phase, "sort/summary") })
+		reply := slices.IndexFunc(rounds, func(rd trace.Round) bool { return strings.HasSuffix(rd.Phase, "sort/broadcast") })
+		if reply < 0 || (summary >= 0) != (r > 1) || summary >= 0 && summary > reply {
+			t.Fatalf("%s: summary round at %d, reply round at %d: want a reply, after a summary iff r > 1", name, summary, reply)
+		}
+		for _, slot := range slots {
+			held, capacity := rounds[0].RecvWords[slot]+rounds[reply].SendWords[slot], c.LargeCap()
+			if summary >= 0 {
+				held += rounds[summary].RecvWords[slot]
+			}
+			if slot > 0 {
+				capacity = c.SmallCapOf(slot - 1)
+			}
+			if 2*held > capacity {
+				t.Errorf("%s: trace slot %d holds %d words over the sample, summary and reply rounds, past half its capacity %d", name, slot, held, capacity)
+			}
+		}
+		return slots
+	}
+
+	c, rounds := traced(cfg, func(c *mpc.Cluster) error {
+		if c.K() != 512 {
+			t.Fatalf("K = %d, want the wire cells' 512", c.K())
+		}
+		_, err := Arrange(c, directed(c.K(), 0), byVertex, EdgeWords)
+		return err
+	})
+	leaders("Arrange", c, rounds, false, 23)
+	c, rounds = traced(cfg, func(c *mpc.Cluster) error {
+		data := directed(c.K(), 0)
+		items := make([][]KV[int64], len(data))
+		for i, run := range data {
+			for _, e := range run {
+				items[i] = append(items[i], KV[int64]{K: int64(e.U), V: 1})
+			}
+		}
+		_, err := AggregateByKey(c, items, 1, func(a, b int64) int64 { return a + b })
+		return err
+	})
+	leaders("AggregateByKey", c, rounds, false, 23)
+	c, rounds = traced(cfg, func(c *mpc.Cluster) error {
+		_, err := Sort(c, directed(c.K(), 0), EdgeWords, byVertex)
+		return err
+	})
+	leaders("Sort", c, rounds, false, 1)
+
+	// A third of the default caps still holds 23 leaders' one-word keys, not
+	// a lump of 30,000 items at EdgeWords each.
+	tight := cfg
+	tight.CSmall = 2
+	const lump = 30000
+	var arranged, sorted [][]graph.Edge
+	c, rounds = traced(tight, func(c *mpc.Cluster) error {
+		if lump*EdgeWords <= c.SmallCapOf(0) {
+			t.Fatalf("a small machine of %d words holds the lump", c.SmallCapOf(0))
+		}
+		arr, err := Arrange(c, directed(c.K(), lump), byVertex, EdgeWords)
+		if err == nil {
+			arranged = arr.Data
+		}
+		return err
+	})
+	leaders("tight Arrange", c, rounds, false, 23)
+	fullLeaders := leaders("tight Arrange's full pass", c, rounds, true, 1)
+	c, rounds = traced(tight, func(c *mpc.Cluster) error {
+		var err error
+		sorted, err = Sort(c, directed(c.K(), lump), EdgeWords, byVertex)
+		return err
+	})
+	if plain := leaders("tight Sort", c, rounds, false, 1); !slices.Equal(fullLeaders, plain) {
+		t.Fatalf("the full pass is led by trace slots %v, the plain Sort by %v", fullLeaders, plain)
+	}
+	if !reflect.DeepEqual(arranged, sorted) {
+		t.Fatal("the tight Arrange's buckets are not the plain Sort's")
 	}
 }
