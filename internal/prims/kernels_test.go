@@ -578,7 +578,7 @@ func TestSortKernelEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp, _, _, err := sortSplitters(twin, sortLeaders(twin, 0), sorted, key, split{}, 1)
+			sp, _, _, err := sortSplitters(twin, sortLeaders(twin, split{}), sorted, key, split{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

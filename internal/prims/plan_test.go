@@ -121,7 +121,7 @@ func layoutWidest(p *Plan) int {
 // one for every machine when r > 1 leaders count no key exactly.
 func checkAligned(t *testing.T, c *mpc.Cluster, p *Plan, needs [][]int64, b int) {
 	t.Helper()
-	ld, loose, count := sortLeaders(c, b), 0, map[int64]int{}
+	ld, loose, count := sortLeaders(c, split{align: b}), 0, map[int64]int{}
 	for i, ns := range needs {
 		if whole, _ := ld.wholeRun(c, i, len(ns)); !whole || ld.r() > 1 {
 			loose++
@@ -440,7 +440,7 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := sortLeaders(c, 0).r(); kb >= 128 && !noLarge && r > 1 || kb < 128 && k >= 2 && r == 1 {
+		if r := sortLeaders(c, split{}).r(); kb >= 128 && !noLarge && r > 1 || kb < 128 && k >= 2 && r == 1 {
 			t.Fatalf("K=%d CSmall=%v noLarge=%v: %d leaders", k, cfg.CSmall, noLarge, r)
 		}
 		planWords := 1

@@ -3,7 +3,8 @@
 //
 //   - Claim 1 (Sorting): a sample sort, O(1) rounds: sample, summary,
 //     reply, route. Every machine sends its group's leader — one of ⌈√K⌉,
-//     or the coordinator alone where sortLeaders keeps one — its whole run
+//     or the coordinator alone where sortLeaders keeps one, counting the
+//     keys of Arrange's and AggregateByKey's Sorts at one word — its whole run
 //     as its sample when that costs no more than being sent the splitter
 //     list (wholeRun), else q keys; the leaders exchange summaries of their
 //     groups and pick the same splitters, and each answers its group with

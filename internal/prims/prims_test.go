@@ -733,7 +733,7 @@ func TestArrangeKeysAscendUnsorted(t *testing.T) {
 	// Tight caps leave a leader no room for its group's replies, so the
 	// coordinator leads (sortLeaders); at the default caps 12 leaders add
 	// one summary round.
-	if r := sortLeaders(c, 0).r(); r != 1 {
+	if r := sortLeaders(c, split{grouped: true}).r(); r != 1 {
 		t.Fatalf("%d leaders under tight caps, want the coordinator alone", r)
 	}
 	twin, twinRounds, _, _ := arrangeTraced(t, mpc.Config{N: 256, M: 2048, Seed: 42})

@@ -99,11 +99,32 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 // the splitters at the boundaries of every key with at most align items
 // (pickSplitters), spans tells every machine the spans it sits in, and
 // grouped cuts them at every boundary of the A column — the groups — and
-// samples that column only (Arrange's mode, DESIGN.md §1).
+// samples that column only (Arrange's mode, DESIGN.md §1). oneCol says the
+// keys vary in column A only (AggregateByKey's); it changes no bucket, only
+// what sortLeaders counts a key.
 type split struct {
 	align   int
 	spans   bool
 	grouped bool
+	oneCol  bool
+}
+
+// width is the words a key of the Sort's samples, summaries and splitter
+// list costs at most (keyWords): 1 when they vary in column A only — a
+// grouped Sort samples that column alone — else sortKeyWords.
+func (how split) width() int {
+	if how.grouped || how.oneCol {
+		return 1
+	}
+	return sortKeyWords
+}
+
+// runWords bounds keyWords over a run of n keys of the Sort: width words a
+// key, and one for each of the sortKeyWords−width columns that then stay
+// constant.
+func (how split) runWords(n int) int {
+	w := how.width()
+	return w*n + sortKeyWords - w
 }
 
 // layout is what a Sort leaves behind besides the buckets: the leaders'
@@ -152,8 +173,9 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 	}
 	cutBuf := make([]Cut, starts[k])
 
-	// Steps 2–3: sample, agree on the splitters, reply.
-	ld := sortLeaders(c, how.align)
+	// Steps 2–3: sample, agree on the splitters, reply. The full keys'
+	// samples are sortKeyWords a key, so their leaders are picked again.
+	ld := sortLeaders(c, how)
 	lay := layout{cuts: make([][]Cut, k)}
 	var samples []sample
 	fits, err := true, error(nil)
@@ -161,8 +183,10 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 		return nil, layout{}, err
 	}
 	if !fits {
+		fullHow := split{align: how.align}
+		ld = sortLeaders(c, fullHow)
 		full := c.Span("full")
-		lay.sp, samples, _, err = sortSplitters(c, ld, data, key, split{align: how.align}, itemWords)
+		lay.sp, samples, _, err = sortSplitters(c, ld, data, key, fullHow, itemWords)
 		full.End()
 		if err != nil {
 			return nil, layout{}, err
@@ -253,7 +277,7 @@ type leaders struct {
 	ids []int
 }
 
-// sortLeaders picks a Sort's leaders from the cluster and align alone, so
+// sortLeaders picks a Sort's leaders from the cluster and how alone, so
 // every machine picks the same ones before any round: r = ⌈√K⌉ groups of
 // g = ⌈K/r⌉ machines, each led by its machine of the lowest WordCost (the
 // first of a tie). The coordinator stays the one leader when any of three
@@ -264,9 +288,12 @@ type leaders struct {
 //     and only whole runs at one machine count them exactly (pickSplitters);
 //   - a leader could not hold, within half its capacity, what steps 2–3 put
 //     on it at their worst: its group's g samples of capTerm keys (wholeRun),
-//     the r−1 summaries of 4g keys, and g replies of the longest kind, a
-//     plan's list to the large machine among them.
-func sortLeaders(c *mpc.Cluster, align int) leaders {
+//     the r−1 summaries of 4g keys, and g replies of the longest kind, the
+//     list or a plan's cuts and spans, a plan's list to the large machine
+//     among them. The keys are counted at the Sort's width (runWords): one
+//     word a key for Arrange's grouped Sort and AggregateByKey's, whose keys
+//     vary in column A only, sortKeyWords for any other.
+func sortLeaders(c *mpc.Cluster, how split) leaders {
 	k := c.K()
 	one := leaders{g: k, ids: []int{coordinator(c)}}
 	r := 1
@@ -274,7 +301,7 @@ func sortLeaders(c *mpc.Cluster, align int) leaders {
 		r++
 	}
 	g := (k + r - 1) / r
-	if r = (k + g - 1) / g; r == 1 || align > 0 && align < k {
+	if r = (k + g - 1) / g; r == 1 || how.align > 0 && how.align < k {
 		return one
 	}
 	ids := make([]int, r)
@@ -289,13 +316,20 @@ func sortLeaders(c *mpc.Cluster, align int) leaders {
 		}
 		dearest, room = max(dearest, c.WordCost(ids[j])), min(room, c.SmallCapOf(ids[j]))
 	}
-	capTerm := room / (2 * g * (sortKeyWords + 1))
-	reply := max(sortKeyWords*(k-1)+1, 1+2*k+2*spanWords)
-	held := g*(sortKeyWords*capTerm+1) + (r-1)*(sortKeyWords*4*g+2) + g*reply
-	if float64(r)*c.WordCost(coordinator(c)) <= dearest || 2*held > room {
+	if float64(r)*c.WordCost(coordinator(c)) <= dearest || 2*how.heldWords(k, g, r, room) > room {
 		return one
 	}
 	return leaders{g: g, ids: ids}
+}
+
+// heldWords bounds what steps 2–3 put on one of r leaders of groups of g
+// machines, with capacity room (sortLeaders): g samples of capTerm keys and
+// their headers, r−1 summaries of 4g keys and their two header words, and g
+// replies of the longest kind, keys counted at the Sort's width.
+func (how split) heldWords(k, g, r, room int) int {
+	capTerm := room / (2 * g * (sortKeyWords + 1))
+	reply := max(how.runWords(k-1)+1, 1+2*k+2*spanWords)
+	return g*(how.runWords(capTerm)+1) + (r-1)*(how.runWords(4*g)+2) + g*reply
 }
 
 // r is the number of leaders.
@@ -674,14 +708,17 @@ type sortReply struct {
 // round when every leader's together fit half its capacity, which
 // sortLeaders makes sure of when there are r > 1 leaders. If the
 // coordinator's do not, the list is broadcast to everyone — K copies of it
-// fit still less, so down the tree — and every reply is the list.
+// fit still less, so down the tree — and every reply is the list. If r > 1
+// leaders' do not, the Sort fails with mpc.ErrCapacity naming the first such
+// leader: the tree is rooted at the coordinator, which never held the list.
 func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cutBuf []Cut, starts []int, spans []span) ([]sortReply, error) {
 	k := c.K()
 	replies := make([]sortReply, k+1) // entry k is the large machine's copy of a plan's list
 	msgs := make([]mpc.Msg, 0, k+1)
 	outs := make([][]mpc.Msg, k)
 	var outLarge []mpc.Msg
-	listWords, fits := keyWords(sp), true
+	listWords := keyWords(sp)
+	var over error // the first leader whose replies exceed half its capacity
 	for j, id := range ld.ids {
 		lo, hi := ld.group(k, j)
 		start, total := len(msgs), 0
@@ -713,7 +750,9 @@ func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cut
 			msgs = append(msgs, mpc.Msg{To: mpc.Large, Words: listWords + 1, Data: &replies[k]})
 			total += listWords + 1
 		}
-		fits = fits && total <= leaderCap(c, id)/2
+		if half := leaderCap(c, id) / 2; total > half && over == nil {
+			over = fmt.Errorf("prims: Sort: leader %d's replies take %d > %d words, half its capacity: %w", id, total, half, mpc.ErrCapacity)
+		}
 		if id == mpc.Large {
 			outLarge = msgs[start:len(msgs):len(msgs)]
 		} else {
@@ -721,10 +760,13 @@ func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cut
 		}
 	}
 	replies = replies[:k]
-	if fits {
+	if over == nil {
 		defer c.Span("broadcast").End()
 		_, _, err := c.Exchange(outs, outLarge)
 		return replies, err
+	}
+	if ld.r() > 1 {
+		return nil, over
 	}
 	lists, err := BroadcastValue(c, sp, listWords+1)
 	if err != nil {

@@ -65,7 +65,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	// machine's sampleSize evenly spaced keys (all of them when it sends its
 	// whole run), encoded under its count.
 	wantSamples := func(c *mpc.Cluster, data [][]SortKey) (words int64) {
-		ld := sortLeaders(c, 0)
+		ld := sortLeaders(c, split{})
 		for i, run := range data {
 			run = slices.Clone(run)
 			slices.SortFunc(run, SortKey.Compare)
@@ -87,7 +87,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	wantReplies := func(c *mpc.Cluster, cfg mpc.Config, data [][]SortKey) (words int64) {
 		sp, runs := sortedSplitters(t, cfg, data)
 		list := len(encodeKeys(int64(len(sp)), sp))
-		ld := sortLeaders(c, 0)
+		ld := sortLeaders(c, split{})
 		for i := range runs {
 			switch whole, _ := ld.wholeRun(c, i, len(runs[i])); {
 			case i == ld.ids[i/ld.g]:
@@ -107,7 +107,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	checkThreeRounds := func(name string, cfg mpc.Config, data [][]SortKey, r int, listTo, cutsTo []int) {
 		t.Helper()
 		c, rounds := sortRounds(t, cfg, data)
-		if got := sortLeaders(c, 0).r(); got != r {
+		if got := sortLeaders(c, split{}).r(); got != r {
 			t.Fatalf("%s: %d leaders, want %d", name, got, r)
 		}
 		want := []string{"sort", "sort/summary", "sort/broadcast", "sort"}
@@ -151,7 +151,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := sortLeaders(twin, 0)
+	ld := sortLeaders(twin, split{})
 	capTerm := leaderCap(twin, ld.ids[0]) / (2 * ld.g * (sortKeyWords + 1))
 	bound := sortKeyWords * (q + k - 1) / (sortKeyWords + 1)
 	if k != 182 || ld.g != 13 || capTerm <= bound {
@@ -211,7 +211,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	deep := mpc.Config{N: 256, M: 2048, K: 64, CSmall: 0.1, Seed: 42, NoLarge: true}
 	data := input(deep.K, func(int) int { return 3 })
 	c, rounds := sortRounds(t, deep, data)
-	if r := sortLeaders(c, 0).r(); r != 1 {
+	if r := sortLeaders(c, split{}).r(); r != 1 {
 		t.Fatalf("deep: %d leaders, want the coordinator alone", r)
 	}
 	sp, _ := sortedSplitters(t, deep, data)
@@ -248,7 +248,7 @@ func sortedSplitters(t *testing.T, cfg mpc.Config, data [][]SortKey) ([]SortKey,
 		runs[i] = slices.Clone(data[i])
 		slices.SortFunc(runs[i], SortKey.Compare)
 	}
-	sp, _, _, err := sortSplitters(twin, sortLeaders(twin, 0), runs, identKey, split{}, 1)
+	sp, _, _, err := sortSplitters(twin, sortLeaders(twin, split{}), runs, identKey, split{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, q := sortLeaders(c, 0).wholeRun(c, hot, hotItems)
+	whole, q := sortLeaders(c, split{}).wholeRun(c, hot, hotItems)
 	if whole {
 		t.Fatalf("a run of %d items is sent whole: the machine would not be sent the list", hotItems)
 	}
@@ -301,6 +301,42 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	}
 }
 
+// TestSortLeaderRepliesOverCapFailTyped: with r > 1 leaders, replies that
+// do not fit half a leader's capacity fail the Sort with mpc.ErrCapacity
+// naming that leader, before any round; the coordinator's broadcast tree is
+// no fallback, since the coordinator never held the list. The leaders are
+// built by hand, one of them a machine at a hundredth of the default cap,
+// and every machine is sent the 3-column list of K-1 splitters.
+func TestSortLeaderRepliesOverCapFailTyped(t *testing.T) {
+	const k, g, small = 64, 8, 41
+	prof := mpc.UniformProfile(k)
+	prof.CapScale[small] = 0.01
+	c, err := mpc.New(mpc.Config{N: 1024, M: 8192, K: k, Seed: 7, Profile: prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := leaders{g: g, ids: []int{0, 9, 16, 24, 32, small, 48, 56}}
+	sp := make([]SortKey, k-1)
+	for j := range sp {
+		sp[j] = SortKey{A: int64(j), B: int64(-j), C: int64(j % 7)}
+	}
+	samples := make([]sample, k)
+	for i := range samples {
+		samples[i] = sample{Keys: []SortKey{{A: int64(i)}}, Count: 100} // not whole: the machine is sent the list
+	}
+	replies := (g - 1) * (keyWords(sp) + 1)
+	if 2*replies > leaderCap(c, 0) || 2*replies <= leaderCap(c, small) {
+		t.Fatalf("%d words of replies against caps %d and %d: want them to fit a default leader, not machine %d", replies, leaderCap(c, 0), leaderCap(c, small), small)
+	}
+	_, err = sortReplies(c, ld, sp, samples, nil, make([]int, k+1), nil)
+	if !errors.Is(err, mpc.ErrCapacity) || !strings.Contains(err.Error(), fmt.Sprintf("leader %d's replies take %d", small, replies)) {
+		t.Fatalf("replies past a leader's half cap: err %v, want mpc.ErrCapacity naming leader %d", err, small)
+	}
+	if c.Rounds() != 0 {
+		t.Fatalf("%d rounds ran, want none", c.Rounds())
+	}
+}
+
 // leaderInput is the leader tests' input: k machines of 100 to 163 keys
 // that vary in all three columns, so every run is longer than its sample
 // (wholeRun) and every machine is sent the list.
@@ -327,7 +363,7 @@ func TestSortLeadersShareTheSamples(t *testing.T) {
 		cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7, NoLarge: noLarge}
 		data := leaderInput(cfg.K)
 		c, rounds := sortRounds(t, cfg, data)
-		ld := sortLeaders(c, 0)
+		ld := sortLeaders(c, split{})
 		const r, g = 8, 8
 		if ld.r() != r || ld.g != g || rounds[1].Phase != "sort/summary" {
 			t.Fatalf("noLarge=%v: %d leaders of %d, second round %q: want %d of %d and the summaries", noLarge, ld.r(), ld.g, rounds[1].Phase, r, g)
@@ -426,7 +462,7 @@ func TestSortBeefyCoordinatorLeadsAlone(t *testing.T) {
 	cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7, Profile: mpc.UniformProfile(64)}
 	cfg.Profile.LargeSpeed, cfg.Profile.LargeBandwidth = 64, 64
 	c, rounds := sortRounds(t, cfg, leaderInput(cfg.K))
-	if ld := sortLeaders(c, 0); ld.r() != 1 || ld.ids[0] != mpc.Large {
+	if ld := sortLeaders(c, split{}); ld.r() != 1 || ld.ids[0] != mpc.Large {
 		t.Fatalf("leaders %v, want the large machine alone", ld.ids)
 	}
 	if len(rounds) != 3 || rounds[1].Phase != "sort/broadcast" {
@@ -450,7 +486,7 @@ func TestSortSampledBucketsBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole, q := sortLeaders(c, 0).wholeRun(c, 0, per); whole || q != 64 {
+	if whole, q := sortLeaders(c, split{}).wholeRun(c, 0, per); whole || q != 64 {
 		t.Fatalf("wholeRun(%d) = %v, q = %d: want a sample of 64 keys", per, whole, q)
 	}
 	rng := rand.New(rand.NewPCG(7, 512))

@@ -215,6 +215,8 @@ func FuzzSortMessageWords(f *testing.F) {
 	f.Add(uint8(200), uint8(9), uint8(7), uint64(5))
 	f.Add(uint8(200), uint8(23), uint8(63), uint64(6)) // tight caps: the coordinator leads
 	f.Add(uint8(200), uint8(7), uint8(63), uint64(7))  // 8 leaders
+	f.Add(uint8(200), uint8(31), uint8(9), uint64(8))  // tight caps, grouped: 4 leaders at one word a key
+	f.Add(uint8(150), uint8(17), uint8(6), uint64(9))  // tight caps, column A only: 3 leaders
 	f.Fuzz(func(t *testing.T, n, mask, nbm1 uint8, seed uint64) {
 		rng := xrand.New(seed)
 		draw := func(bit uint8, c int64) int64 {
@@ -262,12 +264,17 @@ func FuzzSortMessageWords(f *testing.F) {
 
 // checkSummaries sorts keys, dealt round-robin, on min(nb, 64) machines:
 // with bit 16 of mask the small machines' caps are too tight for ⌈√K⌉
-// leaders to hold their groups' samples, summaries and replies, so the
-// coordinator leads alone (sortLeaders); at the default caps leaders do,
-// from K = 2 on. Every leader's summary round-trips, and the summary round
-// carries r−1 copies of each, as encoded. A summary's key count is not on
-// the wire: the receiver derives it from the header, twice the group's
-// count plus a bit set when the summary is 4g keys, else min(count, g).
+// leaders to hold their groups' samples, summaries and replies at
+// sortKeyWords a key, so the coordinator leads a plain Sort alone
+// (sortLeaders); at the default caps leaders do, from K = 2 on. A grouped
+// draw's keys, or one whose columns B and C are constant, are counted at
+// one word a key, which leaves room for leaders at some tight K too. Every
+// leader's summary round-trips, and the summary round carries r−1 copies of
+// each, as encoded. A summary's key count is not on the wire: the receiver
+// derives it from the header, twice the group's count plus a bit set when
+// the summary is 4g keys, else min(count, g). No leader receives more in
+// the sample and summary rounds and sends more in the reply round than the
+// bound sortLeaders put on it (heldWords).
 func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint64) {
 	t.Helper()
 	cfg := mpc.Config{N: 256, M: 2048, K: min(nb, 64), Seed: seed, Trace: trace.New()}
@@ -278,18 +285,21 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, ld, grouped := c.K(), sortLeaders(c, 0), mask&8 != 0
-	if tight := mask&16 != 0; tight && k >= 8 && ld.r() != 1 || !tight && k >= 2 && ld.r() == 1 {
-		t.Fatalf("K=%d CSmall=%v: %d leaders", k, cfg.CSmall, ld.r())
+	how := split{grouped: mask&8 != 0, oneCol: mask&6 == 0}
+	k, ld, grouped := c.K(), sortLeaders(c, how), how.grouped
+	if r := sortLeaders(c, split{}).r(); mask&16 != 0 && k >= 8 && r != 1 || mask&16 == 0 && k >= 2 && r == 1 || ld.r() < r {
+		t.Fatalf("K=%d CSmall=%v: %d leaders at sortKeyWords a key, %d at width %d", k, cfg.CSmall, r, ld.r(), how.width())
 	}
 	runs := make([][]SortKey, k)
 	for j, key := range keys {
 		runs[j%k] = append(runs[j%k], key)
 	}
+	starts := make([]int, k+1)
 	for i := range runs {
 		slices.SortFunc(runs[i], SortKey.Compare)
+		starts[i+1] = starts[i] + min(k, len(runs[i]))
 	}
-	_, samples, _, err := sortSplitters(c, ld, runs, identKey, split{grouped: grouped}, 1)
+	sp, samples, _, err := sortSplitters(c, ld, runs, identKey, how, 1)
 	if err != nil || ld.r() == 1 {
 		if err != nil {
 			t.Fatal(err)
@@ -336,5 +346,22 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 	}
 	if rd := cfg.Trace.Rounds()[1]; rd.Phase != "summary" || rd.Words != want {
 		t.Fatalf("the summary round is %q with %d words, want summary with %d", rd.Phase, rd.Words, want)
+	}
+
+	if _, err := sortReplies(c, ld, sp, samples, make([]Cut, starts[k]), starts, nil); err != nil {
+		t.Fatal(err)
+	}
+	rounds := cfg.Trace.Rounds()
+	at := func(words []int, id int) int { // a round that moves no word records no slots
+		if 1+id < len(words) {
+			return words[1+id]
+		}
+		return 0
+	}
+	for _, id := range ld.ids {
+		held := at(rounds[0].RecvWords, id) + at(rounds[1].RecvWords, id) + at(rounds[2].SendWords, id)
+		if bound := how.heldWords(k, ld.g, r, leaderCap(c, id)); held > bound {
+			t.Fatalf("leader %d of %d receives and replies %d words, past the width-%d bound %d", id, r, held, how.width(), bound)
+		}
 	}
 }
