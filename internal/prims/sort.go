@@ -97,11 +97,11 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 
 // split is how a sortSplit picks its buckets beyond Sort's: align > 0 cuts
 // the splitters at the boundaries of every key with at most align items
-// (pickSplitters), spans tells every machine the spans it sits in, and
-// grouped cuts them at every boundary of the A column — the groups — and
-// samples that column only (Arrange's mode, DESIGN.md §1). oneCol says the
-// keys vary in column A only (AggregateByKey's); it changes no bucket, only
-// what sortLeaders counts a key.
+// (pickSplitters), spans tells every machine the spans it sits in (a plan's
+// Sort), and grouped cuts them at every boundary of the A column — the
+// groups — and samples that column only (Arrange's mode, DESIGN.md §1).
+// oneCol says the keys vary in column A only (AggregateByKey's); it changes
+// no bucket, only what sortLeaders counts a key (widths).
 type split struct {
 	align   int
 	spans   bool
@@ -109,23 +109,26 @@ type split struct {
 	oneCol  bool
 }
 
-// width is the words a key of the Sort's samples, summaries and splitter
-// list costs at most (keyWords): 1 when they vary in column A only — a
-// grouped Sort samples that column alone — else sortKeyWords.
-func (how split) width() int {
-	if how.grouped || how.oneCol {
-		return 1
+// widths is the most words a key of the Sort's samples, summaries and
+// splitter list costs (keyWords), a word for each column that can vary over
+// them: column A alone in a grouped Sort, which samples that column, and in
+// AggregateByKey's (x, 0, 0) keys; for a plan's (x, 1, requester) requests,
+// A in one machine's sample, A and C in a summary of its group's, and every
+// column in a list that also holds aligned (x, 0, 0) keys; every column in
+// any other Sort.
+func (how split) widths() (sample, summary, list int) {
+	switch {
+	case how.grouped || how.oneCol:
+		return 1, 1, 1
+	case how.spans:
+		return 1, 2, sortKeyWords
 	}
-	return sortKeyWords
+	return sortKeyWords, sortKeyWords, sortKeyWords
 }
 
-// runWords bounds keyWords over a run of n keys of the Sort: width words a
-// key, and one for each of the sortKeyWords−width columns that then stay
-// constant.
-func (how split) runWords(n int) int {
-	w := how.width()
-	return w*n + sortKeyWords - w
-}
+// runWords bounds keyWords over a run of n keys of width w: w words a key,
+// and one for each of the sortKeyWords−w columns that then stay constant.
+func runWords(w, n int) int { return w*n + sortKeyWords - w }
 
 // layout is what a Sort leaves behind besides the buckets: the leaders'
 // splitter list, every machine's cuts of its locally sorted run (data[i],
@@ -290,9 +293,10 @@ type leaders struct {
 //     on it at their worst: its group's g samples of capTerm keys (wholeRun),
 //     the r−1 summaries of 4g keys, and g replies of the longest kind, the
 //     list or a plan's cuts and spans, a plan's list to the large machine
-//     among them. The keys are counted at the Sort's width (runWords): one
-//     word a key for Arrange's grouped Sort and AggregateByKey's, whose keys
-//     vary in column A only, sortKeyWords for any other.
+//     among them. The keys are counted at the columns they vary in
+//     (widths): one word a key for Arrange's grouped Sort and
+//     AggregateByKey's, one, two and three for a plan's samples, summaries
+//     and list, sortKeyWords for any other.
 func sortLeaders(c *mpc.Cluster, how split) leaders {
 	k := c.K()
 	one := leaders{g: k, ids: []int{coordinator(c)}}
@@ -325,11 +329,12 @@ func sortLeaders(c *mpc.Cluster, how split) leaders {
 // heldWords bounds what steps 2–3 put on one of r leaders of groups of g
 // machines, with capacity room (sortLeaders): g samples of capTerm keys and
 // their headers, r−1 summaries of 4g keys and their two header words, and g
-// replies of the longest kind, keys counted at the Sort's width.
+// replies of the longest kind, keys counted at the Sort's widths.
 func (how split) heldWords(k, g, r, room int) int {
+	sw, mw, lw := how.widths()
 	capTerm := room / (2 * g * (sortKeyWords + 1))
-	reply := max(how.runWords(k-1)+1, 1+2*k+2*spanWords)
-	return g*(how.runWords(capTerm)+1) + (r-1)*(how.runWords(4*g)+2) + g*reply
+	reply := max(runWords(lw, k-1)+1, 1+2*k+2*spanWords)
+	return g*(runWords(sw, capTerm)+1) + (r-1)*(runWords(mw, 4*g)+2) + g*reply
 }
 
 // r is the number of leaders.

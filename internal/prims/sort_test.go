@@ -511,16 +511,19 @@ func TestSortSampledBucketsBalanced(t *testing.T) {
 	}
 }
 
-// TestSortLeadersFollowKeyWidth runs three Sorts of one MST-shaped input on
+// TestSortLeadersFollowKeyWidth runs four Sorts of one MST-shaped input on
 // the shape of the wire benchmark's MST cells (n = 1,024, m = 16,384: K =
 // 512) and reads each Sort's leaders off its trace: the machines its sample
 // round reaches. Arrange's grouped Sort and AggregateByKey's sample,
-// summarise and list keys that vary in column A only, one word a key, so
-// their leaders' held state fits half a small machine and ⌈√K⌉ = 23 lead
-// (sortLeaders); a plain Sort of 3-column keys is charged three words a key,
-// which does not fit, so the coordinator leads it alone. No leader receives
-// in the sample and summary rounds and sends in the reply round more than
-// half its capacity. At a third of the default caps, an Arrange with a
+// summarise and list keys that vary in column A only, one word a key, and
+// NewPlan's requests vary in column A within a machine's sample, in A and
+// C within a summary, so their leaders' held state fits half a small
+// machine and ⌈√K⌉ = 23 lead (sortLeaders); a plain Sort of 3-column keys
+// is charged three words a key, which does not fit, so the coordinator
+// leads it alone. A plan on the scale benchmark's wide MST cell (n =
+// 4,096, m = 32,768: K = 2,048) gets its ⌈√K⌉ = 46 leaders too. No leader
+// receives in the sample and summary rounds and sends in the reply round
+// more than half its capacity. At a third of the default caps, an Arrange with a
 // 30,000-item group, too large for any bucket, samples again with full keys
 // under sort/full (groupsFit): it does so on the plain Sort's leaders, and
 // its buckets are the plain Sort's.
@@ -616,6 +619,22 @@ func TestSortLeadersFollowKeyWidth(t *testing.T) {
 		return err
 	})
 	leaders("AggregateByKey", c, rounds, false, 23)
+	// plan asks every machine for the far ends of its MST arrangement's edges.
+	plan := func(c *mpc.Cluster, g *graph.Graph) error {
+		data := make([][]int64, c.K())
+		for j, e := range g.Edges {
+			data[j%c.K()] = append(data[j%c.K()], int64(e.V))
+			data[(j+1)%c.K()] = append(data[(j+1)%c.K()], int64(e.U))
+		}
+		needs, _ := DistinctSlots(data)
+		_, err := NewPlan(c, needs, 1)
+		return err
+	}
+	c, rounds = traced(cfg, func(c *mpc.Cluster) error { return plan(c, g) })
+	leaders("NewPlan", c, rounds, false, 23)
+	wide := mpc.Config{N: 4096, M: 32768, K: 2048, Seed: 7}
+	c, rounds = traced(wide, func(c *mpc.Cluster) error { return plan(c, graph.ConnectedGNM(wide.N, wide.M, wide.Seed, true)) })
+	leaders("wide NewPlan", c, rounds, false, 46)
 	c, rounds = traced(cfg, func(c *mpc.Cluster) error {
 		_, err := Sort(c, directed(c.K(), 0), EdgeWords, byVertex)
 		return err

@@ -205,7 +205,8 @@ func groupKey(k SortKey) SortKey { return SortKey{A: k.A, B: math.MinInt64, C: m
 // Arrange's is, and so are the splitters. Decoding what was encoded returns
 // the input, the encoding's length is the words charged, no run costs more
 // than 3 words a key — a grouped one no more than n + 2 — and the cuts of a
-// grouped whole sample are the cuts of the run it stands for.
+// grouped whole sample are the cuts of the run it stands for. Bit 32 of mask
+// makes the keys a plan's requests when checkSummaries deals them.
 func FuzzSortMessageWords(f *testing.F) {
 	f.Add(uint8(45), uint8(1), uint8(181), uint64(7)) // plan-shaped
 	f.Add(uint8(1), uint8(7), uint8(0), uint64(1))
@@ -213,10 +214,11 @@ func FuzzSortMessageWords(f *testing.F) {
 	f.Add(uint8(200), uint8(7), uint8(255), uint64(3))
 	f.Add(uint8(45), uint8(15), uint8(181), uint64(4)) // arrange-shaped
 	f.Add(uint8(200), uint8(9), uint8(7), uint64(5))
-	f.Add(uint8(200), uint8(23), uint8(63), uint64(6)) // tight caps: the coordinator leads
-	f.Add(uint8(200), uint8(7), uint8(63), uint64(7))  // 8 leaders
-	f.Add(uint8(200), uint8(31), uint8(9), uint64(8))  // tight caps, grouped: 4 leaders at one word a key
-	f.Add(uint8(150), uint8(17), uint8(6), uint64(9))  // tight caps, column A only: 3 leaders
+	f.Add(uint8(200), uint8(23), uint8(63), uint64(6))  // tight caps: the coordinator leads
+	f.Add(uint8(200), uint8(7), uint8(63), uint64(7))   // 8 leaders
+	f.Add(uint8(200), uint8(31), uint8(9), uint64(8))   // tight caps, grouped: 4 leaders at one word a key
+	f.Add(uint8(150), uint8(17), uint8(6), uint64(9))   // tight caps, column A only: 3 leaders
+	f.Add(uint8(200), uint8(33), uint8(63), uint64(10)) // a plan's requests: B = 1, C the machine
 	f.Fuzz(func(t *testing.T, n, mask, nbm1 uint8, seed uint64) {
 		rng := xrand.New(seed)
 		draw := func(bit uint8, c int64) int64 {
@@ -272,9 +274,12 @@ func FuzzSortMessageWords(f *testing.F) {
 // leader's summary round-trips, and the summary round carries r−1 copies of
 // each, as encoded. A summary's key count is not on the wire: the receiver
 // derives it from the header, twice the group's count plus a bit set when
-// the summary is 4g keys, else min(count, g). No leader receives more in
-// the sample and summary rounds and sends more in the reply round than the
-// bound sortLeaders put on it (heldWords).
+// the summary is 4g keys, else min(count, g). With bit 32 of mask the keys
+// are a plan's requests, (A, 1, machine), sorted as NewPlan's are. Every
+// sample, summary and list encodes to no more words than its keys cost at
+// the Sort's widths, and no leader receives more in the sample and summary
+// rounds and sends more in the reply round than the bound sortLeaders put
+// on it (heldWords).
 func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint64) {
 	t.Helper()
 	cfg := mpc.Config{N: 256, M: 2048, K: min(nb, 64), Seed: seed, Trace: trace.New()}
@@ -285,13 +290,21 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	how := split{grouped: mask&8 != 0, oneCol: mask&6 == 0}
-	k, ld, grouped := c.K(), sortLeaders(c, how), how.grouped
+	k, plan := c.K(), mask&32 != 0
+	how := split{grouped: mask&8 != 0 && !plan, oneCol: mask&6 == 0 && !plan}
+	if plan {
+		how.align, how.spans = k, true
+	}
+	ld, grouped := sortLeaders(c, how), how.grouped
+	sw, mw, lw := how.widths()
 	if r := sortLeaders(c, split{}).r(); mask&16 != 0 && k >= 8 && r != 1 || mask&16 == 0 && k >= 2 && r == 1 || ld.r() < r {
-		t.Fatalf("K=%d CSmall=%v: %d leaders at sortKeyWords a key, %d at width %d", k, cfg.CSmall, r, ld.r(), how.width())
+		t.Fatalf("K=%d CSmall=%v: %d leaders at sortKeyWords a key, %d at widths %d, %d, %d", k, cfg.CSmall, r, ld.r(), sw, mw, lw)
 	}
 	runs := make([][]SortKey, k)
 	for j, key := range keys {
+		if plan {
+			key.B, key.C = 1, int64(j%k)
+		}
 		runs[j%k] = append(runs[j%k], key)
 	}
 	starts := make([]int, k+1)
@@ -300,10 +313,20 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 		starts[i+1] = starts[i] + min(k, len(runs[i]))
 	}
 	sp, samples, _, err := sortSplitters(c, ld, runs, identKey, how, 1)
-	if err != nil || ld.r() == 1 {
-		if err != nil {
-			t.Fatal(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range samples {
+		keys := samples[i].Keys
+		words := checkKeyRun(t, int64(samples[i].Count), keys, func(n int64) int { return ld.sampleSize(c, i, int(n)) })
+		if bound := runWords(sw, len(keys)) + 1; words > bound {
+			t.Fatalf("machine %d's sample of %d keys encodes to %d words, past its width-%d bound %d", i, len(keys), words, sw, bound)
 		}
+	}
+	if words, bound := checkKeyRun(t, int64(len(sp)), sp, func(n int64) int { return int(n) }), runWords(lw, len(sp))+1; words > bound {
+		t.Fatalf("the list of %d keys encodes to %d words, past its width-%d bound %d", len(sp), words, lw, bound)
+	}
+	if ld.r() == 1 {
 		return
 	}
 	// The leaders' summaries, rebuilt from the samples they were sent.
@@ -342,6 +365,9 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 		if len(enc) != summaryWords(&sum, grouped) {
 			t.Fatalf("leader %d's summary encodes to %d words, summaryWords charges %d", j, len(enc), summaryWords(&sum, grouped))
 		}
+		if bound := runWords(mw, len(sum.Keys)) + 2; len(enc) > bound {
+			t.Fatalf("leader %d's summary of %d keys encodes to %d words, past its width-%d bound %d", j, len(sum.Keys), len(enc), mw, bound)
+		}
 		want += int64(r-1) * int64(len(enc))
 	}
 	if rd := cfg.Trace.Rounds()[1]; rd.Phase != "summary" || rd.Words != want {
@@ -361,7 +387,7 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 	for _, id := range ld.ids {
 		held := at(rounds[0].RecvWords, id) + at(rounds[1].RecvWords, id) + at(rounds[2].SendWords, id)
 		if bound := how.heldWords(k, ld.g, r, leaderCap(c, id)); held > bound {
-			t.Fatalf("leader %d of %d receives and replies %d words, past the width-%d bound %d", id, r, held, how.width(), bound)
+			t.Fatalf("leader %d of %d receives and replies %d words, past the bound %d at widths %d, %d, %d", id, r, held, bound, sw, mw, lw)
 		}
 	}
 }
