@@ -192,17 +192,18 @@ func checkColoringRun(t *testing.T, g *graph.Graph, seed uint64) *ColoringResult
 }
 
 func TestColoringSmallDelta(t *testing.T) {
-	// Δ ≤ polylog: the direct-ship path.
+	// Δ ≤ polylog: each list holds most of the palette, so nearly every
+	// edge is a conflict edge.
 	checkColoringRun(t, graph.Cycles(90, 1, 3), 5)
 	checkColoringRun(t, graph.Grid(9, 9), 5)
 	checkColoringRun(t, graph.GNM(128, 400, 7), 5)
 }
 
 func TestColoringLargeDelta(t *testing.T) {
-	// Δ above the 2·log²n fallback threshold: the list-sampling path must
-	// engage (conflict edges shipped, list-coloring completed at the large
-	// machine) and the result must still be proper.
-	g := graph.Complete(280, false, 2) // Δ = 279 > 2·(log2 282)² = 162
+	// Δ far above the lists' 2 log n colours: the list-sampling path must
+	// ship only the conflict edges, complete the list-coloring at the large
+	// machine, and still be proper.
+	g := graph.Complete(280, false, 2) // Δ = 279, lists of 17 colours
 	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Gamma: 0.7, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -28,9 +28,9 @@ type ColoringResult struct {
 // endpoint lists intersect, O(n polylog n) of them w.h.p. (Lemma 4.1 of [6])
 // — and the large machine completes a proper list-coloring.
 //
-// For Δ ≤ polylog n the whole graph has O(n polylog n) edges and is shipped
-// directly (also O(1) rounds). The list-coloring completion is greedy with
-// retry-on-failure (DESIGN.md substitution 4); retries are counted.
+// The list-coloring completion is greedy with augmentation; if too many
+// edges conflict or it fails, the whole run retries with a fresh seed
+// (DESIGN.md substitution 4). Retries are counted.
 func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	if !c.HasLarge() {
 		return nil, errNeedsLarge("Coloring")
@@ -59,19 +59,6 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	logn := math.Log2(float64(n) + 2)
 	listLen := int(math.Ceil(2 * logn))
 
-	// Small-Δ fallback: the whole graph is Õ(n) and fits the large machine.
-	if maxDeg+1 <= 2*int(logn*logn) {
-		all, err := prims.GatherToLarge(c, edges, prims.EdgeWords)
-		if err != nil {
-			return nil, err
-		}
-		res.Colors = greedyColorComplete(n, all, maxDeg, nil)
-		if res.Colors == nil {
-			return nil, fmt.Errorf("core: greedy (Δ+1)-coloring failed on the full graph")
-		}
-		return res, nil
-	}
-
 	maxRetries := 5
 	for retry := 0; retry <= maxRetries; retry++ {
 		seed, err := prims.BroadcastSeed(c)
@@ -79,13 +66,12 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			return nil, err
 		}
 		listHash := xrand.NewHash(xrand.Split(seed, 3), 6)
-		list := func(v int) []int {
-			out := make([]int, listLen)
-			for j := 0; j < listLen; j++ {
-				out[j] = int(listHash.Eval(uint64(v)*1024+uint64(j)) % uint64(maxDeg+1))
-			}
-			return out
+		lists := make([]int, n*listLen)
+		for x := range lists {
+			v, j := x/listLen, x%listLen
+			lists[x] = int(listHash.Eval(uint64(v)*1024+uint64(j)) % uint64(maxDeg+1))
 		}
+		list := func(v int) []int { return lists[v*listLen : (v+1)*listLen] }
 		// Ship the conflicting edges.
 		conflicts := make([][]graph.Edge, kk)
 		c.Each(func(i int) {
@@ -212,46 +198,6 @@ func listColorConflicts(n int, confEdges []graph.Edge, list func(int) []int) []i
 		visited[v] = stamp
 		if !assign(v, 0) {
 			return nil // retry with fresh lists
-		}
-	}
-	return colors
-}
-
-// greedyColorComplete colors the whole (shipped) graph greedily with at most
-// maxColor+1 colors; pre is an optional pre-coloring. Returns nil only if
-// some vertex exhausts the palette, which cannot happen for a (Δ+1) palette.
-func greedyColorComplete(n int, edges []graph.Edge, maxColor int, pre []int) []int {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	colors := make([]int, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	if pre != nil {
-		copy(colors, pre)
-	}
-	// usedBy[col] == v+1 marks col as taken by a neighbor of v.
-	usedBy := make([]int, maxColor+1)
-	for v := 0; v < n; v++ {
-		if colors[v] >= 0 {
-			continue
-		}
-		for _, u := range adj[v] {
-			if col := colors[u]; col >= 0 && col <= maxColor {
-				usedBy[col] = v + 1
-			}
-		}
-		for col := 0; col <= maxColor; col++ {
-			if usedBy[col] != v+1 {
-				colors[v] = col
-				break
-			}
-		}
-		if colors[v] < 0 {
-			return nil
 		}
 	}
 	return colors

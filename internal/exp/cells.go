@@ -167,9 +167,16 @@ func baseMIS(g *graph.Graph) func(*mpc.Cluster) (*sublinear.MISResult, error) {
 	return checked(g, sublinear.MIS, func(r *sublinear.MISResult) error { return graph.CheckMIS(g, r.Set) })
 }
 
-// coloring: core.Coloring must colour g properly with its reported palette.
+// coloring: core.Coloring must colour g properly with its reported palette,
+// and on a g with edges ship at least one conflict edge — the proof that
+// Theorem C.7's list path ran.
 func coloring(g *graph.Graph) func(*mpc.Cluster) (*core.ColoringResult, error) {
-	return checked(g, core.Coloring, func(r *core.ColoringResult) error { return graph.CheckColoring(g, r.Colors, r.MaxColor) })
+	return checked(g, core.Coloring, func(r *core.ColoringResult) error {
+		if g.M() > 0 && r.ConflictEdges == 0 {
+			return errors.New("core.Coloring shipped no conflict edge on a graph with edges")
+		}
+		return graph.CheckColoring(g, r.Colors, r.MaxColor)
+	})
 }
 
 // baseColoring is the sublinear colouring baseline, held to the same.

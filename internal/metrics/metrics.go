@@ -17,9 +17,9 @@ import (
 	"hetmpc/internal/trace"
 )
 
-// SchemaVersion is the wire-format version of the snapshot JSON (and of the
-// observability artifacts generally; internal/exp and internal/trace stamp
-// the same constant so hettrace can refuse mismatched files uniformly).
+// SchemaVersion is the wire-format version of the snapshot JSON. Each format
+// versions itself: internal/exp's BENCH artifacts and internal/trace's
+// exports stamp their own SchemaVersion.
 const SchemaVersion = 1
 
 // Instrument kinds, as rendered in snapshots.

@@ -186,10 +186,11 @@ func sortSplit[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) Sor
 		return nil, layout{}, err
 	}
 	if !fits {
-		fullHow := split{align: how.align}
-		ld = sortLeaders(c, fullHow)
+		// Only Arrange's grouped Sort re-picks, and it is not aligned: the
+		// full keys' pass is a plain Sort's.
+		ld = sortLeaders(c, split{})
 		full := c.Span("full")
-		lay.sp, samples, _, err = sortSplitters(c, ld, data, key, fullHow, itemWords)
+		lay.sp, samples, _, err = sortSplitters(c, ld, data, key, split{}, itemWords)
 		full.End()
 		if err != nil {
 			return nil, layout{}, err
@@ -332,10 +333,14 @@ func sortLeaders(c *mpc.Cluster, how split) leaders {
 // replies of the longest kind, keys counted at the Sort's widths.
 func (how split) heldWords(k, g, r, room int) int {
 	sw, mw, lw := how.widths()
-	capTerm := room / (2 * g * (sortKeyWords + 1))
 	reply := max(runWords(lw, k-1)+1, 1+2*k+2*spanWords)
-	return g*(runWords(sw, capTerm)+1) + (r-1)*(runWords(mw, 4*g)+2) + g*reply
+	return g*(runWords(sw, capTerm(room, g))+1) + (r-1)*(runWords(mw, 4*g)+2) + g*reply
 }
+
+// capTerm is the most keys one of a leader's g machines may sample so that
+// the group's g samples, at sortKeyWords a key plus a header, fit half of
+// the leader's room (wholeRun).
+func capTerm(room, g int) int { return room / (2 * g * (sortKeyWords + 1)) }
 
 // r is the number of leaders.
 func (ld leaders) r() int { return len(ld.ids) }
@@ -362,9 +367,9 @@ func leaderCap(c *mpc.Cluster, id int) int {
 // q keys up and the list of K-1 splitters down, 3(q+K-1).
 func (ld leaders) wholeRun(c *mpc.Cluster, i, n int) (whole bool, q int) {
 	k := c.K()
-	capTerm := max(leaderCap(c, ld.ids[i/ld.g])/(2*ld.g*(sortKeyWords+1)), 1)
-	q = min(capTerm, 64)
-	return n <= capTerm && (n <= q || sortKeyWords*n+n <= sortKeyWords*(q+k-1)), q
+	most := max(capTerm(leaderCap(c, ld.ids[i/ld.g]), ld.g), 1)
+	q = min(most, 64)
+	return n <= most && (n <= q || sortKeyWords*n+n <= sortKeyWords*(q+k-1)), q
 }
 
 // sampleSize is how many keys machine i, holding n items, samples: all n

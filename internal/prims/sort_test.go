@@ -152,10 +152,10 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ld := sortLeaders(twin, split{})
-	capTerm := leaderCap(twin, ld.ids[0]) / (2 * ld.g * (sortKeyWords + 1))
+	most := capTerm(leaderCap(twin, ld.ids[0]), ld.g)
 	bound := sortKeyWords * (q + k - 1) / (sortKeyWords + 1)
-	if k != 182 || ld.g != 13 || capTerm <= bound {
-		t.Fatalf("K=%d g=%d capacity term %d: not Table 1's baseline shape", k, ld.g, capTerm)
+	if k != 182 || ld.g != 13 || most <= bound {
+		t.Fatalf("K=%d g=%d capacity term %d: not Table 1's baseline shape", k, ld.g, most)
 	}
 	for _, tc := range []struct {
 		name   string
