@@ -16,8 +16,8 @@ import (
 type ColoringResult struct {
 	Colors        []int // proper coloring with colors in [0, Δ]
 	MaxColor      int
-	ConflictEdges int64
-	Retries       int
+	ConflictEdges int64 // the edges whose endpoint lists intersect, on the last try
+	Retries       int   // tries that failed before the last
 	Stats         mpc.Stats
 }
 
@@ -72,12 +72,13 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			lists[x] = int(listHash.Eval(uint64(v)*1024+uint64(j)) % uint64(maxDeg+1))
 		}
 		list := func(v int) []int { return lists[v*listLen : (v+1)*listLen] }
-		// Ship the conflicting edges.
-		conflicts := make([][]graph.Edge, kk)
+		// Ship the conflicting edges' endpoints: the list-colouring reads
+		// nothing else.
+		conflicts := make([][][2]int32, kk)
 		c.Each(func(i int) {
 			for _, e := range edges[i] {
 				if listsIntersect(list(e.U), list(e.V)) {
-					conflicts[i] = append(conflicts[i], e)
+					conflicts[i] = append(conflicts[i], [2]int32{int32(e.U), int32(e.V)})
 				}
 			}
 		})
@@ -90,7 +91,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			res.Retries++
 			continue // extraordinarily unlucky lists
 		}
-		confEdges, err := prims.GatherToLarge(c, conflicts, prims.EdgeWords)
+		confEdges, err := prims.GatherToLarge(c, conflicts, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -127,14 +128,16 @@ func listsIntersect(a, b []int) bool {
 // is stuck: it tries to steal a list color from a neighbor that can itself
 // move to another color, recursively. On clique-like conflict graphs this is
 // exactly bipartite-matching augmentation, which finds the proper
-// list-coloring whose existence Lemma C.8 guarantees. Returns nil only if
+// list-coloring whose existence Lemma C.8 guarantees. confEdges are the
+// conflict edges' endpoint pairs. Returns nil only if
 // augmentation fails for some vertex (the caller retries with fresh lists).
 // Non-conflict vertices keep color -1.
-func listColorConflicts(n int, confEdges []graph.Edge, list func(int) []int) []int {
+func listColorConflicts(n int, confEdges [][2]int32, list func(int) []int) []int {
 	adj := make([][]int, n)
 	for _, e := range confEdges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+		u, v := int(e[0]), int(e[1])
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
 	}
 	var verts []int
 	for v := range adj {

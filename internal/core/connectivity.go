@@ -29,7 +29,8 @@ type ConnectivityResult struct {
 // build each vertex's linear ℓ0-sampling sketch where its incidences meet;
 // the sketches go to the large machine, each charged the levels it stores
 // (Sketch.Words: the levels above are zero by construction and rebuilt
-// there) — O(n polylog n) bits in total — which then runs Borůvka locally,
+// there), and a vertex's sketches its id once (shareWords) — O(n polylog n)
+// bits in total — which then runs Borůvka locally,
 // sampling an outgoing edge of each component from the summed sketches
 // (Property 1) of fresh rounds. The first contractAfter families are shipped
 // per vertex; if Borůvka reads a later one, the large machine contracts the
@@ -180,6 +181,13 @@ type share struct {
 	deg      int
 	machine  int
 }
+
+// shareWords is what a share costs on the wire: its group once, its
+// sketches' Sketch.Words (sketchWords) and its degree's words (degWords).
+// Its families arrive in order, so the large machine rebuilds each sketch's
+// key phase·n + group, and from it the family id and universe that
+// Sketch.Words leaves out. gather charges it, and bins prices with it.
+func shareWords[W int | float64](sketchWords, degWords W) W { return 1 + sketchWords + degWords }
 
 // gatherSketches is the "sketch" phase up to its first gather: the
 // incidences meet by vertex, and the sketches of the first contractAfter of
@@ -364,8 +372,9 @@ func (s *sketchPhase) pack() []placement {
 // PlaceShare, bin j receives 3·total·s_j/S words in the route, s_j its
 // share and S the bins', while every machine i sends its run, 3·held[i]; in
 // the second gather bin j sends about comps·s_j/S + 1 component shares and
-// the large machine receives comps + B − 1, each F sketches of about w
-// words, F the families left and w the first gather's mean. A candidate
+// the large machine receives comps + B − 1, each shareWords of F sketches
+// of about w words, F the families left and w the first gather's mean
+// Sketch.Words. A candidate
 // prices each round at its busiest machine's words times WordCost, so more
 // bins shorten the route and lengthen the gather where the large machine
 // is the busiest, and shorten both where the bins are. A candidate whose
@@ -376,10 +385,10 @@ func (s *sketchPhase) bins(total, comps int, held []int) []int {
 	sketches, words := 0, 0
 	for _, v := range s.vertices {
 		for _, kv := range v.sketches {
-			sketches, words = sketches+1, words+1+kv.V.Words()
+			sketches, words = sketches+1, words+kv.V.Words()
 		}
 	}
-	share := float64(s.phases-len(s.families)) * float64(words) / float64(max(sketches, 1)) // F·w
+	share := shareWords(float64(s.phases-len(s.families))*float64(words)/float64(max(sketches, 1)), 0) // F sketches of w words
 	machines := make([]int, k)
 	var floor float64 // the route's busiest sender, bin or not
 	for i := range machines {
@@ -413,10 +422,10 @@ func (s *sketchPhase) bins(total, comps int, held []int) []int {
 // gather builds families len(s.families) … hi−1 of every machine's run,
 // sorted by group — a sketch per (family, group), each the sum of its
 // group's updates, cell for cell in any order — and ships them to the large
-// machine (one round), each charged its key and Sketch.Words, with degWords
-// more a group. The large machine files them after the families it holds,
-// by family: the groups ascend in machine order, so every family's keys do.
-// It returns the groups, in machine order.
+// machine (one round), each group charged shareWords. The large machine
+// files them after the families it holds, by family: the groups ascend in
+// machine order, so every family's keys do. It returns the groups, in
+// machine order.
 func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]share, error) {
 	defer s.c.Span("gather").End()
 	lo := len(s.families)
@@ -442,11 +451,13 @@ func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]sha
 		items[i] = shares
 	})
 	got, err := prims.Gather(s.c, items, func(shares []share) int {
-		w := degWords * len(shares)
+		w := 0
 		for _, sh := range shares {
+			sketchWords := 0
 			for _, kv := range sh.sketches {
-				w += 1 + kv.V.Words()
+				sketchWords += kv.V.Words()
 			}
+			w += shareWords(sketchWords, degWords)
 		}
 		return w
 	})

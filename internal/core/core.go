@@ -45,6 +45,11 @@ func (e cEdge) Ends() (int, int) { return e.U, e.V }
 // orig returns the original graph edge.
 func (e cEdge) orig() graph.Edge { return graph.NewEdge(e.OU, e.OV, e.W) }
 
+// shipped is what the edge sends the large machine, prims.EdgeWords: its
+// original edge (OU, OV, W) as held. The large machine rebuilds (U, V) from
+// its union-find (contracted, reply).
+func (e cEdge) shipped() graph.Edge { return graph.Edge{U: e.OU, V: e.OV, W: e.W} }
+
 // lessByWeight orders contracted edges by unique weight.
 func (e cEdge) lessByWeight(o cEdge) bool { return e.cmpByWeight(o) < 0 }
 
@@ -57,6 +62,36 @@ func (e cEdge) cmpByWeight(o cEdge) int {
 		return c
 	}
 	return cmp.Compare(e.OV, o.OV)
+}
+
+// gatherShipped sends every machine's records to the large machine as
+// ship(record), shipWords each — the fields it reads and cannot rebuild —
+// carved from one array, and returns them in (machine, local index) order.
+func gatherShipped[T, S any](c *mpc.Cluster, data [][]T, ship func(T) S, shipWords int) ([]S, error) {
+	starts := make([]int, len(data)+1)
+	for i, rs := range data {
+		starts[i+1] = starts[i] + len(rs)
+	}
+	flat, out := make([]S, starts[len(data)]), make([][]S, len(data))
+	c.Each(func(i int) {
+		out[i] = flat[starts[i]:starts[i+1]:starts[i+1]]
+		for j, r := range data[i] {
+			out[i][j] = ship(r)
+		}
+	})
+	return prims.GatherToLarge(c, out, shipWords)
+}
+
+// onRebuild, nil outside tests, is handed every batch of records the large
+// machine rebuilt from what it received beside the records the small
+// machines held, under the name of the gather: a test asserts they agree.
+var onRebuild func(site string, held, rebuilt any)
+
+// rebuilt reports a batch of rebuilt records to onRebuild, if set.
+func rebuilt(site string, held, got any) {
+	if onRebuild != nil {
+		onRebuild(site, held, got)
+	}
 }
 
 // pairKey packs an unordered contracted vertex pair into an int64 key.

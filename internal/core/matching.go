@@ -19,6 +19,18 @@ type MatchingResult struct {
 	Stats       mpc.Stats
 }
 
+// rankedEdge is a directed copy of an edge in Phase 2's arrangement: Src is
+// the vertex it is filed under and Rank its shared random rank. Both only
+// sort it; a collected edge ships as E alone.
+type rankedEdge struct {
+	Src  int32
+	Rank uint64
+	E    graph.Edge
+}
+
+// edge is what a collected rankedEdge ships, prims.EdgeWords.
+func (re rankedEdge) edge() graph.Edge { return re.E }
+
 // MaximalMatching computes a maximal matching in the heterogeneous MPC
 // model by the three-phase algorithm of §5 (Theorem 5.1):
 //
@@ -118,11 +130,6 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 		return nil, err
 	}
 	rankHash := xrand.NewHash(seed, 4)
-	type rankedEdge struct {
-		Src  int32
-		Rank uint64
-		E    graph.Edge
-	}
 	directed := make([][]rankedEdge, kk)
 	c.Each(func(i int) {
 		directed[i] = make([]rankedEdge, 0, 2*len(edges[i]))
@@ -142,25 +149,26 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	// The arranged keys are the edges' endpoints, as degAtLarge's are: a
 	// position in one is the same vertex's in the other.
 	high := func(p int) bool { return degAtLarge[p].V > lowCap }
-	collected, err := arr.CollectBudget(c, func(p int) int {
+	collected, err := prims.CollectBudget(c, arr, func(p int) int {
 		if high(p) {
 			return int(budget)
 		}
 		return 0
-	})
+	}, rankedEdge.edge, prims.EdgeWords)
 	if err != nil {
 		return nil, err
 	}
+	rebuilt("matching/reply", arr, collected)
 	// Large machine: greedy M2 over the high vertices in sorted order.
 	for p, kv := range degAtLarge {
 		v := int(kv.K)
 		if !high(p) || matchedAt[v] {
 			continue
 		}
-		for _, re := range collected[p] {
-			u := re.E.Other(v)
+		for _, e := range collected[p] {
+			u := e.Other(v)
 			if !matchedAt[u] {
-				matching = append(matching, re.E)
+				matching = append(matching, e)
 				matchedAt[v] = true
 				matchedAt[u] = true
 				break

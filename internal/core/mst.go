@@ -129,7 +129,7 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		}
 
 		// Collect each active vertex's min(budget, deg) lightest out-edges.
-		collected, err := arr.CollectBudget(c, func(int) int { return budget })
+		collected, err := collectEdges(c, arr, budget, dsu)
 		if err != nil {
 			return nil, err
 		}
@@ -228,6 +228,64 @@ func phaseBudget(effF, log2n float64, phase, active, largeCap int) int {
 		d = capD
 	}
 	return d
+}
+
+// contracted rebuilds a contracted edge from its shipped original edge e.
+// Relabeling makes every contracted id the root under dsu of its original
+// endpoint, and a held edge keeps U on OU's side, so (U, V) is
+// (dsu.Find(OU), dsu.Find(OV)).
+func contracted(dsu *unionfind.DSU, e graph.Edge) cEdge {
+	return cEdge{U: dsu.Find(e.U), V: dsu.Find(e.V), W: e.W, OU: e.U, OV: e.V}
+}
+
+// reply rebuilds a directed contracted edge that arrived under key u, its
+// source: its head is the root of whichever original endpoint is not u's.
+func reply(dsu *unionfind.DSU, u int, e graph.Edge) cEdge {
+	v := dsu.Find(e.U)
+	if v == u {
+		v = dsu.Find(e.V)
+	}
+	return cEdge{U: u, V: v, W: e.W, OU: e.U, OV: e.V}
+}
+
+// collectEdges is the phase's collection: each active vertex's min(budget,
+// deg) lightest out-edges, shipped as their original edges and rebuilt on
+// the large machine, by position in arr.Keys, carved from one array.
+func collectEdges(c *mpc.Cluster, arr *prims.Arranged[cEdge], budget int, dsu *unionfind.DSU) ([][]cEdge, error) {
+	got, err := prims.CollectBudget(c, arr, func(int) int { return budget }, cEdge.shipped, prims.EdgeWords)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, es := range got {
+		total += len(es)
+	}
+	flat, out := make([]cEdge, 0, total), make([][]cEdge, len(got))
+	for p, es := range got {
+		at := len(flat)
+		for _, e := range es {
+			flat = append(flat, reply(dsu, int(arr.Keys[p]), e))
+		}
+		out[p] = flat[at:len(flat):len(flat)]
+	}
+	rebuilt("mst/reply", arr, out)
+	return out, nil
+}
+
+// gatherEdges ships every machine's contracted edges to the large machine as
+// their original edges and rebuilds them there, in (machine, local index)
+// order.
+func gatherEdges(c *mpc.Cluster, site string, data [][]cEdge, dsu *unionfind.DSU) ([]cEdge, error) {
+	got, err := gatherShipped(c, data, cEdge.shipped, prims.EdgeWords)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]cEdge, len(got))
+	for j, e := range got {
+		out[j] = contracted(dsu, e)
+	}
+	rebuilt(site, data, out)
+	return out, nil
 }
 
 // localBudgetedBoruvka merges contracted vertices along collected edges on
@@ -422,7 +480,7 @@ func kktTry(
 	if total > capBudget {
 		return nil, false, nil // resample
 	}
-	sampleEdges, err := prims.GatherToLarge(c, samples, cEdgeWords)
+	sampleEdges, err := gatherEdges(c, "mst/sample", samples, dsu)
 	if err != nil {
 		return nil, false, err
 	}
@@ -474,7 +532,7 @@ func kktTry(
 	if lightTotal > capBudget {
 		return nil, false, nil // unlucky sample: retry
 	}
-	lightEdges, err := prims.GatherToLarge(c, light, cEdgeWords)
+	lightEdges, err := gatherEdges(c, "mst/light", light, dsu)
 	if err != nil {
 		return nil, false, err
 	}

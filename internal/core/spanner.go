@@ -302,23 +302,9 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 			du, _ := degs.Slot(i, int(slots[i][2*j]))
 			dv, _ := degs.Slot(i, int(slots[i][2*j+1]))
-			md := du
-			if dv < md {
-				md = dv
-			}
-			lvl := bits.Len64(uint64(md)) - 1
-			if lvl >= levels {
-				lvl = levels - 1
-			}
-			a, b := int(su), int(sv)
-			if a > b {
-				a, b = b, a
-			}
-			key := int64(lvl)*n2 + int64(a)*int64(n) + int64(b)
-			ceItems[i] = append(ceItems[i], prims.KV[clusterEdge]{
-				K: key,
-				V: clusterEdge{U: a, V: b, Orig: e},
-			})
+			le := levelEdge(e, su, sv, du, dv, levels)
+			key := int64(le.Lvl)*n2 + int64(le.E.U)*int64(n) + int64(le.E.V)
+			ceItems[i] = append(ceItems[i], prims.KV[clusterEdge]{K: key, V: le.E})
 		}
 	})
 	ceCombine := func(a, b clusterEdge) clusterEdge {
@@ -387,10 +373,6 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 7: direct levels — ship whole clustering graphs ---
-	type lvlEdge struct {
-		Lvl int32
-		E   clusterEdge
-	}
 	directData := make([][]lvlEdge, kk)
 	c.Each(func(i int) {
 		for lvl := 0; lvl < levels; lvl++ {
@@ -402,10 +384,23 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 		}
 	})
-	directEdges, err := prims.GatherToLarge(c, directData, clusterEdgeWords+1)
+	// An edge ships as its original edge: the large machine rebuilds its
+	// level and cluster ids by the small machines' rule, from σ and the
+	// degrees it holds, at its endpoints' positions in degAtLarge.
+	shipped, err := gatherShipped(c, directData, func(le lvlEdge) graph.Edge { return le.E.Orig }, prims.EdgeWords)
 	if err != nil {
 		return nil, err
 	}
+	at := make([]int32, n)
+	for x, d := range degAtLarge {
+		at[d.K] = int32(x)
+	}
+	directEdges := make([]lvlEdge, len(shipped))
+	for j, e := range shipped {
+		x, y := at[e.U], at[e.V]
+		directEdges[j] = levelEdge(e, sigma[x].V, sigma[y].V, degAtLarge[x].V, degAtLarge[y].V, levels)
+	}
+	rebuilt("spanner/direct", directData, directEdges)
 	// Vertex sets V_lvl = {σ_u : i_u >= lvl}.
 	vSets := make([][]int, levels)
 	for x, iu := range topLevel {
@@ -601,6 +596,23 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 
 	res.Edges = graph.DedupEdges(spanner)
 	return res, nil
+}
+
+// lvlEdge is an edge of clustering graph A_Lvl.
+type lvlEdge struct {
+	Lvl int32
+	E   clusterEdge
+}
+
+// levelEdge files original edge e, whose endpoints have σ su ≠ sv and
+// degrees du, dv, as an edge of A_lvl: lvl is the degree class of the
+// smaller degree, capped at levels−1, and the cluster ids ascend. The small
+// machines file e by it, and the large machine rebuilds a shipped direct
+// edge with it.
+func levelEdge(e graph.Edge, su, sv, du, dv int64, levels int) lvlEdge {
+	lvl := min(bits.Len64(uint64(min(du, dv)))-1, levels-1)
+	a, b := int(min(su, sv)), int(max(su, sv))
+	return lvlEdge{Lvl: int32(lvl), E: clusterEdge{U: a, V: b, Orig: e}}
 }
 
 // spannerBitWords is the size of a vertex's hitting-set bits: one per trial

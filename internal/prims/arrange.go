@@ -16,10 +16,9 @@ type Arranged[T any] struct {
 	Data [][]T   // per-machine sorted items
 	Keys []int64 // distinct keys in global order (large machine's view)
 
-	runs      []runRec // in machine order; machine i reported runs[from[i]:from[i+1]]
-	at, from  []int    // the run of Keys[p] is runs[at[p]:at[p+1]]
-	key       func(T) int64
-	itemWords int
+	runs     []runRec // in machine order; machine i reported runs[from[i]:from[i+1]]
+	at, from []int    // the run of Keys[p] is runs[at[p]:at[p+1]]
+	key      func(T) int64
 }
 
 // runRec is one machine's report of one run: the key and how many of its
@@ -77,7 +76,7 @@ func Arrange[T any](c *mpc.Cluster, data [][]T, sortKey func(T) SortKey, itemWor
 	// first seen in ascending order, and a run continuing on the next machine
 	// continues the last key: keys needs no sort.
 	a := &Arranged[T]{Data: sorted, Keys: make([]int64, 0, len(runs)), runs: runs,
-		at: make([]int, 0, len(runs)+1), from: from, key: key, itemWords: itemWords}
+		at: make([]int, 0, len(runs)+1), from: from, key: key}
 	for j, r := range runs {
 		if j == 0 || runs[j-1].Key != r.Key {
 			a.Keys, a.at = append(a.Keys, r.Key), append(a.at, j)
@@ -100,26 +99,31 @@ func (a *Arranged[T]) Degree(p int) (d int) {
 }
 
 // reply carries the items a query — a run's report cut to its first Count
-// items — asked for.
-type reply[T any] struct {
+// items — asked for, as they ship.
+type reply[S any] struct {
 	Key   int64
-	Items []T
+	Items []S
 }
 
 // CollectBudget implements the collection pattern of §3 and §5: for the key
-// at each position p of Keys, the large machine requests the first budget(p)
-// items of the key's global run (they are the lightest, since runs are
-// sorted) and returns them at position p, in global order. Two rounds: a
-// scatter of queries, a gather of items. The caller is responsible for Σ
-// budgets fitting the large machine (the paper's O(n log n) bound).
-func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][]T, error) {
+// at each position p of a.Keys, the large machine requests the first
+// budget(p) items of the key's global run (they are the lightest, since runs
+// are sorted) and receives them at position p, in global order. An item
+// ships as ship(item), charged shipWords: the fields the large machine
+// reads and cannot rebuild. Two rounds: a scatter of queries, a gather of
+// items. The caller is responsible for Σ budgets fitting the large machine
+// (the paper's O(n log n) bound).
+func CollectBudget[T, S any](c *mpc.Cluster, a *Arranged[T], budget func(p int) int, ship func(T) S, shipWords int) ([][]S, error) {
 	// A machine is asked at most once a run it reported, so its queries and
-	// replies are carved from one array each where its reports sit.
+	// replies are carved from one array each where its reports sit, and the
+	// items it ships from one array per call, at the offset of its queries'
+	// counts.
 	k, from, total := c.K(), a.from, 0
 	qbuf, queries := make([]runRec, len(a.runs)), make([][]runRec, k)
 	for i := range queries {
 		queries[i] = qbuf[from[i]:from[i]:from[i+1]]
 	}
+	asked := make([]int, k+1) // machine i ships items [asked[i], asked[i+1])
 	for p := range a.Keys {
 		want := budget(p)
 		for _, r := range a.runOf(p) {
@@ -129,7 +133,11 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][
 			take := min(int(r.Count), want)
 			r.Count, want, total = int32(take), want-take, total+take
 			queries[r.Machine] = append(queries[r.Machine], r)
+			asked[r.Machine+1] += take
 		}
+	}
+	for i := range k {
+		asked[i+1] += asked[i]
 	}
 	ins, err := Scatter(c, queries, func(qs []runRec) int { return 2 * len(qs) })
 	if err != nil {
@@ -138,23 +146,28 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][
 	// Machines answer with the first Count items of each queried run: queries
 	// and runs both ascend by key, so one walk over the machine's items finds
 	// them.
-	rbuf, replies := make([]reply[T], len(a.runs)), make([][]reply[T], k)
+	rbuf, replies := make([]reply[S], len(a.runs)), make([][]reply[S], k)
+	sbuf := make([]S, total)
 	c.Each(func(i int) {
 		replies[i] = rbuf[from[i] : from[i]+len(ins[i]) : from[i]+len(ins[i])]
-		data := a.Data[i]
+		data, shipped := a.Data[i], sbuf[asked[i]:asked[i]]
 		for j, q := range ins[i] {
 			// The query is cut from this machine's report of the run: the
 			// run is here, at least Count long.
 			for a.key(data[0]) < q.Key {
 				data = data[1:]
 			}
-			replies[i][j] = reply[T]{Key: q.Key, Items: data[:q.Count]}
+			at := len(shipped)
+			for _, it := range data[:q.Count] {
+				shipped = append(shipped, ship(it))
+			}
+			replies[i][j] = reply[S]{Key: q.Key, Items: shipped[at:len(shipped):len(shipped)]}
 		}
 	})
-	got, err := Gather(c, replies, func(rs []reply[T]) int {
+	got, err := Gather(c, replies, func(rs []reply[S]) int {
 		w := len(rs)
 		for _, r := range rs {
-			w += len(r.Items) * a.itemWords
+			w += len(r.Items) * shipWords
 		}
 		return w
 	})
@@ -164,7 +177,7 @@ func (a *Arranged[T]) CollectBudget(c *mpc.Cluster, budget func(p int) int) ([][
 	// Machine order is run order per key, and every machine's replies ascend
 	// by key, each a key of Keys: one walk over Keys places them. A key's
 	// replies are adjacent, so its items are one stretch of one array.
-	items, out, p := make([]T, 0, total), make([][]T, len(a.Keys)), 0
+	items, out, p := make([]S, 0, total), make([][]S, len(a.Keys)), 0
 	for _, r := range got {
 		for a.Keys[p] < r.Key {
 			p++

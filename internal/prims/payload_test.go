@@ -318,7 +318,7 @@ func TestCollectiveAllocsPerMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := arr.CollectBudget(c, func(int) int { return 1 }); err != nil {
+		if _, err := CollectBudget(c, arr, func(int) int { return 1 }, func(x int64) int64 { return x }, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -577,8 +577,9 @@ func TestPlanBroadcastDistributedValues(t *testing.T) {
 
 // TestArrangeAndCollectBudget: the run index gives every vertex's degree at
 // its position in Keys, and CollectBudget returns, at each position, the
-// budget(position) lightest out-edges of that key — as a map from each vertex
-// to its sorted out-edges says, budgets of zero and past the degree included.
+// budget(position) lightest out-edges of that key, each as its projection —
+// as a map from each vertex to its sorted out-edges says, budgets of zero and
+// past the degree included.
 func TestArrangeAndCollectBudget(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
 	g := graph.GNMWeighted(100, 600, 9)
@@ -607,7 +608,9 @@ func TestArrangeAndCollectBudget(t *testing.T) {
 		}
 	}
 	budget := func(p int) int { return p % 5 }
-	collected, err := arr.CollectBudget(c, budget)
+	// The key is the source, so an edge ships its head and weight.
+	ship := func(e graph.Edge) [2]int64 { return [2]int64{int64(e.V), e.W} }
+	collected, err := CollectBudget(c, arr, budget, ship, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,9 +618,12 @@ func TestArrangeAndCollectBudget(t *testing.T) {
 		t.Fatalf("collected %d lists for %d keys", len(collected), len(arr.Keys))
 	}
 	for p, key := range arr.Keys {
-		want := out[key]
-		slices.SortFunc(want, func(a, b graph.Edge) int { return sortKey(a).Compare(sortKey(b)) })
-		want = want[:min(budget(p), len(want))]
+		edges := out[key]
+		slices.SortFunc(edges, func(a, b graph.Edge) int { return sortKey(a).Compare(sortKey(b)) })
+		var want [][2]int64
+		for _, e := range edges[:min(budget(p), len(edges))] {
+			want = append(want, ship(e))
+		}
 		if !slices.Equal(collected[p], want) && len(want)+len(collected[p]) > 0 {
 			t.Fatalf("key %d at position %d: collected %v, want %v", key, p, collected[p], want)
 		}

@@ -24,7 +24,10 @@
 // or merge deeper than the prefix grows it, so nothing is ever dropped. A
 // vertex of degree d stores about log2 d + 1 levels of ~20. A sketch ships
 // the same prefix: Sketch.Words charges its depth and stored levels, and the
-// receiver's readers take the levels above as the zeros they are.
+// receiver's readers take the levels above as the zeros they are. Its family
+// id and universe do not ship: a receiver knows which family a sketch
+// belongs to from where it arrives, and fixes the universe it sketches over
+// (connectivity's is n²), so it restamps both.
 package sketch
 
 import (
@@ -163,9 +166,10 @@ func (f *Family) NewSketch(universe int64) *Sketch {
 func (s *Sketch) Depth() int { return len(s.levels) }
 
 // Words returns the sketch's size on the model's wire in machine words: its
-// family id, universe and depth, then one one-sparse triple per stored level.
-// The levels above the depth are zero, so nothing else need be sent.
-func (s *Sketch) Words() int { return 3 + 3*len(s.levels) }
+// depth, then one one-sparse triple per stored level. The levels above the
+// depth are zero, and the receiver restamps the family id and universe (see
+// the package comment), so nothing else need be sent.
+func (s *Sketch) Words() int { return 1 + 3*len(s.levels) }
 
 // grow extends the stored prefix with zero levels to at least depth.
 func (s *Sketch) grow(depth int) {
