@@ -59,7 +59,7 @@ func table1Rounds(t *testing.T) []hetmpc.TraceRound {
 // there is the route round that carries every partial — except the two
 // random-mate loops' below, and a new empty round anywhere fails by its path.
 func TestTable1EmptyRounds(t *testing.T) {
-	// 18 of the 598 rounds. The protocols below run a fixed number of
+	// 18 of the 600 rounds. The protocols below run a fixed number of
 	// rounds so that the round count depends on public parameters only; each
 	// listed round had nothing to carry on this input.
 	allowed := map[string]int{
@@ -104,8 +104,8 @@ func TestTable1EmptyRounds(t *testing.T) {
 			got[p.Phase] = p.EmptyRounds
 		}
 	}
-	if s.Rounds != 598 {
-		t.Errorf("the twelve calls charge %d rounds, want 598", s.Rounds)
+	if s.Rounds != 600 {
+		t.Errorf("the twelve calls charge %d rounds, want 600", s.Rounds)
 	}
 	phases := make([]string, 0, len(got)+len(allowed))
 	for phase := range got {

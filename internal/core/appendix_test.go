@@ -107,6 +107,48 @@ func TestApproxMinCutDense(t *testing.T) {
 	}
 }
 
+// TestMinCutDegenerateInputs pins the min-cut algorithms' early returns:
+// with no edges, or with one vertex isolated, the cut is 0 for both; and
+// ApproxMinCut refuses an eps outside (0, 1), NaN included, before any
+// round is charged.
+func TestMinCutDegenerateInputs(t *testing.T) {
+	isolated := graph.Path(7) // vertex 7 of 8 has no edge
+	isolated.N = 8
+	exact := func(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) { return MinCutUnweighted(c, g) }
+	approx := func(eps float64) func(*mpc.Cluster, *graph.Graph) (*MinCutResult, error) {
+		return func(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) { return ApproxMinCut(c, g, eps) }
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		run     func(*mpc.Cluster, *graph.Graph) (*MinCutResult, error)
+		wantErr bool
+	}{
+		{"exact/no-edges", &graph.Graph{N: 16}, exact, false},
+		{"approx/no-edges", &graph.Graph{N: 16}, approx(0.25), false},
+		{"exact/isolated-vertex", isolated, exact, false},
+		{"approx/isolated-vertex", isolated, approx(0.25), false},
+		{"approx/eps=0", graph.Cycles(16, 1, 3), approx(0), true},
+		{"approx/eps=1", graph.Cycles(16, 1, 3), approx(1), true},
+		{"approx/eps=NaN", graph.Cycles(16, 1, 3), approx(math.NaN()), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, tc.g.N, max(tc.g.M(), 1), 7)
+			res, err := tc.run(c, tc.g)
+			switch {
+			case tc.wantErr && err == nil:
+				t.Fatalf("got cut %d, want an error", res.Value)
+			case tc.wantErr && c.Stats().Rounds != 0:
+				t.Fatalf("%d rounds ran before the error %v", c.Stats().Rounds, err)
+			case !tc.wantErr && err != nil:
+				t.Fatal(err)
+			case !tc.wantErr && res.Value != 0:
+				t.Fatalf("cut %d, want 0", res.Value)
+			}
+		})
+	}
+}
+
 func checkMISRun(t *testing.T, g *graph.Graph, seed uint64) *MISResult {
 	t.Helper()
 	c := newCluster(t, g.N, g.M(), seed)

@@ -49,12 +49,18 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 	}
 	kk := c.K()
 
-	// Δ via aggregation.
-	degAtLarge, err := degreesAtLarge(c, nil, edges, unitWeight)
+	// Δ: the degrees are aggregated, each machine takes the largest at its
+	// roots, and MaxAll spreads the largest of those — the small machines
+	// draw the palettes below from it.
+	degRoots, err := degreeRoots(c, nil, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
-	maxDeg := int(maxValue(degAtLarge, 1))
+	delta, err := maxAll(c, degRoots, func(d prims.KV[int64]) int64 { return d.V }, 1)
+	if err != nil {
+		return nil, err
+	}
+	maxDeg := int(delta)
 	res.MaxColor = maxDeg
 	logn := math.Log2(float64(n) + 2)
 	listLen := int(math.Ceil(2 * logn))

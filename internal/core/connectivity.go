@@ -549,11 +549,9 @@ func ApproxMSTWeight(c *mpc.Cluster, g *graph.Graph, eps float64) (*MSTApproxRes
 	sp := c.Span("approx-mst")
 	res := &MSTApproxResult{}
 	defer func() { res.Stats = sp.End().Model() }()
-	var maxW int64 = 1
-	for _, e := range g.Edges {
-		if e.W > maxW {
-			maxW = e.W
-		}
+	maxW, err := maxEdgeWeight(c, g)
+	if err != nil {
+		return nil, err
 	}
 	// Thresholds τ_0 = 0 < τ_1 = 1 < ... geometric with ratio (1+ε),
 	// integer, strictly increasing, last ≥ maxW.

@@ -120,6 +120,16 @@ func toCEdges(data [][]graph.Edge) [][]cEdge {
 // caller has one, else by AggregateByKey. unitWeight counts edges; mincut's
 // weighted variant sums e.W.
 func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight func(graph.Edge) int64) ([]prims.KV[int64], error) {
+	roots, err := degreeRoots(c, p, edges, weight)
+	if err != nil {
+		return nil, err
+	}
+	return prims.GatherKVs(c, roots, func(int64) int { return 1 })
+}
+
+// degreeRoots is degreesAtLarge without the gather: each vertex's degree
+// stays at its root machine.
+func degreeRoots(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight func(graph.Edge) int64) ([][]prims.KV[int64], error) {
 	items := make([][]prims.KV[int64], c.K())
 	c.Each(func(i int) {
 		items[i] = make([]prims.KV[int64], 0, 2*len(edges[i]))
@@ -131,17 +141,10 @@ func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight 
 		}
 	})
 	add := func(a, b int64) int64 { return a + b }
-	var roots [][]prims.KV[int64]
-	var err error
 	if p == nil {
-		roots, err = prims.AggregateByKey(c, items, 1, add)
-	} else {
-		roots, err = prims.PlanCombine(c, p, items, 1, add)
+		return prims.AggregateByKey(c, items, 1, add)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return prims.GatherKVs(c, roots, func(int64) int { return 1 })
+	return prims.PlanCombine(c, p, items, 1, add)
 }
 
 // maxValue is the largest value of kvs, at least floor.
@@ -150,6 +153,31 @@ func maxValue(kvs []prims.KV[int64], floor int64) int64 {
 		floor = max(floor, kv.V)
 	}
 	return floor
+}
+
+// maxAll is the largest f(x) over every machine's held items, at least
+// floor, learned by every machine: each machine folds its own items, and
+// prims.MaxAll (two rounds) spreads the largest.
+func maxAll[T any](c *mpc.Cluster, held [][]T, f func(T) int64, floor int64) (int64, error) {
+	local := make([]int64, c.K())
+	for i := range held {
+		local[i] = floor
+		for _, x := range held[i] {
+			local[i] = max(local[i], f(x))
+		}
+	}
+	return prims.MaxAll(c, local)
+}
+
+// maxEdgeWeight is the largest edge weight of g, at least 1, learned by
+// every machine from the edges it is dealt: the weighted reductions' loops
+// over weight classes and thresholds run as long as it says.
+func maxEdgeWeight(c *mpc.Cluster, g *graph.Graph) (int64, error) {
+	edges, err := prims.DistributeEdges(c, g)
+	if err != nil {
+		return 0, err
+	}
+	return maxAll(c, edges, func(e graph.Edge) int64 { return e.W }, 1)
 }
 
 func unitWeight(graph.Edge) int64 { return 1 }

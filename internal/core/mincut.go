@@ -79,14 +79,18 @@ func MinCutUnweighted(c *mpc.Cluster, g *graph.Graph) (*MinCutResult, error) {
 	return res, nil
 }
 
-// twoOutVal carries the two independently-ranked minimum incident edges of a
-// vertex (the vertex's 2-out sample).
+// twoOutVal is a vertex's 2-out sample while it is combined: the ranks of
+// two independently-ranked minimum incident edges and their other
+// endpoints. The large machine reads only the endpoints (twoOutNbrWords).
 type twoOutVal struct {
 	R1, R2 uint64
-	E1, E2 graph.Edge
+	N1, N2 int64
 }
 
-const twoOutWords = 8
+const (
+	twoOutWords    = 4
+	twoOutNbrWords = 2
+)
 
 func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [][]int32, n int, capEdges int64) (int64, bool, error) {
 	kk := c.K()
@@ -96,9 +100,10 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 		rng := c.Rand(i)
 		for _, e := range edges[i] {
 			for _, v := range [2]int{e.U, e.V} {
+				nbr := int64(e.Other(v))
 				items[i] = append(items[i], prims.KV[twoOutVal]{
 					K: int64(v),
-					V: twoOutVal{R1: rng.Uint64(), R2: rng.Uint64(), E1: e, E2: e},
+					V: twoOutVal{R1: rng.Uint64(), R2: rng.Uint64(), N1: nbr, N2: nbr},
 				})
 			}
 		}
@@ -106,10 +111,10 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	combine := func(a, b twoOutVal) twoOutVal {
 		out := a
 		if b.R1 < out.R1 {
-			out.R1, out.E1 = b.R1, b.E1
+			out.R1, out.N1 = b.R1, b.N1
 		}
 		if b.R2 < out.R2 {
-			out.R2, out.E2 = b.R2, b.E2
+			out.R2, out.N2 = b.R2, b.N2
 		}
 		return out
 	}
@@ -117,7 +122,14 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	if err != nil {
 		return 0, false, err
 	}
-	atLarge, err := prims.GatherKVs(c, roots, func(twoOutVal) int { return twoOutWords })
+	nbrs := make([][]prims.KV[[2]int64], kk)
+	c.Each(func(i int) {
+		nbrs[i] = make([]prims.KV[[2]int64], len(roots[i]))
+		for j, kv := range roots[i] {
+			nbrs[i][j] = prims.KV[[2]int64]{K: kv.K, V: [2]int64{kv.V.N1, kv.V.N2}}
+		}
+	})
+	atLarge, err := prims.GatherKVs(c, nbrs, func([2]int64) int { return twoOutNbrWords })
 	if err != nil {
 		return 0, false, err
 	}
@@ -125,8 +137,8 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	dsu := unionfind.New(n)
 	for _, kv := range atLarge {
 		v := int(kv.K)
-		dsu.Union(v, kv.V.E1.Other(v))
-		dsu.Union(v, kv.V.E2.Other(v))
+		dsu.Union(v, int(kv.V[0]))
+		dsu.Union(v, int(kv.V[1]))
 	}
 	lab, err := prims.PlanBroadcast(c, plan, nil, componentLabels(dsu, n), 1)
 	if err != nil {
@@ -271,7 +283,7 @@ func ApproxMinCut(c *mpc.Cluster, g *graph.Graph, eps float64) (*MinCutResult, e
 	if !c.HasLarge() {
 		return nil, errNeedsLarge("ApproxMinCut")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("core: eps must be in (0,1)")
 	}
 	sp := c.Span("approx-mincut")

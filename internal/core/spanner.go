@@ -80,9 +80,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	levels := bits.Len64(uint64(maxValue(degAtLarge, 1))) // classes [2^i, 2^{i+1}), i = 0..levels-1
-	if levels < 1 {
-		levels = 1
+	// The degree classes [2^i, 2^{i+1}), i = 0..levels-1: the large machine
+	// counts them and sends the count (one word), which sizes the small
+	// machines' σ-selection items and their level edges.
+	levels := bits.Len64(uint64(maxValue(degAtLarge, 1)))
+	if _, err := prims.BroadcastValue(c, levels, 1); err != nil {
+		return nil, err
 	}
 
 	// --- Step 2: hitting-set trials (Algorithm 5 lines 1-7) ---
@@ -638,11 +641,9 @@ func SpannerWeighted(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, err
 	sp := c.Span("spanner-weighted")
 	res := &SpannerResult{Stretch: 12*k - 1}
 	defer func() { res.Stats = sp.End().Model() }()
-	var maxW int64 = 1
-	for _, e := range g.Edges {
-		if e.W > maxW {
-			maxW = e.W
-		}
+	maxW, err := maxEdgeWeight(c, g)
+	if err != nil {
+		return nil, err
 	}
 	classes := bits.Len64(uint64(maxW))
 	var all []graph.Edge

@@ -99,3 +99,30 @@ func BenchmarkSort(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSortLocal is the local-sort kernel's rung: one op sorts n items
+// (kitem, 48 bytes) whose keys vary in 2, 5, 11 or 24 bytes (keyGens'
+// pass-plan classes: the first three radix-sort in that many counting
+// passes, the last takes the comparison fallback). Every op starts from a
+// fresh copy of the unsorted items, inside the timer.
+func BenchmarkSortLocal(b *testing.B) {
+	key := func(it kitem) SortKey { return it.key }
+	for _, class := range []string{"2bytes", "5bytes", "11bytes", "24bytes"} {
+		for _, n := range []int{128, 512, 4096, 32768} {
+			b.Run(fmt.Sprintf("%s/n=%d", class, n), func(b *testing.B) {
+				gen := keyGens(xrand.New(uint64(n)))[class]
+				items := make([]kitem, n)
+				for i := range items {
+					items[i] = kitem{key: gen(), tag: i}
+				}
+				work := make([]kitem, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work, items)
+					SortLocal(work, key)
+				}
+			})
+		}
+	}
+}

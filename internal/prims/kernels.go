@@ -58,18 +58,23 @@ const radixCutoff = 96
 // byte-skipping LSD order reproduces the stable comparator order exactly —
 // pinned by TestSortKernelMatchesStable. Small slices, and slices with more
 // than 16 varying key bytes, fall back to pdqsort on the flipped words with
-// the index tiebreak (stable in effect). The resulting permutation is
-// applied in place by cycle-following. The extraction pass also compares
-// each key with its predecessor: input already in order — all keys equal,
-// or a list an earlier step sorted — returns after it, having done nothing
-// but the n extractions.
+// the index tiebreak (stable in effect): every radix pass moves all n
+// 32-byte records, and 17 to 24 passes measured 2–2.5× slower than the
+// comparisons at n = 128–512 and no faster from n = 4096 on
+// (BenchmarkSortLocal's 24bytes class, against a build with the 16-pass
+// cap lifted). The resulting permutation is applied in place by
+// cycle-following. The extraction pass also compares each key with its
+// predecessor: input already in order — all keys equal, or a list an
+// earlier step sorted — returns after it, having done nothing but the n
+// extractions.
 func SortLocal[T any](items []T, key func(T) SortKey) {
 	n := len(items)
 	if n < 2 {
 		return
 	}
 	kp := keyedPool.Get().(*[]keyed)
-	kb := window(kp, n)
+	buf := window(kp, 2*n) // the records, then the radix passes' other half
+	kb := buf[:n]
 	or := [3]uint64{}
 	and := [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
 	var prev [3]uint64 // the zero triple is below or equal to every flipped key
@@ -106,8 +111,7 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 			}
 		}
 	}
-	switch {
-	case n < radixCutoff || np > 16:
+	if n < radixCutoff || np > 16 {
 		// Comparison sort on the flipped words; the index tiebreak makes
 		// it stable in effect.
 		slices.SortFunc(kb, func(a, b keyed) int {
@@ -121,12 +125,10 @@ func SortLocal[T any](items []T, key func(T) SortKey) {
 			}
 			return int(a.idx) - int(b.idx)
 		})
-		applyPerm(items, kb)
-	case np <= 8:
-		sortPacked16(items, kb, plan[:np])
-	default:
-		sortPacked24(items, kb, plan[:np])
+	} else {
+		kb = radixSort(kb, buf[n:], plan[:np])
 	}
+	applyPerm(items, kb)
 	keyedPool.Put(kp)
 }
 
@@ -149,120 +151,35 @@ type bytePass struct {
 	shift uint
 }
 
-// Packed key records: the pass plan squeezes the ≤8 (≤16) varying key
-// bytes of the whole slice into one (two) words, packed LSD — pass p's
-// digit sits at bits [8p, 8p+8). Radix passes then move 16- or 24-byte
-// records instead of the 32-byte keyed form, and digit extraction is a
-// single shift off a fixed word. The packing is order-preserving over the
-// planned passes (skipped bytes are constant across the slice), so the
-// pass sequence sorts exactly as the unpacked form would.
-type keyed16 struct {
-	k   uint64
-	idx int32
-}
-
-type keyed24 struct {
-	k0, k1 uint64
-	idx    int32
-}
-
-var k16Pool = sync.Pool{New: func() any { return new([]keyed16) }}
-var k24Pool = sync.Pool{New: func() any { return new([]keyed24) }}
-
-// sortPacked16 runs the radix passes on 16-byte packed records. The pack
-// sweep is fused with the histogram sweep (counting-sort histograms depend
-// only on the key multiset, never on arrangement), so the whole sort is
-// one read of kb plus np scatter sweeps over the compact records.
-func sortPacked16[T any](items []T, kb []keyed, plan []bytePass) {
-	n, np := len(kb), len(plan)
-	pp := k16Pool.Get().(*[]keyed16)
-	buf := window(pp, 2*n)
-	src, dst := buf[:n], buf[n:]
+// radixSort runs one stable counting pass per planned byte, moving the
+// records back and forth between kb and tmp (len(tmp) = len(kb)), and
+// returns the half that holds the sorted records. Every pass's histogram
+// comes out of one fused sweep up front: a counting-sort histogram depends
+// only on the key multiset, never on its arrangement. The skipped bytes
+// are constant across the slice, so the planned passes alone sort exactly
+// as a pass over every byte would.
+func radixSort(kb, tmp []keyed, plan []bytePass) []keyed {
 	hp := countsPool.Get().(*[]int32)
-	scratch := window(hp, np*256+n)
-	counts, perm := scratch[:np*256], scratch[np*256:]
+	counts := window(hp, len(plan)*256)
 	clear(counts)
 	for i := range kb {
-		var k uint64
-		for p := 0; p < np; p++ {
-			d := (kb[i].w[plan[p].word] >> plan[p].shift) & 0xff
-			counts[p<<8|int(d)]++
-			k |= d << (8 * uint(p))
+		for p, bp := range plan {
+			counts[p<<8|int((kb[i].w[bp.word]>>bp.shift)&0xff)]++
 		}
-		src[i] = keyed16{k: k, idx: int32(i)}
 	}
-	for p := 0; p < np; p++ {
-		prefixSum(counts[p<<8 : p<<8+256])
+	src, dst := kb, tmp
+	for p, bp := range plan {
 		cp := counts[p<<8 : p<<8+256]
-		shift := 8 * uint(p)
+		prefixSum(cp)
 		for i := range src {
-			d := (src[i].k >> shift) & 0xff
+			d := (src[i].w[bp.word] >> bp.shift) & 0xff
 			dst[cp[d]] = src[i]
 			cp[d]++
 		}
 		src, dst = dst, src
 	}
-	for i := range src {
-		perm[i] = src[i].idx
-	}
-	applyPermIdx(items, perm)
 	countsPool.Put(hp)
-	k16Pool.Put(pp)
-}
-
-// sortPacked24 is sortPacked16 for 9..16 varying bytes: passes 0..7 pack
-// into k0, passes 8..15 into k1.
-func sortPacked24[T any](items []T, kb []keyed, plan []bytePass) {
-	n, np := len(kb), len(plan)
-	pp := k24Pool.Get().(*[]keyed24)
-	buf := window(pp, 2*n)
-	src, dst := buf[:n], buf[n:]
-	hp := countsPool.Get().(*[]int32)
-	scratch := window(hp, np*256+n)
-	counts, perm := scratch[:np*256], scratch[np*256:]
-	clear(counts)
-	lo := plan[:8]
-	hi := plan[8:]
-	for i := range kb {
-		var k0, k1 uint64
-		for p, bp := range lo {
-			d := (kb[i].w[bp.word] >> bp.shift) & 0xff
-			counts[p<<8|int(d)]++
-			k0 |= d << (8 * uint(p))
-		}
-		for p, bp := range hi {
-			d := (kb[i].w[bp.word] >> bp.shift) & 0xff
-			counts[(p+8)<<8|int(d)]++
-			k1 |= d << (8 * uint(p))
-		}
-		src[i] = keyed24{k0: k0, k1: k1, idx: int32(i)}
-	}
-	for p := 0; p < np; p++ {
-		prefixSum(counts[p<<8 : p<<8+256])
-		cp := counts[p<<8 : p<<8+256]
-		if p < 8 {
-			shift := 8 * uint(p)
-			for i := range src {
-				d := (src[i].k0 >> shift) & 0xff
-				dst[cp[d]] = src[i]
-				cp[d]++
-			}
-		} else {
-			shift := 8 * uint(p-8)
-			for i := range src {
-				d := (src[i].k1 >> shift) & 0xff
-				dst[cp[d]] = src[i]
-				cp[d]++
-			}
-		}
-		src, dst = dst, src
-	}
-	for i := range src {
-		perm[i] = src[i].idx
-	}
-	applyPermIdx(items, perm)
-	countsPool.Put(hp)
-	k24Pool.Put(pp)
+	return src
 }
 
 // prefixSum converts a 256-digit histogram into exclusive start offsets.
@@ -275,30 +192,7 @@ func prefixSum(cp []int32) {
 	}
 }
 
-// applyPermIdx rearranges items so that items[i] = old items[perm[i]],
-// following permutation cycles in place; perm is consumed (visited entries
-// are bit-complemented).
-func applyPermIdx[T any](items []T, perm []int32) {
-	for i := range perm {
-		if perm[i] < 0 {
-			continue
-		}
-		j := i
-		tmp := items[i]
-		for {
-			src := int(perm[j])
-			perm[j] = ^perm[j]
-			if src == i {
-				items[j] = tmp
-				break
-			}
-			items[j] = items[src]
-			j = src
-		}
-	}
-}
-
-// countsPool recycles the fused radix histograms of SortLocal (up to 24
+// countsPool recycles the fused radix histograms of SortLocal (up to 16
 // passes × 256 digits of int32 counts).
 var countsPool = sync.Pool{New: func() any { return new([]int32) }}
 

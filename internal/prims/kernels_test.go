@@ -282,7 +282,7 @@ func TestScatterViewsAreCapClamped(t *testing.T) {
 // TestSortLocalSteadyStateAllocs pins the pooled scratch of every SortLocal
 // path: once the pools are warm, sorting allocates nothing beyond the sort
 // itself — below the radix cutoff, past 16 varying key bytes (both the
-// comparison sort), and on the 16- and 24-byte packed radix paths.
+// comparison sort), and on radix plans of 5 and 11 varying key bytes.
 func TestSortLocalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -293,10 +293,10 @@ func TestSortLocalSteadyStateAllocs(t *testing.T) {
 		name, gen string
 		n         int
 	}{
-		{"comparison/short", "packed16", radixCutoff - 32},
-		{"comparison/unpacked", "unpacked", 4096},
-		{"packed16", "packed16", 4096},
-		{"packed24", "packed24", 4096},
+		{"comparison/short", "5bytes", radixCutoff - 32},
+		{"comparison/24bytes", "24bytes", 4096},
+		{"radix/5bytes", "5bytes", 4096},
+		{"radix/11bytes", "11bytes", 4096},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			items := make([]kitem, tc.n)
@@ -349,21 +349,23 @@ func TestSortLocalSortedInputAllocsAndKeyCalls(t *testing.T) {
 	}
 }
 
-// keyGens draws sort keys from each pass-plan class of the radix kernel:
-// 0 varying bytes (all keys equal, observable only through the tags), ≤8
-// (16-byte packed records), 9..16 (24-byte), >16 (unpacked fallback), plus
-// negative key words (bias flip on every word). Slices shorter than
-// radixCutoff take the comparison fallback whatever the class.
+// keyGens draws sort keys from each pass-plan class of the radix kernel,
+// named by how many key bytes vary: 0 (all keys equal, observable only
+// through the tags), 2, 5 and 11 (radix passes), 24 (past 16: the
+// comparison fallback), plus negative key words (bias flip on every word).
+// Slices shorter than radixCutoff take the comparison fallback whatever the
+// class.
 func keyGens(rng *rand.Rand) map[string]func() SortKey {
 	return map[string]func() SortKey{
 		"allequal": func() SortKey { return SortKey{A: 7, B: -1, C: 3} },
-		"packed16": func() SortKey {
+		"2bytes":   func() SortKey { return SortKey{A: int64(rng.Uint64() % 65536)} },
+		"5bytes": func() SortKey {
 			return SortKey{A: int64(rng.Uint64() % (1 << 24)), B: int64(rng.Uint64() % 4), C: int64(rng.Uint64() % 256)}
 		},
-		"packed24": func() SortKey {
+		"11bytes": func() SortKey {
 			return SortKey{A: int64(rng.Uint64()), B: int64(rng.Uint64() % 65536), C: int64(rng.Uint64() % 4)}
 		},
-		"unpacked": func() SortKey {
+		"24bytes": func() SortKey {
 			return SortKey{A: int64(rng.Uint64()), B: int64(rng.Uint64()), C: int64(rng.Uint64())}
 		},
 		"negative": func() SortKey {
@@ -378,9 +380,9 @@ func stableSort(items []kitem) {
 	slices.SortStableFunc(items, func(a, b kitem) int { return a.key.Compare(b.key) })
 }
 
-// TestSortKernelPackedPaths pins the packed radix variants against the
-// stable oracle across every pass-plan class of keyGens.
-func TestSortKernelPackedPaths(t *testing.T) {
+// TestSortKernelPassPlans pins the radix kernel against the stable oracle
+// across every pass-plan class of keyGens.
+func TestSortKernelPassPlans(t *testing.T) {
 	gens := keyGens(xrand.New(53))
 	for name, gen := range gens {
 		for _, n := range []int{96, 500, 4096} {
