@@ -207,13 +207,15 @@ func TestTable1SketchSortWords(t *testing.T) {
 
 // TestTable1SketchGatherWords pins what connectivity's sketch gathers carry
 // (DESIGN.md §3.4): each share ships its group once, and each of its
-// sketches its depth and the levels it stores, 1 + 3·depth words — the large
-// machine rebuilds the key, family id and universe; the first gather ships
-// the first 3 of the P = ⌈log2(n+2)⌉ + 8 families per vertex, with a degree
-// word, and the second the other 15 once per component share, so the
-// rounds under "connectivity/sketch/gather" carry at most 47 K words at
-// n=512, m=4096 (46,940 measured). A key and a 3-word header on every
-// sketch carried 52,934, charging every sketch as the full 18-level sampler
+// sketches its depth and the levels it stores, 1 + 2·depth words — the large
+// machine rebuilds the key, family id and universe, and a level ships its
+// (z, fp) pair without the count word the fingerprint makes redundant; the
+// first gather ships the first 3 of the P = ⌈log2(n+2)⌉ + 8 families per
+// vertex, with a degree word, and the second the other 15 once per
+// component share, so the rounds under "connectivity/sketch/gather" carry
+// 32,832 words at n=512, m=4096, and the ceiling is that plus 1.7 %,
+// 33,400. A (count, z, fp) triple a level carried 46,940, a key and a
+// 3-word header on every sketch 52,934, charging every sketch as the full 18-level sampler
 // 525,312, shipping all 18 families per vertex at once 184,203, and
 // shipping the first 9 per vertex, pulling more as Borůvka read them,
 // 92,085; a gather that charges levels no sketch stores, ships what the
@@ -227,8 +229,8 @@ func TestTable1SketchGatherWords(t *testing.T) {
 		}
 	}
 	t.Logf("connectivity/sketch/gather carries %d words", words)
-	if words == 0 || words > 47<<10 {
-		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 47<<10)
+	if words == 0 || words > 33_400 {
+		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 33_400)
 	}
 }
 

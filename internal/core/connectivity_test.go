@@ -272,13 +272,13 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 // TestConnectivityGatherChargesStoredLevels pins the sketch gathers' charge
 // on the same shape: a share ships its group once, then each of its
 // sketches' depth and stored levels, so each gather round carries one word a
-// share plus Σ (1 + 3·Depth()) words over the sketches it ships, and the
+// share plus Σ (1 + 2·Depth()) words over the sketches it ships, and the
 // first one a degree word a vertex more. The first gather's sketches —
 // families 0…contractAfter−1 of every vertex — are counted here from
 // sketches rebuilt of those families, and the second's from what reached
 // the large machine: one sketch per family and component share, fewer than
 // one per family and vertex. Together they charge less than the full
-// sampler's 1 + 3·levels for every (family, vertex) sketch of the families
+// sampler's 1 + 2·levels for every (family, vertex) sketch of the families
 // Borůvka read.
 func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	g := graph.GNM(1024, 4096, 7)
@@ -304,7 +304,7 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	for _, run := range runs {
 		items := vertexSketches(updaters, run, 0, g.N)
 		for _, kv := range items {
-			first += 1 + 3*int64(kv.V.Depth())
+			first += 1 + 2*int64(kv.V.Depth())
 		}
 		vertices += int64(len(items) / contractAfter)
 	}
@@ -317,7 +317,7 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 		return words
 	}
 	if got := gathers(); len(got) != 1 || got[0] != first+2*vertices {
-		t.Fatalf("the first gather carries %v words, want Σ (1 + 3·depth) + a group and a degree word a vertex = %d + 2·%d", got, first, vertices)
+		t.Fatalf("the first gather carries %v words, want Σ (1 + 2·depth) + a group and a degree word a vertex = %d + 2·%d", got, first, vertices)
 	}
 
 	phases, err := boruvka(sk.dsu, sk.phases, sk.phase)
@@ -331,18 +331,18 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	var second, shipped int64
 	for _, kv := range sk.atLarge {
 		if kv.K >= base {
-			second += 1 + 3*int64(kv.V.Depth())
+			second += 1 + 2*int64(kv.V.Depth())
 			shipped++
 		}
 	}
 	later := int64(sk.phases - contractAfter)
 	if got := gathers(); len(got) != 2 || got[1] != second+shipped/later {
-		t.Errorf("the gathers carry %v words, want the second's Σ (1 + 3·depth) + a group word a share = %d + %d", got, second, shipped/later)
+		t.Errorf("the gathers carry %v words, want the second's Σ (1 + 2·depth) + a group word a share = %d + %d", got, second, shipped/later)
 	}
 	if shipped%later != 0 || shipped >= later*vertices {
 		t.Errorf("the second gather shipped %d sketches of %d families, want a whole number of shares a family, fewer than the %d vertices", shipped, later, vertices)
 	}
-	full := int64(phases) * vertices * (1 + 3*int64(levels))
+	full := int64(phases) * vertices * (1 + 2*int64(levels))
 	total := first + 2*vertices + second + shipped/later
 	t.Logf("gathers: %d + %d words, %d shares a family after %d phases; %d at full width", first+2*vertices, second+shipped/later, shipped/later, contractAfter, full)
 	if 2*total > full {

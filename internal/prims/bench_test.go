@@ -110,7 +110,7 @@ func BenchmarkSortLocal(b *testing.B) {
 	for _, class := range []string{"2bytes", "5bytes", "11bytes", "24bytes"} {
 		for _, n := range []int{128, 512, 4096, 32768} {
 			b.Run(fmt.Sprintf("%s/n=%d", class, n), func(b *testing.B) {
-				gen := keyGens(xrand.New(uint64(n)))[class]
+				gen := keyGens(uint64(n))[class]
 				items := make([]kitem, n)
 				for i := range items {
 					items[i] = kitem{key: gen(), tag: i}

@@ -287,7 +287,7 @@ func TestSortLocalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
 	}
-	gens := keyGens(xrand.New(17))
+	gens := keyGens(17)
 	key := func(it kitem) SortKey { return it.key }
 	for _, tc := range []struct {
 		name, gen string
@@ -354,24 +354,43 @@ func TestSortLocalSortedInputAllocsAndKeyCalls(t *testing.T) {
 // through the tags), 2, 5 and 11 (radix passes), 24 (past 16: the
 // comparison fallback), plus negative key words (bias flip on every word).
 // Slices shorter than radixCutoff take the comparison fallback whatever the
-// class.
-func keyGens(rng *rand.Rand) map[string]func() SortKey {
-	return map[string]func() SortKey{
-		"allequal": func() SortKey { return SortKey{A: 7, B: -1, C: 3} },
-		"2bytes":   func() SortKey { return SortKey{A: int64(rng.Uint64() % 65536)} },
-		"5bytes": func() SortKey {
+// class. Each class draws from its own rng, split from seed by the class's
+// place in sorted order, so a class's keys do not depend on which other
+// classes drew before it.
+func keyGens(seed uint64) map[string]func() SortKey {
+	draws := map[string]func(rng *rand.Rand) SortKey{
+		"allequal": func(*rand.Rand) SortKey { return SortKey{A: 7, B: -1, C: 3} },
+		"2bytes":   func(rng *rand.Rand) SortKey { return SortKey{A: int64(rng.Uint64() % 65536)} },
+		"5bytes": func(rng *rand.Rand) SortKey {
 			return SortKey{A: int64(rng.Uint64() % (1 << 24)), B: int64(rng.Uint64() % 4), C: int64(rng.Uint64() % 256)}
 		},
-		"11bytes": func() SortKey {
+		"11bytes": func(rng *rand.Rand) SortKey {
 			return SortKey{A: int64(rng.Uint64()), B: int64(rng.Uint64() % 65536), C: int64(rng.Uint64() % 4)}
 		},
-		"24bytes": func() SortKey {
+		"24bytes": func(rng *rand.Rand) SortKey {
 			return SortKey{A: int64(rng.Uint64()), B: int64(rng.Uint64()), C: int64(rng.Uint64())}
 		},
-		"negative": func() SortKey {
+		"negative": func(rng *rand.Rand) SortKey {
 			return SortKey{A: int64(rng.Uint64()%512) - 256, B: int64(rng.Uint64()%16) - 8, C: int64(rng.Uint64())}
 		},
 	}
+	gens := make(map[string]func() SortKey, len(draws))
+	for i, name := range classNames(draws) {
+		rng, draw := xrand.New(xrand.Split(seed, uint64(i))), draws[name]
+		gens[name] = func() SortKey { return draw(rng) }
+	}
+	return gens
+}
+
+// classNames returns the names of a map of key classes in sorted order, so
+// the tests that range over the classes run them in one order.
+func classNames[F any](classes map[string]F) []string {
+	names := make([]string, 0, len(classes))
+	for name := range classes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // stableSort is the local-sort oracle: the closure-based stable comparator
@@ -383,8 +402,9 @@ func stableSort(items []kitem) {
 // TestSortKernelPassPlans pins the radix kernel against the stable oracle
 // across every pass-plan class of keyGens.
 func TestSortKernelPassPlans(t *testing.T) {
-	gens := keyGens(xrand.New(53))
-	for name, gen := range gens {
+	gens := keyGens(53)
+	for _, name := range classNames(gens) {
+		gen := gens[name]
 		for _, n := range []int{96, 500, 4096} {
 			items := make([]kitem, n)
 			for i := range items {
@@ -550,8 +570,9 @@ func checkAggregate(t *testing.T, c *mpc.Cluster, items [][]KV[[]int64], vwords 
 // per-machine sizes either side of the radix cutoff.
 func TestSortKernelEndToEnd(t *testing.T) {
 	key := func(it kitem) SortKey { return it.key }
-	gens := keyGens(xrand.New(31))
-	for name, gen := range gens {
+	gens := keyGens(31)
+	for _, name := range classNames(gens) {
+		gen := gens[name]
 		for _, per := range []int{64, 200} { // all-equal keys land on one machine: K·per words must fit it
 			cfg := mpc.Config{N: 256, M: 4096, Seed: 9}
 			c, err := mpc.New(cfg)

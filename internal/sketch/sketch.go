@@ -2,7 +2,9 @@
 // McGregor [1] used by the paper's O(1)-round connectivity algorithm
 // (Appendix C.1): ℓ0-samplers built from geometric level sampling with
 // t-wise independent hashing and one-sparse recovery with field
-// fingerprints.
+// fingerprints. A level keeps two words, z = Σ val·idx and the fingerprint
+// fp = Σ val·r^idx: the fingerprint picks the sign of a ±1 entry, so no
+// count word Σ val is kept.
 //
 // A Sketch is a linear function of its input vector, so sketches can be
 // added together (Property 1 in the paper): the sketch of a vertex is the
@@ -90,15 +92,15 @@ func (f *Family) depth(h uint64) int {
 	return d
 }
 
-// oneSparse is a one-sparse recovery structure over signed unit values.
+// oneSparse is a one-sparse recovery structure over signed unit values. It
+// keeps no count word: the fingerprint picks the sign of a ±1 entry (see
+// recover).
 type oneSparse struct {
-	count int64  // Σ val
-	z     uint64 // Σ val·idx   (wrapping arithmetic; validated by fp)
-	fp    uint64 // Σ val·r^idx mod p
+	z  uint64 // Σ val·idx   (wrapping arithmetic; validated by fp)
+	fp uint64 // Σ val·r^idx mod p
 }
 
 func (o *oneSparse) add(idx int64, val int, rPow uint64) {
-	o.count += int64(val)
 	if val > 0 {
 		o.z += uint64(idx)
 		o.fp = xrand.AddModP(o.fp, rPow)
@@ -109,36 +111,32 @@ func (o *oneSparse) add(idx int64, val int, rPow uint64) {
 }
 
 func (o *oneSparse) merge(b oneSparse) {
-	o.count += b.count
 	o.z += b.z
 	o.fp = xrand.AddModP(o.fp, b.fp)
 }
 
 // recover attempts one-sparse recovery: it succeeds iff the structure holds
-// exactly one index with value ±1 (up to the 1/p fingerprint failure
-// probability).
+// exactly one index with value ±1. It tries idx = z with value +1, then
+// idx = −z with value −1; a candidate must lie in [0, universe) and match
+// the fingerprint, r^idx or −r^idx. Only idx = 0 is in range both ways, and
+// there the two fingerprints differ. Any other vector passes only if
+// Σ x_i·r^i = ±r^idx, a nonzero polynomial in r of degree below the
+// universe size, so with probability at most universe/p.
 func (o *oneSparse) recover(r uint64, universe int64) (idx int64, val int, ok bool) {
-	switch o.count {
-	case 1:
-		idx = int64(o.z)
-		val = 1
-	case -1:
-		idx = int64(-o.z)
-		val = -1
-	default:
-		return 0, 0, false
+	for _, val = range [2]int{1, -1} {
+		idx = int64(o.z) * int64(val)
+		if idx < 0 || idx >= universe {
+			continue
+		}
+		want := xrand.PowModP(r, uint64(idx))
+		if val < 0 {
+			want = xrand.SubModP(0, want)
+		}
+		if o.fp == want {
+			return idx, val, true
+		}
 	}
-	if idx < 0 || idx >= universe {
-		return 0, 0, false
-	}
-	want := xrand.PowModP(r, uint64(idx))
-	if val < 0 {
-		want = xrand.SubModP(0, want)
-	}
-	if o.fp != want {
-		return 0, 0, false
-	}
-	return idx, val, true
+	return 0, 0, false
 }
 
 // Sketch is an addable ℓ0-sampler over signed unit-valued vectors. It
@@ -166,10 +164,10 @@ func (f *Family) NewSketch(universe int64) *Sketch {
 func (s *Sketch) Depth() int { return len(s.levels) }
 
 // Words returns the sketch's size on the model's wire in machine words: its
-// depth, then one one-sparse triple per stored level. The levels above the
+// depth, then one one-sparse pair (z, fp) per stored level. The levels above the
 // depth are zero, and the receiver restamps the family id and universe (see
 // the package comment), so nothing else need be sent.
-func (s *Sketch) Words() int { return 1 + 3*len(s.levels) }
+func (s *Sketch) Words() int { return 1 + 2*len(s.levels) }
 
 // grow extends the stored prefix with zero levels to at least depth.
 func (s *Sketch) grow(depth int) {
@@ -402,8 +400,8 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// mergeLevels is the vectorized XOR-merge kernel: component-wise sums of
-// the one-sparse triples over the shorter of the two prefixes (the longer
+// mergeLevels is the vectorized merge kernel: component-wise sums of
+// the one-sparse pairs over the shorter of the two prefixes (the longer
 // one's tail meets implied zeros), unrolled 4-wide with the lengths
 // equalized up front so the compiler drops the per-element bounds checks.
 // Merge order and arithmetic are exactly the scalar loop's (field adds are
@@ -424,16 +422,12 @@ func mergeLevels(dst, src []oneSparse) {
 		d1, s1 := &dst[i+1], &src[i+1]
 		d2, s2 := &dst[i+2], &src[i+2]
 		d3, s3 := &dst[i+3], &src[i+3]
-		d0.count += s0.count
 		d0.z += s0.z
 		d0.fp = xrand.AddModP(d0.fp, s0.fp)
-		d1.count += s1.count
 		d1.z += s1.z
 		d1.fp = xrand.AddModP(d1.fp, s1.fp)
-		d2.count += s2.count
 		d2.z += s2.z
 		d2.fp = xrand.AddModP(d2.fp, s2.fp)
-		d3.count += s3.count
 		d3.z += s3.z
 		d3.fp = xrand.AddModP(d3.fp, s3.fp)
 	}
@@ -456,9 +450,10 @@ func (f *Family) Query(s *Sketch) (idx int64, val int, ok bool) {
 	return 0, 0, false
 }
 
-// IsZero reports whether the sketch is of the all-zero vector (level 0
-// contains every index, so an empty level 0 means an empty vector —
-// deterministically for count/z, w.h.p. once fingerprints are involved).
+// IsZero reports whether the sketch is of the all-zero vector: level 0
+// contains every index, so (z, fp) = 0 there means an empty vector, w.h.p.
+// (a nonempty vector has fp = 0 only at a root of its fingerprint
+// polynomial).
 func (s *Sketch) IsZero() bool {
 	return len(s.levels) == 0 || s.levels[0] == oneSparse{}
 }

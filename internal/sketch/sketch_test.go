@@ -158,8 +158,8 @@ func TestEdgeIncidenceCancelsInternalEdges(t *testing.T) {
 }
 
 // TestWordsAccounting pins what a sketch costs on the model's wire: its
-// depth, then a triple per stored level — 1 word for an empty prefix,
-// 1 + 3·depth for a carved or grown one, and the whole sampler only for a
+// depth, then a (z, fp) pair per stored level — 1 word for an empty
+// prefix, 1 + 2·depth for a carved or grown one, and the whole sampler only for a
 // NewSketch full-width one.
 func TestWordsAccounting(t *testing.T) {
 	const universe = 1 << 10
@@ -169,16 +169,16 @@ func TestWordsAccounting(t *testing.T) {
 		t.Errorf("empty prefix: Words = %d, want 1", got)
 	}
 	carved, _ := carve(universe, []int32{0, 4})
-	for k, want := range []int{1, 13} {
+	for k, want := range []int{1, 9} {
 		if got := carved[k].Words(); got != want {
 			t.Errorf("sketch carved at depth %d: Words = %d, want %d", carved[k].Depth(), got, want)
 		}
 	}
 	f.Add(s, 5, 1)
-	if got, want := s.Words(), 1+3*s.Depth(); got != want || s.Depth() == 0 {
+	if got, want := s.Words(), 1+2*s.Depth(); got != want || s.Depth() == 0 {
 		t.Errorf("prefix grown to depth %d: Words = %d, want %d", s.Depth(), got, want)
 	}
-	if got, want := f.NewSketch(universe).Words(), 1+3*f.Levels(); got != want {
+	if got, want := f.NewSketch(universe).Words(), 1+2*f.Levels(); got != want {
 		t.Errorf("full-width sketch of %d levels: Words = %d, want %d", f.Levels(), got, want)
 	}
 }

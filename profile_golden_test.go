@@ -51,7 +51,7 @@ func commOf(s hetmpc.ClusterStats) comm {
 // F's vertices (DESIGN.md §1): −1 round (F was empty, so no scatter round),
 // 290,964 → 267,048 words, lower max-send and max-recv. Connectivity's was
 // re-captured once more when its sketch gather began charging each sketch
-// the levels it stores (4 + 3·depth words with its key) instead of the full
+// the levels it stores (then 4 + 3·depth words with its key) instead of the full
 // sampler's 4 + 3·levels: the same 5 rounds and messages, 581,490 → 240,885
 // words, max-recv (the gather) 525,312 → 184,707, max-send untouched. All
 // four were re-captured once more when Sort began charging its sample and
@@ -102,7 +102,12 @@ func commOf(s hetmpc.ClusterStats) comm {
 // bins are priced by the new share charge); words 213,200 → 210,566 and
 // 114,686 → 108,786; max-send untouched and 3,876 → 2,873; max-recv (the
 // collection's replies, the first sketch gather) 5,632 → 3,584 and
-// 31,220 → 27,124.
+// 31,220 → 27,124. Connectivity's was re-captured once more when a sketch
+// level began shipping its (z, fp) pair without the count word, so a
+// sketch costs 1 + 2·depth words (DESIGN.md §3.4): the same 9 rounds;
+// messages 8,311 → 8,320 (the contraction's bins are priced by the
+// smaller shares); words 108,786 → 94,472; max-send 2,873 → 1,972;
+// max-recv (the first sketch gather) 27,124 → 18,936.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -126,7 +131,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("components %d, want 1", r.Components)
 			}
 			return err
-		}, comm{9, 8311, 108786, 2873, 27124}},
+		}, comm{9, 8320, 94472, 1972, 18936}},
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
