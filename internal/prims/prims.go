@@ -9,8 +9,8 @@
 //     list (wholeRun), else q keys; the leaders exchange summaries of their
 //     groups and pick the same splitters, and each answers its group with
 //     the cuts of a whole run — (bucket, count) pairs — or the list to cut
-//     a run itself. The coordinator's replies, when they do not fit its
-//     round budget, go down a capacity-bounded tree instead;
+//     a run itself. A leader's replies, when they do not fit its round
+//     budget, go down a capacity-bounded tree over its group instead;
 //   - Claim 2 (Aggregation): local combine → sort by key → fold. The sort
 //     key is the aggregation key alone, so a key's ≤ K partials meet on one
 //     machine and no tree is needed (or charged); results are per machine a
@@ -52,8 +52,8 @@
 // round builders that open no span), the route along cuts behind Sort,
 // PlanCombine and that contraction (Route), the bulk-item payload of
 // Gather, Scatter and Route (chunk, chunkMsg, appendChunks), and the range
-// trees' walk behind BroadcastValue
-// and PlanBroadcast (treeDown, whose heap arithmetic gives a position the
+// trees' walk behind BroadcastValue and Sort's replies (treeCast) and
+// PlanBroadcast (treeDown, whose heap arithmetic gives a position the
 // children b·p+1 … b·p+b, walked in place).
 //
 // A collective allocates per machine, never per message, and Sort, NewPlan,
@@ -192,8 +192,8 @@ func childRange(p, b, size int) (lo, hi int) {
 
 // BroadcastValue delivers one value held by the coordinator to every small
 // machine, using a direct send when the copies it sends fit the
-// coordinator's round budget and a capacity-bounded B-ary tree otherwise.
-// Returns the per-machine copies.
+// coordinator's round budget and a capacity-bounded tree over every machine
+// (treeCast) otherwise. Returns the per-machine copies.
 func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 	defer c.Span("broadcast").End()
 	k := c.K()
@@ -219,25 +219,47 @@ func BroadcastValue[V any](c *mpc.Cluster, val V, words int) ([]V, error) {
 		return out, nil
 	}
 	// Tree broadcast: one span over every machine, rooted at machine 0.
-	if c.HasLarge() {
-		if _, _, err := c.Exchange(nil, []mpc.Msg{{To: 0, Words: words, Data: boxed}}); err != nil {
-			return nil, err
+	return out, treeCast(c, val, words, make([][]mpc.Msg, k), nil, []cast{{from: coordinator(c), hi: k}}, out)
+}
+
+// cast is one tree of a treeCast: machine from holds the value for
+// machines [lo, hi).
+type cast struct{ from, lo, hi int }
+
+// treeCast delivers val, at words words, to the machines of every cast:
+// each from that is not its lo hands val to lo in one round, beside the
+// caller's outs (K entries) and outLarge, and val goes down a tree over
+// [lo, hi) (treeDown). A round that sends nothing is not run. Machine i's
+// copy lands in out[i].
+func treeCast[V any](c *mpc.Cluster, val V, words int, outs [][]mpc.Msg, outLarge []mpc.Msg, casts []cast, out []V) error {
+	k := c.K()
+	spans, down, has := make([]span, 2*k), make([]KV[V], 2*k), make([]bool, 2*k)
+	widest := 0
+	for _, t := range casts {
+		for i := t.lo; i < t.hi; i++ {
+			spans[2*i] = span{A: t.lo, B: t.hi - 1}
+		}
+		down[2*t.lo], has[2*t.lo], widest = KV[V]{V: val}, true, max(widest, t.hi-t.lo)
+		if hand := (mpc.Msg{To: t.lo, Words: words, Data: &down[2*t.lo]}); t.from == mpc.Large {
+			outLarge = append(outLarge, hand)
+		} else if t.from != t.lo {
+			outs[t.from] = append(outs[t.from], hand)
 		}
 	}
-	spans := make([]span, 2*k)
-	for i := 0; i < k; i++ {
-		spans[2*i] = span{A: 0, B: k - 1}
+	if len(outLarge) > 0 || slices.ContainsFunc(outs, func(out []mpc.Msg) bool { return len(out) > 0 }) {
+		if _, _, err := c.Exchange(outs, outLarge); err != nil {
+			return err
+		}
 	}
-	down := make([]KV[V], 2*k)
-	has := make([]bool, 2*k)
-	down[0], has[0] = KV[V]{V: val}, true
-	if err := treeDown(c, spans, down, has, k, words); err != nil {
-		return nil, err
+	if err := treeDown(c, spans, down, has, widest, words); err != nil {
+		return err
 	}
-	for i := range out {
-		out[i] = down[2*i].V
+	for _, t := range casts {
+		for i := t.lo; i < t.hi; i++ {
+			out[i] = down[2*i].V
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // treeDown forwards each span's value down a capacity-bounded interval tree

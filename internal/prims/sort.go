@@ -83,8 +83,8 @@ func keyWords(keys []SortKey) int {
 //  3. every leader replies to its group (1 round): a machine whose sample
 //     was its whole run gets the cuts of that run, as (bucket, count) pairs
 //     or one bucket id per item, whichever is shorter, and any other the
-//     splitter list, to cut its run itself. When the coordinator's replies
-//     exceed its round budget the list goes to everyone instead, down a
+//     splitter list, to cut its run itself. A leader whose replies exceed
+//     its round budget sends its group the list instead, down a
 //     capacity-bounded tree;
 //  4. items are routed to their bucket along the cuts (1 round) and
 //     re-sorted.
@@ -109,21 +109,19 @@ type split struct {
 	oneCol  bool
 }
 
-// widths is the most words a key of the Sort's samples, summaries and
-// splitter list costs (keyWords), a word for each column that can vary over
-// them: column A alone in a grouped Sort, which samples that column, and in
-// AggregateByKey's (x, 0, 0) keys; for a plan's (x, 1, requester) requests,
-// A in one machine's sample, A and C in a summary of its group's, and every
-// column in a list that also holds aligned (x, 0, 0) keys; every column in
-// any other Sort.
-func (how split) widths() (sample, summary, list int) {
+// widths is the most words a key of the Sort's samples and summaries costs
+// (keyWords), a word for each column that can vary over them: column A
+// alone in a grouped Sort and in AggregateByKey's (x, 0, 0) keys; for a
+// plan's (x, 1, requester) requests, A in a machine's sample and A and C in
+// a summary; every column in any other Sort.
+func (how split) widths() (sample, summary int) {
 	switch {
 	case how.grouped || how.oneCol:
-		return 1, 1, 1
+		return 1, 1
 	case how.spans:
-		return 1, 2, sortKeyWords
+		return 1, 2
 	}
-	return sortKeyWords, sortKeyWords, sortKeyWords
+	return sortKeyWords, sortKeyWords
 }
 
 // runWords bounds keyWords over a run of n keys of width w: w words a key,
@@ -291,13 +289,8 @@ type leaders struct {
 //   - an aligned Sort has align < K, so a key may have more than align items
 //     and only whole runs at one machine count them exactly (pickSplitters);
 //   - a leader could not hold, within half its capacity, what steps 2–3 put
-//     on it at their worst: its group's g samples of capTerm keys (wholeRun),
-//     the r−1 summaries of 4g keys, and g replies of the longest kind, the
-//     list or a plan's cuts and spans, a plan's list to the large machine
-//     among them. The keys are counted at the columns they vary in
-//     (widths): one word a key for Arrange's grouped Sort and
-//     AggregateByKey's, one, two and three for a plan's samples, summaries
-//     and list, sortKeyWords for any other.
+//     on it at their worst (heldWords). Replies of the list that do not fit
+//     go down a tree (sortReplies), so the list is not counted.
 func sortLeaders(c *mpc.Cluster, how split) leaders {
 	k := c.K()
 	one := leaders{g: k, ids: []int{coordinator(c)}}
@@ -328,13 +321,13 @@ func sortLeaders(c *mpc.Cluster, how split) leaders {
 }
 
 // heldWords bounds what steps 2–3 put on one of r leaders of groups of g
-// machines, with capacity room (sortLeaders): g samples of capTerm keys and
-// their headers, r−1 summaries of 4g keys and their two header words, and g
-// replies of the longest kind, keys counted at the Sort's widths.
+// machines, with capacity room (sortLeaders): g samples of capTerm keys
+// (wholeRun) and their headers, r−1 summaries of 4g keys and their two
+// header words, keys counted at the Sort's widths, and g replies of a whole
+// run's cuts and spans.
 func (how split) heldWords(k, g, r, room int) int {
-	sw, mw, lw := how.widths()
-	reply := max(runWords(lw, k-1)+1, 1+2*k+2*spanWords)
-	return g*(runWords(sw, capTerm(room, g))+1) + (r-1)*(runWords(mw, 4*g)+2) + g*reply
+	sw, mw := how.widths()
+	return g*(runWords(sw, capTerm(room, g))+1) + (r-1)*(runWords(mw, 4*g)+2) + g*(1+2*k+2*spanWords)
 }
 
 // capTerm is the most keys one of a leader's g machines may sample so that
@@ -705,33 +698,33 @@ type sortReply struct {
 
 // sortReplies is the rest of step 3: every leader answers its group's
 // samples, and the returned replies are what each machine holds afterwards.
-// A machine whose sample is its whole run (wholeRun: a property of the
-// input) has already sent its leader every key it holds, so the leader cuts
-// the run for it (runCuts, into the machine's share of cutBuf) and, if spans
-// is non-nil, works out its spans too (splitterSpans, into entries 2i and
-// 2i+1); the reply is a header word, runCutWords of the cuts and 3 words a
-// span, at most min(2·K, items)+7, where the list is keyWords(sp)+1. A
-// machine that holds more is sent the list and derives both itself. A
-// leader keeps its own reply. A plan's list (spans != nil) also goes to the
-// large machine, which routes its values along it (PlanBroadcast), from
-// leader 0 when the leaders are small machines. The replies go out in one
-// round when every leader's together fit half its capacity, which
-// sortLeaders makes sure of when there are r > 1 leaders. If the
-// coordinator's do not, the list is broadcast to everyone — K copies of it
-// fit still less, so down the tree — and every reply is the list. If r > 1
-// leaders' do not, the Sort fails with mpc.ErrCapacity naming the first such
-// leader: the tree is rooted at the coordinator, which never held the list.
+// A machine whose sample is its whole run (wholeRun) has sent its leader
+// every key it holds, so the leader cuts the run (runCuts, into the
+// machine's share of cutBuf) and, if spans is non-nil, works out its spans
+// (splitterSpans, into entries 2i and 2i+1): a header word, runCutWords and
+// 3 words a span, at most min(2·K, items)+7. Any other machine is sent the
+// list, keyWords(sp)+1, and derives both itself. A leader keeps its own
+// reply; leader 0, unless it is the large machine, also sends that machine
+// a plan's list (PlanBroadcast). A leader sends its replies in one round
+// when they fit half its capacity, else hands the list to its group's first
+// machine in that round, and the list goes down the group's tree (treeCast).
 func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cutBuf []Cut, starts []int, spans []span) ([]sortReply, error) {
+	defer c.Span("broadcast").End()
 	k := c.K()
 	replies := make([]sortReply, k+1) // entry k is the large machine's copy of a plan's list
 	msgs := make([]mpc.Msg, 0, k+1)
 	outs := make([][]mpc.Msg, k)
 	var outLarge []mpc.Msg
+	var trees []cast
 	listWords := keyWords(sp)
-	var over error // the first leader whose replies exceed half its capacity
 	for j, id := range ld.ids {
 		lo, hi := ld.group(k, j)
 		start, total := len(msgs), 0
+		if j == 0 && spans != nil && c.HasLarge() && id != mpc.Large {
+			replies[k] = sortReply{List: sp}
+			msgs, total = append(msgs, mpc.Msg{To: mpc.Large, Words: listWords + 1, Data: &replies[k]}), listWords+1
+		}
+		kept := len(msgs)
 		for i := lo; i < hi; i++ {
 			r, words := &replies[i], 1
 			if samples[i].whole() {
@@ -755,13 +748,8 @@ func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cut
 			msgs = append(msgs, mpc.Msg{To: i, Words: words, Data: r})
 			total += words
 		}
-		if j == 0 && spans != nil && c.HasLarge() && id != mpc.Large {
-			replies[k] = sortReply{List: sp}
-			msgs = append(msgs, mpc.Msg{To: mpc.Large, Words: listWords + 1, Data: &replies[k]})
-			total += listWords + 1
-		}
-		if half := leaderCap(c, id) / 2; total > half && over == nil {
-			over = fmt.Errorf("prims: Sort: leader %d's replies take %d > %d words, half its capacity: %w", id, total, half, mpc.ErrCapacity)
+		if total > leaderCap(c, id)/2 {
+			msgs, trees = msgs[:kept], append(trees, cast{from: id, lo: lo, hi: hi})
 		}
 		if id == mpc.Large {
 			outLarge = msgs[start:len(msgs):len(msgs)]
@@ -769,23 +757,11 @@ func sortReplies(c *mpc.Cluster, ld leaders, sp []SortKey, samples []sample, cut
 			outs[id] = msgs[start:len(msgs):len(msgs)]
 		}
 	}
-	replies = replies[:k]
-	if over == nil {
-		defer c.Span("broadcast").End()
+	if len(trees) == 0 {
 		_, _, err := c.Exchange(outs, outLarge)
-		return replies, err
+		return replies[:k], err
 	}
-	if ld.r() > 1 {
-		return nil, over
-	}
-	lists, err := BroadcastValue(c, sp, listWords+1)
-	if err != nil {
-		return nil, err
-	}
-	for i := range replies {
-		replies[i] = sortReply{List: lists[i]}
-	}
-	return replies, nil
+	return replies[:k], treeCast(c, sortReply{List: sp}, listWords+1, outs, outLarge, trees, replies)
 }
 
 // runCuts appends to dst the cuts of a locally sorted run against the

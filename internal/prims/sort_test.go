@@ -301,17 +301,22 @@ func TestSortReplyOverCapFailsTyped(t *testing.T) {
 	}
 }
 
-// TestSortLeaderRepliesOverCapFailTyped: with r > 1 leaders, replies that
-// do not fit half a leader's capacity fail the Sort with mpc.ErrCapacity
-// naming that leader, before any round; the coordinator's broadcast tree is
-// no fallback, since the coordinator never held the list. The leaders are
-// built by hand, one of them a machine at a hundredth of the default cap,
-// and every machine is sent the 3-column list of K-1 splitters.
-func TestSortLeaderRepliesOverCapFailTyped(t *testing.T) {
+// TestSortLeaderRepliesOverCapTakeTheTree: with r > 1 leaders, a leader
+// whose replies do not fit half its capacity hands the list to its group's
+// first machine, which takes it down the group's tree (treeDown) under
+// sort/broadcast, while every other leader replies directly in the same
+// round. The leaders are built by hand, one of them a machine at a
+// hundredth of the default cap, and every machine is sent the 3-column list
+// of K-1 splitters: every machine ends holding the list, the small leader's
+// group is sent it in the tree's rounds only, and no round puts more on a
+// machine than its capacity.
+func TestSortLeaderRepliesOverCapTakeTheTree(t *testing.T) {
 	const k, g, small = 64, 8, 41
+	const lo, hi = small / g * g, small/g*g + g // the small leader's group
 	prof := mpc.UniformProfile(k)
 	prof.CapScale[small] = 0.01
-	c, err := mpc.New(mpc.Config{N: 1024, M: 8192, K: k, Seed: 7, Profile: prof})
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: 1024, M: 8192, K: k, Seed: 7, Profile: prof, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,16 +329,61 @@ func TestSortLeaderRepliesOverCapFailTyped(t *testing.T) {
 	for i := range samples {
 		samples[i] = sample{Keys: []SortKey{{A: int64(i)}}, Count: 100} // not whole: the machine is sent the list
 	}
-	replies := (g - 1) * (keyWords(sp) + 1)
-	if 2*replies > leaderCap(c, 0) || 2*replies <= leaderCap(c, small) {
+	list := keyWords(sp) + 1
+	if replies := (g - 1) * list; 2*replies > leaderCap(c, 0) || 2*replies <= leaderCap(c, small) {
 		t.Fatalf("%d words of replies against caps %d and %d: want them to fit a default leader, not machine %d", replies, leaderCap(c, 0), leaderCap(c, small), small)
 	}
-	_, err = sortReplies(c, ld, sp, samples, nil, make([]int, k+1), nil)
-	if !errors.Is(err, mpc.ErrCapacity) || !strings.Contains(err.Error(), fmt.Sprintf("leader %d's replies take %d", small, replies)) {
-		t.Fatalf("replies past a leader's half cap: err %v, want mpc.ErrCapacity naming leader %d", err, small)
+	phase := c.Span("sort")
+	got, err := sortReplies(c, ld, sp, samples, nil, make([]int, k+1), nil)
+	phase.End()
+	if err != nil {
+		t.Fatalf("replies past a leader's half cap: %v, want them sent down the tree", err)
 	}
-	if c.Rounds() != 0 {
-		t.Fatalf("%d rounds ran, want none", c.Rounds())
+	for i, r := range got {
+		if r.Cuts != nil || !slices.Equal(r.List, sp) {
+			t.Fatalf("machine %d holds %d cuts and %d splitters, want the list's %d", i, len(r.Cuts), len(r.List), len(sp))
+		}
+	}
+	depth := treeDepth(g, branching(c, list))
+	rounds := tr.Rounds()
+	if len(rounds) != 1+depth || depth < 1 {
+		t.Fatalf("%d rounds, want the replies' and %d tree levels", len(rounds), depth)
+	}
+	at := func(words []int, i int) int { // a round that moves no word records no slots
+		if 1+i < len(words) {
+			return words[1+i]
+		}
+		return 0
+	}
+	tree := 0
+	for x, rd := range rounds {
+		if rd.Phase != "sort/broadcast" {
+			t.Fatalf("round %d is charged to %q, want sort/broadcast", x, rd.Phase)
+		}
+		for i := 0; i < k; i++ {
+			if send, recv, cap := at(rd.SendWords, i), at(rd.RecvWords, i), c.SmallCapOf(i); send > cap || recv > cap {
+				t.Errorf("round %d: machine %d sends %d and receives %d words, past its capacity %d", x, i, send, recv, cap)
+			}
+			switch inGroup := lo <= i && i < hi; {
+			case x == 0 && i == lo:
+				if recv := at(rd.RecvWords, i); recv != list {
+					t.Errorf("machine %d is handed %d words, want the list's %d", i, recv, list)
+				}
+			case x == 0 && inGroup:
+				if recv := at(rd.RecvWords, i); recv != 0 {
+					t.Errorf("machine %d of leader %d's group is sent %d words directly, want the tree's list", i, small, recv)
+				}
+			case x > 0 && !inGroup:
+				if recv := at(rd.RecvWords, i); recv != 0 {
+					t.Errorf("tree round %d sends machine %d, outside leader %d's group, %d words", x, i, small, recv)
+				}
+			case x > 0:
+				tree += at(rd.RecvWords, i)
+			}
+		}
+	}
+	if want := (hi - lo - 1) * list; tree != want {
+		t.Errorf("the tree carries %d words, want one list to each of %d machines = %d", tree, hi-lo-1, want)
 	}
 }
 
@@ -519,12 +569,12 @@ func TestSortSampledBucketsBalanced(t *testing.T) {
 // NewPlan's requests vary in column A within a machine's sample, in A and
 // C within a summary, so their leaders' held state fits half a small
 // machine and ⌈√K⌉ = 23 lead (sortLeaders); a plain Sort of 3-column keys
-// is charged three words a key, which does not fit, so the coordinator
-// leads it alone. A plan on the scale benchmark's wide MST cell (n =
-// 4,096, m = 32,768: K = 2,048) gets its ⌈√K⌉ = 46 leaders too. No leader
-// receives in the sample and summary rounds and sends in the reply round
-// more than half its capacity. At a third of the default caps, an Arrange with a
-// 30,000-item group, too large for any bucket, samples again with full keys
+// is charged three words a key, and its samples, summaries and a whole
+// run's cuts fit too, so 23 lead it as well. A plan on the scale
+// benchmark's wide MST cell (n = 4,096, m = 32,768: K = 2,048) gets its
+// ⌈√K⌉ = 46 leaders too. No leader receives in the sample and summary
+// rounds and sends in the reply round more than half its capacity. At a
+// third of the default caps, an Arrange with a 30,000-item group, too large for any bucket, samples again with full keys
 // under sort/full (groupsFit): it does so on the plain Sort's leaders, and
 // its buckets are the plain Sort's.
 func TestSortLeadersFollowKeyWidth(t *testing.T) {
@@ -639,7 +689,7 @@ func TestSortLeadersFollowKeyWidth(t *testing.T) {
 		_, err := Sort(c, directed(c.K(), 0), EdgeWords, byVertex)
 		return err
 	})
-	leaders("Sort", c, rounds, false, 1)
+	leaders("Sort", c, rounds, false, 23)
 
 	// A third of the default caps still holds 23 leaders' one-word keys, not
 	// a lump of 30,000 items at EdgeWords each.

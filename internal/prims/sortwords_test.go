@@ -276,8 +276,9 @@ func FuzzSortMessageWords(f *testing.F) {
 // derives it from the header, twice the group's count plus a bit set when
 // the summary is 4g keys, else min(count, g). With bit 32 of mask the keys
 // are a plan's requests, (A, 1, machine), sorted as NewPlan's are. Every
-// sample, summary and list encodes to no more words than its keys cost at
-// the Sort's widths, and no leader receives more in the sample and summary
+// sample and summary encodes to no more words than its keys cost at the
+// Sort's widths, and the list to no more than one word a key when they vary
+// in column A alone, sortKeyWords otherwise; no leader receives more in the sample and summary
 // rounds and sends more in the reply round than the bound sortLeaders put
 // on it (heldWords).
 func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint64) {
@@ -296,7 +297,11 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 		how.align, how.spans = k, true
 	}
 	ld, grouped := sortLeaders(c, how), how.grouped
-	sw, mw, lw := how.widths()
+	sw, mw := how.widths()
+	lw := sortKeyWords // the list's keys vary in column A alone where the samples' do
+	if how.grouped || how.oneCol {
+		lw = 1
+	}
 	if r := sortLeaders(c, split{}).r(); mask&16 != 0 && k >= 8 && r != 1 || mask&16 == 0 && k >= 2 && r == 1 || ld.r() < r {
 		t.Fatalf("K=%d CSmall=%v: %d leaders at sortKeyWords a key, %d at widths %d, %d, %d", k, cfg.CSmall, r, ld.r(), sw, mw, lw)
 	}
