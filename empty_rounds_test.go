@@ -211,15 +211,18 @@ func TestTable1SketchSortWords(t *testing.T) {
 // machine rebuilds the key, family id and universe, and a level ships its
 // (z, fp) pair without the count word the fingerprint makes redundant; the
 // first gather ships the first 3 of the P = ⌈log2(n+2)⌉ + 8 families per
-// vertex, with a degree word, and the second the other 15 once per
-// component share, so the rounds under "connectivity/sketch/gather" carry
-// 32,832 words at n=512, m=4096, and the ceiling is that plus 1.7 %,
-// 33,400. A (count, z, fp) triple a level carried 46,940, a key and a
-// 3-word header on every sketch 52,934, charging every sketch as the full 18-level sampler
+// vertex, with a degree word, or the vertex's incidences (group, degree and
+// neighbours, 2 + deg words) where they cost fewer words, and the second
+// the other 15 once per component share, so the rounds under
+// "connectivity/sketch/gather" carry 23,240 words at n=512, m=4096, and the
+// ceiling is that plus 2 %, 23,700. Every vertex's sketches carried 32,832,
+// a (count, z, fp) triple a level 46,940, a key and a 3-word header on
+// every sketch 52,934, charging every sketch as the full 18-level sampler
 // 525,312, shipping all 18 families per vertex at once 184,203, and
 // shipping the first 9 per vertex, pulling more as Borůvka read them,
 // 92,085; a gather that charges levels no sketch stores, ships what the
-// large machine can rebuild, or ships a sketch per vertex where one per
+// large machine can rebuild, ships sketches that cost more than the
+// incidences they sum, or ships a sketch per vertex where one per
 // component share will do, fails here.
 func TestTable1SketchGatherWords(t *testing.T) {
 	var words int64
@@ -229,8 +232,8 @@ func TestTable1SketchGatherWords(t *testing.T) {
 		}
 	}
 	t.Logf("connectivity/sketch/gather carries %d words", words)
-	if words == 0 || words > 33_400 {
-		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 33_400)
+	if words == 0 || words > 23_700 {
+		t.Errorf("connectivity/sketch/gather carries %d words, want at most %d", words, 23_700)
 	}
 }
 

@@ -26,17 +26,19 @@ type ConnectivityResult struct {
 
 // Connectivity identifies the connected components in O(1) rounds
 // (Theorem C.1): the small machines sort the edge incidences by vertex and
-// build each vertex's linear ℓ0-sampling sketch where its incidences meet;
-// the sketches go to the large machine, each charged the levels it stores
-// (Sketch.Words: the levels above are zero by construction and rebuilt
-// there), and a vertex's sketches its id once (shareWords) — O(n polylog n)
-// bits in total — which then runs Borůvka locally,
-// sampling an outgoing edge of each component from the summed sketches
-// (Property 1) of fresh rounds. The first contractAfter families are shipped
-// per vertex; if Borůvka reads a later one, the large machine contracts the
-// components the first phases left, and the later families are shipped once
-// per component share (sketchPhase.contract). A run whose samplers fail in
-// every phase returns an error wrapping ErrSketchFailure.
+// build each vertex's linear ℓ0-sampling sketch where its incidences meet.
+// Each vertex then ships the large machine whichever of two records costs
+// fewer words: its sketches, each charged the levels it stores
+// (Sketch.Words: the levels above are zero by construction), with its id
+// once (shareWords), or its incidences, of which the large machine builds
+// the same sketches itself — O(n polylog n) words in total either way. The
+// large machine then runs Borůvka locally, sampling an outgoing edge of
+// each component from the summed sketches (Property 1) of fresh rounds. The
+// first contractAfter families are gathered per vertex; if Borůvka reads a
+// later one, the large machine contracts the components the first phases
+// left, and the later families are shipped once per component share
+// (sketchPhase.contract). A run whose samplers fail in every phase returns
+// an error wrapping ErrSketchFailure.
 //
 // Shared randomness is a single broadcast seed, replacing [36]'s shared
 // random bits exactly as the paper describes.
@@ -173,21 +175,38 @@ type sketchPhase struct {
 // A share is what a machine ships of one group of its run — a vertex before
 // the contraction, its share of a component after: the group's sketch of
 // each family the gather ships, keyed phase·n + group, and deg, the
-// incidences the group holds. The machine rides uncharged: the message names
-// its sender.
+// incidences the group holds. A vertex whose incidences cost fewer words
+// than its sketches ships them instead, and the large machine builds its
+// sketches from them. The machine rides uncharged: the message names its
+// sender.
 type share struct {
-	group    int
-	sketches []prims.KV[*sketch.Sketch]
-	deg      int
-	machine  int
+	group      int
+	sketches   []prims.KV[*sketch.Sketch]
+	incidences []sketch.Incidence // shipped instead of sketches; nil where the sketches ship
+	deg        int
+	machine    int
 }
 
-// shareWords is what a share costs on the wire: its group once, its
-// sketches' Sketch.Words (sketchWords) and its degree's words (degWords).
-// Its families arrive in order, so the large machine rebuilds each sketch's
-// key phase·n + group, and from it the family id and universe that
-// Sketch.Words leaves out. gather charges it, and bins prices with it.
+// shareWords is what a share's sketches cost on the wire: its group once,
+// its sketches' Sketch.Words (sketchWords) and its degree's words
+// (degWords). Its families arrive in order, so the large machine rebuilds
+// each sketch's key phase·n + group, and from it the family id and
+// universe that Sketch.Words leaves out. bins prices with it, and gather
+// charges it where a share ships its sketches.
 func shareWords[W int | float64](sketchWords, degWords W) W { return 1 + sketchWords + degWords }
+
+// words is what the share costs on the wire: its incidences as its group,
+// its degree and its deg neighbours, 2 + deg, or its sketches' shareWords.
+func (sh share) words(degWords int) int {
+	if sh.incidences != nil {
+		return 2 + sh.deg
+	}
+	sketchWords := 0
+	for _, kv := range sh.sketches {
+		sketchWords += kv.V.Words()
+	}
+	return shareWords(sketchWords, degWords)
+}
 
 // gatherSketches is the "sketch" phase up to its first gather: the
 // incidences meet by vertex, and the sketches of the first contractAfter of
@@ -204,7 +223,8 @@ func gatherSketches(c *mpc.Cluster, edges [][]graph.Edge, seed uint64, n, m int)
 }
 
 // gatherVertices is the first gather: families 0…contractAfter−1 of every
-// vertex, one degree word a vertex beside them (one round).
+// vertex, one degree word a vertex beside them, or the vertex's incidences
+// where they cost fewer words (one round).
 func (s *sketchPhase) gatherVertices() (err error) {
 	s.vertices, err = s.gather(s.runs, min(contractAfter, s.phases), 1)
 	return err
@@ -422,10 +442,13 @@ func (s *sketchPhase) bins(total, comps int, held []int) []int {
 // gather builds families len(s.families) … hi−1 of every machine's run,
 // sorted by group — a sketch per (family, group), each the sum of its
 // group's updates, cell for cell in any order — and ships them to the large
-// machine (one round), each group charged shareWords. The large machine
-// files them after the families it holds, by family: the groups ascend in
-// machine order, so every family's keys do. It returns the groups, in
-// machine order.
+// machine (one round), each group charged shareWords. In the first gather
+// (degWords = 1, a group per vertex) a vertex whose incidences cost no more
+// words (2 + deg) ships them instead, and the large machine builds its
+// sketches with the same updaters, cell for cell the ones its machine
+// built. The large machine files the sketches after the families it holds,
+// by family: the groups ascend in machine order, so every family's keys do.
+// It returns the groups, in machine order, each with its sketches.
 func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]share, error) {
 	defer s.c.Span("gather").End()
 	lo := len(s.families)
@@ -437,7 +460,7 @@ func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]sha
 		s.families = append(s.families, f)
 		updaters[t] = f.NewEdgeUpdater(s.n)
 	}
-	items := make([][]share, s.c.K())
+	items, built := make([][]share, s.c.K()), make([][]prims.KV[*sketch.Sketch], s.c.K())
 	s.c.Each(func(i int) {
 		sks, run := vertexSketches(updaters, runs[i], lo, s.n), runs[i]
 		shares := make([]share, 0, len(sks)/len(updaters))
@@ -448,28 +471,62 @@ func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]sha
 			}
 			shares[len(shares)-1].deg++
 		}
-		items[i] = shares
+		if degWords > 0 {
+			at := 0
+			for x, sh := range shares {
+				if 2+sh.deg <= sh.words(degWords) {
+					shares[x].sketches, shares[x].incidences = nil, run[at:at+sh.deg:at+sh.deg]
+				}
+				at += sh.deg
+			}
+		}
+		items[i], built[i] = shares, sks
 	})
 	got, err := prims.Gather(s.c, items, func(shares []share) int {
 		w := 0
 		for _, sh := range shares {
-			sketchWords := 0
-			for _, kv := range sh.sketches {
-				sketchWords += kv.V.Words()
-			}
-			w += shareWords(sketchWords, degWords)
+			w += sh.words(degWords)
 		}
 		return w
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.sketchIncidences(updaters, lo, got, built)
 	for t := range updaters {
 		for _, sh := range got {
 			s.atLarge = append(s.atLarge, sh.sketches[t])
 		}
 	}
 	return got, nil
+}
+
+// sketchIncidences is the large machine's half of the incidence records:
+// it builds, with the gather's updaters, the sketches of every share in got
+// that shipped its incidences, and hands them to the share. The shares'
+// groups ascend, so their incidences, end to end, are a run sorted by
+// group. The sketches equal, cell for cell, those the small machines built
+// (built, every group's, which goes to onRebuild beside them).
+func (s *sketchPhase) sketchIncidences(updaters []*sketch.EdgeUpdater, lo int, got []share, built [][]prims.KV[*sketch.Sketch]) {
+	total := 0
+	for _, sh := range got {
+		total += len(sh.incidences)
+	}
+	if total == 0 {
+		return
+	}
+	run := make([]sketch.Incidence, 0, total)
+	for _, sh := range got {
+		run = append(run, sh.incidences...)
+	}
+	sks, f := vertexSketches(updaters, run, lo, s.n), len(updaters)
+	at := 0
+	for x := range got {
+		if got[x].incidences != nil {
+			got[x].sketches, at = sks[at:at+f:at+f], at+f
+		}
+	}
+	rebuilt("connectivity/incidences", built, sks)
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words

@@ -270,18 +270,34 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 }
 
 // TestConnectivityGatherChargesStoredLevels pins the sketch gathers' charge
-// on the same shape: a share ships its group once, then each of its
-// sketches' depth and stored levels, so each gather round carries one word a
-// share plus Σ (1 + 2·Depth()) words over the sketches it ships, and the
-// first one a degree word a vertex more. The first gather's sketches —
-// families 0…contractAfter−1 of every vertex — are counted here from
-// sketches rebuilt of those families, and the second's from what reached
-// the large machine: one sketch per family and component share, fewer than
-// one per family and vertex. Together they charge less than the full
-// sampler's 1 + 2·levels for every (family, vertex) sketch of the families
-// Borůvka read.
+// on the same shape and on planted hubs: a share ships its group once, then
+// each of its sketches' depth and stored levels, so the second gather round
+// carries one word a share plus Σ (1 + 2·Depth()) words over the sketches
+// it ships. In the first, each vertex ships whichever costs fewer words:
+// that share with a degree word more, shareWords_v, or its incidences as
+// its group, its degree and its deg neighbours, 2 + deg_v (on a tie), so
+// the round carries Σ_v min(2 + deg_v, shareWords_v). The first gather's
+// sketches — families 0…contractAfter−1 of every vertex — are counted here
+// from sketches rebuilt of those families, and the second's from what
+// reached the large machine: one sketch per family and component share,
+// fewer than one per family and vertex. Together they charge less than the
+// full sampler's 1 + 2·levels for every (family, vertex) sketch of the
+// families Borůvka read. On planted hubs both records ship: the hubs their
+// sketches, the core vertices their incidences.
 func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
-	g := graph.GNM(1024, 4096, 7)
+	for _, w := range []struct {
+		name string
+		g    *graph.Graph
+		both bool // some vertex ships each record
+	}{
+		{"gnm", graph.GNM(1024, 4096, 7), false},
+		{"hubs", graph.PlantedHubs(1024, 4, 8, 400, 7), true},
+	} {
+		t.Run(w.name, func(t *testing.T) { gatherChargesStoredLevels(t, w.g, w.both) })
+	}
+}
+
+func gatherChargesStoredLevels(t *testing.T, g *graph.Graph, both bool) {
 	const k = 128
 	edges, runs, _, levels := sketchPhaseInput(t, g, k)
 	tr := trace.New()
@@ -300,13 +316,30 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	for p, f := range sk.families {
 		updaters[p] = f.NewEdgeUpdater(g.N)
 	}
-	var first, vertices int64
+	var first, dense, sparse int64
 	for _, run := range runs {
 		items := vertexSketches(updaters, run, 0, g.N)
-		for _, kv := range items {
-			first += 1 + 2*int64(kv.V.Depth())
+		for d, j := 0, 0; j < len(run); d++ {
+			deg := 1
+			for j+deg < len(run) && run[j+deg].V == run[j].V {
+				deg++
+			}
+			sketchWords := 0
+			for _, kv := range items[d*contractAfter : (d+1)*contractAfter] {
+				sketchWords += kv.V.Words()
+			}
+			if price := shareWords(sketchWords, 1); 2+deg <= price {
+				first, sparse = first+2+int64(deg), sparse+1
+			} else {
+				first, dense = first+int64(price), dense+1
+			}
+			j += deg
 		}
-		vertices += int64(len(items) / contractAfter)
+	}
+	vertices := dense + sparse
+	t.Logf("the first gather: %d vertices ship their incidences, %d their sketches", sparse, dense)
+	if both && (dense == 0 || sparse == 0) {
+		t.Errorf("%d vertices ship their incidences and %d their sketches, want some of each", sparse, dense)
 	}
 	gathers := func() (words []int64) {
 		for _, r := range tr.Rounds() {
@@ -316,8 +349,8 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 		}
 		return words
 	}
-	if got := gathers(); len(got) != 1 || got[0] != first+2*vertices {
-		t.Fatalf("the first gather carries %v words, want Σ (1 + 2·depth) + a group and a degree word a vertex = %d + 2·%d", got, first, vertices)
+	if got := gathers(); len(got) != 1 || got[0] != first {
+		t.Fatalf("the first gather carries %v words, want Σ_v min(2 + deg_v, shareWords_v) = %d", got, first)
 	}
 
 	phases, err := boruvka(sk.dsu, sk.phases, sk.phase)
@@ -343,8 +376,8 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 		t.Errorf("the second gather shipped %d sketches of %d families, want a whole number of shares a family, fewer than the %d vertices", shipped, later, vertices)
 	}
 	full := int64(phases) * vertices * (1 + 2*int64(levels))
-	total := first + 2*vertices + second + shipped/later
-	t.Logf("gathers: %d + %d words, %d shares a family after %d phases; %d at full width", first+2*vertices, second+shipped/later, shipped/later, contractAfter, full)
+	total := first + second + shipped/later
+	t.Logf("gathers: %d + %d words, %d shares a family after %d phases; %d at full width", first, second+shipped/later, shipped/later, contractAfter, full)
 	if 2*total > full {
 		t.Errorf("the gathers charge %d words, want under half the full sampler's %d", total, full)
 	}

@@ -9,6 +9,7 @@ import (
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
+	"hetmpc/internal/sketch"
 )
 
 // runPrefixes is what the small machines held of the replies a collection
@@ -28,10 +29,12 @@ func runPrefixes[T, S any](arr *prims.Arranged[T], key func(T) int64, got [][]S)
 // record the small machine held — MST's collected replies (oriented by their
 // key), KKT sample and F-light edges (U, V under the union-find; on a
 // superlinear large machine too), the
-// spanner's direct edges (level and cluster ids from σ and the degrees), and
-// matching's hub replies (the edge alone) — on a GNM graph, E7's planted hubs
-// and a weighted graph with repeated weights. Each gather is seen at least
-// once over the three.
+// spanner's direct edges (level and cluster ids from σ and the degrees),
+// matching's hub replies (the edge alone), and connectivity's sketches of
+// the vertices that shipped their incidences (every cell and the depth of
+// the sketch the vertex's machine built) — on a GNM graph, E7's planted
+// hubs and a weighted graph with repeated weights. Each gather is seen at
+// least once over the three.
 func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 	repeated := graph.GNM(512, 4096, 11)
 	for j := range repeated.Edges {
@@ -46,7 +49,7 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 		{"hubs", graph.PlantedHubs(600, 4, 4, 500, 7+500)},
 		{"repeated-weights", repeated},
 	}
-	sites := []string{"mst/reply", "mst/sample", "mst/light", "spanner/direct", "matching/reply"}
+	sites := []string{"mst/reply", "mst/sample", "mst/light", "spanner/direct", "matching/reply", "connectivity/incidences"}
 	seen := make([]int, len(sites))
 	onRebuild = func(site string, held, got any) {
 		var want any
@@ -70,6 +73,16 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 			want = prims.Flatten(h)
 		case [][]lvlEdge:
 			want = prims.Flatten(h)
+		case [][]prims.KV[*sketch.Sketch]:
+			built := make(map[int64]*sketch.Sketch)
+			for _, kv := range prims.Flatten(h) {
+				built[kv.K] = kv.V
+			}
+			sent := slices.Clone(got.([]prims.KV[*sketch.Sketch]))
+			for j := range sent {
+				sent[j].V = built[sent[j].K]
+			}
+			want = sent
 		default:
 			t.Fatalf("%s: held records of type %T", site, held)
 		}
@@ -104,6 +117,9 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := MaximalMatching(c, w.g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Connectivity(c, w.g); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -108,15 +108,16 @@ func TestTable1At4096Golden(t *testing.T) {
 		}
 		makespan += c.Stats().Makespan
 	}
-	// The twelve calls measure 2,709,217 since ⌈√K⌉ group leaders agree on
+	// The twelve calls measure 2,553,735 since ⌈√K⌉ group leaders agree on
 	// Sort's splitters, MIS's exit count rides its gather, colouring always
 	// takes Theorem C.7's list path, the large machine receives only what it
 	// cannot rebuild, colouring learns Δ by MaxAll instead of gathering
-	// every degree, and a sketch level ships two words, not three (DESIGN.md
-	// §1, §3, §3.4, §6); the ceiling is that plus 1.9 %, 2.76 M.
+	// every degree, a sketch level ships two words, not three, and a vertex
+	// whose incidences cost fewer words than its sketches ships them instead
+	// (DESIGN.md §1, §3, §3.4, §6); the ceiling is that plus 1.8 %, 2.60 M.
 	t.Logf("the twelve calls' makespan: %.0f", makespan)
-	if makespan > 2.76e6 {
-		t.Errorf("the twelve calls' makespan is %.0f, want at most 2.76 M", makespan)
+	if makespan > 2.60e6 {
+		t.Errorf("the twelve calls' makespan is %.0f, want at most 2.60 M", makespan)
 	}
 }
 
@@ -179,21 +180,25 @@ func TestTable1MakespanSmoothInM(t *testing.T) {
 // included. Every run reads more than the contractAfter = 3 families the
 // first gather ships per vertex, so each contracts — a scatter, a route and
 // a gather of the later families per component share — and takes 9 rounds
-// whatever it reads (its incidence Sort exchanges summaries, DESIGN.md §1); each must cost less makespan than it did when the
-// families were gathered per vertex in batches pulled as Borůvka reached
-// them, in 5, 7, 9 and 11 rounds (DESIGN.md §3.4).
+// whatever it reads (its incidence Sort exchanges summaries, DESIGN.md §1).
+// Each makespan is pinned as a ceiling at its measured value since a vertex
+// ships its incidences where they cost fewer words than its sketches
+// (DESIGN.md §3.4); with every vertex's sketches shipped the runs measured
+// 77,877, 76,675, 74,489 and 80,031, and with the families gathered per
+// vertex in batches pulled as Borůvka reached them, in 5, 7, 9 and 11
+// rounds, 219,199, 237,965, 282,513 and 362,369.
 func TestConnectivityBatchGolden(t *testing.T) {
 	for _, w := range []struct {
 		seed     uint64
 		phases   int
 		sum      uint64
 		rounds   int
-		makespan float64 // with per-vertex batches
+		makespan float64 // ceiling
 	}{
-		{7, 8, 0xd4d737704d261d65, 9, 219_199},
-		{24, 10, 0x1f1d02d3450f438a, 9, 237_965},
-		{17, 11, 0x1f19fad3450d001b, 9, 282_513},
-		{61, 13, 0x1f1302d34506ef05, 9, 362_369},
+		{7, 8, 0xd4d737704d261d65, 9, 58_693},
+		{24, 10, 0x1f1d02d3450f438a, 9, 56_855},
+		{17, 11, 0x1f19fad3450d001b, 9, 55_305},
+		{61, 13, 0x1f1302d34506ef05, 9, 60_291},
 	} {
 		c, err := hetmpc.NewCluster(hetmpc.Config{N: 512, M: 4096, Seed: w.seed})
 		if err != nil {
@@ -212,8 +217,8 @@ func TestConnectivityBatchGolden(t *testing.T) {
 		if st.Rounds != w.rounds {
 			t.Errorf("seed %d: %d rounds, want %d", w.seed, st.Rounds, w.rounds)
 		}
-		if st.Makespan >= w.makespan {
-			t.Errorf("seed %d: makespan %.0f, want below the batches' %.0f", w.seed, st.Makespan, w.makespan)
+		if st.Makespan > w.makespan {
+			t.Errorf("seed %d: makespan %.0f, want at most %.0f", w.seed, st.Makespan, w.makespan)
 		}
 	}
 }
