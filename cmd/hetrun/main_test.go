@@ -45,6 +45,9 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-nope"}, 2, "", "flag provided but not defined"},
 		{"bad profile spec", []string{"-profile", "nope"}, 2, "", "nope"},
 		{"bad fault spec", []string{"-faults", "nope"}, 2, "", "nope"},
+		// K = 32: a speculation factor past K/2 runs clamped to K/2, and the
+		// header names the factor that ran (Cluster.SpeculationR).
+		{"speculate past K", []string{"-placement", "speculate:99"}, 0, "placement=speculate:99 (effective speculate:16)", ""},
 		{"bad placement spec", []string{"-placement", "nope"}, 2, "", "nope"},
 		{"bad transport spec", []string{"-transport", "nope"}, 2, "", "nope"},
 		{"unreadable graph", []string{"-input", filepath.Join(t.TempDir(), "missing.txt")}, 2, "", "no such file"},

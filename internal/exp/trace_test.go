@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/graph"
@@ -146,5 +147,33 @@ func TestE28CapSampleScatterOffTheStraggler(t *testing.T) {
 	}
 	if got := makespan[phase+"/scatter"]; got > limit {
 		t.Errorf("%s/scatter costs %v, above %v: the labels pile onto one machine", phase, got, limit)
+	}
+}
+
+// TestTraceStatsTable: hetbench -trace renders one row per phase, in the
+// summary's order, its cells the phase's numbers, and a record that carried
+// no phase label as "(untagged)".
+func TestTraceStatsTable(t *testing.T) {
+	ts := &TraceStats{Phases: []trace.PhaseStat{
+		{Phase: "sort/broadcast", Rounds: 3, Words: 1200, Makespan: 640, Share: 0.5, Top: 2, TopShare: 0.25},
+		{Phase: "", Rounds: 1, Words: 0, Makespan: 10, Share: 0.125, Top: trace.None},
+		{Phase: "connectivity/sketch/gather", Rounds: 2, Words: 96, Makespan: 128, Share: 0.375, Top: trace.Large, TopShare: 1},
+	}}
+	tab := ts.Table("phases")
+	if tab.Title != "phases" || len(tab.Header) != 7 {
+		t.Fatalf("title %q, header %v", tab.Title, tab.Header)
+	}
+	want := [][]string{
+		{"sort/broadcast", "3", "1200", "640", "0.5", "small-2", "0.25"},
+		{"(untagged)", "1", "0", "10", "0.125", "-", "0"},
+		{"connectivity/sketch/gather", "2", "96", "128", "0.375", "large", "1"},
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("%d rows for %d phases", len(tab.Rows), len(want))
+	}
+	for i, row := range tab.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("row %d: %q, want %q", i, row, want[i])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"hetmpc/internal/graph"
@@ -85,12 +86,11 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 // weightedAssign deals n items to machines in proportion to their capacity
 // shares: per-machine counts come from largest-remainder apportionment
 // (exact proportionality within one item), and the items interleave by
-// merging each machine's evenly spaced virtual positions through a heap
-// (smallest position first, lowest index on ties). O(n log k),
-// deterministic, and with equal shares the schedule is exactly
-// round-robin. Shares that sum to zero (or are not finite) would divide by
-// zero in the quota computation; that degenerate profile surfaces as
-// ErrZeroCapacity instead.
+// one SortLocal of every machine's evenly spaced virtual positions
+// (smallest position first, lowest index on ties). Deterministic, and with
+// equal shares the schedule is exactly round-robin. Shares that sum to zero
+// (or are not finite) would divide by zero in the quota computation; that
+// degenerate profile surfaces as ErrZeroCapacity instead.
 func weightedAssign(n int, shares []float64) ([]int, error) {
 	k := len(shares)
 	var totalShare float64
@@ -126,54 +126,25 @@ func weightedAssign(n int, shares []float64) ([]int, error) {
 		counts[fracs[j%k].i]++
 	}
 
-	// Interleave: machine i's j-th item sits at virtual position
-	// (j + ½)·n/counts[i]; merging positions spreads every machine's
-	// items evenly over the deal order.
+	// Interleave: machine i's t-th item sits at virtual position
+	// (t + ½)·n/counts[i], accumulated from half a period one period at a
+	// time; ordering every position by (position, machine) spreads every
+	// machine's items evenly over the deal order.
 	type slot struct {
-		pos    float64
-		period float64
-		i      int
-		left   int
+		pos float64
+		i   int
 	}
-	less := func(a, b slot) bool { return a.pos < b.pos || (a.pos == b.pos && a.i < b.i) }
-	h := make([]slot, 0, k)
-	for i := 0; i < k; i++ {
-		if counts[i] == 0 {
-			continue
-		}
-		p := float64(n) / float64(counts[i])
-		h = append(h, slot{pos: p / 2, period: p, i: i, left: counts[i]})
-	}
-	down := func(root int) {
-		for {
-			child := 2*root + 1
-			if child >= len(h) {
-				return
-			}
-			if child+1 < len(h) && less(h[child+1], h[child]) {
-				child++
-			}
-			if !less(h[child], h[root]) {
-				return
-			}
-			h[root], h[child] = h[child], h[root]
-			root = child
+	slots := make([]slot, 0, n)
+	for i, cnt := range counts {
+		p := float64(n) / float64(cnt)
+		for t, pos := 0, p/2; t < cnt; t, pos = t+1, pos+p {
+			slots = append(slots, slot{pos, i})
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
+	SortLocal(slots, func(s slot) SortKey { return SortKey{A: int64(math.Float64bits(s.pos)), B: int64(s.i)} })
 	owner := make([]int, n)
-	for j := 0; j < n; j++ {
-		owner[j] = h[0].i
-		h[0].left--
-		if h[0].left == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		} else {
-			h[0].pos += h[0].period
-		}
-		down(0)
+	for j, s := range slots {
+		owner[j] = s.i
 	}
 	return owner, nil
 }

@@ -1,10 +1,12 @@
 package prims
 
 import (
+	"slices"
 	"testing"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/xrand"
 )
 
 func edgeKey(e graph.Edge) SortKey {
@@ -110,4 +112,97 @@ func TestSortUnderCapacitySkew(t *testing.T) {
 			t.Fatalf("machine %d holds %d words over its cap %d", i, words, c.SmallCapOf(i))
 		}
 	}
+}
+
+// TestWeightedAssignMatchesScan pins weightedAssign's deal against an
+// O(n·k) scan of the same rule: largest-remainder counts, then every item in
+// turn to the machine with the least next position, the lowest index on
+// ties, a machine's positions starting at half its period and each one a
+// period on from the last. Random shares, zeros among them, over K = 1…64;
+// and with equal shares at K = 7 and 64 every n ≤ 3,000 deals item j to
+// machine j mod K, the round-robin DistributeEdges' uniform path takes
+// without the deal.
+func TestWeightedAssignMatchesScan(t *testing.T) {
+	rng := xrand.New(11)
+	for k := 1; k <= 64; k++ {
+		for trial := 0; trial < 4; trial++ {
+			shares := make([]float64, k)
+			for i := range shares {
+				if rng.IntN(4) > 0 {
+					shares[i] = rng.Float64() * 8
+				}
+			}
+			shares[rng.IntN(k)] = 1 + rng.Float64() // some machine can hold items
+			n := rng.IntN(40 * k)
+			got, err := weightedAssign(n, shares)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scanAssign(n, shares); !slices.Equal(got, want) {
+				t.Fatalf("K=%d n=%d shares %v: weightedAssign deals %v, the scan %v", k, n, shares, got, want)
+			}
+		}
+	}
+	for _, k := range []int{7, 64} {
+		shares := make([]float64, k)
+		for i := range shares {
+			shares[i] = 1
+		}
+		for n := 0; n <= 3000; n++ {
+			got, err := weightedAssign(n, shares)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, o := range got {
+				if o != j%k {
+					t.Fatalf("K=%d n=%d equal shares: item %d dealt to machine %d, want %d", k, n, j, o, j%k)
+				}
+			}
+		}
+	}
+}
+
+// scanAssign is weightedAssign's reference, one O(k) scan an item.
+func scanAssign(n int, shares []float64) []int {
+	k := len(shares)
+	total := 0.0
+	for _, s := range shares {
+		total += s
+	}
+	left, frac, extra := make([]int, k), make([]float64, k), n
+	for i, s := range shares {
+		q := float64(n) * s / total
+		left[i] = int(q)
+		frac[i], extra = q-float64(left[i]), extra-left[i]
+	}
+	for ; extra > 0; extra-- { // the largest remainders, lowest index on ties
+		most := 0
+		for i := range frac {
+			if frac[i] > frac[most] {
+				most = i
+			}
+		}
+		left[most]++
+		frac[most] = -1
+	}
+	pos, period := make([]float64, k), make([]float64, k)
+	for i := range left {
+		if left[i] > 0 {
+			period[i] = float64(n) / float64(left[i])
+			pos[i] = period[i] / 2
+		}
+	}
+	owner := make([]int, n)
+	for j := range owner {
+		best := -1
+		for i := range pos {
+			if left[i] > 0 && (best < 0 || pos[i] < pos[best]) {
+				best = i
+			}
+		}
+		owner[j] = best
+		left[best]--
+		pos[best] += period[best]
+	}
+	return owner
 }

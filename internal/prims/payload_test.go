@@ -187,7 +187,7 @@ func TestPayloadAssertionsFailTyped(t *testing.T) {
 		{"sample", &sample{Keys: []SortKey{{A: 1}}, Count: 4},
 			[]any{sample{Count: 4}, (*sample)(nil), &span{}, int64(4)},
 			func(inbox []mpc.Msg) error {
-				_, err := inboxSamples(inbox, make([]sampleCursor, len(inbox)), make([]mergeNode, 2*len(inbox)))
+				_, err := inboxSamples(inbox, make([]*sample, len(inbox)), nil)
 				return err
 			}},
 	}

@@ -391,15 +391,13 @@ func sortSplitters[T any](c *mpc.Cluster, ld leaders, data [][]T, key func(T) So
 	// here (serially) so the parallel extraction only fills them in.
 	outs := perMachineOuts(k)
 	slab := make([]sample, k)
-	nkeys := 0
+	off := make([]int, k+1) // machine i's keys sit at [off[i], off[i+1])
 	for i := range slab {
-		nkeys += ld.sampleSize(c, i, len(data[i]))
+		off[i+1] = off[i] + ld.sampleSize(c, i, len(data[i]))
 	}
-	keyBuf := make([]SortKey, nkeys)
+	keyBuf := make([]SortKey, off[k])
 	for i := range slab {
-		take := ld.sampleSize(c, i, len(data[i]))
-		slab[i] = sample{Keys: keyBuf[:take:take], Count: len(data[i])}
-		keyBuf = keyBuf[take:]
+		slab[i] = sample{Keys: keyBuf[off[i]:off[i+1]:off[i+1]], Count: len(data[i])}
 	}
 	c.Each(func(i int) {
 		keys, n := slab[i].Keys, len(data[i])
@@ -416,19 +414,24 @@ func sortSplitters[T any](c *mpc.Cluster, ld leaders, data [][]T, key func(T) So
 		return nil, nil, false, err
 	}
 
-	// Every leader merges its group's samples; the merges' cursors and
-	// trees are one array each.
+	// The r leaders merge their groups' samples in parallel, merge j at
+	// index j; the merges' samples and indexes are one array each, a group's
+	// stretch of the index carved by the keys its machines sent.
 	merges := make([]sampleMerge, ld.r())
-	cur, tree := make([]sampleCursor, k), make([]mergeNode, 2*k)
-	for j, id := range ld.ids {
+	ptrs, refs := make([]*sample, k), make([]mergeRef, off[k])
+	if err := c.ForSmall(func(j int) (err error) {
+		if j >= len(merges) {
+			return nil
+		}
 		inbox := inLarge
-		if id != mpc.Large {
-			inbox = ins[id]
+		if ld.ids[j] != mpc.Large {
+			inbox = ins[ld.ids[j]]
 		}
 		lo, hi := ld.group(k, j)
-		if merges[j], err = inboxSamples(inbox, cur[lo:hi], tree[2*lo:2*hi]); err != nil {
-			return nil, nil, false, err
-		}
+		merges[j], err = inboxSamples(inbox, ptrs[lo:hi], refs[off[lo]:off[lo]:off[hi]])
+		return err
+	}); err != nil {
+		return nil, nil, false, err
 	}
 	view := slab
 	if ld.r() > 1 {
@@ -477,10 +480,10 @@ func summaries(c *mpc.Cluster, ld leaders, slab []sample, merges []sampleMerge, 
 		}
 		keys := keyBuf[j*most : j*most+s]
 		step, stagger := float64(w)/float64(max(s, 1)), (float64(j)+0.5)/float64(r)
-		t, cum := 0, 0.0
-		for cur, kk, ok := merges[j].pop(); ok && t < s; cur, kk, ok = merges[j].pop() {
-			for cum += cur.weight; t < s && cum >= (float64(t)+stagger)*step; t++ {
-				keys[t] = kk
+		t, cum, m := 0, 0.0, &merges[j]
+		for _, ref := range m.order {
+			for cum += m.samples[ref.j].weight(); t < s && cum >= (float64(t)+stagger)*step; t++ {
+				keys[t] = m.key(ref)
 			}
 		}
 		for ; t > 0 && t < s; t++ { // rounding left the last targets short
@@ -532,20 +535,20 @@ func summarise(c *mpc.Cluster, ld leaders, slab []sample, merges []sampleMerge, 
 	}
 	// Leader 0's view: its own summary, then the others' in delivery order,
 	// which is leader order.
-	inbox := ins[ld.ids[0]]
+	inbox, n := ins[ld.ids[0]], 0
 	if len(inbox) != r-1 {
 		return sampleMerge{}, nil, fmt.Errorf("prims: leader %d was sent %d summaries, want %d", ld.ids[0], len(inbox), r-1)
 	}
-	m := sampleMerge{cur: make([]sampleCursor, r), tree: make([]mergeNode, 2*r), summaries: true}
-	m.cur[0] = cursorOf(&sums[0])
+	m := sampleMerge{samples: make([]*sample, r), summaries: true}
+	m.samples[0], n = &sums[0], len(sums[0].Keys)
 	for j, msg := range inbox {
 		s, ok := msg.Data.(*sample)
 		if !ok || s == nil {
 			return sampleMerge{}, nil, fmt.Errorf("prims: unexpected summary payload %T", msg.Data)
 		}
-		m.cur[1+j] = cursorOf(s)
+		m.samples[1+j], n = s, n+len(s.Keys)
 	}
-	m.play()
+	m.sort(make([]mergeRef, 0, n))
 	return m, sums, nil
 }
 
@@ -582,21 +585,21 @@ func groupsFit(c *mpc.Cluster, sp []SortKey, samples []sample, itemWords int) bo
 }
 
 // inboxSamples is a leader's side of the sample round: the merge of the
-// samples it was sent, a cursor on each in delivery order, over the
-// caller's cursors and tree (2 nodes a sample).
-func inboxSamples(inbox []mpc.Msg, cur []sampleCursor, tree []mergeNode) (sampleMerge, error) {
-	if len(inbox) != len(cur) {
-		return sampleMerge{}, fmt.Errorf("prims: a leader was sent %d samples, want %d", len(inbox), len(cur))
+// samples it was sent, in delivery order, over the caller's samples (one a
+// message) and index (appended to, one a key).
+func inboxSamples(inbox []mpc.Msg, samples []*sample, refs []mergeRef) (sampleMerge, error) {
+	if len(inbox) != len(samples) {
+		return sampleMerge{}, fmt.Errorf("prims: a leader was sent %d samples, want %d", len(inbox), len(samples))
 	}
-	m := sampleMerge{cur: cur, tree: tree}
 	for j, msg := range inbox {
 		s, ok := msg.Data.(*sample)
 		if !ok || s == nil {
 			return sampleMerge{}, fmt.Errorf("prims: unexpected sample payload %T", msg.Data)
 		}
-		m.cur[j] = cursorOf(s)
+		samples[j] = s
 	}
-	m.play()
+	m := sampleMerge{samples: samples}
+	m.sort(refs)
 	return m, nil
 }
 
@@ -623,9 +626,9 @@ func inboxSamples(inbox []mpc.Msg, cur []sampleCursor, tree []mergeNode) (sample
 func pickSplitters(c *mpc.Cluster, m sampleMerge, align int) []SortKey {
 	k := c.K()
 	total, loose := 0, k
-	for _, cur := range m.cur {
-		total += cur.s.Count
-		if m.exact(cur) {
+	for _, s := range m.samples {
+		total += s.Count
+		if m.exact(s) {
 			loose--
 		}
 	}
@@ -654,15 +657,16 @@ func pickSplitters(c *mpc.Cluster, m sampleMerge, align int) []SortKey {
 	}
 	var cum float64
 	next := 1
-	for cur, kk, ok := m.pop(); ok; cur, kk, ok = m.pop() {
+	for _, ref := range m.order {
+		s, kk := m.samples[ref.j], m.key(ref)
 		if kk.A != x {
 			closeRun()
 			x, from, n = kk.A, len(splitters), 0
 		}
-		if m.exact(*cur) {
+		if m.exact(s) {
 			n++
 		}
-		cum += cur.weight
+		cum += s.weight()
 		for next < k && cum >= prefix[next]*target {
 			splitters = append(splitters, kk)
 			next++
@@ -798,116 +802,40 @@ func (s *sample) gap() int {
 	return (s.Count + len(s.Keys) - 1) / len(s.Keys)
 }
 
-// sampleMerge is a merge of sorted samples: a loser tree over the samples'
-// heads, ordered by key and then delivery order, so equal keys come out in
-// delivery order, as a stable sort of the samples' concatenation has them.
-// A pop replays one leaf-to-root path, one comparison a level. A merge of
-// summaries counts no key exactly (pickSplitters).
+// weight is the items each of s's keys stands for.
+func (s *sample) weight() float64 { return float64(s.Count) / float64(len(s.Keys)) }
+
+// sampleMerge is a merge of sorted samples: an index (sample j, key x) a
+// key, appended in delivery order and sorted stably by key (SortLocal), so
+// equal keys come out in delivery order, as a stable sort of the samples'
+// concatenation has them. A merge of summaries counts no key exactly
+// (pickSplitters).
 type sampleMerge struct {
-	cur       []sampleCursor
-	tree      []mergeNode // tree[0] is the winner, tree[x] for 0 < x < len(cur) the loser at node x
+	samples   []*sample
+	order     []mergeRef
 	summaries bool
 }
 
-// exact reports whether cur's keys are every key of one machine, counted
+// mergeRef is key x of the merge's sample j.
+type mergeRef struct{ j, x int32 }
+
+// exact reports whether s's keys are every key of one machine, counted
 // exactly by pickSplitters' alignment.
-func (m *sampleMerge) exact(cur sampleCursor) bool { return !m.summaries && cur.s.whole() }
+func (m *sampleMerge) exact(s *sample) bool { return !m.summaries && s.whole() }
 
-// sampleCursor is a sample's next position and the items each of its keys
-// stands for.
-type sampleCursor struct {
-	s      *sample
-	pos    int32
-	weight float64
-}
+// key is the key ref names.
+func (m *sampleMerge) key(ref mergeRef) SortKey { return m.samples[ref.j].Keys[ref.x] }
 
-// mergeNode is sample j's head in the tournament: its next key, or, once
-// the sample is spent, the largest key.
-type mergeNode struct {
-	key   SortKey
-	spent bool
-	j     int32
-}
-
-// cursorOf is a cursor at the start of s.
-func cursorOf(s *sample) sampleCursor {
-	cur := sampleCursor{s: s}
-	if len(s.Keys) > 0 {
-		cur.weight = float64(s.Count) / float64(len(s.Keys))
-	}
-	return cur
-}
-
-func (cur *sampleCursor) head(j int32) mergeNode {
-	if int(cur.pos) == len(cur.s.Keys) {
-		return mergeNode{key: SortKey{A: math.MaxInt64, B: math.MaxInt64, C: math.MaxInt64}, spent: true, j: j}
-	}
-	return mergeNode{key: cur.s.Keys[cur.pos], j: j}
-}
-
-// less orders heads by key, a spent sample after every live one, then by
-// delivery order.
-func (a *mergeNode) less(b *mergeNode) bool {
-	switch {
-	case a.key.A != b.key.A:
-		return a.key.A < b.key.A
-	case a.key.B != b.key.B:
-		return a.key.B < b.key.B
-	case a.key.C != b.key.C:
-		return a.key.C < b.key.C
-	case a.spent != b.spent:
-		return b.spent
-	}
-	return a.j < b.j
-}
-
-// play plays the tournament, in m.tree (2 nodes a sample), over the
-// samples' first keys: leaf j sits at node n+j of n samples and node x's
-// children are 2x and 2x+1. The nodes first take their subtree's winner,
-// bottom-up; then, top-down, each keeps the loser of its children's
-// winners.
-func (m *sampleMerge) play() {
-	n := len(m.cur)
-	if n == 0 {
-		return
-	}
-	for j := range m.cur {
-		m.tree[n+j] = m.cur[j].head(int32(j))
-	}
-	for x := n - 1; x >= 1; x-- {
-		if a, b := &m.tree[2*x], &m.tree[2*x+1]; b.less(a) {
-			m.tree[x] = *b
-		} else {
-			m.tree[x] = *a
+// sort appends every sample's keys to refs, in delivery order, and sorts
+// them into the merge's order.
+func (m *sampleMerge) sort(refs []mergeRef) {
+	for j, s := range m.samples {
+		for x := range s.Keys {
+			refs = append(refs, mergeRef{int32(j), int32(x)})
 		}
 	}
-	m.tree[0] = m.tree[1] // the root's winner (with one sample, its leaf)
-	for x := 1; x < n; x++ {
-		if a, b := &m.tree[2*x], &m.tree[2*x+1]; b.less(a) {
-			m.tree[x] = *a
-		} else {
-			m.tree[x] = *b
-		}
-	}
-}
-
-// pop returns the smallest key left and its sample's cursor, or
-// ok == false.
-func (m *sampleMerge) pop() (cur *sampleCursor, key SortKey, ok bool) {
-	if len(m.cur) == 0 || m.tree[0].spent {
-		return nil, SortKey{}, false
-	}
-	j := m.tree[0].j
-	cur, key = &m.cur[j], m.tree[0].key
-	cur.pos++
-	w := cur.head(j)
-	for x := (int(j) + len(m.cur)) / 2; x >= 1; x /= 2 {
-		if m.tree[x].less(&w) {
-			m.tree[x], w = w, m.tree[x]
-		}
-	}
-	m.tree[0] = w
-	return cur, key, true
+	SortLocal(refs, m.key)
+	m.order = refs
 }
 
 // IsGloballySorted verifies the Sort postcondition (used by tests).

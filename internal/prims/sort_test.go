@@ -721,3 +721,35 @@ func TestSortLeadersFollowKeyWidth(t *testing.T) {
 		t.Fatal("the tight Arrange's buckets are not the plain Sort's")
 	}
 }
+
+// TestSampleMergeIsStable pins the leaders' merge order (sampleMerge): the
+// samples' keys in key order, equal keys in delivery order and, within one
+// sample, in its own order — a stable sort of the samples' concatenation.
+// The samples draw from a few keys, so most keys tie across samples.
+func TestSampleMergeIsStable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for trial := 0; trial < 50; trial++ {
+		inbox := make([]mpc.Msg, 1+rng.IntN(12))
+		var want []mergeRef
+		for j := range inbox {
+			s := &sample{Keys: make([]SortKey, rng.IntN(150))}
+			for x := range s.Keys {
+				s.Keys[x] = SortKey{A: rng.Int64N(4), C: rng.Int64N(3)}
+			}
+			slices.SortFunc(s.Keys, SortKey.Compare)
+			s.Count = len(s.Keys)
+			inbox[j] = mpc.Msg{From: j, Data: s}
+			for x := range s.Keys {
+				want = append(want, mergeRef{int32(j), int32(x)})
+			}
+		}
+		m, err := inboxSamples(inbox, make([]*sample, len(inbox)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.SortStableFunc(want, func(a, b mergeRef) int { return m.key(a).Compare(m.key(b)) })
+		if !slices.Equal(m.order, want) {
+			t.Fatalf("trial %d: %d samples merge to %v, a stable sort of their concatenation to %v", trial, len(inbox), m.order, want)
+		}
+	}
+}

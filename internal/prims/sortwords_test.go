@@ -336,7 +336,7 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 	}
 	// The leaders' summaries, rebuilt from the samples they were sent.
 	r := ld.r()
-	cur, tree := make([]sampleCursor, k), make([]mergeNode, 2*k)
+	ptrs := make([]*sample, k)
 	merges := make([]sampleMerge, r)
 	for j := range merges {
 		lo, hi := ld.group(k, j)
@@ -344,7 +344,7 @@ func checkSummaries(t *testing.T, keys []SortKey, nb int, mask uint8, seed uint6
 		for i := lo; i < hi; i++ {
 			inbox = append(inbox, mpc.Msg{From: i, Data: &samples[i]})
 		}
-		if merges[j], err = inboxSamples(inbox, cur[lo:hi], tree[2*lo:2*hi]); err != nil {
+		if merges[j], err = inboxSamples(inbox, ptrs[lo:hi], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
