@@ -1,8 +1,8 @@
 // Command hetbench regenerates the paper's evaluation artifacts: the Table 1
 // comparison, the figure-style sweeps E2..E16, the heterogeneous-profile
-// sweeps E17..E19, the fault-injection sweeps E20..E22, the placement-policy
-// sweeps E23..E25, the trace/critical-path sweeps E26..E28, the
-// adaptive-placement sweeps E29..E31 and the wire-transport sweep E32 (see
+// sweeps E17..E19, the fault-injection sweeps E20..E22, the speculation dial
+// E24, the trace/critical-path sweeps E26..E28, the placement sweeps
+// E29..E31 and the wire-transport sweep E32 (see
 // DESIGN.md §2/§6/§7/§8/§9/§10/§11 and EXPERIMENTS.md).
 //
 // -profile, -faults, -placement and -transport rebuild every cluster of an

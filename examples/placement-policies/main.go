@@ -124,7 +124,7 @@ func main() {
 	fmt.Println("The same dial from the CLI:")
 	fmt.Println("  hetrun -alg mst -profile straggler:2:8 -placement speculate:2")
 	fmt.Println("  hetrun -alg mst -faults slow:6:1:64:4+slow:7:1:64:4 -placement adaptive")
-	fmt.Println("  hetbench -exp e23,e24,e25            # the static placement sweeps")
-	fmt.Println("  hetbench -exp e29,e30,e31            # the adaptive sweeps")
+	fmt.Println("  hetbench -exp e24                    # the speculation dial")
+	fmt.Println("  hetbench -exp e29,e30,e31            # the static and adaptive placement sweeps")
 	fmt.Println("  hetbench -exp e18 -placement throughput -json -out bench")
 }

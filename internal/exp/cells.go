@@ -59,10 +59,6 @@ func beefyCoordinator(p *mpc.Profile) *mpc.Profile {
 	return p
 }
 
-// skews are the canonical capacity, cohort and straggler skews the placement
-// grids cross (E23, E29), in the spec syntax every profile list here uses.
-var skews = []string{"zipf:0.8", "bimodal:0.25:4", "straggler:2:8"}
-
 // profiled is the config of a cell on g under one profile spec, in
 // mpc.ParseProfile's syntax, on a beefy coordinator if asked. A sweep pins
 // the axis it sweeps on every cell, so the baseline spelling resolves to the
@@ -208,7 +204,7 @@ func edgeKey(e graph.Edge) prims.SortKey {
 	return prims.SortKey{A: e.W, B: int64(e.U), C: int64(e.V)}
 }
 
-// placeSort is the place + sample-sort cell (E17, E23, E29, E30): g's edges
+// placeSort is the place + sample-sort cell (E17, E29, E30): g's edges
 // placed by the cluster's policy and sorted by edgeKey. The buckets must be
 // globally sorted and hold every edge.
 func placeSort(g *graph.Graph) func(*mpc.Cluster) ([][]graph.Edge, error) {

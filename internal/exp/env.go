@@ -175,9 +175,7 @@ var experiments = []struct {
 	{"e20", (*run).e20CrashRate},
 	{"e21", (*run).e21CheckpointInterval},
 	{"e22", (*run).e22StragglerCrash},
-	{"e23", (*run).e23PlacementPolicies},
 	{"e24", (*run).e24SpeculationDial},
-	{"e25", (*run).e25PlacementFaults},
 	{"e26", (*run).e26PhaseBreakdown},
 	{"e27", (*run).e27CriticalPath},
 	{"e28", (*run).e28TraceGuidedPlacement},

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
@@ -11,73 +12,33 @@ import (
 	"hetmpc/internal/trace"
 )
 
-// The E23–E25 sweeps exercise the placement-policy subsystem (DESIGN.md
+// The placement sweeps exercise the placement-policy subsystem (DESIGN.md
 // §8): pluggable work placement across heterogeneous machines — the
 // capacity-proportional cap default, the min-makespan throughput split, and
-// speculate:R's first-copy-wins redundant execution. The invariant every
-// row re-asserts: placement moves data, never correctness — outputs are
-// validated against the exact references under every policy, and the
-// speculative copies are charged honestly (speculation words, partner busy
-// time) rather than conjured for free.
+// speculate:R's first-copy-wins redundant execution — and adaptive placement
+// (DESIGN.md §10): the sched.Adaptive policy re-estimates every machine's
+// effective per-word cost online (an EWMA over the rounds the run actually
+// executes) and recomputes the throughput-style split at each round
+// barrier. The invariant every row re-asserts: placement moves data, never
+// correctness — outputs are validated against the exact references under
+// every policy, and the speculative copies are charged honestly
+// (speculation words, partner busy time) rather than conjured for free.
 //
-// The E29–E31 sweeps exercise adaptive placement (DESIGN.md §10): the
-// sched.Adaptive policy re-estimates every machine's effective per-word
-// cost online (an EWMA over the rounds the run actually executes) and
-// recomputes the throughput-style split at each round barrier. The
-// experiments pin down its contract from three sides: with a truthful
-// profile it degenerates to static throughput bit-identically (E29), with
-// a misreported profile it is the only policy that recovers the makespan
-// the static splits leave on the table (E30), and under transient
-// slowdown windows it tracks the effective speeds through the window and
-// back out (E31). The traced cells re-prove the conservation contract
-// under mid-run share switches.
+// E24 turns speculation's redundancy dial. E29–E31 pin adaptive placement
+// from three sides: with a truthful profile it degenerates to static
+// throughput bit-identically (E29, which also holds the static policies'
+// grid), with a misreported profile it is the only policy that recovers
+// the makespan the static splits leave on the table (E30), and under
+// transient slowdown windows it tracks the effective speeds through the
+// window and back out (E31, which also holds speculation under crashes and
+// windows). The traced cells re-prove the conservation contract under
+// mid-run share switches.
 //
-// MST is where speculation still has something to rescue (E24, E25, E28,
-// E31): a plain sample sort's traffic, its replies included, follows the
-// items a machine holds, which static throughput shares already balance
-// (E23), while MST's aggregations and disseminations route by key — a
-// key's partials and requests meet on one machine wherever the shares put
-// it.
-
-// e23PlacementPolicies crosses the three placement policies with the three
-// canonical skew profiles under the placement+sort workload: cap pays the
-// straggler tax, throughput irons static skew out of all three rounds — a
-// sample, the reply to it and the route all follow the items a machine
-// holds — and speculation finds nothing left to mirror (E24 turns its dial
-// on MST, where rounds routed by key remain). Every row must reproduce the
-// cap row's sorted output and round structure exactly.
-func (rn *run) e23PlacementPolicies(seed uint64) (*Table, error) {
-	const n, m = 512, 8192
-	t := &Table{
-		Title: fmt.Sprintf("E23 — placement policies × skew profiles (place + sample sort), n=%d m=%d", n, m),
-		Header: []string{"profile", "policy", "rounds", "makespan", "vs cap",
-			"imbalance", "spec words"},
-	}
-	g := graph.GNMWeighted(n, m, seed)
-	for _, prof := range skews {
-		var row capRow
-		for _, pol := range []sched.Policy{sched.Cap{}, sched.Throughput{}, sched.Speculate{R: 2}} {
-			cfg := profiled(g, seed, prof, true)
-			cfg.Placement = pol
-			c, sorted, err := cell(rn, cfg, placeSort(g))
-			if err == nil {
-				err = row.check(pol, prims.Flatten(sorted), c.Stats())
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", prof, pol.Name(), err)
-			}
-			st := c.Stats()
-			t.AddRow(prof, pol.Name(), st.Rounds, st.Makespan,
-				st.Makespan/row.stats.Makespan, c.BusyImbalance(), st.SpeculationWords)
-		}
-	}
-	t.Notes = append(t.Notes,
-		"every policy reproduces the cap row's sorted output and round count exactly; only placement and the clock move",
-		"zipf skews capacity only, so throughput clips to cap and the ratio stays 1; speed skew is where placement pays",
-		"speculate:2 launches no copy: every round of a sample sort follows the placed items, so throughput leaves it no slow shard a fast machine could beat",
-	)
-	return t, nil
-}
+// MST is where speculation still has something to rescue (E24, E28, E31): a
+// plain sample sort's traffic, its replies included, follows the items a
+// machine holds, which static throughput shares already balance (E29),
+// while MST's aggregations and disseminations route by key — a key's
+// partials and requests meet on one machine wherever the shares put it.
 
 // e24SpeculationDial sweeps the redundancy dial R = 0..4 under straggler
 // profiles: R = 0 is pure throughput placement (the rounds whose traffic
@@ -140,69 +101,20 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// e25PlacementFaults crosses the placement policies with two fault
-// plans under MST on a straggler cluster: the E20 crash plan (checkpoints +
-// seed-derived crashes) and a transient slowdown window on a fast machine —
-// the case static placement cannot see coming, because shares are fixed
-// before the run while the window opens mid-flight. Speculation reads the
-// effective per-round costs, so it adapts to the window and must beat
-// static throughput there. The MST weight is validated exact in every cell.
-func (rn *run) e25PlacementFaults(seed uint64) (*Table, error) {
-	const n, m = 512, 4096
-	t := &Table{
-		Title: fmt.Sprintf("E25 — placement × fault interaction under MST, n=%d m=%d (straggler:2:8 cluster)", n, m),
-		Header: []string{"fault plan", "policy", "rounds", "crashes", "recovery rounds",
-			"spec words", "makespan", "vs cap"},
-	}
-	g := graph.ConnectedGNM(n, m, seed, true)
-	_, exact := graph.KruskalMSF(g)
-	window := []fault.Slowdown{{Machine: 0, From: 5, To: 40, Factor: 16}}
-	plans := []struct {
-		name string
-		plan *fault.Plan
-	}{
-		{"ckpt:8+rate:0.002", &fault.Plan{Interval: 8, CrashRate: 0.002}},
-		{"ckpt:8+slow:0:5:40:16", &fault.Plan{Interval: 8, Slowdowns: window}},
-	}
-	for _, pl := range plans {
-		capMakespan, thrMakespan := 0.0, 0.0
-		for _, pol := range []sched.Policy{sched.Cap{}, sched.Throughput{}, sched.Speculate{R: 2}} {
-			cfg := profiled(g, seed, "straggler:2:8", true)
-			cfg.Placement, cfg.Faults = pol, pl.plan
-			c, _, err := cell(rn, cfg, mst(g, exact))
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", pl.name, pol.Name(), err)
-			}
-			st := c.Stats()
-			switch pol.Name() {
-			case "cap":
-				capMakespan = st.Makespan
-			case "throughput":
-				thrMakespan = st.Makespan
-			default:
-				if st.Makespan >= thrMakespan {
-					return nil, fmt.Errorf("%s: speculation makespan %g did not beat static throughput %g",
-						pl.name, st.Makespan, thrMakespan)
-				}
-			}
-			t.AddRow(pl.name, pol.Name(), st.Rounds, st.Crashes, st.RecoveryRounds,
-				st.SpeculationWords, st.Makespan, st.Makespan/capMakespan)
-		}
-	}
-	t.Notes = append(t.Notes,
-		"the MST weight is validated exact in every cell: neither placement nor crash recovery may change the output",
-		"the slow-window plan is the dynamic case: static shares are fixed pre-run, speculation reads per-round effective costs and adapts",
-	)
-	return t, nil
-}
-
-// e29AdaptivePolicyGrid reruns the E23 policy × skew-profile grid with
-// adaptive placement in the lineup. The declared profiles are truthful
-// here, so the measured per-word costs reproduce the declared ones
-// exactly and adaptive must land bit-identically on static throughput —
-// the grid is a regression test that the estimator's steady state is the
-// declared profile, cell by cell. Every cell runs traced and re-proves
-// trace conservation under the (no-op) round-barrier share refresh.
+// e29AdaptivePolicyGrid crosses cap, throughput, adaptive and speculate:2
+// with the canonical capacity, cohort and straggler skews under the place +
+// sample-sort workload. Every row must reproduce the cap row's sorted output
+// and round count exactly, and each policy's claim is checked cell by cell.
+// Throughput must beat cap where the profile skews speed and equal it under
+// zipf, which skews capacity only, so throughput's split clips to cap's.
+// Speculate:2 must charge no speculation word: a sample, the reply to it and
+// the route all follow the items a machine holds, so throughput leaves no
+// slow shard a fast machine could beat (E24 turns the dial on MST, where
+// rounds routed by key remain). The declared profiles are truthful, so the
+// measured per-word costs reproduce the declared ones exactly and adaptive
+// must land bit-identically on static throughput. Every cell runs traced
+// and re-proves trace conservation under the (no-op) round-barrier share
+// refresh.
 func (rn *run) e29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 	const n, m = 512, 8192
 	t := &Table{
@@ -213,7 +125,7 @@ func (rn *run) e29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 	g := graph.GNMWeighted(n, m, seed)
 	policies := []sched.Policy{sched.Cap{}, sched.Throughput{},
 		sched.Adaptive{Alpha: sched.DefaultAlpha}, sched.Speculate{R: 2}}
-	for _, prof := range skews {
+	for _, prof := range []string{"zipf:0.8", "bimodal:0.25:4", "straggler:2:8"} {
 		var row capRow
 		var thrStats mpc.Stats
 		for _, pol := range policies {
@@ -228,23 +140,37 @@ func (rn *run) e29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 			}
 			st := c.Stats()
 			estRounds := 0
-			if est := c.PlacementEstimator(); est != nil {
-				estRounds = est.Rounds()
+			switch pol.(type) {
+			case sched.Throughput:
+				thrStats = st
+				evenSpeed := slices.Min(cfg.Profile.Speed) == slices.Max(cfg.Profile.Speed)
+				if evenSpeed && st.Makespan != row.stats.Makespan {
+					return nil, fmt.Errorf("%s: throughput makespan %v differs from cap %v at even speeds", prof, st.Makespan, row.stats.Makespan)
+				}
+				if !evenSpeed && st.Makespan >= row.stats.Makespan {
+					return nil, fmt.Errorf("%s: throughput makespan %v did not beat cap %v under speed skew", prof, st.Makespan, row.stats.Makespan)
+				}
+			case sched.Adaptive:
+				estRounds = c.PlacementEstimator().Rounds()
 				// Truthful profile: measured cost == declared cost exactly,
 				// so the adaptive run must be bit-identical to throughput.
 				if st.Makespan != thrStats.Makespan || st.TotalWords != thrStats.TotalWords {
 					return nil, fmt.Errorf("%s: adaptive (makespan %v, words %d) diverged from static throughput (%v, %d) under a truthful profile",
 						prof, st.Makespan, st.TotalWords, thrStats.Makespan, thrStats.TotalWords)
 				}
-			}
-			if pol.Name() == "throughput" {
-				thrStats = st
+			case sched.Speculate:
+				if st.SpeculationWords != 0 {
+					return nil, fmt.Errorf("%s: speculate:2 charged %d speculation words on a sample sort", prof, st.SpeculationWords)
+				}
 			}
 			t.AddRow(prof, pol.Name(), st.Rounds, estRounds, st.Makespan,
 				st.Makespan/row.stats.Makespan, c.BusyImbalance())
 		}
 	}
 	t.Notes = append(t.Notes,
+		"every policy reproduces the cap row's sorted output and round count exactly; only placement and the clock move",
+		"zipf skews capacity only, so throughput clips to cap and the ratio stays 1; speed skew is where placement pays (asserted both ways)",
+		"speculate:2 launches no copy: every round of a sample sort follows the placed items, so throughput leaves it no slow shard a fast machine could beat (asserted)",
 		"truthful declared profiles: the estimator measures back exactly what was declared, so every adaptive cell is bit-identical to static throughput (asserted)",
 		"est rounds counts the exchange rounds the EWMA actually observed; every cell is traced and re-proves conservation under the round-barrier share refresh",
 	)
@@ -316,20 +242,24 @@ func (rn *run) e30MisreportedProfile(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// e31AdaptiveTransientSlowdown puts adaptive placement under the E25-style
-// dynamic case: a truthful straggler cluster whose fastest machine opens a
-// transient 16× slowdown window mid-run (rounds 5–40). Static throughput
-// keeps feeding it a full share through the window; the adaptive estimator
-// tracks the effective cost up as the window opens and back down after it
-// closes, and must beat static throughput's makespan under both the pure
-// slowdown plan and the slowdown + checkpoint-cadence plan. The MST weight
-// is validated exact in every cell.
+// e31AdaptiveTransientSlowdown crosses the placement policies with three
+// fault plans under MST on a truthful straggler cluster: the E20 crash plan
+// (checkpoints + seed-derived crashes), and a transient 16× slowdown window
+// on the fastest machine mid-run (rounds 5–40), alone and with the
+// checkpoint cadence. Static shares are fixed before the run, so static
+// throughput keeps feeding the window's machine a full share. Speculation
+// reads the effective per-round costs and must beat static throughput under
+// every plan. The adaptive estimator tracks the effective cost up as the
+// window opens and back down after it closes, and must beat static
+// throughput under both slowdown plans; under the crash plan no window
+// opens, and it must equal static throughput exactly (E29's degeneration).
+// The MST weight is validated exact in every cell.
 func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	t := &Table{
 		Title: fmt.Sprintf("E31 — adaptive placement under transient slowdown windows (MST), n=%d m=%d (straggler:2:8 cluster)", n, m),
-		Header: []string{"fault plan", "policy", "rounds", "est rounds",
-			"spec words", "makespan", "vs cap"},
+		Header: []string{"fault plan", "policy", "rounds", "crashes", "recovery rounds",
+			"est rounds", "spec words", "makespan", "vs cap"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, exact := graph.KruskalMSF(g)
@@ -340,11 +270,13 @@ func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 	}{
 		{"slow:0:5:40:16", &fault.Plan{Slowdowns: window}},
 		{"ckpt:8+slow:0:5:40:16", &fault.Plan{Interval: 8, Slowdowns: window}},
+		{"ckpt:8+rate:0.002", &fault.Plan{Interval: 8, CrashRate: 0.002}},
 	}
 	policies := []sched.Policy{sched.Cap{}, sched.Throughput{},
 		sched.Speculate{R: 2}, sched.Adaptive{Alpha: sched.DefaultAlpha}}
 	for _, pl := range plans {
-		capMakespan, thrMakespan := 0.0, 0.0
+		var capMakespan float64
+		var thrStats mpc.Stats
 		for _, pol := range policies {
 			cfg := profiled(g, seed, "straggler:2:8", true)
 			cfg.Placement, cfg.Faults, cfg.Trace = pol, pl.plan, trace.New()
@@ -354,26 +286,37 @@ func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 			}
 			st := c.Stats()
 			estRounds := 0
-			switch pol.Name() {
-			case "cap":
+			switch pol.(type) {
+			case sched.Cap:
 				capMakespan = st.Makespan
-			case "throughput":
-				thrMakespan = st.Makespan
-			}
-			if est := c.PlacementEstimator(); est != nil {
-				estRounds = est.Rounds()
-				if st.Makespan >= thrMakespan {
+			case sched.Throughput:
+				thrStats = st
+			case sched.Speculate:
+				if st.Makespan >= thrStats.Makespan {
+					return nil, fmt.Errorf("%s: speculation makespan %g did not beat static throughput %g",
+						pl.name, st.Makespan, thrStats.Makespan)
+				}
+			case sched.Adaptive:
+				estRounds = c.PlacementEstimator().Rounds()
+				windowed := len(pl.plan.Slowdowns) > 0
+				if windowed && st.Makespan >= thrStats.Makespan {
 					return nil, fmt.Errorf("%s: adaptive makespan %g did not beat static throughput %g",
-						pl.name, st.Makespan, thrMakespan)
+						pl.name, st.Makespan, thrStats.Makespan)
+				}
+				if !windowed && (st.Makespan != thrStats.Makespan || st.TotalWords != thrStats.TotalWords) {
+					return nil, fmt.Errorf("%s: adaptive (makespan %v, words %d) diverged from static throughput (%v, %d) with no window open",
+						pl.name, st.Makespan, st.TotalWords, thrStats.Makespan, thrStats.TotalWords)
 				}
 			}
-			t.AddRow(pl.name, pol.Name(), st.Rounds, estRounds,
+			t.AddRow(pl.name, pol.Name(), st.Rounds, st.Crashes, st.RecoveryRounds, estRounds,
 				st.SpeculationWords, st.Makespan, st.Makespan/capMakespan)
 		}
 	}
 	t.Notes = append(t.Notes,
-		"the MST weight is validated exact in every cell: adaptive re-splitting may move data, never correctness",
-		"static shares are fixed before the window opens; the estimator tracks the effective per-word cost up into the window and back out after it closes (asserted: adaptive beats static throughput under both plans)",
+		"the MST weight is validated exact in every cell: neither re-splitting, speculation nor crash recovery may change the output",
+		"static shares are fixed before the window opens; speculation reads per-round effective costs and adapts (asserted: speculate:2 beats static throughput under every plan)",
+		"the estimator tracks the effective per-word cost up into the window and back out after it closes (asserted: adaptive beats static throughput under both slowdown plans)",
+		"the crash plan opens no window, so adaptive's truthful estimates land bit-identically on static throughput, crashes and recovery included (asserted)",
 	)
 	return t, nil
 }

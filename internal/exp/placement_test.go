@@ -29,9 +29,9 @@ func TestSetPlacementOverride(t *testing.T) {
 		t.Fatalf("placed artifact path %q lacks the @place= tag", path)
 	}
 
-	// E23 pins its own policies per row; the override must not reach it,
+	// E29 pins its own policies per row; the override must not reach it,
 	// and its artifact must keep the baseline name.
-	art, _, err = env.Run("e23", 7)
+	art, _, err = env.Run("e29", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

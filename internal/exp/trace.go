@@ -81,8 +81,9 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 // large coordinator or a slow small machine — under capacity skew (zipf)
 // and compute stragglers, with the coordinator provisioned both ways. With
 // a stock (speed-1) coordinator its fan-out dominates nearly every phase;
-// provisioning it away (the beefy server of E23–E25) hands the critical
-// path to the slow small machines exactly where the profile says it should.
+// provisioning it away (the beefy server of the placement sweeps) hands the
+// critical path to the slow small machines exactly where the profile says
+// it should.
 func (rn *run) e27CriticalPath(seed uint64) (*Table, error) {
 	const n, m = 256, 2048
 	t := &Table{
@@ -135,10 +136,10 @@ func orOne(v float64) float64 {
 	return v
 }
 
-// e28TraceGuidedPlacement explains E24/E25's placement wins phase by phase:
-// E24's MST workload under straggler:4:16 (the E24 rows where the dial
-// matters most), run under cap, throughput and speculate:4, each with a
-// trace. The per-phase gap columns attribute each policy's total makespan
+// e28TraceGuidedPlacement explains the placement wins of E24 and E31 phase
+// by phase: E24's MST workload under straggler:4:16 (the E24 rows where the
+// dial matters most), run under cap, throughput and speculate:4, each with
+// a trace. The per-phase gap columns attribute each policy's total makespan
 // win to the phases that produced it — the sorts under arrange and
 // broadcast, whose traffic follows the shares and static throughput
 // rebalances, versus aggregate's sort, whose buckets are cut by key, and the

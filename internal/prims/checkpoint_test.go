@@ -17,11 +17,11 @@ func TestWeightedAssignZeroCapacity(t *testing.T) {
 		{math.NaN(), 1, 1},
 		{}, // no machines at all
 	} {
-		if _, err := weightedAssign(10, shares); !errors.Is(err, ErrZeroCapacity) {
+		if _, _, err := weightedAssign(10, shares); !errors.Is(err, ErrZeroCapacity) {
 			t.Fatalf("shares %v: want ErrZeroCapacity, got %v", shares, err)
 		}
 	}
-	owner, err := weightedAssign(6, []float64{1, 1, 1})
+	owner, _, err := weightedAssign(6, []float64{1, 1, 1})
 	if err != nil || len(owner) != 6 {
 		t.Fatalf("healthy shares failed: %v %v", owner, err)
 	}

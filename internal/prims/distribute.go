@@ -62,13 +62,9 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	for i := range shares {
 		shares[i] = c.PlaceShare(i)
 	}
-	owner, err := weightedAssign(n, shares)
+	owner, counts, err := weightedAssign(n, shares)
 	if err != nil {
 		return nil, err
-	}
-	counts := make([]int, k)
-	for _, o := range owner {
-		counts[o]++
 	}
 	slab, off := make([]graph.Edge, n), 0
 	for i := range out {
@@ -84,26 +80,27 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 }
 
 // weightedAssign deals n items to machines in proportion to their capacity
-// shares: per-machine counts come from largest-remainder apportionment
-// (exact proportionality within one item), and the items interleave by
-// one SortLocal of every machine's evenly spaced virtual positions
-// (smallest position first, lowest index on ties). Deterministic, and with
-// equal shares the schedule is exactly round-robin. Shares that sum to zero
-// (or are not finite) would divide by zero in the quota computation; that
-// degenerate profile surfaces as ErrZeroCapacity instead.
-func weightedAssign(n int, shares []float64) ([]int, error) {
+// shares and returns each item's owner and each machine's count: the counts
+// come from largest-remainder apportionment (exact proportionality within
+// one item), and the items interleave by one SortLocal of every machine's
+// evenly spaced virtual positions (smallest position first, lowest index on
+// ties). Deterministic, and with equal shares the schedule is exactly
+// round-robin. Shares that sum to zero (or are not finite) would divide by
+// zero in the quota computation; that degenerate profile surfaces as
+// ErrZeroCapacity instead.
+func weightedAssign(n int, shares []float64) (owner, counts []int, err error) {
 	k := len(shares)
 	var totalShare float64
 	for i := 0; i < k; i++ {
 		totalShare += shares[i]
 	}
 	if !(totalShare > 0) { // catches 0, NaN and negative sums alike
-		return nil, fmt.Errorf("%w: capacity shares sum to %v over K=%d machines",
+		return nil, nil, fmt.Errorf("%w: capacity shares sum to %v over K=%d machines",
 			ErrZeroCapacity, totalShare, k)
 	}
 	// Largest-remainder counts: floor the quotas, then hand the leftover
 	// items to the largest fractional parts (lowest index on ties).
-	counts := make([]int, k)
+	counts = make([]int, k)
 	type frac struct {
 		f float64
 		i int
@@ -142,11 +139,11 @@ func weightedAssign(n int, shares []float64) ([]int, error) {
 		}
 	}
 	SortLocal(slots, func(s slot) SortKey { return SortKey{A: int64(math.Float64bits(s.pos)), B: int64(s.i)} })
-	owner := make([]int, n)
+	owner = make([]int, n)
 	for j, s := range slots {
 		owner[j] = s.i
 	}
-	return owner, nil
+	return owner, counts, nil
 }
 
 // CountItems returns the total number of items across machines.

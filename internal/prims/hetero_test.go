@@ -118,11 +118,19 @@ func TestSortUnderCapacitySkew(t *testing.T) {
 // O(n·k) scan of the same rule: largest-remainder counts, then every item in
 // turn to the machine with the least next position, the lowest index on
 // ties, a machine's positions starting at half its period and each one a
-// period on from the last. Random shares, zeros among them, over K = 1…64;
-// and with equal shares at K = 7 and 64 every n ≤ 3,000 deals item j to
-// machine j mod K, the round-robin DistributeEdges' uniform path takes
-// without the deal.
+// period on from the last; the counts it returns, which DistributeEdges
+// carves its shards by, must be the owners' tallies. Random shares, zeros
+// among them, over K = 1…64; and with equal shares at K = 7 and 64 every
+// n ≤ 3,000 deals item j to machine j mod K, the round-robin
+// DistributeEdges' uniform path takes without the deal.
 func TestWeightedAssignMatchesScan(t *testing.T) {
+	tallied := func(owner, counts []int) bool {
+		tally := make([]int, len(counts))
+		for _, o := range owner {
+			tally[o]++
+		}
+		return slices.Equal(tally, counts)
+	}
 	rng := xrand.New(11)
 	for k := 1; k <= 64; k++ {
 		for trial := 0; trial < 4; trial++ {
@@ -134,12 +142,15 @@ func TestWeightedAssignMatchesScan(t *testing.T) {
 			}
 			shares[rng.IntN(k)] = 1 + rng.Float64() // some machine can hold items
 			n := rng.IntN(40 * k)
-			got, err := weightedAssign(n, shares)
+			got, counts, err := weightedAssign(n, shares)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := scanAssign(n, shares); !slices.Equal(got, want) {
 				t.Fatalf("K=%d n=%d shares %v: weightedAssign deals %v, the scan %v", k, n, shares, got, want)
+			}
+			if !tallied(got, counts) {
+				t.Fatalf("K=%d n=%d shares %v: counts %v are not the owners' tallies", k, n, shares, counts)
 			}
 		}
 	}
@@ -149,9 +160,12 @@ func TestWeightedAssignMatchesScan(t *testing.T) {
 			shares[i] = 1
 		}
 		for n := 0; n <= 3000; n++ {
-			got, err := weightedAssign(n, shares)
+			got, counts, err := weightedAssign(n, shares)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !tallied(got, counts) {
+				t.Fatalf("K=%d n=%d equal shares: counts %v are not the owners' tallies", k, n, counts)
 			}
 			for j, o := range got {
 				if o != j%k {

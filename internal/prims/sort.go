@@ -414,24 +414,21 @@ func sortSplitters[T any](c *mpc.Cluster, ld leaders, data [][]T, key func(T) So
 		return nil, nil, false, err
 	}
 
-	// The r leaders merge their groups' samples in parallel, merge j at
-	// index j; the merges' samples and indexes are one array each, a group's
-	// stretch of the index carved by the keys its machines sent.
+	// The r leaders merge their groups' samples in leader order, merge j
+	// for leader j, and the first error is returned; the merges' samples
+	// and indexes are one array each, a group's stretch of the index carved
+	// by the keys its machines sent.
 	merges := make([]sampleMerge, ld.r())
 	ptrs, refs := make([]*sample, k), make([]mergeRef, off[k])
-	if err := c.ForSmall(func(j int) (err error) {
-		if j >= len(merges) {
-			return nil
-		}
+	for j, id := range ld.ids {
 		inbox := inLarge
-		if ld.ids[j] != mpc.Large {
-			inbox = ins[ld.ids[j]]
+		if id != mpc.Large {
+			inbox = ins[id]
 		}
 		lo, hi := ld.group(k, j)
-		merges[j], err = inboxSamples(inbox, ptrs[lo:hi], refs[off[lo]:off[lo]:off[hi]])
-		return err
-	}); err != nil {
-		return nil, nil, false, err
+		if merges[j], err = inboxSamples(inbox, ptrs[lo:hi], refs[off[lo]:off[lo]:off[hi]]); err != nil {
+			return nil, nil, false, err
+		}
 	}
 	view := slab
 	if ld.r() > 1 {

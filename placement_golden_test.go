@@ -89,14 +89,16 @@ func TestPlacementGoldenStragglerSpeculation(t *testing.T) {
 }
 
 // TestPlacementExperimentsDeterministicAcrossGOMAXPROCS pins the
-// GOMAXPROCS-determinism golden for E23–E25: each experiment must render
-// byte-identical tables on one CPU and on all of them (placement shares,
-// speculation pairing and recovery pricing all run serially by design).
+// GOMAXPROCS-determinism golden for the placement sweeps E24 and E29–E31:
+// each experiment must render byte-identical tables on one CPU and on all
+// of them (placement shares, speculation pairing and recovery pricing run
+// serially by design, and the adaptive estimator observes and the shares
+// switch at the same serial program point of every run).
 func TestPlacementExperimentsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment sweep skipped in -short mode")
 	}
-	for _, id := range []string{"e23", "e24", "e25"} {
+	for _, id := range []string{"e24", "e29", "e30", "e31"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			render := func() string {
