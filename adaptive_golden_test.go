@@ -1,10 +1,12 @@
 package hetmpc_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
 	"hetmpc"
+	"hetmpc/internal/exp"
 )
 
 // misreportedConfig is the E30-style scenario shared by the adaptive
@@ -161,6 +163,39 @@ func TestTraceArgmaxBusyRegression(t *testing.T) {
 					t.Fatalf("round %d: argmax machine %s has zero busy time (busy: %v)",
 						r.Round, hetmpc.TraceMachineName(r.Argmax), r.Busy)
 				}
+			}
+		})
+	}
+}
+
+// TestAdaptiveExperimentsDeterministicAcrossGOMAXPROCS pins the
+// GOMAXPROCS-determinism golden for the placement sweeps E24 and E29–E31:
+// each experiment must render byte-identical tables on one CPU and on all
+// of them (placement shares, speculation pairing and recovery pricing run
+// serially by design, and the adaptive estimator observes and the shares
+// switch at the same serial program point of every run).
+func TestAdaptiveExperimentsDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment sweep skipped in -short mode")
+	}
+	for _, id := range []string{"e24", "e29", "e30", "e31"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			render := func() string {
+				art, _, err := exp.Env{}.Run(id, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				art.Table.Render(&buf)
+				return buf.String()
+			}
+			prev := runtime.GOMAXPROCS(1)
+			one := render()
+			runtime.GOMAXPROCS(prev)
+			many := render()
+			if one != many {
+				t.Fatalf("%s diverges across GOMAXPROCS:\n--- 1 ---\n%s\n--- n ---\n%s", id, one, many)
 			}
 		})
 	}

@@ -1,12 +1,9 @@
 package hetmpc_test
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
 
 	"hetmpc"
-	"hetmpc/internal/exp"
 )
 
 // TestPlacementGoldenUniformEquivalence pins the placement acceptance
@@ -85,38 +82,5 @@ func TestPlacementGoldenStragglerSpeculation(t *testing.T) {
 		if r > 0 && st.SpeculationWords == 0 {
 			t.Fatalf("R=%d launched no speculative copies on a straggler profile", r)
 		}
-	}
-}
-
-// TestPlacementExperimentsDeterministicAcrossGOMAXPROCS pins the
-// GOMAXPROCS-determinism golden for the placement sweeps E24 and E29–E31:
-// each experiment must render byte-identical tables on one CPU and on all
-// of them (placement shares, speculation pairing and recovery pricing run
-// serially by design, and the adaptive estimator observes and the shares
-// switch at the same serial program point of every run).
-func TestPlacementExperimentsDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiment sweep skipped in -short mode")
-	}
-	for _, id := range []string{"e24", "e29", "e30", "e31"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			render := func() string {
-				art, _, err := exp.Env{}.Run(id, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				art.Table.Render(&buf)
-				return buf.String()
-			}
-			prev := runtime.GOMAXPROCS(1)
-			one := render()
-			runtime.GOMAXPROCS(prev)
-			many := render()
-			if one != many {
-				t.Fatalf("%s diverges across GOMAXPROCS:\n--- 1 ---\n%s\n--- n ---\n%s", id, one, many)
-			}
-		})
 	}
 }
