@@ -1,13 +1,12 @@
 // Command hetbench regenerates the paper's evaluation artifacts: the Table 1
 // comparison, the figure-style sweeps E2..E16, the heterogeneous-profile
-// sweeps E17..E19, the fault-injection sweeps E20..E22, the speculation dial
-// E24, the trace/critical-path sweeps E26..E28, the placement sweeps
-// E29..E31 and the wire-transport sweep E32 (see
-// DESIGN.md §2/§6/§7/§8/§9/§10/§11 and EXPERIMENTS.md).
+// sweeps E17..E19, the fault-injection sweeps E21 and E22, the speculation
+// dial E24, the trace/critical-path sweeps E26 and E28 and the placement
+// sweeps E29..E31 (see DESIGN.md §2/§6/§7/§8/§9/§10 and EXPERIMENTS.md).
 //
 // -profile, -faults, -placement and -transport rebuild every cluster of an
 // experiment that does not sweep that axis itself and tag the artifact; an
-// experiment that sweeps the axis (E32 for -profile and -transport, say)
+// experiment that sweeps the axis (E26 for -profile, E21 for -faults, say)
 // pins it on every cluster and runs, untagged, exactly as without the
 // flag.
 //

@@ -238,22 +238,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printTrace renders the phase-level critical-path summary of a -trace run:
-// one line per phase path with its makespan share and bottleneck machine.
-// The footer re-states the conservation contract the trace satisfies.
+// printTrace renders the phase-level critical-path summary of a -trace run
+// (trace.Summary.WriteTable). The footer re-states the conservation contract
+// the trace satisfies.
 func printTrace(w io.Writer, tr *hetmpc.Trace, st hetmpc.ClusterStats) {
 	s := hetmpc.SummarizeTrace(tr.Rounds())
 	fmt.Fprintf(w, "trace: %d records, %d exchange rounds, %d phases\n", tr.Len(), s.Rounds, len(s.Phases))
-	fmt.Fprintf(w, "  %-44s %7s %10s %10s %6s  %s\n", "phase", "rounds", "words", "makespan", "share", "bottleneck")
-	for _, p := range s.Phases {
-		name := p.Phase
-		if name == "" {
-			name = "(untagged)"
-		}
-		fmt.Fprintf(w, "  %-44s %7d %10d %10.4g %5.1f%%  %s (%.0f%% of phase busy)\n",
-			name, p.Rounds, p.Words, p.Makespan, 100*p.Share, hetmpc.TraceMachineName(p.Top), 100*p.TopShare)
-	}
-	fmt.Fprintf(w, "  conservation: trace makespan %.6g == model %.6g, trace words %d == model %d\n",
+	s.WriteTable(w)
+	fmt.Fprintf(w, "conservation: trace makespan %.6g == model %.6g, trace words %d == model %d\n",
 		s.Makespan, st.Makespan, s.Words, st.TotalWords)
 }
 

@@ -146,24 +146,9 @@ func cmdSummarize(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hettrace:", err)
 		return 2
 	}
-	printSummary(stdout, s)
+	fmt.Fprintf(stdout, "%d exchange rounds, %d words, makespan %.6g\n", s.Rounds, s.Words, s.Makespan)
+	s.WriteTable(stdout)
 	return 0
-}
-
-// printSummary renders the critical-path table: one row per phase with its
-// rounds, how many of them moved no words, its makespan share and bottleneck
-// machine, phases in first-seen order.
-func printSummary(w io.Writer, s *trace.Summary) {
-	fmt.Fprintf(w, "%d exchange rounds, %d words, makespan %.6g\n", s.Rounds, s.Words, s.Makespan)
-	fmt.Fprintf(w, "%-44s %7s %6s %12s %12s %7s  %s\n", "phase", "rounds", "empty", "words", "makespan", "share", "bottleneck")
-	for _, p := range s.Phases {
-		name := p.Phase
-		if name == "" {
-			name = "(untagged)"
-		}
-		fmt.Fprintf(w, "%-44s %7d %6d %12d %12.6g %6.1f%%  %s (%.0f%% of phase busy)\n",
-			name, p.Rounds, p.EmptyRounds, p.Words, p.Makespan, 100*p.Share, trace.MachineName(p.Top), 100*p.TopShare)
-	}
 }
 
 func cmdExport(args []string, stdout, stderr io.Writer) int {

@@ -61,7 +61,10 @@ func (rn *run) e17SkewPlacement(seed uint64) (*Table, error) {
 // e18Stragglers sweeps a straggler tail under MST: capacities (and hence
 // the round structure and the output) are identical to the uniform run,
 // while the makespan grows with the slowdown — the Reisizadeh et al.
-// observation that stragglers dominate wall-clock.
+// observation that stragglers dominate wall-clock. The last straggler's
+// share of the makespan spent busy rises with the slowdown but saturates
+// below 1: it idles through the rounds where it moves no word. It returns
+// an error unless that share rises strictly with the slowdown.
 func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	t := &Table{
@@ -70,7 +73,7 @@ func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, exact := graph.KruskalMSF(g)
-	baseRounds, baseMakespan := 0, 0.0
+	baseRounds, baseMakespan, prevShare := 0, 0.0, 0.0
 	for _, slowdown := range []float64{1, 4, 16, 64, 256} {
 		cfg := het(n, m, 0, seed)
 		k := cfg.DeriveK()
@@ -86,19 +89,30 @@ func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 		} else if st.Rounds != baseRounds {
 			return nil, fmt.Errorf("slowdown=%g changed the round count: %d vs %d", slowdown, st.Rounds, baseRounds)
 		}
+		share := c.BusyTime(k-1) / st.Makespan
+		if share <= prevShare {
+			return nil, fmt.Errorf("slowdown=%g: straggler busy share %g did not rise from %g", slowdown, share, prevShare)
+		}
+		prevShare = share
 		t.AddRow(slowdown, stragglers, st.Rounds, st.Makespan,
-			st.Makespan/baseMakespan, c.BusyTime(k-1)/st.Makespan)
+			st.Makespan/baseMakespan, share)
 	}
 	t.Notes = append(t.Notes,
 		"speed-only skew: caps uniform, so placement, messages and output are bit-identical across rows",
+		"the straggler busy share rises with the slowdown but saturates below 1: the straggler idles in rounds where it moves no word",
 	)
 	return t, nil
 }
 
 // e19Bimodal sweeps a fast/slow cluster (bimodal speeds and bandwidths)
-// under connectivity and matching: growing the slow cohort grows the
-// makespan at constant round counts, until at half the cluster the slow
-// machines set the clock.
+// under connectivity and matching at constant round counts. A round's clock
+// is set by its busiest machine, so the first slow cohort already sets it:
+// both makespans are flat from an eighth of the cluster slow to half of it.
+// Connectivity's grows less than matching's, because its two sketch gathers
+// into the large machine, which no cohort slows, carry most of its
+// makespan. It returns an error unless every row's rounds equal the uniform
+// row's and, in every row with a slow cohort, connectivity's makespan ratio
+// is below matching's.
 func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	const factor = 4.0
@@ -108,7 +122,7 @@ func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 	}
 	g := graph.GNM(n, m, seed)
 	_, wantComps := graph.Components(g)
-	baseCC, baseMatch := 0.0, 0.0
+	var baseCC, baseMatch mpc.Stats
 	for _, slowFrac := range []float64{0, 0.125, 0.25, 0.5} {
 		cfg := het(n, m, 0, seed)
 		cfg.Profile = mpc.BimodalProfile(cfg.DeriveK(), slowFrac, factor)
@@ -122,13 +136,23 @@ func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 		}
 		stc, stm := c.Stats(), cm.Stats()
 		if slowFrac == 0 {
-			baseCC, baseMatch = stc.Makespan, stm.Makespan
+			baseCC, baseMatch = stc, stm
 		}
-		t.AddRow(slowFrac, stc.Rounds, stc.Makespan, stc.Makespan/baseCC,
-			stm.Rounds, stm.Makespan, stm.Makespan/baseMatch)
+		if stc.Rounds != baseCC.Rounds || stm.Rounds != baseMatch.Rounds {
+			return nil, fmt.Errorf("slowfrac=%g changed the round counts: cc %d vs %d, matching %d vs %d",
+				slowFrac, stc.Rounds, baseCC.Rounds, stm.Rounds, baseMatch.Rounds)
+		}
+		ccRatio, matchRatio := stc.Makespan/baseCC.Makespan, stm.Makespan/baseMatch.Makespan
+		if slowFrac > 0 && ccRatio >= matchRatio {
+			return nil, fmt.Errorf("slowfrac=%g: cc's makespan ratio %g is not below matching's %g", slowFrac, ccRatio, matchRatio)
+		}
+		t.AddRow(slowFrac, stc.Rounds, stc.Makespan, ccRatio,
+			stm.Rounds, stm.Makespan, matchRatio)
 	}
 	t.Notes = append(t.Notes,
 		"the slow cohort sits at the high machine ids; speeds and bandwidths scaled, caps uniform",
+		"a round lasts as long as its busiest machine, so the makespans are flat from slow frac 0.125 to 0.5",
+		"cc's ratio stays below matching's: its sketch gathers into the large machine, which no cohort slows, carry most of its makespan",
 	)
 	return t, nil
 }

@@ -172,17 +172,14 @@ var experiments = []struct {
 	{"e17", (*run).e17SkewPlacement},
 	{"e18", (*run).e18Stragglers},
 	{"e19", (*run).e19Bimodal},
-	{"e20", (*run).e20CrashRate},
-	{"e21", (*run).e21CheckpointInterval},
+	{"e21", (*run).e21CrashGrid},
 	{"e22", (*run).e22StragglerCrash},
 	{"e24", (*run).e24SpeculationDial},
 	{"e26", (*run).e26PhaseBreakdown},
-	{"e27", (*run).e27CriticalPath},
 	{"e28", (*run).e28TraceGuidedPlacement},
 	{"e29", (*run).e29AdaptivePolicyGrid},
 	{"e30", (*run).e30MisreportedProfile},
 	{"e31", (*run).e31AdaptiveTransientSlowdown},
-	{"e32", (*run).e32TransportSweep},
 }
 
 // IDs returns the experiment ids in registry order.

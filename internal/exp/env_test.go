@@ -95,22 +95,25 @@ func TestRunClosesRealTransports(t *testing.T) {
 // TestSweptAxesArePinned: an experiment that sweeps an axis pins it on every
 // cluster, baseline rows included, so an Env override of that axis reaches
 // none of them. The run succeeds, carries no tag, and marshals to the bytes
-// of the plain run.
+// of the plain run. One case per swept axis: profiles (e26, e22), fault
+// plans (e21) and placement policies (e29); no experiment sweeps transports.
 func TestSweptAxesArePinned(t *testing.T) {
 	for _, tc := range []struct {
 		id  string
 		env Env
 	}{
 		{"e26", Env{Profile: "straggler:2:8"}},
-		{"e32", Env{Profile: "straggler:2:8"}},
-		{"e32", Env{Transport: "tcp"}},
+		{"e22", Env{Profile: "straggler:2:8"}},
+		{"e21", Env{Faults: "ckpt:2+rate:0.01"}},
+		{"e29", Env{Placement: "throughput"}},
 	} {
 		got, _, err := tc.env.Run(tc.id, 7)
 		if err != nil {
 			t.Fatalf("%s under %+v: %v", tc.id, tc.env, err)
 		}
-		if got.Profile != "" || got.Transport != "" {
-			t.Errorf("%s under %+v: artifact tagged profile %q transport %q", tc.id, tc.env, got.Profile, got.Transport)
+		if got.Profile != "" || got.Faults != "" || got.Placement != "" || got.Transport != "" {
+			t.Errorf("%s under %+v: artifact tagged profile %q faults %q placement %q transport %q",
+				tc.id, tc.env, got.Profile, got.Faults, got.Placement, got.Transport)
 		}
 		want, _, err := Env{}.Run(tc.id, 7)
 		if err != nil {

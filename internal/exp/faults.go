@@ -8,7 +8,7 @@ import (
 	"hetmpc/internal/mpc"
 )
 
-// The E20–E22 sweeps exercise the fault-injection and recovery subsystem
+// The E21–E22 sweeps exercise the fault-injection and recovery subsystem
 // (DESIGN.md §7): deterministic crash/slowdown schedules, round-level
 // checkpoint replication to capacity-aware buddies, and replicated-state
 // recovery. The invariant every row re-asserts: faults never change the
@@ -16,75 +16,84 @@ import (
 // add measured cost (crashes, recovery rounds, replication words, and a
 // recovery-inflated makespan).
 
-// e20CrashRate sweeps the seed-derived crash rate under MST at a fixed
-// checkpoint cadence: the rate-0 row prices pure checkpointing, and each
-// rate step adds recovery rounds and restore traffic while rounds and the
-// MST weight stay bit-identical.
-func (rn *run) e20CrashRate(seed uint64) (*Table, error) {
+// e21CrashGrid runs two slices of the crash-rate × checkpoint-interval grid
+// under MST, crossing at one shared cell (rate 0.002, interval 8). Along the
+// rate slice the rate-0 row prices pure checkpointing and each rate step
+// adds recovery rounds and restore traffic; along the interval slice the
+// crash schedule stays put while frequent checkpoints pay replication words
+// every barrier and rare ones pay long replays on every crash. It returns an
+// error unless the rate-0 cell crashes nothing, every cell charges the
+// fault-free cell's rounds, crashes, recovery rounds, replication words and
+// makespan rise strictly with the rate, crashes are equal across intervals,
+// and replication words fall and recovery rounds rise with the interval.
+func (rn *run) e21CrashGrid(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
-	const interval = 8
+	const rate, interval = 0.002, 8 // the shared cell
 	t := &Table{
-		Title: fmt.Sprintf("E20 — crash rate vs recovery overhead under MST, n=%d m=%d (ckpt every %d rounds)", n, m, interval),
-		Header: []string{"crash rate", "crashes", "recovery rounds", "repl. words",
-			"rounds", "makespan", "vs fault-free"},
+		Title: fmt.Sprintf("E21 — crash rate × checkpoint interval under MST, n=%d m=%d (rates at interval %d, intervals at rate %g)", n, m, interval, rate),
+		Header: []string{"crash rate", "interval", "checkpoints", "crashes", "recovery rounds",
+			"repl. words", "rounds", "makespan", "vs fault-free"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, exact := graph.KruskalMSF(g)
-	baseRounds, baseMakespan := 0, 0.0
-	for _, rate := range []float64{0, 0.0005, 0.002, 0.008} {
+	type point struct {
+		rate     float64
+		interval int
+	}
+	rates := []float64{0, 0.0005, rate, 0.008}
+	intervals := []int{2, 4, interval, 16, 32, 64}
+	var grid []point
+	for _, r := range rates {
+		grid = append(grid, point{r, interval})
+	}
+	for _, iv := range intervals {
+		if iv != interval {
+			grid = append(grid, point{rate, iv})
+		}
+	}
+	stats := map[point]mpc.Stats{}
+	for _, p := range grid {
 		cfg := het(n, m, 0, seed)
-		cfg.Faults = &fault.Plan{Interval: interval, CrashRate: rate}
+		cfg.Faults = &fault.Plan{Interval: p.interval, CrashRate: p.rate}
 		c, _, err := cell(rn, cfg, mst(g, exact))
 		if err != nil {
-			return nil, fmt.Errorf("rate=%g: %w (recovery lost state?)", rate, err)
+			return nil, fmt.Errorf("rate=%g interval=%d: %w (recovery lost state?)", p.rate, p.interval, err)
 		}
 		st := c.Stats()
-		if rate == 0 {
-			baseRounds, baseMakespan = st.Rounds, st.Makespan
-			if st.Crashes != 0 {
-				return nil, fmt.Errorf("rate=0 crashed %d times", st.Crashes)
-			}
-		} else if st.Rounds != baseRounds {
-			return nil, fmt.Errorf("rate=%g changed the round count: %d vs %d", rate, st.Rounds, baseRounds)
+		stats[p] = st
+		base := stats[grid[0]] // the fault-free cell, run first
+		if st.Rounds != base.Rounds {
+			return nil, fmt.Errorf("rate=%g interval=%d changed the round count: %d vs %d", p.rate, p.interval, st.Rounds, base.Rounds)
 		}
-		t.AddRow(rate, st.Crashes, st.RecoveryRounds, st.ReplicationWords,
-			st.Rounds, st.Makespan, st.Makespan/baseMakespan)
+		t.AddRow(p.rate, p.interval, st.Checkpoints, st.Crashes, st.RecoveryRounds,
+			st.ReplicationWords, st.Rounds, st.Makespan, st.Makespan/base.Makespan)
+	}
+	if st := stats[grid[0]]; st.Crashes != 0 {
+		return nil, fmt.Errorf("rate=0 crashed %d times", st.Crashes)
+	}
+	for i := 1; i < len(rates); i++ {
+		a, b := stats[point{rates[i-1], interval}], stats[point{rates[i], interval}]
+		if b.Crashes <= a.Crashes || b.RecoveryRounds <= a.RecoveryRounds ||
+			b.ReplicationWords <= a.ReplicationWords || b.Makespan <= a.Makespan {
+			return nil, fmt.Errorf("rate %g → %g: crashes %d → %d, recovery rounds %d → %d, replication words %d → %d, makespan %g → %g do not all rise",
+				rates[i-1], rates[i], a.Crashes, b.Crashes, a.RecoveryRounds, b.RecoveryRounds,
+				a.ReplicationWords, b.ReplicationWords, a.Makespan, b.Makespan)
+		}
+	}
+	for i := 1; i < len(intervals); i++ {
+		a, b := stats[point{rate, intervals[i-1]}], stats[point{rate, intervals[i]}]
+		if b.Crashes != a.Crashes {
+			return nil, fmt.Errorf("interval %d → %d moved the crash schedule: %d → %d crashes", intervals[i-1], intervals[i], a.Crashes, b.Crashes)
+		}
+		if b.ReplicationWords >= a.ReplicationWords || b.RecoveryRounds <= a.RecoveryRounds {
+			return nil, fmt.Errorf("interval %d → %d: replication words %d → %d do not fall or recovery rounds %d → %d do not rise",
+				intervals[i-1], intervals[i], a.ReplicationWords, b.ReplicationWords, a.RecoveryRounds, b.RecoveryRounds)
+		}
 	}
 	t.Notes = append(t.Notes,
 		"rounds and the MST weight are bit-identical across rows: recovery restores exactly the pre-crash state",
-		"the rate-0 row prices pure checkpoint replication; each crash adds detect+restore+replay rounds",
-	)
-	return t, nil
-}
-
-// e21CheckpointInterval sweeps the checkpoint cadence at a fixed crash
-// rate: frequent checkpoints pay replication words every barrier, rare
-// checkpoints pay long replays on every crash — the classic trade-off
-// curve, with the makespan showing the sweet spot.
-func (rn *run) e21CheckpointInterval(seed uint64) (*Table, error) {
-	const n, m = 512, 4096
-	const rate = 0.002
-	t := &Table{
-		Title: fmt.Sprintf("E21 — checkpoint interval trade-off under MST, n=%d m=%d (crash rate %g)", n, m, rate),
-		Header: []string{"interval", "checkpoints", "repl. words", "crashes",
-			"recovery rounds", "makespan"},
-	}
-	g := graph.ConnectedGNM(n, m, seed, true)
-	_, exact := graph.KruskalMSF(g)
-	for _, interval := range []int{2, 4, 8, 16, 32, 64} {
-		cfg := het(n, m, 0, seed)
-		cfg.Faults = &fault.Plan{Interval: interval, CrashRate: rate}
-		c, _, err := cell(rn, cfg, mst(g, exact))
-		if err != nil {
-			return nil, fmt.Errorf("interval=%d: %w", interval, err)
-		}
-		st := c.Stats()
-		t.AddRow(interval, st.Checkpoints, st.ReplicationWords, st.Crashes,
-			st.RecoveryRounds, st.Makespan)
-	}
-	t.Notes = append(t.Notes,
-		"the crash schedule is identical in every row (same seed, same rounds); only the recovery cost moves",
-		"short intervals: replication words dominate; long intervals: replay rounds dominate",
+		"the rate-0 row prices pure checkpoint replication; each crash adds detect+restore+replay rounds, so every cost rises with the rate",
+		"the crash schedule is identical along the interval slice (same seed, same rounds); short intervals: replication words dominate; long intervals: replay rounds dominate",
 	)
 	return t, nil
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestE20ArtifactCarriesFaultMetrics: the E20 artifact must expose the
+// TestE21ArtifactCarriesFaultMetrics: the E21 artifact must expose the
 // fault-tolerance metrics in its model stats (the wire format the CI smoke
 // step checks).
-func TestE20ArtifactCarriesFaultMetrics(t *testing.T) {
-	art, _, err := Env{}.Run("e20", 7)
+func TestE21ArtifactCarriesFaultMetrics(t *testing.T) {
+	art, _, err := Env{}.Run("e21", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

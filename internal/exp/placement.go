@@ -243,10 +243,10 @@ func (rn *run) e30MisreportedProfile(seed uint64) (*Table, error) {
 }
 
 // e31AdaptiveTransientSlowdown crosses the placement policies with three
-// fault plans under MST on a truthful straggler cluster: the E20 crash plan
-// (checkpoints + seed-derived crashes), and a transient 16× slowdown window
-// on the fastest machine mid-run (rounds 5–40), alone and with the
-// checkpoint cadence. Static shares are fixed before the run, so static
+// fault plans under MST on a truthful straggler cluster: E21's shared
+// crash plan (checkpoints + seed-derived crashes), and a transient 16×
+// slowdown window on the fastest machine mid-run (rounds 5–40), alone and
+// with the checkpoint cadence. Static shares are fixed before the run, so static
 // throughput keeps feeding the window's machine a full share. Speculation
 // reads the effective per-round costs and must beat static throughput under
 // every plan. The adaptive estimator tracks the effective cost up as the

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -11,7 +12,7 @@ import (
 	"hetmpc/internal/trace"
 )
 
-// The E26–E28 sweeps exercise the trace subsystem (DESIGN.md §9): the
+// The E26 and E28 sweeps exercise the trace subsystem (DESIGN.md §9): the
 // per-round timeline behind Config.Trace, the phase spans the algorithms
 // tag their round loops with, and the critical-path summary derived from
 // both. Every cell is traced, so it re-asserts the conservation contract
@@ -31,15 +32,23 @@ func topPhases(s *trace.Summary, n int) []trace.PhaseStat {
 
 // e26PhaseBreakdown decomposes three algorithms' makespans into their phase
 // timelines across four machine profiles: which phase — distribute, sort,
-// sketch gather, dissemination, sampling — carries the clock, and how
-// the answer moves when capacity skew or stragglers are dialed in. Every
-// cell validates its output exactly and re-proves trace conservation.
+// sketch gather, dissemination, sampling — carries the clock, which machine
+// bounds it, and how the answer moves when capacity skew or stragglers are
+// dialed in. The uniform row is the paper's cluster, stock coordinator
+// included; every other profile runs on the beefy coordinator of the
+// placement sweeps. MST's zipf and straggler cells also run a stock twin,
+// and the pair asks, per phase, which machine bounds the clock: with a
+// stock (speed-1) coordinator its fan-out bounds phases, and provisioning it
+// away hands the critical path to the slow small machines exactly where the
+// profile says it should. It returns an error unless some stock twin phase
+// is bound by the large machine and some beefy twin phase by a small one.
+// Every cell validates its output exactly and re-proves trace conservation.
 func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	const n, m = 256, 2048
 	t := &Table{
-		Title: fmt.Sprintf("E26 — phase breakdown (top 3 phases by makespan share), n=%d m=%d", n, m),
-		Header: []string{"alg", "profile", "phase", "rounds", "words",
-			"makespan", "share", "top machine"},
+		Title: fmt.Sprintf("E26 — phase breakdown and critical-path machine (top 3 phases by makespan share), n=%d m=%d", n, m),
+		Header: []string{"alg", "profile", "coordinator", "phase", "rounds", "words",
+			"makespan", "share", "bound by", "machine speed", "top share"},
 	}
 	gW := graph.ConnectedGNM(n, m, seed, true)
 	gU := graph.ConnectedGNM(n, m, seed, false)
@@ -55,85 +64,55 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 		{"connectivity", gU, func(c *mpc.Cluster) (any, error) { return cc(gU, wantComps)(c) }},
 		{"matching", gU, func(c *mpc.Cluster) (any, error) { return maximal(gU, core.MaximalMatching)(c) }},
 	}
+	stockLarge, beefySmall := 0, 0
 	for _, alg := range algs {
-		// The uniform row is the paper's cluster, stock coordinator included.
 		for _, prof := range []string{"uniform", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"} {
-			cfg := profiled(alg.g, seed, prof, prof != "uniform")
-			cfg.Trace = trace.New()
-			c, _, err := cell(rn, cfg, alg.run)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", alg.name, prof, err)
+			beefy := []bool{prof != "uniform"}
+			twins := alg.name == "mst" && (prof == "zipf:0.8" || prof == "straggler:2:8")
+			if twins {
+				beefy = []bool{false, true}
 			}
-			for _, p := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
-				t.AddRow(alg.name, prof, p.Phase, p.Rounds, p.Words,
-					p.Makespan, p.Share, trace.MachineName(p.Top))
+			for _, b := range beefy {
+				coord := "stock"
+				if b {
+					coord = "beefy"
+				}
+				cfg := profiled(alg.g, seed, prof, b)
+				cfg.Trace = trace.New()
+				c, _, err := cell(rn, cfg, alg.run)
+				if err != nil {
+					return nil, fmt.Errorf("%s/%s/%s: %w", alg.name, prof, coord, err)
+				}
+				for _, p := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
+					speed := "-"
+					switch {
+					case p.Top == trace.Large:
+						speed = fmt.Sprintf("%g", cmp.Or(cfg.Profile.LargeSpeed, 1)) // 0 means 1
+						if twins && !b {
+							stockLarge++
+						}
+					case p.Top >= 0:
+						speed = fmt.Sprintf("%g", cfg.Profile.Speed[p.Top])
+						if twins && b {
+							beefySmall++
+						}
+					}
+					t.AddRow(alg.name, prof, coord, p.Phase, p.Rounds, p.Words,
+						p.Makespan, p.Share, trace.MachineName(p.Top), speed, p.TopShare)
+				}
 			}
 		}
+	}
+	if stockLarge == 0 || beefySmall == 0 {
+		return nil, fmt.Errorf("expected a large-bound stock phase and a small-bound beefy phase, got stock large=%d beefy small=%d", stockLarge, beefySmall)
 	}
 	t.Notes = append(t.Notes,
 		"each row is one phase path (innermost span wins, so shares partition the makespan exactly)",
 		"conservation is re-proved per cell: Σ per-round contributions == Stats.Makespan bit-identically, Σ words == TotalWords",
-	)
-	return t, nil
-}
-
-// e27CriticalPath asks, per phase, which machine bounds the clock — the
-// large coordinator or a slow small machine — under capacity skew (zipf)
-// and compute stragglers, with the coordinator provisioned both ways. With
-// a stock (speed-1) coordinator its fan-out dominates nearly every phase;
-// provisioning it away (the beefy server of the placement sweeps) hands the
-// critical path to the slow small machines exactly where the profile says
-// it should.
-func (rn *run) e27CriticalPath(seed uint64) (*Table, error) {
-	const n, m = 256, 2048
-	t := &Table{
-		Title: fmt.Sprintf("E27 — critical-path machine attribution (top 3 phases), MST n=%d m=%d", n, m),
-		Header: []string{"profile", "coordinator", "phase", "share",
-			"bound by", "machine speed", "top share"},
-	}
-	g := graph.ConnectedGNM(n, m, seed, true)
-	_, want := graph.KruskalMSF(g)
-	largeBound, smallBound := 0, 0
-	for _, prof := range []string{"zipf:0.8", "straggler:2:8"} {
-		for _, coord := range []string{"stock", "beefy"} {
-			cfg := profiled(g, seed, prof, coord == "beefy")
-			cfg.Trace = trace.New()
-			c, _, err := cell(rn, cfg, mst(g, want))
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", prof, coord, err)
-			}
-			p := cfg.Profile
-			for _, ph := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
-				speed := "-"
-				switch {
-				case ph.Top == trace.Large:
-					largeBound++
-					speed = fmt.Sprintf("%g", orOne(p.LargeSpeed))
-				case ph.Top >= 0:
-					smallBound++
-					speed = fmt.Sprintf("%g", p.Speed[ph.Top])
-				}
-				t.AddRow(prof, coord, ph.Phase, ph.Share,
-					trace.MachineName(ph.Top), speed, ph.TopShare)
-			}
-		}
-	}
-	if largeBound == 0 || smallBound == 0 {
-		return nil, fmt.Errorf("expected both large- and small-bound phases, got large=%d small=%d", largeBound, smallBound)
-	}
-	t.Notes = append(t.Notes,
 		"'bound by' is the machine with the largest summed per-round charge inside the phase; 'machine speed' is its profile speed",
-		"stock coordinator: the large machine's fan-out bounds the top phases; beefy: the critical path moves to the slow small machines",
+		"MST's stock twins: the large machine's fan-out bounds top phases; beefy: the critical path moves to the slow small machines",
 	)
 	return t, nil
-}
-
-// orOne mirrors the profile default: a zero spec field means scale 1.
-func orOne(v float64) float64 {
-	if v == 0 {
-		return 1
-	}
-	return v
 }
 
 // e28TraceGuidedPlacement explains the placement wins of E24 and E31 phase

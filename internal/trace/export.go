@@ -235,3 +235,18 @@ func WritePerfetto(w io.Writer, rounds []Round) error {
 	_, err = w.Write(data)
 	return err
 }
+
+// WriteTable renders s as the critical-path table: one row per phase path in
+// first-seen order, with its rounds, how many of them moved no words, its
+// words, makespan share and bottleneck machine.
+func (s *Summary) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-44s %7s %6s %12s %12s %7s  %s\n", "phase", "rounds", "empty", "words", "makespan", "share", "bottleneck")
+	for _, p := range s.Phases {
+		name := p.Phase
+		if name == "" {
+			name = "(untagged)"
+		}
+		fmt.Fprintf(w, "%-44s %7d %6d %12d %12.6g %6.1f%%  %s (%.0f%% of phase busy)\n",
+			name, p.Rounds, p.EmptyRounds, p.Words, p.Makespan, 100*p.Share, MachineName(p.Top), 100*p.TopShare)
+	}
+}
