@@ -176,7 +176,6 @@ var experiments = []struct {
 	{"e22", (*run).e22StragglerCrash},
 	{"e24", (*run).e24SpeculationDial},
 	{"e26", (*run).e26PhaseBreakdown},
-	{"e28", (*run).e28TraceGuidedPlacement},
 	{"e29", (*run).e29AdaptivePolicyGrid},
 	{"e30", (*run).e30MisreportedProfile},
 	{"e31", (*run).e31AdaptiveTransientSlowdown},

@@ -4,7 +4,7 @@
 // a config built through run.build, one algorithm call, and its validation
 // against the exact reference. The files follow the topics: paper.go holds
 // Table 1 and E2–E16, cost.go the cost-model sweeps E17–E19, faults.go
-// E21–E22, placement.go E24 and E29–E31, trace.go E26 and E28.
+// E21–E22, placement.go E24 and E29–E31, trace.go E26.
 // Env.Run, the one entry point, runs an experiment by id, optionally under
 // an overriding profile, fault plan, placement policy or transport, traced
 // or metered; cmd/hetbench and bench_test.go consume it.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
@@ -101,9 +102,11 @@ func (rn *run) e21CrashGrid(seed uint64) (*Table, error) {
 // e22StragglerCrash crosses a straggler speed profile with an explicit
 // crash schedule under sketch connectivity: the same crash is injected
 // once into a fast machine and once into the straggler tail. Recovering a
-// straggler pays the slow machine's replay and restore costs, so the
-// absolute recovery cost compounds with the slowdown instead of adding a
-// constant to it.
+// victim pays its own replay and restore words, each at 1/speed +
+// 1/bandwidth: 2 on a fast machine, s + 1 on a straggler of slowdown s. It
+// returns an error unless the fast victim's recovery cost is the same at
+// every slowdown and the straggler's is within 5% of its slowdown-1 cost
+// times (s + 1) / 2.
 func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	const interval = 2
@@ -116,9 +119,9 @@ func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 	g := graph.GNM(n, m, seed)
 	_, wantComps := graph.Components(g)
 	k := het(n, m, 0, seed).DeriveK()
+	ref := map[int]float64{} // each victim's recovery cost at slowdown 1, which runs first
 	for _, slowdown := range []float64{1, 16, 64} {
 		var base mpc.Stats
-		fastCost := 0.0
 		// Victim -1 is the same profile's crash-free run: checkpointing only.
 		for _, victim := range []int{-1, 0, k - 1} {
 			cfg := het(n, m, 0, seed)
@@ -139,17 +142,23 @@ func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 				continue
 			}
 			cost := st.Makespan - base.Makespan
-			name := fmt.Sprintf("straggler (machine %d)", victim)
-			if victim == 0 {
-				name, fastCost = "fast (machine 0)", cost
+			if slowdown == 1 {
+				ref[victim] = cost
+			}
+			name, want, tol := "fast (machine 0)", ref[0], 0.0
+			if victim != 0 {
+				name, want, tol = fmt.Sprintf("straggler (machine %d)", victim), ref[victim]*(slowdown+1)/2, 0.05
+			}
+			if math.Abs(cost-want) > tol*want {
+				return nil, fmt.Errorf("slowdown=%g, %s: recovery cost %g, want %g within %g%%", slowdown, name, cost, want, 100*tol)
 			}
 			t.AddRow(slowdown, name, st.Crashes, st.RecoveryRounds,
-				st.Makespan, cost, cost/fastCost)
+				st.Makespan, cost, cost/ref[0])
 		}
 	}
 	t.Notes = append(t.Notes,
 		"recovery cost = makespan minus the same profile's crash-free makespan (checkpointing included in both)",
-		"replaying and restoring a straggler victim pays its slow compute/link, so its recovery cost scales with the slowdown",
+		"a recovered word costs 1/speed + 1/bandwidth: 2 on a fast victim, s+1 on a straggler, so the straggler's cost tracks (s+1)/2 × its slowdown-1 cost and the fast victim's stays put (asserted: the fast cost exactly, the straggler's within 5%)",
 	)
 	return t, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -412,7 +413,8 @@ func (rn *run) e7Matching(seed uint64) (*Table, error) {
 }
 
 // e8Filtering sweeps the superlinear exponent for Theorem 5.5: filtering
-// iterations scale like 1/f.
+// iterations scale like 1/f. It returns an error if iterations or rounds
+// rise with f, or if f = 0.6 takes no fewer iterations than f = 0.1.
 func (rn *run) e8Filtering(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E8 — matching filtering iterations vs f (Theorem 5.5), n=256 m=16384",
@@ -420,13 +422,22 @@ func (rn *run) e8Filtering(seed uint64) (*Table, error) {
 	}
 	n, m := 256, 16384
 	g := graph.GNM(n, m, seed)
+	var first, prev *core.MatchingResult
 	for _, f := range []float64{0.1, 0.2, 0.35, 0.6} {
 		_, r, err := cell(rn, het(n, m, f, seed), maximal(g, core.MatchingFiltering))
 		if err != nil {
 			return nil, err
 		}
+		if prev != nil && (r.FilterIters > prev.FilterIters || r.Stats.Rounds > prev.Stats.Rounds) {
+			return nil, fmt.Errorf("f=%g: %d iterations and %d rounds, up from %d and %d", f, r.FilterIters, r.Stats.Rounds, prev.FilterIters, prev.Stats.Rounds)
+		}
+		first, prev = cmp.Or(first, r), r
 		t.AddRow(f, r.FilterIters, r.Stats.Rounds, 1/f)
 	}
+	if prev.FilterIters >= first.FilterIters {
+		return nil, fmt.Errorf("f=0.6 takes %d iterations, no fewer than f=0.1's %d", prev.FilterIters, first.FilterIters)
+	}
+	t.Notes = append(t.Notes, "iterations and rounds never rise with f, and f=0.6 takes fewer iterations than f=0.1 (asserted)")
 	return t, nil
 }
 
@@ -607,7 +618,9 @@ func (rn *run) e15APSP(seed uint64) (*Table, error) {
 //   - "budget=2, no sampling": plain distributed Borůvka through the
 //     heterogeneous toolbox, Θ(log n) phases.
 //
-// Every variant must still produce the exact MSF.
+// Every variant must still produce the exact MSF. It returns an error unless
+// each no-sampling variant takes more phases and more rounds than its
+// sampling twin, and full takes no more phases than budget=2.
 func (rn *run) e16MSTAblation(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E16 — MST ablation (§3 design choices), n=1024 m=2048 (sparse: the sampling step matters)",
@@ -625,15 +638,24 @@ func (rn *run) e16MSTAblation(seed uint64) (*Table, error) {
 		{"no sampling", core.MSTOptions{DisableSampling: true}},
 		{"budget=2, no sampling", core.MSTOptions{FixedBudget: 2, DisableSampling: true}},
 	}
-	for _, v := range variants {
+	var rs []*core.MSTResult
+	for i, v := range variants {
 		_, r, err := cell(rn, het(n, m, 0, seed), mstWith(g, want, v.opts))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
+		// variants[i-2] is the same budget with sampling.
+		if i >= 2 && (r.BoruvkaPhases <= rs[i-2].BoruvkaPhases || r.Stats.Rounds <= rs[i-2].Stats.Rounds) {
+			return nil, fmt.Errorf("%s: %d phases and %d rounds, not above %s's %d and %d", v.name, r.BoruvkaPhases, r.Stats.Rounds, variants[i-2].name, rs[i-2].BoruvkaPhases, rs[i-2].Stats.Rounds)
+		}
+		rs = append(rs, r)
 		t.AddRow(v.name, r.BoruvkaPhases, r.Stats.Rounds, r.SampleTries, "yes")
 	}
+	if rs[0].BoruvkaPhases > rs[1].BoruvkaPhases {
+		return nil, fmt.Errorf("full takes %d phases, more than budget=2's %d", rs[0].BoruvkaPhases, rs[1].BoruvkaPhases)
+	}
 	t.Notes = append(t.Notes,
-		"disabling the KKT sampling step costs extra contraction phases (the tail the sampling removes)",
-		"budget=2 matches the doubly-exponential schedule at laptop scales because the budgeted local merging already over-achieves; the schedules separate only when log(m/n) >> loglog(m/n)")
+		"disabling the KKT sampling step costs extra contraction phases and rounds (the tail the sampling removes; asserted against each sampling twin)",
+		"budget=2 matches the doubly-exponential schedule at laptop scales because the budgeted local merging already over-achieves; the schedules separate only when log(m/n) >> loglog(m/n); full's phases are asserted at most budget=2's")
 	return t, nil
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"hetmpc/internal/fault"
@@ -34,7 +35,7 @@ import (
 // windows). The traced cells re-prove the conservation contract under
 // mid-run share switches.
 //
-// MST is where speculation still has something to rescue (E24, E28, E31): a
+// MST is where speculation still has something to rescue (E24, E31): a
 // plain sample sort's traffic, its replies included, follows the items a
 // machine holds, which static throughput shares already balance (E29),
 // while MST's aggregations and disseminations route by key — a key's
@@ -46,13 +47,16 @@ import (
 // the stragglers), and each additional speculated shard shaves those until
 // every straggler is covered — at an honestly charged word cost. Every
 // speculate row must reproduce the cap row's tree edge for edge and its round
-// count, move exactly R = 0's algorithm words, and beat cap's makespan.
+// count, move exactly R = 0's algorithm words, and beat cap's makespan; the
+// makespan must not rise with R, and R = 4 must beat R = 0. Every cell is
+// traced, and each speculate row names the phase that won most over cap;
+// the phase wins must sum to the total win.
 func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 	const n, m = 512, 4096
 	t := &Table{
 		Title: fmt.Sprintf("E24 — speculation dial R=0..4 under straggler profiles (MST), n=%d m=%d", n, m),
 		Header: []string{"profile", "policy", "makespan", "vs cap",
-			"spec words", "words"},
+			"spec words", "words", "top win phase", "win share"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
 	_, exact := graph.KruskalMSF(g)
@@ -61,9 +65,11 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 	for _, prof := range []string{"straggler:2:8", "straggler:4:16"} {
 		var row capRow
 		var thrWords int64
+		capPhase := map[string]float64{}
+		var dial []float64 // makespan by R
 		for _, pol := range policies {
 			cfg := profiled(g, seed, prof, true)
-			cfg.Placement = pol
+			cfg.Placement, cfg.Trace = pol, trace.New()
 			c, r, err := cell(rn, cfg, mst(g, exact))
 			if err == nil {
 				prims.SortLocal(r.Edges, edgeKey)
@@ -73,11 +79,18 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 				return nil, fmt.Errorf("%s/%s: %w", prof, pol.Name(), err)
 			}
 			st := c.Stats()
-			// Algorithm words are no longer placement-independent (DESIGN.md
-			// §8): Sort's reply is a machine's own cuts, and the cuts follow
-			// the splitters, which follow the shares. Every speculate row has
-			// R = 0's shares, so R = 0's words are the reference; cap's differ.
-			if s, ok := pol.(sched.Speculate); ok {
+			phases := trace.Summarize(c.Trace().Rounds()).Phases
+			var top, share any = "-", "-"
+			s, ok := pol.(sched.Speculate)
+			if !ok {
+				for _, p := range phases {
+					capPhase[p.Phase] = p.Makespan
+				}
+			} else {
+				// Algorithm words are no longer placement-independent (DESIGN.md
+				// §8): Sort's reply is a machine's own cuts, and the cuts follow
+				// the splitters, which follow the shares. Every speculate row has
+				// R = 0's shares, so R = 0's words are the reference; cap's differ.
 				if s.R == 0 {
 					thrWords = st.TotalWords
 				}
@@ -87,16 +100,38 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 				if st.Makespan >= row.stats.Makespan {
 					return nil, fmt.Errorf("%s/%s: makespan %g did not beat cap %g", prof, pol.Name(), st.Makespan, row.stats.Makespan)
 				}
+				if s.R > 0 && st.Makespan > dial[s.R-1] {
+					return nil, fmt.Errorf("%s/%s: makespan %g rose from R=%d's %g", prof, pol.Name(), st.Makespan, s.R-1, dial[s.R-1])
+				}
+				dial = append(dial, st.Makespan)
+				// Placement moves data, never the round structure, so the
+				// phase sets match cap's and the phase wins sum to the total.
+				win, sum, best := row.stats.Makespan-st.Makespan, 0.0, 0.0
+				for _, p := range phases {
+					gap := capPhase[p.Phase] - p.Makespan
+					sum += gap
+					if gap > best {
+						top, best = p.Phase, gap
+					}
+				}
+				if math.Abs(sum-win) > 1e-6 {
+					return nil, fmt.Errorf("%s/%s: phase wins sum to %g, total win is %g", prof, pol.Name(), sum, win)
+				}
+				share = best / win
 			}
 			t.AddRow(prof, pol.Name(), st.Makespan, st.Makespan/row.stats.Makespan,
-				st.SpeculationWords, st.TotalWords)
+				st.SpeculationWords, st.TotalWords, top, share)
+		}
+		if dial[4] >= dial[0] {
+			return nil, fmt.Errorf("%s: speculate:4 makespan %g did not beat speculate:0 %g", prof, dial[4], dial[0])
 		}
 	}
 	t.Notes = append(t.Notes,
 		"R=0 is pure throughput placement; R>=1 additionally mirrors the slowest per-round shards, first-copy-wins",
-		"spec words are the honestly charged redundant traffic; algorithm words (last column) are identical in every speculate row",
+		"spec words are the honestly charged redundant traffic; algorithm words (the words column) are identical in every speculate row",
 		"the cap row's words differ: the splitters follow the placement shares, and Sort's reply to a machine is the cuts of its own run",
 		"every speculate row reproduces the cap row's tree edge for edge; its weight is validated exact in every row",
+		"makespan never rises with R, and R=4 beats R=0 (asserted); top win phase: the phase whose makespan fell most from cap's, win share: its part of the total win (the phase wins sum to it, asserted)",
 	)
 	return t, nil
 }

@@ -117,15 +117,15 @@ func TestUntracedArtifactOmitsTrace(t *testing.T) {
 	}
 }
 
-// TestE28CapSampleScatterOffTheStraggler pins where MST's KKT labels land in
-// E28's cap cell (MST, straggler:4:16, n=512, m=4096, seed 7). PlanBroadcast
+// TestE24CapSampleScatterOffTheStraggler pins where MST's KKT labels land in
+// E24's straggler:4:16 cap cell (MST, n=512, m=4096, seed 7). PlanBroadcast
 // sends a large value to its key's root whether or not anyone requests the
 // key, and the root of a key past every request is the last bucket, a
 // straggler here. Shipping every vertex's label, when only F's vertices can
 // matter, piled most of them onto it: the scatter round cost 50,083. It
 // (absent when F is empty) must cost no more than the 715 it did when the
 // labels were hashed over the machines.
-func TestE28CapSampleScatterOffTheStraggler(t *testing.T) {
+func TestE24CapSampleScatterOffTheStraggler(t *testing.T) {
 	const n, m, seed = 512, 4096, 7
 	const phase, limit = "mst/sample/broadcast", 715.0
 	rn := &run{}
