@@ -29,12 +29,13 @@ func runPrefixes[T, S any](arr *prims.Arranged[T], key func(T) int64, got [][]S)
 // record the small machine held — MST's collected replies (oriented by their
 // key), KKT sample and F-light edges (U, V under the union-find; on a
 // superlinear large machine too), the
-// spanner's direct edges (level and cluster ids from σ and the degrees),
-// matching's hub replies (the edge alone), and connectivity's sketches of
-// the vertices that shipped their incidences (every cell and the depth of
-// the sketch the vertex's machine built) — on a GNM graph, E7's planted
-// hubs and a weighted graph with repeated weights. Each gather is seen at
-// least once over the three.
+// spanner's direct and sampled edges (level and cluster ids from σ and the
+// degrees), matching's hub replies (the edge alone), and connectivity's
+// sketches of the vertices that shipped their incidences (every cell and
+// the depth of the sketch the vertex's machine built) — on a GNM graph,
+// E7's planted hubs, a weighted graph with repeated weights and
+// TestLocalPathsGolden's spanner-sampled graph, whose spanner has sampled
+// levels. Each gather is seen at least once over the four.
 func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 	repeated := graph.GNM(512, 4096, 11)
 	for j := range repeated.Edges {
@@ -48,8 +49,9 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 		{"gnm", graph.GNM(512, 4096, 7)},
 		{"hubs", graph.PlantedHubs(600, 4, 4, 500, 7+500)},
 		{"repeated-weights", repeated},
+		{"spanner-sampled", graph.ConnectedGNM(1024, 65536, 7, false)},
 	}
-	sites := []string{"mst/reply", "mst/sample", "mst/light", "spanner/direct", "matching/reply", "connectivity/incidences"}
+	sites := []string{"mst/reply", "mst/sample", "mst/light", "spanner/direct", "spanner/sampled", "matching/reply", "connectivity/incidences"}
 	seen := make([]int, len(sites))
 	onRebuild = func(site string, held, got any) {
 		var want any
@@ -72,6 +74,8 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 		case [][]cEdge:
 			want = prims.Flatten(h)
 		case [][]lvlEdge:
+			want = prims.Flatten(h)
+		case [][]sampledEdge:
 			want = prims.Flatten(h)
 		case [][]prims.KV[*sketch.Sketch]:
 			built := make(map[int64]*sketch.Sketch)

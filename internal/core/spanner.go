@@ -58,11 +58,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 
 	// The plan of the stored edges' endpoints: every per-vertex aggregation
 	// and dissemination below runs over it. Its widest values are the
-	// σ-selection's, sized by the degree classes: a degree is at most 2m.
+	// hitting-set bits, sized by the degree classes (a degree is at most
+	// 2m), or the σ-selection's pick.
 	trials := int(math.Ceil(math.Log2(float64(n) + 2)))
 	maxLevels := bits.Len64(uint64(2 * len(g.Edges)))
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts, max(spannerBitWords(maxLevels, trials), spannerSigWords(maxLevels)))
+	plan, err := prims.NewPlan(c, verts, max(spannerBitWords(maxLevels, trials), sigPickWords))
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 	// The degree classes [2^i, 2^{i+1}), i = 0..levels-1: the large machine
 	// counts them and sends the count (one word), which sizes the small
-	// machines' σ-selection items and their level edges.
+	// machines' hitting-set bits and caps their level edges' levels.
 	levels := bits.Len64(uint64(maxValue(degAtLarge, 1)))
 	if _, err := prims.BroadcastValue(c, levels, 1); err != nil {
 		return nil, err
@@ -201,6 +202,9 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			}
 		}
 		b |= 1 // B_0 = V
+		if err := checkNested(dbits[x].K, b); err != nil {
+			return nil, err
+		}
 		bbits[x] = prims.KV[bset]{K: dbits[x].K, V: bset{B: b}}
 	}
 
@@ -209,22 +213,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	type sigSlot struct {
-		Rank uint64
-		Nbr  int32
-		OU   int32
-		OV   int32
-		W    int64
-	}
-	type sigAgg struct {
-		OrB   uint64
-		Slots []sigSlot
-	}
-	sigWords := spannerSigWords(levels)
-	sigItems := make([][]prims.KV[sigAgg], kk)
+	// Each item is its neighbour's pick: the top level of the neighbour's B
+	// and the edge's rank. The large machine reads only the pick among the
+	// neighbours of the highest top level, so nothing else is sent.
+	sigItems := make([][]prims.KV[sigPick], kk)
 	c.Each(func(i int) {
-		// Every item's slots are cut from one slab for the machine.
-		slab := make([]sigSlot, 2*len(edges[i])*levels)
+		sigItems[i] = make([]prims.KV[sigPick], 0, 2*len(edges[i]))
 		for j, e := range edges[i] {
 			for dir := 0; dir < 2; dir++ {
 				u, v := e.U, e.V
@@ -232,37 +226,17 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 					u, v = v, u
 				}
 				bv, _ := bBits.Slot(i, int(slots[i][2*j+1-dir]))
-				agg := sigAgg{OrB: bv.B, Slots: slab[:levels:levels]}
-				slab = slab[levels:]
-				for s := range agg.Slots {
-					agg.Slots[s].Nbr = -1
-				}
 				r := rankHash.Eval(uint64(u)*uint64(n) + uint64(v))
-				for lvl := 0; lvl < levels; lvl++ {
-					if bv.B&(1<<lvl) != 0 {
-						agg.Slots[lvl] = sigSlot{Rank: r, Nbr: int32(v), OU: int32(e.U), OV: int32(e.V), W: e.W}
-					}
-				}
-				sigItems[i] = append(sigItems[i], prims.KV[sigAgg]{K: int64(u), V: agg})
+				pick := sigPick{Top: int32(bits.Len64(bv.B) - 1), Nbr: int32(v), Rank: r, W: e.W}
+				sigItems[i] = append(sigItems[i], prims.KV[sigPick]{K: int64(u), V: pick})
 			}
 		}
 	})
-	// The combine owns both arguments, so it folds b into a's slots.
-	sigCombine := func(a, b sigAgg) sigAgg {
-		a.OrB |= b.OrB
-		for s, sb := range b.Slots {
-			sa := a.Slots[s]
-			if sa.Nbr < 0 || (sb.Nbr >= 0 && (sb.Rank < sa.Rank || (sb.Rank == sa.Rank && sb.Nbr < sa.Nbr))) {
-				a.Slots[s] = sb
-			}
-		}
-		return a
-	}
-	sigRoots, err := prims.PlanCombine(c, plan, sigItems, sigWords, sigCombine)
+	sigRoots, err := prims.PlanCombine(c, plan, sigItems, sigPickWords, higherPick)
 	if err != nil {
 		return nil, err
 	}
-	sigAtLarge, err := prims.GatherKVs(c, sigRoots, func(sigAgg) int { return sigWords })
+	sigAtLarge, err := prims.GatherKVs(c, sigRoots, func(sigPick) int { return sigPickWords })
 	if err != nil {
 		return nil, err
 	}
@@ -272,21 +246,12 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	sigma := make([]prims.KV[int64], len(sigAtLarge))
 	topLevel := make([]int, len(sigAtLarge))
 	for x, kv := range sigAtLarge {
-		v, agg, own := kv.K, kv.V, bbits[x].V.B
-		all := own | agg.OrB
-		iu := 63 - bits.LeadingZeros64(all) // max set bit; B_0 guarantees >= 0
+		iu, s, star, ok := pickSigma(kv.K, bbits[x].V.B, kv.V)
 		topLevel[x] = iu
-		sigma[x] = prims.KV[int64]{K: v, V: v}
-		if own&(1<<iu) != 0 {
-			continue
+		sigma[x] = prims.KV[int64]{K: kv.K, V: s}
+		if ok {
+			spanner = append(spanner, star)
 		}
-		slot := agg.Slots[iu]
-		if slot.Nbr < 0 {
-			// OrB said a neighbor exists at iu; slots must agree.
-			return nil, fmt.Errorf("core: spanner σ-selection inconsistency at vertex %d", v)
-		}
-		sigma[x].V = int64(slot.Nbr)
-		spanner = append(spanner, graph.NewEdge(int(slot.OU), int(slot.OV), slot.W))
 	}
 
 	// --- Step 5: clustering-graph edges E_lvl (Claim 2) ---
@@ -398,10 +363,13 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	for x, d := range degAtLarge {
 		at[d.K] = int32(x)
 	}
+	rebuildLevel := func(e graph.Edge) lvlEdge {
+		x, y := at[e.U], at[e.V]
+		return levelEdge(e, sigma[x].V, sigma[y].V, degAtLarge[x].V, degAtLarge[y].V, levels)
+	}
 	directEdges := make([]lvlEdge, len(shipped))
 	for j, e := range shipped {
-		x, y := at[e.U], at[e.V]
-		directEdges[j] = levelEdge(e, sigma[x].V, sigma[y].V, degAtLarge[x].V, degAtLarge[y].V, levels)
+		directEdges[j] = rebuildLevel(e)
 	}
 	rebuilt("spanner/direct", directData, directEdges)
 	// Vertex sets V_lvl = {σ_u : i_u >= lvl}.
@@ -436,11 +404,6 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	}
 
 	// --- Step 8: sampled levels — modified Baswana-Sen, all levels batched ---
-	type sampledEdge struct {
-		Lvl     int32
-		BSLevel int32
-		E       clusterEdge
-	}
 	// Each (level, BS-level, edge) trial is a coin hashed from the broadcast
 	// seed and the edge, so the sample is a function of the input, not of
 	// the machine a Sort's buckets put the edge on.
@@ -459,16 +422,23 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 			for _, e := range perLvl[i][lvl] {
 				for bsl := 1; bsl <= k; bsl++ {
 					if coin(lvl, bsl, e.Orig) < p {
-						sampData[i] = append(sampData[i], sampledEdge{Lvl: int32(lvl), BSLevel: int32(bsl), E: e})
+						sampData[i] = append(sampData[i], sampledEdge{lvlEdge: lvlEdge{Lvl: int32(lvl), E: e}, BSLevel: int32(bsl)})
 					}
 				}
 			}
 		}
 	})
-	sampEdges, err := prims.GatherToLarge(c, sampData, clusterEdgeWords+2)
+	// A sampled edge ships as its original edge and BS level; the large
+	// machine rebuilds its level and cluster ids as it does a direct edge's.
+	sampShipped, err := gatherShipped(c, sampData, sampledEdge.shipped, prims.EdgeWords+1)
 	if err != nil {
 		return nil, err
 	}
+	sampEdges := make([]sampledEdge, len(sampShipped))
+	for j, se := range sampShipped {
+		sampEdges[j] = sampledEdge{lvlEdge: rebuildLevel(se.E), BSLevel: se.BSLevel}
+	}
+	rebuilt("spanner/sampled", sampData, sampEdges)
 	// Per sampled level: run lines 1-15 on the large machine.
 	type ctrTable struct{ C []int32 }
 	tables := make([]*bsTables, levels)
@@ -607,6 +577,22 @@ type lvlEdge struct {
 	E   clusterEdge
 }
 
+// sampledEdge is an edge of a sampled level's clustering graph, drawn into
+// the modified Baswana-Sen level BSLevel.
+type sampledEdge struct {
+	lvlEdge
+	BSLevel int32
+}
+
+// sampledShip is what a sampled edge sends the large machine,
+// prims.EdgeWords + 1: its original edge and BS level.
+type sampledShip struct {
+	E       graph.Edge
+	BSLevel int32
+}
+
+func (se sampledEdge) shipped() sampledShip { return sampledShip{E: se.E.Orig, BSLevel: se.BSLevel} }
+
 // levelEdge files original edge e, whose endpoints have σ su ≠ sv and
 // degrees du, dv, as an edge of A_lvl: lvl is the degree class of the
 // smaller degree, capped at levels−1, and the cluster ids ascend. The small
@@ -624,9 +610,63 @@ func spannerBitWords(levels, trials int) int {
 	return max(((levels-1)*trials+63)/64, 1)
 }
 
-// spannerSigWords is the size of a σ-selection value: the OR word and a
-// 5-word slot per degree class.
-func spannerSigWords(levels int) int { return 1 + 5*levels }
+// sigPick is a vertex's σ-selection value (Algorithm 5 lines 18-29): of
+// its neighbours whose B reaches the highest level Top, the one, Nbr, whose
+// edge has the smallest (Rank, Nbr), and that edge's weight W.
+type sigPick struct {
+	Top  int32
+	Nbr  int32
+	Rank uint64
+	W    int64
+}
+
+// sigPickWords is a sigPick's size: Top, Nbr, Rank and W.
+const sigPickWords = 4
+
+// higherPick combines two picks: the higher Top wins, then the smaller
+// (Rank, Nbr), then a.
+func higherPick(a, b sigPick) sigPick {
+	if b.Top > a.Top || b.Top == a.Top && (b.Rank < a.Rank || b.Rank == a.Rank && b.Nbr < a.Nbr) {
+		return b
+	}
+	return a
+}
+
+// pickSigma is the large machine's σ-selection for vertex v, whose own B
+// is the bitset own and whose neighbours' combined pick is p: i_v is the
+// highest level of own or p, and σ_v is v itself if own reaches i_v, else
+// p's neighbour, whose edge joins the spanner as v's star edge (ok).
+//
+// A neighbour has level T = p.Top in its B exactly when T is its B's top,
+// since no neighbour's top is higher, so p is the smallest-(Rank, Nbr)
+// neighbour in B_T: the slot a per-level fold would keep at T.
+func pickSigma(v int64, own uint64, p sigPick) (iv int, sigma int64, star graph.Edge, ok bool) {
+	if top := bits.Len64(own) - 1; top >= int(p.Top) {
+		return top, v, graph.Edge{}, false
+	}
+	return int(p.Top), int64(p.Nbr), graph.NewEdge(int(v), int(p.Nbr), p.W), true
+}
+
+// bSetError reports a vertex whose B, as the large machine built it, is not
+// downward closed. Algorithm 5 nests B_0 ⊇ B_1 ⊇ …, and the level vertex
+// sets V_lvl = {σ_u : i_u ≥ lvl} are centres in B_lvl only if it does.
+type bSetError struct {
+	V int64
+	B uint64
+}
+
+func (e *bSetError) Error() string {
+	return fmt.Sprintf("core: spanner B set %#b of vertex %d is not downward closed", e.B, e.V)
+}
+
+// checkNested returns a *bSetError unless b, vertex v's B as a bitset of
+// levels, is bits 0..t for some t.
+func checkNested(v int64, b uint64) error {
+	if b&(b+1) != 0 {
+		return &bSetError{V: v, B: b}
+	}
+	return nil
+}
 
 // SpannerWeighted computes an O(k)-spanner for a weighted graph by the
 // standard reduction (§4 / [22]): edges are partitioned into O(log W)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -246,6 +248,123 @@ func TestSpannerDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("nondeterministic edges")
+		}
+	}
+}
+
+// slotFold is the σ-selection value the pick replaced, kept as the
+// reference TestSpannerSigmaPickMatchesSlots holds the pick to: the OR of
+// the neighbours' B and, for each level, the smallest-(Rank, Nbr) neighbour
+// whose B has that level, with its edge.
+type slotFold struct {
+	OrB   uint64
+	Slots []foldSlot
+}
+
+type foldSlot struct {
+	Rank   uint64
+	Nbr    int32
+	OU, OV int32
+	W      int64
+}
+
+// foldItem is key u's item for neighbour v, whose B is bv, over edge e.
+func foldItem(levels int, v int32, bv uint64, r uint64, e graph.Edge) slotFold {
+	f := slotFold{OrB: bv, Slots: make([]foldSlot, levels)}
+	for lvl := range f.Slots {
+		f.Slots[lvl].Nbr = -1
+		if bv&(1<<lvl) != 0 {
+			f.Slots[lvl] = foldSlot{Rank: r, Nbr: v, OU: int32(e.U), OV: int32(e.V), W: e.W}
+		}
+	}
+	return f
+}
+
+func foldCombine(a, b slotFold) slotFold {
+	out := slotFold{OrB: a.OrB | b.OrB, Slots: slices.Clone(a.Slots)}
+	for s, sb := range b.Slots {
+		sa := out.Slots[s]
+		if sa.Nbr < 0 || (sb.Nbr >= 0 && (sb.Rank < sa.Rank || (sb.Rank == sa.Rank && sb.Nbr < sa.Nbr))) {
+			out.Slots[s] = sb
+		}
+	}
+	return out
+}
+
+// foldSigma is the large machine's choice from a slot fold: i_v is the top
+// level of own | OrB, σ_v is v if own has it, else the neighbour in that
+// level's slot.
+func foldSigma(v int64, own uint64, f slotFold) (iv int, sigma int64, star graph.Edge, ok bool) {
+	iv = 63 - bits.LeadingZeros64(own|f.OrB)
+	if own&(1<<iv) != 0 {
+		return iv, v, graph.Edge{}, false
+	}
+	sl := f.Slots[iv]
+	return iv, int64(sl.Nbr), graph.NewEdge(int(sl.OU), int(sl.OV), sl.W), true
+}
+
+// treeFold combines xs[lo:hi] over a binary tree whose split points are a
+// function of (lo, hi, salt), so two folds with one salt share their shape.
+func treeFold[T any](xs []T, lo, hi int, salt uint64, f func(a, b T) T) T {
+	if hi-lo == 1 {
+		return xs[lo]
+	}
+	mid := lo + 1 + int(xrand.Split(salt, uint64(lo)<<32|uint64(hi))%uint64(hi-lo-1))
+	return f(treeFold(xs, lo, mid, salt, f), treeFold(xs, mid, hi, salt, f))
+}
+
+// TestSpannerSigmaPickMatchesSlots: on random B sets and neighbour lists,
+// combined over random trees with ties in rank and repeated neighbours,
+// the 4-word pick gives every vertex the (i_v, σ_v, star edge) the per-level
+// slot fold gives. The pick is exact because no neighbour's top level is
+// above T = p.Top, so a neighbour has level T in its B exactly when T is its
+// top: that holds whether or not B is downward closed, and the test draws
+// both kinds. Downward closure is what the level vertex sets rely on, and
+// checkNested refuses a B without it by a *bSetError.
+func TestSpannerSigmaPickMatchesSlots(t *testing.T) {
+	rng := xrand.New(62)
+	randomB := func(levels int, nested bool) uint64 {
+		if nested {
+			return 1<<(rng.IntN(levels)+1) - 1
+		}
+		return 1 + rng.Uint64N(1<<levels-1)
+	}
+	var nonNested int
+	for trial := 0; trial < 4000; trial++ {
+		levels := 1 + rng.IntN(10)
+		nested := trial%2 == 0
+		const u = 1000
+		own := randomB(levels, nested)
+		deg := 1 + rng.IntN(12)
+		folds, picks := make([]slotFold, deg), make([]sigPick, deg)
+		for j := range folds {
+			v := int32(rng.IntN(40)) // repeats: parallel edges, with their own weights
+			bv := randomB(levels, nested)
+			if bv&(bv+1) != 0 {
+				nonNested++
+			}
+			r := rng.Uint64N(4) // ties in rank
+			e := graph.NewEdge(u, int(v), 1+rng.Int64N(3))
+			folds[j] = foldItem(levels, v, bv, r, e)
+			picks[j] = sigPick{Top: int32(bits.Len64(bv) - 1), Nbr: v, Rank: r, W: e.W}
+		}
+		salt := uint64(trial)
+		fi, fs, fe, fok := foldSigma(u, own, treeFold(folds, 0, deg, salt, foldCombine))
+		pi, ps, pe, pok := pickSigma(u, own, treeFold(picks, 0, deg, salt, higherPick))
+		if fi != pi || fs != ps || fe != pe || fok != pok {
+			t.Fatalf("trial %d (nested %v): own %#b, the slot fold gives (i %d, σ %d, star %v %v), the pick (i %d, σ %d, star %v %v)",
+				trial, nested, own, fi, fs, fe, fok, pi, ps, pe, pok)
+		}
+	}
+	if nonNested == 0 {
+		t.Fatal("no B set off the downward-closed premise was drawn")
+	}
+
+	for b := uint64(1); b < 1<<8; b++ {
+		err := checkNested(7, b)
+		var be *bSetError
+		if nested := b&(b+1) == 0; nested != (err == nil) || !nested && (!errors.As(err, &be) || be.B != b || be.V != 7) {
+			t.Errorf("B %#b: checkNested returned %v", b, err)
 		}
 	}
 }
