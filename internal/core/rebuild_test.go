@@ -14,23 +14,40 @@ import (
 
 // runPrefixes is what the small machines held of the replies a collection
 // returned: at each position p of arr.Keys, the first len(got[p]) items of
-// the key's run, which is contiguous in machine order.
-func runPrefixes[T, S any](arr *prims.Arranged[T], key func(T) int64, got [][]S) [][]T {
+// the key's run, which is contiguous in machine order. A reply carries no
+// key, and the large machine places it by the query that asked for it, so
+// runPrefixes also checks the placement: every position holds none or
+// min(b, degree) items of its own key's run, b the one budget the
+// collection asked of every key it queried.
+func runPrefixes[T, S any](t *testing.T, site string, arr *prims.Arranged[T], key func(T) int64, got [][]S) [][]T {
+	t.Helper()
+	b := 0
+	for _, items := range got {
+		b = max(b, len(items))
+	}
 	flat, held := prims.Flatten(arr.Data), make([][]T, len(arr.Keys))
 	for p, k := range arr.Keys {
+		if n, deg := len(got[p]), arr.Degree(p); n != 0 && n != min(b, deg) {
+			t.Fatalf("%s: key %d of degree %d holds %d items, want none or %d", site, k, deg, n, min(b, deg))
+		}
 		at, _ := slices.BinarySearchFunc(flat, k, func(it T, k int64) int { return cmp.Compare(key(it), k) })
 		held[p] = flat[at:min(at+len(got[p]), len(flat))]
+		if len(held[p]) > 0 && key(held[p][len(held[p])-1]) != k {
+			t.Fatalf("%s: key %d holds %d items, past its run", site, k, len(got[p]))
+		}
 	}
 	return held
 }
 
 // TestLargeMachineRebuildsShippedRecords: every record the large machine
 // receives without the fields it can rebuild equals, once rebuilt, the
-// record the small machine held — MST's collected replies (oriented by their
-// key), KKT sample and F-light edges (U, V under the union-find; on a
+// record the small machine held — MST's collected replies (oriented by the
+// key of the query that asked for them, each placed at that query's
+// position, runPrefixes), KKT sample and F-light edges (U, V under the union-find; on a
 // superlinear large machine too), the
 // spanner's direct and sampled edges (level and cluster ids from σ and the
-// degrees), matching's hub replies (the edge alone), and connectivity's
+// degrees), matching's hub replies (the edge alone, placed as MST's are),
+// and connectivity's
 // sketches of the vertices that shipped their incidences (every cell and
 // the depth of the sketch the vertex's machine built) — on a GNM graph,
 // E7's planted hubs, a weighted graph with repeated weights and
@@ -57,10 +74,10 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 		var want any
 		switch h := held.(type) {
 		case *prims.Arranged[cEdge]:
-			want = runPrefixes(h, func(e cEdge) int64 { return int64(e.U) }, got.([][]cEdge))
+			want = runPrefixes(t, site, h, func(e cEdge) int64 { return int64(e.U) }, got.([][]cEdge))
 		case *prims.Arranged[rankedEdge]:
 			replies := got.([][]graph.Edge)
-			prefixes := runPrefixes(h, func(re rankedEdge) int64 { return int64(re.Src) }, replies)
+			prefixes := runPrefixes(t, site, h, func(re rankedEdge) int64 { return int64(re.Src) }, replies)
 			edges := make([][]graph.Edge, len(prefixes))
 			for p, res := range prefixes {
 				for _, re := range res {

@@ -236,7 +236,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigAtLarge, err := prims.GatherKVs(c, sigRoots, func(sigPick) int { return sigPickWords })
+	sigAtLarge, err := prims.GatherKVs(c, sigRoots, func(sigPick) int { return sigShipWords })
 	if err != nil {
 		return nil, err
 	}
@@ -620,8 +620,13 @@ type sigPick struct {
 	W    int64
 }
 
-// sigPickWords is a sigPick's size: Top, Nbr, Rank and W.
-const sigPickWords = 4
+// sigPickWords is a sigPick's size in the combine: Top, Nbr, Rank and W.
+// The gather to the large machine ships sigShipWords, Top, Nbr and W:
+// pickSigma never reads Rank, which only orders the combine.
+const (
+	sigPickWords = 4
+	sigShipWords = 3
+)
 
 // higherPick combines two picks: the higher Top wins, then the smaller
 // (Rank, Nbr), then a.

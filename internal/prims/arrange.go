@@ -23,11 +23,18 @@ type Arranged[T any] struct {
 
 // runRec is one machine's report of one run: the key and how many of its
 // items the machine holds. Machine rides uncharged — the report's message
-// names its sender — and the int32 fields keep a record at two words.
+// names its sender. A record is a count word and its key, which costs
+// keyRunWords with the message's other keys.
 type runRec struct {
 	Key            int64
 	Machine, Count int32
 }
+
+func (r runRec) key() int64 { return r.Key }
+
+// runRecWords is what a message of runs or queries costs: a count word each
+// and their keys.
+func runRecWords(rs []runRec) int { return len(rs) + keyRunWords(rs, runRec.key) }
 
 // Arrange sorts the items by sortKey — whose leading component .A is the
 // grouping key — and builds the run index on the large machine. Requires a
@@ -68,7 +75,7 @@ func Arrange[T any](c *mpc.Cluster, data [][]T, sortKey func(T) SortKey, itemWor
 		}
 		reports[i] = rs
 	})
-	runs, err := Gather(c, reports, func(rs []runRec) int { return 2 * len(rs) })
+	runs, err := Gather(c, reports, runRecWords)
 	if err != nil {
 		return nil, err
 	}
@@ -98,26 +105,21 @@ func (a *Arranged[T]) Degree(p int) (d int) {
 	return d
 }
 
-// reply carries the items a query — a run's report cut to its first Count
-// items — asked for, as they ship.
-type reply[S any] struct {
-	Key   int64
-	Items []S
-}
-
 // CollectBudget implements the collection pattern of §3 and §5: for the key
 // at each position p of a.Keys, the large machine requests the first
 // budget(p) items of the key's global run (they are the lightest, since runs
 // are sorted) and receives them at position p, in global order. An item
 // ships as ship(item), charged shipWords: the fields the large machine
 // reads and cannot rebuild. Two rounds: a scatter of queries, a gather of
-// items. The caller is responsible for Σ budgets fitting the large machine
-// (the paper's O(n log n) bound).
+// items. A machine's reply is its queried items alone: the large machine
+// sent the queries, so it knows each one's key and count, and places the
+// items by the queries, not by anything they carry. The caller is
+// responsible for Σ budgets fitting the large machine (the paper's
+// O(n log n) bound).
 func CollectBudget[T, S any](c *mpc.Cluster, a *Arranged[T], budget func(p int) int, ship func(T) S, shipWords int) ([][]S, error) {
-	// A machine is asked at most once a run it reported, so its queries and
-	// replies are carved from one array each where its reports sit, and the
-	// items it ships from one array per call, at the offset of its queries'
-	// counts.
+	// A machine is asked at most once a run it reported, so its queries are
+	// carved from one array where its reports sit, and the items it ships
+	// from one array per call, at the offset of its queries' counts.
 	k, from, total := c.K(), a.from, 0
 	qbuf, queries := make([]runRec, len(a.runs)), make([][]runRec, k)
 	for i := range queries {
@@ -139,52 +141,46 @@ func CollectBudget[T, S any](c *mpc.Cluster, a *Arranged[T], budget func(p int) 
 	for i := range k {
 		asked[i+1] += asked[i]
 	}
-	ins, err := Scatter(c, queries, func(qs []runRec) int { return 2 * len(qs) })
+	ins, err := Scatter(c, queries, runRecWords)
 	if err != nil {
 		return nil, err
 	}
 	// Machines answer with the first Count items of each queried run: queries
 	// and runs both ascend by key, so one walk over the machine's items finds
 	// them.
-	rbuf, replies := make([]reply[S], len(a.runs)), make([][]reply[S], k)
-	sbuf := make([]S, total)
+	sbuf, replies := make([]S, total), make([][]S, k)
 	c.Each(func(i int) {
-		replies[i] = rbuf[from[i] : from[i]+len(ins[i]) : from[i]+len(ins[i])]
-		data, shipped := a.Data[i], sbuf[asked[i]:asked[i]]
-		for j, q := range ins[i] {
+		data, shipped := a.Data[i], sbuf[asked[i]:asked[i]:asked[i+1]]
+		for _, q := range ins[i] {
 			// The query is cut from this machine's report of the run: the
 			// run is here, at least Count long.
 			for a.key(data[0]) < q.Key {
 				data = data[1:]
 			}
-			at := len(shipped)
 			for _, it := range data[:q.Count] {
 				shipped = append(shipped, ship(it))
 			}
-			replies[i][j] = reply[S]{Key: q.Key, Items: shipped[at:len(shipped):len(shipped)]}
 		}
+		replies[i] = shipped
 	})
-	got, err := Gather(c, replies, func(rs []reply[S]) int {
-		w := len(rs)
-		for _, r := range rs {
-			w += len(r.Items) * shipWords
-		}
-		return w
-	})
+	got, err := Gather(c, replies, func(items []S) int { return len(items) * shipWords })
 	if err != nil {
 		return nil, err
 	}
-	// Machine order is run order per key, and every machine's replies ascend
-	// by key, each a key of Keys: one walk over Keys places them. A key's
-	// replies are adjacent, so its items are one stretch of one array.
-	items, out, p := make([]S, 0, total), make([][]S, len(a.Keys)), 0
-	for _, r := range got {
-		for a.Keys[p] < r.Key {
-			p++
+	// The items arrive in machine order, each machine's in the order of its
+	// queries; walking the queries the same way places them. Machine order is
+	// run order per key and every machine's queries ascend by key, so a key's
+	// items are one stretch of got.
+	out, p, at := make([][]S, len(a.Keys)), 0, 0
+	for _, qs := range queries {
+		for _, q := range qs {
+			for a.Keys[p] < q.Key {
+				p++
+			}
+			end := at + int(q.Count)
+			out[p] = got[at-len(out[p]) : end : end] // the key's earlier items end at at
+			at = end
 		}
-		start := len(items) - len(out[p]) // the key's earlier items end items
-		items = append(items, r.Items...)
-		out[p] = items[start:len(items):len(items)]
 	}
 	return out, nil
 }

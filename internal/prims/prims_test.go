@@ -630,6 +630,102 @@ func TestArrangeAndCollectBudget(t *testing.T) {
 	}
 }
 
+// TestPerKeyMessagesChargeKeyRuns: a message of keys into or out of the
+// large machine is charged its keys at keyRunWords — GatherKVs' pairs,
+// PlanBroadcast's scatter of the large values, Arrange's run reports and
+// CollectBudget's queries — and CollectBudget's replies their items alone.
+func TestPerKeyMessagesChargeKeyRuns(t *testing.T) {
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: 256, M: 2048, Seed: 42, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := c.K()
+	// words moves f's rounds and returns the words each moved.
+	words := func(f func() error) []int64 {
+		t.Helper()
+		from := len(tr.Rounds())
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		var ws []int64
+		for _, rd := range tr.Rounds()[from:] {
+			ws = append(ws, rd.Words)
+		}
+		return ws
+	}
+	key := func(x int64) int64 { return x }
+
+	// Machine 0's keys are two runs, 11 keys: 4 words. Machine 1's three
+	// keys are three runs: a key a word.
+	kvs := make([][]KV[int64], k)
+	for x := int64(10); x < 20; x++ {
+		kvs[0] = append(kvs[0], KV[int64]{K: x})
+	}
+	kvs[0] = append(kvs[0], KV[int64]{K: 30})
+	kvs[1] = []KV[int64]{{K: 40}, {K: 42}, {K: 44}}
+	if got := words(func() error { _, err := GatherKVs(c, kvs, func(int64) int { return 1 }); return err }); !slices.Equal(got, []int64{4 + 11 + 3 + 3}) {
+		t.Errorf("GatherKVs moved %v words, want [21]", got)
+	}
+
+	// The large values of keys 0..299 go to their roots, which own
+	// contiguous key ranges.
+	needs := make([][]int64, k)
+	for x := range int64(300) {
+		needs[x%int64(k)] = append(needs[x%int64(k)], x)
+	}
+	p, err := NewPlan(c, needs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, at := make([]KV[int64], 300), make([][]int64, k)
+	for x := range large {
+		large[x] = KV[int64]{K: int64(x)}
+		at[p.root(int64(x))] = append(at[p.root(int64(x))], int64(x))
+	}
+	want := int64(0)
+	for _, keys := range at {
+		want += int64(2*len(keys) + keyRunWords(keys, key))
+	}
+	if got := words(func() error { _, err := PlanBroadcast(c, p, nil, large, 2); return err }); got[0] != want || want >= 3*300 {
+		t.Errorf("PlanBroadcast's scatter moved %d words, want %d, below %d", got[0], want, 3*300)
+	}
+
+	// Every vertex's out-edges, arranged by source.
+	g := graph.GNM(200, 1500, 3)
+	dir := make([][]graph.Edge, k)
+	for j, e := range g.Edges {
+		dir[j%k] = append(dir[j%k], e, graph.Edge{U: e.V, V: e.U, W: e.W})
+	}
+	var arr *Arranged[graph.Edge]
+	got := words(func() (err error) {
+		arr, err = Arrange(c, dir, func(e graph.Edge) SortKey { return SortKey{A: int64(e.U), B: int64(e.V)} }, EdgeWords)
+		return err
+	})
+	want = 0
+	for i := range k {
+		want += int64(runRecWords(arr.runs[arr.from[i]:arr.from[i+1]]))
+	}
+	if got[len(got)-1] != want {
+		t.Errorf("Arrange's run reports moved %d words, want %d", got[len(got)-1], want)
+	}
+	var collected [][]int64
+	got = words(func() (err error) {
+		collected, err = CollectBudget(c, arr, func(p int) int { return 1 + p%3 }, func(e graph.Edge) int64 { return int64(e.V) }, 1)
+		return err
+	})
+	queries, items := 0, 0
+	for p := range arr.Keys {
+		items += len(collected[p])
+		for left, r := 1+p%3, arr.runOf(p); left > 0 && len(r) > 0; r, left = r[1:], left-int(r[0].Count) {
+			queries++
+		}
+	}
+	if len(got) != 2 || got[0] < int64(queries) || got[0] >= 2*int64(queries) || got[1] != int64(items) {
+		t.Errorf("CollectBudget moved %v words, want its %d queries at 1..2 words each and its %d items alone", got, queries, items)
+	}
+}
+
 // arrangeLumps is the input of the two tests below, on 256 vertices and
 // 2,048 edges (K = 128): every third machine is empty; five spread groups of
 // about 800 items each have distinct sort keys, negative group keys

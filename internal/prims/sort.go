@@ -688,6 +688,32 @@ const (
 // rides in the reply's header word.
 func runCutWords(cuts []Cut, items int) int { return min(cutWords*len(cuts), items) }
 
+// keyRunWords is what the keys of one message cost on the wire, in the
+// shorter of two forms that decode to the same keys: a key a word, or
+// (first key, length) for each run of consecutive keys, each key or run
+// followed by its values. The form costs no word: the keys these messages
+// carry are vertex ids and pair codes, never negative, so the run form
+// writes its first key complemented and the sign of the first word names
+// the form. A message whose first key is negative has no free tag and pays
+// a key a word, as before the run form. The receiver parses either form to
+// the message's end, so it needs nothing but the message.
+func keyRunWords[T any](items []T, key func(T) int64) int {
+	n := len(items)
+	if n == 0 || key(items[0]) < 0 {
+		return n
+	}
+	runs := 1
+	for j := 1; j < n && 2*runs < n; j++ {
+		if key(items[j]) != key(items[j-1])+1 {
+			runs++
+		}
+	}
+	return min(n, 2*runs)
+}
+
+// kvKey keys a (key, value) pair by its key, as keyRunWords reads it.
+func kvKey[V any](kv KV[V]) int64 { return kv.K }
+
 // sortReply is a leader's answer to one machine's sample: the cuts of the
 // machine's run or, for a machine that holds more than it sampled, the
 // splitter list to derive them from. The list is never nil (pickSplitters

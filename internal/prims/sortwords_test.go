@@ -10,9 +10,10 @@ import (
 	"hetmpc/internal/xrand"
 )
 
-// This file is the proof that Sort's sample, list and whole-run reply charges
+// This file is the proof that Sort's sample, list and whole-run reply charges,
+// and the keys of the per-key messages into and out of the large machine,
 // are honest (DESIGN.md §1): a lossless encoding of each message whose length
-// is the words the message is charged. The encoder and decoder exist only
+// is the words the message is charged. The encoders and decoders exist only
 // here; the simulator charges their length and hands the payload over as is.
 
 // encodeKeys writes a run of sort keys and the header value head as columns.
@@ -96,6 +97,70 @@ func decodeRunCuts(words []int64) []Cut {
 		}
 	}
 	return cuts
+}
+
+// encodeKeyRuns writes a message of keys, each key followed by vwords words
+// of its value (here its index j, vwords times), in the shorter of the two
+// forms keyRunWords prices: each key then its value, or each run of
+// consecutive keys as its first key and length, then the run's values. The
+// run form writes its first word complemented, negative where the key is
+// not; a message whose first key is negative goes a key a word.
+func encodeKeyRuns(keys []int64, vwords int) []int64 {
+	vals := func(out []int64, j int) []int64 {
+		for range vwords {
+			out = append(out, int64(j))
+		}
+		return out
+	}
+	var perKey, perRun []int64
+	runs := 0
+	for j := 0; j < len(keys); runs++ {
+		l := 1
+		for j+l < len(keys) && keys[j+l] == keys[j+l-1]+1 {
+			l++
+		}
+		perRun = append(perRun, keys[j], int64(l))
+		for x := j; x < j+l; x++ {
+			perKey, perRun = vals(append(perKey, keys[x]), x), vals(perRun, x)
+		}
+		j += l
+	}
+	if len(keys) == 0 || keys[0] < 0 || 2*runs >= len(keys) {
+		return perKey
+	}
+	perRun[0] = ^perRun[0]
+	return perRun
+}
+
+// decodeKeyRuns reverses encodeKeyRuns, reading the form off the sign of
+// the first word and parsing to the message's end: the keys, and the values
+// as the index each one carries. The sign is free only where the first key
+// is not negative, as no vertex id or pair code is; signed says it may be,
+// and such a message comes in the key form, which its receiver must know.
+func decodeKeyRuns(words []int64, vwords int, signed bool) (keys, vals []int64) {
+	value := func(p int) {
+		if vwords > 0 {
+			vals = append(vals, words[p])
+		}
+	}
+	if len(words) == 0 || signed || words[0] >= 0 {
+		for p := 0; p < len(words); p += 1 + vwords {
+			keys = append(keys, words[p])
+			value(p + 1)
+		}
+		return keys, vals
+	}
+	for p, first := 0, ^words[0]; p < len(words); {
+		l := int(words[p+1])
+		for x := range l {
+			keys = append(keys, first+int64(x))
+			value(p + 2 + x*vwords)
+		}
+		if p += 2 + l*vwords; p < len(words) {
+			first = words[p]
+		}
+	}
+	return keys, vals
 }
 
 // checkKeyRun round-trips a key run under header head and checks that the
@@ -193,6 +258,66 @@ func TestSortMessageWords(t *testing.T) {
 		}
 	}
 	checkRunCuts(t, nil, 0)
+}
+
+// FuzzKeyRunWords fuzzes keyRunWords, the price of the keys of a per-key
+// message into or out of the large machine, over key lists whose steps are
+// drawn by the bits of mask: +1 (a run goes on), 0 (a key repeats), a gap
+// of 2..9, or a step back of 1..8. The first key is start, so it may be
+// negative (no site ships such a list: it has no free tag and is charged a
+// key a word), and values are 0..3 words each. Decoding what was encoded
+// returns the keys and values, the encoding's length is the keys' charge
+// plus the values', and no charge exceeds a key a word, what a key cost
+// before the run form.
+func FuzzKeyRunWords(f *testing.F) {
+	f.Add(uint8(40), uint8(1), int64(0), uint64(1))   // one run from vertex 0
+	f.Add(uint8(40), uint8(5), int64(300), uint64(2)) // runs cut by gaps
+	f.Add(uint8(40), uint8(3), int64(7), uint64(3))   // runs and repeats
+	f.Add(uint8(40), uint8(15), int64(9), uint64(4))  // any step, unsorted
+	f.Add(uint8(0), uint8(1), int64(0), uint64(5))    // empty
+	f.Add(uint8(1), uint8(1), int64(4), uint64(6))    // one key
+	f.Add(uint8(40), uint8(1), int64(-3), uint64(7))  // a run through 0 from a negative key: no free tag
+	f.Add(uint8(40), uint8(4), int64(1), uint64(8))   // every key alone: gaps only
+	f.Fuzz(func(t *testing.T, n, mask uint8, start int64, seed uint64) {
+		rng := xrand.New(seed)
+		steps := []int64{1, 0, 2, -1}
+		keys := make([]int64, n)
+		for j := range keys {
+			if j == 0 {
+				keys[j] = start
+				continue
+			}
+			step := steps[rng.IntN(len(steps))]
+			if mask&(1<<slices.Index(steps, step)) == 0 {
+				step = 1
+			}
+			switch step {
+			case 2:
+				step += rng.Int64N(8)
+			case -1:
+				step -= rng.Int64N(8)
+			}
+			keys[j] = keys[j-1] + step
+		}
+		vwords := int(mask>>4) & 3
+		enc := encodeKeyRuns(keys, vwords)
+		got, vals := decodeKeyRuns(enc, vwords, n > 0 && keys[0] < 0)
+		if !slices.Equal(got, keys) {
+			t.Fatalf("keys %v at %d value words decode to %v", keys, vwords, got)
+		}
+		for j := range keys {
+			if vwords > 0 && (len(vals) != len(keys) || vals[j] != int64(j)) {
+				t.Fatalf("keys %v at %d value words decode with values %v", keys, vwords, vals)
+			}
+		}
+		words := keyRunWords(keys, func(k int64) int64 { return k })
+		if len(enc) != words+vwords*len(keys) {
+			t.Fatalf("keys %v at %d value words encode to %d words, keyRunWords charges %d + %d", keys, vwords, len(enc), words, vwords*len(keys))
+		}
+		if words > len(keys) {
+			t.Fatalf("keys %v cost %d words, more than a key a word", keys, words)
+		}
+	})
 }
 
 // groupKey is a key's group's least key, as a grouped sample carries it.
