@@ -59,7 +59,7 @@ func table1Rounds(t *testing.T) []hetmpc.TraceRound {
 // there is the route round that carries every partial — except the two
 // random-mate loops' below, and a new empty round anywhere fails by its path.
 func TestTable1EmptyRounds(t *testing.T) {
-	// 18 of the 600 rounds. The protocols below run a fixed number of
+	// 16 of the 591 rounds. The protocols below run a fixed number of
 	// rounds so that the round count depends on public parameters only; each
 	// listed round had nothing to carry on this input.
 	allowed := map[string]int{
@@ -92,9 +92,6 @@ func TestTable1EmptyRounds(t *testing.T) {
 		"matching/gather":   1,
 		"mst/sample/gather": 1,
 		"spanner/gather":    2,
-		// CollectBudget's query and reply rounds when no vertex is above the
-		// phase-2 degree cap: this G(n,m) has no high-degree vertex.
-		"matching": 2,
 	}
 
 	s := table1Summary(t)
@@ -104,8 +101,8 @@ func TestTable1EmptyRounds(t *testing.T) {
 			got[p.Phase] = p.EmptyRounds
 		}
 	}
-	if s.Rounds != 600 {
-		t.Errorf("the twelve calls charge %d rounds, want 600", s.Rounds)
+	if s.Rounds != 591 {
+		t.Errorf("the twelve calls charge %d rounds, want 591", s.Rounds)
 	}
 	phases := make([]string, 0, len(got)+len(allowed))
 	for phase := range got {
@@ -163,7 +160,6 @@ func TestTable1SortCalls(t *testing.T) {
 		"peel/plan":                  5,
 		"matching/plan":              1,
 		"matching/peel/plan":         2,
-		"matching/arrange":           1,
 	}
 	got := map[string]int{}
 	for _, p := range table1Summary(t).Phases {

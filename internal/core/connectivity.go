@@ -530,8 +530,8 @@ func (s *sketchPhase) sketchIncidences(updaters []*sketch.EdgeUpdater, lo int, g
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words
-// each, by vertex alone: all of a vertex's land in one bucket. A self-loop
-// has none, as its two updates would cancel.
+// each, by vertex alone (a one-column Sort): all of a vertex's land in one
+// bucket. A self-loop has none, as its two updates would cancel.
 func sortIncidences(c *mpc.Cluster, edges [][]graph.Edge) ([][]sketch.Incidence, error) {
 	incs := make([][]sketch.Incidence, c.K())
 	c.Each(func(i int) {
@@ -542,7 +542,7 @@ func sortIncidences(c *mpc.Cluster, edges [][]graph.Edge) ([][]sketch.Incidence,
 			}
 		}
 	})
-	return prims.Sort(c, incs, 2, byGroup)
+	return prims.SortOneColumn(c, incs, 2, byGroup)
 }
 
 // vertexSketches is one small machine's sketches of its run of incidences

@@ -39,7 +39,9 @@ func (re rankedEdge) edge() graph.Edge { return re.E }
 //	         large machine, then complete M1 there — the round count
 //	         depends on d, not on Δ;
 //	Phase 2: every high-degree vertex sends 2d·log n random incident edges
-//	         to the large machine, which greedily extends the matching;
+//	         to the large machine, which greedily extends the matching —
+//	         only the high vertices are flagged, arranged and collected,
+//	         and a run whose one-word count of them reads 0 skips the phase;
 //	Phase 3: all edges with both endpoints still unmatched (≤ 2n w.h.p.,
 //	         Lemma 5.4) are shipped and the matching is completed.
 func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
@@ -72,23 +74,44 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	degs, err := prims.PlanBroadcast(c, plan, nil, degAtLarge, 1)
-	if err != nil {
-		return nil, err
-	}
 	d := int64(math.Ceil(2 * float64(m) / float64(n)))
 	if d < 2 {
 		d = 2
 	}
 	lowCap := d * d
+	// The large machine names the high vertices (deg > d²) and broadcasts
+	// how many there are, a word a machine. With none every edge is low, and
+	// no flag, arrangement or collection runs; otherwise only the high
+	// vertices are flagged, and a machine reads a missing flag as low.
+	var highAt []prims.KV[bool]
+	for _, kv := range degAtLarge {
+		if kv.V > lowCap {
+			highAt = append(highAt, prims.KV[bool]{K: kv.K, V: true})
+		}
+	}
+	count := c.Span("count")
+	_, err = prims.BroadcastValue(c, int64(len(highAt)), 1)
+	count.End()
+	if err != nil {
+		return nil, err
+	}
+	var isHigh prims.Answers[bool] // answers nothing: every vertex is low
+	if len(highAt) > 0 {
+		if isHigh, err = prims.PlanBroadcast(c, plan, nil, highAt, 1); err != nil {
+			return nil, err
+		}
+	}
+	high := func(i, j int) (u, v bool) {
+		u, _ = isHigh.Slot(i, int(slots[i][2*j]))
+		v, _ = isHigh.Slot(i, int(slots[i][2*j+1]))
+		return u, v
+	}
 
 	// --- Phase 1: peel the low-degree induced subgraph ---
 	lowEdges := make([][]graph.Edge, kk)
 	c.Each(func(i int) {
 		for j, e := range edges[i] {
-			du, _ := degs.Slot(i, int(slots[i][2*j]))
-			dv, _ := degs.Slot(i, int(slots[i][2*j+1]))
-			if du <= lowCap && dv <= lowCap {
+			if hu, hv := high(i, j); !hu && !hv {
 				lowEdges[i] = append(lowEdges[i], e)
 			}
 		}
@@ -120,60 +143,13 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	matching = append(matching, add...)
 
 	// --- Phase 2: high-degree vertices send 2d·log n random edges ---
-	logn := int64(math.Ceil(math.Log2(float64(n) + 2)))
-	budget := 2 * d * logn
-	// Directed copies with a per-edge shared random rank: the arrangement
-	// sorted by (vertex, rank) makes "the budget lowest-ranked incident
-	// edges" exactly a uniform random sample (§5 Phase 2).
-	seed, err := prims.BroadcastSeed(c)
-	if err != nil {
-		return nil, err
-	}
-	rankHash := xrand.NewHash(seed, 4)
-	directed := make([][]rankedEdge, kk)
-	c.Each(func(i int) {
-		directed[i] = make([]rankedEdge, 0, 2*len(edges[i]))
-		for _, e := range edges[i] {
-			r := rankHash.Eval(uint64(e.Key(n)))
-			directed[i] = append(directed[i],
-				rankedEdge{Src: int32(e.U), Rank: r, E: e},
-				rankedEdge{Src: int32(e.V), Rank: r, E: e})
+	if len(highAt) > 0 {
+		logn := int64(math.Ceil(math.Log2(float64(n) + 2)))
+		add, err := matchHigh(c, edges, high, n, int(2*d*logn), matchedAt)
+		if err != nil {
+			return nil, err
 		}
-	})
-	arr, err := prims.Arrange(c, directed, func(re rankedEdge) prims.SortKey {
-		return prims.SortKey{A: int64(re.Src), B: int64(re.Rank >> 1), C: re.E.Key(n)}
-	}, prims.EdgeWords+2)
-	if err != nil {
-		return nil, err
-	}
-	// The arranged keys are the edges' endpoints, as degAtLarge's are: a
-	// position in one is the same vertex's in the other.
-	high := func(p int) bool { return degAtLarge[p].V > lowCap }
-	collected, err := prims.CollectBudget(c, arr, func(p int) int {
-		if high(p) {
-			return int(budget)
-		}
-		return 0
-	}, rankedEdge.edge, prims.EdgeWords)
-	if err != nil {
-		return nil, err
-	}
-	rebuilt("matching/reply", arr, collected)
-	// Large machine: greedy M2 over the high vertices in sorted order.
-	for p, kv := range degAtLarge {
-		v := int(kv.K)
-		if !high(p) || matchedAt[v] {
-			continue
-		}
-		for _, e := range collected[p] {
-			u := e.Other(v)
-			if !matchedAt[u] {
-				matching = append(matching, e)
-				matchedAt[v] = true
-				matchedAt[u] = true
-				break
-			}
-		}
+		matching = append(matching, add...)
 	}
 
 	// --- Phase 3: ship all edges with both endpoints unmatched ---
@@ -215,6 +191,65 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	sortEdgesStable(matching)
 	res.Edges = matching
 	return res, nil
+}
+
+// matchHigh is Phase 2 over the high vertices alone: each sends budget
+// random incident edges to the large machine, which extends the matching
+// greedily, visiting them in ascending order. high(i, j) says which
+// endpoints of machine i's edge j are high. Each edge is copied once per
+// high endpoint with a shared random rank, so the arrangement sorted by
+// (vertex, rank) makes "the budget lowest-ranked incident edges" exactly a
+// uniform random sample (§5 Phase 2), and its keys are the high vertices.
+// Returns the edges added; matchedAt is updated in place.
+func matchHigh(c *mpc.Cluster, edges [][]graph.Edge, high func(i, j int) (u, v bool), n, budget int, matchedAt []bool) ([]graph.Edge, error) {
+	seed, err := prims.BroadcastSeed(c)
+	if err != nil {
+		return nil, err
+	}
+	rankHash := xrand.NewHash(seed, 4)
+	directed := make([][]rankedEdge, c.K())
+	c.Each(func(i int) {
+		for j, e := range edges[i] {
+			hu, hv := high(i, j)
+			if !hu && !hv {
+				continue
+			}
+			r := rankHash.Eval(uint64(e.Key(n)))
+			if hu {
+				directed[i] = append(directed[i], rankedEdge{Src: int32(e.U), Rank: r, E: e})
+			}
+			if hv {
+				directed[i] = append(directed[i], rankedEdge{Src: int32(e.V), Rank: r, E: e})
+			}
+		}
+	})
+	arr, err := prims.Arrange(c, directed, func(re rankedEdge) prims.SortKey {
+		return prims.SortKey{A: int64(re.Src), B: int64(re.Rank >> 1), C: re.E.Key(n)}
+	}, prims.EdgeWords+2)
+	if err != nil {
+		return nil, err
+	}
+	collected, err := prims.CollectBudget(c, arr, func(int) int { return budget }, rankedEdge.edge, prims.EdgeWords)
+	if err != nil {
+		return nil, err
+	}
+	rebuilt("matching/reply", arr, collected)
+	var add []graph.Edge
+	for p, k := range arr.Keys {
+		v := int(k)
+		if matchedAt[v] {
+			continue
+		}
+		for _, e := range collected[p] {
+			if u := e.Other(v); !matchedAt[u] {
+				add = append(add, e)
+				matchedAt[v] = true
+				matchedAt[u] = true
+				break
+			}
+		}
+	}
+	return add, nil
 }
 
 // MatchingFiltering is the Theorem 5.5 variant for a superlinear large

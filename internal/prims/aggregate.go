@@ -93,7 +93,7 @@ func AggregateByKey[V any](
 
 	// Local combine, then the global sort by key.
 	partials := localCombineAll(c, items, combine)
-	roots, _, err := sortSplit(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} }, split{oneCol: true})
+	roots, err := SortOneColumn(c, partials, vwords+1, func(kv KV[V]) SortKey { return SortKey{A: kv.K} })
 	if err != nil {
 		return nil, err
 	}

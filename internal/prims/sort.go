@@ -95,13 +95,24 @@ func Sort[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey)
 	return sorted, err
 }
 
+// SortOneColumn is Sort for keys that vary in column A only, B and C
+// constant, as AggregateByKey's and connectivity's incidences' do: its
+// buckets are Sort's, but its leaders' held state counts a key one word
+// (split.oneCol), so ⌈√K⌉ leaders fit where a plain Sort's 3-word count
+// leaves the coordinator alone.
+func SortOneColumn[T any](c *mpc.Cluster, data [][]T, itemWords int, key func(T) SortKey) ([][]T, error) {
+	sorted, _, err := sortSplit(c, data, itemWords, key, split{oneCol: true})
+	return sorted, err
+}
+
 // split is how a sortSplit picks its buckets beyond Sort's: align > 0 cuts
 // the splitters at the boundaries of every key with at most align items
 // (pickSplitters), spans tells every machine the spans it sits in (a plan's
 // Sort), and grouped cuts them at every boundary of the A column — the
 // groups — and samples that column only (Arrange's mode, DESIGN.md §1).
-// oneCol says the keys vary in column A only (AggregateByKey's); it changes
-// no bucket, only what sortLeaders counts a key (widths).
+// oneCol says the keys vary in column A only (SortOneColumn's, which
+// AggregateByKey calls); it changes no bucket, only what sortLeaders counts
+// a key (widths).
 type split struct {
 	align   int
 	spans   bool
@@ -111,7 +122,7 @@ type split struct {
 
 // widths is the most words a key of the Sort's samples and summaries costs
 // (keyWords), a word for each column that can vary over them: column A
-// alone in a grouped Sort and in AggregateByKey's (x, 0, 0) keys; for a
+// alone in a grouped Sort and in SortOneColumn's (x, 0, 0) keys; for a
 // plan's (x, 1, requester) requests, A in a machine's sample and A and C in
 // a summary; every column in any other Sort.
 func (how split) widths() (sample, summary int) {
@@ -691,16 +702,21 @@ func runCutWords(cuts []Cut, items int) int { return min(cutWords*len(cuts), ite
 // keyRunWords is what the keys of one message cost on the wire, in the
 // shorter of two forms that decode to the same keys: a key a word, or
 // (first key, length) for each run of consecutive keys, each key or run
-// followed by its values. The form costs no word: the keys these messages
-// carry are vertex ids and pair codes, never negative, so the run form
-// writes its first key complemented and the sign of the first word names
-// the form. A message whose first key is negative has no free tag and pays
-// a key a word, as before the run form. The receiver parses either form to
-// the message's end, so it needs nothing but the message.
+// followed by its values. Where the first key is not negative — as the
+// vertex ids and pair codes these messages carry never are — the form
+// costs no word: the run form writes its first key complemented and the
+// sign of the first word names the form. A message whose first key is
+// negative pays one tag word, math.MinInt64, before its keys, a key a word;
+// a run form's first word is never followed by a negative length, so the
+// tag reads apart from it. The receiver parses every form to the message's
+// end, so it needs nothing but the message, not the keys' domain.
 func keyRunWords[T any](items []T, key func(T) int64) int {
 	n := len(items)
-	if n == 0 || key(items[0]) < 0 {
-		return n
+	if n == 0 {
+		return 0
+	}
+	if key(items[0]) < 0 {
+		return n + 1
 	}
 	runs := 1
 	for j := 1; j < n && 2*runs < n; j++ {

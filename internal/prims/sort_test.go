@@ -572,8 +572,12 @@ func TestSortSampledBucketsBalanced(t *testing.T) {
 // is charged three words a key, and its samples, summaries and a whole
 // run's cuts fit too, so 23 lead it as well. A plan on the scale
 // benchmark's wide MST cell (n = 4,096, m = 32,768: K = 2,048) gets its
-// ⌈√K⌉ = 46 leaders too. No leader receives in the sample and summary
-// rounds and sends in the reply round more than half its capacity. At a
+// ⌈√K⌉ = 46 leaders too. Connectivity's incidence Sort on the core.cc
+// cell at n = 1,024, m = 32n (K = 1,024) keys 2-word items by their vertex
+// alone: as a plain Sort, counted at 3 words a key, its coordinator leads
+// alone, and as SortOneColumn ⌈√K⌉ = 32 lead. No leader receives in the
+// sample and summary rounds and sends in the reply round more than half its
+// capacity. At a
 // third of the default caps, an Arrange with a 30,000-item group, too large for any bucket, samples again with full keys
 // under sort/full (groupsFit): it does so on the plain Sort's leaders, and
 // its buckets are the plain Sort's.
@@ -690,6 +694,32 @@ func TestSortLeadersFollowKeyWidth(t *testing.T) {
 		return err
 	})
 	leaders("Sort", c, rounds, false, 23)
+	// Connectivity's incidence Sort on the n = 1,024, m = 32n cell (K =
+	// 1,024): 2-word items keyed by their vertex alone. Counted at 3 words a
+	// key its leaders' held state leaves the coordinator alone; counted at
+	// the one column that varies, ⌈√K⌉ = 32 lead.
+	dense := mpc.Config{N: 1024, M: 32768, Seed: 7}
+	incidences := func(c *mpc.Cluster) [][]KV[int64] {
+		if c.K() != 1024 {
+			t.Fatalf("K = %d, want the dense cell's 1024", c.K())
+		}
+		items := make([][]KV[int64], c.K())
+		for j, e := range graph.GNM(dense.N, dense.M, dense.Seed).Edges {
+			items[j%c.K()] = append(items[j%c.K()], KV[int64]{K: int64(e.U), V: int64(e.V)}, KV[int64]{K: int64(e.V), V: int64(e.U)})
+		}
+		return items
+	}
+	byKey := func(kv KV[int64]) SortKey { return SortKey{A: kv.K} }
+	c, rounds = traced(dense, func(c *mpc.Cluster) error {
+		_, err := Sort(c, incidences(c), 2, byKey)
+		return err
+	})
+	leaders("incidence Sort", c, rounds, false, 1)
+	c, rounds = traced(dense, func(c *mpc.Cluster) error {
+		_, err := SortOneColumn(c, incidences(c), 2, byKey)
+		return err
+	})
+	leaders("incidence SortOneColumn", c, rounds, false, 32)
 
 	// A third of the default caps still holds 23 leaders' one-word keys, not
 	// a lump of 30,000 items at EdgeWords each.

@@ -104,7 +104,8 @@ func decodeRunCuts(words []int64) []Cut {
 // forms keyRunWords prices: each key then its value, or each run of
 // consecutive keys as its first key and length, then the run's values. The
 // run form writes its first word complemented, negative where the key is
-// not; a message whose first key is negative goes a key a word.
+// not; a message whose first key is negative goes a key a word after the
+// tag word math.MinInt64.
 func encodeKeyRuns(keys []int64, vwords int) []int64 {
 	vals := func(out []int64, j int) []int64 {
 		for range vwords {
@@ -125,25 +126,33 @@ func encodeKeyRuns(keys []int64, vwords int) []int64 {
 		}
 		j += l
 	}
-	if len(keys) == 0 || keys[0] < 0 || 2*runs >= len(keys) {
+	if len(keys) > 0 && keys[0] < 0 {
+		return append([]int64{math.MinInt64}, perKey...)
+	}
+	if len(keys) == 0 || 2*runs >= len(keys) {
 		return perKey
 	}
 	perRun[0] = ^perRun[0]
 	return perRun
 }
 
-// decodeKeyRuns reverses encodeKeyRuns, reading the form off the sign of
-// the first word and parsing to the message's end: the keys, and the values
-// as the index each one carries. The sign is free only where the first key
-// is not negative, as no vertex id or pair code is; signed says it may be,
-// and such a message comes in the key form, which its receiver must know.
-func decodeKeyRuns(words []int64, vwords int, signed bool) (keys, vals []int64) {
+// decodeKeyRuns reverses encodeKeyRuns from the message alone, reading the
+// form off its first words and parsing to its end: the keys, and the values
+// as the index each one carries. A first word that is not negative opens
+// the key form; math.MinInt64 before a negative word is the tag of a
+// message whose first key is negative (a run form's second word is its
+// first run's length, at least 1); any other negative word opens the run
+// form.
+func decodeKeyRuns(words []int64, vwords int) (keys, vals []int64) {
 	value := func(p int) {
 		if vwords > 0 {
 			vals = append(vals, words[p])
 		}
 	}
-	if len(words) == 0 || signed || words[0] >= 0 {
+	if tagged := len(words) > 1 && words[0] == math.MinInt64 && words[1] < 0; tagged || len(words) == 0 || words[0] >= 0 {
+		if tagged {
+			words = words[1:]
+		}
 		for p := 0; p < len(words); p += 1 + vwords {
 			keys = append(keys, words[p])
 			value(p + 1)
@@ -264,11 +273,12 @@ func TestSortMessageWords(t *testing.T) {
 // message into or out of the large machine, over key lists whose steps are
 // drawn by the bits of mask: +1 (a run goes on), 0 (a key repeats), a gap
 // of 2..9, or a step back of 1..8. The first key is start, so it may be
-// negative (no site ships such a list: it has no free tag and is charged a
-// key a word), and values are 0..3 words each. Decoding what was encoded
-// returns the keys and values, the encoding's length is the keys' charge
-// plus the values', and no charge exceeds a key a word, what a key cost
-// before the run form.
+// negative (no site ships such a list: it pays a tag word and a key a
+// word), and values are 0..3 words each. Decoding what was encoded, with
+// nothing but the encoding, returns the keys and values, the encoding's
+// length is the keys' charge plus the values', and no charge exceeds a key
+// a word, what a key cost before the run form, plus the tag word where the
+// first key is negative.
 func FuzzKeyRunWords(f *testing.F) {
 	f.Add(uint8(40), uint8(1), int64(0), uint64(1))   // one run from vertex 0
 	f.Add(uint8(40), uint8(5), int64(300), uint64(2)) // runs cut by gaps
@@ -276,7 +286,7 @@ func FuzzKeyRunWords(f *testing.F) {
 	f.Add(uint8(40), uint8(15), int64(9), uint64(4))  // any step, unsorted
 	f.Add(uint8(0), uint8(1), int64(0), uint64(5))    // empty
 	f.Add(uint8(1), uint8(1), int64(4), uint64(6))    // one key
-	f.Add(uint8(40), uint8(1), int64(-3), uint64(7))  // a run through 0 from a negative key: no free tag
+	f.Add(uint8(40), uint8(1), int64(-3), uint64(7))  // a run through 0 from a negative key: a tag word
 	f.Add(uint8(40), uint8(4), int64(1), uint64(8))   // every key alone: gaps only
 	f.Fuzz(func(t *testing.T, n, mask uint8, start int64, seed uint64) {
 		rng := xrand.New(seed)
@@ -301,7 +311,7 @@ func FuzzKeyRunWords(f *testing.F) {
 		}
 		vwords := int(mask>>4) & 3
 		enc := encodeKeyRuns(keys, vwords)
-		got, vals := decodeKeyRuns(enc, vwords, n > 0 && keys[0] < 0)
+		got, vals := decodeKeyRuns(enc, vwords)
 		if !slices.Equal(got, keys) {
 			t.Fatalf("keys %v at %d value words decode to %v", keys, vwords, got)
 		}
@@ -314,8 +324,12 @@ func FuzzKeyRunWords(f *testing.F) {
 		if len(enc) != words+vwords*len(keys) {
 			t.Fatalf("keys %v at %d value words encode to %d words, keyRunWords charges %d + %d", keys, vwords, len(enc), words, vwords*len(keys))
 		}
-		if words > len(keys) {
-			t.Fatalf("keys %v cost %d words, more than a key a word", keys, words)
+		limit := len(keys)
+		if len(keys) > 0 && keys[0] < 0 {
+			limit++ // the tag word
+		}
+		if words > limit {
+			t.Fatalf("keys %v cost %d words, more than a key a word and the tag word a negative first key pays", keys, words)
 		}
 	})
 }
