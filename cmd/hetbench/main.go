@@ -104,14 +104,7 @@ func run() int {
 		}
 	}()
 
-	env := exp.Env{
-		Profile:   model.Profile,
-		Faults:    model.Faults,
-		Placement: model.Placement,
-		Transport: model.Transport,
-		Trace:     obs.Tracing(model),
-		Metrics:   obs.Metrics != "",
-	}
+	env := obs.Env(*model)
 	if err := env.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hetbench:", err)
 		return 2

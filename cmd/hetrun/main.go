@@ -1,6 +1,11 @@
 // Command hetrun executes one heterogeneous-MPC algorithm on one graph and
 // reports the output quality and the measured model metrics (rounds,
-// messages, words).
+// messages, words). Every answer with a reference is checked against it.
+//
+// -gen names one of graph.Generators, built by graph.Generate as in
+// cmd/graphgen. The model and observability flags fill an exp.Env, and
+// Env.Apply turns it into the cluster's Config: the fill every hetbench
+// cluster gets.
 //
 // Usage:
 //
@@ -87,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		alg   = fs.String("alg", "mst", "algorithm: "+strings.Join(algorithms, ", "))
 		n     = fs.Int("n", 512, "vertices (generated workloads)")
 		m     = fs.Int("m", 4096, "edges (generated workloads)")
-		gen   = fs.String("gen", "gnm", "generator: gnm, connected, cycles, cycles2, hubs, grid, star")
+		gen   = fs.String("gen", "gnm", "generator: "+strings.Join(graph.Generators, ", "))
 		input = fs.String("input", "", "read the graph from a file instead of generating")
 		seed  = fs.Uint64("seed", 1, "seed for the workload and the cluster")
 		gamma = fs.Float64("gamma", 0.5, "small-machine exponent γ")
@@ -138,34 +143,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	noLarge := strings.HasPrefix(*alg, "baseline-")
-	cfg := hetmpc.Config{
+	cfg, err := obs.Env(*model).Apply(hetmpc.Config{
 		N: g.N, M: g.M(), Gamma: *gamma, F: *f, Seed: *seed, NoLarge: noLarge,
-	}
-	cfg.Profile, err = hetmpc.ParseProfile(model.Profile, cfg.DeriveK())
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
-	}
-	cfg.Faults, err = hetmpc.ParseFaultPlan(model.Faults, cfg.DeriveK())
-	if err != nil {
-		fmt.Fprintln(stderr, "hetrun:", err)
-		return 2
-	}
-	cfg.Placement, err = hetmpc.ParsePlacement(model.Placement)
-	if err != nil {
-		fmt.Fprintln(stderr, "hetrun:", err)
-		return 2
-	}
-	cfg.Transport, err = hetmpc.ParseTransport(model.Transport)
-	if err != nil {
-		fmt.Fprintln(stderr, "hetrun:", err)
-		return 2
-	}
-	if obs.Tracing(model) {
-		cfg.Trace = hetmpc.NewTrace()
-	}
-	if obs.Metrics != "" {
-		cfg.Metrics = hetmpc.NewMetrics()
 	}
 	c, err := hetmpc.NewCluster(cfg)
 	if err != nil {
@@ -259,30 +242,7 @@ func makeGraph(input, gen string, n, m int, seed uint64, alg string) (*hetmpc.Gr
 		return graph.Read(fh)
 	}
 	weighted := alg == "mst" || alg == "baseline-mst" || alg == "approx-mst" || alg == "approx-mincut"
-	switch gen {
-	case "gnm":
-		if weighted {
-			return hetmpc.GNMWeighted(n, m, seed), nil
-		}
-		return hetmpc.GNM(n, m, seed), nil
-	case "connected":
-		return hetmpc.ConnectedGNM(n, m, seed, weighted), nil
-	case "cycles":
-		return hetmpc.Cycles(n, 1, seed), nil
-	case "cycles2":
-		return hetmpc.Cycles(n, 2, seed), nil
-	case "hubs":
-		return hetmpc.PlantedHubs(n, 4, 4, n/2, seed), nil
-	case "grid":
-		r := 1
-		for r*r < n {
-			r++
-		}
-		return hetmpc.Grid(r, r), nil
-	case "star":
-		return hetmpc.Star(n), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q", gen)
+	return graph.Generate(gen, n, m, seed, weighted)
 }
 
 func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64) error {
@@ -313,7 +273,10 @@ func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "APSP oracle: spanner edges=%d stretch<=%d d(0,%d)=%d\n",
+		if err := hetmpc.CheckSpanner(g, o.Spanner, o.Stretch, 4, 9); err != nil {
+			return fmt.Errorf("validation: %w", err)
+		}
+		fmt.Fprintf(w, "APSP oracle: spanner edges=%d stretch<=%d d(0,%d)=%d (validated on sampled pairs)\n",
 			o.Spanner.M(), o.Stretch, g.N-1, o.Dist(0, g.N-1))
 	case "matching":
 		r, err := hetmpc.MaximalMatching(c, g)
@@ -355,7 +318,10 @@ func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "min cut: value=%d trials=%d\n", r.Value, r.Trials)
+		if want := hetmpc.StoerWagner(g); r.Value != want {
+			return fmt.Errorf("validation: min cut %d, want %d", r.Value, want)
+		}
+		fmt.Fprintf(w, "min cut: value=%d trials=%d (validated exact)\n", r.Value, r.Trials)
 	case "approx-mincut":
 		r, err := hetmpc.ApproxMinCut(c, g, eps)
 		if err != nil {
@@ -386,7 +352,10 @@ func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "2-vs-1 cycle: cycles=%d\n", r.Cycles)
+		if _, want := hetmpc.Components(g); r.Cycles != want {
+			return fmt.Errorf("validation: %d cycles, want %d", r.Cycles, want)
+		}
+		fmt.Fprintf(w, "2-vs-1 cycle: cycles=%d (validated exact)\n", r.Cycles)
 	case "baseline-mst":
 		r, err := hetmpc.BaselineMST(c, g)
 		if err != nil {
@@ -401,7 +370,10 @@ func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "baseline connectivity: components=%d phases=%d\n", r.Components, r.Phases)
+		if _, want := hetmpc.Components(g); r.Components != want {
+			return fmt.Errorf("validation: %d components, want %d", r.Components, want)
+		}
+		fmt.Fprintf(w, "baseline connectivity: components=%d phases=%d (validated exact)\n", r.Components, r.Phases)
 	case "baseline-mis":
 		r, err := hetmpc.BaselineMIS(c, g)
 		if err != nil {

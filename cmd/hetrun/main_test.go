@@ -33,6 +33,8 @@ func TestExitCodes(t *testing.T) {
 		{"ok", []string{"-alg", "mst"}, 0, "(validated exact)", ""},
 		{"ok traced", []string{"-alg", "connectivity", "-trace"}, 0, "conservation: trace makespan", ""},
 		{"ok cycles", []string{"-alg", "2v1", "-gen", "cycles2"}, 0, "cycles=2", ""},
+		{"gen cut", []string{"-alg", "mincut", "-gen", "cut"}, 0, "(validated exact)", ""},
+		{"gen complete", []string{"-alg", "mst", "-gen", "complete"}, 0, "(validated exact)", ""},
 		{"run fails", []string{"-alg", "2v1", "-gen", "gnm"}, 1, "graph: n=64", "not a disjoint union of cycles"},
 		{"output write fails", []string{"-metrics", filepath.Join(t.TempDir(), "no", "m.json")}, 1, "model: rounds=", "no such file"},
 		{"unknown algorithm", []string{"-alg", "nope"}, 2, "", `unknown algorithm "nope"`},
@@ -53,12 +55,17 @@ func TestExitCodes(t *testing.T) {
 		{"unreadable graph", []string{"-input", filepath.Join(t.TempDir(), "missing.txt")}, 2, "", "no such file"},
 		{"bad graph header", []string{"-alg", "connectivity", "-input", hugeM}, 2, "", "graph:"},
 	}
+	// Every answer with an exact reference is checked against it; the two
+	// approximations report their error instead.
 	for _, alg := range algorithms {
-		gen := "gnm"
+		gen, want := "gnm", "(validated"
 		if alg == "2v1" {
 			gen = "cycles"
 		}
-		cases = append(cases, testCase{"alg " + alg, []string{"-alg", alg, "-gen", gen}, 0, "model: rounds=", ""})
+		if strings.HasPrefix(alg, "approx-") {
+			want = "model: rounds="
+		}
+		cases = append(cases, testCase{"alg " + alg, []string{"-alg", alg, "-gen", gen}, 0, want, ""})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,15 +1,13 @@
-// Package cliflags is the single source of the cross-cutting model flags
-// shared by cmd/hetbench and cmd/hetrun: -profile, -faults, -placement,
-// -transport and -trace. The two commands used to duplicate the spec-syntax help strings
-// and they drifted once already; both now register through Register, so the
-// option syntax cannot diverge again and a new cross-cutting flag lands in
-// both commands by construction.
+// Package cliflags defines the cross-cutting flags of cmd/hetbench and
+// cmd/hetrun once. Register installs -profile, -faults, -placement,
+// -transport and -trace and fills an exp.Env; RegisterObs installs -metrics,
+// -traceout, -cpuprofile and -memprofile, and Obs.Env adds the observers
+// those need. Both commands then turn the one Env into cluster configuration
+// through the one fill (exp.Env.Run or exp.Env.Apply), so a spec's syntax,
+// help text and meaning are the same in each.
 //
-// The observability flags (-metrics, -traceout, -cpuprofile, -memprofile)
-// follow the same rule through RegisterObs: one definition, every command.
-// The helpers WriteMetricsFile, WriteTraceFile and Obs.StartProfiles carry
-// the shared output conventions ("-" = stdout, trace format by extension)
-// so the commands cannot diverge on those either.
+// WriteMetricsFile, WriteTraceFile and Obs.StartProfiles carry the shared
+// output conventions ("-" = stdout, trace format by extension).
 package cliflags
 
 import (
@@ -21,6 +19,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"hetmpc/internal/exp"
 	"hetmpc/internal/metrics"
 	"hetmpc/internal/trace"
 )
@@ -39,27 +38,18 @@ const (
 	TraceHelp = "collect the per-round trace timeline (phase spans, per-round makespan contributions, bottleneck machines); never changes the measured stats"
 )
 
-// Model holds the parsed cross-cutting model flags.
-type Model struct {
-	Profile   string
-	Faults    string
-	Placement string
-	Transport string
-	Trace     bool
-}
-
-// Register installs the shared model flags on fs. scope is appended to the
-// flag nouns to say what the spec applies to (hetbench: " applied to every
-// experiment cluster"; hetrun: ""), keeping each command's phrasing while
-// sharing the one syntax string.
-func Register(fs *flag.FlagSet, scope string) *Model {
-	m := &Model{}
-	fs.StringVar(&m.Profile, "profile", "", "machine profile"+scope+": "+ProfileSyntax)
-	fs.StringVar(&m.Faults, "faults", "", "fault plan"+scope+": "+FaultsSyntax)
-	fs.StringVar(&m.Placement, "placement", "", "placement policy"+scope+": "+PlacementSyntax)
-	fs.StringVar(&m.Transport, "transport", "", "Exchange transport"+scope+": "+TransportSyntax)
-	fs.BoolVar(&m.Trace, "trace", false, TraceHelp)
-	return m
+// Register installs the shared model flags on fs and returns the Env they
+// fill. scope is appended to the flag nouns to say what the spec applies to
+// (hetbench: " applied to every experiment cluster"; hetrun: ""), keeping
+// each command's phrasing while sharing the one syntax string.
+func Register(fs *flag.FlagSet, scope string) *exp.Env {
+	e := &exp.Env{}
+	fs.StringVar(&e.Profile, "profile", "", "machine profile"+scope+": "+ProfileSyntax)
+	fs.StringVar(&e.Faults, "faults", "", "fault plan"+scope+": "+FaultsSyntax)
+	fs.StringVar(&e.Placement, "placement", "", "placement policy"+scope+": "+PlacementSyntax)
+	fs.StringVar(&e.Transport, "transport", "", "Exchange transport"+scope+": "+TransportSyntax)
+	fs.BoolVar(&e.Trace, "trace", false, TraceHelp)
+	return e
 }
 
 // Observability flag help, shared verbatim (DESIGN.md §12).
@@ -92,10 +82,12 @@ func RegisterObs(fs *flag.FlagSet) *Obs {
 	return o
 }
 
-// Tracing reports whether the run needs a trace collector: either the user
-// asked for the timeline summary (-trace) or for a trace export (-traceout).
-func (o *Obs) Tracing(model *Model) bool {
-	return model.Trace || o.TraceOut != ""
+// Env returns e with the observers o's outputs need: a trace collector for
+// -traceout as for -trace, a metrics registry for -metrics.
+func (o *Obs) Env(e exp.Env) exp.Env {
+	e.Trace = e.Trace || o.TraceOut != ""
+	e.Metrics = e.Metrics || o.Metrics != ""
+	return e
 }
 
 // StartProfiles begins the pprof captures o asks for and returns the stop

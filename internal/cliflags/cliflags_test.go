@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetmpc/internal/exp"
 	"hetmpc/internal/metrics"
 	"hetmpc/internal/trace"
 )
@@ -39,9 +40,9 @@ func TestRegisterInstallsEveryModelFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Model{Profile: "zipf:1.1", Faults: "ckpt:8", Placement: "adaptive", Transport: "pipe", Trace: true}
+	want := exp.Env{Profile: "zipf:1.1", Faults: "ckpt:8", Placement: "adaptive", Transport: "pipe", Trace: true}
 	if *m != want {
-		t.Errorf("parsed model = %+v, want %+v", *m, want)
+		t.Errorf("parsed env = %+v, want %+v", *m, want)
 	}
 }
 
@@ -61,7 +62,7 @@ func TestRegisterObsInstallsEveryObsFlag(t *testing.T) {
 	}
 }
 
-// Tracing: -traceout alone must imply a collector, exactly as its help text
+// Obs.Env: -traceout alone must imply a collector, exactly as its help text
 // promises.
 func TestTracingImpliedByTraceOut(t *testing.T) {
 	cases := []struct {
@@ -75,10 +76,10 @@ func TestTracingImpliedByTraceOut(t *testing.T) {
 		{true, "out.json", true},
 	}
 	for _, c := range cases {
-		m := &Model{Trace: c.trace}
+		e := exp.Env{Trace: c.trace}
 		o := &Obs{TraceOut: c.traceOut}
-		if got := o.Tracing(m); got != c.want {
-			t.Errorf("Tracing(trace=%v, traceout=%q) = %v, want %v", c.trace, c.traceOut, got, c.want)
+		if got := o.Env(e).Trace; got != c.want {
+			t.Errorf("Env(trace=%v, traceout=%q).Trace = %v, want %v", c.trace, c.traceOut, got, c.want)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"hetmpc/internal/wire"
 )
 
-// Env is the cross-cutting configuration of an experiment run: everything
-// hetbench's model and observability flags select, as one value. The zero
+// Env is the cross-cutting configuration of a run: everything the model and
+// observability flags of hetbench and hetrun select, as one value. The zero
 // Env is the paper's setting — uniform reliable machines, capacity-
 // proportional placement, in-process delivery, no trace, no metrics — and
 // two different Envs can run side by side in one process.
@@ -43,17 +43,55 @@ const specProbeK = 1 << 16
 
 // Validate reports the first spec of e that does not parse.
 func (e Env) Validate() error {
-	if _, err := mpc.ParseProfile(e.Profile, specProbeK); err != nil {
-		return err
-	}
-	if _, err := fault.ParsePlan(e.Faults, specProbeK); err != nil {
-		return err
-	}
-	if _, err := sched.Parse(e.Placement); err != nil {
-		return err
-	}
-	_, err := wire.Parse(e.Transport)
+	_, _, err := e.fill(mpc.Config{K: specProbeK})
 	return err
+}
+
+// Apply fills cfg from e exactly as Run fills each experiment cluster, for a
+// caller that builds its own cluster.
+func (e Env) Apply(cfg mpc.Config) (mpc.Config, error) {
+	cfg, _, err := e.fill(cfg)
+	return cfg, err
+}
+
+// fill is the only code that turns e into Config values: every axis cfg
+// leaves open gets e's spec, parsed against cfg's machine count, and Trace
+// and Metrics get a collector and a registry. hit reports, per axis, whether
+// the spec set it; the baseline spellings parse to nil, no override.
+func (e Env) fill(cfg mpc.Config) (_ mpc.Config, hit [len(axes)]bool, err error) {
+	if e.Profile != "" && cfg.Profile == nil {
+		if cfg.Profile, err = mpc.ParseProfile(e.Profile, cfg.DeriveK()); err != nil {
+			return cfg, hit, err
+		}
+		hit[0] = cfg.Profile != nil
+	}
+	if e.Faults != "" && cfg.Faults == nil {
+		if cfg.Faults, err = fault.ParsePlan(e.Faults, cfg.DeriveK()); err != nil {
+			return cfg, hit, err
+		}
+		hit[1] = cfg.Faults != nil
+	}
+	if e.Placement != "" && cfg.Placement == nil {
+		if cfg.Placement, err = sched.Parse(e.Placement); err != nil {
+			return cfg, hit, err
+		}
+		hit[2] = cfg.Placement != nil
+	}
+	if e.Transport != "" && cfg.Transport == nil {
+		// Each cluster gets its own transport instance: links are per-cluster
+		// resources, not shareable across concurrently live clusters.
+		if cfg.Transport, err = wire.Parse(e.Transport); err != nil {
+			return cfg, hit, err
+		}
+		hit[3] = cfg.Transport != nil
+	}
+	if e.Trace && cfg.Trace == nil {
+		cfg.Trace = trace.New()
+	}
+	if e.Metrics && cfg.Metrics == nil {
+		cfg.Metrics = metrics.New()
+	}
+	return cfg, hit, nil
 }
 
 // run is the handle one execution hands its experiment: the only way an
@@ -72,43 +110,15 @@ type run struct {
 // axes names the overridable Env specs, in Artifact tag order.
 var axes = [...]string{"profile", "faults", "placement", "transport"}
 
-// build fills every axis cfg leaves open from the run's Env, constructs the
-// cluster and records it with the run. The baseline spellings parse to nil:
-// no override.
+// build fills cfg from the run's Env, with the run's one registry as its
+// metrics sink, constructs the cluster and records it with the run.
 func (rn *run) build(cfg mpc.Config) (*mpc.Cluster, error) {
-	var hit [len(axes)]bool
-	var err error
-	if rn.env.Profile != "" && cfg.Profile == nil {
-		if cfg.Profile, err = mpc.ParseProfile(rn.env.Profile, cfg.DeriveK()); err != nil {
-			return nil, err
-		}
-		hit[0] = cfg.Profile != nil
-	}
-	if rn.env.Faults != "" && cfg.Faults == nil {
-		if cfg.Faults, err = fault.ParsePlan(rn.env.Faults, cfg.DeriveK()); err != nil {
-			return nil, err
-		}
-		hit[1] = cfg.Faults != nil
-	}
-	if rn.env.Placement != "" && cfg.Placement == nil {
-		if cfg.Placement, err = sched.Parse(rn.env.Placement); err != nil {
-			return nil, err
-		}
-		hit[2] = cfg.Placement != nil
-	}
-	if rn.env.Transport != "" && cfg.Transport == nil {
-		// Each cluster gets its own transport instance: links are per-cluster
-		// resources, not shareable across concurrently live clusters.
-		if cfg.Transport, err = wire.Parse(rn.env.Transport); err != nil {
-			return nil, err
-		}
-		hit[3] = cfg.Transport != nil
-	}
-	if rn.env.Trace && cfg.Trace == nil {
-		cfg.Trace = trace.New()
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = rn.reg
+	}
+	cfg, hit, err := rn.env.fill(cfg)
+	if err != nil {
+		return nil, err
 	}
 	c, err := mpc.New(cfg)
 	if err != nil {

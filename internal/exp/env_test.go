@@ -154,3 +154,28 @@ func TestPartialOverrideIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedSpecsFailValidateAndApply: Validate and Apply are one fill,
+// so each malformed spec fails both with the same error, and a well-formed
+// Env fills every axis and observer the Config leaves open.
+func TestMalformedSpecsFailValidateAndApply(t *testing.T) {
+	cfg := het(64, 256, 0, 1)
+	for _, e := range []Env{
+		{Profile: "nope"}, {Profile: "zipf:x"}, {Faults: "nope"}, {Faults: "ckpt:x"},
+		{Placement: "nope"}, {Placement: "speculate:x"}, {Transport: "nope"},
+	} {
+		verr := e.Validate()
+		_, aerr := e.Apply(cfg)
+		if verr == nil || aerr == nil || verr.Error() != aerr.Error() {
+			t.Errorf("%+v: Validate error %v, Apply error %v; want one error from both", e, verr, aerr)
+		}
+	}
+	full := Env{Profile: "straggler:2:8", Faults: "ckpt:8", Placement: "throughput", Transport: "pipe", Trace: true, Metrics: true}
+	got, err := full.Apply(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Profile == nil || got.Faults == nil || got.Placement == nil || got.Transport == nil || got.Trace == nil || got.Metrics == nil {
+		t.Errorf("Apply(%+v) left an axis or observer open: %+v", full, got)
+	}
+}

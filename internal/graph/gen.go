@@ -1,8 +1,50 @@
 package graph
 
 import (
+	"fmt"
+
 	"hetmpc/internal/xrand"
 )
+
+// Generators names the workloads Generate builds, in the order the -gen help
+// of cmd/hetrun and cmd/graphgen lists them.
+var Generators = []string{"gnm", "connected", "cycles", "cycles2", "hubs", "cut", "grid", "star", "complete"}
+
+// Generate builds the named workload on n vertices (grid: the smallest
+// square of at least n). m is the edge count gnm and connected aim for and
+// cut splits between its halves; weighted asks gnm, connected, cut and
+// complete for weights — unique ones, except cut's, which stay in 1..16 so
+// the planted cut stays minimal. The other generators are unweighted.
+func Generate(name string, n, m int, seed uint64, weighted bool) (*Graph, error) {
+	switch name {
+	case "gnm":
+		if weighted {
+			return GNMWeighted(n, m, seed), nil
+		}
+		return GNM(n, m, seed), nil
+	case "connected":
+		return ConnectedGNM(n, m, seed, weighted), nil
+	case "cycles":
+		return Cycles(n, 1, seed), nil
+	case "cycles2":
+		return Cycles(n, 2, seed), nil
+	case "hubs":
+		return PlantedHubs(n, 4, 4, n/2, seed), nil
+	case "cut":
+		return PlantedCut(n, m/2, 3, seed, weighted), nil
+	case "grid":
+		r := 1
+		for r*r < n {
+			r++
+		}
+		return Grid(r, r), nil
+	case "star":
+		return Star(n), nil
+	case "complete":
+		return Complete(n, weighted, seed), nil
+	}
+	return nil, fmt.Errorf("unknown generator %q", name)
+}
 
 // GNM returns a uniformly random simple graph with n vertices and (up to) m
 // distinct edges, unweighted. If m exceeds the number of possible edges it is

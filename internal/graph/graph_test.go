@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,52 @@ func TestPlantedHubs(t *testing.T) {
 	}
 	if g.AvgDegree() > 12 {
 		t.Fatalf("average degree blew up: %f", g.AvgDegree())
+	}
+}
+
+// TestGenerateEveryName: every name in Generators builds a simple graph on
+// n vertices, and weighted gives weights exactly where the generator assigns
+// any — unique ones, except cut's, which stay in 1..16 by design.
+func TestGenerateEveryName(t *testing.T) {
+	const n, m = 64, 256 // n square, so grid's side is exact
+	weighs := map[string]bool{"gnm": true, "connected": true, "cut": true, "complete": true}
+	for _, name := range Generators {
+		for _, weighted := range []bool{false, true} {
+			g, err := Generate(name, n, m, 5, weighted)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if g.N != n || g.M() == 0 {
+				t.Errorf("%s: n=%d m=%d, want n=%d and some edges", name, g.N, g.M(), n)
+			}
+			if want := weighted && weighs[name]; g.Weighted != want {
+				t.Errorf("%s weighted=%v: Graph.Weighted=%v, want %v", name, weighted, g.Weighted, want)
+			}
+			seen := map[int64]bool{}
+			weights := map[int64]bool{}
+			for _, e := range g.Edges {
+				if e.U >= e.V || e.V >= n || seen[e.Key(n)] {
+					t.Fatalf("%s: edge %v is a self-loop, out of range or repeated", name, e)
+				}
+				seen[e.Key(n)] = true
+				switch {
+				case !g.Weighted:
+					if e.W != 1 {
+						t.Fatalf("%s: unweighted edge %v", name, e)
+					}
+				case name == "cut":
+					if e.W < 1 || e.W > 16 {
+						t.Fatalf("cut: weight %d outside 1..16", e.W)
+					}
+				case weights[e.W]:
+					t.Fatalf("%s: weight %d repeats", name, e.W)
+				}
+				weights[e.W] = true
+			}
+		}
+	}
+	if _, err := Generate("nope", n, m, 5, false); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("unknown generator: err = %v, want one naming \"nope\"", err)
 	}
 }
 
