@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n        = fs.Int("n", 1024, "vertices")
 		m        = fs.Int("m", 8192, "edges (where applicable)")
 		seed     = fs.Uint64("seed", 1, "seed")
-		weighted = fs.Bool("weighted", false, "assign unique integer weights")
+		weighted = fs.Bool("weighted", false, "assign integer weights (gnm, connected, cut, complete): unique ones, except cut's, which stay in 1..16 so the planted cut stays minimal")
 		out      = fs.String("o", "", "output file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {

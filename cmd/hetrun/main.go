@@ -2,6 +2,8 @@
 // reports the output quality and the measured model metrics (rounds,
 // messages, words). Every answer with a reference is checked against it.
 //
+// -alg names an entry of internal/exp/calls.go, the table Table 1's rows
+// are picked from: its regime, input weighting, check and report line.
 // -gen names one of graph.Generators, built by graph.Generate as in
 // cmd/graphgen. The model and observability flags fill an exp.Env, and
 // Env.Apply turns it into the cluster's Config: the fill every hetbench
@@ -15,6 +17,7 @@
 //	hetrun -alg connectivity -input graph.txt
 //	hetrun -alg mst -f 0.5            # superlinear large machine
 //	hetrun -alg baseline-mst          # sublinear regime (no large machine)
+//	hetrun -alg baseline-spanner -k 3 # Table 1's spanner baseline
 //	hetrun -alg mst -profile straggler:2:8
 //	                                  # heterogeneous machine profile; the
 //	                                  # model line reports the simulated
@@ -65,12 +68,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
 	"hetmpc"
 	"hetmpc/internal/cliflags"
+	"hetmpc/internal/exp"
 	"hetmpc/internal/graph"
 )
 
@@ -78,18 +81,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// algorithms are the -alg values, one per case of dispatch.
-var algorithms = []string{
-	"mst", "spanner", "apsp", "matching", "matching-filter", "connectivity", "approx-mst", "mincut",
-	"approx-mincut", "mis", "coloring", "2v1", "baseline-mst", "baseline-cc", "baseline-mis",
-	"baseline-coloring", "baseline-matching",
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hetrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		alg   = fs.String("alg", "mst", "algorithm: "+strings.Join(algorithms, ", "))
+		alg   = fs.String("alg", "mst", "algorithm: "+strings.Join(exp.CallNames(), ", "))
 		n     = fs.Int("n", 512, "vertices (generated workloads)")
 		m     = fs.Int("m", 4096, "edges (generated workloads)")
 		gen   = fs.String("gen", "gnm", "generator: "+strings.Join(graph.Generators, ", "))
@@ -108,15 +104,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if !slices.Contains(algorithms, *alg) {
-		fmt.Fprintf(stderr, "hetrun: unknown algorithm %q (one of: %s)\n", *alg, strings.Join(algorithms, ", "))
+	call, ok := exp.LookupCall(*alg)
+	if !ok {
+		fmt.Fprintf(stderr, "hetrun: unknown algorithm %q (one of: %s)\n", *alg, strings.Join(exp.CallNames(), ", "))
 		return 2
 	}
-	// The parameter each algorithm reads must be one it can honour (core
-	// clamps k silently and rejects eps only after the cluster is built).
+	// The parameter each algorithm reads must be one it can honour (the
+	// spanners clamp k silently; core rejects eps after the cluster is built).
 	switch {
-	case *alg == "spanner" && *k < 1:
-		fmt.Fprintf(stderr, "hetrun: -k must be at least 1 for spanner, got %d\n", *k)
+	case (*alg == "spanner" || *alg == "baseline-spanner") && *k < 1:
+		fmt.Fprintf(stderr, "hetrun: -k must be at least 1 for %s, got %d\n", *alg, *k)
 		return 2
 	case *alg == "approx-mst" && (!(*eps > 0) || math.IsInf(*eps, 1)):
 		fmt.Fprintf(stderr, "hetrun: -eps must be positive and finite for approx-mst, got %g\n", *eps)
@@ -137,14 +134,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	g, err := makeGraph(*input, *gen, *n, *m, *seed, *alg)
+	g, err := makeGraph(*input, *gen, *n, *m, *seed, call.Weighted)
 	if err != nil {
 		fmt.Fprintln(stderr, "hetrun:", err)
 		return 2
 	}
-	noLarge := strings.HasPrefix(*alg, "baseline-")
 	cfg, err := obs.Env(*model).Apply(hetmpc.Config{
-		N: g.N, M: g.M(), Gamma: *gamma, F: *f, Seed: *seed, NoLarge: noLarge,
+		N: g.N, M: g.M(), Gamma: *gamma, F: *f, Seed: *seed, NoLarge: call.NoLarge,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "hetrun:", err)
@@ -183,10 +179,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout)
 
-	if err := dispatch(stdout, c, g, *alg, *k, *eps); err != nil {
+	_, report, err := call.Run(c, g, exp.Params{K: *k, Eps: *eps, Seed: *seed})
+	if err != nil {
 		fmt.Fprintln(stderr, "hetrun:", err)
 		return 1
 	}
+	fmt.Fprintln(stdout, report)
 	st := c.Stats()
 	fmt.Fprintf(stdout, "model: rounds=%d messages=%d words=%d max-send=%d max-recv=%d makespan=%.4g imbalance=%.2f",
 		st.Rounds, st.Messages, st.TotalWords, st.MaxSendWords, st.MaxRecvWords, st.Makespan, c.BusyImbalance())
@@ -232,7 +230,7 @@ func printTrace(w io.Writer, tr *hetmpc.Trace, st hetmpc.ClusterStats) {
 		s.Makespan, st.Makespan, s.Words, st.TotalWords)
 }
 
-func makeGraph(input, gen string, n, m int, seed uint64, alg string) (*hetmpc.Graph, error) {
+func makeGraph(input, gen string, n, m int, seed uint64, weighted bool) (*hetmpc.Graph, error) {
 	if input != "" {
 		fh, err := os.Open(input)
 		if err != nil {
@@ -241,168 +239,5 @@ func makeGraph(input, gen string, n, m int, seed uint64, alg string) (*hetmpc.Gr
 		defer fh.Close()
 		return graph.Read(fh)
 	}
-	weighted := alg == "mst" || alg == "baseline-mst" || alg == "approx-mst" || alg == "approx-mincut"
 	return graph.Generate(gen, n, m, seed, weighted)
-}
-
-func dispatch(w io.Writer, c *hetmpc.Cluster, g *hetmpc.Graph, alg string, k int, eps float64) error {
-	switch alg {
-	case "mst":
-		r, err := hetmpc.MST(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMST(g, r.Edges); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "MST: weight=%d edges=%d boruvka-phases=%d sample-tries=%d (validated exact)\n",
-			r.Weight, len(r.Edges), r.BoruvkaPhases, r.SampleTries)
-	case "spanner":
-		r, err := hetmpc.Spanner(c, g, k)
-		if err != nil {
-			return err
-		}
-		h := hetmpc.NewGraph(g.N, r.Edges, false)
-		if err := hetmpc.CheckSpanner(g, h, r.Stretch, 4, 9); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "spanner: k=%d stretch<=%d edges=%d of %d (validated on sampled pairs)\n",
-			k, r.Stretch, len(r.Edges), g.M())
-	case "apsp":
-		o, err := hetmpc.BuildAPSPOracle(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckSpanner(g, o.Spanner, o.Stretch, 4, 9); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "APSP oracle: spanner edges=%d stretch<=%d d(0,%d)=%d (validated on sampled pairs)\n",
-			o.Spanner.M(), o.Stretch, g.N-1, o.Dist(0, g.N-1))
-	case "matching":
-		r, err := hetmpc.MaximalMatching(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMatching(g, r.Edges, true); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "matching: edges=%d phase1-iters=%d (validated maximal)\n", len(r.Edges), r.Phase1Iters)
-	case "matching-filter":
-		r, err := hetmpc.MatchingFiltering(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMatching(g, r.Edges, true); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "matching (filtering): edges=%d filter-iters=%d (validated maximal)\n", len(r.Edges), r.FilterIters)
-	case "connectivity":
-		r, err := hetmpc.Connectivity(c, g)
-		if err != nil {
-			return err
-		}
-		_, want := hetmpc.Components(g)
-		if r.Components != want {
-			return fmt.Errorf("validation: %d components, want %d", r.Components, want)
-		}
-		fmt.Fprintf(w, "connectivity: components=%d phases=%d (validated exact)\n", r.Components, r.Phases)
-	case "approx-mst":
-		r, err := hetmpc.ApproxMSTWeight(c, g, eps)
-		if err != nil {
-			return err
-		}
-		_, exact := hetmpc.KruskalMSF(g)
-		fmt.Fprintf(w, "approx MST: estimate=%d exact=%d thresholds=%d\n", r.Estimate, exact, r.Thresholds)
-	case "mincut":
-		r, err := hetmpc.MinCutUnweighted(c, g)
-		if err != nil {
-			return err
-		}
-		if want := hetmpc.StoerWagner(g); r.Value != want {
-			return fmt.Errorf("validation: min cut %d, want %d", r.Value, want)
-		}
-		fmt.Fprintf(w, "min cut: value=%d trials=%d (validated exact)\n", r.Value, r.Trials)
-	case "approx-mincut":
-		r, err := hetmpc.ApproxMinCut(c, g, eps)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "approx min cut: value=%d guesses=%d\n", r.Value, r.Trials)
-	case "mis":
-		r, err := hetmpc.MIS(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMIS(g, r.Set); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "MIS: size=%d iterations=%d (validated)\n", len(r.Set), r.Iterations)
-	case "coloring":
-		r, err := hetmpc.Coloring(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckColoring(g, r.Colors, r.MaxColor); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "coloring: palette=%d conflict-edges=%d retries=%d (validated proper)\n",
-			r.MaxColor+1, r.ConflictEdges, r.Retries)
-	case "2v1":
-		r, err := hetmpc.TwoVsOneCycle(c, g)
-		if err != nil {
-			return err
-		}
-		if _, want := hetmpc.Components(g); r.Cycles != want {
-			return fmt.Errorf("validation: %d cycles, want %d", r.Cycles, want)
-		}
-		fmt.Fprintf(w, "2-vs-1 cycle: cycles=%d (validated exact)\n", r.Cycles)
-	case "baseline-mst":
-		r, err := hetmpc.BaselineMST(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMST(g, r.Edges); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "baseline MST: weight=%d phases=%d (validated exact)\n", r.Weight, r.Phases)
-	case "baseline-cc":
-		r, err := hetmpc.BaselineConnectivity(c, g)
-		if err != nil {
-			return err
-		}
-		if _, want := hetmpc.Components(g); r.Components != want {
-			return fmt.Errorf("validation: %d components, want %d", r.Components, want)
-		}
-		fmt.Fprintf(w, "baseline connectivity: components=%d phases=%d (validated exact)\n", r.Components, r.Phases)
-	case "baseline-mis":
-		r, err := hetmpc.BaselineMIS(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMIS(g, r.Set); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "baseline MIS (Luby): size=%d rounds=%d (validated)\n", len(r.Set), r.Rounds)
-	case "baseline-coloring":
-		r, err := hetmpc.BaselineColoring(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckColoring(g, r.Colors, r.MaxColor); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "baseline coloring: palette=%d trials=%d (validated proper)\n", r.MaxColor+1, r.Rounds)
-	case "baseline-matching":
-		match, peel, err := hetmpc.BaselineMatching(c, g)
-		if err != nil {
-			return err
-		}
-		if err := hetmpc.CheckMatching(g, match, true); err != nil {
-			return fmt.Errorf("validation: %w", err)
-		}
-		fmt.Fprintf(w, "baseline matching: edges=%d peel-iters=%d (validated maximal)\n", len(match), peel.Iterations)
-	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
-	}
-	return nil
 }

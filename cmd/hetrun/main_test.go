@@ -7,13 +7,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hetmpc/internal/exp"
 )
 
 // TestExitCodes pins the exit-code contract: 0 ok, 1 the run or a write of
 // its outputs failed, 2 bad input — and bad input is refused before any
 // work is done, so nothing reaches stdout. Every listed algorithm must run:
-// the list is what the up-front check and the -alg help read, and this keeps
-// it in step with dispatch's switch.
+// the list is exp's table of calls, which the -alg lookup and help read.
 func TestExitCodes(t *testing.T) {
 	small := []string{"-n", "64", "-m", "256"}
 	// A header declaring more edges than a slice can hold: refused as it is
@@ -40,6 +41,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown algorithm", []string{"-alg", "nope"}, 2, "", `unknown algorithm "nope"`},
 		{"unknown generator", []string{"-gen", "nope"}, 2, "", `unknown generator "nope"`},
 		{"spanner k below 1", []string{"-alg", "spanner", "-k", "-3"}, 2, "", "-k must be at least 1"},
+		{"baseline-spanner k below 1", []string{"-alg", "baseline-spanner", "-k", "0"}, 2, "", "-k must be at least 1 for baseline-spanner"},
 		{"approx-mst eps not positive", []string{"-alg", "approx-mst", "-eps", "0"}, 2, "", "-eps must be positive"},
 		{"approx-mst eps infinite", []string{"-alg", "approx-mst", "-eps", "+Inf"}, 2, "", "-eps must be positive and finite"},
 		{"approx-mincut eps outside (0,1)", []string{"-alg", "approx-mincut", "-eps", "1"}, 2, "", "-eps must be in (0,1)"},
@@ -57,7 +59,7 @@ func TestExitCodes(t *testing.T) {
 	}
 	// Every answer with an exact reference is checked against it; the two
 	// approximations report their error instead.
-	for _, alg := range algorithms {
+	for _, alg := range exp.CallNames() {
 		gen, want := "gnm", "(validated"
 		if alg == "2v1" {
 			gen = "cycles"

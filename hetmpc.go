@@ -107,6 +107,10 @@ var ErrRounds = mpc.ErrRounds
 // a wrong answer.
 var ErrSketchFailure = core.ErrSketchFailure
 
+// ErrRetriesExhausted is wrapped when a randomized step (Coloring's list
+// path, MST's KKT sampling) gives up after its last try.
+var ErrRetriesExhausted = core.ErrRetriesExhausted
+
 // Re-exported model types.
 type (
 	// Config parameterizes a cluster; see mpc.Config for field docs.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -259,6 +260,22 @@ func TestColoringLargeDelta(t *testing.T) {
 	}
 	if res.ConflictEdges == 0 {
 		t.Fatal("list-sampling path did not engage (0 conflict edges on K_n)")
+	}
+}
+
+// TestColoringGivesUpTyped: on a large machine of O(n log n) words
+// (LogExpLarge 1) and m = 32n, every try's conflict edges outnumber what
+// Coloring lets the large machine take, so it gives up after its retries
+// with an error that wraps ErrRetriesExhausted.
+func TestColoringGivesUpTyped(t *testing.T) {
+	g := graph.GNM(256, 32*256, 7)
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 7, LogExpLarge: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Coloring(c, g)
+	if !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("err = %v, want one wrapping ErrRetriesExhausted", err)
 	}
 }
 

@@ -117,7 +117,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 		res.Colors = colors
 		return res, nil
 	}
-	return nil, fmt.Errorf("core: list coloring failed after %d retries", maxRetries)
+	return nil, fmt.Errorf("core: list coloring failed after %d retries: %w", maxRetries, ErrRetriesExhausted)
 }
 
 func listsIntersect(a, b []int) bool {

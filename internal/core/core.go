@@ -19,6 +19,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 
 	"hetmpc/internal/graph"
@@ -181,6 +182,11 @@ func maxEdgeWeight(c *mpc.Cluster, g *graph.Graph) (int64, error) {
 }
 
 func unitWeight(graph.Edge) int64 { return 1 }
+
+// ErrRetriesExhausted is wrapped, with the step and its try count, when a
+// randomized step gives up after its last try (Coloring's list path, MST's
+// KKT sampling): a randomized failure, never a wrong answer.
+var ErrRetriesExhausted = errors.New("randomized step exhausted its tries")
 
 // errNeedsLarge is the unified "requires the large machine" failure: every
 // large-requiring algorithm returns it wrapped with its name, so callers

@@ -195,7 +195,7 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		}
 		tries--
 		if !done {
-			return nil, fmt.Errorf("core: KKT sampling failed %d times", maxTries)
+			return nil, fmt.Errorf("core: KKT sampling failed %d times: %w", maxTries, ErrRetriesExhausted)
 		}
 	}
 	res.SampleTries = tries

@@ -21,8 +21,8 @@ import (
 // emitted from an unchecked output.
 
 // cell builds cfg and runs alg on the cluster: one of the validators below,
-// or a closure around an algorithm whose row reports its own error against
-// the reference (approximations, min cut). A cell the experiment itself
+// or an approximation whose row reports its own error against the
+// reference. A cell the experiment itself
 // traces (cfg.Trace set) also re-proves trace conservation.
 func cell[R any](rn *run, cfg mpc.Config, alg func(*mpc.Cluster) (R, error)) (*mpc.Cluster, R, error) {
 	traced := cfg.Trace != nil
@@ -81,57 +81,78 @@ func profiled(g *graph.Graph, seed uint64, spec string, beefy bool) mpc.Config {
 	return cfg
 }
 
-// checked runs alg on g and holds its result to check.
+// checked runs alg on g and holds its result to check; a failed check is a
+// validation error.
 func checked[R any](g *graph.Graph, alg func(*mpc.Cluster, *graph.Graph) (R, error), check func(R) error) func(*mpc.Cluster) (R, error) {
 	return func(c *mpc.Cluster) (R, error) {
 		r, err := alg(c, g)
 		if err == nil {
-			err = check(r)
+			if err = check(r); err != nil {
+				err = fmt.Errorf("validation: %w", err)
+			}
 		}
 		return r, err
 	}
 }
 
 // The validators: one per problem and regime, each an algorithm on g held to
-// the exact reference.
+// the exact reference, which it computes from g.
 
-// mst: core.MST must return a spanning forest of g of weight want
-// (Kruskal's, which the caller computes once per graph).
-func mst(g *graph.Graph, want int64) func(*mpc.Cluster) (*core.MSTResult, error) {
-	return mstWith(g, want, core.MSTOptions{})
+// mst: core.MST must return a spanning forest of g of Kruskal's weight.
+func mst(g *graph.Graph) func(*mpc.Cluster) (*core.MSTResult, error) {
+	return mstWith(g, core.MSTOptions{})
 }
 
 // mstWith is mst under E16's ablation options.
-func mstWith(g *graph.Graph, want int64, opts core.MSTOptions) func(*mpc.Cluster) (*core.MSTResult, error) {
+func mstWith(g *graph.Graph, opts core.MSTOptions) func(*mpc.Cluster) (*core.MSTResult, error) {
 	alg := func(c *mpc.Cluster, g *graph.Graph) (*core.MSTResult, error) { return core.MSTWithOptions(c, g, opts) }
-	return checked(g, alg, func(r *core.MSTResult) error { return forest(g, r.Edges, r.Weight, want) })
+	return checked(g, alg, func(r *core.MSTResult) error { return forest(g, r.Edges, r.Weight) })
 }
 
 // baseMST is the sublinear Borůvka baseline, held to the same forest.
-func baseMST(g *graph.Graph, want int64) func(*mpc.Cluster) (*sublinear.MSTResult, error) {
-	return checked(g, sublinear.MST, func(r *sublinear.MSTResult) error { return forest(g, r.Edges, r.Weight, want) })
+func baseMST(g *graph.Graph) func(*mpc.Cluster) (*sublinear.MSTResult, error) {
+	return checked(g, sublinear.MST, func(r *sublinear.MSTResult) error { return forest(g, r.Edges, r.Weight) })
 }
 
-func forest(g *graph.Graph, edges []graph.Edge, weight, want int64) error {
-	if weight != want {
+func forest(g *graph.Graph, edges []graph.Edge, weight int64) error {
+	if _, want := graph.KruskalMSF(g); weight != want {
 		return fmt.Errorf("MST weight %d, want %d", weight, want)
 	}
 	return graph.CheckSpanningForest(g, edges)
 }
 
-// cc: core.Connectivity must count want components.
-func cc(g *graph.Graph, want int) func(*mpc.Cluster) (*core.ConnectivityResult, error) {
-	return checked(g, core.Connectivity, func(r *core.ConnectivityResult) error { return components(r.Components, want) })
+// cc: core.Connectivity must count g's components.
+func cc(g *graph.Graph) func(*mpc.Cluster) (*core.ConnectivityResult, error) {
+	return checked(g, core.Connectivity, func(r *core.ConnectivityResult) error { return components(g, r.Components, "components") })
 }
 
 // baseCC is the sublinear connectivity baseline, held to the same count.
-func baseCC(g *graph.Graph, want int) func(*mpc.Cluster) (*sublinear.CCResult, error) {
-	return checked(g, sublinear.Connectivity, func(r *sublinear.CCResult) error { return components(r.Components, want) })
+func baseCC(g *graph.Graph) func(*mpc.Cluster) (*sublinear.CCResult, error) {
+	return checked(g, sublinear.Connectivity, func(r *sublinear.CCResult) error { return components(g, r.Components, "components") })
 }
 
-func components(got, want int) error {
-	if got != want {
-		return fmt.Errorf("%d components, want %d", got, want)
+// twoVsOne: core.TwoVsOneCycle must count g's cycles, its components.
+func twoVsOne(g *graph.Graph) func(*mpc.Cluster) (*core.TwoVsOneCycleResult, error) {
+	return checked(g, core.TwoVsOneCycle, func(r *core.TwoVsOneCycleResult) error { return components(g, r.Cycles, "cycles") })
+}
+
+// components holds a count of g's components (its cycles, for twoVsOne) to
+// the reference.
+func components(g *graph.Graph, got int, what string) error {
+	if _, want := graph.Components(g); got != want {
+		return fmt.Errorf("%d %s, want %d", got, what, want)
+	}
+	return nil
+}
+
+// minCut: core.MinCutUnweighted must find Stoer-Wagner's value.
+func minCut(g *graph.Graph) func(*mpc.Cluster) (*core.MinCutResult, error) {
+	return checked(g, core.MinCutUnweighted, func(r *core.MinCutResult) error { return cutValue(g, r.Value) })
+}
+
+func cutValue(g *graph.Graph, got int64) error {
+	if want := graph.StoerWagner(g); got != want {
+		return fmt.Errorf("min cut %d, want %d", got, want)
 	}
 	return nil
 }
@@ -144,13 +165,11 @@ func maximal(g *graph.Graph, alg func(*mpc.Cluster, *graph.Graph) (*core.Matchin
 
 // baseMatching is the sublinear peeling baseline, held to the same.
 func baseMatching(g *graph.Graph) func(*mpc.Cluster) (*sublinear.PeelResult, error) {
-	return func(c *mpc.Cluster) (*sublinear.PeelResult, error) {
-		edges, r, err := sublinear.MaximalMatching(c, g)
-		if err == nil {
-			err = graph.CheckMatching(g, edges, true)
-		}
+	alg := func(c *mpc.Cluster, g *graph.Graph) (*sublinear.PeelResult, error) {
+		_, r, err := sublinear.MaximalMatching(c, g)
 		return r, err
 	}
+	return checked(g, alg, func(r *sublinear.PeelResult) error { return graph.CheckMatching(g, prims.Flatten(r.Matched), true) })
 }
 
 // mis: core.MIS must return a maximal independent set of g.
@@ -167,21 +186,24 @@ func baseMIS(g *graph.Graph) func(*mpc.Cluster) (*sublinear.MISResult, error) {
 // and on a g with edges ship at least one conflict edge — the proof that
 // Theorem C.7's list path ran.
 func coloring(g *graph.Graph) func(*mpc.Cluster) (*core.ColoringResult, error) {
-	return checked(g, core.Coloring, func(r *core.ColoringResult) error {
-		if g.M() > 0 && r.ConflictEdges == 0 {
-			return errors.New("core.Coloring shipped no conflict edge on a graph with edges")
-		}
-		return graph.CheckColoring(g, r.Colors, r.MaxColor)
-	})
+	return checked(g, core.Coloring, func(r *core.ColoringResult) error { return listColored(g, r) })
 }
 
-// baseColoring is the sublinear colouring baseline, held to the same.
+func listColored(g *graph.Graph, r *core.ColoringResult) error {
+	if g.M() > 0 && r.ConflictEdges == 0 {
+		return errors.New("core.Coloring shipped no conflict edge on a graph with edges")
+	}
+	return graph.CheckColoring(g, r.Colors, r.MaxColor)
+}
+
+// baseColoring is the sublinear colouring baseline, held to a proper
+// colouring.
 func baseColoring(g *graph.Graph) func(*mpc.Cluster) (*sublinear.ColoringResult, error) {
 	return checked(g, sublinear.Coloring, func(r *sublinear.ColoringResult) error { return graph.CheckColoring(g, r.Colors, r.MaxColor) })
 }
 
-// spanner: core.Spanner's subgraph must keep g's sampled distances within
-// its reported stretch.
+// spanner: core.Spanner's subgraph must keep g's distances from 4 sampled
+// sources (seed) within its reported stretch.
 func spanner(g *graph.Graph, k int, seed uint64) func(*mpc.Cluster) (*core.SpannerResult, error) {
 	alg := func(c *mpc.Cluster, g *graph.Graph) (*core.SpannerResult, error) { return core.Spanner(c, g, k) }
 	return checked(g, alg, func(r *core.SpannerResult) error {
@@ -197,6 +219,26 @@ func baseSpanner(g *graph.Graph, k int, seed uint64) func(*mpc.Cluster) (*sublin
 	return checked(g, alg, func(r *sublinear.SpannerResult) error {
 		return graph.CheckSpanner(g, graph.New(g.N, r.Edges, false), 2*k-1, 4, seed)
 	})
+}
+
+// apsp: core.BuildAPSPOracle's spanner must keep g's sampled distances
+// within the oracle's stretch, as spanner's.
+func apsp(g *graph.Graph, seed uint64) func(*mpc.Cluster) (*core.APSPOracle, error) {
+	return checked(g, core.BuildAPSPOracle, func(o *core.APSPOracle) error { return oracleSpanner(g, o, seed) })
+}
+
+func oracleSpanner(g *graph.Graph, o *core.APSPOracle, seed uint64) error {
+	return graph.CheckSpanner(g, o.Spanner, o.Stretch, 4, seed)
+}
+
+// approxMST and approxCut are the two approximations at eps. Their rows
+// report the error against the reference, so no check holds them.
+func approxMST(g *graph.Graph, eps float64) func(*mpc.Cluster) (*core.MSTApproxResult, error) {
+	return func(c *mpc.Cluster) (*core.MSTApproxResult, error) { return core.ApproxMSTWeight(c, g, eps) }
+}
+
+func approxCut(g *graph.Graph, eps float64) func(*mpc.Cluster) (*core.MinCutResult, error) {
+	return func(c *mpc.Cluster) (*core.MinCutResult, error) { return core.ApproxMinCut(c, g, eps) }
 }
 
 // edgeKey orders edges by (weight, u, v).

@@ -72,14 +72,13 @@ func (rn *run) e18Stragglers(seed uint64) (*Table, error) {
 		Header: []string{"slowdown", "stragglers", "rounds", "makespan", "vs uniform", "straggler busy share"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
-	_, exact := graph.KruskalMSF(g)
 	baseRounds, baseMakespan, prevShare := 0, 0.0, 0.0
 	for _, slowdown := range []float64{1, 4, 16, 64, 256} {
 		cfg := het(n, m, 0, seed)
 		k := cfg.DeriveK()
 		stragglers := max(k/16, 1)
 		cfg.Profile = mpc.StragglerProfile(k, stragglers, slowdown)
-		c, _, err := cell(rn, cfg, mst(g, exact))
+		c, _, err := cell(rn, cfg, mst(g))
 		if err != nil {
 			return nil, fmt.Errorf("slowdown=%g: %w", slowdown, err)
 		}
@@ -121,12 +120,11 @@ func (rn *run) e19Bimodal(seed uint64) (*Table, error) {
 		Header: []string{"slow frac", "cc rounds", "cc makespan", "vs uniform", "matching rounds", "matching makespan", "vs uniform"},
 	}
 	g := graph.GNM(n, m, seed)
-	_, wantComps := graph.Components(g)
 	var baseCC, baseMatch mpc.Stats
 	for _, slowFrac := range []float64{0, 0.125, 0.25, 0.5} {
 		cfg := het(n, m, 0, seed)
 		cfg.Profile = mpc.BimodalProfile(cfg.DeriveK(), slowFrac, factor)
-		c, _, err := cell(rn, cfg, cc(g, wantComps))
+		c, _, err := cell(rn, cfg, cc(g))
 		if err != nil {
 			return nil, fmt.Errorf("slowfrac=%g: %w", slowFrac, err)
 		}

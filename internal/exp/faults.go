@@ -36,7 +36,6 @@ func (rn *run) e21CrashGrid(seed uint64) (*Table, error) {
 			"repl. words", "rounds", "makespan", "vs fault-free"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
-	_, exact := graph.KruskalMSF(g)
 	type point struct {
 		rate     float64
 		interval int
@@ -56,7 +55,7 @@ func (rn *run) e21CrashGrid(seed uint64) (*Table, error) {
 	for _, p := range grid {
 		cfg := het(n, m, 0, seed)
 		cfg.Faults = &fault.Plan{Interval: p.interval, CrashRate: p.rate}
-		c, _, err := cell(rn, cfg, mst(g, exact))
+		c, _, err := cell(rn, cfg, mst(g))
 		if err != nil {
 			return nil, fmt.Errorf("rate=%g interval=%d: %w (recovery lost state?)", p.rate, p.interval, err)
 		}
@@ -117,7 +116,6 @@ func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 			"makespan", "recovery cost", "vs fast victim"},
 	}
 	g := graph.GNM(n, m, seed)
-	_, wantComps := graph.Components(g)
 	k := het(n, m, 0, seed).DeriveK()
 	ref := map[int]float64{} // each victim's recovery cost at slowdown 1, which runs first
 	for _, slowdown := range []float64{1, 16, 64} {
@@ -132,7 +130,7 @@ func (rn *run) e22StragglerCrash(seed uint64) (*Table, error) {
 			if victim >= 0 {
 				cfg.Faults.Crashes = []fault.Crash{{Round: crashRound, Machine: victim}}
 			}
-			c, _, err := cell(rn, cfg, cc(g, wantComps))
+			c, _, err := cell(rn, cfg, cc(g))
 			if err != nil {
 				return nil, fmt.Errorf("slowdown=%g victim=%d: %w", slowdown, victim, err)
 			}

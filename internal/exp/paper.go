@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"strings"
 
 	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
@@ -37,38 +36,31 @@ type Table1Call struct {
 	Run    func(*mpc.Cluster) (any, error)
 }
 
+// table1Rows are Table 1's twelve calls, each by its name in the goldens
+// and its entry in the table of calls.
+var table1Rows = [][2]string{
+	{"sublinear.cc", "baseline-cc"}, {"core.cc", "connectivity"},
+	{"sublinear.mst", "baseline-mst"}, {"core.mst", "mst"},
+	{"sublinear.spanner", "baseline-spanner"}, {"core.spanner", "spanner"},
+	{"sublinear.coloring", "baseline-coloring"}, {"core.coloring", "coloring"},
+	{"sublinear.mis", "baseline-mis"}, {"core.mis", "mis"},
+	{"sublinear.matching", "baseline-matching"}, {"core.matching", "matching"},
+}
+
 // Table1Calls is Table 1's twelve calls on ConnectedGNM(n, m, seed),
-// weighted for MST: each problem's sublinear baseline, then its
-// heterogeneous call. The one definition the root goldens, the rounds gate
-// and table1 share.
+// weighted where the entry's input is: each problem's sublinear baseline,
+// then its heterogeneous call. The one definition the root goldens, the
+// rounds gate and table1 share.
 func Table1Calls(n, m int, seed uint64) []Table1Call {
 	gU := graph.ConnectedGNM(n, m, seed, false)
 	gW := graph.ConnectedGNM(n, m, seed, true)
-	_, comps := graph.Components(gU)
-	_, weight := graph.KruskalMSF(gW)
-	call := func(name string, g *graph.Graph, run func(*mpc.Cluster) (any, error)) Table1Call {
-		cfg := mpc.Config{N: n, M: m, NoLarge: strings.HasPrefix(name, "sublinear."), Seed: seed}
-		return Table1Call{name, cfg, g, run}
+	var out []Table1Call
+	for _, row := range table1Rows {
+		call, _ := LookupCall(row[1])
+		g, run := call.on(gU, gW, Params{K: t1SpannerK, Seed: seed})
+		out = append(out, Table1Call{row[0], mpc.Config{N: n, M: m, NoLarge: call.NoLarge, Seed: seed}, g, run})
 	}
-	return []Table1Call{
-		call("sublinear.cc", gU, erased(baseCC(gU, comps))),
-		call("core.cc", gU, erased(cc(gU, comps))),
-		call("sublinear.mst", gW, erased(baseMST(gW, weight))),
-		call("core.mst", gW, erased(mst(gW, weight))),
-		call("sublinear.spanner", gU, erased(baseSpanner(gU, t1SpannerK, seed))),
-		call("core.spanner", gU, erased(spanner(gU, t1SpannerK, seed))),
-		call("sublinear.coloring", gU, erased(baseColoring(gU))),
-		call("core.coloring", gU, erased(coloring(gU))),
-		call("sublinear.mis", gU, erased(baseMIS(gU))),
-		call("core.mis", gU, erased(mis(gU))),
-		call("sublinear.matching", gU, erased(baseMatching(gU))),
-		call("core.matching", gU, erased(maximal(gU, core.MaximalMatching))),
-	}
-}
-
-// erased is run with its result type erased.
-func erased[R any](run func(*mpc.Cluster) (R, error)) func(*mpc.Cluster) (any, error) {
-	return func(c *mpc.Cluster) (any, error) { return run(c) }
+	return out
 }
 
 // table1 reproduces the paper's Table 1: for each problem it measures the
@@ -86,20 +78,20 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 			"paper: sublinear", "paper: heterogeneous", "paper: near-linear"},
 	}
 
-	calls, out := map[string]Table1Call{}, map[string]any{}
+	rows, out := map[string]Table1Call{}, map[string]any{}
 	for _, call := range Table1Calls(t1N, t1M, seed) {
 		_, r, err := cell(rn, call.Config, call.Run)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", call.Name, err)
 		}
-		calls[call.Name], out[call.Name] = call, r
+		rows[call.Name], out[call.Name] = call, r
 	}
 	super := het(t1N, t1M, 0.5, seed)
 
 	// --- Connectivity ---
 	{
 		rs, rh := out["sublinear.cc"].(*sublinear.CCResult), out["core.cc"].(*core.ConnectivityResult)
-		_, rf, err := cell(rn, super, calls["core.cc"].Run)
+		_, rf, err := cell(rn, super, rows["core.cc"].Run)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +105,7 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 	// --- MST ---
 	{
 		rs, rh := out["sublinear.mst"].(*sublinear.MSTResult), out["core.mst"].(*core.MSTResult)
-		_, r, err := cell(rn, super, calls["core.mst"].Run)
+		_, r, err := cell(rn, super, rows["core.mst"].Run)
 		if err != nil {
 			return nil, err
 		}
@@ -132,9 +124,7 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 			gA.Edges[i].W = gA.Edges[i].W%32 + 1
 		}
 		_, exact := graph.KruskalMSF(gA)
-		_, rh, err := cell(rn, het(gA.N, gA.M(), 0, seed), func(c *mpc.Cluster) (*core.MSTApproxResult, error) {
-			return core.ApproxMSTWeight(c, gA, 0.25)
-		})
+		_, rh, err := cell(rn, het(gA.N, gA.M(), 0, seed), approxMST(gA, 0.25))
 		if err != nil {
 			return nil, err
 		}
@@ -159,20 +149,13 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 	// --- exact unweighted min cut ---
 	{
 		gC := graph.PlantedCut(t1CutN, 400, 3, seed, false)
-		want := graph.StoerWagner(gC)
-		_, rh, err := cell(rn, het(gC.N, gC.M(), 0, seed), func(c *mpc.Cluster) (*core.MinCutResult, error) {
-			return core.MinCutUnweighted(c, gC)
-		})
+		_, rh, err := cell(rn, het(gC.N, gC.M(), 0, seed), minCut(gC))
 		if err != nil {
-			return nil, err
-		}
-		status := "exact"
-		if rh.Value != want {
-			status = fmt.Sprintf("MISMATCH got %d want %d", rh.Value, want)
+			return nil, fmt.Errorf("exact min cut: %w", err)
 		}
 		t.AddRow("exact unweighted min cut",
 			"(not reproduced; [25])",
-			fmt.Sprintf("%d rounds/trial (%s)", rh.Stats.Rounds/rh.Trials, status),
+			fmt.Sprintf("%d rounds/trial (exact)", rh.Stats.Rounds/rh.Trials),
 			"same as heterogeneous",
 			"O(polylog n)", "O(1) per trial", "O(1)")
 	}
@@ -181,9 +164,7 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 	{
 		gC := graph.PlantedCut(t1CutN, 400, 3, seed+1, true)
 		want := graph.StoerWagner(gC)
-		_, rh, err := cell(rn, het(gC.N, gC.M(), 0, seed), func(c *mpc.Cluster) (*core.MinCutResult, error) {
-			return core.ApproxMinCut(c, gC, 0.25)
-		})
+		_, rh, err := cell(rn, het(gC.N, gC.M(), 0, seed), approxCut(gC, 0.25))
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +199,7 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 	// --- maximal matching ---
 	{
 		ps, rh := out["sublinear.matching"].(*sublinear.PeelResult), out["core.matching"].(*core.MatchingResult)
-		_, rf, err := cell(rn, super, maximal(calls["core.matching"].Graph, core.MatchingFiltering))
+		_, rf, err := cell(rn, super, maximal(rows["core.matching"].Graph, core.MatchingFiltering))
 		if err != nil {
 			return nil, err
 		}
@@ -247,12 +228,11 @@ func (rn *run) e2MSTDensity(seed uint64) (*Table, error) {
 	for _, ratio := range []int{2, 4, 8, 16, 32} {
 		m := ratio * n
 		g := graph.ConnectedGNM(n, m, seed+uint64(ratio), true)
-		_, want := graph.KruskalMSF(g)
-		_, rh, err := cell(rn, het(n, m, 0, seed), mst(g, want))
+		_, rh, err := cell(rn, het(n, m, 0, seed), mst(g))
 		if err != nil {
 			return nil, err
 		}
-		_, rs, err := cell(rn, baseline(n, m, seed), baseMST(g, want))
+		_, rs, err := cell(rn, baseline(n, m, seed), baseMST(g))
 		if err != nil {
 			return nil, fmt.Errorf("ratio %d: %w", ratio, err)
 		}
@@ -271,9 +251,8 @@ func (rn *run) e3MSTSuperlinear(seed uint64) (*Table, error) {
 	}
 	n, m := 512, 16384
 	g := graph.ConnectedGNM(n, m, seed, true)
-	_, want := graph.KruskalMSF(g)
 	for _, f := range []float64{0, 0.125, 0.25, 0.5} {
-		_, r, err := cell(rn, het(n, m, f, seed), mst(g, want))
+		_, r, err := cell(rn, het(n, m, f, seed), mst(g))
 		if err != nil {
 			return nil, err
 		}
@@ -453,9 +432,7 @@ func (rn *run) e10ApproxMST(seed uint64) (*Table, error) {
 	}
 	_, exact := graph.KruskalMSF(g)
 	for _, eps := range []float64{1.0, 0.5, 0.25, 0.1} {
-		_, r, err := cell(rn, het(g.N, g.M(), 0, seed), func(c *mpc.Cluster) (*core.MSTApproxResult, error) {
-			return core.ApproxMSTWeight(c, g, eps)
-		})
+		_, r, err := cell(rn, het(g.N, g.M(), 0, seed), approxMST(g, eps))
 		if err != nil {
 			return nil, err
 		}
@@ -465,8 +442,8 @@ func (rn *run) e10ApproxMST(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// e11MinCut validates the exact algorithm against Stoer-Wagner and sweeps ε
-// for the approximate one.
+// e11MinCut holds the exact algorithm to Stoer-Wagner, returning an error on
+// a wrong value, and sweeps ε for the approximate one.
 func (rn *run) e11MinCut(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E11 — minimum cut (Theorems C.3/C.4), n=128",
@@ -474,21 +451,17 @@ func (rn *run) e11MinCut(seed uint64) (*Table, error) {
 	}
 	for _, cut := range []int{2, 4} {
 		g := graph.PlantedCut(128, 400, cut, seed+uint64(cut), false)
-		want := graph.StoerWagner(g)
-		_, r, err := cell(rn, het(g.N, g.M(), 0, seed), func(c *mpc.Cluster) (*core.MinCutResult, error) {
-			return core.MinCutUnweighted(c, g)
-		})
+		_, r, err := cell(rn, het(g.N, g.M(), 0, seed), minCut(g))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("planted cut %d: %w", cut, err)
 		}
-		t.AddRow(fmt.Sprintf("planted cut %d", cut), "exact 2-out", r.Value, want, r.Stats.Rounds/r.Trials)
+		// Validated: the value is Stoer-Wagner's reference.
+		t.AddRow(fmt.Sprintf("planted cut %d", cut), "exact 2-out", r.Value, r.Value, r.Stats.Rounds/r.Trials)
 	}
 	gw := graph.PlantedCut(128, 400, 3, seed+9, true)
 	want := graph.StoerWagner(gw)
 	for _, eps := range []float64{0.5, 0.25} {
-		_, r, err := cell(rn, het(gw.N, gw.M(), 0, seed), func(c *mpc.Cluster) (*core.MinCutResult, error) {
-			return core.ApproxMinCut(c, gw, eps)
-		})
+		_, r, err := cell(rn, het(gw.N, gw.M(), 0, seed), approxCut(gw, eps))
 		if err != nil {
 			return nil, err
 		}
@@ -556,13 +529,11 @@ func (rn *run) e14TwoCycle(seed uint64) (*Table, error) {
 	for _, n := range []int{256, 1024, 4096} {
 		for parts := 1; parts <= 2; parts++ {
 			g := graph.Cycles(n, parts, seed+uint64(n)+uint64(parts))
-			_, rh, err := cell(rn, het(n, g.M(), 0, seed), checked(g, core.TwoVsOneCycle, func(r *core.TwoVsOneCycleResult) error {
-				return components(r.Cycles, parts)
-			}))
+			_, rh, err := cell(rn, het(n, g.M(), 0, seed), twoVsOne(g))
 			if err != nil {
 				return nil, fmt.Errorf("n=%d: %w", n, err)
 			}
-			_, rs, err := cell(rn, baseline(n, g.M(), seed), baseCC(g, parts))
+			_, rs, err := cell(rn, baseline(n, g.M(), seed), baseCC(g))
 			if err != nil {
 				return nil, fmt.Errorf("baseline n=%d: %w", n, err)
 			}
@@ -573,16 +544,15 @@ func (rn *run) e14TwoCycle(seed uint64) (*Table, error) {
 }
 
 // e15APSP measures the Corollary 4.2 oracle: observed stretch on sampled
-// pairs stays within the O(log n) guarantee.
+// pairs stays within the O(log n) guarantee, and it returns an error where
+// it does not.
 func (rn *run) e15APSP(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "E15 — APSP via log n-spanner (Corollary 4.2), n=256 m=2048",
 		Header: []string{"source", "pairs", "max observed stretch", "guaranteed stretch", "spanner edges", "build rounds"},
 	}
 	g := graph.ConnectedGNM(256, 2048, seed, false)
-	_, oracle, err := cell(rn, het(g.N, g.M(), 0, seed), func(c *mpc.Cluster) (*core.APSPOracle, error) {
-		return core.BuildAPSPOracle(c, g)
-	})
+	_, oracle, err := cell(rn, het(g.N, g.M(), 0, seed), apsp(g, seed))
 	if err != nil {
 		return nil, err
 	}
@@ -601,6 +571,9 @@ func (rn *run) e15APSP(seed uint64) (*Table, error) {
 			if ratio > worst {
 				worst = ratio
 			}
+		}
+		if worst > float64(oracle.Stretch) {
+			return nil, fmt.Errorf("source %d: observed stretch %.3g exceeds the guaranteed %d", src, worst, oracle.Stretch)
 		}
 		t.AddRow(src, pairs, worst, oracle.Stretch, oracle.Spanner.M(), oracle.BuildStats.Rounds)
 	}
@@ -628,7 +601,6 @@ func (rn *run) e16MSTAblation(seed uint64) (*Table, error) {
 	}
 	n, m := 1024, 2048
 	g := graph.ConnectedGNM(n, m, seed, true)
-	_, want := graph.KruskalMSF(g)
 	variants := []struct {
 		name string
 		opts core.MSTOptions
@@ -640,7 +612,7 @@ func (rn *run) e16MSTAblation(seed uint64) (*Table, error) {
 	}
 	var rs []*core.MSTResult
 	for i, v := range variants {
-		_, r, err := cell(rn, het(n, m, 0, seed), mstWith(g, want, v.opts))
+		_, r, err := cell(rn, het(n, m, 0, seed), mstWith(g, v.opts))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}

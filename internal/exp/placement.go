@@ -59,7 +59,6 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 			"spec words", "words", "top win phase", "win share"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
-	_, exact := graph.KruskalMSF(g)
 	policies := []sched.Policy{sched.Cap{}, sched.Speculate{R: 0}, sched.Speculate{R: 1},
 		sched.Speculate{R: 2}, sched.Speculate{R: 3}, sched.Speculate{R: 4}}
 	for _, prof := range []string{"straggler:2:8", "straggler:4:16"} {
@@ -70,7 +69,7 @@ func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
 		for _, pol := range policies {
 			cfg := profiled(g, seed, prof, true)
 			cfg.Placement, cfg.Trace = pol, trace.New()
-			c, r, err := cell(rn, cfg, mst(g, exact))
+			c, r, err := cell(rn, cfg, mst(g))
 			if err == nil {
 				prims.SortLocal(r.Edges, edgeKey)
 				err = row.check(pol, r.Edges, c.Stats())
@@ -297,7 +296,6 @@ func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 			"est rounds", "spec words", "makespan", "vs cap"},
 	}
 	g := graph.ConnectedGNM(n, m, seed, true)
-	_, exact := graph.KruskalMSF(g)
 	window := []fault.Slowdown{{Machine: 0, From: 5, To: 40, Factor: 16}}
 	plans := []struct {
 		name string
@@ -315,7 +313,7 @@ func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
 		for _, pol := range policies {
 			cfg := profiled(g, seed, "straggler:2:8", true)
 			cfg.Placement, cfg.Faults, cfg.Trace = pol, pl.plan, trace.New()
-			c, _, err := cell(rn, cfg, mst(g, exact))
+			c, _, err := cell(rn, cfg, mst(g))
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", pl.name, pol.Name(), err)
 			}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"hetmpc/internal/core"
 	"hetmpc/internal/graph"
-	"hetmpc/internal/mpc"
 	"hetmpc/internal/trace"
 )
 
@@ -53,22 +51,12 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	}
 	gW := graph.ConnectedGNM(n, m, seed, true)
 	gU := graph.ConnectedGNM(n, m, seed, false)
-	_, wantW := graph.KruskalMSF(gW)
-	_, wantComps := graph.Components(gU)
-
-	algs := []struct {
-		name string
-		g    *graph.Graph
-		run  func(*mpc.Cluster) (any, error)
-	}{
-		{"mst", gW, func(c *mpc.Cluster) (any, error) { return mst(gW, wantW)(c) }},
-		{"connectivity", gU, func(c *mpc.Cluster) (any, error) { return cc(gU, wantComps)(c) }},
-		{"matching", gU, func(c *mpc.Cluster) (any, error) { return maximal(gU, core.MaximalMatching)(c) }},
-	}
-	for _, alg := range algs {
+	for _, name := range []string{"mst", "connectivity", "matching"} {
+		alg, _ := LookupCall(name)
+		g, run := alg.on(gU, gW, Params{})
 		for _, prof := range []string{"uniform", "zipf:0.8", "bimodal:0.25:4", "straggler:2:8"} {
 			beefy := []bool{prof != "uniform"}
-			twins := alg.name == "mst" && (prof == "zipf:0.8" || prof == "straggler:2:8")
+			twins := name == "mst" && (prof == "zipf:0.8" || prof == "straggler:2:8")
 			if twins {
 				beefy = []bool{false, true}
 			}
@@ -77,11 +65,11 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 				if b {
 					coord = "beefy"
 				}
-				cfg := profiled(alg.g, seed, prof, b)
+				cfg := profiled(g, seed, prof, b)
 				cfg.Trace = trace.New()
-				c, _, err := cell(rn, cfg, alg.run)
+				c, _, err := cell(rn, cfg, run)
 				if err != nil {
-					return nil, fmt.Errorf("%s/%s/%s: %w", alg.name, prof, coord, err)
+					return nil, fmt.Errorf("%s/%s/%s: %w", name, prof, coord, err)
 				}
 				large := 0
 				for _, p := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
@@ -93,14 +81,14 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 					case p.Top >= 0:
 						speed = fmt.Sprintf("%g", cfg.Profile.Speed[p.Top])
 					}
-					t.AddRow(alg.name, prof, coord, p.Phase, p.Rounds, p.Words,
+					t.AddRow(name, prof, coord, p.Phase, p.Rounds, p.Words,
 						p.Makespan, p.Share, trace.MachineName(p.Top), speed, p.TopShare)
 				}
 				if b && large > 0 {
-					return nil, fmt.Errorf("%s/%s/%s: %d top phases bound by the provisioned large machine, want 0", alg.name, prof, coord, large)
+					return nil, fmt.Errorf("%s/%s/%s: %d top phases bound by the provisioned large machine, want 0", name, prof, coord, large)
 				}
 				if twins && !b && large == 0 {
-					return nil, fmt.Errorf("%s/%s/%s: no top phase bound by the large machine's fan-out", alg.name, prof, coord)
+					return nil, fmt.Errorf("%s/%s/%s: no top phase bound by the large machine's fan-out", name, prof, coord)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"hetmpc/internal/xrand"
 )
@@ -10,8 +11,8 @@ import (
 // of cmd/hetrun and cmd/graphgen lists them.
 var Generators = []string{"gnm", "connected", "cycles", "cycles2", "hubs", "cut", "grid", "star", "complete"}
 
-// Generate builds the named workload on n vertices (grid: the smallest
-// square of at least n). m is the edge count gnm and connected aim for and
+// Generate builds the named workload on n vertices (grid: the first n cells,
+// row by row, of the ⌈√n⌉-wide grid). m is the edge count gnm and connected aim for and
 // cut splits between its halves; weighted asks gnm, connected, cut and
 // complete for weights — unique ones, except cut's, which stay in 1..16 so
 // the planted cut stays minimal. The other generators are unweighted.
@@ -33,11 +34,14 @@ func Generate(name string, n, m int, seed uint64, weighted bool) (*Graph, error)
 	case "cut":
 		return PlantedCut(n, m/2, 3, seed, weighted), nil
 	case "grid":
-		r := 1
-		for r*r < n {
-			r++
+		w := 1
+		for w*w < n {
+			w++
 		}
-		return Grid(r, r), nil
+		g := Grid((n+w-1)/w, w)
+		g.Edges = slices.DeleteFunc(g.Edges, func(e Edge) bool { return e.V >= n })
+		g.N = n
+		return g, nil
 	case "star":
 		return Star(n), nil
 	case "complete":

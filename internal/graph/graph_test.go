@@ -229,19 +229,27 @@ func TestPlantedHubs(t *testing.T) {
 }
 
 // TestGenerateEveryName: every name in Generators builds a simple graph on
-// n vertices, and weighted gives weights exactly where the generator assigns
-// any — unique ones, except cut's, which stay in 1..16 by design.
+// exactly n vertices, square or not (grid a connected one), and weighted
+// gives weights exactly where the generator assigns any — unique ones,
+// except cut's, which stay in 1..16 by design.
 func TestGenerateEveryName(t *testing.T) {
-	const n, m = 64, 256 // n square, so grid's side is exact
+	const m = 256
 	weighs := map[string]bool{"gnm": true, "connected": true, "cut": true, "complete": true}
 	for _, name := range Generators {
-		for _, weighted := range []bool{false, true} {
+		for _, nw := range []struct {
+			n        int
+			weighted bool
+		}{{64, false}, {64, true}, {50, false}} { // 50: grid's last row is partial
+			n, weighted := nw.n, nw.weighted
 			g, err := Generate(name, n, m, 5, weighted)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if g.N != n || g.M() == 0 {
 				t.Errorf("%s: n=%d m=%d, want n=%d and some edges", name, g.N, g.M(), n)
+			}
+			if _, comps := Components(g); name == "grid" && comps != 1 {
+				t.Errorf("grid n=%d: %d components, want 1", n, comps)
 			}
 			if want := weighted && weighs[name]; g.Weighted != want {
 				t.Errorf("%s weighted=%v: Graph.Weighted=%v, want %v", name, weighted, g.Weighted, want)
@@ -269,7 +277,7 @@ func TestGenerateEveryName(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Generate("nope", n, m, 5, false); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+	if _, err := Generate("nope", 64, m, 5, false); err == nil || !strings.Contains(err.Error(), `"nope"`) {
 		t.Errorf("unknown generator: err = %v, want one naming \"nope\"", err)
 	}
 }
