@@ -41,7 +41,7 @@ func (re rankedEdge) edge() graph.Edge { return re.E }
 //	Phase 2: every high-degree vertex sends 2d·log n random incident edges
 //	         to the large machine, which greedily extends the matching —
 //	         only the high vertices are flagged, arranged and collected,
-//	         and a run whose one-word count of them reads 0 skips the phase;
+//	         and a run whose summed count of them reads 0 skips the phase;
 //	Phase 3: all edges with both endpoints still unmatched (≤ 2n w.h.p.,
 //	         Lemma 5.4) are shipped and the matching is completed.
 func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
@@ -64,13 +64,14 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	kk := c.K()
 
 	// Degrees and the low/high threshold, over the one plan of the edges'
-	// endpoints that phase 3's dissemination reuses.
+	// endpoints that the peel's first iteration and phase 3's dissemination
+	// reuse: it is built at the peel's value width.
 	verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
-	plan, err := prims.NewPlan(c, verts, 1)
+	plan, err := prims.NewPlan(c, verts, sublinear.RankValWords)
 	if err != nil {
 		return nil, err
 	}
-	degAtLarge, err := degreesAtLarge(c, plan, edges, unitWeight)
+	degs, err := degreeRoots(c, plan, edges, unitWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -79,25 +80,28 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 		d = 2
 	}
 	lowCap := d * d
-	// The large machine names the high vertices (deg > d²) and broadcasts
-	// how many there are, a word a machine. With none every edge is low, and
+	// Each root flags its own high vertices (deg > d²), and how many there
+	// are rides a sum every machine learns. With none every edge is low, and
 	// no flag, arrangement or collection runs; otherwise only the high
-	// vertices are flagged, and a machine reads a missing flag as low.
-	var highAt []prims.KV[bool]
-	for _, kv := range degAtLarge {
-		if kv.V > lowCap {
-			highAt = append(highAt, prims.KV[bool]{K: kv.K, V: true})
+	// vertices are flagged, and a machine reads a missing flag as low. A flag
+	// is presence alone, so its answer ships its key alone.
+	highRoots := make([][]prims.KV[bool], kk)
+	c.Each(func(i int) {
+		for _, kv := range degs[i] {
+			if kv.V > lowCap {
+				highRoots[i] = append(highRoots[i], prims.KV[bool]{K: kv.K, V: true})
+			}
 		}
-	}
+	})
 	count := c.Span("count")
-	_, err = prims.BroadcastValue(c, int64(len(highAt)), 1)
+	highs, err := prims.SumAll(c, prims.Counts(highRoots))
 	count.End()
 	if err != nil {
 		return nil, err
 	}
 	var isHigh prims.Answers[bool] // answers nothing: every vertex is low
-	if len(highAt) > 0 {
-		if isHigh, err = prims.PlanBroadcast(c, plan, nil, highAt, 1); err != nil {
+	if highs > 0 {
+		if isHigh, err = prims.PlanBroadcast(c, plan, highRoots, nil, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -108,15 +112,22 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 
 	// --- Phase 1: peel the low-degree induced subgraph ---
-	lowEdges := make([][]graph.Edge, kk)
-	c.Each(func(i int) {
-		for j, e := range edges[i] {
-			if hu, hv := high(i, j); !hu && !hv {
-				lowEdges[i] = append(lowEdges[i], e)
+	// Its first iteration runs over the plan: the low edges' endpoints are a
+	// subset of its keys, and a high vertex no low edge touches is never
+	// answered.
+	lowEdges, lowSlots := edges, slots
+	if highs > 0 {
+		lowEdges, lowSlots = make([][]graph.Edge, kk), make([][]int32, kk)
+		c.Each(func(i int) {
+			for j, e := range edges[i] {
+				if hu, hv := high(i, j); !hu && !hv {
+					lowEdges[i] = append(lowEdges[i], e)
+					lowSlots[i] = append(lowSlots[i], slots[i][2*j], slots[i][2*j+1])
+				}
 			}
-		}
-	})
-	peel, err := sublinear.PeelMatching(c, lowEdges, int64(n))
+		})
+	}
+	peel, err := sublinear.PeelMatching(c, lowEdges, plan, lowSlots, int64(n))
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +154,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	matching = append(matching, add...)
 
 	// --- Phase 2: high-degree vertices send 2d·log n random edges ---
-	if len(highAt) > 0 {
+	if highs > 0 {
 		logn := int64(math.Ceil(math.Log2(float64(n) + 2)))
 		add, err := matchHigh(c, edges, high, n, int(2*d*logn), matchedAt)
 		if err != nil {
@@ -153,13 +164,14 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) {
 	}
 
 	// --- Phase 3: ship all edges with both endpoints unmatched ---
+	// A matched flag is presence alone, a 0-word value, as the high flags.
 	matchedVals := make([]prims.KV[bool], 0, len(matching)*2)
 	for v, ok := range matchedAt {
 		if ok {
 			matchedVals = append(matchedVals, prims.KV[bool]{K: int64(v), V: true})
 		}
 	}
-	isMatched, err := prims.PlanBroadcast(c, plan, nil, matchedVals, 1)
+	isMatched, err := prims.PlanBroadcast(c, plan, nil, matchedVals, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -316,9 +328,9 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 		add, _ := graph.GreedyMatching(n, got, matchedAt)
 		matching = append(matching, add...)
 
-		// Disseminate this iteration's matched vertices and filter. An
-		// earlier iteration's have no live edge left, so nobody requests
-		// them (DESIGN.md §1).
+		// Disseminate this iteration's matched vertices, 0-word presence
+		// flags, and filter. An earlier iteration's have no live edge left,
+		// so nobody requests them (DESIGN.md §1).
 		matchedVals := make([]prims.KV[bool], 0, 2*len(add))
 		for _, e := range add {
 			matchedVals = append(matchedVals, prims.KV[bool]{K: int64(e.U), V: true})
@@ -328,7 +340,7 @@ func MatchingFiltering(c *mpc.Cluster, g *graph.Graph) (*MatchingResult, error) 
 		}
 		prims.SortKVsByKey(matchedVals) // the edges of a matching share no endpoint
 		needs, slots := prims.DistinctSlots(prims.Endpoints(live))
-		isMatched, err := prims.DisseminateFromLarge(c, needs, matchedVals, 1)
+		isMatched, err := prims.DisseminateFromLarge(c, needs, matchedVals, 0)
 		if err != nil {
 			return nil, err
 		}

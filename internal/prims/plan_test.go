@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/trace"
 	"hetmpc/internal/xrand"
 )
 
@@ -714,5 +715,100 @@ func TestDistinctSlots(t *testing.T) {
 				t.Errorf("%s: position %d (key %d) has slot %d, which holds %d", tc.name, j, x, sl[j], out[sl[j]])
 			}
 		}
+	}
+}
+
+// TestPresenceFlagsShipKeysAlone pins a 0-width collective, a presence
+// flag's: a PlanCombine partial and a PlanBroadcast answer carry one word,
+// their key, and a large value's scatter entry costs only its key, in
+// keyRunWords' shorter form. Machine i requests keys 8i…8i+63, so every key
+// below 8K+56 is requested, eight times; the large machine flags a run of
+// 200 consecutive keys and every seventh key past it, and each machine flags
+// its own first key through the combine.
+func TestPresenceFlagsShipKeysAlone(t *testing.T) {
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: 256, M: 2048, Seed: 42, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := c.K()
+	needs, items := make([][]int64, k), make([][]KV[bool], k)
+	for i := range needs {
+		for x := 8 * i; x < 8*i+64; x++ {
+			needs[i] = append(needs[i], int64(x))
+		}
+		items[i] = []KV[bool]{{K: int64(8 * i), V: true}}
+	}
+	var large []KV[bool]
+	for x := int64(0); x < int64(8*k+56); x++ {
+		if x < 200 || x%7 == 0 {
+			large = append(large, KV[bool]{K: x, V: true})
+		}
+	}
+	p, err := NewPlan(c, needs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.widest > 0 {
+		t.Fatalf("the plan has a %d-machine span; the pins below assume every key aligned", p.widest)
+	}
+	roots, err := PlanCombine(c, p, items, 0, func(a, b bool) bool { return a || b })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromRoots, err := PlanBroadcast(c, p, roots, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLarge, err := PlanBroadcast(c, p, nil, large, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, "from roots", fromRoots, needs, oracle(needs, Flatten(items)))
+	sameAnswers(t, "from large", fromLarge, needs, oracle(needs, large))
+
+	perRoot := make([][]KV[bool], k)
+	for _, kv := range large {
+		perRoot[p.root(kv.K)] = append(perRoot[p.root(kv.K)], kv)
+	}
+	var scatter int64
+	for _, kvs := range perRoot {
+		scatter += int64(keyRunWords(kvs, kvKey[bool]))
+	}
+	answered := func(a Answers[bool]) (n int64) {
+		for _, h := range a.has {
+			if h {
+				n++
+			}
+		}
+		return n
+	}
+	rounds := tr.Rounds()
+	var answers []int64
+	for _, r := range rounds {
+		if r.Phase == "broadcast" {
+			answers = append(answers, r.Words)
+		}
+	}
+	want := []int64{answered(fromRoots), answered(fromLarge)}
+	if !slices.Equal(answers, want) {
+		t.Errorf("answer rounds carry %v words, want %v: one word an answer", answers, want)
+	}
+	seen := map[string]int{}
+	for _, r := range rounds {
+		seen[r.Phase]++
+		switch r.Phase {
+		case "aggregate":
+			if r.Words != int64(k) {
+				t.Errorf("the combine's route round carries %d words, want %d: one word a partial", r.Words, k)
+			}
+		case "broadcast/scatter":
+			if r.Words != scatter || scatter >= int64(len(large)) {
+				t.Errorf("the scatter round carries %d words, want keyRunWords' %d, below a word a key (%d)", r.Words, scatter, len(large))
+			}
+		}
+	}
+	if seen["aggregate"] != 1 || seen["broadcast/scatter"] != 1 {
+		t.Errorf("%d route and %d scatter rounds, want 1 each", seen["aggregate"], seen["broadcast/scatter"])
 	}
 }

@@ -6,7 +6,8 @@
 // whose round count tracks log Δ.
 //
 // The peeling matching primitive is shared with the heterogeneous algorithm
-// of §5 (Phase 1 runs it on the low-degree induced subgraph), which is what
+// of §5 (Phase 1 runs it on the low-degree induced subgraph, handing down
+// its plan of the edges' endpoints for the first iteration), which is what
 // makes the paper's d-vs-Δ separation directly observable (experiment E7);
 // see DESIGN.md substitution 1.
 package sublinear
@@ -37,7 +38,9 @@ type rankVal struct {
 	EU, EV int32
 }
 
-const rankValWords = 3
+// RankValWords is a rankVal's width: the widest value the peel carries
+// over a plan, so a plan handed to PeelMatching is built at least this wide.
+const RankValWords = 3
 
 func lessRank(a, b rankVal) bool {
 	if a.Rank != b.Rank {
@@ -58,9 +61,18 @@ func lessRank(a, b rankVal) bool {
 // endpoints; the iteration count is O(log Δ') w.h.p. where Δ' is the max
 // degree of the input edges.
 //
+// plan, when not nil, is the caller's plan of a superset of the edges'
+// endpoints, built for values of at least RankValWords words, and
+// slots[i][2j] and slots[i][2j+1] are the slots of edges[i][j]'s endpoints
+// in it: the first iteration runs over that plan, and only later iterations
+// plan their live endpoints. A key of the plan no edge touches gets no value,
+// so it is never answered (DESIGN.md §1). A narrower plan, or one without
+// some edge's endpoint on the edge's machine, is refused with an error
+// wrapping prims.ErrUnplanned. With plan nil every iteration plans its own.
+//
 // Works on clusters with or without a large machine (the baseline regime
 // uses machine 0 as coordinator).
-func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*PeelResult, error) {
+func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [][]int32, stopRemaining int64) (*PeelResult, error) {
 	sp := c.Span("peel")
 	k := c.K()
 	live := make([][]graph.Edge, k)
@@ -110,13 +122,16 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 			}
 		})
 		// Both aggregations and disseminations of the iteration are over the
-		// live endpoints: one plan serves all four.
-		verts, slots := prims.DistinctSlots(prims.Endpoints(live))
-		plan, err := prims.NewPlan(c, verts, rankValWords)
-		if err != nil {
-			return nil, err
+		// live endpoints: one plan serves all four. The first iteration's
+		// is the caller's, if it handed one down.
+		if plan == nil {
+			var verts [][]int64
+			verts, slots = prims.DistinctSlots(prims.Endpoints(live))
+			if plan, err = prims.NewPlan(c, verts, RankValWords); err != nil {
+				return nil, err
+			}
 		}
-		minRoots, err := prims.PlanCombine(c, plan, items, rankValWords,
+		minRoots, err := prims.PlanCombine(c, plan, items, RankValWords,
 			func(a, b rankVal) rankVal {
 				if lessRank(b, a) {
 					return b
@@ -126,7 +141,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 		if err != nil {
 			return nil, err
 		}
-		mins, err := prims.PlanBroadcast(c, plan, minRoots, nil, rankValWords)
+		mins, err := prims.PlanBroadcast(c, plan, minRoots, nil, RankValWords)
 		if err != nil {
 			return nil, err
 		}
@@ -146,11 +161,13 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 				}
 			}
 		})
-		deadRoots, err := prims.PlanCombine(c, plan, deadItems, 1, func(a, b bool) bool { return a || b })
+		// A dead flag is presence alone: its value is always true, so a
+		// partial and an answer ship their key alone.
+		deadRoots, err := prims.PlanCombine(c, plan, deadItems, 0, func(a, b bool) bool { return a || b })
 		if err != nil {
 			return nil, err
 		}
-		dead, err := prims.PlanBroadcast(c, plan, deadRoots, nil, 1)
+		dead, err := prims.PlanBroadcast(c, plan, deadRoots, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -165,6 +182,7 @@ func PeelMatching(c *mpc.Cluster, edges [][]graph.Edge, stopRemaining int64) (*P
 			}
 			live[i] = out
 		})
+		plan = nil // the live endpoints have changed
 	}
 	res.Matched = matched
 	res.Live = live
@@ -179,7 +197,7 @@ func MaximalMatching(c *mpc.Cluster, g *graph.Graph) ([]graph.Edge, *PeelResult,
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := PeelMatching(c, edges, 0)
+	res, err := PeelMatching(c, edges, nil, nil, 0)
 	if err != nil {
 		return nil, nil, err
 	}

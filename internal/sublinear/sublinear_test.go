@@ -1,13 +1,17 @@
 package sublinear
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/prims"
+	"hetmpc/internal/trace"
 )
 
 func newBaselineCluster(t *testing.T, n, m int, seed uint64) *mpc.Cluster {
@@ -132,7 +136,7 @@ func TestPeelMatchingStopsEarly(t *testing.T) {
 	for j, e := range g.Edges {
 		edges[j%c.K()] = append(edges[j%c.K()], e)
 	}
-	res, err := PeelMatching(c, edges, 400)
+	res, err := PeelMatching(c, edges, nil, nil, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +242,92 @@ func TestBaselinesAreDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("baseline MST nondeterministic")
+	}
+}
+
+// TestPeelMatchingCallerPlanGolden: a plan handed down by the caller serves
+// the peel's first iteration, so the peel sorts once fewer, and a plan of a
+// superset of the edges' endpoints changes nothing else — its extra keys get
+// no value and are never answered. On TestBaselineMatchingGolden's input,
+// with every machine also requesting a vertex its edges may not touch and a
+// key past every vertex, the matching is that test's golden.
+func TestPeelMatchingCallerPlanGolden(t *testing.T) {
+	g := graph.ConnectedGNM(512, 4096, 7, false)
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), NoLarge: true, Seed: 7, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := prims.DistributeEdges(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := prims.Endpoints(edges)
+	for i := range keys {
+		keys[i] = append(keys[i], int64(7*i%g.N), int64(g.N+i))
+	}
+	verts, slots := prims.DistinctSlots(keys)
+	for i := range slots {
+		slots[i] = slots[i][:2*len(edges[i])]
+	}
+	plan, err := prims.NewPlan(c, verts, RankValWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := PeelMatching(c, edges, plan, slots, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := prims.Flatten(res.Matched)
+	if err := graph.CheckMatching(g, matched, true); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, matched)
+	if len(matched) != 246 || res.Iterations != 5 || h.Sum64() != 0xcb7f3c624bd48d9c {
+		t.Errorf("matching of %d edges in %d iterations, hash %#x; want the golden 246 in 5, 0xcb7f3c624bd48d9c",
+			len(matched), res.Iterations, h.Sum64())
+	}
+	sorts := 0
+	for _, r := range tr.Rounds() {
+		if r.Phase == "peel/plan/sort/broadcast" {
+			sorts++
+		}
+	}
+	if sorts != res.Iterations-1 {
+		t.Errorf("the peel sorts %d times in %d iterations, want %d", sorts, res.Iterations, res.Iterations-1)
+	}
+}
+
+// TestPeelMatchingRefusesUnplanned: a plan built for values narrower than
+// the peel's, or one where an edge's machine does not request one of its
+// endpoints, is refused with prims.ErrUnplanned.
+func TestPeelMatchingRefusesUnplanned(t *testing.T) {
+	g := graph.GNM(128, 900, 21)
+	for _, tc := range []struct {
+		name   string
+		vwords int
+		drop   bool // machine 0 does not request its first edge's U
+	}{
+		{"narrow", RankValWords - 1, false},
+		{"missing key", RankValWords, true},
+	} {
+		c := newBaselineCluster(t, g.N, g.M(), 9)
+		edges, err := prims.DistributeEdges(c, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verts, slots := prims.DistinctSlots(prims.Endpoints(edges))
+		if tc.drop {
+			u := int64(edges[0][0].U)
+			verts[0] = slices.DeleteFunc(verts[0], func(x int64) bool { return x == u })
+		}
+		plan, err := prims.NewPlan(c, verts, tc.vwords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := PeelMatching(c, edges, plan, slots, 0); !errors.Is(err, prims.ErrUnplanned) {
+			t.Errorf("%s: PeelMatching returned %v, want prims.ErrUnplanned", tc.name, err)
+		}
 	}
 }

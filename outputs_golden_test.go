@@ -90,7 +90,7 @@ var table1At4096 = map[string]struct {
 	"sublinear.mis":      {702, 0xef2c941bbc9272ff, 31},
 	"core.mis":           {725, 0xbdbe91171e8a640e, 48},
 	"sublinear.matching": {1942, 0xa5069830aaff4944, 52},
-	"core.matching":      {1944, 0x099e0c97b0a641b8, 35},
+	"core.matching":      {1944, 0x099e0c97b0a641b8, 31},
 }
 
 // TestTable1At4096Golden pins the twelve Table-1 calls at n=4096 m=8n seed 7,
@@ -109,7 +109,7 @@ func TestTable1At4096Golden(t *testing.T) {
 		}
 		makespan += c.Stats().Makespan
 	}
-	// The twelve calls measure 2,179,390 since ⌈√K⌉ group leaders agree on
+	// The twelve calls measure 2,136,514 since ⌈√K⌉ group leaders agree on
 	// Sort's splitters, MIS's exit count rides its gather, colouring always
 	// takes Theorem C.7's list path, the large machine receives only what it
 	// cannot rebuild, colouring learns Δ by MaxAll instead of gathering
@@ -119,12 +119,13 @@ func TestTable1At4096Golden(t *testing.T) {
 	// degree class, and ships it at 3 words, and the keys of a per-key
 	// message into or out of the large machine cost the shorter of a key a
 	// word and (first key, length) a run, and matching's Phase 2 runs over
-	// its high-degree vertices alone, of which this graph has none
-	// (DESIGN.md §1, §3, §3.3, §3.4, §3.6, §6); the ceiling is that plus
-	// 1.8 %, 2.22 M.
+	// its high-degree vertices alone, of which this graph has none, its
+	// high count rides a sum, its peel's first iteration runs over its
+	// endpoint plan and a presence flag ships its key alone (DESIGN.md §1,
+	// §3, §3.3, §3.4, §3.6, §6); the ceiling is that plus 1.8 %, 2.18 M.
 	t.Logf("the twelve calls' makespan: %.0f", makespan)
-	if makespan > 2.22e6 {
-		t.Errorf("the twelve calls' makespan is %.0f, want at most 2.22 M", makespan)
+	if makespan > 2.18e6 {
+		t.Errorf("the twelve calls' makespan is %.0f, want at most 2.18 M", makespan)
 	}
 }
 
@@ -231,20 +232,27 @@ func TestConnectivityBatchGolden(t *testing.T) {
 }
 
 // TestMatchingPhase2Golden pins what maximal matching's Phase 2 costs
-// (DESIGN.md §3.3): after the degree aggregation the large machine
-// broadcasts how many vertices have degree above d², one round of a word a
-// machine under "matching/count", and only those vertices are flagged,
-// arranged and collected. On G(512, 4096) there is none, so that round is
-// all of Phase 2: phase 3's dissemination is the one scatter under
-// "matching/broadcast", nothing runs under "matching/seed" or
+// (DESIGN.md §3.3): the degrees stay at their roots on the endpoint plan,
+// each root counts its vertices of degree above d², and the count rides a
+// SumAll under "matching/count" — one round of a word a machine to the
+// coordinator and one back, where the large machine used to gather every
+// degree (a word a vertex) and broadcast the count. Only the high vertices
+// are flagged, arranged and collected. On G(512, 4096) there is none, so
+// those two rounds are all of Phase 2: phase 3's dissemination is the one
+// scatter under "matching/broadcast", nothing runs under "matching/seed" or
 // "matching/arrange", and CollectBudget's query and reply rounds, charged
-// under "matching" itself, do not run. On PlantedHubs(400, 4, 4, 350, 11)
-// only the copies filed under a high vertex are arranged, so the Arrange's
-// route round carries at most EdgeWords + 2 = 5 words a high vertex's
-// incidence; arranging every edge's two copies routed 5 words each of 2m. Each output's size and hash (outputDigest) on those
-// two graphs, PlantedHubs(300, 4, 3, 250, 7) and Star(80) is the one the
-// matching returned when every vertex's degree was broadcast and every
-// edge arranged.
+// under "matching" itself, do not run. On the hub graphs the roots hand their
+// flags to PlanBroadcast directly, so phase 3's is still the one scatter. On
+// PlantedHubs(400, 4, 4, 350, 11) only the copies filed under a high vertex
+// are arranged, so the Arrange's route round carries at most EdgeWords + 2 =
+// 5 words a high vertex's incidence; arranging every edge's two copies
+// routed 5 words each of 2m. The peel's first iteration runs over the
+// endpoint plan, a superset of the low edges' endpoints on the hub graphs,
+// so the peel sorts once an iteration after the first. Each output's size
+// and hash (outputDigest) on those two graphs, PlantedHubs(300, 4, 3, 250,
+// 7) and Star(80) is the one the matching returned when every vertex's
+// degree was broadcast, every edge arranged and every peel iteration
+// planned its own endpoints.
 func TestMatchingPhase2Golden(t *testing.T) {
 	for _, w := range []struct {
 		name string
@@ -281,14 +289,22 @@ func TestMatchingPhase2Golden(t *testing.T) {
 				route = r.Words // the Sort's last round under its own phase
 			}
 		}
-		if rounds["matching/count/broadcast"] != 1 || words["matching/count/broadcast"] != int64(c.K()) {
-			t.Errorf("%s: %d count rounds carry %d words, want 1 of %d", w.name,
-				rounds["matching/count/broadcast"], words["matching/count/broadcast"], c.K())
+		for _, phase := range []string{"matching/count/sum", "matching/count/sum/broadcast"} {
+			if rounds[phase] != 1 || words[phase] != int64(c.K()) {
+				t.Errorf("%s: %d rounds under %q carry %d words, want 1 of %d", w.name, rounds[phase], phase, words[phase], c.K())
+			}
+		}
+		if sorts, want := rounds["matching/peel/plan/sort/broadcast"], max(res.Phase1Iters-1, 0); sorts != want {
+			t.Errorf("%s: the peel sorts %d times in %d iterations, want %d: its first runs over the endpoint plan",
+				w.name, sorts, res.Phase1Iters, want)
+		}
+		if rounds["matching/broadcast/scatter"] != 1 {
+			t.Errorf("%s: %d scatter rounds under matching/broadcast, want phase 3's 1", w.name, rounds["matching/broadcast/scatter"])
 		}
 		switch w.name {
 		case "gnm":
 			for phase, want := range map[string]int{
-				"matching/broadcast/scatter": 1, "matching/broadcast": 1,
+				"matching/broadcast":      1,
 				"matching/seed/broadcast": 0, "matching/arrange": 0, "matching/arrange/sort": 0, "matching": 0,
 			} {
 				if rounds[phase] != want {

@@ -124,7 +124,14 @@ func commOf(s hetmpc.ClusterStats) comm {
 // broadcast and nothing is arranged or collected. Rounds 44 → 35, messages
 // 72,777 → 57,198, words 307,049 → 229,174, max-send 787 → 768 (the
 // degree scatter's; phase 3's is left), max-recv 930 → 787 (the degree
-// gather's, left, after the arrange sample's).
+// gather's, left, after the arrange sample's). It was re-captured once more
+// when the peel's first iteration began running over the endpoint plan, the
+// high count began riding a sum instead of a degree gather, and a presence
+// flag's answer and scatter entry began shipping its key alone (DESIGN.md §1,
+// §3.3): rounds 35 → 31, messages 57,198 → 49,886, words 229,174 → 170,314,
+// max-send 768 → 720 (phase 3's scatter ships 290 key words, no longer 768
+// with its values; the plan Sort's reply round is left), max-recv 787 → 688
+// (the degree gather is gone; the peel's first combine route is left).
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -152,7 +159,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
-		}, comm{35, 57198, 229174, 768, 787}},
+		}, comm{31, 49886, 170314, 720, 688}},
 		{"baseline-mst", true, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.BaselineMST(c, gW)
 			if err == nil && r.Weight != 153235 {

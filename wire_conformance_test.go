@@ -63,7 +63,8 @@ var conformanceWorkloads = []conformanceWorkload{
 		g := hetmpc.GNM(512, 4096, 7)
 		return hetmpc.BaselineConnectivity(c, g)
 	}},
-	// Phase 1's peel builds a plan an iteration: NewPlan, PlanCombine's
+	// Phase 1's peel plans its live endpoints in every iteration after the
+	// first, which runs over matching's endpoint plan: NewPlan, PlanCombine's
 	// span-up round and PlanBroadcast cross the wire.
 	{"matching", 0, []string{"", "straggler:2:8"}, func(c *hetmpc.Cluster) (any, error) {
 		g := hetmpc.ConnectedGNM(512, 4096, 7, false)
