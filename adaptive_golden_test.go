@@ -17,7 +17,7 @@ func misreportedConfig(pol hetmpc.PlacementPolicy, tr *hetmpc.Trace) hetmpc.Conf
 	const k = 8
 	cfg := hetmpc.Config{N: 512, M: 4096, K: k, Seed: 7, Placement: pol, Trace: tr}
 	p := hetmpc.UniformProfile(k)
-	p.LargeSpeed, p.LargeBandwidth = 64, 64
+	p.LargeCost = 1.0 / 32
 	cfg.Profile = p
 	cfg.Faults = &hetmpc.FaultPlan{Slowdowns: []hetmpc.FaultSlowdown{
 		{Machine: k - 2, From: 1, To: 1 << 20, Factor: 4},
@@ -37,7 +37,7 @@ func TestAdaptiveGoldenThroughputEquivalence(t *testing.T) {
 	run := func(pol hetmpc.PlacementPolicy) hetmpc.ClusterStats {
 		cfg := hetmpc.Config{N: 512, M: 4096, Seed: 7, Placement: pol}
 		p := hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
-		p.LargeSpeed, p.LargeBandwidth = 64, 64
+		p.LargeCost = 1.0 / 32
 		cfg.Profile = p
 		c, err := hetmpc.NewCluster(cfg)
 		if err != nil {
@@ -128,7 +128,7 @@ func TestTraceArgmaxBusyRegression(t *testing.T) {
 		{"speculate-straggler", func(tr *hetmpc.Trace) hetmpc.Config {
 			cfg := hetmpc.Config{N: 512, M: 4096, Seed: 7, Placement: hetmpc.SpeculatePlacement{R: 2}, Trace: tr}
 			p := hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
-			p.LargeSpeed, p.LargeBandwidth = 64, 64
+			p.LargeCost = 1.0 / 32
 			cfg.Profile = p
 			return cfg
 		}},

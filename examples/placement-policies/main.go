@@ -7,7 +7,7 @@
 //
 //   - cap: capacity-proportional (the default). Capacities are uniform
 //     here, so the stragglers hold full shares and dominate the makespan;
-//   - throughput: share ∝ min(capacity, effective speed) — the stragglers
+//   - throughput: share ∝ min(capacity, 1/word cost) — the stragglers
 //     hold less, the route traffic rebalances;
 //   - speculate:R: throughput plus first-copy-wins redundant execution of
 //     the R slowest per-round shards on idle fast machines. The rounds no
@@ -43,9 +43,10 @@ func main() {
 		cfg := hetmpc.Config{N: n, M: m, Seed: 9, Placement: pol}
 		// Two stragglers at 1/8 speed; the large machine is the beefy
 		// server (it holds ~n^{1-γ} small machines' memory — provision its
-		// speed to match), so the small-machine tail sets the clock.
+		// compute and link to match, 64× a small machine's), so the
+		// small-machine tail sets the clock.
 		p := hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
-		p.LargeSpeed, p.LargeBandwidth = 64, 64
+		p.LargeCost = 1.0 / 32
 		cfg.Profile = p
 		c, err := hetmpc.NewCluster(cfg)
 		if err != nil {
@@ -86,7 +87,7 @@ func main() {
 	misreported := func(pol hetmpc.PlacementPolicy) hetmpc.ClusterStats {
 		cfg := hetmpc.Config{N: n, M: m, K: k, Seed: 9, Placement: pol}
 		p := hetmpc.UniformProfile(k)
-		p.LargeSpeed, p.LargeBandwidth = 64, 64
+		p.LargeCost = 1.0 / 32
 		cfg.Profile = p
 		cfg.Faults = &hetmpc.FaultPlan{Slowdowns: []hetmpc.FaultSlowdown{
 			{Machine: k - 2, From: 1, To: 1 << 20, Factor: 4},

@@ -43,7 +43,7 @@ func main() {
 	tr := hetmpc.NewTrace()
 	cfg := hetmpc.Config{N: n, M: m, Seed: 9, Trace: tr}
 	p := hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
-	p.LargeSpeed, p.LargeBandwidth = 64, 64 // beefy coordinator: the slow tail sets the clock
+	p.LargeCost = 1.0 / 32 // beefy coordinator, 64× compute and link: the slow tail sets the clock
 	cfg.Profile = p
 	c, err := hetmpc.NewCluster(cfg)
 	if err != nil {

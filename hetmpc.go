@@ -21,19 +21,18 @@
 // Beyond the paper's uniform small machines, the simulator supports
 // heterogeneous machine profiles (Profile; generators UniformProfile,
 // ZipfProfile, BimodalProfile, StragglerProfile, and the CLI-spec parser
-// ParseProfile): per-machine capacities, compute speeds and link
-// bandwidths, with the simulated makespan reported in ClusterStats.Makespan
-// and per-machine busy time on the Cluster. A nil profile reproduces the
-// paper's model exactly.
+// ParseProfile): per-machine capacities and per-word costs, with the
+// simulated makespan reported in ClusterStats.Makespan and per-machine busy
+// time on the Cluster. A nil profile reproduces the paper's model exactly.
 //
 // How work is split across those machines is a pluggable placement policy
 // (Config.Placement; parser ParsePlacement, DESIGN.md §8): the default
 // capacity-proportional CapPlacement, the min-makespan
-// ThroughputPlacement (share ∝ min(capacity, effective speed)),
+// ThroughputPlacement (share ∝ min(capacity, 1/word cost)),
 // SpeculatePlacement, which adds first-copy-wins redundant execution of
 // the slowest per-round shards on idle fast machines — speculative copies
 // are charged honestly in ClusterStats.SpeculationWords — and
-// AdaptivePlacement, which re-estimates every machine's effective speed
+// AdaptivePlacement, which re-estimates every machine's per-word cost
 // online (EWMA over the rounds it actually runs) and recomputes the
 // throughput shares at round boundaries, so placement stays right even
 // when the declared profile is wrong (DESIGN.md §10). Policies move
@@ -120,8 +119,8 @@ type (
 	// ClusterStats are the accumulated communication metrics of a cluster
 	// (rounds, messages, words, and the simulated Makespan).
 	ClusterStats = mpc.Stats
-	// Profile describes per-machine heterogeneity: capacity, compute speed
-	// and link bandwidth scales; nil is the paper's uniform cluster.
+	// Profile describes per-machine heterogeneity: a capacity scale and a
+	// time per word each; nil is the paper's uniform cluster.
 	Profile = mpc.Profile
 	// PlacementPolicy decides how the placement primitives split work
 	// across heterogeneous machines (Config.Placement); nil is the
@@ -132,7 +131,7 @@ type (
 	// default; bit-identical to a nil Config.Placement).
 	CapPlacement = sched.Cap
 	// ThroughputPlacement is the LPT-style min-makespan placement policy:
-	// share ∝ min(capacity share, effective speed).
+	// share ∝ min(capacity share, 1/word cost).
 	ThroughputPlacement = sched.Throughput
 	// SpeculatePlacement is ThroughputPlacement plus redundant execution
 	// of the R slowest per-round shards on idle fast machines,
@@ -227,24 +226,24 @@ type (
 // Õ(n^γ) words each.
 func NewCluster(cfg Config) (*Cluster, error) { return mpc.New(cfg) }
 
-// --- Machine profiles (heterogeneous capacities and speeds) ---
+// --- Machine profiles (heterogeneous capacities and costs) ---
 
 // UniformProfile is the explicit form of the default profile: k machines,
-// every scale 1; bit-identical to a nil profile.
+// every capacity scale 1 and every cost 2; bit-identical to a nil profile.
 func UniformProfile(k int) *Profile { return mpc.UniformProfile(k) }
 
 // ZipfProfile skews capacities: machine i's cap scale is (i+1)^-s, clamped
-// below at floor (0 = default 0.05). Speeds stay 1.
+// below at floor (0 = default 0.05). Costs stay 2.
 func ZipfProfile(k int, s, floor float64) *Profile { return mpc.ZipfProfile(k, s, floor) }
 
-// BimodalProfile slows the last ⌈slowFrac·k⌉ machines' speed and bandwidth
-// by factor; capacities stay uniform, so only the makespan changes.
+// BimodalProfile slows the last ⌈slowFrac·k⌉ machines' compute and link by
+// factor; capacities stay uniform, so only the makespan changes.
 func BimodalProfile(k int, slowFrac, factor float64) *Profile {
 	return mpc.BimodalProfile(k, slowFrac, factor)
 }
 
 // StragglerProfile slows the last `stragglers` machines' compute by
-// slowdown; capacities and bandwidths stay uniform.
+// slowdown; capacities and links stay uniform.
 func StragglerProfile(k, stragglers int, slowdown float64) *Profile {
 	return mpc.StragglerProfile(k, stragglers, slowdown)
 }

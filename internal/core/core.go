@@ -125,7 +125,7 @@ func degreesAtLarge(c *mpc.Cluster, p *prims.Plan, edges [][]graph.Edge, weight 
 	if err != nil {
 		return nil, err
 	}
-	return prims.GatherKVs(c, roots, func(int64) int { return 1 })
+	return prims.GatherKVs(c, roots, 1)
 }
 
 // degreeRoots is degreesAtLarge without the gather: each vertex's degree

@@ -129,7 +129,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 			nbrs[i][j] = prims.KV[[2]int64]{K: kv.K, V: [2]int64{kv.V.N1, kv.V.N2}}
 		}
 	})
-	atLarge, err := prims.GatherKVs(c, nbrs, func([2]int64) int { return twoOutNbrWords })
+	atLarge, err := prims.GatherKVs(c, nbrs, twoOutNbrWords)
 	if err != nil {
 		return 0, false, err
 	}
@@ -165,7 +165,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	if err != nil {
 		return 0, false, err
 	}
-	cdeg, err := prims.GatherKVs(c, cdegRoots, func(int64) int { return 1 })
+	cdeg, err := prims.GatherKVs(c, cdegRoots, 1)
 	if err != nil {
 		return 0, false, err
 	}
@@ -200,7 +200,7 @@ func minCutTrial(c *mpc.Cluster, edges [][]graph.Edge, plan *prims.Plan, slots [
 	if err != nil {
 		return 0, false, err
 	}
-	sampledPairs, err := prims.GatherKVs(c, sampledRoots, func(bool) int { return 1 })
+	sampledPairs, err := prims.GatherKVs(c, sampledRoots, 1)
 	if err != nil {
 		return 0, false, err
 	}

@@ -141,7 +141,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	orAtLarge, err := prims.GatherKVs(c, orRoots, func(vbits) int { return bitWords })
+	orAtLarge, err := prims.GatherKVs(c, orRoots, bitWords)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func Spanner(c *mpc.Cluster, g *graph.Graph, k int) (*SpannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigAtLarge, err := prims.GatherKVs(c, sigRoots, func(sigPick) int { return sigShipWords })
+	sigAtLarge, err := prims.GatherKVs(c, sigRoots, sigShipWords)
 	if err != nil {
 		return nil, err
 	}

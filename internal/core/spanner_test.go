@@ -221,7 +221,7 @@ func TestSpannerIndependentOfBuckets(t *testing.T) {
 		return res
 	}
 	beefy := mpc.UniformProfile(k)
-	beefy.LargeSpeed, beefy.LargeBandwidth = 64, 64
+	beefy.LargeCost = 1.0 / 32
 	a, b := run(nil), run(beefy)
 	if a.SampledLevels == 0 {
 		t.Fatal("no sampled level: the coins under test are never drawn")

@@ -51,11 +51,12 @@ func baseline(n, m int, seed uint64) mpc.Config {
 
 // beefyCoordinator marks the large machine as the fast server it is in the
 // model (it already holds ~n^{1-γ} times a small machine's memory; the
-// placement sweeps provision its speed and link to match). Without this the
-// coordinator's broadcast fan-out dominates every round's clock and no
-// small-machine placement decision is visible in the makespan at all.
+// placement sweeps provision its compute and link 64× a small machine's, a
+// time per word of 1/64 + 1/64). Without this the coordinator's broadcast
+// fan-out dominates every round's clock and no small-machine placement
+// decision is visible in the makespan at all.
 func beefyCoordinator(p *mpc.Profile) *mpc.Profile {
-	p.LargeSpeed, p.LargeBandwidth = 64, 64
+	p.LargeCost = 1.0 / 32
 	return p
 }
 

@@ -30,7 +30,7 @@ import (
 // throughput bit-identically (E29, which also holds the static policies'
 // grid), with a misreported profile it is the only policy that recovers
 // the makespan the static splits leave on the table (E30), and under
-// transient slowdown windows it tracks the effective speeds through the
+// transient slowdown windows it tracks the effective costs through the
 // window and back out (E31, which also holds speculation under crashes and
 // windows). The traced cells re-prove the conservation contract under
 // mid-run share switches.
@@ -177,12 +177,16 @@ func (rn *run) e29AdaptivePolicyGrid(seed uint64) (*Table, error) {
 			switch pol.(type) {
 			case sched.Throughput:
 				thrStats = st
-				evenSpeed := slices.Min(cfg.Profile.Speed) == slices.Max(cfg.Profile.Speed)
-				if evenSpeed && st.Makespan != row.stats.Makespan {
-					return nil, fmt.Errorf("%s: throughput makespan %v differs from cap %v at even speeds", prof, st.Makespan, row.stats.Makespan)
+				costs := make([]float64, c.K())
+				for i := range costs {
+					costs[i] = c.WordCost(i)
 				}
-				if !evenSpeed && st.Makespan >= row.stats.Makespan {
-					return nil, fmt.Errorf("%s: throughput makespan %v did not beat cap %v under speed skew", prof, st.Makespan, row.stats.Makespan)
+				evenCost := slices.Min(costs) == slices.Max(costs)
+				if evenCost && st.Makespan != row.stats.Makespan {
+					return nil, fmt.Errorf("%s: throughput makespan %v differs from cap %v at even costs", prof, st.Makespan, row.stats.Makespan)
+				}
+				if !evenCost && st.Makespan >= row.stats.Makespan {
+					return nil, fmt.Errorf("%s: throughput makespan %v did not beat cap %v under cost skew", prof, st.Makespan, row.stats.Makespan)
 				}
 			case sched.Adaptive:
 				estRounds = c.PlacementEstimator().Rounds()

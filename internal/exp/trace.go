@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 
@@ -36,7 +35,7 @@ func topPhases(s *trace.Summary, n int) []trace.PhaseStat {
 // included; every other profile runs on the beefy coordinator of the
 // placement sweeps. MST's zipf and straggler cells also run a stock twin,
 // and the pair asks, per phase, which machine bounds the clock: with a
-// stock (speed-1) coordinator its fan-out bounds phases, and provisioning it
+// stock (cost-2) coordinator its fan-out bounds phases, and provisioning it
 // away hands the critical path to the slow small machines exactly where the
 // profile says it should. It returns an error if a listed phase of any
 // beefy cell is bound by the large machine, or if a stock twin lists no
@@ -47,7 +46,7 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("E26 — phase breakdown and critical-path machine (top 3 phases by makespan share), n=%d m=%d", n, m),
 		Header: []string{"alg", "profile", "coordinator", "phase", "rounds", "words",
-			"makespan", "share", "bound by", "machine speed", "top share"},
+			"makespan", "share", "bound by", "word cost", "top share"},
 	}
 	gW := graph.ConnectedGNM(n, m, seed, true)
 	gU := graph.ConnectedGNM(n, m, seed, false)
@@ -73,16 +72,15 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 				}
 				large := 0
 				for _, p := range topPhases(trace.Summarize(c.Trace().Rounds()), 3) {
-					speed := "-"
-					switch {
-					case p.Top == trace.Large:
-						speed = fmt.Sprintf("%g", cmp.Or(cfg.Profile.LargeSpeed, 1)) // 0 means 1
+					cost := "-"
+					if p.Top != trace.None {
+						cost = fmt.Sprintf("%g", c.WordCost(p.Top))
+					}
+					if p.Top == trace.Large {
 						large++
-					case p.Top >= 0:
-						speed = fmt.Sprintf("%g", cfg.Profile.Speed[p.Top])
 					}
 					t.AddRow(name, prof, coord, p.Phase, p.Rounds, p.Words,
-						p.Makespan, p.Share, trace.MachineName(p.Top), speed, p.TopShare)
+						p.Makespan, p.Share, trace.MachineName(p.Top), cost, p.TopShare)
 				}
 				if b && large > 0 {
 					return nil, fmt.Errorf("%s/%s/%s: %d top phases bound by the provisioned large machine, want 0", name, prof, coord, large)
@@ -96,7 +94,7 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"each row is one phase path (innermost span wins, so shares partition the makespan exactly)",
 		"conservation is re-proved per cell: Σ per-round contributions == Stats.Makespan bit-identically, Σ words == TotalWords",
-		"'bound by' is the machine with the largest summed per-round charge inside the phase; 'machine speed' is its profile speed",
+		"'bound by' is the machine with the largest summed per-round charge inside the phase; 'word cost' is its time per word (WordCost)",
 		"each MST stock twin lists a phase its coordinator's fan-out bounds; no beefy cell lists one the large machine bounds, the critical path is on the small machines (asserted)",
 	)
 	return t, nil

@@ -30,7 +30,7 @@ import (
 // entry per message that nothing reads.
 //
 // After delivery the same counters price the round: each machine is charged
-// w_i·(1/Speed_i + 1/Bandwidth_i) for the words it moved, written to the
+// w_i·WordCost(i) for the words it moved, written to the
 // round's Busy vector, and settle — the one pricing pass, which the
 // checkpoint barrier shares — adds the charges up; the round costs the
 // barrier latency plus the busiest machine's charge. Capacities are per
@@ -219,7 +219,7 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	c.stats.MaxRecvWords = max(c.stats.MaxRecvWords, maxRecv)
 
 	// Makespan: the round takes the barrier latency plus the busiest
-	// machine's charge, w_i · (1/Speed_i + 1/Bandwidth_i) over the words it
+	// machine's charge, w_i · WordCost(i) over the words it
 	// moved (scaled by any transient slowdown window of the fault plan),
 	// written per slot to sc.busy — the record's Busy vector. A slot that
 	// moved no word stays 0 without pricing: stacked slowdown windows can

@@ -26,6 +26,7 @@
 package mpc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -170,11 +171,10 @@ type Stats struct {
 	MaxRecvWords int   `json:"max_recv_words"` // max words received by one machine in one round
 
 	// Makespan is the simulated wall-clock under the machine Profile:
-	// Σ over rounds of RoundLatency + max over machines of
-	// w_i·(1/Speed_i + 1/Bandwidth_i), where w_i is the words machine i
-	// sent plus received that round (DESIGN.md §6). With a uniform profile
-	// it reduces to Rounds + Σ_r 2·max_i w_i(r) — a pure function of the
-	// round structure. Under an active fault plan it additionally carries
+	// Σ over rounds of RoundLatency + max over machines of w_i·WordCost(i),
+	// where w_i is the words machine i sent plus received that round
+	// (DESIGN.md §6). With a uniform profile it reduces to
+	// Rounds + Σ_r 2·max_i w_i(r) — a pure function of the round structure. Under an active fault plan it additionally carries
 	// the checkpoint barriers, recovery rounds and restore transfers of
 	// the recovery protocol (DESIGN.md §7).
 	Makespan float64 `json:"makespan"`
@@ -251,7 +251,7 @@ type Cluster struct {
 	smallCaps   []int     // per-machine capacity: CapScale[i] · smallCap
 	minSmallCap int       // min over smallCaps; tree/broadcast sizing bound
 	capShare    []float64 // CapScale normalized to max 1; capacity weights
-	invCost     []float64 // per slot (0=large, 1+i=small): 1/Speed + 1/Bandwidth
+	cost        []float64 // per slot (0=large, 1+i=small): time per word
 	busy        []float64 // per slot, accumulated simulated busy time
 	latency     float64   // per-round synchronization cost
 
@@ -354,31 +354,28 @@ func New(cfg Config) (*Cluster, error) {
 // applyProfile derives the per-machine capacity/cost state from p (nil =
 // uniform).
 func (c *Cluster) applyProfile(p *Profile) error {
-	if p != nil {
-		if err := p.validate(c.k); err != nil {
-			return err
-		}
+	if p == nil {
+		p = &Profile{}
 	}
-	var capScale, speed, bandwidth []float64
-	largeSpeed, largeBandwidth, latency := 1.0, 1.0, 1.0
-	if p != nil {
-		capScale, speed, bandwidth = p.CapScale, p.Speed, p.Bandwidth
-		largeSpeed = orOne(p.LargeSpeed)
-		largeBandwidth = orOne(p.LargeBandwidth)
-		latency = orOne(p.RoundLatency)
+	if err := p.validate(c.k); err != nil {
+		return err
 	}
-	c.latency = latency
+	capScale, cost := p.CapScale, p.Cost
+	if capScale == nil {
+		capScale = fill(c.k, 1)
+	}
+	if cost == nil {
+		cost = fill(c.k, uniformCost)
+	}
+	c.latency = cmp.Or(p.RoundLatency, 1)
 	c.smallCaps = make([]int, c.k)
 	c.capShare = make([]float64, c.k)
 	maxScale := 0.0
-	for i := 0; i < c.k; i++ {
-		if s := at(capScale, i); s > maxScale {
-			maxScale = s
-		}
+	for _, s := range capScale {
+		maxScale = max(maxScale, s)
 	}
 	c.minSmallCap = 0
-	for i := 0; i < c.k; i++ {
-		scale := at(capScale, i)
+	for i, scale := range capScale {
 		w := int(scale * float64(c.smallCap))
 		if w < 1 {
 			w = 1
@@ -389,11 +386,7 @@ func (c *Cluster) applyProfile(p *Profile) error {
 			c.minSmallCap = w
 		}
 	}
-	c.invCost = make([]float64, c.k+1)
-	c.invCost[0] = 1/largeSpeed + 1/largeBandwidth
-	for i := 0; i < c.k; i++ {
-		c.invCost[1+i] = 1/at(speed, i) + 1/at(bandwidth, i)
-	}
+	c.cost = append([]float64{cmp.Or(p.LargeCost, uniformCost)}, cost...)
 	c.busy = make([]float64, c.k+1)
 	return nil
 }
@@ -473,9 +466,9 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
 func (c *Cluster) Rounds() int { return c.stats.Rounds }
 
 // BusyTime returns the accumulated simulated busy time of machine id
-// (Large or a small-machine index): Σ over rounds of
-// w_id·(1/Speed + 1/Bandwidth). The makespan is Σ_r latency + max_i of the
-// per-round terms, so BusyTime(i) ≤ Stats().Makespan for every machine.
+// (Large or a small-machine index): Σ over rounds of w_id·WordCost(id).
+// The makespan is Σ_r latency + max_i of the per-round terms, so
+// BusyTime(i) ≤ Stats().Makespan for every machine.
 func (c *Cluster) BusyTime(id int) float64 {
 	if id == Large {
 		return c.busy[0]
@@ -483,10 +476,10 @@ func (c *Cluster) BusyTime(id int) float64 {
 	return c.busy[1+id]
 }
 
-// WordCost returns the per-word cost of machine id (Large or a small-machine
-// index) under the profile, 1/Speed + 1/Bandwidth: what a round charges the
-// machine for each word it moves, outside any slowdown window.
-func (c *Cluster) WordCost(id int) float64 { return c.invCost[1+id] }
+// WordCost returns the time per word of machine id (Large or a small-machine
+// index), its Profile Cost (2 by default): what a round charges the machine
+// for each word it moves, outside any slowdown window.
+func (c *Cluster) WordCost(id int) float64 { return c.cost[1+id] }
 
 // BusyImbalance returns max/mean of the small machines' busy times (1 =
 // perfectly balanced). It is defined as 0 — never NaN — in the degenerate

@@ -36,7 +36,7 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 	c.placement = pol
 	shares, err := pol.Shares(sched.Machines{
 		CapShare: slices.Clone(c.capShare),
-		InvCost:  slices.Clone(c.invCost[1:]),
+		Cost:     slices.Clone(c.cost[1:]),
 	})
 	if err != nil {
 		return fmt.Errorf("mpc: placement %s: %w", pol.Name(), err)
@@ -59,7 +59,7 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		// may overwrite it in place.
 		est, err := op.NewEstimator(sched.Machines{
 			CapShare: slices.Clone(c.capShare),
-			InvCost:  slices.Clone(c.invCost[1:]),
+			Cost:     slices.Clone(c.cost[1:]),
 		})
 		if err != nil {
 			return fmt.Errorf("mpc: placement %s: %w", pol.Name(), err)

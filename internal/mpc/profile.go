@@ -8,45 +8,36 @@ import (
 )
 
 // Profile generalizes the cluster from "K identical small machines" to a
-// per-machine capacity/speed description, the heterogeneous-capacity setting
+// per-machine capacity/cost description, the heterogeneous-capacity setting
 // of Frisk & Koutris ("Parallel Query Processing with Heterogeneous
 // Machines") layered on top of the paper's model. A nil Profile — or
 // UniformProfile — reproduces the paper's uniform cluster exactly: all
 // scales 1, makespan a pure function of the round structure.
 //
-// Three per-machine axes, each relative to the uniform baseline of 1:
+// A machine is two numbers:
 //
 //   - CapScale scales small machine i's per-round word capacity (its Õ(n^γ)
-//     memory); placement primitives (prims.DistributeEdges, prims.Sort)
-//     allot load proportionally to it;
-//   - Speed scales compute: a machine with Speed ½ takes twice as long to
-//     process the words it moves;
-//   - Bandwidth scales the machine's link: words move at Bandwidth words
-//     per time unit.
+//     memory), relative to the uniform baseline of 1; placement primitives
+//     (prims.DistributeEdges, prims.Sort) allot load proportionally to it;
+//   - Cost is the simulated time machine i takes per word it sends or
+//     receives, computing and moving it; the uniform baseline is 2, one
+//     time unit of compute and one of link per word.
 //
 // Capacity changes what executions are legal (caps are enforced per
-// machine); Speed and Bandwidth change only the simulated time (makespan),
-// never the round structure — a speed-skewed run is bit-identical to the
-// uniform run except for its clock. See DESIGN.md §6 for the makespan
-// formula.
+// machine); Cost changes only the simulated time (makespan), never the
+// round structure — a cost-skewed run is bit-identical to the uniform run
+// except for its clock. See DESIGN.md §6 for the makespan formula.
 type Profile struct {
 	Name string // for table/artifact labels; generators fill it in
 
-	// Spec is the ParseProfile spec this profile was built from ("" when
-	// the profile was constructed directly or by a generator). Re-parsing
-	// it reproduces the profile exactly (fuzz-tested), so a profile that
-	// came off a CLI flag can always be reconstructed from its artifacts.
-	Spec string
+	// Per small machine; nil means "all 1" for CapScale and "all 2" for
+	// Cost. Non-nil slices must have exactly K entries of positive finite
+	// values.
+	CapScale []float64
+	Cost     []float64
 
-	// Per small machine; nil means "all 1". Non-nil slices must have
-	// exactly K entries of positive values.
-	CapScale  []float64
-	Speed     []float64
-	Bandwidth []float64
-
-	// Large-machine factors; 0 means 1.
-	LargeSpeed     float64
-	LargeBandwidth float64
+	// LargeCost is the large machine's time per word; 0 means 2.
+	LargeCost float64
 
 	// RoundLatency is the fixed synchronization cost charged per round
 	// (the barrier); 0 means 1. With all scales 1 the makespan is
@@ -54,23 +45,31 @@ type Profile struct {
 	RoundLatency float64
 }
 
+// uniformCost is the default time per word, unit compute plus unit link.
+const uniformCost = 2
+
+// wordCost is the time per word of a machine computing at speed and moving
+// words over a link of the given bandwidth. The generators below price
+// their speed and bandwidth factors through it, so a cost is always this
+// expression of its factors, never a rounded shortcut of it.
+func wordCost(speed, bandwidth float64) float64 { return 1/speed + 1/bandwidth }
+
 // UniformProfile returns the explicit form of the default profile: k small
-// machines, every scale 1. New(cfg) with this profile is bit-identical to
-// New(cfg) with Profile nil (tested).
+// machines, every capacity scale 1 and every cost 2. New(cfg) with this
+// profile is bit-identical to New(cfg) with Profile nil (tested).
 func UniformProfile(k int) *Profile {
 	return &Profile{
-		Name:      "uniform",
-		CapScale:  ones(k),
-		Speed:     ones(k),
-		Bandwidth: ones(k),
+		Name:     "uniform",
+		CapScale: fill(k, 1),
+		Cost:     fill(k, uniformCost),
 	}
 }
 
 // ZipfProfile returns a capacity-skewed profile: machine i's CapScale is
 // (i+1)^-s, clamped below at floor (machine 0 is the largest, scale 1).
-// Speeds and bandwidths stay 1, so the skew is purely in how much each
-// machine may hold and move per round; capacity-aware primitives must allot
-// proportionally or the small-cap tail violates its caps. floor keeps every
+// Costs stay 2, so the skew is purely in how much each machine may hold and
+// move per round; capacity-aware primitives must allot proportionally or
+// the small-cap tail violates its caps. floor keeps every
 // capacity Θ(n^γ) — the skew lives in the constant, as in Frisk's model of
 // machines with capacities within constant factors. floor <= 0 defaults to
 // 0.05.
@@ -79,10 +78,9 @@ func ZipfProfile(k int, s, floor float64) *Profile {
 		floor = 0.05
 	}
 	p := &Profile{
-		Name:      fmt.Sprintf("zipf(s=%g)", s),
-		CapScale:  make([]float64, k),
-		Speed:     ones(k),
-		Bandwidth: ones(k),
+		Name:     fmt.Sprintf("zipf(s=%g)", s),
+		CapScale: make([]float64, k),
+		Cost:     fill(k, uniformCost),
 	}
 	for i := range p.CapScale {
 		scale := math.Pow(float64(i+1), -s)
@@ -95,31 +93,31 @@ func ZipfProfile(k int, s, floor float64) *Profile {
 }
 
 // BimodalProfile returns a fast/slow cluster: the last ⌈slowFrac·k⌉ machines
-// run at Speed and Bandwidth 1/factor, the rest at 1. Capacities stay
-// uniform, so the round structure is identical to the uniform run and only
-// the makespan changes (Reisizadeh et al.'s heterogeneous-cluster setting).
+// compute at speed 1/factor over a link of bandwidth 1/factor, the rest at
+// 1, and cost wordCost of those factors. Capacities stay uniform, so the
+// round structure is identical to the uniform run and only the makespan
+// changes (Reisizadeh et al.'s heterogeneous-cluster setting).
 func BimodalProfile(k int, slowFrac, factor float64) *Profile {
 	slow := int(math.Ceil(slowFrac * float64(k)))
 	if slow > k {
 		slow = k
 	}
 	p := &Profile{
-		Name:      fmt.Sprintf("bimodal(slow=%g×%g)", slowFrac, factor),
-		CapScale:  ones(k),
-		Speed:     ones(k),
-		Bandwidth: ones(k),
+		Name:     fmt.Sprintf("bimodal(slow=%g×%g)", slowFrac, factor),
+		CapScale: fill(k, 1),
+		Cost:     fill(k, uniformCost),
 	}
 	for i := k - slow; i < k; i++ {
-		p.Speed[i] = 1 / factor
-		p.Bandwidth[i] = 1 / factor
+		p.Cost[i] = wordCost(1/factor, 1/factor)
 	}
 	return p
 }
 
 // StragglerProfile returns a straggler-tail profile: the last `stragglers`
-// machines (at least 1, at most k) compute at Speed 1/slowdown; capacities
-// and bandwidths stay uniform. Round counts match the uniform run exactly;
-// the makespan shows the stragglers dominating wall-clock.
+// machines (at least 1, at most k) compute at speed 1/slowdown over a unit
+// link, costing wordCost(1/slowdown, 1); capacities stay uniform. Round
+// counts match the uniform run exactly; the makespan shows the stragglers
+// dominating wall-clock.
 func StragglerProfile(k, stragglers int, slowdown float64) *Profile {
 	if stragglers < 1 {
 		stragglers = 1
@@ -128,13 +126,12 @@ func StragglerProfile(k, stragglers int, slowdown float64) *Profile {
 		stragglers = k
 	}
 	p := &Profile{
-		Name:      fmt.Sprintf("straggler(%d×%g)", stragglers, slowdown),
-		CapScale:  ones(k),
-		Speed:     ones(k),
-		Bandwidth: ones(k),
+		Name:     fmt.Sprintf("straggler(%d×%g)", stragglers, slowdown),
+		CapScale: fill(k, 1),
+		Cost:     fill(k, uniformCost),
 	}
 	for i := k - stragglers; i < k; i++ {
-		p.Speed[i] = 1 / slowdown
+		p.Cost[i] = wordCost(1/slowdown, 1)
 	}
 	return p
 }
@@ -148,27 +145,27 @@ func StragglerProfile(k, stragglers int, slowdown float64) *Profile {
 //	custom:I=SPEED[,I=SPEED...]  e.g. custom:0=0.5,3=0.25
 //
 // The empty spec and "uniform" return nil (the default profile). The custom
-// form names individual machines: each token sets one machine's speed on an
-// otherwise uniform profile; duplicate machine indices and non-positive
-// speeds are rejected with the offending token named.
+// form names individual machines: each token sets one machine's speed, and
+// so its cost wordCost(SPEED, 1), on an otherwise uniform profile; duplicate
+// machine indices and non-positive speeds are rejected with the offending
+// token named.
 func ParseProfile(spec string, k int) (*Profile, error) {
 	p, err := parseProfileSpec(spec, k)
 	if err != nil || p == nil {
 		return nil, err
 	}
 	// Validate at parse time: a degenerate numeric argument (an overflowing
-	// zipf exponent, a subnormal slowdown whose reciprocal is +Inf, …) is a
+	// zipf exponent, a bimodal factor whose cost overflows to +Inf, …) is a
 	// spec error and should be rejected here with the spec named, not
 	// deferred until New rejects the cluster.
 	if err := p.validate(k); err != nil {
 		return nil, fmt.Errorf("mpc: profile %q: %w", spec, err)
 	}
-	p.Spec = spec
 	return p, nil
 }
 
 // parseProfileSpec dispatches the spec grammar; ParseProfile wraps it with
-// the parse-time validation and Spec stamping shared by every form.
+// the parse-time validation shared by every form.
 func parseProfileSpec(spec string, k int) (*Profile, error) {
 	if spec == "" || spec == "uniform" {
 		return nil, nil
@@ -224,10 +221,9 @@ func parseCustomProfile(spec string, rest []string, k int) (*Profile, error) {
 		return nil, fmt.Errorf("mpc: profile %q: want custom:I=SPEED[,I=SPEED...]", spec)
 	}
 	p := &Profile{
-		Name:      spec,
-		CapScale:  ones(k),
-		Speed:     ones(k),
-		Bandwidth: ones(k),
+		Name:     spec,
+		CapScale: fill(k, 1),
+		Cost:     fill(k, uniformCost),
 	}
 	seen := make(map[int]bool)
 	for _, tok := range strings.Split(rest[0], ",") {
@@ -253,7 +249,7 @@ func parseCustomProfile(spec string, rest []string, k int) (*Profile, error) {
 		if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("mpc: profile %q: token %q: speed must be a positive finite factor, got %v", spec, tok, s)
 		}
-		p.Speed[i] = s
+		p.Cost[i] = wordCost(s, 1)
 	}
 	return p, nil
 }
@@ -269,7 +265,7 @@ func (p *Profile) validate(k int) error {
 		}
 		for i, x := range v {
 			if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("mpc: profile %s[%d] = %v, want a positive finite factor", name, i, x)
+				return fmt.Errorf("mpc: profile %s[%d] = %v, want a positive finite value", name, i, x)
 			}
 		}
 		return nil
@@ -277,47 +273,28 @@ func (p *Profile) validate(k int) error {
 	if err := check("CapScale", p.CapScale); err != nil {
 		return err
 	}
-	if err := check("Speed", p.Speed); err != nil {
-		return err
-	}
-	if err := check("Bandwidth", p.Bandwidth); err != nil {
+	if err := check("Cost", p.Cost); err != nil {
 		return err
 	}
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
-		{"LargeSpeed", p.LargeSpeed},
-		{"LargeBandwidth", p.LargeBandwidth},
+		{"LargeCost", p.LargeCost},
 		{"RoundLatency", p.RoundLatency},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("mpc: profile %s = %v, want a finite factor >= 0 (0 means 1)", f.name, f.v)
+			return fmt.Errorf("mpc: profile %s = %v, want a finite value >= 0 (0 means the default)", f.name, f.v)
 		}
 	}
 	return nil
 }
 
-// at returns v[i], treating nil as the all-ones vector.
-func at(v []float64, i int) float64 {
-	if v == nil {
-		return 1
+// fill returns k copies of v.
+func fill(k int, v float64) []float64 {
+	s := make([]float64, k)
+	for i := range s {
+		s[i] = v
 	}
-	return v[i]
-}
-
-// orOne maps the zero value of an optional factor to 1.
-func orOne(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	return x
-}
-
-func ones(k int) []float64 {
-	v := make([]float64, k)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
+	return s
 }

@@ -11,7 +11,7 @@ func TestProfileGenerators(t *testing.T) {
 	const k = 16
 	u := UniformProfile(k)
 	for i := 0; i < k; i++ {
-		if u.CapScale[i] != 1 || u.Speed[i] != 1 || u.Bandwidth[i] != 1 {
+		if u.CapScale[i] != 1 || u.Cost[i] != 2 {
 			t.Fatalf("uniform profile not all ones at %d", i)
 		}
 	}
@@ -30,10 +30,10 @@ func TestProfileGenerators(t *testing.T) {
 	b := BimodalProfile(k, 0.25, 4)
 	slow := 0
 	for i := 0; i < k; i++ {
-		if b.Speed[i] != 1 {
+		if b.Cost[i] != 2 {
 			slow++
-			if b.Speed[i] != 0.25 || b.Bandwidth[i] != 0.25 {
-				t.Fatalf("bimodal slow machine %d: speed %v bw %v", i, b.Speed[i], b.Bandwidth[i])
+			if b.Cost[i] != 8 {
+				t.Fatalf("bimodal slow machine %d: cost %v", i, b.Cost[i])
 			}
 		}
 	}
@@ -42,12 +42,49 @@ func TestProfileGenerators(t *testing.T) {
 	}
 	s := StragglerProfile(k, 2, 8)
 	for i := 0; i < k; i++ {
-		want := 1.0
+		want := 2.0
 		if i >= k-2 {
-			want = 0.125
+			want = 9
 		}
-		if s.Speed[i] != want || s.Bandwidth[i] != 1 || s.CapScale[i] != 1 {
-			t.Fatalf("straggler machine %d: %v/%v/%v", i, s.Speed[i], s.Bandwidth[i], s.CapScale[i])
+		if s.Cost[i] != want || s.CapScale[i] != 1 {
+			t.Fatalf("straggler machine %d: %v/%v", i, s.Cost[i], s.CapScale[i])
+		}
+	}
+}
+
+// TestProfileCostsGolden pins every machine's WordCost, the large machine's
+// included, bit for bit: each generator prices its speed and bandwidth
+// factors as 1/speed + 1/bandwidth, and a rewrite that folds the expression
+// (1/(1/49) + 1 is not 50 in float64) would move every makespan built on it.
+func TestProfileCostsGolden(t *testing.T) {
+	const k = 8
+	custom, err := ParseProfile("custom:0=0.3,3=0.25", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beefy := UniformProfile(k)
+	beefy.LargeCost = 1.0 / 32
+	const two, eight, nine = 0x4000000000000000, 0x4020000000000000, 0x4022000000000000
+	const ninetyEight, fifty = 0x4058800000000001, 0x4049000000000001
+	for _, tc := range []struct {
+		p    *Profile
+		want [1 + k]uint64 // Large, then small machines 0..k-1
+	}{
+		{UniformProfile(k), [1 + k]uint64{two, two, two, two, two, two, two, two, two}},
+		{ZipfProfile(k, 0.8, 0.05), [1 + k]uint64{two, two, two, two, two, two, two, two, two}},
+		{BimodalProfile(k, 0.25, 4), [1 + k]uint64{two, two, two, two, two, two, two, eight, eight}},
+		{BimodalProfile(k, 0.5, 49), [1 + k]uint64{two, two, two, two, two, ninetyEight, ninetyEight, ninetyEight, ninetyEight}},
+		{StragglerProfile(k, 2, 8), [1 + k]uint64{two, two, two, two, two, two, two, nine, nine}},
+		{StragglerProfile(k, 1, 49), [1 + k]uint64{two, two, two, two, two, two, two, two, fifty}},
+		{custom, [1 + k]uint64{two, 0x4011555555555556, two, two, 0x4014000000000000, two, two, two, two}},
+		{beefy, [1 + k]uint64{0x3fa0000000000000, two, two, two, two, two, two, two, two}},
+	} {
+		c := newTest(t, Config{N: 4096, M: 16384, K: k, Seed: 1, Profile: tc.p})
+		for id := Large; id < k; id++ {
+			if got := math.Float64bits(c.WordCost(id)); got != tc.want[1+id] {
+				t.Errorf("%s: WordCost(%d) = %v (%#x), want %v (%#x)", tc.p.Name, id,
+					c.WordCost(id), got, math.Float64frombits(tc.want[1+id]), tc.want[1+id])
+			}
 		}
 	}
 }
@@ -63,10 +100,10 @@ func TestParseProfile(t *testing.T) {
 	if err != nil || len(p.CapScale) != 8 {
 		t.Fatalf("zipf spec: %+v %v", p, err)
 	}
-	if p, err = ParseProfile("straggler:2:8", 8); err != nil || p.Speed[7] != 0.125 {
+	if p, err = ParseProfile("straggler:2:8", 8); err != nil || p.Cost[7] != 9 {
 		t.Fatalf("straggler spec: %+v %v", p, err)
 	}
-	if p, err = ParseProfile("bimodal:0.5:4", 8); err != nil || p.Speed[7] != 0.25 {
+	if p, err = ParseProfile("bimodal:0.5:4", 8); err != nil || p.Cost[7] != 8 {
 		t.Fatalf("bimodal spec: %+v %v", p, err)
 	}
 	for _, bad := range []string{"nope", "zipf", "zipf:x", "bimodal:2:4", "straggler:1:0", "bimodal:0.5",
@@ -85,15 +122,15 @@ func TestParseProfileCustom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{0.5, 1, 1, 0.25, 1, 1, 1, 1}
-	for i, s := range p.Speed {
-		if s != want[i] {
-			t.Fatalf("Speed[%d] = %v, want %v", i, s, want[i])
+	want := []float64{3, 2, 2, 5, 2, 2, 2, 2}
+	for i, cost := range p.Cost {
+		if cost != want[i] {
+			t.Fatalf("Cost[%d] = %v, want %v", i, cost, want[i])
 		}
 	}
 	for i := range p.CapScale {
-		if p.CapScale[i] != 1 || p.Bandwidth[i] != 1 {
-			t.Fatalf("custom touched non-speed axes at machine %d", i)
+		if p.CapScale[i] != 1 {
+			t.Fatalf("custom touched capacity at machine %d", i)
 		}
 	}
 
@@ -149,15 +186,15 @@ func TestProfileValidation(t *testing.T) {
 		}
 	}
 	neg := base
-	neg.Profile = &Profile{Speed: make([]float64, k)} // zeros are invalid speeds
+	neg.Profile = &Profile{Cost: make([]float64, k)} // zeros are invalid costs
 	if _, err := New(neg); err == nil {
-		t.Fatal("zero speeds accepted")
+		t.Fatal("zero costs accepted")
 	}
 	inf := base
 	inf.Profile = UniformProfile(k)
-	inf.Profile.Bandwidth[0] = math.Inf(1)
+	inf.Profile.Cost[0] = math.Inf(1)
 	if _, err := New(inf); err == nil {
-		t.Fatal("infinite bandwidth accepted")
+		t.Fatal("infinite cost accepted")
 	}
 	nan := base
 	nan.Profile = &Profile{RoundLatency: math.NaN()}
@@ -165,9 +202,9 @@ func TestProfileValidation(t *testing.T) {
 		t.Fatal("NaN round latency accepted")
 	}
 	lspd := base
-	lspd.Profile = &Profile{LargeSpeed: math.Inf(1)}
+	lspd.Profile = &Profile{LargeCost: math.Inf(1)}
 	if _, err := New(lspd); err == nil {
-		t.Fatal("infinite large speed accepted")
+		t.Fatal("infinite large cost accepted")
 	}
 }
 
@@ -226,7 +263,7 @@ func TestMakespanAccounting(t *testing.T) {
 	cfg := Config{N: 64, M: 256, Seed: 1}
 	k := cfg.DeriveK()
 	p := UniformProfile(k)
-	p.Speed[1] = 0.5 // machine 1 computes at half speed
+	p.Cost[1] = 1/0.5 + 1 // machine 1 computes at half speed
 	cfg.Profile = p
 	c := newTest(t, cfg)
 

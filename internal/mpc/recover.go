@@ -136,7 +136,7 @@ func (c *Cluster) HoldState(words func(i int) int) {
 // slowCost returns the effective per-word cost of slot for the current
 // round, folding in any transient slowdown window of the fault plan.
 func (c *Cluster) slowCost(slot int) float64 {
-	cost := c.invCost[slot]
+	cost := c.cost[slot]
 	if c.ft != nil && slot > 0 && c.ft.plan.HasSlowdowns() {
 		cost *= c.ft.plan.SlowFactor(c.stats.Rounds, slot-1)
 	}

@@ -116,19 +116,14 @@ var ErrRepeatedKey = errors.New("prims: key gathered twice")
 
 // GatherKVs ships every machine's (key, value) pairs to the large machine
 // (one gather round, a machine's keys charged keyRunWords and each value
-// words(value)) and returns
-// them in strictly ascending key order — the large machine's one format.
+// vwords) and returns them in strictly ascending key order — the large machine's one format.
 // Aggregation and plan roots arrive that way already; other input, such as
 // keys laid out vertex-major but numbered phase-major, is sorted there. A key
 // held twice is refused with ErrRepeatedKey.
-func GatherKVs[V any](c *mpc.Cluster, kvs [][]KV[V], words func(V) int) ([]KV[V], error) {
+func GatherKVs[V any](c *mpc.Cluster, kvs [][]KV[V], vwords int) ([]KV[V], error) {
 	defer c.Span("gather").End()
 	all, err := Gather(c, kvs, func(items []KV[V]) int {
-		w := keyRunWords(items, kvKey[V])
-		for _, kv := range items {
-			w += words(kv.V)
-		}
-		return w
+		return keyRunWords(items, kvKey[V]) + len(items)*vwords
 	})
 	if err != nil {
 		return nil, err

@@ -117,7 +117,7 @@ func TestAggregateChargesOneSort(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mode.gather {
-			if _, err := GatherKVs(c, roots, func(int64) int { return 1 }); err != nil {
+			if _, err := GatherKVs(c, roots, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -134,7 +134,7 @@ func TestAggregateChargesOneSort(t *testing.T) {
 // TestGatherKVsSortsAndCharges: sketch-like input — every machine holds its
 // vertices' keys vertex by vertex, numbered phase·n + vertex — reaches the
 // large machine in strictly ascending key order, in one round that charges
-// each pair 1 + words(value): 6144 words here, what the map-building gather
+// each pair 1 + vwords: 6144 words here, what the map-building gather
 // it replaces charged on the same input.
 func TestGatherKVsSortsAndCharges(t *testing.T) {
 	c := newCluster(t, 256, 2048, false)
@@ -151,7 +151,7 @@ func TestGatherKVsSortsAndCharges(t *testing.T) {
 	}
 	slices.SortFunc(want, func(a, b KV[int64]) int { return cmp.Compare(a.K, b.K) })
 	before := c.Stats()
-	got, err := GatherKVs(c, kvs, func(v int64) int { return int(v % 3) })
+	got, err := GatherKVs(c, kvs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGatherKVsRefusesRepeatedKey(t *testing.T) {
 		{{{K: 5, V: 1}, {K: 5, V: 2}}},
 	} {
 		c := newCluster(t, 256, 2048, false)
-		_, err := GatherKVs(c, kvs, func(int64) int { return 1 })
+		_, err := GatherKVs(c, kvs, 1)
 		if !errors.Is(err, ErrRepeatedKey) || !strings.Contains(err.Error(), "key 5") {
 			t.Errorf("%v: err = %v, want ErrRepeatedKey naming key 5", kvs, err)
 		}

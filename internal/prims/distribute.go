@@ -23,7 +23,7 @@ var ErrZeroCapacity = errors.New("prims: zero total capacity")
 // DistributeEdges places the input graph's edges on the small machines in
 // proportion to their placement weights under the cluster's placement
 // policy (DESIGN.md §8): capacity shares under the default cap policy
-// (Frisk's balancing rule), min(capacity, effective speed) under
+// (Frisk's balancing rule), min(capacity, 1/word cost) under
 // throughput/speculate. This models the paper's "edges initially stored on
 // the small machines arbitrarily" and costs no rounds (it is the input
 // placement). With uniform weights it is an exact round-robin (machine j%k

@@ -544,7 +544,7 @@ func checkAggregate(t *testing.T, c *mpc.Cluster, items [][]KV[[]int64], vwords 
 	if gather {
 		// The roots reach the large machine as they stand: the same pairs,
 		// in the same order.
-		atLarge, err := GatherKVs(c, roots, func([]int64) int { return vwords })
+		atLarge, err := GatherKVs(c, roots, vwords)
 		if err != nil {
 			t.Fatal(err)
 		}

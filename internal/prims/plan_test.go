@@ -435,7 +435,7 @@ func FuzzPlan(f *testing.F) {
 		if kb >= 128 {
 			cfg.CSmall = 0.5
 			cfg.Profile = mpc.UniformProfile(cfg.DeriveK())
-			cfg.Profile.LargeSpeed, cfg.Profile.LargeBandwidth = 64, 64
+			cfg.Profile.LargeCost = 1.0 / 32
 		}
 		c, err := mpc.New(cfg)
 		if err != nil {

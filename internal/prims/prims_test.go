@@ -492,7 +492,7 @@ func TestAggregateByKeySums(t *testing.T) {
 			}
 		}
 		if !noLarge {
-			atLarge, err := GatherKVs(c, roots, func(int64) int { return 1 })
+			atLarge, err := GatherKVs(c, roots, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -519,7 +519,7 @@ func TestAggregateByKeyMin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atLarge, err := GatherKVs(c, roots, func(int64) int { return 1 })
+	atLarge, err := GatherKVs(c, roots, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +664,7 @@ func TestPerKeyMessagesChargeKeyRuns(t *testing.T) {
 	}
 	kvs[0] = append(kvs[0], KV[int64]{K: 30})
 	kvs[1] = []KV[int64]{{K: 40}, {K: 42}, {K: 44}}
-	if got := words(func() error { _, err := GatherKVs(c, kvs, func(int64) int { return 1 }); return err }); !slices.Equal(got, []int64{4 + 11 + 3 + 3}) {
+	if got := words(func() error { _, err := GatherKVs(c, kvs, 1); return err }); !slices.Equal(got, []int64{4 + 11 + 3 + 3}) {
 		t.Errorf("GatherKVs moved %v words, want [21]", got)
 	}
 
@@ -909,7 +909,7 @@ func TestPrimitivesRoundCountsConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GatherKVs(c, roots, func(int64) int { return 1 }); err != nil {
+	if _, err := GatherKVs(c, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	if used := c.Rounds() - before; used > 25 {

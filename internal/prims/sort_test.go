@@ -197,7 +197,7 @@ func TestSortChargesThreeRoundsWhenRepliesFit(t *testing.T) {
 	// leader: it answers every machine itself.
 	beefy := het
 	beefy.Profile = mpc.UniformProfile(k)
-	beefy.Profile.LargeSpeed, beefy.Profile.LargeBandwidth = 64, 64
+	beefy.Profile.LargeCost = 1.0 / 32
 	checkThreeRounds("beefy coordinator", beefy, input(k, func(i int) int {
 		if i == 101 {
 			return bound + 1
@@ -510,7 +510,7 @@ func TestSortLeaderCrash(t *testing.T) {
 // route with every sample sent to it.
 func TestSortBeefyCoordinatorLeadsAlone(t *testing.T) {
 	cfg := mpc.Config{N: 1024, M: 8192, K: 64, Seed: 7, Profile: mpc.UniformProfile(64)}
-	cfg.Profile.LargeSpeed, cfg.Profile.LargeBandwidth = 64, 64
+	cfg.Profile.LargeCost = 1.0 / 32
 	c, rounds := sortRounds(t, cfg, leaderInput(cfg.K))
 	if ld := sortLeaders(c, split{}); ld.r() != 1 || ld.ids[0] != mpc.Large {
 		t.Fatalf("leaders %v, want the large machine alone", ld.ids)

@@ -77,7 +77,7 @@ func (a Adaptive) NewEstimator(m Machines) (*Estimator, error) {
 	e := &Estimator{
 		alpha:    a.Alpha,
 		capShare: append([]float64(nil), m.CapShare...),
-		est:      append([]float64(nil), m.InvCost...),
+		est:      append([]float64(nil), m.Cost...),
 	}
 	return e, nil
 }
@@ -171,7 +171,7 @@ func (e *Estimator) Observe(r trace.Round) {
 // barrier); otherwise a fresh slice is returned. Observe keeps every
 // estimate positive and finite, so recomputation cannot fail.
 func (e *Estimator) Shares(dst []float64) []float64 {
-	shares, err := throughputShares(Machines{CapShare: e.capShare, InvCost: e.est}, dst)
+	shares, err := throughputShares(Machines{CapShare: e.capShare, Cost: e.est}, dst)
 	if err != nil {
 		// Unreachable through Observe/SetEstimate, which guard positivity;
 		// fail loudly rather than return a corrupt placement.

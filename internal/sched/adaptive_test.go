@@ -18,14 +18,14 @@ func propFixtures() []struct {
 	zipf.CapShare = []float64{1, 0.5, 0.25, 0.125}
 
 	bimodal := uniform(8)
-	bimodal.InvCost[6], bimodal.InvCost[7] = 8, 8
+	bimodal.Cost[6], bimodal.Cost[7] = 8, 8
 
 	straggler := uniform(4)
-	straggler.InvCost[3] = 9
+	straggler.Cost[3] = 9
 
 	both := Machines{
 		CapShare: []float64{1, 0.1, 1, 1},
-		InvCost:  []float64{2, 2, 2, 18},
+		Cost:     []float64{2, 2, 2, 18},
 	}
 	return []struct {
 		name string
@@ -254,8 +254,8 @@ func TestEstimatorAlphaZero(t *testing.T) {
 		t.Fatalf("rounds %d, want 5 (alpha 0 still observes, it just never moves)", est.Rounds())
 	}
 	for i := 0; i < est.K(); i++ {
-		if est.Estimate(i) != m.InvCost[i] {
-			t.Fatalf("est[%d] = %v moved off declared %v under alpha 0", i, est.Estimate(i), m.InvCost[i])
+		if est.Estimate(i) != m.Cost[i] {
+			t.Fatalf("est[%d] = %v moved off declared %v under alpha 0", i, est.Estimate(i), m.Cost[i])
 		}
 	}
 	for i, s := range est.Shares(nil) {
@@ -275,7 +275,7 @@ func TestEstimatorRejects(t *testing.T) {
 		}
 	}
 	bad := uniform(3)
-	bad.InvCost[1] = 0
+	bad.Cost[1] = 0
 	if _, err := (Adaptive{Alpha: 0.5}.NewEstimator(bad)); err == nil {
 		t.Fatal("zero declared cost accepted")
 	}

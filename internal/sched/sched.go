@@ -14,7 +14,7 @@
 //   - Cap — the capacity-proportional split, share_i = CapShare_i; the
 //     default;
 //   - Throughput — an LPT-style min-makespan split: share_i proportional to
-//     min(CapShare_i, effective speed under 1/Speed_i + 1/Bandwidth_i), so
+//     min(CapShare_i, 1/Cost_i relative to the cheapest machine), so
 //     slow machines hold less work and a fast-but-small machine is never
 //     weighted beyond its memory (see Throughput for what the clip does
 //     and does not guarantee about absolute caps);
@@ -53,10 +53,10 @@ type Machines struct {
 	// CapShare is the per-machine capacity scale normalized so the largest
 	// machine has share 1 (mpc.Cluster.CapShare).
 	CapShare []float64
-	// InvCost is the per-machine per-word time, 1/Speed + 1/Bandwidth —
-	// the same quantity each round charges per word (DESIGN.md §6). Uniform
-	// clusters have 2 everywhere.
-	InvCost []float64
+	// Cost is the per-machine time per word, the profile's declaration and
+	// what each round charges (mpc.Cluster.WordCost, DESIGN.md §6).
+	// Uniform clusters have 2 everywhere.
+	Cost []float64
 }
 
 // Policy decides the relative share of work each small machine is allotted
@@ -68,7 +68,7 @@ type Policy interface {
 	Name() string
 	// Shares returns one positive finite placement weight per machine.
 	// Only ratios matter; the primitives normalize. It is an error for a
-	// degenerate Machines description (e.g. non-positive InvCost) to reach
+	// degenerate Machines description (e.g. non-positive Cost) to reach
 	// a policy that needs it.
 	Shares(m Machines) ([]float64, error)
 	// Speculation returns R, the number of slowest per-round shards the
@@ -94,7 +94,7 @@ func (Cap) Shares(m Machines) ([]float64, error) {
 func (Cap) Speculation() int { return 0 }
 
 // Throughput is the min-makespan policy: share_i ∝ min(CapShare_i, thr_i)
-// where thr_i = (1/InvCost_i) normalized so the fastest machine has 1 —
+// where thr_i = 1/Cost_i normalized so the cheapest machine has 1 —
 // each machine is asked to hold work proportional to how fast it can move
 // it, clipped by its capacity share so a fast-but-small machine is never
 // weighted beyond its memory. Note what the clip does and does not
@@ -106,7 +106,7 @@ func (Cap) Speculation() int { return 0 }
 // are still enforced exactly — by Exchange, loudly — so a workload sized
 // to the brim of the Cap split can trip ErrCapacity under Throughput;
 // the experiments' workloads leave the usual Õ slack. On a pure
-// capacity skew (speeds uniform, e.g. Zipf profiles) thr_i = 1 and the
+// capacity skew (costs uniform, e.g. Zipf profiles) thr_i = 1 and the
 // policy reduces to Cap exactly; on a uniform profile every share is
 // exactly 1 and the placement is bit-identical to Cap (tested).
 type Throughput struct{}
@@ -127,15 +127,15 @@ func (Throughput) Shares(m Machines) ([]float64, error) {
 // right length; otherwise a fresh slice is allocated.
 func throughputShares(m Machines, dst []float64) ([]float64, error) {
 	shares := dst
-	if len(shares) != len(m.InvCost) {
-		shares = make([]float64, len(m.InvCost))
+	if len(shares) != len(m.Cost) {
+		shares = make([]float64, len(m.Cost))
 	}
 	maxThr := 0.0
-	for i, ic := range m.InvCost {
-		if !(ic > 0) || math.IsInf(ic, 0) {
-			return nil, fmt.Errorf("sched: throughput: machine %d has per-word cost %v, want positive finite", i, ic)
+	for i, cost := range m.Cost {
+		if !(cost > 0) || math.IsInf(cost, 0) {
+			return nil, fmt.Errorf("sched: throughput: machine %d has per-word cost %v, want positive finite", i, cost)
 		}
-		shares[i] = 1 / ic
+		shares[i] = 1 / cost
 		if shares[i] > maxThr {
 			maxThr = shares[i]
 		}
@@ -176,7 +176,7 @@ func (s Speculate) Speculation() int { return s.R }
 // Parse builds a policy from a CLI spec:
 //
 //	cap              capacity-proportional (the default)
-//	throughput       min-makespan split by min(cap, effective speed)
+//	throughput       min-makespan split by min(cap, 1/cost)
 //	speculate:R      throughput + redundant execution of the R slowest shards
 //	adaptive[:ALPHA] throughput shares recomputed per round from measured
 //	                 costs, EWMA gain ALPHA in [0,1] (default 0.5; 0 freezes

@@ -6,10 +6,10 @@ import (
 )
 
 func uniform(k int) Machines {
-	m := Machines{CapShare: make([]float64, k), InvCost: make([]float64, k)}
+	m := Machines{CapShare: make([]float64, k), Cost: make([]float64, k)}
 	for i := 0; i < k; i++ {
 		m.CapShare[i] = 1
-		m.InvCost[i] = 2
+		m.Cost[i] = 2
 	}
 	return m
 }
@@ -19,14 +19,14 @@ func uniform(k int) Machines {
 // (straggler-like), and both at once.
 func TestPolicyShares(t *testing.T) {
 	straggler := uniform(4)
-	straggler.InvCost[3] = 9 // speed 1/8: 8 + 1
+	straggler.Cost[3] = 9 // speed 1/8: 8 + 1
 
 	zipf := uniform(4)
 	zipf.CapShare = []float64{1, 0.5, 0.25, 0.125}
 
 	both := Machines{
 		CapShare: []float64{1, 0.1, 1, 1},
-		InvCost:  []float64{2, 2, 2, 18},
+		Cost:     []float64{2, 2, 2, 18},
 	}
 
 	cases := []struct {
@@ -77,7 +77,7 @@ func TestPolicyShares(t *testing.T) {
 func TestThroughputNeverExceedsCap(t *testing.T) {
 	m := Machines{
 		CapShare: []float64{1, 0.3, 0.05, 0.6},
-		InvCost:  []float64{2, 3, 2, 40},
+		Cost:     []float64{2, 3, 2, 40},
 	}
 	shares, err := Throughput{}.Shares(m)
 	if err != nil {
@@ -98,9 +98,9 @@ func TestThroughputNeverExceedsCap(t *testing.T) {
 func TestThroughputRejectsDegenerateCost(t *testing.T) {
 	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		m := uniform(3)
-		m.InvCost[1] = bad
+		m.Cost[1] = bad
 		if _, err := (Throughput{}).Shares(m); err == nil {
-			t.Fatalf("InvCost %v accepted", bad)
+			t.Fatalf("Cost %v accepted", bad)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func TestPlacementGoldenStragglerSpeculation(t *testing.T) {
 	run := func(pol hetmpc.PlacementPolicy) hetmpc.ClusterStats {
 		cfg := hetmpc.Config{N: 512, M: 4096, Seed: 7, Placement: pol}
 		p := hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
-		p.LargeSpeed, p.LargeBandwidth = 64, 64
+		p.LargeCost = 1.0 / 32
 		cfg.Profile = p
 		c, err := hetmpc.NewCluster(cfg)
 		if err != nil {

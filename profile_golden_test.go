@@ -378,7 +378,7 @@ func TestMakespanMonotoneInSlowdown(t *testing.T) {
 			// Axis 2: persistent profile speed 1/f on the same machine.
 			c = cfg
 			p := hetmpc.UniformProfile(k)
-			p.Speed[machine] = 1 / f
+			p.Cost[machine] = 1/(1/f) + 1
 			c.Profile = p
 			cs, err := hetmpc.NewCluster(c)
 			if err != nil {
