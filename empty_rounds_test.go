@@ -9,8 +9,12 @@ import (
 	"hetmpc/internal/exp"
 )
 
-// table1Calls is the twelve calls of Table 1: n=512 m=4096 seed 7.
-func table1Calls() []exp.Table1Call { return exp.Table1Calls(512, 4096, 7) }
+// table1Cell is Table 1's cell template: n=512 m=4096 seed 7, every other
+// field at its default. A test reaches another cell by setting fields on it.
+func table1Cell() hetmpc.Config { return hetmpc.Config{N: 512, M: 4096, Seed: 7} }
+
+// table1Calls is the twelve calls of Table 1 on table1Cell.
+func table1Calls() []exp.Table1Call { return exp.Table1Calls(table1Cell()) }
 
 // runCall makes call on a fresh cluster of cfg — call.Config, or a copy with
 // a trace or fault plan set — and returns its validated output and the

@@ -78,8 +78,8 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			lists[x] = int(listHash.Eval(uint64(v)*1024+uint64(j)) % uint64(maxDeg+1))
 		}
 		list := func(v int) []int { return lists[v*listLen : (v+1)*listLen] }
-		// Ship the conflicting edges' endpoints: the list-colouring reads
-		// nothing else.
+		// Ship the conflicting edges' endpoints, 2 words an edge, if they
+		// fit a quarter of the large cap: the list-colouring reads no more.
 		conflicts := make([][][2]int32, kk)
 		c.Each(func(i int) {
 			for _, e := range edges[i] {
@@ -93,7 +93,7 @@ func Coloring(c *mpc.Cluster, g *graph.Graph) (*ColoringResult, error) {
 			return nil, err
 		}
 		res.ConflictEdges = cnt
-		if cnt > int64(c.LargeCap()/(4*prims.EdgeWords)) {
+		if cnt > int64(c.LargeCap()/(4*2)) {
 			res.Retries++
 			continue // extraordinarily unlucky lists
 		}

@@ -66,7 +66,8 @@ func TestChecksRejectWrongAnswers(t *testing.T) {
 
 // TestCallTable: every name is listed once and found by LookupCall, an
 // unknown one is not, and Table1Calls' twelve rows come from it in pairs,
-// sublinear then heterogeneous.
+// sublinear then heterogeneous, each row's Config the template with only
+// NoLarge taken from the row's entry.
 func TestCallTable(t *testing.T) {
 	names := CallNames()
 	for i, name := range names {
@@ -80,7 +81,9 @@ func TestCallTable(t *testing.T) {
 	if _, ok := LookupCall("nope"); ok {
 		t.Error("LookupCall found an unknown name")
 	}
-	rows := Table1Calls(64, 256, 1)
+	base := mpc.Config{N: 64, M: 256, Gamma: 0.4, F: 0.25, K: 9, CSmall: 7, CLarge: 5,
+		LogExpSmall: 2, LogExpLarge: 1, NoLarge: true, Seed: 1}
+	rows := Table1Calls(base)
 	if len(rows) != 12 {
 		t.Fatalf("%d Table-1 rows, want 12", len(rows))
 	}
@@ -88,6 +91,14 @@ func TestCallTable(t *testing.T) {
 		prefix := []string{"sublinear.", "core."}[i%2]
 		if !strings.HasPrefix(row.Name, prefix) || row.Config.NoLarge != (i%2 == 0) {
 			t.Errorf("row %d: %s with NoLarge %v", i, row.Name, row.Config.NoLarge)
+		}
+		if entry, _ := LookupCall(table1Rows[i][1]); row.Config.NoLarge != entry.NoLarge {
+			t.Errorf("%s: NoLarge %v, its entry %s says %v", row.Name, row.Config.NoLarge, entry.Name, entry.NoLarge)
+		}
+		cfg := row.Config
+		cfg.NoLarge = base.NoLarge
+		if cfg != base {
+			t.Errorf("%s: Config %+v, want the template %+v but for NoLarge", row.Name, row.Config, base)
 		}
 	}
 }

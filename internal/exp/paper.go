@@ -31,7 +31,7 @@ const (
 // once the result matches the exact reference (a validator of cells.go).
 type Table1Call struct {
 	Name   string       // "sublinear.cc" … "core.matching"
-	Config mpc.Config   // N, M and Seed; NoLarge for a sublinear call
+	Config mpc.Config   // the template; NoLarge for a sublinear call
 	Graph  *graph.Graph // the input
 	Run    func(*mpc.Cluster) (any, error)
 }
@@ -47,30 +47,29 @@ var table1Rows = [][2]string{
 	{"sublinear.matching", "baseline-matching"}, {"core.matching", "matching"},
 }
 
-// Table1Calls is Table 1's twelve calls on ConnectedGNM(n, m, seed),
-// weighted where the entry's input is: each problem's sublinear baseline,
-// then its heterogeneous call. The one definition the root goldens, the
-// rounds gate and table1 share.
-func Table1Calls(n, m int, seed uint64) []Table1Call {
-	gU := graph.ConnectedGNM(n, m, seed, false)
-	gW := graph.ConnectedGNM(n, m, seed, true)
+// Table1Calls is Table 1's twelve calls on ConnectedGNM(base.N, base.M,
+// base.Seed), weighted where the entry's input is: each problem's baseline,
+// then its heterogeneous call, on the template base with NoLarge set from
+// the entry. The root goldens, the rounds gate and table1 all build from it.
+func Table1Calls(base mpc.Config) []Table1Call {
+	gU := graph.ConnectedGNM(base.N, base.M, base.Seed, false)
+	gW := graph.ConnectedGNM(base.N, base.M, base.Seed, true)
 	var out []Table1Call
 	for _, row := range table1Rows {
 		call, _ := LookupCall(row[1])
-		g, run := call.on(gU, gW, Params{K: t1SpannerK, Seed: seed})
-		out = append(out, Table1Call{row[0], mpc.Config{N: n, M: m, NoLarge: call.NoLarge, Seed: seed}, g, run})
+		g, run := call.on(gU, gW, Params{K: t1SpannerK, Seed: base.Seed})
+		base.NoLarge = call.NoLarge
+		out = append(out, Table1Call{row[0], base, g, run})
 	}
 	return out
 }
 
 // table1 reproduces the paper's Table 1: for each problem it measures the
 // executed communication rounds in the sublinear baseline regime (no large
-// machine), the heterogeneous regime (one near-linear machine), and the
-// heterogeneous regime with a superlinear machine (f = 0.5, the abstract's
-// "all problems in O(1) rounds" setting), next to the complexities the paper
-// states. The first two columns are Table1Calls; the third reruns a
-// heterogeneous call on the superlinear cluster. Output correctness is
-// validated on every run.
+// machine) and the heterogeneous regime (one near-linear machine), both
+// Table1Calls of one template, and with a superlinear machine (the template
+// at f = 0.5, the abstract's "all problems in O(1) rounds" setting), next to
+// the complexities the paper states. Every output is validated.
 func (rn *run) table1(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Table 1 — measured rounds, n=%d m=%d (γ=0.5; min-cut rows n=%d)", t1N, t1M, t1CutN),
@@ -78,15 +77,16 @@ func (rn *run) table1(seed uint64) (*Table, error) {
 			"paper: sublinear", "paper: heterogeneous", "paper: near-linear"},
 	}
 
-	rows, out := map[string]Table1Call{}, map[string]any{}
-	for _, call := range Table1Calls(t1N, t1M, seed) {
+	base, rows, out := mpc.Config{N: t1N, M: t1M, Seed: seed}, map[string]Table1Call{}, map[string]any{}
+	for _, call := range Table1Calls(base) {
 		_, r, err := cell(rn, call.Config, call.Run)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", call.Name, err)
 		}
 		rows[call.Name], out[call.Name] = call, r
 	}
-	super := het(t1N, t1M, 0.5, seed)
+	super := base
+	super.F = 0.5
 
 	// --- Connectivity ---
 	{

@@ -100,7 +100,7 @@ var table1At4096 = map[string]struct {
 func TestTable1At4096Golden(t *testing.T) {
 	const n = 4096
 	var makespan float64
-	for _, call := range exp.Table1Calls(n, 8*n, 7) {
+	for _, call := range exp.Table1Calls(hetmpc.Config{N: n, M: 8 * n, Seed: 7}) {
 		out, c := runCall(t, call, call.Config)
 		size, sum := outputDigest(out)
 		rounds := c.Stats().Rounds
@@ -141,8 +141,8 @@ func TestTable1RoundsFlatInN(t *testing.T) {
 		_, c := runCall(t, call, call.Config)
 		return c.Stats().Rounds
 	}
-	at1024 := exp.Table1Calls(1024, 8*1024, 7)
-	for i, call := range exp.Table1Calls(256, 8*256, 7) {
+	at1024 := exp.Table1Calls(hetmpc.Config{N: 1024, M: 8 * 1024, Seed: 7})
+	for i, call := range exp.Table1Calls(hetmpc.Config{N: 256, M: 8 * 256, Seed: 7}) {
 		r256, r4096 := rounds(call), table1At4096[call.Name].rounds
 		if call.Config.NoLarge {
 			t.Logf("%s: %d rounds at n=256, %d at n=4096", call.Name, r256, r4096)
@@ -169,8 +169,8 @@ func TestTable1MakespanSmoothInM(t *testing.T) {
 		_, c := runCall(t, call, call.Config)
 		return c.Stats().Makespan
 	}
-	at16n, at32n := exp.Table1Calls(n, 16*n, 7), exp.Table1Calls(n, 32*n, 7)
-	for i, call := range exp.Table1Calls(n, 8*n, 7) {
+	at16n, at32n := exp.Table1Calls(hetmpc.Config{N: n, M: 16 * n, Seed: 7}), exp.Table1Calls(hetmpc.Config{N: n, M: 32 * n, Seed: 7})
+	for i, call := range exp.Table1Calls(hetmpc.Config{N: n, M: 8 * n, Seed: 7}) {
 		m8, m16, m32 := makespan(call), makespan(at16n[i]), makespan(at32n[i])
 		t.Logf("%s: makespan %.0f / %.0f / %.0f at m=8n/16n/32n (%.2f×, %.2f×)", call.Name, m8, m16, m32, m16/m8, m32/m16)
 		if m16 > 3*m8 {
@@ -180,6 +180,57 @@ func TestTable1MakespanSmoothInM(t *testing.T) {
 			t.Errorf("%s: makespan %.0f at m=32n, want at most 3× m=16n's %.0f", call.Name, m32, m16)
 		}
 	}
+}
+
+// TestTable1TightLargeCap runs the twelve Table-1 calls on table1Cell with
+// the large machine's cap at LogExpLarge 1, where the input (3m words) still
+// fits it: every call returns an output checked against the exact
+// reference, in the rounds it takes on the default cell. Colouring ships a
+// conflict edge as its 2 endpoint words and lets them fill a quarter of the
+// large cap (DESIGN.md §3.6, substitution 4); counted at 3 words an edge,
+// every try's 4,096 conflict edges were refused here and colouring gave up.
+func TestTable1TightLargeCap(t *testing.T) {
+	tight := table1Cell()
+	tight.LogExpLarge = 1
+	def := table1Calls()
+	for i, call := range exp.Table1Calls(tight) {
+		c, err := hetmpc.NewCluster(call.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := call.Run(c); err != nil {
+			t.Errorf("%s at large cap %d: %v", call.Name, c.LargeCap(), err)
+			continue
+		}
+		_, d := runCall(t, def[i], def[i].Config)
+		got, want := c.Stats(), d.Stats()
+		t.Logf("%s: %d rounds, makespan %.0f (default cell %d, %.0f)", call.Name, got.Rounds, got.Makespan, want.Rounds, want.Makespan)
+		if got.Rounds != want.Rounds {
+			t.Errorf("%s: %d rounds at large cap %d, want the default cell's %d", call.Name, got.Rounds, c.LargeCap(), want.Rounds)
+		}
+	}
+}
+
+// TestTable1AtGammaThird runs the twelve Table-1 calls at n=1024 m=8n seed 7
+// with γ = 1/3, each output checked against the exact reference, and logs
+// each call's makespan beside γ = 1/2's. No cost bound is asserted: at
+// γ = 1/3 the twelve calls cost several times γ = 1/2's.
+func TestTable1AtGammaThird(t *testing.T) {
+	half := hetmpc.Config{N: 1024, M: 8 * 1024, Seed: 7}
+	third := half
+	third.Gamma = 1.0 / 3
+	makespan := func(call exp.Table1Call) float64 {
+		_, c := runCall(t, call, call.Config)
+		return c.Stats().Makespan
+	}
+	var sumHalf, sumThird float64
+	atHalf := exp.Table1Calls(half)
+	for i, call := range exp.Table1Calls(third) {
+		h, th := makespan(atHalf[i]), makespan(call)
+		sumHalf, sumThird = sumHalf+h, sumThird+th
+		t.Logf("%s: makespan %.0f at γ=1/3, %.0f at γ=1/2 (%.2f×)", call.Name, th, h, th/h)
+	}
+	t.Logf("the twelve calls: makespan %.0f at γ=1/3, %.0f at γ=1/2 (%.2f×)", sumThird, sumHalf, sumThird/sumHalf)
 }
 
 // TestConnectivityBatchGolden pins core connectivity's output on G(512, 4096)
