@@ -25,20 +25,21 @@ type ConnectivityResult struct {
 }
 
 // Connectivity identifies the connected components in O(1) rounds
-// (Theorem C.1): the small machines sort the edge incidences by vertex and
-// build each vertex's linear ℓ0-sampling sketch where its incidences meet.
+// (Theorem C.1): the small machines sort the edge incidences by vertex and,
+// where a vertex's incidences meet, price its linear ℓ0-sampling sketches.
 // Each vertex then ships the large machine whichever of two records costs
 // fewer words: its sketches, each charged the levels it stores
 // (Sketch.Words: the levels above are zero by construction), with its id
-// once (shareWords), or its incidences, of which the large machine builds
-// the same sketches itself — O(n polylog n) words in total either way. The
-// large machine then runs Borůvka locally, sampling an outgoing edge of
-// each component from the summed sketches (Property 1) of fresh rounds. The
+// once (shareWords), or its incidences, which the large machine holds —
+// O(n polylog n) words in total either way. The large machine then runs
+// Borůvka locally, sampling an outgoing edge of each component from its sum
+// (Property 1) of a fresh family each phase: its members' shipped sketches
+// plus the updates of the incidences it holds of them (componentSums). The
 // first contractAfter families are gathered per vertex; if Borůvka reads a
 // later one, the large machine contracts the components the first phases
-// left, and the later families are shipped once per component share
-// (sketchPhase.contract). A run whose samplers fail in every phase returns
-// an error wrapping ErrSketchFailure.
+// left, and the vertices that shipped sketches ship the later families
+// once per component share (sketchPhase.contract). A run whose samplers
+// fail in every phase returns an error wrapping ErrSketchFailure.
 //
 // Shared randomness is a single broadcast seed, replacing [36]'s shared
 // random bits exactly as the paper describes.
@@ -63,7 +64,7 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.Phases, err = boruvka(sk.dsu, sk.phases, sk.phase); err != nil {
+	if res.Phases, err = boruvka(sk.dsu, sk.phases, sk.sum); err != nil {
 		return nil, err
 	}
 
@@ -88,26 +89,20 @@ func Connectivity(c *mpc.Cluster, g *graph.Graph) (*ConnectivityResult, error) {
 var ErrSketchFailure = errors.New("sketch connectivity did not converge")
 
 // boruvka is the large machine's local Borůvka over phases sketch families,
-// joining the components of dsu, phase(t) returning family t and its
-// gathered sketches keyed t·n + v for a member v of their group: phase t
-// sums family t's sketches per component and joins each component along the
-// edge its sum samples, until every sum is zero. It returns the phases run,
-// or an error wrapping ErrSketchFailure if a sum is still nonzero after the
-// last family's phase.
-func boruvka(dsu *unionfind.DSU, phases int, phase func(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error)) (int, error) {
+// joining the components of dsu, sum(t, sums) filling sums with family t's
+// sum over each component, at its root under dsu, and returning family t:
+// phase t joins each component along the edge its sum samples, until every
+// sum is zero. It returns the phases run, or an error wrapping
+// ErrSketchFailure if a sum is still nonzero after the last family's phase.
+func boruvka(dsu *unionfind.DSU, phases int, sum func(t int, sums []*sketch.Sketch) (*sketch.Family, error)) (int, error) {
 	n := dsu.Len()
-	universe := int64(n) * int64(n)
 	sums := make([]*sketch.Sketch, n)
 	last := phases - 1
 	// One pass past the last phase re-sums the last family over the final
 	// components, to verify that none has an edge leaving it.
 	for t := 0; ; t++ {
-		ph := min(t, last)
-		f, run, err := phase(ph)
+		f, err := sum(min(t, last), sums)
 		if err != nil {
-			return 0, err
-		}
-		if err := componentSums(sums, f, universe, dsu, run, int64(ph)*int64(n)); err != nil {
 			return 0, err
 		}
 		done := true
@@ -149,36 +144,40 @@ func sketchShape(n, m int) (phases, levels int) {
 }
 
 // contractAfter is how many Borůvka phases read per-vertex sketches: the
-// first gather ships families 0…contractAfter−1 of every vertex, and the
-// later families are built once per share of a component those phases leave.
+// first gather ships families 0…contractAfter−1 of every vertex that ships
+// sketches, and the later families are built once per share of a component
+// those phases leave.
 // DESIGN.md §3.4 tables the words for contracting after 1…4 phases.
 const contractAfter = 3
 
 // sketchPhase is the sketch phase from the Sort on, driven by the large
-// machine's Borůvka. The small machines keep their incidence runs as the
-// Sort left them, sorted by vertex; the large machine holds dsu, Borůvka's
-// components, and every gathered family's sketches, keyed phase·n + group:
-// phase by phase, each phase's by group. Family t is seeded
+// machine's Borůvka. The small machines keep the incidence runs of their
+// vertices that shipped sketches, sorted by vertex; the large machine holds
+// dsu, Borůvka's components, every gathered family's sketches, keyed
+// phase·n + group — phase by phase, each phase's by group — and the
+// incidences the other vertices shipped. Family t is seeded
 // xrand.Split(seed, t+1).
 type sketchPhase struct {
 	c         *mpc.Cluster
-	runs      [][]sketch.Incidence
+	runs      [][]sketch.Incidence // each machine's run of the groups that ship sketches
 	dsu       *unionfind.DSU
 	seed      uint64
 	n, levels int
 	phases    int                        // P: the families a run gathers at most
 	families  []*sketch.Family           // the families gathered, in phase order
+	updaters  []*sketch.EdgeUpdater      // an updater a family, shared by every machine
 	atLarge   []prims.KV[*sketch.Sketch] // their sketches
-	vertices  []share                    // the first gather's groups: every vertex with an incidence
+	vertices  []share                    // the first gather's vertices that shipped sketches
+	held      [][]sketch.Incidence       // the other vertices' incidences, a run a vertex
 }
 
 // A share is what a machine ships of one group of its run — a vertex before
 // the contraction, its share of a component after: the group's sketch of
 // each family the gather ships, keyed phase·n + group, and deg, the
 // incidences the group holds. A vertex whose incidences cost fewer words
-// than its sketches ships them instead, and the large machine builds its
-// sketches from them. The machine rides uncharged: the message names its
-// sender.
+// than its sketches ships them instead, and the large machine adds their
+// updates into Borůvka's sums itself. The machine rides uncharged: the
+// message names its sender.
 type share struct {
 	group      int
 	sketches   []prims.KV[*sketch.Sketch]
@@ -191,8 +190,9 @@ type share struct {
 // its sketches' Sketch.Words (sketchWords) and its degree's words
 // (degWords). Its families arrive in order, so the large machine rebuilds
 // each sketch's key phase·n + group, and from it the family id and
-// universe that Sketch.Words leaves out. bins prices with it, and gather
-// charges it where a share ships its sketches.
+// universe that Sketch.Words leaves out. The first gather prices each
+// vertex with it, bins prices the second, and gather charges it where a
+// share ships its sketches.
 func shareWords[W int | float64](sketchWords, degWords W) W { return 1 + sketchWords + degWords }
 
 // words is what the share costs on the wire: its incidences as its group,
@@ -230,20 +230,23 @@ func (s *sketchPhase) gatherVertices() (err error) {
 	return err
 }
 
-// phase returns family t and its sketches at the large machine. Borůvka
-// reads the families in order, so the first family not yet gathered is
-// contractAfter, which contracts.
-func (s *sketchPhase) phase(t int) (*sketch.Family, []prims.KV[*sketch.Sketch], error) {
+// sum fills sums with family t's component sums under dsu, of the
+// gathered sketches of family t and the held incidences' updates
+// (componentSums), and returns family t. Borůvka reads the families in
+// order, so the first family not yet gathered is contractAfter, which
+// contracts.
+func (s *sketchPhase) sum(t int, sums []*sketch.Sketch) (*sketch.Family, error) {
 	if t >= len(s.families) {
 		if err := s.contract(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	// at is the first entry of phase t's sketches, or of a later phase's.
 	at := func(t int) int {
 		return sort.Search(len(s.atLarge), func(j int) bool { return s.atLarge[j].K >= int64(t)*int64(s.n) })
 	}
-	return s.families[t], s.atLarge[at(t):at(t+1)], nil
+	f := s.families[t]
+	return f, componentSums(sums, f, s.updaters[t], s.dsu, s.atLarge[at(t):at(t+1)], s.held, int64(t)*int64(s.n))
 }
 
 // placement is what the large machine sends a machine in the contraction:
@@ -259,20 +262,23 @@ type placement struct {
 func byGroup(in sketch.Incidence) prims.SortKey { return prims.SortKey{A: int64(in.Group())} }
 
 // contract is the rest of the sketch phase, run when Borůvka first reads
-// family contractAfter:
+// family contractAfter. It carries the vertices that shipped sketches; the
+// large machine already holds the others' incidences.
 //
-//  1. the large machine packs the incidences onto machines (pack) and sends
-//     each machine its vertices' roots under dsu and the cuts of its run
-//     (one scatter round, a word a root and 2 a cut);
+//  1. the large machine packs the vertices' incidences onto machines (pack)
+//     and sends each machine its vertices' roots under dsu and the cuts of
+//     its run (one scatter round, a word a root and 2 a cut);
 //  2. every machine files its incidences under their vertices' roots and
 //     routes them along the cuts (one round, 3 words an incidence); the
 //     routed incidences are the machines' held state from here on;
 //  3. the remaining families are gathered, a sketch per component share
 //     (one round).
 //
-// A component's sketch is the sum of its members' (Property 1) and the sum
-// of its shares' is that sum cell for cell, so Borůvka's component sums —
-// and with them every output — are what per-vertex sketches give.
+// The three rounds run whether or not a vertex shipped sketches, carrying
+// nothing where none did. A component's sketch is the sum of its members'
+// (Property 1) and the sum of its shares' is that sum cell for cell, so
+// Borůvka's component sums — and with them every output — are what
+// per-vertex sketches give.
 func (s *sketchPhase) contract() error {
 	defer s.c.Span("sketch").End()
 	c, k := s.c, s.c.K()
@@ -324,21 +330,19 @@ func (s *sketchPhase) contract() error {
 	return err
 }
 
-// pack is the large machine's half of the contraction's first step: every
-// vertex's root under dsu, and a packing of the incidences in (root,
-// vertex) order onto the bins, each taking its placement-weighted share of
-// them as a Sort bucket does, so a component may straddle bins. It returns
-// each machine's placement: the vertices arrived in machine order, each
-// machine's in run order, so a machine's roots are one stretch, and its
-// cuts follow its run filed under them.
+// pack is the large machine's half of the contraction's first step: the
+// root under dsu of every vertex that shipped sketches, and a packing of
+// their incidences in (root, vertex) order onto the bins, each taking its
+// placement-weighted share of them as a Sort bucket does, so a component
+// may straddle bins. It returns each machine's placement: the vertices
+// arrived in machine order, each machine's in run order, so a machine's
+// roots are one stretch, and its cuts follow its run filed under them.
 func (s *sketchPhase) pack() []placement {
 	c, k := s.c, s.c.K()
 	roots, held := make([]int, len(s.vertices)), make([]int, k)
-	total, comps := 0, 0
+	total := 0
 	for x, v := range s.vertices {
-		if roots[x] = s.dsu.Find(v.group); roots[x] == v.group {
-			comps++
-		}
+		roots[x] = s.dsu.Find(v.group)
 		total += v.deg
 		held[v.machine] += v.deg
 	}
@@ -349,6 +353,17 @@ func (s *sketchPhase) pack() []placement {
 			y++
 		}
 		places[i].roots, x = roots[x:y:y], y
+	}
+	order := make([]int, len(s.vertices))
+	for x := range order {
+		order[x] = x
+	}
+	prims.SortLocal(order, func(x int) prims.SortKey { return prims.SortKey{A: int64(roots[x])*int64(len(order)) + int64(x)} })
+	comps := 0
+	for j, x := range order {
+		if j == 0 || roots[x] != roots[order[j-1]] {
+			comps++
+		}
 	}
 	bins := s.bins(total, comps, held)
 	ends := make([]int, len(bins)) // bin j packs positions [ends[j−1], ends[j])
@@ -361,11 +376,6 @@ func (s *sketchPhase) pack() []placement {
 		ends[j] = int(float64(total) * cum / sum)
 	}
 	ends[len(ends)-1] = total
-	order := make([]int, len(s.vertices))
-	for x := range order {
-		order[x] = x
-	}
-	prims.SortLocal(order, func(x int) prims.SortKey { return prims.SortKey{A: int64(roots[x])*int64(len(order)) + int64(x)} })
 	j, pos := 0, 0
 	for _, x := range order {
 		v := s.vertices[x]
@@ -393,13 +403,12 @@ func (s *sketchPhase) pack() []placement {
 // share and S the bins', while every machine i sends its run, 3·held[i]; in
 // the second gather bin j sends about comps·s_j/S + 1 component shares and
 // the large machine receives comps + B − 1, each shareWords of F sketches
-// of about w words, F the families left and w the first gather's mean
-// Sketch.Words. A candidate
-// prices each round at its busiest machine's words times WordCost, so more
-// bins shorten the route and lengthen the gather where the large machine
-// is the busiest, and shorten both where the bins are. A candidate whose
-// route overfills half a bin's cap is not taken; all K bins are the
-// fallback.
+// of about w words, F the families left and w the mean Sketch.Words of the
+// first gather's shipped sketches. A candidate prices each round at its
+// busiest machine's words times WordCost, so more bins shorten the route
+// and lengthen the gather where the large machine is the busiest, and
+// shorten both where the bins are. A candidate whose route overfills half a
+// bin's cap is not taken; all K bins are the fallback.
 func (s *sketchPhase) bins(total, comps int, held []int) []int {
 	c, k := s.c, s.c.K()
 	sketches, words := 0, 0
@@ -443,44 +452,63 @@ func (s *sketchPhase) bins(total, comps int, held []int) []int {
 // sorted by group — a sketch per (family, group), each the sum of its
 // group's updates, cell for cell in any order — and ships them to the large
 // machine (one round), each group charged shareWords. In the first gather
-// (degWords = 1, a group per vertex) a vertex whose incidences cost no more
-// words (2 + deg) ships them instead, and the large machine builds its
-// sketches with the same updaters, cell for cell the ones its machine
-// built. The large machine files the sketches after the families it holds,
-// by family: the groups ascend in machine order, so every family's keys do.
-// It returns the groups, in machine order, each with its sketches.
+// (degWords = 1, a group per vertex) a machine prices each vertex's
+// sketches from the depths they would store (shipsIncidences), and a vertex
+// whose incidences cost no more words (2 + deg) ships them instead: its
+// machine builds no sketch of it and leaves it out of its run from here on
+// (s.runs), and the large machine holds them (s.held). The large machine
+// files the sketches after the families it holds, by family: the groups
+// ascend in machine order, so every family's keys do. It returns the
+// groups that shipped sketches, in machine order, each with its sketches.
 func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]share, error) {
 	defer s.c.Span("gather").End()
 	lo := len(s.families)
 	// One edge updater per family: precomputed fingerprint power tables.
 	// Updaters are read-only and shared across the small-machine goroutines.
-	updaters := make([]*sketch.EdgeUpdater, hi-lo)
-	for t := range updaters {
-		f := sketch.NewFamilyLevels(s.levels, xrand.Split(s.seed, uint64(lo+t)+1))
-		s.families = append(s.families, f)
-		updaters[t] = f.NewEdgeUpdater(s.n)
+	for t := lo; t < hi; t++ {
+		f := sketch.NewFamilyLevels(s.levels, xrand.Split(s.seed, uint64(t)+1))
+		s.families, s.updaters = append(s.families, f), append(s.updaters, f.NewEdgeUpdater(s.n))
 	}
-	items, built := make([][]share, s.c.K()), make([][]prims.KV[*sketch.Sketch], s.c.K())
+	updaters := s.updaters[lo:hi]
+	items, kept := make([][]share, s.c.K()), make([][]sketch.Incidence, s.c.K())
 	s.c.Each(func(i int) {
-		sks, run := vertexSketches(updaters, runs[i], lo, s.n), runs[i]
-		shares := make([]share, 0, len(sks)/len(updaters))
+		run, groups, dense := runs[i], 0, 0 // dense: the incidences of the groups that ship sketches
 		for j, in := range run {
-			if g := in.Group(); j == 0 || g != run[j-1].Group() {
-				at := len(shares) * len(updaters)
-				shares = append(shares, share{group: g, sketches: sks[at : at+len(updaters)], machine: i})
+			if j == 0 || in.Group() != run[j-1].Group() {
+				groups++
 			}
-			shares[len(shares)-1].deg++
 		}
-		if degWords > 0 {
+		shares := make([]share, 0, groups)
+		for at := 0; at < len(run); {
+			sh := share{group: run[at].Group(), machine: i}
+			for at+sh.deg < len(run) && run[at+sh.deg].Group() == sh.group {
+				sh.deg++
+			}
+			if end := at + sh.deg; degWords > 0 && shipsIncidences(updaters, run[at:end], s.levels, degWords) {
+				sh.incidences = run[at:end:end]
+			} else {
+				dense += sh.deg
+			}
+			shares, at = append(shares, sh), at+sh.deg
+		}
+		kept[i] = run
+		if dense < len(run) {
+			kept[i] = make([]sketch.Incidence, 0, dense)
 			at := 0
-			for x, sh := range shares {
-				if 2+sh.deg <= sh.words(degWords) {
-					shares[x].sketches, shares[x].incidences = nil, run[at:at+sh.deg:at+sh.deg]
+			for _, sh := range shares {
+				if sh.incidences == nil {
+					kept[i] = append(kept[i], run[at:at+sh.deg]...)
 				}
 				at += sh.deg
 			}
 		}
-		items[i], built[i] = shares, sks
+		sks, at := vertexSketches(updaters, kept[i], lo, s.n), 0
+		for x := range shares {
+			if shares[x].incidences == nil {
+				shares[x].sketches, at = sks[at:at+len(updaters):at+len(updaters)], at+len(updaters)
+			}
+		}
+		items[i] = shares
 	})
 	got, err := prims.Gather(s.c, items, func(shares []share) int {
 		w := 0
@@ -492,41 +520,44 @@ func (s *sketchPhase) gather(runs [][]sketch.Incidence, hi, degWords int) ([]sha
 	if err != nil {
 		return nil, err
 	}
-	s.sketchIncidences(updaters, lo, got, built)
+	s.runs = kept
+	shipped := got[:0]
+	for _, sh := range got {
+		if sh.incidences != nil {
+			s.held = append(s.held, sh.incidences)
+		} else {
+			shipped = append(shipped, sh)
+		}
+	}
 	for t := range updaters {
-		for _, sh := range got {
+		for _, sh := range shipped {
 			s.atLarge = append(s.atLarge, sh.sketches[t])
 		}
 	}
-	return got, nil
+	return shipped, nil
 }
 
-// sketchIncidences is the large machine's half of the incidence records:
-// it builds, with the gather's updaters, the sketches of every share in got
-// that shipped its incidences, and hands them to the share. The shares'
-// groups ascend, so their incidences, end to end, are a run sorted by
-// group. The sketches equal, cell for cell, those the small machines built
-// (built, every group's, which goes to onRebuild beside them).
-func (s *sketchPhase) sketchIncidences(updaters []*sketch.EdgeUpdater, lo int, got []share, built [][]prims.KV[*sketch.Sketch]) {
-	total := 0
-	for _, sh := range got {
-		total += len(sh.incidences)
-	}
-	if total == 0 {
-		return
-	}
-	run := make([]sketch.Incidence, 0, total)
-	for _, sh := range got {
-		run = append(run, sh.incidences...)
-	}
-	sks, f := vertexSketches(updaters, run, lo, s.n), len(updaters)
-	at := 0
-	for x := range got {
-		if got[x].incidences != nil {
-			got[x].sketches, at = sks[at:at+f:at+f], at+f
+// shipsIncidences reports whether a vertex ships its incidences incs
+// rather than its sketches of the updaters' families: whether 2 + deg
+// words cost no more than the sketches' shareWords. Each sketch stores its
+// deepest update's levels (sketch.VertexSketches), PrefixWords of them, at
+// least one level and at most levels; a family's depth is read only while
+// those bounds leave the choice open.
+func shipsIncidences(updaters []*sketch.EdgeUpdater, incs []sketch.Incidence, levels, degWords int) bool {
+	f := len(updaters)
+	lo, hi := f*sketch.PrefixWords(1), f*sketch.PrefixWords(levels) // the sketches' words, bounded
+	for _, up := range updaters {
+		if 2+len(incs) <= shareWords(lo, degWords) || 2+len(incs) > shareWords(hi, degWords) {
+			break
 		}
+		depth := 0
+		for _, in := range incs {
+			depth = max(depth, up.Depth(in))
+		}
+		lo += sketch.PrefixWords(depth) - sketch.PrefixWords(1)
+		hi -= sketch.PrefixWords(levels) - sketch.PrefixWords(depth)
 	}
-	rebuilt("connectivity/incidences", built, sks)
+	return 2+len(incs) <= shareWords(lo, degWords)
 }
 
 // sortIncidences sorts the two incidences of every machine's edges, 2 words
@@ -560,21 +591,31 @@ func vertexSketches(updaters []*sketch.EdgeUpdater, run []sketch.Incidence, firs
 	return items
 }
 
-// componentSums fills sums[r] with the sum of the sketches of run, keyed
-// base+v by a member v of their group, over the groups in the component
-// rooted at r under dsu, and with nil where no member has a sketch (isolated
-// vertices have none). Groups are added in increasing order into a
-// full-width sketch of f, so no merge grows its destination and run is left
+// componentSums fills sums[r] with family f's sum over the component rooted
+// at r under dsu: the sketches of run, keyed base+v by a member v of their
+// group, and up's updates of held, each run the incidences of one member;
+// nil where no member has either (isolated vertices have none). Each sum is
+// a full-width sketch of f, so no merge or update grows it, and run is left
 // untouched.
-func componentSums(sums []*sketch.Sketch, f *sketch.Family, universe int64, dsu *unionfind.DSU, run []prims.KV[*sketch.Sketch], base int64) error {
+func componentSums(sums []*sketch.Sketch, f *sketch.Family, up *sketch.EdgeUpdater, dsu *unionfind.DSU, run []prims.KV[*sketch.Sketch], held [][]sketch.Incidence, base int64) error {
 	clear(sums)
-	for _, kv := range run {
-		r := dsu.Find(int(kv.K - base))
+	universe := int64(dsu.Len()) * int64(dsu.Len())
+	of := func(v int) *sketch.Sketch {
+		r := dsu.Find(v)
 		if sums[r] == nil {
 			sums[r] = f.NewSketch(universe)
 		}
-		if err := sums[r].Merge(kv.V); err != nil {
+		return sums[r]
+	}
+	for _, kv := range run {
+		if err := of(int(kv.K - base)).Merge(kv.V); err != nil {
 			return err
+		}
+	}
+	for _, incs := range held {
+		sum := of(incs[0].V)
+		for _, in := range incs {
+			up.AddIncidence(sum, in)
 		}
 	}
 	return nil

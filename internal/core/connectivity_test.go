@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -283,7 +286,9 @@ func TestConnectivitySketchCellsFollowDepth(t *testing.T) {
 // fewer than one per family and vertex. Together they charge less than the
 // full sampler's 1 + 2·levels for every (family, vertex) sketch of the
 // families Borůvka read. On planted hubs both records ship: the hubs their
-// sketches, the core vertices their incidences.
+// sketches, the core vertices their incidences. On G(1024, 32·1024) both
+// do too, and most vertices' degrees sit near their sketches' words, so
+// the first gather's price reads their depths to the last family.
 func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	for _, w := range []struct {
 		name string
@@ -292,6 +297,7 @@ func TestConnectivityGatherChargesStoredLevels(t *testing.T) {
 	}{
 		{"gnm", graph.GNM(1024, 4096, 7), false},
 		{"hubs", graph.PlantedHubs(1024, 4, 8, 400, 7), true},
+		{"dense", graph.ConnectedGNM(1024, 32*1024, 7, false), true},
 	} {
 		t.Run(w.name, func(t *testing.T) { gatherChargesStoredLevels(t, w.g, w.both) })
 	}
@@ -353,7 +359,7 @@ func gatherChargesStoredLevels(t *testing.T, g *graph.Graph, both bool) {
 		t.Fatalf("the first gather carries %v words, want Σ_v min(2 + deg_v, shareWords_v) = %d", got, first)
 	}
 
-	phases, err := boruvka(sk.dsu, sk.phases, sk.phase)
+	phases, err := boruvka(sk.dsu, sk.phases, sk.sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +398,10 @@ func gatherChargesStoredLevels(t *testing.T, g *graph.Graph, both bool) {
 // The cluster checkpoints every round, and each barrier replicates what the
 // small machines hold: their incidence runs, 2 words an incidence, as Sort
 // registered them, through the first gather, the scatter and the route, and
-// the routed incidences, 3 words each with their root, from then on.
+// the routed incidences, 3 words each with their root, from then on. A path
+// has no vertex whose sketches cost fewer words than its incidences, so the
+// large machine holds every incidence, the route carries none and the
+// second gather's barrier replicates nothing.
 func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
 	g := graph.Path(64)
 	incidences := int64(2 * g.M())
@@ -401,7 +410,7 @@ func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
 		replicated     int64
 	}{
 		{3, 1, 2 * incidences},
-		{4, 4, 3*2*incidences + 3*incidences},
+		{4, 4, 3 * 2 * incidences},
 	} {
 		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: 4, Seed: 7, Faults: &fault.Plan{Interval: 1}})
 		if err != nil {
@@ -421,7 +430,7 @@ func TestBoruvkaSketchFailureIsTyped(t *testing.T) {
 		if err := sk.gatherVertices(); err != nil {
 			t.Fatal(err)
 		}
-		if phases, err := boruvka(sk.dsu, sk.phases, sk.phase); !errors.Is(err, ErrSketchFailure) {
+		if phases, err := boruvka(sk.dsu, sk.phases, sk.sum); !errors.Is(err, ErrSketchFailure) {
 			t.Fatalf("P = %d on a 64-path: err = %v after %d phases, want ErrSketchFailure", w.phases, err, phases)
 		}
 		if len(sk.families) != w.phases {
@@ -460,29 +469,38 @@ func TestConnectivityAllocsPerMachine(t *testing.T) {
 
 // TestConnectivityContractionGolden pins the contraction (DESIGN.md §3.4) on
 // TestConnectivityBatchGolden's input — G(512, 4096) at its four seeds, on
-// the default cluster — and at seed 7 on K = 24 machines. Every run reads
-// more than contractAfter families, so each contracts in 3 rounds (9 in all
-// on the default cluster, whose incidence Sort exchanges summaries), with the pinned components left after
-// contractAfter phases; Borůvka reads the pinned phases and finds one
-// component. At every phase t ≥ contractAfter, the component sums Borůvka
-// forms of family t's gathered shares equal, cell for cell, the sums of
+// the default cluster — at seed 7 on K = 24 machines, and on planted hubs,
+// whose 8 hubs ship their sketches while every other vertex ships its
+// incidences. Every run reads more than contractAfter families, so each
+// contracts in 3 rounds (9 in all on the default cluster, whose incidence
+// Sort exchanges summaries), with the pinned components left after
+// contractAfter phases; Borůvka reads the pinned phases and finds the
+// graph's components. At every family t from 0 to P−1, the sums Borůvka
+// forms — the gathered sketches of family t and the updates of the
+// incidences the large machine holds — equal, cell for cell, the sums of
 // per-vertex sketches of family t that the test builds itself from the
-// Sort's runs. The packing's bins split components between machines in
-// every run, so share keys repeat. A star, which Borůvka finishes within
-// contractAfter families, charges no scatter, route or second gather: 6
-// rounds, one gather.
+// graph's incidences. On G(512, 4096) no vertex ships sketches, so the
+// contraction's three rounds carry no word. On the hubs it carries the
+// hubs, and the packing's bins split a component between machines, so
+// share keys repeat. A star, which Borůvka finishes within contractAfter
+// families, charges no scatter, route or second gather: 6 rounds, one
+// gather.
 func TestConnectivityContractionGolden(t *testing.T) {
 	for _, w := range []struct {
-		seed             uint64
-		k, phases, comps int
+		g                       *graph.Graph
+		seed                    uint64
+		k, phases, comps, final int
+		dense                   bool // some vertex ships its sketches
 	}{
-		{7, 0, 8, 46},
-		{24, 0, 10, 43},
-		{17, 0, 11, 38},
-		{61, 0, 13, 50},
-		{7, 24, 8, 46},
+		{graph.ConnectedGNM(512, 4096, 7, false), 7, 0, 8, 46, 1, false},
+		{graph.ConnectedGNM(512, 4096, 24, false), 24, 0, 10, 43, 1, false},
+		{graph.ConnectedGNM(512, 4096, 17, false), 17, 0, 11, 38, 1, false},
+		{graph.ConnectedGNM(512, 4096, 61, false), 61, 0, 13, 50, 1, false},
+		{graph.ConnectedGNM(512, 4096, 7, false), 7, 24, 8, 46, 1, false},
+		{graph.PlantedHubs(1024, 4, 8, 400, 7), 7, 0, 10, 47, 1, true},
 	} {
-		g := graph.ConnectedGNM(512, 4096, w.seed, false)
+		g := w.g
+		name := fmt.Sprintf("n=%d m=%d seed %d K=%d", g.N, g.M(), w.seed, w.k)
 		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), K: w.k, Seed: w.seed})
 		if err != nil {
 			t.Fatal(err)
@@ -499,54 +517,62 @@ func TestConnectivityContractionGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := c.Stats().Rounds
-		universe := int64(g.N) * int64(g.N)
+		var all []sketch.Incidence // every incidence, sorted by vertex
+		for _, e := range g.Edges {
+			if e.U != e.V {
+				all = append(all, sketch.Incidence{V: e.U, U: e.V}, sketch.Incidence{V: e.V, U: e.U})
+			}
+		}
+		slices.SortStableFunc(all, func(a, b sketch.Incidence) int { return cmp.Compare(a.V, b.V) })
+		before := c.Stats()
 		got, want := make([]*sketch.Sketch, g.N), make([]*sketch.Sketch, g.N)
-		comps, repeats := 0, 0
-		phase := func(ph int) (*sketch.Family, []prims.KV[*sketch.Sketch], error) {
-			f, run, err := sk.phase(ph)
-			if err != nil || ph < contractAfter {
-				return f, run, err
+		comps := 0
+		sum := func(ph int, sums []*sketch.Sketch) (*sketch.Family, error) {
+			f, err := sk.sum(ph, sums)
+			if err != nil {
+				return nil, err
 			}
 			if ph == contractAfter {
-				comps = sk.dsu.Count() - (g.N - len(sk.vertices))
+				comps = components(sk.dsu, all)
 			}
-			base := int64(ph) * int64(g.N)
-			var perVertex []prims.KV[*sketch.Sketch]
-			up := f.NewEdgeUpdater(g.N)
-			for _, r := range sk.runs {
-				perVertex = append(perVertex, vertexSketches([]*sketch.EdgeUpdater{up}, r, ph, g.N)...)
+			perVertex := vertexSketches([]*sketch.EdgeUpdater{f.NewEdgeUpdater(g.N)}, all, ph, g.N)
+			if err := componentSums(want, f, nil, sk.dsu, perVertex, nil, int64(ph)*int64(g.N)); err != nil {
+				return nil, err
 			}
-			if err := componentSums(got, f, universe, sk.dsu, run, base); err != nil {
-				return nil, nil, err
+			if !reflect.DeepEqual(sums, want) {
+				t.Errorf("%s: family %d's component sums differ from the per-vertex sketches'", name, ph)
 			}
-			if err := componentSums(want, f, universe, sk.dsu, perVertex, base); err != nil {
-				return nil, nil, err
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d K=%d: family %d's component sums differ from the per-vertex sketches'", w.seed, c.K(), ph)
-			}
-			for j := 1; j < len(run); j++ {
-				if run[j].K == run[j-1].K {
-					repeats++
-				}
-			}
-			return f, run, nil
+			return f, nil
 		}
-		phases, err := boruvka(sk.dsu, sk.phases, phase)
+		phases, err := boruvka(sk.dsu, sk.phases, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds := c.Stats().Rounds
-		t.Logf("seed %d K=%d: %d phases, %d components after %d, %d repeated share keys, %d rounds", w.seed, c.K(), phases, comps, contractAfter, repeats, rounds)
-		if phases != w.phases || comps != w.comps || sk.dsu.Count() != 1 {
-			t.Errorf("seed %d K=%d: %d phases, %d components after %d, %d at the end; want %d, %d, 1", w.seed, c.K(), phases, comps, contractAfter, sk.dsu.Count(), w.phases, w.comps)
+		for ph := phases; ph < sk.phases; ph++ { // the families Borůvka left unread
+			if _, err := sum(ph, got); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if rounds-before != 3 || w.k == 0 && rounds != 9 {
-			t.Errorf("seed %d K=%d: the contraction took %d rounds of %d, want 3 (of 9 on the default cluster)", w.seed, c.K(), rounds-before, rounds)
+		d := c.Stats().Sub(before)
+		repeats := 0
+		for j := 1; j < len(sk.atLarge); j++ {
+			if sk.atLarge[j].K == sk.atLarge[j-1].K {
+				repeats++
+			}
 		}
-		if repeats == 0 {
-			t.Errorf("seed %d K=%d: no component straddles two machines", w.seed, c.K())
+		_, wantCC := graph.Components(g)
+		t.Logf("%s: %d phases, %d components after %d, %d repeated share keys, %d rounds, %d contraction words, %d vertices ship sketches", name, phases, comps, contractAfter, repeats, c.Stats().Rounds, d.TotalWords, len(sk.vertices))
+		if phases != w.phases || comps != w.comps || sk.dsu.Count() != wantCC || wantCC != w.final {
+			t.Errorf("%s: %d phases, %d components after %d, %d at the end; want %d, %d, %d", name, phases, comps, contractAfter, sk.dsu.Count(), w.phases, w.comps, w.final)
+		}
+		if d.Rounds != 3 || w.k == 0 && c.Stats().Rounds != 9 {
+			t.Errorf("%s: the contraction took %d rounds of %d, want 3 (of 9 on the default cluster)", name, d.Rounds, c.Stats().Rounds)
+		}
+		if w.dense != (len(sk.vertices) > 0) || w.dense != (d.TotalWords > 0) {
+			t.Errorf("%s: %d vertices ship sketches and the contraction carries %d words; want some of each: %v", name, len(sk.vertices), d.TotalWords, w.dense)
+		}
+		if w.dense && repeats == 0 {
+			t.Errorf("%s: no component straddles two machines", name)
 		}
 	}
 
@@ -572,4 +598,14 @@ func TestConnectivityContractionGolden(t *testing.T) {
 	if res.Phases > contractAfter || res.Stats.Rounds != 6 || gathers != 1 {
 		t.Errorf("the star: %d phases in %d rounds, %d gathers; want at most %d phases in 6 rounds, one gather", res.Phases, res.Stats.Rounds, gathers, contractAfter)
 	}
+}
+
+// components is the number of components of dsu that hold an incidence of
+// run.
+func components(dsu *unionfind.DSU, run []sketch.Incidence) int {
+	roots := make(map[int]bool)
+	for _, in := range run {
+		roots[dsu.Find(in.V)] = true
+	}
+	return len(roots)
 }

@@ -109,8 +109,8 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 	for it, tau := range taus {
 		// One report a machine rides the prefix gather: its alive-edge count
 		// (1 word), its alive prefix edges, and the dominated roots it holds
-		// (1 word each: every value is true). A machine with nothing to report
-		// stays silent, which reads as a count of 0.
+		// (their keys at prims.KeyRunWords: every value is true). A machine
+		// with nothing to report stays silent, which reads as a count of 0.
 		slab := make([]misReport, kk)
 		reports := make([][]misReport, kk)
 		c.Each(func(i int) {
@@ -133,7 +133,7 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 		})
 		gather := c.Span("gather")
 		got, err := prims.Gather(c, reports, func(rs []misReport) int {
-			return 1 + len(rs[0].edges)*prims.EdgeWords + len(rs[0].dom)
+			return 1 + len(rs[0].edges)*prims.EdgeWords + prims.KeyRunWords(rs[0].dom, prims.KVKey[bool])
 		})
 		gather.End()
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
-	"hetmpc/internal/sketch"
 )
 
 // runPrefixes is what the small machines held of the replies a collection
@@ -43,16 +42,15 @@ func runPrefixes[T, S any](t *testing.T, site string, arr *prims.Arranged[T], ke
 // receives without the fields it can rebuild equals, once rebuilt, the
 // record the small machine held — MST's collected replies (oriented by the
 // key of the query that asked for them, each placed at that query's
-// position, runPrefixes), KKT sample and F-light edges (U, V under the union-find; on a
-// superlinear large machine too), the
-// spanner's direct and sampled edges (level and cluster ids from σ and the
-// degrees), matching's hub replies (the edge alone, placed as MST's are),
-// and connectivity's
-// sketches of the vertices that shipped their incidences (every cell and
-// the depth of the sketch the vertex's machine built) — on a GNM graph,
-// E7's planted hubs, a weighted graph with repeated weights and
+// position, runPrefixes), KKT sample and F-light edges (U, V under the
+// union-find; on a superlinear large machine too), the spanner's direct and
+// sampled edges (level and cluster ids from σ and the degrees) and
+// matching's hub replies (the edge alone, placed as MST's are) — on a GNM
+// graph, E7's planted hubs, a weighted graph with repeated weights and
 // TestLocalPathsGolden's spanner-sampled graph, whose spanner has sampled
-// levels. Each gather is seen at least once over the four.
+// levels. Each gather is seen at least once over the four. Connectivity
+// rebuilds no record: the large machine adds the incidences it receives
+// into Borůvka's sums (TestConnectivityContractionGolden).
 func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 	repeated := graph.GNM(512, 4096, 11)
 	for j := range repeated.Edges {
@@ -68,7 +66,7 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 		{"repeated-weights", repeated},
 		{"spanner-sampled", graph.ConnectedGNM(1024, 65536, 7, false)},
 	}
-	sites := []string{"mst/reply", "mst/sample", "mst/light", "spanner/direct", "spanner/sampled", "matching/reply", "connectivity/incidences"}
+	sites := []string{"mst/reply", "mst/sample", "mst/light", "spanner/direct", "spanner/sampled", "matching/reply"}
 	seen := make([]int, len(sites))
 	onRebuild = func(site string, held, got any) {
 		var want any
@@ -94,16 +92,6 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 			want = prims.Flatten(h)
 		case [][]sampledEdge:
 			want = prims.Flatten(h)
-		case [][]prims.KV[*sketch.Sketch]:
-			built := make(map[int64]*sketch.Sketch)
-			for _, kv := range prims.Flatten(h) {
-				built[kv.K] = kv.V
-			}
-			sent := slices.Clone(got.([]prims.KV[*sketch.Sketch]))
-			for j := range sent {
-				sent[j].V = built[sent[j].K]
-			}
-			want = sent
 		default:
 			t.Fatalf("%s: held records of type %T", site, held)
 		}
@@ -138,9 +126,6 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := MaximalMatching(c, w.g); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Connectivity(c, w.g); err != nil {
 			t.Fatal(err)
 		}
 	}

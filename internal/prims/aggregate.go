@@ -115,7 +115,7 @@ func AggregateByKey[V any](
 var ErrRepeatedKey = errors.New("prims: key gathered twice")
 
 // GatherKVs ships every machine's (key, value) pairs to the large machine
-// (one gather round, a machine's keys charged keyRunWords and each value
+// (one gather round, a machine's keys charged KeyRunWords and each value
 // vwords) and returns them in strictly ascending key order — the large machine's one format.
 // Aggregation and plan roots arrive that way already; other input, such as
 // keys laid out vertex-major but numbered phase-major, is sorted there. A key
@@ -123,7 +123,7 @@ var ErrRepeatedKey = errors.New("prims: key gathered twice")
 func GatherKVs[V any](c *mpc.Cluster, kvs [][]KV[V], vwords int) ([]KV[V], error) {
 	defer c.Span("gather").End()
 	all, err := Gather(c, kvs, func(items []KV[V]) int {
-		return keyRunWords(items, kvKey[V]) + len(items)*vwords
+		return KeyRunWords(items, KVKey[V]) + len(items)*vwords
 	})
 	if err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ type Arranged[T any] struct {
 // runRec is one machine's report of one run: the key and how many of its
 // items the machine holds. Machine rides uncharged — the report's message
 // names its sender. A record is a count word and its key, which costs
-// keyRunWords with the message's other keys.
+// KeyRunWords with the message's other keys.
 type runRec struct {
 	Key            int64
 	Machine, Count int32
@@ -34,7 +34,7 @@ func (r runRec) key() int64 { return r.Key }
 
 // runRecWords is what a message of runs or queries costs: a count word each
 // and their keys.
-func runRecWords(rs []runRec) int { return len(rs) + keyRunWords(rs, runRec.key) }
+func runRecWords(rs []runRec) int { return len(rs) + KeyRunWords(rs, runRec.key) }
 
 // Arrange sorts the items by sortKey — whose leading component .A is the
 // grouping key — and builds the run index on the large machine. Requires a

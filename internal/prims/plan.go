@@ -283,7 +283,7 @@ func PlanBroadcast[V any](c *mpc.Cluster, p *Plan, small [][]KV[V], large []KV[V
 }
 
 // scatterTo ships the large machine's values to their roots in one scatter
-// round, a value charged vwords and a machine's keys keyRunWords, in list
+// round, a value charged vwords and a machine's keys KeyRunWords, in list
 // order per machine; the per-machine lists are carved from one array.
 func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]KV[V], error) {
 	defer c.Span("scatter").End()
@@ -304,7 +304,7 @@ func scatterTo[V any](c *mpc.Cluster, p *Plan, large []KV[V], vwords int) ([][]K
 		m := p.root(kv.K)
 		perMachine[m] = append(perMachine[m], kv)
 	}
-	return Scatter(c, perMachine, func(kvs []KV[V]) int { return len(kvs)*vwords + keyRunWords(kvs, kvKey[V]) })
+	return Scatter(c, perMachine, func(kvs []KV[V]) int { return len(kvs)*vwords + KeyRunWords(kvs, KVKey[V]) })
 }
 
 // broadcast delivers vals[i] — machine i's values, each at its key's root,

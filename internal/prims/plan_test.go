@@ -721,7 +721,7 @@ func TestDistinctSlots(t *testing.T) {
 // TestPresenceFlagsShipKeysAlone pins a 0-width collective, a presence
 // flag's: a PlanCombine partial and a PlanBroadcast answer carry one word,
 // their key, and a large value's scatter entry costs only its key, in
-// keyRunWords' shorter form. Machine i requests keys 8i…8i+63, so every key
+// KeyRunWords' shorter form. Machine i requests keys 8i…8i+63, so every key
 // below 8K+56 is requested, eight times; the large machine flags a run of
 // 200 consecutive keys and every seventh key past it, and each machine flags
 // its own first key through the combine.
@@ -773,7 +773,7 @@ func TestPresenceFlagsShipKeysAlone(t *testing.T) {
 	}
 	var scatter int64
 	for _, kvs := range perRoot {
-		scatter += int64(keyRunWords(kvs, kvKey[bool]))
+		scatter += int64(KeyRunWords(kvs, KVKey[bool]))
 	}
 	answered := func(a Answers[bool]) (n int64) {
 		for _, h := range a.has {
@@ -804,7 +804,7 @@ func TestPresenceFlagsShipKeysAlone(t *testing.T) {
 			}
 		case "broadcast/scatter":
 			if r.Words != scatter || scatter >= int64(len(large)) {
-				t.Errorf("the scatter round carries %d words, want keyRunWords' %d, below a word a key (%d)", r.Words, scatter, len(large))
+				t.Errorf("the scatter round carries %d words, want KeyRunWords' %d, below a word a key (%d)", r.Words, scatter, len(large))
 			}
 		}
 	}

@@ -631,7 +631,7 @@ func TestArrangeAndCollectBudget(t *testing.T) {
 }
 
 // TestPerKeyMessagesChargeKeyRuns: a message of keys into or out of the
-// large machine is charged its keys at keyRunWords — GatherKVs' pairs,
+// large machine is charged its keys at KeyRunWords — GatherKVs' pairs,
 // PlanBroadcast's scatter of the large values, Arrange's run reports and
 // CollectBudget's queries — and CollectBudget's replies their items alone.
 func TestPerKeyMessagesChargeKeyRuns(t *testing.T) {
@@ -685,7 +685,7 @@ func TestPerKeyMessagesChargeKeyRuns(t *testing.T) {
 	}
 	want := int64(0)
 	for _, keys := range at {
-		want += int64(2*len(keys) + keyRunWords(keys, key))
+		want += int64(2*len(keys) + KeyRunWords(keys, key))
 	}
 	if got := words(func() error { _, err := PlanBroadcast(c, p, nil, large, 2); return err }); got[0] != want || want >= 3*300 {
 		t.Errorf("PlanBroadcast's scatter moved %d words, want %d, below %d", got[0], want, 3*300)

@@ -699,7 +699,7 @@ const (
 // rides in the reply's header word.
 func runCutWords(cuts []Cut, items int) int { return min(cutWords*len(cuts), items) }
 
-// keyRunWords is what the keys of one message cost on the wire, in the
+// KeyRunWords is what the keys of one message cost on the wire, in the
 // shorter of two forms that decode to the same keys: a key a word, or
 // (first key, length) for each run of consecutive keys, each key or run
 // followed by its values. Where the first key is not negative — as the
@@ -710,7 +710,7 @@ func runCutWords(cuts []Cut, items int) int { return min(cutWords*len(cuts), ite
 // a run form's first word is never followed by a negative length, so the
 // tag reads apart from it. The receiver parses every form to the message's
 // end, so it needs nothing but the message, not the keys' domain.
-func keyRunWords[T any](items []T, key func(T) int64) int {
+func KeyRunWords[T any](items []T, key func(T) int64) int {
 	n := len(items)
 	if n == 0 {
 		return 0
@@ -727,8 +727,8 @@ func keyRunWords[T any](items []T, key func(T) int64) int {
 	return min(n, 2*runs)
 }
 
-// kvKey keys a (key, value) pair by its key, as keyRunWords reads it.
-func kvKey[V any](kv KV[V]) int64 { return kv.K }
+// KVKey keys a (key, value) pair by its key, as KeyRunWords reads it.
+func KVKey[V any](kv KV[V]) int64 { return kv.K }
 
 // sortReply is a leader's answer to one machine's sample: the cuts of the
 // machine's run or, for a machine that holds more than it sampled, the

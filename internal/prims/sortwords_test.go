@@ -101,7 +101,7 @@ func decodeRunCuts(words []int64) []Cut {
 
 // encodeKeyRuns writes a message of keys, each key followed by vwords words
 // of its value (here its index j, vwords times), in the shorter of the two
-// forms keyRunWords prices: each key then its value, or each run of
+// forms KeyRunWords prices: each key then its value, or each run of
 // consecutive keys as its first key and length, then the run's values. The
 // run form writes its first word complemented, negative where the key is
 // not; a message whose first key is negative goes a key a word after the
@@ -269,7 +269,7 @@ func TestSortMessageWords(t *testing.T) {
 	checkRunCuts(t, nil, 0)
 }
 
-// FuzzKeyRunWords fuzzes keyRunWords, the price of the keys of a per-key
+// FuzzKeyRunWords fuzzes KeyRunWords, the price of the keys of a per-key
 // message into or out of the large machine, over key lists whose steps are
 // drawn by the bits of mask: +1 (a run goes on), 0 (a key repeats), a gap
 // of 2..9, or a step back of 1..8. The first key is start, so it may be
@@ -320,9 +320,9 @@ func FuzzKeyRunWords(f *testing.F) {
 				t.Fatalf("keys %v at %d value words decode with values %v", keys, vwords, vals)
 			}
 		}
-		words := keyRunWords(keys, func(k int64) int64 { return k })
+		words := KeyRunWords(keys, func(k int64) int64 { return k })
 		if len(enc) != words+vwords*len(keys) {
-			t.Fatalf("keys %v at %d value words encode to %d words, keyRunWords charges %d + %d", keys, vwords, len(enc), words, vwords*len(keys))
+			t.Fatalf("keys %v at %d value words encode to %d words, KeyRunWords charges %d + %d", keys, vwords, len(enc), words, vwords*len(keys))
 		}
 		limit := len(keys)
 		if len(keys) > 0 && keys[0] < 0 {

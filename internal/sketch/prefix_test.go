@@ -457,3 +457,85 @@ func TestGroupSketchesSumTheirVertices(t *testing.T) {
 		}
 	}
 }
+
+// runIncidenceSums is the oracle check of AddIncidence on one input: byte 0
+// picks the family and the part count K ∈ [1, 8], then (v, u, part, group)
+// quadruples give an incidence of v with neighbour u ≠ v on 64 vertices,
+// the part holding it and the group (of 8) it is filed under. Each part's
+// incidences, sorted by group, build their groups' sketches with
+// VertexSketches, and each group's sketches from every part are summed with
+// Merge into a full-width sketch. Adding the group's incidences one at a
+// time with AddIncidence into a full-width sketch must give the same cells,
+// and so must adding them into an empty prefix, which grows as deep as the
+// deepest of them.
+func runIncidenceSums(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	const n, groups = 64, 8
+	universe := int64(n) * int64(n)
+	up := NewFamilyLevels(prefixLevelCounts[int(data[0])%len(prefixLevelCounts)], uint64(data[0])+1).NewEdgeUpdater(n)
+	parts := make([][]Incidence, 1+int(data[0])%8)
+	var merged, added, grown [groups]*Sketch
+	deepest := [groups]int{}
+	for g := range groups {
+		merged[g], added[g], grown[g] = up.f.NewSketch(universe), up.f.NewSketch(universe), emptyPrefix(up.f, universe)
+	}
+	for data = data[1:]; len(data) >= 4; data = data[4:] {
+		v, u := int(data[0])%n, int(data[1])%n
+		if v == u {
+			continue
+		}
+		in := Incidence{V: v, U: u}.FiledUnder(int(data[3]) % groups)
+		i := int(data[2]) % len(parts)
+		parts[i] = append(parts[i], in)
+		up.AddIncidence(added[in.Group()], in)
+		up.AddIncidence(grown[in.Group()], in)
+		deepest[in.Group()] = max(deepest[in.Group()], up.Depth(in))
+	}
+	for _, part := range parts {
+		slices.SortStableFunc(part, func(a, b Incidence) int { return cmp.Compare(a.Group(), b.Group()) })
+		sks, j := VertexSketches([]*EdgeUpdater{up}, part), 0
+		for x, in := range part {
+			if x > 0 && in.Group() == part[x-1].Group() {
+				continue
+			}
+			if err := merged[in.Group()].Merge(&sks[j]); err != nil {
+				t.Fatal(err)
+			}
+			j++
+		}
+	}
+	for g := range groups {
+		if grown[g].Depth() != deepest[g] {
+			t.Fatalf("group %d: AddIncidence grew an empty prefix to depth %d, want its deepest update's %d", g, grown[g].Depth(), deepest[g])
+		}
+		widened := up.f.NewSketch(universe)
+		if err := widened.Merge(grown[g]); err != nil {
+			t.Fatal(err)
+		}
+		if !equalLevels(added[g].levels, merged[g].levels) || !equalLevels(widened.levels, merged[g].levels) {
+			t.Fatalf("group %d: the single-incidence adds diverge from the merged VertexSketches", g)
+		}
+	}
+}
+
+// TestIncidenceSumsMatchMergedSketches runs the oracle check on random
+// incidences, parts and groupings over every part count.
+func TestIncidenceSumsMatchMergedSketches(t *testing.T) {
+	for seed := 0; seed < 16; seed++ {
+		rng := xrand.New(uint64(seed) + 23)
+		data := []byte{byte(seed)}
+		for i := 0; i < 4*(40+rng.IntN(400)); i++ {
+			data = append(data, byte(rng.IntN(256)))
+		}
+		runIncidenceSums(t, data)
+	}
+}
+
+// FuzzIncidenceSums is the same check on fuzzed incidences and groupings.
+func FuzzIncidenceSums(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 0, 1, 0, 1, 0, 2, 3, 2, 1})     // K=4: an edge's two halves in one group, one more apart
+	f.Add([]byte{0, 7, 8, 0, 5, 7, 9, 0, 5, 7, 10, 0, 6, 9}) // K=1: a star's halves in two groups
+	f.Fuzz(runIncidenceSums)
+}

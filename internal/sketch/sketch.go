@@ -11,7 +11,8 @@
 // sum of the sketches of any partition of its edges, and the sum over a
 // vertex set samples an edge leaving it. The small machines build each
 // vertex's sketch, or each component's, where its incidences meet
-// (VertexSketches).
+// (VertexSketches); the large machine adds the incidences it holds one at a
+// time into the sums it forms (EdgeUpdater.AddIncidence).
 //
 // The vector being sketched is the signed vertex-incidence vector a_v over
 // the edge universe {(i,j) : i < j}: a_v[(i,j)] = +1 if v == i and the edge
@@ -167,7 +168,11 @@ func (s *Sketch) Depth() int { return len(s.levels) }
 // depth, then one one-sparse pair (z, fp) per stored level. The levels above the
 // depth are zero, and the receiver restamps the family id and universe (see
 // the package comment), so nothing else need be sent.
-func (s *Sketch) Words() int { return 1 + 2*len(s.levels) }
+func (s *Sketch) Words() int { return PrefixWords(len(s.levels)) }
+
+// PrefixWords is what a sketch storing depth levels costs on the wire
+// (Words): its depth, then a (z, fp) pair a level.
+func PrefixWords(depth int) int { return 1 + 2*depth }
 
 // grow extends the stored prefix with zero levels to at least depth.
 func (s *Sketch) grow(depth int) {
@@ -278,6 +283,28 @@ func (up *EdgeUpdater) AddEdgeBoth(su, sv *Sketch, e graph.Edge) {
 	addLevels(sv.levels, idx, -1, rPow, depth)
 }
 
+// Depth returns how many of the family's levels incidence in's update
+// reaches: the depth of the prefix it writes, and so the depth a vertex's
+// sketch stores is its deepest incidence's (VertexSketches). No cell is
+// touched.
+func (up *EdgeUpdater) Depth(in Incidence) int {
+	e, _ := in.update()
+	_, _, depth := up.prepare(e)
+	return depth
+}
+
+// AddIncidence applies incidence in's update to s, the sketch of a group
+// holding in.V, growing its prefix where the update reaches deeper. Adding
+// a group's incidences one by one into any sketch of the family sums, cell
+// for cell, what VertexSketches builds of them (the cell adds are
+// canonical).
+func (up *EdgeUpdater) AddIncidence(s *Sketch, in Incidence) {
+	e, val := in.update()
+	idx, rPow, depth := up.prepare(e)
+	s.grow(depth)
+	addLevels(s.levels, idx, val, rPow, depth)
+}
+
 // An Incidence is one endpoint's half of an edge: vertex V meets neighbour
 // U ≠ V. It carries edge {V, U}'s update — +1 if V is the smaller endpoint,
 // -1 if the larger — to the sketch of its group (Group): V's own, in two
@@ -304,6 +331,15 @@ func (in Incidence) Group() int {
 		return in.V
 	}
 	return in.rep - 1
+}
+
+// update is the incidence's update: edge {V, U}, +1 if V is its smaller
+// endpoint and -1 if the larger.
+func (in Incidence) update() (graph.Edge, int) {
+	if in.V > in.U {
+		return graph.NewEdge(in.V, in.U, 1), -1
+	}
+	return graph.NewEdge(in.V, in.U, 1), 1
 }
 
 // VertexSketches builds the sketches of the groups of one run of incidences
@@ -338,7 +374,7 @@ func VertexSketches(ups []*EdgeUpdater, run []Incidence) []Sketch {
 		if i == 0 || g != run[i-1].Group() {
 			d++
 		}
-		e := graph.NewEdge(in.V, in.U, 1)
+		e, _ := in.update()
 		for t, up := range ups {
 			_, rPow, depth := up.prepare(e)
 			k := (d-1)*phases + t
@@ -349,10 +385,8 @@ func VertexSketches(ups []*EdgeUpdater, run []Incidence) []Sketch {
 	n := ups[0].n
 	sks, _ := carve(int64(n)*int64(n), depths[:d*phases])
 	for i, in := range run {
-		idx, val := graph.NewEdge(in.V, in.U, 1).Key(n), 1
-		if in.V > in.U {
-			val = -1
-		}
+		e, val := in.update()
+		idx := e.Key(n)
 		for t, p := range prep[i*phases : (i+1)*phases] {
 			sks[p.k].familyID = ups[t].f.id
 			addLevels(sks[p.k].levels, idx, val, p.rPow, int(p.depth))
