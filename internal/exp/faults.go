@@ -93,6 +93,7 @@ func (rn *run) e21CrashGrid(seed uint64) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"rounds and the MST weight are bit-identical across rows: recovery restores exactly the pre-crash state",
 		"the rate-0 row prices pure checkpoint replication; each crash adds detect+restore+replay rounds, so every cost rises with the rate",
+		"the victims of one barrier recover concurrently: a barrier charges the makespan of its slowest victim, recovery rounds count every victim's",
 		"the crash schedule is identical along the interval slice (same seed, same rounds); short intervals: replication words dominate; long intervals: replay rounds dominate",
 	)
 	return t, nil

@@ -260,8 +260,10 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 
 // settle adds each slot's charge in busy to its machine's busy time and
 // returns the round's largest charge and the slot that set it (-1 when every
-// charge is 0). Every priced round but a recovery goes through it: an
-// exchange round and a checkpoint barrier.
+// charge is 0). An exchange round and a checkpoint barrier go through it. A
+// recovery barrier takes the same maximum over its victims instead
+// (recoverCrashes), because a victim's replay is priced off the busy time
+// its restore just added, so it advances the busy totals itself.
 func (c *Cluster) settle(busy []float64) (roundMax float64, argSlot int) {
 	argSlot = -1
 	for slot, t := range busy {

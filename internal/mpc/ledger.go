@@ -4,7 +4,8 @@ import "hetmpc/internal/trace"
 
 // The round ledger (DESIGN.md §5). Makespan is charged at four sites — an
 // exchange round, a silent round, a checkpoint barrier, one victim's crash
-// recovery — and each prices its contribution into one trace.Round value
+// recovery (its barrier's cost on the slowest victim's record, 0 on the
+// others) — and each prices its contribution into one trace.Round value
 // and hands it to charge, the only place a contribution is accounted.
 // Stats, the trace timeline and the metrics snapshot are folds of that one
 // sequence of records, so they cannot disagree.
@@ -13,8 +14,9 @@ import "hetmpc/internal/trace"
 // Stats.WireBytes advance inside Exchange before a round can fail (a
 // refused or transport-broken round is counted, never priced), the running
 // maxima are not additive, and c.busy is engine state that prices later
-// replays, so settle (exchange.go) — or a recovery, by its own formula —
-// advances it where each charge is priced.
+// replays, so settle (exchange.go) — or a recovery, which adds each
+// victim's restore and replay in turn — advances it where each charge is
+// priced.
 
 // charge accounts one makespan contribution: it stamps the round clock and
 // the open span path, folds the record into Stats and passes it to whichever

@@ -175,13 +175,14 @@ type Stats struct {
 	// where w_i is the words machine i sent plus received that round
 	// (DESIGN.md §6). With a uniform profile it reduces to
 	// Rounds + Σ_r 2·max_i w_i(r) — a pure function of the round structure. Under an active fault plan it additionally carries
-	// the checkpoint barriers, recovery rounds and restore transfers of
-	// the recovery protocol (DESIGN.md §7).
+	// the checkpoint barriers and, per crash barrier, the recovery of its
+	// slowest victim: the victims of one barrier recover concurrently
+	// (DESIGN.md §7).
 	Makespan float64 `json:"makespan"`
 
 	// Fault-tolerance metrics (DESIGN.md §7); all zero on fault-free runs.
 	Crashes          int   `json:"crashes"`           // crash events processed
-	RecoveryRounds   int   `json:"recovery_rounds"`   // extra barrier rounds spent detecting, restoring, replaying and waiting out restarts
+	RecoveryRounds   int   `json:"recovery_rounds"`   // victim-rounds spent detecting, restoring, replaying and waiting out restarts; concurrent victims each count theirs
 	Checkpoints      int   `json:"checkpoints"`       // checkpoint barriers taken
 	ReplicationWords int64 `json:"replication_words"` // checkpoint replication + crash restore traffic
 

@@ -24,6 +24,8 @@ import (
 //     re-enters the round barrier. The recovery cost — extra synchronous
 //     rounds, restore traffic, restart downtime — lands in
 //     Stats.RecoveryRounds, Stats.ReplicationWords and Stats.Makespan.
+//     The victims of one barrier recover concurrently, so the barrier
+//     costs its slowest victim's recovery, not the sum of them.
 //
 // Because a restored machine replays deterministically to exactly its
 // pre-crash state, the algorithm's message pattern and output are identical
@@ -48,6 +50,17 @@ type faultState struct {
 	moved   []float64 // scratch: words moved per machine in a ckpt barrier
 	crashed []bool    // scratch: crash set of the current barrier
 	restart []int     // scratch: per-victim downtime of the current barrier
+	victims []victim  // scratch: the current barrier's priced victims (cap k)
+}
+
+// victim is one crash of a recovery barrier as pass 1 of recoverCrashes
+// priced it: its recovery rounds (replay of them re-executed work), restore
+// words, the victim's and buddy's restore charges, the replay charge, and t,
+// the victim's transfer-plus-replay time.
+type victim struct {
+	machine, buddy     int
+	rec, replay, words int
+	ti, tb, replayT, t float64
 }
 
 // applyFaults validates the plan and builds the engine state. Inactive
@@ -69,6 +82,7 @@ func (c *Cluster) applyFaults(p *fault.Plan) error {
 		moved:        make([]float64, c.k),
 		crashed:      make([]bool, c.k),
 		restart:      make([]int, c.k),
+		victims:      make([]victim, 0, c.k),
 	}
 	return nil
 }
@@ -202,9 +216,15 @@ func (c *Cluster) checkpointBarrier(r int) {
 }
 
 // recoverCrashes detects the crash set of the barrier ending round r and
-// runs the recovery protocol for each victim in machine order. The crash
-// set is computed first so that two buddies dying at the same barrier see
-// each other dead (the replay path).
+// prices it as one concurrent recovery episode. The crash set is computed
+// first so that two buddies dying at the same barrier see each other dead
+// (the replay path). Pass 1 prices every victim in machine order — its
+// recovery rounds, restore and replay — and advances the busy totals; pass 2
+// emits one record per victim. The victims recover concurrently: buddyMap is
+// a permutation, so a live machine serves at most one restore at a barrier
+// and no two victims share a machine or a link. The barrier therefore waits
+// for its slowest victim, whose record (the first in machine order on a tie)
+// carries the barrier's whole makespan; the others carry 0.
 func (c *Cluster) recoverCrashes(r int) {
 	ft := c.ft
 	p := ft.plan
@@ -226,75 +246,81 @@ func (c *Cluster) recoverCrashes(r int) {
 	if !any {
 		return
 	}
+	victims := ft.victims[:0]
+	slowest, barrier := 0, 0.0
 	for i := 0; i < c.k; i++ {
 		if !ft.crashed[i] {
 			continue
 		}
-		buddy := ft.buddy[i]
+		v := victim{machine: i, buddy: ft.buddy[i]}
 		replay := r - ft.lastCkpt[i]
-		var rec, replayWork, words int
-		if ft.crashed[buddy] || ft.downUntil[buddy] >= r {
+		if ft.crashed[v.buddy] || ft.downUntil[v.buddy] >= r {
 			// The buddy died at the same barrier (or is still down from
 			// an earlier crash), taking the hot replica with it: the
 			// victim restores from its own persisted checkpoint and
 			// replays cold — no network transfer, but detection, the
 			// stable read and every replayed round pay double latency
 			// and double re-execution work.
-			rec = 2 + 2*replay + ft.restart[i]
-			replayWork = 2 * replay
+			v.rec = 2 + 2*replay + ft.restart[i]
+			v.replay = 2 * replay
 		} else {
 			// Restore the buddy's replica over the network, then replay
 			// the rounds since that checkpoint.
-			words = ft.replicaWords[i]
-			rec = 1 + replay + ft.restart[i]
-			replayWork = replay
+			v.words = ft.replicaWords[i]
+			v.rec = 1 + replay + ft.restart[i]
+			v.replay = replay
 		}
-		t := 0.0
-		var ti, tb, replayT float64
-		if words > 0 {
+		if v.words > 0 {
 			// slowCost prices the restore like round traffic, including
 			// any transient slowdown window covering this round.
-			ti = float64(words) * c.slowCost(1+i)
-			tb = float64(words) * c.slowCost(1+buddy)
-			c.busy[1+i] += ti
-			c.busy[1+buddy] += tb
-			t = math.Max(ti, tb)
+			v.ti = float64(v.words) * c.slowCost(1+i)
+			v.tb = float64(v.words) * c.slowCost(1+v.buddy)
+			c.busy[1+i] += v.ti
+			c.busy[1+v.buddy] += v.tb
+			v.t = math.Max(v.ti, v.tb)
 		}
 		// A replayed round re-executes the victim's work since the
 		// checkpoint; charge it the victim's historical mean per-round
 		// busy time, so replaying a slow or heavily loaded machine costs
 		// proportionally more than replaying an idle one.
-		if replayWork > 0 && r > 0 {
-			replayT = float64(replayWork) * c.busy[1+i] / float64(r)
-			c.busy[1+i] += replayT
-			t += replayT
+		if v.replay > 0 && r > 0 {
+			v.replayT = float64(v.replay) * c.busy[1+i] / float64(r)
+			c.busy[1+i] += v.replayT
+			v.t += v.replayT
 		}
 		ft.downUntil[i] = r + ft.restart[i]
-		// One record per victim: each victim's recovery is a distinct
-		// makespan contribution, so conservation over the ledger stays
-		// exact even when several machines die at one barrier.
+		if cost := float64(v.rec)*c.latency + v.t; len(victims) == 0 || cost > barrier {
+			slowest, barrier = len(victims), cost
+		}
+		victims = append(victims, v)
+	}
+	for j, v := range victims {
+		// One record per victim keeps each victim's rounds, words and
+		// charges on the ledger; only the slowest carries the makespan.
 		busy := c.exch.busy
 		clear(busy)
-		busy[1+i] = ti + replayT
-		busy[1+buddy] = tb
-		arg := i
-		if tb > ti+replayT {
-			arg = buddy
+		busy[1+v.machine] = v.ti + v.replayT
+		busy[1+v.buddy] = v.tb
+		arg := v.machine
+		if v.tb > v.ti+v.replayT {
+			arg = v.buddy
+		}
+		makespan := 0.0
+		if j == slowest {
+			makespan = barrier
 		}
 		c.charge(trace.Round{
 			Kind:             trace.KindRecovery,
-			MaxTime:          t,
-			Makespan:         float64(rec)*c.latency + t,
+			MaxTime:          v.t,
+			Makespan:         makespan,
 			Argmax:           arg,
-			Victim:           i,
+			Victim:           v.machine,
 			Crashes:          1,
-			RecoveryRounds:   rec,
-			ReplayRounds:     replayWork,
-			ReplicationWords: int64(words),
+			RecoveryRounds:   v.rec,
+			ReplayRounds:     v.replay,
+			ReplicationWords: int64(v.words),
 			Busy:             busy,
 		})
 	}
-	for i := 0; i < c.k; i++ {
-		ft.crashed[i] = false
-	}
+	clear(ft.crashed)
 }

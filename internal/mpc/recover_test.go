@@ -1,10 +1,13 @@
 package mpc
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/fault"
+	"hetmpc/internal/trace"
 )
 
 // heldLen is the test stand-in for algorithm state: machine i holds
@@ -280,4 +283,242 @@ func TestRecoveryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if one.Crashes == 0 || one.Checkpoints == 0 {
 		t.Fatalf("plan injected nothing: %+v", one)
 	}
+}
+
+// TestBuddyMapIsPermutation: for every K from 2 to 64 and capacity vectors
+// with ties, skew and a straggler profile's capacities, every machine is the
+// buddy of exactly one machine and never its own. Concurrent recovery
+// (recoverCrashes) rests on this: a live machine serves at most one restore
+// per barrier, so no two victims of one barrier share a machine or a link.
+func TestBuddyMapIsPermutation(t *testing.T) {
+	for k := 2; k <= 64; k++ {
+		tied, skewed, descending := make([]int, k), make([]int, k), make([]int, k)
+		for i := range tied {
+			tied[i] = 100
+			skewed[i] = 10 + (i*37)%7 // seven capacity levels, ties within each
+			descending[i] = 10 * (k - i)
+		}
+		straggler := newTest(t, Config{N: 64, M: 256, K: k, Seed: 1, Profile: StragglerProfile(k, 2, 8)}).smallCaps
+		zipf := newTest(t, Config{N: 64, M: 256, K: k, Seed: 1, Profile: ZipfProfile(k, 1.2, 0.05)}).smallCaps
+		for name, caps := range map[string][]int{
+			"tied": tied, "skewed": skewed, "descending": descending, "straggler": straggler, "zipf": zipf,
+		} {
+			buddy := buddyMap(caps)
+			served := make([]int, k)
+			for i, b := range buddy {
+				if b == i {
+					t.Fatalf("k=%d %s: machine %d is its own buddy", k, name, i)
+				}
+				served[b]++
+			}
+			for i, n := range served {
+				if n != 1 {
+					t.Fatalf("k=%d %s: machine %d is the buddy of %d machines, want 1", k, name, i, n)
+				}
+			}
+		}
+	}
+}
+
+// traced attaches a trace collector to a cluster before its first round, as
+// Config.Trace would, so a test can read the recovery records.
+func traced(c *Cluster) *trace.Collector {
+	c.tr = trace.New()
+	return c.tr
+}
+
+// recoveries returns the recovery records of the barrier ending round r.
+func recoveries(tr *trace.Collector, r int) []trace.Round {
+	var out []trace.Round
+	for _, rd := range tr.Rounds() {
+		if rd.Kind == trace.KindRecovery && rd.Round == r {
+			out = append(out, rd)
+		}
+	}
+	return out
+}
+
+// runFaulted runs `rounds` silent rounds on a faultCluster holding 4 words
+// a machine and returns its timeline and Stats.
+func runFaulted(t *testing.T, plan *fault.Plan, rounds int) (*trace.Collector, Stats) {
+	t.Helper()
+	c, _ := faultCluster(t, plan, 4)
+	tr := traced(c)
+	for r := 0; r < rounds; r++ {
+		if _, _, err := c.Exchange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr, c.Stats()
+}
+
+// barrierCharge checks the concurrency rule on one barrier's records — the
+// slowest victim's record (the first on a tie) carries the barrier's whole
+// makespan, every other record 0 — and returns that makespan.
+func barrierCharge(t *testing.T, recs []trace.Round) float64 {
+	t.Helper()
+	slowest, want := 0, 0.0
+	for j, rd := range recs {
+		if cost := float64(rd.RecoveryRounds)*rd.Latency + rd.MaxTime; j == 0 || cost > want {
+			slowest, want = j, cost
+		}
+	}
+	for j, rd := range recs {
+		if j == slowest && rd.Makespan != want {
+			t.Fatalf("slowest victim %d carries makespan %v, want the barrier's %v", rd.Victim, rd.Makespan, want)
+		}
+		if j != slowest && rd.Makespan != 0 {
+			t.Fatalf("victim %d carries makespan %v beside the slowest victim %d", rd.Victim, rd.Makespan, recs[slowest].Victim)
+		}
+	}
+	return want
+}
+
+// TestRecoveryOneVictimCharge: a barrier with one victim charges exactly
+// the per-victim formula rec·latency + max(ti, tb) + replayT, bit for bit.
+func TestRecoveryOneVictimCharge(t *testing.T) {
+	const words, victim, restart = 4, 1, 2
+	plan := &fault.Plan{Interval: 2, Crashes: []fault.Crash{{Round: 3, Machine: victim, RestartAfter: restart}}}
+	c, _ := faultCluster(t, plan, words)
+	tr := traced(c)
+	for r := 0; r < 2; r++ {
+		if _, _, err := c.Exchange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.BusyTime(victim)
+	if _, _, err := c.Exchange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	recs := recoveries(tr, 3)
+	if len(recs) != 1 {
+		t.Fatalf("%d recovery records at round 3, want 1", len(recs))
+	}
+	// Restore (buddy alive) + replay of round 3 + restart downtime.
+	rec := 1 + (3 - 2) + restart
+	ti := float64(words) * c.WordCost(victim)
+	tb := float64(words) * c.WordCost(c.Buddy(victim))
+	replayT := float64(3-2) * (before + ti) / 3
+	want := float64(rec)*c.latency + math.Max(ti, tb) + replayT
+	if got := recs[0]; got.RecoveryRounds != rec || got.Makespan != want {
+		t.Fatalf("one-victim record: %d rounds, makespan %v; want %d, %v", got.RecoveryRounds, got.Makespan, rec, want)
+	}
+}
+
+// TestRecoveryVictimsRecoverConcurrently: two victims with live buddies
+// crashing at one barrier cost the barrier the larger of their single-crash
+// recovery charges, strictly below the sum a serial recovery would charge.
+func TestRecoveryVictimsRecoverConcurrently(t *testing.T) {
+	c0, _ := faultCluster(t, &fault.Plan{Interval: 4}, 4)
+	a := 1
+	b := a + 1
+	for b == c0.Buddy(a) || a == c0.Buddy(b) {
+		b++
+	}
+	crashA := fault.Crash{Round: 6, Machine: a, RestartAfter: 3}
+	crashB := fault.Crash{Round: 6, Machine: b}
+	single := func(cr fault.Crash) float64 {
+		tr, _ := runFaulted(t, &fault.Plan{Interval: 4, Crashes: []fault.Crash{cr}}, 6)
+		recs := recoveries(tr, 6)
+		if len(recs) != 1 {
+			t.Fatalf("%d recovery records for one crash", len(recs))
+		}
+		return recs[0].Makespan
+	}
+	ma, mb := single(crashA), single(crashB)
+	tr, st := runFaulted(t, &fault.Plan{Interval: 4, Crashes: []fault.Crash{crashA, crashB}}, 6)
+	recs := recoveries(tr, 6)
+	if len(recs) != 2 || st.Crashes != 2 {
+		t.Fatalf("pair crash: %d records, %+v", len(recs), st)
+	}
+	got := barrierCharge(t, recs)
+	if got != math.Max(ma, mb) {
+		t.Fatalf("barrier charged %v, want the slower victim's single-crash charge max(%v, %v)", got, ma, mb)
+	}
+	if got >= ma+mb {
+		t.Fatalf("barrier charged %v, not below the serial sum %v", got, ma+mb)
+	}
+	if want := 2*(1+(6-4)) + 3; st.RecoveryRounds != want {
+		t.Fatalf("recovery rounds %d, want both victims' %d", st.RecoveryRounds, want)
+	}
+}
+
+// TestRecoveryBuddyPairChargesSlowerColdReplay: a victim and its own buddy
+// crashing together still both replay cold (the 12 recovery rounds
+// TestBuddyDeathFallsBackToReplay expects), and the barrier charges the
+// larger of the two cold replays.
+func TestRecoveryBuddyPairChargesSlowerColdReplay(t *testing.T) {
+	c0, _ := faultCluster(t, &fault.Plan{Interval: 4}, 4)
+	victim, buddy := 1, c0.Buddy(1)
+	tr, st := runFaulted(t, &fault.Plan{Interval: 4, Crashes: []fault.Crash{
+		{Round: 6, Machine: victim}, {Round: 6, Machine: buddy},
+	}}, 6)
+	recs := recoveries(tr, 6)
+	if len(recs) != 2 || st.RecoveryRounds != 12 {
+		t.Fatalf("pair crash: %d records, %+v", len(recs), st)
+	}
+	sum := 0.0
+	for _, rd := range recs {
+		if rd.RecoveryRounds != 6 || rd.ReplicationWords != 0 {
+			t.Fatalf("victim %d did not replay cold: %+v", rd.Victim, rd)
+		}
+		sum += float64(rd.RecoveryRounds)*rd.Latency + rd.MaxTime
+	}
+	if got := barrierCharge(t, recs); got >= sum {
+		t.Fatalf("barrier charged %v, not below the serial sum %v", got, sum)
+	}
+}
+
+// FuzzRecoveryBarrier draws a cluster size, a checkpoint interval, explicit
+// crashes (round, machine, restart: three bytes each) and a straggler
+// profile, runs ten ring rounds, and checks the concurrent-recovery rule on
+// every barrier: the barrier's records carry the maximum over its victims
+// of RecoveryRounds·latency + MaxTime, bit for bit, at most one of them
+// nonzero; Stats.Makespan is the ordered sum of every record and
+// Stats.RecoveryRounds still sums every victim's rounds.
+func FuzzRecoveryBarrier(f *testing.F) {
+	f.Add(uint8(30), uint8(2), uint8(0), uint8(0), []byte{3, 1, 2})
+	f.Add(uint8(14), uint8(4), uint8(2), uint8(7), []byte{6, 1, 0, 6, 2, 3, 6, 9, 1})
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(15), []byte{5, 0, 0, 5, 1, 0})
+	f.Fuzz(func(t *testing.T, kRaw, ivRaw, stragglers, slowdown uint8, crashes []byte) {
+		const rounds = 10
+		k := 2 + int(kRaw)%63
+		plan := &fault.Plan{Interval: int(ivRaw) % 6}
+		for j := 0; j+2 < len(crashes) && j < 3*16; j += 3 {
+			cr := fault.Crash{Round: 1 + int(crashes[j])%rounds, Machine: int(crashes[j+1]) % k, RestartAfter: int(crashes[j+2]) % 3}
+			if !slices.ContainsFunc(plan.Crashes, func(o fault.Crash) bool { return o.Round == cr.Round && o.Machine == cr.Machine }) {
+				plan.Crashes = append(plan.Crashes, cr)
+			}
+		}
+		cfg := Config{N: 64, M: 256, K: k, Seed: 1, Faults: plan, Trace: trace.New()}
+		if s := int(stragglers) % 4; s > 0 {
+			cfg.Profile = StragglerProfile(k, s, 1+float64(slowdown%16))
+		}
+		c := newTest(t, cfg)
+		c.HoldState(func(i int) int { return 1 + (i*7)%5 })
+		for r := 0; r < rounds; r++ {
+			if _, _, err := c.Exchange(ringRound(c, 1+r%3), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := c.Stats()
+		sum, recRounds := 0.0, 0
+		barriers := map[int][]trace.Round{}
+		for _, rd := range cfg.Trace.Rounds() {
+			sum += rd.Makespan
+			recRounds += rd.RecoveryRounds
+			if rd.Kind == trace.KindRecovery {
+				barriers[rd.Round] = append(barriers[rd.Round], rd)
+			}
+		}
+		for _, recs := range barriers {
+			barrierCharge(t, recs)
+		}
+		if sum != st.Makespan {
+			t.Fatalf("records sum to makespan %v, Stats says %v", sum, st.Makespan)
+		}
+		if recRounds != st.RecoveryRounds {
+			t.Fatalf("records sum to %d recovery rounds, Stats says %d", recRounds, st.RecoveryRounds)
+		}
+	})
 }

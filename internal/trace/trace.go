@@ -39,8 +39,10 @@ const (
 	// engine (DESIGN.md §7); it charges makespan but no algorithm words.
 	KindCheckpoint = "checkpoint"
 	// KindRecovery is one victim's crash recovery: detection, restore (or
-	// cold replay) and restart downtime, charged at the barrier ending the
-	// crash round.
+	// cold replay) and restart downtime, recorded at the barrier ending the
+	// crash round. A barrier's victims recover concurrently, so only the
+	// slowest victim's record (the first in machine order on a tie)
+	// carries the barrier's makespan; the others carry 0.
 	KindRecovery = "recovery"
 )
 
