@@ -38,6 +38,10 @@ type cEdge struct {
 	OU, OV int
 }
 
+// cEdgeWords is the width the large machine holds a rebuilt contracted
+// edge at, the unit of MST's capacity budgets (capBudget, phaseBudget). It
+// is not a wire width: no round ships all five fields — an arc ships 4, a
+// dedup root's value 3 beside its key, and a gathered edge 3 (shipped).
 const cEdgeWords = 5
 
 // Ends returns the contracted endpoints, U then V.

@@ -220,10 +220,12 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				}
 			}
 		})
-		if domRoots, err = prims.PlanCombine(c, plan, domItems, 1, func(a, b bool) bool { return a || b }); err != nil {
+		// A domination flag is presence alone: its value is always true, so
+		// a partial and an answer ship their key alone.
+		if domRoots, err = prims.PlanCombine(c, plan, domItems, 0, func(a, b bool) bool { return a || b }); err != nil {
 			return nil, err
 		}
-		gotDead, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
+		gotDead, err := prims.PlanBroadcast(c, plan, domRoots, nil, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -89,24 +89,11 @@ func MSTWithOptions(c *mpc.Cluster, g *graph.Graph, opts MSTOptions) (*MSTResult
 		maxPhases = 2*int(math.Ceil(log2n)) + 12
 	}
 
-	dirSortKey := func(e cEdge) prims.SortKey {
-		return prims.SortKey{A: int64(e.U), B: e.W, C: int64(e.OU)<<32 | int64(e.OV)}
-	}
-
 	for phase := 0; ; phase++ {
 		// One doubly-exponential Borůvka contraction: everything through
 		// the relabel dissemination is the "contract" phase of the trace.
 		csp := c.Span("contract")
-		// Build directed copies and arrange by (source, weight) — Claim 4.
-		directed := make([][]cEdge, c.K())
-		c.Each(func(i int) {
-			directed[i] = make([]cEdge, 0, 2*len(edges[i]))
-			for _, e := range edges[i] {
-				directed[i] = append(directed[i], e)
-				directed[i] = append(directed[i], cEdge{U: e.V, V: e.U, W: e.W, OU: e.OU, OV: e.OV})
-			}
-		})
-		arr, err := prims.Arrange(c, directed, dirSortKey, cEdgeWords)
+		arr, err := arrangeArcs(c, edges)
 		if err != nil {
 			//hetlint:span error path: the run aborts and no Stats or trace records are consumed from the leaked contract span
 			return nil, err
@@ -230,6 +217,43 @@ func phaseBudget(effF, log2n float64, phase, active, largeCap int) int {
 	return d
 }
 
+// arc is a directed copy of a contracted edge as the contraction arranges
+// it: its source U and its original edge (W, OU, OV), arcWords. The head is
+// not carried: nothing reads it before the large machine rebuilds it from
+// its union-find (reply).
+type arc struct {
+	U      int
+	W      int64
+	OU, OV int
+}
+
+// arcWords is what an arc costs in Arrange's Sort, on the wire and held.
+const arcWords = 4
+
+// arcKey arranges arcs by (source, weight), the original edge breaking ties.
+func arcKey(a arc) prims.SortKey {
+	return prims.SortKey{A: int64(a.U), B: a.W, C: int64(a.OU)<<32 | int64(a.OV)}
+}
+
+// shipped is what a collected arc sends the large machine, prims.EdgeWords:
+// its original edge (OU, OV, W).
+func (a arc) shipped() graph.Edge { return graph.Edge{U: a.OU, V: a.OV, W: a.W} }
+
+// arrangeArcs arranges both directed copies of every contracted edge by
+// (source, weight) — Claim 4.
+func arrangeArcs(c *mpc.Cluster, edges [][]cEdge) (*prims.Arranged[arc], error) {
+	directed := make([][]arc, c.K())
+	c.Each(func(i int) {
+		directed[i] = make([]arc, 0, 2*len(edges[i]))
+		for _, e := range edges[i] {
+			directed[i] = append(directed[i],
+				arc{U: e.U, W: e.W, OU: e.OU, OV: e.OV},
+				arc{U: e.V, W: e.W, OU: e.OU, OV: e.OV})
+		}
+	})
+	return prims.Arrange(c, directed, arcKey, arcWords)
+}
+
 // contracted rebuilds a contracted edge from its shipped original edge e.
 // Relabeling makes every contracted id the root under dsu of its original
 // endpoint, and a held edge keeps U on OU's side, so (U, V) is
@@ -251,8 +275,8 @@ func reply(dsu *unionfind.DSU, u int, e graph.Edge) cEdge {
 // collectEdges is the phase's collection: each active vertex's min(budget,
 // deg) lightest out-edges, shipped as their original edges and rebuilt on
 // the large machine, by position in arr.Keys, carved from one array.
-func collectEdges(c *mpc.Cluster, arr *prims.Arranged[cEdge], budget int, dsu *unionfind.DSU) ([][]cEdge, error) {
-	got, err := prims.CollectBudget(c, arr, func(int) int { return budget }, cEdge.shipped, prims.EdgeWords)
+func collectEdges(c *mpc.Cluster, arr *prims.Arranged[arc], budget int, dsu *unionfind.DSU) ([][]cEdge, error) {
+	got, err := prims.CollectBudget(c, arr, func(int) int { return budget }, arc.shipped, prims.EdgeWords)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +321,7 @@ func gatherEdges(c *mpc.Cluster, site string, data [][]cEdge, dsu *unionfind.DSU
 // phase-vertex.
 func localBudgetedBoruvka(
 	dsu *unionfind.DSU,
-	arr *prims.Arranged[cEdge],
+	arr *prims.Arranged[arc],
 	collected [][]cEdge,
 	budget int,
 	mstEdges *[]graph.Edge,
@@ -391,20 +415,44 @@ func localBudgetedBoruvka(
 	return relabel
 }
 
+// pairEdge is what dedupParallel ships of a contracted edge under its pair
+// key, pairEdgeWords: its original edge (OU, OV, W) and Flip, whether U is
+// the larger of the pair, a bit packed into OU's word (OU < n < 2³¹). The
+// root rebuilds (U, V) from the key and the bit (edge), so U stays on OU's
+// side, as contracted rebuilds it.
+type pairEdge struct {
+	Orig graph.Edge
+	Flip bool
+}
+
+// pairEdgeWords is what a pairEdge costs in AggregateByKey's Sort, beside
+// its key, on the wire and held.
+const pairEdgeWords = 3
+
+// edge rebuilds the contracted edge p stands for under key, its pairKey.
+func (p pairEdge) edge(key int64, n int) cEdge {
+	u, v := int(key/int64(n)), int(key%int64(n))
+	if p.Flip {
+		u, v = v, u
+	}
+	return cEdge{U: u, V: v, W: p.Orig.W, OU: p.Orig.U, OV: p.Orig.V}
+}
+
 // dedupParallel keeps only the lightest contracted edge between any pair of
 // contracted vertices, using Claim 2 aggregation with min-combine; the
 // deduplicated edges remain distributed (at the aggregation roots).
 func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
-	items := make([][]prims.KV[cEdge], c.K())
+	items := make([][]prims.KV[pairEdge], c.K())
 	c.Each(func(i int) {
-		items[i] = make([]prims.KV[cEdge], 0, len(edges[i]))
+		items[i] = make([]prims.KV[pairEdge], 0, len(edges[i]))
 		for _, e := range edges[i] {
-			items[i] = append(items[i], prims.KV[cEdge]{K: pairKey(e.U, e.V, n), V: e})
+			v := pairEdge{Orig: e.shipped(), Flip: e.U > e.V}
+			items[i] = append(items[i], prims.KV[pairEdge]{K: pairKey(e.U, e.V, n), V: v})
 		}
 	})
-	roots, err := prims.AggregateByKey(c, items, cEdgeWords,
-		func(a, b cEdge) cEdge {
-			if a.lessByWeight(b) {
+	roots, err := prims.AggregateByKey(c, items, pairEdgeWords,
+		func(a, b pairEdge) pairEdge {
+			if a.Orig.Compare(b.Orig) < 0 {
 				return a
 			}
 			return b
@@ -416,7 +464,7 @@ func dedupParallel(c *mpc.Cluster, edges [][]cEdge, n int) ([][]cEdge, error) {
 	c.Each(func(i int) {
 		out[i] = make([]cEdge, 0, len(roots[i]))
 		for _, root := range roots[i] {
-			out[i] = append(out[i], root.V)
+			out[i] = append(out[i], root.V.edge(root.K, n))
 		}
 	})
 	return out, nil

@@ -11,6 +11,7 @@ import (
 	"hetmpc/internal/graph"
 	"hetmpc/internal/labeling"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/prims"
 	"hetmpc/internal/trace"
 	"hetmpc/internal/unionfind"
 	"hetmpc/internal/xrand"
@@ -368,13 +369,14 @@ func TestKKTDisseminatesForestLabels(t *testing.T) {
 	}
 }
 
-// TestMSTHubFallsBackUnderTightCaps: a hub adjacent to every vertex has a
-// directed run of about 5·n words, more than a small machine holds at
-// CSmall = 1, LogExpSmall = 2 (2,262 words at n = 512). The contraction's
-// grouped Arrange cannot cut its buckets at group boundaries, so it samples
-// full keys in one more round (DESIGN.md §1), and the forest is the one
-// the run at these caps returned before Arrange grouped its Sort: 40 rounds
-// then, 41 now, output hash pinned.
+// TestMSTHubFallsBackUnderTightCaps: a hub adjacent to every other vertex
+// is the source of n−1 = 511 arcs, a run of 511·arcWords = 2,044 words,
+// more than a small machine holds at CSmall = 0.85, LogExpSmall = 2
+// (⌊0.85·√512·10²⌋ = 1,923 words at n = 512, K = 113 as at CSmall = 1).
+// The contraction's grouped Arrange cannot cut its buckets at group
+// boundaries, so it samples full keys in one more round (DESIGN.md §1):
+// 41 rounds, and the forest pinned since before Arrange grouped its Sort
+// (then at CSmall = 1, in 40 rounds), output hash pinned.
 func TestMSTHubFallsBackUnderTightCaps(t *testing.T) {
 	g := graph.ConnectedGNM(512, 2048, 5, true)
 	seen := map[int64]bool{}
@@ -388,7 +390,7 @@ func TestMSTHubFallsBackUnderTightCaps(t *testing.T) {
 		}
 	}
 	tr := trace.New()
-	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 7, CSmall: 1, LogExpSmall: 2, Trace: tr})
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 7, CSmall: 0.85, LogExpSmall: 2, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,5 +413,83 @@ func TestMSTHubFallsBackUnderTightCaps(t *testing.T) {
 	}
 	if full != 1 || c.Rounds() != 41 || h.Sum64() != 0xebf5db34db65b254 {
 		t.Fatalf("%d fallback rounds, %d rounds, forest hash %#x: want 1, 41 and 0xebf5db34db65b254", full, c.Rounds(), h.Sum64())
+	}
+}
+
+// TestMSTSortItemsChargeFourWords: MST's Sort items ship what their
+// receiver reads and cannot rebuild (DESIGN.md §1). An arranged arc is
+// (U, W, OU, OV), arcWords = 4: its head is rebuilt by the large machine
+// (reply). A dedup item is its pair key and (W, OU, OV), 1 + pairEdgeWords
+// = 4: its root rebuilds (U, V) from the key and one bit. Each route round
+// — the last record under "arrange/sort" and under "aggregate/sort" —
+// carries 4 words an item: 2m arcs, and one partial per pair a machine
+// holds. The edges contract vertex v to v mod 61, so pairs repeat in both
+// orientations, and every root must rebuild its pair's lightest edge with
+// U on OU's side.
+func TestMSTSortItemsChargeFourWords(t *testing.T) {
+	g := graph.ConnectedGNM(512, 4096, 7, true)
+	tr := trace.New()
+	c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 7, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed, err := prims.DistributeEdges(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastWords := func(phase string) int64 {
+		rounds := tr.Rounds()
+		for j := len(rounds) - 1; j >= 0; j-- {
+			if rounds[j].Phase == phase {
+				return rounds[j].Words
+			}
+		}
+		t.Fatalf("no round under %s", phase)
+		return 0
+	}
+	if _, err := arrangeArcs(c, toCEdges(placed)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lastWords("arrange/sort"), int64(4*2*g.M()); got != want {
+		t.Errorf("the arrange route round carries %d words for %d arcs, want %d", got, 2*g.M(), want)
+	}
+
+	const groups = 61
+	edges := make([][]cEdge, len(placed))
+	best := make([]cEdge, groups*g.N) // the lightest edge of each pair, by pairKey
+	has := make([]bool, len(best))
+	partials := 0
+	for i, es := range placed {
+		seen := map[int64]bool{}
+		for _, e := range es {
+			ce := cEdge{U: e.U % groups, V: e.V % groups, W: e.W, OU: e.U, OV: e.V}
+			if ce.U == ce.V {
+				continue
+			}
+			edges[i] = append(edges[i], ce)
+			key := pairKey(ce.U, ce.V, g.N)
+			if !seen[key] {
+				seen[key], partials = true, partials+1
+			}
+			if !has[key] || ce.lessByWeight(best[key]) {
+				best[key], has[key] = ce, true
+			}
+		}
+	}
+	out, err := dedupParallel(c, edges, g.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lastWords("aggregate/sort"), int64(4*partials); got != want {
+		t.Errorf("the dedup route round carries %d words for %d partials, want %d", got, partials, want)
+	}
+	var want []cEdge
+	for key, ok := range has {
+		if ok {
+			want = append(want, best[key])
+		}
+	}
+	if got := slices.Concat(out...); !slices.Equal(got, want) {
+		t.Errorf("dedup rebuilt %d edges that differ from the %d lightest edges of the pairs, U on OU's side", len(got), len(want))
 	}
 }

@@ -42,7 +42,8 @@ func runPrefixes[T, S any](t *testing.T, site string, arr *prims.Arranged[T], ke
 // receives without the fields it can rebuild equals, once rebuilt, the
 // record the small machine held — MST's collected replies (oriented by the
 // key of the query that asked for them, each placed at that query's
-// position, runPrefixes), KKT sample and F-light edges (U, V under the
+// position, runPrefixes; an arc holds no head, so a reply is compared on
+// the fields its arc holds), KKT sample and F-light edges (U, V under the
 // union-find; on a superlinear large machine too), the spanner's direct and
 // sampled edges (level and cluster ids from σ and the degrees) and
 // matching's hub replies (the edge alone, placed as MST's are) — on a GNM
@@ -71,8 +72,18 @@ func TestLargeMachineRebuildsShippedRecords(t *testing.T) {
 	onRebuild = func(site string, held, got any) {
 		var want any
 		switch h := held.(type) {
-		case *prims.Arranged[cEdge]:
-			want = runPrefixes(t, site, h, func(e cEdge) int64 { return int64(e.U) }, got.([][]cEdge))
+		case *prims.Arranged[arc]:
+			// An arc holds no head: the rebuilt edge must agree with it on
+			// every field it holds.
+			want = runPrefixes(t, site, h, func(a arc) int64 { return int64(a.U) }, got.([][]cEdge))
+			edges := got.([][]cEdge)
+			arcs := make([][]arc, len(edges))
+			for p, es := range edges {
+				for _, e := range es {
+					arcs[p] = append(arcs[p], arc{U: e.U, W: e.W, OU: e.OU, OV: e.OV})
+				}
+			}
+			got = arcs
 		case *prims.Arranged[rankedEdge]:
 			replies := got.([][]graph.Edge)
 			prefixes := runPrefixes(t, site, h, func(re rankedEdge) int64 { return int64(re.Src) }, replies)

@@ -44,6 +44,14 @@ type request struct {
 
 func requestKey(r request) SortKey { return SortKey{A: r.Key, B: 1, C: int64(r.M)} }
 
+// requestWords is what a request costs in NewPlan's Sort, on the wire and
+// held: an item is charged what its receiver reads and cannot rebuild, and
+// of (Key, 1, requester) that is Key alone. B is always 1, and the requester
+// is the machine that sends it: a machine's own requests are its keys, and
+// a bucket's arrive as runs, one chunk a sender, whose sender Exchange
+// stamps in From uncharged — the rule Arrange's run reports (runRec) follow.
+const requestWords = 1
+
 // span is a key whose requests may cover machines A..B (inclusive, B > A);
 // A, the root, is the bucket of the key's values. The zero span is no span.
 type span struct {
@@ -51,10 +59,11 @@ type span struct {
 	A, B int
 }
 
-// NewPlan builds the plan of needs by one Sort of its request items, 3 words
-// each, under the "plan" span. Each machine's needs strictly ascend, as
-// DistinctSlots builds them (else ErrNeedsOrder): slot s of machine i, where
-// its answers for needs[i][s] land, is fixed for the plan's life.
+// NewPlan builds the plan of needs by one Sort of its request items,
+// requestWords each (their keys), under the "plan" span. Each machine's
+// needs strictly ascend, as DistinctSlots builds them (else ErrNeedsOrder):
+// slot s of machine i, where its answers for needs[i][s] land, is fixed for
+// the plan's life.
 //
 // vwords is the widest value any collective over the plan will carry. The
 // buckets are cut at key boundaries: a key with at most b =
@@ -92,7 +101,7 @@ func NewPlan(c *mpc.Cluster, needs [][]int64, vwords int) (*Plan, error) {
 		}
 		items[i] = its
 	})
-	sorted, lay, err := sortSplit(c, items, sortKeyWords, requestKey, split{align: branching(c, vwords+1), spans: true})
+	sorted, lay, err := sortSplit(c, items, requestWords, requestKey, split{align: branching(c, vwords+1), spans: true})
 	if err != nil {
 		return nil, err
 	}

@@ -591,7 +591,7 @@ func TestDisseminateChargesSortScatterTreeAnswer(t *testing.T) {
 		// The plan's Sort is aligned (NewPlan), so its leaders are the ones
 		// an aligned Sort picks (sortLeaders).
 		before := c.Rounds()
-		if _, _, err := sortSplit(c, keys, sortKeyWords, identKey, split{align: b, spans: true}); err != nil {
+		if _, _, err := sortSplit(c, keys, requestWords, identKey, split{align: b, spans: true}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		want := c.Rounds() - before + depth + 1
@@ -810,5 +810,72 @@ func TestPresenceFlagsShipKeysAlone(t *testing.T) {
 	}
 	if seen["aggregate"] != 1 || seen["broadcast/scatter"] != 1 {
 		t.Errorf("%d route and %d scatter rounds, want 1 each", seen["aggregate"], seen["broadcast/scatter"])
+	}
+}
+
+// TestPlanRouteChargesAWordARequest: a plan's request is charged its key
+// alone, requestWords = 1 (DESIGN.md §1): the requester is the sender of
+// the chunk it rides in, and B is always 1. The route round — the last of
+// the run, under "plan/sort" — carries exactly a word a request: machine i
+// sends one for each of its needs and bucket i receives one for each
+// request the plan routed to it. Checked where ⌈√K⌉ leaders sort aligned
+// keys (K = 16) and where the coordinator sorts alone and keys keep spans
+// (K = 128, one machine's capacity cutting the branching below K).
+func TestPlanRouteChargesAWordARequest(t *testing.T) {
+	const k = 128
+	small := mpc.UniformProfile(k)
+	small.CapScale[k/2] = 0.006
+	for _, tc := range []struct {
+		cfg     mpc.Config
+		leaders bool
+	}{
+		{mpc.Config{N: 4096, M: 32768, K: 16}, true},
+		{mpc.Config{N: 256, M: 2048, K: k, Profile: small}, false},
+	} {
+		tr := trace.New()
+		cfg := tc.cfg
+		cfg.Seed, cfg.Trace = 7, tr
+		c, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(uint64(cfg.K))
+		keys := make([][]int64, cfg.K)
+		for i := range keys {
+			for range 300 {
+				keys[i] = append(keys[i], rng.Int64N(int64(cfg.N)))
+			}
+		}
+		needs, _ := DistinctSlots(keys)
+		p, err := NewPlan(c, needs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := branching(c, 2)
+		if led := sortLeaders(c, split{align: b, spans: true}).r() > 1; led != tc.leaders || led == (p.widest > 0) {
+			t.Fatalf("K=%d: leaders %v and a %d-machine widest span, want leaders %v and a span %v", cfg.K, led, p.widest, tc.leaders, !tc.leaders)
+		}
+		rounds := tr.Rounds()
+		route := rounds[len(rounds)-1]
+		if route.Phase != "plan/sort" {
+			t.Fatalf("K=%d: the plan's last round is under %q, want the route's plan/sort", cfg.K, route.Phase)
+		}
+		at := func(words []int, i int) int {
+			if 1+i < len(words) {
+				return words[1+i]
+			}
+			return 0
+		}
+		requests := 0
+		for i := 0; i < cfg.K; i++ {
+			requests += len(needs[i])
+			if send, recv := at(route.SendWords, i), at(route.RecvWords, i); send != len(needs[i]) || recv != len(p.reqs[i]) {
+				t.Errorf("K=%d: machine %d sends %d and receives %d route words for %d and %d requests, want a word each",
+					cfg.K, i, send, recv, len(needs[i]), len(p.reqs[i]))
+			}
+		}
+		if route.Words != int64(requests) {
+			t.Errorf("K=%d: the route round carries %d words for %d requests, want a word each", cfg.K, route.Words, requests)
+		}
 	}
 }

@@ -127,11 +127,13 @@ func MIS(c *mpc.Cluster, g *graph.Graph) (*MISResult, error) {
 				}
 			}
 		})
-		domRoots, err := prims.PlanCombine(c, plan, domItems, 1, func(a, b bool) bool { return a || b })
+		// A domination flag is presence alone: its value is always true, so
+		// a partial and an answer ship their key alone.
+		domRoots, err := prims.PlanCombine(c, plan, domItems, 0, func(a, b bool) bool { return a || b })
 		if err != nil {
 			return nil, err
 		}
-		dominated, err := prims.PlanBroadcast(c, plan, domRoots, nil, 1)
+		dominated, err := prims.PlanBroadcast(c, plan, domRoots, nil, 0)
 		if err != nil {
 			return nil, err
 		}

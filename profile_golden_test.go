@@ -139,7 +139,12 @@ func commOf(s hetmpc.ClusterStats) comm {
 // rounds carry nothing. The same 9 rounds; messages 8,320 → 7,712; words
 // 84,752 → 45,160; max-send 1,972 → 564 (the route's is gone; a Sort
 // round's is left); max-recv 13,628 → 9,216 (the second gather's is gone;
-// the first's is left).
+// the first's is left). MST's, matching's and the MST baseline's were
+// re-captured once more when a Sort item began shipping only what its
+// receiver cannot rebuild — a plan's request its key, an arranged arc
+// (U, W, OU, OV), a dedup root's value its original edge (DESIGN.md §1,
+// §3.1): the same rounds, messages, max-send and max-recv; words 209,236 →
+// 170,902, 170,314 → 150,740 and 435,846 → 375,010.
 func TestUniformProfileGoldens(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(512, 4096, 7, true)
 	gU := hetmpc.GNM(512, 4096, 7)
@@ -156,7 +161,7 @@ func TestUniformProfileGoldens(t *testing.T) {
 				t.Errorf("mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{48, 35400, 209236, 777, 3072}},
+		}, comm{48, 35400, 170902, 777, 3072}},
 		{"connectivity", false, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.Connectivity(c, gU)
 			if err == nil && r.Components != 1 {
@@ -167,14 +172,14 @@ func TestUniformProfileGoldens(t *testing.T) {
 		{"matching", false, func(c *hetmpc.Cluster) error {
 			_, err := hetmpc.MaximalMatching(c, gU)
 			return err
-		}, comm{31, 49886, 170314, 720, 688}},
+		}, comm{31, 49886, 150740, 720, 688}},
 		{"baseline-mst", true, func(c *hetmpc.Cluster) error {
 			r, err := hetmpc.BaselineMST(c, gW)
 			if err == nil && r.Weight != 153235 {
 				t.Errorf("baseline mst weight %d, want 153235", r.Weight)
 			}
 			return err
-		}, comm{147, 91532, 435846, 364, 910}},
+		}, comm{147, 91532, 375010, 364, 910}},
 	}
 
 	for _, tc := range cases {
