@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -52,6 +53,36 @@ func TestMSTRandomGraphs(t *testing.T) {
 	} {
 		g := graph.GNMWeighted(tc.n, tc.m, uint64(tc.n))
 		checkMSTRun(t, g, 7)
+	}
+}
+
+// TestMSTKKTGivesUpTyped: at F = 0.5 on ConnectedGNM(256, 2048) the KKT
+// sampling rate n^{1+f}/(2m) is 1, so every try samples all m edges. With
+// CLarge 0.005 the large machine holds 14,929 words, m exceeds its gather
+// guard of ⌊cap/10⌋ on every try, and MST gives up with an error that wraps
+// ErrRetriesExhausted; with CLarge 0.007 (20,901 words) the first try fits
+// and the forest is exact.
+func TestMSTKKTGivesUpTyped(t *testing.T) {
+	g := graph.ConnectedGNM(256, 2048, 7, true)
+	run := func(cLarge float64) (*MSTResult, error) {
+		c, err := mpc.New(mpc.Config{N: g.N, M: g.M(), Seed: 7, F: 0.5, CLarge: cLarge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MST(c, g)
+	}
+	if _, err := run(0.005); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("CLarge 0.005: err = %v, want one wrapping ErrRetriesExhausted", err)
+	}
+	res, err := run(0.007)
+	if err != nil {
+		t.Fatalf("CLarge 0.007: err = %v, want the forest", err)
+	}
+	if res.SampleTries != 1 {
+		t.Fatalf("CLarge 0.007: %d KKT tries, want 1", res.SampleTries)
+	}
+	if err := graph.CheckMST(g, res.Edges); err != nil {
+		t.Fatal(err)
 	}
 }
 

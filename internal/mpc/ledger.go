@@ -40,7 +40,7 @@ func (c *Cluster) charge(r trace.Round) {
 	// information; barrier traffic is the recovery protocol's.
 	if c.est != nil && r.Kind == trace.KindExchange && r.Words > 0 {
 		c.est.Observe(r)
-		c.refreshPlaceShare()
+		c.est.Shares(c.placeShare) // in place: the next round's snapshot
 	}
 }
 

@@ -257,12 +257,11 @@ type Cluster struct {
 	latency     float64   // per-round synchronization cost
 
 	// Placement state (sched policy; Cap when cfg.Placement is nil).
-	placement    sched.Policy
-	placeShare   []float64 // per-machine placement weight from the policy
-	uniformPlace bool      // all placement shares equal: even-split fast path
-	specR        int       // speculate:R redundancy dial (0 = off)
-	spec         *specScratch
-	est          *sched.Estimator // adaptive policy's online estimator (nil = static)
+	placement  sched.Policy
+	placeShare []float64 // per-machine placement weight from the policy
+	specR      int       // speculate:R redundancy dial (0 = off)
+	spec       *specScratch
+	est        *sched.Estimator // adaptive policy's online estimator (nil = static)
 
 	// Fault-injection and recovery engine (nil unless cfg.Faults is an
 	// active plan). See recover.go and DESIGN.md §7.
@@ -421,12 +420,6 @@ func (c *Cluster) CapShare(i int) float64 { return c.capShare[i] }
 // prims.AggregateByKey) allot load proportional to it. Under the default
 // Cap policy it equals CapShare(i) exactly.
 func (c *Cluster) PlaceShare(i int) float64 { return c.placeShare[i] }
-
-// UniformPlacement reports whether every machine has the same placement
-// weight (PlaceShare), letting placement take the even-split fast path. It
-// compares the policy's share vector, so under the default Cap policy it is
-// true exactly when every capacity share is equal.
-func (c *Cluster) UniformPlacement() bool { return c.uniformPlace }
 
 // Placement returns the cluster's placement policy (never nil; the default
 // is sched.Cap).

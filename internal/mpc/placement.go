@@ -50,7 +50,6 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		}
 	}
 	c.placeShare = shares
-	c.uniformPlace = allEqual(shares)
 	c.specR = pol.Speculation()
 	if op, ok := pol.(sched.OnlinePolicy); ok {
 		// The adaptive path: one estimator per cluster, seeded with the
@@ -82,25 +81,6 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		}
 	}
 	return nil
-}
-
-// refreshPlaceShare recomputes the live placement shares from the adaptive
-// estimator's current state (in place — the snapshot the next round's
-// placement decisions will see) and re-derives the even-split flag.
-func (c *Cluster) refreshPlaceShare() {
-	c.est.Shares(c.placeShare)
-	c.uniformPlace = allEqual(c.placeShare)
-}
-
-// allEqual reports whether every share equals the first: the even-split
-// fast path UniformPlacement reports.
-func allEqual(shares []float64) bool {
-	for _, s := range shares {
-		if s != shares[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // speculate applies speculate:R to one round's charges, rewriting the small

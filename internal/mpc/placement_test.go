@@ -36,15 +36,11 @@ func TestPlacementDefaultIsCap(t *testing.T) {
 }
 
 // TestThroughputSharesOnCluster: on a uniform profile throughput shares are
-// all exactly 1 (the even-split fast path, bit-identical to cap); under a
-// straggler profile the slow tail's share drops to its relative effective
-// speed, clipped by capacity.
+// all exactly 1 (bit-identical to cap); under a straggler profile the slow
+// tail's share drops to its relative effective speed, clipped by capacity.
 func TestThroughputSharesOnCluster(t *testing.T) {
 	cfg := Config{N: 64, M: 256, Seed: 1, Placement: sched.Throughput{}}
 	c := newTest(t, cfg)
-	if !c.UniformPlacement() {
-		t.Fatal("throughput on the uniform profile must take the even-split fast path")
-	}
 	for i := 0; i < c.K(); i++ {
 		if c.PlaceShare(i) != 1 {
 			t.Fatalf("uniform throughput share[%d] = %v, want exactly 1", i, c.PlaceShare(i))
@@ -54,9 +50,6 @@ func TestThroughputSharesOnCluster(t *testing.T) {
 	k := cfg.DeriveK()
 	cfg.Profile = StragglerProfile(k, 2, 8) // last 2 machines at speed 1/8
 	c = newTest(t, cfg)
-	if c.UniformPlacement() {
-		t.Fatal("straggler throughput placement cannot be uniform")
-	}
 	// Fast machines: cost 2, thr 1. Stragglers: cost 8+1 = 9, thr 2/9.
 	want := 2.0 / 9.0
 	for i := 0; i < k-2; i++ {

@@ -224,9 +224,6 @@ func TestPerMachineCaps(t *testing.T) {
 	if c.MinSmallCap() != c.SmallCapOf(2) {
 		t.Fatalf("MinSmallCap %d, want machine 2's %d", c.MinSmallCap(), c.SmallCapOf(2))
 	}
-	if c.UniformPlacement() {
-		t.Fatal("UniformPlacement true under skewed profile")
-	}
 
 	// Receive-side violation on machine 2 only: the same volume is fine
 	// for a full-cap machine.

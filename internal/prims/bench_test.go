@@ -6,6 +6,7 @@ import (
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
+	"hetmpc/internal/sched"
 	"hetmpc/internal/xrand"
 )
 
@@ -124,5 +125,40 @@ func BenchmarkSortLocal(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDistributeEdges is the input placement's rung: one op deals every
+// edge of the graph onto the small machines. Two shapes: uniform placement at
+// K = 512 with 2¹⁸ edges (every share equal, 512 edges a machine), and
+// throughput placement over a straggler profile at K = 725 with 32,768 edges
+// (an eighth of the machines 8× slow, so two periods interleave: a fast
+// machine holds about 50 edges, a slow one about 11).
+func BenchmarkDistributeEdges(b *testing.B) {
+	for _, cell := range []struct {
+		name string
+		cfg  mpc.Config
+	}{
+		{"uniform/K=512", mpc.Config{N: 1 << 14, M: 1 << 18, K: 512, Seed: 1}},
+		{"throughput-straggler/K=725", mpc.Config{N: 1 << 12, M: 1 << 15, K: 725, Seed: 1,
+			Profile: mpc.StragglerProfile(725, 725/8, 8), Placement: sched.Throughput{}}},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			c, err := mpc.New(cell.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := &graph.Graph{N: cell.cfg.N, Edges: make([]graph.Edge, cell.cfg.M)}
+			for j := range g.Edges {
+				g.Edges[j] = graph.Edge{U: j % cell.cfg.N, V: (j + 1) % cell.cfg.N, W: int64(j)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DistributeEdges(c, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
@@ -26,124 +27,147 @@ var ErrZeroCapacity = errors.New("prims: zero total capacity")
 // (Frisk's balancing rule), min(capacity, 1/word cost) under
 // throughput/speculate. This models the paper's "edges initially stored on
 // the small machines arbitrarily" and costs no rounds (it is the input
-// placement). With uniform weights it is an exact round-robin (machine j%k
-// gets edge j); under skew the allotment is a smooth weighted round-robin —
-// machine i holds a PlaceShare(i)/ΣPlaceShare fraction — which reduces to
-// plain round-robin when all weights are equal. A policy whose weights sum
-// to zero yields ErrZeroCapacity. A machine dealt no edge gets a nil shard.
-// The placed buckets are registered as the machines' recoverable state
+// placement). The allotment is a smooth weighted round-robin (apportion,
+// then deal): machine i holds a PlaceShare(i)/ΣPlaceShare fraction, and with
+// equal weights machine j%k gets edge j. A policy whose weights sum to zero
+// yields ErrZeroCapacity. A machine dealt no edge gets a nil shard. The
+// placed buckets are registered as the machines' recoverable state
 // (registerState) when fault injection is active.
 func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	defer c.Span("distribute").End()
-	k := c.K()
-	n := len(g.Edges)
-	out := make([][]graph.Edge, k)
-	if c.UniformPlacement() {
-		// Round-robin counts are exact (machine i gets one extra edge while
-		// i < n%k), so the shards carve from a single slab with no append
-		// doublings.
-		slab, off := make([]graph.Edge, n), 0
-		for i := range out {
-			cnt := n / k
-			if i < n%k {
-				cnt++
-			}
-			if cnt > 0 {
-				out[i], off = slab[off:off:off+cnt], off+cnt
-			}
-		}
-		for j, e := range g.Edges {
-			out[j%k] = append(out[j%k], e) // always within the carved cap
-		}
-		registerState(c, out, EdgeWords)
-		return out, nil
-	}
-	shares := make([]float64, k)
+	shares := make([]float64, c.K())
 	for i := range shares {
 		shares[i] = c.PlaceShare(i)
 	}
-	owner, counts, err := weightedAssign(n, shares)
+	counts, err := apportion(len(g.Edges), shares)
 	if err != nil {
 		return nil, err
 	}
-	slab, off := make([]graph.Edge, n), 0
-	for i := range out {
-		if counts[i] > 0 {
-			out[i], off = slab[off:off:off+counts[i]], off+counts[i]
+	// The counts are exact, so the shards carve from a single slab with no
+	// append doublings.
+	out, slab, off := make([][]graph.Edge, len(shares)), make([]graph.Edge, len(g.Edges)), 0
+	for i, cnt := range counts {
+		if cnt > 0 {
+			out[i], off = slab[off:off:off+cnt], off+cnt
 		}
 	}
-	for i, o := range owner {
-		out[o] = append(out[o], g.Edges[i])
-	}
+	j := 0
+	deal(len(g.Edges), counts, func(i int) {
+		out[i], j = append(out[i], g.Edges[j]), j+1 // always within the carved cap
+	})
 	registerState(c, out, EdgeWords)
 	return out, nil
 }
 
-// weightedAssign deals n items to machines in proportion to their capacity
-// shares and returns each item's owner and each machine's count: the counts
-// come from largest-remainder apportionment (exact proportionality within
-// one item), and the items interleave by one SortLocal of every machine's
-// evenly spaced virtual positions (smallest position first, lowest index on
-// ties). Deterministic, and with equal shares the schedule is exactly
-// round-robin. Shares that sum to zero (or are not finite) would divide by
-// zero in the quota computation; that degenerate profile surfaces as
-// ErrZeroCapacity instead.
+// weightedAssign is the deal in owner form: each item's machine, in deal
+// order, and each machine's count.
 func weightedAssign(n int, shares []float64) (owner, counts []int, err error) {
+	if counts, err = apportion(n, shares); err != nil {
+		return nil, nil, err
+	}
+	owner = make([]int, 0, n)
+	deal(n, counts, func(i int) { owner = append(owner, i) })
+	return owner, counts, nil
+}
+
+// apportion splits n items over machines in proportion to their shares by
+// largest remainder: floor the quotas, then hand the leftover items to the
+// largest fractional parts, lowest index on ties. Shares that sum to zero
+// (or are not finite) would divide by zero; they yield ErrZeroCapacity.
+func apportion(n int, shares []float64) ([]int, error) {
 	k := len(shares)
 	var totalShare float64
 	for i := 0; i < k; i++ {
 		totalShare += shares[i]
 	}
 	if !(totalShare > 0) { // catches 0, NaN and negative sums alike
-		return nil, nil, fmt.Errorf("%w: capacity shares sum to %v over K=%d machines",
+		return nil, fmt.Errorf("%w: capacity shares sum to %v over K=%d machines",
 			ErrZeroCapacity, totalShare, k)
 	}
-	// Largest-remainder counts: floor the quotas, then hand the leftover
-	// items to the largest fractional parts (lowest index on ties).
-	counts = make([]int, k)
-	type frac struct {
-		f float64
-		i int
-	}
-	fracs := make([]frac, k)
+	counts, frac, order := make([]int, k), make([]float64, k), make([]int, k)
 	assigned := 0
-	for i := 0; i < k; i++ {
+	for i := range counts {
 		q := float64(n) * shares[i] / totalShare
 		counts[i] = int(q)
 		assigned += counts[i]
-		fracs[i] = frac{q - float64(counts[i]), i}
+		frac[i], order[i] = q-float64(counts[i]), i
 	}
-	slices.SortFunc(fracs, func(a, b frac) int {
-		if a.f != b.f {
-			return cmp.Compare(b.f, a.f) // descending remainder
-		}
-		return cmp.Compare(a.i, b.i)
-	})
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(frac[b], frac[a]), a-b) })
 	for j := 0; j < n-assigned; j++ {
-		counts[fracs[j%k].i]++
+		counts[order[j%k]]++
 	}
+	return counts, nil
+}
 
-	// Interleave: machine i's t-th item sits at virtual position
-	// (t + ½)·n/counts[i], accumulated from half a period one period at a
-	// time; ordering every position by (position, machine) spreads every
-	// machine's items evenly over the deal order.
-	type slot struct {
-		pos float64
-		i   int
-	}
-	slots := make([]slot, 0, n)
+// dealScratch is deal's working state, pooled across calls.
+type dealScratch struct {
+	period, pos     []float64
+	next, win, head []int32
+}
+
+var dealPool = sync.Pool{New: func() any { return new(dealScratch) }}
+
+// deal hands out n items, counts[i] of them to machine i, calling place with
+// each item's machine in turn: machine i's t-th item sits at virtual position
+// (t + ½)·p_i, p_i = n/counts[i], accumulated one period at a time, and the
+// items go in (position, machine) order, so each machine's spread evenly.
+// With equal counts (to within one, the larger first) that is round-robin.
+//
+// A count is at most n, so p_i ≥ 1 and a machine has at most one position in
+// each unit window [w, w+1). The deal walks the windows over a ring of window
+// lists, a machine waiting at most ⌊max p_i⌋ + 2 windows ahead, and
+// insertion-sorts each window's machines. A window is read in the order its
+// machines joined, so equal periods arrive in machine order and sort in
+// linear time. The scratch is O(K + max p_i).
+func deal(n int, counts []int, place func(i int)) {
+	s := dealPool.Get().(*dealScratch)
+	defer dealPool.Put(s)
+	k := len(counts)
+	period, pos, next, win := window(&s.period, k), window(&s.pos, k), window(&s.next, k), window(&s.win, k)
+	maxP := 0.0
 	for i, cnt := range counts {
-		p := float64(n) / float64(cnt)
-		for t, pos := 0, p/2; t < cnt; t, pos = t+1, pos+p {
-			slots = append(slots, slot{pos, i})
+		if cnt > 0 {
+			period[i] = float64(n) / float64(cnt)
+			pos[i] = -period[i] / 2 // wait's first step lands on p_i/2 exactly
+			maxP = max(maxP, period[i])
 		}
 	}
-	SortLocal(slots, func(s slot) SortKey { return SortKey{A: int64(math.Float64bits(s.pos)), B: int64(s.i)} })
-	owner = make([]int, n)
-	for j, s := range slots {
-		owner[j] = s.i
+	ring := 1 << bits.Len(uint(maxP)+1) // a power of two ≥ ⌊max p_i⌋ + 2
+	head := window(&s.head, ring)
+	for w := range head {
+		head[w] = -1
 	}
-	return owner, counts, nil
+	// wait steps machine i to its next position and queues it in that
+	// window; one past its last, n - p_i/2, lies at n + p_i/2 ≥ n + ½.
+	wait := func(i int32) {
+		if pos[i] += period[i]; pos[i] < float64(n) {
+			w := int(pos[i]) & (ring - 1)
+			next[i], head[w] = head[w], i
+		}
+	}
+	for i, cnt := range counts {
+		if cnt > 0 {
+			wait(int32(i))
+		}
+	}
+	for j, w := 0, 0; j < n; w = (w + 1) & (ring - 1) {
+		c := k // a list runs newest first: fill the window from the back
+		for i := head[w]; i >= 0; i = next[i] {
+			c--
+			win[c] = i
+		}
+		head[w] = -1
+		for a := c + 1; a < k; a++ {
+			for b := a; b > c && (pos[win[b]] < pos[win[b-1]] || pos[win[b]] == pos[win[b-1]] && win[b] < win[b-1]); b-- {
+				win[b], win[b-1] = win[b-1], win[b]
+			}
+		}
+		for _, i := range win[c:] {
+			place(int(i))
+			wait(i)
+		}
+		j += k - c
+	}
 }
 
 // CountItems returns the total number of items across machines.

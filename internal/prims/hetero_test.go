@@ -1,6 +1,7 @@
 package prims
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -219,4 +220,49 @@ func scanAssign(n int, shares []float64) []int {
 		pos[best] += period[best]
 	}
 	return owner
+}
+
+// FuzzWeightedAssign checks the windowed deal against scanAssign and its
+// counts against the owners' tallies. Each byte is one machine's share (a
+// seventh of its value, so shares are not dyadic and zeros are common); a
+// profile whose shares are all zero must fail with ErrZeroCapacity. The
+// seeds are a machine dealt a single item (its period is n, the widest
+// ring), fewer items than machines, zero shares beside positive ones, and
+// equal shares (exactly round-robin).
+func FuzzWeightedAssign(f *testing.F) {
+	f.Add([]byte{255, 1}, uint16(256))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7}, uint16(4))
+	f.Add([]byte{0, 5, 0, 0, 9, 0}, uint16(100))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3}, uint16(1000))
+	f.Add([]byte{0, 0}, uint16(10))
+	f.Fuzz(func(t *testing.T, shareBytes []byte, n16 uint16) {
+		if len(shareBytes) > 256 {
+			shareBytes = shareBytes[:256]
+		}
+		n := int(n16) % 4096
+		shares, zero := make([]float64, len(shareBytes)), true
+		for i, b := range shareBytes {
+			shares[i], zero = float64(b)/7, zero && b == 0
+		}
+		owner, counts, err := weightedAssign(n, shares)
+		if zero {
+			if !errors.Is(err, ErrZeroCapacity) {
+				t.Fatalf("shares %v: err = %v, want ErrZeroCapacity", shares, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scanAssign(n, shares); !slices.Equal(owner, want) {
+			t.Fatalf("n=%d shares %v: weightedAssign deals %v, the scan %v", n, shares, owner, want)
+		}
+		tally := make([]int, len(shares))
+		for _, o := range owner {
+			tally[o]++
+		}
+		if !slices.Equal(tally, counts) {
+			t.Fatalf("n=%d shares %v: counts %v are not the owners' tallies %v", n, shares, counts, tally)
+		}
+	})
 }
