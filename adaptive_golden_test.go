@@ -3,16 +3,18 @@ package hetmpc_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hetmpc"
 	"hetmpc/internal/exp"
 )
 
-// misreportedConfig is the E30-style scenario shared by the adaptive
-// goldens: an 8-machine cluster declared uniform whose last two machines
-// actually run 4× slower for the whole run (a fault.Slowdown window the
-// static policies cannot see but the adaptive estimator measures).
+// misreportedConfig is the misreported profile of E34's K=8 sort blocks,
+// shared by the adaptive goldens: an 8-machine cluster declared uniform
+// whose last two machines actually run 4× slower for the whole run (a
+// fault.Slowdown window the static policies cannot see but the adaptive
+// estimator measures).
 func misreportedConfig(pol hetmpc.PlacementPolicy, tr *hetmpc.Trace) hetmpc.Config {
 	const k = 8
 	cfg := hetmpc.Config{N: 512, M: 4096, K: k, Seed: 7, Placement: pol, Trace: tr}
@@ -169,33 +171,62 @@ func TestTraceArgmaxBusyRegression(t *testing.T) {
 }
 
 // TestAdaptiveExperimentsDeterministicAcrossGOMAXPROCS pins the
-// GOMAXPROCS-determinism golden for the placement sweeps E24 and E29–E31:
-// each experiment must render byte-identical tables on one CPU and on all
-// of them (placement shares, speculation pairing and recovery pricing run
-// serially by design, and the adaptive estimator observes and the shares
-// switch at the same serial program point of every run).
+// GOMAXPROCS-determinism golden for the placement grid E34: it must render
+// a byte-identical table on one CPU and on all of them (placement shares,
+// speculation pairing and recovery pricing run serially by design, and the
+// adaptive estimator observes and the shares switch at the same serial
+// program point of every run). The sweeps folded into E34 keep a subtest
+// each over their rows, so a divergence names the sweep it is in.
 func TestAdaptiveExperimentsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment sweep skipped in -short mode")
 	}
-	for _, id := range []string{"e24", "e29", "e30", "e31"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			render := func() string {
-				art, _, err := exp.Env{}.Run(id, 7)
-				if err != nil {
-					t.Fatal(err)
+	run := func() *exp.Table {
+		art, _, err := exp.Env{}.Run("e34", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art.Table
+	}
+	prev := runtime.GOMAXPROCS(1)
+	one := run()
+	runtime.GOMAXPROCS(prev)
+	many := run()
+	t.Run("e34", func(t *testing.T) {
+		var a, b bytes.Buffer
+		one.Render(&a)
+		many.Render(&b)
+		if a.String() != b.String() {
+			t.Fatalf("e34 diverges across GOMAXPROCS:\n--- 1 ---\n%s\n--- n ---\n%s", a.String(), b.String())
+		}
+	})
+	// Each folded sweep's rows, by workload and fault plan.
+	for _, sw := range []struct {
+		id    string
+		holds func(workload, plan string) bool
+	}{
+		{"e24", func(w, p string) bool { return w == "mst" && p == "none" }},
+		{"e29", func(w, p string) bool { return w == "sort" }},
+		{"e30", func(w, p string) bool { return w == "sort K=8" }},
+		{"e31", func(w, p string) bool { return w == "mst" && p != "none" }},
+	} {
+		sw := sw
+		t.Run(sw.id, func(t *testing.T) {
+			rows := func(tab *exp.Table) [][]string {
+				var out [][]string
+				for _, r := range tab.Rows {
+					if sw.holds(r[0], r[2]) {
+						out = append(out, r)
+					}
 				}
-				var buf bytes.Buffer
-				art.Table.Render(&buf)
-				return buf.String()
+				return out
 			}
-			prev := runtime.GOMAXPROCS(1)
-			one := render()
-			runtime.GOMAXPROCS(prev)
-			many := render()
-			if one != many {
-				t.Fatalf("%s diverges across GOMAXPROCS:\n--- 1 ---\n%s\n--- n ---\n%s", id, one, many)
+			a, b := rows(one), rows(many)
+			if len(a) != 12 {
+				t.Fatalf("e34 holds %d of %s's rows, want 12", len(a), sw.id)
+			}
+			if !slices.EqualFunc(a, b, slices.Equal) {
+				t.Fatalf("%s's rows diverge across GOMAXPROCS:\n--- 1 ---\n%v\n--- n ---\n%v", sw.id, a, b)
 			}
 		})
 	}

@@ -2,7 +2,7 @@ package hetmpc_test
 
 // BenchmarkExperiments runs every evaluation artifact (DESIGN.md §2,
 // EXPERIMENTS.md) as a sub-benchmark named by its experiment id — table1
-// regenerates the paper's Table 1, e2..e31 are the sweeps — through the
+// regenerates the paper's Table 1, e2..e34 are the sweeps — through the
 // heterogeneous-MPC simulator, validating every output against the exact
 // references, and reports the measured model metrics via b.ReportMetric.
 // It writes nothing: the committed bench/BENCH_<exp>.json artifacts are

@@ -1,9 +1,9 @@
 // Command hetbench regenerates the paper's evaluation artifacts: the Table 1
 // comparison, the figure-style sweeps E2..E16, the heterogeneous-profile
-// sweeps E17..E19, the fault-injection sweeps E21 and E22, the speculation
-// dial E24 (traced, with each row's win attributed to phases), the
-// trace/critical-path sweep E26 and the placement sweeps E29..E31 (see
-// DESIGN.md §2/§6/§7/§8/§9/§10 and EXPERIMENTS.md).
+// sweeps E17..E19, the fault-injection sweeps E21 and E22, the
+// trace/critical-path sweep E26 and the placement grid E34 (traced, with
+// each row's win attributed to phases; see DESIGN.md §2/§6/§7/§8/§9/§10
+// and EXPERIMENTS.md).
 //
 // -profile, -faults, -placement and -transport rebuild every cluster of an
 // experiment that does not sweep that axis itself and tag the artifact; an

@@ -125,7 +125,6 @@ func main() {
 	fmt.Println("The same dial from the CLI:")
 	fmt.Println("  hetrun -alg mst -profile straggler:2:8 -placement speculate:2")
 	fmt.Println("  hetrun -alg mst -faults slow:6:1:64:4+slow:7:1:64:4 -placement adaptive")
-	fmt.Println("  hetbench -exp e24                    # the speculation dial")
-	fmt.Println("  hetbench -exp e29,e30,e31            # the static and adaptive placement sweeps")
+	fmt.Println("  hetbench -exp e34                    # the placement grid: the dial, static and adaptive policies")
 	fmt.Println("  hetbench -exp e18 -placement throughput -json -out bench")
 }

@@ -3,13 +3,12 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hetmpc/internal/core"
+	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
-	"hetmpc/internal/sched"
 	"hetmpc/internal/sublinear"
 	"hetmpc/internal/trace"
 )
@@ -60,14 +59,14 @@ func beefyCoordinator(p *mpc.Profile) *mpc.Profile {
 	return p
 }
 
-// profiled is the config of a cell on g under one profile spec, in
-// mpc.ParseProfile's syntax, on a beefy coordinator if asked. A sweep pins
-// the axis it sweeps on every cell, so the baseline spelling resolves to the
-// explicit mpc.UniformProfile: bit-identical to nil, but out of an Env
-// override's reach. The specs are constants of this package; a parse error
-// is a bug.
-func profiled(g *graph.Graph, seed uint64, spec string, beefy bool) mpc.Config {
-	cfg := mpc.Config{N: g.N, M: g.M(), Seed: seed}
+// profiled is the config of a cell on g and k machines (0 derives K) under
+// one profile spec, in mpc.ParseProfile's syntax, on a beefy coordinator if
+// asked. A sweep pins the axis it sweeps on every cell, so the baseline
+// spelling resolves to the explicit mpc.UniformProfile: bit-identical to
+// nil, but out of an Env override's reach. The specs are constants of this
+// package; a parse error is a bug.
+func profiled(g *graph.Graph, k int, seed uint64, spec string, beefy bool) mpc.Config {
+	cfg := mpc.Config{N: g.N, M: g.M(), K: k, Seed: seed}
 	p, err := mpc.ParseProfile(spec, cfg.DeriveK())
 	if err != nil {
 		panic(err)
@@ -80,6 +79,21 @@ func profiled(g *graph.Graph, seed uint64, spec string, beefy bool) mpc.Config {
 	}
 	cfg.Profile = p
 	return cfg
+}
+
+// planned is a cell's fault plan on k machines under one spec, in
+// fault.ParsePlan's syntax. As in profiled, the baseline spelling resolves
+// to an explicit value, the inactive &fault.Plan{}: bit-identical to nil,
+// but out of an Env override's reach.
+func planned(spec string, k int) *fault.Plan {
+	p, err := fault.ParsePlan(spec, k)
+	if err != nil {
+		panic(err)
+	}
+	if p == nil {
+		p = &fault.Plan{}
+	}
+	return p
 }
 
 // checked runs alg on g and holds its result to check; a failed check is a
@@ -247,7 +261,7 @@ func edgeKey(e graph.Edge) prims.SortKey {
 	return prims.SortKey{A: e.W, B: int64(e.U), C: int64(e.V)}
 }
 
-// placeSort is the place + sample-sort cell (E17, E29, E30): g's edges
+// placeSort is the place + sample-sort cell (E17, E34): g's edges
 // placed by the cluster's policy and sorted by edgeKey. The buckets must be
 // globally sorted and hold every edge.
 func placeSort(g *graph.Graph) func(*mpc.Cluster) ([][]graph.Edge, error) {
@@ -268,30 +282,6 @@ func placeSort(g *graph.Graph) func(*mpc.Cluster) ([][]graph.Edge, error) {
 		}
 		return sorted, nil
 	}
-}
-
-// capRow holds a row of policy cells to the row's cap cell, which runs
-// first: placement moves data, never the result, so every other policy's
-// output (the sorted edges, or the tree in edgeKey order) and round count
-// must be cap's exactly.
-type capRow struct {
-	out   []graph.Edge
-	stats mpc.Stats
-}
-
-// check records the cap cell, or holds any other policy's cell to it.
-func (cr *capRow) check(pol sched.Policy, out []graph.Edge, st mpc.Stats) error {
-	if pol.Name() == "cap" {
-		cr.out, cr.stats = out, st
-		return nil
-	}
-	if !slices.Equal(out, cr.out) {
-		return fmt.Errorf("output diverged from cap's (%d items vs %d)", len(out), len(cr.out))
-	}
-	if st.Rounds != cr.stats.Rounds {
-		return fmt.Errorf("round structure changed: %d vs cap %d", st.Rounds, cr.stats.Rounds)
-	}
-	return nil
 }
 
 // traceConserved checks the trace conservation contract of one traced

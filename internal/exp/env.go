@@ -184,11 +184,8 @@ var experiments = []struct {
 	{"e19", (*run).e19Bimodal},
 	{"e21", (*run).e21CrashGrid},
 	{"e22", (*run).e22StragglerCrash},
-	{"e24", (*run).e24SpeculationDial},
 	{"e26", (*run).e26PhaseBreakdown},
-	{"e29", (*run).e29AdaptivePolicyGrid},
-	{"e30", (*run).e30MisreportedProfile},
-	{"e31", (*run).e31AdaptiveTransientSlowdown},
+	{"e34", (*run).e34PlacementGrid},
 }
 
 // IDs returns the experiment ids in registry order.

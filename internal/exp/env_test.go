@@ -96,7 +96,8 @@ func TestRunClosesRealTransports(t *testing.T) {
 // cluster, baseline rows included, so an Env override of that axis reaches
 // none of them. The run succeeds, carries no tag, and marshals to the bytes
 // of the plain run. One case per swept axis: profiles (e26, e22), fault
-// plans (e21) and placement policies (e29); no experiment sweeps transports.
+// plans (e21, e34) and placement policies (e34); no experiment sweeps
+// transports.
 func TestSweptAxesArePinned(t *testing.T) {
 	for _, tc := range []struct {
 		id  string
@@ -105,7 +106,8 @@ func TestSweptAxesArePinned(t *testing.T) {
 		{"e26", Env{Profile: "straggler:2:8"}},
 		{"e22", Env{Profile: "straggler:2:8"}},
 		{"e21", Env{Faults: "ckpt:2+rate:0.01"}},
-		{"e29", Env{Placement: "throughput"}},
+		{"e34", Env{Placement: "throughput"}},
+		{"e34", Env{Faults: "ckpt:2+rate:0.01"}},
 	} {
 		got, _, err := tc.env.Run(tc.id, 7)
 		if err != nil {
@@ -139,7 +141,7 @@ func TestPartialOverrideIsAnError(t *testing.T) {
 	rn := &run{env: Env{Profile: "straggler:2:8"}}
 	defer rn.close()
 	g := graph.GNM(64, 256, 1)
-	for _, cfg := range []mpc.Config{het(g.N, g.M(), 0, 1), profiled(g, 1, "uniform", false)} {
+	for _, cfg := range []mpc.Config{het(g.N, g.M(), 0, 1), profiled(g, 0, 1, "uniform", false)} {
 		if _, err := rn.build(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 // Package exp is the experiment harness: it regenerates the paper's Table 1
-// and the sweeps of DESIGN.md §2 (E2–E31) as tables of measured rounds,
+// and the sweeps of DESIGN.md §2 (E2–E34) as tables of measured rounds,
 // words, makespan and output quality. Every cluster is a cell (cells.go):
 // a config built through run.build, one algorithm call, and its validation
 // against the exact reference. calls.go is the table of named calls that
 // cmd/hetrun's -alg, Table 1's rows and E26 read. The other files follow the
 // topics: paper.go holds Table 1 and E2–E16, cost.go the cost-model sweeps
-// E17–E19, faults.go E21–E22, placement.go E24 and E29–E31, trace.go E26.
+// E17–E19, faults.go E21–E22, placement.go E34, trace.go E26.
 // Env.Run, the one entry point, runs an experiment by id, optionally under
 // an overriding profile, fault plan, placement policy or transport, traced
 // or metered; cmd/hetbench and bench_test.go consume it.

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -152,4 +154,61 @@ func TestExperimentsExecute(t *testing.T) {
 			}
 		})
 	}
+	// The placement sweeps folded into E34 run on their own: their blocks
+	// alone must pass the grid's checks and reproduce their rows of the
+	// committed E34 artifact, so no block leans on another.
+	for _, sw := range foldedSweeps {
+		sw := sw
+		t.Run(sw.id, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("heavy experiment skipped in -short mode")
+			}
+			t.Parallel()
+			data, err := os.ReadFile("../../bench/BENCH_e34.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var art Artifact
+			if err := json.Unmarshal(data, &art); err != nil {
+				t.Fatal(err)
+			}
+			var want [][]string
+			for _, row := range art.Table.Rows {
+				if sw.holds(row[0], row[2]) {
+					want = append(want, row)
+				}
+			}
+			var blocks []*gridBlock
+			for _, b := range placementGrid(7) {
+				if sw.holds(b.name, b.plan) {
+					blocks = append(blocks, b)
+				}
+			}
+			rn := &run{}
+			defer rn.close()
+			got := &Table{}
+			if err := rn.addBlocks(got, blocks, 7); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != sw.rows {
+				t.Fatalf("BENCH_e34.json holds %d of %s's rows, want %d", len(want), sw.id, sw.rows)
+			}
+			if !slices.EqualFunc(got.Rows, want, slices.Equal) {
+				t.Errorf("%s's blocks run alone:\n%v\nBENCH_e34.json:\n%v", sw.id, got.Rows, want)
+			}
+		})
+	}
+}
+
+// foldedSweeps are the placement sweeps E34 replaced, each with the rows it
+// had and its blocks, by workload and fault plan.
+var foldedSweeps = []struct {
+	id    string
+	rows  int
+	holds func(workload, plan string) bool
+}{
+	{"e24", 12, func(w, p string) bool { return w == "mst" && p == "none" }},
+	{"e29", 12, func(w, p string) bool { return w == "sort" }},
+	{"e30", 12, func(w, p string) bool { return w == "sort K=8" }},
+	{"e31", 12, func(w, p string) bool { return w == "mst" && p != "none" }},
 }

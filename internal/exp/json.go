@@ -44,8 +44,8 @@ func (m *ModelStats) add(s mpc.Stats) {
 // sums each cluster's per-round contributions in order and then the
 // per-cluster subtotals in build order (the same grouping ModelStats.add
 // uses), so it is bit-identical to the model makespan whenever every
-// cluster of the run was traced (E24, E26, E29–E31, and any run under the
-// -trace flag). TestSetTraceArtifact asserts both; the committed bench/
+// cluster of the run was traced (E26, E34, and any run under the -trace
+// flag). TestSetTraceArtifact asserts both; the committed bench/
 // bytes carry them for those experiments.
 type TraceStats struct {
 	Clusters int               `json:"clusters"` // clusters that carried a collector
@@ -104,7 +104,7 @@ type Artifact struct {
 	Model     ModelStats `json:"model"`
 	// Trace is the phase-timeline summary, present when at least one
 	// cluster of the run carried a trace collector — experiments that
-	// trace themselves (E24, E26, E29–E31) and any experiment run under
+	// trace themselves (E26, E34) and any experiment run under
 	// Env.Trace (hetbench -trace). Tracing observes without perturbing, so
 	// a traced artifact's model numbers are bit-identical to the untraced
 	// baseline and the artifact name does not change.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"hetmpc/internal/fault"
 	"hetmpc/internal/graph"
 	"hetmpc/internal/mpc"
 	"hetmpc/internal/prims"
@@ -13,7 +12,7 @@ import (
 	"hetmpc/internal/trace"
 )
 
-// The placement sweeps exercise the placement-policy subsystem (DESIGN.md
+// The placement grid exercises the placement-policy subsystem (DESIGN.md
 // §8): pluggable work placement across heterogeneous machines — the
 // capacity-proportional cap default, the min-makespan throughput split, and
 // speculate:R's first-copy-wins redundant execution — and adaptive placement
@@ -24,336 +23,262 @@ import (
 // correctness — outputs are validated against the exact references under
 // every policy, and the speculative copies are charged honestly
 // (speculation words, partner busy time) rather than conjured for free.
-//
-// E24 turns speculation's redundancy dial. E29–E31 pin adaptive placement
-// from three sides: with a truthful profile it degenerates to static
-// throughput bit-identically (E29, which also holds the static policies'
-// grid), with a misreported profile it is the only policy that recovers
-// the makespan the static splits leave on the table (E30), and under
-// transient slowdown windows it tracks the effective costs through the
-// window and back out (E31, which also holds speculation under crashes and
-// windows). The traced cells re-prove the conservation contract under
-// mid-run share switches.
-//
-// MST is where speculation still has something to rescue (E24, E31): a
-// plain sample sort's traffic, its replies included, follows the items a
-// machine holds, which static throughput shares already balance (E29),
-// while MST's aggregations and disseminations route by key — a key's
-// partials and requests meet on one machine wherever the shares put it.
 
-// e24SpeculationDial sweeps the redundancy dial R = 0..4 under straggler
-// profiles: R = 0 is pure throughput placement (the rounds whose traffic
-// follows the placed edges balance, the rounds routed by key still wait for
-// the stragglers), and each additional speculated shard shaves those until
-// every straggler is covered — at an honestly charged word cost. Every
-// speculate row must reproduce the cap row's tree edge for edge and its round
-// count, move exactly R = 0's algorithm words, and beat cap's makespan; the
-// makespan must not rise with R, and R = 4 must beat R = 0. Every cell is
-// traced, and each speculate row names the phase that won most over cap;
-// the phase wins must sum to the total win.
-func (rn *run) e24SpeculationDial(seed uint64) (*Table, error) {
-	const n, m = 512, 4096
+// A workload runs an algorithm on g over k machines (0 derives K) and
+// returns its output in edgeKey order. byItems marks a sample sort: its
+// traffic, replies included, follows the items a machine holds, which
+// static throughput shares already balance, while MST's aggregations and
+// disseminations route by key, so a key meets on one machine wherever the
+// shares put it. MST is where speculation still has something to rescue.
+type workload struct {
+	name    string
+	g       *graph.Graph
+	k       int
+	byItems bool
+	run     func(*mpc.Cluster) ([]graph.Edge, error)
+}
+
+// gridN is every workload's vertex count.
+const gridN = 512
+
+// A gridBlock is one (workload, profile, fault plan) of the grid and its
+// policy cells, cap first.
+type gridBlock struct {
+	workload
+	profile, plan string
+	policies      []sched.Policy
+	slow          float64 // the plan's largest slowdown factor; 0 opens no window
+	even          bool    // the declared per-word costs are all equal
+	cells         []gridCell
+}
+
+// A gridCell is one policy's run of its block. A cell that beat cap
+// attributes the win to its phases: phaseWin sums every phase's makespan
+// fall from cap's, and top is the phase that fell most, by topWin.
+type gridCell struct {
+	pol              sched.Policy
+	st               mpc.Stats
+	est              int // exchange rounds the adaptive estimator observed
+	imbalance        float64
+	top              string
+	phaseWin, topWin float64
+}
+
+// e34PlacementGrid crosses workloads, profiles, fault plans and placement
+// policies: MST's speculation dial and its fault plans (a crash plan and a
+// transient 16× window on the fastest machine, alone and checkpointed), and
+// place + sample sort under three skews and, at K = 8, a misreported
+// uniform profile. Every block is held to check's claims.
+func (rn *run) e34PlacementGrid(seed uint64) (*Table, error) {
 	t := &Table{
-		Title: fmt.Sprintf("E24 — speculation dial R=0..4 under straggler profiles (MST), n=%d m=%d", n, m),
-		Header: []string{"profile", "policy", "makespan", "vs cap",
-			"spec words", "words", "top win phase", "win share"},
+		Title: fmt.Sprintf("E34 — placement grid: workload × profile × fault plan × policy, n=%d (mst m=4096, sort m=8192)", gridN),
+		Header: []string{"workload", "profile", "fault plan", "policy", "rounds", "crashes", "recovery rounds",
+			"est rounds", "spec words", "words", "makespan", "vs cap", "imbalance", "top win phase", "win share"},
 	}
-	g := graph.ConnectedGNM(n, m, seed, true)
-	policies := []sched.Policy{sched.Cap{}, sched.Speculate{R: 0}, sched.Speculate{R: 1},
-		sched.Speculate{R: 2}, sched.Speculate{R: 3}, sched.Speculate{R: 4}}
-	for _, prof := range []string{"straggler:2:8", "straggler:4:16"} {
-		var row capRow
-		var thrWords int64
-		capPhase := map[string]float64{}
-		var dial []float64 // makespan by R
-		for _, pol := range policies {
-			cfg := profiled(g, seed, prof, true)
-			cfg.Placement, cfg.Trace = pol, trace.New()
-			c, r, err := cell(rn, cfg, mst(g))
-			if err == nil {
-				prims.SortLocal(r.Edges, edgeKey)
-				err = row.check(pol, r.Edges, c.Stats())
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", prof, pol.Name(), err)
-			}
-			st := c.Stats()
-			phases := trace.Summarize(c.Trace().Rounds()).Phases
-			var top, share any = "-", "-"
-			s, ok := pol.(sched.Speculate)
-			if !ok {
-				for _, p := range phases {
-					capPhase[p.Phase] = p.Makespan
-				}
-			} else {
-				// Algorithm words are no longer placement-independent (DESIGN.md
-				// §8): Sort's reply is a machine's own cuts, and the cuts follow
-				// the splitters, which follow the shares. Every speculate row has
-				// R = 0's shares, so R = 0's words are the reference; cap's differ.
-				if s.R == 0 {
-					thrWords = st.TotalWords
-				}
-				if st.TotalWords != thrWords {
-					return nil, fmt.Errorf("%s/%s: words %d vs R=0 %d", prof, pol.Name(), st.TotalWords, thrWords)
-				}
-				if st.Makespan >= row.stats.Makespan {
-					return nil, fmt.Errorf("%s/%s: makespan %g did not beat cap %g", prof, pol.Name(), st.Makespan, row.stats.Makespan)
-				}
-				if s.R > 0 && st.Makespan > dial[s.R-1] {
-					return nil, fmt.Errorf("%s/%s: makespan %g rose from R=%d's %g", prof, pol.Name(), st.Makespan, s.R-1, dial[s.R-1])
-				}
-				dial = append(dial, st.Makespan)
-				// Placement moves data, never the round structure, so the
-				// phase sets match cap's and the phase wins sum to the total.
-				win, sum, best := row.stats.Makespan-st.Makespan, 0.0, 0.0
-				for _, p := range phases {
-					gap := capPhase[p.Phase] - p.Makespan
-					sum += gap
-					if gap > best {
-						top, best = p.Phase, gap
-					}
-				}
-				if math.Abs(sum-win) > 1e-6 {
-					return nil, fmt.Errorf("%s/%s: phase wins sum to %g, total win is %g", prof, pol.Name(), sum, win)
-				}
-				share = best / win
-			}
-			t.AddRow(prof, pol.Name(), st.Makespan, st.Makespan/row.stats.Makespan,
-				st.SpeculationWords, st.TotalWords, top, share)
-		}
-		if dial[4] >= dial[0] {
-			return nil, fmt.Errorf("%s: speculate:4 makespan %g did not beat speculate:0 %g", prof, dial[4], dial[0])
-		}
+	if err := rn.addBlocks(t, placementGrid(seed), seed); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
-		"R=0 is pure throughput placement; R>=1 additionally mirrors the slowest per-round shards, first-copy-wins",
-		"spec words are the honestly charged redundant traffic; algorithm words (the words column) are identical in every speculate row",
+		"every cell reproduces its block's cap output (the sorted edges, or the tree edge for edge) and round count; outputs are validated exact, so only placement and the clock move",
+		"the dial: R=0 is pure throughput placement, R>=1 mirrors the slowest per-round shards first-copy-wins; spec words are the honestly charged redundant traffic, the words column is R=0's in every speculate row, and the makespan beats cap and never rises with R, R=4 beating R=0 (asserted)",
 		"the cap row's words differ: the splitters follow the placement shares, and Sort's reply to a machine is the cuts of its own run",
-		"every speculate row reproduces the cap row's tree edge for edge; its weight is validated exact in every row",
-		"makespan never rises with R, and R=4 beats R=0 (asserted); top win phase: the phase whose makespan fell most from cap's, win share: its part of the total win (the phase wins sum to it, asserted)",
+		"throughput equals cap where the declared costs are even (zipf skews capacity only; the misreported uniform declaration) and beats it under declared speed skew (asserted both ways)",
+		"with no slowdown window the estimator measures back exactly what was declared, so adaptive is bit-identical to throughput, crashes and recovery included; a window makes it beat throughput, and at >=4× slowdown its makespan is <= 0.8× cap's and throughput's (asserted)",
+		"speculate:2 launches no copy on a sort with no window, whose every round follows the placed items; everywhere else it beats throughput (asserted)",
+		"top win phase: the phase whose makespan fell most from cap's, win share: its part of the total win; the phase wins sum to the total win (asserted); est rounds: the exchange rounds the EWMA observed",
 	)
 	return t, nil
 }
 
-// e29AdaptivePolicyGrid crosses cap, throughput, adaptive and speculate:2
-// with the canonical capacity, cohort and straggler skews under the place +
-// sample-sort workload. Every row must reproduce the cap row's sorted output
-// and round count exactly, and each policy's claim is checked cell by cell.
-// Throughput must beat cap where the profile skews speed and equal it under
-// zipf, which skews capacity only, so throughput's split clips to cap's.
-// Speculate:2 must charge no speculation word: a sample, the reply to it and
-// the route all follow the items a machine holds, so throughput leaves no
-// slow shard a fast machine could beat (E24 turns the dial on MST, where
-// rounds routed by key remain). The declared profiles are truthful, so the
-// measured per-word costs reproduce the declared ones exactly and adaptive
-// must land bit-identically on static throughput. Every cell runs traced
-// and re-proves trace conservation under the (no-op) round-barrier share
-// refresh.
-func (rn *run) e29AdaptivePolicyGrid(seed uint64) (*Table, error) {
-	const n, m = 512, 8192
-	t := &Table{
-		Title: fmt.Sprintf("E29 — adaptive vs static placement × skew profiles (place + sample sort), n=%d m=%d", n, m),
-		Header: []string{"profile", "policy", "rounds", "est rounds", "makespan", "vs cap",
-			"imbalance"},
+// placementGrid returns the grid's blocks, in row order.
+func placementGrid(seed uint64) []*gridBlock {
+	gT, gS := graph.ConnectedGNM(gridN, 4096, seed, true), graph.GNMWeighted(gridN, 8192, seed)
+	tree, sorted := mst(gT), placeSort(gS)
+	mstW := workload{name: "mst", g: gT, run: func(c *mpc.Cluster) ([]graph.Edge, error) {
+		r, err := tree(c)
+		if err != nil {
+			return nil, err
+		}
+		prims.SortLocal(r.Edges, edgeKey)
+		return r.Edges, nil
+	}}
+	sortW := workload{name: "sort", g: gS, byItems: true, run: func(c *mpc.Cluster) ([]graph.Edge, error) {
+		s, err := sorted(c)
+		return prims.Flatten(s), err
+	}}
+	sort8 := sortW
+	sort8.name, sort8.k = "sort K=8", 8
+	dial := []sched.Policy{sched.Cap{}, sched.Speculate{R: 0}, sched.Speculate{R: 1},
+		sched.Speculate{R: 2}, sched.Speculate{R: 3}, sched.Speculate{R: 4}}
+	four := []sched.Policy{sched.Cap{}, sched.Throughput{},
+		sched.Speculate{R: 2}, sched.Adaptive{Alpha: sched.DefaultAlpha}}
+	var grid []*gridBlock
+	for _, prof := range []string{"straggler:2:8", "straggler:4:16"} {
+		grid = append(grid, &gridBlock{workload: mstW, profile: prof, plan: "none", policies: dial})
 	}
-	g := graph.GNMWeighted(n, m, seed)
-	policies := []sched.Policy{sched.Cap{}, sched.Throughput{},
-		sched.Adaptive{Alpha: sched.DefaultAlpha}, sched.Speculate{R: 2}}
+	for _, plan := range []string{"slow:0:5:40:16", "ckpt:8+slow:0:5:40:16", "ckpt:8+rate:0.002"} {
+		grid = append(grid, &gridBlock{workload: mstW, profile: "straggler:2:8", plan: plan, policies: four})
+	}
 	for _, prof := range []string{"zipf:0.8", "bimodal:0.25:4", "straggler:2:8"} {
-		var row capRow
-		var thrStats mpc.Stats
-		for _, pol := range policies {
-			cfg := profiled(g, seed, prof, true)
-			cfg.Placement, cfg.Trace = pol, trace.New()
-			c, sorted, err := cell(rn, cfg, placeSort(g))
-			if err == nil {
-				err = row.check(pol, prims.Flatten(sorted), c.Stats())
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", prof, pol.Name(), err)
-			}
-			st := c.Stats()
-			estRounds := 0
-			switch pol.(type) {
-			case sched.Throughput:
-				thrStats = st
-				costs := make([]float64, c.K())
-				for i := range costs {
-					costs[i] = c.WordCost(i)
-				}
-				evenCost := slices.Min(costs) == slices.Max(costs)
-				if evenCost && st.Makespan != row.stats.Makespan {
-					return nil, fmt.Errorf("%s: throughput makespan %v differs from cap %v at even costs", prof, st.Makespan, row.stats.Makespan)
-				}
-				if !evenCost && st.Makespan >= row.stats.Makespan {
-					return nil, fmt.Errorf("%s: throughput makespan %v did not beat cap %v under cost skew", prof, st.Makespan, row.stats.Makespan)
-				}
-			case sched.Adaptive:
-				estRounds = c.PlacementEstimator().Rounds()
-				// Truthful profile: measured cost == declared cost exactly,
-				// so the adaptive run must be bit-identical to throughput.
-				if st.Makespan != thrStats.Makespan || st.TotalWords != thrStats.TotalWords {
-					return nil, fmt.Errorf("%s: adaptive (makespan %v, words %d) diverged from static throughput (%v, %d) under a truthful profile",
-						prof, st.Makespan, st.TotalWords, thrStats.Makespan, thrStats.TotalWords)
-				}
-			case sched.Speculate:
-				if st.SpeculationWords != 0 {
-					return nil, fmt.Errorf("%s: speculate:2 charged %d speculation words on a sample sort", prof, st.SpeculationWords)
-				}
-			}
-			t.AddRow(prof, pol.Name(), st.Rounds, estRounds, st.Makespan,
-				st.Makespan/row.stats.Makespan, c.BusyImbalance())
-		}
+		grid = append(grid, &gridBlock{workload: sortW, profile: prof, plan: "none", policies: four})
 	}
-	t.Notes = append(t.Notes,
-		"every policy reproduces the cap row's sorted output and round count exactly; only placement and the clock move",
-		"zipf skews capacity only, so throughput clips to cap and the ratio stays 1; speed skew is where placement pays (asserted both ways)",
-		"speculate:2 launches no copy: every round of a sample sort follows the placed items, so throughput leaves it no slow shard a fast machine could beat (asserted)",
-		"truthful declared profiles: the estimator measures back exactly what was declared, so every adaptive cell is bit-identical to static throughput (asserted)",
-		"est rounds counts the exchange rounds the EWMA actually observed; every cell is traced and re-proves conservation under the round-barrier share refresh",
-	)
-	return t, nil
+	for _, f := range []string{"2", "4", "10"} {
+		// The sort runs 3 rounds, so windows over rounds 1..99 span the run.
+		plan := fmt.Sprintf("slow:6:1:99:%s+slow:7:1:99:%s", f, f)
+		grid = append(grid, &gridBlock{workload: sort8, profile: "uniform", plan: plan, policies: four})
+	}
+	return grid
 }
 
-// e30MisreportedProfile is the scenario adaptive placement exists for: the
-// declared profile says the cluster is uniform, but two of the eight
-// machines actually run 2–10× slower for the whole run (a whole-run
-// fault.Slowdown window — invisible to any static policy, whose shares are
-// fixed at New, but visible to the adaptive estimator through the measured
-// per-word costs). K is pinned to 8 so the route rounds dominate and the
-// placement split is what the makespan measures. Static cap and throughput
-// both believe the declaration and split evenly, so every round waits for
-// the slow pair; the adaptive estimator measures the real per-word costs off
-// the first rounds and shifts the split, recovering most of the loss. The
-// acceptance gate: at 4× (and above) misreporting, adaptive's makespan is
-// at most 0.8× every static policy's.
-func (rn *run) e30MisreportedProfile(seed uint64) (*Table, error) {
-	const n, m = 512, 8192
-	const k, wholeRun = 8, 1 << 20
-	t := &Table{
-		Title: fmt.Sprintf("E30 — misreported profile: declared uniform, 2 of 8 machines actually slow (place + sample sort), n=%d m=%d", n, m),
-		Header: []string{"actual slowdown", "policy", "rounds", "makespan", "vs cap",
-			"spec words"},
-	}
-	g := graph.GNMWeighted(n, m, seed)
-	policies := []sched.Policy{sched.Cap{}, sched.Throughput{},
-		sched.Speculate{R: 2}, sched.Adaptive{Alpha: sched.DefaultAlpha}}
-	for _, factor := range []float64{2, 4, 10} {
-		label := fmt.Sprintf("%g×", factor)
-		var row capRow
-		var thrStats mpc.Stats
-		for _, pol := range policies {
-			cfg := mpc.Config{N: n, M: m, K: k, Seed: seed, Placement: pol, Trace: trace.New()}
-			cfg.Profile = beefyCoordinator(mpc.UniformProfile(k))
-			cfg.Faults = &fault.Plan{Slowdowns: []fault.Slowdown{
-				{Machine: k - 2, From: 1, To: wholeRun, Factor: factor},
-				{Machine: k - 1, From: 1, To: wholeRun, Factor: factor},
-			}}
-			c, sorted, err := cell(rn, cfg, placeSort(g))
-			if err == nil {
-				err = row.check(pol, prims.Flatten(sorted), c.Stats())
+// addBlocks runs every block of grid, holds it to check, and appends its
+// rows to t.
+func (rn *run) addBlocks(t *Table, grid []*gridBlock, seed uint64) error {
+	for _, b := range grid {
+		err := rn.runBlock(b, seed)
+		if err == nil {
+			err = b.check()
+		}
+		if err != nil {
+			return fmt.Errorf("%s/%s/%s: %w", b.name, b.profile, b.plan, err)
+		}
+		capSt := b.cells[0].st
+		for _, c := range b.cells {
+			var top, share any = "-", "-"
+			if c.top != "" {
+				top, share = c.top, c.topWin/(capSt.Makespan-c.st.Makespan)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", label, pol.Name(), err)
-			}
-			st := c.Stats()
-			if pol.Name() == "throughput" {
-				thrStats = st
-			}
-			// The acceptance gate: adaptive must recover at least 20% of
-			// makespan against every static split once the declaration is 4×
-			// wrong. (cap and throughput coincide here — both trust the
-			// uniform declaration.)
-			if c.PlacementEstimator() != nil && factor >= 4 &&
-				(st.Makespan > 0.8*row.stats.Makespan || st.Makespan > 0.8*thrStats.Makespan) {
-				return nil, fmt.Errorf("%s: adaptive makespan %g is not <= 0.8× static cap %g and throughput %g",
-					label, st.Makespan, row.stats.Makespan, thrStats.Makespan)
-			}
-			t.AddRow(label, pol.Name(), st.Rounds, st.Makespan,
-				st.Makespan/row.stats.Makespan, st.SpeculationWords)
+			t.AddRow(b.name, b.profile, b.plan, c.pol.Name(), c.st.Rounds, c.st.Crashes, c.st.RecoveryRounds,
+				c.est, c.st.SpeculationWords, c.st.TotalWords, c.st.Makespan, c.st.Makespan/capSt.Makespan,
+				c.imbalance, top, share)
 		}
 	}
-	t.Notes = append(t.Notes,
-		"cap and throughput coincide: both trust the uniform declaration and split evenly, so every round waits for the slow pair",
-		"adaptive measures the real per-word costs off the early rounds and re-splits; at >=4× misreporting its makespan is asserted <= 0.8× every static policy's",
-	)
-	return t, nil
+	return nil
 }
 
-// e31AdaptiveTransientSlowdown crosses the placement policies with three
-// fault plans under MST on a truthful straggler cluster: E21's shared
-// crash plan (checkpoints + seed-derived crashes), and a transient 16×
-// slowdown window on the fastest machine mid-run (rounds 5–40), alone and
-// with the checkpoint cadence. Static shares are fixed before the run, so static
-// throughput keeps feeding the window's machine a full share. Speculation
-// reads the effective per-round costs and must beat static throughput under
-// every plan. The adaptive estimator tracks the effective cost up as the
-// window opens and back down after it closes, and must beat static
-// throughput under both slowdown plans; under the crash plan no window
-// opens, and it must equal static throughput exactly (E29's degeneration).
-// The MST weight is validated exact in every cell.
-func (rn *run) e31AdaptiveTransientSlowdown(seed uint64) (*Table, error) {
-	const n, m = 512, 4096
-	t := &Table{
-		Title: fmt.Sprintf("E31 — adaptive placement under transient slowdown windows (MST), n=%d m=%d (straggler:2:8 cluster)", n, m),
-		Header: []string{"fault plan", "policy", "rounds", "crashes", "recovery rounds",
-			"est rounds", "spec words", "makespan", "vs cap"},
-	}
-	g := graph.ConnectedGNM(n, m, seed, true)
-	window := []fault.Slowdown{{Machine: 0, From: 5, To: 40, Factor: 16}}
-	plans := []struct {
-		name string
-		plan *fault.Plan
-	}{
-		{"slow:0:5:40:16", &fault.Plan{Slowdowns: window}},
-		{"ckpt:8+slow:0:5:40:16", &fault.Plan{Interval: 8, Slowdowns: window}},
-		{"ckpt:8+rate:0.002", &fault.Plan{Interval: 8, CrashRate: 0.002}},
-	}
-	policies := []sched.Policy{sched.Cap{}, sched.Throughput{},
-		sched.Speculate{R: 2}, sched.Adaptive{Alpha: sched.DefaultAlpha}}
-	for _, pl := range plans {
-		var capMakespan float64
-		var thrStats mpc.Stats
-		for _, pol := range policies {
-			cfg := profiled(g, seed, "straggler:2:8", true)
-			cfg.Placement, cfg.Faults, cfg.Trace = pol, pl.plan, trace.New()
-			c, _, err := cell(rn, cfg, mst(g))
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", pl.name, pol.Name(), err)
+// runBlock runs every policy of b on its own traced cell, pinning the
+// profile, fault plan and policy axes. The cap cell runs first, and every
+// other cell must reproduce its output and round count exactly: placement
+// moves data, never the result.
+func (rn *run) runBlock(b *gridBlock, seed uint64) error {
+	var capOut []graph.Edge
+	capPhase := map[string]float64{}
+	for _, pol := range b.policies {
+		cfg := profiled(b.g, b.k, seed, b.profile, true)
+		cfg.Placement, cfg.Faults, cfg.Trace = pol, planned(b.plan, cfg.DeriveK()), trace.New()
+		c, out, err := cell(rn, cfg, b.run)
+		if err != nil {
+			return fmt.Errorf("%s: %w", pol.Name(), err)
+		}
+		gc := gridCell{pol: pol, st: c.Stats(), imbalance: c.BusyImbalance()}
+		if est := c.PlacementEstimator(); est != nil {
+			gc.est = est.Rounds()
+		}
+		phases := trace.Summarize(c.Trace().Rounds()).Phases
+		if len(b.cells) == 0 {
+			capOut = out
+			costs := make([]float64, c.K())
+			for i := range costs {
+				costs[i] = c.WordCost(i)
 			}
-			st := c.Stats()
-			estRounds := 0
-			switch pol.(type) {
-			case sched.Cap:
-				capMakespan = st.Makespan
-			case sched.Throughput:
-				thrStats = st
-			case sched.Speculate:
-				if st.Makespan >= thrStats.Makespan {
-					return nil, fmt.Errorf("%s: speculation makespan %g did not beat static throughput %g",
-						pl.name, st.Makespan, thrStats.Makespan)
-				}
-			case sched.Adaptive:
-				estRounds = c.PlacementEstimator().Rounds()
-				windowed := len(pl.plan.Slowdowns) > 0
-				if windowed && st.Makespan >= thrStats.Makespan {
-					return nil, fmt.Errorf("%s: adaptive makespan %g did not beat static throughput %g",
-						pl.name, st.Makespan, thrStats.Makespan)
-				}
-				if !windowed && (st.Makespan != thrStats.Makespan || st.TotalWords != thrStats.TotalWords) {
-					return nil, fmt.Errorf("%s: adaptive (makespan %v, words %d) diverged from static throughput (%v, %d) with no window open",
-						pl.name, st.Makespan, st.TotalWords, thrStats.Makespan, thrStats.TotalWords)
+			b.even = slices.Min(costs) == slices.Max(costs)
+			for _, s := range cfg.Faults.Slowdowns {
+				b.slow = max(b.slow, s.Factor)
+			}
+			for _, p := range phases {
+				capPhase[p.Phase] = p.Makespan
+			}
+		} else if capSt := b.cells[0].st; !slices.Equal(out, capOut) {
+			return fmt.Errorf("%s: output diverged from cap's (%d items vs %d)", pol.Name(), len(out), len(capOut))
+		} else if gc.st.Rounds != capSt.Rounds {
+			return fmt.Errorf("%s: round structure changed: %d vs cap %d", pol.Name(), gc.st.Rounds, capSt.Rounds)
+		} else if gc.st.Makespan < capSt.Makespan {
+			for _, p := range phases {
+				gap := capPhase[p.Phase] - p.Makespan
+				gc.phaseWin += gap
+				if gap > gc.topWin {
+					gc.top, gc.topWin = p.Phase, gap
 				}
 			}
-			t.AddRow(pl.name, pol.Name(), st.Rounds, st.Crashes, st.RecoveryRounds, estRounds,
-				st.SpeculationWords, st.Makespan, st.Makespan/capMakespan)
+		}
+		b.cells = append(b.cells, gc)
+	}
+	return nil
+}
+
+// cell returns the block's cell under the named policy, or nil.
+func (b *gridBlock) cell(name string) *gridCell {
+	for i := range b.cells {
+		if b.cells[i].pol.Name() == name {
+			return &b.cells[i]
 		}
 	}
-	t.Notes = append(t.Notes,
-		"the MST weight is validated exact in every cell: neither re-splitting, speculation nor crash recovery may change the output",
-		"static shares are fixed before the window opens; speculation reads per-round effective costs and adapts (asserted: speculate:2 beats static throughput under every plan)",
-		"the estimator tracks the effective per-word cost up into the window and back out after it closes (asserted: adaptive beats static throughput under both slowdown plans)",
-		"the crash plan opens no window, so adaptive's truthful estimates land bit-identically on static throughput, crashes and recovery included (asserted)",
-	)
-	return t, nil
+	return nil
+}
+
+// check holds b to the grid's claims. Each is a predicate over the cells it
+// compares and holds wherever those cells exist.
+func (b *gridBlock) check() error {
+	capSt, r0 := b.cells[0].st, b.cell("speculate:0")
+	for _, c := range b.cells {
+		// Placement moves data, never the round structure, so a cell's
+		// phases are cap's and its phase wins sum to its total win.
+		if win := capSt.Makespan - c.st.Makespan; win > 0 && math.Abs(c.phaseWin-win) > 1e-6 {
+			return fmt.Errorf("%s: phase wins sum to %g, total win is %g", c.pol.Name(), c.phaseWin, win)
+		}
+		// The speculation dial: every speculate row moves R = 0's algorithm
+		// words and beats cap, and the makespan never rises with R.
+		// (Algorithm words are not placement-independent, DESIGN.md §8:
+		// Sort's reply is a machine's own cuts, the cuts follow the
+		// splitters, and the splitters follow the shares. Every speculate
+		// row has R = 0's shares; cap's differ.)
+		s, ok := c.pol.(sched.Speculate)
+		if !ok || r0 == nil {
+			continue
+		}
+		switch prev := b.cell(sched.Speculate{R: s.R - 1}.Name()); {
+		case c.st.TotalWords != r0.st.TotalWords:
+			return fmt.Errorf("%s: words %d vs R=0 %d", c.pol.Name(), c.st.TotalWords, r0.st.TotalWords)
+		case c.st.Makespan >= capSt.Makespan:
+			return fmt.Errorf("%s: makespan %g did not beat cap %g", c.pol.Name(), c.st.Makespan, capSt.Makespan)
+		case prev != nil && c.st.Makespan > prev.st.Makespan:
+			return fmt.Errorf("%s: makespan %g rose from R=%d's %g", c.pol.Name(), c.st.Makespan, s.R-1, prev.st.Makespan)
+		}
+	}
+	if r4 := b.cell("speculate:4"); r0 != nil && r4 != nil && r4.st.Makespan >= r0.st.Makespan {
+		return fmt.Errorf("speculate:4 makespan %g did not beat speculate:0 %g", r4.st.Makespan, r0.st.Makespan)
+	}
+	thr, sp, ad := b.cell("throughput"), b.cell("speculate:2"), b.cell(sched.Adaptive{Alpha: sched.DefaultAlpha}.Name())
+	if thr == nil || sp == nil || ad == nil {
+		return nil // a dial block
+	}
+	noCopy := b.byItems && b.slow == 0
+	switch {
+	// Throughput equals cap at even declared costs and beats it under
+	// declared cost skew.
+	case b.even && thr.st.Makespan != capSt.Makespan:
+		return fmt.Errorf("throughput makespan %v differs from cap %v at even costs", thr.st.Makespan, capSt.Makespan)
+	case !b.even && thr.st.Makespan >= capSt.Makespan:
+		return fmt.Errorf("throughput makespan %v did not beat cap %v under cost skew", thr.st.Makespan, capSt.Makespan)
+	// With no slowdown window the profile is truthful: the measured
+	// per-word costs are the declared ones exactly, so adaptive must be
+	// bit-identical to throughput. A window makes it beat throughput, and
+	// once the slowdown is 4× or more it must recover at least 20% of
+	// makespan against every static split.
+	case b.slow == 0 && (ad.st.Makespan != thr.st.Makespan || ad.st.TotalWords != thr.st.TotalWords):
+		return fmt.Errorf("adaptive (makespan %v, words %d) diverged from static throughput (%v, %d) under a truthful profile",
+			ad.st.Makespan, ad.st.TotalWords, thr.st.Makespan, thr.st.TotalWords)
+	case b.slow > 0 && ad.st.Makespan >= thr.st.Makespan:
+		return fmt.Errorf("adaptive makespan %g did not beat static throughput %g", ad.st.Makespan, thr.st.Makespan)
+	case b.slow >= 4 && (ad.st.Makespan > 0.8*capSt.Makespan || ad.st.Makespan > 0.8*thr.st.Makespan):
+		return fmt.Errorf("adaptive makespan %g is not <= 0.8× static cap %g and throughput %g",
+			ad.st.Makespan, capSt.Makespan, thr.st.Makespan)
+	// Speculation reads the effective per-round costs: on a sort with no
+	// window throughput leaves it no slow shard to mirror, and everywhere
+	// else it must beat throughput.
+	case noCopy && sp.st.SpeculationWords != 0:
+		return fmt.Errorf("speculate:2 charged %d speculation words on a sample sort", sp.st.SpeculationWords)
+	case !noCopy && sp.st.Makespan >= thr.st.Makespan:
+		return fmt.Errorf("speculation makespan %g did not beat static throughput %g", sp.st.Makespan, thr.st.Makespan)
+	}
+	return nil
 }

@@ -29,9 +29,9 @@ func TestSetPlacementOverride(t *testing.T) {
 		t.Fatalf("placed artifact path %q lacks the @place= tag", path)
 	}
 
-	// E29 pins its own policies per row; the override must not reach it,
+	// E34 pins its own policies per row; the override must not reach it,
 	// and its artifact must keep the baseline name.
-	art, _, err = env.Run("e29", 7)
+	art, _, err = env.Run("e34", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestSetPlacementOverride(t *testing.T) {
 	}
 }
 
-// TestE24ArtifactCarriesSpeculationWords: the E24 artifact must expose the
-// speculation traffic in its model stats (the wire format the CI smoke
-// step checks).
+// TestE24ArtifactCarriesSpeculationWords: the E34 artifact, which holds the
+// speculation dial, must expose the speculation traffic in its model stats
+// (the wire format the CI smoke step checks).
 func TestE24ArtifactCarriesSpeculationWords(t *testing.T) {
-	art, _, err := Env{}.Run("e24", 7)
+	art, _, err := Env{}.Run("e34", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // round loops with, and the critical-path summary derived from both. Every
 // cell is traced, so it re-asserts the conservation contract
 // (traceConserved): the sweep is also an end-to-end test of the trace layer
-// on real algorithm traffic. E24's traced cells attribute the placement
+// on real algorithm traffic. E34's traced cells attribute the placement
 // wins to phases.
 
 // topPhases returns the n largest-makespan phases of a summary (ties by
@@ -64,7 +64,7 @@ func (rn *run) e26PhaseBreakdown(seed uint64) (*Table, error) {
 				if b {
 					coord = "beefy"
 				}
-				cfg := profiled(g, seed, prof, b)
+				cfg := profiled(g, 0, seed, prof, b)
 				cfg.Trace = trace.New()
 				c, _, err := cell(rn, cfg, run)
 				if err != nil {

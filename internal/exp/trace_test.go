@@ -118,7 +118,7 @@ func TestUntracedArtifactOmitsTrace(t *testing.T) {
 }
 
 // TestE24CapSampleScatterOffTheStraggler pins where MST's KKT labels land in
-// E24's straggler:4:16 cap cell (MST, n=512, m=4096, seed 7). PlanBroadcast
+// E34's mst/straggler:4:16 cap cell (n=512, m=4096, seed 7). PlanBroadcast
 // sends a large value to its key's root whether or not anyone requests the
 // key, and the root of a key past every request is the last bucket, a
 // straggler here. Shipping every vertex's label, when only F's vertices can
@@ -131,7 +131,7 @@ func TestE24CapSampleScatterOffTheStraggler(t *testing.T) {
 	rn := &run{}
 	defer rn.close()
 	g := graph.ConnectedGNM(n, m, seed, true)
-	cfg := profiled(g, seed, "straggler:4:16", true)
+	cfg := profiled(g, 0, seed, "straggler:4:16", true)
 	cfg.Placement, cfg.Trace = sched.Cap{}, trace.New()
 	c, _, err := cell(rn, cfg, mst(g))
 	if err != nil {

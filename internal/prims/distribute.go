@@ -59,17 +59,6 @@ func DistributeEdges(c *mpc.Cluster, g *graph.Graph) ([][]graph.Edge, error) {
 	return out, nil
 }
 
-// weightedAssign is the deal in owner form: each item's machine, in deal
-// order, and each machine's count.
-func weightedAssign(n int, shares []float64) (owner, counts []int, err error) {
-	if counts, err = apportion(n, shares); err != nil {
-		return nil, nil, err
-	}
-	owner = make([]int, 0, n)
-	deal(n, counts, func(i int) { owner = append(owner, i) })
-	return owner, counts, nil
-}
-
 // apportion splits n items over machines in proportion to their shares by
 // largest remainder: floor the quotas, then hand the leftover items to the
 // largest fractional parts, lowest index on ties. Shares that sum to zero

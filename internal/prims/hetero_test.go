@@ -122,8 +122,8 @@ func TestSortUnderCapacitySkew(t *testing.T) {
 // period on from the last; the counts it returns, which DistributeEdges
 // carves its shards by, must be the owners' tallies. Random shares, zeros
 // among them, over K = 1…64; and with equal shares at K = 7 and 64 every
-// n ≤ 3,000 deals item j to machine j mod K, the round-robin
-// DistributeEdges' uniform path takes without the deal.
+// n ≤ 3,000 deals item j to machine j mod K: with equal weights the deal is
+// round-robin.
 func TestWeightedAssignMatchesScan(t *testing.T) {
 	tallied := func(owner, counts []int) bool {
 		tally := make([]int, len(counts))
@@ -175,6 +175,17 @@ func TestWeightedAssignMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// weightedAssign is DistributeEdges' deal in owner form: each item's
+// machine, in deal order, and each machine's count.
+func weightedAssign(n int, shares []float64) (owner, counts []int, err error) {
+	if counts, err = apportion(n, shares); err != nil {
+		return nil, nil, err
+	}
+	owner = make([]int, 0, n)
+	deal(n, counts, func(i int) { owner = append(owner, i) })
+	return owner, counts, nil
 }
 
 // scanAssign is weightedAssign's reference, one O(k) scan an item.

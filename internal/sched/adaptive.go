@@ -32,9 +32,9 @@ import (
 //
 // Where the declared profile is wrong — misreported speeds, transient
 // slowdown windows the fault plan opens mid-run — the estimate converges to
-// the effective costs at rate Alpha per observed round, which is what E30
-// and E31 measure. Adaptive never speculates (Speculation = 0); it moves
-// future placement instead of mirroring the current round.
+// the effective costs at rate Alpha per observed round, which is what E34's
+// slowdown-window blocks measure. Adaptive never speculates (Speculation =
+// 0); it moves future placement instead of mirroring the current round.
 type Adaptive struct {
 	// Alpha is the EWMA gain in [0,1]: est += Alpha·(measured − est) per
 	// observed round. 0 freezes the declared estimate (static Throughput);
